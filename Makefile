@@ -169,9 +169,13 @@ fuzz-smoke:
 # randomized mixed-op oracle test in internal/sim plus the macro-stream
 # and faulted-parking-lot differentials at the public surface. Any
 # divergence between the default calendar queue and the heap fallback
-# fails here with the first diverging event named.
+# fails here with the first diverging event named. The ring-sizing
+# tests ride along: the bimodal schedule whose far-tier share, far-tier
+# capacity and allocations are bounded, the floor that holds while the
+# schedule reaches across the ring and comes down when it stops, and
+# handle operations on a far-tier resident right after a compaction.
 queue-smoke:
-	$(GO) test -count=1 -run 'TestCalendarVsHeap' ./internal/sim .
+	$(GO) test -count=1 -run 'TestCalendarVsHeap|TestCalendarRingFollowsSchedule|TestCalendarFloorHoldsThenDecays|TestCalendarStopResetAfterCompaction' ./internal/sim .
 
 # bench-json measures the simulator core (engine, link, per-flow, and
 # the two-flow macro-benchmark), records the trajectory against the

@@ -54,7 +54,10 @@
 // into a rolling FNV-1a fingerprint and prints it. Two runs that print
 // the same digest executed the same event stream in the same order, so
 // the flag turns "are these runs identical?" into a string compare —
-// it is how CI proves the calendar and heap schedulers agree.
+// it is how CI proves the calendar and heap schedulers agree. The event
+// queue's shape (ring size, bucket width, the year they span, far-tier
+// residents and pops) goes to stderr alongside, so a calendar whose year
+// is shorter than the topology's delays is visible without a profiler.
 package main
 
 import (
@@ -166,6 +169,13 @@ func main() {
 
 	if run.Digest != nil {
 		fmt.Printf("stream digest: %016x over %d events\n", run.Digest.Sum(), run.Digest.Events())
+		// The queue's shape goes to stderr, so stdout stays a string compare
+		// across queue kinds: a year — buckets x width — shorter than a
+		// delay the schedule uses shows as far-tier pops tracking the event
+		// count. All zero under SLOWCC_EVENTQ=heap.
+		qs := run.Eng.QueueStats()
+		fmt.Fprintf(os.Stderr, "event queue: %d buckets x %.3g s = %.3g s year; far tier %d live of %d slots, %d pops\n",
+			qs.Buckets, qs.Width, float64(qs.Buckets)*qs.Width, qs.FarLive, qs.FarCap, qs.FarPops)
 	}
 	if run.Journeys != nil {
 		printAttribution(run.Journeys)

@@ -5,6 +5,8 @@
 package cc
 
 import (
+	"fmt"
+
 	"slowcc/internal/netem"
 	"slowcc/internal/sim"
 )
@@ -74,9 +76,9 @@ type AckReceiver struct {
 
 	R ReceiverStats
 
-	next    int64 // next expected in-order sequence
-	ooo     map[int64]bool
-	pending int // data packets not yet acknowledged (delayed-ACK mode)
+	next    int64  // next expected in-order sequence
+	ooo     seqSet // sequences received above next
+	pending int    // data packets not yet acknowledged (delayed-ACK mode)
 	delayT  *sim.Timer
 	emitFn  func()
 	// Echo fields copied from the most recent data packet. Copies, not a
@@ -91,7 +93,7 @@ type AckReceiver struct {
 // NewAckReceiver returns a receiver for the given flow sending ACKs
 // into out.
 func NewAckReceiver(eng *sim.Engine, flow int, out netem.Handler) *AckReceiver {
-	r := &AckReceiver{Eng: eng, Out: out, Flow: flow, ooo: make(map[int64]bool)}
+	r := &AckReceiver{Eng: eng, Out: out, Flow: flow}
 	r.emitFn = r.emitAck
 	return r
 }
@@ -110,15 +112,11 @@ func (r *AckReceiver) Handle(p *netem.Packet) {
 	case p.Seq == r.next:
 		isNew = true
 		r.next++
-		for r.ooo[r.next] {
-			delete(r.ooo, r.next)
+		for r.ooo.take(r.next) {
 			r.next++
 		}
 	case p.Seq > r.next:
-		if !r.ooo[p.Seq] {
-			isNew = true
-			r.ooo[p.Seq] = true
-		}
+		isNew = r.ooo.add(p.Seq, r.next)
 	}
 	if isNew {
 		r.R.UniqueBytes += int64(p.Size)
@@ -172,6 +170,67 @@ func (r *AckReceiver) emitAck() {
 	ack.ECNEcho = r.ceSeen
 	r.Out.Handle(ack)
 	r.ceSeen = false
+}
+
+// seqSet is the set of sequence numbers a receiver holds above its
+// in-order point: one bit per sequence, in a power-of-two ring of words
+// addressed by sequence number, so advancing the in-order point moves
+// nothing and a bounded reordering window allocates nothing once the
+// ring spans it. The ring covers the len(words) 64-sequence words from
+// the one holding next; take clears every bit next passes, so a slot is
+// empty again by the time a later word wraps onto it.
+type seqSet struct{ words []uint64 }
+
+// seqSetMaxWords bounds the ring at 2^30 sequences (128 MB of bits): a
+// packet that far ahead of the in-order point is a sender bug, not
+// reordering.
+const seqSetMaxWords = 1 << 24
+
+func (s *seqSet) slot(seq int64) (*uint64, uint64) {
+	return &s.words[(seq>>6)&int64(len(s.words)-1)], 1 << (seq & 63)
+}
+
+// add inserts seq (> next) and reports whether it was absent.
+func (s *seqSet) add(seq, next int64) bool {
+	if need := seq>>6 - next>>6 + 1; need > int64(len(s.words)) {
+		s.grow(need, next)
+	}
+	w, bit := s.slot(seq)
+	if *w&bit != 0 {
+		return false
+	}
+	*w |= bit
+	return true
+}
+
+// take removes seq, the new in-order point, and reports whether it was
+// present.
+func (s *seqSet) take(seq int64) bool {
+	if len(s.words) == 0 {
+		return false
+	}
+	w, bit := s.slot(seq)
+	if *w&bit == 0 {
+		return false
+	}
+	*w &^= bit
+	return true
+}
+
+// grow re-rings the set into the next power of two of at least need
+// words, moving each word the old ring covered to its new slot.
+func (s *seqSet) grow(need, next int64) {
+	if need > seqSetMaxWords {
+		panic(fmt.Sprintf("cc: data packet about %d sequences ahead of the in-order point %d", (need-1)<<6, next))
+	}
+	old, n := s.words, int64(16)
+	for n < need {
+		n *= 2
+	}
+	s.words = make([]uint64, n)
+	for w := next >> 6; w < next>>6+int64(len(old)); w++ {
+		s.words[w&(n-1)] = old[w&int64(len(old)-1)]
+	}
 }
 
 // NextExpected returns the lowest sequence number not yet received

@@ -171,12 +171,17 @@ func (r *RED) notify(p *Packet) bool {
 func (r *RED) updateAvg(now sim.Time) {
 	if r.idle {
 		// The queue has been empty since idleSince; pretend m small
-		// packets departed in that span.
-		m := 0.0
-		if r.MeanPktTime > 0 {
-			m = (now - r.idleSince) / r.MeanPktTime
+		// packets departed in that span. A zero average (every uncongested
+		// hop, the whole ACK path) stays +0 under any decay factor — Pow
+		// is finite in [0, 1] for Weight in [0, 1] and m >= 0 — so it
+		// skips the call.
+		if r.avg != 0 {
+			m := 0.0
+			if r.MeanPktTime > 0 {
+				m = (now - r.idleSince) / r.MeanPktTime
+			}
+			r.avg *= math.Pow(1-r.Weight, m)
 		}
-		r.avg *= math.Pow(1-r.Weight, m)
 		r.idle = false
 	} else {
 		r.avg = (1-r.Weight)*r.avg + r.Weight*float64(r.q.n)

@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -74,5 +75,64 @@ func TestREDDropSplitSumsToRefusals(t *testing.T) {
 	if r.EarlyDrops == 0 || r.ForcedDrops == 0 {
 		t.Fatalf("scenario must exercise both drop regimes: early=%d forced=%d",
 			r.EarlyDrops, r.ForcedDrops)
+	}
+}
+
+// TestREDIdleDecayBitIdentical pins updateAvg's zero-average shortcut to
+// the formula it abbreviates. The queue is driven through idle/busy
+// cycles that reach every state the shortcut distinguishes — idle from a
+// zero average (the shortcut), idle from a positive one (the Pow call),
+// a decay long enough to underflow the average back to zero, and idle
+// again from that zero — while a reference EWMA applies the unabridged
+// update to the same samples; the two must agree to the bit throughout.
+func TestREDIdleDecayBitIdentical(t *testing.T) {
+	const pktTime = 0.0008
+	r := NewRED(5, 15, 1000, pktTime, rand.New(rand.NewSource(1)))
+	r.Weight = 0.25 // a fast average: positive after one busy sample
+	ref, refIdle, refSince, qlen := 0.0, true, 0.0, 0
+	now := 0.0
+	enqueue := func() {
+		if refIdle {
+			ref *= math.Pow(1-r.Weight, (now-refSince)/pktTime)
+			refIdle = false
+		} else {
+			ref = (1-r.Weight)*ref + r.Weight*float64(qlen)
+		}
+		if r.Enqueue(&Packet{Size: 1000}, now) {
+			qlen++
+		}
+		if got := r.Avg(); math.Float64bits(got) != math.Float64bits(ref) {
+			t.Fatalf("t=%v: avg %v (%#x), reference %v (%#x)", now, got,
+				math.Float64bits(got), ref, math.Float64bits(ref))
+		}
+	}
+	drain := func() {
+		for qlen > 0 {
+			now += pktTime
+			r.Dequeue(now)
+			qlen--
+		}
+		refIdle, refSince = true, now
+	}
+	var zeroIdles, positiveIdles int
+	for cycle, gap := range []float64{0.01, 0.5, 0.002, 1e6, 3, 0.004, 0.0001, 1e9, 7} {
+		now += gap
+		if r.Avg() == 0 {
+			zeroIdles++
+		} else {
+			positiveIdles++
+		}
+		// The first arrival of a cycle ends an idle period; the rest of
+		// the burst (none on every third cycle, so a zero average
+		// survives into the next idle period) are busy samples.
+		for i := 0; i <= (cycle%3)*4; i++ {
+			enqueue()
+			now += pktTime / 4
+		}
+		drain()
+	}
+	if zeroIdles < 3 || positiveIdles < 3 {
+		t.Fatalf("script left a branch thin: %d idle periods ended from avg == 0, %d from avg > 0",
+			zeroIdles, positiveIdles)
 	}
 }

@@ -32,6 +32,12 @@ import "math"
 //     and reorder nothing; pathological schedules degrade to a sorted
 //     slice, never to a corrupted order.
 //
+// The ring is sized by two measurements: how many timers are pending
+// (two per bucket at most) and where they land — when more than one pop
+// in eight came through the far tier, the year is shorter than a delay
+// the schedule uses all the time, and the ring doubles until it is not;
+// once placements stop reaching that far, the size is released again.
+//
 // Bucket membership is an intrusive doubly-linked list through
 // Timer.next/prev: no per-bucket storage to allocate or reindex, O(1)
 // Stop/unlink, and a ring of buckets is a single flat allocation.
@@ -49,6 +55,9 @@ const (
 	// disagree by more than calAdaptBand either way.
 	calAdaptEvery = 4096
 	calAdaptBand  = 8.0
+	// calMaxBuckets caps the doubling that far-tier traffic drives (1 MB
+	// of ring); occupancy growth is bounded by the timer count instead.
+	calMaxBuckets = 1 << 16
 
 	bktNone     int32 = -1 // not queued
 	bktOverflow int32 = -2 // resident in the sorted overflow slice
@@ -70,15 +79,25 @@ type calQueue struct {
 
 	// overflow holds timers at least one ring revolution ahead of the
 	// cursor, sorted by (at, seq); entries before ohead have been popped
-	// or migrated. Timer.index is the absolute slice position.
+	// or migrated and await compact. Timer.index is the absolute slice
+	// position.
 	overflow []*Timer
 	ohead    int
 
-	// Width adaptation state: an EWMA of nonzero inter-pop gaps, checked
-	// every calAdaptEvery pops.
+	// Adaptation state, checked every calAdaptEvery pops: an EWMA of
+	// nonzero inter-pop gaps sizes the width; the pops and migrations
+	// that came through the overflow (farPops, farMark its value at the
+	// last check) size the ring, and floor keeps the occupancy rule from
+	// shrinking it back. reach is how many buckets ahead of the cursor
+	// placements have landed — a peak, halved at every check — and is
+	// what lets floor come down again.
 	lastPop Time
 	gapEWMA Time
 	pops    int
+	farPops uint64
+	farMark uint64
+	floor   int
+	reach   int64
 
 	// scratch is reused across rebuilds so steady-state adaptation does
 	// not allocate.
@@ -86,7 +105,7 @@ type calQueue struct {
 }
 
 func newCalQueue(width Time) *calQueue {
-	cq := &calQueue{width: width, invWidth: 1 / width}
+	cq := &calQueue{width: width, invWidth: 1 / width, floor: calMinBuckets}
 	cq.b = make([]calBucket, calMinBuckets)
 	cq.mask = calMinBuckets - 1
 	return cq
@@ -126,6 +145,9 @@ func (cq *calQueue) place(tm *Timer) {
 		// event never is.
 		cq.curEpoch = ep
 	}
+	if d := ep - cq.curEpoch; d > cq.reach {
+		cq.reach = d
+	}
 	cq.placeBucket(int(ep&cq.mask), tm)
 }
 
@@ -163,10 +185,16 @@ func (cq *calQueue) placeBucket(bi int, tm *Timer) {
 // placeOverflow inserts tm into the sorted overflow slice by binary
 // search.
 func (cq *calQueue) placeOverflow(tm *Timer) {
-	if cq.overflow == nil {
-		// One right-sized allocation instead of append's doubling walk;
-		// paid only by schedules that reach the overflow at all.
-		cq.overflow = make([]*Timer, 0, 64)
+	if len(cq.overflow) == cap(cq.overflow) {
+		// Full (or not yet allocated): reclaim the popped prefix, and if
+		// that frees less than a quarter grow to twice the live size, 64
+		// slots at least — so the capacity follows the peak live count,
+		// never the traffic that passed through, and a full slice is not
+		// re-compacted on every insert.
+		cq.compact(true)
+		if n := len(cq.overflow); n*4 >= cap(cq.overflow)*3 {
+			cq.overflow = append(make([]*Timer, 0, max(64, 2*n)), cq.overflow...)
+		}
 	}
 	of := cq.overflow
 	lo, hi := cq.ohead, len(of)
@@ -220,16 +248,31 @@ func (cq *calQueue) remove(tm *Timer) {
 		for j := i; j < len(cq.overflow); j++ {
 			cq.overflow[j].index = int32(j)
 		}
-		if cq.ohead == len(cq.overflow) {
-			cq.overflow = cq.overflow[:0]
-			cq.ohead = 0
-		}
+		cq.compact(false)
 	} else {
 		cq.unlink(tm)
 	}
 	tm.bkt = bktNone
 	tm.index = -1
 	cq.n--
+}
+
+// compact slides the live overflow entries down over the popped prefix
+// once that prefix is at least as long as they are (or, when force is
+// set, whenever there is one). Each pop thus pays for at most one later
+// move, len(overflow) stays under twice the live count, and a drained
+// overflow resets to empty.
+func (cq *calQueue) compact(force bool) {
+	of, live := cq.overflow, len(cq.overflow)-cq.ohead
+	if cq.ohead == 0 || (cq.ohead < live && !force) {
+		return
+	}
+	copy(of, of[cq.ohead:])
+	clear(of[live:])
+	cq.overflow, cq.ohead = of[:live], 0
+	for j, tm := range cq.overflow {
+		tm.index = int32(j)
+	}
 }
 
 // overflowHead returns the earliest overflow timer, nil when none.
@@ -301,12 +344,10 @@ func (cq *calQueue) migrate() {
 		}
 		cq.overflow[cq.ohead] = nil
 		cq.ohead++
+		cq.farPops++
 		cq.place(tm)
 	}
-	if cq.ohead == len(cq.overflow) {
-		cq.overflow = cq.overflow[:0]
-		cq.ohead = 0
-	}
+	cq.compact(false)
 }
 
 // popHead removes tm, which the caller just obtained from findMin — so
@@ -316,10 +357,8 @@ func (cq *calQueue) popHead(tm *Timer) {
 	if tm.bkt == bktOverflow {
 		cq.overflow[cq.ohead] = nil
 		cq.ohead++
-		if cq.ohead == len(cq.overflow) {
-			cq.overflow = cq.overflow[:0]
-			cq.ohead = 0
-		}
+		cq.farPops++
+		cq.compact(false)
 	} else {
 		cq.unlink(tm)
 	}
@@ -339,29 +378,44 @@ func (cq *calQueue) popHead(tm *Timer) {
 		cq.pops = 0
 		cq.adapt()
 	}
-	if cq.n < len(cq.b)/8 && len(cq.b) > calMinBuckets {
+	if cq.n < len(cq.b)/8 && len(cq.b) > cq.floor {
 		cq.rebuild(len(cq.b)/2, cq.width)
 	}
 }
 
-// adapt rebuilds with a width matched to the observed event cadence when
-// the current width is off by more than calAdaptBand in either
-// direction. The band is wide so a deliberate HintTick is left alone;
-// only genuinely pathological widths (schedule cadence shifted by orders
-// of magnitude) trigger a rebuild.
+// adapt runs every calAdaptEvery pops and rebuilds when either dimension
+// of the ring no longer fits the schedule. Width: matched to the observed
+// event cadence when off by more than calAdaptBand in either direction
+// (the band is wide so a deliberate HintTick is left alone). Size: doubled
+// when more than an eighth of the window's pops came through the far
+// tier — a year shorter than a delay the schedule uses routinely sends
+// every such timer through the sorted slice and back — and pinned there
+// by floor, since the occupancy rule in popHead knows nothing of delays.
+// The floor halves again once placements reach less than a quarter of
+// its year: half of it then still holds them twice over, so giving the
+// buckets back to the occupancy rule cannot bring the far traffic back,
+// and a sparse phase after a dense one is not left sweeping, rebuilding
+// and direct-scanning a ring sized for the dense one.
 func (cq *calQueue) adapt() {
-	g := cq.gapEWMA
-	if g <= 0 {
-		return
+	nb, width := len(cq.b), cq.width
+	if (cq.farPops-cq.farMark)*8 > calAdaptEvery {
+		if nb < calMaxBuckets {
+			nb *= 2
+			cq.floor = nb
+		}
+	} else if cq.reach*4 < int64(cq.floor) {
+		cq.floor = max(cq.floor/2, calMinBuckets)
 	}
-	target := 2 * g
-	if target < 1e-12 {
-		target = 1e-12
-	} else if target > 1e9 {
-		target = 1e9
+	cq.farMark = cq.farPops
+	cq.reach /= 2
+	if g := cq.gapEWMA; g > 0 {
+		target := min(max(2*g, 1e-12), 1e9)
+		if width > target*calAdaptBand || width*calAdaptBand < target {
+			width = target
+		}
 	}
-	if cq.width > target*calAdaptBand || cq.width*calAdaptBand < target {
-		cq.rebuild(len(cq.b), target)
+	if nb != len(cq.b) || width != cq.width {
+		cq.rebuild(nb, width)
 	}
 }
 

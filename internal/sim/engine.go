@@ -245,6 +245,32 @@ func (e *Engine) Pending() int {
 	return len(e.events)
 }
 
+// QueueStats is the calendar queue's shape at one instant: enough to see
+// a year (Buckets × Width) shorter than a delay the schedule uses, which
+// shows as FarPops tracking Steps. All zero in heap mode.
+type QueueStats struct {
+	Buckets int    // ring size
+	Width   Time   // bucket width, seconds
+	FarLive int    // timers resident in the far tier (the sorted overflow)
+	FarCap  int    // slots the far tier has allocated
+	FarPops uint64 // pops and migrations that came through the far tier
+}
+
+// QueueStats returns the event queue's current shape.
+func (e *Engine) QueueStats() QueueStats {
+	cq := e.cq
+	if cq == nil {
+		return QueueStats{}
+	}
+	return QueueStats{
+		Buckets: len(cq.b),
+		Width:   cq.width,
+		FarLive: len(cq.overflow) - cq.ohead,
+		FarCap:  cap(cq.overflow),
+		FarPops: cq.farPops,
+	}
+}
+
 // SetAudit installs h as the engine's audit hook; nil disables auditing.
 // The hook costs one nil check per scheduled and executed event when
 // disabled.

@@ -161,16 +161,45 @@ type Dumbbell struct {
 	// mode (Config.Strict) turns into a panic instead.
 	UnknownFlowDrops int64
 
-	lrEntry  netem.Handler         // LR, or Filter when configured
-	demuxR   map[int]netem.Handler // flow -> right-side egress (after LR)
-	demuxL   map[int]netem.Handler // flow -> left-side egress (after RL)
-	journeys *journey.Recorder     // nil unless ObserveJourneys was called
+	lrEntry  netem.Handler     // LR, or Filter when configured
+	demuxR   *routes           // flow -> right-side egress (after LR)
+	demuxL   *routes           // flow -> left-side egress (after RL)
+	journeys *journey.Recorder // nil unless ObserveJourneys was called
+}
+
+// routes is one demux's table, indexed by flow id. Flow ids are small
+// non-negative ints (AlgoSpec.Make numbers flows from 1, cross traffic
+// sits in the 800s, flash crowds start at 10000), so a dense slice keeps
+// hashing off the per-packet path. Demuxes share it by pointer: links
+// capture their demux by value before any flow has registered.
+type routes struct{ byFlow []netem.Handler }
+
+// maxFlowID bounds the table (16 MB of handlers) against a wild id.
+const maxFlowID = 1 << 20
+
+// get returns flow's handler, nil when none is registered — which
+// includes every id outside the table, negative ones among them.
+func (r *routes) get(flow int) netem.Handler {
+	if uint(flow) < uint(len(r.byFlow)) {
+		return r.byFlow[flow]
+	}
+	return nil
+}
+
+func (r *routes) set(flow int, h netem.Handler) {
+	if flow < 0 || flow >= maxFlowID {
+		panic(fmt.Sprintf("topology: flow id %d outside 0..%d", flow, maxFlowID-1))
+	}
+	if n := flow + 1 - len(r.byFlow); n > 0 {
+		r.byFlow = append(r.byFlow, make([]netem.Handler, n)...)
+	}
+	r.byFlow[flow] = h
 }
 
 // demux routes packets leaving a bottleneck to the registered per-flow
 // access link.
 type demux struct {
-	table  map[int]netem.Handler
+	table  *routes
 	pool   *netem.PacketPool
 	name   string
 	drops  *int64
@@ -178,7 +207,7 @@ type demux struct {
 }
 
 func (d demux) Handle(p *netem.Packet) {
-	if h, ok := d.table[p.Flow]; ok {
+	if h := d.table.get(p.Flow); h != nil {
 		h.Handle(p)
 		return
 	}
@@ -200,8 +229,8 @@ func New(eng *sim.Engine, cfg Config) *Dumbbell {
 	d := &Dumbbell{
 		Eng:    eng,
 		Cfg:    cfg,
-		demuxR: make(map[int]netem.Handler),
-		demuxL: make(map[int]netem.Handler),
+		demuxR: new(routes),
+		demuxL: new(routes),
 	}
 	if !cfg.DisablePool {
 		d.Pool = &netem.PacketPool{}
@@ -349,15 +378,15 @@ func (d *Dumbbell) PathRLDelay(flow int, dst netem.Handler, accessDelay sim.Time
 	return d.path(flow, dst, d.RL, d.demuxL, accessDelay, "rl")
 }
 
-func (d *Dumbbell) path(flow int, dst netem.Handler, bottleneck netem.Handler, table map[int]netem.Handler, accessDelay sim.Time, dir string) netem.Handler {
-	if _, dup := table[flow]; dup {
+func (d *Dumbbell) path(flow int, dst netem.Handler, bottleneck netem.Handler, table *routes, accessDelay sim.Time, dir string) netem.Handler {
+	if table.get(flow) != nil {
 		panic(fmt.Sprintf("topology: flow %d already registered on this direction", flow))
 	}
 	// Egress access link: bottleneck -> demux -> this link -> dst.
 	out := netem.NewLink(d.Eng, d.Cfg.AccessRate, accessDelay,
 		netem.NewDropTail(1<<20), dst)
 	out.Pool = d.Pool
-	table[flow] = out
+	table.set(flow, out)
 	// Ingress access link: source -> this link -> bottleneck.
 	in := netem.NewLink(d.Eng, d.Cfg.AccessRate, accessDelay,
 		netem.NewDropTail(1<<20), bottleneck)
@@ -377,8 +406,8 @@ func (d *Dumbbell) path(flow int, dst netem.Handler, bottleneck netem.Handler, t
 // an egress access link (used by one-way CBR traffic where delivery
 // latency does not matter). It panics on duplicate registration.
 func (d *Dumbbell) ForwardSink(flow int, dst netem.Handler) {
-	if _, dup := d.demuxR[flow]; dup {
+	if d.demuxR.get(flow) != nil {
 		panic(fmt.Sprintf("topology: flow %d already registered on this direction", flow))
 	}
-	d.demuxR[flow] = dst
+	d.demuxR.set(flow, dst)
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"slowcc/internal/invariant"
@@ -69,18 +70,40 @@ func TestDemuxSeparatesFlows(t *testing.T) {
 func TestUnknownFlowDiscarded(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Seed: 1})
-	in := d.PathLR(1, &arrival{eng: eng})
-	// Flow 99 has no registration: must not panic, just vanish.
-	in.Handle(&netem.Packet{Flow: 99, Kind: netem.Data, Size: 100})
+	in := d.PathLR(3, &arrival{eng: eng})
+	// None of these has a registration — inside the route table's range
+	// (below the registered id), just past it, negative, and far beyond
+	// anything a table could index: must not panic, just vanish.
+	unknown := []int{0, 2, 4, 99, -1, math.MinInt, math.MaxInt}
+	for _, flow := range unknown {
+		in.Handle(&netem.Packet{Flow: flow, Kind: netem.Data, Size: 100})
+	}
 	eng.Run()
 	// ... but not silently: the drop is counted and observable.
-	if d.UnknownFlowDrops != 1 {
-		t.Fatalf("UnknownFlowDrops = %d, want 1", d.UnknownFlowDrops)
+	if d.UnknownFlowDrops != int64(len(unknown)) {
+		t.Fatalf("UnknownFlowDrops = %d, want %d", d.UnknownFlowDrops, len(unknown))
 	}
 	reg := &obs.Registry{}
 	d.Observe(reg)
-	if got := reg.Snapshot()["topo.unknown_flow_drops"]; got != 1 {
-		t.Fatalf("observed unknown-flow drops = %d, want 1", got)
+	if got := reg.Snapshot()["topo.unknown_flow_drops"]; got != int64(len(unknown)) {
+		t.Fatalf("observed unknown-flow drops = %d, want %d", got, len(unknown))
+	}
+}
+
+// Registration is where a wild flow id is a bug: it must fail by name,
+// not by indexing out of range or by allocating a table to reach it.
+func TestFlowIDOutOfRangePanics(t *testing.T) {
+	for _, flow := range []int{-1, maxFlowID, math.MaxInt} {
+		eng := sim.New(1)
+		d := New(eng, Config{Seed: 1})
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "flow id") {
+					t.Errorf("PathLR(%d): recovered %q, want a flow-id panic", flow, msg)
+				}
+			}()
+			d.PathLR(flow, &arrival{eng: eng})
+		}()
 	}
 }
 

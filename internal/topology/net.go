@@ -222,9 +222,9 @@ func NewNet(eng *sim.Engine, cfg NetConfig) *Net {
 	eng.HintTick(float64(cfg.PktSize) * 8 / minRate)
 	for i, h := range cfg.Hops {
 		bdp := cfg.HopBDPPkts(i)
-		n.fwdRt[i] = demux{make(map[int]netem.Handler), n.Pool,
+		n.fwdRt[i] = demux{new(routes), n.Pool,
 			fmt.Sprintf("node-%d", i+1), &n.UnknownFlowDrops, cfg.Strict}
-		n.revRt[i] = demux{make(map[int]netem.Handler), n.Pool,
+		n.revRt[i] = demux{new(routes), n.Pool,
 			fmt.Sprintf("node-%d", i), &n.UnknownFlowDrops, cfg.Strict}
 		spec := queueSpec{
 			DropTail: h.DropTail, ECN: h.ECN, Gentle: h.Gentle,
@@ -285,9 +285,9 @@ func (n *Net) PathFwd(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 	out.Pool = n.Pool
 	// The router after the last hop of the span delivers to the egress
 	// access link; routers at interior nodes forward into the next hop.
-	n.fwdRt[exit-1].table[flow] = out
+	n.fwdRt[exit-1].table.set(flow, out)
 	for node := enter + 1; node < exit; node++ {
-		n.fwdRt[node-1].table[flow] = n.fwdEntry[node]
+		n.fwdRt[node-1].table.set(flow, n.fwdEntry[node])
 	}
 	in := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
 		netem.NewDropTail(1<<20), n.fwdEntry[enter])
@@ -317,9 +317,9 @@ func (n *Net) PathRev(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 	out := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
 		netem.NewDropTail(1<<20), dst)
 	out.Pool = n.Pool
-	n.revRt[exit].table[flow] = out
+	n.revRt[exit].table.set(flow, out)
 	for node := exit + 1; node < enter; node++ {
-		n.revRt[node].table[flow] = n.Rev[node-1]
+		n.revRt[node].table.set(flow, n.Rev[node-1])
 	}
 	in := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
 		netem.NewDropTail(1<<20), n.Rev[enter-1])
@@ -363,9 +363,9 @@ func (n *Net) ForwardSink(flow int, dst netem.Handler) {
 	}
 	n.fwdFlows[flow] = true
 	k := n.NumHops()
-	n.fwdRt[k-1].table[flow] = dst
+	n.fwdRt[k-1].table.set(flow, dst)
 	for node := 1; node < k; node++ {
-		n.fwdRt[node-1].table[flow] = n.fwdEntry[node]
+		n.fwdRt[node-1].table.set(flow, n.fwdEntry[node])
 	}
 }
 
