@@ -1,16 +1,20 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke bench-json report-smoke fuzz-smoke matrix-smoke timeline-smoke queue-smoke export-smoke resume-smoke
+.PHONY: ci fmt vet build test race bench bench-smoke report-smoke fuzz-smoke matrix-smoke timeline-smoke queue-smoke export-smoke resume-smoke
 
-# ci is the gate future PRs run: static checks, a full build, the
-# complete test suite under the race detector, and a single-iteration
-# run of the core macro-benchmark so the allocation-free hot path at
-# least executes on every change. The exp package's TestMain enables
-# the invariant auditing layer for the whole scaled-down figure suite,
-# so packet-accounting regressions fail here even when no figure-level
-# assertion notices them; -race additionally exercises parallelMap's
-# worker pool.
-ci: vet build race bench-smoke queue-smoke report-smoke matrix-smoke timeline-smoke export-smoke resume-smoke fuzz-smoke
+# ci is the gate future PRs run: formatting and static checks, a full
+# build, the complete test suite under the race detector, and a
+# single-iteration run of the core macro-benchmark so the
+# allocation-free hot path at least executes on every change. The exp
+# package's TestMain enables the invariant auditing layer for the whole
+# scaled-down figure suite, so packet-accounting regressions fail here
+# even when no figure-level assertion notices them; -race additionally
+# exercises parallelMap's worker pool.
+ci: fmt vet build race bench-smoke queue-smoke report-smoke matrix-smoke timeline-smoke export-smoke resume-smoke fuzz-smoke
+
+# fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -32,7 +36,7 @@ bench:
 # bench-smoke runs just the core macro-benchmark once (seconds, not
 # minutes) — a ci step, not a measurement.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=EnginePacketsPerSecond -benchtime=1x .
+	$(GO) test -run='^$$' -bench='EnginePacketsPerSecond$$' -benchtime=1x .
 
 # report-smoke exercises the manifest pipeline end to end: a short
 # probed slowcctrace run writes a digest-sealed manifest plus probe TSV,
@@ -167,24 +171,13 @@ fuzz-smoke:
 
 # queue-smoke runs the calendar-vs-heap differential suite: the
 # randomized mixed-op oracle test in internal/sim plus the macro-stream
-# and faulted-parking-lot differentials at the public surface. Any
-# divergence between the default calendar queue and the heap fallback
-# fails here with the first diverging event named. The ring-sizing
-# tests ride along: the bimodal schedule whose far-tier share, far-tier
-# capacity and allocations are bounded, the floor that holds while the
-# schedule reaches across the ring and comes down when it stops, and
-# handle operations on a far-tier resident right after a compaction.
+# (the pinned-stream table's heap row) and faulted-parking-lot
+# differentials at the public surface. Any divergence between the
+# calendar queue and the heap reference fails here with the first
+# diverging event named. The ring-sizing tests ride along: the bimodal
+# schedule whose far-tier share, far-tier capacity and allocations are
+# bounded, the floor that holds while the schedule reaches across the
+# ring and comes down when it stops, and handle operations on a
+# far-tier resident right after a compaction.
 queue-smoke:
-	$(GO) test -count=1 -run 'TestCalendarVsHeap|TestCalendarRingFollowsSchedule|TestCalendarFloorHoldsThenDecays|TestCalendarStopResetAfterCompaction' ./internal/sim .
-
-# bench-json measures the simulator core (engine, link, per-flow, and
-# the two-flow macro-benchmark), records the trajectory against the
-# pre-optimization baseline in BENCH_core.json, and fails if the
-# speedup/allocation gates regress. Three interleaved runs per
-# benchmark: the minimum is recorded, the min/max spread is reported,
-# and a spread above 5% is flagged unstable. Refuses to run from a
-# dirty worktree (the record names the commit it measured); pass
-# -allow-dirty through `go run ./cmd/slowccbench` by hand for local
-# experiments.
-bench-json:
-	$(GO) run ./cmd/slowccbench -count 3 -out BENCH_core.json
+	$(GO) test -count=1 -run 'TestCalendarVsHeap|TestWiredButOffLayersKeepPinnedStream/heap|TestCalendarRingFollowsSchedule|TestCalendarFloorHoldsThenDecays|TestCalendarStopResetAfterCompaction' ./internal/sim .

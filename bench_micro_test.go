@@ -4,8 +4,8 @@
 // allocation regression points at the layer that caused it. Companion
 // micro-benchmarks live next to their packages:
 // internal/sim.BenchmarkEngineEventTurnover (scheduler only) and
-// internal/netem.BenchmarkLinkForward (per-packet link path).
-// `make bench-json` records all of them in BENCH_core.json.
+// internal/netem.BenchmarkLinkForward (per-packet link path). The
+// gated, recorded per-layer budget is `go run ./bench -trace 1`.
 package slowcc_test
 
 import (

@@ -6,7 +6,6 @@
 package slowcc_test
 
 import (
-	"io"
 	"testing"
 
 	"slowcc"
@@ -288,219 +287,6 @@ func BenchmarkEnginePacketsPerSecond(b *testing.B) {
 		eng.At(0, f2.Sender.Start)
 		eng.RunUntil(30)
 		b.ReportMetric(float64(eng.Steps()), "events")
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondCalendarOff is the same scenario as
-// BenchmarkEnginePacketsPerSecond on the 4-ary heap fallback
-// (HeapQueue) instead of the default calendar queue. It exists so the
-// cmd/slowccbench calendar gate can (a) prove the fallback knob still
-// works — the event count must match the calendar run exactly — and
-// (b) bound how far the fallback is allowed to trail the default, so a
-// regression that quietly pushes work onto the heap path is caught.
-func BenchmarkEnginePacketsPerSecondCalendarOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngineWithQueue(int64(i+1), slowcc.HeapQueue)
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1)})
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondObsOff is the same scenario as
-// BenchmarkEnginePacketsPerSecond with the full observability layer
-// wired but disabled: a counter registry registered over the topology,
-// a sampler installed in the engine's probe hook slot at interval 0.
-// The one-time wiring (closure registration, sampler construction) sits
-// outside the timed window — the claim under test is the steady-state
-// cost of the disabled layer, not its setup. The cmd/slowccbench obs
-// gate compares the pair from the same run and fails on more than 2%
-// slowdown or any extra allocations — "costs nothing when off" stated
-// as a regression check.
-func BenchmarkEnginePacketsPerSecondObsOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngine(int64(i + 1))
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1)})
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		b.StopTimer()
-		reg := &slowcc.CounterRegistry{}
-		d.Observe(reg)
-		smp := slowcc.NewSampler(0) // disabled cadence, hook still installed
-		d.ObserveProbes(smp)
-		smp.Add("flow1", f1.Probes)
-		smp.Add("flow2", f2.Probes)
-		smp.Install(eng)
-		b.StartTimer()
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-		if n := len(smp.Samples()); n != 0 {
-			b.Fatalf("disabled sampler recorded %d samples", n)
-		}
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondFaultsOff is the macro scenario with a
-// fault injector wired but disabled: the injector is constructed and
-// passed to the dumbbell, whose Attach (zero-config) hands the entry
-// handler back untouched and schedules nothing. The cmd/slowccbench
-// fault gate pairs this against the plain variant from the same run and
-// fails on more than 2% slowdown, any extra allocations over the PR 2
-// record, or any event-count drift — "fault injection costs nothing
-// when off" stated as a regression check.
-func BenchmarkEnginePacketsPerSecondFaultsOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngine(int64(i + 1))
-		b.StopTimer()
-		inj := slowcc.NewFaultInjector(eng, slowcc.FaultConfig{})
-		b.StartTimer()
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1), Fault: inj})
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-		if inj.Attached() {
-			b.Fatal("disabled injector attached a handler")
-		}
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondTopoOff is the macro scenario with an
-// idle 2-hop parking-lot chain constructed on the same engine: links,
-// RED queues, and routing tables exist but carry no traffic. The chain
-// construction sits outside the timed window — the claim under test is
-// that unused multi-bottleneck machinery costs the dumbbell hot path
-// nothing at steady state. The cmd/slowccbench topology gate pairs this
-// against the plain variant from the same run and fails on more than 2%
-// slowdown, any extra allocations over the PR 2 record, or any
-// event-count drift.
-func BenchmarkEnginePacketsPerSecondTopoOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngine(int64(i + 1))
-		b.StopTimer()
-		n := slowcc.NewNet(eng, slowcc.NetConfig{
-			Hops: []slowcc.NetHop{{Rate: 10e6}, {Rate: 10e6}},
-			Seed: 99,
-		})
-		b.StartTimer()
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1)})
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-		if got := n.Fwd[0].Stats.Arrivals + n.Fwd[1].Stats.Arrivals; got != 0 {
-			b.Fatalf("idle chain carried %d packets", got)
-		}
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondJourneyOff is the macro scenario with
-// the journey layer wired but disabled: ObserveJourneys(nil) is the
-// configuration every link runs under permanently — a nil hook field
-// checked once per journey event site (enqueue, tx start, tx end,
-// deliver, drop). The cmd/slowccbench journey gate pairs this against
-// the plain variant from the same run and fails on more than 2%
-// slowdown, any extra allocations over the PR 2 record, or any
-// event-count drift — "journey capture costs nothing when off" stated
-// as a regression check.
-func BenchmarkEnginePacketsPerSecondJourneyOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngine(int64(i + 1))
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1)})
-		d.ObserveJourneys(nil)
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondExportOff is the macro scenario with
-// the live-export layer wired but disabled: a counter registry
-// registered over the topology (the state /metrics would render) and
-// the engine's stream-digest slot explicitly set to nil — the exact
-// one-nil-check-per-event configuration every unserved run executes.
-// The Prometheus rendering of the harvested registry happens outside
-// the timed window, proving the scrape path works on this run's state
-// without charging its cost to the hot path. The cmd/slowccbench
-// export gate pairs this against the plain variant from the same run
-// and fails on more than 2% slowdown, any extra allocations over the
-// PR 2 record, or any event-count drift — "telemetry export costs
-// nothing when not serving" stated as a regression check.
-func BenchmarkEnginePacketsPerSecondExportOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngine(int64(i + 1))
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1)})
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		b.StopTimer()
-		reg := &slowcc.CounterRegistry{}
-		d.Observe(reg)
-		eng.SetStreamDigest(nil) // the disabled digest slot, checked per event
-		b.StartTimer()
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-		b.StopTimer()
-		if err := slowcc.WritePrometheus(io.Discard, reg, nil); err != nil {
-			b.Fatalf("rendering the run's registry: %v", err)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkEnginePacketsPerSecondStoreOff is the macro scenario with
-// the durable result store wired but idle: a store is open and
-// registered as the sweep replay source — the configuration every
-// slowccsim -store run executes — while the engine runs a scenario
-// that commits no cell. The store is consulted per sweep cell, never
-// per event, so the hot path must not observe it at all; the final
-// check proves the run neither read nor wrote the store. The
-// cmd/slowccbench store gate pairs this against the plain variant from
-// the same run and fails on more than 2% slowdown, any extra
-// allocations over the PR 2 record, or any event-count drift —
-// "crash-safe persistence costs nothing when no cell commits" stated
-// as a regression check.
-func BenchmarkEnginePacketsPerSecondStoreOff(b *testing.B) {
-	st, err := slowcc.OpenStore(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	prev := slowcc.SetSweepStore(st, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := slowcc.NewEngine(int64(i + 1))
-		d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: int64(i + 1)})
-		f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-		f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-		eng.At(0, f1.Sender.Start)
-		eng.At(0, f2.Sender.Start)
-		eng.RunUntil(30)
-		b.ReportMetric(float64(eng.Steps()), "events")
-	}
-	// Teardown stays outside the timed window; the harness's final
-	// StopTimer is a no-op on an already-stopped timer.
-	b.StopTimer()
-	if st.Len() != 0 || st.Hits() != 0 || st.Misses() != 0 {
-		b.Fatalf("idle store was touched: %d entries, %d hits, %d misses",
-			st.Len(), st.Hits(), st.Misses())
-	}
-	slowcc.SetSweepStore(prev, false)
-	if err := st.Close(); err != nil {
-		b.Fatalf("closing the idle store: %v", err)
 	}
 }
 

@@ -1,14 +1,13 @@
 // Differential guarantee of the event-queue swap, checked at the public
-// surface: the calendar queue (the default) and the heap fallback must
-// produce identical runs — not just the same aggregates, but the same
-// event stream, packet for packet. Two scenarios pin it: the seed-1
-// macro run that every other determinism test anchors on, and a faulted
-// 3-hop parking lot where outages, corruption, duplication, and
+// surface: the calendar queue and the heap reference must produce
+// identical runs — not just the same aggregates, but the same event
+// stream, packet for packet. The seed-1 macro run holds it as the "heap
+// queue" row of TestWiredButOffLayersKeepPinnedStream; here a faulted
+// 3-hop parking lot does, where outages, corruption, duplication, and
 // reordering all land inside batched busy periods.
 //
-// These tests are the "queue smoke" the Makefile's ci target runs (see
-// the queue-smoke target); keep their names on the TestCalendarVsHeap
-// prefix so the -run pattern catches them.
+// Both are the "queue smoke" the Makefile's ci target runs (see the
+// queue-smoke target and its -run pattern).
 package slowcc_test
 
 import (
@@ -16,45 +15,6 @@ import (
 
 	"slowcc"
 )
-
-// queueMacroRun executes the slowccbench macro scenario (two standard
-// TCP flows, 10 Mbps, 30 s, seed 1) on an engine with the given queue
-// kind and returns the engine plus the bottleneck packet trace.
-func queueMacroRun(t *testing.T, kind slowcc.QueueKind) (*slowcc.Engine, []slowcc.TraceEvent) {
-	t.Helper()
-	eng := slowcc.NewEngineWithQueue(1, kind)
-	d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: 1})
-	rec := &slowcc.Tracer{}
-	d.LR.AddTap(rec.LinkTap())
-	f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-	f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-	eng.At(0, f1.Sender.Start)
-	eng.At(0, f2.Sender.Start)
-	eng.RunUntil(30)
-	return eng, rec.Events()
-}
-
-func TestCalendarVsHeapMacroStream(t *testing.T) {
-	const pinnedEvents = 403989
-
-	calEng, calEv := queueMacroRun(t, slowcc.CalendarQueue)
-	heapEng, heapEv := queueMacroRun(t, slowcc.HeapQueue)
-
-	if calEng.Steps() != pinnedEvents {
-		t.Fatalf("calendar run executed %d events, want the pinned %d", calEng.Steps(), pinnedEvents)
-	}
-	if heapEng.Steps() != pinnedEvents {
-		t.Fatalf("heap run executed %d events, want the pinned %d", heapEng.Steps(), pinnedEvents)
-	}
-	if len(calEv) != len(heapEv) {
-		t.Fatalf("trace lengths differ: calendar %d, heap %d", len(calEv), len(heapEv))
-	}
-	for i := range calEv {
-		if calEv[i] != heapEv[i] {
-			t.Fatalf("trace event %d differs: calendar %+v, heap %+v", i, calEv[i], heapEv[i])
-		}
-	}
-}
 
 // faultedChainRun builds a 3-hop parking-lot chain with a fault injector
 // on every hop — an outage window plus corruption, duplication, and

@@ -169,10 +169,10 @@ func main() {
 
 	if run.Digest != nil {
 		fmt.Printf("stream digest: %016x over %d events\n", run.Digest.Sum(), run.Digest.Events())
-		// The queue's shape goes to stderr, so stdout stays a string compare
-		// across queue kinds: a year — buckets x width — shorter than a
+		// The queue's shape goes to stderr, so stdout stays the run's
+		// deterministic record: a year — buckets x width — shorter than a
 		// delay the schedule uses shows as far-tier pops tracking the event
-		// count. All zero under SLOWCC_EVENTQ=heap.
+		// count.
 		qs := run.Eng.QueueStats()
 		fmt.Fprintf(os.Stderr, "event queue: %d buckets x %.3g s = %.3g s year; far tier %d live of %d slots, %d pops\n",
 			qs.Buckets, qs.Width, float64(qs.Buckets)*qs.Width, qs.FarLive, qs.FarCap, qs.FarPops)

@@ -16,7 +16,7 @@ func main() {
 	d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: 1})
 
 	mon := slowcc.NewLossMonitor(0.5)
-	d.LR.AddTap(mon.Tap())
+	d.Fwd[0].AddTap(mon.Tap())
 
 	tcp := slowcc.TCP(0.5).Make(eng, d, 1)
 	tfrc := slowcc.TFRC(slowcc.TFRCOptions{K: 8, HistoryDiscounting: true}).Make(eng, d, 2)

@@ -17,7 +17,7 @@ func main() {
 	d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: 1})
 
 	var rec slowcc.Tracer
-	d.LR.AddTap(rec.LinkTap())
+	d.Fwd[0].AddTap(rec.LinkTap())
 
 	tcp := slowcc.TCP(0.5).Make(eng, d, 1)
 	tfrc := slowcc.TFRC(slowcc.TFRCOptions{K: 8, HistoryDiscounting: true}).Make(eng, d, 2)

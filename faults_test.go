@@ -1,7 +1,6 @@
-// Determinism guarantee of the fault-injection layer, checked at the
-// public surface: a wired-but-disabled injector must not change the
-// event stream a seed produces — the same pin the observability layer
-// holds in obs_test.go.
+// The fault-injection layer at the CLI-facing surface. (That a
+// wired-but-disabled injector leaves the event stream alone is the
+// "fault injector disabled" row of TestWiredButOffLayersKeepPinnedStream.)
 package slowcc_test
 
 import (
@@ -9,56 +8,6 @@ import (
 
 	"slowcc"
 )
-
-// macroRun executes the slowccbench macro scenario (two standard TCP
-// flows, 10 Mbps, 30 s, seed 1), optionally with a disabled fault
-// injector wired into the dumbbell, and returns the engine plus the
-// bottleneck packet trace.
-func macroRun(t *testing.T, withInjector bool) (*slowcc.Engine, []slowcc.TraceEvent) {
-	t.Helper()
-	eng := slowcc.NewEngine(1)
-	cfg := slowcc.DumbbellConfig{Rate: 10e6, Seed: 1}
-	var inj *slowcc.FaultInjector
-	if withInjector {
-		inj = slowcc.NewFaultInjector(eng, slowcc.FaultConfig{})
-		cfg.Fault = inj
-	}
-	d := slowcc.NewDumbbell(eng, cfg)
-	rec := &slowcc.Tracer{}
-	d.LR.AddTap(rec.LinkTap())
-	f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-	f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-	eng.At(0, f1.Sender.Start)
-	eng.At(0, f2.Sender.Start)
-	eng.RunUntil(30)
-	if withInjector && inj.Attached() {
-		t.Fatal("disabled injector attached a handler")
-	}
-	return eng, rec.Events()
-}
-
-func TestDisabledFaultInjectorDoesNotPerturbEventStream(t *testing.T) {
-	const pinnedEvents = 403989
-
-	plainEng, plainEv := macroRun(t, false)
-	wiredEng, wiredEv := macroRun(t, true)
-
-	if plainEng.Steps() != pinnedEvents {
-		t.Fatalf("plain run executed %d events, want the pinned %d", plainEng.Steps(), pinnedEvents)
-	}
-	if wiredEng.Steps() != pinnedEvents {
-		t.Fatalf("injector-wired run executed %d events, want the pinned %d: a disabled injector perturbed the schedule",
-			wiredEng.Steps(), pinnedEvents)
-	}
-	if len(plainEv) != len(wiredEv) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(plainEv), len(wiredEv))
-	}
-	for i := range plainEv {
-		if plainEv[i] != wiredEv[i] {
-			t.Fatalf("trace event %d differs: %+v vs %+v", i, plainEv[i], wiredEv[i])
-		}
-	}
-}
 
 // TestTraceRunFaultSpec checks the CLI-facing path end to end: a "none"
 // spec wires nothing and keeps the pinned schedule; an outage spec
@@ -87,8 +36,8 @@ func TestTraceRunFaultSpec(t *testing.T) {
 	if r2.Eng.Steps() == 403989 {
 		t.Fatal("a 5s bottleneck outage left the event count unchanged")
 	}
-	if r2.D.LR.Transitions != 2 {
-		t.Fatalf("outage run saw %d link transitions, want 2", r2.D.LR.Transitions)
+	if r2.D.Fwd[0].Transitions != 2 {
+		t.Fatalf("outage run saw %d link transitions, want 2", r2.D.Fwd[0].Transitions)
 	}
 
 	defer func() {

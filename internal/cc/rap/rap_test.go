@@ -9,7 +9,7 @@ import (
 	"slowcc/internal/topology"
 )
 
-func wire(eng *sim.Engine, d *topology.Dumbbell, cfg Config) (*Sender, *cc.AckReceiver) {
+func wire(eng *sim.Engine, d *topology.Net, cfg Config) (*Sender, *cc.AckReceiver) {
 	rcv := cc.NewAckReceiver(eng, cfg.Flow, nil)
 	snd := NewSender(eng, nil, cfg)
 	snd.Out = d.PathLR(cfg.Flow, rcv)

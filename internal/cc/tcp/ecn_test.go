@@ -9,7 +9,7 @@ import (
 	"slowcc/internal/topology"
 )
 
-func wireECN(eng *sim.Engine, d *topology.Dumbbell, flow int) (*Sender, *cc.AckReceiver) {
+func wireECN(eng *sim.Engine, d *topology.Net, flow int) (*Sender, *cc.AckReceiver) {
 	rcv := cc.NewAckReceiver(eng, flow, nil)
 	snd := NewSender(eng, nil, Config{Flow: flow, ECN: true})
 	snd.Out = d.PathLR(flow, rcv)
@@ -32,7 +32,7 @@ func TestECNFlowAvoidsDrops(t *testing.T) {
 	if util < 0.8 {
 		t.Fatalf("ECN TCP achieved %.1f%% utilization, want > 80%%", util*100)
 	}
-	red := d.LR.Q.(*netem.RED)
+	red := d.Fwd[0].Q.(*netem.RED)
 	if red.Marks == 0 {
 		t.Fatal("marking bottleneck never marked a saturating ECN flow")
 	}

@@ -33,7 +33,7 @@ func TestAIMDDecreaseFloor(t *testing.T) {
 
 // wire connects a TCP sender/receiver pair over a dumbbell and returns
 // both.
-func wire(eng *sim.Engine, d *topology.Dumbbell, cfg Config) (*Sender, *cc.AckReceiver) {
+func wire(eng *sim.Engine, d *topology.Net, cfg Config) (*Sender, *cc.AckReceiver) {
 	rcv := cc.NewAckReceiver(eng, cfg.Flow, nil)
 	snd := NewSender(eng, nil, cfg)
 	snd.Out = d.PathLR(cfg.Flow, rcv)

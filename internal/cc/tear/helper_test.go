@@ -13,7 +13,7 @@ type tcpFlow struct {
 	rcv *cc.AckReceiver
 }
 
-func newTCPFlow(eng *sim.Engine, d *topology.Dumbbell, flow int) *tcpFlow {
+func newTCPFlow(eng *sim.Engine, d *topology.Net, flow int) *tcpFlow {
 	rcv := cc.NewAckReceiver(eng, flow, nil)
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: flow})
 	snd.Out = d.PathLR(flow, rcv)

@@ -8,7 +8,7 @@ import (
 	"slowcc/internal/topology"
 )
 
-func wire(eng *sim.Engine, d *topology.Dumbbell, flow int) (*Sender, *Receiver) {
+func wire(eng *sim.Engine, d *topology.Net, flow int) (*Sender, *Receiver) {
 	rcv := NewReceiver(eng, flow, nil)
 	snd := NewSender(eng, nil, flow)
 	snd.Out = d.PathLR(flow, rcv)

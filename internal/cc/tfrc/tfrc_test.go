@@ -40,7 +40,7 @@ func TestWeightsGeneralShape(t *testing.T) {
 }
 
 // wire connects a TFRC pair over a dumbbell.
-func wire(eng *sim.Engine, d *topology.Dumbbell, flow, k int, conservative bool) (*Sender, *Receiver) {
+func wire(eng *sim.Engine, d *topology.Net, flow, k int, conservative bool) (*Sender, *Receiver) {
 	rcv := NewReceiver(eng, flow, nil, k)
 	snd := NewSender(eng, nil, Config{Flow: flow, Conservative: conservative})
 	snd.Out = d.PathLR(flow, rcv)

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,7 +33,6 @@ var audit struct {
 	flightSeq  atomic.Int64
 	total      int64
 	violations []invariant.Violation // capped at auditMaxRecorded
-	auditors   map[*sim.Engine]*invariant.Auditor
 }
 
 const auditMaxRecorded = 200
@@ -48,9 +48,6 @@ func EnableAudit(on bool) {
 	audit.mu.Lock()
 	defer audit.mu.Unlock()
 	audit.enabled = on
-	if on && audit.auditors == nil {
-		audit.auditors = make(map[*sim.Engine]*invariant.Auditor)
-	}
 }
 
 // EnableFlightDump makes every audited scenario keep a flight recorder
@@ -93,29 +90,31 @@ func recordAuditViolation(v invariant.Violation) {
 	}
 }
 
-// newScenario constructs the engine and dumbbell every figure driver
-// runs on, wiring the invariant auditor through both when audit mode is
-// enabled, applying the global run budget and fault configuration (the
-// -max-events / -fault CLI paths), and — for a supervised sweep cell —
-// keeping a flight recorder the supervisor can dump if the cell
-// panics. c is nil outside supervised sweeps.
-func newScenario(c *Cell, seed int64, tc topology.Config) (*sim.Engine, *topology.Dumbbell) {
-	eng, d, _ := newFaultScenario(c, seed, tc, nil)
-	return eng, d
+// newScenario constructs the engine and dumbbell a figure driver runs
+// on: buildScenario with the global fault configuration.
+func newScenario(c *Cell, seed int64, tc topology.Config) (*sim.Engine, *topology.Net) {
+	return buildScenario(c, seed, tc, nil, nil, 0)
 }
 
-// newFaultScenario is newScenario with an explicit fault configuration
-// (the outage experiment's path). A nil fc falls back to the global one
-// installed by SetFaultConfig; the returned injector is nil when neither
-// is enabled.
-func newFaultScenario(c *Cell, seed int64, tc topology.Config, fc *faults.Config) (*sim.Engine, *topology.Dumbbell, *faults.Injector) {
+// buildScenario is the one place a figure or matrix scenario gets its
+// engine and topology: the paper's dumbbell tc or, when chain is
+// non-nil, that chain instead. It applies the global run budget (the
+// -max-events CLI path); attaches the fault configuration — explicit
+// fc, else the global -fault one — to the forward link of hop faultHop,
+// so multi-bottleneck scenarios pick which hop degrades; wires the
+// invariant auditor through every link when audit mode is on; keeps
+// flight recorders over the first forward hop, one the auditor dumps on
+// a violation and one the supervisor dumps if sweep cell c panics; and
+// registers the topology with the cell's live-telemetry collector. c is
+// nil outside supervised sweeps.
+func buildScenario(c *Cell, seed int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	eng := sim.New(seed)
 	budget, fault, pol, collect := scenarioGlobals()
-	if fc == nil {
-		fc = fault
-	}
 	if budget != nil {
 		eng.SetBudget(budget)
+	}
+	if fc == nil {
+		fc = fault
 	}
 	var inj *faults.Injector
 	if fc != nil && fc.Enabled() {
@@ -124,25 +123,31 @@ func newFaultScenario(c *Cell, seed int64, tc topology.Config, fc *faults.Config
 			cfg.Seed = seed // default the fault stream onto the cell's seed
 		}
 		inj = faults.New(eng, cfg)
-		tc.Fault = inj
 	}
 	audit.mu.Lock()
-	on := audit.enabled
-	flightDir := audit.flightDir
+	on, flightDir := audit.enabled, audit.flightDir
 	audit.mu.Unlock()
 	var a *invariant.Auditor
 	if on {
 		a = invariant.New(eng)
 		a.Report = recordAuditViolation
-		tc.Audit = a
-		audit.mu.Lock()
-		audit.auditors[eng] = a
-		audit.mu.Unlock()
 	}
-	d := topology.New(eng, tc)
+	var n *topology.Net
+	if chain == nil {
+		tc.Fault, tc.Audit = inj, a
+		n = topology.New(eng, tc)
+	} else {
+		nc := *chain
+		nc.Audit = a
+		if inj != nil {
+			nc.Hops = slices.Clone(nc.Hops) // the caller's slice is not ours to write
+			nc.Hops[faultHop].Fault = inj
+		}
+		n = topology.NewNet(eng, nc)
+	}
 	if a != nil && flightDir != "" {
 		fr := obs.NewFlightRecorder(flightRingSize)
-		d.LR.AddTap(fr.LinkTap())
+		n.Fwd[0].AddTap(fr.LinkTap())
 		a.Flight = fr
 		a.DumpPath = filepath.Join(flightDir,
 			fmt.Sprintf("flight-%d.dump", audit.flightSeq.Add(1)))
@@ -153,107 +158,31 @@ func newFaultScenario(c *Cell, seed int64, tc topology.Config, fc *faults.Config
 			ring = flightRingSize
 		}
 		fr := obs.NewFlightRecorder(ring)
-		d.LR.AddTap(fr.LinkTap())
+		n.Fwd[0].AddTap(fr.LinkTap())
 		c.flight = fr
 	}
 	if c != nil && collect {
-		c.observe(eng, func(reg *obs.Registry) { d.Observe(reg) })
+		c.observe(n)
 	}
-	return eng, d, inj
+	return eng, n
 }
 
-// observe attaches live-telemetry collection points to one engine the
+// observe attaches live-telemetry collection points to one scenario the
 // cell constructed: a counter registry populated by the topology's
 // Observe, and a stream digest folding the engine's event stream (one
 // extra nil-check branch per event while the cell runs). The supervisor
 // snapshots both into obs.CellStats after the job returns.
-func (c *Cell) observe(eng *sim.Engine, register func(*obs.Registry)) {
+func (c *Cell) observe(n *topology.Net) {
 	reg := &obs.Registry{}
-	register(reg)
+	n.Observe(reg)
 	dig := &sim.StreamDigest{}
-	eng.SetStreamDigest(dig)
-	c.obsv = append(c.obsv, cellObs{eng: eng, reg: reg, dig: dig})
-}
-
-// newNetScenario is the parking-lot counterpart of newFaultScenario: it
-// constructs the engine and chain with the same global budget, fault,
-// audit, and flight-recorder wiring the dumbbell scenarios get. The
-// fault configuration (explicit fc, else the global one) attaches to
-// hop faultHop — multi-bottleneck scenarios pick which hop degrades.
-// The flight recorder taps the first hop, the chain's analogue of LR.
-func newNetScenario(c *Cell, seed int64, nc topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net, *faults.Injector) {
-	eng := sim.New(seed)
-	budget, fault, pol, collect := scenarioGlobals()
-	if fc == nil {
-		fc = fault
-	}
-	if budget != nil {
-		eng.SetBudget(budget)
-	}
-	var inj *faults.Injector
-	if fc != nil && fc.Enabled() {
-		cfg := *fc
-		if cfg.Seed == 0 {
-			cfg.Seed = seed
-		}
-		inj = faults.New(eng, cfg)
-		// fill() clones the hop slice, but that happens inside NewNet;
-		// clone here too so the caller's config is not mutated.
-		hops := append([]topology.Hop(nil), nc.Hops...)
-		if len(hops) == 0 {
-			hops = []topology.Hop{{}}
-		}
-		if faultHop < 0 || faultHop >= len(hops) {
-			faultHop = 0
-		}
-		hops[faultHop].Fault = inj
-		nc.Hops = hops
-	}
-	audit.mu.Lock()
-	on := audit.enabled
-	flightDir := audit.flightDir
-	audit.mu.Unlock()
-	var a *invariant.Auditor
-	if on {
-		a = invariant.New(eng)
-		a.Report = recordAuditViolation
-		nc.Audit = a
-		audit.mu.Lock()
-		audit.auditors[eng] = a
-		audit.mu.Unlock()
-	}
-	n := topology.NewNet(eng, nc)
-	if a != nil && flightDir != "" {
-		fr := obs.NewFlightRecorder(flightRingSize)
-		n.Fwd[0].AddTap(fr.LinkTap())
-		a.Flight = fr
-		a.DumpPath = filepath.Join(flightDir,
-			fmt.Sprintf("flight-%d.dump", audit.flightSeq.Add(1)))
-	}
-	if c != nil && pol.FlightDir != "" {
-		ring := pol.FlightRing
-		if ring == 0 {
-			ring = flightRingSize
-		}
-		fr := obs.NewFlightRecorder(ring)
-		n.Fwd[0].AddTap(fr.LinkTap())
-		c.flight = fr
-	}
-	if c != nil && collect {
-		c.observe(eng, func(reg *obs.Registry) { n.Observe(reg) })
-	}
-	return eng, n, inj
-}
-
-// auditorFor returns the auditor attached to eng by newScenario, or nil.
-func auditorFor(eng *sim.Engine) *invariant.Auditor {
-	audit.mu.Lock()
-	defer audit.mu.Unlock()
-	return audit.auditors[eng]
+	n.Eng.SetStreamDigest(dig)
+	c.obsv = append(c.obsv, cellObs{eng: n.Eng, reg: reg, dig: dig})
 }
 
 // watchFlow registers a wired flow's byte counters and its sender's
-// declared control-variable bounds with the scenario's auditor. The
+// declared control-variable bounds with the scenario's auditor (which
+// the scenario's net carries as Cfg.Audit). The
 // bounds are deliberately loose sanity envelopes — their job is to catch
 // NaN, infinities, negative windows, and runaway state, not to encode
 // algorithm dynamics.

@@ -65,17 +65,16 @@ func gammaSteps(max int) []int {
 	return out
 }
 
-// startAll schedules every flow's sender to start at the given time.
-// When the scenario runs in audit mode, each flow's byte counters and
-// control-variable bounds are also registered with the auditor.
-func startAll(eng *sim.Engine, flows []Flow, at sim.Time) {
-	a := auditorFor(eng)
+// startAll schedules every flow's sender to start at the given time on
+// n's engine. When n is audited, each flow's byte counters and
+// control-variable bounds are also registered with its auditor.
+func startAll(n *topology.Net, flows []Flow, at sim.Time) {
+	a := n.Cfg.Audit
 	for i, f := range flows {
-		f := f
 		if a != nil {
 			watchFlow(a, fmt.Sprintf("flow-%d@%g", i, at), f)
 		}
-		eng.At(at, f.Sender.Start)
+		n.Eng.At(at, f.Sender.Start)
 	}
 }
 

@@ -91,13 +91,13 @@ func Fig13(cfg Fig13Config) []Fig13Point {
 
 func runFig13(cfg Fig13Config, family string, gamma int, algo AlgoSpec) Fig13Point {
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
-	rtt := d.Cfg.PropRTT()
+	rtt := d.PropRTT()
 
 	flows := make([]Flow, cfg.Flows)
 	for i := range flows {
 		flows[i] = algo.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	half := cfg.Flows / 2
 	for _, f := range flows[half:] {
 		f := f

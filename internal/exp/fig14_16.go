@@ -108,13 +108,13 @@ func runOscillation(cfg OscillationConfig, algo AlgoSpec, period sim.Time) Oscil
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
 	mon := metrics.NewLossMonitor(0.5)
 	mon.EnsureHorizon(cfg.Warmup + cfg.Measure)
-	d.LR.AddTap(mon.Tap())
+	d.Fwd[0].AddTap(mon.Tap())
 
 	flows := make([]Flow, cfg.Flows)
 	for i := range flows {
 		flows[i] = algo.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 	src := addCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period})
 	eng.At(0, src.Start)

@@ -98,7 +98,7 @@ func runSmoothnessOne(cfg SmoothnessConfig, algo AlgoSpec) SmoothnessResult {
 	f := algo.Make(eng, d, 1)
 	eng.At(0, f.Sender.Start)
 
-	rtt := d.Cfg.PropRTT()
+	rtt := d.PropRTT()
 	binMeter := metrics.NewMeter(eng, cfg.BinWidth, f.SentBytes)
 	rttMeter := metrics.NewMeter(eng, rtt, f.SentBytes)
 	recvBase := int64(0)
@@ -121,8 +121,8 @@ func runSmoothnessOne(cfg SmoothnessConfig, algo AlgoSpec) SmoothnessResult {
 		res.SmoothBins = metrics.ComputeSmoothness(wide[warmWide:])
 	}
 	res.ThroughputMbps = float64(f.RecvBytes()-recvBase) * 8 / float64(cfg.Duration-cfg.Warmup) / 1e6
-	if d.Filter != nil {
-		res.DropCount = d.Filter.Drops
+	if d.Filters[0] != nil {
+		res.DropCount = d.Filters[0].Drops
 	}
 	return res
 }

@@ -89,17 +89,17 @@ type TimePoint struct {
 func RunStabilization(cfg StabilizationConfig) StabilizationResult {
 	cfg.fill()
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})
-	rtt := d.Cfg.PropRTT()
+	rtt := d.PropRTT()
 
 	mon := metrics.NewLossMonitor(10 * rtt) // paper: average over ten RTTs
 	mon.EnsureHorizon(cfg.End)
-	d.LR.AddTap(mon.Tap())
+	d.Fwd[0].AddTap(mon.Tap())
 
 	flows := make([]Flow, cfg.Flows)
 	for i := range flows {
 		flows[i] = cfg.Algo.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, cfg.ReverseFlows)
 
 	src := addCBR(eng, d, cbrFlowID, cfg.CBRFraction*cfg.Rate, cbr.Steps{

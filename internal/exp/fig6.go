@@ -107,7 +107,7 @@ func runFig6(cfg Fig6Config, bg AlgoSpec) Fig6Result {
 	for i := range flows {
 		flows[i] = bg.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
 	fc := workload.NewFlashCrowd(eng, d, workload.FlashCrowdConfig{

@@ -161,7 +161,7 @@ func runFairness(cfg FairnessConfig, period sim.Time) FairnessPoint {
 	for i := 0; i < cfg.BFlows; i++ {
 		flows = append(flows, cfg.B.Make(eng, d, cfg.AFlows+i+1))
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
 	var sched cbr.Schedule

@@ -24,11 +24,11 @@ func TestConservationAtBottleneck(t *testing.T) {
 	for i, a := range algos {
 		flows[i] = a.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	eng.RunUntil(60)
 
-	s := d.LR.Stats
-	inSystem := int64(d.LR.Q.Len())
+	s := d.Fwd[0].Stats
+	inSystem := int64(d.Fwd[0].Q.Len())
 	// Departures may lag by the one packet in transmission.
 	slack := int64(1)
 	if s.Arrivals-s.Drops-s.Departures-inSystem > slack ||
@@ -52,14 +52,14 @@ func TestDeterministicReplay(t *testing.T) {
 		for i, a := range algos {
 			flows[i] = a.Make(eng, d, i+1)
 		}
-		startAll(eng, flows, 0)
+		startAll(d, flows, 0)
 		withReverseTraffic(eng, d, 1)
 		eng.RunUntil(40)
 		var out []int64
 		for _, f := range flows {
 			out = append(out, f.RecvBytes(), f.SentBytes())
 		}
-		out = append(out, d.LR.Stats.Drops, d.RL.Stats.Drops)
+		out = append(out, d.Fwd[0].Stats.Drops, d.Rev[0].Stats.Drops)
 		return out
 	}
 	a, b := run(), run()
@@ -79,7 +79,7 @@ func TestSeedSensitivity(t *testing.T) {
 		d := topology.New(eng, topology.Config{Rate: 10e6, Seed: seed})
 		f1 := TCPAlgo(0.5).Make(eng, d, 1)
 		f2 := TCPAlgo(0.5).Make(eng, d, 2)
-		startAll(eng, []Flow{f1, f2}, 0)
+		startAll(d, []Flow{f1, f2}, 0)
 		eng.RunUntil(30)
 		return f1.RecvBytes()
 	}
@@ -93,8 +93,8 @@ func TestNoTrafficNoLoss(t *testing.T) {
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 1e6, Seed: 1})
 	eng.RunUntil(10)
-	if d.LR.Stats.Arrivals != 0 || d.LR.Stats.Drops != 0 {
-		t.Fatalf("idle network saw traffic: %+v", d.LR.Stats)
+	if d.Fwd[0].Stats.Arrivals != 0 || d.Fwd[0].Stats.Drops != 0 {
+		t.Fatalf("idle network saw traffic: %+v", d.Fwd[0].Stats)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestAllAlgorithmsSurviveExtremeCongestion(t *testing.T) {
 	for i, a := range algos {
 		flows[i] = a.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	eng.RunUntil(60)
 	var total int64
 	for i, f := range flows {
@@ -143,7 +143,7 @@ func TestStopMidRecovery(t *testing.T) {
 	for i, a := range algos {
 		flows[i] = a.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	eng.At(10, func() {
 		for _, f := range flows {
 			f.Sender.Stop()
@@ -173,7 +173,7 @@ func TestThroughputNeverExceedsCapacity(t *testing.T) {
 		eng := sim.New(3)
 		d := topology.New(eng, topology.Config{Rate: rate, Seed: 84})
 		f := TCPAlgo(0.5).Make(eng, d, 1)
-		startAll(eng, []Flow{f}, 0)
+		startAll(d, []Flow{f}, 0)
 		eng.RunUntil(20)
 		util := float64(f.RecvBytes()) * 8 / (rate * 20)
 		if util > 1.0+1e-9 {

@@ -260,51 +260,47 @@ func runMatrixCell(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCel
 		}}
 	}
 
-	var (
-		eng        *sim.Engine
-		fab        topology.Fabric
-		bottleneck *netem.Link
-	)
+	// The dumbbell is the one-hop case: no interior node, so no cross
+	// traffic, and the fault lands on its only bottleneck.
+	hops := 1
+	var chain *topology.NetConfig
 	if topo == TopoParkingLot {
-		hops := make([]topology.Hop, cfg.Hops)
-		for i := range hops {
-			hops[i] = topology.Hop{Rate: cfg.Rate}
+		hops = cfg.Hops
+		chain = &topology.NetConfig{Hops: make([]topology.Hop, hops), Seed: seed, DisablePool: cfg.DisablePool}
+		for i := range chain.Hops {
+			chain.Hops[i].Rate = cfg.Rate
 		}
-		nc := topology.NetConfig{Hops: hops, Seed: seed, DisablePool: cfg.DisablePool}
-		e, n, _ := newNetScenario(cfg.cell, seed, nc, fc, cfg.Hops/2)
-		eng, fab, bottleneck = e, n, n.Fwd[0]
-		// Cross traffic: one CBR flow per interior node, each spanning
-		// exactly one hop, so interior bottlenecks see load the first
-		// hop never carries — the parking lot's defining asymmetry.
-		for m := 1; m < cfg.Hops; m++ {
-			flow := crossFlowBase + m
-			in := n.PathFwd(flow, m, m+1, netem.Sink{Pool: n.Pool}, n.Cfg.AccessDelay)
-			src := cbr.NewSource(eng, in, flow, cfg.CrossRate, nil)
-			src.Pool = n.Pool
-			eng.At(0, src.Start)
-		}
-	} else {
-		e, d, _ := newFaultScenario(cfg.cell, seed,
-			topology.Config{Rate: cfg.Rate, Seed: seed, DisablePool: cfg.DisablePool}, fc)
-		eng, fab, bottleneck = e, d, d.LR
+	}
+	eng, d := buildScenario(cfg.cell, seed,
+		topology.Config{Rate: cfg.Rate, Seed: seed, DisablePool: cfg.DisablePool}, chain, fc, hops/2)
+	bottleneck := d.Fwd[0]
+	// Cross traffic: one CBR flow per interior node, each spanning
+	// exactly one hop, so interior bottlenecks see load the first
+	// hop never carries — the parking lot's defining asymmetry.
+	for m := 1; m < hops; m++ {
+		flow := crossFlowBase + m
+		in := d.PathFwd(flow, m, m+1, netem.Sink{Pool: d.Pool}, d.Cfg.AccessDelay)
+		src := cbr.NewSource(eng, in, flow, cfg.CrossRate, nil)
+		src.Pool = d.Pool
+		eng.At(0, src.Start)
 	}
 
 	F := cfg.FlowsPerSide
 	flows := make([]Flow, 0, 2*F)
 	for i := 0; i < F; i++ {
-		flows = append(flows, a.Make(eng, fab, i+1))
+		flows = append(flows, a.Make(eng, d, i+1))
 	}
 	for i := 0; i < F; i++ {
-		flows = append(flows, b.Make(eng, fab, F+i+1))
+		flows = append(flows, b.Make(eng, d, F+i+1))
 	}
 	meters := make([]*metrics.Meter, len(flows))
 	for i, f := range flows {
 		meters[i] = metrics.NewMeter(eng, cfg.SmoothBin, f.RecvBytes)
 	}
-	startAll(eng, flows, 0)
-	withReverseTraffic(eng, fab, cfg.ReverseFlows)
+	startAll(d, flows, 0)
+	withReverseTraffic(eng, d, cfg.ReverseFlows)
 	if cond == CondOscillating {
-		src := addCBR(eng, fab, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period})
+		src := addCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period})
 		eng.At(0, src.Start)
 	}
 

@@ -145,14 +145,14 @@ func runOutage(cfg OutageConfig, bg AlgoSpec) OutageResult {
 		Windows: []faults.Window{{At: cfg.OutageAt, Dur: cfg.OutageDur}},
 		Policy:  policy,
 	}
-	eng, d, _ := newFaultScenario(cfg.cell, cfg.Seed,
-		topology.Config{Rate: cfg.Rate, Seed: cfg.Seed}, &fc)
+	eng, d := buildScenario(cfg.cell, cfg.Seed,
+		topology.Config{Rate: cfg.Rate, Seed: cfg.Seed}, nil, &fc, 0)
 
 	flows := make([]Flow, cfg.Flows)
 	for i := range flows {
 		flows[i] = bg.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
 	fcw := workload.NewFlashCrowd(eng, d, workload.FlashCrowdConfig{
@@ -169,16 +169,16 @@ func runOutage(cfg OutageConfig, bg AlgoSpec) OutageResult {
 	// Snapshot total drops around the blackout so OutageDrops isolates
 	// what the outage itself cost from ordinary congestion loss.
 	var dropsBefore int64
-	eng.At(cfg.OutageAt, func() { dropsBefore = d.LR.Stats.Drops })
+	eng.At(cfg.OutageAt, func() { dropsBefore = d.Fwd[0].Stats.Drops })
 	var dropsAfter int64
-	eng.At(cfg.OutageAt+cfg.OutageDur, func() { dropsAfter = d.LR.Stats.Drops })
+	eng.At(cfg.OutageAt+cfg.OutageDur, func() { dropsAfter = d.Fwd[0].Stats.Drops })
 
 	eng.RunUntil(cfg.End)
 
 	res := OutageResult{
 		Background:     bg.Name,
 		OutageDrops:    dropsAfter - dropsBefore,
-		Transitions:    d.LR.Transitions,
+		Transitions:    d.Fwd[0].Transitions,
 		CrowdCompleted: fcw.Completed,
 		CrowdBytes:     fcw.TotalBytesRecv(),
 	}

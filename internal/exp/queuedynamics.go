@@ -92,14 +92,14 @@ func runQueueDynamics(cfg QueueDynamicsConfig, algo AlgoSpec) QueueDynamicsResul
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed, DropTail: cfg.DropTail})
 	lossMon := metrics.NewLossMonitor(0.5)
 	lossMon.EnsureHorizon(cfg.Warmup + cfg.Measure)
-	d.LR.AddTap(lossMon.Tap())
-	qMon := metrics.NewQueueMonitor(eng, cfg.SamplePeriod, d.LR.Q.Len)
+	d.Fwd[0].AddTap(lossMon.Tap())
+	qMon := metrics.NewQueueMonitor(eng, cfg.SamplePeriod, d.Fwd[0].Q.Len)
 
 	flows := make([]Flow, cfg.Flows)
 	for i := range flows {
 		flows[i] = algo.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
 	eng.RunUntil(cfg.Warmup)

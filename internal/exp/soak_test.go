@@ -20,7 +20,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	}
 	eng, d := newScenario(nil, 99, topology.Config{Rate: 10e6, Seed: 99})
 	mon := metrics.NewLossMonitor(1)
-	d.LR.AddTap(mon.Tap())
+	d.Fwd[0].AddTap(mon.Tap())
 
 	algos := []AlgoSpec{
 		TCPAlgo(0.5), SACKTCPAlgo(0.5), TCPAlgo(1.0 / 64),
@@ -33,7 +33,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	for i, a := range algos {
 		flows[i] = a.Make(eng, d, i+1)
 	}
-	startAll(eng, flows, 0)
+	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
 	// Churn: stop and never restart three flows mid-run; late-join three
@@ -46,10 +46,10 @@ func TestSoakMixedTraffic(t *testing.T) {
 		TFRCAlgo(TFRCOpts{K: 8}).Make(eng, d, 101),
 		TEARAlgo(0).Make(eng, d, 102),
 	}
-	startAll(eng, late, 150)
+	startAll(d, late, 150)
 
 	eng.RunUntil(300)
-	if a := auditorFor(eng); a != nil {
+	if a := d.Cfg.Audit; a != nil {
 		if err := a.Err(); err != nil {
 			t.Fatalf("soak breached invariants: %v", err)
 		}

@@ -69,7 +69,7 @@ func (c *TraceRunConfig) fill() {
 type TraceRun struct {
 	Cfg      TraceRunConfig
 	Eng      *sim.Engine
-	D        *topology.Dumbbell
+	D        *topology.Net
 	Rec      *trace.Recorder
 	Sampler  *obs.Sampler
 	Registry *obs.Registry
@@ -116,7 +116,7 @@ func NewTraceRun(cfg TraceRunConfig) *TraceRun {
 		Sampler:  obs.NewSampler(cfg.ProbeInterval),
 		Registry: &obs.Registry{},
 	}
-	d.LR.AddTap(r.Rec.HopTap("lr"))
+	d.Fwd[0].AddTap(r.Rec.HopTap("lr"))
 	d.Observe(r.Registry)
 	if cfg.Journeys {
 		// Before the flows wire: access links attach to the recorder as

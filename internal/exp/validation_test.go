@@ -22,7 +22,7 @@ func runScripted(t *testing.T, algo AlgoSpec, n int, seed int64) (float64, []flo
 	})
 	f := algo.Make(eng, d, 1)
 	eng.At(0, f.Sender.Start)
-	rtt := d.Cfg.PropRTT()
+	rtt := d.PropRTT()
 	m := metrics.NewMeter(eng, rtt, f.SentBytes)
 	const warm, dur = 30.0, 150.0
 	eng.RunUntil(warm)

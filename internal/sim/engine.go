@@ -12,17 +12,15 @@
 // the default is a time-bucketed calendar queue (calqueue.go) with O(1)
 // amortized insert and pop for the tick-dominated schedules the paper's
 // scenarios produce; a hand-rolled, index-maintained 4-ary min-heap
-// remains as a fallback (HeapQueue) and as the differential-testing
-// oracle. Both recycle fired handle-less timers through a free list, so
-// the steady-state packet path schedules events without allocating.
+// (HeapQueue) remains as the differential-testing oracle. Both recycle
+// fired handle-less timers through a free list, so the steady-state
+// packet path schedules events without allocating.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"sync"
 )
 
 // Time is a simulated timestamp or duration, in seconds.
@@ -132,28 +130,13 @@ type ProbeHook interface {
 type QueueKind uint8
 
 const (
-	// CalendarQueue is the default: time-bucketed, O(1) amortized
+	// CalendarQueue is what New uses: time-bucketed, O(1) amortized
 	// insert/pop for tick-dominated schedules, sorted overflow for
 	// far-future events.
 	CalendarQueue QueueKind = iota
-	// HeapQueue is the 4-ary min-heap fallback and differential oracle.
+	// HeapQueue is the 4-ary min-heap: the differential oracle.
 	HeapQueue
 )
-
-// defaultQueue resolves the process-wide default queue kind once:
-// calendar unless SLOWCC_EVENTQ=heap asks for the fallback.
-var defaultQueue = sync.OnceValue(func() QueueKind {
-	if os.Getenv("SLOWCC_EVENTQ") == "heap" {
-		return HeapQueue
-	}
-	return CalendarQueue
-})
-
-// DefaultQueue returns the queue kind New uses: CalendarQueue, unless the
-// SLOWCC_EVENTQ=heap environment knob selects the heap fallback for the
-// whole process (the CalendarOff benchmarks and differential smoke use
-// explicit constructors instead).
-func DefaultQueue() QueueKind { return defaultQueue() }
 
 // Engine is a discrete-event scheduler. Create one with New; the zero
 // value is not usable because it lacks an RNG.
@@ -198,12 +181,12 @@ type Engine struct {
 // same seed and fed the same schedule produce identical runs — including
 // across queue kinds (see NewWithQueue).
 func New(seed int64) *Engine {
-	return NewWithQueue(seed, DefaultQueue())
+	return NewWithQueue(seed, CalendarQueue)
 }
 
 // NewWithQueue is New with an explicit event-queue implementation. The
 // event order is identical for both kinds; HeapQueue exists as the
-// fallback knob and the oracle for differential tests.
+// reference the differential tests and the benchmark construct.
 func NewWithQueue(seed int64, kind QueueKind) *Engine {
 	e := &Engine{rng: rand.New(rand.NewSource(seed)), probeAt: math.Inf(1)}
 	if kind == CalendarQueue {

@@ -132,7 +132,7 @@ func TestExplicitZeroSentinels(t *testing.T) {
 	}
 	eng := sim.New(1)
 	d := New(eng, Config{REDMinFactor: ExplicitZero, Seed: 1})
-	q := d.LR.Q.(*netem.RED)
+	q := d.Fwd[0].Q.(*netem.RED)
 	if q.MinThresh != 0 {
 		t.Fatalf("REDMinFactor sentinel produced MinThresh %v, want 0", q.MinThresh)
 	}
@@ -141,8 +141,8 @@ func TestExplicitZeroSentinels(t *testing.T) {
 	}
 	// NaN works as a sentinel too.
 	d2 := New(eng, Config{Delay: math.NaN(), Seed: 2})
-	if d2.Cfg.Delay != 0 {
-		t.Fatalf("NaN delay sentinel resolved to %v, want 0", d2.Cfg.Delay)
+	if d2.Cfg.Hops[0].Delay != 0 {
+		t.Fatalf("NaN delay sentinel resolved to %v, want 0", d2.Cfg.Hops[0].Delay)
 	}
 	// And a packet actually crosses a zero-delay bottleneck quickly.
 	dst := &arrival{eng: eng}
@@ -158,10 +158,9 @@ func TestExplicitZeroSentinels(t *testing.T) {
 // byte-identical to the pre-sentinel behavior: zero still means the
 // paper default.
 func TestDefaultConfigUnchangedBySentinels(t *testing.T) {
-	c := Config{}
-	c.fill()
-	if c.Delay != 0.021 || c.AccessDelay != 0.002 || c.REDMinFactor != 0.25 {
-		t.Fatalf("zero-value defaults changed: Delay=%v AccessDelay=%v REDMinFactor=%v", c.Delay, c.AccessDelay, c.REDMinFactor)
+	c := New(sim.New(1), Config{}).Cfg
+	if h := c.Hops[0]; h.Delay != 0.021 || c.AccessDelay != 0.002 || h.REDMinFactor != 0.25 {
+		t.Fatalf("zero-value defaults changed: Delay=%v AccessDelay=%v REDMinFactor=%v", h.Delay, c.AccessDelay, h.REDMinFactor)
 	}
 }
 
@@ -215,7 +214,7 @@ func TestBottleneckEnforcesRate(t *testing.T) {
 	if got > 1.3e6 {
 		t.Fatalf("delivered %v bps through a 1 Mbps bottleneck", got)
 	}
-	if d.LR.Stats.Drops == 0 {
+	if d.Fwd[0].Stats.Drops == 0 {
 		t.Fatal("2x overload never dropped at the bottleneck")
 	}
 }
@@ -223,12 +222,12 @@ func TestBottleneckEnforcesRate(t *testing.T) {
 func TestDropTailOption(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Rate: 1e6, DropTail: true, Seed: 1})
-	if _, ok := d.LR.Q.(*netem.DropTail); !ok {
-		t.Fatalf("DropTail config produced %T", d.LR.Q)
+	if _, ok := d.Fwd[0].Q.(*netem.DropTail); !ok {
+		t.Fatalf("DropTail config produced %T", d.Fwd[0].Q)
 	}
 	d2 := New(eng, Config{Rate: 1e6, Seed: 1})
-	if _, ok := d2.LR.Q.(*netem.RED); !ok {
-		t.Fatalf("default config produced %T, want RED", d2.LR.Q)
+	if _, ok := d2.Fwd[0].Q.(*netem.RED); !ok {
+		t.Fatalf("default config produced %T, want RED", d2.Fwd[0].Q)
 	}
 }
 
@@ -267,11 +266,11 @@ func TestPathLRDelayChangesRTT(t *testing.T) {
 func TestECNConfigPropagates(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{ECN: true, Gentle: true, Seed: 3})
-	q := d.LR.Q.(*netem.RED)
+	q := d.Fwd[0].Q.(*netem.RED)
 	if !q.MarkECN || !q.Gentle {
 		t.Fatalf("RED options not propagated: MarkECN=%v Gentle=%v", q.MarkECN, q.Gentle)
 	}
-	q2 := d.RL.Q.(*netem.RED)
+	q2 := d.Rev[0].Q.(*netem.RED)
 	if !q2.MarkECN {
 		t.Fatal("reverse bottleneck missing ECN")
 	}
@@ -280,7 +279,7 @@ func TestECNConfigPropagates(t *testing.T) {
 func TestForwardLossFilterInstalled(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{ForwardLoss: &netem.CountPattern{Intervals: []int{0}}, Seed: 4})
-	if d.Filter == nil {
+	if d.Filters[0] == nil {
 		t.Fatal("filter not installed")
 	}
 	sink := &arrival{eng: eng}
@@ -292,8 +291,8 @@ func TestForwardLossFilterInstalled(t *testing.T) {
 	if len(sink.pkts) != 1 || sink.pkts[0].Kind != netem.Ack {
 		t.Fatalf("filter let through %d packets", len(sink.pkts))
 	}
-	if d.Filter.Drops != 1 {
-		t.Fatalf("filter drops = %d, want 1", d.Filter.Drops)
+	if d.Filters[0].Drops != 1 {
+		t.Fatalf("filter drops = %d, want 1", d.Filters[0].Drops)
 	}
 }
 
@@ -322,13 +321,14 @@ func TestTinyLinkMinimumQueue(t *testing.T) {
 
 // TestAuditWiresEveryLink builds an audited dumbbell, pushes traffic
 // through a full forward/reverse path, and checks that both bottlenecks
-// and the per-flow access links carry the auditor — and that a healthy
-// topology reports zero violations.
+// and the per-flow access links carry the auditor, that a healthy
+// topology reports zero violations — and that a violation on any of one
+// bidirectional flow's six links names that link and no other.
 func TestAuditWiresEveryLink(t *testing.T) {
 	eng := sim.New(1)
 	a := invariant.New(eng)
 	d := New(eng, Config{Rate: 1e6, Seed: 3, Audit: a})
-	if d.LR.Audit == nil || d.RL.Audit == nil {
+	if d.Fwd[0].Audit == nil || d.Rev[0].Audit == nil {
 		t.Fatal("bottleneck links not registered with the auditor")
 	}
 	sink := &arrival{eng: eng}
@@ -350,5 +350,25 @@ func TestAuditWiresEveryLink(t *testing.T) {
 	}
 	if len(sink.pkts) == 0 {
 		t.Fatal("no packets delivered")
+	}
+
+	links := []*netem.Link{
+		d.Fwd[0], d.Rev[0], in.(*netem.Link), rin.(*netem.Link),
+		d.fwdRt[0].table.get(1).(*netem.Link), d.revRt[0].table.get(1).(*netem.Link),
+	}
+	seen := map[string]int{}
+	for i, l := range links {
+		l.Stats.Arrivals++ // one packet the link cannot account for
+		a.AuditLink(l, eng.Now())
+		l.Stats.Arrivals--
+		vs := a.Violations()
+		if len(vs) != i+1 {
+			t.Fatalf("link %d: %d violations recorded, want %d", i, len(vs), i+1)
+		}
+		name := vs[i].Name
+		if j, dup := seen[name]; dup {
+			t.Fatalf("links %d and %d both report as %q", j, i, name)
+		}
+		seen[name] = i
 	}
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
@@ -13,9 +14,9 @@ import (
 
 // Fabric is the wiring surface endpoints see: everything an algorithm
 // needs to put a flow onto a topology without knowing whether one
-// bottleneck or a chain of them sits in the middle. Dumbbell and Net
-// both implement it, so every AlgoSpec and scenario helper runs
-// unchanged on either.
+// bottleneck or a chain of them sits in the middle. Net implements it,
+// so every AlgoSpec and scenario helper runs unchanged on a dumbbell or
+// a parking lot.
 type Fabric interface {
 	// PathLR wires a full forward path for flow and returns its ingress.
 	PathLR(flow int, dst netem.Handler) netem.Handler
@@ -38,15 +39,12 @@ type Fabric interface {
 	PropRTT() sim.Time
 }
 
-var (
-	_ Fabric = (*Dumbbell)(nil)
-	_ Fabric = (*Net)(nil)
-)
+var _ Fabric = (*Net)(nil)
 
 // Hop configures one bottleneck link pair (forward and reverse) of a
-// parking-lot chain. Zero fields take the dumbbell's paper defaults, so
-// a one-hop Net with a zero Hop is the default dumbbell's bottleneck;
-// Delay and REDMinFactor accept the ExplicitZero sentinel.
+// chain. Zero fields take the paper's defaults, so a one-hop Net with a
+// zero Hop is the default dumbbell's bottleneck; Delay and REDMinFactor
+// accept the ExplicitZero sentinel.
 type Hop struct {
 	// Rate is the hop bandwidth in bits per second (default 10 Mbps).
 	Rate float64
@@ -92,9 +90,8 @@ func (h *Hop) fill() {
 
 // NetConfig describes a parking-lot (chain) topology: nodes 0..K joined
 // by K bottleneck hops, each a forward and a reverse link with its own
-// queue discipline, plus per-flow access links at every node. A
-// one-hop NetConfig reproduces the dumbbell's structure (same queue
-// sizing, same per-direction RED seeds).
+// queue discipline, plus per-flow access links at every node. One hop
+// is the paper's dumbbell.
 type NetConfig struct {
 	// Hops are the bottlenecks in chain order; empty means one default
 	// hop.
@@ -108,8 +105,8 @@ type NetConfig struct {
 	// PktSize is the reference packet size in bytes (default 1000).
 	PktSize int
 	// Seed seeds the per-hop RED generators: hop i draws from Seed+1+2i
-	// forward and Seed+2+2i reverse, matching the dumbbell's Seed+1 and
-	// Seed+2 at K=1.
+	// forward and Seed+2+2i reverse (a dedicated RNG each, so endpoint
+	// randomness does not perturb queue randomness).
 	Seed int64
 	// Strict makes a packet arriving at any node for an unregistered
 	// flow panic instead of being counted and discarded.
@@ -166,10 +163,11 @@ func (c NetConfig) HopBDPPkts(i int) float64 {
 	return cc.Hops[i].Rate * cc.PropRTT() / 8 / float64(cc.PktSize)
 }
 
-// Net is an instantiated parking-lot chain. Fwd[i] carries traffic from
-// node i to node i+1; Rev[i] carries traffic from node i+1 to node i.
+// Net is an instantiated chain. Fwd[i] carries traffic from node i to
+// node i+1; Rev[i] carries traffic from node i+1 to node i.
 type Net struct {
 	Eng *sim.Engine
+	// Cfg is the configuration with every default resolved.
 	Cfg NetConfig
 	// Fwd and Rev are the bottleneck links per hop.
 	Fwd, Rev []*netem.Link
@@ -177,11 +175,23 @@ type Net struct {
 	// for hops without Hop.ForwardLoss).
 	Filters []*netem.LossFilter
 	// Pool recycles packets across the whole chain (nil under
-	// DisablePool).
+	// DisablePool, which every pool-aware component treats as plain heap
+	// allocation). Endpoints wired onto the net should allocate and
+	// release through it.
 	Pool *netem.PacketPool
 	// UnknownFlowDrops counts packets that reached any node carrying a
-	// flow id with no route registered there.
+	// flow id with no route registered there. Deliberate one-way traffic
+	// lands here by design; anything else is misrouting, which strict
+	// mode (NetConfig.Strict) turns into a panic instead.
 	UnknownFlowDrops int64
+
+	// What the links are called wherever they register by name: counter
+	// registry, probe sampler, journey recorder, auditor. The names reach
+	// manifests, goldens and /metrics, so the constructor fixes them: hop
+	// i's links are hopName(fwdTag, i) and hopName(revTag, i), and a
+	// flow's access links are access-<flow>-<tag>-in and -out.
+	fwdTag, revTag string
+	indexed        bool // hop links are tag+index (fwd0, rev2), not the bare tag
 
 	fwdEntry []netem.Handler // where to offer packets into Fwd[i] (filter/fault wrapped)
 	fwdRt    []demux         // router at node i+1, fed by Fwd[i]
@@ -191,8 +201,15 @@ type Net struct {
 	journeys *journey.Recorder // nil unless ObserveJourneys was called
 }
 
-// NewNet builds a parking-lot chain on eng.
+// NewNet builds a chain on eng. Its links are called fwd0, rev0, fwd1,
+// ... in chain order.
 func NewNet(eng *sim.Engine, cfg NetConfig) *Net {
+	return build(eng, cfg, "fwd", "rev", true)
+}
+
+// build is the one wiring path; the last three arguments are the link
+// naming (see Net.hopName).
+func build(eng *sim.Engine, cfg NetConfig, fwdTag, revTag string, indexed bool) *Net {
 	cfg.fill()
 	k := len(cfg.Hops)
 	n := &Net{
@@ -201,6 +218,9 @@ func NewNet(eng *sim.Engine, cfg NetConfig) *Net {
 		Fwd:      make([]*netem.Link, k),
 		Rev:      make([]*netem.Link, k),
 		Filters:  make([]*netem.LossFilter, k),
+		fwdTag:   fwdTag,
+		revTag:   revTag,
+		indexed:  indexed,
 		fwdEntry: make([]netem.Handler, k),
 		fwdRt:    make([]demux, k),
 		revRt:    make([]demux, k),
@@ -222,31 +242,23 @@ func NewNet(eng *sim.Engine, cfg NetConfig) *Net {
 	eng.HintTick(float64(cfg.PktSize) * 8 / minRate)
 	for i, h := range cfg.Hops {
 		bdp := cfg.HopBDPPkts(i)
-		n.fwdRt[i] = demux{new(routes), n.Pool,
-			fmt.Sprintf("node-%d", i+1), &n.UnknownFlowDrops, cfg.Strict}
-		n.revRt[i] = demux{new(routes), n.Pool,
-			fmt.Sprintf("node-%d", i), &n.UnknownFlowDrops, cfg.Strict}
-		spec := queueSpec{
-			DropTail: h.DropTail, ECN: h.ECN, Gentle: h.Gentle,
-			QueueFactor: h.QueueFactor, REDMinFactor: h.REDMinFactor,
-			REDMaxFactor: h.REDMaxFactor, BDP: bdp,
-			PktSize: cfg.PktSize, Rate: h.Rate,
-		}
-		spec.Seed = cfg.Seed + 1 + 2*int64(i)
-		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(spec), n.fwdRt[i])
-		spec.Seed = cfg.Seed + 2 + 2*int64(i)
-		n.Rev[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(spec), n.revRt[i])
+		n.fwdRt[i] = demux{new(routes), n.Pool, i + 1, &n.UnknownFlowDrops, cfg.Strict}
+		n.revRt[i] = demux{new(routes), n.Pool, i, &n.UnknownFlowDrops, cfg.Strict}
+		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay,
+			buildQueue(h, bdp, cfg.PktSize, cfg.Seed+1+2*int64(i)), n.fwdRt[i])
+		n.Rev[i] = netem.NewLink(eng, h.Rate, h.Delay,
+			buildQueue(h, bdp, cfg.PktSize, cfg.Seed+2+2*int64(i)), n.revRt[i])
 		n.Fwd[i].Pool = n.Pool
 		n.Rev[i].Pool = n.Pool
 		if cfg.Audit != nil {
-			cfg.Audit.WatchLink(fmt.Sprintf("fwd-%d", i), n.Fwd[i])
-			cfg.Audit.WatchLink(fmt.Sprintf("rev-%d", i), n.Rev[i])
+			cfg.Audit.WatchLink(n.hopName(fwdTag, i), n.Fwd[i])
+			cfg.Audit.WatchLink(n.hopName(revTag, i), n.Rev[i])
 		}
 		entry := netem.Handler(n.Fwd[i])
 		if h.Fault != nil {
 			// The injector wraps the point where packets are offered to the
-			// hop, so the loss filter (below) feeds faults, as on the
-			// dumbbell.
+			// hop, so the loss filter (below) feeds faults, not the other
+			// way around.
 			entry = h.Fault.Attach(n.Fwd[i], entry, n.Pool)
 		}
 		if h.ForwardLoss != nil {
@@ -258,6 +270,14 @@ func NewNet(eng *sim.Engine, cfg NetConfig) *Net {
 	return n
 }
 
+// hopName names hop i's link in the direction tag says.
+func (n *Net) hopName(tag string, i int) string {
+	if n.indexed {
+		return tag + strconv.Itoa(i)
+	}
+	return tag
+}
+
 // NumHops returns the number of bottleneck hops (K); nodes are 0..K.
 func (n *Net) NumHops() int { return len(n.Fwd) }
 
@@ -266,6 +286,31 @@ func (n *Net) SharedPool() *netem.PacketPool { return n.Pool }
 
 // PropRTT implements Fabric: the full-chain propagation RTT.
 func (n *Net) PropRTT() sim.Time { return n.Cfg.PropRTT() }
+
+// access builds one path's two access links — out delivering to dst, in
+// feeding entry — and registers them under the direction tag.
+func (n *Net) access(flow int, tag string, entry, dst netem.Handler, delay sim.Time) (in, out *netem.Link) {
+	out = netem.NewLink(n.Eng, n.Cfg.AccessRate, delay, netem.NewDropTail(1<<20), dst)
+	out.Pool = n.Pool
+	in = netem.NewLink(n.Eng, n.Cfg.AccessRate, delay, netem.NewDropTail(1<<20), entry)
+	in.Pool = n.Pool
+	if n.Cfg.Audit == nil && n.journeys == nil {
+		return in, out
+	}
+	inName := fmt.Sprintf("access-%d-%s-in", flow, tag)
+	outName := fmt.Sprintf("access-%d-%s-out", flow, tag)
+	if n.Cfg.Audit != nil {
+		n.Cfg.Audit.WatchLink(inName, in)
+		n.Cfg.Audit.WatchLink(outName, out)
+	}
+	if n.journeys != nil {
+		// The link delivering into the endpoint is the egress: end-to-end
+		// attribution closes there.
+		n.journeys.AttachLink(inName, in, false)
+		n.journeys.AttachLink(outName, out, true)
+	}
+	return in, out
+}
 
 // PathFwd wires a forward path for flow entering the chain at node
 // enter and leaving at node exit (0 <= enter < exit <= NumHops()):
@@ -276,29 +321,13 @@ func (n *Net) PathFwd(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 	if enter < 0 || exit <= enter || exit > n.NumHops() {
 		panic(fmt.Sprintf("topology: forward span %d..%d outside chain 0..%d", enter, exit, n.NumHops()))
 	}
-	if n.fwdFlows[flow] {
-		panic(fmt.Sprintf("topology: flow %d already registered on the forward direction", flow))
-	}
-	n.fwdFlows[flow] = true
-	out := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
-		netem.NewDropTail(1<<20), dst)
-	out.Pool = n.Pool
+	n.claim(n.fwdFlows, flow, "forward")
+	in, out := n.access(flow, n.fwdTag, n.fwdEntry[enter], dst, accessDelay)
 	// The router after the last hop of the span delivers to the egress
 	// access link; routers at interior nodes forward into the next hop.
 	n.fwdRt[exit-1].table.set(flow, out)
 	for node := enter + 1; node < exit; node++ {
 		n.fwdRt[node-1].table.set(flow, n.fwdEntry[node])
-	}
-	in := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
-		netem.NewDropTail(1<<20), n.fwdEntry[enter])
-	in.Pool = n.Pool
-	if n.Cfg.Audit != nil {
-		n.Cfg.Audit.WatchLink(fmt.Sprintf("access-%d-fwd-in", flow), in)
-		n.Cfg.Audit.WatchLink(fmt.Sprintf("access-%d-fwd-out", flow), out)
-	}
-	if n.journeys != nil {
-		n.journeys.AttachLink(fmt.Sprintf("access-%d-fwd-in", flow), in, false)
-		n.journeys.AttachLink(fmt.Sprintf("access-%d-fwd-out", flow), out, true)
 	}
 	return in
 }
@@ -310,29 +339,21 @@ func (n *Net) PathRev(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 	if exit < 0 || enter <= exit || enter > n.NumHops() {
 		panic(fmt.Sprintf("topology: reverse span %d..%d outside chain 0..%d", enter, exit, n.NumHops()))
 	}
-	if n.revFlows[flow] {
-		panic(fmt.Sprintf("topology: flow %d already registered on the reverse direction", flow))
-	}
-	n.revFlows[flow] = true
-	out := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
-		netem.NewDropTail(1<<20), dst)
-	out.Pool = n.Pool
+	n.claim(n.revFlows, flow, "reverse")
+	in, out := n.access(flow, n.revTag, n.Rev[enter-1], dst, accessDelay)
 	n.revRt[exit].table.set(flow, out)
 	for node := exit + 1; node < enter; node++ {
 		n.revRt[node].table.set(flow, n.Rev[node-1])
 	}
-	in := netem.NewLink(n.Eng, n.Cfg.AccessRate, accessDelay,
-		netem.NewDropTail(1<<20), n.Rev[enter-1])
-	in.Pool = n.Pool
-	if n.Cfg.Audit != nil {
-		n.Cfg.Audit.WatchLink(fmt.Sprintf("access-%d-rev-in", flow), in)
-		n.Cfg.Audit.WatchLink(fmt.Sprintf("access-%d-rev-out", flow), out)
-	}
-	if n.journeys != nil {
-		n.journeys.AttachLink(fmt.Sprintf("access-%d-rev-in", flow), in, false)
-		n.journeys.AttachLink(fmt.Sprintf("access-%d-rev-out", flow), out, true)
-	}
 	return in
+}
+
+// claim records flow as wired on one direction; a second claim panics.
+func (n *Net) claim(flows map[int]bool, flow int, dir string) {
+	if flows[flow] {
+		panic(fmt.Sprintf("topology: flow %d already registered on the %s direction", flow, dir))
+	}
+	flows[flow] = true
 }
 
 // PathLR implements Fabric: the full chain, node 0 to node K.
@@ -345,7 +366,9 @@ func (n *Net) PathRL(flow int, dst netem.Handler) netem.Handler {
 	return n.PathRev(flow, n.NumHops(), 0, dst, n.Cfg.AccessDelay)
 }
 
-// PathLRDelay implements Fabric.
+// PathLRDelay implements Fabric. The flow's propagation RTT becomes
+// 2*(2*accessDelay + sum of hop delays) when PathRLDelay uses the same
+// value.
 func (n *Net) PathLRDelay(flow int, dst netem.Handler, accessDelay sim.Time) netem.Handler {
 	return n.PathFwd(flow, 0, n.NumHops(), dst, accessDelay)
 }
@@ -356,12 +379,10 @@ func (n *Net) PathRLDelay(flow int, dst netem.Handler, accessDelay sim.Time) net
 }
 
 // ForwardSink implements Fabric: dst consumes flow at node K with no
-// egress access link; interior nodes route the flow down the chain.
+// egress access link (one-way CBR traffic, where delivery latency does
+// not matter); interior nodes route the flow down the chain.
 func (n *Net) ForwardSink(flow int, dst netem.Handler) {
-	if n.fwdFlows[flow] {
-		panic(fmt.Sprintf("topology: flow %d already registered on the forward direction", flow))
-	}
-	n.fwdFlows[flow] = true
+	n.claim(n.fwdFlows, flow, "forward")
 	k := n.NumHops()
 	n.fwdRt[k-1].table.set(flow, dst)
 	for node := 1; node < k; node++ {
@@ -372,13 +393,13 @@ func (n *Net) ForwardSink(flow int, dst netem.Handler) {
 // Observe registers the chain's core components with the counter
 // registry: the engine, both directions of every hop (with RED drop
 // splits where RED is in use), the pool, and the unknown-flow drop
-// counter. Access links are omitted for the same reason as on the
-// dumbbell: sized not to drop, their counters restate the hops'.
+// counter. Access links are deliberately omitted: sized not to drop,
+// their counters only restate the hops'.
 func (n *Net) Observe(reg *obs.Registry) {
 	reg.AddEngine(n.Eng)
 	for i := range n.Fwd {
-		reg.AddLink(fmt.Sprintf("fwd%d", i), n.Fwd[i])
-		reg.AddLink(fmt.Sprintf("rev%d", i), n.Rev[i])
+		reg.AddLink(n.hopName(n.fwdTag, i), n.Fwd[i])
+		reg.AddLink(n.hopName(n.revTag, i), n.Rev[i])
 	}
 	reg.AddPool(n.Pool)
 	reg.Register("topo.unknown_flow_drops", func() int64 { return n.UnknownFlowDrops })
@@ -387,28 +408,28 @@ func (n *Net) Observe(reg *obs.Registry) {
 // ObserveJourneys attaches a journey recorder to every link of the
 // chain: both directions of every hop immediately, and each flow's
 // access links as paths wire (call it before building paths). Hop
-// names match the counter registry's (fwd0, rev0, ...); egress access
-// links close end-to-end attribution. A nil recorder attaches nothing.
+// names match the counter registry's. A nil recorder attaches nothing,
+// leaving the wired-but-disabled one-pointer-check path.
 func (n *Net) ObserveJourneys(r *journey.Recorder) {
 	n.journeys = r
 	if r == nil {
 		return
 	}
 	for i := range n.Fwd {
-		r.AttachLink(fmt.Sprintf("fwd%d", i), n.Fwd[i], false)
-		r.AttachLink(fmt.Sprintf("rev%d", i), n.Rev[i], false)
+		r.AttachLink(n.hopName(n.fwdTag, i), n.Fwd[i], false)
+		r.AttachLink(n.hopName(n.revTag, i), n.Rev[i], false)
 	}
 }
 
 // ObserveProbes registers every hop's RED queues with the sampler
-// (no-op for DropTail hops).
+// (no-op for DropTail hops, which have no EWMA state worth tracing).
 func (n *Net) ObserveProbes(s *obs.Sampler) {
 	for i := range n.Fwd {
 		if r, ok := n.Fwd[i].Q.(*netem.RED); ok {
-			s.Add(fmt.Sprintf("red.fwd%d", i), r)
+			s.Add("red."+n.hopName(n.fwdTag, i), r)
 		}
 		if r, ok := n.Rev[i].Q.(*netem.RED); ok {
-			s.Add(fmt.Sprintf("red.rev%d", i), r)
+			s.Add("red."+n.hopName(n.revTag, i), r)
 		}
 	}
 }

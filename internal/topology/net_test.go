@@ -11,43 +11,6 @@ import (
 	"slowcc/internal/sim"
 )
 
-func TestNetOneHopMatchesDumbbell(t *testing.T) {
-	// A one-hop chain with default parameters is the dumbbell: same
-	// structure (access, bottleneck, access), same queue sizing, same
-	// per-direction RED seeds, so the same offered traffic is delivered
-	// at identical times.
-	run := func(build func(eng *sim.Engine) (netem.Handler, *arrival)) []sim.Time {
-		eng := sim.New(1)
-		in, dst := build(eng)
-		for i := int64(0); i < 200; i++ {
-			i := i
-			eng.At(float64(i)*0.0005, func() {
-				in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Seq: i, Size: 1000})
-			})
-		}
-		eng.Run()
-		return dst.at
-	}
-	viaDumbbell := run(func(eng *sim.Engine) (netem.Handler, *arrival) {
-		d := New(eng, Config{Rate: 10e6, Seed: 7, DisablePool: true})
-		dst := &arrival{eng: eng}
-		return d.PathLR(1, dst), dst
-	})
-	viaNet := run(func(eng *sim.Engine) (netem.Handler, *arrival) {
-		n := NewNet(eng, NetConfig{Hops: []Hop{{Rate: 10e6}}, Seed: 7, DisablePool: true})
-		dst := &arrival{eng: eng}
-		return n.PathLR(1, dst), dst
-	})
-	if len(viaDumbbell) != len(viaNet) {
-		t.Fatalf("delivery counts differ: dumbbell %d, one-hop net %d", len(viaDumbbell), len(viaNet))
-	}
-	for i := range viaDumbbell {
-		if viaDumbbell[i] != viaNet[i] {
-			t.Fatalf("delivery %d at %v via dumbbell but %v via one-hop net", i, viaDumbbell[i], viaNet[i])
-		}
-	}
-}
-
 func TestNetChainDelivery(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}, {}}, Seed: 1})

@@ -251,7 +251,7 @@ func TestEndToEndTraceOfARealFlow(t *testing.T) {
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 71})
 	var rec Recorder
-	d.LR.AddTap(rec.LinkTap())
+	d.Fwd[0].AddTap(rec.LinkTap())
 
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: 1})

@@ -29,7 +29,7 @@ type FlashCrowdConfig struct {
 }
 
 // FlashCrowd is a generated set of short TCP flows wired onto a
-// dumbbell.
+// topology.
 type FlashCrowd struct {
 	// Senders and Receivers hold one entry per crowd flow.
 	Senders   []*tcp.Sender
@@ -41,10 +41,10 @@ type FlashCrowd struct {
 	CompletionTimes []sim.Time
 }
 
-// NewFlashCrowd schedules the crowd on the dumbbell. Each flow is a
+// NewFlashCrowd schedules the crowd on the fabric d. Each flow is a
 // standard TCP(1/2) transfer of PktsPerFlow packets; arrivals are evenly
 // spaced at 1/RatePerSec (the paper describes a deterministic stream).
-func NewFlashCrowd(eng *sim.Engine, d *topology.Dumbbell, cfg FlashCrowdConfig) *FlashCrowd {
+func NewFlashCrowd(eng *sim.Engine, d topology.Fabric, cfg FlashCrowdConfig) *FlashCrowd {
 	if cfg.PktsPerFlow == 0 {
 		cfg.PktsPerFlow = 10
 	}
@@ -64,7 +64,7 @@ func NewFlashCrowd(eng *sim.Engine, d *topology.Dumbbell, cfg FlashCrowdConfig) 
 				fc.CompletionTimes = append(fc.CompletionTimes, eng.Now()-arrive)
 			},
 		})
-		snd.Pool, rcv.Pool = d.Pool, d.Pool
+		snd.Pool, rcv.Pool = d.SharedPool(), d.SharedPool()
 		snd.Out = d.PathLR(flowID, rcv)
 		rcv.Out = d.PathRL(flowID, snd)
 		fc.Senders = append(fc.Senders, snd)

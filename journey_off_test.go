@@ -1,10 +1,9 @@
 // Determinism guarantee of the journey layer, checked at the public
-// surface: attaching a journey recorder to the seed-1 dumbbell macro
-// scenario — recording every per-hop span — must not change the event
-// stream at all, because journey hooks observe link callbacks without
-// scheduling anything. This is a stronger pin than the other layers
-// hold (obs_test.go, faults_test.go, topology_off_test.go): not just
-// wired-but-disabled, but fully enabled recording costs zero events.
+// surface: attaching a journey recorder to the seed-1 macro run —
+// recording every per-hop span — must not change the event stream at
+// all, because journey hooks observe link callbacks without scheduling
+// anything. This is a stronger pin than the wired-but-off layers hold
+// (pinned_stream_test.go): fully enabled recording costs zero events.
 package slowcc_test
 
 import (
@@ -14,48 +13,12 @@ import (
 	"slowcc"
 )
 
-// journeyMacroRun executes the slowccbench macro scenario (two standard
-// TCP flows, 10 Mbps, 30 s, seed 1) with an optional journey recorder
-// attached before the flows wire, returning the engine, the bottleneck
-// packet trace, and the recorder (nil when detached).
-func journeyMacroRun(t *testing.T, rec *slowcc.JourneyRecorder) (*slowcc.Engine, []slowcc.TraceEvent) {
-	t.Helper()
-	eng := slowcc.NewEngine(1)
-	d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: 1})
-	d.ObserveJourneys(rec)
-	tap := &slowcc.Tracer{}
-	d.LR.AddTap(tap.LinkTap())
-	f1 := slowcc.TCP(0.5).Make(eng, d, 1)
-	f2 := slowcc.TCP(0.5).Make(eng, d, 2)
-	eng.At(0, f1.Sender.Start)
-	eng.At(0, f2.Sender.Start)
-	eng.RunUntil(30)
-	return eng, tap.Events()
-}
-
 func TestJourneyRecordingDoesNotPerturbEventStream(t *testing.T) {
-	const pinnedEvents = 403989
-
-	plainEng, plainEv := journeyMacroRun(t, nil)
 	rec := slowcc.NewJourneyRecorder()
-	journeyEng, journeyEv := journeyMacroRun(t, rec)
+	// Before the flows wire: access links attach as each path is built.
+	r := runMacro(layer{after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(rec) }})
 	rec.Finalize()
-
-	if plainEng.Steps() != pinnedEvents {
-		t.Fatalf("plain run executed %d events, want the pinned %d", plainEng.Steps(), pinnedEvents)
-	}
-	if journeyEng.Steps() != pinnedEvents {
-		t.Fatalf("journey-enabled run executed %d events, want the pinned %d: journey hooks perturbed the schedule",
-			journeyEng.Steps(), pinnedEvents)
-	}
-	if len(plainEv) != len(journeyEv) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(plainEv), len(journeyEv))
-	}
-	for i := range plainEv {
-		if plainEv[i] != journeyEv[i] {
-			t.Fatalf("trace event %d differs: %+v vs %+v", i, plainEv[i], journeyEv[i])
-		}
-	}
+	holdPinned(t, r, runMacro(layer{}), false)
 
 	// The recorder observed the whole run: its per-hop components must
 	// tile the measured end-to-end delay of every delivered packet.
@@ -65,15 +28,5 @@ func TestJourneyRecordingDoesNotPerturbEventStream(t *testing.T) {
 	}
 	if sum := queue + tx + prop; math.Abs(sum-e2e) > 1e-9*float64(n) {
 		t.Fatalf("attribution does not tile: q+tx+prop %v vs e2e %v over %d packets", sum, e2e, n)
-	}
-}
-
-// Wired but disabled — ObserveJourneys(nil) — is the configuration the
-// bench gate measures: every link carries the nil hook field and the
-// run must stay on the pinned schedule.
-func TestJourneyWiredButDisabledReproducesPinnedMacroRun(t *testing.T) {
-	eng, _ := journeyMacroRun(t, nil)
-	if got := eng.Steps(); got != 403989 {
-		t.Fatalf("wired-but-disabled journey run executed %d events, want the pinned 403989", got)
 	}
 }

@@ -12,10 +12,10 @@ import (
 	"slowcc"
 )
 
-// benchScenario is the slowccbench macro scenario (two standard TCP
-// flows, 10 Mbps, 30 s) expressed as a TraceRunConfig. Seed 1 executes
-// exactly 403989 events — the count pinned in cmd/slowccbench — and
-// this test holds that pin with the sampler enabled.
+// benchScenario is the macro run of pinned_stream_test.go (two standard
+// TCP flows, 10 Mbps, 30 s, seed 1) expressed as a TraceRunConfig, so
+// the pin is held on the path slowcctrace takes, with the sampler
+// enabled.
 func benchScenario(probeInterval slowcc.Time) slowcc.TraceRunConfig {
 	return slowcc.TraceRunConfig{
 		Seed:          1,
@@ -27,8 +27,6 @@ func benchScenario(probeInterval slowcc.Time) slowcc.TraceRunConfig {
 }
 
 func TestProbesDoNotPerturbEventStream(t *testing.T) {
-	const pinnedEvents = 403989
-
 	off := slowcc.NewTraceRun(benchScenario(0))
 	off.Run()
 	on := slowcc.NewTraceRun(benchScenario(0.1))

@@ -1,0 +1,168 @@
+// The behavioural oracle, held at the public surface: the seed-1 macro
+// run — two standard TCP flows over the paper's 10 Mbps dumbbell for
+// 30 s — executes exactly 403989 events whose stream digest is
+// 0x86e6964d4bd964b3, and every layer of machinery that can be wired
+// around it while switched off must leave that stream, and the packet
+// story at the bottleneck, untouched. One helper declares the run; one
+// table lists the layers.
+package slowcc_test
+
+import (
+	"testing"
+
+	"slowcc"
+)
+
+const (
+	pinnedEvents = 403989
+	pinnedDigest = 0x86e6964d4bd964b3
+)
+
+// layer is one piece of machinery attached to the macro run. The zero
+// layer is the plain run.
+type layer struct {
+	name string
+	// queue is the engine's event queue (the zero value is the calendar
+	// queue every production engine uses).
+	queue slowcc.QueueKind
+	// before runs once the engine exists and may edit the dumbbell's
+	// config; after runs on the built dumbbell before any flow wires.
+	before func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig)
+	after  func(d *slowcc.Dumbbell)
+	// undigested says the layer detached the stream digest, so only the
+	// event count and the trace can be held.
+	undigested bool
+	// check holds what is specific to the layer, after the run.
+	check func(t *testing.T, r macroRun)
+}
+
+type macroRun struct {
+	eng   *slowcc.Engine
+	d     *slowcc.Dumbbell
+	dig   *slowcc.StreamDigest
+	trace []slowcc.TraceEvent // every packet offered to the forward bottleneck
+}
+
+// runMacro executes the macro run with l attached.
+func runMacro(l layer) macroRun {
+	r := macroRun{eng: slowcc.NewEngineWithQueue(1, l.queue), dig: &slowcc.StreamDigest{}}
+	r.eng.SetStreamDigest(r.dig)
+	cfg := slowcc.DumbbellConfig{Rate: 10e6, Seed: 1}
+	if l.before != nil {
+		l.before(r.eng, &cfg)
+	}
+	r.d = slowcc.NewDumbbell(r.eng, cfg)
+	rec := &slowcc.Tracer{}
+	r.d.Fwd[0].AddTap(rec.LinkTap())
+	if l.after != nil {
+		l.after(r.d)
+	}
+	f1 := slowcc.TCP(0.5).Make(r.eng, r.d, 1)
+	f2 := slowcc.TCP(0.5).Make(r.eng, r.d, 2)
+	r.eng.At(0, f1.Sender.Start)
+	r.eng.At(0, f2.Sender.Start)
+	r.eng.RunUntil(30)
+	r.trace = rec.Events()
+	return r
+}
+
+// holdPinned asserts r is the pinned stream: event count, digest (when
+// one is attached), and a bottleneck trace equal to the plain run's
+// event for event.
+func holdPinned(t *testing.T, r, plain macroRun, undigested bool) {
+	t.Helper()
+	if got := r.eng.Steps(); got != pinnedEvents {
+		t.Fatalf("executed %d events, want the pinned %d", got, pinnedEvents)
+	}
+	if !undigested {
+		if r.dig.Events() != pinnedEvents || r.dig.Sum() != pinnedDigest {
+			t.Fatalf("stream digest %016x over %d events, want %016x over %d",
+				r.dig.Sum(), r.dig.Events(), uint64(pinnedDigest), pinnedEvents)
+		}
+	}
+	if len(r.trace) != len(plain.trace) {
+		t.Fatalf("bottleneck trace has %d events, the plain run's %d", len(r.trace), len(plain.trace))
+	}
+	for i := range plain.trace {
+		if r.trace[i] != plain.trace[i] {
+			t.Fatalf("trace event %d differs: %+v, plain run %+v", i, r.trace[i], plain.trace[i])
+		}
+	}
+}
+
+func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
+	var (
+		inj  *slowcc.FaultInjector
+		idle *slowcc.Net
+		smp  *slowcc.Sampler
+	)
+	layers := []layer{
+		{name: "plain"},
+		// The reference queue pops the identical (at, seq) order, so one
+		// hex string compares two queue implementations.
+		{name: "heap queue", queue: slowcc.HeapQueue},
+		// The digest the other rows carry is itself a pure observer.
+		{name: "digest detached", undigested: true,
+			after: func(d *slowcc.Dumbbell) { d.Eng.SetStreamDigest(nil) },
+			check: func(t *testing.T, r macroRun) {
+				if r.dig.Events() != 0 {
+					t.Fatalf("detached digest still folded %d events", r.dig.Events())
+				}
+			}},
+		// ObserveJourneys(nil) is the state every link is in permanently:
+		// a nil hook field checked at each journey event site.
+		{name: "journeys nil",
+			after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(nil) }},
+		// A zero-config injector hands the entry handler back untouched
+		// and schedules nothing.
+		{name: "fault injector disabled",
+			before: func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig) {
+				inj = slowcc.NewFaultInjector(eng, slowcc.FaultConfig{})
+				cfg.Fault = inj
+			},
+			check: func(t *testing.T, r macroRun) {
+				if inj.Attached() {
+					t.Fatal("disabled injector attached a handler")
+				}
+			}},
+		// A second topology on the same engine — built, seeded, routing
+		// tables allocated, no flow ever wired — reaches the event loop
+		// with nothing.
+		{name: "idle parking lot",
+			before: func(eng *slowcc.Engine, _ *slowcc.DumbbellConfig) {
+				idle = slowcc.NewNet(eng, slowcc.NetConfig{
+					Hops: []slowcc.NetHop{{Rate: 10e6}, {Rate: 10e6}},
+					Seed: 99,
+				})
+			},
+			check: func(t *testing.T, r macroRun) {
+				if got := idle.Fwd[0].Stats.Arrivals + idle.Fwd[1].Stats.Arrivals; got != 0 {
+					t.Fatalf("idle chain carried %d packets", got)
+				}
+			}},
+		// The counter registry only reads, and a sampler at interval 0
+		// sits in the engine's probe slot without ever asking to wake.
+		{name: "registry and sampler at interval 0",
+			after: func(d *slowcc.Dumbbell) {
+				d.Observe(&slowcc.CounterRegistry{})
+				smp = slowcc.NewSampler(0)
+				d.ObserveProbes(smp)
+				smp.Install(d.Eng)
+			},
+			check: func(t *testing.T, r macroRun) {
+				if n := len(smp.Samples()); n != 0 {
+					t.Fatalf("disabled sampler recorded %d samples", n)
+				}
+			}},
+	}
+	plain := runMacro(layer{})
+	for _, l := range layers {
+		t.Run(l.name, func(t *testing.T) {
+			r := runMacro(l)
+			holdPinned(t, r, plain, l.undigested)
+			if l.check != nil {
+				l.check(t, r)
+			}
+		})
+	}
+}

@@ -6,8 +6,11 @@
 // It provides, from scratch and in pure Go:
 //
 //   - a deterministic discrete-event engine (NewEngine);
-//   - links, DropTail and RED queues, scripted loss patterns, and a
-//     single-bottleneck dumbbell topology (NewDumbbell);
+//   - links, DropTail and RED queues, scripted loss patterns, and one
+//     topology builder: a chain of bottleneck hops (NewNet), of which
+//     the paper's single-bottleneck dumbbell is the one-hop case with
+//     the paper's defaults (NewDumbbell; its forward bottleneck is
+//     Fwd[0], its reverse bottleneck Rev[0]);
 //   - the paper's congestion control algorithms: window-based TCP(b)
 //     with self-clocking/slow-start/timeouts, the SQRT and IIAD binomial
 //     algorithms, rate-based RAP(b), and equation-based TFRC(k) with the
@@ -63,15 +66,14 @@ func NewEngine(seed int64) *Engine { return sim.New(seed) }
 
 // QueueKind selects the engine's event-queue implementation. Both kinds
 // produce the identical event order for a given seed and schedule; the
-// calendar queue is the fast default, the heap the fallback and
-// differential-testing oracle.
+// calendar queue is what NewEngine uses, the heap the reference the
+// differential tests construct explicitly.
 type QueueKind = sim.QueueKind
 
 const (
 	// CalendarQueue is the default time-bucketed event queue.
 	CalendarQueue = sim.CalendarQueue
-	// HeapQueue is the 4-ary min-heap fallback (also selectable
-	// process-wide with SLOWCC_EVENTQ=heap).
+	// HeapQueue is the 4-ary min-heap reference.
 	HeapQueue = sim.HeapQueue
 )
 
@@ -86,10 +88,12 @@ func NewEngineWithQueue(seed int64, kind QueueKind) *Engine {
 // thresholds at 0.25/1.25 BDP, buffer 2.5 BDP).
 type DumbbellConfig = topology.Config
 
-// Dumbbell is the instantiated topology.
-type Dumbbell = topology.Dumbbell
+// Dumbbell is the instantiated topology: the one-hop Net, with the
+// forward bottleneck at Fwd[0] and the reverse bottleneck at Rev[0].
+type Dumbbell = topology.Net
 
-// NewDumbbell builds a dumbbell on eng.
+// NewDumbbell builds a dumbbell on eng; its links keep the paper's
+// names (lr, rl) in registries, probes and journeys.
 func NewDumbbell(eng *Engine, cfg DumbbellConfig) *Dumbbell { return topology.New(eng, cfg) }
 
 // ExplicitZero is the sentinel that config fields with a non-zero
@@ -97,9 +101,8 @@ func NewDumbbell(eng *Engine, cfg DumbbellConfig) *Dumbbell { return topology.Ne
 // accept to mean a literal zero rather than "use the default".
 const ExplicitZero = topology.ExplicitZero
 
-// Fabric is the topology interface algorithms wire onto: both the
-// dumbbell and the parking-lot chain implement it, so a flow never
-// knows how many bottlenecks it crosses.
+// Fabric is the topology interface algorithms wire onto, so a flow
+// never knows how many bottlenecks it crosses.
 type Fabric = topology.Fabric
 
 // NetConfig configures the parking-lot chain topology: K bottleneck
@@ -114,8 +117,8 @@ type NetHop = topology.Hop
 // and leave at interior nodes via PathFwd/PathRev.
 type Net = topology.Net
 
-// NewNet builds a parking-lot chain on eng; a one-hop chain is
-// equivalent to the dumbbell.
+// NewNet builds a parking-lot chain on eng; a one-hop chain is the
+// dumbbell under the chain's link names (fwd0, rev0).
 func NewNet(eng *Engine, cfg NetConfig) *Net { return topology.NewNet(eng, cfg) }
 
 // Flow bundles the endpoints of a wired flow.
@@ -298,7 +301,7 @@ func NewSampler(interval Time) *Sampler { return obs.NewSampler(interval) }
 type ProbeSample = obs.Sample
 
 // CounterRegistry collects named monotonic counters from the simulator
-// core; Dumbbell.Observe registers a whole topology.
+// core; Net.Observe registers a whole topology.
 type CounterRegistry = obs.Registry
 
 // FlightRecorder keeps a fixed ring of recent packet events, probe
@@ -348,9 +351,9 @@ func NewTraceRun(cfg TraceRunConfig) *TraceRun { return exp.NewTraceRun(cfg) }
 // JourneyRecorder captures per-packet, per-hop spans (enqueue, head of
 // line, transmission, delivery or drop) and attributes every delivered
 // packet's end-to-end delay into queueing, transmission, and
-// propagation, exactly. Attach one with Dumbbell.ObserveJourneys or
-// Net.ObserveJourneys before wiring flows; a nil recorder attaches
-// nothing and leaves the run event-for-event identical.
+// propagation, exactly. Attach one with Net.ObserveJourneys before
+// wiring flows; a nil recorder attaches nothing and leaves the run
+// event-for-event identical.
 type JourneyRecorder = journey.Recorder
 
 // NewJourneyRecorder returns an empty journey recorder.

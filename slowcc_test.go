@@ -15,7 +15,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	eng := slowcc.NewEngine(2)
 	d := slowcc.NewDumbbell(eng, slowcc.DumbbellConfig{Rate: 10e6, Seed: 2})
 	mon := slowcc.NewLossMonitor(0.5)
-	d.LR.AddTap(mon.Tap())
+	d.Fwd[0].AddTap(mon.Tap())
 
 	tcp := slowcc.TCP(0.5).Make(eng, d, 1)
 	tfrc := slowcc.TFRC(slowcc.TFRCOptions{K: 8, HistoryDiscounting: true}).Make(eng, d, 2)
@@ -93,7 +93,7 @@ func TestPublicScriptedLoss(t *testing.T) {
 	f := slowcc.TCP(0.5).Make(eng, d, 1)
 	eng.At(0, f.Sender.Start)
 	eng.RunUntil(30)
-	if d.Filter == nil || d.Filter.Drops == 0 {
+	if d.Filters[0] == nil || d.Filters[0].Drops == 0 {
 		t.Fatal("scripted pattern never dropped")
 	}
 	// p ~ 1%: throughput far below the 50 Mbps link.
