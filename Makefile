@@ -9,7 +9,7 @@ GO ?= go
 # package's TestMain enables the invariant auditing layer for the whole
 # scaled-down figure suite, so packet-accounting regressions fail here
 # even when no figure-level assertion notices them; -race additionally
-# exercises parallelMap's worker pool.
+# exercises parallelMapIndexed's worker pool.
 ci: fmt vet build race bench-smoke queue-smoke report-smoke matrix-smoke timeline-smoke export-smoke resume-smoke fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
@@ -168,6 +168,7 @@ resume-smoke:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePattern -fuzztime=3s ./internal/netem
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=3s ./internal/faults
+	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=3s ./internal/exp
 
 # queue-smoke runs the calendar-vs-heap differential suite: the
 # randomized mixed-op oracle test in internal/sim plus the macro-stream

@@ -116,7 +116,7 @@ func main() {
 		retryWait  = flag.Duration("retry-backoff", 0, "base for deterministic exponential backoff before retry attempts (0 = retry immediately); never affects simulation results")
 		breaker    = flag.Int("breaker", 0, "per-algorithm-pair circuit breaker: skip a pair's remaining cells after this many consecutive degradations (0 = off); skipped cells resume later with -store -resume")
 	)
-	flag.StringVar(&matrixFlags.algos, "matrix", "", "matrix experiment: comma-separated algorithm specs, e.g. 'tcp:0.5,tfrc:8,sqrt' (empty = the paper's seven)")
+	flag.StringVar(&matrixFlags.algos, "matrix", "", "matrix experiment: comma-separated algorithm specs key[:arg], e.g. 'tcp:0.5,tfrc:8,sqrt' (empty = the paper's seven); one of\n"+exp.AlgoSyntax())
 	flag.StringVar(&matrixFlags.topology, "topology", "both", "matrix experiment: dumbbell, parking-lot[:hops], or both")
 	flag.StringVar(&matrixFlags.tsvPath, "tsv", "", "matrix experiment: also write the deterministic TSV artifact to this file")
 	flag.BoolVar(&matrixFlags.failDegraded, "fail-degraded", false, "exit nonzero when any sweep cell degrades (CI smoke gate)")

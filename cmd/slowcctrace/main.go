@@ -9,17 +9,9 @@
 //	slowcctrace -flow tcp:0.5 -flow tcp:0.125 -rate 5e6 -dur 60
 //	slowcctrace -flow tcp:0.5 -flow tfrc:8 -probe 0.1 -probes probes.tsv -manifest run.json
 //
-// Flow specs select the algorithm and its parameter, separated by a
-// colon:
-//
-//	tcp:B     TCP with AIMD(B) window rules (tcp:0.5 is standard TCP)
-//	sqrt:B    SQRT binomial algorithm with decrease scale B
-//	iiad:B    IIAD binomial algorithm with decrease scale B
-//	rap:B     rate-based AIMD (RAP) with decrease factor B
-//	tfrc:K    equation-based TFRC averaging K loss intervals
-//	tfrc+sc:K TFRC with the paper's conservative self-clocking option
-//	tear:A    TCP Emulation At Receivers with EWMA gain A (0 = default)
-//	cbr:R     unresponsive constant-bit-rate source at R bits/s
+// A flow spec is key[:arg], an algorithm of the roster and its
+// parameter; slowcctrace -h lists the keys with each argument's domain
+// and default, generated from the roster itself (slowcc.AlgoSyntax).
 //
 // State probes: -probe I samples every flow's internal state (cwnd and
 // srtt for the windowed algorithms, sending rate for the rate-based
@@ -80,16 +72,9 @@ func (f *flowList) Set(v string) error {
 	return nil
 }
 
-// parseAlgo delegates to the shared parser (slowcc.ParseAlgo), the same
-// syntax slowccsim's -matrix flag accepts, so the two commands cannot
-// drift apart.
-func parseAlgo(spec string) (slowcc.Algorithm, error) {
-	return slowcc.ParseAlgo(spec)
-}
-
 func main() {
 	var flows flowList
-	flag.Var(&flows, "flow", "flow spec (repeatable), e.g. tcp:0.5, tfrc:8, tear")
+	flag.Var(&flows, "flow", "flow spec key[:arg] (repeatable), e.g. tcp:0.5, tfrc:8, tear; one of\n"+slowcc.AlgoSyntax())
 	var (
 		rate     = flag.Float64("rate", 10e6, "bottleneck bandwidth, bits/s")
 		dur      = flag.Float64("dur", 30, "simulated duration, seconds")
@@ -126,7 +111,7 @@ func main() {
 		Digest:        *digest,
 	}
 	for _, spec := range flows {
-		algo, err := parseAlgo(spec)
+		algo, err := slowcc.ParseAlgo(spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -98,8 +98,7 @@ func steadyUtil(t *testing.T, pol Policy, seed int64, warm, measure float64) flo
 	d := topology.New(eng, topology.Config{Rate: 10e6, Seed: seed})
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: 1, Policy: pol})
-	snd.Out = d.PathLR(1, rcv)
-	rcv.Out = d.PathRL(1, snd)
+	d.Connect(1, snd, rcv, topology.Span{})
 	eng.At(0, snd.Start)
 	eng.RunUntil(warm)
 	base := rcv.Stats().BytesRecv

@@ -149,7 +149,7 @@ func (s Steps) NextChange(t sim.Time) sim.Time {
 // spacing. CBR packets are one-way; no acknowledgments return.
 type Source struct {
 	Eng *sim.Engine
-	Out netem.Handler
+	cc.Port
 	// Flow is the flow identifier.
 	Flow int
 	// PeakRate is the ON sending rate in bits per second.
@@ -158,9 +158,6 @@ type Source struct {
 	PktSize int
 	// Sched modulates the rate (default Always).
 	Sched Schedule
-	// Pool recycles data packets; nil falls back to per-packet heap
-	// allocation.
-	Pool *netem.PacketPool
 
 	st      cc.SenderStats
 	running bool
@@ -176,7 +173,7 @@ func NewSource(eng *sim.Engine, out netem.Handler, flow int, peakRate float64, s
 	if sched == nil {
 		sched = Always{}
 	}
-	s := &Source{Eng: eng, Out: out, Flow: flow, PeakRate: peakRate,
+	s := &Source{Eng: eng, Port: cc.Port{Out: out}, Flow: flow, PeakRate: peakRate,
 		PktSize: cc.DefaultPktSize, Sched: sched}
 	s.tickFn = s.tick
 	return s

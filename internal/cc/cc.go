@@ -18,6 +18,20 @@ const DefaultPktSize = 1000
 // DefaultAckSize is the wire size of ACK and feedback packets.
 const DefaultAckSize = 40
 
+// Port is an endpoint's attachment to the network: where its packets
+// go and the pool it allocates from and releases to. Every endpoint
+// embeds one, so a topology wires any of them with one Attach call.
+type Port struct {
+	// Out is the path toward the peer.
+	Out netem.Handler
+	// Pool recycles the packets the endpoint consumes and supplies the
+	// ones it sends; nil falls back to per-packet heap allocation.
+	Pool *netem.PacketPool
+}
+
+// Attach points the endpoint at its outgoing path and packet pool.
+func (p *Port) Attach(out netem.Handler, pool *netem.PacketPool) { p.Out, p.Pool = out, pool }
+
 // Sender is a transport sender endpoint. It transmits data packets into
 // the network and consumes the acknowledgment or feedback packets the
 // network routes back to it (via Handle, inherited from netem.Handler).
@@ -60,8 +74,8 @@ type ReceiverStats struct {
 // (no delayed ACKs, matching the paper's model) and echoes the packet's
 // transmit timestamp so the sender can measure RTT per transmission.
 type AckReceiver struct {
-	Eng  *sim.Engine
-	Out  netem.Handler // reverse path toward the sender
+	Eng *sim.Engine
+	Port
 	Flow int
 	// AckSize is the ACK wire size; zero means DefaultAckSize.
 	AckSize int
@@ -70,9 +84,6 @@ type AckReceiver struct {
 	// TCPs do not delay ACKs, so this is off by default (it exists for
 	// the delayed-ACK ablation).
 	DelayedAcks bool
-	// Pool recycles consumed data packets and supplies ACK packets; nil
-	// falls back to per-packet heap allocation.
-	Pool *netem.PacketPool
 
 	R ReceiverStats
 
@@ -93,7 +104,7 @@ type AckReceiver struct {
 // NewAckReceiver returns a receiver for the given flow sending ACKs
 // into out.
 func NewAckReceiver(eng *sim.Engine, flow int, out netem.Handler) *AckReceiver {
-	r := &AckReceiver{Eng: eng, Out: out, Flow: flow}
+	r := &AckReceiver{Eng: eng, Port: Port{Out: out}, Flow: flow}
 	r.emitFn = r.emitAck
 	return r
 }
@@ -171,6 +182,24 @@ func (r *AckReceiver) emitAck() {
 	r.Out.Handle(ack)
 	r.ceSeen = false
 }
+
+// Sink is the receiving end of a one-way flow (CBR, cross traffic): it
+// counts what arrives and releases it. Nothing feeds back, so its Out
+// stays nil.
+type Sink struct {
+	Port
+	R ReceiverStats
+}
+
+// Handle implements netem.Handler; the sink is the packet's final owner.
+func (s *Sink) Handle(p *netem.Packet) {
+	s.R.PktsRecv++
+	s.R.BytesRecv += int64(p.Size)
+	s.Pool.Put(p)
+}
+
+// Stats returns the sink's counters.
+func (s *Sink) Stats() *ReceiverStats { return &s.R }
 
 // seqSet is the set of sequence numbers a receiver holds above its
 // in-order point: one bit per sequence, in a power-of-two ring of words

@@ -55,11 +55,8 @@ func (c *Config) fill() {
 // cumulative ACKs.
 type Sender struct {
 	Eng *sim.Engine
-	Out netem.Handler
-	// Pool recycles data packets and consumed ACKs; nil falls back to
-	// per-packet heap allocation.
-	Pool *netem.PacketPool
-	cfg  Config
+	cc.Port
+	cfg Config
 
 	st cc.SenderStats
 
@@ -82,7 +79,7 @@ type Sender struct {
 // NewSender returns a RAP sender transmitting into out.
 func NewSender(eng *sim.Engine, out netem.Handler, cfg Config) *Sender {
 	cfg.fill()
-	s := &Sender{Eng: eng, Out: out, cfg: cfg, lastAck: -1}
+	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, cfg: cfg, lastAck: -1}
 	s.sendFn = s.sendLoop
 	s.updFn = s.update
 	return s

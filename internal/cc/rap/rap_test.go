@@ -12,8 +12,7 @@ import (
 func wire(eng *sim.Engine, d *topology.Net, cfg Config) (*Sender, *cc.AckReceiver) {
 	rcv := cc.NewAckReceiver(eng, cfg.Flow, nil)
 	snd := NewSender(eng, nil, cfg)
-	snd.Out = d.PathLR(cfg.Flow, rcv)
-	rcv.Out = d.PathRL(cfg.Flow, snd)
+	d.Connect(cfg.Flow, snd, rcv, topology.Span{})
 	return snd, rcv
 }
 

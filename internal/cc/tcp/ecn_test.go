@@ -12,8 +12,7 @@ import (
 func wireECN(eng *sim.Engine, d *topology.Net, flow int) (*Sender, *cc.AckReceiver) {
 	rcv := cc.NewAckReceiver(eng, flow, nil)
 	snd := NewSender(eng, nil, Config{Flow: flow, ECN: true})
-	snd.Out = d.PathLR(flow, rcv)
-	rcv.Out = d.PathRL(flow, snd)
+	d.Connect(flow, snd, rcv, topology.Span{})
 	return snd, rcv
 }
 
@@ -88,8 +87,7 @@ func TestDelayedAcksStillComplete(t *testing.T) {
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	rcv.DelayedAcks = true
 	snd := NewSender(eng, nil, Config{Flow: 1})
-	snd.Out = d.PathLR(1, rcv)
-	rcv.Out = d.PathRL(1, snd)
+	d.Connect(1, snd, rcv, topology.Span{})
 	eng.At(0, snd.Start)
 	eng.RunUntil(30)
 	util := float64(rcv.Stats().BytesRecv) * 8 / (10e6 * 30)

@@ -111,16 +111,16 @@ func TestSACKFlowRecoversFasterThanNewReno(t *testing.T) {
 		d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 91})
 		rcv := cc.NewAckReceiver(eng, 1, nil)
 		snd := NewSender(eng, nil, Config{Flow: 1, SACK: sack})
+		d.Connect(1, snd, rcv, topology.Span{})
 		filt := &netem.LossFilter{
 			// Pass 200, then drop 20 in a row, then lossless.
 			Pattern: &netem.CountPattern{Intervals: []int{
 				200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1 << 30,
 			}},
-			Next: d.PathLR(1, rcv),
+			Next: snd.Out,
 			Now:  eng.Now,
 		}
 		snd.Out = filt
-		rcv.Out = d.PathRL(1, snd)
 		eng.At(0, snd.Start)
 		// Find when the receiver's in-order point passes the burst.
 		var recoveredAt sim.Time = -1
@@ -157,8 +157,7 @@ func TestSACKFillsBottleneck(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		rcv := cc.NewAckReceiver(eng, i, nil)
 		snd := NewSender(eng, nil, Config{Flow: i, SACK: true})
-		snd.Out = d.PathLR(i, rcv)
-		rcv.Out = d.PathRL(i, snd)
+		d.Connect(i, snd, rcv, topology.Span{})
 		eng.At(0, snd.Start)
 		rcvs = append(rcvs, rcv)
 	}
@@ -184,8 +183,7 @@ func TestSACKSingleFlowSanity(t *testing.T) {
 	d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 93})
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := NewSender(eng, nil, Config{Flow: 1, SACK: true})
-	snd.Out = d.PathLR(1, rcv)
-	rcv.Out = d.PathRL(1, snd)
+	d.Connect(1, snd, rcv, topology.Span{})
 	eng.At(0, snd.Start)
 	eng.RunUntil(30)
 	util := float64(rcv.Stats().BytesRecv) * 8 / (10e6 * 30)

@@ -100,11 +100,8 @@ func (c *Config) fill() {
 // Start it.
 type Sender struct {
 	Eng *sim.Engine
-	Out netem.Handler
-	// Pool recycles data packets and consumed ACKs; nil falls back to
-	// per-packet heap allocation.
-	Pool *netem.PacketPool
-	cfg  Config
+	cc.Port
+	cfg Config
 
 	st cc.SenderStats
 
@@ -139,7 +136,7 @@ type Sender struct {
 // NewSender returns a sender using cfg, transmitting into out.
 func NewSender(eng *sim.Engine, out netem.Handler, cfg Config) *Sender {
 	cfg.fill()
-	s := &Sender{Eng: eng, Out: out, cfg: cfg, backoff: 1}
+	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, cfg: cfg, backoff: 1}
 	s.timeoutFn = s.onTimeout
 	if cfg.SACK {
 		s.sacked = make(map[int64]bool)

@@ -36,8 +36,7 @@ func TestAIMDDecreaseFloor(t *testing.T) {
 func wire(eng *sim.Engine, d *topology.Net, cfg Config) (*Sender, *cc.AckReceiver) {
 	rcv := cc.NewAckReceiver(eng, cfg.Flow, nil)
 	snd := NewSender(eng, nil, cfg)
-	snd.Out = d.PathLR(cfg.Flow, rcv)
-	rcv.Out = d.PathRL(cfg.Flow, snd)
+	d.Connect(cfg.Flow, snd, rcv, topology.Span{})
 	return snd, rcv
 }
 
@@ -68,7 +67,8 @@ func TestSelfClockingConservation(t *testing.T) {
 	d := topology.New(eng, topology.Config{Rate: 5e6, Seed: 2})
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := NewSender(eng, nil, Config{Flow: 1})
-	path := d.PathLR(1, rcv)
+	d.Connect(1, snd, rcv, topology.Span{})
+	path := snd.Out
 	var maxSeq int64 = -1
 	violations := 0
 	snd.Out = netem.HandlerFunc(func(p *netem.Packet) {
@@ -81,7 +81,6 @@ func TestSelfClockingConservation(t *testing.T) {
 		}
 		path.Handle(p)
 	})
-	rcv.Out = d.PathRL(1, snd)
 	eng.At(0, snd.Start)
 	eng.RunUntil(20)
 	if violations > 0 {
@@ -128,13 +127,13 @@ func TestFastRetransmitOnIsolatedLoss(t *testing.T) {
 	snd := NewSender(eng, nil, cfg)
 	// Insert a scripted one-shot loss between sender and path: drop the
 	// 30th data packet only.
+	d.Connect(1, snd, rcv, topology.Span{})
 	filt := &netem.LossFilter{
 		Pattern: &netem.CountPattern{Intervals: []int{29, 1 << 30}},
-		Next:    d.PathLR(1, rcv),
+		Next:    snd.Out,
 		Now:     eng.Now,
 	}
 	snd.Out = filt
-	rcv.Out = d.PathRL(1, snd)
 	eng.At(0, snd.Start)
 	eng.RunUntil(5)
 
@@ -155,16 +154,16 @@ func TestTimeoutAndBackoffUnderBlackout(t *testing.T) {
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := NewSender(eng, nil, Config{Flow: 1})
 	// After half a second, everything dies (a total outage).
+	d.Connect(1, snd, rcv, topology.Span{})
 	filt := &netem.LossFilter{
 		Pattern: &netem.TimedPattern{Phases: []netem.TimedPhase{
 			{Duration: 0.5, EveryNth: 0},
 			{Duration: 1e9, EveryNth: 1},
 		}},
-		Next: d.PathLR(1, rcv),
+		Next: snd.Out,
 		Now:  eng.Now,
 	}
 	snd.Out = filt
-	rcv.Out = d.PathRL(1, snd)
 	eng.At(0, snd.Start)
 	eng.RunUntil(60)
 

@@ -16,8 +16,7 @@ type tcpFlow struct {
 func newTCPFlow(eng *sim.Engine, d *topology.Net, flow int) *tcpFlow {
 	rcv := cc.NewAckReceiver(eng, flow, nil)
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: flow})
-	snd.Out = d.PathLR(flow, rcv)
-	rcv.Out = d.PathRL(flow, snd)
+	d.Connect(flow, snd, rcv, topology.Span{})
 	return &tcpFlow{snd: snd, rcv: rcv}
 }
 

@@ -22,7 +22,7 @@ import (
 // Receiver runs the emulated TCP window and reports smoothed rates.
 type Receiver struct {
 	Eng *sim.Engine
-	Out netem.Handler
+	cc.Port
 	// Flow is the flow identifier.
 	Flow int
 	// Alpha is the EWMA gain applied once per emulated round
@@ -32,9 +32,6 @@ type Receiver struct {
 	// FeedbackSize is the wire size of rate reports (default
 	// cc.DefaultAckSize).
 	FeedbackSize int
-	// Pool recycles consumed data packets and supplies feedback packets;
-	// nil falls back to per-packet heap allocation.
-	Pool *netem.PacketPool
 
 	R cc.ReceiverStats
 
@@ -58,7 +55,7 @@ type Receiver struct {
 func NewReceiver(eng *sim.Engine, flow int, out netem.Handler) *Receiver {
 	r := &Receiver{
 		Eng:  eng,
-		Out:  out,
+		Port: cc.Port{Out: out},
 		Flow: flow, Alpha: 0.1,
 		cwnd: 2, ssthresh: math.Inf(1),
 		maxSeq:      -1,
@@ -89,11 +86,12 @@ func (r *Receiver) Window() float64 { return r.cwnd }
 func (r *Receiver) SmoothedWindow() float64 { return r.smoothW }
 
 // ProbeVars implements probe.Provider: the TCP-compatible rate the
-// receiver reports upstream (bytes/s) and the emulated window driving
-// it (packets).
+// receiver feeds back upstream (bytes/s) and the emulated window driving
+// it (packets). A flow's probe carries both ends' variables, so the
+// name is not the sender's "rate": one key, one series.
 func (r *Receiver) ProbeVars() []probe.Var {
 	return []probe.Var{
-		{Name: "rate", Read: r.Rate},
+		{Name: "fb_rate", Read: r.Rate},
 		{Name: "cwnd", Read: r.Window},
 	}
 }
@@ -201,14 +199,11 @@ func (r *Receiver) sendFeedback() {
 // receiver dictates.
 type Sender struct {
 	Eng *sim.Engine
-	Out netem.Handler
+	cc.Port
 	// Flow is the flow identifier.
 	Flow int
 	// PktSize is the data packet size (default cc.DefaultPktSize).
 	PktSize int
-	// Pool recycles data packets and consumed feedback; nil falls back
-	// to per-packet heap allocation.
-	Pool *netem.PacketPool
 
 	st      cc.SenderStats
 	rate    float64
@@ -222,7 +217,7 @@ type Sender struct {
 
 // NewSender returns a TEAR sender transmitting into out.
 func NewSender(eng *sim.Engine, out netem.Handler, flow int) *Sender {
-	s := &Sender{Eng: eng, Out: out, Flow: flow, PktSize: cc.DefaultPktSize}
+	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, Flow: flow, PktSize: cc.DefaultPktSize}
 	s.loopFn = s.loop
 	return s
 }

@@ -11,8 +11,7 @@ import (
 func wire(eng *sim.Engine, d *topology.Net, flow int) (*Sender, *Receiver) {
 	rcv := NewReceiver(eng, flow, nil)
 	snd := NewSender(eng, nil, flow)
-	snd.Out = d.PathLR(flow, rcv)
-	rcv.Out = d.PathRL(flow, snd)
+	d.Connect(flow, snd, rcv, topology.Span{})
 	return snd, rcv
 }
 

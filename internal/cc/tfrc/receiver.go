@@ -44,7 +44,7 @@ func Weights(n int) []float64 {
 // specification).
 type Receiver struct {
 	Eng *sim.Engine
-	Out netem.Handler // reverse path toward the sender
+	cc.Port
 	// Flow is the flow identifier.
 	Flow int
 	// NumIntervals is k in TFRC(k): the number of loss intervals
@@ -58,9 +58,6 @@ type Receiver struct {
 	// FeedbackSize is the wire size of feedback packets (default
 	// cc.DefaultAckSize).
 	FeedbackSize int
-	// Pool recycles consumed data packets and supplies feedback packets;
-	// nil falls back to per-packet heap allocation.
-	Pool *netem.PacketPool
 
 	R cc.ReceiverStats
 
@@ -92,7 +89,7 @@ func NewReceiver(eng *sim.Engine, flow int, out netem.Handler, k int) *Receiver 
 	}
 	r := &Receiver{
 		Eng:          eng,
-		Out:          out,
+		Port:         cc.Port{Out: out},
 		Flow:         flow,
 		NumIntervals: k,
 		weights:      Weights(k),

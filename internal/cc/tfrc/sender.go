@@ -49,11 +49,8 @@ func (c *Config) fill() {
 // from receiver feedback through the TCP response function.
 type Sender struct {
 	Eng *sim.Engine
-	Out netem.Handler
-	// Pool recycles data packets and consumed feedback; nil falls back
-	// to per-packet heap allocation.
-	Pool *netem.PacketPool
-	cfg  Config
+	cc.Port
+	cfg Config
 
 	st cc.SenderStats
 
@@ -73,7 +70,7 @@ type Sender struct {
 // NewSender returns a TFRC sender transmitting into out.
 func NewSender(eng *sim.Engine, out netem.Handler, cfg Config) *Sender {
 	cfg.fill()
-	s := &Sender{Eng: eng, Out: out, cfg: cfg}
+	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, cfg: cfg}
 	s.sendFn = s.sendLoop
 	s.nfFn = s.onNoFeedback
 	return s

@@ -43,8 +43,7 @@ func TestWeightsGeneralShape(t *testing.T) {
 func wire(eng *sim.Engine, d *topology.Net, flow, k int, conservative bool) (*Sender, *Receiver) {
 	rcv := NewReceiver(eng, flow, nil, k)
 	snd := NewSender(eng, nil, Config{Flow: flow, Conservative: conservative})
-	snd.Out = d.PathLR(flow, rcv)
-	rcv.Out = d.PathRL(flow, snd)
+	d.Connect(flow, snd, rcv, topology.Span{})
 	return snd, rcv
 }
 

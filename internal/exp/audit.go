@@ -7,10 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"slowcc/internal/cc/rap"
-	"slowcc/internal/cc/tcp"
-	"slowcc/internal/cc/tear"
-	"slowcc/internal/cc/tfrc"
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
 	"slowcc/internal/obs"
@@ -25,7 +21,7 @@ import (
 // scaled-down figure suite cannot pass while any accounting invariant is
 // broken; benchmarks and production runs leave it off and pay only a nil
 // check per event. The collector is shared across engines because sweep
-// drivers run scenarios concurrently via parallelMap.
+// drivers run scenarios concurrently via parallelMapIndexed.
 var audit struct {
 	mu         sync.Mutex
 	enabled    bool
@@ -180,22 +176,17 @@ func (c *Cell) observe(n *topology.Net) {
 	c.obsv = append(c.obsv, cellObs{eng: n.Eng, reg: reg, dig: dig})
 }
 
-// watchFlow registers a wired flow's byte counters and its sender's
-// declared control-variable bounds with the scenario's auditor (which
-// the scenario's net carries as Cfg.Audit). The
-// bounds are deliberately loose sanity envelopes — their job is to catch
-// NaN, infinities, negative windows, and runaway state, not to encode
-// algorithm dynamics.
+// watchFlow registers a wired flow's byte counters and whatever state
+// its Probes expose with the scenario's auditor (which the scenario's
+// net carries as Cfg.Audit). One loose envelope serves every variable —
+// its job is to catch NaN, infinities, negative windows and runaway
+// state, not to encode any algorithm's dynamics.
 func watchFlow(a *invariant.Auditor, name string, f Flow) {
 	a.WatchFlow(name, f.SentBytes, f.RecvBytes)
-	switch s := f.Sender.(type) {
-	case *tcp.Sender:
-		a.WatchValue(name+"/cwnd", s.Cwnd, 0, 1e7)
-	case *rap.Sender:
-		a.WatchValue(name+"/rate", s.RatePktsPerRTT, 0, 1e7)
-	case *tfrc.Sender:
-		a.WatchValue(name+"/rate", s.Rate, 0, 1e12)
-	case *tear.Sender:
-		a.WatchValue(name+"/rate", s.Rate, 0, 1e12)
+	if f.Probes == nil {
+		return
+	}
+	for _, v := range f.Probes.ProbeVars() {
+		a.WatchValue(name+"/"+v.Name, v.Read, 0, 1e12)
 	}
 }

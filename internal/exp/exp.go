@@ -55,6 +55,15 @@ type AlgoSpec struct {
 	Make func(eng *sim.Engine, d topology.Fabric, flow int) Flow
 }
 
+// flows wires n flows of the algorithm onto d, numbered from first.
+func (a AlgoSpec) flows(d *topology.Net, first, n int) []Flow {
+	out := make([]Flow, n)
+	for i := range out {
+		out[i] = a.Make(d.Eng, d, first+i)
+	}
+	return out
+}
+
 // gammaSteps returns the paper's sweep of the slowness parameter:
 // 1, 2, 4, ..., up to max (256 in the paper).
 func gammaSteps(max int) []int {

@@ -93,10 +93,7 @@ func runFig13(cfg Fig13Config, family string, gamma int, algo AlgoSpec) Fig13Poi
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
 	rtt := d.PropRTT()
 
-	flows := make([]Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = algo.Make(eng, d, i+1)
-	}
+	flows := algo.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	half := cfg.Flows / 2
 	for _, f := range flows[half:] {

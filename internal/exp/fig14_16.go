@@ -110,14 +110,10 @@ func runOscillation(cfg OscillationConfig, algo AlgoSpec, period sim.Time) Oscil
 	mon.EnsureHorizon(cfg.Warmup + cfg.Measure)
 	d.Fwd[0].AddTap(mon.Tap())
 
-	flows := make([]Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = algo.Make(eng, d, i+1)
-	}
+	flows := algo.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
-	src := addCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period})
-	eng.At(0, src.Start)
+	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period}, topology.Span{})
 
 	eng.RunUntil(cfg.Warmup)
 	base := make([]int64, cfg.Flows)

@@ -95,18 +95,14 @@ func RunStabilization(cfg StabilizationConfig) StabilizationResult {
 	mon.EnsureHorizon(cfg.End)
 	d.Fwd[0].AddTap(mon.Tap())
 
-	flows := make([]Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = cfg.Algo.Make(eng, d, i+1)
-	}
+	flows := cfg.Algo.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, cfg.ReverseFlows)
 
-	src := addCBR(eng, d, cbrFlowID, cfg.CBRFraction*cfg.Rate, cbr.Steps{
+	withCBR(eng, d, cbrFlowID, cfg.CBRFraction*cfg.Rate, cbr.Steps{
 		At:     []sim.Time{0, cfg.OffAt, cfg.OnAt},
 		Levels: []float64{1, 0, 1},
-	})
-	eng.At(0, src.Start)
+	}, topology.Span{})
 	eng.RunUntil(cfg.End)
 
 	// Steady-state loss for this level of congestion: the tail of the

@@ -103,10 +103,7 @@ func Fig6(cfg Fig6Config) []Fig6Result {
 func runFig6(cfg Fig6Config, bg AlgoSpec) Fig6Result {
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
 
-	flows := make([]Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = bg.Make(eng, d, i+1)
-	}
+	flows := bg.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 

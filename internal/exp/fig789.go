@@ -154,13 +154,7 @@ func runFairness(cfg FairnessConfig, period sim.Time) FairnessPoint {
 	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed, ECN: cfg.ECN, DisablePool: cfg.DisablePool})
 
 	n := cfg.AFlows + cfg.BFlows
-	flows := make([]Flow, 0, n)
-	for i := 0; i < cfg.AFlows; i++ {
-		flows = append(flows, cfg.A.Make(eng, d, i+1))
-	}
-	for i := 0; i < cfg.BFlows; i++ {
-		flows = append(flows, cfg.B.Make(eng, d, cfg.AFlows+i+1))
-	}
+	flows := append(cfg.A.flows(d, 1, cfg.AFlows), cfg.B.flows(d, cfg.AFlows+1, cfg.BFlows)...)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
@@ -173,8 +167,7 @@ func runFairness(cfg FairnessConfig, period sim.Time) FairnessPoint {
 	default:
 		sched = cbr.SquareWave{Period: period}
 	}
-	src := addCBR(eng, d, cbrFlowID, cfg.CBRPeak, sched)
-	eng.At(0, src.Start)
+	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, sched, topology.Span{})
 
 	eng.RunUntil(cfg.Warmup)
 	base := make([]int64, n)

@@ -197,8 +197,8 @@ func TestPropRTTMatchesMeasured(t *testing.T) {
 	rcv := netem.HandlerFunc(func(p *netem.Packet) {
 		rcvIn.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40})
 	})
-	sndIn := d.PathLR(1, rcv)
-	rcvIn = d.PathRL(1, snd)
+	sndIn := d.PathFwd(1, 0, 1, rcv, d.Cfg.AccessDelay)
+	rcvIn = d.PathRev(1, 1, 0, snd, d.Cfg.AccessDelay)
 	sentAt = 0
 	sndIn.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	eng.Run()

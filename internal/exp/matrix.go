@@ -8,7 +8,6 @@ import (
 	"slowcc/internal/cc/cbr"
 	"slowcc/internal/faults"
 	"slowcc/internal/metrics"
-	"slowcc/internal/netem"
 	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
@@ -278,21 +277,11 @@ func runMatrixCell(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCel
 	// exactly one hop, so interior bottlenecks see load the first
 	// hop never carries — the parking lot's defining asymmetry.
 	for m := 1; m < hops; m++ {
-		flow := crossFlowBase + m
-		in := d.PathFwd(flow, m, m+1, netem.Sink{Pool: d.Pool}, d.Cfg.AccessDelay)
-		src := cbr.NewSource(eng, in, flow, cfg.CrossRate, nil)
-		src.Pool = d.Pool
-		eng.At(0, src.Start)
+		withCBR(eng, d, crossFlowBase+m, cfg.CrossRate, nil, topology.Span{From: m, To: m + 1})
 	}
 
 	F := cfg.FlowsPerSide
-	flows := make([]Flow, 0, 2*F)
-	for i := 0; i < F; i++ {
-		flows = append(flows, a.Make(eng, d, i+1))
-	}
-	for i := 0; i < F; i++ {
-		flows = append(flows, b.Make(eng, d, F+i+1))
-	}
+	flows := append(a.flows(d, 1, F), b.flows(d, F+1, F)...)
 	meters := make([]*metrics.Meter, len(flows))
 	for i, f := range flows {
 		meters[i] = metrics.NewMeter(eng, cfg.SmoothBin, f.RecvBytes)
@@ -300,8 +289,7 @@ func runMatrixCell(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCel
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, cfg.ReverseFlows)
 	if cond == CondOscillating {
-		src := addCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period})
-		eng.At(0, src.Start)
+		withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period}, topology.Span{})
 	}
 
 	eng.RunUntil(cfg.Warmup)

@@ -148,10 +148,7 @@ func runOutage(cfg OutageConfig, bg AlgoSpec) OutageResult {
 	eng, d := buildScenario(cfg.cell, cfg.Seed,
 		topology.Config{Rate: cfg.Rate, Seed: cfg.Seed}, nil, &fc, 0)
 
-	flows := make([]Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = bg.Make(eng, d, i+1)
-	}
+	flows := bg.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 

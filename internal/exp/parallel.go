@@ -33,12 +33,14 @@ func captureStack() []byte {
 	}
 }
 
-// parallelMap runs fn over 0..n-1 on up to GOMAXPROCS workers and
+// parallelMapIndexed runs fn over 0..n-1 on up to GOMAXPROCS workers and
 // returns the results in index order. Each simulation owns its engine,
 // so sweep points are independent; this turns the full-paper sweeps
 // from minutes into tens of seconds on a multicore host. Determinism is
 // preserved: results depend only on each point's own seed, never on
-// scheduling.
+// scheduling. fn also gets the index of the worker (goroutine) running
+// it, 0..workers-1 (0 in the single-worker fallback), so supervised
+// sweeps can attribute each cell to a worker lane in timeline exports.
 //
 // A panic inside fn does not crash the process from a bare worker
 // goroutine: it is captured (with the failing sweep index and the
@@ -46,14 +48,6 @@ func captureStack() []byte {
 // in-flight item has settled, so test frameworks and callers see an
 // ordinary panic with context. When several indices panic, the lowest
 // index wins, which keeps the reported failure deterministic.
-func parallelMap[T any](n int, fn func(i int) T) []T {
-	return parallelMapIndexed(n, func(worker, i int) T { return fn(i) })
-}
-
-// parallelMapIndexed is parallelMap with the worker (goroutine) index
-// threaded into fn, so supervised sweeps can attribute each cell to the
-// worker lane that ran it in timeline exports. Worker indices are
-// 0..workers-1; the single-worker fallback uses 0.
 func parallelMapIndexed[T any](n int, fn func(worker, i int) T) []T {
 	out := make([]T, n)
 	if n == 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 func TestParallelMapOrderAndCompleteness(t *testing.T) {
-	out := parallelMap(100, func(i int) int { return i * i })
+	out := parallelMapIndexed(100, func(_, i int) int { return i * i })
 	for i, v := range out {
 		if v != i*i {
 			t.Fatalf("out[%d] = %d", i, v)
@@ -16,13 +16,13 @@ func TestParallelMapOrderAndCompleteness(t *testing.T) {
 }
 
 func TestParallelMapEmpty(t *testing.T) {
-	if got := parallelMap(0, func(int) int { return 1 }); len(got) != 0 {
+	if got := parallelMapIndexed(0, func(int, int) int { return 1 }); len(got) != 0 {
 		t.Fatal("empty map must return empty slice")
 	}
 }
 
 func TestParallelMapSingle(t *testing.T) {
-	out := parallelMap(1, func(i int) string { return "x" })
+	out := parallelMapIndexed(1, func(_, i int) string { return "x" })
 	if len(out) != 1 || out[0] != "x" {
 		t.Fatalf("out = %v", out)
 	}
@@ -48,7 +48,7 @@ func TestParallelMapPanicPropagates(t *testing.T) {
 			t.Fatalf("panic message does not include the original value: %q", msg)
 		}
 	}()
-	parallelMap(64, func(i int) int {
+	parallelMapIndexed(64, func(_, i int) int {
 		if i == 17 {
 			panic("boom")
 		}
@@ -68,7 +68,7 @@ func TestParallelMapPanicLowestIndexWins(t *testing.T) {
 			t.Fatalf("want lowest failing index 3, got: %q", msg)
 		}
 	}()
-	parallelMap(64, func(i int) int {
+	parallelMapIndexed(64, func(_, i int) int {
 		if i >= 3 {
 			panic(i)
 		}
@@ -84,7 +84,7 @@ func TestParallelMapPanicDoesNotDeadlock(t *testing.T) {
 	go func() {
 		defer close(done)
 		defer func() { recover() }()
-		parallelMap(1000, func(i int) int {
+		parallelMapIndexed(1000, func(_, i int) int {
 			if i%7 == 0 {
 				panic(i)
 			}
@@ -94,11 +94,11 @@ func TestParallelMapPanicDoesNotDeadlock(t *testing.T) {
 	<-done
 }
 
-// Property: parallelMap(n, f) == sequential map for any pure f.
+// Property: parallelMapIndexed(n, f) == sequential map for any pure f.
 func TestPropertyParallelMatchesSequential(t *testing.T) {
 	f := func(n uint8, mult int16) bool {
 		fn := func(i int) int64 { return int64(i) * int64(mult) }
-		par := parallelMap(int(n), fn)
+		par := parallelMapIndexed(int(n), func(_, i int) int64 { return fn(i) })
 		for i := 0; i < int(n); i++ {
 			if par[i] != fn(i) {
 				return false

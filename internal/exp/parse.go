@@ -7,71 +7,45 @@ import (
 )
 
 // ParseAlgoSpec parses the CLI algorithm syntax shared by slowcctrace's
-// -flow and slowccsim's -matrix: name[:arg], where the argument is the
-// decrease parameter b (tcp, sqrt, iiad, rap), the loss-interval count
-// k (tfrc, tfrc+sc), the EWMA gain (tear), or the sending rate in
-// bits/s (cbr).
-//
-//	tcp:B     TCP with AIMD(B) window rules (tcp:0.5 is standard TCP)
-//	sqrt:B    SQRT binomial algorithm with decrease scale B
-//	iiad:B    IIAD binomial algorithm with decrease scale B
-//	rap:B     rate-based AIMD (RAP) with decrease factor B
-//	tfrc:K    equation-based TFRC averaging K loss intervals
-//	tfrc+sc:K TFRC with the paper's conservative self-clocking option
-//	tear:A    TCP Emulation At Receivers with EWMA gain A (0 = default)
-//	cbr:R     unresponsive constant-bit-rate source at R bits/s
+// -flow and slowccsim's -matrix: key[:arg], one roster row and its
+// argument (AlgoSyntax lists them). An omitted argument takes the row's
+// default; one outside the row's domain, NaN included, is an error.
 func ParseAlgoSpec(spec string) (AlgoSpec, error) {
-	name, arg, hasArg := strings.Cut(spec, ":")
-	val := 0.0
+	key, arg, hasArg := strings.Cut(spec, ":")
+	r, ok := row(strings.ToLower(key))
+	if !ok {
+		return AlgoSpec{}, fmt.Errorf("unknown algorithm %q (want %s)", key, strings.Join(rosterKeys(), ", "))
+	}
+	val := r.arg
 	if hasArg {
 		var err error
 		val, err = strconv.ParseFloat(arg, 64)
 		if err != nil {
 			return AlgoSpec{}, fmt.Errorf("flow %q: %v", spec, err)
 		}
+		if !r.dom.has(val) {
+			return AlgoSpec{}, fmt.Errorf("flow %q: %s wants %s", spec, r.key, r.dom.text)
+		}
 	}
-	switch strings.ToLower(name) {
-	case "tcp":
-		if !hasArg {
-			val = 0.5
-		}
-		return TCPAlgo(val), nil
-	case "sqrt":
-		if !hasArg {
-			val = 0.5
-		}
-		return SQRTAlgo(val), nil
-	case "iiad":
-		if !hasArg {
-			val = 0.5
-		}
-		return IIADAlgo(val), nil
-	case "rap":
-		if !hasArg {
-			val = 0.5
-		}
-		return RAPAlgo(val), nil
-	case "tfrc":
-		k := int(val)
-		if k == 0 {
-			k = 8
-		}
-		return TFRCAlgo(TFRCOpts{K: k, HistoryDiscounting: true}), nil
-	case "tfrc+sc":
-		k := int(val)
-		if k == 0 {
-			k = 8
-		}
-		return TFRCAlgo(TFRCOpts{K: k, Conservative: true, HistoryDiscounting: true}), nil
-	case "tear":
-		return TEARAlgo(val), nil
-	case "cbr":
-		if val <= 0 {
-			val = 2.5e6
-		}
-		return CBRAlgo(val), nil
+	return r.spec(val), nil
+}
+
+func rosterKeys() []string {
+	keys := make([]string, len(roster))
+	for i, r := range roster {
+		keys[i] = r.key
 	}
-	return AlgoSpec{}, fmt.Errorf("unknown algorithm %q (want tcp, sqrt, iiad, rap, tfrc, tfrc+sc, tear, cbr)", name)
+	return keys
+}
+
+// AlgoSyntax is the help text for the key[:arg] syntax: one line per
+// roster row, with its argument's domain and default.
+func AlgoSyntax() string {
+	lines := make([]string, len(roster))
+	for i, r := range roster {
+		lines[i] = fmt.Sprintf("  %-9s %s; %s (default %g)", r.key, r.help, r.dom.text, r.arg)
+	}
+	return strings.Join(lines, "\n")
 }
 
 // ParseAlgoList parses a comma-separated list of algorithm specs, e.g.

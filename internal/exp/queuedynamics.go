@@ -95,10 +95,7 @@ func runQueueDynamics(cfg QueueDynamicsConfig, algo AlgoSpec) QueueDynamicsResul
 	d.Fwd[0].AddTap(lossMon.Tap())
 	qMon := metrics.NewQueueMonitor(eng, cfg.SamplePeriod, d.Fwd[0].Q.Len)
 
-	flows := make([]Flow, cfg.Flows)
-	for i := range flows {
-		flows[i] = algo.Make(eng, d, i+1)
-	}
+	flows := algo.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 

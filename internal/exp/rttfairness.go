@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"slowcc/internal/cc"
-	"slowcc/internal/cc/tcp"
-	"slowcc/internal/cc/tfrc"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 )
@@ -60,47 +57,24 @@ type RTTFairnessResult struct {
 // RTTFairness runs the scenario for TCP(1/2) and TFRC(8).
 func RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
 	cfg.fill()
-	return []RTTFairnessResult{
-		runRTTFairness(cfg, "TCP(1/2)", wireTCPAt),
-		runRTTFairness(cfg, "TFRC(8)", wireTFRCAt),
-	}
+	return []RTTFairnessResult{runRTTFairness(cfg, "tcp", 0.5), runRTTFairness(cfg, "tfrc", 8)}
 }
 
-// wireAt wires one flow with a specific access delay and returns its
-// receive-byte reader plus a start function.
-type wireAt func(eng *sim.Engine, d topology.Fabric, flow int, access sim.Time) (start func(), recvBytes func() int64)
-
-func wireTCPAt(eng *sim.Engine, d topology.Fabric, flow int, access sim.Time) (func(), func() int64) {
-	rcv := cc.NewAckReceiver(eng, flow, nil)
-	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: flow})
-	snd.Pool, rcv.Pool = d.SharedPool(), d.SharedPool()
-	snd.Out = d.PathLRDelay(flow, rcv, access)
-	rcv.Out = d.PathRLDelay(flow, snd, access)
-	return snd.Start, func() int64 { return rcv.Stats().BytesRecv }
-}
-
-func wireTFRCAt(eng *sim.Engine, d topology.Fabric, flow int, access sim.Time) (func(), func() int64) {
-	rcv := tfrc.NewReceiver(eng, flow, nil, 8)
-	rcv.HistoryDiscounting = true
-	snd := tfrc.NewSender(eng, nil, tfrc.Config{Flow: flow})
-	snd.Pool, rcv.Pool = d.SharedPool(), d.SharedPool()
-	snd.Out = d.PathLRDelay(flow, rcv, access)
-	rcv.Out = d.PathRLDelay(flow, snd, access)
-	return snd.Start, func() int64 { return rcv.Stats().BytesRecv }
-}
-
-func runRTTFairness(cfg RTTFairnessConfig, name string, wire wireAt) RTTFairnessResult {
+// runRTTFairness runs two flows of roster row key at arg, one behind
+// each access delay.
+func runRTTFairness(cfg RTTFairnessConfig, key string, arg float64) RTTFairnessResult {
+	r, _ := row(key)
 	eng, d := newScenario(nil, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
-	startS, readS := wire(eng, d, 1, cfg.ShortAccess)
-	startL, readL := wire(eng, d, 2, cfg.LongAccess)
-	eng.At(0, startS)
-	eng.At(0, startL)
+	short := r.wire(eng, d, 1, arg, topology.Span{Access: cfg.ShortAccess})
+	long := r.wire(eng, d, 2, arg, topology.Span{Access: cfg.LongAccess})
+	eng.At(0, short.Sender.Start)
+	eng.At(0, long.Sender.Start)
 	eng.RunUntil(cfg.Warmup)
-	baseS, baseL := readS(), readL()
+	baseS, baseL := short.RecvBytes(), long.RecvBytes()
 	eng.RunUntil(cfg.Warmup + cfg.Measure)
-	s := float64(readS()-baseS) * 8 / float64(cfg.Measure)
-	l := float64(readL()-baseL) * 8 / float64(cfg.Measure)
-	res := RTTFairnessResult{Algo: name, ShortMbps: s / 1e6, LongMbps: l / 1e6}
+	s := float64(short.RecvBytes()-baseS) * 8 / float64(cfg.Measure)
+	l := float64(long.RecvBytes()-baseL) * 8 / float64(cfg.Measure)
+	res := RTTFairnessResult{Algo: r.name(arg), ShortMbps: s / 1e6, LongMbps: l / 1e6}
 	if l > 0 {
 		res.Advantage = s / l
 	}

@@ -3,32 +3,17 @@ package exp
 import (
 	"slowcc/internal/cc"
 	"slowcc/internal/cc/cbr"
-	"slowcc/internal/cc/tcp"
-	"slowcc/internal/netem"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 )
 
-// addCBR wires a one-way CBR source across the forward direction of the
-// fabric. The far end is a netem.Sink, which releases delivered packets
-// back to the topology's pool.
-func addCBR(eng *sim.Engine, d topology.Fabric, flow int, peak float64, sched cbr.Schedule) *cbr.Source {
-	ingress := d.PathLR(flow, netem.Sink{Pool: d.SharedPool()})
-	src := cbr.NewSource(eng, ingress, flow, peak, sched)
-	src.Pool = d.SharedPool()
-	return src
-}
-
-// addReverseTCP wires a long-lived standard TCP flow in the reverse
-// direction. Every paper scenario carries data traffic both ways so
-// that ACKs share a loaded return path.
-func addReverseTCP(eng *sim.Engine, d topology.Fabric, flow int) *tcp.Sender {
-	rcv := cc.NewAckReceiver(eng, flow, nil)
-	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: flow})
-	snd.Pool, rcv.Pool = d.SharedPool(), d.SharedPool()
-	snd.Out = d.PathRL(flow, rcv) // data right-to-left
-	rcv.Out = d.PathLR(flow, snd) // ACKs left-to-right
-	return snd
+// withCBR wires a one-way CBR source modulated by sched over a span of
+// the fabric and starts it at t=0. The far end counts and releases what
+// is delivered.
+func withCBR(eng *sim.Engine, d topology.Fabric, flow int, peak float64, sched cbr.Schedule, over topology.Span) {
+	src := cbr.NewSource(eng, nil, flow, peak, sched)
+	d.ConnectOneWay(flow, src, &cc.Sink{}, over)
+	eng.At(0, src.Start)
 }
 
 // reverseFlowBase offsets reverse-traffic flow ids away from the
@@ -38,10 +23,14 @@ const reverseFlowBase = 900
 // cbrFlowID is the flow id used by the scenario CBR source.
 const cbrFlowID = 990
 
-// withReverseTraffic starts n reverse-direction TCP flows at t=0.
+// withReverseTraffic starts n long-lived standard TCP flows in the
+// reverse direction at t=0: the TCP row connected over the whole chain
+// backwards. Every paper scenario carries data traffic both ways so
+// that ACKs share a loaded return path.
 func withReverseTraffic(eng *sim.Engine, d topology.Fabric, n int) {
+	tcp, _ := row("tcp")
 	for i := 0; i < n; i++ {
-		snd := addReverseTCP(eng, d, reverseFlowBase+i)
-		eng.At(0, snd.Start)
+		f := tcp.wire(eng, d, reverseFlowBase+i, 0.5, topology.Span{From: topology.Last})
+		eng.At(0, f.Sender.Start)
 	}
 }

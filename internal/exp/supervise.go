@@ -618,7 +618,7 @@ func dumpCellFlight(c *Cell, pol CellPolicy, pv any) string {
 	return path
 }
 
-// supervisedMap is parallelMap with per-cell supervision: a cell whose
+// supervisedMap is parallelMapIndexed with per-cell supervision: a cell whose
 // every attempt dies yields its zero value and a RunError in
 // SweepErrors (recorded in index order, deterministically) instead of
 // aborting the sweep. Figures 3-19 run their sweeps through it, so one

@@ -92,21 +92,14 @@ type TraceRun struct {
 // queues), and a counter registry over the core. Nothing runs yet.
 func NewTraceRun(cfg TraceRunConfig) *TraceRun {
 	cfg.fill()
-	eng := sim.New(cfg.Seed)
-	tc := topology.Config{Rate: cfg.Rate, ECN: cfg.ECN, Seed: cfg.Seed}
+	var fc faults.Config
 	if cfg.FaultSpec != "" {
-		fc, err := faults.ParseSpec(cfg.FaultSpec)
-		if err != nil {
+		var err error
+		if fc, err = faults.ParseSpec(cfg.FaultSpec); err != nil {
 			panic(fmt.Sprintf("exp: TraceRunConfig.FaultSpec: %v", err))
 		}
-		if fc.Enabled() {
-			if fc.Seed == 0 {
-				fc.Seed = cfg.Seed
-			}
-			tc.Fault = faults.New(eng, fc)
-		}
 	}
-	d := topology.New(eng, tc)
+	eng, d := buildScenario(nil, cfg.Seed, topology.Config{Rate: cfg.Rate, ECN: cfg.ECN, Seed: cfg.Seed}, nil, &fc, 0)
 
 	r := &TraceRun{
 		Cfg:      cfg,

@@ -64,8 +64,8 @@ type pathAcc struct {
 	// last is the time of the packet's most recent observed event. Hop
 	// handoffs are synchronous, so a legitimate continuation enqueues at
 	// exactly last; an enqueue at any other time means the pooled packet
-	// was consumed off-path (a ForwardSink flow) and reallocated, and
-	// the accumulator restarts.
+	// was consumed off-path (released by a loss filter, a fault or a
+	// routeless demux) and reallocated, and the accumulator restarts.
 	last sim.Time
 }
 

@@ -16,11 +16,8 @@ import (
 // wireTCP puts one standard TCP flow onto any fabric, pool-aware.
 func wireTCP(eng *sim.Engine, f topology.Fabric, flow int) *tcp.Sender {
 	rcv := cc.NewAckReceiver(eng, flow, nil)
-	rcv.Pool = f.SharedPool()
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: flow})
-	snd.Pool = f.SharedPool()
-	snd.Out = f.PathLR(flow, rcv)
-	rcv.Out = f.PathRL(flow, snd)
+	f.Connect(flow, snd, rcv, topology.Span{})
 	eng.At(0, snd.Start)
 	return snd
 }

@@ -8,6 +8,7 @@ import (
 	"slowcc/internal/invariant"
 	"slowcc/internal/netem"
 	"slowcc/internal/obs"
+	"slowcc/internal/obs/journey"
 	"slowcc/internal/sim"
 )
 
@@ -22,10 +23,14 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	}
 }
 
+// arrival is a test endpoint: it records what reaches it and, once
+// connected, where its own packets would go.
 type arrival struct {
 	at   []sim.Time
 	pkts []*netem.Packet
 	eng  *sim.Engine
+	out  netem.Handler
+	pool *netem.PacketPool
 }
 
 func (a *arrival) Handle(p *netem.Packet) {
@@ -33,11 +38,23 @@ func (a *arrival) Handle(p *netem.Packet) {
 	a.pkts = append(a.pkts, p)
 }
 
+func (a *arrival) Attach(out netem.Handler, pool *netem.PacketPool) { a.out, a.pool = out, pool }
+
+// lr and rl wire one direction of flow over the whole chain with the
+// default access delay and return its ingress.
+func lr(n *Net, flow int, dst netem.Handler) netem.Handler {
+	return n.PathFwd(flow, 0, n.NumHops(), dst, n.Cfg.AccessDelay)
+}
+
+func rl(n *Net, flow int, dst netem.Handler) netem.Handler {
+	return n.PathRev(flow, n.NumHops(), 0, dst, n.Cfg.AccessDelay)
+}
+
 func TestPathDeliveryAndDelay(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Rate: 10e6, Seed: 1})
 	dst := &arrival{eng: eng}
-	in := d.PathLR(7, dst)
+	in := lr(d, 7, dst)
 	in.Handle(&netem.Packet{Flow: 7, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	if len(dst.pkts) != 1 {
@@ -54,8 +71,8 @@ func TestDemuxSeparatesFlows(t *testing.T) {
 	d := New(eng, Config{Seed: 1})
 	a := &arrival{eng: eng}
 	b := &arrival{eng: eng}
-	inA := d.PathLR(1, a)
-	inB := d.PathLR(2, b)
+	inA := lr(d, 1, a)
+	inB := lr(d, 2, b)
 	inA.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 100})
 	inB.Handle(&netem.Packet{Flow: 2, Kind: netem.Data, Size: 100})
 	eng.Run()
@@ -70,7 +87,7 @@ func TestDemuxSeparatesFlows(t *testing.T) {
 func TestUnknownFlowDiscarded(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Seed: 1})
-	in := d.PathLR(3, &arrival{eng: eng})
+	in := lr(d, 3, &arrival{eng: eng})
 	// None of these has a registration — inside the route table's range
 	// (below the registered id), just past it, negative, and far beyond
 	// anything a table could index: must not panic, just vanish.
@@ -102,7 +119,7 @@ func TestFlowIDOutOfRangePanics(t *testing.T) {
 					t.Errorf("PathLR(%d): recovered %q, want a flow-id panic", flow, msg)
 				}
 			}()
-			d.PathLR(flow, &arrival{eng: eng})
+			lr(d, flow, &arrival{eng: eng})
 		}()
 	}
 }
@@ -110,7 +127,7 @@ func TestFlowIDOutOfRangePanics(t *testing.T) {
 func TestStrictRoutingPanics(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Seed: 1, Strict: true})
-	in := d.PathLR(1, &arrival{eng: eng})
+	in := lr(d, 1, &arrival{eng: eng})
 	in.Handle(&netem.Packet{Flow: 99, Kind: netem.Data, Size: 100})
 	defer func() {
 		if recover() == nil {
@@ -146,7 +163,7 @@ func TestExplicitZeroSentinels(t *testing.T) {
 	}
 	// And a packet actually crosses a zero-delay bottleneck quickly.
 	dst := &arrival{eng: eng}
-	in := d2.PathLR(1, dst)
+	in := lr(d2, 1, dst)
 	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	if len(dst.pkts) != 1 || dst.at[0] > 0.006 {
@@ -167,13 +184,13 @@ func TestDefaultConfigUnchangedBySentinels(t *testing.T) {
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Seed: 1})
-	d.PathLR(1, &arrival{eng: eng})
+	lr(d, 1, &arrival{eng: eng})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate PathLR registration did not panic")
 		}
 	}()
-	d.PathLR(1, &arrival{eng: eng})
+	lr(d, 1, &arrival{eng: eng})
 }
 
 func TestReverseDirectionIndependent(t *testing.T) {
@@ -183,8 +200,8 @@ func TestReverseDirectionIndependent(t *testing.T) {
 	rev := &arrival{eng: eng}
 	// Same flow id on both directions is legal (data one way, ACKs the
 	// other).
-	inF := d.PathLR(1, fwd)
-	inR := d.PathRL(1, rev)
+	inF := lr(d, 1, fwd)
+	inR := rl(d, 1, rev)
 	inF.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	inR.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40})
 	eng.Run()
@@ -197,7 +214,7 @@ func TestBottleneckEnforcesRate(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Rate: 1e6, Seed: 1}) // 1 Mbps: 125 pkt/s
 	dst := &arrival{eng: eng}
-	in := d.PathLR(1, dst)
+	in := lr(d, 1, dst)
 	// Offer 2 Mbps for 2 seconds.
 	var send func()
 	i := int64(0)
@@ -231,28 +248,76 @@ func TestDropTailOption(t *testing.T) {
 	}
 }
 
-func TestForwardSinkReceivesCBRStyleTraffic(t *testing.T) {
+func TestConnectOneWayReceivesCBRStyleTraffic(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Seed: 1})
-	sink := &arrival{eng: eng}
-	d.ForwardSink(5, sink)
-	in := d.PathLR(6, &arrival{eng: eng}) // any ingress reaches the shared bottleneck
-	in.Handle(&netem.Packet{Flow: 5, Kind: netem.Data, Size: 1000})
+	src, sink := &arrival{eng: eng}, &arrival{eng: eng}
+	d.ConnectOneWay(5, src, sink, Span{})
+	if src.pool != d.Pool || sink.pool != d.Pool || sink.out != nil {
+		t.Fatalf("one-way ends attached wrong: src pool %p, sink pool %p out %v, want pool %p and no way back",
+			src.pool, sink.pool, sink.out, d.Pool)
+	}
+	src.out.Handle(&netem.Packet{Flow: 5, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	if len(sink.pkts) != 1 {
 		t.Fatalf("sink got %d packets, want 1", len(sink.pkts))
 	}
+	// Nothing was wired back: the reverse direction still has flow 5 free.
+	rl(d, 5, &arrival{eng: eng})
 }
 
-func TestPathLRDelayChangesRTT(t *testing.T) {
+// Connect builds the data path before the return path (auditor and
+// journey registration follow construction order), hands both ends the
+// shared pool, and runs a reversed span over the reverse links.
+func TestConnectWiresBothWaysInOrder(t *testing.T) {
+	eng := sim.New(1)
+	d := New(eng, Config{Seed: 1, Strict: true})
+	rec := journey.New()
+	d.ObserveJourneys(rec)
+	snd, rcv := &arrival{eng: eng}, &arrival{eng: eng}
+	d.Connect(1, snd, rcv, Span{})
+	rsnd, rrcv := &arrival{eng: eng}, &arrival{eng: eng}
+	d.Connect(2, rsnd, rrcv, Span{From: Last})
+	var order []string
+	for _, h := range rec.Hops() {
+		order = append(order, h.Name)
+	}
+	want := "lr rl access-1-lr-in access-1-lr-out access-1-rl-in access-1-rl-out " +
+		"access-2-rl-in access-2-rl-out access-2-lr-in access-2-lr-out"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("links registered as\n%s\nwant\n%s", got, want)
+	}
+	for _, e := range []*arrival{snd, rcv, rsnd, rrcv} {
+		if e.pool != d.Pool || e.out == nil {
+			t.Fatalf("endpoint left unattached: pool %p out %v", e.pool, e.out)
+		}
+	}
+	snd.out.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
+	rcv.out.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40})
+	rsnd.out.Handle(&netem.Packet{Flow: 2, Kind: netem.Data, Size: 1000})
+	rrcv.out.Handle(&netem.Packet{Flow: 2, Kind: netem.Ack, Size: 40})
+	eng.Run()
+	for i, e := range []*arrival{rcv, snd, rrcv, rsnd} {
+		if len(e.pkts) != 1 {
+			t.Fatalf("end %d got %d packets, want 1", i, len(e.pkts))
+		}
+	}
+	if d.Fwd[0].Stats.Arrivals != 2 || d.Rev[0].Stats.Arrivals != 2 {
+		t.Fatalf("bottlenecks saw fwd %d rev %d arrivals, want 2 and 2: a reversed span must send data over rl",
+			d.Fwd[0].Stats.Arrivals, d.Rev[0].Stats.Arrivals)
+	}
+}
+
+func TestSpanAccessDelayChangesRTT(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Rate: 100e6, Seed: 2})
 	fast := &arrival{eng: eng}
 	slow := &arrival{eng: eng}
-	inFast := d.PathLRDelay(1, fast, 0.002)
-	inSlow := d.PathLRDelay(2, slow, 0.027)
-	inFast.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
-	inSlow.Handle(&netem.Packet{Flow: 2, Kind: netem.Data, Size: 1000})
+	fastSrc, slowSrc := &arrival{eng: eng}, &arrival{eng: eng}
+	d.ConnectOneWay(1, fastSrc, fast, Span{Access: 0.002})
+	d.ConnectOneWay(2, slowSrc, slow, Span{Access: 0.027})
+	fastSrc.out.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
+	slowSrc.out.Handle(&netem.Packet{Flow: 2, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	// One-way: 2*access + 21ms bottleneck (+ serialization).
 	if fast.at[0] > 0.027 {
@@ -283,7 +348,7 @@ func TestForwardLossFilterInstalled(t *testing.T) {
 		t.Fatal("filter not installed")
 	}
 	sink := &arrival{eng: eng}
-	in := d.PathLR(1, sink)
+	in := lr(d, 1, sink)
 	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40})
 	eng.Run()
@@ -309,7 +374,7 @@ func TestTinyLinkMinimumQueue(t *testing.T) {
 	// 64 kbps: BDP under a packet; queue must still hold a few packets.
 	d := New(eng, Config{Rate: 64e3, Seed: 5})
 	sink := &arrival{eng: eng}
-	in := d.PathLR(1, sink)
+	in := lr(d, 1, sink)
 	for i := int64(0); i < 4; i++ {
 		in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Seq: i, Size: 1000})
 	}
@@ -332,8 +397,8 @@ func TestAuditWiresEveryLink(t *testing.T) {
 		t.Fatal("bottleneck links not registered with the auditor")
 	}
 	sink := &arrival{eng: eng}
-	in := d.PathLR(1, sink)
-	rin := d.PathRL(1, &arrival{eng: eng})
+	in := lr(d, 1, sink)
+	rin := rl(d, 1, &arrival{eng: eng})
 	if l, ok := in.(*netem.Link); !ok || l.Audit == nil {
 		t.Fatal("ingress access link not registered with the auditor")
 	}

@@ -12,34 +12,46 @@ import (
 	"slowcc/internal/sim"
 )
 
-// Fabric is the wiring surface endpoints see: everything an algorithm
-// needs to put a flow onto a topology without knowing whether one
-// bottleneck or a chain of them sits in the middle. Net implements it,
-// so every AlgoSpec and scenario helper runs unchanged on a dumbbell or
-// a parking lot.
+// Fabric is the wiring surface algorithms see: everything needed to put
+// a flow onto a topology without knowing whether one bottleneck or a
+// chain of them sits in the middle. Net implements it, so every AlgoSpec
+// and scenario helper runs unchanged on a dumbbell or a parking lot.
 type Fabric interface {
-	// PathLR wires a full forward path for flow and returns its ingress.
-	PathLR(flow int, dst netem.Handler) netem.Handler
-	// PathRL wires a full reverse path for flow (ACKs of forward flows,
-	// data of reverse flows).
-	PathRL(flow int, dst netem.Handler) netem.Handler
-	// PathLRDelay is PathLR with a per-flow access-link delay, for
-	// heterogeneous RTTs on a shared chain.
-	PathLRDelay(flow int, dst netem.Handler, accessDelay sim.Time) netem.Handler
-	// PathRLDelay is PathRL with a per-flow access-link delay.
-	PathRLDelay(flow int, dst netem.Handler, accessDelay sim.Time) netem.Handler
-	// ForwardSink registers dst as the forward-direction consumer for
-	// flow without an egress access link (one-way CBR traffic).
-	ForwardSink(flow int, dst netem.Handler)
-	// SharedPool is the topology-wide packet pool (nil when pooling is
-	// disabled); endpoints allocate and release through it.
-	SharedPool() *netem.PacketPool
+	// Connect wires a two-way flow: snd's packets reach rcv over the
+	// span, rcv's reach snd over the same span backwards.
+	Connect(flow int, snd, rcv Endpoint, over Span)
+	// ConnectOneWay wires src to sink over the span with no path back
+	// (CBR and cross traffic: nothing feeds back).
+	ConnectOneWay(flow int, src, sink Endpoint, over Span)
 	// PropRTT is the end-to-end propagation round-trip time for a flow
-	// using the default access delay.
+	// riding the whole chain with the default access delay.
 	PropRTT() sim.Time
 }
 
 var _ Fabric = (*Net)(nil)
+
+// Endpoint is one end of a flow: it consumes the packets routed to it
+// and is told, once, where its own packets go and which pool they come
+// from (cc.Port is the implementation every endpoint embeds).
+type Endpoint interface {
+	netem.Handler
+	Attach(out netem.Handler, pool *netem.PacketPool)
+}
+
+// Span is the stretch of the chain a flow rides: in at node From, out at
+// node To, over the forward links when From < To and the reverse links
+// when From > To. Last stands for the far node, so callers need not know
+// the chain's length; the zero Span is the whole chain, forward.
+type Span struct {
+	From, To int
+	// Access is the one-way delay of the flow's access links, for
+	// heterogeneous RTTs on a shared chain: zero takes the net's
+	// AccessDelay, ExplicitZero a literal zero.
+	Access sim.Time
+}
+
+// Last is the chain's far node, NumHops(), in a Span.
+const Last = -1
 
 // Hop configures one bottleneck link pair (forward and reverse) of a
 // chain. Zero fields take the paper's defaults, so a one-hop Net with a
@@ -100,7 +112,7 @@ type NetConfig struct {
 	AccessRate float64
 	// AccessDelay is the default one-way access link delay (default
 	// 2 ms; ExplicitZero for a literal zero). Per-flow overrides go
-	// through PathFwd/PathRev or the *Delay Fabric methods.
+	// through Span.Access.
 	AccessDelay sim.Time
 	// PktSize is the reference packet size in bytes (default 1000).
 	PktSize int
@@ -281,9 +293,6 @@ func (n *Net) hopName(tag string, i int) string {
 // NumHops returns the number of bottleneck hops (K); nodes are 0..K.
 func (n *Net) NumHops() int { return len(n.Fwd) }
 
-// SharedPool implements Fabric.
-func (n *Net) SharedPool() *netem.PacketPool { return n.Pool }
-
 // PropRTT implements Fabric: the full-chain propagation RTT.
 func (n *Net) PropRTT() sim.Time { return n.Cfg.PropRTT() }
 
@@ -315,7 +324,7 @@ func (n *Net) access(flow int, tag string, entry, dst netem.Handler, delay sim.T
 // PathFwd wires a forward path for flow entering the chain at node
 // enter and leaving at node exit (0 <= enter < exit <= NumHops()):
 // ingress access link, hops enter..exit-1, egress access link, dst.
-// Cross traffic uses interior spans; PathLR is the full-chain case.
+// Connect is written on this and PathRev.
 // Flow ids are unique per direction; duplicates panic.
 func (n *Net) PathFwd(flow, enter, exit int, dst netem.Handler, accessDelay sim.Time) netem.Handler {
 	if enter < 0 || exit <= enter || exit > n.NumHops() {
@@ -356,38 +365,43 @@ func (n *Net) claim(flows map[int]bool, flow int, dir string) {
 	flows[flow] = true
 }
 
-// PathLR implements Fabric: the full chain, node 0 to node K.
-func (n *Net) PathLR(flow int, dst netem.Handler) netem.Handler {
-	return n.PathFwd(flow, 0, n.NumHops(), dst, n.Cfg.AccessDelay)
+// Connect implements Fabric. The data path is built before the return
+// path: links register with the auditor and the journey recorder in
+// construction order, and manifests and goldens carry that order.
+func (n *Net) Connect(flow int, snd, rcv Endpoint, over Span) {
+	from, to, delay := n.resolve(over)
+	snd.Attach(n.path(flow, from, to, rcv, delay), n.Pool)
+	rcv.Attach(n.path(flow, to, from, snd, delay), n.Pool)
 }
 
-// PathRL implements Fabric: the full chain, node K to node 0.
-func (n *Net) PathRL(flow int, dst netem.Handler) netem.Handler {
-	return n.PathRev(flow, n.NumHops(), 0, dst, n.Cfg.AccessDelay)
+// ConnectOneWay implements Fabric.
+func (n *Net) ConnectOneWay(flow int, src, sink Endpoint, over Span) {
+	from, to, delay := n.resolve(over)
+	sink.Attach(nil, n.Pool)
+	src.Attach(n.path(flow, from, to, sink, delay), n.Pool)
 }
 
-// PathLRDelay implements Fabric. The flow's propagation RTT becomes
-// 2*(2*accessDelay + sum of hop delays) when PathRLDelay uses the same
-// value.
-func (n *Net) PathLRDelay(flow int, dst netem.Handler, accessDelay sim.Time) netem.Handler {
-	return n.PathFwd(flow, 0, n.NumHops(), dst, accessDelay)
-}
-
-// PathRLDelay implements Fabric.
-func (n *Net) PathRLDelay(flow int, dst netem.Handler, accessDelay sim.Time) netem.Handler {
-	return n.PathRev(flow, n.NumHops(), 0, dst, accessDelay)
-}
-
-// ForwardSink implements Fabric: dst consumes flow at node K with no
-// egress access link (one-way CBR traffic, where delivery latency does
-// not matter); interior nodes route the flow down the chain.
-func (n *Net) ForwardSink(flow int, dst netem.Handler) {
-	n.claim(n.fwdFlows, flow, "forward")
-	k := n.NumHops()
-	n.fwdRt[k-1].table.set(flow, dst)
-	for node := 1; node < k; node++ {
-		n.fwdRt[node-1].table.set(flow, n.fwdEntry[node])
+// resolve turns a Span into node numbers and an access delay.
+func (n *Net) resolve(s Span) (from, to int, delay sim.Time) {
+	if s.From == 0 && s.To == 0 {
+		s.To = Last
 	}
+	node := func(i int) int {
+		if i == Last {
+			return n.NumHops()
+		}
+		return i
+	}
+	return node(s.From), node(s.To), zeroable(s.Access, n.Cfg.AccessDelay)
+}
+
+// path wires one direction of a flow, picking the links by which way
+// from..to points. An empty span falls to PathRev, which rejects it.
+func (n *Net) path(flow, from, to int, dst netem.Handler, delay sim.Time) netem.Handler {
+	if from < to {
+		return n.PathFwd(flow, from, to, dst, delay)
+	}
+	return n.PathRev(flow, from, to, dst, delay)
 }
 
 // Observe registers the chain's core components with the counter

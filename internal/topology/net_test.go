@@ -15,7 +15,7 @@ func TestNetChainDelivery(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}, {}}, Seed: 1})
 	dst := &arrival{eng: eng}
-	in := n.PathLR(1, dst)
+	in := lr(n, 1, dst)
 	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	if len(dst.pkts) != 1 {
@@ -36,7 +36,7 @@ func TestNetReverseChainDelivery(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}}, Seed: 1})
 	dst := &arrival{eng: eng}
-	in := n.PathRL(1, dst)
+	in := rl(n, 1, dst)
 	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40})
 	eng.Run()
 	if len(dst.pkts) != 1 {
@@ -88,8 +88,8 @@ func TestNetPerHopConservationAudit(t *testing.T) {
 		}
 	}
 	fwdSink := &arrival{eng: eng}
-	in := n.PathLR(1, fwdSink)
-	rin := n.PathRL(1, &arrival{eng: eng})
+	in := lr(n, 1, fwdSink)
+	rin := rl(n, 1, &arrival{eng: eng})
 	crossIn := n.PathFwd(2, 1, 2, &arrival{eng: eng}, 0.002)
 	revCrossIn := n.PathRev(2, 3, 1, &arrival{eng: eng}, 0.002)
 	if l, ok := crossIn.(*netem.Link); !ok || l.Audit == nil {
@@ -121,7 +121,7 @@ func TestNetPerHopConservationAudit(t *testing.T) {
 func TestNetUnknownFlowCountedAndObserved(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}}, Seed: 1})
-	in := n.PathLR(1, &arrival{eng: eng})
+	in := lr(n, 1, &arrival{eng: eng})
 	// Flow 99 is routable nowhere: it dies at node 1's router, counted.
 	in.Handle(&netem.Packet{Flow: 99, Kind: netem.Data, Size: 100})
 	eng.Run()
@@ -138,7 +138,7 @@ func TestNetUnknownFlowCountedAndObserved(t *testing.T) {
 func TestNetStrictRoutingPanics(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNet(eng, NetConfig{Hops: []Hop{{}}, Seed: 1, Strict: true})
-	in := n.PathLR(1, &arrival{eng: eng})
+	in := lr(n, 1, &arrival{eng: eng})
 	in.Handle(&netem.Packet{Flow: 99, Kind: netem.Data, Size: 100})
 	defer func() {
 		v := recover()
@@ -157,10 +157,11 @@ func TestNetHeterogeneousAccessDelays(t *testing.T) {
 	n := NewNet(eng, NetConfig{Hops: []Hop{{Rate: 100e6}}, Seed: 2})
 	fast := &arrival{eng: eng}
 	slow := &arrival{eng: eng}
-	inFast := n.PathLRDelay(1, fast, 0.002)
-	inSlow := n.PathLRDelay(2, slow, 0.027)
-	inFast.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
-	inSlow.Handle(&netem.Packet{Flow: 2, Kind: netem.Data, Size: 1000})
+	fastSrc, slowSrc := &arrival{eng: eng}, &arrival{eng: eng}
+	n.Connect(1, fastSrc, fast, Span{Access: 0.002})
+	n.Connect(2, slowSrc, slow, Span{Access: 0.027})
+	fastSrc.out.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
+	slowSrc.out.Handle(&netem.Packet{Flow: 2, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	if fast.at[0] > 0.027 {
 		t.Fatalf("fast path delivery at %v, want ~25ms", fast.at[0])
@@ -170,16 +171,38 @@ func TestNetHeterogeneousAccessDelays(t *testing.T) {
 	}
 }
 
-func TestNetForwardSinkRoutesAcrossChain(t *testing.T) {
+func TestNetConnectOneWayRoutesAcrossChain(t *testing.T) {
 	eng := sim.New(1)
-	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}}, Seed: 1})
-	sink := &arrival{eng: eng}
-	n.ForwardSink(5, sink)
-	in := n.PathLR(6, &arrival{eng: eng})
-	in.Handle(&netem.Packet{Flow: 5, Kind: netem.Data, Size: 1000})
+	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}, {}}, Seed: 1})
+	src, sink := &arrival{eng: eng}, &arrival{eng: eng}
+	n.ConnectOneWay(5, src, sink, Span{})
+	// Cross traffic rides an interior span: hop 1 only.
+	cross, crossSink := &arrival{eng: eng}, &arrival{eng: eng}
+	n.ConnectOneWay(6, cross, crossSink, Span{From: 1, To: 2})
+	src.out.Handle(&netem.Packet{Flow: 5, Kind: netem.Data, Size: 1000})
+	cross.out.Handle(&netem.Packet{Flow: 6, Kind: netem.Data, Size: 1000})
 	eng.Run()
-	if len(sink.pkts) != 1 {
-		t.Fatalf("sink got %d packets, want 1; unknown drops %d", len(sink.pkts), n.UnknownFlowDrops)
+	if len(sink.pkts) != 1 || len(crossSink.pkts) != 1 {
+		t.Fatalf("sinks got %d and %d packets, want 1 each; unknown drops %d",
+			len(sink.pkts), len(crossSink.pkts), n.UnknownFlowDrops)
+	}
+	if got := []int64{n.Fwd[0].Stats.Arrivals, n.Fwd[1].Stats.Arrivals, n.Fwd[2].Stats.Arrivals}; got[0] != 1 || got[1] != 2 || got[2] != 1 {
+		t.Fatalf("hop arrivals %v, want [1 2 1]: the interior span must load hop 1 only", got)
+	}
+}
+
+func TestConnectRejectsSpansOutsideTheChain(t *testing.T) {
+	for _, sp := range []Span{{From: 1, To: 1}, {From: 0, To: 3}, {From: 3, To: 0}, {From: -2, To: 1}} {
+		func() {
+			eng := sim.New(1)
+			n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}}, Seed: 1})
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside chain") {
+					t.Errorf("Connect over %+v: recovered %q, want a span panic", sp, msg)
+				}
+			}()
+			n.Connect(1, &arrival{eng: eng}, &arrival{eng: eng}, sp)
+		}()
 	}
 }
 
@@ -192,7 +215,7 @@ func TestNetZeroDelayHopExpressible(t *testing.T) {
 	eng := sim.New(1)
 	n := NewNet(eng, cfg)
 	dst := &arrival{eng: eng}
-	in := n.PathLR(1, dst)
+	in := lr(n, 1, dst)
 	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	if len(dst.pkts) != 1 {
@@ -216,7 +239,7 @@ func TestNetPerHopFaultInjection(t *testing.T) {
 	})
 	n := NewNet(eng, cfg)
 	dst := &arrival{eng: eng}
-	in := n.PathLR(1, dst)
+	in := lr(n, 1, dst)
 	for i := int64(0); i < 50; i++ {
 		i := i
 		eng.At(float64(i)*0.01, func() {

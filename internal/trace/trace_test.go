@@ -255,8 +255,8 @@ func TestEndToEndTraceOfARealFlow(t *testing.T) {
 
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: 1})
-	snd.Out = rec.WrapHandler(Send, eng.Now, d.PathLR(1, rcv))
-	rcv.Out = d.PathRL(1, snd)
+	d.Connect(1, snd, rcv, topology.Span{})
+	snd.Out = rec.WrapHandler(Send, eng.Now, snd.Out)
 	eng.At(0, snd.Start)
 	eng.RunUntil(20)
 

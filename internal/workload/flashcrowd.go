@@ -64,9 +64,7 @@ func NewFlashCrowd(eng *sim.Engine, d topology.Fabric, cfg FlashCrowdConfig) *Fl
 				fc.CompletionTimes = append(fc.CompletionTimes, eng.Now()-arrive)
 			},
 		})
-		snd.Pool, rcv.Pool = d.SharedPool(), d.SharedPool()
-		snd.Out = d.PathLR(flowID, rcv)
-		rcv.Out = d.PathRL(flowID, snd)
+		d.Connect(flowID, snd, rcv, topology.Span{})
 		fc.Senders = append(fc.Senders, snd)
 		fc.Receivers = append(fc.Receivers, rcv)
 		eng.At(arrive, snd.Start)

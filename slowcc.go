@@ -260,6 +260,10 @@ func CBR(rate float64) Algorithm { return exp.CBRAlgo(rate) }
 // "tear", "cbr:2.5e6".
 func ParseAlgo(spec string) (Algorithm, error) { return exp.ParseAlgoSpec(spec) }
 
+// AlgoSyntax is the help text for that syntax: one line per algorithm,
+// with its argument's domain and default.
+func AlgoSyntax() string { return exp.AlgoSyntax() }
+
 // ParseAlgoList parses a comma-separated list of algorithm specs.
 func ParseAlgoList(list string) ([]Algorithm, error) { return exp.ParseAlgoList(list) }
 
