@@ -33,10 +33,12 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# bench-smoke runs just the core macro-benchmark once (seconds, not
-# minutes) — a ci step, not a measurement.
+# bench-smoke runs just the core macro-benchmark and the link's
+# taps-off forwarding benchmark once each (seconds, not minutes) — a ci
+# step, not a measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='EnginePacketsPerSecond$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='LinkForward$$' -benchtime=1x ./internal/netem
 
 # report-smoke exercises the manifest pipeline end to end: a short
 # probed slowcctrace run writes a digest-sealed manifest plus probe TSV,

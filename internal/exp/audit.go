@@ -98,9 +98,9 @@ func newScenario(c *Cell, seed int64, tc topology.Config) (*sim.Engine, *topolog
 // -max-events CLI path); attaches the fault configuration — explicit
 // fc, else the global -fault one — to the forward link of hop faultHop,
 // so multi-bottleneck scenarios pick which hop degrades; wires the
-// invariant auditor through every link when audit mode is on; keeps
-// flight recorders over the first forward hop, one the auditor dumps on
-// a violation and one the supervisor dumps if sweep cell c panics; and
+// invariant auditor through every link when audit mode is on; keeps at
+// most one flight recorder over the first forward hop, which the auditor
+// dumps on a violation and the supervisor dumps if sweep cell c panics; and
 // registers the topology with the cell's live-telemetry collector. c is
 // nil outside supervised sweeps.
 func buildScenario(c *Cell, seed int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
@@ -141,21 +141,19 @@ func buildScenario(c *Cell, seed int64, tc topology.Config, chain *topology.NetC
 		}
 		n = topology.NewNet(eng, nc)
 	}
-	if a != nil && flightDir != "" {
+	auditDump := a != nil && flightDir != ""
+	cellDump := c != nil && pol.FlightDir != ""
+	if auditDump || cellDump {
 		fr := obs.NewFlightRecorder(flightRingSize)
 		n.Fwd[0].AddTap(fr.LinkTap())
-		a.Flight = fr
-		a.DumpPath = filepath.Join(flightDir,
-			fmt.Sprintf("flight-%d.dump", audit.flightSeq.Add(1)))
-	}
-	if c != nil && pol.FlightDir != "" {
-		ring := pol.FlightRing
-		if ring == 0 {
-			ring = flightRingSize
+		if auditDump {
+			a.Flight = fr
+			a.DumpPath = filepath.Join(flightDir,
+				fmt.Sprintf("flight-%d.dump", audit.flightSeq.Add(1)))
 		}
-		fr := obs.NewFlightRecorder(ring)
-		n.Fwd[0].AddTap(fr.LinkTap())
-		c.flight = fr
+		if cellDump {
+			c.flight = fr
+		}
 	}
 	if c != nil && collect {
 		c.observe(n)

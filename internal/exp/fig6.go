@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"slowcc/internal/faults"
 	"slowcc/internal/metrics"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
@@ -96,18 +97,25 @@ func Fig6(cfg Fig6Config) []Fig6Result {
 		cc := cfg
 		cc.Seed = c.Seed(cc.Seed)
 		cc.cell = c
-		return runFig6(cc, cfg.Backgrounds[c.Index()])
+		return runCrowd(cc, cfg.Backgrounds[c.Index()], nil, nil)
 	})
 }
 
-func runFig6(cfg Fig6Config, bg AlgoSpec) Fig6Result {
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
+// runCrowd is one flash-crowd run, the scenario Fig6 and Outage share:
+// cfg.Flows long-lived bg flows and reverse traffic from t=0, the crowd,
+// a throughput meter on each, run to cfg.End. fc, when non-nil, is the
+// fault configuration on the bottleneck (nil leaves the global one);
+// arm, when non-nil, is called with the wired scenario just before the
+// engine starts, so events it schedules follow the scenario's own in
+// sequence order.
+func runCrowd(cfg Fig6Config, bg AlgoSpec, fc *faults.Config, arm func(*sim.Engine, *topology.Net)) Fig6Result {
+	eng, d := buildScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed}, nil, fc, 0)
 
 	flows := bg.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
-	fc := workload.NewFlashCrowd(eng, d, workload.FlashCrowdConfig{
+	crowd := workload.NewFlashCrowd(eng, d, workload.FlashCrowdConfig{
 		Start:       cfg.CrowdStart,
 		Duration:    cfg.CrowdDuration,
 		RatePerSec:  cfg.CrowdRate,
@@ -116,24 +124,53 @@ func runFig6(cfg Fig6Config, bg AlgoSpec) Fig6Result {
 	})
 
 	bgMeter := metrics.NewMeter(eng, cfg.BinWidth, func() int64 { return sumRecv(flows) })
-	crowdMeter := metrics.NewMeter(eng, cfg.BinWidth, fc.TotalBytesRecv)
+	crowdMeter := metrics.NewMeter(eng, cfg.BinWidth, crowd.TotalBytesRecv)
+	if arm != nil {
+		arm(eng, d)
+	}
 	eng.RunUntil(cfg.End)
 
-	res := Fig6Result{Background: bg.Name, CrowdCompleted: fc.Completed, CrowdBytes: fc.TotalBytesRecv()}
+	res := Fig6Result{Background: bg.Name, CrowdCompleted: crowd.Completed, CrowdBytes: crowd.TotalBytesRecv()}
 	for i, r := range bgMeter.Rates() {
 		res.BackgroundRate = append(res.BackgroundRate, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
 	}
 	for i, r := range crowdMeter.Rates() {
 		res.CrowdRate = append(res.CrowdRate, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
 	}
-	if n := len(fc.CompletionTimes); n > 0 {
+	if n := len(crowd.CompletionTimes); n > 0 {
 		var s sim.Time
-		for _, ct := range fc.CompletionTimes {
+		for _, ct := range crowd.CompletionTimes {
 			s += ct
 		}
 		res.CrowdMeanCompletion = s / sim.Time(n)
 	}
 	return res
+}
+
+// writeCrowdTimelines prints one background/crowd throughput column
+// pair per result and one row per bin with from <= t <= to.
+func writeCrowdTimelines(b *strings.Builder, from, to sim.Time, res []Fig6Result) {
+	fmt.Fprintf(b, "%7s", "t(s)")
+	for _, r := range res {
+		fmt.Fprintf(b, " %14s %14s", r.Background+"/bg", "crowd")
+	}
+	b.WriteByte('\n')
+	for i := range res[0].BackgroundRate {
+		t := res[0].BackgroundRate[i].T
+		if t < from || t > to {
+			continue
+		}
+		fmt.Fprintf(b, "%7.1f", t)
+		for _, r := range res {
+			cv := 0.0
+			if i < len(r.CrowdRate) {
+				cv = r.CrowdRate[i].V
+			}
+			fmt.Fprintf(b, " %14.2f %14.2f", r.BackgroundRate[i].V/1e6, cv/1e6)
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteByte('\n')
 }
 
 // RenderFig6 prints throughput timelines around the crowd plus summary
@@ -142,29 +179,7 @@ func RenderFig6(cfg Fig6Config, res []Fig6Result) string {
 	cfg.fill()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 6: aggregate throughput (Mbps) with a flash crowd at t=%.0fs\n", cfg.CrowdStart)
-	fmt.Fprintf(&b, "%7s", "t(s)")
-	for _, r := range res {
-		fmt.Fprintf(&b, " %14s %14s", r.Background+"/bg", "crowd")
-	}
-	b.WriteByte('\n')
-	from := cfg.CrowdStart - 5
-	to := cfg.CrowdStart + 20
-	for i := range res[0].BackgroundRate {
-		t := res[0].BackgroundRate[i].T
-		if t < from || t > to {
-			continue
-		}
-		fmt.Fprintf(&b, "%7.1f", t)
-		for _, r := range res {
-			cv := 0.0
-			if i < len(r.CrowdRate) {
-				cv = r.CrowdRate[i].V
-			}
-			fmt.Fprintf(&b, " %14.2f %14.2f", r.BackgroundRate[i].V/1e6, cv/1e6)
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteByte('\n')
+	writeCrowdTimelines(&b, cfg.CrowdStart-5, cfg.CrowdStart+20, res)
 	for _, r := range res {
 		fmt.Fprintf(&b, "%-16s crowd completed %4d transfers, %7.2f MB, mean latency %6.3fs\n",
 			r.Background, r.CrowdCompleted, float64(r.CrowdBytes)/1e6, r.CrowdMeanCompletion)

@@ -5,11 +5,9 @@ import (
 	"strings"
 
 	"slowcc/internal/faults"
-	"slowcc/internal/metrics"
 	"slowcc/internal/netem"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
-	"slowcc/internal/workload"
 )
 
 // OutageConfig is the robustness extension of the Figure 6 scenario:
@@ -145,58 +143,32 @@ func runOutage(cfg OutageConfig, bg AlgoSpec) OutageResult {
 		Windows: []faults.Window{{At: cfg.OutageAt, Dur: cfg.OutageDur}},
 		Policy:  policy,
 	}
-	eng, d := buildScenario(cfg.cell, cfg.Seed,
-		topology.Config{Rate: cfg.Rate, Seed: cfg.Seed}, nil, &fc, 0)
-
-	flows := bg.flows(d, 1, cfg.Flows)
-	startAll(d, flows, 0)
-	withReverseTraffic(eng, d, 2)
-
-	fcw := workload.NewFlashCrowd(eng, d, workload.FlashCrowdConfig{
-		Start:       cfg.CrowdStart,
-		Duration:    cfg.CrowdDuration,
-		RatePerSec:  cfg.CrowdRate,
-		PktsPerFlow: cfg.CrowdPkts,
-		FirstFlowID: 10000,
+	var d *topology.Net
+	var dropsBefore, dropsAfter int64
+	crowd := runCrowd(Fig6Config{
+		Flows: cfg.Flows, Rate: cfg.Rate,
+		CrowdStart: cfg.CrowdStart, CrowdDuration: cfg.CrowdDuration,
+		CrowdRate: cfg.CrowdRate, CrowdPkts: cfg.CrowdPkts,
+		End: cfg.End, BinWidth: cfg.BinWidth, Seed: cfg.Seed, cell: cfg.cell,
+	}, bg, &fc, func(eng *sim.Engine, n *topology.Net) {
+		d = n
+		// Snapshot total drops around the blackout so OutageDrops isolates
+		// what the outage itself cost from ordinary congestion loss.
+		eng.At(cfg.OutageAt, func() { dropsBefore = d.Fwd[0].Stats.Drops })
+		eng.At(cfg.OutageAt+cfg.OutageDur, func() { dropsAfter = d.Fwd[0].Stats.Drops })
 	})
-
-	bgMeter := metrics.NewMeter(eng, cfg.BinWidth, func() int64 { return sumRecv(flows) })
-	crowdMeter := metrics.NewMeter(eng, cfg.BinWidth, fcw.TotalBytesRecv)
-
-	// Snapshot total drops around the blackout so OutageDrops isolates
-	// what the outage itself cost from ordinary congestion loss.
-	var dropsBefore int64
-	eng.At(cfg.OutageAt, func() { dropsBefore = d.Fwd[0].Stats.Drops })
-	var dropsAfter int64
-	eng.At(cfg.OutageAt+cfg.OutageDur, func() { dropsAfter = d.Fwd[0].Stats.Drops })
-
-	eng.RunUntil(cfg.End)
-
-	res := OutageResult{
-		Background:     bg.Name,
-		OutageDrops:    dropsAfter - dropsBefore,
-		Transitions:    d.Fwd[0].Transitions,
-		CrowdCompleted: fcw.Completed,
-		CrowdBytes:     fcw.TotalBytesRecv(),
+	return OutageResult{
+		Background:     crowd.Background,
+		BackgroundRate: crowd.BackgroundRate,
+		CrowdRate:      crowd.CrowdRate,
+		RecoveryTime: recoveryTime(crowd.BackgroundRate, crowd.CrowdRate,
+			cfg.OutageAt+cfg.OutageDur, cfg.RecoverFrac*cfg.Rate),
+		OutageDrops:         dropsAfter - dropsBefore,
+		Transitions:         d.Fwd[0].Transitions,
+		CrowdCompleted:      crowd.CrowdCompleted,
+		CrowdBytes:          crowd.CrowdBytes,
+		CrowdMeanCompletion: crowd.CrowdMeanCompletion,
 	}
-	bgRates := bgMeter.Rates()
-	crowdRates := crowdMeter.Rates()
-	for i, r := range bgRates {
-		res.BackgroundRate = append(res.BackgroundRate, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
-	}
-	for i, r := range crowdRates {
-		res.CrowdRate = append(res.CrowdRate, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
-	}
-	res.RecoveryTime = recoveryTime(res.BackgroundRate, res.CrowdRate,
-		cfg.OutageAt+cfg.OutageDur, cfg.RecoverFrac*cfg.Rate)
-	if n := len(fcw.CompletionTimes); n > 0 {
-		var s sim.Time
-		for _, ct := range fcw.CompletionTimes {
-			s += ct
-		}
-		res.CrowdMeanCompletion = s / sim.Time(n)
-	}
-	return res
 }
 
 // recoveryTime scans the binned timelines for the first moment at or
@@ -229,29 +201,11 @@ func RenderOutage(cfg OutageConfig, res []OutageResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Outage recovery: bottleneck dark %.0f-%.0fs, flash crowd at t=%.0fs\n",
 		cfg.OutageAt, cfg.OutageAt+cfg.OutageDur, cfg.CrowdStart)
-	fmt.Fprintf(&b, "%7s", "t(s)")
-	for _, r := range res {
-		fmt.Fprintf(&b, " %14s %14s", r.Background+"/bg", "crowd")
+	timelines := make([]Fig6Result, len(res))
+	for i, r := range res {
+		timelines[i] = Fig6Result{Background: r.Background, BackgroundRate: r.BackgroundRate, CrowdRate: r.CrowdRate}
 	}
-	b.WriteByte('\n')
-	from := cfg.OutageAt - 5
-	to := cfg.CrowdStart + 20
-	for i := range res[0].BackgroundRate {
-		t := res[0].BackgroundRate[i].T
-		if t < from || t > to {
-			continue
-		}
-		fmt.Fprintf(&b, "%7.1f", t)
-		for _, r := range res {
-			cv := 0.0
-			if i < len(r.CrowdRate) {
-				cv = r.CrowdRate[i].V
-			}
-			fmt.Fprintf(&b, " %14.2f %14.2f", r.BackgroundRate[i].V/1e6, cv/1e6)
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteByte('\n')
+	writeCrowdTimelines(&b, cfg.OutageAt-5, cfg.CrowdStart+20, timelines)
 	for _, r := range res {
 		rec := "never"
 		if r.RecoveryTime >= 0 {

@@ -36,8 +36,6 @@ type CellPolicy struct {
 	// flight recorder over its forward bottleneck and attaches a dump
 	// (cell-<index>-attempt-<n>.dump) to any panic's RunError.
 	FlightDir string
-	// FlightRing overrides the flight recorder ring size (0 = default).
-	FlightRing int
 	// BackoffBase, when positive, makes each retry attempt wait before
 	// starting: attempt a (a >= 1) sleeps min(BackoffBase << (a-1),
 	// BackoffMax) plus a deterministic jitter derived from the cell index

@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,7 +260,17 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 	defer SetSweepTimeline(prev)
 
 	const n, poisoned = 6, 4
+	// Hold each worker's first cell until every worker has one, so no
+	// worker can drain the sweep before another starts and every lane,
+	// "worker 0" included, is certain to appear.
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var taken atomic.Int32
+	allBusy := make(chan struct{})
 	supervisedMap(n, func(c *Cell) int {
+		if int(taken.Add(1)) == workers {
+			close(allBusy)
+		}
+		<-allBusy
 		if c.Index() == poisoned {
 			panic("always fails")
 		}
@@ -278,11 +291,15 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 		t.Fatalf("timeline has %d events, want at least %d", events, 2*n+2)
 	}
 	out := buf.String()
-	for _, want := range []string{
+	wants := []string{
 		`"cat":"queued"`, `"cat":"running"`, `"cat":"retry"`, `"cat":"degraded"`,
-		`"sweep queue"`, `"sweep workers"`, `"worker 0"`,
+		`"sweep queue"`, `"sweep workers"`,
 		`"cell 4 retry 1"`, `"cell 4 degraded"`, `"outcome":"ok"`, `"outcome":"panic"`,
-	} {
+	}
+	for w := 0; w < workers; w++ {
+		wants = append(wants, fmt.Sprintf(`"worker %d"`, w))
+	}
+	for _, want := range wants {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %s:\n%s", want, out)
 		}

@@ -3,8 +3,8 @@
 //
 //   - Packet conservation (the self-clocking argument of Section 4):
 //     every packet offered to a link is accounted exactly once as
-//     dropped, delivered, queued, or in transmission, checked after
-//     every accounting transition via netem.LinkAuditor.
+//     dropped, delivered, queued, or in transmission, checked at every
+//     netem.TapSettled point of a watched link.
 //   - RED drop splitting: EarlyDrops + ForcedDrops == Stats.Drops on
 //     RED links, so the early/forced decomposition reported alongside
 //     Figures 3-5 and 13-16 always sums to the real drop count.
@@ -16,9 +16,9 @@
 //     (cwnd, send rate) stay finite and inside their bounds, checked on
 //     a simulated-time cadence.
 //
-// Auditing is wired per engine/link and costs a nil pointer check per
-// event when not installed; the micro-benchmarks in internal/sim and
-// internal/netem run with it disabled and bound that cost.
+// Auditing is wired per engine (sim.AuditHook) and per link (a
+// netem.Tap); the micro-benchmarks in internal/sim and internal/netem
+// run with it disabled and bound what an unwatched event costs.
 package invariant
 
 import (
@@ -78,7 +78,6 @@ type Auditor struct {
 
 	eng        *sim.Engine
 	violations []Violation
-	links      map[*netem.Link]string
 	flows      []flowWatch
 	values     []valueWatch
 
@@ -103,16 +102,18 @@ type valueWatch struct {
 // checks piggyback on the engine's event stream, so no timers are
 // created and the engine still drains normally under Run.
 func New(eng *sim.Engine) *Auditor {
-	a := &Auditor{eng: eng, links: make(map[*netem.Link]string)}
+	a := &Auditor{eng: eng}
 	eng.SetAudit(a)
 	return a
 }
 
-// WatchLink registers l for conservation auditing under the given name
-// and installs the auditor as the link's LinkAuditor.
+// WatchLink taps l for conservation auditing under the given name.
 func (a *Auditor) WatchLink(name string, l *netem.Link) {
-	a.links[l] = name
-	l.Audit = a
+	l.AddTap(func(l *netem.Link, op netem.TapOp, _ *netem.Packet, _ sim.Time) {
+		if op == netem.TapSettled {
+			a.auditLink(name, l)
+		}
+	})
 }
 
 // WatchFlow registers a sender/receiver byte-counter pair. The periodic
@@ -164,13 +165,9 @@ func (a *Auditor) record(kind, name, format string, args ...any) {
 	}
 }
 
-// AuditLink implements netem.LinkAuditor: it asserts the conservation
-// law and, on RED links, the early/forced drop split.
-func (a *Auditor) AuditLink(l *netem.Link, now sim.Time) {
-	name, ok := a.links[l]
-	if !ok {
-		name = "link"
-	}
+// auditLink asserts the conservation law and, on RED links, the
+// early/forced drop split.
+func (a *Auditor) auditLink(name string, l *netem.Link) {
 	s := l.Stats
 	inTx := int64(0)
 	if l.Busy() {

@@ -49,15 +49,19 @@ func (m *LossMonitor) grow(i int) {
 	}
 }
 
-// Tap returns the link tap feeding this monitor.
+// Tap returns the link tap feeding this monitor: every arrival ends in
+// exactly one enqueue or drop, and those are the two ops it counts.
 func (m *LossMonitor) Tap() netem.Tap {
-	return func(p *netem.Packet, accepted bool, now sim.Time) {
+	return func(_ *netem.Link, op netem.TapOp, _ *netem.Packet, now sim.Time) {
+		if op != netem.TapEnqueue && op != netem.TapDrop {
+			return
+		}
 		i := int(now / m.Width)
 		if i >= len(m.arrivals) {
 			m.grow(i)
 		}
 		m.arrivals[i]++
-		if !accepted {
+		if op == netem.TapDrop {
 			m.drops[i]++
 		}
 	}

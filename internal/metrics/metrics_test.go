@@ -9,9 +9,22 @@ import (
 	"slowcc/internal/sim"
 )
 
+// arrivalTap feeds m's link tap one arrival at a time: accepted is the
+// enqueue op, refused the drop op.
+func arrivalTap(m *LossMonitor) func(p *netem.Packet, accepted bool, now sim.Time) {
+	tap := m.Tap()
+	return func(p *netem.Packet, accepted bool, now sim.Time) {
+		op := netem.TapEnqueue
+		if !accepted {
+			op = netem.TapDrop
+		}
+		tap(nil, op, p, now)
+	}
+}
+
 func TestLossMonitorBinning(t *testing.T) {
 	m := NewLossMonitor(0.5)
-	tap := m.Tap()
+	tap := arrivalTap(m)
 	p := &netem.Packet{Size: 1000}
 	// Bin 0: 4 arrivals, 1 drop. Bin 2: 2 arrivals, 2 drops.
 	tap(p, true, 0.1)
@@ -20,6 +33,10 @@ func TestLossMonitorBinning(t *testing.T) {
 	tap(p, false, 0.4)
 	tap(p, false, 1.2)
 	tap(p, false, 1.3)
+	// The rest of an accepted packet's life is not an arrival.
+	for _, op := range []netem.TapOp{netem.TapTxStart, netem.TapTxEnd, netem.TapDeliver, netem.TapSettled} {
+		m.Tap()(nil, op, p, 0.1)
+	}
 	if got := m.Rate(0); got != 0.25 {
 		t.Fatalf("Rate(0) = %v, want 0.25", got)
 	}
@@ -64,7 +81,7 @@ func TestLossMonitorEnsureHorizon(t *testing.T) {
 		t.Fatalf("Bins shrank to %d", m.Bins())
 	}
 	// Taps inside the horizon land without growth; outside still grows.
-	tap := m.Tap()
+	tap := arrivalTap(m)
 	p := &netem.Packet{Size: 1000}
 	tap(p, false, 9.9)
 	if m.Bins() != 21 {
@@ -89,7 +106,7 @@ func TestLossMonitorEnsureHorizonZeroWidth(t *testing.T) {
 
 func TestStabilizationImmediate(t *testing.T) {
 	m := NewLossMonitor(0.5)
-	tap := m.Tap()
+	tap := arrivalTap(m)
 	p := &netem.Packet{}
 	// Steady 2% loss throughout; onset at t=10 changes nothing.
 	for i := 0; i < 3000; i++ {
@@ -106,7 +123,7 @@ func TestStabilizationImmediate(t *testing.T) {
 
 func TestStabilizationAfterSpike(t *testing.T) {
 	m := NewLossMonitor(0.5)
-	tap := m.Tap()
+	tap := arrivalTap(m)
 	p := &netem.Packet{}
 	emit := func(t0, t1 sim.Time, lossEvery int) {
 		for ts := t0; ts < t1; ts += 0.001 {
@@ -133,7 +150,7 @@ func TestStabilizationAfterSpike(t *testing.T) {
 
 func TestStabilizationNeverRecovers(t *testing.T) {
 	m := NewLossMonitor(0.5)
-	tap := m.Tap()
+	tap := arrivalTap(m)
 	p := &netem.Packet{}
 	for ts := sim.Time(0); ts < 20; ts += 0.001 {
 		tap(p, int(ts*1000)%2 != 0, ts) // permanent 50% loss

@@ -38,52 +38,45 @@ const (
 	DownDrop
 )
 
-// Tap observes every packet offered to a link before the queue sees it,
-// along with whether it was accepted. Metrics collectors attach taps to
-// the bottleneck.
-type Tap func(p *Packet, accepted bool, now sim.Time)
-
-// JourneyOp identifies a packet lifecycle point on a link. The sequence
-// for an accepted packet is JEnqueue → JTxStart → JTxEnd → JDeliver; a
-// refused packet (queue overflow, RED force-drop, or a down link under
-// DownDrop) sees a single JDrop instead.
-type JourneyOp uint8
+// TapOp identifies the point in a link's life a Tap is called at. An
+// accepted packet yields TapEnqueue → TapTxStart → TapTxEnd → TapDeliver;
+// a refused one (queue overflow, RED force-drop, or a down link under
+// DownDrop) yields a single TapDrop instead.
+type TapOp uint8
 
 const (
-	// JEnqueue: the queue accepted the packet.
-	JEnqueue JourneyOp = iota
-	// JTxStart: the packet reached the head of line and its first bit
+	// TapEnqueue: the queue accepted the packet (any ECN mark the queue
+	// applies is already on it).
+	TapEnqueue TapOp = iota
+	// TapTxStart: the packet reached the head of line and its first bit
 	// went on the wire.
-	JTxStart
-	// JTxEnd: the last bit was serialized; propagation begins.
-	JTxEnd
-	// JDeliver: the packet is about to be handed to Dst.
-	JDeliver
-	// JDrop: the link refused the packet. The observer sees the packet
-	// before it returns to the pool and must not retain it.
-	JDrop
+	TapTxStart
+	// TapTxEnd: the last bit was serialized; propagation begins.
+	TapTxEnd
+	// TapDeliver: the packet is about to be handed to Dst.
+	TapDeliver
+	// TapDrop: the link refused the packet and has counted the drop. The
+	// tap sees the packet before it returns to the pool and must not
+	// retain it.
+	TapDrop
+	// TapSettled: an accounting transition is complete — after SetUp,
+	// after each Send outcome, and after a transmission completion has
+	// restarted the transmitter — so the conservation law
+	//
+	//	Arrivals == Drops + Departures + Q.Len() + (1 if transmitting)
+	//
+	// holds whenever it fires. It concerns the link, not a packet: p is
+	// nil.
+	TapSettled
 )
 
-// JourneyObserver receives per-packet lifecycle events from a link. The
-// hop index is the link's JourneyHop, assigned at wiring time, so one
-// observer can attribute time across every hop of a path. Observers run
-// synchronously on the hot path and must not schedule events or retain
-// dropped packets.
-type JourneyObserver interface {
-	ObserveJourney(hop int, op JourneyOp, p *Packet, now sim.Time)
-}
-
-// LinkAuditor checks link accounting invariants (see internal/invariant).
-// AuditLink is called after every accounting transition — each Send and
-// each transmission completion — with the link in a settled state, so an
-// implementation can assert the conservation law
-//
-//	Arrivals == Drops + Departures + Q.Len() + (1 if transmitting)
-//
-// at every audit point.
-type LinkAuditor interface {
-	AuditLink(l *Link, now sim.Time)
-}
+// Tap is the one way anything watches a link: metrics, traces, journeys,
+// the flight recorder and the invariant auditor are each a Tap, attached
+// with AddTap. A tap is called synchronously on the hot path at every
+// TapOp point with the link it was attached to; it returns at once on
+// the ops it does not care about, and must not schedule events, call
+// back into the link or retain dropped packets.
+type Tap func(l *Link, op TapOp, p *Packet, now sim.Time)
 
 // Link models a store-and-forward link: packets wait in a Queue, are
 // serialized at Rate bits per second, and arrive at the destination after
@@ -109,22 +102,14 @@ type Link struct {
 	JitterRNG *rand.Rand
 	// Stats accumulates counters for the lifetime of the link.
 	Stats LinkStats
-	// Audit, when non-nil, is invoked after every accounting transition.
-	// Nil (the default) costs one pointer check per packet event.
-	Audit LinkAuditor
 	// Pool, when non-nil, receives packets the queue refuses. The link is
 	// the component that discovers the drop, so it is the owner at that
-	// moment and must release (taps and the auditor observe the packet
-	// first; see PacketPool for the ownership rules).
+	// moment and must release (taps observe the packet first; see
+	// PacketPool for the ownership rules).
 	Pool *PacketPool
-	// Journey, when non-nil, observes packet lifecycle points (enqueue,
-	// tx start, tx end, deliver, drop) with JourneyHop as the hop
-	// identity. Nil (the default) costs one pointer check per event.
-	Journey JourneyObserver
-	// JourneyHop is the hop index reported to Journey; topologies assign
-	// it when wiring a journey recorder onto their links.
-	JourneyHop int
 
+	// taps is every watcher of the link, in registration order. Empty
+	// (the default) costs one length check per capture point.
 	taps []Tap
 	busy bool
 	// down and downPolicy hold the link's outage state (see SetDown).
@@ -144,8 +129,8 @@ type Link struct {
 	// transmissions cost no free-list round trip and no pooled-timer
 	// zeroing per packet. It consumes exactly one sequence number per
 	// re-arm — the same as the AfterFunc it replaced — so the event
-	// stream is bit-identical; every per-packet capture point (journeys,
-	// taps, audits, stats) still fires per packet.
+	// stream is bit-identical; every tap point and counter still fires per
+	// packet.
 	txDone *sim.Timer
 }
 
@@ -156,17 +141,24 @@ func NewLink(eng *sim.Engine, rate float64, delay sim.Time, q Queue, dst Handler
 	l.finishFn = func(a any) { l.finishTx(a.(*Packet)) }
 	l.deliverFn = func(a any) {
 		p := a.(*Packet)
-		if l.Journey != nil {
-			l.Journey.ObserveJourney(l.JourneyHop, JDeliver, p, l.eng.Now())
+		if len(l.taps) != 0 {
+			l.emit(TapDeliver, p, l.eng.Now())
 		}
 		l.Dst.Handle(p)
 	}
 	return l
 }
 
-// AddTap registers an observer called for every packet offered to the
-// link, in registration order.
+// AddTap attaches a watcher; taps are called in registration order.
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
+
+// emit fans one tap point out. Call sites guard it with a length check so
+// an unwatched link pays no call.
+func (l *Link) emit(op TapOp, p *Packet, now sim.Time) {
+	for _, t := range l.taps {
+		t(l, op, p, now)
+	}
+}
 
 // TxTime returns the serialization time of a packet of n bytes. A
 // non-positive Rate panics: dividing by it would schedule the
@@ -207,8 +199,8 @@ func (l *Link) SetUp() {
 	if !l.busy {
 		l.startTx()
 	}
-	if l.Audit != nil {
-		l.Audit.AuditLink(l, l.eng.Now())
+	if len(l.taps) != 0 {
+		l.emit(TapSettled, nil, l.eng.Now())
 	}
 }
 
@@ -224,49 +216,32 @@ func (l *Link) Busy() bool { return l.busy }
 
 // Send offers p to the link and reports whether the queue accepted it.
 // While the link is down under DownDrop, every arrival is refused at
-// the entry (taps observe it as not accepted); under DownQueue arrivals
-// keep queueing and the queue's own discipline sheds the overflow.
+// the entry (taps see a TapDrop); under DownQueue arrivals keep queueing
+// and the queue's own discipline sheds the overflow.
 func (l *Link) Send(p *Packet) bool {
 	now := l.eng.Now()
 	l.Stats.Arrivals++
-	if l.down && l.downPolicy == DownDrop {
-		for _, t := range l.taps {
-			t(p, false, now)
-		}
+	downDrop := l.down && l.downPolicy == DownDrop
+	if downDrop || !l.Q.Enqueue(p, now) {
 		l.Stats.Drops++
-		l.Stats.DownDrops++
-		if l.Audit != nil {
-			l.Audit.AuditLink(l, now)
+		if downDrop {
+			l.Stats.DownDrops++
 		}
-		if l.Journey != nil {
-			l.Journey.ObserveJourney(l.JourneyHop, JDrop, p, now)
+		if len(l.taps) != 0 {
+			l.emit(TapDrop, p, now)
+			l.emit(TapSettled, nil, now)
 		}
 		l.Pool.Put(p)
 		return false
 	}
-	ok := l.Q.Enqueue(p, now)
-	for _, t := range l.taps {
-		t(p, ok, now)
-	}
-	if !ok {
-		l.Stats.Drops++
-		if l.Audit != nil {
-			l.Audit.AuditLink(l, now)
-		}
-		if l.Journey != nil {
-			l.Journey.ObserveJourney(l.JourneyHop, JDrop, p, now)
-		}
-		l.Pool.Put(p)
-		return false
-	}
-	if l.Journey != nil {
-		l.Journey.ObserveJourney(l.JourneyHop, JEnqueue, p, now)
+	if len(l.taps) != 0 {
+		l.emit(TapEnqueue, p, now)
 	}
 	if !l.busy {
 		l.startTx()
 	}
-	if l.Audit != nil {
-		l.Audit.AuditLink(l, now)
+	if len(l.taps) != 0 {
+		l.emit(TapSettled, nil, now)
 	}
 	return true
 }
@@ -285,8 +260,8 @@ func (l *Link) startTx() {
 		return
 	}
 	l.busy = true
-	if l.Journey != nil {
-		l.Journey.ObserveJourney(l.JourneyHop, JTxStart, p, l.eng.Now())
+	if len(l.taps) != 0 {
+		l.emit(TapTxStart, p, l.eng.Now())
 	}
 	l.txDone = l.eng.ResetAfterFunc(l.txDone, l.TxTime(p.Size), l.finishFn, p)
 }
@@ -294,8 +269,8 @@ func (l *Link) startTx() {
 func (l *Link) finishTx(p *Packet) {
 	l.Stats.Departures++
 	l.Stats.Bytes += int64(p.Size)
-	if l.Journey != nil {
-		l.Journey.ObserveJourney(l.JourneyHop, JTxEnd, p, l.eng.Now())
+	if len(l.taps) != 0 {
+		l.emit(TapTxEnd, p, l.eng.Now())
 	}
 	delay := l.Delay
 	if l.Jitter > 0 && l.JitterRNG != nil {
@@ -307,8 +282,8 @@ func (l *Link) finishTx(p *Packet) {
 	// as the original closure-based code.
 	l.eng.AfterFunc(delay, l.deliverFn, p)
 	l.startTx()
-	if l.Audit != nil {
-		l.Audit.AuditLink(l, l.eng.Now())
+	if len(l.taps) != 0 {
+		l.emit(TapSettled, nil, l.eng.Now())
 	}
 }
 

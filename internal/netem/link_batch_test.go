@@ -13,13 +13,16 @@ import (
 )
 
 // conservation asserts Arrivals == Drops + Departures + queued + in-flight
-// at every audit point, the link conservation law from DESIGN.md.
+// at every settled point, the link conservation law from DESIGN.md.
 type conservation struct {
 	t      *testing.T
 	points int
 }
 
-func (c *conservation) AuditLink(l *Link, now sim.Time) {
+func (c *conservation) tap(l *Link, op TapOp, _ *Packet, now sim.Time) {
+	if op != TapSettled {
+		return
+	}
 	c.points++
 	inFlight := int64(0)
 	if l.Busy() {
@@ -31,21 +34,24 @@ func (c *conservation) AuditLink(l *Link, now sim.Time) {
 	}
 }
 
-// journeyLog records (hop, op, seq) triples so tests can assert the full
+// journeyLog records (op, seq) pairs so tests can assert the full
 // per-packet lifecycle survived batching.
 type journeyLog struct {
-	ops  []JourneyOp
+	ops  []TapOp
 	seqs []int64
 }
 
-func (j *journeyLog) ObserveJourney(hop int, op JourneyOp, p *Packet, now sim.Time) {
+func (j *journeyLog) tap(_ *Link, op TapOp, p *Packet, _ sim.Time) {
+	if op == TapSettled {
+		return
+	}
 	j.ops = append(j.ops, op)
 	j.seqs = append(j.seqs, p.Seq)
 }
 
 // perPacketOps returns the op sequence observed for sequence number seq.
-func (j *journeyLog) perPacketOps(seq int64) []JourneyOp {
-	var out []JourneyOp
+func (j *journeyLog) perPacketOps(seq int64) []TapOp {
+	var out []TapOp
 	for i, s := range j.seqs {
 		if s == seq {
 			out = append(out, j.ops[i])
@@ -54,7 +60,7 @@ func (j *journeyLog) perPacketOps(seq int64) []JourneyOp {
 	return out
 }
 
-func wantJourney(t *testing.T, j *journeyLog, seq int64, want ...JourneyOp) {
+func wantJourney(t *testing.T, j *journeyLog, seq int64, want ...TapOp) {
 	t.Helper()
 	got := j.perPacketOps(seq)
 	if len(got) != len(want) {
@@ -78,9 +84,9 @@ func TestBatchedSetDownQueueMidBusyPeriod(t *testing.T) {
 	// 8 Mbps, 1 ms propagation: a 1000-byte packet serializes in 1 ms.
 	l := NewLink(eng, 8e6, 0.001, NewDropTail(100), dst)
 	aud := &conservation{t: t}
-	l.Audit = aud
+	l.AddTap(aud.tap)
 	jl := &journeyLog{}
-	l.Journey = jl
+	l.AddTap(jl.tap)
 
 	for i := int64(0); i < 5; i++ {
 		l.Send(mkPkt(i, 1000))
@@ -120,7 +126,7 @@ func TestBatchedSetDownQueueMidBusyPeriod(t *testing.T) {
 		t.Fatalf("Transitions %d, want 2", l.Transitions)
 	}
 	for seq := int64(0); seq < 5; seq++ {
-		wantJourney(t, jl, seq, JEnqueue, JTxStart, JTxEnd, JDeliver)
+		wantJourney(t, jl, seq, TapEnqueue, TapTxStart, TapTxEnd, TapDeliver)
 	}
 	if aud.points == 0 {
 		t.Fatal("auditor never ran")
@@ -136,14 +142,14 @@ func TestBatchedSetDownDropMidBusyPeriod(t *testing.T) {
 	dst := &collector{eng: eng}
 	l := NewLink(eng, 8e6, 0.001, NewDropTail(100), dst)
 	aud := &conservation{t: t}
-	l.Audit = aud
+	l.AddTap(aud.tap)
 	jl := &journeyLog{}
-	l.Journey = jl
+	l.AddTap(jl.tap)
 	pool := &PacketPool{}
 	l.Pool = pool
 	var refused []int64
-	l.AddTap(func(p *Packet, ok bool, _ sim.Time) {
-		if !ok {
+	l.AddTap(func(_ *Link, op TapOp, p *Packet, _ sim.Time) {
+		if op == TapDrop {
 			refused = append(refused, p.Seq)
 		}
 	})
@@ -176,10 +182,10 @@ func TestBatchedSetDownDropMidBusyPeriod(t *testing.T) {
 	if got := pool.Puts; got != 2 {
 		t.Fatalf("pool received %d refused packets, want 2", got)
 	}
-	wantJourney(t, jl, 100, JDrop)
-	wantJourney(t, jl, 101, JDrop)
+	wantJourney(t, jl, 100, TapDrop)
+	wantJourney(t, jl, 101, TapDrop)
 	for seq := int64(0); seq < 3; seq++ {
-		wantJourney(t, jl, seq, JEnqueue, JTxStart, JTxEnd, JDeliver)
+		wantJourney(t, jl, seq, TapEnqueue, TapTxStart, TapTxEnd, TapDeliver)
 	}
 }
 

@@ -103,8 +103,8 @@ func TestLinkDownDropPolicy(t *testing.T) {
 	l := NewLink(eng, 8e6, 0.001, NewDropTail(100), Sink{Pool: pool})
 	l.Pool = pool
 	var tapDropped int
-	l.AddTap(func(_ *Packet, ok bool, _ sim.Time) {
-		if !ok {
+	l.AddTap(func(_ *Link, op TapOp, _ *Packet, _ sim.Time) {
+		if op == TapDrop {
 			tapDropped++
 		}
 	})

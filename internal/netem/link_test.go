@@ -77,10 +77,11 @@ func TestLinkDropsCountAndTap(t *testing.T) {
 	dst := &collector{eng: eng}
 	l := NewLink(eng, 8e6, 0, NewDropTail(2), dst)
 	var tapAccepted, tapDropped int
-	l.AddTap(func(_ *Packet, ok bool, _ sim.Time) {
-		if ok {
+	l.AddTap(func(_ *Link, op TapOp, _ *Packet, _ sim.Time) {
+		switch op {
+		case TapEnqueue:
 			tapAccepted++
-		} else {
+		case TapDrop:
 			tapDropped++
 		}
 	})

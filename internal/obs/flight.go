@@ -24,10 +24,10 @@ const (
 	FlightNote
 )
 
-// PacketOp classifies a recorded packet event. The values and labels
-// deliberately match trace.Op (obs cannot import trace — the trace
-// tests exercise topology, which registers with this package), so
-// flight dumps and packet traces read the same.
+// PacketOp classifies a recorded packet event. trace.Op is this type
+// (trace imports obs, not the other way round: the trace tests exercise
+// topology, which registers with this package), so flight dumps and
+// packet traces read the same.
 type PacketOp uint8
 
 // Packet event operations.
@@ -128,17 +128,29 @@ func (f *FlightRecorder) AddNote(t sim.Time, note string) {
 	f.add(FlightRecord{T: t, Kind: FlightNote, Note: note})
 }
 
-// LinkTap returns a netem.Tap recording queue accept/drop/mark events,
-// the same classification trace.Recorder.LinkTap uses.
-func (f *FlightRecorder) LinkTap() netem.Tap {
-	return func(p *netem.Packet, accepted bool, now sim.Time) {
-		op := OpRecv
-		if !accepted {
-			op = OpDrop
-		} else if p.CE {
-			op = OpMark
+// ArrivalOp classifies what a link tap saw of an arrival: accepted is
+// OpRecv (OpMark when the packet carries an ECN mark), refused is
+// OpDrop. ok is false for every tap op that is not an arrival's
+// outcome.
+func ArrivalOp(op netem.TapOp, p *netem.Packet) (_ PacketOp, ok bool) {
+	switch op {
+	case netem.TapEnqueue:
+		if p.CE {
+			return OpMark, true
 		}
-		f.AddPacket(now, op, p.Flow, p.Kind, p.Seq, p.Size)
+		return OpRecv, true
+	case netem.TapDrop:
+		return OpDrop, true
+	}
+	return 0, false
+}
+
+// LinkTap returns a netem.Tap recording queue accept/drop/mark events.
+func (f *FlightRecorder) LinkTap() netem.Tap {
+	return func(_ *netem.Link, op netem.TapOp, p *netem.Packet, now sim.Time) {
+		if pop, ok := ArrivalOp(op, p); ok {
+			f.AddPacket(now, pop, p.Flow, p.Kind, p.Seq, p.Size)
+		}
 	}
 }
 

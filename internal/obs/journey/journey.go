@@ -1,5 +1,5 @@
 // Package journey records per-packet, per-hop latency spans from
-// netem's JourneyObserver hooks and attributes each packet's
+// netem link taps and attributes each packet's
 // end-to-end delay into per-hop queueing, transmission, and
 // propagation components.
 //
@@ -88,10 +88,8 @@ type hopState struct {
 // histograms and attribution sums keep counting past it.
 const DefaultMaxSpans = 1 << 20
 
-// Recorder implements netem.JourneyObserver across every hop the
-// topology attaches it to. It is single-goroutine like the engine
-// itself. A nil Recorder is never attached, so the disabled
-// configuration costs one pointer check per link event.
+// Recorder watches every hop the topology attaches it to, through one
+// netem.Tap per link. It is single-goroutine like the engine itself.
 type Recorder struct {
 	// MaxSpans caps retained spans; 0 means DefaultMaxSpans, negative
 	// means unlimited.
@@ -135,16 +133,17 @@ func (r *Recorder) AttachLink(name string, l *netem.Link, egress bool) int {
 	idx := len(r.hops)
 	r.hops = append(r.hops, &hopState{name: name, egress: egress})
 	r.byLink[l] = idx
-	l.Journey = r
-	l.JourneyHop = idx
+	l.AddTap(func(_ *netem.Link, op netem.TapOp, p *netem.Packet, now sim.Time) {
+		r.observe(idx, op, p, now)
+	})
 	return idx
 }
 
-// ObserveJourney implements netem.JourneyObserver.
-func (r *Recorder) ObserveJourney(hop int, opKind netem.JourneyOp, p *netem.Packet, now sim.Time) {
+// observe is the tap body of hop's link.
+func (r *Recorder) observe(hop int, op netem.TapOp, p *netem.Packet, now sim.Time) {
 	h := r.hops[hop]
-	switch opKind {
-	case netem.JEnqueue:
+	switch op {
+	case netem.TapEnqueue:
 		if h.curBurst > 0 {
 			h.burstHist.Record(float64(h.curBurst))
 			h.curBurst = 0
@@ -153,15 +152,15 @@ func (r *Recorder) ObserveJourney(hop int, opKind netem.JourneyOp, p *netem.Pack
 		if acc, ok := r.inPath[p]; !ok || acc.last != now {
 			r.inPath[p] = pathAcc{start: now, last: now}
 		}
-	case netem.JTxStart:
+	case netem.TapTxStart:
 		o := r.inHop[p]
 		o.txStart = now
 		r.inHop[p] = o
-	case netem.JTxEnd:
+	case netem.TapTxEnd:
 		o := r.inHop[p]
 		o.txEnd = now
 		r.inHop[p] = o
-	case netem.JDeliver:
+	case netem.TapDeliver:
 		o := r.inHop[p]
 		delete(r.inHop, p)
 		q := float64(o.txStart - o.enq)
@@ -200,7 +199,7 @@ func (r *Recorder) ObserveJourney(hop int, opKind netem.JourneyOp, p *netem.Pack
 			}
 			fh.Record(float64(now - p.Echo))
 		}
-	case netem.JDrop:
+	case netem.TapDrop:
 		h.drops++
 		h.curBurst++
 		delete(r.inPath, p) // partial path: excluded from attribution

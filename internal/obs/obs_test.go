@@ -265,10 +265,16 @@ func TestFlightRecorderMinimumCapacity(t *testing.T) {
 func TestFlightRecorderLinkTapClassification(t *testing.T) {
 	fr := NewFlightRecorder(8)
 	tap := fr.LinkTap()
-	tap(&netem.Packet{Flow: 1, Seq: 0, Size: 1000}, true, 0.5)
-	tap(&netem.Packet{Flow: 1, Seq: 1, Size: 1000}, false, 0.6)
-	tap(&netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, true, 0.7)
+	tap(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 0, Size: 1000}, 0.5)
+	tap(nil, netem.TapDrop, &netem.Packet{Flow: 1, Seq: 1, Size: 1000}, 0.6)
+	tap(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, 0.7)
+	for _, op := range []netem.TapOp{netem.TapTxStart, netem.TapTxEnd, netem.TapDeliver, netem.TapSettled} {
+		tap(nil, op, &netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, 0.8)
+	}
 	recs := fr.Records()
+	if len(recs) != 3 {
+		t.Fatalf("%d records, want 3 (one per arrival)", len(recs))
+	}
 	if recs[0].Op != OpRecv || recs[1].Op != OpDrop || recs[2].Op != OpMark {
 		t.Fatalf("ops %v %v %v, want recv/drop/mark", recs[0].Op, recs[1].Op, recs[2].Op)
 	}

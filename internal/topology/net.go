@@ -155,24 +155,37 @@ func (c *NetConfig) fill() {
 
 // PropRTT returns the propagation round-trip time of the full chain for
 // a flow using the default access delay: 2*(2*AccessDelay + sum of hop
-// delays).
+// delays). c is a configuration as a caller writes it, defaults and
+// sentinels unresolved; a built Net answers from its resolved copy
+// (Net.PropRTT).
 func (c NetConfig) PropRTT() sim.Time {
-	cc := c
-	cc.fill()
-	var hops sim.Time
-	for _, h := range cc.Hops {
-		hops += h.Delay
-	}
-	return 2 * (2*cc.AccessDelay + hops)
+	c.fill()
+	return c.propRTT()
 }
 
 // HopBDPPkts returns hop i's bandwidth-delay product in packets, using
 // the full-chain propagation RTT (the RTT a chain-traversing flow
-// sees, which is what the paper's queue sizing is relative to).
+// sees, which is what the paper's queue sizing is relative to). Like
+// PropRTT it takes the configuration unresolved.
 func (c NetConfig) HopBDPPkts(i int) float64 {
-	cc := c
-	cc.fill()
-	return cc.Hops[i].Rate * cc.PropRTT() / 8 / float64(cc.PktSize)
+	c.fill()
+	return c.hopBDPPkts(i)
+}
+
+// propRTT and hopBDPPkts read a configuration fill has resolved. Filling
+// is not idempotent — it turns an ExplicitZero into the 0 a second fill
+// would read as "take the default" — so build resolves once and sizes
+// from these.
+func (c *NetConfig) propRTT() sim.Time {
+	var hops sim.Time
+	for _, h := range c.Hops {
+		hops += h.Delay
+	}
+	return 2 * (2*c.AccessDelay + hops)
+}
+
+func (c *NetConfig) hopBDPPkts(i int) float64 {
+	return c.Hops[i].Rate * c.propRTT() / 8 / float64(c.PktSize)
 }
 
 // Net is an instantiated chain. Fwd[i] carries traffic from node i to
@@ -253,7 +266,7 @@ func build(eng *sim.Engine, cfg NetConfig, fwdTag, revTag string, indexed bool) 
 	}
 	eng.HintTick(float64(cfg.PktSize) * 8 / minRate)
 	for i, h := range cfg.Hops {
-		bdp := cfg.HopBDPPkts(i)
+		bdp := cfg.hopBDPPkts(i)
 		n.fwdRt[i] = demux{new(routes), n.Pool, i + 1, &n.UnknownFlowDrops, cfg.Strict}
 		n.revRt[i] = demux{new(routes), n.Pool, i, &n.UnknownFlowDrops, cfg.Strict}
 		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay,
@@ -294,7 +307,7 @@ func (n *Net) hopName(tag string, i int) string {
 func (n *Net) NumHops() int { return len(n.Fwd) }
 
 // PropRTT implements Fabric: the full-chain propagation RTT.
-func (n *Net) PropRTT() sim.Time { return n.Cfg.PropRTT() }
+func (n *Net) PropRTT() sim.Time { return n.Cfg.propRTT() }
 
 // access builds one path's two access links — out delivering to dst, in
 // feeding entry — and registers them under the direction tag.
@@ -422,8 +435,7 @@ func (n *Net) Observe(reg *obs.Registry) {
 // ObserveJourneys attaches a journey recorder to every link of the
 // chain: both directions of every hop immediately, and each flow's
 // access links as paths wire (call it before building paths). Hop
-// names match the counter registry's. A nil recorder attaches nothing,
-// leaving the wired-but-disabled one-pointer-check path.
+// names match the counter registry's. A nil recorder attaches nothing.
 func (n *Net) ObserveJourneys(r *journey.Recorder) {
 	n.journeys = r
 	if r == nil {

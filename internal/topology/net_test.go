@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -82,19 +83,11 @@ func TestNetPerHopConservationAudit(t *testing.T) {
 		Seed:  3,
 		Audit: a,
 	})
-	for i, l := range n.Fwd {
-		if l.Audit == nil || n.Rev[i].Audit == nil {
-			t.Fatalf("hop %d links not registered with the auditor", i)
-		}
-	}
 	fwdSink := &arrival{eng: eng}
 	in := lr(n, 1, fwdSink)
 	rin := rl(n, 1, &arrival{eng: eng})
 	crossIn := n.PathFwd(2, 1, 2, &arrival{eng: eng}, 0.002)
 	revCrossIn := n.PathRev(2, 3, 1, &arrival{eng: eng}, 0.002)
-	if l, ok := crossIn.(*netem.Link); !ok || l.Audit == nil {
-		t.Fatal("cross-traffic access link not registered with the auditor")
-	}
 	for i := int64(0); i < 200; i++ {
 		i := i
 		eng.At(float64(i)*0.002, func() {
@@ -115,6 +108,15 @@ func TestNetPerHopConservationAudit(t *testing.T) {
 	// actually have exercised queueing/drops for the audit to mean much.
 	if n.Fwd[1].Stats.Drops == 0 {
 		t.Fatal("overloaded interior hop never dropped; scenario too gentle to audit")
+	}
+	// Every hop link and the cross traffic's access link are watched: each
+	// one, tripped, adds its own violation.
+	watched := append(append([]*netem.Link{crossIn.(*netem.Link)}, n.Fwd...), n.Rev...)
+	for i, l := range watched {
+		trip(l)
+		if got := len(a.Violations()); got != i+1 {
+			t.Fatalf("link %d not registered with the auditor: %d violations after tripping it, want %d", i, got, i+1)
+		}
 	}
 }
 
@@ -223,6 +225,22 @@ func TestNetZeroDelayHopExpressible(t *testing.T) {
 	}
 	if dst.at[0] > 0.023 {
 		t.Fatalf("delivery at %v through a 21ms chain with zero access delay; sentinel not honored", dst.at[0])
+	}
+}
+
+// A built net resolves its configuration once: a hop delay given as
+// ExplicitZero stays zero in the RTT the net reports and in the RTT its
+// queues are sized from (a second fill would read the resolved 0 as
+// "take the 21 ms default").
+func TestNetExplicitZeroHopDelaySizesFromResolvedRTT(t *testing.T) {
+	n := NewNet(sim.New(1), NetConfig{Hops: []Hop{{Delay: ExplicitZero, DropTail: true}}})
+	// 2*(2*2ms + 0) = 8 ms.
+	if got := n.PropRTT(); math.Abs(got-0.008) > 1e-12 {
+		t.Fatalf("PropRTT() = %v, want 0.008 (2*2*AccessDelay)", got)
+	}
+	// BDP = 10 Mbps * 8 ms / 8000 bits = 10 packets; buffer 2.5 BDP.
+	if got := n.Fwd[0].Q.(*netem.DropTail).Cap; got != 25 {
+		t.Fatalf("queue holds %d packets, want 25 (2.5 x the BDP of the 8 ms RTT)", got)
 	}
 }
 

@@ -11,38 +11,24 @@ import (
 	"io"
 
 	"slowcc/internal/netem"
+	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 )
 
-// Op is the event type.
-type Op uint8
+// Op is the event type; its String is the op's TSV label.
+type Op = obs.PacketOp
 
 // Event operations.
 const (
 	// Send is a packet leaving an endpoint.
-	Send Op = iota
+	Send = obs.OpSend
 	// Recv is a packet accepted by a queue or delivered to an endpoint.
-	Recv
+	Recv = obs.OpRecv
 	// Drop is a packet refused by a queue or loss filter.
-	Drop
+	Drop = obs.OpDrop
 	// Mark is an ECN congestion-experienced mark.
-	Mark
+	Mark = obs.OpMark
 )
-
-// String returns the op's TSV label.
-func (o Op) String() string {
-	switch o {
-	case Send:
-		return "send"
-	case Recv:
-		return "recv"
-	case Drop:
-		return "drop"
-	case Mark:
-		return "mark"
-	}
-	return "?"
-}
 
 // Event is one recorded packet event.
 type Event struct {
@@ -113,14 +99,10 @@ func (r *Recorder) LinkTap() netem.Tap { return r.HopTap("") }
 // the given hop name, so taps on several links of a chain stay
 // distinguishable in the merged record.
 func (r *Recorder) HopTap(hop string) netem.Tap {
-	return func(p *netem.Packet, accepted bool, now sim.Time) {
-		op := Recv
-		if !accepted {
-			op = Drop
-		} else if p.CE {
-			op = Mark
+	return func(_ *netem.Link, top netem.TapOp, p *netem.Packet, now sim.Time) {
+		if op, ok := obs.ArrivalOp(top, p); ok {
+			r.Record(Event{T: now, Op: op, Flow: p.Flow, Kind: p.Kind, Seq: p.Seq, Size: p.Size, Hop: hop})
 		}
-		r.Record(Event{T: now, Op: op, Flow: p.Flow, Kind: p.Kind, Seq: p.Seq, Size: p.Size, Hop: hop})
 	}
 }
 

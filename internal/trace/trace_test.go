@@ -121,10 +121,17 @@ func TestOpStrings(t *testing.T) {
 func TestLinkTapRecordsDropsAndMarks(t *testing.T) {
 	var r Recorder
 	tap := r.LinkTap()
-	tap(&netem.Packet{Flow: 1, Seq: 0, Size: 1000}, true, 0.5)
-	tap(&netem.Packet{Flow: 1, Seq: 1, Size: 1000}, false, 0.6)
-	tap(&netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, true, 0.7)
+	tap(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 0, Size: 1000}, 0.5)
+	tap(nil, netem.TapDrop, &netem.Packet{Flow: 1, Seq: 1, Size: 1000}, 0.6)
+	tap(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, 0.7)
+	// One event per arrival: the rest of the packet's life is not recorded.
+	for _, op := range []netem.TapOp{netem.TapTxStart, netem.TapTxEnd, netem.TapDeliver, netem.TapSettled} {
+		tap(nil, op, &netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, 0.8)
+	}
 	evs := r.Events()
+	if len(evs) != 3 {
+		t.Fatalf("%d events, want 3", len(evs))
+	}
 	if evs[0].Op != Recv || evs[1].Op != Drop || evs[2].Op != Mark {
 		t.Fatalf("ops %v %v %v, want recv/drop/mark", evs[0].Op, evs[1].Op, evs[2].Op)
 	}
@@ -158,8 +165,8 @@ func TestHopTapStampsHopIdentity(t *testing.T) {
 	var r Recorder
 	tap0 := r.HopTap("fwd0")
 	tap1 := r.HopTap("fwd1")
-	tap0(&netem.Packet{Flow: 1, Seq: 7, Size: 1000}, true, 0.1)
-	tap1(&netem.Packet{Flow: 1, Seq: 7, Size: 1000}, false, 0.2)
+	tap0(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 7, Size: 1000}, 0.1)
+	tap1(nil, netem.TapDrop, &netem.Packet{Flow: 1, Seq: 7, Size: 1000}, 0.2)
 	evs := r.Events()
 	if evs[0].Hop != "fwd0" || evs[1].Hop != "fwd1" {
 		t.Fatalf("hops %q %q, want fwd0/fwd1", evs[0].Hop, evs[1].Hop)

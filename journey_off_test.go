@@ -1,8 +1,8 @@
 // Determinism guarantee of the journey layer, checked at the public
 // surface: attaching a journey recorder to the seed-1 macro run —
 // recording every per-hop span — must not change the event stream at
-// all, because journey hooks observe link callbacks without scheduling
-// anything. This is a stronger pin than the wired-but-off layers hold
+// all, because link taps observe without scheduling anything. This is
+// a stronger pin than the wired-but-off layers hold
 // (pinned_stream_test.go): fully enabled recording costs zero events.
 package slowcc_test
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"slowcc"
+	"slowcc/internal/invariant"
 )
 
 const (
@@ -109,8 +110,8 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 					t.Fatalf("detached digest still folded %d events", r.dig.Events())
 				}
 			}},
-		// ObserveJourneys(nil) is the state every link is in permanently:
-		// a nil hook field checked at each journey event site.
+		// ObserveJourneys(nil) attaches no tap: the journey-free state
+		// every link starts in.
 		{name: "journeys nil",
 			after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(nil) }},
 		// A zero-config injector hands the entry handler back untouched
@@ -164,5 +165,62 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 				l.check(t, r)
 			}
 		})
+	}
+}
+
+// Every link watcher switched on at once — the auditor on every link, a
+// journey recorder on every link, and a loss monitor, a trace tap and a
+// flight recorder on every forward hop beside runMacro's own trace tap —
+// still runs the pinned stream: taps only read. The watchers do not
+// disturb one another either: the journey attribution equals a run
+// where the recorder is alone, and the auditor finds nothing.
+func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
+	alone := slowcc.NewJourneyRecorder()
+	runMacro(layer{after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(alone) }})
+
+	var (
+		aud *invariant.Auditor
+		jr  = slowcc.NewJourneyRecorder()
+		mon = slowcc.NewLossMonitor(0.5)
+		tr  slowcc.Tracer
+		fr  = slowcc.NewFlightRecorder(512)
+	)
+	r := runMacro(layer{
+		before: func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig) {
+			aud = invariant.New(eng)
+			cfg.Audit = aud
+		},
+		after: func(d *slowcc.Dumbbell) {
+			d.ObserveJourneys(jr)
+			for _, l := range d.Fwd {
+				l.AddTap(mon.Tap())
+				l.AddTap(tr.HopTap("lr"))
+				l.AddTap(fr.LinkTap())
+			}
+		},
+	})
+	holdPinned(t, r, runMacro(layer{}), false)
+	if err := aud.Err(); err != nil {
+		t.Fatalf("auditor beside the other watchers: %v", err)
+	}
+	n, e2e, queue, tx, prop := jr.Attribution()
+	if an, ae2e, aqueue, atx, aprop := alone.Attribution(); n == 0 ||
+		n != an || e2e != ae2e || queue != aqueue || tx != atx || prop != aprop {
+		t.Fatalf("journey attribution %d/%v/%v/%v/%v, alone %d/%v/%v/%v/%v",
+			n, e2e, queue, tx, prop, an, ae2e, aqueue, atx, aprop)
+	}
+	// Each arrival-counting watcher saw exactly the arrivals runMacro's
+	// own tap did.
+	var drops int
+	for _, ev := range r.trace {
+		if ev.Op == slowcc.TraceDrop {
+			drops++
+		}
+	}
+	if tr.Total() != len(r.trace) || fr.Total() != len(r.trace) {
+		t.Fatalf("trace tap saw %d arrivals, flight recorder %d, want %d", tr.Total(), fr.Total(), len(r.trace))
+	}
+	if got, want := mon.RateOver(0, 30), float64(drops)/float64(len(r.trace)); got != want {
+		t.Fatalf("loss monitor rate %v, want %v (%d drops of %d arrivals)", got, want, drops, len(r.trace))
 	}
 }
