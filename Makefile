@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke report-smoke fuzz-smoke matrix-smoke timeline-smoke queue-smoke export-smoke resume-smoke
+.PHONY: ci fmt vet build test race bench bench-smoke fuzz-smoke queue-smoke export-smoke resume-smoke
 
 # ci is the gate future PRs run: formatting and static checks, a full
 # build, the complete test suite under the race detector, and a
@@ -9,8 +9,10 @@ GO ?= go
 # package's TestMain enables the invariant auditing layer for the whole
 # scaled-down figure suite, so packet-accounting regressions fail here
 # even when no figure-level assertion notices them; -race additionally
-# exercises parallelMapIndexed's worker pool.
-ci: fmt vet build race bench-smoke queue-smoke report-smoke matrix-smoke timeline-smoke export-smoke resume-smoke fuzz-smoke
+# exercises parallelMapIndexed's worker pool. The run-and-check smokes
+# over the three binaries (report, matrix, timeline, exit codes,
+# profiles) are cmd/smoke_test.go, so `race` runs them too.
+ci: fmt vet build race bench-smoke queue-smoke export-smoke resume-smoke fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
 fmt:
@@ -39,53 +41,6 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='EnginePacketsPerSecond$$' -benchtime=1x .
 	$(GO) test -run='^$$' -bench='LinkForward$$' -benchtime=1x ./internal/netem
-
-# report-smoke exercises the manifest pipeline end to end: a short
-# probed slowcctrace run writes a digest-sealed manifest plus probe TSV,
-# and slowccreport must verify the digest and render them. Catches
-# manifest/report wiring breaks the unit tests can't (flag plumbing,
-# file round trips through the real binaries).
-report-smoke:
-	rm -rf .report-smoke && mkdir -p .report-smoke
-	$(GO) run ./cmd/slowcctrace -flow tcp:0.5 -flow tfrc:8 -dur 5 -probe 0.5 \
-		-out .report-smoke/trace.tsv -probes .report-smoke/run.probes.tsv \
-		-manifest .report-smoke/run.json > /dev/null
-	$(GO) run ./cmd/slowccreport -probes .report-smoke/run.probes.tsv .report-smoke/run.json
-	rm -rf .report-smoke
-
-# matrix-smoke drives the pairwise interaction matrix end to end through
-# the real binary: a 2x2 algorithm subset on a 2-hop parking lot, all
-# three conditions, supervised, with -fail-degraded so any degraded cell
-# (a panicked or hung sweep attempt) fails ci rather than degrading
-# silently, and the TSV artifact + manifest round-trip through disk.
-matrix-smoke:
-	rm -rf .matrix-smoke && mkdir -p .matrix-smoke
-	$(GO) run ./cmd/slowccsim -exp matrix -matrix 'tcp:0.5,tfrc:8' \
-		-topology parking-lot:2 -fail-degraded \
-		-tsv .matrix-smoke/matrix.tsv -manifest .matrix-smoke/run.json > /dev/null
-	test -s .matrix-smoke/matrix.tsv
-	rm -rf .matrix-smoke
-
-# timeline-smoke drives the latency-attribution pipeline end to end
-# through the real binaries: a journey-enabled slowcctrace run writes a
-# Perfetto trace-event timeline and a histogram-carrying manifest, a
-# supervised matrix sweep writes its per-cell telemetry timeline, and
-# slowccreport must validate both JSON documents and render the
-# heatmap from the sweep's TSV artifact.
-timeline-smoke:
-	rm -rf .timeline-smoke && mkdir -p .timeline-smoke
-	$(GO) run ./cmd/slowcctrace -flow tcp:0.5 -flow tfrc:8 -dur 5 -journeys \
-		-timeline .timeline-smoke/journeys.json \
-		-manifest .timeline-smoke/run.json > /dev/null
-	$(GO) run ./cmd/slowccsim -exp matrix -matrix 'tcp:0.5,cbr:3e6' \
-		-topology dumbbell -fail-degraded \
-		-timeline .timeline-smoke/sweep.json \
-		-tsv .timeline-smoke/matrix.tsv > /dev/null
-	$(GO) run ./cmd/slowccreport -timeline .timeline-smoke/journeys.json \
-		.timeline-smoke/run.json > /dev/null
-	$(GO) run ./cmd/slowccreport -timeline .timeline-smoke/sweep.json \
-		-heatmap .timeline-smoke/matrix.tsv > /dev/null
-	rm -rf .timeline-smoke
 
 # export-smoke drives the live-telemetry stack end to end through the
 # real binary: slowccsim -serve runs fig3 with the export server bound

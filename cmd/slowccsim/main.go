@@ -58,69 +58,45 @@ import (
 // so scripts can tell "rerun me" from "give up".
 const exitInterrupted = 3
 
-type experiment struct {
-	name string
-	desc string
-	run  func(full bool, seed int64) (text string, data any)
-}
+func main() { os.Exit(run()) }
 
-func experiments() []experiment {
-	return []experiment{
-		{"fig3", "drop-rate timeline when a CBR source restarts", runFig3},
-		{"fig45", "stabilization time (Fig 4) and cost (Fig 5) vs gamma", runFig45},
-		{"fig6", "flash crowd vs TFRC(256) with/without self-clocking", runFig6},
-		{"fig7", "long-term fairness: TCP vs TFRC(6) under oscillation", runFig7},
-		{"fig8", "long-term fairness: TCP vs TCP(1/8)", runFig8},
-		{"fig9", "long-term fairness: TCP vs SQRT(1/2)", runFig9},
-		{"fig10", "0.1-fair convergence time for TCP(b)", runFig10},
-		{"fig11", "analytic expected ACKs to 0.1-fairness", runFig11},
-		{"fig12", "0.1-fair convergence time for TFRC(k)", runFig12},
-		{"fig13", "f(20)/f(200) utilization after bandwidth doubling", runFig13},
-		{"fig14", "utilization and drop rate under 3:1 oscillation (Figs 14+15)", runFig14},
-		{"fig16", "utilization under 10:1 oscillation", runFig16},
-		{"fig17", "smoothness on the mild bursty pattern: TFRC vs TCP(1/8)", runFig17},
-		{"fig18", "smoothness on the severe pattern (TFRC's worst case)", runFig18},
-		{"fig19", "smoothness: IIAD vs SQRT on the mild pattern", runFig19},
-		{"fig20", "Appendix A throughput models", runFig20},
-		{"ablation-droptail", "Fig 4/5 scenario with tail-drop instead of RED", runAblationDropTail},
-		{"ablation-ecn", "long-term fairness with an ECN-marking bottleneck", runAblationECN},
-		{"ablation-tear", "TEAR in the stabilization and oscillation scenarios", runAblationTEAR},
-		{"outage", "robustness extension: flash crowd onto a recovering bottleneck", runOutage},
-		{"matrix", "N x N cc pairwise interaction matrix across topologies and conditions", runMatrix},
-		{"static-compat", "static TCP-compatibility audit under fixed loss", runStaticCompat},
-		{"rtt-fairness", "extension: unequal-RTT flows sharing the bottleneck", runRTTFairness},
-		{"queue-dynamics", "extension: queue oscillation by traffic type", runQueueDynamics},
-	}
-}
-
-func main() {
+// run is main returning its exit code, so that the profile defers below
+// run on every path — a degraded, interrupted or failed run is exactly
+// the one worth profiling.
+func run() int {
 	var (
-		name       = flag.String("exp", "", "experiment to run (see -list), or 'all'")
-		list       = flag.Bool("list", false, "list experiments")
-		full       = flag.Bool("full", false, "use the paper's full durations and sweeps")
-		seed       = flag.Int64("seed", 1, "simulation seed")
-		asJSON     = flag.Bool("json", false, "emit typed results as JSON instead of tables")
-		manifest   = flag.String("manifest", "", "write a deterministic run-manifest JSON to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		maxEvents  = flag.Int64("max-events", 0, "halt any single scenario after this many events (0 = unbounded)")
-		deadline   = flag.Duration("deadline", 0, "per-sweep-cell wall-clock deadline; a cell over it is degraded, not fatal (0 = none)")
-		faultSpec  = flag.String("fault", "", "fault spec injected at every scenario's bottleneck, e.g. 'down:25+5;corrupt:0.001' (see internal/faults)")
-		timeline   = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running/retry/degraded spans, one lane per worker) as trace-event JSON to this path")
-		serve      = flag.String("serve", "", "serve live telemetry on this address (e.g. 127.0.0.1:9155): /metrics, /healthz, /progress SSE, /debug/pprof; blocks after the run until interrupted")
-		serveOnce  = flag.Bool("serve-once", false, "with -serve: exit as soon as the run finishes instead of blocking for scrapes (CI smoke)")
-		slogLevel  = flag.String("slog", "", "emit structured sweep logs to stderr at this level (debug, info, warn, error)")
-		storeDir   = flag.String("store", "", "durable result store directory: completed sweep cells are journaled here (crash-safe), and SIGINT/SIGTERM checkpoints and exits with code 3 so the run can be resumed")
-		resume     = flag.Bool("resume", false, "with -store: serve completed cells from the store instead of recomputing them (only missing or degraded cells run)")
-		retries    = flag.Int("retries", -1, "per-sweep-cell retry budget on derived seeds (-1 = keep the default of 1)")
-		retryWait  = flag.Duration("retry-backoff", 0, "base for deterministic exponential backoff before retry attempts (0 = retry immediately); never affects simulation results")
-		breaker    = flag.Int("breaker", 0, "per-algorithm-pair circuit breaker: skip a pair's remaining cells after this many consecutive degradations (0 = off); skipped cells resume later with -store -resume")
+		name         = flag.String("exp", "", "experiment to run (see -list), or 'all'")
+		list         = flag.Bool("list", false, "list experiments")
+		full         = flag.Bool("full", false, "use the paper's full durations and sweeps")
+		seed         = flag.Int64("seed", 1, "simulation seed")
+		asJSON       = flag.Bool("json", false, "emit typed results as JSON instead of tables")
+		manifest     = flag.String("manifest", "", "write a deterministic run-manifest JSON to this file")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
+		maxEvents    = flag.Int64("max-events", 0, "halt any single scenario after this many events (0 = unbounded)")
+		deadline     = flag.Duration("deadline", 0, "per-sweep-cell wall-clock deadline; a cell over it is degraded, not fatal (0 = none)")
+		faultSpec    = flag.String("fault", "", "fault spec injected at every scenario's bottleneck, e.g. 'down:25+5;corrupt:0.001' (see internal/faults)")
+		timeline     = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running/retry/degraded spans, one lane per worker) as trace-event JSON to this path")
+		serve        = flag.String("serve", "", "serve live telemetry on this address (e.g. 127.0.0.1:9155): /metrics, /healthz, /progress SSE, /debug/pprof; blocks after the run until interrupted")
+		serveOnce    = flag.Bool("serve-once", false, "with -serve: exit as soon as the run finishes instead of blocking for scrapes (CI smoke)")
+		slogLevel    = flag.String("slog", "", "emit structured sweep logs to stderr at this level (debug, info, warn, error)")
+		storeDir     = flag.String("store", "", "durable result store directory: completed sweep cells are journaled here (crash-safe), and SIGINT/SIGTERM checkpoints and exits with code 3 so the run can be resumed")
+		resume       = flag.Bool("resume", false, "with -store: serve completed cells from the store instead of recomputing them (only missing or degraded cells run)")
+		retries      = flag.Int("retries", -1, "per-sweep-cell retry budget on derived seeds (-1 = keep the default of 1)")
+		retryWait    = flag.Duration("retry-backoff", 0, "base for deterministic exponential backoff before retry attempts (0 = retry immediately); never affects simulation results")
+		breaker      = flag.Int("breaker", 0, "per-algorithm-pair circuit breaker: skip a pair's remaining cells after this many consecutive degradations (0 = off); skipped cells resume later with -store -resume")
+		matrixSpec   = flag.String("matrix", "", "matrix experiment: comma-separated algorithm specs key[:arg], e.g. 'tcp:0.5,tfrc:8,sqrt' (empty = the paper's seven); one of\n"+exp.AlgoSyntax())
+		topology     = flag.String("topology", "both", "matrix experiment: dumbbell, parking-lot[:hops], or both")
+		tsvPath      = flag.String("tsv", "", "matrix experiment: also write the deterministic TSV artifact to this file")
+		failDegraded = flag.Bool("fail-degraded", false, "exit nonzero when any sweep cell degrades (CI smoke gate)")
 	)
-	flag.StringVar(&matrixFlags.algos, "matrix", "", "matrix experiment: comma-separated algorithm specs key[:arg], e.g. 'tcp:0.5,tfrc:8,sqrt' (empty = the paper's seven); one of\n"+exp.AlgoSyntax())
-	flag.StringVar(&matrixFlags.topology, "topology", "both", "matrix experiment: dumbbell, parking-lot[:hops], or both")
-	flag.StringVar(&matrixFlags.tsvPath, "tsv", "", "matrix experiment: also write the deterministic TSV artifact to this file")
-	flag.BoolVar(&matrixFlags.failDegraded, "fail-degraded", false, "exit nonzero when any sweep cell degrades (CI smoke gate)")
 	flag.Parse()
+
+	matrix, err := matrixOverride(*matrixSpec, *topology)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 
 	if *maxEvents > 0 || *deadline > 0 {
 		// A deadline abandons the cell's goroutine; the wall budget makes
@@ -149,14 +125,14 @@ func main() {
 	}
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -store DIR")
-		os.Exit(2)
+		return 2
 	}
 	var cellStore *store.Store
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "-store: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		if st.TornTail() || st.Corrupt() > 0 {
 			fmt.Fprintf(os.Stderr, "store %s: quarantined damaged journal data (torn tail: %v, corrupt entries: %d); affected cells will recompute\n",
@@ -169,7 +145,7 @@ func main() {
 		fc, err := faults.ParseSpec(*faultSpec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "-fault: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		exp.SetFaultConfig(&fc)
 	}
@@ -183,12 +159,12 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -207,18 +183,18 @@ func main() {
 		}()
 	}
 
-	exps := experiments()
+	exps := exp.Experiments()
 	if *list || *name == "" {
 		fmt.Println("experiments:")
 		for _, e := range exps {
-			fmt.Printf("  %-18s %s\n", e.name, e.desc)
+			fmt.Printf("  %-18s %s\n", e.Name, e.Desc)
 		}
 		if *name == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
-	sort.Slice(exps, func(i, j int) bool { return exps[i].name < exps[j].name })
+	sort.Slice(exps, func(i, j int) bool { return exps[i].Name < exps[j].Name })
 	ran := false
 	m := obs.NewManifest("slowccsim", *seed)
 	m.Config["full"] = strconv.FormatBool(*full)
@@ -242,11 +218,11 @@ func main() {
 	if *faultSpec != "" {
 		m.Config["fault"] = *faultSpec
 	}
-	if matrixFlags.algos != "" {
-		m.Config["matrix"] = matrixFlags.algos
+	if *matrixSpec != "" {
+		m.Config["matrix"] = *matrixSpec
 	}
-	if matrixFlags.topology != "both" {
-		m.Config["topology"] = matrixFlags.topology
+	if *topology != "both" {
+		m.Config["topology"] = *topology
 	}
 	// The run digest (seed + flags, before any results land) names this
 	// run in structured logs and on /metrics, so a scrape or a log line
@@ -261,7 +237,7 @@ func main() {
 			var lvl slog.Level
 			if err := lvl.UnmarshalText([]byte(*slogLevel)); err != nil {
 				fmt.Fprintf(os.Stderr, "-slog: %v\n", err)
-				os.Exit(2)
+				return 2
 			}
 			h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})
 			exp.SetSweepLogger(slog.New(h).With("run", runDigest))
@@ -280,7 +256,7 @@ func main() {
 			addr, err := srv.Start(*serve)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "-serve: %v\n", err)
-				os.Exit(1)
+				return 1
 			}
 			fmt.Fprintf(os.Stderr, "serving telemetry on http://%s/{metrics,healthz,progress,debug/pprof}\n", addr)
 		}
@@ -303,39 +279,45 @@ func main() {
 	}
 	wallStart := time.Now()
 	for _, e := range exps {
-		if *name != "all" && !strings.EqualFold(*name, e.name) {
+		if *name != "all" && !strings.EqualFold(*name, e.Name) {
 			continue
 		}
 		if cellStore != nil {
 			// Scope generic (non-matrix) sweep keys by run digest and
 			// experiment name: a pure function of the invocation, so an
 			// interrupted and a resumed run derive identical cell keys.
-			exp.SetSweepScope(runDigest + "|" + e.name)
+			exp.SetSweepScope(runDigest + "|" + e.Name)
 		}
 		ran = true
 		start := time.Now()
-		text, data := e.run(*full, *seed)
+		text, data := e.Run(*full, *seed, matrix)
+		if cells, ok := data.([]exp.MatrixCell); ok && *tsvPath != "" {
+			if err := os.WriteFile(*tsvPath, []byte(exp.RenderMatrixTSV(cells)), 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "-tsv: %v\n", err)
+				return 1
+			}
+		}
 		// The result digest makes the manifest a reproducibility record:
 		// same binary, same seed, same flags must yield the same digests.
 		if blob, err := json.Marshal(data); err == nil {
-			m.Outputs[e.name] = obs.DigestBytes(blob)
-			m.Algos = append(m.Algos, e.name)
+			m.Outputs[e.Name] = obs.DigestBytes(blob)
+			m.Algos = append(m.Algos, e.Name)
 		}
 		if *asJSON {
-			blob, err := json.MarshalIndent(map[string]any{"experiment": e.name, "result": data}, "", "  ")
+			blob, err := json.MarshalIndent(map[string]any{"experiment": e.Name, "result": data}, "", "  ")
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
-				os.Exit(1)
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
+				return 1
 			}
 			fmt.Println(string(blob))
 		} else {
 			fmt.Println(text)
-			fmt.Printf("[%s finished in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("[%s finished in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *name)
-		os.Exit(2)
+		return 2
 	}
 	// Supervised sweeps degrade poisoned cells instead of aborting; make
 	// the degradation loud and durable rather than silent.
@@ -351,7 +333,7 @@ func main() {
 	if sweepTL != nil {
 		if err := sweepTL.WriteFile(*timeline); err != nil {
 			fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("sweep timeline written to %s (%d events)\n", *timeline, sweepTL.Len())
 	}
@@ -359,7 +341,7 @@ func main() {
 		m.WallTimeS = time.Since(wallStart).Seconds()
 		if err := m.WriteFile(*manifest); err != nil {
 			fmt.Fprintf(os.Stderr, "manifest: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("manifest written to %s\n", *manifest)
 	}
@@ -379,7 +361,7 @@ func main() {
 		}
 		if exp.StopRequested() {
 			fmt.Fprintf(os.Stderr, "interrupted; resume with: -store %s -resume\n", cellStore.Dir())
-			os.Exit(exitInterrupted)
+			return exitInterrupted
 		}
 		// The run finished uninterrupted; release the graceful-stop
 		// handler so a later SIGTERM (e.g. shutting down -serve) is not
@@ -400,315 +382,41 @@ func main() {
 		}
 		srv.Close()
 	}
-	if degraded && matrixFlags.failDegraded {
+	if degraded && *failDegraded {
 		// After the manifest is on disk, so the failure is inspectable.
 		fmt.Fprintln(os.Stderr, "-fail-degraded: degraded cells present")
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// matrixFlags carries the matrix experiment's extra CLI surface; the
-// flags are registered in main and read by runMatrix.
-var matrixFlags struct {
-	algos        string
-	topology     string
-	tsvPath      string
-	failDegraded bool
-}
-
-// parseTopologyFlag maps -topology onto the matrix topology axis:
-// "dumbbell", "parking-lot", "parking-lot:K", or "both".
-func parseTopologyFlag(s string) (topos []string, hops int, err error) {
-	name, arg, hasArg := strings.Cut(s, ":")
+// matrixOverride parses -matrix and -topology ("dumbbell",
+// "parking-lot[:K]" or "both") into what they override of the matrix
+// row's configuration.
+func matrixOverride(algos, topology string) (cfg exp.MatrixConfig, err error) {
+	if algos != "" {
+		if cfg.Algos, err = exp.ParseAlgoList(algos); err != nil {
+			return cfg, fmt.Errorf("-matrix: %v", err)
+		}
+	}
+	name, arg, hasArg := strings.Cut(topology, ":")
 	if hasArg {
-		hops, err = strconv.Atoi(arg)
-		if err != nil || hops < 1 {
-			return nil, 0, fmt.Errorf("topology %q: hop count must be a positive integer", s)
+		if cfg.Hops, err = strconv.Atoi(arg); err != nil || cfg.Hops < 1 {
+			return cfg, fmt.Errorf("-topology: topology %q: hop count must be a positive integer", topology)
 		}
 	}
 	switch strings.ToLower(name) {
 	case "dumbbell":
 		if hasArg {
-			return nil, 0, fmt.Errorf("topology %q: the dumbbell has exactly one bottleneck", s)
+			return cfg, fmt.Errorf("-topology: topology %q: the dumbbell has exactly one bottleneck", topology)
 		}
-		return []string{exp.TopoDumbbell}, 0, nil
+		cfg.Topologies = []string{exp.TopoDumbbell}
 	case "parking-lot":
-		return []string{exp.TopoParkingLot}, hops, nil
+		cfg.Topologies = []string{exp.TopoParkingLot}
 	case "both", "":
-		return []string{exp.TopoDumbbell, exp.TopoParkingLot}, hops, nil
+		cfg.Topologies = []string{exp.TopoDumbbell, exp.TopoParkingLot}
+	default:
+		return cfg, fmt.Errorf("-topology: unknown topology %q (want dumbbell, parking-lot[:hops], or both)", topology)
 	}
-	return nil, 0, fmt.Errorf("unknown topology %q (want dumbbell, parking-lot[:hops], or both)", s)
-}
-
-func runMatrix(full bool, seed int64) (string, any) {
-	cfg := exp.MatrixConfig{Seed: seed}
-	if !full {
-		cfg.Warmup = 3
-		cfg.Measure = 12
-		cfg.Period = 1
-	}
-	if matrixFlags.algos != "" {
-		algos, err := exp.ParseAlgoList(matrixFlags.algos)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-matrix: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Algos = algos
-	}
-	topos, hops, err := parseTopologyFlag(matrixFlags.topology)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-topology: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Topologies = topos
-	if hops > 0 {
-		cfg.Hops = hops
-	}
-	cells := exp.Matrix(cfg)
-	tsv := exp.RenderMatrixTSV(cells)
-	if matrixFlags.tsvPath != "" {
-		if werr := os.WriteFile(matrixFlags.tsvPath, []byte(tsv), 0o644); werr != nil {
-			fmt.Fprintf(os.Stderr, "-tsv: %v\n", werr)
-			os.Exit(1)
-		}
-	}
-	return exp.RenderMatrix(cfg, cells) + "\n" + tsv, cells
-}
-
-// stabScenario returns the shared Figure 3/4/5 scenario at the chosen
-// scale.
-func stabScenario(full bool, seed int64) exp.StabilizationConfig {
-	if full {
-		return exp.StabilizationConfig{Seed: seed} // paper defaults: 150/180/400
-	}
-	return exp.StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: seed}
-}
-
-func runFig3(full bool, seed int64) (string, any) {
-	cfg := exp.DefaultFig3()
-	cfg.Scenario = stabScenario(full, seed)
-	res := exp.Fig3(cfg)
-	return exp.RenderFig3(res), res
-}
-
-func runFig45(full bool, seed int64) (string, any) {
-	cfg := exp.Fig45Config{Scenario: stabScenario(full, seed), MaxGamma: 256}
-	if !full {
-		cfg.MaxGamma = 16
-	}
-	res := exp.Fig45(cfg)
-	return exp.RenderFig45(res), res
-}
-
-func runAblationDropTail(full bool, seed int64) (string, any) {
-	cfg := exp.Fig45Config{Scenario: stabScenario(full, seed), MaxGamma: 256}
-	cfg.Scenario.DropTail = true
-	if !full {
-		cfg.MaxGamma = 16
-	}
-	res := exp.Fig45(cfg)
-	return "Ablation: DropTail bottleneck (paper reports self-clocking helps here too)\n" +
-		exp.RenderFig45(res), res
-}
-
-func runAblationECN(full bool, seed int64) (string, any) {
-	cfg := exp.FairnessConfig{
-		A:   exp.ECNTCPAlgo(0.5),
-		B:   exp.ECNTCPAlgo(1.0 / 8),
-		ECN: true,
-	}
-	text, res := fairness(cfg, "ECN fairness", full, seed)
-	return "Ablation: ECN marking bottleneck, ECN-TCP(1/2) vs ECN-TCP(1/8)\n" + text, res
-}
-
-func runAblationTEAR(full bool, seed int64) (string, any) {
-	sc := stabScenario(full, seed)
-	sc.Algo = exp.TEARAlgo(0)
-	r := exp.RunStabilization(sc)
-	head := fmt.Sprintf("Ablation: TEAR stabilization — steady %.2f%%, time %.0f RTTs, cost %.2f\n\n",
-		r.Steady*100, r.Stab.TimeRTTs, r.Stab.Cost)
-	cfg := exp.FairnessConfig{A: exp.TCPAlgo(0.5), B: exp.TEARAlgo(0)}
-	text, res := fairness(cfg, "TCP vs TEAR under oscillation", full, seed)
-	return head + text, map[string]any{"stabilization": r, "fairness": res}
-}
-
-func runStaticCompat(full bool, seed int64) (string, any) {
-	cfg := exp.StaticCompatConfig{Seed: seed}
-	if !full {
-		cfg.Warmup = 20
-		cfg.Measure = 60
-	}
-	res := exp.StaticCompat(cfg)
-	return exp.RenderStaticCompat(cfg, res), res
-}
-
-func runRTTFairness(full bool, seed int64) (string, any) {
-	cfg := exp.RTTFairnessConfig{Seed: seed}
-	if !full {
-		cfg.Warmup = 15
-		cfg.Measure = 60
-	}
-	res := exp.RTTFairness(cfg)
-	return exp.RenderRTTFairness(cfg, res), res
-}
-
-func runQueueDynamics(full bool, seed int64) (string, any) {
-	cfg := exp.QueueDynamicsConfig{Seed: seed}
-	if !full {
-		cfg.Warmup = 15
-		cfg.Measure = 60
-	}
-	res := exp.QueueDynamics(cfg)
-	text := exp.RenderQueueDynamics(cfg, res)
-	cfgDT := cfg
-	cfgDT.DropTail = true
-	resDT := exp.QueueDynamics(cfgDT)
-	text += "\n" + exp.RenderQueueDynamics(cfgDT, resDT)
-	return text, map[string]any{"red": res, "droptail": resDT}
-}
-
-func runFig6(full bool, seed int64) (string, any) {
-	cfg := exp.Fig6Config{Seed: seed}
-	if !full {
-		cfg.CrowdStart = 15
-		cfg.End = 40
-		cfg.Flows = 6
-	}
-	res := exp.Fig6(cfg)
-	return exp.RenderFig6(cfg, res), res
-}
-
-func runOutage(full bool, seed int64) (string, any) {
-	cfg := exp.OutageConfig{Seed: seed}
-	if !full {
-		cfg.OutageAt = 15
-		cfg.OutageDur = 3
-		cfg.End = 45
-		cfg.Flows = 6
-	}
-	res := exp.Outage(cfg)
-	return exp.RenderOutage(cfg, res), res
-}
-
-func fairness(base exp.FairnessConfig, title string, full bool, seed int64) (string, []exp.FairnessPoint) {
-	base.Seed = seed
-	if !full {
-		base.Periods = []sim.Time{0.2, 1, 4, 16}
-		base.Warmup = 15
-		base.Measure = 60
-	}
-	res := exp.Fairness(base)
-	return exp.RenderFairness(title, base, res), res
-}
-
-func runFig7(full bool, seed int64) (string, any) {
-	text, res := fairness(exp.DefaultFig7(), "Figure 7", full, seed)
-	return text, res
-}
-
-func runFig8(full bool, seed int64) (string, any) {
-	text, res := fairness(exp.DefaultFig8(), "Figure 8", full, seed)
-	return text, res
-}
-
-func runFig9(full bool, seed int64) (string, any) {
-	text, res := fairness(exp.DefaultFig9(), "Figure 9", full, seed)
-	return text, res
-}
-
-func convScenario(full bool, seed int64) (exp.ConvergenceConfig, int) {
-	cfg := exp.ConvergenceConfig{Seeds: []int64{seed, seed + 1, seed + 2}}
-	max := 256
-	if !full {
-		cfg.Horizon = 200
-		cfg.Seeds = []int64{seed}
-		max = 16
-	}
-	return cfg, max
-}
-
-func runFig10(full bool, seed int64) (string, any) {
-	cfg, max := convScenario(full, seed)
-	res := exp.Fig10(cfg, max)
-	h := cfg.Horizon
-	if h == 0 {
-		h = 600
-	}
-	return exp.RenderConvergence("Figure 10: TCP(b)", res, h), res
-}
-
-func runFig11(bool, int64) (string, any) {
-	res := exp.Fig11(0.1, 0.1, 256)
-	return exp.RenderFig11(0.1, 0.1, res), res
-}
-
-func runFig12(full bool, seed int64) (string, any) {
-	cfg, max := convScenario(full, seed)
-	res := exp.Fig12(cfg, max)
-	h := cfg.Horizon
-	if h == 0 {
-		h = 600
-	}
-	return exp.RenderConvergence("Figure 12: TFRC(k)", res, h), res
-}
-
-func runFig13(full bool, seed int64) (string, any) {
-	cfg := exp.Fig13Config{Seed: seed}
-	if !full {
-		cfg.StopAt = 60
-		cfg.MaxGamma = 16
-	}
-	res := exp.Fig13(cfg)
-	return exp.RenderFig13(cfg, res), res
-}
-
-func runFig14(full bool, seed int64) (string, any) {
-	cfg := exp.OscillationConfig{Seed: seed}
-	if !full {
-		cfg.Periods = []sim.Time{0.1, 0.4, 1.6, 6.4}
-		cfg.Warmup = 10
-		cfg.Measure = 60
-	}
-	res := exp.Oscillation(cfg)
-	return exp.RenderOscillation("Figures 14/15 (3:1)", cfg, res), res
-}
-
-func runFig16(full bool, seed int64) (string, any) {
-	cfg := exp.OscillationConfig{CBRPeak: 13.5e6, Seed: seed}
-	if !full {
-		cfg.Periods = []sim.Time{0.1, 0.4, 1.6, 6.4}
-		cfg.Warmup = 10
-		cfg.Measure = 60
-	}
-	res := exp.Oscillation(cfg)
-	return exp.RenderOscillation("Figure 16 (10:1)", cfg, res), res
-}
-
-func smoothness(cfg exp.SmoothnessConfig, title string, full bool, seed int64) (string, []exp.SmoothnessResult) {
-	cfg.Seed = seed
-	if !full {
-		cfg.Duration = 80
-	}
-	res := exp.RunSmoothness(cfg)
-	return exp.RenderSmoothness(title, cfg, res), res
-}
-
-func runFig17(full bool, seed int64) (string, any) {
-	text, res := smoothness(exp.DefaultFig17(), "Figure 17", full, seed)
-	return text, res
-}
-
-func runFig18(full bool, seed int64) (string, any) {
-	text, res := smoothness(exp.DefaultFig18(), "Figure 18", full, seed)
-	return text, res
-}
-
-func runFig19(full bool, seed int64) (string, any) {
-	text, res := smoothness(exp.DefaultFig19(), "Figure 19", full, seed)
-	return text, res
-}
-
-func runFig20(bool, int64) (string, any) {
-	res := exp.Fig20(nil)
-	return exp.RenderFig20(res), res
+	return cfg, nil
 }

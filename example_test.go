@@ -62,3 +62,36 @@ func ExampleCountPattern() {
 	// Output:
 	// 6 drops per 1356-packet cycle
 }
+
+// ExampleExperiments pins the roster's names and order: it is the text
+// of slowccsim -list.
+func ExampleExperiments() {
+	for _, e := range slowcc.Experiments() {
+		fmt.Printf("  %-18s %s\n", e.Name, e.Desc)
+	}
+	// Output:
+	//   fig3               drop-rate timeline when a CBR source restarts
+	//   fig45              stabilization time (Fig 4) and cost (Fig 5) vs gamma
+	//   fig6               flash crowd vs TFRC(256) with/without self-clocking
+	//   fig7               long-term fairness: TCP vs TFRC(6) under oscillation
+	//   fig8               long-term fairness: TCP vs TCP(1/8)
+	//   fig9               long-term fairness: TCP vs SQRT(1/2)
+	//   fig10              0.1-fair convergence time for TCP(b)
+	//   fig11              analytic expected ACKs to 0.1-fairness
+	//   fig12              0.1-fair convergence time for TFRC(k)
+	//   fig13              f(20)/f(200) utilization after bandwidth doubling
+	//   fig14              utilization and drop rate under 3:1 oscillation (Figs 14+15)
+	//   fig16              utilization under 10:1 oscillation
+	//   fig17              smoothness on the mild bursty pattern: TFRC vs TCP(1/8)
+	//   fig18              smoothness on the severe pattern (TFRC's worst case)
+	//   fig19              smoothness: IIAD vs SQRT on the mild pattern
+	//   fig20              Appendix A throughput models
+	//   ablation-droptail  Fig 4/5 scenario with tail-drop instead of RED
+	//   ablation-ecn       long-term fairness with an ECN-marking bottleneck
+	//   ablation-tear      TEAR in the stabilization and oscillation scenarios
+	//   outage             robustness extension: flash crowd onto a recovering bottleneck
+	//   matrix             N x N cc pairwise interaction matrix across topologies and conditions
+	//   static-compat      static TCP-compatibility audit under fixed loss
+	//   rtt-fairness       extension: unequal-RTT flows sharing the bottleneck
+	//   queue-dynamics     extension: queue oscillation by traffic type
+}

@@ -3,9 +3,19 @@ package slowcc
 import "slowcc/internal/exp"
 
 // The paper's experiments, re-exported one-to-one from internal/exp.
-// Each has a Config whose zero value reproduces the paper's parameters,
-// a typed result, and a Render function producing the table the paper
-// plots.
+// Each has a Config whose zero fields take the paper's parameters, a
+// typed result, and a Render function producing the table the paper
+// plots. The single-scenario configs (StabilizationConfig,
+// FairnessConfig, ConvergenceConfig, SmoothnessConfig) have no default
+// for what is under test — Algo, A and B, Algos and Pattern — and must
+// be given it; DefaultFig7-9 and DefaultFig17-19 are the paper's choices.
+
+// Experiments returns the evaluation roster — Figures 3-20, the
+// ablations and the extensions — in the order slowccsim -list prints it.
+// Each row runs its experiment at the paper's scale (full) or a reduced
+// one and returns the rendered tables with the typed result; matrix
+// overrides the matrix row's configuration and no other row reads it.
+func Experiments() []exp.Experiment { return exp.Experiments() }
 
 // Stabilization experiments (Section 4.1, Figures 3-5).
 type (

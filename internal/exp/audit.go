@@ -88,22 +88,28 @@ func recordAuditViolation(v invariant.Violation) {
 
 // newScenario constructs the engine and dumbbell a figure driver runs
 // on: buildScenario with the global fault configuration.
-func newScenario(c *Cell, seed int64, tc topology.Config) (*sim.Engine, *topology.Net) {
-	return buildScenario(c, seed, tc, nil, nil, 0)
+func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topology.Net) {
+	return c.buildScenario(seed, tc, nil, nil, 0)
 }
 
 // buildScenario is the one place a figure or matrix scenario gets its
 // engine and topology: the paper's dumbbell tc or, when chain is
-// non-nil, that chain instead. It applies the global run budget (the
-// -max-events CLI path); attaches the fault configuration — explicit
-// fc, else the global -fault one — to the forward link of hop faultHop,
-// so multi-bottleneck scenarios pick which hop degrades; wires the
-// invariant auditor through every link when audit mode is on; keeps at
-// most one flight recorder over the first forward hop, which the auditor
-// dumps on a violation and the supervisor dumps if sweep cell c panics; and
-// registers the topology with the cell's live-telemetry collector. c is
-// nil outside supervised sweeps.
-func buildScenario(c *Cell, seed int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
+// non-nil, that chain instead. c is the sweep cell the scenario runs
+// under, nil outside supervised sweeps; it maps the base seed to this
+// attempt's (Cell.Seed: the base itself on attempt 0 and under a nil
+// cell) and that one seed drives the engine, the topology's queues and,
+// unless the configuration names its own, the fault stream — so a driver
+// that gets its scenario here cannot run a retry on the first attempt's
+// seed. It applies the global run budget (the -max-events CLI path);
+// attaches the fault configuration — explicit fc, else the global -fault
+// one — to the forward link of hop faultHop, so multi-bottleneck
+// scenarios pick which hop degrades; wires the invariant auditor through
+// every link when audit mode is on; keeps at most one flight recorder
+// over the first forward hop, which the auditor dumps on a violation and
+// the supervisor dumps if the cell panics; and registers the topology
+// with the cell's live-telemetry collector.
+func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
+	seed := c.Seed(base)
 	eng := sim.New(seed)
 	budget, fault, pol, collect := scenarioGlobals()
 	if budget != nil {
@@ -116,7 +122,7 @@ func buildScenario(c *Cell, seed int64, tc topology.Config, chain *topology.NetC
 	if fc != nil && fc.Enabled() {
 		cfg := *fc
 		if cfg.Seed == 0 {
-			cfg.Seed = seed // default the fault stream onto the cell's seed
+			cfg.Seed = seed // default the fault stream onto the attempt's seed
 		}
 		inj = faults.New(eng, cfg)
 	}
@@ -130,11 +136,11 @@ func buildScenario(c *Cell, seed int64, tc topology.Config, chain *topology.NetC
 	}
 	var n *topology.Net
 	if chain == nil {
-		tc.Fault, tc.Audit = inj, a
+		tc.Seed, tc.Fault, tc.Audit = seed, inj, a
 		n = topology.New(eng, tc)
 	} else {
 		nc := *chain
-		nc.Audit = a
+		nc.Seed, nc.Audit = seed, a
 		if inj != nil {
 			nc.Hops = slices.Clone(nc.Hops) // the caller's slice is not ours to write
 			nc.Hops[faultHop].Fault = inj

@@ -2,9 +2,10 @@
 // evaluation (Figures 3-20), built on the simulator substrate. Each
 // driver has a Config with the paper's parameters as defaults, a typed
 // Result, and a text renderer that prints the same rows/series the paper
-// reports. A Scale knob shortens simulated durations proportionally so
-// the full suite can run quickly in tests and benchmarks; Scale = 1
-// reproduces the paper's timelines.
+// reports. Experiments is the roster of them: one row per experiment,
+// whose Run picks between the paper's parameters and the reduced scale
+// written beside the driver, so the full suite runs in seconds in tests,
+// benchmarks and the CLI's default mode.
 package exp
 
 import (

@@ -1,0 +1,161 @@
+package exp
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"slowcc/internal/sim"
+	"slowcc/internal/topology"
+)
+
+// toyCells is the whole driver of a toy experiment: a job list (two
+// cells), a cell function that gets its scenario from the cell, and
+// nothing copied from another driver. Each cell reports the first draw
+// of its engine's RNG — a fingerprint of the seed the engine was built
+// on — and cell 1 panics on its first attempt, after traffic has flowed.
+func toyCells(seed int64) []int64 {
+	return supervisedMap(2, func(c *Cell) int64 {
+		eng, d := c.newScenario(seed, topology.Config{Rate: 1e6})
+		draw := eng.Rand().Int63()
+		f := TCPAlgo(0.5).Make(eng, d, 1)
+		eng.At(0, f.Sender.Start)
+		eng.RunUntil(2)
+		if c.Index() == 1 && c.Attempt() == 0 {
+			panic("toy: first attempt fails")
+		}
+		return draw
+	})
+}
+
+// TestNewExperimentIsOneRow is ROADMAP item 2's litmus for experiments:
+// one driver (toyCells) plus one row literal is listed, runnable and
+// supervised with telemetry, retry seeds and flight dumps — everything
+// the CLI, the facade and the root benchmark do with an experiment they
+// do by ranging over Experiments().
+func TestNewExperimentIsOneRow(t *testing.T) {
+	const base = 7
+	row := Experiment{"toy", "two supervised cells", func(_ bool, seed int64, _ MatrixConfig) (string, any) {
+		res := toyCells(seed)
+		return "toy\n", res
+	}}
+	saved := experiments
+	experiments = append(experiments[:len(experiments):len(experiments)], row)
+	t.Cleanup(func() { experiments = saved })
+
+	dir := t.TempDir()
+	withPolicy(t, CellPolicy{Retries: 1, FlightDir: dir})
+	sink := withSink(t)
+
+	// slowccsim -list prints Experiments(); -exp NAME and -exp all select
+	// from it, names compared case-insensitively.
+	var toy Experiment
+	for _, e := range Experiments() {
+		if strings.EqualFold("TOY", e.Name) {
+			toy = e
+		}
+	}
+	if toy.Desc != row.Desc {
+		t.Fatalf("the row appended to the table is not in Experiments(): %+v", Experiments())
+	}
+	_, data := toy.Run(false, base, MatrixConfig{})
+
+	draws := data.([]int64)
+	if want := sim.New(base).Rand().Int63(); draws[0] != want {
+		t.Errorf("cell 0 drew %d, want %d: attempt 0 must run on the base seed", draws[0], want)
+	}
+	if want := sim.New(deriveSeed(base, 1)).Rand().Int63(); draws[1] != want {
+		t.Errorf("cell 1 drew %d, want %d: its retry must run on deriveSeed(base, 1)", draws[1], want)
+	}
+	if errs := SweepErrors(); len(errs) != 0 {
+		t.Errorf("retry did not rescue cell 1: %v", errs)
+	}
+
+	sink.mu.Lock()
+	stats := sink.stats
+	sink.mu.Unlock()
+	if len(stats) != 2 {
+		t.Fatalf("sink got %d CellStats, want one per cell", len(stats))
+	}
+	for _, st := range stats {
+		if st.Events == 0 {
+			t.Errorf("cell %d: CellStats.Events = 0: the cell's engine was not harvested", st.Cell)
+		}
+	}
+
+	dump := filepath.Join(dir, "cell-1-attempt-0.dump")
+	if body, err := os.ReadFile(dump); err != nil || !strings.Contains(string(body), "toy: first attempt fails") {
+		t.Errorf("flight dump of the panicking attempt: %v\n%s", err, body)
+	}
+}
+
+func TestRosterInvariants(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Experiments() {
+		if e.Name == "" || e.Desc == "" || e.Run == nil {
+			t.Errorf("row %+v: empty name or description, or nil Run", e)
+		}
+		if seen[strings.ToLower(e.Name)] {
+			t.Errorf("row %q is listed twice (names are matched case-insensitively)", e.Name)
+		}
+		seen[strings.ToLower(e.Name)] = true
+	}
+	for _, name := range []string{"fig11", "fig20", "fig17"} {
+		for _, e := range Experiments() {
+			if e.Name != name {
+				continue
+			}
+			text, data := e.Run(false, 1, MatrixConfig{})
+			if text == "" {
+				t.Errorf("%s: empty text", name)
+			}
+			if _, err := json.Marshal(data); err != nil {
+				t.Errorf("%s: result does not marshal: %v", name, err)
+			}
+		}
+		if !seen[name] {
+			t.Errorf("%s is not on the roster", name)
+		}
+	}
+}
+
+// Every renderer must survive the result of a sweep that ran no cells
+// (an explicitly empty algorithm list reaches them from the facade).
+func TestRenderersAcceptEmptyResults(t *testing.T) {
+	renderers := map[string]func(){
+		"Fig3":          func() { RenderFig3(nil) },
+		"Fig45":         func() { RenderFig45(nil) },
+		"Fig6":          func() { RenderFig6(Fig6Config{}, nil) },
+		"Outage":        func() { RenderOutage(OutageConfig{}, nil) },
+		"Fairness":      func() { RenderFairness("", FairnessConfig{}, nil) },
+		"Convergence":   func() { RenderConvergence("", nil, 0) },
+		"Fig11":         func() { RenderFig11(0.1, 0.1, nil) },
+		"Fig13":         func() { RenderFig13(Fig13Config{}, nil) },
+		"Oscillation":   func() { RenderOscillation("", OscillationConfig{}, nil) },
+		"Smoothness":    func() { RenderSmoothness("", SmoothnessConfig{}, nil) },
+		"Fig20":         func() { RenderFig20(nil) },
+		"StaticCompat":  func() { RenderStaticCompat(StaticCompatConfig{}, nil) },
+		"RTTFairness":   func() { RenderRTTFairness(RTTFairnessConfig{}, nil) },
+		"QueueDynamics": func() { RenderQueueDynamics(QueueDynamicsConfig{}, nil) },
+		"Matrix":        func() { RenderMatrix(MatrixConfig{}, nil) },
+		"MatrixTSV":     func() { RenderMatrixTSV(nil) },
+		"MatrixHeatmap": func() { RenderMatrixHeatmap(nil, "ratio") },
+		"HeatmapSVG":    func() { RenderMatrixHeatmapSVG(nil, "ratio") },
+	}
+	for name, render := range renderers {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Errorf("Render%s panicked on an empty result: %v", name, v)
+				}
+			}()
+			render()
+		})
+	}
+	// The two facade calls that used to reach the panic.
+	RenderSmoothness("", SmoothnessConfig{Pattern: MildBurstyPattern}, RunSmoothness(SmoothnessConfig{Pattern: MildBurstyPattern}))
+	cfg := Fig6Config{Backgrounds: []AlgoSpec{}}
+	RenderFig6(cfg, Fig6(cfg))
+}

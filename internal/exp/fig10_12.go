@@ -72,8 +72,7 @@ func RunConvergence(cfg ConvergenceConfig) ConvergenceResult {
 		ok bool
 	}
 	trials := supervisedMap(len(cfg.Seeds), func(c *Cell) trial {
-		seed := c.Seed(cfg.Seeds[c.Index()])
-		eng, d := newScenario(c, seed, topology.Config{Rate: cfg.Rate, Seed: seed})
+		eng, d := c.newScenario(cfg.Seeds[c.Index()], topology.Config{Rate: cfg.Rate})
 		f1 := cfg.Algo.Make(eng, d, 1)
 		f2 := cfg.Algo.Make(eng, d, 2)
 		eng.At(0, f1.Sender.Start)
@@ -175,4 +174,24 @@ func RenderFig11(p, delta float64, pts []Fig11Point) string {
 		fmt.Fprintf(&b, "%10.4f %16.0f\n", pt.B, pt.ACKs)
 	}
 	return b.String()
+}
+
+// convergenceExperiment is the roster row of a convergence sweep: three
+// seeds to 256 within the default horizon, or one seed to 16 within
+// 200 s at reduced scale.
+func convergenceExperiment(title string, sweep func(ConvergenceConfig, int) []ConvergenceResult) runFunc {
+	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+		cfg, max := ConvergenceConfig{Seeds: []int64{seed, seed + 1, seed + 2}}, 256
+		if !full {
+			cfg, max = ConvergenceConfig{Horizon: 200, Seeds: []int64{seed}}, 16
+		}
+		res := sweep(cfg, max)
+		cfg.fill()
+		return RenderConvergence(title, res, cfg.Horizon), res
+	}
+}
+
+func fig11Experiment(bool, int64, MatrixConfig) (string, any) {
+	res := Fig11(0.1, 0.1, 256)
+	return RenderFig11(0.1, 0.1, res), res
 }

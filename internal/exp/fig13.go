@@ -25,9 +25,6 @@ type Fig13Config struct {
 	MaxGamma int
 	// Seed seeds each run.
 	Seed int64
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *Fig13Config) fill() {
@@ -82,15 +79,12 @@ func Fig13(cfg Fig13Config) []Fig13Point {
 	}
 	return supervisedMap(len(jobs), func(c *Cell) Fig13Point {
 		j := jobs[c.Index()]
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		return runFig13(cc, j.family, j.gamma, j.algo)
+		return runFig13(c, cfg, j.family, j.gamma, j.algo)
 	})
 }
 
-func runFig13(cfg Fig13Config, family string, gamma int, algo AlgoSpec) Fig13Point {
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
+func runFig13(c *Cell, cfg Fig13Config, family string, gamma int, algo AlgoSpec) Fig13Point {
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
 	rtt := d.PropRTT()
 
 	flows := algo.flows(d, 1, cfg.Flows)
@@ -146,4 +140,14 @@ func RenderFig13(cfg Fig13Config, pts []Fig13Point) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+func fig13Experiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := Fig13Config{Seed: seed}
+	if !full {
+		cfg.StopAt = 60
+		cfg.MaxGamma = 16
+	}
+	res := Fig13(cfg)
+	return RenderFig13(cfg, res), res
 }

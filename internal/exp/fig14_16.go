@@ -33,9 +33,6 @@ type OscillationConfig struct {
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
 	Seed int64
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *OscillationConfig) fill() {
@@ -97,15 +94,12 @@ func Oscillation(cfg OscillationConfig) []OscillationPoint {
 		}
 	}
 	return supervisedMap(len(jobs), func(c *Cell) OscillationPoint {
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		return runOscillation(cc, jobs[c.Index()].algo, jobs[c.Index()].period)
+		return runOscillation(c, cfg, jobs[c.Index()].algo, jobs[c.Index()].period)
 	})
 }
 
-func runOscillation(cfg OscillationConfig, algo AlgoSpec, period sim.Time) OscillationPoint {
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
+func runOscillation(c *Cell, cfg OscillationConfig, algo AlgoSpec, period sim.Time) OscillationPoint {
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
 	mon := metrics.NewLossMonitor(0.5)
 	mon.EnsureHorizon(cfg.Warmup + cfg.Measure)
 	d.Fwd[0].AddTap(mon.Tap())
@@ -169,4 +163,20 @@ func RenderOscillation(title string, cfg OscillationConfig, pts []OscillationPoi
 	writeTable(title+" (companion): bottleneck drop rate",
 		func(p OscillationPoint) float64 { return p.DropRate })
 	return b.String()
+}
+
+// oscillationExperiment is the roster row of an oscillation figure at
+// the given CBR peak (0: the 3:1 default); reduced scale sweeps four
+// periods with a 10 s warmup and a 60 s window.
+func oscillationExperiment(title string, cbrPeak float64) runFunc {
+	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+		cfg := OscillationConfig{CBRPeak: cbrPeak, Seed: seed}
+		if !full {
+			cfg.Periods = []sim.Time{0.1, 0.4, 1.6, 6.4}
+			cfg.Warmup = 10
+			cfg.Measure = 60
+		}
+		res := Oscillation(cfg)
+		return RenderOscillation(title, cfg, res), res
+	}
 }

@@ -84,15 +84,14 @@ func RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult {
 	cfg.fill()
 	var out []SmoothnessResult
 	for _, a := range cfg.Algos {
-		out = append(out, runSmoothnessOne(cfg, a))
+		out = append(out, runSmoothnessOne(nil, cfg, a))
 	}
 	return out
 }
 
-func runSmoothnessOne(cfg SmoothnessConfig, algo AlgoSpec) SmoothnessResult {
-	eng, d := newScenario(nil, cfg.Seed, topology.Config{
+func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessResult {
+	eng, d := c.newScenario(cfg.Seed, topology.Config{
 		Rate:        cfg.Rate,
-		Seed:        cfg.Seed,
 		ForwardLoss: cfg.Pattern(),
 	})
 	f := algo.Make(eng, d, 1)
@@ -140,7 +139,7 @@ func RenderSmoothness(title string, cfg SmoothnessConfig, res []SmoothnessResult
 	b.WriteByte('\n')
 	// Show a representative window after warmup.
 	from, to := cfg.Warmup, cfg.Warmup+15
-	for i := range res[0].SendTrace {
+	for i := 0; len(res) > 0 && i < len(res[0].SendTrace); i++ {
 		t := res[0].SendTrace[i].T
 		if t < from || t > to {
 			continue
@@ -193,5 +192,19 @@ func DefaultFig19() SmoothnessConfig {
 	return SmoothnessConfig{
 		Algos:   []AlgoSpec{IIADAlgo(0.5), SQRTAlgo(0.5)},
 		Pattern: MildBurstyPattern,
+	}
+}
+
+// smoothnessExperiment is the roster row of a smoothness figure: 120 s,
+// or 80 s at reduced scale.
+func smoothnessExperiment(title string, base SmoothnessConfig) runFunc {
+	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+		cfg := base
+		cfg.Seed = seed
+		if !full {
+			cfg.Duration = 80
+		}
+		res := RunSmoothness(cfg)
+		return RenderSmoothness(title, cfg, res), res
 	}
 }

@@ -80,3 +80,8 @@ func (p Fig20Point) MarshalJSON() ([]byte, error) {
 		AIMDTimeouts *float64 `json:"aimdTimeouts"`
 	}{p.P, opt(p.PureAIMD), opt(p.Reno), opt(p.AIMDTimeouts)})
 }
+
+func fig20Experiment(bool, int64, MatrixConfig) (string, any) {
+	res := Fig20(nil)
+	return RenderFig20(res), res
+}

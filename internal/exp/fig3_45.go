@@ -38,10 +38,6 @@ type StabilizationConfig struct {
 	// the determinism cross-check (pooled and unpooled runs must produce
 	// bit-identical metrics; see DESIGN.md §8), not for production use.
 	DisablePool bool
-
-	// cell is the supervised-sweep context, set by sweep drivers so a
-	// panicking run leaves a flight-recorder dump behind.
-	cell *Cell
 }
 
 func (c *StabilizationConfig) fill() {
@@ -87,8 +83,12 @@ type TimePoint struct {
 
 // RunStabilization runs the Figure 3/4/5 scenario for one algorithm.
 func RunStabilization(cfg StabilizationConfig) StabilizationResult {
+	return runStabilization(nil, cfg)
+}
+
+func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 	cfg.fill()
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})
 	rtt := d.PropRTT()
 
 	mon := metrics.NewLossMonitor(10 * rtt) // paper: average over ten RTTs
@@ -155,9 +155,7 @@ func Fig3(cfg Fig3Config) []StabilizationResult {
 	return supervisedMap(len(cfg.Algos), func(c *Cell) StabilizationResult {
 		sc := cfg.Scenario
 		sc.Algo = cfg.Algos[c.Index()]
-		sc.Seed = c.Seed(sc.Seed)
-		sc.cell = c
-		return RunStabilization(sc)
+		return runStabilization(c, sc)
 	})
 }
 
@@ -234,9 +232,7 @@ func Fig45(cfg Fig45Config) []Fig45Point {
 		j := jobs[c.Index()]
 		sc := cfg.Scenario
 		sc.Algo = j.mk(j.gamma)
-		sc.Seed = c.Seed(sc.Seed)
-		sc.cell = c
-		return Fig45Point{Family: j.family, Gamma: j.gamma, Result: RunStabilization(sc)}
+		return Fig45Point{Family: j.family, Gamma: j.gamma, Result: runStabilization(c, sc)}
 	})
 }
 
@@ -290,4 +286,38 @@ func fig45Axes(points []Fig45Point) (fams []string, gammas []int) {
 		}
 	}
 	return
+}
+
+// stabScenario is the shared Figure 3/4/5 scenario: the paper's
+// 150/180/400 s timeline, or 50/60/120 s at reduced scale.
+func stabScenario(full bool, seed int64) StabilizationConfig {
+	if full {
+		return StabilizationConfig{Seed: seed}
+	}
+	return StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: seed}
+}
+
+func fig3Experiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := DefaultFig3()
+	cfg.Scenario = stabScenario(full, seed)
+	res := Fig3(cfg)
+	return RenderFig3(res), res
+}
+
+// fig45Experiment is the gamma sweep to 256, or to 16 at reduced scale,
+// over a RED bottleneck or, as the ablation, a tail-drop one.
+func fig45Experiment(dropTail bool) runFunc {
+	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+		cfg := Fig45Config{Scenario: stabScenario(full, seed), MaxGamma: 256}
+		cfg.Scenario.DropTail = dropTail
+		if !full {
+			cfg.MaxGamma = 16
+		}
+		res := Fig45(cfg)
+		text := RenderFig45(res)
+		if dropTail {
+			text = "Ablation: DropTail bottleneck (paper reports self-clocking helps here too)\n" + text
+		}
+		return text, res
+	}
 }

@@ -34,9 +34,6 @@ type Fig6Config struct {
 	BinWidth sim.Time
 	// Seed seeds the run.
 	Seed int64
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *Fig6Config) fill() {
@@ -94,10 +91,7 @@ type Fig6Result struct {
 func Fig6(cfg Fig6Config) []Fig6Result {
 	cfg.fill()
 	return supervisedMap(len(cfg.Backgrounds), func(c *Cell) Fig6Result {
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		return runCrowd(cc, cfg.Backgrounds[c.Index()], nil, nil)
+		return runCrowd(c, cfg, cfg.Backgrounds[c.Index()], nil, nil)
 	})
 }
 
@@ -108,8 +102,8 @@ func Fig6(cfg Fig6Config) []Fig6Result {
 // arm, when non-nil, is called with the wired scenario just before the
 // engine starts, so events it schedules follow the scenario's own in
 // sequence order.
-func runCrowd(cfg Fig6Config, bg AlgoSpec, fc *faults.Config, arm func(*sim.Engine, *topology.Net)) Fig6Result {
-	eng, d := buildScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed}, nil, fc, 0)
+func runCrowd(c *Cell, cfg Fig6Config, bg AlgoSpec, fc *faults.Config, arm func(*sim.Engine, *topology.Net)) Fig6Result {
+	eng, d := c.buildScenario(cfg.Seed, topology.Config{Rate: cfg.Rate}, nil, fc, 0)
 
 	flows := bg.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
@@ -155,7 +149,7 @@ func writeCrowdTimelines(b *strings.Builder, from, to sim.Time, res []Fig6Result
 		fmt.Fprintf(b, " %14s %14s", r.Background+"/bg", "crowd")
 	}
 	b.WriteByte('\n')
-	for i := range res[0].BackgroundRate {
+	for i := 0; len(res) > 0 && i < len(res[0].BackgroundRate); i++ {
 		t := res[0].BackgroundRate[i].T
 		if t < from || t > to {
 			continue
@@ -185,4 +179,15 @@ func RenderFig6(cfg Fig6Config, res []Fig6Result) string {
 			r.Background, r.CrowdCompleted, float64(r.CrowdBytes)/1e6, r.CrowdMeanCompletion)
 	}
 	return b.String()
+}
+
+func fig6Experiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := Fig6Config{Seed: seed}
+	if !full {
+		cfg.CrowdStart = 15
+		cfg.End = 40
+		cfg.Flows = 6
+	}
+	res := Fig6(cfg)
+	return RenderFig6(cfg, res), res
 }

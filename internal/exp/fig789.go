@@ -45,9 +45,6 @@ type FairnessConfig struct {
 	// It exists for the determinism cross-check (pooled and unpooled
 	// runs must produce bit-identical metrics; see DESIGN.md §8).
 	DisablePool bool
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *FairnessConfig) fill() {
@@ -110,9 +107,8 @@ func Fairness(cfg FairnessConfig) []FairnessPoint {
 	cells := supervisedMap(len(jobs), func(sc *Cell) FairnessPoint {
 		j := jobs[sc.Index()]
 		c := cfg
-		c.Seed = sc.Seed(seeds[j.sIdx])
-		c.cell = sc
-		return runFairness(c, cfg.Periods[j.pIdx])
+		c.Seed = seeds[j.sIdx]
+		return runFairness(sc, c, cfg.Periods[j.pIdx])
 	})
 	out := make([]FairnessPoint, len(cfg.Periods))
 	for pi := range cfg.Periods {
@@ -150,8 +146,8 @@ func mergeFairness(trials []FairnessPoint) FairnessPoint {
 	return merged
 }
 
-func runFairness(cfg FairnessConfig, period sim.Time) FairnessPoint {
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed, ECN: cfg.ECN, DisablePool: cfg.DisablePool})
+func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, ECN: cfg.ECN, DisablePool: cfg.DisablePool})
 
 	n := cfg.AFlows + cfg.BFlows
 	flows := append(cfg.A.flows(d, 1, cfg.AFlows), cfg.B.flows(d, cfg.AFlows+1, cfg.BFlows)...)
@@ -264,4 +260,38 @@ func DefaultFig8() FairnessConfig {
 // DefaultFig9 returns the paper's TCP-vs-SQRT(1/2) configuration.
 func DefaultFig9() FairnessConfig {
 	return FairnessConfig{A: TCPAlgo(0.5), B: SQRTAlgo(0.5)}
+}
+
+// fairnessAtScale runs base at the paper's scale or, reduced, over four
+// periods with a 15 s warmup and a 60 s window.
+func fairnessAtScale(title string, base FairnessConfig, full bool, seed int64) (string, []FairnessPoint) {
+	base.Seed = seed
+	if !full {
+		base.Periods = []sim.Time{0.2, 1, 4, 16}
+		base.Warmup = 15
+		base.Measure = 60
+	}
+	res := Fairness(base)
+	return RenderFairness(title, base, res), res
+}
+
+// fairnessExperiment is the roster row of one fairness figure; head is
+// printed above its table.
+func fairnessExperiment(head, title string, base FairnessConfig) runFunc {
+	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+		text, res := fairnessAtScale(title, base, full, seed)
+		return head + text, res
+	}
+}
+
+// tearExperiment puts TEAR through the stabilization scenario and then
+// against TCP under oscillation.
+func tearExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	sc := stabScenario(full, seed)
+	sc.Algo = TEARAlgo(0)
+	r := RunStabilization(sc)
+	head := fmt.Sprintf("Ablation: TEAR stabilization — steady %.2f%%, time %.0f RTTs, cost %.2f\n\n",
+		r.Steady*100, r.Stab.TimeRTTs, r.Stab.Cost)
+	text, res := fairnessAtScale("TCP vs TEAR under oscillation", FairnessConfig{A: TCPAlgo(0.5), B: TEARAlgo(0)}, full, seed)
+	return head + text, map[string]any{"stabilization": r, "fairness": res}
 }

@@ -20,7 +20,7 @@ func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 	prev := EnableFlightDump(dir)
 	defer EnableFlightDump(prev)
 
-	eng, d := newScenario(nil, 1, topology.Config{Rate: 10e6, Seed: 1})
+	eng, d := noCell.newScenario(1, topology.Config{Rate: 10e6})
 	a := d.Cfg.Audit
 	if a == nil {
 		t.Fatal("audit mode off: TestMain should have enabled it")
@@ -65,7 +65,7 @@ func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 func TestFlightDumpOffByDefault(t *testing.T) {
 	prev := EnableFlightDump("")
 	defer EnableFlightDump(prev)
-	_, d := newScenario(nil, 1, topology.Config{Rate: 10e6, Seed: 1})
+	_, d := noCell.newScenario(1, topology.Config{Rate: 10e6})
 	a := d.Cfg.Audit
 	if a == nil {
 		t.Fatal("audit mode off: TestMain should have enabled it")
@@ -82,7 +82,7 @@ func TestAuditedScenariosAreCollectable(t *testing.T) {
 	const n = 8
 	var freed atomic.Int32
 	for i := 0; i < n; i++ {
-		eng, d := newScenario(nil, int64(i+1), topology.Config{Rate: 10e6, Seed: int64(i + 1)})
+		eng, d := noCell.newScenario(int64(i+1), topology.Config{Rate: 10e6})
 		if d.Cfg.Audit == nil {
 			t.Fatal("audit mode off: TestMain should have enabled it")
 		}

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// noCell is the cell of a scenario a test builds outside any supervised
+// sweep: Cell's constructors are nil-safe.
+var noCell *Cell
+
 // TestMain runs the entire exp package — the scaled-down figure suite,
 // the conservation tests, and the soak — with the invariant auditing
 // layer enabled, so every scenario a driver constructs is checked for

@@ -77,9 +77,6 @@ type MatrixConfig struct {
 	Seed int64
 	// DisablePool turns off packet pooling (determinism cross-check).
 	DisablePool bool
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 // DefaultMatrixAlgos is the paper's cast: TCP, the equation-based and
@@ -200,9 +197,7 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 		}
 	}, func(sc *Cell) MatrixCell {
 		j := jobs[sc.Index()]
-		c := cfg
-		c.cell = sc
-		return runMatrixCell(c, j.topo, j.cond, j.a, j.b)
+		return runMatrixCell(sc, cfg, j.topo, j.cond, j.a, j.b)
 	})
 	for i := range cells {
 		if cells[i].Topology == "" { // zero value: every attempt died
@@ -246,15 +241,13 @@ func matrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) string {
 	return m.ComputeDigest()
 }
 
-func runMatrixCell(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCell {
-	seed := cfg.cell.Seed(cfg.Seed)
-
+func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCell {
 	// The condition axis owns fault wiring: a zero (disabled) config
 	// overrides any globally-installed -fault configuration, so static
 	// and oscillating cells stay fault-free no matter the CLI state.
 	fc := &faults.Config{}
 	if cond == CondFaulted {
-		fc = &faults.Config{Seed: seed, Windows: []faults.Window{
+		fc = &faults.Config{Windows: []faults.Window{
 			{At: cfg.Warmup + cfg.Measure/3, Dur: cfg.OutageDur},
 		}}
 	}
@@ -265,13 +258,13 @@ func runMatrixCell(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCel
 	var chain *topology.NetConfig
 	if topo == TopoParkingLot {
 		hops = cfg.Hops
-		chain = &topology.NetConfig{Hops: make([]topology.Hop, hops), Seed: seed, DisablePool: cfg.DisablePool}
+		chain = &topology.NetConfig{Hops: make([]topology.Hop, hops), DisablePool: cfg.DisablePool}
 		for i := range chain.Hops {
 			chain.Hops[i].Rate = cfg.Rate
 		}
 	}
-	eng, d := buildScenario(cfg.cell, seed,
-		topology.Config{Rate: cfg.Rate, Seed: seed, DisablePool: cfg.DisablePool}, chain, fc, hops/2)
+	eng, d := c.buildScenario(cfg.Seed,
+		topology.Config{Rate: cfg.Rate, DisablePool: cfg.DisablePool}, chain, fc, hops/2)
 	bottleneck := d.Fwd[0]
 	// Cross traffic: one CBR flow per interior node, each spanning
 	// exactly one hop, so interior bottlenecks see load the first
@@ -406,4 +399,20 @@ func RenderMatrix(cfg MatrixConfig, cells []MatrixCell) string {
 		}
 	}
 	return sb.String()
+}
+
+// matrixExperiment runs the matrix over cfg — whatever of the
+// algorithms, topologies and hop count the invocation overrode
+// (slowccsim -matrix, -topology) — and prints the grids followed by the
+// TSV artifact. Reduced scale measures 12 s after a 3 s warmup under a
+// 1 s oscillation.
+func matrixExperiment(full bool, seed int64, cfg MatrixConfig) (string, any) {
+	cfg.Seed = seed
+	if !full {
+		cfg.Warmup = 3
+		cfg.Measure = 12
+		cfg.Period = 1
+	}
+	cells := Matrix(cfg)
+	return RenderMatrix(cfg, cells) + "\n" + RenderMatrixTSV(cells), cells
 }

@@ -49,9 +49,6 @@ type OutageConfig struct {
 	BinWidth sim.Time
 	// Seed seeds each run; the outage injector shares it.
 	Seed int64
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *OutageConfig) fill() {
@@ -126,30 +123,26 @@ type OutageResult struct {
 func Outage(cfg OutageConfig) []OutageResult {
 	cfg.fill()
 	return supervisedMap(len(cfg.Backgrounds), func(c *Cell) OutageResult {
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		return runOutage(cc, cfg.Backgrounds[c.Index()])
+		return runOutage(c, cfg, cfg.Backgrounds[c.Index()])
 	})
 }
 
-func runOutage(cfg OutageConfig, bg AlgoSpec) OutageResult {
+func runOutage(c *Cell, cfg OutageConfig, bg AlgoSpec) OutageResult {
 	policy := netem.DownQueue
 	if cfg.Drop {
 		policy = netem.DownDrop
 	}
 	fc := faults.Config{
-		Seed:    cfg.Seed,
 		Windows: []faults.Window{{At: cfg.OutageAt, Dur: cfg.OutageDur}},
 		Policy:  policy,
 	}
 	var d *topology.Net
 	var dropsBefore, dropsAfter int64
-	crowd := runCrowd(Fig6Config{
+	crowd := runCrowd(c, Fig6Config{
 		Flows: cfg.Flows, Rate: cfg.Rate,
 		CrowdStart: cfg.CrowdStart, CrowdDuration: cfg.CrowdDuration,
 		CrowdRate: cfg.CrowdRate, CrowdPkts: cfg.CrowdPkts,
-		End: cfg.End, BinWidth: cfg.BinWidth, Seed: cfg.Seed, cell: cfg.cell,
+		End: cfg.End, BinWidth: cfg.BinWidth, Seed: cfg.Seed,
 	}, bg, &fc, func(eng *sim.Engine, n *topology.Net) {
 		d = n
 		// Snapshot total drops around the blackout so OutageDrops isolates
@@ -215,4 +208,16 @@ func RenderOutage(cfg OutageConfig, res []OutageResult) string {
 			r.Background, cfg.RecoverFrac*100, rec, r.OutageDrops, r.CrowdCompleted, r.CrowdMeanCompletion)
 	}
 	return b.String()
+}
+
+func outageExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := OutageConfig{Seed: seed}
+	if !full {
+		cfg.OutageAt = 15
+		cfg.OutageDur = 3
+		cfg.End = 45
+		cfg.Flows = 6
+	}
+	res := Outage(cfg)
+	return RenderOutage(cfg, res), res
 }

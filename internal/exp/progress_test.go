@@ -157,7 +157,7 @@ func TestSweepProgressReportsBudgetHalt(t *testing.T) {
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
 	defer SetRunBudget(prev)
 	_, rerr := Supervise(0, func(c *Cell) int {
-		eng, _ := newScenario(c, 1, topology.Config{Rate: 1e6, Seed: 1})
+		eng, _ := c.newScenario(1, topology.Config{Rate: 1e6})
 		var fn func(any)
 		fn = func(any) { eng.AfterFunc(1e-3, fn, nil) }
 		eng.AfterFunc(1e-3, fn, nil)

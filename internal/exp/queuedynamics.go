@@ -30,9 +30,6 @@ type QueueDynamicsConfig struct {
 	DropTail bool
 	// Seed seeds each run.
 	Seed int64
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *QueueDynamicsConfig) fill() {
@@ -81,15 +78,12 @@ type QueueDynamicsResult struct {
 func QueueDynamics(cfg QueueDynamicsConfig) []QueueDynamicsResult {
 	cfg.fill()
 	return supervisedMap(len(cfg.Algos), func(c *Cell) QueueDynamicsResult {
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		return runQueueDynamics(cc, cfg.Algos[c.Index()])
+		return runQueueDynamics(c, cfg, cfg.Algos[c.Index()])
 	})
 }
 
-func runQueueDynamics(cfg QueueDynamicsConfig, algo AlgoSpec) QueueDynamicsResult {
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed, DropTail: cfg.DropTail})
+func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDynamicsResult {
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, DropTail: cfg.DropTail})
 	lossMon := metrics.NewLossMonitor(0.5)
 	lossMon.EnsureHorizon(cfg.Warmup + cfg.Measure)
 	d.Fwd[0].AddTap(lossMon.Tap())
@@ -129,4 +123,20 @@ func RenderQueueDynamics(cfg QueueDynamicsConfig, res []QueueDynamicsResult) str
 			r.Algo, r.Queue.Mean, r.Queue.P90, r.Queue.Max, r.CoV, r.DropRate, r.Utilization)
 	}
 	return b.String()
+}
+
+// queueDynamicsExperiment runs the comparison on a RED and then on a
+// tail-drop bottleneck.
+func queueDynamicsExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := QueueDynamicsConfig{Seed: seed}
+	if !full {
+		cfg.Warmup = 15
+		cfg.Measure = 60
+	}
+	res := QueueDynamics(cfg)
+	cfgDT := cfg
+	cfgDT.DropTail = true
+	resDT := QueueDynamics(cfgDT)
+	return RenderQueueDynamics(cfg, res) + "\n" + RenderQueueDynamics(cfgDT, resDT),
+		map[string]any{"red": res, "droptail": resDT}
 }

@@ -57,14 +57,14 @@ type RTTFairnessResult struct {
 // RTTFairness runs the scenario for TCP(1/2) and TFRC(8).
 func RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
 	cfg.fill()
-	return []RTTFairnessResult{runRTTFairness(cfg, "tcp", 0.5), runRTTFairness(cfg, "tfrc", 8)}
+	return []RTTFairnessResult{runRTTFairness(nil, cfg, "tcp", 0.5), runRTTFairness(nil, cfg, "tfrc", 8)}
 }
 
 // runRTTFairness runs two flows of roster row key at arg, one behind
 // each access delay.
-func runRTTFairness(cfg RTTFairnessConfig, key string, arg float64) RTTFairnessResult {
+func runRTTFairness(c *Cell, cfg RTTFairnessConfig, key string, arg float64) RTTFairnessResult {
 	r, _ := row(key)
-	eng, d := newScenario(nil, cfg.Seed, topology.Config{Rate: cfg.Rate, Seed: cfg.Seed})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
 	short := r.wire(eng, d, 1, arg, topology.Span{Access: cfg.ShortAccess})
 	long := r.wire(eng, d, 2, arg, topology.Span{Access: cfg.LongAccess})
 	eng.At(0, short.Sender.Start)
@@ -94,4 +94,14 @@ func RenderRTTFairness(cfg RTTFairnessConfig, res []RTTFairnessResult) string {
 		fmt.Fprintf(&b, "%-10s %12.3f %12.3f %12.2f\n", r.Algo, r.ShortMbps, r.LongMbps, r.Advantage)
 	}
 	return b.String()
+}
+
+func rttFairnessExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := RTTFairnessConfig{Seed: seed}
+	if !full {
+		cfg.Warmup = 15
+		cfg.Measure = 60
+	}
+	res := RTTFairness(cfg)
+	return RenderRTTFairness(cfg, res), res
 }

@@ -18,7 +18,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	eng, d := newScenario(nil, 99, topology.Config{Rate: 10e6, Seed: 99})
+	eng, d := noCell.newScenario(99, topology.Config{Rate: 10e6})
 	mon := metrics.NewLossMonitor(1)
 	d.Fwd[0].AddTap(mon.Tap())
 

@@ -29,9 +29,6 @@ type StaticCompatConfig struct {
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
 	Seed int64
-
-	// cell is the supervised-sweep context (see supervise.go).
-	cell *Cell
 }
 
 func (c *StaticCompatConfig) fill() {
@@ -81,10 +78,7 @@ func StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 	cfg.fill()
 	// TCP(1/2) baselines, one per loss rate.
 	baselines := supervisedMap(len(cfg.DropEveryNth), func(c *Cell) float64 {
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		return staticRun(cc, TCPAlgo(0.5), cfg.DropEveryNth[c.Index()])
+		return staticRun(c, cfg, TCPAlgo(0.5), cfg.DropEveryNth[c.Index()])
 	})
 	type job struct {
 		nIdx, aIdx int
@@ -102,10 +96,7 @@ func StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 		p := 1 / float64(n)
 		tcpRate := baselines[j.nIdx]
 		model := tcpmodel.SimpleRate(p, 0.05, 1000) * 8
-		cc := cfg
-		cc.Seed = c.Seed(cc.Seed)
-		cc.cell = c
-		rate := staticRun(cc, a, n)
+		rate := staticRun(c, cfg, a, n)
 		pt := StaticCompatPoint{
 			Algo:    a.Name,
 			P:       p,
@@ -124,10 +115,9 @@ func StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 
 // staticRun measures one flow's post-warmup throughput in bits/s under
 // a drop-every-nth pattern.
-func staticRun(cfg StaticCompatConfig, algo AlgoSpec, n int) float64 {
-	eng, d := newScenario(cfg.cell, cfg.Seed, topology.Config{
+func staticRun(c *Cell, cfg StaticCompatConfig, algo AlgoSpec, n int) float64 {
+	eng, d := c.newScenario(cfg.Seed, topology.Config{
 		Rate:        cfg.Rate,
-		Seed:        cfg.Seed,
 		ForwardLoss: &netem.CountPattern{Intervals: []int{n - 1}},
 	})
 	f := algo.Make(eng, d, 1)
@@ -149,4 +139,14 @@ func RenderStaticCompat(cfg StaticCompatConfig, pts []StaticCompatPoint) string 
 			p.Algo, p.P, p.Mbps, p.TCPMbps, p.VsTCP, p.VsModel)
 	}
 	return b.String()
+}
+
+func staticCompatExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+	cfg := StaticCompatConfig{Seed: seed}
+	if !full {
+		cfg.Warmup = 20
+		cfg.Measure = 60
+	}
+	res := StaticCompat(cfg)
+	return RenderStaticCompat(cfg, res), res
 }

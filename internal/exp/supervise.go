@@ -143,9 +143,11 @@ func (e *RunError) Error() string {
 	return s
 }
 
-// Cell is the per-attempt context a supervised job runs under. Drivers
-// thread it into newScenario (via their config structs) so the
-// supervisor can attach a flight-recorder dump to a panic.
+// Cell is the per-attempt context a supervised job runs under, and what
+// hands the job its scenario: newScenario and buildScenario (audit.go)
+// are methods on it, so the attempt's seed, the flight recorder the
+// supervisor dumps on a panic and the telemetry it harvests on success
+// all come with the engine rather than being threaded in by the driver.
 type Cell struct {
 	index   int
 	attempt int

@@ -31,7 +31,7 @@ func withPolicy(t *testing.T, p CellPolicy) {
 // traffic through the bottleneck that the cell's flight recorder has
 // events to dump.
 func runCellScenario(c *Cell, seed int64) {
-	eng, d := newScenario(c, seed, topology.Config{Rate: 1e6, Seed: seed})
+	eng, d := c.newScenario(seed, topology.Config{Rate: 1e6})
 	f := TCPAlgo(0.5).Make(eng, d, 1)
 	eng.At(0, f.Sender.Start)
 	eng.RunUntil(2)

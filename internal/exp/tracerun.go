@@ -99,7 +99,8 @@ func NewTraceRun(cfg TraceRunConfig) *TraceRun {
 			panic(fmt.Sprintf("exp: TraceRunConfig.FaultSpec: %v", err))
 		}
 	}
-	eng, d := buildScenario(nil, cfg.Seed, topology.Config{Rate: cfg.Rate, ECN: cfg.ECN, Seed: cfg.Seed}, nil, &fc, 0)
+	var c *Cell // a traced run is no sweep's cell
+	eng, d := c.buildScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, ECN: cfg.ECN}, nil, &fc, 0)
 
 	r := &TraceRun{
 		Cfg:      cfg,
