@@ -10,8 +10,8 @@ GO ?= go
 # scaled-down figure suite, so packet-accounting regressions fail here
 # even when no figure-level assertion notices them; -race additionally
 # exercises parallelMapIndexed's worker pool. The run-and-check smokes
-# over the three binaries (report, matrix, timeline, exit codes,
-# profiles) are cmd/smoke_test.go, so `race` runs them too.
+# over the three binaries (report, matrix, warm resume, timeline, exit
+# codes, profiles) are cmd/smoke_test.go, so `race` runs them too.
 ci: fmt vet build race bench-smoke queue-smoke export-smoke resume-smoke fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
@@ -118,14 +118,16 @@ resume-smoke:
 	cmp .resume-smoke/full.tsv .resume-smoke/resumed.tsv
 	rm -rf .resume-smoke
 
-# fuzz-smoke gives each parser fuzz target a few seconds of coverage-
-# guided input on every ci run — long enough to re-find shallow
-# regressions (the TimedPattern fast-forward hang was one), short enough
-# not to dominate the gate. Longer campaigns: raise -fuzztime by hand.
+# fuzz-smoke gives each parser fuzz target, and the result store's two
+# on-disk readers, a few seconds of coverage-guided input on every ci
+# run — long enough to re-find shallow regressions (the TimedPattern
+# fast-forward hang was one), short enough not to dominate the gate.
+# Longer campaigns: raise -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePattern -fuzztime=3s ./internal/netem
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=3s ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=3s ./internal/exp
+	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=3s ./internal/store
 
 # queue-smoke runs the calendar-vs-heap differential suite: the
 # randomized mixed-op oracle test in internal/sim plus the macro-stream

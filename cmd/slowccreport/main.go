@@ -178,8 +178,10 @@ func reportStore(dir string) {
 	for _, e := range entries {
 		status := "ok"
 		events := uint64(0)
-		if e.Stats != nil {
-			events = e.Stats.Events
+		if cs, err := e.CellStats(); err != nil {
+			status = "telemetry undecodable"
+		} else if cs != nil {
+			events = cs.Events
 		}
 		if e.Degraded {
 			degraded++

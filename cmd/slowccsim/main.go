@@ -346,11 +346,9 @@ func run() int {
 		fmt.Printf("manifest written to %s\n", *manifest)
 	}
 	if cellStore != nil {
-		// Compact the journal into a snapshot and surface the cache's
-		// work; the summary line is what resume smokes grep for.
-		if err := cellStore.Checkpoint(); err != nil {
-			fmt.Fprintf(os.Stderr, "store checkpoint: %v\n", err)
-		}
+		// Surface the cache's work (the summary line is what resume
+		// smokes grep for); Close compacts the journal into the snapshot
+		// when the run added anything to it.
 		fmt.Fprintf(os.Stderr, "store %s: %d entries, %d hits, %d misses, %d corrupt\n",
 			cellStore.Dir(), cellStore.Len(), cellStore.Hits(), cellStore.Misses(), cellStore.Corrupt())
 		if stopped := exp.StoppedCells(); stopped > 0 {

@@ -100,6 +100,53 @@ func TestMatrixSmoke(t *testing.T) {
 	nonEmpty(t, filepath.Join(dir, "run.json"))
 }
 
+// The result store's read side: a matrix recorded into a store, then
+// resumed twice. Every resume must reproduce the TSV from hits alone,
+// and the second — which finds a compacted store and adds nothing —
+// must leave the store's files exactly as it found them.
+func TestResumeSmoke(t *testing.T) {
+	dir := t.TempDir()
+	matrix := func(tsv string, extra ...string) (tsvBytes []byte, stderr string) {
+		args := append([]string{"-exp", "matrix", "-matrix", "tcp:0.5,cbr:3e6", "-store", "d", "-tsv", tsv}, extra...)
+		code, _, stderr := run(t, dir, "slowccsim", args...)
+		if code != 0 {
+			t.Fatalf("slowccsim %v: exit %d\n%s", args, code, stderr)
+		}
+		return nonEmpty(t, filepath.Join(dir, tsv)), stderr
+	}
+	cold, _ := matrix("a.tsv")
+	cells, err := exp.ParseMatrixTSV(bytes.NewReader(cold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	summary := fmt.Sprintf("store d: %d entries, %d hits, 0 misses, 0 corrupt\n", len(cells), len(cells))
+
+	snapPath, journalPath := filepath.Join(dir, "d", "snapshot.json"), filepath.Join(dir, "d", "journal.bin")
+	var before []byte
+	var beforeInfo os.FileInfo
+	for _, tsv := range []string{"b.tsv", "c.tsv"} {
+		warm, stderr := matrix(tsv, "-resume")
+		if !bytes.Equal(warm, cold) {
+			t.Fatalf("%s differs from the cold run's a.tsv", tsv)
+		}
+		if !strings.Contains(stderr, summary) {
+			t.Fatalf("%s: stderr %q, want the summary %q", tsv, stderr, summary)
+		}
+		snap := nonEmpty(t, snapPath)
+		info, err := os.Stat(snapPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before != nil && (!bytes.Equal(snap, before) || !info.ModTime().Equal(beforeInfo.ModTime())) {
+			t.Fatalf("a fully warm resume rewrote snapshot.json (mtime %v -> %v)", beforeInfo.ModTime(), info.ModTime())
+		}
+		before, beforeInfo = snap, info
+		if j, err := os.Stat(journalPath); err != nil || j.Size() != 0 {
+			t.Fatalf("journal.bin after %s: %v, %v; want it empty", tsv, j, err)
+		}
+	}
+}
+
 // The latency-attribution pipeline: a journey-enabled slowcctrace run
 // writes a trace-event timeline and a histogram-carrying manifest, a
 // supervised matrix sweep writes its per-cell telemetry timeline, and

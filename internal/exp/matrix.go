@@ -171,13 +171,15 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 	type job struct {
 		topo, cond string
 		a, b       AlgoSpec
+		key        string
 	}
 	var jobs []job
+	key := matrixCellKeyer(cfg)
 	for _, t := range cfg.Topologies {
 		for _, cond := range cfg.Conditions {
 			for _, a := range cfg.Algos {
 				for _, b := range cfg.Algos {
-					jobs = append(jobs, job{t, cond, a, b})
+					jobs = append(jobs, job{t, cond, a, b, key(t, cond, a, b)})
 				}
 			}
 		}
@@ -192,7 +194,7 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 	cells := supervisedMapMeta(len(jobs), func(i int) cellMeta {
 		j := jobs[i]
 		return cellMeta{
-			key:  matrixCellKey(cfg, j.topo, j.cond, j.a, j.b),
+			key:  j.key,
 			kind: j.a.Name + "|" + j.b.Name,
 		}
 	}, func(sc *Cell) MatrixCell {
@@ -209,22 +211,21 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 	return cells
 }
 
-// matrixCellKey builds the cell's durable identity: the sha256 digest
-// of a slowcc-manifest/1 record over every configuration knob that
-// shapes the cell's run. Two invocations that would compute the same
-// cell — same pair, condition, topology, rates, timeline, seed —
-// produce the same key, so the result store can serve one's work to
-// the other; any knob change changes the key and forces a recompute.
-func matrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) string {
+// matrixCellKeyer returns the function that builds a cell's durable
+// identity: the sha256 digest of a slowcc-manifest/1 record over every
+// configuration knob that shapes the cell's run. Two invocations that
+// would compute the same cell — same pair, condition, topology, rates,
+// timeline, seed — produce the same key, so the result store can serve
+// one's work to the other; any knob change changes the key and forces
+// a recompute. The run-constant knobs are formatted once, here; the
+// returned function sets the four per-cell ones on the shared manifest
+// and so must not be called concurrently.
+func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) string {
 	m := obs.NewManifest("slowccsim.matrix-cell", cfg.Seed)
 	m.DurationS = float64(cfg.Warmup + cfg.Measure)
-	m.Algos = []string{a.Name, b.Name}
+	m.Algos = make([]string, 2)
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	m.Config = map[string]string{
-		"topology":       topo,
-		"condition":      cond,
-		"algo_a":         a.Name,
-		"algo_b":         b.Name,
 		"hops":           strconv.Itoa(cfg.Hops),
 		"rate":           g(cfg.Rate),
 		"flows_per_side": strconv.Itoa(cfg.FlowsPerSide),
@@ -238,7 +239,12 @@ func matrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) string {
 		"smooth_bin":     g(float64(cfg.SmoothBin)),
 		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
 	}
-	return m.ComputeDigest()
+	return func(topo, cond string, a, b AlgoSpec) string {
+		m.Algos[0], m.Algos[1] = a.Name, b.Name
+		m.Config["topology"], m.Config["condition"] = topo, cond
+		m.Config["algo_a"], m.Config["algo_b"] = a.Name, b.Name
+		return m.ComputeDigest()
+	}
 }
 
 func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCell {

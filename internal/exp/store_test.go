@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"encoding/json"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -57,8 +59,8 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 		if e.Degraded || len(e.Result) == 0 {
 			t.Fatalf("stored cell %s: degraded=%v result=%d bytes", e.Key, e.Degraded, len(e.Result))
 		}
-		if e.Stats == nil || e.Stats.Events == 0 {
-			t.Fatalf("stored cell %s has no telemetry snapshot", e.Key)
+		if cs, err := e.CellStats(); err != nil || cs == nil || cs.Events == 0 {
+			t.Fatalf("stored cell %s has no telemetry snapshot (%v)", e.Key, err)
 		}
 	}
 
@@ -139,6 +141,142 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 		if cs.Events == 0 || len(cs.Counters) == 0 || cs.Digest == 0 {
 			t.Fatalf("replayed stats lost telemetry: %+v", cs)
 		}
+	}
+}
+
+// A hit's telemetry is only known to be well-formed JSON. With no sink
+// nobody reads it and the hit stands; with a sink attached it must
+// decode before the hit is accepted, or the cell is counted corrupt and
+// recomputed — the stale-result rule, applied to telemetry.
+func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix sweeps in -short mode")
+	}
+	withPolicy(t, CellPolicy{Retries: 1})
+	st := withStore(t, false)
+	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
+
+	bad, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	for _, e := range st.Entries() {
+		e := *e
+		e.Stats = json.RawMessage(`{"Counters":"not a map"}`)
+		if err := bad.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	SetSweepStore(bad, true)
+	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+		t.Fatalf("sinkless replay TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
+	}
+	if bad.Hits() != 4 || bad.Misses() != 0 || bad.Corrupt() != 0 {
+		t.Fatalf("no sink: hits=%d misses=%d corrupt=%d, want 4, 0, 0 (telemetry unread)",
+			bad.Hits(), bad.Misses(), bad.Corrupt())
+	}
+
+	sink := withSink(t)
+	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+		t.Fatalf("recomputed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
+	}
+	if bad.Corrupt() != 4 {
+		t.Fatalf("sink attached: corrupt = %d, want all 4 hits refused", bad.Corrupt())
+	}
+	for i := 0; i < 4; i++ {
+		kinds := sink.cellKinds(i)
+		if len(kinds) == 0 || kinds[len(kinds)-1] != obs.SweepDone {
+			t.Fatalf("cell %d lifecycle = %v, want a computed cell (… done), not a cached one", i, kinds)
+		}
+	}
+	if len(sink.stats) != 4 {
+		t.Fatalf("sink saw %d CellStats, want the 4 recomputed cells'", len(sink.stats))
+	}
+	// The recompute committed telemetry that decodes.
+	for _, e := range bad.Entries() {
+		if cs, err := e.CellStats(); err != nil || cs == nil || cs.Events == 0 {
+			t.Fatalf("recomputed cell %s stored no usable telemetry (%v)", e.Key, err)
+		}
+	}
+}
+
+// parentMatrixCellKey is matrixCellKey as it stood before the keyer
+// formatted the run-constant knobs once per Matrix call: the reference
+// every key must still equal, or existing stores stop hitting.
+func parentMatrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) string {
+	m := obs.NewManifest("slowccsim.matrix-cell", cfg.Seed)
+	m.DurationS = float64(cfg.Warmup + cfg.Measure)
+	m.Algos = []string{a.Name, b.Name}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	m.Config = map[string]string{
+		"topology":       topo,
+		"condition":      cond,
+		"algo_a":         a.Name,
+		"algo_b":         b.Name,
+		"hops":           strconv.Itoa(cfg.Hops),
+		"rate":           g(cfg.Rate),
+		"flows_per_side": strconv.Itoa(cfg.FlowsPerSide),
+		"reverse_flows":  strconv.Itoa(cfg.ReverseFlows),
+		"cbr_peak":       g(cfg.CBRPeak),
+		"period":         g(float64(cfg.Period)),
+		"cross_rate":     g(cfg.CrossRate),
+		"outage_dur":     g(float64(cfg.OutageDur)),
+		"warmup":         g(float64(cfg.Warmup)),
+		"measure":        g(float64(cfg.Measure)),
+		"smooth_bin":     g(float64(cfg.SmoothBin)),
+		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
+	}
+	return m.ComputeDigest()
+}
+
+func TestMatrixCellKeysUnchanged(t *testing.T) {
+	cfg := MatrixConfig{Seed: 1, Warmup: 1, Measure: 3, Period: 1}
+	cfg.fill()
+	key := matrixCellKeyer(cfg)
+	al := cfg.Algos // TCP(1/2) TFRC(8) RAP(1/2) SQRT(1/2) IIAD(1/2) TEAR CBR(2.5M)
+	// Recorded from the parent commit's matrixCellKey.
+	for _, pin := range []struct {
+		topo, cond string
+		a, b       AlgoSpec
+		want       string
+	}{
+		{TopoDumbbell, CondStatic, al[0], al[1], "ec5043a5dd87d73ec90461b3c1b22318f360ed694abbd95c23b200a25ae7d4d0"},
+		{TopoParkingLot, CondOscillating, al[2], al[6], "db15a38735e8fa1189bb25250dca2a719171a1ce021ce81257e2f2ba37ffb456"},
+		{TopoDumbbell, CondFaulted, al[5], al[5], "b77c459b089f5566c5357a217f9ff2fa2c0c70ee48836946a6e40da03c87084d"},
+	} {
+		if got := key(pin.topo, pin.cond, pin.a, pin.b); got != pin.want {
+			t.Errorf("%s/%s %s vs %s: key %s, want %s", pin.topo, pin.cond, pin.a.Name, pin.b.Name, got, pin.want)
+		}
+	}
+	// Every cell of the default matrix and of the resume tests' matrix,
+	// in sweep order (the keyer reuses one manifest across calls).
+	tiny := tinyMatrix(1)
+	tiny.fill()
+	for _, cfg := range []MatrixConfig{cfg, tiny} {
+		key := matrixCellKeyer(cfg)
+		for _, topo := range cfg.Topologies {
+			for _, cond := range cfg.Conditions {
+				for _, a := range cfg.Algos {
+					for _, b := range cfg.Algos {
+						if got, want := key(topo, cond, a, b), parentMatrixCellKey(cfg, topo, cond, a, b); got != want {
+							t.Fatalf("%s/%s %s vs %s: key %s, parent's %s", topo, cond, a.Name, b.Name, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkMatrixCellKey(b *testing.B) {
+	cfg := MatrixConfig{Seed: 1, Warmup: 1, Measure: 3, Period: 1}
+	cfg.fill()
+	key := matrixCellKeyer(cfg)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		key(TopoDumbbell, CondStatic, cfg.Algos[0], cfg.Algos[1])
 	}
 }
 

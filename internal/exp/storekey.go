@@ -204,11 +204,11 @@ func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell)
 		}
 		if st != nil && replay && m.key != "" {
 			if e, ok := st.Get(m.key); ok {
-				if v, ok := decodeStored[T](e); ok {
-					replayCached(i, worker, e)
+				if v, ok := decodeStored[T](e); ok && replayCached(i, worker, e) {
 					return res{v, nil}
 				}
-				// Present but undecodable into T: quarantined, recomputed.
+				// Present but undecodable — the result into T, or the
+				// telemetry a sink asked for: quarantined, recomputed.
 				st.CountCorrupt()
 			}
 		}
@@ -248,9 +248,18 @@ func decodeStored[T any](e *store.Entry) (T, bool) {
 // replayCached surfaces a store hit through the live-telemetry surface:
 // the recorded CellStats (re-indexed to this sweep) flow into the sink
 // exactly as a computed cell's would, and the cell's lifecycle on SSE
-// is queued → cached.
-func replayCached(index, worker int, e *store.Entry) {
+// is queued → cached. The stored telemetry is decoded only when a sink
+// is attached; false means it did not decode and nothing was emitted,
+// so the caller recomputes the cell instead of accepting the hit.
+func replayCached(index, worker int, e *store.Entry) bool {
 	sink, logger, st0 := sweepTelemetry()
+	var stats *obs.CellStats
+	if sink != nil {
+		var err error
+		if stats, err = e.CellStats(); err != nil {
+			return false
+		}
+	}
 	tl, t0 := sweepTimeline()
 	if tl != nil {
 		tl.ProcessName(sweepWorkersPid, "sweep workers")
@@ -263,16 +272,16 @@ func replayCached(index, worker int, e *store.Entry) {
 			slog.Int("cell", index), slog.Int("worker", worker), slog.String("key", e.Key))
 	}
 	if sink == nil {
-		return
+		return true
 	}
 	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(st0)})
-	if e.Stats != nil {
-		st := *e.Stats
-		st.Cell = index
-		sink.CellStats(st)
+	if stats != nil {
+		stats.Cell = index
+		sink.CellStats(*stats)
 	}
 	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
 		Outcome: "cached", AtMS: msSince(st0)})
+	return true
 }
 
 // commitCell durably records one finished cell: a success stores its
@@ -287,6 +296,9 @@ func commitCell[T any](st *store.Store, key string, index, attempts int, v T, st
 		e.Error = rerr.Error()
 	} else {
 		blob, err := json.Marshal(v)
+		if err == nil && (stats.Counters != nil || stats.Events > 0) {
+			e.Stats, err = json.Marshal(&stats)
+		}
 		if err != nil {
 			if logger != nil {
 				logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell not storable",
@@ -295,9 +307,6 @@ func commitCell[T any](st *store.Store, key string, index, attempts int, v T, st
 			return
 		}
 		e.Result = blob
-		if stats.Counters != nil || stats.Events > 0 {
-			e.Stats = &stats
-		}
 	}
 	if err := st.Put(e); err != nil && logger != nil {
 		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell store write failed",

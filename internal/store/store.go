@@ -11,12 +11,15 @@
 // crash mid-append leaves a partial frame; it is quarantined to a side
 // file and truncated away, never parsed) and quarantines corrupt
 // entries (a checksum-failed frame is skipped and counted, never
-// trusted). Close compacts the journal into a snapshot via the
+// trusted). Checkpoint compacts the journal into a snapshot via the
 // write-temp + fsync + rename idiom; the rename is atomic, and the
 // journal is truncated only after the snapshot is durable, so a crash
 // at any point leaves either the old state or the new — never a mix
 // that drops an acknowledged entry (journal entries are idempotent by
-// key, so replaying them over the snapshot is harmless).
+// key, so replaying them over the snapshot is harmless). Close
+// checkpoints only when the journal was non-empty at open or a Put
+// happened since the last checkpoint; a store that was only read is
+// closed without touching the disk.
 package store
 
 import (
@@ -52,7 +55,8 @@ const (
 
 // Entry is one stored sweep-cell result. Result holds the cell's typed
 // value as JSON (the exp layer round-trips it losslessly); Stats is the
-// telemetry snapshot replayed into the live collector on a cache hit.
+// telemetry snapshot replayed into the live collector on a cache hit,
+// also as JSON — neither is decoded until a caller asks.
 // A Degraded entry records that every attempt failed — it is kept for
 // inspection and reporting but never served as a hit, so a resumed
 // sweep recomputes degraded cells.
@@ -73,10 +77,25 @@ type Entry struct {
 	// Result is the cell's typed result, JSON-encoded (empty when
 	// Degraded).
 	Result json.RawMessage `json:"result,omitempty"`
-	// Stats is the cell's telemetry snapshot (counters, histograms,
-	// stream digest) when live telemetry was attached; replayed into the
-	// sink on a hit so /metrics over a resumed run matches a cold one.
-	Stats *obs.CellStats `json:"stats,omitempty"`
+	// Stats is the cell's telemetry snapshot (an obs.CellStats: counters,
+	// histograms, stream digest), JSON-encoded, when live telemetry was
+	// attached; replayed into the sink on a hit so /metrics over a
+	// resumed run matches a cold one. CellStats decodes it.
+	Stats json.RawMessage `json:"stats,omitempty"`
+}
+
+// CellStats decodes the entry's telemetry snapshot: nil, nil when none
+// was recorded. Open checks only that Stats is well-formed JSON, so a
+// caller that needs the telemetry must handle the error.
+func (e *Entry) CellStats() (*obs.CellStats, error) {
+	if len(e.Stats) == 0 {
+		return nil, nil
+	}
+	var st obs.CellStats
+	if err := json.Unmarshal(e.Stats, &st); err != nil {
+		return nil, fmt.Errorf("store: entry %s telemetry: %v", e.Key, err)
+	}
+	return &st, nil
 }
 
 // Store is a durable key→Entry map backed by a journal + snapshot pair
@@ -87,10 +106,13 @@ type Store struct {
 	mu      sync.Mutex
 	journal *os.File // nil when read-only
 	entries map[string]*Entry
+	// dirty: the journal was non-empty at open or a Put followed the last
+	// checkpoint, so the store may hold what snapshot.json does not.
+	dirty bool
 
 	hits     atomic.Int64
 	misses   atomic.Int64
-	corrupt  atomic.Int64 // checksum-failed or undecodable journal entries
+	corrupt  atomic.Int64 // entries refused at open, plus CountCorrupt calls
 	tornTail bool         // reopen found (and quarantined) a partial frame
 	readOnly bool
 }
@@ -151,9 +173,19 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("store: snapshot schema %q, want %q", snap.Schema, Schema)
 	}
 	for _, e := range snap.Entries {
-		s.entries[e.Key] = e
+		s.admit(e)
 	}
 	return nil
+}
+
+// admit is the one rule both readers apply to a decoded entry: nil,
+// keyless or foreign-schema is counted corrupt and skipped, never served.
+func (s *Store) admit(e *Entry) {
+	if e == nil || e.Key == "" || e.Schema != Schema {
+		s.corrupt.Add(1)
+		return
+	}
+	s.entries[e.Key] = e
 }
 
 // loadJournal replays every intact frame over the snapshot state.
@@ -171,6 +203,7 @@ func (s *Store) loadJournal() error {
 	if err != nil {
 		return fmt.Errorf("store: %v", err)
 	}
+	s.dirty = len(blob) > 0 // intact, corrupt or torn: the next Close compacts it away
 	off := 0
 	for off < len(blob) {
 		rest := blob[off:]
@@ -194,12 +227,11 @@ func (s *Store) loadJournal() error {
 			s.corrupt.Add(1)
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil || e.Key == "" {
-			s.corrupt.Add(1)
-			continue
+		var e *Entry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			e = nil
 		}
-		s.entries[e.Key] = &e
+		s.admit(e)
 	}
 	if off < len(blob) {
 		s.tornTail = true
@@ -288,6 +320,7 @@ func (s *Store) Put(e Entry) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dirty = true
 	if s.journal != nil {
 		if _, err := s.journal.Write(frame); err != nil {
 			return fmt.Errorf("store: journal append: %v", err)
@@ -305,10 +338,15 @@ func (s *Store) Put(e Entry) error {
 // snapshot, and only then is the journal truncated. A crash before the
 // rename leaves the old snapshot + full journal; after it, the new
 // snapshot plus a journal whose entries are already in the snapshot —
-// replay is idempotent by key, so both are consistent.
+// replay is idempotent by key, so both are consistent. Checkpoint
+// always compacts, whether or not anything changed.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.checkpoint()
+}
+
+func (s *Store) checkpoint() error {
 	if s.readOnly {
 		return nil
 	}
@@ -317,7 +355,7 @@ func (s *Store) Checkpoint() error {
 		entries = append(entries, e)
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
-	blob, err := json.MarshalIndent(&snapshot{Schema: Schema, Entries: entries}, "", " ")
+	blob, err := json.Marshal(&snapshot{Schema: Schema, Entries: entries})
 	if err != nil {
 		return fmt.Errorf("store: encoding snapshot: %v", err)
 	}
@@ -349,6 +387,7 @@ func (s *Store) Checkpoint() error {
 			return fmt.Errorf("store: journal reset: %v", err)
 		}
 	}
+	s.dirty = false
 	return nil
 }
 
@@ -361,11 +400,16 @@ func syncDir(dir string) {
 	}
 }
 
-// Close checkpoints and releases the journal handle.
+// Close releases the journal handle, checkpointing first when the
+// store holds anything the snapshot does not; a store that was only
+// read leaves the directory exactly as it found it.
 func (s *Store) Close() error {
-	err := s.Checkpoint()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var err error
+	if s.dirty {
+		err = s.checkpoint()
+	}
 	if s.journal != nil {
 		if cerr := s.journal.Close(); err == nil {
 			err = cerr
@@ -403,9 +447,9 @@ func (s *Store) Hits() int64 { return s.hits.Load() }
 // Misses returns how many Get calls found no trustworthy entry.
 func (s *Store) Misses() int64 { return s.misses.Load() }
 
-// Corrupt returns how many journal entries were quarantined on open
-// (checksum failure or undecodable payload), plus any counted later by
-// CountCorrupt.
+// Corrupt returns how many entries were quarantined on open (a journal
+// frame failing its checksum or decode; a nil, keyless or foreign-schema
+// entry in either file), plus any counted later by CountCorrupt.
 func (s *Store) Corrupt() int64 { return s.corrupt.Load() }
 
 // CountCorrupt records an entry that loaded but failed downstream

@@ -21,6 +21,15 @@ func put(t *testing.T, s *store.Store, key string, result any) {
 	}
 }
 
+func encodeStats(t testing.TB, st *obs.CellStats) json.RawMessage {
+	t.Helper()
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
 func TestPutGetAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := store.Open(dir)
@@ -259,7 +268,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		Digest:   0xdeadbeef, DigestEvents: 7, Events: 9,
 		Halt: "wall budget", Halts: []string{"wall budget", "event budget"},
 	}
-	if err := s.Put(store.Entry{Key: "k", Stats: st}); err != nil {
+	if err := s.Put(store.Entry{Key: "k", Stats: encodeStats(t, st)}); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := store.Open(dir)
@@ -267,10 +276,13 @@ func TestStatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, ok := s2.Get("k")
-	if !ok || e.Stats == nil {
-		t.Fatalf("stats lost: %+v", e)
+	if !ok {
+		t.Fatal("entry lost")
 	}
-	g := e.Stats
+	g, err := e.CellStats()
+	if err != nil || g == nil {
+		t.Fatalf("stats lost: %+v, %v", e, err)
+	}
 	if g.Counters["link.lr.bytes"] != 123 || g.Digest != 0xdeadbeef ||
 		g.DigestEvents != 7 || g.Events != 9 || g.Halt != "wall budget" || len(g.Halts) != 2 {
 		t.Fatalf("stats round-trip mismatch: %+v", g)

@@ -496,7 +496,8 @@ func ValidatePrometheus(r io.Reader) (families, samples int, err error) {
 // and DESIGN.md §15.
 type ResultStore = store.Store
 
-// ResultEntry is one stored sweep cell.
+// ResultEntry is one stored sweep cell; its Result and Stats are raw
+// JSON, and CellStats() decodes the telemetry.
 type ResultEntry = store.Entry
 
 // OpenStore opens (or creates) a result store directory for reading and
