@@ -1,18 +1,21 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-smoke fuzz-smoke queue-smoke export-smoke resume-smoke
+.PHONY: ci fmt vet build test race bench fuzz-smoke export-smoke resume-smoke
 
 # ci is the gate future PRs run: formatting and static checks, a full
-# build, the complete test suite under the race detector, and a
-# single-iteration run of the core macro-benchmark so the
-# allocation-free hot path at least executes on every change. The exp
+# build, the complete test suite under the race detector, the two shell
+# smokes that need signals, and a few seconds of fuzzing per on-disk or
+# command-line reader. `race` is where most of it happens: the exp
 # package's TestMain enables the invariant auditing layer for the whole
 # scaled-down figure suite, so packet-accounting regressions fail here
 # even when no figure-level assertion notices them; -race additionally
-# exercises parallelMapIndexed's worker pool. The run-and-check smokes
-# over the three binaries (report, matrix, warm resume, timeline, exit
-# codes, profiles) are cmd/smoke_test.go, so `race` runs them too.
-ci: fmt vet build race bench-smoke queue-smoke export-smoke resume-smoke fuzz-smoke
+# exercises parallelMapIndexed's worker pool; ./bench's smoke test runs
+# every workload of the benchmark at -quick size against its oracle;
+# the calendar-vs-heap differentials and ring-sizing tests live in
+# ./internal/sim and the pinned-stream table; and the run-and-check
+# smokes over the three binaries (report, matrix, warm resume, timeline,
+# exit codes, profiles) are cmd/smoke_test.go.
+ci: fmt vet build race export-smoke resume-smoke fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
 fmt:
@@ -34,13 +37,6 @@ race:
 # numbers reflect the production configuration.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# bench-smoke runs just the core macro-benchmark and the link's
-# taps-off forwarding benchmark once each (seconds, not minutes) — a ci
-# step, not a measurement.
-bench-smoke:
-	$(GO) test -run='^$$' -bench='EnginePacketsPerSecond$$' -benchtime=1x .
-	$(GO) test -run='^$$' -bench='LinkForward$$' -benchtime=1x ./internal/netem
 
 # export-smoke drives the live-telemetry stack end to end through the
 # real binary: slowccsim -serve runs fig3 with the export server bound
@@ -128,16 +124,3 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=3s ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=3s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=3s ./internal/store
-
-# queue-smoke runs the calendar-vs-heap differential suite: the
-# randomized mixed-op oracle test in internal/sim plus the macro-stream
-# (the pinned-stream table's heap row) and faulted-parking-lot
-# differentials at the public surface. Any divergence between the
-# calendar queue and the heap reference fails here with the first
-# diverging event named. The ring-sizing tests ride along: the bimodal
-# schedule whose far-tier share, far-tier capacity and allocations are
-# bounded, the floor that holds while the schedule reaches across the
-# ring and comes down when it stops, and handle operations on a
-# far-tier resident right after a compaction.
-queue-smoke:
-	$(GO) test -count=1 -run 'TestCalendarVsHeap|TestWiredButOffLayersKeepPinnedStream/heap|TestCalendarRingFollowsSchedule|TestCalendarFloorHoldsThenDecays|TestCalendarStopResetAfterCompaction' ./internal/sim .

@@ -5,9 +5,6 @@
 // queue" row of TestWiredButOffLayersKeepPinnedStream; here a faulted
 // 3-hop parking lot does, where outages, corruption, duplication, and
 // reordering all land inside batched busy periods.
-//
-// Both are the "queue smoke" the Makefile's ci target runs (see the
-// queue-smoke target and its -run pattern).
 package slowcc_test
 
 import (

@@ -111,7 +111,7 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	seed := c.Seed(base)
 	eng := sim.New(seed)
-	budget, fault, pol, collect := scenarioGlobals()
+	budget, fault, pol, collect, digest := scenarioGlobals()
 	if budget != nil {
 		eng.SetBudget(budget)
 	}
@@ -162,22 +162,24 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 		}
 	}
 	if c != nil && collect {
-		c.observe(n)
+		c.observe(n, digest)
 	}
 	return eng, n
 }
 
-// observe attaches live-telemetry collection points to one scenario the
-// cell constructed: a counter registry populated by the topology's
-// Observe, and a stream digest folding the engine's event stream (one
-// extra nil-check branch per event while the cell runs). The supervisor
-// snapshots both into obs.CellStats after the job returns.
-func (c *Cell) observe(n *topology.Net) {
-	reg := &obs.Registry{}
-	n.Observe(reg)
-	dig := &sim.StreamDigest{}
-	n.Eng.SetStreamDigest(dig)
-	c.obsv = append(c.obsv, cellObs{eng: n.Eng, reg: reg, dig: dig})
+// observe attaches telemetry collection points to one scenario the cell
+// constructed: a counter registry populated by the topology's Observe —
+// read closures, nothing per event — and, when digest is set, a stream
+// digest folding the engine's every event. The supervisor snapshots
+// both into obs.CellStats after the job returns.
+func (c *Cell) observe(n *topology.Net, digest bool) {
+	o := cellObs{eng: n.Eng, reg: &obs.Registry{}}
+	n.Observe(o.reg)
+	if digest {
+		o.dig = &sim.StreamDigest{}
+		n.Eng.SetStreamDigest(o.dig)
+	}
+	c.obsv = append(c.obsv, o)
 }
 
 // watchFlow registers a wired flow's byte counters and whatever state

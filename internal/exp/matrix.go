@@ -8,6 +8,7 @@ import (
 	"slowcc/internal/cc/cbr"
 	"slowcc/internal/faults"
 	"slowcc/internal/metrics"
+	"slowcc/internal/netem"
 	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
@@ -247,7 +248,11 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 	}
 }
 
-func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCell {
+// wireMatrixCell builds a cell's engine, topology and traffic — all of
+// its set-up, none of its run — and returns what the run reads: the
+// first bottleneck, side A's FlowsPerSide flows then side B's, and a
+// receive-rate meter per flow.
+func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) (*sim.Engine, *netem.Link, []Flow, []*metrics.Meter) {
 	// The condition axis owns fault wiring: a zero (disabled) config
 	// overrides any globally-installed -fault configuration, so static
 	// and oscillating cells stay fault-free no matter the CLI state.
@@ -271,7 +276,6 @@ func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) 
 	}
 	eng, d := c.buildScenario(cfg.Seed,
 		topology.Config{Rate: cfg.Rate, DisablePool: cfg.DisablePool}, chain, fc, hops/2)
-	bottleneck := d.Fwd[0]
 	// Cross traffic: one CBR flow per interior node, each spanning
 	// exactly one hop, so interior bottlenecks see load the first
 	// hop never carries — the parking lot's defining asymmetry.
@@ -290,6 +294,12 @@ func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) 
 	if cond == CondOscillating {
 		withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period}, topology.Span{})
 	}
+	return eng, d.Fwd[0], flows, meters
+}
+
+func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCell {
+	eng, bottleneck, flows, meters := wireMatrixCell(c, cfg, topo, cond, a, b)
+	F := cfg.FlowsPerSide
 
 	eng.RunUntil(cfg.Warmup)
 	base := make([]int64, len(flows))

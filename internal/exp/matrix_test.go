@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -195,5 +197,44 @@ func TestParseAlgoList(t *testing.T) {
 	}
 	if _, err := ParseAlgoSpec("tcp:abc"); err == nil {
 		t.Fatal("bad argument accepted")
+	}
+}
+
+// A matrix cell runs ~10 ms, so what its set-up allocates is a visible
+// share of a cold sweep, and of how often the collector's write barrier
+// is up while cells run. The ceilings are the set-up as measured (21152
+// and 40576 B) plus a tenth. It was 64016 and 190976 B while every demux
+// held a dense table up to flow id 990 (16 KB each) and the engine and
+// every RED queue seeded a 4864 B generator at construction: one of
+// either coming back trips this.
+func TestMatrixCellSetupBytes(t *testing.T) {
+	EnableAudit(false) // the auditor's books are not the scenario's
+	defer EnableAudit(true)
+	cfg := MatrixConfig{Seed: 1}
+	cfg.fill()
+	a, b := cfg.Algos[0], cfg.Algos[1] // TCP(1/2) against TFRC(8)
+	for _, tc := range []struct {
+		topo    string
+		ceiling uint64
+	}{
+		{TopoDumbbell, 24000},
+		{TopoParkingLot, 44000},
+	} {
+		// The oscillating condition wires the most: the pair, reverse
+		// traffic, cross traffic on the chain, and the CBR on id 990.
+		// TotalAlloc is process-wide, so anything else allocating in the
+		// background only adds: take the least of a few builds.
+		least := uint64(math.MaxUint64)
+		for rep := 0; rep < 5; rep++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			eng, _, _, _ := wireMatrixCell(noCell, cfg, tc.topo, CondOscillating, a, b)
+			runtime.ReadMemStats(&m1)
+			runtime.KeepAlive(eng)
+			least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		if least > tc.ceiling {
+			t.Errorf("%s cell set-up allocated %d B, ceiling %d B", tc.topo, least, tc.ceiling)
+		}
 	}
 }

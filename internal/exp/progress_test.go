@@ -108,6 +108,25 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 			t.Errorf("seed %d: digest equality = %v, want %v", seed, got, wantEqual)
 		}
 	}
+
+	// The sink is who asks for the digest; a store beside it changes
+	// nothing about what the sink receives, and records the same.
+	disk := withStore(t, false)
+	SetSweepScope("served-and-stored")
+	served := withSink(t)
+	supervisedMap(1, func(c *Cell) int { runCellScenario(c, 1); return 1 })
+	if len(served.stats) != 1 || served.stats[0].Digest != st.Digest ||
+		served.stats[0].DigestEvents != st.Events {
+		t.Fatalf("sink + store: stats %+v, want the sink-only digest %016x over all %d events",
+			served.stats, st.Digest, st.Events)
+	}
+	entries := disk.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("store holds %d cells, want 1", len(entries))
+	}
+	if cs, err := entries[0].CellStats(); err != nil || cs.Digest != st.Digest || cs.DigestEvents != cs.Events {
+		t.Fatalf("served cell stored %+v (%v), want the digest its sink saw", cs, err)
+	}
 }
 
 // Retries must show up as retry events, and exhausted cells as a

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"encoding/json"
 	"runtime"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"slowcc/internal/obs"
+	"slowcc/internal/obs/export"
 	"slowcc/internal/sim"
 	"slowcc/internal/store"
 )
@@ -117,6 +119,55 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 	}
 }
 
+// A store reads a cell's telemetry once, after the job has returned, so
+// it gets what is free to keep — the counter registry, the event count,
+// the halts — and never the stream digest, which is work on every
+// event: DESIGN §15.4's "consulted per sweep cell, never per event".
+func TestStoreAloneNeverInstallsADigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix sweeps in -short mode")
+	}
+	withPolicy(t, CellPolicy{Retries: 1})
+	st := withStore(t, false)
+
+	// What the cell's engine ran with: a registry, and a nil digest slot
+	// (observe is the only place a sweep installs one).
+	_, rerr := Supervise(0, func(c *Cell) int {
+		runCellScenario(c, 1)
+		if len(c.obsv) != 1 || c.obsv[0].reg == nil {
+			t.Errorf("store-only cell collected %+v, want one engine with a counter registry", c.obsv)
+		} else if c.obsv[0].dig != nil {
+			t.Error("store-only cell installed a stream digest: the store is paying per event")
+		}
+		return 1
+	})
+	if rerr != nil {
+		t.Fatalf("cell failed: %v", rerr)
+	}
+
+	Matrix(tinyMatrix(1))
+	if st.Len() != 4 {
+		t.Fatalf("store holds %d cells after the sweep, want 4", st.Len())
+	}
+	for _, e := range st.Entries() {
+		cs, err := e.CellStats()
+		if err != nil || cs == nil {
+			t.Fatalf("stored cell %s has no telemetry snapshot (%v)", e.Key, err)
+		}
+		if cs.Events == 0 || len(cs.Counters) == 0 {
+			t.Fatalf("stored cell %s lost what a store is owed: %+v", e.Key, cs)
+		}
+		if cs.DigestEvents != 0 || cs.Digest != 0 {
+			t.Fatalf("stored cell %s records digest %016x over %d events with no sink attached",
+				e.Key, cs.Digest, cs.DigestEvents)
+		}
+	}
+}
+
+// A served resume over a store an unserved run wrote replays the cells
+// as recorded: every hit stands, nothing is recomputed to backfill the
+// digest the cold run never took, and /metrics says how much of the
+// event stream the digest covers instead.
 func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
@@ -124,11 +175,23 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	withPolicy(t, CellPolicy{Retries: 1})
 	st := withStore(t, false)
 	Matrix(tinyMatrix(1))
+	var coldEvents uint64
+	for _, e := range st.Entries() {
+		cs, err := e.CellStats()
+		if err != nil || cs == nil {
+			t.Fatalf("stored cell %s has no telemetry snapshot (%v)", e.Key, err)
+		}
+		coldEvents += cs.Events
+	}
 
 	SetSweepStore(st, true)
 	sink := withSink(t)
 	Matrix(tinyMatrix(1))
 
+	if st.Hits() != 4 || st.Misses() != 0 || st.Corrupt() != 0 {
+		t.Fatalf("hits=%d misses=%d corrupt=%d, want 4, 0, 0: a digestless entry is a hit, not a stale one",
+			st.Hits(), st.Misses(), st.Corrupt())
+	}
 	for i := 0; i < 4; i++ {
 		if !kindsEqual(sink.cellKinds(i), obs.SweepQueued, obs.SweepCached) {
 			t.Fatalf("cached cell %d lifecycle = %v, want queued, cached", i, sink.cellKinds(i))
@@ -137,10 +200,36 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	if len(sink.stats) != 4 {
 		t.Fatalf("replayed %d CellStats, want 4", len(sink.stats))
 	}
+	col := export.NewCollector()
 	for _, cs := range sink.stats {
-		if cs.Events == 0 || len(cs.Counters) == 0 || cs.Digest == 0 {
+		if cs.Events == 0 || len(cs.Counters) == 0 {
 			t.Fatalf("replayed stats lost telemetry: %+v", cs)
 		}
+		if cs.DigestEvents != 0 || cs.Digest != 0 {
+			t.Fatalf("replay invented a digest the cold run never took: %+v", cs)
+		}
+		col.AddCellStats(cs)
+	}
+	var buf bytes.Buffer
+	if err := col.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := export.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sample := func(name string) uint64 {
+		f := fams[export.PromName(name)]
+		if f == nil || len(f.Samples) != 1 {
+			t.Fatalf("/metrics has no single-sample family %s", export.PromName(name))
+		}
+		return uint64(f.Samples[0].Value)
+	}
+	if got := sample("engine_events_total"); got != coldEvents || got == 0 {
+		t.Fatalf("/metrics replays %d engine events, the cold run executed %d", got, coldEvents)
+	}
+	if got := sample("stream_digest_events_total"); got != 0 {
+		t.Fatalf("/metrics claims the digest covers %d events of a run that folded none", got)
 	}
 }
 

@@ -152,14 +152,16 @@ type Cell struct {
 	index   int
 	attempt int
 	flight  *obs.FlightRecorder
-	// obsv collects one entry per engine the cell constructed when live
-	// telemetry is on (SetSweepProgress): the counter registry and
-	// stream digest the supervisor snapshots into obs.CellStats after
-	// the job returns. Only the attempt's own goroutine touches it.
+	// obsv collects one entry per engine the cell constructed when a
+	// sink or a store will read its telemetry: the counter registry and,
+	// for a sink, the stream digest the supervisor snapshots into
+	// obs.CellStats after the job returns. Only the attempt's own
+	// goroutine touches it.
 	obsv []cellObs
 }
 
-// cellObs is one engine's telemetry attachment points.
+// cellObs is one engine's telemetry attachment points. dig is nil when
+// only a store consumes the cell (see scenarioGlobals).
 type cellObs struct {
 	eng *sim.Engine
 	reg *obs.Registry
@@ -366,16 +368,19 @@ func sweepSince(t0 time.Time) float64 {
 }
 
 // scenarioGlobals snapshots the supervision knobs a scenario
-// constructor needs; collect reports whether a progress sink wants
-// per-cell telemetry attached.
-func scenarioGlobals() (budget *sim.Budget, fault *faults.Config, pol CellPolicy, collect bool) {
+// constructor needs. collect reports whether anything will read the
+// cell's telemetry: a sink, or a store — recorded cells carry their
+// counters, histograms, event count and halts so a resumed run replays
+// the /metrics state a cold run produces. Those are closures read once,
+// after the job returns. digest reports whether the engines should also
+// fold their event streams: that is per-event work, so only a live sink
+// gets it, and a store records whatever the cell ran with.
+func scenarioGlobals() (budget *sim.Budget, fault *faults.Config, pol CellPolicy, collect, digest bool) {
 	supervision.mu.Lock()
 	defer supervision.mu.Unlock()
-	// A store counts as a telemetry consumer: recorded cells carry their
-	// counters/histograms/digest so a resumed run replays the same
-	// /metrics state a cold run produces.
-	return supervision.budget, supervision.fault, supervision.pol,
-		supervision.sink != nil || supervision.store != nil
+	digest = supervision.sink != nil
+	collect = digest || supervision.store != nil
+	return supervision.budget, supervision.fault, supervision.pol, collect, digest
 }
 
 // Supervise runs job as one supervised sweep cell under the current
@@ -499,11 +504,12 @@ func msSince(t0 time.Time) float64 {
 }
 
 // cellStats snapshots a finished cell's telemetry: summed counters,
-// every histogram by value, the XOR-combined stream digest, and the
-// engines' budget halt reasons — Halt keeps the historical first-engine
-// value, Halts carries every engine's sticky reason so a multi-engine
-// cell's report names them all. Safe because the job has returned —
-// nothing else writes to these engines anymore.
+// every histogram by value, the XOR-combined stream digest of the
+// engines that kept one (Digest 0 over DigestEvents 0 when none did),
+// and the engines' budget halt reasons — Halt keeps the historical
+// first-engine value, Halts carries every engine's sticky reason so a
+// multi-engine cell's report names them all. Safe because the job has
+// returned — nothing else writes to these engines anymore.
 func cellStats(index int, c *Cell) obs.CellStats {
 	st := obs.CellStats{Cell: index}
 	if c == nil || len(c.obsv) == 0 {
@@ -515,8 +521,10 @@ func cellStats(index int, c *Cell) obs.CellStats {
 			st.Counters[k] += v
 		}
 		st.Hists = append(st.Hists, o.reg.SnapshotHistograms()...)
-		st.Digest ^= o.dig.Sum()
-		st.DigestEvents += o.dig.Events()
+		if o.dig != nil {
+			st.Digest ^= o.dig.Sum()
+			st.DigestEvents += o.dig.Events()
+		}
 		st.Events += o.eng.Steps()
 		if h := o.eng.Halted(); h != nil && h.Cause != sim.HaltDone {
 			st.Halts = append(st.Halts, h.String())

@@ -230,7 +230,7 @@ func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
 	_, rerr := Supervise(0, func(c *Cell) int {
 		defer close(done)
 		eng := sim.New(1)
-		budget, _, _, _ := scenarioGlobals()
+		budget, _, _, _, _ := scenarioGlobals()
 		eng.SetBudget(budget)
 		var tick func()
 		tick = func() {

@@ -138,7 +138,7 @@ type Injector struct {
 
 	eng  *sim.Engine
 	cfg  Config
-	rng  *rand.Rand
+	rng  *rand.Rand // built by the first draw (see rand)
 	link *netem.Link
 	next netem.Handler
 	pool *netem.PacketPool
@@ -156,9 +156,19 @@ func New(eng *sim.Engine, cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	in := &Injector{eng: eng, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	in := &Injector{eng: eng, cfg: cfg}
 	in.releaseFn = func(a any) { in.next.Handle(a.(*netem.Packet)) }
 	return in
+}
+
+// rand returns the injector's generator, seeding it on the first draw:
+// an injector that only schedules outage windows never draws, and the
+// generator's state is 5 KB a sweep cell need not allocate.
+func (in *Injector) rand() *rand.Rand {
+	if in.rng == nil {
+		in.rng = rand.New(rand.NewSource(in.cfg.Seed))
+	}
+	return in.rng
 }
 
 // Config returns a copy of the injector's configuration.
@@ -189,7 +199,7 @@ func (in *Injector) Attach(link *netem.Link, entry netem.Handler, pool *netem.Pa
 		in.eng.At(w.At+w.Dur, link.SetUp)
 	}
 	if in.cfg.Flap != nil {
-		in.flapTm = in.eng.After(in.cfg.Flap.MeanUp*in.rng.ExpFloat64(), in.flapDown)
+		in.flapTm = in.eng.After(in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
 	}
 	if !in.cfg.probabilistic() {
 		return entry
@@ -204,12 +214,12 @@ func (in *Injector) Attached() bool { return in != nil && in.link != nil }
 // distributed holding times drawn from the dedicated stream.
 func (in *Injector) flapDown() {
 	in.link.SetDown(in.cfg.Policy)
-	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanDown*in.rng.ExpFloat64(), in.flapUp)
+	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanDown*in.rand().ExpFloat64(), in.flapUp)
 }
 
 func (in *Injector) flapUp() {
 	in.link.SetUp()
-	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanUp*in.rng.ExpFloat64(), in.flapDown)
+	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
 }
 
 // StopFlap cancels the flap process (for scenario teardown); scheduled
@@ -225,14 +235,14 @@ func (in *Injector) StopFlap() {
 // the fixed order corrupt, duplicate, reorder so a given RNG stream
 // maps to one fault sequence.
 func (in *Injector) handle(p *netem.Packet) {
-	if in.cfg.CorruptProb > 0 && in.rng.Float64() < in.cfg.CorruptProb {
+	if in.cfg.CorruptProb > 0 && in.rand().Float64() < in.cfg.CorruptProb {
 		// A checksum failure: the frame is discarded before the queue ever
 		// sees it. The injector discovered the drop, so it releases.
 		in.Stats.Corrupted++
 		in.pool.Put(p)
 		return
 	}
-	if in.cfg.DupProb > 0 && in.rng.Float64() < in.cfg.DupProb {
+	if in.cfg.DupProb > 0 && in.rand().Float64() < in.cfg.DupProb {
 		in.Stats.Duplicated++
 		q := in.pool.Get()
 		*q = *p
@@ -244,9 +254,9 @@ func (in *Injector) handle(p *netem.Packet) {
 		in.next.Handle(q)
 		return
 	}
-	if in.cfg.ReorderProb > 0 && in.rng.Float64() < in.cfg.ReorderProb {
+	if in.cfg.ReorderProb > 0 && in.rand().Float64() < in.cfg.ReorderProb {
 		in.Stats.Reordered++
-		in.eng.AfterFunc(in.cfg.ReorderDelay*in.rng.Float64(), in.releaseFn, p)
+		in.eng.AfterFunc(in.cfg.ReorderDelay*in.rand().Float64(), in.releaseFn, p)
 		return
 	}
 	in.next.Handle(p)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -126,5 +127,56 @@ func TestStreamDigestDisabledZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("digest-off run allocates %.1f per leg, want 0", allocs)
+	}
+}
+
+// foldWordRef is FNV-1a over the eight little-endian bytes of w, one
+// byte per iteration: the definition foldWord and foldSeq must equal.
+func foldWordRef(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (w & 0xff)) * fnvPrime64
+		w >>= 8
+	}
+	return h
+}
+
+// The unrolled fold and the sequence word's zero-byte shortcut are
+// arithmetic identities, not approximations: every word, from every
+// state, folds to what the byte-serial loop gives.
+func TestFoldMatchesByteSerialReference(t *testing.T) {
+	words := []uint64{0, 1, 0xff, 0x100, 1<<24 - 1, 1 << 24, 1<<24 + 1, 1<<32 - 1, 1 << 56, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		w := rng.Uint64()
+		words = append(words, w, w>>40, w>>(rng.Intn(64))) // full-width, below 1<<24, any width
+	}
+	h := uint64(fnvOffset64)
+	for _, w := range words {
+		want := foldWordRef(h, w)
+		if got := foldWord(h, w); got != want {
+			t.Fatalf("foldWord(%#x, %#x) = %#x, byte-serial %#x", h, w, got, want)
+		}
+		if got := foldSeq(h, w); got != want {
+			t.Fatalf("foldSeq(%#x, %#x) = %#x, byte-serial %#x", h, w, got, want)
+		}
+		h = want // walk the state too: the identity holds from any h
+	}
+
+	// And through fold itself, against the same tuple spelled out.
+	var d StreamDigest
+	ref := uint64(fnvOffset64)
+	var at Time
+	for i, seq := range words {
+		prev := at
+		kind := uint64(0)
+		if i%3 != 0 {
+			at += 0.125
+			kind = 1
+		}
+		d.fold(prev, at, seq)
+		ref = (foldWordRef(foldWordRef(ref, floatBits(at)), seq) ^ kind) * fnvPrime64
+		if d.Sum() != ref {
+			t.Fatalf("event %d (seq %#x): fold %#x, byte-serial %#x", i, seq, d.Sum(), ref)
+		}
 	}
 }

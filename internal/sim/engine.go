@@ -139,7 +139,7 @@ const (
 )
 
 // Engine is a discrete-event scheduler. Create one with New; the zero
-// value is not usable because it lacks an RNG.
+// value is not usable (its probe wake time must start at +Inf).
 type Engine struct {
 	now Time
 	seq uint64
@@ -174,6 +174,8 @@ type Engine struct {
 	scheduled uint64 // timers accepted by At/After/AtFunc/ResetAt
 	rearms    uint64 // in-place ResetAt/ResetAfter reschedules
 	stops     uint64 // Timer.Stop calls that cancelled a live timer
+
+	seed int64 // what the first Rand call seeds rng with
 }
 
 // New returns an engine whose clock starts at zero and whose random
@@ -188,7 +190,7 @@ func New(seed int64) *Engine {
 // event order is identical for both kinds; HeapQueue exists as the
 // reference the differential tests and the benchmark construct.
 func NewWithQueue(seed int64, kind QueueKind) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed)), probeAt: math.Inf(1)}
+	e := &Engine{seed: seed, probeAt: math.Inf(1)}
 	if kind == CalendarQueue {
 		e.cq = newCalQueue(calDefaultWidth)
 	}
@@ -211,8 +213,15 @@ func (e *Engine) HintTick(dt Time) {
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random number generator.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand returns the engine's deterministic random number generator. Its
+// 607-word state is seeded on the first call: the senders and queues
+// draw from generators of their own, so most engines never pay for it.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Steps returns the number of events executed so far. It is useful for
 // benchmarking and for loop guards in tests.

@@ -207,6 +207,23 @@ func TestDeterminismAcrossEngines(t *testing.T) {
 	}
 }
 
+// Rand seeds its generator on the first call; what it then yields is
+// rand.NewSource(seed)'s stream, and one generator per engine.
+func TestRandIsTheSeededStreamBuiltOnFirstCall(t *testing.T) {
+	for _, seed := range []int64{1, 2, -7995527694508729151} {
+		e := New(seed)
+		if e.rng != nil {
+			t.Fatalf("seed %d: New seeded a generator nobody asked for", seed)
+		}
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if a, b := e.Rand().Int63(), want.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: %d, eagerly seeded %d", seed, i, a, b)
+			}
+		}
+	}
+}
+
 // Property: for any batch of events with arbitrary (non-negative) times,
 // execution order is sorted by time, and the engine clock ends at the max.
 func TestPropertyEventOrdering(t *testing.T) {

@@ -137,21 +137,42 @@ func New(eng *sim.Engine, cfg Config) *Net {
 	return build(eng, cfg.net(), "lr", "rl", false)
 }
 
-// routes is one demux's table, indexed by flow id. Flow ids are small
-// non-negative ints (AlgoSpec.Make numbers flows from 1, cross traffic
-// sits in the 800s, flash crowds start at 10000), so a dense slice keeps
-// hashing off the per-packet path. Demuxes share it by pointer: links
-// capture their demux by value before any flow has registered.
-type routes struct{ byFlow []netem.Handler }
+// routes is one demux's table from flow id to handler. Flow ids are
+// small non-negative ints in a few clumps (AlgoSpec.Make numbers flows
+// from 1, cross traffic sits in the 800s, reverse traffic and the
+// scenario CBR in the 900s, flash crowds start at 10000), so the table
+// is paged: a directory indexed by id/routePageSize over pages allocated
+// when an id on them first registers. Memory follows the populated
+// pages, not the largest id, and nothing on the per-packet path hashes.
+// Demuxes share the table by pointer: links capture their demux by value
+// before any flow has registered.
+type routes struct {
+	// low is pages[0] as a slice (empty until an id below routePageSize
+	// registers): the ids every scenario's main flows carry resolve in
+	// one bounds-checked load.
+	low   []netem.Handler
+	pages []*routePage
+}
 
-// maxFlowID bounds the table (16 MB of handlers) against a wild id.
+const (
+	routePageBits = 6
+	routePageSize = 1 << routePageBits
+)
+
+type routePage [routePageSize]netem.Handler
+
+// maxFlowID bounds the directory (128 KB of page pointers) against a
+// wild id.
 const maxFlowID = 1 << 20
 
 // get returns flow's handler, nil when none is registered — which
 // includes every id outside the table, negative ones among them.
 func (r *routes) get(flow int) netem.Handler {
-	if uint(flow) < uint(len(r.byFlow)) {
-		return r.byFlow[flow]
+	if uint(flow) < uint(len(r.low)) {
+		return r.low[flow]
+	}
+	if pg := uint(flow) >> routePageBits; pg < uint(len(r.pages)) && r.pages[pg] != nil {
+		return r.pages[pg][flow%routePageSize]
 	}
 	return nil
 }
@@ -160,10 +181,19 @@ func (r *routes) set(flow int, h netem.Handler) {
 	if flow < 0 || flow >= maxFlowID {
 		panic(fmt.Sprintf("topology: flow id %d outside 0..%d", flow, maxFlowID-1))
 	}
-	if n := flow + 1 - len(r.byFlow); n > 0 {
-		r.byFlow = append(r.byFlow, make([]netem.Handler, n)...)
+	pg := flow >> routePageBits
+	if pg >= len(r.pages) {
+		grown := make([]*routePage, pg+1)
+		copy(grown, r.pages)
+		r.pages = grown
 	}
-	r.byFlow[flow] = h
+	if r.pages[pg] == nil {
+		r.pages[pg] = new(routePage)
+		if pg == 0 {
+			r.low = r.pages[0][:]
+		}
+	}
+	r.pages[pg][flow%routePageSize] = h
 }
 
 // demux is the router at one node for one direction: it hands packets
@@ -208,8 +238,33 @@ func buildQueue(h Hop, bdp float64, pktSize int, seed int64) netem.Queue {
 	}
 	txTime := float64(pktSize) * 8 / h.Rate
 	q := netem.NewRED(h.REDMinFactor*bdp, h.REDMaxFactor*bdp,
-		capPkts, txTime, rand.New(rand.NewSource(seed)))
+		capPkts, txTime, rand.New(&lazySource{seed: seed}))
 	q.MarkECN = h.ECN
 	q.Gentle = h.Gentle
 	return q
 }
+
+// lazySource is rand.NewSource(seed) built on the first draw. A RED
+// queue draws only while its average sits between the thresholds, which
+// a lightly loaded direction (most reverse hops) never reaches, and a
+// seeded generator is 607 words: a chain would otherwise pay 5 KB per
+// queue for streams it never reads. The stream is the eager source's,
+// bit for bit.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64   { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
+
+// Seed discards the stream and restarts it from seed, as a seeded
+// source's Seed does.
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
