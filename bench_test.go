@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"slowcc"
+	"slowcc/internal/exp"
 )
 
 // BenchmarkExperiment runs each roster row exactly as `slowccsim -exp
@@ -16,7 +17,7 @@ func BenchmarkExperiment(b *testing.B) {
 	for _, e := range slowcc.Experiments() {
 		b.Run(e.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e.Run(false, int64(i+1), slowcc.MatrixConfig{})
+				e.Run(false, int64(i+1), exp.MatrixConfig{})
 			}
 		})
 	}
@@ -43,9 +44,9 @@ func BenchmarkEnginePacketsPerSecond(b *testing.B) {
 // deviation noted in EXPERIMENTS.md does not change the conclusion.
 func BenchmarkSACKAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := slowcc.StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: int64(i + 1)}
-		sc.Algo = slowcc.SACKTCP(1.0 / 256)
-		r := slowcc.RunStabilization(sc)
+		sc := exp.StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: int64(i + 1)}
+		sc.Algo = exp.SACKTCPAlgo(1.0 / 256)
+		r := exp.RunStabilization(sc)
 		b.ReportMetric(r.Stab.Cost, "sacktcp256-cost")
 	}
 }

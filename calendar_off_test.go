@@ -1,7 +1,6 @@
-// Differential guarantee of the event-queue swap, checked at the public
-// surface: the calendar queue and the heap reference must produce
-// identical runs — not just the same aggregates, but the same event
-// stream, packet for packet. The seed-1 macro run holds it as the "heap
+// Differential guarantee of the event-queue swap: the calendar queue
+// and the heap reference must produce identical runs — not just the
+// same aggregates, but the same event stream, packet for packet. The seed-1 macro run holds it as the "heap
 // queue" row of TestWiredButOffLayersKeepPinnedStream; here a faulted
 // 3-hop parking lot does, where outages, corruption, duplication, and
 // reordering all land inside batched busy periods.
@@ -11,6 +10,10 @@ import (
 	"testing"
 
 	"slowcc"
+	"slowcc/internal/faults"
+	"slowcc/internal/sim"
+	"slowcc/internal/topology"
+	"slowcc/internal/trace"
 )
 
 // faultedChainRun builds a 3-hop parking-lot chain with a fault injector
@@ -18,25 +21,25 @@ import (
 // reordering probabilities high enough to land inside batched busy
 // periods — runs two TCP flows for 15 s, and returns everything a
 // differential comparison needs.
-func faultedChainRun(t *testing.T, kind slowcc.QueueKind) (*slowcc.Engine, *slowcc.Net, []*slowcc.FaultInjector, []slowcc.TraceEvent) {
+func faultedChainRun(t *testing.T, kind sim.QueueKind) (*sim.Engine, *topology.Net, []*faults.Injector, []trace.Event) {
 	t.Helper()
-	eng := slowcc.NewEngineWithQueue(1, kind)
-	hops := make([]slowcc.NetHop, 3)
-	var injs []*slowcc.FaultInjector
+	eng := sim.NewWithQueue(1, kind)
+	hops := make([]topology.Hop, 3)
+	var injs []*faults.Injector
 	for i := range hops {
-		inj := slowcc.NewFaultInjector(eng, slowcc.FaultConfig{
+		inj := faults.New(eng, faults.Config{
 			Seed:         int64(100 + i),
-			Windows:      []slowcc.FaultWindow{{At: 4 + float64(i), Dur: 0.5}},
+			Windows:      []faults.Window{{At: 4 + float64(i), Dur: 0.5}},
 			CorruptProb:  0.01,
 			DupProb:      0.01,
 			ReorderProb:  0.02,
 			ReorderDelay: 0.003,
 		})
-		hops[i] = slowcc.NetHop{Rate: 10e6, Fault: inj}
+		hops[i] = topology.Hop{Rate: 10e6, Fault: inj}
 		injs = append(injs, inj)
 	}
-	n := slowcc.NewNet(eng, slowcc.NetConfig{Hops: hops, Seed: 1})
-	rec := &slowcc.Tracer{}
+	n := topology.NewNet(eng, topology.NetConfig{Hops: hops, Seed: 1})
+	rec := &trace.Recorder{}
 	n.Fwd[len(n.Fwd)-1].AddTap(rec.LinkTap())
 	f1 := slowcc.TCP(0.5).Make(eng, n, 1)
 	f2 := slowcc.TCP(0.5).Make(eng, n, 2)
@@ -47,8 +50,8 @@ func faultedChainRun(t *testing.T, kind slowcc.QueueKind) (*slowcc.Engine, *slow
 }
 
 func TestCalendarVsHeapFaultedParkingLot(t *testing.T) {
-	calEng, calNet, calInjs, calEv := faultedChainRun(t, slowcc.CalendarQueue)
-	heapEng, heapNet, heapInjs, heapEv := faultedChainRun(t, slowcc.HeapQueue)
+	calEng, calNet, calInjs, calEv := faultedChainRun(t, sim.CalendarQueue)
+	heapEng, heapNet, heapInjs, heapEv := faultedChainRun(t, sim.HeapQueue)
 
 	if calEng.Steps() != heapEng.Steps() {
 		t.Fatalf("step counts diverge: calendar %d, heap %d", calEng.Steps(), heapEng.Steps())

@@ -78,7 +78,6 @@ func run() int {
 		faultSpec    = flag.String("fault", "", "fault spec injected at every scenario's bottleneck, e.g. 'down:25+5;corrupt:0.001' (see internal/faults)")
 		timeline     = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running/retry/degraded spans, one lane per worker) as trace-event JSON to this path")
 		serve        = flag.String("serve", "", "serve live telemetry on this address (e.g. 127.0.0.1:9155): /metrics, /healthz, /progress SSE, /debug/pprof; blocks after the run until interrupted")
-		serveOnce    = flag.Bool("serve-once", false, "with -serve: exit as soon as the run finishes instead of blocking for scrapes (CI smoke)")
 		slogLevel    = flag.String("slog", "", "emit structured sweep logs to stderr at this level (debug, info, warn, error)")
 		storeDir     = flag.String("store", "", "durable result store directory: completed sweep cells are journaled here (crash-safe), and SIGINT/SIGTERM checkpoints and exits with code 3 so the run can be resumed")
 		resume       = flag.Bool("resume", false, "with -store: serve completed cells from the store instead of recomputing them (only missing or degraded cells run)")
@@ -92,9 +91,57 @@ func run() int {
 	)
 	flag.Parse()
 
+	// Usage errors first: an invocation that exits 2 must not have opened
+	// a store, started a profile or bound a socket.
 	matrix, err := matrixOverride(*matrixSpec, *topology)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	var faultCfg faults.Config
+	if *faultSpec != "" {
+		if faultCfg, err = faults.ParseSpec(*faultSpec); err != nil {
+			fmt.Fprintf(os.Stderr, "-fault: %v\n", err)
+			return 2
+		}
+	}
+	var logLevel slog.Level
+	if *slogLevel != "" {
+		if err := logLevel.UnmarshalText([]byte(*slogLevel)); err != nil {
+			fmt.Fprintf(os.Stderr, "-slog: %v\n", err)
+			return 2
+		}
+	}
+	if *resume && *storeDir == "" {
+		fmt.Fprintln(os.Stderr, "-resume requires -store DIR")
+		return 2
+	}
+	exps := exp.Experiments()
+	if *list || *name == "" {
+		fmt.Println("experiments:")
+		for _, e := range exps {
+			fmt.Printf("  %-18s %s\n", e.Name, e.Desc)
+		}
+		if !*list {
+			return 2
+		}
+		return 0
+	}
+	sort.Slice(exps, func(i, j int) bool { return exps[i].Name < exps[j].Name })
+	var selected []exp.Experiment
+	hasMatrix := false
+	for _, e := range exps {
+		if *name == "all" || strings.EqualFold(*name, e.Name) {
+			selected = append(selected, e)
+			hasMatrix = hasMatrix || e.Name == "matrix"
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *name)
+		return 2
+	}
+	if *tsvPath != "" && !hasMatrix {
+		fmt.Fprintf(os.Stderr, "-tsv: -exp %s does not run the matrix experiment, whose artifact the TSV is\n", *name)
 		return 2
 	}
 
@@ -123,10 +170,6 @@ func run() int {
 		}
 		exp.SetSweepPolicy(pol)
 	}
-	if *resume && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -store DIR")
-		return 2
-	}
 	var cellStore *store.Store
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
@@ -142,12 +185,7 @@ func run() int {
 		exp.SetSweepStore(st, *resume)
 	}
 	if *faultSpec != "" {
-		fc, err := faults.ParseSpec(*faultSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-fault: %v\n", err)
-			return 2
-		}
-		exp.SetFaultConfig(&fc)
+		exp.SetFaultConfig(&faultCfg)
 	}
 	var sweepTL *obs.Timeline
 	if *timeline != "" {
@@ -183,19 +221,6 @@ func run() int {
 		}()
 	}
 
-	exps := exp.Experiments()
-	if *list || *name == "" {
-		fmt.Println("experiments:")
-		for _, e := range exps {
-			fmt.Printf("  %-18s %s\n", e.Name, e.Desc)
-		}
-		if *name == "" && !*list {
-			return 2
-		}
-		return 0
-	}
-	sort.Slice(exps, func(i, j int) bool { return exps[i].Name < exps[j].Name })
-	ran := false
 	m := obs.NewManifest("slowccsim", *seed)
 	m.Config["full"] = strconv.FormatBool(*full)
 	m.Config["exp"] = *name
@@ -232,34 +257,27 @@ func run() int {
 		prog *export.Progress
 		srv  *export.Server
 	)
-	if *serve != "" || *slogLevel != "" {
-		if *slogLevel != "" {
-			var lvl slog.Level
-			if err := lvl.UnmarshalText([]byte(*slogLevel)); err != nil {
-				fmt.Fprintf(os.Stderr, "-slog: %v\n", err)
-				return 2
-			}
-			h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})
-			exp.SetSweepLogger(slog.New(h).With("run", runDigest))
+	if *slogLevel != "" {
+		h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})
+		exp.SetSweepLogger(slog.New(h).With("run", runDigest))
+	}
+	if *serve != "" {
+		col := export.NewCollector()
+		prog = export.NewProgress(col)
+		prog.SetRun(runDigest)
+		exp.SetSweepProgress(prog)
+		if cellStore != nil {
+			col.SetCounterFunc("store.hits", cellStore.Hits)
+			col.SetCounterFunc("store.misses", cellStore.Misses)
+			col.SetCounterFunc("store.corrupt", cellStore.Corrupt)
 		}
-		if *serve != "" {
-			col := export.NewCollector()
-			prog = export.NewProgress(col)
-			prog.SetRun(runDigest)
-			exp.SetSweepProgress(prog)
-			if cellStore != nil {
-				col.SetCounterFunc("store.hits", cellStore.Hits)
-				col.SetCounterFunc("store.misses", cellStore.Misses)
-				col.SetCounterFunc("store.corrupt", cellStore.Corrupt)
-			}
-			srv = export.NewServer(col, prog)
-			addr, err := srv.Start(*serve)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "-serve: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(os.Stderr, "serving telemetry on http://%s/{metrics,healthz,progress,debug/pprof}\n", addr)
+		srv = export.NewServer(col, prog)
+		addr, err := srv.Start(*serve)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-serve: %v\n", err)
+			return 1
 		}
+		fmt.Fprintf(os.Stderr, "serving telemetry on http://%s/{metrics,healthz,progress,debug/pprof}\n", addr)
 	}
 	var storeSig chan os.Signal
 	if cellStore != nil {
@@ -278,17 +296,13 @@ func run() int {
 		}()
 	}
 	wallStart := time.Now()
-	for _, e := range exps {
-		if *name != "all" && !strings.EqualFold(*name, e.Name) {
-			continue
-		}
+	for _, e := range selected {
 		if cellStore != nil {
 			// Scope generic (non-matrix) sweep keys by run digest and
 			// experiment name: a pure function of the invocation, so an
 			// interrupted and a resumed run derive identical cell keys.
 			exp.SetSweepScope(runDigest + "|" + e.Name)
 		}
-		ran = true
 		start := time.Now()
 		text, data := e.Run(*full, *seed, matrix)
 		if cells, ok := data.([]exp.MatrixCell); ok && *tsvPath != "" {
@@ -314,10 +328,6 @@ func run() int {
 			fmt.Println(text)
 			fmt.Printf("[%s finished in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 		}
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *name)
-		return 2
 	}
 	// Supervised sweeps degrade poisoned cells instead of aborting; make
 	// the degradation loud and durable rather than silent.
@@ -371,13 +381,12 @@ func run() int {
 	}
 	if srv != nil {
 		// All outputs are on disk; keep the endpoints up so the run's
-		// final metrics can be scraped, unless this is a CI smoke.
-		if !*serveOnce {
-			fmt.Fprintln(os.Stderr, "run complete; serving telemetry until SIGINT/SIGTERM")
-			ch := make(chan os.Signal, 1)
-			signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-			<-ch
-		}
+		// final metrics can be scraped. The handler is in place before the
+		// announcement, so a signal sent on reading it exits cleanly.
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+		fmt.Fprintln(os.Stderr, "run complete; serving telemetry until SIGINT/SIGTERM")
+		<-ch
 		srv.Close()
 	}
 	if degraded && *failDegraded {

@@ -1,19 +1,27 @@
-// Package cmd_test drives the three commands end to end through the real
-// binaries: flag plumbing, exit codes and file round trips the unit
-// tests cannot reach. TestMain builds them once.
+// Package cmd_test drives the three commands and the examples end to end
+// through the real binaries: flag plumbing, exit codes, signals and file
+// round trips the unit tests cannot reach. TestMain builds them once.
 package cmd_test
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"slowcc/internal/exp"
+	"slowcc/internal/obs/export"
 )
 
 // bin is the directory holding the built commands.
@@ -25,7 +33,7 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./slowccsim", "./slowcctrace", "./slowccreport")
+	build := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./slowccsim", "./slowcctrace", "./slowccreport", "../examples/...")
 	build.Stderr = os.Stderr
 	code := 1
 	if err := build.Run(); err != nil {
@@ -62,6 +70,84 @@ func ok(t *testing.T, dir, name string, args ...string) string {
 		t.Fatalf("%s %v: exit %d\n%s", name, args, code, stderr)
 	}
 	return stdout
+}
+
+// proc is a command running in the background: start it, wait for a
+// line of its stderr, signal it, wait for it to exit.
+type proc struct {
+	t    *testing.T
+	cmd  *exec.Cmd
+	kill *time.Timer // bounds a child that never prints or never exits
+
+	mu     sync.Mutex
+	more   *sync.Cond // a line arrived, or stderr hit EOF
+	stderr []string
+	eof    bool
+}
+
+func start(t *testing.T, dir, name string, args ...string) *proc {
+	t.Helper()
+	p := &proc{t: t, cmd: exec.Command(filepath.Join(bin, name), args...)}
+	p.more = sync.NewCond(&p.mu)
+	p.cmd.Dir = dir
+	pipe, err := p.cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p.kill = time.AfterFunc(2*time.Minute, func() { p.cmd.Process.Kill() })
+	t.Cleanup(func() { p.signal(syscall.SIGKILL) })
+	go func() {
+		sc := bufio.NewScanner(pipe)
+		for more := true; more; {
+			more = sc.Scan()
+			p.mu.Lock()
+			if more {
+				p.stderr = append(p.stderr, sc.Text())
+			}
+			p.eof = !more
+			p.more.Broadcast()
+			p.mu.Unlock()
+		}
+	}()
+	return p
+}
+
+// line blocks until a stderr line matches re and returns re's group (the
+// whole match if it has none); the child exiting first, or its two
+// minutes running out, fails the test.
+func (p *proc) line(re string) string {
+	p.t.Helper()
+	match := regexp.MustCompile(re)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := 0; ; i++ {
+		for i == len(p.stderr) {
+			if p.eof {
+				p.t.Fatalf("%v exited without a stderr line matching %q:\n%s", p.cmd.Args, re, strings.Join(p.stderr, "\n"))
+			}
+			p.more.Wait()
+		}
+		if m := match.FindStringSubmatch(p.stderr[i]); m != nil {
+			return m[len(m)-1]
+		}
+	}
+}
+
+// signal sends sig, waits for the child to exit and returns its exit
+// code (-1 when a signal killed it). Calling it again is harmless.
+func (p *proc) signal(sig syscall.Signal) int {
+	p.cmd.Process.Signal(sig) // an error means it has already exited
+	p.mu.Lock()
+	for !p.eof {
+		p.more.Wait()
+	}
+	p.mu.Unlock()
+	p.cmd.Wait() // the exit status is read below
+	p.kill.Stop()
+	return p.cmd.ProcessState.ExitCode()
 }
 
 func nonEmpty(t *testing.T, path string) []byte {
@@ -191,21 +277,133 @@ func TestListAndSelect(t *testing.T) {
 	}
 }
 
+// A usage error exits 2 with its message and has no side effects: the
+// -store directory every bad invocation names must not exist afterwards.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
-		stderr string
-		args   []string
+		says string // what the output starts with: stderr, or the listing on stdout
+		args []string
 	}{
 		{"unknown experiment", []string{"-exp", "nosuch"}},
 		{"-matrix: ", []string{"-exp", "matrix", "-matrix", "bogus"}},
 		{"-topology: ", []string{"-exp", "matrix", "-topology", "ring"}},
 		{"-topology: ", []string{"-exp", "matrix", "-topology", "dumbbell:2"}},
 		{"-topology: ", []string{"-exp", "matrix", "-topology", "parking-lot:0"}},
+		{"-fault: ", []string{"-exp", "fig3", "-fault", "bogus"}},
+		{"-slog: ", []string{"-exp", "fig3", "-slog", "loud"}},
+		{"-tsv: ", []string{"-exp", "fig20", "-tsv", "x.tsv"}},
+		{"experiments:", []string{}},
 	} {
-		code, _, stderr := run(t, dir, "slowccsim", tc.args...)
-		if code != 2 || !strings.HasPrefix(stderr, tc.stderr) {
-			t.Errorf("slowccsim %v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr, tc.stderr)
+		code, stdout, stderr := run(t, dir, "slowccsim", append(tc.args, "-store", "d")...)
+		if code != 2 || !strings.HasPrefix(stderr+stdout, tc.says) {
+			t.Errorf("slowccsim %v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr, tc.says)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "d")); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("slowccsim %v left its -store directory behind (%v)", tc.args, err)
+			os.RemoveAll(filepath.Join(dir, "d"))
+		}
+	}
+	code, _, stderr := run(t, dir, "slowccsim", "-exp", "matrix", "-resume")
+	if code != 2 || !strings.HasPrefix(stderr, "-resume requires -store") {
+		t.Errorf("slowccsim -resume without -store: exit %d, stderr %q", code, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x.tsv")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("-exp fig20 -tsv x.tsv wrote x.tsv (%v)", err)
+	}
+}
+
+// The live-telemetry stack through the real binary: slowccsim -serve
+// runs fig3 with the export server on an ephemeral port and a result
+// store attached; once the run is complete /healthz says so, /metrics
+// carries the sweep, digest and store families, the SSE feed replays a
+// sweep event, SIGTERM exits cleanly, and the scraped exposition passes
+// the strict validator — a /metrics stream a Prometheus scraper would
+// reject fails here.
+func TestExportSmoke(t *testing.T) {
+	dir := t.TempDir()
+	p := start(t, dir, "slowccsim", "-exp", "fig3", "-serve", "127.0.0.1:0", "-slog", "warn", "-store", "store")
+	base := "http://" + p.line(`^serving telemetry on http://([^/]+)/`)
+	client := &http.Client{Timeout: 30 * time.Second}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := client.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s, %v", path, resp.Status, err)
+		}
+		return body
+	}
+	get("/healthz") // answers while the sweep runs
+	p.line(`^run complete`)
+	if health := get("/healthz"); !bytes.Contains(health, []byte(`"run_done": true`)) {
+		t.Errorf("/healthz after the run: %s", health)
+	}
+	metrics := get("/metrics")
+	for _, family := range []string{"slowcc_sweep_cells_done_total", "slowcc_stream_digest_info",
+		"slowcc_store_hits", "slowcc_store_misses", "slowcc_store_corrupt"} {
+		if !bytes.Contains(metrics, []byte("\n"+family)) {
+			t.Errorf("/metrics has no %s sample", family)
+		}
+	}
+	if sse := get("/progress?replay=close"); !bytes.Contains(sse, []byte("event: sweep\n")) {
+		t.Errorf("/progress replayed no sweep event:\n%s", sse)
+	}
+	if code := p.signal(syscall.SIGTERM); code != 0 {
+		t.Errorf("SIGTERM after the run: exit %d, want 0", code)
+	}
+	if _, _, err := export.Validate(bytes.NewReader(metrics)); err != nil {
+		t.Errorf("scraped /metrics: %v", err)
+	}
+}
+
+// The crash-safety gate: a matrix sweep is SIGKILLed once its first cell
+// is in the journal (no handler, no checkpoint — the per-entry fsync is
+// all that survives), then resumed. The resume must serve at least one
+// cell from the store, and its TSV must be byte-identical to an
+// uninterrupted run's: replayed cells are indistinguishable from
+// computed ones.
+func TestKillAndResumeSmoke(t *testing.T) {
+	dir := t.TempDir()
+	matrix := []string{"-exp", "matrix", "-matrix", "tcp:0.5,tfrc:8,cbr:3e6"}
+	ok(t, dir, "slowccsim", append(matrix, "-tsv", "full.tsv")...)
+
+	p := start(t, dir, "slowccsim", append(matrix, "-store", "store", "-tsv", "killed.tsv")...)
+	journal := filepath.Join(dir, "store", "journal.bin")
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if info, err := os.Stat(journal); err == nil && info.Size() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no cell committed to the journal within a minute")
+		}
+	}
+	p.signal(syscall.SIGKILL)
+
+	code, _, stderr := run(t, dir, "slowccsim", append(matrix, "-store", "store", "-resume", "-tsv", "resumed.tsv")...)
+	if code != 0 || !regexp.MustCompile(`(?m)^store .*: [0-9]+ entries, [1-9][0-9]* hits`).MatchString(stderr) {
+		t.Fatalf("resume: exit %d, served no cell from the store:\n%s", code, stderr)
+	}
+	if !bytes.Equal(nonEmpty(t, filepath.Join(dir, "resumed.tsv")), nonEmpty(t, filepath.Join(dir, "full.tsv"))) {
+		t.Fatal("resumed.tsv differs from the uninterrupted run's full.tsv")
+	}
+}
+
+// The root package exports what the examples use (TestRootSurfaceHasUsers);
+// here the examples run.
+func TestExamplesRun(t *testing.T) {
+	examples, err := os.ReadDir(filepath.Join("..", "examples"))
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("../examples: %d entries, %v", len(examples), err)
+	}
+	t.Setenv("TMPDIR", t.TempDir()) // examples/tracing writes its TSV to a temp file
+	for _, e := range examples {
+		if out := ok(t, t.TempDir(), e.Name()); out == "" {
+			t.Errorf("examples/%s printed nothing", e.Name())
 		}
 	}
 }

@@ -122,7 +122,7 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 // A store reads a cell's telemetry once, after the job has returned, so
 // it gets what is free to keep — the counter registry, the event count,
 // the halts — and never the stream digest, which is work on every
-// event: DESIGN §15.4's "consulted per sweep cell, never per event".
+// event: DESIGN §9.5's "consulted per sweep cell, never per event".
 func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")

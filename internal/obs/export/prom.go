@@ -3,8 +3,7 @@
 // counters, HDR histograms with their cumulative buckets, probe
 // gauges), a merge collector and SSE progress hub for supervised
 // sweeps, and an embeddable HTTP server mounting /metrics, /healthz,
-// /progress, and /debug/pprof — the surface the slowccd sweep service
-// (ROADMAP item 1) will serve unchanged. See DESIGN.md §14.
+// /progress, and /debug/pprof. See DESIGN.md §14.
 //
 // Everything here runs beside the simulator, never inside it: cells
 // snapshot their telemetry after their engines finish, scrapes read

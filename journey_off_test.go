@@ -1,8 +1,7 @@
-// Determinism guarantee of the journey layer, checked at the public
-// surface: attaching a journey recorder to the seed-1 macro run —
-// recording every per-hop span — must not change the event stream at
-// all, because link taps observe without scheduling anything. This is
-// a stronger pin than the wired-but-off layers hold
+// Determinism guarantee of the journey layer: attaching a journey
+// recorder to the seed-1 macro run — recording every per-hop span —
+// must not change the event stream at all, because link taps observe
+// without scheduling anything. This is a stronger pin than the wired-but-off layers hold
 // (pinned_stream_test.go): fully enabled recording costs zero events.
 package slowcc_test
 
@@ -11,10 +10,11 @@ import (
 	"testing"
 
 	"slowcc"
+	"slowcc/internal/obs/journey"
 )
 
 func TestJourneyRecordingDoesNotPerturbEventStream(t *testing.T) {
-	rec := slowcc.NewJourneyRecorder()
+	rec := journey.New()
 	// Before the flows wire: access links attach as each path is built.
 	r := runMacro(layer{after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(rec) }})
 	rec.Finalize()

@@ -1,17 +1,22 @@
-// The behavioural oracle, held at the public surface: the seed-1 macro
-// run — two standard TCP flows over the paper's 10 Mbps dumbbell for
-// 30 s — executes exactly 403989 events whose stream digest is
-// 0x86e6964d4bd964b3, and every layer of machinery that can be wired
-// around it while switched off must leave that stream, and the packet
-// story at the bottleneck, untouched. One helper declares the run; one
-// table lists the layers.
+// The behavioural oracle: the seed-1 macro run — two standard TCP flows
+// over the paper's 10 Mbps dumbbell for 30 s — executes exactly 403989
+// events whose stream digest is 0x86e6964d4bd964b3, and every layer of
+// machinery that can be wired around it while switched off must leave
+// that stream, and the packet story at the bottleneck, untouched. One
+// helper declares the run; one table lists the layers.
 package slowcc_test
 
 import (
 	"testing"
 
 	"slowcc"
+	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
+	"slowcc/internal/obs"
+	"slowcc/internal/obs/journey"
+	"slowcc/internal/sim"
+	"slowcc/internal/topology"
+	"slowcc/internal/trace"
 )
 
 const (
@@ -25,7 +30,7 @@ type layer struct {
 	name string
 	// queue is the engine's event queue (the zero value is the calendar
 	// queue every production engine uses).
-	queue slowcc.QueueKind
+	queue sim.QueueKind
 	// before runs once the engine exists and may edit the dumbbell's
 	// config; after runs on the built dumbbell before any flow wires.
 	before func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig)
@@ -40,13 +45,13 @@ type layer struct {
 type macroRun struct {
 	eng   *slowcc.Engine
 	d     *slowcc.Dumbbell
-	dig   *slowcc.StreamDigest
-	trace []slowcc.TraceEvent // every packet offered to the forward bottleneck
+	dig   *sim.StreamDigest
+	trace []trace.Event // every packet offered to the forward bottleneck
 }
 
 // runMacro executes the macro run with l attached.
 func runMacro(l layer) macroRun {
-	r := macroRun{eng: slowcc.NewEngineWithQueue(1, l.queue), dig: &slowcc.StreamDigest{}}
+	r := macroRun{eng: sim.NewWithQueue(1, l.queue), dig: &sim.StreamDigest{}}
 	r.eng.SetStreamDigest(r.dig)
 	cfg := slowcc.DumbbellConfig{Rate: 10e6, Seed: 1}
 	if l.before != nil {
@@ -93,15 +98,15 @@ func holdPinned(t *testing.T, r, plain macroRun, undigested bool) {
 
 func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 	var (
-		inj  *slowcc.FaultInjector
-		idle *slowcc.Net
-		smp  *slowcc.Sampler
+		inj  *faults.Injector
+		idle *topology.Net
+		smp  *obs.Sampler
 	)
 	layers := []layer{
 		{name: "plain"},
 		// The reference queue pops the identical (at, seq) order, so one
 		// hex string compares two queue implementations.
-		{name: "heap queue", queue: slowcc.HeapQueue},
+		{name: "heap queue", queue: sim.HeapQueue},
 		// The digest the other rows carry is itself a pure observer.
 		{name: "digest detached", undigested: true,
 			after: func(d *slowcc.Dumbbell) { d.Eng.SetStreamDigest(nil) },
@@ -118,7 +123,7 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 		// and schedules nothing.
 		{name: "fault injector disabled",
 			before: func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig) {
-				inj = slowcc.NewFaultInjector(eng, slowcc.FaultConfig{})
+				inj = faults.New(eng, faults.Config{})
 				cfg.Fault = inj
 			},
 			check: func(t *testing.T, r macroRun) {
@@ -131,8 +136,8 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 		// with nothing.
 		{name: "idle parking lot",
 			before: func(eng *slowcc.Engine, _ *slowcc.DumbbellConfig) {
-				idle = slowcc.NewNet(eng, slowcc.NetConfig{
-					Hops: []slowcc.NetHop{{Rate: 10e6}, {Rate: 10e6}},
+				idle = topology.NewNet(eng, topology.NetConfig{
+					Hops: []topology.Hop{{Rate: 10e6}, {Rate: 10e6}},
 					Seed: 99,
 				})
 			},
@@ -145,8 +150,8 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 		// sits in the engine's probe slot without ever asking to wake.
 		{name: "registry and sampler at interval 0",
 			after: func(d *slowcc.Dumbbell) {
-				d.Observe(&slowcc.CounterRegistry{})
-				smp = slowcc.NewSampler(0)
+				d.Observe(&obs.Registry{})
+				smp = obs.NewSampler(0)
 				d.ObserveProbes(smp)
 				smp.Install(d.Eng)
 			},
@@ -175,15 +180,15 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 // disturb one another either: the journey attribution equals a run
 // where the recorder is alone, and the auditor finds nothing.
 func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
-	alone := slowcc.NewJourneyRecorder()
+	alone := journey.New()
 	runMacro(layer{after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(alone) }})
 
 	var (
 		aud *invariant.Auditor
-		jr  = slowcc.NewJourneyRecorder()
+		jr  = journey.New()
 		mon = slowcc.NewLossMonitor(0.5)
 		tr  slowcc.Tracer
-		fr  = slowcc.NewFlightRecorder(512)
+		fr  = obs.NewFlightRecorder(512)
 	)
 	r := runMacro(layer{
 		before: func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig) {

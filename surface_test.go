@@ -1,0 +1,157 @@
+package slowcc_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestRootSurfaceHasUsers is the litmus for the root package's surface:
+// an exported name stays only while something a reader can run or read
+// uses it. Users are the non-test Go files under examples/ and cmd/,
+// example_test.go, and README.md; a used declaration also keeps every
+// root name its type or signature mentions (not its body), so a kept
+// constructor keeps the types a caller must be able to spell. To add a
+// public name, write the example or README line that uses it.
+func TestRootSurfaceHasUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(path string) *ast.File {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	// Every exported top-level name of the non-test root files, with the
+	// expression holding its type or signature (nil for an untyped const).
+	decl := map[string]ast.Expr{}
+	where := map[string]token.Position{}
+	add := func(id *ast.Ident, typ ast.Expr) {
+		if id.IsExported() {
+			decl[id.Name], where[id.Name] = typ, fset.Position(id.Pos())
+		}
+	}
+	rootFiles, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range rootFiles {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		for _, d := range parse(path).Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, d.Type)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, s.Type)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id, s.Type)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Every slowcc.X the users reference.
+	used := map[string]bool{}
+	scan := func(path string) {
+		f := parse(path)
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"slowcc"` {
+				local = "slowcc"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				scan(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan("example_test.go")
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile(`\bslowcc\.([A-Z]\w*)`).FindAllSubmatch(readme, -1) {
+		if _, ok := decl[string(m[1])]; !ok {
+			t.Errorf("README.md names slowcc.%s, which the root package does not export", m[1])
+		}
+		used[string(m[1])] = true
+	}
+
+	// Close the kept set over the root names kept declarations mention.
+	kept := map[string]bool{}
+	var keep func(name string)
+	keep = func(name string) {
+		typ, ok := decl[name]
+		if !ok || kept[name] {
+			return
+		}
+		kept[name] = true
+		if typ == nil {
+			return
+		}
+		ast.Inspect(typ, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr: // pkg.Name names another package's identifier
+				return false
+			case *ast.Ident:
+				keep(n.Name)
+			}
+			return true
+		})
+	}
+	for name := range used {
+		keep(name)
+	}
+
+	var orphans []string
+	for name := range decl {
+		if !kept[name] {
+			orphans = append(orphans, name)
+		}
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		var b strings.Builder
+		for _, name := range orphans {
+			b.WriteString("\n\t" + name + "\t" + where[name].String())
+		}
+		t.Errorf("%d of the root package's %d exported names have no user in examples/, cmd/, example_test.go or README.md; delete them, or write the example that needs them:%s",
+			len(orphans), len(decl), b.String())
+	}
+}
