@@ -40,14 +40,14 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # fuzz-smoke gives each parser fuzz target, the result store's two
-# on-disk readers and the trace TSV reader a few seconds of
+# on-disk readers and the trace and matrix TSV readers a few seconds of
 # coverage-guided input on every ci run — long enough to re-find shallow
-# regressions (the TimedPattern fast-forward hang was one), short enough
+# regressions (the heatmap's index-by-NaN panic was one), short enough
 # not to dominate the gate.
 # Longer campaigns: raise -fuzztime by hand.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzParsePattern -fuzztime=3s ./internal/netem
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=3s ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=3s ./internal/exp
+	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixTSV -fuzztime=3s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=3s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=3s ./internal/trace

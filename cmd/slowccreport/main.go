@@ -74,6 +74,14 @@ func main() {
 		storeDir   = flag.String("store", "", "inspect a slowccsim -store result-store directory (read-only): list committed cells, degraded markers, journal damage")
 	)
 	flag.Parse()
+	if *heatmap == "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "heatmap-metric" || f.Name == "heatmap-svg" {
+				fmt.Fprintf(os.Stderr, "-%s requires -heatmap: there is no matrix TSV to render\n", f.Name)
+				os.Exit(2)
+			}
+		})
+	}
 
 	ran := false
 	if *storeDir != "" {

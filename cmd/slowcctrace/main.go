@@ -90,6 +90,10 @@ func main() {
 		digest   = flag.Bool("digest", false, "fold every executed event into a rolling stream digest and print it (an O(1)-memory fingerprint of the run; also lands in the manifest)")
 	)
 	flag.Parse()
+	if *probeOut != "" && *probe <= 0 {
+		fmt.Fprintln(os.Stderr, "-probes requires -probe: nothing is sampled without an interval")
+		os.Exit(2)
+	}
 	if *fault != "" {
 		if _, err := faults.ParseSpec(*fault); err != nil {
 			fmt.Fprintf(os.Stderr, "-fault: %v\n", err)

@@ -246,6 +246,18 @@ func TestTimelineSmoke(t *testing.T) {
 		"-fail-degraded", "-timeline", "sweep.json", "-tsv", "matrix.tsv")
 	ok(t, dir, "slowccreport", "-timeline", "journeys.json", "run.json")
 	ok(t, dir, "slowccreport", "-timeline", "sweep.json", "-heatmap", "matrix.tsv")
+
+	// A number no sweep writes is a parse error with its place in the
+	// file, not a panic in the renderer.
+	header, _, _ := bytes.Cut(nonEmpty(t, filepath.Join(dir, "matrix.tsv")), []byte("\n"))
+	nan := string(header) + "\nd\ts\tA\tB\tNaN\tNaN\tNaN\tNaN\tNaN\tNaN\tNaN\tfalse\n"
+	if err := os.WriteFile(filepath.Join(dir, "nan.tsv"), []byte(nan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := run(t, dir, "slowccreport", "-heatmap", "nan.tsv")
+	if code != 1 || !strings.Contains(stderr, "line 2 col 5") || strings.Contains(stderr, "panic") {
+		t.Fatalf("slowccreport -heatmap on a NaN TSV: exit %d, stderr %q; want 1 and a line 2 col 5 parse error", code, stderr)
+	}
 }
 
 // A run that exits nonzero is the one worth profiling: both profiles
@@ -278,29 +290,37 @@ func TestListAndSelect(t *testing.T) {
 }
 
 // A usage error exits 2 with its message and has no side effects: the
-// -store directory every bad invocation names must not exist afterwards.
+// -store directory every bad slowccsim invocation names must not exist
+// afterwards, nor any output file a flag that cannot take effect named.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		says string // what the output starts with: stderr, or the listing on stdout
 		args []string
 	}{
-		{"unknown experiment", []string{"-exp", "nosuch"}},
-		{"-matrix: ", []string{"-exp", "matrix", "-matrix", "bogus"}},
-		{"-topology: ", []string{"-exp", "matrix", "-topology", "ring"}},
-		{"-topology: ", []string{"-exp", "matrix", "-topology", "dumbbell:2"}},
-		{"-topology: ", []string{"-exp", "matrix", "-topology", "parking-lot:0"}},
-		{"-fault: ", []string{"-exp", "fig3", "-fault", "bogus"}},
-		{"-slog: ", []string{"-exp", "fig3", "-slog", "loud"}},
-		{"-tsv: ", []string{"-exp", "fig20", "-tsv", "x.tsv"}},
-		{"experiments:", []string{}},
+		{"unknown experiment", []string{"slowccsim", "-exp", "nosuch"}},
+		{"-matrix: ", []string{"slowccsim", "-exp", "matrix", "-matrix", "bogus"}},
+		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "ring"}},
+		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "dumbbell:2"}},
+		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "parking-lot:0"}},
+		{"-fault: ", []string{"slowccsim", "-exp", "fig3", "-fault", "bogus"}},
+		{"-slog: ", []string{"slowccsim", "-exp", "fig3", "-slog", "loud"}},
+		{"-tsv: ", []string{"slowccsim", "-exp", "fig20", "-tsv", "x.tsv"}},
+		{"experiments:", []string{"slowccsim"}},
+		{"-probes requires -probe", []string{"slowcctrace", "-dur", "1", "-probes", "x.tsv"}},
+		{"-heatmap-svg requires -heatmap", []string{"slowccreport", "-heatmap-svg", "x.svg"}},
+		{"-heatmap-metric requires -heatmap", []string{"slowccreport", "-heatmap-metric", "jain"}},
 	} {
-		code, stdout, stderr := run(t, dir, "slowccsim", append(tc.args, "-store", "d")...)
+		args := tc.args[1:]
+		if tc.args[0] == "slowccsim" {
+			args = append(args, "-store", "d")
+		}
+		code, stdout, stderr := run(t, dir, tc.args[0], args...)
 		if code != 2 || !strings.HasPrefix(stderr+stdout, tc.says) {
-			t.Errorf("slowccsim %v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr, tc.says)
+			t.Errorf("%v: exit %d, stderr %q; want 2 and %q", tc.args, code, stderr, tc.says)
 		}
 		if _, err := os.Stat(filepath.Join(dir, "d")); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("slowccsim %v left its -store directory behind (%v)", tc.args, err)
+			t.Errorf("%v left its -store directory behind (%v)", tc.args, err)
 			os.RemoveAll(filepath.Join(dir, "d"))
 		}
 	}
@@ -308,8 +328,10 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	if code != 2 || !strings.HasPrefix(stderr, "-resume requires -store") {
 		t.Errorf("slowccsim -resume without -store: exit %d, stderr %q", code, stderr)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "x.tsv")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("-exp fig20 -tsv x.tsv wrote x.tsv (%v)", err)
+	for _, name := range []string{"x.tsv", "x.svg"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("a usage error wrote %s (%v)", name, err)
+		}
 	}
 }
 

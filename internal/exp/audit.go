@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
@@ -14,23 +12,17 @@ import (
 	"slowcc/internal/topology"
 )
 
-// Audit mode makes every scenario a figure driver constructs run under
-// the internal/invariant auditing layer: packet conservation on every
-// link, clock sanity on every event, and per-flow byte and bound checks.
-// The exp tests enable it for the whole package (see TestMain), so the
-// scaled-down figure suite cannot pass while any accounting invariant is
-// broken; benchmarks and production runs leave it off and pay only a nil
-// check per event. The collector is shared across engines because sweep
-// drivers run scenarios concurrently via parallelMapIndexed.
-var audit struct {
-	mu         sync.Mutex
-	enabled    bool
-	flightDir  string // when non-empty, audited scenarios dump here
-	flightSeq  atomic.Int64
-	total      int64
-	violations []invariant.Violation // capped at auditMaxRecorded
-}
+// Audit mode (sweepEnv.audit) makes every scenario a figure driver
+// constructs run under the internal/invariant auditing layer: packet
+// conservation on every link, clock sanity on every event, and per-flow
+// byte and bound checks. There is no exported switch: the exp suite's
+// TestMain sets the field for the whole package, so the scaled-down
+// figure suite cannot pass while any accounting invariant is broken;
+// benchmarks and production runs leave it off and pay only a nil check
+// per event. Violations land in supervision (auditTotal, violations),
+// shared across engines because sweep drivers run scenarios concurrently.
 
+// auditMaxRecorded caps how many violations are kept beside the count.
 const auditMaxRecorded = 200
 
 // flightRingSize bounds the per-scenario flight recorder: enough recent
@@ -38,56 +30,17 @@ const auditMaxRecorded = 200
 // that the audited figure suite's memory stays flat.
 const flightRingSize = 512
 
-// EnableAudit turns invariant auditing of figure-driver scenarios on or
-// off. It affects scenarios constructed after the call.
-func EnableAudit(on bool) {
-	audit.mu.Lock()
-	defer audit.mu.Unlock()
-	audit.enabled = on
-}
-
-// EnableFlightDump makes every audited scenario keep a flight recorder
-// over its forward bottleneck and dump it into dir (as
-// flight-<n>.dump) when an invariant violation fires, so an audit
-// failure in the figure suite leaves the packet-level lead-up on disk
-// instead of only a counter. Empty dir disables it. Takes effect for
-// scenarios constructed after the call; requires audit mode. Returns
-// the previous directory so callers can restore it.
-func EnableFlightDump(dir string) (prev string) {
-	audit.mu.Lock()
-	defer audit.mu.Unlock()
-	prev = audit.flightDir
-	audit.flightDir = dir
-	return prev
-}
-
-// AuditViolations returns the number of invariant violations observed so
-// far and a snapshot of the recorded ones.
-func AuditViolations() (int64, []invariant.Violation) {
-	audit.mu.Lock()
-	defer audit.mu.Unlock()
-	return audit.total, append([]invariant.Violation(nil), audit.violations...)
-}
-
-// ResetAudit clears the violation collector (test isolation).
-func ResetAudit() {
-	audit.mu.Lock()
-	defer audit.mu.Unlock()
-	audit.total = 0
-	audit.violations = nil
-}
-
 func recordAuditViolation(v invariant.Violation) {
-	audit.mu.Lock()
-	defer audit.mu.Unlock()
-	audit.total++
-	if len(audit.violations) < auditMaxRecorded {
-		audit.violations = append(audit.violations, v)
+	supervision.mu.Lock()
+	defer supervision.mu.Unlock()
+	supervision.auditTotal++
+	if len(supervision.violations) < auditMaxRecorded {
+		supervision.violations = append(supervision.violations, v)
 	}
 }
 
 // newScenario constructs the engine and dumbbell a figure driver runs
-// on: buildScenario with the global fault configuration.
+// on: buildScenario with the sweep's fault configuration.
 func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topology.Net) {
 	return c.buildScenario(seed, tc, nil, nil, 0)
 }
@@ -95,28 +48,34 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // buildScenario is the one place a figure or matrix scenario gets its
 // engine and topology: the paper's dumbbell tc or, when chain is
 // non-nil, that chain instead. c is the sweep cell the scenario runs
-// under, nil outside supervised sweeps; it maps the base seed to this
-// attempt's (Cell.Seed: the base itself on attempt 0 and under a nil
-// cell) and that one seed drives the engine, the topology's queues and,
-// unless the configuration names its own, the fault stream — so a driver
-// that gets its scenario here cannot run a retry on the first attempt's
-// seed. It applies the global run budget (the -max-events CLI path);
-// attaches the fault configuration — explicit fc, else the global -fault
-// one — to the forward link of hop faultHop, so multi-bottleneck
-// scenarios pick which hop degrades; wires the invariant auditor through
-// every link when audit mode is on; keeps at most one flight recorder
-// over the first forward hop, which the auditor dumps on a violation and
-// the supervisor dumps if the cell panics; and registers the topology
-// with the cell's live-telemetry collector.
+// under, nil outside supervised sweeps — a nil cell reads the package's
+// settings at the call, a cell carries its sweep's snapshot; it maps the
+// base seed to this attempt's (Cell.Seed: the base itself on attempt 0
+// and under a nil cell) and that one seed drives the engine, the
+// topology's queues and, unless the configuration names its own, the
+// fault stream — so a driver that gets its scenario here cannot run a
+// retry on the first attempt's seed. It applies the run budget (the
+// -max-events CLI path); attaches the fault configuration — explicit fc,
+// else the -fault one — to the forward link of hop faultHop, so
+// multi-bottleneck scenarios pick which hop degrades; wires the
+// invariant auditor through every link when audit mode is on; keeps at
+// most one flight recorder over the first forward hop, which the auditor
+// dumps on a violation and the supervisor dumps if the cell panics; and
+// registers the topology with the cell's live-telemetry collector.
 func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	seed := c.Seed(base)
 	eng := sim.New(seed)
-	budget, fault, pol, collect, digest := scenarioGlobals()
-	if budget != nil {
-		eng.SetBudget(budget)
+	var env sweepEnv
+	if c == nil {
+		env = currentEnv() // outside any sweep: the settings as they are now
+	} else {
+		env = *c.env
+	}
+	if env.budget != nil {
+		eng.SetBudget(env.budget)
 	}
 	if fc == nil {
-		fc = fault
+		fc = env.fault
 	}
 	var inj *faults.Injector
 	if fc != nil && fc.Enabled() {
@@ -126,11 +85,8 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 		}
 		inj = faults.New(eng, cfg)
 	}
-	audit.mu.Lock()
-	on, flightDir := audit.enabled, audit.flightDir
-	audit.mu.Unlock()
 	var a *invariant.Auditor
-	if on {
+	if env.audit {
 		a = invariant.New(eng)
 		a.Report = recordAuditViolation
 	}
@@ -147,22 +103,28 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 		}
 		n = topology.NewNet(eng, nc)
 	}
-	auditDump := a != nil && flightDir != ""
-	cellDump := c != nil && pol.FlightDir != ""
+	auditDump := a != nil && env.auditFlightDir != ""
+	cellDump := c != nil && env.pol.FlightDir != ""
 	if auditDump || cellDump {
 		fr := obs.NewFlightRecorder(flightRingSize)
 		n.Fwd[0].AddTap(fr.LinkTap())
 		if auditDump {
 			a.Flight = fr
-			a.DumpPath = filepath.Join(flightDir,
-				fmt.Sprintf("flight-%d.dump", audit.flightSeq.Add(1)))
+			a.DumpPath = filepath.Join(env.auditFlightDir,
+				fmt.Sprintf("flight-%d.dump", supervision.flightSeq.Add(1)))
 		}
 		if cellDump {
 			c.flight = fr
 		}
 	}
-	if c != nil && collect {
-		c.observe(n, digest)
+	// A sink or a store reads the cell's telemetry — recorded cells carry
+	// their counters, histograms, event count and halts so a resumed run
+	// replays the /metrics state a cold run produces — through closures
+	// read once, after the job returns. Folding the event stream is
+	// per-event work, so only a live sink gets a digest, and a store
+	// records whatever the cell ran with.
+	if c != nil && (env.sink != nil || env.store != nil) {
+		c.observe(n, env.sink != nil)
 	}
 	return eng, n
 }

@@ -96,3 +96,34 @@ func sumRecv(flows []Flow) int64 {
 	}
 	return n
 }
+
+// measureWindow is the measurement every throughput driver takes: run
+// eng through the warm-up to from, snapshot each flow's received-byte
+// counter (and any extra counter, after the flows), run on to to, and
+// return the bytes each gained in between; bitsPerSec turns one into a
+// rate. It schedules nothing, so it is the two RunUntil calls it replaces.
+func measureWindow(eng *sim.Engine, from, to sim.Time, flows []Flow, extra ...func() int64) []int64 {
+	snapshot := func() []int64 {
+		out := make([]int64, 0, len(flows)+len(extra))
+		for _, f := range flows {
+			out = append(out, f.RecvBytes())
+		}
+		for _, read := range extra {
+			out = append(out, read())
+		}
+		return out
+	}
+	eng.RunUntil(from)
+	base := snapshot()
+	eng.RunUntil(to)
+	got := snapshot()
+	for i := range got {
+		got[i] -= base[i]
+	}
+	return got
+}
+
+// bitsPerSec is the rate of bytes moved over a window of the given length.
+func bitsPerSec(bytes int64, over sim.Time) float64 {
+	return float64(bytes) * 8 / float64(over)
+}

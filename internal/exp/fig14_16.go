@@ -109,19 +109,14 @@ func runOscillation(c *Cell, cfg OscillationConfig, algo AlgoSpec, period sim.Ti
 	withReverseTraffic(eng, d, 2)
 	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period}, topology.Span{})
 
-	eng.RunUntil(cfg.Warmup)
-	base := make([]int64, cfg.Flows)
-	for i, f := range flows {
-		base[i] = f.RecvBytes()
-	}
-	eng.RunUntil(cfg.Warmup + cfg.Measure)
+	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows)
 
 	avail := cfg.Rate - cfg.CBRPeak/2
 	fair := avail / float64(cfg.Flows)
 	pt := OscillationPoint{Algo: algo.Name, Period: period}
 	var total float64
-	for i, f := range flows {
-		bps := float64(f.RecvBytes()-base[i]) * 8 / float64(cfg.Measure)
+	for _, bytes := range got {
+		bps := bitsPerSec(bytes, cfg.Measure)
 		total += bps
 		pt.PerFlow = append(pt.PerFlow, bps/fair)
 	}

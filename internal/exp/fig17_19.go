@@ -100,10 +100,7 @@ func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessRe
 	rtt := d.PropRTT()
 	binMeter := metrics.NewMeter(eng, cfg.BinWidth, f.SentBytes)
 	rttMeter := metrics.NewMeter(eng, rtt, f.SentBytes)
-	recvBase := int64(0)
-	eng.RunUntil(cfg.Warmup)
-	recvBase = f.RecvBytes()
-	eng.RunUntil(cfg.Duration)
+	got := measureWindow(eng, cfg.Warmup, cfg.Duration, []Flow{f})
 
 	res := SmoothnessResult{Algo: algo.Name}
 	for i, r := range binMeter.Rates() {
@@ -119,7 +116,7 @@ func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessRe
 	if warmWide < len(wide) {
 		res.SmoothBins = metrics.ComputeSmoothness(wide[warmWide:])
 	}
-	res.ThroughputMbps = float64(f.RecvBytes()-recvBase) * 8 / float64(cfg.Duration-cfg.Warmup) / 1e6
+	res.ThroughputMbps = bitsPerSec(got[0], cfg.Duration-cfg.Warmup) / 1e6
 	if d.Filters[0] != nil {
 		res.DropCount = d.Filters[0].Drops
 	}

@@ -165,12 +165,7 @@ func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
 	}
 	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, sched, topology.Span{})
 
-	eng.RunUntil(cfg.Warmup)
-	base := make([]int64, n)
-	for i, f := range flows {
-		base[i] = f.RecvBytes()
-	}
-	eng.RunUntil(cfg.Warmup + cfg.Measure)
+	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows)
 
 	// Average available bandwidth: the CBR occupies on average half its
 	// peak under a symmetric schedule.
@@ -183,8 +178,8 @@ func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
 
 	pt := FairnessPoint{Period: period}
 	var total float64
-	for i, f := range flows {
-		bps := float64(f.RecvBytes()-base[i]) * 8 / float64(cfg.Measure)
+	for i := range flows {
+		bps := bitsPerSec(got[i], cfg.Measure)
 		total += bps
 		norm := bps / fairShare
 		if i < cfg.AFlows {

@@ -11,14 +11,13 @@ import (
 	"slowcc/internal/topology"
 )
 
-// TestEnableFlightDumpWiresAuditedScenarios checks that with flight
-// dumps enabled, every audited scenario carries a flight recorder over
-// its forward bottleneck and an invariant violation leaves a dump with
-// the packet-level lead-up on disk.
+// TestEnableFlightDumpWiresAuditedScenarios checks that with audit
+// flight dumps enabled, every audited scenario carries a flight recorder
+// over its forward bottleneck and an invariant violation leaves a dump
+// with the packet-level lead-up on disk.
 func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 	dir := t.TempDir()
-	prev := EnableFlightDump(dir)
-	defer EnableFlightDump(prev)
+	defer auditMode(auditMode(true, dir))
 
 	eng, d := noCell.newScenario(1, topology.Config{Rate: 10e6})
 	a := d.Cfg.Audit
@@ -26,7 +25,7 @@ func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 		t.Fatal("audit mode off: TestMain should have enabled it")
 	}
 	if a.Flight == nil || a.DumpPath == "" {
-		t.Fatal("EnableFlightDump did not wire a recorder into the scenario")
+		t.Fatal("the audit flight directory did not wire a recorder into the scenario")
 	}
 
 	// Real traffic fills the ring through the bottleneck tap.
@@ -63,15 +62,14 @@ func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 // no dump directory configured, audited scenarios carry no recorder and
 // no dump path.
 func TestFlightDumpOffByDefault(t *testing.T) {
-	prev := EnableFlightDump("")
-	defer EnableFlightDump(prev)
+	defer auditMode(auditMode(true, ""))
 	_, d := noCell.newScenario(1, topology.Config{Rate: 10e6})
 	a := d.Cfg.Audit
 	if a == nil {
 		t.Fatal("audit mode off: TestMain should have enabled it")
 	}
 	if a.Flight != nil || a.DumpPath != "" {
-		t.Fatal("flight recorder wired without EnableFlightDump")
+		t.Fatal("flight recorder wired without an audit flight directory")
 	}
 }
 

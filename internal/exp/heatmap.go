@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -16,7 +16,9 @@ const matrixTSVHeader = "topology\tcondition\talgo_a\talgo_b\ta_mbps\tb_mbps\tra
 
 // ParseMatrixTSV parses a RenderMatrixTSV artifact back into cells, so
 // heatmaps render from the deterministic on-disk artifact rather than
-// requiring a rerun of the sweep.
+// requiring a rerun of the sweep. RenderMatrixTSV never writes NaN or an
+// infinity, and a shade cannot be computed from one, so a non-finite
+// number is a parse error like any other malformed field.
 func ParseMatrixTSV(r io.Reader) ([]MatrixCell, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -45,7 +47,11 @@ func ParseMatrixTSV(r io.Reader) ([]MatrixCell, error) {
 		c.Topology, c.Condition, c.A, c.B = f[0], f[1], f[2], f[3]
 		var err error
 		for i, dst := range []*float64{&c.AMbps, &c.BMbps, &c.Ratio, &c.Jain, &c.SmoothA, &c.SmoothB, &c.Utilization} {
-			if *dst, err = strconv.ParseFloat(f[4+i], 64); err != nil {
+			*dst, err = strconv.ParseFloat(f[4+i], 64)
+			if err == nil && (math.IsNaN(*dst) || math.IsInf(*dst, 0)) {
+				err = fmt.Errorf("%q is not a finite number", f[4+i])
+			}
+			if err != nil {
 				return nil, fmt.Errorf("exp: matrix TSV line %d col %d: %v", line, 5+i, err)
 			}
 		}
@@ -91,10 +97,10 @@ func groupCells(cells []MatrixCell) []*heatGrid {
 			idx[k] = g
 			grids = append(grids, g)
 		}
-		if !contains(g.algos, c.A) {
+		if !slices.Contains(g.algos, c.A) {
 			g.algos = append(g.algos, c.A)
 		}
-		if !contains(g.algos, c.B) {
+		if !slices.Contains(g.algos, c.B) {
 			g.algos = append(g.algos, c.B)
 		}
 		g.cell[[2]string{c.A, c.B}] = c
@@ -102,13 +108,23 @@ func groupCells(cells []MatrixCell) []*heatGrid {
 	return grids
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+// gridRange returns the least and greatest value of metric over g's
+// cells that are not degraded: the range its shades are normalized
+// over. A grid with every cell degraded has the range 0..0.
+func gridRange(g *heatGrid, metric string) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, c := range g.cell {
+		if c.Degraded {
+			continue
 		}
+		v, _ := matrixMetric(c, metric)
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
 	}
-	return false
+	if lo > hi {
+		return 0, 0
+	}
+	return lo, hi
 }
 
 // heatRamp maps a normalized value in [0,1] to an ASCII shade, light
@@ -116,9 +132,11 @@ func contains(xs []string, x string) bool {
 var heatRamp = []byte(" .:-=+*#%@")
 
 // normalize maps v into [0,1] within [lo,hi]; a flat range maps to the
-// middle so uniform grids render uniformly instead of at an extreme.
+// middle so uniform grids render uniformly instead of at an extreme, and
+// so does a range too wide for a float64 to hold (Inf/Inf is NaN, which
+// would index the ramp at MinInt; only a hand-written TSV gets there).
 func normalize(v, lo, hi float64) float64 {
-	if hi <= lo {
+	if hi <= lo || math.IsInf(hi-lo, 0) {
 		return 0.5
 	}
 	n := (v - lo) / (hi - lo)
@@ -140,24 +158,11 @@ func RenderMatrixHeatmap(cells []MatrixCell, metric string) (string, error) {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Matrix heatmap: %s (normalized per grid; ramp %q, degraded '!')\n", metric, heatRamp)
 	for _, g := range groupCells(cells) {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, c := range g.cell {
-			if c.Degraded {
-				continue
-			}
-			v, _ := matrixMetric(c, metric)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		if lo > hi { // every cell degraded
-			lo, hi = 0, 0
-		}
+		lo, hi := gridRange(g, metric)
 		fmt.Fprintf(&sb, "\n[%s / %s]\n", g.topo, g.cond)
 		width := 0
 		for _, a := range g.algos {
-			if len(a) > width {
-				width = len(a)
-			}
+			width = max(width, len(a))
 		}
 		// Column header: one character per column keeps the grid square;
 		// the index legend below maps letters to algorithms.
@@ -224,9 +229,7 @@ func RenderMatrixHeatmapSVG(cells []MatrixCell, metric string) (string, error) {
 	// Lay grids out vertically; width follows the widest grid.
 	maxAlgos := 0
 	for _, g := range grids {
-		if len(g.algos) > maxAlgos {
-			maxAlgos = len(g.algos)
-		}
+		maxAlgos = max(maxAlgos, len(g.algos))
 	}
 	gridH := func(g *heatGrid) int {
 		return titleH + cellPx*(len(g.algos)+1) + legendH + marginPx
@@ -241,18 +244,7 @@ func RenderMatrixHeatmapSVG(cells []MatrixCell, metric string) (string, error) {
 	fmt.Fprintf(&sb, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="monospace" font-size="11">`+"\n", totalW, totalH)
 	y := marginPx
 	for _, g := range grids {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, c := range g.cell {
-			if c.Degraded {
-				continue
-			}
-			v, _ := matrixMetric(c, metric)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
-		}
-		if lo > hi {
-			lo, hi = 0, 0
-		}
+		lo, hi := gridRange(g, metric)
 		fmt.Fprintf(&sb, `<text x="%d" y="%d">%s / %s — %s</text>`+"\n", marginPx, y+14, xmlEscape(g.topo), xmlEscape(g.cond), metric)
 		y += titleH
 		// Column labels.
@@ -309,10 +301,6 @@ func xmlEscape(s string) string {
 	return r.Replace(s)
 }
 
-// MatrixMetrics lists the metrics heatmaps can shade, for CLI usage
-// strings.
-func MatrixMetrics() []string {
-	out := []string{"ratio", "jain", "utilization"}
-	sort.Strings(out)
-	return out
-}
+// MatrixMetrics lists the metrics heatmaps can shade, sorted, for CLI
+// usage strings.
+func MatrixMetrics() []string { return []string{"jain", "ratio", "utilization"} }

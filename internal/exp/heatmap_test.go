@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -94,11 +96,69 @@ func TestParseMatrixTSVRejects(t *testing.T) {
 		"short row":   matrixTSVHeader + "\nonly\tfour\tcols\there\n",
 		"bad float":   matrixTSVHeader + "\ndumbbell\tstatic\ta\tb\tx\t1\t1\t1\t1\t1\t1\tfalse\n",
 		"bad boolean": matrixTSVHeader + "\ndumbbell\tstatic\ta\tb\t1\t1\t1\t1\t1\t1\t1\tmaybe\n",
+		"all NaN":     nanTSV,
+		"one +Inf":    infTSV,
 	} {
 		if _, err := ParseMatrixTSV(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s: accepted", label)
 		}
 	}
+	// A non-finite number is reported where it stands.
+	if _, err := ParseMatrixTSV(strings.NewReader(infTSV)); err == nil || !strings.Contains(err.Error(), "line 3 col 7") {
+		t.Fatalf("+Inf ratio on line 3: %v, want an error naming line 3 col 7", err)
+	}
+}
+
+// Two documents strconv.ParseFloat is happy with and a heatmap is not:
+// each used to get through ParseMatrixTSV and panic RenderMatrixHeatmap
+// on heatRamp[int(NaN)].
+const (
+	nanTSV = matrixTSVHeader + "\nd\ts\tA\tB\tNaN\tNaN\tNaN\tNaN\tNaN\tNaN\tNaN\tfalse\n"
+	infTSV = matrixTSVHeader + "\nd\ts\tA\tB\t1\t1\t1\t1\t0\t0\t1\tfalse\nd\ts\tB\tA\t1\t1\t+Inf\t1\t0\t0\t1\tfalse\n"
+)
+
+// FuzzParseMatrixTSV feeds arbitrary bytes to the reader behind
+// `slowccreport -heatmap`. Whatever the document holds, ParseMatrixTSV
+// must not panic and must not allocate beyond its line buffer plus a
+// multiple of the input; and cells it accepts must render — both
+// heatmaps, every metric, no panic — and survive RenderMatrixTSV: the
+// rewritten table parses to the same cells at the table's %.6g.
+func FuzzParseMatrixTSV(f *testing.F) {
+	f.Add([]byte(RenderMatrixTSV(heatmapCells()))) // two grids, one degraded cell
+	f.Add([]byte(matrixTSVHeader + "\n"))
+	f.Add([]byte(nanTSV))
+	f.Add([]byte(infTSV))
+	f.Add([]byte(matrixTSVHeader + "\nd\ts\tA\tB\t1\t1\t-1e308\t1\t0\t0\t1\tfalse\nd\ts\tB\tA\t1\t1\t1e308\t1\t0\t0\t1\tfalse\n"))
+
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		cells, err := ParseMatrixTSV(bytes.NewReader(doc))
+		runtime.ReadMemStats(&m1)
+		// The scanner buffer is 1 MiB whatever the reader is given.
+		if limit := uint64(2<<20 + 64*len(doc)); m1.TotalAlloc-m0.TotalAlloc > limit {
+			t.Fatalf("ParseMatrixTSV allocated %d bytes for %d bytes of input", m1.TotalAlloc-m0.TotalAlloc, len(doc))
+		}
+		if err != nil || len(cells) == 0 {
+			return
+		}
+		for _, metric := range MatrixMetrics() {
+			if _, err := RenderMatrixHeatmap(cells, metric); err != nil {
+				t.Fatalf("ASCII heatmap of accepted cells (%s): %v", metric, err)
+			}
+			if _, err := RenderMatrixHeatmapSVG(cells, metric); err != nil {
+				t.Fatalf("SVG heatmap of accepted cells (%s): %v", metric, err)
+			}
+		}
+		tsv := RenderMatrixTSV(cells)
+		again, err := ParseMatrixTSV(strings.NewReader(tsv))
+		if err != nil {
+			t.Fatalf("re-rendered TSV does not parse: %v\n%s", err, tsv)
+		}
+		if len(again) != len(cells) || RenderMatrixTSV(again) != tsv {
+			t.Fatalf("re-rendered TSV parses to different cells:\n%s", tsv)
+		}
+	})
 }
 
 func TestHeatmapASCIIGolden(t *testing.T) {

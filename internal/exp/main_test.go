@@ -10,6 +10,23 @@ import (
 // sweep: Cell's constructors are nil-safe.
 var noCell *Cell
 
+// auditMode sets whether scenarios built from now on run under the
+// invariant auditor and where audited scenarios dump their flight ring
+// on a violation ("" = nowhere), returning the previous setting.
+func auditMode(on bool, flightDir string) (prevOn bool, prevDir string) {
+	setEnv(func(env *sweepEnv) {
+		prevOn, prevDir = env.audit, env.auditFlightDir
+		env.audit, env.auditFlightDir = on, flightDir
+	})
+	return prevOn, prevDir
+}
+
+// resetStop clears the graceful-stop flag and the skipped-cell counter.
+func resetStop() {
+	stopRequested.Store(false)
+	supervision.stopped.Store(0)
+}
+
 // TestMain runs the entire exp package — the scaled-down figure suite,
 // the conservation tests, and the soak — with the invariant auditing
 // layer enabled, so every scenario a driver constructs is checked for
@@ -22,13 +39,9 @@ var noCell *Cell
 // dumped under flightDir instead of being lost with the process.
 func TestMain(m *testing.M) {
 	flightDir, dirErr := os.MkdirTemp("", "slowcc-flight-")
-	if dirErr == nil {
-		EnableFlightDump(flightDir)
-	}
-	EnableAudit(true)
+	auditMode(true, flightDir) // "" when the directory could not be made
 	code := m.Run()
-	EnableAudit(false)
-	EnableFlightDump("")
+	auditMode(false, "")
 	// Supervised sweeps degrade poisoned cells instead of failing, so a
 	// quietly-degraded figure run would otherwise pass. Any RunError a
 	// test did not expect (and reset) fails the suite here.
@@ -41,7 +54,7 @@ func TestMain(m *testing.M) {
 			code = 1
 		}
 	}
-	if total, vs := AuditViolations(); total > 0 {
+	if total, vs := supervision.auditTotal, supervision.violations; total > 0 {
 		fmt.Fprintf(os.Stderr, "invariant: %d violation(s) during the exp suite:\n", total)
 		for _, v := range vs {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)

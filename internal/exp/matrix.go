@@ -301,17 +301,13 @@ func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) 
 	eng, bottleneck, flows, meters := wireMatrixCell(c, cfg, topo, cond, a, b)
 	F := cfg.FlowsPerSide
 
-	eng.RunUntil(cfg.Warmup)
-	base := make([]int64, len(flows))
-	for i, f := range flows {
-		base[i] = f.RecvBytes()
-	}
-	baseLink := bottleneck.Stats.Bytes
-	eng.RunUntil(cfg.Warmup + cfg.Measure)
+	// The bottleneck's carried bytes ride along after the flows'.
+	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows,
+		func() int64 { return bottleneck.Stats.Bytes })
 
 	perBps := make([]float64, len(flows))
-	for i, f := range flows {
-		perBps[i] = float64(f.RecvBytes()-base[i]) * 8 / float64(cfg.Measure)
+	for i := range flows {
+		perBps[i] = bitsPerSec(got[i], cfg.Measure)
 	}
 	skip := int(cfg.Warmup / cfg.SmoothBin)
 	cell := MatrixCell{
@@ -324,7 +320,7 @@ func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) 
 		Jain:        metrics.JainIndex(perBps),
 		SmoothA:     meanCoV(meters[:F], skip),
 		SmoothB:     meanCoV(meters[F:], skip),
-		Utilization: metrics.Utilization(bottleneck.Stats.Bytes-baseLink, cfg.Rate, cfg.Measure),
+		Utilization: metrics.Utilization(got[len(flows)], cfg.Rate, cfg.Measure),
 	}
 	if cell.BMbps > 0 {
 		cell.Ratio = cell.AMbps / cell.BMbps
@@ -353,7 +349,7 @@ func meanCoV(ms []*metrics.Meter, skip int) float64 {
 // byte-identical inputs always produce byte-identical artifacts.
 func RenderMatrixTSV(cells []MatrixCell) string {
 	var sb strings.Builder
-	sb.WriteString("topology\tcondition\talgo_a\talgo_b\ta_mbps\tb_mbps\tratio\tjain\tsmooth_a_cov\tsmooth_b_cov\tutilization\tdegraded\n")
+	sb.WriteString(matrixTSVHeader + "\n")
 	for _, c := range cells {
 		fmt.Fprintf(&sb, "%s\t%s\t%s\t%s\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%t\n",
 			c.Topology, c.Condition, c.A, c.B,

@@ -208,8 +208,7 @@ func TestParseAlgoList(t *testing.T) {
 // every RED queue seeded a 4864 B generator at construction: one of
 // either coming back trips this.
 func TestMatrixCellSetupBytes(t *testing.T) {
-	EnableAudit(false) // the auditor's books are not the scenario's
-	defer EnableAudit(true)
+	defer auditMode(auditMode(false, "")) // the auditor's books are not the scenario's
 	cfg := MatrixConfig{Seed: 1}
 	cfg.fill()
 	a, b := cfg.Algos[0], cfg.Algos[1] // TCP(1/2) against TFRC(8)

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 )
 
@@ -16,21 +17,6 @@ type sweepPanic struct {
 
 func (p *sweepPanic) String() string {
 	return fmt.Sprintf("exp: sweep index %d panicked: %v\n%s", p.index, p.value, p.stack)
-}
-
-// captureStack returns the current goroutine's stack, growing the
-// buffer geometrically until the whole trace fits (the debug.Stack
-// strategy). A fixed buffer truncates deep sweep stacks mid-frame,
-// which is exactly when the tail — the frame that panicked — matters.
-func captureStack() []byte {
-	buf := make([]byte, 8192)
-	for {
-		n := runtime.Stack(buf, false)
-		if n < len(buf) {
-			return buf[:n]
-		}
-		buf = make([]byte, 2*len(buf))
-	}
 }
 
 // parallelMapIndexed runs fn over 0..n-1 on up to GOMAXPROCS workers and
@@ -56,7 +42,7 @@ func parallelMapIndexed[T any](n int, fn func(worker, i int) T) []T {
 	run := func(worker, i int) (p *sweepPanic) {
 		defer func() {
 			if v := recover(); v != nil {
-				p = &sweepPanic{index: i, value: v, stack: captureStack()}
+				p = &sweepPanic{index: i, value: v, stack: debug.Stack()}
 			}
 		}()
 		out[i] = fn(worker, i)

@@ -158,19 +158,24 @@ func deeplyNestedSweepCellFrameForStackCaptureTest(n, a, b, c, d int) int {
 	return deeplyNestedSweepCellFrameForStackCaptureTest(n-1, a+1, b+2, c+3, d+4)
 }
 
-// A deliberately deep panic must come back with its whole stack: both
-// the panicking frame at the top and the caller frames at the bottom,
-// in a trace larger than any fixed-size buffer guess.
+// A deliberately deep panic in a sweep cell must come back with its
+// whole stack: both the panicking frame at the top and the caller frames
+// at the bottom, in a trace larger than any fixed-size buffer guess.
 func TestCaptureStackDeepPanicIsComplete(t *testing.T) {
 	var stack string
 	func() {
 		defer func() {
-			if recover() == nil {
+			// The re-raised panic's text ends with the captured stack.
+			stack, _ = recover().(string)
+			if stack == "" {
 				t.Fatal("bomb did not go off")
 			}
-			stack = string(captureStack())
 		}()
-		deeplyNestedSweepCellFrameForStackCaptureTest(400, 0, 0, 0, 0)
+		// One cell runs on the caller's goroutine, so the test's own frame
+		// is the tail of the trace.
+		parallelMapIndexed(1, func(_, _ int) int {
+			return deeplyNestedSweepCellFrameForStackCaptureTest(400, 0, 0, 0, 0)
+		})
 	}()
 	if len(stack) <= 8192 {
 		t.Fatalf("deep stack is only %d bytes; expected it to exceed the old fixed 8 KiB buffer", len(stack))

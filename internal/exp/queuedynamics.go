@@ -93,9 +93,7 @@ func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDyna
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
-	eng.RunUntil(cfg.Warmup)
-	base := sumRecv(flows)
-	eng.RunUntil(cfg.Warmup + cfg.Measure)
+	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, nil, func() int64 { return sumRecv(flows) })
 
 	sum := qMon.Summary(int(cfg.Warmup / cfg.SamplePeriod))
 	res := QueueDynamicsResult{Algo: algo.Name, Queue: sum}
@@ -103,7 +101,7 @@ func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDyna
 		res.CoV = sum.StdDev / sum.Mean
 	}
 	res.DropRate = lossMon.RateOver(cfg.Warmup, cfg.Warmup+cfg.Measure)
-	res.Utilization = float64(sumRecv(flows)-base) * 8 / (cfg.Rate * float64(cfg.Measure))
+	res.Utilization = metrics.Utilization(got[0], cfg.Rate, cfg.Measure)
 	return res
 }
 

@@ -69,11 +69,8 @@ func runRTTFairness(c *Cell, cfg RTTFairnessConfig, key string, arg float64) RTT
 	long := r.wire(eng, d, 2, arg, topology.Span{Access: cfg.LongAccess})
 	eng.At(0, short.Sender.Start)
 	eng.At(0, long.Sender.Start)
-	eng.RunUntil(cfg.Warmup)
-	baseS, baseL := short.RecvBytes(), long.RecvBytes()
-	eng.RunUntil(cfg.Warmup + cfg.Measure)
-	s := float64(short.RecvBytes()-baseS) * 8 / float64(cfg.Measure)
-	l := float64(long.RecvBytes()-baseL) * 8 / float64(cfg.Measure)
+	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, []Flow{short, long})
+	s, l := bitsPerSec(got[0], cfg.Measure), bitsPerSec(got[1], cfg.Measure)
 	res := RTTFairnessResult{Algo: r.name(arg), ShortMbps: s / 1e6, LongMbps: l / 1e6}
 	if l > 0 {
 		res.Advantage = s / l

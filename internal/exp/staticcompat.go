@@ -122,10 +122,8 @@ func staticRun(c *Cell, cfg StaticCompatConfig, algo AlgoSpec, n int) float64 {
 	})
 	f := algo.Make(eng, d, 1)
 	eng.At(0, f.Sender.Start)
-	eng.RunUntil(cfg.Warmup)
-	base := f.RecvBytes()
-	eng.RunUntil(cfg.Warmup + cfg.Measure)
-	return float64(f.RecvBytes()-base) * 8 / float64(cfg.Measure)
+	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, []Flow{f})
+	return bitsPerSec(got[0], cfg.Measure)
 }
 
 // RenderStaticCompat prints the audit table.

@@ -27,8 +27,7 @@ func withStore(t *testing.T, replay bool) *store.Store {
 	t.Cleanup(func() {
 		SetSweepStore(prev, false)
 		SetSweepScope("")
-		ResetBreaker()
-		ResetStop()
+		resetStop()
 		st.Close()
 	})
 	return st
@@ -539,7 +538,6 @@ func TestCircuitBreakerStopsRepeatedDegradation(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(1) // serialize the pool: breaker counts are per completed cell
 	defer runtime.GOMAXPROCS(prevProcs)
 	withPolicy(t, CellPolicy{Retries: 0, BreakerThreshold: 2})
-	defer ResetBreaker()
 
 	var ran atomic.Int64
 	supervisedMapMeta(5,
@@ -567,7 +565,6 @@ func TestCircuitBreakerStopsRepeatedDegradation(t *testing.T) {
 	ResetSweepErrors()
 
 	// A success closes the breaker: alternating outcomes never trip it.
-	ResetBreaker()
 	ran.Store(0)
 	supervisedMapMeta(6,
 		func(i int) cellMeta { return cellMeta{kind: "flappy"} },
@@ -588,8 +585,8 @@ func TestRequestStopSkipsRemainingCells(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevProcs)
 	withPolicy(t, CellPolicy{Retries: 0})
-	ResetStop()
-	defer ResetStop()
+	resetStop()
+	defer resetStop()
 
 	var ran atomic.Int64
 	out := supervisedMap(5, func(c *Cell) int {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"reflect"
+	"strings"
 	"sync"
 
 	"slowcc/internal/obs"
@@ -30,25 +31,11 @@ import (
 // records, so a warm store cannot mask a behavioral change unless
 // resuming was asked for. Returns the previous store.
 func SetSweepStore(s *store.Store, replay bool) (prev *store.Store) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.store
-	supervision.store = s
-	supervision.replay = replay && s != nil
+	setEnv(func(env *sweepEnv) {
+		prev, env.store = env.store, s
+		env.replay = replay && s != nil
+	})
 	return prev
-}
-
-// SweepStore returns the installed result store (nil when none).
-func SweepStore() *store.Store {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.store
-}
-
-func sweepStore() (*store.Store, bool) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.store, supervision.replay
 }
 
 // SetSweepScope names the current run for generic sweep keying: when a
@@ -76,7 +63,7 @@ func SetSweepScope(scope string) (prev string) {
 func nextSweepScope() (scope string, seq int) {
 	supervision.mu.Lock()
 	defer supervision.mu.Unlock()
-	if supervision.store == nil || supervision.scope == "" {
+	if supervision.env.store == nil || supervision.scope == "" {
 		return "", 0
 	}
 	seq = supervision.scopeSeq
@@ -86,68 +73,51 @@ func nextSweepScope() (scope string, seq int) {
 
 // RequestStop asks supervised sweeps to stop gracefully: cells not yet
 // started are skipped (counted in StoppedCells), in-flight cells finish
-// and commit to the store. The flag is sticky until ResetStop.
+// and commit to the store. The flag is sticky for the process's life.
 func RequestStop() { stopRequested.Store(true) }
 
 // StopRequested reports whether a graceful stop has been requested.
 func StopRequested() bool { return stopRequested.Load() }
 
-// ResetStop clears the stop flag and the skipped-cell counter.
-func ResetStop() {
-	stopRequested.Store(false)
-	supervision.mu.Lock()
-	supervision.stopped = 0
-	supervision.mu.Unlock()
-}
-
 // StoppedCells returns how many cells were skipped because a graceful
 // stop was requested.
-func StoppedCells() int64 {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.stopped
+func StoppedCells() int64 { return supervision.stopped.Load() }
+
+// breaker is one sweep's per-kind circuit breaker (see
+// CellPolicy.BreakerThreshold): fails counts each kind's consecutive
+// degraded cells. Kinds name pairings inside one sweep, so the state
+// lives and dies with the supervisedMapMeta call that owns it.
+type breaker struct {
+	threshold int
+	mu        sync.Mutex
+	fails     map[string]int
 }
 
-func countStopped() {
-	supervision.mu.Lock()
-	supervision.stopped++
-	supervision.mu.Unlock()
-}
+func (b *breaker) armed(kind string) bool { return kind != "" && b.threshold > 0 }
 
-// breakerOpen reports whether kind's circuit breaker is open under pol.
-func breakerOpen(kind string, pol CellPolicy) bool {
-	if kind == "" || pol.BreakerThreshold <= 0 {
+// open reports whether kind's breaker is open.
+func (b *breaker) open(kind string) bool {
+	if !b.armed(kind) {
 		return false
 	}
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.breaker[kind] >= pol.BreakerThreshold
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.fails[kind] >= b.threshold
 }
 
-// breakerRecord feeds one finished cell into kind's breaker state:
-// a degradation increments the consecutive count, a success closes it.
-func breakerRecord(kind string, degraded bool) {
-	if kind == "" {
+// record feeds one finished cell into kind's breaker: a degradation
+// increments the consecutive count, a success closes it.
+func (b *breaker) record(kind string, degraded bool) {
+	if !b.armed(kind) {
 		return
 	}
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	if !degraded {
-		delete(supervision.breaker, kind)
-		return
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if degraded {
+		b.fails[kind]++
+	} else {
+		delete(b.fails, kind)
 	}
-	if supervision.breaker == nil {
-		supervision.breaker = map[string]int{}
-	}
-	supervision.breaker[kind]++
-}
-
-// ResetBreaker clears all circuit-breaker state (test isolation, and
-// the start of a fresh CLI run).
-func ResetBreaker() {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	supervision.breaker = nil
 }
 
 // cellMeta keys one sweep cell: key is its deterministic store digest
@@ -164,7 +134,7 @@ type cellMeta struct {
 // rebuilt from it would differ from a cold run's).
 func scopeMeta[T any](n int) func(int) cellMeta {
 	var zero T
-	if !jsonLossless(reflect.TypeOf(&zero).Elem()) {
+	if !lossless(reflect.TypeOf(&zero).Elem(), map[reflect.Type]bool{}) {
 		return nil
 	}
 	scope, seq := nextSweepScope()
@@ -186,8 +156,9 @@ func scopeMeta[T any](n int) func(int) cellMeta {
 // superviseCell and its outcome — success or degraded marker — is
 // committed durably before the sweep moves on.
 func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell) T) []T {
-	pol := SweepPolicy()
-	st, replay := sweepStore()
+	env := currentEnv()
+	st := env.store
+	brk := breaker{threshold: env.pol.BreakerThreshold, fails: map[string]int{}}
 	type res struct {
 		v    T
 		rerr *RunError
@@ -198,13 +169,13 @@ func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell)
 			m = meta(i)
 		}
 		if stopRequested.Load() {
-			countStopped()
+			supervision.stopped.Add(1)
 			var zero T
 			return res{zero, nil}
 		}
-		if st != nil && replay && m.key != "" {
+		if st != nil && env.replay && m.key != "" {
 			if e, ok := st.Get(m.key); ok {
-				if v, ok := decodeStored[T](e); ok && replayCached(i, worker, e) {
+				if v, ok := decodeStored[T](e); ok && replayCached(&env, i, worker, e) {
 					return res{v, nil}
 				}
 				// Present but undecodable — the result into T, or the
@@ -212,22 +183,24 @@ func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell)
 				st.CountCorrupt()
 			}
 		}
-		if breakerOpen(m.kind, pol) {
+		if brk.open(m.kind) {
 			var zero T
 			return res{zero, &RunError{Index: i, BreakerOpen: true, Kind: m.kind}}
 		}
-		v, stats, attempts, rerr := superviseCell(i, worker, pol, fn)
-		breakerRecord(m.kind, rerr != nil)
+		v, stats, attempts, rerr := superviseCell(&env, i, worker, fn)
+		brk.record(m.kind, rerr != nil)
 		if st != nil && m.key != "" {
-			commitCell(st, m.key, i, attempts, v, stats, rerr)
+			commitCell(&env, m.key, i, attempts, v, stats, rerr)
 		}
 		return res{v, rerr}
 	})
 	out := make([]T, n)
+	supervision.mu.Lock()
+	defer supervision.mu.Unlock()
 	for i, r := range cells {
 		out[i] = r.v
 		if r.rerr != nil {
-			recordSweepError(r.rerr)
+			supervision.errs = append(supervision.errs, r.rerr)
 		}
 	}
 	return out
@@ -251,8 +224,8 @@ func decodeStored[T any](e *store.Entry) (T, bool) {
 // is queued → cached. The stored telemetry is decoded only when a sink
 // is attached; false means it did not decode and nothing was emitted,
 // so the caller recomputes the cell instead of accepting the hit.
-func replayCached(index, worker int, e *store.Entry) bool {
-	sink, logger, st0 := sweepTelemetry()
+func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
+	tl, sink, logger, t0 := env.timeline, env.sink, env.logger, env.sweepT0
 	var stats *obs.CellStats
 	if sink != nil {
 		var err error
@@ -260,7 +233,6 @@ func replayCached(index, worker int, e *store.Entry) bool {
 			return false
 		}
 	}
-	tl, t0 := sweepTimeline()
 	if tl != nil {
 		tl.ProcessName(sweepWorkersPid, "sweep workers")
 		tl.ThreadName(sweepWorkersPid, worker, fmt.Sprintf("worker %d", worker))
@@ -274,13 +246,13 @@ func replayCached(index, worker int, e *store.Entry) bool {
 	if sink == nil {
 		return true
 	}
-	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(st0)})
+	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(t0)})
 	if stats != nil {
 		stats.Cell = index
 		sink.CellStats(*stats)
 	}
 	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
-		Outcome: "cached", AtMS: msSince(st0)})
+		Outcome: "cached", AtMS: msSince(t0)})
 	return true
 }
 
@@ -288,8 +260,8 @@ func replayCached(index, worker int, e *store.Entry) bool {
 // JSON result plus telemetry snapshot, a degradation stores a marker
 // (kept for inspection, never served as a hit). Store failures degrade
 // to a log line — the sweep's in-memory results are unaffected.
-func commitCell[T any](st *store.Store, key string, index, attempts int, v T, stats obs.CellStats, rerr *RunError) {
-	_, logger, _ := sweepTelemetry()
+func commitCell[T any](env *sweepEnv, key string, index, attempts int, v T, stats obs.CellStats, rerr *RunError) {
+	logger := env.logger
 	e := store.Entry{Key: key, Index: index, Attempts: attempts}
 	if rerr != nil {
 		e.Degraded = true
@@ -308,36 +280,25 @@ func commitCell[T any](st *store.Store, key string, index, attempts int, v T, st
 		}
 		e.Result = blob
 	}
-	if err := st.Put(e); err != nil && logger != nil {
+	if err := env.store.Put(e); err != nil && logger != nil {
 		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell store write failed",
 			slog.Int("cell", index), slog.String("err", err.Error()))
 	}
 }
-
-// losslessCache memoizes jsonLossless per reflect.Type.
-var losslessCache sync.Map // reflect.Type -> bool
 
 var (
 	jsonMarshalerT   = reflect.TypeOf((*json.Marshaler)(nil)).Elem()
 	jsonUnmarshalerT = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
 )
 
-// jsonLossless reports whether values of type t survive a JSON
-// round-trip exactly: every field reachable from t is exported and of a
+// lossless reports whether values of type t survive a JSON round-trip
+// exactly: every field reachable from t is exported and of a
 // JSON-representable kind (Go's float64 JSON encoding is shortest-form
 // exact, so numbers round-trip bit-for-bit). Types that implement both
 // json.Marshaler and json.Unmarshaler are trusted to manage their own
 // fidelity (obs.Histogram does). A type failing this check makes its
-// sweep run unkeyed — correct, just never cached.
-func jsonLossless(t reflect.Type) bool {
-	if v, ok := losslessCache.Load(t); ok {
-		return v.(bool)
-	}
-	ok := lossless(t, map[reflect.Type]bool{})
-	losslessCache.Store(t, ok)
-	return ok
-}
-
+// sweep run unkeyed — correct, just never cached. seen holds the types
+// on the current path, so a cyclic type terminates.
 func lossless(t reflect.Type, seen map[reflect.Type]bool) bool {
 	if seen[t] {
 		return true // cycle: sound if every other path is
@@ -372,7 +333,7 @@ func lossless(t reflect.Type, seen map[reflect.Type]bool) bool {
 			if f.PkgPath != "" { // unexported: silently dropped by encoding/json
 				return false
 			}
-			if tag, _, _ := cutTag(f.Tag.Get("json")); tag == "-" {
+			if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag == "-" {
 				return false
 			}
 			if !lossless(f.Type, seen) {
@@ -383,14 +344,4 @@ func lossless(t reflect.Type, seen map[reflect.Type]bool) bool {
 	default: // interface, chan, func, complex, unsafe pointer
 		return false
 	}
-}
-
-// cutTag splits a json struct tag into its name and options.
-func cutTag(tag string) (name, opts string, found bool) {
-	for i := 0; i < len(tag); i++ {
-		if tag[i] == ',' {
-			return tag[:i], tag[i+1:], true
-		}
-	}
-	return tag, "", false
 }

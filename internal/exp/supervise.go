@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"path/filepath"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -12,14 +13,15 @@ import (
 	"time"
 
 	"slowcc/internal/faults"
+	"slowcc/internal/invariant"
 	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/store"
 )
 
 // CellPolicy governs how supervised sweep cells run. The zero value
-// means one attempt, no deadline, no flight dumps; DefaultCellPolicy is
-// what the package starts with.
+// means one attempt, no deadline, no flight dumps; the package starts
+// with one retry on a derived seed.
 type CellPolicy struct {
 	// Retries is the number of extra attempts after the first, each on a
 	// fresh seed derived from the cell's own (deriveSeed), so a
@@ -88,10 +90,6 @@ func retryBackoff(pol CellPolicy, index, attempt int) time.Duration {
 	return d + j
 }
 
-// DefaultCellPolicy is the package's starting policy: one retry on a
-// derived seed, no deadline, no dumps.
-func DefaultCellPolicy() CellPolicy { return CellPolicy{Retries: 1} }
-
 // RunError describes one degraded sweep cell: every attempt panicked or
 // timed out, and the sweep carried on without it.
 type RunError struct {
@@ -151,7 +149,9 @@ func (e *RunError) Error() string {
 type Cell struct {
 	index   int
 	attempt int
-	flight  *obs.FlightRecorder
+	// env is the settings snapshot of the sweep the cell belongs to.
+	env    *sweepEnv
+	flight *obs.FlightRecorder
 	// obsv collects one entry per engine the cell constructed when a
 	// sink or a store will read its telemetry: the counter registry and,
 	// for a sink, the stream digest the supervisor snapshots into
@@ -161,7 +161,7 @@ type Cell struct {
 }
 
 // cellObs is one engine's telemetry attachment points. dig is nil when
-// only a store consumes the cell (see scenarioGlobals).
+// only a store consumes the cell (see buildScenario).
 type cellObs struct {
 	eng *sim.Engine
 	reg *obs.Registry
@@ -197,33 +197,69 @@ func deriveSeed(seed int64, attempt int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// supervision holds the package-global sweep policy, run bounds, fault
-// wiring, and the degraded-cell collector. Like the audit collector it
-// is shared across engines because sweeps run cells concurrently.
-var supervision = struct {
-	mu       sync.Mutex
+// sweepEnv holds a sweep's settings, constant while it runs: the Set*
+// functions below write the package's copy, and a sweep —
+// supervisedMapMeta, Supervise, or a scenario built outside any cell —
+// copies it once under one lock (currentEnv) and hands the copy to every
+// cell. So a Set* call made while a sweep is running applies from the
+// next sweep; no caller does that (slowccsim sets everything before its
+// first Run, the benchmark brackets each pass).
+type sweepEnv struct {
 	pol      CellPolicy
-	errs     []*RunError
 	budget   *sim.Budget
 	fault    *faults.Config
 	timeline *obs.Timeline
 	sink     obs.SweepSink
 	logger   *slog.Logger
-	sweepT0  time.Time
+	// sweepT0 is the wall-clock origin of timeline and progress stamps.
+	sweepT0 time.Time
 	// store is the durable result store keyed sweeps consult and feed
 	// (SetSweepStore); replay additionally serves hits from it.
 	store  *store.Store
 	replay bool
+	// audit runs every scenario under the internal/invariant auditor,
+	// and auditFlightDir, when non-empty, makes audited scenarios dump
+	// their flight ring there on a violation. Only the package's own
+	// TestMain switches them on (see audit.go).
+	audit          bool
+	auditFlightDir string
+}
+
+// supervision is the package's one piece of shared sweep state: the
+// settings a sweep snapshots, and what stays live while sweeps run —
+// shared across engines because sweeps run cells concurrently.
+var supervision = struct {
+	mu  sync.Mutex
+	env sweepEnv
+	// errs collects degraded cells, in sweep order.
+	errs []*RunError
 	// scope names the current run for generic (non-matrix) sweep keying;
 	// scopeSeq counts supervisedMap invocations under the scope so two
 	// sweeps in one run cannot collide on (scope, index).
 	scope    string
 	scopeSeq int
-	// breaker counts consecutive degraded cells per cell kind.
-	breaker map[string]int
 	// stopped counts cells skipped because a graceful stop was requested.
-	stopped int64
-}{pol: CellPolicy{Retries: 1}}
+	stopped atomic.Int64
+	// auditTotal counts invariant violations; violations keeps the first
+	// auditMaxRecorded of them; flightSeq numbers audit flight dumps.
+	auditTotal int64
+	violations []invariant.Violation
+	flightSeq  atomic.Int64
+}{env: sweepEnv{pol: CellPolicy{Retries: 1}}}
+
+// currentEnv snapshots the settings for one sweep.
+func currentEnv() sweepEnv {
+	supervision.mu.Lock()
+	defer supervision.mu.Unlock()
+	return supervision.env
+}
+
+// setEnv applies one Set* call to the package's settings.
+func setEnv(set func(env *sweepEnv)) {
+	supervision.mu.Lock()
+	defer supervision.mu.Unlock()
+	set(&supervision.env)
+}
 
 // stopRequested flags a graceful shutdown: supervised sweeps stop
 // starting new cells, in-flight cells finish and commit.
@@ -232,19 +268,12 @@ var stopRequested atomic.Bool
 // SetSweepPolicy installs the cell policy used by supervised sweeps and
 // Supervise, returning the previous one so tests can restore it.
 func SetSweepPolicy(p CellPolicy) (prev CellPolicy) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.pol
-	supervision.pol = p
+	setEnv(func(env *sweepEnv) { prev, env.pol = env.pol, p })
 	return prev
 }
 
 // SweepPolicy returns the current cell policy.
-func SweepPolicy() CellPolicy {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.pol
-}
+func SweepPolicy() CellPolicy { return currentEnv().pol }
 
 // SweepErrors returns the degraded cells recorded by supervised sweeps
 // since the last reset, in sweep order.
@@ -261,20 +290,11 @@ func ResetSweepErrors() {
 	supervision.errs = nil
 }
 
-func recordSweepError(e *RunError) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	supervision.errs = append(supervision.errs, e)
-}
-
 // SetRunBudget installs a sim.Budget that newScenario applies to every
 // engine it constructs (the -max-events / -deadline CLI path), or nil
 // to remove it. Returns the previous budget.
 func SetRunBudget(b *sim.Budget) (prev *sim.Budget) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.budget
-	supervision.budget = b
+	setEnv(func(env *sweepEnv) { prev, env.budget = env.budget, b })
 	return prev
 }
 
@@ -283,10 +303,7 @@ func SetRunBudget(b *sim.Budget) (prev *sim.Budget) {
 // forward bottleneck — the -fault CLI path. nil or a disabled config
 // removes it. Returns the previous config.
 func SetFaultConfig(fc *faults.Config) (prev *faults.Config) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.fault
-	supervision.fault = fc
+	setEnv(func(env *sweepEnv) { prev, env.fault = env.fault, fc })
 	return prev
 }
 
@@ -299,18 +316,11 @@ func SetFaultConfig(fc *faults.Config) (prev *faults.Config) {
 // one inspectable trace alongside any packet journeys. Returns the
 // previous timeline.
 func SetSweepTimeline(tl *obs.Timeline) (prev *obs.Timeline) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.timeline
-	supervision.timeline = tl
-	supervision.sweepT0 = time.Now()
+	setEnv(func(env *sweepEnv) {
+		prev, env.timeline = env.timeline, tl
+		env.sweepT0 = time.Now()
+	})
 	return prev
-}
-
-func sweepTimeline() (*obs.Timeline, time.Time) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.timeline, supervision.sweepT0
 }
 
 // SetSweepProgress installs a live progress sink (export.Progress, or
@@ -322,13 +332,12 @@ func sweepTimeline() (*obs.Timeline, time.Time) {
 // goroutine after the job returns, so the sink never observes a live
 // engine. nil removes the sink; returns the previous one.
 func SetSweepProgress(sink obs.SweepSink) (prev obs.SweepSink) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.sink
-	supervision.sink = sink
-	if supervision.sweepT0.IsZero() {
-		supervision.sweepT0 = time.Now()
-	}
+	setEnv(func(env *sweepEnv) {
+		prev, env.sink = env.sink, sink
+		if env.sweepT0.IsZero() {
+			env.sweepT0 = time.Now()
+		}
+	})
 	return prev
 }
 
@@ -339,17 +348,8 @@ func SetSweepProgress(sink obs.SweepSink) (prev obs.SweepSink) {
 // logger.With("run", digest) — so every record of a sweep carries its
 // provenance. nil removes the logger; returns the previous one.
 func SetSweepLogger(l *slog.Logger) (prev *slog.Logger) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.logger
-	supervision.logger = l
+	setEnv(func(env *sweepEnv) { prev, env.logger = env.logger, l })
 	return prev
-}
-
-func sweepTelemetry() (obs.SweepSink, *slog.Logger, time.Time) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.sink, supervision.logger, supervision.sweepT0
 }
 
 // Sweep-telemetry lane layout. Workers share the sweep process (pid
@@ -367,22 +367,6 @@ func sweepSince(t0 time.Time) float64 {
 	return float64(time.Since(t0)) / float64(time.Microsecond)
 }
 
-// scenarioGlobals snapshots the supervision knobs a scenario
-// constructor needs. collect reports whether anything will read the
-// cell's telemetry: a sink, or a store — recorded cells carry their
-// counters, histograms, event count and halts so a resumed run replays
-// the /metrics state a cold run produces. Those are closures read once,
-// after the job returns. digest reports whether the engines should also
-// fold their event streams: that is per-event work, so only a live sink
-// gets it, and a store records whatever the cell ran with.
-func scenarioGlobals() (budget *sim.Budget, fault *faults.Config, pol CellPolicy, collect, digest bool) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	digest = supervision.sink != nil
-	collect = digest || supervision.store != nil
-	return supervision.budget, supervision.fault, supervision.pol, collect, digest
-}
-
 // Supervise runs job as one supervised sweep cell under the current
 // policy: panics are recovered into a RunError (with a flight dump when
 // the policy wires one), a deadline abandons the attempt, and each
@@ -390,20 +374,21 @@ func scenarioGlobals() (budget *sim.Budget, fault *faults.Config, pol CellPolicy
 // success the error is nil; callers that are not part of a sweep get
 // the error directly and nothing is recorded in SweepErrors.
 func Supervise[T any](index int, job func(c *Cell) T) (T, *RunError) {
-	v, _, _, rerr := superviseCell(index, 0, SweepPolicy(), job)
+	env := currentEnv()
+	v, _, _, rerr := superviseCell(&env, index, 0, job)
 	return v, rerr
 }
 
 // superviseCell runs one cell to completion. On success it additionally
 // returns the cell's telemetry snapshot and the number of attempts
 // spent, which the keyed sweep path commits to the result store.
-func superviseCell[T any](index, worker int, pol CellPolicy, job func(c *Cell) T) (T, obs.CellStats, int, *RunError) {
+func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T) (T, obs.CellStats, int, *RunError) {
+	pol := env.pol
 	attempts := pol.Retries + 1
 	if attempts < 1 {
 		attempts = 1
 	}
-	tl, t0 := sweepTimeline()
-	sink, logger, st0 := sweepTelemetry()
+	tl, sink, logger, t0 := env.timeline, env.sink, env.logger, env.sweepT0
 	if tl != nil {
 		// The cell waited in the feed queue from sweep start until this
 		// worker picked it up; give that wait its own row so slow-to-start
@@ -416,7 +401,7 @@ func superviseCell[T any](index, worker int, pol CellPolicy, job func(c *Cell) T
 		tl.ThreadName(sweepWorkersPid, worker, fmt.Sprintf("worker %d", worker))
 	}
 	if sink != nil {
-		sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(st0)})
+		sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(t0)})
 	}
 	var last *RunError
 	for a := 0; a < attempts; a++ {
@@ -435,10 +420,10 @@ func superviseCell[T any](index, worker int, pol CellPolicy, job func(c *Cell) T
 			if a > 0 {
 				kind = obs.SweepRetry
 			}
-			sink.SweepEvent(obs.SweepEvent{Kind: kind, Cell: index, Attempt: a, Worker: worker, AtMS: msSince(st0)})
+			sink.SweepEvent(obs.SweepEvent{Kind: kind, Cell: index, Attempt: a, Worker: worker, AtMS: msSince(t0)})
 		}
 		wall0 := time.Now()
-		v, cell, rerr := runAttempt(index, a, pol, job)
+		v, cell, rerr := runAttempt(env, index, a, job)
 		dur := time.Since(wall0)
 		if tl != nil {
 			cat, name := "running", fmt.Sprintf("cell %d", index)
@@ -460,7 +445,7 @@ func superviseCell[T any](index, worker int, pol CellPolicy, job func(c *Cell) T
 				sink.SweepEvent(obs.SweepEvent{
 					Kind: obs.SweepDone, Cell: index, Attempt: a, Worker: worker,
 					Outcome: "ok", Halt: st.Halt,
-					AtMS: msSince(st0), DurMS: float64(dur) / float64(time.Millisecond),
+					AtMS: msSince(t0), DurMS: float64(dur) / float64(time.Millisecond),
 				})
 			}
 			return v, st, a + 1, nil
@@ -491,7 +476,7 @@ func superviseCell[T any](index, worker int, pol CellPolicy, job func(c *Cell) T
 	if sink != nil {
 		sink.SweepEvent(obs.SweepEvent{
 			Kind: obs.SweepDegraded, Cell: index, Attempt: attempts - 1, Worker: worker,
-			Outcome: attemptOutcome(last), AtMS: msSince(st0),
+			Outcome: attemptOutcome(last), AtMS: msSince(t0),
 		})
 	}
 	var zero T
@@ -555,8 +540,8 @@ func attemptOutcome(rerr *RunError) string {
 // job has provably returned and no goroutine still runs it. Each
 // attempt runs under pprof labels (slowcc_cell, slowcc_attempt), so CPU
 // profiles scraped from /debug/pprof attribute samples to sweep cells.
-func runAttempt[T any](index, attempt int, pol CellPolicy, job func(c *Cell) T) (T, *Cell, *RunError) {
-	c := &Cell{index: index, attempt: attempt}
+func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (T, *Cell, *RunError) {
+	c := &Cell{index: index, attempt: attempt, env: env}
 	type outcome struct {
 		v    T
 		rerr *RunError
@@ -570,8 +555,8 @@ func runAttempt[T any](index, attempt int, pol CellPolicy, job func(c *Cell) T) 
 				o = outcome{rerr: &RunError{
 					Index:      index,
 					Value:      v,
-					Stack:      string(captureStack()),
-					FlightDump: dumpCellFlight(c, pol, v),
+					Stack:      string(debug.Stack()),
+					FlightDump: dumpCellFlight(c, v),
 				}}
 			}
 			res <- o
@@ -580,7 +565,8 @@ func runAttempt[T any](index, attempt int, pol CellPolicy, job func(c *Cell) T) 
 			o.v = job(c)
 		})
 	}
-	if pol.Deadline <= 0 {
+	deadline := env.pol.Deadline
+	if deadline <= 0 {
 		run()
 		o := <-res
 		return o.v, c, o.rerr
@@ -589,7 +575,7 @@ func runAttempt[T any](index, attempt int, pol CellPolicy, job func(c *Cell) T) 
 	select {
 	case o := <-res:
 		return o.v, c, o.rerr
-	case <-time.After(pol.Deadline):
+	case <-time.After(deadline):
 		re := &RunError{Index: index, Deadline: true}
 		// Grace window: when the deadline pairs with an engine wall
 		// budget (the documented pairing), the abandoned run halts just
@@ -615,11 +601,11 @@ const deadlineGrace = 250 * time.Millisecond
 // dumpCellFlight writes the cell's flight-recorder ring next to the
 // panic, returning the dump path ("" when no recorder was wired or the
 // write failed — the RunError still reports the panic either way).
-func dumpCellFlight(c *Cell, pol CellPolicy, pv any) string {
-	if c.flight == nil || pol.FlightDir == "" {
+func dumpCellFlight(c *Cell, pv any) string {
+	if c.flight == nil {
 		return ""
 	}
-	path := filepath.Join(pol.FlightDir, fmt.Sprintf("cell-%d-attempt-%d.dump", c.index, c.attempt))
+	path := filepath.Join(c.env.pol.FlightDir, fmt.Sprintf("cell-%d-attempt-%d.dump", c.index, c.attempt))
 	if err := c.flight.DumpFile(path, fmt.Sprintf("sweep cell %d attempt %d panicked: %v", c.index, c.attempt, pv)); err != nil {
 		return ""
 	}

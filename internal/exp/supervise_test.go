@@ -230,8 +230,7 @@ func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
 	_, rerr := Supervise(0, func(c *Cell) int {
 		defer close(done)
 		eng := sim.New(1)
-		budget, _, _, _, _ := scenarioGlobals()
-		eng.SetBudget(budget)
+		eng.SetBudget(c.env.budget)
 		var tick func()
 		tick = func() {
 			time.Sleep(50 * time.Microsecond)

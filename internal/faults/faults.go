@@ -32,7 +32,8 @@ type Window struct {
 // Flap is a seeded on/off process: the link alternates between up
 // periods drawn from Exp(MeanUp) and down periods drawn from
 // Exp(MeanDown), starting up. A flapping injector reschedules itself
-// forever; drive the engine with RunUntil or RunBounded, not Run.
+// forever; drive the engine with RunUntil or under a Budget, not a bare
+// Run.
 type Flap struct {
 	MeanUp   sim.Time
 	MeanDown sim.Time
@@ -220,14 +221,6 @@ func (in *Injector) flapDown() {
 func (in *Injector) flapUp() {
 	in.link.SetUp()
 	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
-}
-
-// StopFlap cancels the flap process (for scenario teardown); scheduled
-// outage windows are one-shot timers and run to completion regardless.
-func (in *Injector) StopFlap() {
-	if in != nil && in.flapTm != nil {
-		in.flapTm.Stop()
-	}
 }
 
 // handle is the per-packet fault path, interposed ahead of the link

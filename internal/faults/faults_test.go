@@ -127,7 +127,6 @@ func TestFlapIsDeterministicPerSeed(t *testing.T) {
 			})
 		}
 		eng.RunUntil(10)
-		in.StopFlap()
 		return append([]sim.Time(nil), rec.at...), link.Transitions
 	}
 	at1, tr1 := run(7)

@@ -196,34 +196,6 @@ func NewMeter(eng *sim.Engine, width sim.Time, read func() int64) *Meter {
 // Rates returns the per-bin rates (counter units per second).
 func (m *Meter) Rates() []float64 { return m.rates }
 
-// RateAt returns the rate of the bin containing time t (relative to the
-// meter's start), or 0 if out of range.
-func (m *Meter) RateAt(t sim.Time) float64 {
-	i := int(t / m.Width)
-	if i < 0 || i >= len(m.rates) {
-		return 0
-	}
-	return m.rates[i]
-}
-
-// Mean returns the mean rate over bins [i0, i1).
-func (m *Meter) Mean(i0, i1 int) float64 {
-	if i1 > len(m.rates) {
-		i1 = len(m.rates)
-	}
-	if i0 < 0 {
-		i0 = 0
-	}
-	if i1 <= i0 {
-		return 0
-	}
-	var s float64
-	for _, r := range m.rates[i0:i1] {
-		s += r
-	}
-	return s / float64(i1-i0)
-}
-
 // ConvergenceTime returns the paper's delta-fair convergence time for
 // two rate series a and b sampled on the same grid: the time from
 // `start` until |a-b|/(a+b) <= delta holds and keeps holding for `hold`

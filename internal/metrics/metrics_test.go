@@ -190,12 +190,6 @@ func TestMeterSamplesRates(t *testing.T) {
 	if math.Abs(r[8]-20) > 2 {
 		t.Fatalf("bin 8 rate = %v, want ~20", r[8])
 	}
-	if m.RateAt(2.5) != r[2] {
-		t.Fatal("RateAt inconsistent with Rates")
-	}
-	if math.Abs(m.Mean(0, 5)-10) > 1.5 {
-		t.Fatalf("Mean(0,5) = %v, want ~10", m.Mean(0, 5))
-	}
 }
 
 func TestConvergenceTime(t *testing.T) {

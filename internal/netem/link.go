@@ -286,20 +286,3 @@ func (l *Link) finishTx(p *Packet) {
 		l.emit(TapSettled, nil, l.eng.Now())
 	}
 }
-
-// Utilization returns the fraction of capacity used by the bytes
-// transmitted during an interval of the given length.
-func (s LinkStats) Utilization(rate float64, interval sim.Time) float64 {
-	if rate <= 0 || interval <= 0 {
-		return 0
-	}
-	return float64(s.Bytes) * 8 / (rate * interval)
-}
-
-// DropRate returns the fraction of arrivals that were dropped.
-func (s LinkStats) DropRate() float64 {
-	if s.Arrivals == 0 {
-		return 0
-	}
-	return float64(s.Drops) / float64(s.Arrivals)
-}

@@ -101,23 +101,6 @@ func TestLinkDropsCountAndTap(t *testing.T) {
 	}
 }
 
-func TestLinkStatsHelpers(t *testing.T) {
-	s := LinkStats{Arrivals: 10, Drops: 3, Bytes: 125000}
-	if got := s.DropRate(); got != 0.3 {
-		t.Fatalf("DropRate = %v, want 0.3", got)
-	}
-	// 125000 bytes = 1 Mbit; over 1s on a 2 Mbps link = 50%.
-	if got := s.Utilization(2e6, 1); got != 0.5 {
-		t.Fatalf("Utilization = %v, want 0.5", got)
-	}
-	if (LinkStats{}).DropRate() != 0 {
-		t.Fatal("DropRate on zero stats must be 0")
-	}
-	if s.Utilization(0, 1) != 0 || s.Utilization(1e6, 0) != 0 {
-		t.Fatal("Utilization with zero rate or interval must be 0")
-	}
-}
-
 func TestLinkChaining(t *testing.T) {
 	eng := sim.New(1)
 	dst := &collector{eng: eng}
@@ -182,6 +165,31 @@ func TestTimedPatternSkipsMultiplePhases(t *testing.T) {
 	}
 	if p.Drop(11.5) {
 		t.Fatal("t=11.5 is an odd slot: the lossless phase")
+	}
+}
+
+// Regression for a hang a fuzzer found: a tiny phase duration made
+// the phase-advance loop iterate once per elapsed phase (~10^8 calls
+// for a 1e-9s phase), and at large clock magnitudes phaseEnd += d
+// underflowed into an infinite loop. Drop must fast-forward whole
+// cycles in O(1) and always make forward progress.
+func TestTimedPatternFastForward(t *testing.T) {
+	p := &TimedPattern{Phases: []TimedPhase{{Duration: 1e-9, EveryNth: 2}}}
+	p.Drop(0.001)
+	p.Drop(1e6)
+	p.Drop(1e17) // beyond float addition resolution for 1e-9 steps
+
+	// Phase alignment survives a multi-cycle skip: 1s dropping every
+	// packet alternating with 1s dropping none.
+	q := &TimedPattern{Phases: []TimedPhase{{Duration: 1, EveryNth: 1}, {Duration: 1, EveryNth: 0}}}
+	if !q.Drop(0.5) {
+		t.Fatal("t=0.5 is in the drop phase")
+	}
+	if !q.Drop(10.5) {
+		t.Fatal("t=10.5 (whole cycles later) must land back in the drop phase")
+	}
+	if q.Drop(11.5) {
+		t.Fatal("t=11.5 is in the quiet phase")
 	}
 }
 

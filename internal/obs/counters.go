@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -213,25 +210,4 @@ func (g *Registry) Snapshot() map[string]int64 {
 		out[c.Name] = c.Read()
 	}
 	return out
-}
-
-// WriteTo writes the current values, one "name\tvalue" row per counter
-// in sorted name order, and returns the byte count (io.WriterTo).
-func (g *Registry) WriteTo(w io.Writer) (int64, error) {
-	snap := g.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	bw := bufio.NewWriter(w)
-	var total int64
-	for _, n := range names {
-		k, err := fmt.Fprintf(bw, "%s\t%d\n", n, snap[n])
-		total += int64(k)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, bw.Flush()
 }

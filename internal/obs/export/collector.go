@@ -13,14 +13,13 @@ import (
 // supervised sweep into one scrapeable state: counters sum, histograms
 // merge bucket-wise, stream digests combine by XOR (order-independent,
 // so the merged value is deterministic however the worker pool
-// interleaves cells), and ad-hoc gauges overwrite. All methods are safe
-// for concurrent use; a scrape never touches a live engine because
-// cells snapshot on their worker goroutine after their engines finish.
+// interleaves cells). All methods are safe for concurrent use; a scrape
+// never touches a live engine because cells snapshot on their worker
+// goroutine after their engines finish.
 type Collector struct {
 	mu           sync.Mutex
 	counters     map[string]int64
 	hists        map[string]*obs.Histogram
-	gauges       map[string]float64
 	funcs        map[string]func() int64
 	digest       uint64
 	digestEvents uint64
@@ -33,7 +32,6 @@ func NewCollector() *Collector {
 	return &Collector{
 		counters: map[string]int64{},
 		hists:    map[string]*obs.Histogram{},
-		gauges:   map[string]float64{},
 		funcs:    map[string]func() int64{},
 	}
 }
@@ -78,13 +76,6 @@ func (c *Collector) AddCellStats(st obs.CellStats) {
 	}
 }
 
-// SetGauge publishes one gauge value (last write wins).
-func (c *Collector) SetGauge(name string, v float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gauges[obs.CanonicalMetricName(name)] = v
-}
-
 // Digest returns the XOR-combined stream digest and the event count it
 // covers.
 func (c *Collector) Digest() (sum uint64, events uint64) {
@@ -93,15 +84,8 @@ func (c *Collector) Digest() (sum uint64, events uint64) {
 	return c.digest, c.digestEvents
 }
 
-// Cells returns how many cell snapshots have been merged.
-func (c *Collector) Cells() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cells
-}
-
 // WriteMetrics renders the merged state as one exposition document:
-// summed counters, gauges, merged histograms, plus the collector's own
+// summed counters, merged histograms, plus the collector's own
 // meta-metrics — cells observed, engine events, digested events, and
 // the combined stream digest as an info metric (a 64-bit digest does
 // not fit a float64 sample, so it travels as a hex label).
@@ -110,10 +94,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	counters := make(map[string]int64, len(c.counters))
 	for k, v := range c.counters {
 		counters[k] = v
-	}
-	gauges := make(map[string]float64, len(c.gauges))
-	for k, v := range c.gauges {
-		gauges[k] = v
 	}
 	hists := make([]obs.HistSnapshot, 0, len(c.hists))
 	for name, h := range c.hists {
@@ -142,7 +122,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 		{"digest", fmt.Sprintf("%016x", digest)},
 	})
 	e.counterFamilies(counters)
-	e.gaugeFamilies(gauges)
 	e.histogramFamilies(hists)
 	return e.flush()
 }

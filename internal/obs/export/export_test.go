@@ -22,8 +22,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // shortTraceRun is the real run behind the golden: deterministic seed,
-// probes and journeys on, so the exposition exercises counters, gauges,
-// and cumulative histograms together.
+// journeys and the stream digest on, so the exposition exercises
+// counters, the digest info metric and cumulative histograms together.
 func shortTraceRun() *exp.TraceRun {
 	r := exp.NewTraceRun(exp.TraceRunConfig{
 		Seed:          1,
@@ -37,8 +37,9 @@ func shortTraceRun() *exp.TraceRun {
 	return r
 }
 
-// The exposition of a real short run must be byte-stable (the golden)
-// and valid under the strict parser.
+// The exposition of a real short run — its counters, histograms and
+// digest merged into a Collector the way a sweep cell's are — must be
+// byte-stable (the golden) and valid under the strict parser.
 func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	r := shortTraceRun()
 	// Journey histograms register only after the run (per-flow RTT series
@@ -46,8 +47,16 @@ func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	r.Journeys.Finalize()
 	r.Journeys.RegisterHistograms(r.Registry)
 
+	col := export.NewCollector()
+	col.AddCellStats(obs.CellStats{
+		Counters:     r.Registry.Snapshot(),
+		Hists:        r.Registry.SnapshotHistograms(),
+		Events:       r.Eng.Steps(),
+		Digest:       r.Digest.Sum(),
+		DigestEvents: r.Digest.Events(),
+	})
 	var buf bytes.Buffer
-	if err := export.WritePrometheus(&buf, r.Registry, r.Sampler); err != nil {
+	if err := col.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "trace.prom")
@@ -77,7 +86,6 @@ func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	for _, name := range []string{
 		"slowcc_engine_fired",           // registry counter
 		"slowcc_link_lr_departures",     // bottleneck counter
-		"slowcc_flow1_TCP_1_2__cwnd",    // probe gauge ("flow1.TCP(1/2)" projected)
 		"slowcc_journey_lr_queue_delay", // journey histogram
 	} {
 		if parsed[name] == nil {

@@ -1,9 +1,9 @@
 // Package export is the live telemetry backbone: Prometheus
 // text-exposition (v0.0.4) rendering of the obs layer (Registry
-// counters, HDR histograms with their cumulative buckets, probe
-// gauges), a merge collector and SSE progress hub for supervised
-// sweeps, and an embeddable HTTP server mounting /metrics, /healthz,
-// /progress, and /debug/pprof. See DESIGN.md §14.
+// counters, HDR histograms with their cumulative buckets), a merge
+// collector and SSE progress hub for supervised sweeps, and an
+// embeddable HTTP server mounting /metrics, /healthz, /progress, and
+// /debug/pprof. See DESIGN.md §14.
 //
 // Everything here runs beside the simulator, never inside it: cells
 // snapshot their telemetry after their engines finish, scrapes read
@@ -187,39 +187,12 @@ func (e *expoWriter) counterFamilies(counters map[string]int64) {
 	}
 }
 
-// gaugeFamilies emits a gauge map in sorted name order.
-func (e *expoWriter) gaugeFamilies(gauges map[string]float64) {
-	for _, name := range sortedKeys(gauges) {
-		e.gauge(PromName(name), gauges[name])
-	}
-}
-
 // histogramFamilies emits histogram snapshots (already name-sorted by
 // Registry.SnapshotHistograms / the collector).
 func (e *expoWriter) histogramFamilies(hists []obs.HistSnapshot) {
 	for i := range hists {
 		e.histogram(PromName(hists[i].Name), &hists[i].Hist)
 	}
-}
-
-// WritePrometheus renders a registry and an optional sampler as one
-// Prometheus text-exposition (v0.0.4) document: registry counters
-// first, then the sampler's latest probe values as gauges, then the
-// registry's histograms with cumulative buckets — each group in sorted
-// name order, so the output for a given telemetry state is
-// byte-deterministic. Either argument may be nil.
-func WritePrometheus(w io.Writer, reg *obs.Registry, s *obs.Sampler) error {
-	e := newExpoWriter(w)
-	if reg != nil {
-		e.counterFamilies(reg.Snapshot())
-	}
-	if s != nil {
-		e.gaugeFamilies(s.Latest())
-	}
-	if reg != nil {
-		e.histogramFamilies(reg.SnapshotHistograms())
-	}
-	return e.flush()
 }
 
 // WriteManifest renders a stored run manifest as an exposition

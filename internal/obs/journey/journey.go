@@ -234,11 +234,6 @@ func (r *Recorder) Finalize() {
 	}
 }
 
-// InFlight returns the number of packets currently inside an attached
-// link (enqueued or propagating) — nonzero at the end of a run when
-// queues drained mid-packet.
-func (r *Recorder) InFlight() int { return len(r.inHop) }
-
 // Spans returns the retained spans in capture order, and the number
 // discarded past MaxSpans.
 func (r *Recorder) Spans() ([]Span, int64) { return r.spans, r.dropped }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -125,20 +124,6 @@ func (s *Sampler) sampleAt(t sim.Time) {
 // registration order within a tick).
 func (s *Sampler) Samples() []Sample { return s.samples }
 
-// Latest returns the most recent value of every sampled variable keyed
-// "probe.var" — the gauge view of the sample log that the Prometheus
-// exposition renders. Nil when nothing has been sampled.
-func (s *Sampler) Latest() map[string]float64 {
-	if len(s.samples) == 0 {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, smp := range s.samples { // recording order: later ticks overwrite
-		out[smp.Probe+"."+smp.Var] = smp.Value
-	}
-	return out
-}
-
 // Series extracts the time series for one probe variable.
 func (s *Sampler) Series(probeName, varName string) (ts []sim.Time, vs []float64) {
 	for _, smp := range s.samples {
@@ -148,22 +133,6 @@ func (s *Sampler) Series(probeName, varName string) (ts []sim.Time, vs []float64
 		}
 	}
 	return ts, vs
-}
-
-// ProbeNames returns the sorted set of distinct "probe/var" keys that
-// have at least one sample.
-func (s *Sampler) ProbeNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, smp := range s.samples {
-		k := smp.Probe + "/" + smp.Var
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteTSV writes the samples as tab-separated values with a header

@@ -1,13 +1,5 @@
 package obs
 
-import "slowcc/internal/sim"
-
-// StreamDigest re-exports sim.StreamDigest at the telemetry surface:
-// the rolling FNV-1a digest over an engine's executed-event stream that
-// turns the pinned-stream determinism assertions into an O(1)-memory
-// comparison. Install with sim.Engine.SetStreamDigest.
-type StreamDigest = sim.StreamDigest
-
 // SweepEventKind labels one per-cell supervision transition. The kinds
 // mirror the spans exp.SetSweepTimeline emits, so an SSE consumer and a
 // Perfetto trace of the same sweep tell the same story.

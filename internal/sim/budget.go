@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -102,23 +101,6 @@ func (e *Engine) Halted() *HaltReason {
 		return nil
 	}
 	return e.budget.halted
-}
-
-// RunBounded executes events under b until the heap drains or the
-// budget stops it, and reports what happened. Any budget previously
-// installed with SetBudget is saved and restored.
-func (e *Engine) RunBounded(b Budget) HaltReason {
-	saved := e.budget
-	e.SetBudget(&b)
-	bs := e.budget
-	var hr HaltReason
-	if e.runBudgeted(math.Inf(1)) {
-		hr = HaltReason{Cause: HaltDone, Events: e.nsteps - bs.start, SimTime: e.now, Wall: time.Since(bs.wallStart)}
-	} else {
-		hr = *bs.halted
-	}
-	e.budget = saved
-	return hr
 }
 
 // runBudgeted is the budget-aware event loop: it executes events with

@@ -13,11 +13,19 @@ func tick(e *Engine, dt Time) {
 	e.After(dt, fn)
 }
 
+// runBounded runs e to completion under b and returns what halted it
+// (nil when the queue drained inside the budget).
+func runBounded(e *Engine, b Budget) *HaltReason {
+	e.SetBudget(&b)
+	e.Run()
+	return e.Halted()
+}
+
 func TestRunBoundedMaxEvents(t *testing.T) {
 	e := New(1)
 	tick(e, 1)
-	hr := e.RunBounded(Budget{MaxEvents: 100})
-	if hr.Cause != HaltEvents {
+	hr := runBounded(e, Budget{MaxEvents: 100})
+	if hr == nil || hr.Cause != HaltEvents {
 		t.Fatalf("cause %v, want %v", hr.Cause, HaltEvents)
 	}
 	if hr.Events != 100 || e.Steps() != 100 {
@@ -35,8 +43,8 @@ func TestRunBoundedMaxSimTime(t *testing.T) {
 	e := New(1)
 	tick(e, 1)
 	e.At(10, func() {}) // lands exactly on the bound: must run
-	hr := e.RunBounded(Budget{MaxSimTime: 10})
-	if hr.Cause != HaltSimTime {
+	hr := runBounded(e, Budget{MaxSimTime: 10})
+	if hr == nil || hr.Cause != HaltSimTime {
 		t.Fatalf("cause %v, want %v", hr.Cause, HaltSimTime)
 	}
 	// Ticks at 1..10 plus the extra event at 10: all 11 events <= bound.
@@ -56,8 +64,8 @@ func TestRunBoundedMaxWall(t *testing.T) {
 	var fn func()
 	fn = func() { time.Sleep(20 * time.Microsecond); e.After(1, fn) }
 	e.After(1, fn)
-	hr := e.RunBounded(Budget{MaxWall: 20 * time.Millisecond})
-	if hr.Cause != HaltWall {
+	hr := runBounded(e, Budget{MaxWall: 20 * time.Millisecond})
+	if hr == nil || hr.Cause != HaltWall {
 		t.Fatalf("cause %v, want %v", hr.Cause, HaltWall)
 	}
 	if hr.Wall < 20*time.Millisecond {
@@ -70,12 +78,8 @@ func TestRunBoundedDone(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		e.At(Time(i), func() {})
 	}
-	hr := e.RunBounded(Budget{MaxEvents: 1000, MaxSimTime: 1000})
-	if hr.Cause != HaltDone || hr.Events != 5 || hr.SimTime != 5 {
-		t.Fatalf("got %v, want done after 5 events at t=5", hr)
-	}
-	if e.Halted() != nil {
-		t.Fatal("RunBounded must restore the previously-installed (nil) budget")
+	if hr := runBounded(e, Budget{MaxEvents: 1000, MaxSimTime: 1000}); hr != nil || e.Steps() != 5 || e.Now() != 5 {
+		t.Fatalf("halted %v after %d events at t=%v, want done after 5 events at t=5", hr, e.Steps(), e.Now())
 	}
 }
 
@@ -145,7 +149,7 @@ func TestLivelockWatchdog(t *testing.T) {
 			t.Fatalf("tripped after %d events, threshold 1000", e.Steps())
 		}
 	}()
-	e.RunBounded(Budget{LivelockEvents: 1000})
+	runBounded(e, Budget{LivelockEvents: 1000})
 }
 
 // Progress resets the watchdog: a burst of same-time events below the
@@ -158,8 +162,7 @@ func TestLivelockWatchdogResetsOnProgress(t *testing.T) {
 			e.At(at, func() {})
 		}
 	}
-	hr := e.RunBounded(Budget{LivelockEvents: 1000})
-	if hr.Cause != HaltDone || hr.Events != 20*500 {
-		t.Fatalf("got %v, want clean completion of 10000 events", hr)
+	if hr := runBounded(e, Budget{LivelockEvents: 1000}); hr != nil || e.Steps() != 20*500 {
+		t.Fatalf("halted %v after %d events, want clean completion of 10000 events", hr, e.Steps())
 	}
 }

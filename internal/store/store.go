@@ -289,15 +289,6 @@ func (s *Store) Get(key string) (*Entry, bool) {
 	return e, true
 }
 
-// Peek is Get without touching the hit/miss counters and without the
-// degraded filter — the inspection path.
-func (s *Store) Peek(key string) (*Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	return e, ok
-}
-
 // Put durably appends one entry (framed, checksummed, fsync'd) and
 // updates the in-memory map. Last write per key wins, matching journal
 // replay order.

@@ -242,7 +242,7 @@ func TestParentIndentedSnapshotOpens(t *testing.T) {
 	if s.Len() != 3 || s.Corrupt() != 0 {
 		t.Fatalf("%d entries, %d corrupt; want 3, 0", s.Len(), s.Corrupt())
 	}
-	if e, ok := s.Peek("bad"); !ok || !e.Degraded || e.Error != "deadline" || e.Attempts != 3 {
+	if e, ok := peek(s, "bad"); !ok || !e.Degraded || e.Error != "deadline" || e.Attempts != 3 {
 		t.Fatalf("degraded entry: %+v, %v", e, ok)
 	}
 	if e, ok := s.Get("plain"); !ok || string(e.Result) != `"second"` {

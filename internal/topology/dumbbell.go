@@ -125,9 +125,6 @@ func (c Config) net() NetConfig {
 // dumbbell with config c.
 func (c Config) PropRTT() sim.Time { return c.net().PropRTT() }
 
-// BDPPkts returns the bottleneck bandwidth-delay product in packets.
-func (c Config) BDPPkts() float64 { return c.net().HopBDPPkts(0) }
-
 // New builds the paper's dumbbell on eng: a one-hop Net whose forward
 // bottleneck is Fwd[0], reverse bottleneck Rev[0] and scripted loss
 // stage Filters[0]. It differs from NewNet on the same one-hop config

@@ -12,13 +12,21 @@ import (
 	"slowcc/internal/sim"
 )
 
+// bdpPkts is the bottleneck bandwidth-delay product, in packets, that a
+// dumbbell built from c sizes its queue from.
+func bdpPkts(c Config) float64 {
+	nc := c.net()
+	nc.fill()
+	return nc.hopBDPPkts(0)
+}
+
 func TestDefaultsMatchPaper(t *testing.T) {
 	cfg := Config{}
 	if got := cfg.PropRTT(); math.Abs(got-0.05) > 1e-9 {
 		t.Fatalf("default propagation RTT = %v, want 50ms", got)
 	}
 	// 10 Mbps * 50ms / 8 / 1000B = 62.5 packets.
-	if got := cfg.BDPPkts(); math.Abs(got-62.5) > 1e-9 {
+	if got := bdpPkts(cfg); math.Abs(got-62.5) > 1e-9 {
 		t.Fatalf("default BDP = %v packets, want 62.5", got)
 	}
 }
@@ -362,8 +370,8 @@ func TestForwardLossFilterInstalled(t *testing.T) {
 }
 
 func TestBDPScalesWithRate(t *testing.T) {
-	lo := Config{Rate: 1e6}.BDPPkts()
-	hi := Config{Rate: 100e6}.BDPPkts()
+	lo := bdpPkts(Config{Rate: 1e6})
+	hi := bdpPkts(Config{Rate: 100e6})
 	if hi != 100*lo {
 		t.Fatalf("BDP not linear in rate: %v vs %v", lo, hi)
 	}

@@ -163,19 +163,12 @@ func (c NetConfig) PropRTT() sim.Time {
 	return c.propRTT()
 }
 
-// HopBDPPkts returns hop i's bandwidth-delay product in packets, using
-// the full-chain propagation RTT (the RTT a chain-traversing flow
-// sees, which is what the paper's queue sizing is relative to). Like
-// PropRTT it takes the configuration unresolved.
-func (c NetConfig) HopBDPPkts(i int) float64 {
-	c.fill()
-	return c.hopBDPPkts(i)
-}
-
 // propRTT and hopBDPPkts read a configuration fill has resolved. Filling
 // is not idempotent — it turns an ExplicitZero into the 0 a second fill
 // would read as "take the default" — so build resolves once and sizes
-// from these.
+// from these. hopBDPPkts is hop i's bandwidth-delay product in packets
+// over the full-chain propagation RTT: the RTT a chain-traversing flow
+// sees, which is what the paper's queue sizing is relative to.
 func (c *NetConfig) propRTT() sim.Time {
 	var hops sim.Time
 	for _, h := range c.Hops {

@@ -106,15 +106,6 @@ func (r *Recorder) HopTap(hop string) netem.Tap {
 	}
 }
 
-// WrapHandler returns a Handler that records each packet with the given
-// op before passing it to next.
-func (r *Recorder) WrapHandler(op Op, now func() sim.Time, next netem.Handler) netem.Handler {
-	return netem.HandlerFunc(func(p *netem.Packet) {
-		r.Record(Event{T: now(), Op: op, Flow: p.Flow, Kind: p.Kind, Seq: p.Seq, Size: p.Size})
-		next.Handle(p)
-	})
-}
-
 // WriteTSV writes the retained events as tab-separated values with a
 // header row. The trailing hop column is empty for events recorded
 // without a hop identity.

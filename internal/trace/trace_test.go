@@ -263,7 +263,11 @@ func TestEndToEndTraceOfARealFlow(t *testing.T) {
 	rcv := cc.NewAckReceiver(eng, 1, nil)
 	snd := tcp.NewSender(eng, nil, tcp.Config{Flow: 1})
 	d.Connect(1, snd, rcv, topology.Span{})
-	snd.Out = rec.WrapHandler(Send, eng.Now, snd.Out)
+	out := snd.Out
+	snd.Out = netem.HandlerFunc(func(p *netem.Packet) {
+		rec.Record(Event{T: eng.Now(), Op: Send, Flow: p.Flow, Kind: p.Kind, Seq: p.Seq, Size: p.Size})
+		out.Handle(p)
+	})
 	eng.At(0, snd.Start)
 	eng.RunUntil(20)
 

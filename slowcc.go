@@ -114,8 +114,8 @@ type Smoothness = metrics.Smoothness
 func ComputeSmoothness(rates []float64) Smoothness { return metrics.ComputeSmoothness(rates) }
 
 // Tracer records per-packet events (sends, receipts, drops, ECN marks)
-// and exports them as TSV or binned rate series. Attach LinkTap to a
-// link or wrap a handler with WrapHandler.
+// and exports them as TSV or binned rate series. Attach its LinkTap to
+// a link with AddTap.
 type Tracer = trace.Recorder
 
 // The trace event operations Tracer.Filter and Tracer.BinRates select by.

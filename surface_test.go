@@ -155,3 +155,101 @@ func TestRootSurfaceHasUsers(t *testing.T) {
 			len(orphans), len(decl), b.String())
 	}
 }
+
+// testOnly lists the exported internal/ names kept although no non-test
+// file uses them, each with the reason. It is the only exemption
+// TestInternalSurfaceHasUsers grants; an entry whose name has gained a
+// user, or no longer exists, fails the test too.
+var testOnly = map[string]string{
+	"SACKTCPAlgo":       "exp: the documented Sack1 fidelity ablation (BenchmarkSACKAblation, EXPERIMENTS.md methodology note)",
+	"ReadTSV":           "trace: WriteTSV's round-trip oracle, fuzzed by FuzzReadTSV",
+	"ArmCrashDump":      "obs: safety path; arms the engine's crash slot so a panic leaves the flight ring on disk",
+	"ExplicitZero":      "topology: the documented sentinel for \"this field is zero, do not default it\"",
+	"FkTCP":             "tcpmodel: the paper's closed form for f(k), the reference the Fig 13 tests compare against",
+	"AggressivenessTCP": "tcpmodel: the paper's closed form for TCP(b) aggressiveness, the Fig 20 reference",
+}
+
+// TestInternalSurfaceHasUsers is TestRootSurfaceHasUsers one level
+// down: every exported top-level func, type, var and const declared in
+// a non-test file under internal/ must be named in some non-test .go
+// file of the module — bench/, cmd/, examples/, the root package or
+// internal/ itself — other than at its own declaration. Names match by
+// identifier alone, so two packages exporting the same name can only
+// keep one another, never delete one. To add an exported internal name,
+// write its non-test user, or a testOnly line with a reason.
+func TestInternalSurfaceHasUsers(t *testing.T) {
+	fset := token.NewFileSet()
+	decl := map[string][]token.Pos{} // exported internal/ name -> its declaring identifiers
+	uses := map[string]int{}         // identifier -> occurrences in non-test files
+	declare := func(id *ast.Ident) {
+		if id.IsExported() {
+			decl[id.Name] = append(decl[id.Name], id.Pos())
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			return nil
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					declare(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						declare(s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							declare(id)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var orphans []string
+	for name, at := range decl {
+		used := uses[name] > len(at) // some occurrence besides the declarations themselves
+		_, exempt := testOnly[name]
+		switch {
+		case !used && !exempt:
+			orphans = append(orphans, name+"\t"+fset.Position(at[0]).String())
+		case used && exempt:
+			t.Errorf("testOnly lists %s, which a non-test file uses: drop the entry", name)
+		}
+	}
+	for name, reason := range testOnly {
+		if _, ok := decl[name]; !ok {
+			t.Errorf("testOnly lists %s, which internal/ no longer exports: drop the entry", name)
+		}
+		if reason == "" {
+			t.Errorf("testOnly entry %s gives no reason", name)
+		}
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		t.Errorf("%d of internal/'s %d exported names have no user in a non-test file; delete them, or add a testOnly line saying why a test needs them:\n\t%s",
+			len(orphans), len(decl), strings.Join(orphans, "\n\t"))
+	}
+}
