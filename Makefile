@@ -40,7 +40,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # fuzz-smoke gives each parser fuzz target, the result store's two
-# on-disk readers and the trace and matrix TSV readers a few seconds of
+# on-disk readers, the trace and matrix TSV readers and the strict
+# exposition parser behind slowccreport -prom-verify a few seconds of
 # coverage-guided input on every ci run — long enough to re-find shallow
 # regressions (the heatmap's index-by-NaN panic was one), short enough
 # not to dominate the gate.
@@ -51,3 +52,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixTSV -fuzztime=3s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=3s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=3s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=3s ./internal/obs/export

@@ -169,6 +169,14 @@ func TestReportSmoke(t *testing.T) {
 	if report := ok(t, dir, "slowccreport", "-probes", "run.probes.tsv", "run.json"); report == "" {
 		t.Fatal("slowccreport printed nothing")
 	}
+	// A probe file without its header, even an empty one, is an error,
+	// not a report with the probe section left out.
+	if err := os.WriteFile(filepath.Join(dir, "empty.tsv"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, stderr := run(t, dir, "slowccreport", "-probes", "empty.tsv", "run.json"); code != 1 || !strings.Contains(stderr, "empty probe TSV") {
+		t.Fatalf("slowccreport -probes empty.tsv: exit %d, stderr %q; want 1 and an empty-TSV error", code, stderr)
+	}
 }
 
 // The pairwise matrix: a 2x2 algorithm subset on a 2-hop parking lot,

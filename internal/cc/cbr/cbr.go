@@ -1,7 +1,6 @@
 // Package cbr implements the unresponsive constant-bit-rate sources that
 // drive the paper's dynamic scenarios: a CBR sender modulated by an
-// ON/OFF schedule (square wave, sawtooth, reverse sawtooth, or an
-// explicit one-shot timeline).
+// ON/OFF schedule (a square wave or an explicit one-shot timeline).
 package cbr
 
 import (
@@ -31,12 +30,10 @@ func (Always) Level(sim.Time) float64 { return 1 }
 func (Always) NextChange(sim.Time) sim.Time { return math.Inf(1) }
 
 // SquareWave alternates ON for Period/2 and OFF for Period/2, starting
-// ON at time Phase.
+// ON at time 0.
 type SquareWave struct {
 	// Period is the combined length of one ON plus one OFF span.
 	Period sim.Time
-	// Phase shifts the pattern start.
-	Phase sim.Time
 }
 
 // Level implements Schedule.
@@ -44,7 +41,7 @@ func (s SquareWave) Level(t sim.Time) float64 {
 	if s.Period <= 0 {
 		return 1
 	}
-	x := math.Mod(t-s.Phase, s.Period)
+	x := math.Mod(t, s.Period)
 	if x < 0 {
 		x += s.Period
 	}
@@ -60,56 +57,7 @@ func (s SquareWave) NextChange(t sim.Time) sim.Time {
 		return math.Inf(1)
 	}
 	half := s.Period / 2
-	n := math.Floor((t - s.Phase) / half)
-	return s.Phase + (n+1)*half
-}
-
-// Sawtooth ramps the rate linearly from 0 to 1 over the ON span, then
-// goes abruptly OFF ("CBR source slowly increased its sending rate and
-// then abruptly entered an OFF period"). Reverse flips the ramp: abrupt
-// ON at full rate, linear decay to 0.
-type Sawtooth struct {
-	// On and Off are the span lengths.
-	On, Off sim.Time
-	// Reverse selects the decaying ramp.
-	Reverse bool
-}
-
-// Level implements Schedule.
-func (s Sawtooth) Level(t sim.Time) float64 {
-	p := s.On + s.Off
-	if p <= 0 {
-		return 1
-	}
-	x := math.Mod(t, p)
-	if x < 0 {
-		x += p
-	}
-	if x >= s.On {
-		return 0
-	}
-	if s.Reverse {
-		return 1 - x/s.On
-	}
-	return x / s.On
-}
-
-// NextChange implements Schedule. The ramp is continuous, so during the
-// ON span the level is re-evaluated every hundredth of the span.
-func (s Sawtooth) NextChange(t sim.Time) sim.Time {
-	p := s.On + s.Off
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	x := math.Mod(t, p)
-	if x < 0 {
-		x += p
-	}
-	if x >= s.On {
-		return t + (p - x) // next cycle start
-	}
-	step := s.On / 100
-	return t + step
+	return (math.Floor(t/half) + 1) * half
 }
 
 // Steps is an explicit piecewise-constant schedule: Level is Levels[i]

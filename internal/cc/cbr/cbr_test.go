@@ -56,16 +56,6 @@ func TestSquareWaveEdges(t *testing.T) {
 	}
 }
 
-func TestSquareWavePhase(t *testing.T) {
-	s := SquareWave{Period: 2, Phase: 0.5}
-	if s.Level(0.4) != 0 && s.Level(0.4) != 1 {
-		t.Fatal("level must be 0/1")
-	}
-	if s.Level(0.6) != 1 {
-		t.Fatal("phase-shifted wave must be ON just after its phase origin")
-	}
-}
-
 func TestStepsScheduleFig3Timeline(t *testing.T) {
 	// The Figure 3 source: ON at 0, OFF at 150, ON again at 180.
 	s := Steps{At: []sim.Time{0, 150, 180}, Levels: []float64{1, 0, 1}}
@@ -100,32 +90,6 @@ func TestStepsSourceGoesSilentAndResumes(t *testing.T) {
 	eng.RunUntil(3.0)
 	if sink.pkts == atOff {
 		t.Fatal("CBR did not resume after the OFF period")
-	}
-}
-
-func TestSawtoothAveragesQuarter(t *testing.T) {
-	// Ramp 0->1 over 1s then off 1s: mean level = 0.25.
-	eng := sim.New(1)
-	sink := &counter{}
-	src := NewSource(eng, sink, 1, 8e6, Sawtooth{On: 1, Off: 1})
-	eng.At(0, src.Start)
-	eng.RunUntil(40)
-	got := float64(sink.bytes) * 8 / 40
-	if math.Abs(got-2e6)/2e6 > 0.1 {
-		t.Fatalf("sawtooth averaged %v bps, want ~2e6", got)
-	}
-}
-
-func TestReverseSawtoothShape(t *testing.T) {
-	s := Sawtooth{On: 1, Off: 1, Reverse: true}
-	if s.Level(0.001) < 0.9 {
-		t.Fatal("reverse sawtooth must start at full rate")
-	}
-	if s.Level(0.999) > 0.1 {
-		t.Fatal("reverse sawtooth must decay to ~0 by end of ON span")
-	}
-	if s.Level(1.5) != 0 {
-		t.Fatal("OFF span must be 0")
 	}
 }
 

@@ -77,36 +77,23 @@ type AckReceiver struct {
 	Eng *sim.Engine
 	Port
 	Flow int
-	// AckSize is the ACK wire size; zero means DefaultAckSize.
-	AckSize int
-	// DelayedAcks enables RFC 1122-style delayed acknowledgments: one
-	// ACK per two data packets, with a 100 ms flush timer. The paper's
-	// TCPs do not delay ACKs, so this is off by default (it exists for
-	// the delayed-ACK ablation).
-	DelayedAcks bool
 
 	R ReceiverStats
 
-	next    int64  // next expected in-order sequence
-	ooo     seqSet // sequences received above next
-	pending int    // data packets not yet acknowledged (delayed-ACK mode)
-	delayT  *sim.Timer
-	emitFn  func()
+	next int64  // next expected in-order sequence
+	ooo  seqSet // sequences received above next
 	// Echo fields copied from the most recent data packet. Copies, not a
 	// retained pointer: the packet is released back to the pool before
 	// Handle returns, so holding it would read recycled memory.
 	lastSeq    int64
 	lastSentAt sim.Time
-	haveLast   bool
 	ceSeen     bool // unechoed congestion-experienced mark
 }
 
 // NewAckReceiver returns a receiver for the given flow sending ACKs
 // into out.
 func NewAckReceiver(eng *sim.Engine, flow int, out netem.Handler) *AckReceiver {
-	r := &AckReceiver{Eng: eng, Port: Port{Out: out}, Flow: flow}
-	r.emitFn = r.emitAck
-	return r
+	return &AckReceiver{Eng: eng, Port: Port{Out: out}, Flow: flow}
 }
 
 // Handle implements netem.Handler for incoming data packets. The
@@ -137,43 +124,16 @@ func (r *AckReceiver) Handle(p *netem.Packet) {
 	}
 	r.lastSeq = p.Seq
 	r.lastSentAt = p.SentAt
-	r.haveLast = true
-	seq := p.Seq
 	r.Pool.Put(p)
-	if !r.DelayedAcks {
-		r.emitAck()
-		return
-	}
-	// Delayed mode: ACK immediately on the second pending packet, on
-	// out-of-order arrivals (fast retransmit depends on prompt dupacks),
-	// or when the flush timer fires.
-	r.pending++
-	if r.pending >= 2 || seq != r.next-1 || r.ceSeen {
-		r.emitAck()
-		return
-	}
-	if r.delayT == nil || r.delayT.Stopped() {
-		r.delayT = r.Eng.ResetAfter(r.delayT, 0.1, r.emitFn)
-	}
+	r.emitAck()
 }
 
 // emitAck sends a cumulative acknowledgment for the current state.
 func (r *AckReceiver) emitAck() {
-	if !r.haveLast {
-		return
-	}
-	if r.delayT != nil {
-		r.delayT.Stop()
-	}
-	r.pending = 0
-	size := r.AckSize
-	if size == 0 {
-		size = DefaultAckSize
-	}
 	ack := r.Pool.Get()
 	ack.Flow = r.Flow
 	ack.Kind = netem.Ack
-	ack.Size = size
+	ack.Size = DefaultAckSize
 	ack.SentAt = r.Eng.Now()
 	ack.CumAck = r.next
 	ack.AckSeq = r.lastSeq

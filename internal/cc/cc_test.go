@@ -93,48 +93,23 @@ func TestAckReceiverIgnoresControl(t *testing.T) {
 	}
 }
 
-func TestAckSizeDefaultAndOverride(t *testing.T) {
+// TestAcksAreDefaultSize checks the receiver acknowledges every data
+// packet at once (no delayed ACKs, as in the paper's model), each ACK
+// DefaultAckSize bytes on the wire.
+func TestAcksAreDefaultSize(t *testing.T) {
 	eng := sim.New(1)
 	sink := &ackSink{}
 	r := NewAckReceiver(eng, 1, sink)
-	r.Handle(data(0))
-	if sink.acks[0].Size != DefaultAckSize {
-		t.Fatalf("default ack size = %d, want %d", sink.acks[0].Size, DefaultAckSize)
+	for i := int64(0); i < 100; i++ {
+		r.Handle(data(i))
 	}
-	r.AckSize = 80
-	r.Handle(data(1))
-	if sink.acks[1].Size != 80 {
-		t.Fatalf("ack size = %d, want 80", sink.acks[1].Size)
+	if len(sink.acks) != 100 {
+		t.Fatalf("sent %d acks for 100 packets, want one each", len(sink.acks))
 	}
-}
-
-func TestDelayedAckImmediateOnOutOfOrder(t *testing.T) {
-	eng := sim.New(1)
-	sink := &ackSink{}
-	r := NewAckReceiver(eng, 1, sink)
-	r.DelayedAcks = true
-	r.Handle(data(0))
-	if len(sink.acks) != 0 {
-		t.Fatal("first packet acked immediately in delayed mode")
-	}
-	// Out-of-order arrival: dupack must go out immediately so fast
-	// retransmit is not delayed.
-	r.Handle(data(2))
-	if len(sink.acks) == 0 {
-		t.Fatal("out-of-order arrival did not flush an immediate ack")
-	}
-}
-
-func TestDelayedAckCEFlushesImmediately(t *testing.T) {
-	eng := sim.New(1)
-	sink := &ackSink{}
-	r := NewAckReceiver(eng, 1, sink)
-	r.DelayedAcks = true
-	p := data(0)
-	p.CE = true
-	r.Handle(p)
-	if len(sink.acks) != 1 || !sink.acks[0].ECNEcho {
-		t.Fatal("congestion-experienced mark must be echoed without delay")
+	for _, a := range sink.acks {
+		if a.Size != DefaultAckSize {
+			t.Fatalf("ack size = %d, want %d", a.Size, DefaultAckSize)
+		}
 	}
 }
 

@@ -80,63 +80,3 @@ func TestECNTwoFlowsFair(t *testing.T) {
 	}
 	_, _ = s1, s2
 }
-
-func TestDelayedAcksStillComplete(t *testing.T) {
-	eng := sim.New(1)
-	d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 63})
-	rcv := cc.NewAckReceiver(eng, 1, nil)
-	rcv.DelayedAcks = true
-	snd := NewSender(eng, nil, Config{Flow: 1})
-	d.Connect(1, snd, rcv, topology.Span{})
-	eng.At(0, snd.Start)
-	eng.RunUntil(30)
-	util := float64(rcv.Stats().BytesRecv) * 8 / (10e6 * 30)
-	if util < 0.7 {
-		t.Fatalf("delayed-ACK TCP achieved %.1f%% utilization, want > 70%%", util*100)
-	}
-}
-
-func TestDelayedAcksHalveAckVolume(t *testing.T) {
-	eng := sim.New(1)
-	count := func(delayed bool) (acks int64) {
-		sink := netem.HandlerFunc(func(p *netem.Packet) {
-			if p.Kind == netem.Ack {
-				acks++
-			}
-		})
-		r := cc.NewAckReceiver(eng, 1, sink)
-		r.DelayedAcks = delayed
-		for i := int64(0); i < 100; i++ {
-			r.Handle(&netem.Packet{Kind: netem.Data, Seq: i, Size: 1000})
-		}
-		return
-	}
-	every := count(false)
-	delayed := count(true)
-	if every != 100 {
-		t.Fatalf("immediate mode sent %d acks for 100 packets", every)
-	}
-	if delayed < 45 || delayed > 55 {
-		t.Fatalf("delayed mode sent %d acks for 100 packets, want ~50", delayed)
-	}
-}
-
-func TestDelayedAckFlushTimer(t *testing.T) {
-	eng := sim.New(1)
-	var acks int
-	sink := netem.HandlerFunc(func(p *netem.Packet) {
-		if p.Kind == netem.Ack {
-			acks++
-		}
-	})
-	r := cc.NewAckReceiver(eng, 1, sink)
-	r.DelayedAcks = true
-	r.Handle(&netem.Packet{Kind: netem.Data, Seq: 0, Size: 1000})
-	if acks != 0 {
-		t.Fatal("single packet acked immediately in delayed mode")
-	}
-	eng.RunUntil(0.2)
-	if acks != 1 {
-		t.Fatalf("flush timer produced %d acks, want 1 within 200ms", acks)
-	}
-}

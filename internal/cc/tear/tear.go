@@ -29,9 +29,6 @@ type Receiver struct {
 	// (default 0.1: the window average spans roughly ten rounds, which
 	// is what makes TEAR slowly-responsive).
 	Alpha float64
-	// FeedbackSize is the wire size of rate reports (default
-	// cc.DefaultAckSize).
-	FeedbackSize int
 
 	R cc.ReceiverStats
 
@@ -179,16 +176,12 @@ func (r *Receiver) onFeedbackTimer() {
 
 // sendFeedback reports the smoothed rate once per RTT.
 func (r *Receiver) sendFeedback() {
-	size := r.FeedbackSize
-	if size == 0 {
-		size = cc.DefaultAckSize
-	}
 	fb := r.Pool.NewFeedback()
 	fb.RecvRate = r.Rate()
 	p := r.Pool.Get()
 	p.Flow = r.Flow
 	p.Kind = netem.Feedback
-	p.Size = size
+	p.Size = cc.DefaultAckSize
 	p.SentAt = r.Eng.Now()
 	p.Echo = r.Eng.Now() // TEAR feedback does not echo data stamps
 	p.FB = fb

@@ -55,9 +55,6 @@ type Receiver struct {
 	// average (RFC 3448 section 5.5). On by default in ns-2; the paper
 	// disables it for the f(k) study.
 	HistoryDiscounting bool
-	// FeedbackSize is the wire size of feedback packets (default
-	// cc.DefaultAckSize).
-	FeedbackSize int
 
 	R cc.ReceiverStats
 
@@ -302,10 +299,6 @@ func (r *Receiver) sendFeedback() {
 	if rate > 0 || now > r.lastFBTime {
 		r.lastRecvRate = rate
 	}
-	size := r.FeedbackSize
-	if size == 0 {
-		size = cc.DefaultAckSize
-	}
 	fb := r.Pool.NewFeedback()
 	fb.LossEventRate = r.LossEventRate()
 	fb.RecvRate = r.lastRecvRate
@@ -313,7 +306,7 @@ func (r *Receiver) sendFeedback() {
 	pkt := r.Pool.Get()
 	pkt.Flow = r.Flow
 	pkt.Kind = netem.Feedback
-	pkt.Size = size
+	pkt.Size = cc.DefaultAckSize
 	pkt.SentAt = now
 	pkt.Echo = r.lastPktSent
 	pkt.FB = fb

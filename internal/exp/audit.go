@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 
@@ -10,6 +11,7 @@ import (
 	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
+	"slowcc/internal/trace"
 )
 
 // Audit mode (sweepEnv.audit) makes every scenario a figure driver
@@ -25,9 +27,10 @@ import (
 // auditMaxRecorded caps how many violations are kept beside the count.
 const auditMaxRecorded = 200
 
-// flightRingSize bounds the per-scenario flight recorder: enough recent
-// bottleneck events to see the lead-up to a violation, small enough
-// that the audited figure suite's memory stays flat.
+// flightRingSize bounds the per-scenario trace ring an audited scenario
+// dumps on its first violation: enough recent bottleneck events to see
+// the lead-up, small enough that the audited figure suite's memory
+// stays flat.
 const flightRingSize = 512
 
 func recordAuditViolation(v invariant.Violation) {
@@ -58,10 +61,10 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // -max-events CLI path); attaches the fault configuration — explicit fc,
 // else the -fault one — to the forward link of hop faultHop, so
 // multi-bottleneck scenarios pick which hop degrades; wires the
-// invariant auditor through every link when audit mode is on; keeps at
-// most one flight recorder over the first forward hop, which the auditor
-// dumps on a violation and the supervisor dumps if the cell panics; and
-// registers the topology with the cell's live-telemetry collector.
+// invariant auditor through every link when audit mode is on, with a
+// trace ring over the first forward hop that the auditor's first
+// violation dumps when the audit dump directory is set; and registers
+// the topology with the cell's live-telemetry collector.
 func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	seed := c.Seed(base)
 	eng := sim.New(seed)
@@ -103,18 +106,15 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 		}
 		n = topology.NewNet(eng, nc)
 	}
-	auditDump := a != nil && env.auditFlightDir != ""
-	cellDump := c != nil && env.pol.FlightDir != ""
-	if auditDump || cellDump {
-		fr := obs.NewFlightRecorder(flightRingSize)
-		n.Fwd[0].AddTap(fr.LinkTap())
-		if auditDump {
-			a.Flight = fr
-			a.DumpPath = filepath.Join(env.auditFlightDir,
-				fmt.Sprintf("flight-%d.dump", supervision.flightSeq.Add(1)))
-		}
-		if cellDump {
-			c.flight = fr
+	if a != nil && env.auditFlightDir != "" {
+		ring := &trace.Recorder{Limit: flightRingSize}
+		n.Fwd[0].AddTap(ring.LinkTap())
+		path := filepath.Join(env.auditFlightDir, fmt.Sprintf("flight-%d.tsv", supervision.flightSeq.Add(1)))
+		a.Report = func(v invariant.Violation) {
+			if a.Total == 1 { // the lead-up; later violations are usually cascade
+				dumpRing(ring, path)
+			}
+			recordAuditViolation(v)
 		}
 	}
 	// A sink or a store reads the cell's telemetry — recorded cells carry
@@ -127,6 +127,17 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 		c.observe(n, env.sink != nil)
 	}
 	return eng, n
+}
+
+// dumpRing writes ring's events to path as a trace TSV. A failed write
+// is dropped: the violation itself is still counted and reported.
+func dumpRing(ring *trace.Recorder, path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		return
+	}
+	defer f.Close()
+	_ = ring.WriteTSV(f)
 }
 
 // observe attaches telemetry collection points to one scenario the cell

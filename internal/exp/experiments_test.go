@@ -2,8 +2,6 @@ package exp
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -32,7 +30,7 @@ func toyCells(seed int64) []int64 {
 
 // TestNewExperimentIsOneRow is ROADMAP item 2's litmus for experiments:
 // one driver (toyCells) plus one row literal is listed, runnable and
-// supervised with telemetry, retry seeds and flight dumps — everything
+// supervised with telemetry and retry seeds — everything
 // the CLI, the facade and the root benchmark do with an experiment they
 // do by ranging over Experiments().
 func TestNewExperimentIsOneRow(t *testing.T) {
@@ -45,8 +43,7 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 	experiments = append(experiments[:len(experiments):len(experiments)], row)
 	t.Cleanup(func() { experiments = saved })
 
-	dir := t.TempDir()
-	withPolicy(t, CellPolicy{Retries: 1, FlightDir: dir})
+	withPolicy(t, CellPolicy{Retries: 1})
 	sink := withSink(t)
 
 	// slowccsim -list prints Experiments(); -exp NAME and -exp all select
@@ -83,11 +80,6 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 		if st.Events == 0 {
 			t.Errorf("cell %d: CellStats.Events = 0: the cell's engine was not harvested", st.Cell)
 		}
-	}
-
-	dump := filepath.Join(dir, "cell-1-attempt-0.dump")
-	if body, err := os.ReadFile(dump); err != nil || !strings.Contains(string(body), "toy: first attempt fails") {
-		t.Errorf("flight dump of the panicking attempt: %v\n%s", err, body)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // FairnessConfig is the Figure 7/8/9 scenario: AFlows flows of algorithm
-// A and BFlows of algorithm B share a bottleneck with a square-wave (or
-// sawtooth) CBR source, and we measure long-term throughput as a
-// function of the CBR period.
+// A and BFlows of algorithm B share a bottleneck with a square-wave CBR
+// source, and we measure long-term throughput as a function of the CBR
+// period.
 type FairnessConfig struct {
 	// A and B are the competing algorithms (paper: A = TCP).
 	A, B AlgoSpec
@@ -26,9 +26,6 @@ type FairnessConfig struct {
 	CBRPeak float64
 	// Periods is the sweep of combined ON+OFF period lengths in seconds.
 	Periods []sim.Time
-	// Shape selects the CBR pattern: "square" (default), "sawtooth", or
-	// "reverse".
-	Shape string
 	// Warmup and Measure set the timeline: throughput is measured over
 	// [Warmup, Warmup+Measure].
 	Warmup, Measure sim.Time
@@ -154,26 +151,13 @@ func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
-	var sched cbr.Schedule
-	switch cfg.Shape {
-	case "sawtooth":
-		sched = cbr.Sawtooth{On: period / 2, Off: period / 2}
-	case "reverse":
-		sched = cbr.Sawtooth{On: period / 2, Off: period / 2, Reverse: true}
-	default:
-		sched = cbr.SquareWave{Period: period}
-	}
-	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, sched, topology.Span{})
+	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period}, topology.Span{})
 
 	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows)
 
-	// Average available bandwidth: the CBR occupies on average half its
-	// peak under a symmetric schedule.
-	meanCBR := cfg.CBRPeak / 2
-	if cfg.Shape == "sawtooth" || cfg.Shape == "reverse" {
-		meanCBR = cfg.CBRPeak / 4 // triangular ramp over half the period
-	}
-	avail := cfg.Rate - meanCBR
+	// Average available bandwidth: the square wave occupies on average
+	// half its peak.
+	avail := cfg.Rate - cfg.CBRPeak/2
 	fairShare := avail / float64(n)
 
 	pt := FairnessPoint{Period: period}

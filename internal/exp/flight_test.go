@@ -2,19 +2,38 @@ package exp
 
 import (
 	"os"
+	"path/filepath"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"slowcc/internal/invariant"
 	"slowcc/internal/topology"
+	"slowcc/internal/trace"
 )
 
-// TestEnableFlightDumpWiresAuditedScenarios checks that with audit
-// flight dumps enabled, every audited scenario carries a flight recorder
-// over its forward bottleneck and an invariant violation leaves a dump
-// with the packet-level lead-up on disk.
+// inducedViolation makes a's clock check fire once, then takes the
+// synthetic breach back out of the package-wide collector so it does
+// not count against TestMain's zero-violations check.
+func inducedViolation(t *testing.T, a *invariant.Auditor) {
+	t.Helper()
+	supervision.mu.Lock()
+	total, kept := supervision.auditTotal, len(supervision.violations)
+	supervision.mu.Unlock()
+	a.OnEvent(5, 4, 1) // event time running backward: clock violation
+	supervision.mu.Lock()
+	defer supervision.mu.Unlock()
+	if supervision.auditTotal != total+1 {
+		t.Fatalf("the violation reached the collector %d times, want once", supervision.auditTotal-total)
+	}
+	supervision.auditTotal, supervision.violations = total, supervision.violations[:kept]
+}
+
+// TestEnableFlightDumpWiresAuditedScenarios checks that with an audit
+// dump directory set, every audited scenario keeps a trace ring over its
+// forward bottleneck and an invariant violation leaves the packet-level
+// lead-up on disk as a trace TSV.
 func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 	dir := t.TempDir()
 	defer auditMode(auditMode(true, dir))
@@ -24,52 +43,45 @@ func TestEnableFlightDumpWiresAuditedScenarios(t *testing.T) {
 	if a == nil {
 		t.Fatal("audit mode off: TestMain should have enabled it")
 	}
-	if a.Flight == nil || a.DumpPath == "" {
-		t.Fatal("the audit flight directory did not wire a recorder into the scenario")
-	}
-
-	// Real traffic fills the ring through the bottleneck tap.
-	f := TCPAlgo(0.5).Make(eng, d, 1)
-	eng.At(0, f.Sender.Start)
+	flow := TCPAlgo(0.5).Make(eng, d, 1)
+	eng.At(0, flow.Sender.Start)
 	eng.RunUntil(2)
-	if a.Flight.Total() == 0 {
-		t.Fatal("flight recorder saw no bottleneck traffic")
+
+	inducedViolation(t, a)
+	dumps, _ := filepath.Glob(filepath.Join(dir, "flight-*.tsv"))
+	if len(dumps) != 1 {
+		t.Fatalf("violation left %d dumps, want 1", len(dumps))
 	}
-
-	// Induce a violation directly on the auditor. Detach the shared
-	// collector first: this breach is synthetic and must not count
-	// against the package-wide zero-violations check in TestMain.
-	a.Report = nil
-	a.OnEvent(5, 4, 1) // event time running backward: clock violation
-
-	blob, err := os.ReadFile(a.DumpPath)
+	f, err := os.Open(dumps[0])
 	if err != nil {
-		t.Fatalf("violation did not produce a flight dump: %v", err)
+		t.Fatal(err)
 	}
-	out := string(blob)
-	if !strings.Contains(out, "reason: invariant violation:") {
-		t.Fatalf("dump header wrong:\n%.200s", out)
+	defer f.Close()
+	evs, err := trace.ReadTSV(f)
+	if err != nil {
+		t.Fatalf("dump is not a trace TSV: %v", err)
 	}
-	if !strings.Contains(out, "\tpkt\t") {
-		t.Fatal("dump holds no packet events")
-	}
-	if !strings.Contains(out, "\tnote\tviolation ") {
-		t.Fatal("dump holds no violation note")
+	if len(evs) == 0 || len(evs) > flightRingSize {
+		t.Fatalf("dump holds %d bottleneck events, want 1..%d", len(evs), flightRingSize)
 	}
 }
 
-// TestFlightDumpOffByDefault checks the disabled path stays bare: with
-// no dump directory configured, audited scenarios carry no recorder and
-// no dump path.
+// TestFlightDumpOffByDefault checks the disabled path: with no dump
+// directory, a violation still reaches the collector and writes nothing
+// (a dump path built from an empty directory would land in the working
+// directory).
 func TestFlightDumpOffByDefault(t *testing.T) {
 	defer auditMode(auditMode(true, ""))
+	wd := t.TempDir()
+	t.Chdir(wd)
 	_, d := noCell.newScenario(1, topology.Config{Rate: 10e6})
 	a := d.Cfg.Audit
 	if a == nil {
 		t.Fatal("audit mode off: TestMain should have enabled it")
 	}
-	if a.Flight != nil || a.DumpPath != "" {
-		t.Fatal("flight recorder wired without an audit flight directory")
+	inducedViolation(t, a)
+	if ents, _ := os.ReadDir(wd); len(ents) != 0 {
+		t.Fatalf("violation without a dump directory wrote %s", ents[0].Name())
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 var noCell *Cell
 
 // auditMode sets whether scenarios built from now on run under the
-// invariant auditor and where audited scenarios dump their flight ring
-// on a violation ("" = nowhere), returning the previous setting.
+// invariant auditor and where audited scenarios dump their bottleneck's
+// trace ring on a violation ("" = nowhere), returning the previous
+// setting.
 func auditMode(on bool, flightDir string) (prevOn bool, prevDir string) {
 	setEnv(func(env *sweepEnv) {
 		prevOn, prevDir = env.audit, env.auditFlightDir
@@ -34,7 +35,7 @@ func resetStop() {
 // suite that passes its own assertions but breached any invariant still
 // fails here. Benchmarks (which live in the root package) construct
 // scenarios with auditing off and are unaffected.
-// Audited scenarios additionally keep a flight recorder over their
+// Audited scenarios additionally keep a trace ring over their
 // bottleneck: when a violation does fire, the packet-level lead-up is
 // dumped under flightDir instead of being lost with the process.
 func TestMain(m *testing.M) {

@@ -30,9 +30,6 @@ type OutageConfig struct {
 	// t=25s for 5s).
 	OutageAt  sim.Time
 	OutageDur sim.Time
-	// Drop switches the outage policy to refusing packets outright
-	// (faults.DownDrop); the default queues them until overflow.
-	Drop bool
 	// CrowdStart, CrowdDuration, CrowdRate, CrowdPkts shape the flash
 	// crowd that lands on the recovering link (default t=30s, i.e. the
 	// instant the outage ends, 5s, 200 flows/s, 10 packets).
@@ -128,13 +125,9 @@ func Outage(cfg OutageConfig) []OutageResult {
 }
 
 func runOutage(c *Cell, cfg OutageConfig, bg AlgoSpec) OutageResult {
-	policy := netem.DownQueue
-	if cfg.Drop {
-		policy = netem.DownDrop
-	}
 	fc := faults.Config{
 		Windows: []faults.Window{{At: cfg.OutageAt, Dur: cfg.OutageDur}},
-		Policy:  policy,
+		Policy:  netem.DownQueue,
 	}
 	var d *topology.Net
 	var dropsBefore, dropsAfter int64

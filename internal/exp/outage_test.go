@@ -62,30 +62,6 @@ func TestOutageBlackoutAndRecovery(t *testing.T) {
 	}
 }
 
-// TestOutageDropPolicy checks the DownDrop variant refuses packets at
-// the dark link and accounts them as outage drops.
-func TestOutageDropPolicy(t *testing.T) {
-	cfg := OutageConfig{
-		Backgrounds: []AlgoSpec{TCPAlgo(0.5)},
-		Flows:       4,
-		Rate:        4e6,
-		OutageAt:    10,
-		OutageDur:   2,
-		CrowdStart:  12,
-		CrowdRate:   50,
-		End:         30,
-		Drop:        true,
-		Seed:        1,
-	}
-	res := Outage(cfg)
-	if len(res) != 1 {
-		t.Fatalf("%d results", len(res))
-	}
-	if res[0].OutageDrops == 0 {
-		t.Fatal("DownDrop outage recorded no drops while senders were active")
-	}
-}
-
 // TestOutageDeterministic: same seed, same result — the injector's
 // schedule and the engine share nothing but the configured times.
 func TestOutageDeterministic(t *testing.T) {

@@ -429,18 +429,19 @@ func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
 }
 
 func TestRetryBackoffSchedulePinned(t *testing.T) {
-	pol := CellPolicy{BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second}
+	pol := CellPolicy{BackoffBase: 100 * time.Millisecond}
 	// The schedule is a pure function of (index, attempt): exponential
-	// growth capped at BackoffMax, plus SplitMix64-derived jitter. These
+	// growth capped at DefaultBackoffMax, plus a SplitMix64-derived spread. These
 	// exact values are part of the reproducibility contract — a drift
 	// here means retry timing changed between releases (results never
-	// depend on it, but operators' deadline budgets do).
+	// depend on it, but operators' deadline budgets do). Attempt 11
+	// (100 ms << 10 > 30 s) sits at the cap plus its spread.
 	want := map[[2]int]time.Duration{
 		{0, 0}: 0,
 		{0, 1}: 115296940, {0, 2}: 238628441, {0, 3}: 495375534,
-		{0, 4}: 832486008, {0, 5}: 1079093969,
+		{0, 4}: 832486008, {0, 5}: 1921719254, {0, 11}: 36371301098,
 		{3, 1}: 116565402, {3, 2}: 214412294, {3, 3}: 427067934,
-		{3, 4}: 994715458, {3, 5}: 1013446041,
+		{3, 4}: 994715458, {3, 5}: 1652341273, {3, 11}: 36828989791,
 	}
 	for k, w := range want {
 		if got := retryBackoff(pol, k[0], k[1]); got != w {

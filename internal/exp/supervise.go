@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"path/filepath"
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
@@ -20,7 +19,7 @@ import (
 )
 
 // CellPolicy governs how supervised sweep cells run. The zero value
-// means one attempt, no deadline, no flight dumps; the package starts
+// means one attempt and no deadline; the package starts
 // with one retry on a derived seed.
 type CellPolicy struct {
 	// Retries is the number of extra attempts after the first, each on a
@@ -34,21 +33,16 @@ type CellPolicy struct {
 	// Budget via SetRunBudget so runaways actually stop) and the cell
 	// reports a deadline RunError.
 	Deadline time.Duration
-	// FlightDir, when non-empty, makes every supervised scenario keep a
-	// flight recorder over its forward bottleneck and attaches a dump
-	// (cell-<index>-attempt-<n>.dump) to any panic's RunError.
-	FlightDir string
 	// BackoffBase, when positive, makes each retry attempt wait before
 	// starting: attempt a (a >= 1) sleeps min(BackoffBase << (a-1),
-	// BackoffMax) plus a deterministic jitter derived from the cell index
-	// and attempt number via the same SplitMix64 round as deriveSeed.
+	// DefaultBackoffMax) plus a deterministic spread derived from the
+	// cell index and attempt number via the same SplitMix64 round as
+	// deriveSeed.
 	// The wait is pure wall-clock scheduling — it never draws from any
 	// RNG the simulation uses, so enabling backoff cannot perturb the
 	// traffic stream, and attempt 0 (which never waits) stays
 	// bit-identical.
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff (0 = DefaultBackoffMax).
-	BackoffMax time.Duration
 	// BreakerThreshold, when positive, arms a per-cell-kind circuit
 	// breaker: after this many consecutive degraded cells of the same
 	// kind (the matrix driver's kind is the algorithm pair), further
@@ -60,30 +54,23 @@ type CellPolicy struct {
 	BreakerThreshold int
 }
 
-// DefaultBackoffMax bounds exponential retry backoff when the policy
-// does not set its own cap.
+// DefaultBackoffMax bounds exponential retry backoff.
 const DefaultBackoffMax = 30 * time.Second
 
 // retryBackoff returns the deterministic wait before attempt a of the
-// given cell: exponential in the attempt number, capped, with jitter
+// given cell: exponential in the attempt number, capped, with a spread
 // from SplitMix64 so simultaneous retries of different cells spread out
 // identically on every run. Attempt 0 never waits.
 func retryBackoff(pol CellPolicy, index, attempt int) time.Duration {
 	if pol.BackoffBase <= 0 || attempt <= 0 {
 		return 0
 	}
-	max := pol.BackoffMax
-	if max <= 0 {
-		max = DefaultBackoffMax
-	}
 	d := pol.BackoffBase
-	for i := 1; i < attempt && d < max; i++ {
+	for i := 1; i < attempt && d < DefaultBackoffMax; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	// Jitter in [0, d/4]: derived, not drawn — the schedule is a pure
+	d = min(d, DefaultBackoffMax)
+	// Spread in [0, d/4]: derived, not drawn — the schedule is a pure
 	// function of (index, attempt).
 	span := uint64(d/4) + 1
 	j := time.Duration(uint64(deriveSeed(int64(index), attempt)) % span)
@@ -102,9 +89,6 @@ type RunError struct {
 	Value any
 	// Stack is the panicking goroutine's stack from the last attempt.
 	Stack string
-	// FlightDump is the path of the flight-recorder dump written for the
-	// last panicking attempt, when the policy enables dumps.
-	FlightDump string
 	// Deadline reports that the last attempt exceeded the cell deadline
 	// rather than panicking.
 	Deadline bool
@@ -131,9 +115,6 @@ func (e *RunError) Error() string {
 		s = fmt.Sprintf("exp: sweep cell %d exceeded its deadline after %d attempts", e.Index, e.Attempts)
 	} else {
 		s = fmt.Sprintf("exp: sweep cell %d panicked after %d attempts: %v", e.Index, e.Attempts, e.Value)
-		if e.FlightDump != "" {
-			s += " (flight dump: " + e.FlightDump + ")"
-		}
 	}
 	if e.Halt != "" {
 		s += " (halt: " + e.Halt + ")"
@@ -143,15 +124,14 @@ func (e *RunError) Error() string {
 
 // Cell is the per-attempt context a supervised job runs under, and what
 // hands the job its scenario: newScenario and buildScenario (audit.go)
-// are methods on it, so the attempt's seed, the flight recorder the
-// supervisor dumps on a panic and the telemetry it harvests on success
-// all come with the engine rather than being threaded in by the driver.
+// are methods on it, so the attempt's seed and the telemetry the
+// supervisor harvests on success come with the engine rather than being
+// threaded in by the driver.
 type Cell struct {
 	index   int
 	attempt int
 	// env is the settings snapshot of the sweep the cell belongs to.
-	env    *sweepEnv
-	flight *obs.FlightRecorder
+	env *sweepEnv
 	// obsv collects one entry per engine the cell constructed when a
 	// sink or a store will read its telemetry: the counter registry and,
 	// for a sink, the stream digest the supervisor snapshots into
@@ -219,7 +199,8 @@ type sweepEnv struct {
 	replay bool
 	// audit runs every scenario under the internal/invariant auditor,
 	// and auditFlightDir, when non-empty, makes audited scenarios dump
-	// their flight ring there on a violation. Only the package's own
+	// their bottleneck's recent packet trace there on the first
+	// violation. Only the package's own
 	// TestMain switches them on (see audit.go).
 	audit          bool
 	auditFlightDir string
@@ -241,7 +222,7 @@ var supervision = struct {
 	// stopped counts cells skipped because a graceful stop was requested.
 	stopped atomic.Int64
 	// auditTotal counts invariant violations; violations keeps the first
-	// auditMaxRecorded of them; flightSeq numbers audit flight dumps.
+	// auditMaxRecorded of them; flightSeq numbers audit dumps.
 	auditTotal int64
 	violations []invariant.Violation
 	flightSeq  atomic.Int64
@@ -368,9 +349,9 @@ func sweepSince(t0 time.Time) float64 {
 }
 
 // Supervise runs job as one supervised sweep cell under the current
-// policy: panics are recovered into a RunError (with a flight dump when
-// the policy wires one), a deadline abandons the attempt, and each
-// retry hands the job a Cell whose Seed derives a fresh seed. On
+// policy: panics are recovered into a RunError with their stack, a
+// deadline abandons the attempt, and each retry hands the job a Cell
+// whose Seed derives a fresh seed. On
 // success the error is nil; callers that are not part of a sweep get
 // the error directly and nothing is recorded in SweepErrors.
 func Supervise[T any](index int, job func(c *Cell) T) (T, *RunError) {
@@ -552,12 +533,7 @@ func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (
 		var o outcome
 		defer func() {
 			if v := recover(); v != nil {
-				o = outcome{rerr: &RunError{
-					Index:      index,
-					Value:      v,
-					Stack:      string(debug.Stack()),
-					FlightDump: dumpCellFlight(c, v),
-				}}
+				o = outcome{rerr: &RunError{Index: index, Value: v, Stack: string(debug.Stack())}}
 			}
 			res <- o
 		}()
@@ -597,20 +573,6 @@ func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (
 // deadlineGrace bounds how long a deadline-exceeded attempt is given to
 // actually halt (via its wall budget) before being fully abandoned.
 const deadlineGrace = 250 * time.Millisecond
-
-// dumpCellFlight writes the cell's flight-recorder ring next to the
-// panic, returning the dump path ("" when no recorder was wired or the
-// write failed — the RunError still reports the panic either way).
-func dumpCellFlight(c *Cell, pv any) string {
-	if c.flight == nil {
-		return ""
-	}
-	path := filepath.Join(c.env.pol.FlightDir, fmt.Sprintf("cell-%d-attempt-%d.dump", c.index, c.attempt))
-	if err := c.flight.DumpFile(path, fmt.Sprintf("sweep cell %d attempt %d panicked: %v", c.index, c.attempt, pv)); err != nil {
-		return ""
-	}
-	return path
-}
 
 // supervisedMap is parallelMapIndexed with per-cell supervision: a cell whose
 // every attempt dies yields its zero value and a RunError in

@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"slowcc/internal/netem"
-	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 )
 
@@ -57,21 +56,9 @@ type Auditor struct {
 	// timers are scheduled, so auditing never keeps an engine alive).
 	// Zero means the 0.5s default.
 	Interval sim.Time
-	// MaxViolations caps the recorded slice so a systemic breach cannot
-	// exhaust memory; further violations only increment Total. Zero
-	// means the default of 100.
-	MaxViolations int
 	// Report, when non-nil, is additionally invoked for every violation
-	// (including ones beyond MaxViolations).
+	// (including ones beyond maxViolations).
 	Report func(Violation)
-	// Flight, when non-nil, receives a note for every violation, and the
-	// first violation triggers a post-mortem dump to DumpPath (when set)
-	// so an audit failure leaves the packet-and-probe context on disk
-	// instead of just a counter. See obs.FlightRecorder.
-	Flight *obs.FlightRecorder
-	// DumpPath is where the flight recorder is dumped on the first
-	// violation. Empty disables the dump (notes are still added).
-	DumpPath string
 
 	// Total counts every violation observed, recorded or not.
 	Total int64
@@ -86,6 +73,10 @@ type Auditor struct {
 	lastSeq   uint64
 	haveEvent bool
 }
+
+// maxViolations caps the recorded slice so a systemic breach cannot
+// exhaust memory; further violations only increment Total.
+const maxViolations = 100
 
 type flowWatch struct {
 	name       string
@@ -130,7 +121,7 @@ func (a *Auditor) WatchValue(name string, get func() float64, lo, hi float64) {
 	a.values = append(a.values, valueWatch{name: name, get: get, lo: lo, hi: hi})
 }
 
-// Violations returns the recorded violations (capped at MaxViolations).
+// Violations returns the recorded violations (capped at maxViolations).
 func (a *Auditor) Violations() []Violation { return a.violations }
 
 // Err returns nil when no invariant was breached, and an error
@@ -145,23 +136,11 @@ func (a *Auditor) Err() error {
 func (a *Auditor) record(kind, name, format string, args ...any) {
 	v := Violation{Time: a.eng.Now(), Kind: kind, Name: name, Detail: fmt.Sprintf(format, args...)}
 	a.Total++
-	max := a.MaxViolations
-	if max == 0 {
-		max = 100
-	}
-	if len(a.violations) < max {
+	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
 	}
 	if a.Report != nil {
 		a.Report(v)
-	}
-	if a.Flight != nil {
-		a.Flight.AddNote(v.Time, "violation "+v.String())
-		if a.Total == 1 && a.DumpPath != "" {
-			// Dump on the first breach, while the ring still holds the
-			// lead-up; later violations are usually cascade noise.
-			_ = a.Flight.DumpFile(a.DumpPath, "invariant violation: "+v.String())
-		}
 	}
 }
 

@@ -2,15 +2,11 @@ package invariant_test
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"slowcc/internal/invariant"
 	"slowcc/internal/netem"
-	"slowcc/internal/obs"
-	"slowcc/internal/obs/probe"
 	"slowcc/internal/sim"
 )
 
@@ -219,86 +215,21 @@ func TestFlowAndBoundChecks(t *testing.T) {
 	}
 }
 
-// TestViolationCapAndTotal checks MaxViolations bounds memory while
-// Total keeps counting.
+// TestViolationCapAndTotal checks the 100-violation cap bounds memory
+// while Total keeps counting.
 func TestViolationCapAndTotal(t *testing.T) {
 	eng := sim.New(1)
 	a := invariant.New(eng)
-	a.MaxViolations = 3
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 110; i++ {
 		a.OnEvent(5, 4, uint64(i))
 	}
-	if len(a.Violations()) != 3 {
-		t.Fatalf("recorded %d violations, want cap of 3", len(a.Violations()))
+	if len(a.Violations()) != 100 {
+		t.Fatalf("recorded %d violations, want cap of 100", len(a.Violations()))
 	}
-	if a.Total != 10 {
-		t.Fatalf("Total = %d, want 10", a.Total)
+	if a.Total != 110 {
+		t.Fatalf("Total = %d, want 110", a.Total)
 	}
 	if a.Err() == nil {
 		t.Fatal("Err() = nil with violations present")
 	}
-}
-
-// TestFirstViolationDumpsFlightRecorder checks the post-mortem path end
-// to end: a run with a flight recorder tapping the link and mirroring
-// probe samples trips a bound violation, and the dump written on the
-// first breach holds the packet events and probe samples leading up to
-// it, plus the violation note.
-func TestFirstViolationDumpsFlightRecorder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "flight.dump")
-	eng := sim.New(1)
-	l := netem.NewLink(eng, 1e6, 0.01, netem.NewDropTail(5), drain{})
-
-	fr := obs.NewFlightRecorder(256)
-	l.AddTap(fr.LinkTap())
-	smp := obs.NewSampler(0.25)
-	smp.Flight = fr
-	smp.AddVars("flow1", []probe.Var{{Name: "cwnd", Read: func() float64 { return 4 }}})
-	smp.Install(eng)
-
-	a := invariant.New(eng)
-	a.Flight = fr
-	a.DumpPath = path
-	a.WatchLink("lr", l)
-	// A value that can never satisfy its declared bounds: the first
-	// cadence check (0.5s in) must record a bound violation.
-	a.WatchValue("impossible", func() float64 { return 1 }, 2, 3)
-
-	pump(eng, l, 2000)
-	eng.Run()
-
-	if a.Total == 0 || firstKind(a.Violations(), "bound") == nil {
-		t.Fatalf("bound violation not induced: %v", a.Violations())
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("flight dump not written: %v", err)
-	}
-	out := string(blob)
-	if !strings.Contains(out, "reason: invariant violation:") || !strings.Contains(out, "bound[impossible]") {
-		t.Fatalf("dump header wrong:\n%s", head(out, 3))
-	}
-	if !strings.Contains(out, "\tpkt\t") {
-		t.Fatal("dump holds no packet events")
-	}
-	if !strings.Contains(out, "\tprobe\tflow1/cwnd\t") {
-		t.Fatal("dump holds no probe samples")
-	}
-	if !strings.Contains(out, "\tnote\tviolation ") {
-		t.Fatal("dump holds no violation note")
-	}
-	// The dump happened at the first breach: it must not contain the
-	// cascade of later bound violations (one per cadence tick).
-	if n := strings.Count(out, "\tnote\tviolation "); n != 1 {
-		t.Fatalf("dump holds %d violation notes, want the first only", n)
-	}
-}
-
-// head returns the first n lines of s.
-func head(s string, n int) string {
-	lines := strings.SplitN(s, "\n", n+1)
-	if len(lines) > n {
-		lines = lines[:n]
-	}
-	return strings.Join(lines, "\n")
 }

@@ -71,52 +71,3 @@ func TestREDECNOverflowStillDrops(t *testing.T) {
 		t.Fatalf("ForcedDrops = %d, want 1", r.ForcedDrops)
 	}
 }
-
-func TestREDGentleRampAcceptsSomeAboveMaxThresh(t *testing.T) {
-	mk := func(gentle bool) (accepted int) {
-		r := NewRED(10, 20, 1000, 0.0008, rand.New(rand.NewSource(1)))
-		r.Gentle = gentle
-		r.Weight = 1.0
-		for i := int64(0); i < 25; i++ { // avg 25: between maxth and 2*maxth
-			r.Enqueue(&Packet{Seq: i, Size: 1000}, 0)
-		}
-		for i := 0; i < 2000; i++ {
-			if r.Enqueue(&Packet{Seq: int64(1000 + i), Size: 1000}, 0) {
-				accepted++
-				r.Dequeue(0)
-			}
-		}
-		return
-	}
-	if got := mk(false); got != 0 {
-		t.Fatalf("non-gentle RED accepted %d above MaxThresh, want 0", got)
-	}
-	got := mk(true)
-	if got == 0 {
-		t.Fatal("gentle RED accepted nothing between maxth and 2*maxth")
-	}
-	if got > 1200 {
-		t.Fatalf("gentle RED accepted %d/2000 at avg 1.25*maxth; ramp looks too permissive", got)
-	}
-}
-
-func TestREDGentleDropsAllAboveTwiceMaxThresh(t *testing.T) {
-	r := NewRED(10, 20, 1000, 0.0008, rand.New(rand.NewSource(1)))
-	r.Gentle = true
-	r.Weight = 1.0
-	// Fill with marking enabled so early "drops" become marks and the
-	// backlog deterministically reaches 45 packets (avg = q with
-	// Weight 1): above 2*maxth = 40.
-	r.MarkECN = true
-	for i := int64(0); i < 45; i++ {
-		if !r.Enqueue(&Packet{Seq: i, Size: 1000, ECT: true}, 0) {
-			t.Fatal("marking fill dropped")
-		}
-	}
-	r.MarkECN = false
-	for i := 0; i < 200; i++ {
-		if r.Enqueue(&Packet{Seq: int64(1000 + i), Size: 1000}, 0) {
-			t.Fatal("gentle RED accepted above 2*MaxThresh")
-		}
-	}
-}

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"math/rand"
 
 	"slowcc/internal/sim"
 )
@@ -70,8 +69,8 @@ const (
 	TapSettled
 )
 
-// Tap is the one way anything watches a link: metrics, traces, journeys,
-// the flight recorder and the invariant auditor are each a Tap, attached
+// Tap is the one way anything watches a link: metrics, traces, journeys
+// and the invariant auditor are each a Tap, attached
 // with AddTap. A tap is called synchronously on the hot path at every
 // TapOp point with the link it was attached to; it returns at once on
 // the ops it does not care about, and must not schedule events, call
@@ -92,14 +91,6 @@ type Link struct {
 	Q Queue
 	// Dst receives packets Delay seconds after their last bit is sent.
 	Dst Handler
-	// Jitter, when positive, adds an independent uniform extra delay in
-	// [0, Jitter] to each packet's propagation. Because the extra delay
-	// is per-packet, jitter larger than a packet's transmission time
-	// introduces reordering — useful for robustness tests; real paths in
-	// the paper's scenarios have none.
-	Jitter sim.Time
-	// JitterRNG drives the jitter (required when Jitter > 0).
-	JitterRNG *rand.Rand
 	// Stats accumulates counters for the lifetime of the link.
 	Stats LinkStats
 	// Pool, when non-nil, receives packets the queue refuses. The link is
@@ -272,15 +263,11 @@ func (l *Link) finishTx(p *Packet) {
 	if len(l.taps) != 0 {
 		l.emit(TapTxEnd, p, l.eng.Now())
 	}
-	delay := l.Delay
-	if l.Jitter > 0 && l.JitterRNG != nil {
-		delay += l.Jitter * l.JitterRNG.Float64()
-	}
 	// The delivery event must be scheduled before startTx schedules the
 	// next transmission completion: sequence numbers are assigned in
 	// schedule order, and determinism requires the same assignment order
 	// as the original closure-based code.
-	l.eng.AfterFunc(delay, l.deliverFn, p)
+	l.eng.AfterFunc(l.Delay, l.deliverFn, p)
 	l.startTx()
 	if len(l.taps) != 0 {
 		l.emit(TapSettled, nil, l.eng.Now())

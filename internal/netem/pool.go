@@ -37,7 +37,7 @@ type PacketPool struct {
 	// subset of Gets served from the free list (Gets - Reuses is the
 	// number of heap allocations), and GuardTrips counts double-release
 	// attempts caught by Put's ownership guard — it is incremented
-	// before the panic so a flight-recorder dump sees it.
+	// before the panic, so a recovered panic still finds it counted.
 	Gets, Puts, Reuses, GuardTrips int64
 }
 

@@ -35,10 +35,6 @@ type RED struct {
 	// instead of dropping them (RFC 2481 behavior). Packets without ECT
 	// are still dropped, as are overflows of the physical buffer.
 	MarkECN bool
-	// Gentle extends the drop ramp linearly from MaxP at MaxThresh to 1
-	// at 2*MaxThresh instead of jumping straight to dropping everything
-	// (ns-2's gentle_ option).
-	Gentle bool
 
 	rng       *rand.Rand
 	q         fifo
@@ -77,17 +73,15 @@ func (r *RED) Avg() float64 { return r.avg }
 
 // DropProb returns the marking probability pb implied by the current
 // average queue size: 0 below MinThresh, the linear ramp to MaxP at
-// MaxThresh, the gentle extension to 1 at 2*MaxThresh when enabled, and
-// 1 in the forced-drop region. It reads the same state Enqueue uses but
-// consumes no randomness, so sampling it cannot perturb a run.
+// MaxThresh, and 1 in the forced-drop region. It reads the same state
+// Enqueue uses but consumes no randomness, so sampling it cannot
+// perturb a run.
 func (r *RED) DropProb() float64 {
 	switch {
 	case r.avg < r.MinThresh:
 		return 0
 	case r.avg < r.MaxThresh:
 		return r.MaxP * (r.avg - r.MinThresh) / (r.MaxThresh - r.MinThresh)
-	case r.Gentle && r.avg < 2*r.MaxThresh:
-		return r.MaxP + (1-r.MaxP)*(r.avg-r.MaxThresh)/r.MaxThresh
 	default:
 		return 1
 	}
@@ -121,7 +115,7 @@ func (r *RED) Enqueue(p *Packet, now sim.Time) bool {
 	switch {
 	case r.avg < r.MinThresh:
 		r.count = -1
-	case r.avg >= r.MaxThresh && !(r.Gentle && r.avg < 2*r.MaxThresh):
+	case r.avg >= r.MaxThresh:
 		r.count = 0
 		if !r.notify(p) {
 			r.EarlyDrops++
@@ -129,14 +123,7 @@ func (r *RED) Enqueue(p *Packet, now sim.Time) bool {
 		}
 	default:
 		r.count++
-		var pb float64
-		if r.avg < r.MaxThresh {
-			pb = r.MaxP * (r.avg - r.MinThresh) / (r.MaxThresh - r.MinThresh)
-		} else {
-			// Gentle region: ramp from MaxP at MaxThresh to 1 at
-			// 2*MaxThresh.
-			pb = r.MaxP + (1-r.MaxP)*(r.avg-r.MaxThresh)/r.MaxThresh
-		}
+		pb := r.MaxP * (r.avg - r.MinThresh) / (r.MaxThresh - r.MinThresh)
 		pa := 1.0
 		if float64(r.count)*pb < 1 {
 			pa = pb / (1 - float64(r.count)*pb)

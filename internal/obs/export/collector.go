@@ -52,9 +52,7 @@ func (c *Collector) SetCounterFunc(name string, fn func() int64) {
 	c.funcs[name] = fn
 }
 
-// AddCellStats merges one finished cell's snapshots. Histograms with a
-// resolution floor unlike the one already merged under the same name
-// replace it (merging mismatched geometries would misbucket).
+// AddCellStats merges one finished cell's snapshots.
 func (c *Collector) AddCellStats(st obs.CellStats) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -67,7 +65,7 @@ func (c *Collector) AddCellStats(st obs.CellStats) {
 	}
 	for i := range st.Hists {
 		name, h := st.Hists[i].Name, &st.Hists[i].Hist
-		if have, ok := c.hists[name]; ok && have.Lo == h.Lo {
+		if have, ok := c.hists[name]; ok {
 			have.Merge(h)
 			continue
 		}

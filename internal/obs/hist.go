@@ -4,7 +4,7 @@ import "math"
 
 // Histogram bucket geometry: histMajor powers of two above Lo, each
 // split into histSub linear sub-buckets — the classic HDR layout. With
-// the default Lo of 1µs that spans 1µs .. ~12.7 days at a worst-case
+// the floor DefaultHistLo of 1µs that spans 1µs .. ~12.7 days at a worst-case
 // relative error of 1/histSub (12.5%), which is far tighter than the
 // factor-of-two a plain log histogram gives and plenty for latency
 // quantiles.
@@ -15,40 +15,30 @@ const (
 )
 
 // Histogram is a log-linear histogram with a fixed bucket array:
-// Record is allocation-free and O(1), histograms with the same Lo merge
-// by adding counts, and quantiles are read by walking the cumulative
-// counts. The zero value is ready to use with Lo = DefaultHistLo.
+// Record is allocation-free and O(1), histograms merge by adding counts,
+// and quantiles are read by walking the cumulative counts. The zero
+// value is ready to use.
 //
 // Values below the first bucket clamp into it; values beyond the last
 // bucket clamp into the last. Count/Sum/Max are exact regardless of
 // clamping, so Mean and Max never suffer bucket error.
 type Histogram struct {
-	// Lo is the upper edge of the first sub-bucket (resolution floor).
-	// Zero means DefaultHistLo. Must match to Merge.
-	Lo float64
-
 	counts [histBuckets]int64
 	n      int64
 	sum    float64
 	max    float64
 }
 
-// DefaultHistLo is the resolution floor used when Histogram.Lo is zero:
-// one microsecond, fine enough for sub-millisecond sim latencies.
+// DefaultHistLo is every histogram's resolution floor, the upper edge of
+// its first sub-bucket: one microsecond, fine enough for sub-millisecond
+// sim latencies.
 const DefaultHistLo = 1e-6
-
-func (h *Histogram) lo() float64 {
-	if h.Lo > 0 {
-		return h.Lo
-	}
-	return DefaultHistLo
-}
 
 // bucketIndex maps a value to its bucket. Exported behavior is defined
 // entirely by bucketUpper: a value lands in the first bucket whose
 // upper edge is >= the value (after clamping at both ends).
 func (h *Histogram) bucketIndex(v float64) int {
-	lo := h.lo()
+	const lo = DefaultHistLo
 	if !(v > lo) { // also catches NaN and negatives
 		return 0
 	}
@@ -69,10 +59,9 @@ func (h *Histogram) bucketIndex(v float64) int {
 
 // bucketUpper returns the inclusive upper edge of bucket i.
 func (h *Histogram) bucketUpper(i int) float64 {
-	lo := h.lo()
 	major := i / histSub
 	sub := i % histSub
-	return lo * math.Ldexp(1+float64(sub+1)/histSub, major)
+	return DefaultHistLo * math.Ldexp(1+float64(sub+1)/histSub, major)
 }
 
 // Record adds one observation. It never allocates.
@@ -169,15 +158,10 @@ func (h *Histogram) CumBuckets() []HistBucket {
 	return out
 }
 
-// Merge adds o's observations into h. Both histograms must share the
-// same resolution floor; merging mismatched geometries would silently
-// misbucket, so it panics instead.
+// Merge adds o's observations into h.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.n == 0 {
 		return
-	}
-	if h.lo() != o.lo() {
-		panic("obs: Histogram.Merge with mismatched Lo")
 	}
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]

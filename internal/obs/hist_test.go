@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -108,16 +110,27 @@ func TestHistogramMergeUnequalCounts(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeMismatchedLoPanics(t *testing.T) {
-	a := &Histogram{Lo: 1e-6}
-	b := &Histogram{Lo: 1e-3}
-	b.Record(0.5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge with mismatched Lo must panic")
-		}
-	}()
-	a.Merge(b)
+// TestHistogramJSONRejectsForeignFloor checks a stored histogram keeps
+// only the one bucket geometry: the floor travels as an omitted "lo",
+// and a non-zero one (input from outside the program) is an error, not
+// a silent misbucketing.
+func TestHistogramJSONRejectsForeignFloor(t *testing.T) {
+	var h Histogram
+	h.Record(0.5)
+	blob, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), `"lo"`) {
+		t.Fatalf("encoded floor: %s", blob)
+	}
+	var back Histogram
+	if err := json.Unmarshal(blob, &back); err != nil || back.Quantile(1) != h.Quantile(1) {
+		t.Fatalf("round trip: %v, quantile %v want %v", err, back.Quantile(1), h.Quantile(1))
+	}
+	if err := json.Unmarshal([]byte(`{"lo":0.001,"buckets":[[3,1]],"n":1}`), &back); err == nil {
+		t.Fatal("non-default floor accepted")
+	}
 }
 
 func TestHistogramEmptyQuantile(t *testing.T) {

@@ -10,7 +10,9 @@ import (
 // in practice), and Count/Sum/Max travel exactly so a decoded histogram
 // answers every query — Quantile, Mean, Merge — identically to the
 // original. The store depends on this: a cache-hit cell must replay the
-// same /metrics families a cold run produces.
+// same /metrics families a cold run produces. Lo is the resolution floor,
+// always DefaultHistLo and so never written; a stored non-zero floor
+// names a bucket geometry this build cannot read.
 type histJSON struct {
 	Lo      float64    `json:"lo,omitempty"`
 	Buckets [][2]int64 `json:"buckets,omitempty"`
@@ -21,7 +23,7 @@ type histJSON struct {
 
 // MarshalJSON encodes the histogram losslessly in sparse form.
 func (h Histogram) MarshalJSON() ([]byte, error) {
-	w := histJSON{Lo: h.Lo, N: h.n, Sum: h.sum, Max: h.max}
+	w := histJSON{N: h.n, Sum: h.sum, Max: h.max}
 	for i, c := range h.counts {
 		if c != 0 {
 			w.Buckets = append(w.Buckets, [2]int64{int64(i), c})
@@ -36,7 +38,10 @@ func (h *Histogram) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &w); err != nil {
 		return err
 	}
-	*h = Histogram{Lo: w.Lo, n: w.N, sum: w.Sum, max: w.Max}
+	if w.Lo != 0 {
+		return fmt.Errorf("obs: histogram resolution floor %g, want %g", w.Lo, DefaultHistLo)
+	}
+	*h = Histogram{n: w.N, sum: w.Sum, max: w.Max}
 	for _, p := range w.Buckets {
 		i := p[0]
 		if i < 0 || i >= histBuckets {

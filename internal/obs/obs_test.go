@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,15 +138,11 @@ func TestReadSamplesTSVRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestSamplerMirrorsIntoFlightRecorder(t *testing.T) {
-	fr := NewFlightRecorder(16)
-	s := NewSampler(1)
-	s.Flight = fr
-	s.AddVars("p", []probe.Var{{Name: "x", Read: func() float64 { return 9 }}})
-	s.sampleAt(2)
-	recs := fr.Records()
-	if len(recs) != 1 || recs[0].Kind != FlightSample || recs[0].Probe != "p" || recs[0].Value != 9 || recs[0].T != 2 {
-		t.Fatalf("flight mirror %+v", recs)
+// The header is required: input without one, even empty input, is not a
+// probe TSV.
+func TestReadSamplesTSVRejectsEmpty(t *testing.T) {
+	if got, err := ReadSamplesTSV(strings.NewReader("")); err == nil || !strings.Contains(err.Error(), "empty") {
+		t.Fatalf("empty input: %v, %v, want an empty-TSV error", got, err)
 	}
 }
 
@@ -211,116 +206,6 @@ func TestRegistryEngineAndREDLink(t *testing.T) {
 	}
 	if snap["engine.fired"] != int64(eng.Steps()) {
 		t.Fatalf("engine.fired %d != Steps %d", snap["engine.fired"], eng.Steps())
-	}
-}
-
-// --- FlightRecorder ---
-
-func TestFlightRecorderRingWrap(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	for i := 0; i < 6; i++ {
-		fr.AddPacket(float64(i), OpRecv, 1, 0, int64(i), 1000)
-	}
-	if fr.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", fr.Total())
-	}
-	recs := fr.Records()
-	if len(recs) != 4 {
-		t.Fatalf("retained %d, want 4", len(recs))
-	}
-	for i, r := range recs {
-		if r.Seq != int64(i+2) {
-			t.Fatalf("Records()[%d].Seq = %d, want %d", i, r.Seq, i+2)
-		}
-	}
-}
-
-func TestFlightRecorderMinimumCapacity(t *testing.T) {
-	fr := NewFlightRecorder(0)
-	fr.AddNote(1, "a")
-	fr.AddNote(2, "b")
-	recs := fr.Records()
-	if len(recs) != 1 || recs[0].Note != "b" {
-		t.Fatalf("capacity clamp: %+v", recs)
-	}
-}
-
-func TestFlightRecorderLinkTapClassification(t *testing.T) {
-	fr := NewFlightRecorder(8)
-	tap := fr.LinkTap()
-	tap(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 0, Size: 1000}, 0.5)
-	tap(nil, netem.TapDrop, &netem.Packet{Flow: 1, Seq: 1, Size: 1000}, 0.6)
-	tap(nil, netem.TapEnqueue, &netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, 0.7)
-	for _, op := range []netem.TapOp{netem.TapTxStart, netem.TapTxEnd, netem.TapDeliver, netem.TapSettled} {
-		tap(nil, op, &netem.Packet{Flow: 1, Seq: 2, Size: 1000, CE: true}, 0.8)
-	}
-	recs := fr.Records()
-	if len(recs) != 3 {
-		t.Fatalf("%d records, want 3 (one per arrival)", len(recs))
-	}
-	if recs[0].Op != OpRecv || recs[1].Op != OpDrop || recs[2].Op != OpMark {
-		t.Fatalf("ops %v %v %v, want recv/drop/mark", recs[0].Op, recs[1].Op, recs[2].Op)
-	}
-}
-
-func TestPacketOpStrings(t *testing.T) {
-	for op, want := range map[PacketOp]string{OpSend: "send", OpRecv: "recv", OpDrop: "drop", OpMark: "mark", PacketOp(99): "?"} {
-		if op.String() != want {
-			t.Fatalf("PacketOp(%d) = %q, want %q", op, op.String(), want)
-		}
-	}
-}
-
-func TestFlightDumpFormat(t *testing.T) {
-	fr := NewFlightRecorder(8)
-	fr.AddPacket(1.25, OpDrop, 2, 0, 77, 1000)
-	fr.AddSample(Sample{T: 2, Probe: "flow1.tcp", Var: "cwnd", Value: 8.5})
-	fr.AddNote(3, "violation X")
-	var buf bytes.Buffer
-	if err := fr.Dump(&buf, "test reason"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"slowcc flight recorder dump\n",
-		"reason: test reason\n",
-		"retained: 3 of 3 records\n",
-		"1.250000\tpkt\tdrop\tflow=2 kind=0 seq=77 size=1000\n",
-		"2.000000\tprobe\tflow1.tcp/cwnd\t8.5\n",
-		"3.000000\tnote\tviolation X\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("dump missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestArmCrashDumpWritesFileBeforePanic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.dump")
-	eng := sim.New(1)
-	fr := NewFlightRecorder(8)
-	fr.AddPacket(0, OpSend, 1, 0, 0, 1000)
-	ArmCrashDump(eng, fr, path)
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("scheduling at NaN did not panic")
-			}
-		}()
-		eng.At(math.NaN(), func() {})
-	}()
-
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("crash dump not written: %v", err)
-	}
-	out := string(blob)
-	if !strings.Contains(out, "non-finite") {
-		t.Fatalf("dump reason missing: %s", out)
-	}
-	if !strings.Contains(out, "pkt\tsend") || !strings.Contains(out, "note\tengine panic:") {
-		t.Fatalf("dump content missing packet or panic note:\n%s", out)
 	}
 }
 

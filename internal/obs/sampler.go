@@ -1,7 +1,6 @@
 // Package obs is the unified telemetry layer: periodic state probes
 // over congestion-control internals (Sampler), a named monotonic
-// counter registry over the simulator core (Registry), a fixed-size
-// flight recorder for post-mortem dumps (FlightRecorder), and
+// counter registry over the simulator core (Registry), and
 // deterministic run manifests (Manifest). See DESIGN.md §9.
 //
 // The layer follows the allocation-free discipline from PR 2: when a
@@ -54,9 +53,6 @@ type Sampler struct {
 	// Interval is the sampling cadence in simulated seconds; <= 0
 	// disables sampling entirely.
 	Interval sim.Time
-	// Flight, when set, mirrors every sample into the flight recorder
-	// so post-mortem dumps interleave probe state with packet events.
-	Flight *FlightRecorder
 
 	vars    []samplerVar
 	next    sim.Time
@@ -112,11 +108,7 @@ func (s *Sampler) OnEvent(prev, at sim.Time, seq uint64) sim.Time {
 // the tick time t so downstream series are evenly spaced.
 func (s *Sampler) sampleAt(t sim.Time) {
 	for _, sv := range s.vars {
-		smp := Sample{T: t, Probe: sv.probe, Var: sv.v.Name, Value: sv.v.Read()}
-		s.samples = append(s.samples, smp)
-		if s.Flight != nil {
-			s.Flight.AddSample(smp)
-		}
+		s.samples = append(s.samples, Sample{T: t, Probe: sv.probe, Var: sv.v.Name, Value: sv.v.Read()})
 	}
 }
 
@@ -156,17 +148,18 @@ func (s *Sampler) WriteTSV(w io.Writer) error {
 func ReadSamplesTSV(r io.Reader) ([]Sample, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("obs: empty probe TSV")
+	}
+	if h := sc.Text(); h != "t\tprobe\tvar\tvalue" {
+		return nil, fmt.Errorf("obs: not a probe TSV (header %q)", h)
+	}
 	var out []Sample
-	first := true
 	for sc.Scan() {
 		line := sc.Text()
-		if first {
-			first = false
-			if line == "t\tprobe\tvar\tvalue" {
-				continue
-			}
-			return nil, fmt.Errorf("obs: not a probe TSV (header %q)", line)
-		}
 		if line == "" {
 			continue
 		}

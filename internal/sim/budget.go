@@ -10,9 +10,6 @@ import (
 type Budget struct {
 	// MaxEvents bounds the number of events executed under this budget.
 	MaxEvents uint64
-	// MaxSimTime bounds the simulated clock: events scheduled after it
-	// stay queued, exactly as with RunUntil's horizon.
-	MaxSimTime Time
 	// MaxWall bounds elapsed wall-clock time, checked every 2048 events
 	// so the hot loop pays nothing between checks. A wall halt is
 	// inherently non-reproducible; it exists for supervision (hung-cell
@@ -21,8 +18,7 @@ type Budget struct {
 	// LivelockEvents arms the zero-progress watchdog: executing this many
 	// consecutive events without the clock advancing is a livelock (an
 	// event chain rescheduling itself at now forever), and the engine
-	// routes through the crash hook — so a flight recorder dumps the ring
-	// — before panicking, the same path scheduling validation uses.
+	// panics, as scheduling validation does.
 	LivelockEvents uint64
 }
 
@@ -35,8 +31,6 @@ const (
 	HaltDone HaltCause = iota
 	// HaltEvents means MaxEvents events executed.
 	HaltEvents
-	// HaltSimTime means the next event lies beyond MaxSimTime.
-	HaltSimTime
 	// HaltWall means MaxWall wall-clock time elapsed.
 	HaltWall
 )
@@ -48,8 +42,6 @@ func (c HaltCause) String() string {
 		return "done"
 	case HaltEvents:
 		return "max-events"
-	case HaltSimTime:
-		return "max-sim-time"
 	case HaltWall:
 		return "max-wall"
 	}
@@ -118,10 +110,6 @@ func (e *Engine) runBudgeted(horizon Time) bool {
 		if head == nil || head.at > horizon {
 			return true
 		}
-		if bs.b.MaxSimTime > 0 && head.at > bs.b.MaxSimTime {
-			bs.halt(e, HaltSimTime)
-			return false
-		}
 		if bs.b.MaxEvents > 0 && e.nsteps-bs.start >= bs.b.MaxEvents {
 			bs.halt(e, HaltEvents)
 			return false
@@ -137,7 +125,7 @@ func (e *Engine) runBudgeted(horizon Time) bool {
 			if e.now > prev {
 				bs.stall = 0
 			} else if bs.stall++; bs.stall >= bs.b.LivelockEvents {
-				e.crashf(fmt.Sprintf("sim: livelock: %d consecutive events at t=%v without the clock advancing", bs.stall, e.now))
+				panic(fmt.Sprintf("sim: livelock: %d consecutive events at t=%v without the clock advancing", bs.stall, e.now))
 			}
 		}
 	}

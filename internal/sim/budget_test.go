@@ -39,26 +39,6 @@ func TestRunBoundedMaxEvents(t *testing.T) {
 	}
 }
 
-func TestRunBoundedMaxSimTime(t *testing.T) {
-	e := New(1)
-	tick(e, 1)
-	e.At(10, func() {}) // lands exactly on the bound: must run
-	hr := runBounded(e, Budget{MaxSimTime: 10})
-	if hr == nil || hr.Cause != HaltSimTime {
-		t.Fatalf("cause %v, want %v", hr.Cause, HaltSimTime)
-	}
-	// Ticks at 1..10 plus the extra event at 10: all 11 events <= bound.
-	if hr.Events != 11 {
-		t.Fatalf("executed %d events, want 11 (events at the bound run)", hr.Events)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("clock %v, want 10", e.Now())
-	}
-	if e.Pending() == 0 {
-		t.Fatal("events beyond the bound must stay queued")
-	}
-}
-
 func TestRunBoundedMaxWall(t *testing.T) {
 	e := New(1)
 	var fn func()
@@ -78,7 +58,7 @@ func TestRunBoundedDone(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		e.At(Time(i), func() {})
 	}
-	if hr := runBounded(e, Budget{MaxEvents: 1000, MaxSimTime: 1000}); hr != nil || e.Steps() != 5 || e.Now() != 5 {
+	if hr := runBounded(e, Budget{MaxEvents: 1000}); hr != nil || e.Steps() != 5 || e.Now() != 5 {
 		t.Fatalf("halted %v after %d events at t=%v, want done after 5 events at t=5", hr, e.Steps(), e.Now())
 	}
 }
@@ -124,12 +104,9 @@ func TestBudgetRunUntilNormalCompletion(t *testing.T) {
 	}
 }
 
-// The livelock watchdog must route through the crash hook (so a flight
-// recorder can dump) before panicking.
+// The livelock watchdog panics with a reason naming the livelock.
 func TestLivelockWatchdog(t *testing.T) {
 	e := New(1)
-	var hooked string
-	e.SetCrashHook(func(reason string) { hooked = reason })
 	var fn func()
 	fn = func() { e.At(e.Now(), fn) } // reschedules at now forever
 	e.At(1, fn)
@@ -141,9 +118,6 @@ func TestLivelockWatchdog(t *testing.T) {
 		msg, _ := v.(string)
 		if !strings.Contains(msg, "livelock") {
 			t.Fatalf("panic %q does not name the livelock", msg)
-		}
-		if hooked != msg {
-			t.Fatalf("crash hook saw %q, want the livelock reason", hooked)
 		}
 		if e.Steps() < 1000 {
 			t.Fatalf("tripped after %d events, threshold 1000", e.Steps())

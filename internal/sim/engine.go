@@ -162,7 +162,6 @@ type Engine struct {
 	// before it skip the hook with one comparison. +Inf when no probe is
 	// installed (or the installed one asked never to be called again).
 	probeAt Time
-	crash   func(reason string)
 	// budget, when non-nil, bounds Run/RunUntil (see Budget). One pointer
 	// check per run leg when absent.
 	budget *budgetState
@@ -286,11 +285,6 @@ func (e *Engine) SetProbe(h ProbeHook) {
 	}
 }
 
-// SetCrashHook installs fn to run immediately before the engine panics
-// on a scheduling-validation failure, so a flight recorder can dump its
-// ring before the stack unwinds. nil (the default) disables it.
-func (e *Engine) SetCrashHook(fn func(reason string)) { e.crash = fn }
-
 // Scheduled returns the number of timers accepted onto the queue since
 // construction (At/After/AtFunc/AfterFunc and every ResetAt re-arm).
 func (e *Engine) Scheduled() uint64 { return e.scheduled }
@@ -311,20 +305,11 @@ func (e *Engine) Stops() uint64 { return e.stops }
 // this guard, so rejection behavior is identical by construction.
 func (e *Engine) validate(t Time) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
-		e.crashf(fmt.Sprintf("sim: scheduling event at non-finite time %v (now %v)", t, e.now))
+		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v (now %v)", t, e.now))
 	}
 	if t < e.now {
-		e.crashf(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-}
-
-// crashf gives the crash hook (a flight-recorder dump, typically) a
-// chance to run, then panics with reason.
-func (e *Engine) crashf(reason string) {
-	if e.crash != nil {
-		e.crash(reason)
-	}
-	panic(reason)
 }
 
 // schedule stamps tm with the next sequence number and inserts it into

@@ -47,8 +47,6 @@ type Config struct {
 	// ECN makes both RED bottlenecks mark ECN-capable packets instead
 	// of dropping them. Ignored with DropTail.
 	ECN bool
-	// Gentle enables RED's gentle ramp above MaxThresh.
-	Gentle bool
 	// ForwardLoss, if non-nil, installs a scripted drop pattern in
 	// front of the forward bottleneck. Data packets are dropped per the
 	// pattern; control packets pass. The smoothness experiments
@@ -113,7 +111,7 @@ func (c Config) net() NetConfig {
 		Hops: []Hop{{
 			Rate: c.Rate, Delay: c.Delay, QueueFactor: c.QueueFactor,
 			REDMinFactor: c.REDMinFactor, REDMaxFactor: c.REDMaxFactor,
-			DropTail: c.DropTail, ECN: c.ECN, Gentle: c.Gentle,
+			DropTail: c.DropTail, ECN: c.ECN,
 			ForwardLoss: c.ForwardLoss, Fault: c.Fault,
 		}},
 		AccessRate: c.AccessRate, AccessDelay: c.AccessDelay, PktSize: c.PktSize,
@@ -237,7 +235,6 @@ func buildQueue(h Hop, bdp float64, pktSize int, seed int64) netem.Queue {
 	q := netem.NewRED(h.REDMinFactor*bdp, h.REDMaxFactor*bdp,
 		capPkts, txTime, rand.New(&lazySource{seed: seed}))
 	q.MarkECN = h.ECN
-	q.Gentle = h.Gentle
 	return q
 }
 

@@ -338,10 +338,10 @@ func TestSpanAccessDelayChangesRTT(t *testing.T) {
 
 func TestECNConfigPropagates(t *testing.T) {
 	eng := sim.New(1)
-	d := New(eng, Config{ECN: true, Gentle: true, Seed: 3})
+	d := New(eng, Config{ECN: true, Seed: 3})
 	q := d.Fwd[0].Q.(*netem.RED)
-	if !q.MarkECN || !q.Gentle {
-		t.Fatalf("RED options not propagated: MarkECN=%v Gentle=%v", q.MarkECN, q.Gentle)
+	if !q.MarkECN {
+		t.Fatal("forward bottleneck missing ECN")
 	}
 	q2 := d.Rev[0].Q.(*netem.RED)
 	if !q2.MarkECN {

@@ -73,8 +73,6 @@ type Hop struct {
 	DropTail bool
 	// ECN makes the hop's RED queues mark ECN-capable packets.
 	ECN bool
-	// Gentle enables RED's gentle ramp.
-	Gentle bool
 	// ForwardLoss, if non-nil, installs a scripted drop pattern in front
 	// of this hop's forward link (data dropped per the pattern, control
 	// passes).

@@ -11,24 +11,38 @@ import (
 	"io"
 
 	"slowcc/internal/netem"
-	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 )
 
 // Op is the event type; its String is the op's TSV label.
-type Op = obs.PacketOp
+type Op uint8
 
 // Event operations.
 const (
 	// Send is a packet leaving an endpoint.
-	Send = obs.OpSend
+	Send Op = iota
 	// Recv is a packet accepted by a queue or delivered to an endpoint.
-	Recv = obs.OpRecv
+	Recv
 	// Drop is a packet refused by a queue or loss filter.
-	Drop = obs.OpDrop
+	Drop
 	// Mark is an ECN congestion-experienced mark.
-	Mark = obs.OpMark
+	Mark
 )
+
+// String returns the op's TSV label.
+func (o Op) String() string {
+	switch o {
+	case Send:
+		return "send"
+	case Recv:
+		return "recv"
+	case Drop:
+		return "drop"
+	case Mark:
+		return "mark"
+	}
+	return "?"
+}
 
 // Event is one recorded packet event.
 type Event struct {
@@ -97,12 +111,23 @@ func (r *Recorder) LinkTap() netem.Tap { return r.HopTap("") }
 
 // HopTap returns a netem.Tap like LinkTap that stamps every event with
 // the given hop name, so taps on several links of a chain stay
-// distinguishable in the merged record.
+// distinguishable in the merged record. An accepted arrival is Recv
+// (Mark when the packet carries an ECN mark), a refused one Drop; no
+// other tap op is recorded.
 func (r *Recorder) HopTap(hop string) netem.Tap {
 	return func(_ *netem.Link, top netem.TapOp, p *netem.Packet, now sim.Time) {
-		if op, ok := obs.ArrivalOp(top, p); ok {
-			r.Record(Event{T: now, Op: op, Flow: p.Flow, Kind: p.Kind, Seq: p.Seq, Size: p.Size, Hop: hop})
+		var op Op
+		switch {
+		case top == netem.TapDrop:
+			op = Drop
+		case top != netem.TapEnqueue:
+			return
+		case p.CE:
+			op = Mark
+		default:
+			op = Recv
 		}
+		r.Record(Event{T: now, Op: op, Flow: p.Flow, Kind: p.Kind, Seq: p.Seq, Size: p.Size, Hop: hop})
 	}
 }
 

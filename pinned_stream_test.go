@@ -1,12 +1,14 @@
 // The behavioural oracle: the seed-1 macro run — two standard TCP flows
 // over the paper's 10 Mbps dumbbell for 30 s — executes exactly 403989
 // events whose stream digest is 0x86e6964d4bd964b3, and every layer of
-// machinery that can be wired around it while switched off must leave
-// that stream, and the packet story at the bottleneck, untouched. One
+// machinery that can be wired around it while switched off (and a
+// journey recorder switched on) must leave that stream, and the packet
+// story at the bottleneck, untouched. One
 // helper declares the run; one table lists the layers.
 package slowcc_test
 
 import (
+	"math"
 	"testing"
 
 	"slowcc"
@@ -101,6 +103,7 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 		inj  *faults.Injector
 		idle *topology.Net
 		smp  *obs.Sampler
+		jr   = journey.New()
 	)
 	layers := []layer{
 		{name: "plain"},
@@ -119,6 +122,22 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 		// every link starts in.
 		{name: "journeys nil",
 			after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(nil) }},
+		// Switched on, too: a journey recorder recording every per-hop span
+		// costs zero events, because link taps observe without scheduling
+		// anything. Its per-hop components tile the measured end-to-end
+		// delay of every delivered packet.
+		{name: "enabled journey recorder",
+			after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(jr) },
+			check: func(t *testing.T, r macroRun) {
+				jr.Finalize()
+				n, e2e, queue, tx, prop := jr.Attribution()
+				if n == 0 {
+					t.Fatal("journey recorder saw no end-to-end packets")
+				}
+				if sum := queue + tx + prop; math.Abs(sum-e2e) > 1e-9*float64(n) {
+					t.Fatalf("attribution does not tile: q+tx+prop %v vs e2e %v over %d packets", sum, e2e, n)
+				}
+			}},
 		// A zero-config injector hands the entry handler back untouched
 		// and schedules nothing.
 		{name: "fault injector disabled",
@@ -175,7 +194,7 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 
 // Every link watcher switched on at once — the auditor on every link, a
 // journey recorder on every link, and a loss monitor, a trace tap and a
-// flight recorder on every forward hop beside runMacro's own trace tap —
+// bounded trace ring on every forward hop beside runMacro's own trace tap —
 // still runs the pinned stream: taps only read. The watchers do not
 // disturb one another either: the journey attribution equals a run
 // where the recorder is alone, and the auditor finds nothing.
@@ -184,11 +203,11 @@ func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
 	runMacro(layer{after: func(d *slowcc.Dumbbell) { d.ObserveJourneys(alone) }})
 
 	var (
-		aud *invariant.Auditor
-		jr  = journey.New()
-		mon = slowcc.NewLossMonitor(0.5)
-		tr  slowcc.Tracer
-		fr  = obs.NewFlightRecorder(512)
+		aud  *invariant.Auditor
+		jr   = journey.New()
+		mon  = slowcc.NewLossMonitor(0.5)
+		tr   slowcc.Tracer
+		ring = trace.Recorder{Limit: 512}
 	)
 	r := runMacro(layer{
 		before: func(eng *slowcc.Engine, cfg *slowcc.DumbbellConfig) {
@@ -200,7 +219,7 @@ func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
 			for _, l := range d.Fwd {
 				l.AddTap(mon.Tap())
 				l.AddTap(tr.HopTap("lr"))
-				l.AddTap(fr.LinkTap())
+				l.AddTap(ring.LinkTap())
 			}
 		},
 	})
@@ -222,8 +241,8 @@ func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
 			drops++
 		}
 	}
-	if tr.Total() != len(r.trace) || fr.Total() != len(r.trace) {
-		t.Fatalf("trace tap saw %d arrivals, flight recorder %d, want %d", tr.Total(), fr.Total(), len(r.trace))
+	if tr.Total() != len(r.trace) || ring.Total() != len(r.trace) {
+		t.Fatalf("trace tap saw %d arrivals, trace ring %d, want %d", tr.Total(), ring.Total(), len(r.trace))
 	}
 	if got, want := mon.RateOver(0, 30), float64(drops)/float64(len(r.trace)); got != want {
 		t.Fatalf("loss monitor rate %v, want %v (%d drops of %d arrivals)", got, want, drops, len(r.trace))

@@ -163,7 +163,6 @@ func TestRootSurfaceHasUsers(t *testing.T) {
 var testOnly = map[string]string{
 	"SACKTCPAlgo":       "exp: the documented Sack1 fidelity ablation (BenchmarkSACKAblation, EXPERIMENTS.md methodology note)",
 	"ReadTSV":           "trace: WriteTSV's round-trip oracle, fuzzed by FuzzReadTSV",
-	"ArmCrashDump":      "obs: safety path; arms the engine's crash slot so a panic leaves the flight ring on disk",
 	"ExplicitZero":      "topology: the documented sentinel for \"this field is zero, do not default it\"",
 	"FkTCP":             "tcpmodel: the paper's closed form for f(k), the reference the Fig 13 tests compare against",
 	"AggressivenessTCP": "tcpmodel: the paper's closed form for TCP(b) aggressiveness, the Fig 20 reference",
@@ -251,5 +250,192 @@ func TestInternalSurfaceHasUsers(t *testing.T) {
 	if len(orphans) > 0 {
 		t.Errorf("%d of internal/'s %d exported names have no user in a non-test file; delete them, or add a testOnly line saying why a test needs them:\n\t%s",
 			len(orphans), len(decl), strings.Join(orphans, "\n\t"))
+	}
+}
+
+// fieldTestOnly lists the exported internal/ struct fields kept although
+// no non-test file writes them, as "pkg.Type.Field" → reason. It is the
+// only exemption TestInternalFieldsHaveWriters grants; an entry whose
+// field has gained a writer, or no longer exists, fails the test too.
+var fieldTestOnly = map[string]string{
+	"sim.Budget.LivelockEvents": "safety check: a run stuck at one instant halts instead of spinning; tests set it to prove the halt",
+}
+
+// TestInternalFieldsHaveWriters is TestInternalSurfaceHasUsers one level
+// down: every exported field of an exported struct declared in a non-test
+// file under internal/ must be written by some non-test .go file of the
+// module. A write is a composite-literal key, a positional element of a
+// literal of the field's type (element types elided inside []T{…} and
+// map[K]T{…} included), any selector in the chain of an assignment,
+// op=, ++ or -- target, and the operand of &. Fields match by name, so a
+// collision can only keep a field. A setting nothing sets has one value:
+// make it a constant, or add a fieldTestOnly line saying why not.
+func TestInternalFieldsHaveWriters(t *testing.T) {
+	fset := token.NewFileSet()
+	type file struct {
+		path string
+		f    *ast.File
+	}
+	var files []file
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err == nil {
+			files = append(files, file{filepath.ToSlash(path), f})
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every exported field of an exported internal/ struct, and each
+	// struct type name's field names in order (for positional literals).
+	fields := map[string]token.Pos{} // pkg.Type.Field -> declaration
+	order := map[string][][]string{} // type name -> field names in order, one list per declaring struct
+	for _, fl := range files {
+		if !strings.HasPrefix(fl.path, "internal/") {
+			continue
+		}
+		for _, d := range fl.f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range g.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				var names []string
+				for _, fd := range st.Fields.List {
+					if len(fd.Names) == 0 { // embedded: one positional slot
+						names = append(names, "")
+					}
+					for _, id := range fd.Names {
+						names = append(names, id.Name)
+						if id.IsExported() {
+							fields[fl.f.Name.Name+"."+ts.Name.Name+"."+id.Name] = id.Pos()
+						}
+					}
+				}
+				order[ts.Name.Name] = append(order[ts.Name.Name], names)
+			}
+		}
+	}
+
+	written := map[string]bool{}
+	var chain func(e ast.Expr)
+	chain = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			written[e.Sel.Name] = true
+			chain(e.X)
+		case *ast.IndexExpr:
+			chain(e.X)
+		case *ast.StarExpr:
+			chain(e.X)
+		case *ast.ParenExpr:
+			chain(e.X)
+		}
+	}
+	typeName := func(e ast.Expr) string {
+		if s, ok := e.(*ast.StarExpr); ok {
+			e = s.X
+		}
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name
+		case *ast.SelectorExpr:
+			return e.Sel.Name
+		}
+		return ""
+	}
+	// lit records the writes of one composite literal whose type is typ
+	// (its own, or the element type its parent elided).
+	var lit func(cl *ast.CompositeLit, typ ast.Expr)
+	lit = func(cl *ast.CompositeLit, typ ast.Expr) {
+		if cl.Type != nil {
+			typ = cl.Type
+		}
+		var elem ast.Expr
+		switch tt := typ.(type) {
+		case *ast.ArrayType:
+			elem = tt.Elt
+		case *ast.MapType:
+			elem = tt.Value
+		}
+		for i, e := range cl.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok && elem == nil {
+					written[id.Name] = true
+				}
+				e = kv.Value
+			} else if elem == nil {
+				for _, names := range order[typeName(typ)] {
+					if i < len(names) {
+						written[names[i]] = true
+					}
+				}
+			}
+			if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				e = u.X
+			}
+			if sub, ok := e.(*ast.CompositeLit); ok && sub.Type == nil {
+				lit(sub, elem)
+			}
+		}
+	}
+	for _, fl := range files {
+		ast.Inspect(fl.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					chain(e)
+				}
+			case *ast.IncDecStmt:
+				chain(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					chain(n.X)
+				}
+			case *ast.CompositeLit:
+				if n.Type != nil {
+					lit(n, nil)
+				}
+			}
+			return true
+		})
+	}
+
+	var orphans []string
+	for key, pos := range fields {
+		name := key[strings.LastIndexByte(key, '.')+1:]
+		_, exempt := fieldTestOnly[key]
+		switch {
+		case !written[name] && !exempt:
+			orphans = append(orphans, key+"\t"+fset.Position(pos).String())
+		case written[name] && exempt:
+			t.Errorf("fieldTestOnly lists %s, which a non-test file writes: drop the entry", key)
+		}
+	}
+	for key, reason := range fieldTestOnly {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("fieldTestOnly lists %s, which internal/ no longer declares: drop the entry", key)
+		}
+		if reason == "" {
+			t.Errorf("fieldTestOnly entry %s gives no reason", key)
+		}
+	}
+	sort.Strings(orphans)
+	if len(orphans) > 0 {
+		t.Errorf("%d of internal/'s %d exported struct fields are never written by a non-test file; make each a constant, or add a fieldTestOnly line saying why a test needs it:\n\t%s",
+			len(orphans), len(fields), strings.Join(orphans, "\n\t"))
 	}
 }
