@@ -40,16 +40,18 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # fuzz-smoke gives each parser fuzz target, the result store's two
-# on-disk readers, the trace and matrix TSV readers and the strict
-# exposition parser behind slowccreport -prom-verify a few seconds of
-# coverage-guided input on every ci run — long enough to re-find shallow
-# regressions (the heatmap's index-by-NaN panic was one), short enough
-# not to dominate the gate.
+# on-disk readers, the trace and matrix TSV readers, the strict
+# exposition parser behind slowccreport -prom-verify and the manifest
+# reader behind slowccreport a few seconds of coverage-guided input on
+# every ci run — long enough to re-find shallow regressions (the
+# heatmap's index-by-NaN panic was one), short enough not to dominate
+# the gate.
 # Longer campaigns: raise -fuzztime by hand.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=3s ./internal/faults
-	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=3s ./internal/exp
-	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixTSV -fuzztime=3s ./internal/exp
-	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=3s ./internal/store
-	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=3s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=3s ./internal/obs/export
+	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=2s ./internal/faults
+	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=2s ./internal/exp
+	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixTSV -fuzztime=2s ./internal/exp
+	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=2s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=2s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=2s ./internal/obs/export
+	$(GO) test -run='^$$' -fuzz=FuzzReadManifest -fuzztime=2s ./internal/obs

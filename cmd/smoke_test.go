@@ -165,9 +165,16 @@ func nonEmpty(t *testing.T, path string) []byte {
 func TestReportSmoke(t *testing.T) {
 	dir := t.TempDir()
 	ok(t, dir, "slowcctrace", "-flow", "tcp:0.5", "-flow", "tfrc:8", "-dur", "5", "-probe", "0.5",
-		"-out", "trace.tsv", "-probes", "run.probes.tsv", "-manifest", "run.json")
+		"-out", "trace.tsv", "-probes", "run.probes.tsv", "-manifest", "run.json", "-timeline", "tl.json")
 	if report := ok(t, dir, "slowccreport", "-probes", "run.probes.tsv", "run.json"); report == "" {
 		t.Fatal("slowccreport printed nothing")
+	}
+	// Another JSON file is not a manifest: no report, and no Prometheus
+	// text for a run that never happened.
+	for _, args := range [][]string{{"tl.json"}, {"-prom", "tl.json"}} {
+		if code, stdout, stderr := run(t, dir, "slowccreport", args...); code != 1 || stdout != "" || !strings.Contains(stderr, "schema") {
+			t.Fatalf("slowccreport %v: exit %d, stdout %q, stderr %q; want 1, nothing, a schema error", args, code, stdout, stderr)
+		}
 	}
 	// A probe file without its header, even an empty one, is an error,
 	// not a report with the probe section left out.

@@ -63,8 +63,10 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // multi-bottleneck scenarios pick which hop degrades; wires the
 // invariant auditor through every link when audit mode is on, with a
 // trace ring over the first forward hop that the auditor's first
-// violation dumps when the audit dump directory is set; and registers
-// the topology with the cell's live-telemetry collector.
+// violation dumps when the audit dump directory is set; registers the
+// topology with the cell's live-telemetry collector; and records it on
+// the cell, whose supervisor releases it if the attempt succeeds
+// (Cell.release).
 func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	seed := c.Seed(base)
 	eng := sim.New(seed)
@@ -125,6 +127,9 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 	// records whatever the cell ran with.
 	if c != nil && (env.sink != nil || env.store != nil) {
 		c.observe(n, env.sink != nil)
+	}
+	if c != nil {
+		c.nets = append(c.nets, n)
 	}
 	return eng, n
 }

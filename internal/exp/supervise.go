@@ -16,6 +16,7 @@ import (
 	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/store"
+	"slowcc/internal/topology"
 )
 
 // CellPolicy governs how supervised sweep cells run. The zero value
@@ -138,6 +139,22 @@ type Cell struct {
 	// obs.CellStats after the job returns. Only the attempt's own
 	// goroutine touches it.
 	obsv []cellObs
+	// nets is every topology buildScenario built for the attempt. The
+	// supervisor releases them when the attempt succeeded (release).
+	nets []*topology.Net
+}
+
+// release hands the free lists of every net the attempt built to the
+// cells after it (topology.Net.Release). Only a successful attempt's
+// cell is released, after its telemetry is harvested: a panicked
+// attempt's nets may be mid-operation, and an abandoned attempt's
+// goroutine still runs on them. The job's result holds no engine, link
+// or packet, so nothing that outlives the cell runs on released nets.
+func (c *Cell) release() {
+	for _, n := range c.nets {
+		n.Release()
+	}
+	c.nets = nil
 }
 
 // cellObs is one engine's telemetry attachment points. dig is nil when
@@ -416,6 +433,7 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 		}
 		if rerr == nil {
 			st := cellStats(index, cell)
+			cell.release()
 			if logger != nil {
 				logger.LogAttrs(context.Background(), slog.LevelInfo, "sweep cell done",
 					slog.Int("cell", index), slog.Int("attempt", a), slog.Int("worker", worker),

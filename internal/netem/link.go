@@ -140,6 +140,19 @@ func NewLink(eng *sim.Engine, rate float64, delay sim.Time, q Queue, dst Handler
 	return l
 }
 
+// Release empties the link's queue and parks its buffer for a queue
+// that grows later; packets still queued are dropped, not Put. The link
+// must not carry packets afterwards. A queue that is neither a DropTail
+// nor a RED is left alone.
+func (l *Link) Release() {
+	switch q := l.Q.(type) {
+	case *DropTail:
+		q.q.release()
+	case *RED:
+		q.q.release()
+	}
+}
+
 // AddTap attaches a watcher; taps are called in registration order.
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
 

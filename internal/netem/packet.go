@@ -44,7 +44,7 @@ type Packet struct {
 	// packets. TFRC receivers need it to coalesce losses into loss events.
 	SenderRTT sim.Time
 	// FB carries TFRC receiver feedback; nil on other packets. It sits
-	// before the flag bytes so the four one-byte fields pack into a
+	// before the flag bytes so the one-byte fields pack into a
 	// single word instead of padding out a second one (96 → 88 bytes,
 	// one packet per 64-byte cache line pair instead of straddling a
 	// third line).
@@ -61,6 +61,9 @@ type Packet struct {
 	// It exists only to catch double-release bugs, which would otherwise
 	// surface as impossibly confusing aliasing between two live packets.
 	pooled bool
+	// inherited marks a parked packet a released pool handed on (see
+	// PacketPool.Release).
+	inherited bool
 }
 
 // TFRCFeedback is the per-RTT report a TFRC receiver returns to its

@@ -1,5 +1,11 @@
 package netem
 
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
 // PacketPool recycles Packet (and TFRCFeedback) objects so the
 // steady-state packet path allocates nothing. A pool belongs to one
 // simulation (one engine goroutine) and is not safe for concurrent use —
@@ -26,6 +32,9 @@ package netem
 // A nil *PacketPool is valid everywhere one is accepted: Get falls back
 // to the heap allocator and Put becomes a no-op, which is exactly the
 // pre-pool behavior (endpoint unit tests rely on this).
+//
+// A pool from NewPacketPool starts with the free lists a released pool
+// left (Release), so a sweep's next cell does not grow them from empty.
 type PacketPool struct {
 	free   []*Packet
 	freeFB []*TFRCFeedback
@@ -34,12 +43,69 @@ type PacketPool struct {
 	// when the free list is empty); Live = Gets - Puts is the number of
 	// packets currently owned by the simulation. Tests use the balance to
 	// prove every packet is released exactly once. Reuses counts the
-	// subset of Gets served from the free list (Gets - Reuses is the
-	// number of heap allocations), and GuardTrips counts double-release
+	// subset of Gets served by a packet this pool's own Put released
+	// (Gets - Reuses is the number of heap allocations, counting an
+	// inherited packet as one), and GuardTrips counts double-release
 	// attempts caught by Put's ownership guard — it is incremented
 	// before the panic, so a recovered panic still finds it counted.
 	Gets, Puts, Reuses, GuardTrips int64
 }
+
+// NewPacketPool returns an empty pool stocked with the free packets and
+// feedbacks of a pool released earlier in the process, when there is
+// one.
+func NewPacketPool() *PacketPool {
+	pp := &PacketPool{}
+	if stocked.Load() {
+		if l, _ := releasedPools.Get().(*freeLists); l != nil {
+			pp.free, pp.freeFB = l.free, l.freeFB
+		}
+	}
+	return pp
+}
+
+// freeLists is what a released pool leaves for the next NewPacketPool:
+// packets and feedbacks Put has already zeroed.
+type freeLists struct {
+	free   []*Packet
+	freeFB []*TFRCFeedback
+}
+
+// releasedPools holds released pools' free lists.
+var releasedPools sync.Pool
+
+// Release hands the pool's free lists to a pool NewPacketPool builds
+// later. Each free packet is marked inherited, so that a Get it serves
+// there counts as the heap allocation it stands in for: a pool's
+// counters stay a function of its own traffic. Packets still out of the
+// pool are not touched. Release on a nil pool does nothing.
+func (pp *PacketPool) Release() {
+	if pp == nil || (pp.free == nil && pp.freeFB == nil) {
+		return
+	}
+	for _, p := range pp.free {
+		p.inherited = true
+	}
+	releasedPools.Put(&freeLists{free: pp.free, freeFB: pp.freeFB})
+	pp.free, pp.freeFB = nil, nil
+	markStocked()
+}
+
+// stocked says whether a release may have parked anything in this
+// package's pools since the last collection, so that a program that
+// never releases never touches them (see package sim's flag of the same
+// name).
+var stocked atomic.Bool
+
+func markStocked() {
+	if !stocked.Swap(true) {
+		runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { stocked.Store(false) })
+	}
+}
+
+// gcSentinel holds a pointer so that it is not served by the tiny
+// allocator, whose objects may never be finalized.
+type gcSentinel struct{ _ *int }
 
 // Get returns a zeroed packet, reusing a released one when available.
 func (pp *PacketPool) Get() *Packet {
@@ -48,11 +114,13 @@ func (pp *PacketPool) Get() *Packet {
 	}
 	pp.Gets++
 	if n := len(pp.free); n > 0 {
-		pp.Reuses++
 		p := pp.free[n-1]
 		pp.free[n-1] = nil
 		pp.free = pp.free[:n-1]
-		p.pooled = false
+		if !p.inherited {
+			pp.Reuses++
+		}
+		p.pooled, p.inherited = false, false
 		return p
 	}
 	return &Packet{}

@@ -1,6 +1,11 @@
 package netem
 
-import "slowcc/internal/sim"
+import (
+	"math/bits"
+	"sync"
+
+	"slowcc/internal/sim"
+)
 
 // Queue is the buffer management discipline in front of a link. Enqueue
 // accepts or drops an arriving packet; Dequeue hands the next packet to
@@ -21,12 +26,38 @@ type Queue interface {
 }
 
 // fifo is the shared FIFO storage used by the drop disciplines. It uses a
-// ring buffer so steady-state operation does not allocate.
+// ring buffer so steady-state operation does not allocate. The buffer's
+// length is fifoMin times a power of two.
 type fifo struct {
 	buf   []*Packet
 	head  int
 	n     int
 	bytes int
+}
+
+const fifoMin = 16
+
+// parked[i] holds emptied buffers of fifoMin<<i slots that released
+// queues left (Link.Release), for the next fifo that grows.
+var parked [16]sync.Pool
+
+// sizeClass returns i with n == fifoMin<<i, or -1 when n is no class.
+func sizeClass(n int) int {
+	i := bits.Len(uint(n)) - bits.Len(fifoMin)
+	if i < 0 || i >= len(parked) || fifoMin<<i != n {
+		return -1
+	}
+	return i
+}
+
+// release empties the fifo and parks its buffer.
+func (f *fifo) release() {
+	if c := sizeClass(len(f.buf)); c >= 0 {
+		clear(f.buf)
+		parked[c].Put(f.buf)
+		markStocked()
+	}
+	*f = fifo{}
 }
 
 func (f *fifo) push(p *Packet) {
@@ -50,12 +81,19 @@ func (f *fifo) pop() *Packet {
 	return p
 }
 
+// grow moves the queue into a buffer at least twice the size: the
+// smallest a released queue parked, or a new one.
 func (f *fifo) grow() {
-	newCap := 2 * len(f.buf)
-	if newCap == 0 {
-		newCap = 16
+	need := max(2*len(f.buf), fifoMin)
+	var nb []*Packet
+	if stocked.Load() {
+		for c := sizeClass(need); c >= 0 && c < len(parked) && nb == nil; c++ {
+			nb, _ = parked[c].Get().([]*Packet)
+		}
 	}
-	nb := make([]*Packet, newCap)
+	if nb == nil {
+		nb = make([]*Packet, need)
+	}
 	for i := 0; i < f.n; i++ {
 		nb[i] = f.buf[(f.head+i)%len(f.buf)]
 	}

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 )
@@ -105,21 +106,35 @@ func (m *Manifest) WriteFile(path string) error {
 	return os.WriteFile(path, m.Encode(), 0o644)
 }
 
-// ReadManifest parses a manifest file and verifies its digest when one
-// is present.
+// ReadManifest parses a manifest file: a document of this schema whose
+// recorded digest matches its content. Every writer seals through
+// Encode, so a file without a digest is not a manifest.
 func ReadManifest(path string) (*Manifest, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
+	m, err := parseManifest(blob)
+	if err != nil {
 		return nil, fmt.Errorf("obs: %s: %v", path, err)
 	}
-	if m.Digest != "" {
-		if got := m.ComputeDigest(); got != m.Digest {
-			return nil, fmt.Errorf("obs: %s: digest mismatch (recorded %s, computed %s)", path, m.Digest, got)
-		}
+	return m, nil
+}
+
+// parseManifest is ReadManifest on the file's bytes.
+func parseManifest(blob []byte) (*Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		return nil, err
+	}
+	if m.Schema != ManifestSchema {
+		return nil, fmt.Errorf("schema %q, want %q: not a manifest this build reads", m.Schema, ManifestSchema)
+	}
+	if m.Digest == "" {
+		return nil, errors.New("no digest: not a sealed manifest")
+	}
+	if got := m.ComputeDigest(); got != m.Digest {
+		return nil, fmt.Errorf("digest mismatch (recorded %s, computed %s)", m.Digest, got)
 	}
 	return &m, nil
 }

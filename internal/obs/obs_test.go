@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -273,6 +274,42 @@ func TestReadManifestRejectsTampering(t *testing.T) {
 	}
 	if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("tampered manifest accepted (err=%v)", err)
+	}
+}
+
+// Only a sealed document of this schema is a manifest. Each of these
+// used to read as an empty one, and slowccreport -prom would have
+// rendered a run that never happened.
+func TestReadManifestRejectsNonManifests(t *testing.T) {
+	sealed := NewManifest("slowcctrace", 1)
+	fillManifest(sealed)
+	blob := sealed.Encode()
+	var tl bytes.Buffer
+	timeline := NewTimeline()
+	timeline.Span("running", "cell 0", 0, 0, 0, 1, nil)
+	if err := timeline.WriteJSON(&tl); err != nil {
+		t.Fatal(err)
+	}
+	stripped := regexp.MustCompile(`,\n  "digest": "[0-9a-f]+"`).ReplaceAll(blob, nil)
+	for _, tc := range []struct {
+		name, doc, want string
+	}{
+		{"null", "null", "schema"},
+		{"empty object", "{}", "schema"},
+		{"timeline", tl.String(), "schema"},
+		{"other schema", strings.Replace(string(blob), ManifestSchema, "slowcc-manifest/9", 1), "schema"},
+		{"digest stripped", string(stripped), "no digest"},
+	} {
+		path := filepath.Join(t.TempDir(), "m.json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadManifest error %v, want one naming the %s", tc.name, err, tc.want)
+		}
+	}
+	if bytes.Equal(stripped, blob) {
+		t.Fatal("the digest line to strip was not found")
 	}
 }
 

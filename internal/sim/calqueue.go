@@ -104,11 +104,36 @@ type calQueue struct {
 	scratch []*Timer
 }
 
-func newCalQueue(width Time) *calQueue {
+// newCalQueue returns an empty queue. With old — a released engine's
+// queue, emptied by clear — it keeps old's ring, overflow and scratch
+// storage: the state is a fresh queue's, only the capacities differ.
+func newCalQueue(width Time, old *calQueue) *calQueue {
 	cq := &calQueue{width: width, invWidth: 1 / width, floor: calMinBuckets}
-	cq.b = make([]calBucket, calMinBuckets)
-	cq.mask = calMinBuckets - 1
+	if old != nil {
+		cq.b, cq.overflow, cq.scratch = old.b, old.overflow[:0], old.scratch
+	}
+	cq.resize(calMinBuckets)
 	return cq
+}
+
+// resize sets the ring to nb buckets, reusing its storage when the
+// capacity allows. Every bucket past len(cq.b) is empty — clear and
+// rebuild empty the whole ring before it shrinks — so a ring that grows
+// back into its capacity finds empty buckets there.
+func (cq *calQueue) resize(nb int) {
+	if nb <= cap(cq.b) {
+		cq.b = cq.b[:nb]
+	} else {
+		cq.b = make([]calBucket, nb)
+	}
+	cq.mask = int64(nb - 1)
+}
+
+// clear drops every queued timer unrun, leaving the ring's and the
+// overflow's storage empty for newCalQueue to reuse.
+func (cq *calQueue) clear() {
+	clear(cq.b)
+	clear(cq.overflow)
 }
 
 // epochOf maps a timestamp to its bucket epoch. Every classification in
@@ -420,8 +445,9 @@ func (cq *calQueue) adapt() {
 }
 
 // rebuild re-places every live timer into a ring of nb buckets of the
-// given width. The collection buffer and (when nb is unchanged) the ring
-// itself are reused, so adaptation in steady state does not allocate.
+// given width. The collection buffer and, whenever its capacity holds nb
+// buckets, the ring itself are reused, so adaptation in steady state does
+// not allocate, nor does a ring that shrank and grows back.
 func (cq *calQueue) rebuild(nb int, width Time) {
 	if nb < calMinBuckets {
 		nb = calMinBuckets
@@ -450,8 +476,7 @@ func (cq *calQueue) rebuild(nb int, width Time) {
 	cq.overflow = cq.overflow[:0]
 	cq.ohead = 0
 	if nb != len(cq.b) {
-		cq.b = make([]calBucket, nb)
-		cq.mask = int64(nb - 1)
+		cq.resize(nb)
 	}
 	cq.width = width
 	cq.invWidth = 1 / width

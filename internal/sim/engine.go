@@ -21,6 +21,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Time is a simulated timestamp or duration, in seconds.
@@ -190,10 +193,65 @@ func New(seed int64) *Engine {
 // reference the differential tests and the benchmark construct.
 func NewWithQueue(seed int64, kind QueueKind) *Engine {
 	e := &Engine{seed: seed, probeAt: math.Inf(1)}
+	var old *calQueue
+	if stocked.Load() {
+		if sp, _ := released.Get().(*spares); sp != nil {
+			e.free, old = sp.free, sp.cq
+			for _, tm := range e.free {
+				tm.eng = e
+			}
+		}
+	}
 	if kind == CalendarQueue {
-		e.cq = newCalQueue(calDefaultWidth)
+		e.cq = newCalQueue(calDefaultWidth, old)
 	}
 	return e
+}
+
+// spares is what a released engine leaves for the next one New builds:
+// its timer free list, every timer zeroed by recycle, and its emptied
+// event queue.
+type spares struct {
+	free []*Timer
+	cq   *calQueue
+}
+
+// released holds released engines' spares. It is per-P, so a sweep
+// worker building its next cell usually gets back what its last one left.
+var released sync.Pool
+
+// stocked says whether a Release may have parked spares since the last
+// collection. A sync.Pool empties itself across collections, and its
+// first use after one allocates per-P storage, so a program that never
+// releases must not touch it: Release sets the flag and arms a sentinel
+// the next collection frees, whose finalizer clears it again.
+var stocked atomic.Bool
+
+func markStocked() {
+	if !stocked.Swap(true) {
+		runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { stocked.Store(false) })
+	}
+}
+
+// gcSentinel holds a pointer so that it is not served by the tiny
+// allocator, whose objects may never be finalized.
+type gcSentinel struct{ _ *int }
+
+// Release hands the engine's timer free list and event-queue storage to
+// an engine New builds later, and drops every pending event unrun.
+// Nothing may schedule on or run the engine afterwards. A sweep releases
+// a cell's engines once their results are read (topology.Net.Release);
+// a run that never calls it pays nothing for it.
+func (e *Engine) Release() {
+	if e.free == nil && e.cq == nil {
+		return
+	}
+	if e.cq != nil {
+		e.cq.clear()
+	}
+	released.Put(&spares{free: e.free, cq: e.cq})
+	e.free, e.cq, e.events = nil, nil, nil
+	markStocked()
 }
 
 // HintTick sizes the calendar queue's buckets to the dominant event

@@ -1,0 +1,93 @@
+package sim
+
+import (
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+)
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// mallocs returns how many heap objects run allocates.
+func mallocs(run func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// A released engine leaves nothing pending, and the next engine starts
+// with its timer free list and calendar ring: it schedules as many events
+// as the released one parked without allocating, every inherited timer is
+// its own, and the events run as they would on a fresh engine. One P and
+// no collection, so the spares cannot go elsewhere.
+func TestReleasedEngineStocksTheNext(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 600 // past two timers per bucket, so the ring grows
+	fired := 0
+	fire := func(any) { fired++ }
+
+	a := New(1)
+	a.AtFunc(2, fire, nil) // dropped unrun by Release
+	for i := 0; i < n; i++ {
+		a.AtFunc(1, fire, nil)
+	}
+	a.RunUntil(1)
+	a.Release()
+	if a.Pending() != 0 {
+		t.Fatalf("released engine holds %d timers", a.Pending())
+	}
+
+	b := New(2)
+	if len(b.free) == 0 && raceDetector() {
+		t.Skip("the race detector's sync.Pool dropped the spares, as it drops a random quarter of what it is given")
+	}
+	if got := mallocs(func() {
+		for i := 0; i < n; i++ {
+			b.AtFunc(3, fire, nil)
+		}
+	}); got != 0 {
+		t.Fatalf("scheduling %d events on a stocked engine allocated %d objects", n, got)
+	}
+	tm := b.ResetAfterFunc(nil, 4, fire, nil)
+	if tm.eng != b {
+		t.Fatal("an inherited timer still belongs to the released engine")
+	}
+	if got := mallocs(func() { b.ResetAfterFunc(tm, 5, fire, nil) }); got != 0 {
+		t.Fatalf("re-arming an inherited handle allocated %d objects", got)
+	}
+	fired = 0
+	b.RunUntil(10)
+	if fired != n+1 || b.Pending() != 0 {
+		t.Fatalf("stocked engine fired %d of %d events, %d left pending", fired, n+1, b.Pending())
+	}
+}
+
+// A ring that shrank as its load drained grows back into its own
+// storage.
+func TestCalendarRingRegrowsInPlace(t *testing.T) {
+	e := New(1)
+	fire := func(any) {}
+	burst := func() {
+		for i := 0; i < 2000; i++ {
+			e.AtFunc(e.Now()+float64(i)*1e-3, fire, nil)
+		}
+	}
+	burst()
+	grown := e.cq.b
+	e.RunUntil(e.Now() + 10)
+	if len(e.cq.b) >= len(grown) {
+		t.Fatalf("ring stayed at %d buckets after draining, want it to shrink below %d", len(e.cq.b), len(grown))
+	}
+	burst()
+	if len(e.cq.b) != len(grown) || &e.cq.b[0] != &grown[0] {
+		t.Fatalf("ring regrew to %d buckets in new storage; the first burst grew it to %d", len(e.cq.b), len(grown))
+	}
+}

@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
@@ -129,7 +132,7 @@ func (c Config) PropRTT() sim.Time { return c.net().PropRTT() }
 // only in what the links are called: lr and rl, the names the paper's
 // figures, the goldens and /metrics know them by.
 func New(eng *sim.Engine, cfg Config) *Net {
-	return build(eng, cfg.net(), "lr", "rl", false)
+	return build(eng, cfg.net(), dumbbellNames)
 }
 
 // routes is one demux's table from flow id to handler. Flow ids are
@@ -191,6 +194,20 @@ func (r *routes) set(flow int, h netem.Handler) {
 	r.pages[pg][flow%routePageSize] = h
 }
 
+// each calls fn on every registered handler.
+func (r *routes) each(fn func(netem.Handler)) {
+	for _, pg := range r.pages {
+		if pg == nil {
+			continue
+		}
+		for _, h := range pg {
+			if h != nil {
+				fn(h)
+			}
+		}
+	}
+}
+
 // demux is the router at one node for one direction: it hands packets
 // leaving a bottleneck to whatever the flow registered there — an
 // access link, the next hop, or a sink.
@@ -221,9 +238,9 @@ func (d demux) Handle(p *netem.Packet) {
 
 // buildQueue constructs one direction of hop h's bottleneck queue: RED
 // with thresholds and capacity as multiples of the hop's
-// bandwidth-delay product bdp in packets (the paper's sizing), or
-// simple tail-drop.
-func buildQueue(h Hop, bdp float64, pktSize int, seed int64) netem.Queue {
+// bandwidth-delay product bdp in packets (the paper's sizing), drawing
+// from src, or simple tail-drop.
+func buildQueue(h Hop, bdp float64, pktSize int, src *lazySource) netem.Queue {
 	capPkts := int(h.QueueFactor*bdp + 0.5)
 	if capPkts < 4 {
 		capPkts = 4
@@ -233,7 +250,7 @@ func buildQueue(h Hop, bdp float64, pktSize int, seed int64) netem.Queue {
 	}
 	txTime := float64(pktSize) * 8 / h.Rate
 	q := netem.NewRED(h.REDMinFactor*bdp, h.REDMaxFactor*bdp,
-		capPkts, txTime, rand.New(&lazySource{seed: seed}))
+		capPkts, txTime, rand.New(src))
 	q.MarkECN = h.ECN
 	return q
 }
@@ -242,8 +259,9 @@ func buildQueue(h Hop, bdp float64, pktSize int, seed int64) netem.Queue {
 // queue draws only while its average sits between the thresholds, which
 // a lightly loaded direction (most reverse hops) never reaches, and a
 // seeded generator is 607 words: a chain would otherwise pay 5 KB per
-// queue for streams it never reads. The stream is the eager source's,
-// bit for bit.
+// queue for streams it never reads. The first draw takes a generator a
+// released net left (Net.Release) and reseeds it in place when there is
+// one. Either way the stream is the eager source's, bit for bit.
 type lazySource struct {
 	seed int64
 	src  rand.Source64
@@ -251,10 +269,44 @@ type lazySource struct {
 
 func (l *lazySource) source() rand.Source64 {
 	if l.src == nil {
-		l.src = rand.NewSource(l.seed).(rand.Source64)
+		if stocked.Load() {
+			l.src, _ = generators.Get().(rand.Source64)
+		}
+		if l.src != nil {
+			l.src.Seed(l.seed)
+		} else {
+			l.src = rand.NewSource(l.seed).(rand.Source64)
+		}
 	}
 	return l.src
 }
+
+// park hands a drawn generator to the next lazySource's first draw.
+func (l *lazySource) park() {
+	if l.src != nil {
+		generators.Put(l.src)
+		l.src = nil
+		markStocked()
+	}
+}
+
+// generators holds the sources released nets' RED queues drew from.
+var generators sync.Pool
+
+// stocked says whether a release may have parked a generator since the
+// last collection, so that a program that never releases never touches
+// the pool (see package sim's flag of the same name).
+var stocked atomic.Bool
+
+func markStocked() {
+	if !stocked.Swap(true) {
+		runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { stocked.Store(false) })
+	}
+}
+
+// gcSentinel holds a pointer so that it is not served by the tiny
+// allocator, whose objects may never be finalized.
+type gcSentinel struct{ _ *int }
 
 func (l *lazySource) Int63() int64   { return l.source().Int63() }
 func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }

@@ -201,31 +201,43 @@ type Net struct {
 	// mode (NetConfig.Strict) turns into a panic instead.
 	UnknownFlowDrops int64
 
-	// What the links are called wherever they register by name: counter
-	// registry, probe sampler, journey recorder, auditor. The names reach
-	// manifests, goldens and /metrics, so the constructor fixes them: hop
-	// i's links are hopName(fwdTag, i) and hopName(revTag, i), and a
-	// flow's access links are access-<flow>-<tag>-in and -out.
-	fwdTag, revTag string
-	indexed        bool // hop links are tag+index (fwd0, rev2), not the bare tag
+	names *linkNames // what the links are called
 
 	fwdEntry []netem.Handler // where to offer packets into Fwd[i] (filter/fault wrapped)
 	fwdRt    []demux         // router at node i+1, fed by Fwd[i]
 	revRt    []demux         // router at node i, fed by Rev[i]
-	fwdFlows map[int]bool    // per-direction flow id registries
-	revFlows map[int]bool
+	// fwdFlows and revFlows register each direction's flow ids, with the
+	// flow's ingress access link; its egress link is in its exit router.
+	fwdFlows, revFlows map[int]*netem.Link
+	// srcs are the RED generators, hop i's forward one at 2i and its
+	// reverse one at 2i+1.
+	srcs     []lazySource
 	journeys *journey.Recorder // nil unless ObserveJourneys was called
 }
+
+// linkNames is what a net's links are called wherever they register by
+// name: counter registry, probe sampler, journey recorder, auditor. The
+// names reach manifests, goldens and /metrics, so the constructor fixes
+// them: hop i's links are hopName(fwd, i) and hopName(rev, i), and a
+// flow's access links are access-<flow>-<tag>-in and -out.
+type linkNames struct {
+	fwd, rev string
+	indexed  bool // hop links are tag+index (fwd0, rev2), not the bare tag
+}
+
+var (
+	chainNames    = &linkNames{fwd: "fwd", rev: "rev", indexed: true}
+	dumbbellNames = &linkNames{fwd: "lr", rev: "rl"}
+)
 
 // NewNet builds a chain on eng. Its links are called fwd0, rev0, fwd1,
 // ... in chain order.
 func NewNet(eng *sim.Engine, cfg NetConfig) *Net {
-	return build(eng, cfg, "fwd", "rev", true)
+	return build(eng, cfg, chainNames)
 }
 
-// build is the one wiring path; the last three arguments are the link
-// naming (see Net.hopName).
-func build(eng *sim.Engine, cfg NetConfig, fwdTag, revTag string, indexed bool) *Net {
+// build is the one wiring path; names is the link naming.
+func build(eng *sim.Engine, cfg NetConfig, names *linkNames) *Net {
 	cfg.fill()
 	k := len(cfg.Hops)
 	n := &Net{
@@ -234,17 +246,16 @@ func build(eng *sim.Engine, cfg NetConfig, fwdTag, revTag string, indexed bool) 
 		Fwd:      make([]*netem.Link, k),
 		Rev:      make([]*netem.Link, k),
 		Filters:  make([]*netem.LossFilter, k),
-		fwdTag:   fwdTag,
-		revTag:   revTag,
-		indexed:  indexed,
+		names:    names,
 		fwdEntry: make([]netem.Handler, k),
 		fwdRt:    make([]demux, k),
 		revRt:    make([]demux, k),
-		fwdFlows: make(map[int]bool),
-		revFlows: make(map[int]bool),
+		fwdFlows: make(map[int]*netem.Link),
+		revFlows: make(map[int]*netem.Link),
+		srcs:     make([]lazySource, 2*k),
 	}
 	if !cfg.DisablePool {
-		n.Pool = &netem.PacketPool{}
+		n.Pool = netem.NewPacketPool()
 	}
 	// Size the calendar queue's buckets to the slowest hop's per-packet
 	// transmission time, the chain's dominant event cadence (performance
@@ -260,15 +271,15 @@ func build(eng *sim.Engine, cfg NetConfig, fwdTag, revTag string, indexed bool) 
 		bdp := cfg.hopBDPPkts(i)
 		n.fwdRt[i] = demux{new(routes), n.Pool, i + 1, &n.UnknownFlowDrops, cfg.Strict}
 		n.revRt[i] = demux{new(routes), n.Pool, i, &n.UnknownFlowDrops, cfg.Strict}
-		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay,
-			buildQueue(h, bdp, cfg.PktSize, cfg.Seed+1+2*int64(i)), n.fwdRt[i])
-		n.Rev[i] = netem.NewLink(eng, h.Rate, h.Delay,
-			buildQueue(h, bdp, cfg.PktSize, cfg.Seed+2+2*int64(i)), n.revRt[i])
+		fsrc, rsrc := &n.srcs[2*i], &n.srcs[2*i+1]
+		fsrc.seed, rsrc.seed = cfg.Seed+1+2*int64(i), cfg.Seed+2+2*int64(i)
+		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(h, bdp, cfg.PktSize, fsrc), n.fwdRt[i])
+		n.Rev[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(h, bdp, cfg.PktSize, rsrc), n.revRt[i])
 		n.Fwd[i].Pool = n.Pool
 		n.Rev[i].Pool = n.Pool
 		if cfg.Audit != nil {
-			cfg.Audit.WatchLink(n.hopName(fwdTag, i), n.Fwd[i])
-			cfg.Audit.WatchLink(n.hopName(revTag, i), n.Rev[i])
+			cfg.Audit.WatchLink(n.hopName(names.fwd, i), n.Fwd[i])
+			cfg.Audit.WatchLink(n.hopName(names.rev, i), n.Rev[i])
 		}
 		entry := netem.Handler(n.Fwd[i])
 		if h.Fault != nil {
@@ -288,7 +299,7 @@ func build(eng *sim.Engine, cfg NetConfig, fwdTag, revTag string, indexed bool) 
 
 // hopName names hop i's link in the direction tag says.
 func (n *Net) hopName(tag string, i int) string {
-	if n.indexed {
+	if n.names.indexed {
 		return tag + strconv.Itoa(i)
 	}
 	return tag
@@ -335,7 +346,8 @@ func (n *Net) PathFwd(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 		panic(fmt.Sprintf("topology: forward span %d..%d outside chain 0..%d", enter, exit, n.NumHops()))
 	}
 	n.claim(n.fwdFlows, flow, "forward")
-	in, out := n.access(flow, n.fwdTag, n.fwdEntry[enter], dst, accessDelay)
+	in, out := n.access(flow, n.names.fwd, n.fwdEntry[enter], dst, accessDelay)
+	n.fwdFlows[flow] = in
 	// The router after the last hop of the span delivers to the egress
 	// access link; routers at interior nodes forward into the next hop.
 	n.fwdRt[exit-1].table.set(flow, out)
@@ -353,7 +365,8 @@ func (n *Net) PathRev(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 		panic(fmt.Sprintf("topology: reverse span %d..%d outside chain 0..%d", enter, exit, n.NumHops()))
 	}
 	n.claim(n.revFlows, flow, "reverse")
-	in, out := n.access(flow, n.revTag, n.Rev[enter-1], dst, accessDelay)
+	in, out := n.access(flow, n.names.rev, n.Rev[enter-1], dst, accessDelay)
+	n.revFlows[flow] = in
 	n.revRt[exit].table.set(flow, out)
 	for node := exit + 1; node < enter; node++ {
 		n.revRt[node].table.set(flow, n.Rev[node-1])
@@ -361,12 +374,45 @@ func (n *Net) PathRev(flow, enter, exit int, dst netem.Handler, accessDelay sim.
 	return in
 }
 
-// claim records flow as wired on one direction; a second claim panics.
-func (n *Net) claim(flows map[int]bool, flow int, dir string) {
-	if flows[flow] {
+// claim panics when flow is already wired on one direction.
+func (n *Net) claim(flows map[int]*netem.Link, flow int, dir string) {
+	if flows[flow] != nil {
 		panic(fmt.Sprintf("topology: flow %d already registered on the %s direction", flow, dir))
 	}
-	flows[flow] = true
+}
+
+// Release hands what this net and its engine grew to the next scenario
+// the process builds: the engine's timer list and queue storage, the
+// packet pool's free packets, the buffer of every queue the net built
+// and the RED generators that drew. Nothing built on the net — engine,
+// links, endpoints — may run afterwards. A sweep calls it once a cell's
+// results are read; a run that never releases pays nothing for it.
+func (n *Net) Release() {
+	n.Eng.Release()
+	n.Pool.Release()
+	for i := range n.Fwd {
+		n.Fwd[i].Release()
+		n.Rev[i].Release()
+	}
+	// Access links: each flow's ingress is in the registries, its egress
+	// in a router's table beside hop links, which release twice harmlessly.
+	for _, flows := range []map[int]*netem.Link{n.fwdFlows, n.revFlows} {
+		for _, in := range flows {
+			in.Release()
+		}
+	}
+	for _, rt := range [][]demux{n.fwdRt, n.revRt} {
+		for _, d := range rt {
+			d.table.each(func(h netem.Handler) {
+				if l, ok := h.(*netem.Link); ok {
+					l.Release()
+				}
+			})
+		}
+	}
+	for i := range n.srcs {
+		n.srcs[i].park()
+	}
 }
 
 // Connect implements Fabric. The data path is built before the return
@@ -416,8 +462,8 @@ func (n *Net) path(flow, from, to int, dst netem.Handler, delay sim.Time) netem.
 func (n *Net) Observe(reg *obs.Registry) {
 	reg.AddEngine(n.Eng)
 	for i := range n.Fwd {
-		reg.AddLink(n.hopName(n.fwdTag, i), n.Fwd[i])
-		reg.AddLink(n.hopName(n.revTag, i), n.Rev[i])
+		reg.AddLink(n.hopName(n.names.fwd, i), n.Fwd[i])
+		reg.AddLink(n.hopName(n.names.rev, i), n.Rev[i])
 	}
 	reg.AddPool(n.Pool)
 	reg.Register("topo.unknown_flow_drops", func() int64 { return n.UnknownFlowDrops })
@@ -433,8 +479,8 @@ func (n *Net) ObserveJourneys(r *journey.Recorder) {
 		return
 	}
 	for i := range n.Fwd {
-		r.AttachLink(n.hopName(n.fwdTag, i), n.Fwd[i], false)
-		r.AttachLink(n.hopName(n.revTag, i), n.Rev[i], false)
+		r.AttachLink(n.hopName(n.names.fwd, i), n.Fwd[i], false)
+		r.AttachLink(n.hopName(n.names.rev, i), n.Rev[i], false)
 	}
 }
 
@@ -443,10 +489,10 @@ func (n *Net) ObserveJourneys(r *journey.Recorder) {
 func (n *Net) ObserveProbes(s *obs.Sampler) {
 	for i := range n.Fwd {
 		if r, ok := n.Fwd[i].Q.(*netem.RED); ok {
-			s.Add("red."+n.hopName(n.fwdTag, i), r)
+			s.Add("red."+n.hopName(n.names.fwd, i), r)
 		}
 		if r, ok := n.Rev[i].Q.(*netem.RED); ok {
-			s.Add("red."+n.hopName(n.revTag, i), r)
+			s.Add("red."+n.hopName(n.names.rev, i), r)
 		}
 	}
 }

@@ -278,3 +278,36 @@ func TestNetPerHopFaultInjection(t *testing.T) {
 		t.Fatalf("faulted chain breached invariants: %v", err)
 	}
 }
+
+// Release reaches every queue the net built, each hop's and both access
+// links of every path, and leaves them empty. The access links are found
+// here by where they attach: the ingress is what an endpoint was handed,
+// the egress what the exit router delivers through.
+func TestNetReleaseEmptiesEveryQueue(t *testing.T) {
+	eng := sim.New(1)
+	n := NewNet(eng, NetConfig{Hops: []Hop{{}, {}}, Seed: 1})
+	snd, rcv, src, sink := &arrival{eng: eng}, &arrival{eng: eng}, &arrival{eng: eng}, &arrival{eng: eng}
+	n.Connect(1, snd, rcv, Span{})
+	n.ConnectOneWay(801, src, sink, Span{From: 1, To: 2})
+	links := append(append([]*netem.Link{}, n.Fwd...), n.Rev...)
+	for _, ep := range []*arrival{snd, rcv, src} {
+		links = append(links, ep.out.(*netem.Link))
+	}
+	for _, h := range []netem.Handler{
+		n.fwdRt[1].table.get(1), n.revRt[0].table.get(1), n.fwdRt[1].table.get(801),
+	} {
+		links = append(links, h.(*netem.Link))
+	}
+	for _, l := range links {
+		l.Q.Enqueue(&netem.Packet{Size: 1000}, 0)
+	}
+	n.Release()
+	for i, l := range links {
+		if l.Q.Len() != 0 {
+			t.Fatalf("link %d of %d still queues %d packets after Release", i, len(links), l.Q.Len())
+		}
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("the net's engine holds %d timers after Release", eng.Pending())
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"slowcc/internal/netem"
@@ -110,10 +112,14 @@ func TestRoutesMemoryFollowsPopulatedPages(t *testing.T) {
 }
 
 // The lazily seeded source is the eager one's stream, bit for bit, from
-// whichever method draws first.
+// whichever method draws first — and so is one whose first draw reseeds
+// a generator a released net parked.
 func TestLazySourceMatchesEagerStream(t *testing.T) {
-	for _, seed := range []int64{1, 2, -7995527694508729151} {
-		lazy, eager := rand.New(&lazySource{seed: seed}), rand.New(rand.NewSource(seed))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	same := func(seed int64, l *lazySource) {
+		t.Helper()
+		lazy, eager := rand.New(l), rand.New(rand.NewSource(seed))
 		for i := 0; i < 2000; i++ {
 			switch i % 4 {
 			case 0:
@@ -141,6 +147,23 @@ func TestLazySourceMatchesEagerStream(t *testing.T) {
 			t.Fatalf("seed %d: reseeded Int63 %v vs %v", seed, a, b)
 		}
 	}
+	for _, seed := range []int64{1, 2, -7995527694508729151} {
+		drawn := &lazySource{seed: seed}
+		same(seed, drawn)
+		gen := drawn.src
+		drawn.park()
+		next := &lazySource{seed: seed ^ 0x5eed}
+		if next.source() != gen && !raceDetector() { // which drops a random quarter of what sync.Pool is given
+			t.Fatalf("seed %d: the next first draw built a generator instead of reseeding the parked one", seed)
+		}
+		same(seed^0x5eed, next)
+	}
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // A hop's RED queue drops exactly the packets a queue on the eagerly
@@ -151,7 +174,7 @@ func TestREDDropSequenceUnchangedByLazySeeding(t *testing.T) {
 	hop.fill()
 	const bdp, pktSize = 62.5, 1000
 	for _, seed := range []int64{1, 2, 3} {
-		lazy := buildQueue(hop, bdp, pktSize, seed).(*netem.RED)
+		lazy := buildQueue(hop, bdp, pktSize, &lazySource{seed: seed}).(*netem.RED)
 		eager := netem.NewRED(lazy.MinThresh, lazy.MaxThresh, lazy.Cap, lazy.MeanPktTime,
 			rand.New(rand.NewSource(seed)))
 		// Overload in bursts with partial drains, so the average crosses

@@ -9,11 +9,15 @@ package slowcc_test
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"slowcc"
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
+	"slowcc/internal/netem"
 	"slowcc/internal/obs"
 	"slowcc/internal/obs/journey"
 	"slowcc/internal/sim"
@@ -30,6 +34,8 @@ const (
 // layer is the plain run.
 type layer struct {
 	name string
+	// stock runs before the engine is built, outside what the run counts.
+	stock func(t *testing.T)
 	// queue is the engine's event queue (the zero value is the calendar
 	// queue every production engine uses).
 	queue sim.QueueKind
@@ -49,10 +55,14 @@ type macroRun struct {
 	d     *slowcc.Dumbbell
 	dig   *sim.StreamDigest
 	trace []trace.Event // every packet offered to the forward bottleneck
+	// mallocs is how many heap objects building and running took.
+	mallocs uint64
 }
 
 // runMacro executes the macro run with l attached.
 func runMacro(l layer) macroRun {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	r := macroRun{eng: sim.NewWithQueue(1, l.queue), dig: &sim.StreamDigest{}}
 	r.eng.SetStreamDigest(r.dig)
 	cfg := slowcc.DumbbellConfig{Rate: 10e6, Seed: 1}
@@ -71,7 +81,15 @@ func runMacro(l layer) macroRun {
 	r.eng.At(0, f2.Sender.Start)
 	r.eng.RunUntil(30)
 	r.trace = rec.Events()
+	runtime.ReadMemStats(&m1)
+	r.mallocs = m1.Mallocs - m0.Mallocs
 	return r
+}
+
+// raceDetector reports whether the test binary was built with -race.
+func raceDetector() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // holdPinned asserts r is the pinned stream: event count, digest (when
@@ -100,10 +118,11 @@ func holdPinned(t *testing.T, r, plain macroRun, undigested bool) {
 
 func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 	var (
-		inj  *faults.Injector
-		idle *topology.Net
-		smp  *obs.Sampler
-		jr   = journey.New()
+		inj   *faults.Injector
+		idle  *topology.Net
+		smp   *obs.Sampler
+		jr    = journey.New()
+		plain macroRun
 	)
 	layers := []layer{
 		{name: "plain"},
@@ -179,10 +198,47 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 					t.Fatalf("disabled sampler recorded %d samples", n)
 				}
 			}},
+		// An unrelated scenario — another seed, a parking lot whose RED
+		// drew — run and released first hands the macro run its packets,
+		// timers, calendar ring, queue buffers and generators. On one P
+		// with the collector off nothing parked is lost, so the row must
+		// also allocate fewer objects than the plain run, or it tested
+		// nothing.
+		{name: "stocked from a released scenario",
+			stock: func(t *testing.T) {
+				prevProcs, prevGC := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
+				t.Cleanup(func() {
+					debug.SetGCPercent(prevGC)
+					runtime.GOMAXPROCS(prevProcs)
+				})
+				eng := sim.New(7)
+				n := topology.NewNet(eng, topology.NetConfig{
+					Hops: []topology.Hop{{Rate: 10e6}, {Rate: 10e6}},
+					Seed: 7,
+				})
+				for i := 1; i <= 4; i++ {
+					eng.At(0, slowcc.TCP(0.5).Make(eng, n, i).Sender.Start)
+				}
+				eng.RunUntil(10)
+				if red := n.Fwd[0].Q.(*netem.RED); red.EarlyDrops == 0 {
+					t.Fatal("the released scenario's RED never dropped early, so never drew")
+				}
+				n.Release()
+			},
+			check: func(t *testing.T, r macroRun) {
+				// The race detector's sync.Pool drops a random quarter of
+				// what it is given, so there the lists may not arrive.
+				if r.mallocs >= plain.mallocs && !raceDetector() {
+					t.Fatalf("stocked run allocated %d objects, the plain run %d", r.mallocs, plain.mallocs)
+				}
+			}},
 	}
-	plain := runMacro(layer{})
+	plain = runMacro(layer{})
 	for _, l := range layers {
 		t.Run(l.name, func(t *testing.T) {
+			if l.stock != nil {
+				l.stock(t)
+			}
 			r := runMacro(l)
 			holdPinned(t, r, plain, l.undigested)
 			if l.check != nil {

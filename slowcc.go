@@ -147,7 +147,7 @@ type ProbeSample = obs.Sample
 // count, counters, output digests).
 type Manifest = obs.Manifest
 
-// ReadManifest parses a manifest file, verifying its digest.
+// ReadManifest parses a manifest file, verifying its schema and digest.
 func ReadManifest(path string) (*Manifest, error) { return obs.ReadManifest(path) }
 
 // DigestBytes returns the hex sha256 of b, the hash Manifest.Outputs
