@@ -41,9 +41,10 @@ bench:
 
 # fuzz-smoke gives each parser fuzz target, the result store's two
 # on-disk readers, the trace and matrix TSV readers, the strict
-# exposition parser behind slowccreport -prom-verify and the manifest
-# reader behind slowccreport a few seconds of coverage-guided input on
-# every ci run — long enough to re-find shallow regressions (the
+# exposition parser behind slowccreport -prom-verify, and the manifest
+# and timeline readers behind slowccreport a few seconds of
+# coverage-guided input on every ci run — long enough to re-find
+# shallow regressions (the
 # heatmap's index-by-NaN panic was one), short enough not to dominate
 # the gate.
 # Longer campaigns: raise -fuzztime by hand.
@@ -55,3 +56,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=2s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=2s ./internal/obs/export
 	$(GO) test -run='^$$' -fuzz=FuzzReadManifest -fuzztime=2s ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzValidateTimeline -fuzztime=2s ./internal/obs

@@ -20,10 +20,10 @@
 // stderr (and counted in the manifest) instead of killing the run.
 //
 // -timeline records sweep telemetry as Chrome trace-event JSON: every
-// supervised cell contributes a queued span, one running (or retry)
-// span on the lane of the worker goroutine that executed it, and a
-// degraded instant if it exhausted its attempts. Load the file in
-// Perfetto to see how a matrix run scheduled across workers:
+// supervised cell contributes a queued span from its sweep's start, one
+// running (or retry) span per attempt on the lane of the worker
+// goroutine that executed it, and a degraded or cached instant. Load
+// the file in Perfetto to see how a matrix run scheduled across workers:
 //
 //	slowccsim -exp matrix -timeline sweep.json
 package main
@@ -82,8 +82,6 @@ func run() int {
 		storeDir     = flag.String("store", "", "durable result store directory: completed sweep cells are journaled here (crash-safe), and SIGINT/SIGTERM checkpoints and exits with code 3 so the run can be resumed")
 		resume       = flag.Bool("resume", false, "with -store: serve completed cells from the store instead of recomputing them (only missing or degraded cells run)")
 		retries      = flag.Int("retries", -1, "per-sweep-cell retry budget on derived seeds (-1 = keep the default of 1)")
-		retryWait    = flag.Duration("retry-backoff", 0, "base for deterministic exponential backoff before retry attempts (0 = retry immediately); never affects simulation results")
-		breaker      = flag.Int("breaker", 0, "per-algorithm-pair circuit breaker: skip a pair's remaining cells after this many consecutive degradations (0 = off); skipped cells resume later with -store -resume")
 		matrixSpec   = flag.String("matrix", "", "matrix experiment: comma-separated algorithm specs key[:arg], e.g. 'tcp:0.5,tfrc:8,sqrt' (empty = the paper's seven); one of\n"+exp.AlgoSyntax())
 		topology     = flag.String("topology", "both", "matrix experiment: dumbbell, parking-lot[:hops], or both")
 		tsvPath      = flag.String("tsv", "", "matrix experiment: also write the deterministic TSV artifact to this file")
@@ -154,19 +152,13 @@ func run() int {
 		}
 		exp.SetRunBudget(b)
 	}
-	if *deadline > 0 || *retries >= 0 || *retryWait > 0 || *breaker > 0 {
+	if *deadline > 0 || *retries >= 0 {
 		pol := exp.SweepPolicy()
 		if *deadline > 0 {
 			pol.Deadline = *deadline
 		}
 		if *retries >= 0 {
 			pol.Retries = *retries
-		}
-		if *retryWait > 0 {
-			pol.BackoffBase = *retryWait
-		}
-		if *breaker > 0 {
-			pol.BreakerThreshold = *breaker
 		}
 		exp.SetSweepPolicy(pol)
 	}
@@ -233,13 +225,9 @@ func run() int {
 	if *retries >= 0 {
 		m.Config["retries"] = strconv.Itoa(*retries)
 	}
-	if *breaker > 0 {
-		m.Config["breaker"] = strconv.Itoa(*breaker)
-	}
 	// Deliberately NOT in the config (and so not in the run digest):
-	// -store/-resume (a resumed run must digest identically to an
-	// uninterrupted one) and -retry-backoff (pure wall-clock scheduling,
-	// provably unable to affect results).
+	// -store/-resume, since a resumed run must digest identically to an
+	// uninterrupted one.
 	if *faultSpec != "" {
 		m.Config["fault"] = *faultSpec
 	}

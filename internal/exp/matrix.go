@@ -188,17 +188,8 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 	// Matrix cells carry semantic store keys — a per-cell
 	// slowcc-manifest/1 digest over every knob that shapes the run — so
 	// a resumed or re-invoked sweep recognizes completed cells no matter
-	// how the surrounding flags reordered the sweep. The breaker groups
-	// cells by ordered algorithm pair: a pairing that degrades K times
-	// in a row stops burning deadline budget across the remaining
-	// condition/topology combinations.
-	cells := supervisedMapMeta(len(jobs), func(i int) cellMeta {
-		j := jobs[i]
-		return cellMeta{
-			key:  j.key,
-			kind: j.a.Name + "|" + j.b.Name,
-		}
-	}, func(sc *Cell) MatrixCell {
+	// how the surrounding flags reordered the sweep.
+	cells := supervisedMapKeyed(len(jobs), func(i int) string { return jobs[i].key }, func(sc *Cell) MatrixCell {
 		j := jobs[sc.Index()]
 		return runMatrixCell(sc, cfg, j.topo, j.cond, j.a, j.b)
 	})

@@ -197,10 +197,10 @@ func TestSweepProgressReportsBudgetHalt(t *testing.T) {
 	}
 }
 
-// The sweep logger must receive one structured record per attempt with
-// the cell/attempt/outcome attributes, and a Warn for degraded cells.
+// The sweep logger must receive one structured record per transition
+// with the cell/attempt/outcome attributes, and a Warn for degraded cells.
 func TestSweepLoggerRecords(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withPolicy(t, CellPolicy{Retries: 1})
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	prev := SetSweepLogger(logger.With("run", "deadbeef"))
@@ -213,7 +213,7 @@ func TestSweepLoggerRecords(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sweep cell done", "cell=3", "outcome=ok", "run=deadbeef",
-		"sweep cell attempt failed", "cell=4", "outcome=panic",
+		"sweep cell retry", "cell=4", "outcome=panic", "worker=0", "attempt=1",
 		"level=WARN", "sweep cell degraded",
 	} {
 		if !bytes.Contains([]byte(out), []byte(want)) {

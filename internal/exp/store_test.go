@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"slowcc/internal/obs"
 	"slowcc/internal/obs/export"
@@ -426,160 +425,6 @@ func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
 	if !out[0].OK || out[1].hidden != 1 {
 		t.Fatalf("unkeyed sweep results wrong: %+v", out)
 	}
-}
-
-func TestRetryBackoffSchedulePinned(t *testing.T) {
-	pol := CellPolicy{BackoffBase: 100 * time.Millisecond}
-	// The schedule is a pure function of (index, attempt): exponential
-	// growth capped at DefaultBackoffMax, plus a SplitMix64-derived spread. These
-	// exact values are part of the reproducibility contract — a drift
-	// here means retry timing changed between releases (results never
-	// depend on it, but operators' deadline budgets do). Attempt 11
-	// (100 ms << 10 > 30 s) sits at the cap plus its spread.
-	want := map[[2]int]time.Duration{
-		{0, 0}: 0,
-		{0, 1}: 115296940, {0, 2}: 238628441, {0, 3}: 495375534,
-		{0, 4}: 832486008, {0, 5}: 1921719254, {0, 11}: 36371301098,
-		{3, 1}: 116565402, {3, 2}: 214412294, {3, 3}: 427067934,
-		{3, 4}: 994715458, {3, 5}: 1652341273, {3, 11}: 36828989791,
-	}
-	for k, w := range want {
-		if got := retryBackoff(pol, k[0], k[1]); got != w {
-			t.Errorf("retryBackoff(idx=%d, attempt=%d) = %d, want %d", k[0], k[1], got, w)
-		}
-	}
-	if retryBackoff(CellPolicy{Retries: 3}, 0, 2) != 0 {
-		t.Error("backoff fired with no BackoffBase configured")
-	}
-	// deriveSeed is the only randomness source backoff uses; pin its
-	// attempt schedule too, so seed derivation and backoff jitter cannot
-	// silently diverge.
-	wantSeeds := map[[2]int64]int64{
-		{1, 0}: 1, {1, 1}: -7995527694508729151, {1, 2}: -4689498862643123097, {1, 3}: -534904783426661026,
-		{42, 0}: 42, {42, 1}: -4767286540954276203, {42, 2}: 2949826092126892291, {42, 3}: 5139283748462763858,
-	}
-	for k, w := range wantSeeds {
-		if got := deriveSeed(k[0], int(k[1])); got != w {
-			t.Errorf("deriveSeed(%d, %d) = %d, want %d", k[0], k[1], got, w)
-		}
-	}
-}
-
-func TestBackoffNeverPerturbsAttemptSeedsOrResults(t *testing.T) {
-	// The same flaky cell supervised with and without backoff: every
-	// attempt must see the same derived seed and the rescued result must
-	// be identical — backoff schedules attempts in wall time only and
-	// never touches the seed stream.
-	run := func(pol CellPolicy) ([]int64, int64) {
-		prev := SetSweepPolicy(pol)
-		defer SetSweepPolicy(prev)
-		var seeds []int64
-		v, rerr := Supervise(0, func(c *Cell) int64 {
-			s := c.Seed(7)
-			seeds = append(seeds, s)
-			if c.Attempt() < 2 {
-				panic("flaky")
-			}
-			return s
-		})
-		if rerr != nil {
-			t.Fatalf("cell never recovered under %+v: %v", pol, rerr)
-		}
-		return seeds, v
-	}
-	plainSeeds, plainV := run(CellPolicy{Retries: 2})
-	backoffSeeds, backoffV := run(CellPolicy{Retries: 2, BackoffBase: time.Millisecond})
-	if len(plainSeeds) != 3 || len(backoffSeeds) != 3 {
-		t.Fatalf("attempts = %d / %d, want 3 / 3", len(plainSeeds), len(backoffSeeds))
-	}
-	for i := range plainSeeds {
-		if plainSeeds[i] != backoffSeeds[i] {
-			t.Fatalf("attempt %d seed differs under backoff: %d vs %d", i, plainSeeds[i], backoffSeeds[i])
-		}
-	}
-	if plainSeeds[0] != 7 {
-		t.Fatalf("attempt 0 seed = %d, want the base seed unchanged", plainSeeds[0])
-	}
-	if plainV != backoffV {
-		t.Fatalf("results differ under backoff: %d vs %d", plainV, backoffV)
-	}
-}
-
-func TestBackoffAttemptZeroBitIdentical(t *testing.T) {
-	// A real scenario run under an aggressive backoff policy must
-	// produce the identical event-stream digest as one supervised with
-	// no retries at all: attempt 0 never waits and never rederives its
-	// seed, so first-run behavior is bit-identical whatever the policy.
-	digest := func(pol CellPolicy) uint64 {
-		prev := SetSweepPolicy(pol)
-		defer SetSweepPolicy(prev)
-		sink := &recordingSink{}
-		prevSink := SetSweepProgress(sink)
-		defer SetSweepProgress(prevSink)
-		_, rerr := Supervise(0, func(c *Cell) int {
-			runCellScenario(c, 11)
-			return 1
-		})
-		if rerr != nil {
-			t.Fatalf("scenario cell failed under %+v: %v", pol, rerr)
-		}
-		if len(sink.stats) != 1 {
-			t.Fatalf("got %d CellStats, want 1", len(sink.stats))
-		}
-		return sink.stats[0].Digest
-	}
-	plain := digest(CellPolicy{Retries: 0})
-	backoff := digest(CellPolicy{Retries: 3, BackoffBase: time.Hour})
-	if plain != backoff {
-		t.Fatalf("attempt-0 digest %016x differs from no-retry policy's %016x", backoff, plain)
-	}
-}
-
-func TestCircuitBreakerStopsRepeatedDegradation(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(1) // serialize the pool: breaker counts are per completed cell
-	defer runtime.GOMAXPROCS(prevProcs)
-	withPolicy(t, CellPolicy{Retries: 0, BreakerThreshold: 2})
-
-	var ran atomic.Int64
-	supervisedMapMeta(5,
-		func(i int) cellMeta { return cellMeta{kind: "bad|pair"} },
-		func(c *Cell) int {
-			ran.Add(1)
-			panic("always fails")
-		})
-	if ran.Load() != 2 {
-		t.Fatalf("breaker let %d cells run, want 2 (the threshold)", ran.Load())
-	}
-	errs := SweepErrors()
-	if len(errs) != 5 {
-		t.Fatalf("recorded %d errors, want 5 (2 degraded + 3 skipped)", len(errs))
-	}
-	for i, e := range errs {
-		wantOpen := i >= 2
-		if e.BreakerOpen != wantOpen {
-			t.Fatalf("error %d: BreakerOpen = %v, want %v (%v)", i, e.BreakerOpen, wantOpen, e)
-		}
-		if wantOpen && e.Kind != "bad|pair" {
-			t.Fatalf("skip error carries kind %q, want the pair name", e.Kind)
-		}
-	}
-	ResetSweepErrors()
-
-	// A success closes the breaker: alternating outcomes never trip it.
-	ran.Store(0)
-	supervisedMapMeta(6,
-		func(i int) cellMeta { return cellMeta{kind: "flappy"} },
-		func(c *Cell) int {
-			ran.Add(1)
-			if c.Index()%2 == 0 {
-				panic("even cells fail")
-			}
-			return c.Index()
-		})
-	if ran.Load() != 6 {
-		t.Fatalf("alternating sweep ran %d cells, want all 6", ran.Load())
-	}
-	ResetSweepErrors()
 }
 
 func TestRequestStopSkipsRemainingCells(t *testing.T) {

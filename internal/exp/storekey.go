@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"reflect"
 	"strings"
-	"sync"
 
 	"slowcc/internal/obs"
 	"slowcc/internal/store"
@@ -21,8 +20,7 @@ import (
 // synthetic "cached" event instead of computing — and commit their
 // result + telemetry after running, so a killed sweep resumes by
 // recomputing only the cells the journal does not hold. It also owns
-// the graceful-stop flag and the per-kind circuit breaker, the two
-// other ways a sweep declines to run a cell.
+// the graceful-stop flag, the other way a sweep declines to run a cell.
 
 // SetSweepStore installs the durable result store supervised sweeps
 // commit finished cells into, or nil to remove it. With replay true,
@@ -83,56 +81,11 @@ func StopRequested() bool { return stopRequested.Load() }
 // stop was requested.
 func StoppedCells() int64 { return supervision.stopped.Load() }
 
-// breaker is one sweep's per-kind circuit breaker (see
-// CellPolicy.BreakerThreshold): fails counts each kind's consecutive
-// degraded cells. Kinds name pairings inside one sweep, so the state
-// lives and dies with the supervisedMapMeta call that owns it.
-type breaker struct {
-	threshold int
-	mu        sync.Mutex
-	fails     map[string]int
-}
-
-func (b *breaker) armed(kind string) bool { return kind != "" && b.threshold > 0 }
-
-// open reports whether kind's breaker is open.
-func (b *breaker) open(kind string) bool {
-	if !b.armed(kind) {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fails[kind] >= b.threshold
-}
-
-// record feeds one finished cell into kind's breaker: a degradation
-// increments the consecutive count, a success closes it.
-func (b *breaker) record(kind string, degraded bool) {
-	if !b.armed(kind) {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if degraded {
-		b.fails[kind]++
-	} else {
-		delete(b.fails, kind)
-	}
-}
-
-// cellMeta keys one sweep cell: key is its deterministic store digest
-// ("" = unkeyed, never stored or replayed), kind groups cells for the
-// circuit breaker ("" = ungrouped).
-type cellMeta struct {
-	key  string
-	kind string
-}
-
-// scopeMeta derives per-cell store keys for a generic sweep from the
+// scopeKeys derives per-cell store keys for a generic sweep from the
 // installed scope, or nil when keying is off or T cannot round-trip
 // JSON losslessly (a lossy type must never be replayed — artifacts
 // rebuilt from it would differ from a cold run's).
-func scopeMeta[T any](n int) func(int) cellMeta {
+func scopeKeys[T any](n int) func(int) string {
 	var zero T
 	if !lossless(reflect.TypeOf(&zero).Elem(), map[reflect.Type]bool{}) {
 		return nil
@@ -141,40 +94,38 @@ func scopeMeta[T any](n int) func(int) cellMeta {
 	if scope == "" {
 		return nil
 	}
-	return func(i int) cellMeta {
+	return func(i int) string {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%s|%s|call=%d|type=%T|n=%d|cell=%d",
 			store.Schema, scope, seq, zero, n, i))
-		return cellMeta{key: hex.EncodeToString(sum[:])}
+		return hex.EncodeToString(sum[:])
 	}
 }
 
-// supervisedMapMeta is supervisedMap with per-cell store keys and
-// breaker kinds. For each index, in order: a requested stop skips the
-// cell; a replay-mode store hit decodes the stored result, replays its
-// telemetry, and emits queued+cached events; an open breaker skips the
-// cell with a BreakerOpen RunError; otherwise the cell runs under
-// superviseCell and its outcome — success or degraded marker — is
-// committed durably before the sweep moves on.
-func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell) T) []T {
+// supervisedMapKeyed is supervisedMap with per-cell store keys (nil key,
+// or a "" key, leaves a cell unkeyed: never stored or replayed). For
+// each index, in order: a requested stop skips the cell; a replay-mode
+// store hit decodes the stored result, replays its telemetry, and emits
+// queued+cached events; otherwise the cell runs under superviseCell and
+// its outcome — success or degraded marker — is committed durably
+// before the sweep moves on.
+func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T) []T {
 	env := currentEnv()
 	st := env.store
-	brk := breaker{threshold: env.pol.BreakerThreshold, fails: map[string]int{}}
 	type res struct {
 		v    T
 		rerr *RunError
 	}
 	cells := parallelMapIndexed(n, func(worker, i int) res {
-		var m cellMeta
-		if meta != nil {
-			m = meta(i)
-		}
 		if stopRequested.Load() {
 			supervision.stopped.Add(1)
-			var zero T
-			return res{zero, nil}
+			return res{}
 		}
-		if st != nil && env.replay && m.key != "" {
-			if e, ok := st.Get(m.key); ok {
+		k := ""
+		if key != nil {
+			k = key(i)
+		}
+		if st != nil && env.replay && k != "" {
+			if e, ok := st.Get(k); ok {
 				if v, ok := decodeStored[T](e); ok && replayCached(&env, i, worker, e) {
 					return res{v, nil}
 				}
@@ -183,14 +134,9 @@ func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell)
 				st.CountCorrupt()
 			}
 		}
-		if brk.open(m.kind) {
-			var zero T
-			return res{zero, &RunError{Index: i, BreakerOpen: true, Kind: m.kind}}
-		}
 		v, stats, attempts, rerr := superviseCell(&env, i, worker, fn)
-		brk.record(m.kind, rerr != nil)
-		if st != nil && m.key != "" {
-			commitCell(&env, m.key, i, attempts, v, stats, rerr)
+		if st != nil && k != "" {
+			commitCell(&env, k, i, attempts, v, stats, rerr)
 		}
 		return res{v, rerr}
 	})
@@ -209,50 +155,34 @@ func supervisedMapMeta[T any](n int, meta func(i int) cellMeta, fn func(c *Cell)
 // decodeStored unmarshals a stored cell result into T.
 func decodeStored[T any](e *store.Entry) (T, bool) {
 	var v T
-	if len(e.Result) == 0 {
-		return v, false
-	}
-	if err := json.Unmarshal(e.Result, &v); err != nil {
-		return v, false
-	}
-	return v, true
+	err := json.Unmarshal(e.Result, &v) // an empty result is an error too
+	return v, err == nil
 }
 
 // replayCached surfaces a store hit through the live-telemetry surface:
 // the recorded CellStats (re-indexed to this sweep) flow into the sink
-// exactly as a computed cell's would, and the cell's lifecycle on SSE
-// is queued → cached. The stored telemetry is decoded only when a sink
+// exactly as a computed cell's would, and the cell's lifecycle is
+// queued → cached. The stored telemetry is decoded only when a sink
 // is attached; false means it did not decode and nothing was emitted,
 // so the caller recomputes the cell instead of accepting the hit.
 func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
-	tl, sink, logger, t0 := env.timeline, env.sink, env.logger, env.sweepT0
 	var stats *obs.CellStats
-	if sink != nil {
+	if env.sink != nil {
 		var err error
 		if stats, err = e.CellStats(); err != nil {
 			return false
 		}
 	}
-	if tl != nil {
-		tl.ProcessName(sweepWorkersPid, "sweep workers")
-		tl.ThreadName(sweepWorkersPid, worker, fmt.Sprintf("worker %d", worker))
-		tl.Instant("cached", fmt.Sprintf("cell %d cached", index), sweepWorkersPid, worker,
-			sweepSince(t0), map[string]any{"index": index, "key": e.Key})
-	}
-	if logger != nil {
-		logger.LogAttrs(context.Background(), slog.LevelInfo, "sweep cell cached",
-			slog.Int("cell", index), slog.Int("worker", worker), slog.String("key", e.Key))
-	}
-	if sink == nil {
+	if !env.telling() {
 		return true
 	}
-	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(t0)})
+	now := env.queued(index, worker)
 	if stats != nil {
 		stats.Cell = index
-		sink.CellStats(*stats)
+		env.sink.CellStats(*stats)
 	}
-	sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
-		Outcome: "cached", AtMS: msSince(t0)})
+	env.emit(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
+		Outcome: "cached", Key: e.Key}, now)
 	return true
 }
 

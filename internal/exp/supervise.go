@@ -34,48 +34,6 @@ type CellPolicy struct {
 	// Budget via SetRunBudget so runaways actually stop) and the cell
 	// reports a deadline RunError.
 	Deadline time.Duration
-	// BackoffBase, when positive, makes each retry attempt wait before
-	// starting: attempt a (a >= 1) sleeps min(BackoffBase << (a-1),
-	// DefaultBackoffMax) plus a deterministic spread derived from the
-	// cell index and attempt number via the same SplitMix64 round as
-	// deriveSeed.
-	// The wait is pure wall-clock scheduling — it never draws from any
-	// RNG the simulation uses, so enabling backoff cannot perturb the
-	// traffic stream, and attempt 0 (which never waits) stays
-	// bit-identical.
-	BackoffBase time.Duration
-	// BreakerThreshold, when positive, arms a per-cell-kind circuit
-	// breaker: after this many consecutive degraded cells of the same
-	// kind (the matrix driver's kind is the algorithm pair), further
-	// cells of that kind are skipped — recorded as BreakerOpen RunErrors
-	// and reported, not run — so a systematically failing pairing stops
-	// burning deadline budget. A success of the kind closes the breaker.
-	// Skipped cells are absent from the result store, so a later -resume
-	// run retries them.
-	BreakerThreshold int
-}
-
-// DefaultBackoffMax bounds exponential retry backoff.
-const DefaultBackoffMax = 30 * time.Second
-
-// retryBackoff returns the deterministic wait before attempt a of the
-// given cell: exponential in the attempt number, capped, with a spread
-// from SplitMix64 so simultaneous retries of different cells spread out
-// identically on every run. Attempt 0 never waits.
-func retryBackoff(pol CellPolicy, index, attempt int) time.Duration {
-	if pol.BackoffBase <= 0 || attempt <= 0 {
-		return 0
-	}
-	d := pol.BackoffBase
-	for i := 1; i < attempt && d < DefaultBackoffMax; i++ {
-		d *= 2
-	}
-	d = min(d, DefaultBackoffMax)
-	// Spread in [0, d/4]: derived, not drawn — the schedule is a pure
-	// function of (index, attempt).
-	span := uint64(d/4) + 1
-	j := time.Duration(uint64(deriveSeed(int64(index), attempt)) % span)
-	return d + j
 }
 
 // RunError describes one degraded sweep cell: every attempt panicked or
@@ -98,19 +56,10 @@ type RunError struct {
 	// halt, "; "-joined, so a multi-engine cell's degraded report names
 	// each leg's reason instead of only the first.
 	Halt string
-	// BreakerOpen reports that the cell was never run: its kind's
-	// circuit breaker was open after consecutive degradations.
-	BreakerOpen bool
-	// Kind is the cell-kind label the breaker grouped by (the matrix
-	// driver's algorithm pair), set on BreakerOpen errors.
-	Kind string
 }
 
 // Error implements error.
 func (e *RunError) Error() string {
-	if e.BreakerOpen {
-		return fmt.Sprintf("exp: sweep cell %d skipped: circuit breaker open for kind %q after consecutive degradations", e.Index, e.Kind)
-	}
 	var s string
 	if e.Deadline {
 		s = fmt.Sprintf("exp: sweep cell %d exceeded its deadline after %d attempts", e.Index, e.Attempts)
@@ -196,7 +145,7 @@ func deriveSeed(seed int64, attempt int) int64 {
 
 // sweepEnv holds a sweep's settings, constant while it runs: the Set*
 // functions below write the package's copy, and a sweep —
-// supervisedMapMeta, Supervise, or a scenario built outside any cell —
+// supervisedMapKeyed, Supervise, or a scenario built outside any cell —
 // copies it once under one lock (currentEnv) and hands the copy to every
 // cell. So a Set* call made while a sweep is running applies from the
 // next sweep; no caller does that (slowccsim sets everything before its
@@ -208,8 +157,11 @@ type sweepEnv struct {
 	timeline *obs.Timeline
 	sink     obs.SweepSink
 	logger   *slog.Logger
-	// sweepT0 is the wall-clock origin of timeline and progress stamps.
-	sweepT0 time.Time
+	// sweepT0 is the wall-clock origin of every event's AtMS: when the
+	// package loaded or the timeline was last set. sweepStart, stamped by
+	// currentEnv when anything renders events, is when this sweep began:
+	// a queued cell's wait is measured from it.
+	sweepT0, sweepStart time.Time
 	// store is the durable result store keyed sweeps consult and feed
 	// (SetSweepStore); replay additionally serves hits from it.
 	store  *store.Store
@@ -243,13 +195,18 @@ var supervision = struct {
 	auditTotal int64
 	violations []invariant.Violation
 	flightSeq  atomic.Int64
-}{env: sweepEnv{pol: CellPolicy{Retries: 1}}}
+}{env: sweepEnv{pol: CellPolicy{Retries: 1}, sweepT0: time.Now()}}
 
-// currentEnv snapshots the settings for one sweep.
+// currentEnv snapshots the settings for one sweep, and stamps its start
+// when the sweep will publish events.
 func currentEnv() sweepEnv {
 	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return supervision.env
+	env := supervision.env
+	supervision.mu.Unlock()
+	if env.telling() {
+		env.sweepStart = time.Now()
+	}
+	return env
 }
 
 // setEnv applies one Set* call to the package's settings.
@@ -305,14 +262,12 @@ func SetFaultConfig(fc *faults.Config) (prev *faults.Config) {
 	return prev
 }
 
-// SetSweepTimeline installs a timeline that supervised sweeps emit
-// per-cell telemetry spans into — queued time, one span per attempt
-// (running or retry), and a degraded instant when a cell exhausts its
-// attempts — or nil to remove it. Timestamps are wall-clock
-// microseconds since this call, and each running span lands on the
-// lane of the worker goroutine that executed it, so a sweep becomes
-// one inspectable trace alongside any packet journeys. Returns the
-// previous timeline.
+// SetSweepTimeline installs a timeline that supervised sweeps draw
+// their cell transitions on (obs.Timeline.SweepEvent): a queued span
+// per cell from its sweep's start, one span per attempt on the lane of
+// the worker goroutine that ran it, and a degraded or cached instant —
+// or nil to remove it. Timestamps are wall-clock microseconds since
+// this call. Returns the previous timeline.
 func SetSweepTimeline(tl *obs.Timeline) (prev *obs.Timeline) {
 	setEnv(func(env *sweepEnv) {
 		prev, env.timeline = env.timeline, tl
@@ -322,26 +277,20 @@ func SetSweepTimeline(tl *obs.Timeline) (prev *obs.Timeline) {
 }
 
 // SetSweepProgress installs a live progress sink (export.Progress, or
-// anything else implementing obs.SweepSink): supervised sweeps emit one
-// SweepEvent per cell transition — the SSE mirror of the timeline spans
-// — and, for every successfully finished cell, an obs.CellStats
-// snapshot of the counters, histograms, and stream digest of each
-// engine the cell constructed. Snapshots are taken on the worker
-// goroutine after the job returns, so the sink never observes a live
-// engine. nil removes the sink; returns the previous one.
+// anything else implementing obs.SweepSink): supervised sweeps send it
+// every cell transition and, for every successfully finished cell, an
+// obs.CellStats snapshot of the counters, histograms, and stream digest
+// of each engine the cell constructed. The sink is what switches that
+// harvest on; a timeline or a logger does not. Snapshots are taken on
+// the worker goroutine after the job returns, so the sink never observes
+// a live engine. nil removes the sink; returns the previous one.
 func SetSweepProgress(sink obs.SweepSink) (prev obs.SweepSink) {
-	setEnv(func(env *sweepEnv) {
-		prev, env.sink = env.sink, sink
-		if env.sweepT0.IsZero() {
-			env.sweepT0 = time.Now()
-		}
-	})
+	setEnv(func(env *sweepEnv) { prev, env.sink = env.sink, sink })
 	return prev
 }
 
 // SetSweepLogger installs a structured logger for supervised cells: one
-// record per attempt (cell, attempt, worker, outcome, duration, halt
-// reason) at Info, degraded cells at Warn. Callers attach run-scoped
+// record per cell transition (logSweepEvent). Callers attach run-scoped
 // attributes — slowccsim adds the run-manifest digest via
 // logger.With("run", digest) — so every record of a sweep carries its
 // provenance. nil removes the logger; returns the previous one.
@@ -350,19 +299,63 @@ func SetSweepLogger(l *slog.Logger) (prev *slog.Logger) {
 	return prev
 }
 
-// Sweep-telemetry lane layout. Workers share the sweep process (pid
-// sweepWorkersPid, one thread per worker goroutine); queued spans get
-// one row per cell in their own process so overlapping waits stay
-// readable. Journey exports start at pid 1 and count up by hop, so the
-// queue lane sits far above any plausible hop count.
-const (
-	sweepWorkersPid = 0
-	sweepQueuePid   = 1000
-)
+// telling reports whether anything renders the sweep's cell
+// transitions. When nothing does, the supervisor reads no clock and
+// builds no event.
+func (env *sweepEnv) telling() bool {
+	return env.sink != nil || env.timeline != nil || env.logger != nil
+}
 
-// sweepSince converts a wall-clock instant into timeline microseconds.
-func sweepSince(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Microsecond)
+// emit publishes one cell transition, stamped now, to each renderer
+// installed: the progress sink, the timeline and the logger.
+func (env *sweepEnv) emit(ev obs.SweepEvent, now time.Time) {
+	ev.AtMS = ms(now.Sub(env.sweepT0))
+	if env.sink != nil {
+		env.sink.SweepEvent(ev)
+	}
+	if env.timeline != nil {
+		env.timeline.SweepEvent(ev)
+	}
+	if env.logger != nil {
+		logSweepEvent(env.logger, ev)
+	}
+}
+
+// queued publishes that a worker picked the cell up, and returns when.
+func (env *sweepEnv) queued(index, worker int) time.Time {
+	now := time.Now()
+	env.emit(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker,
+		WaitMS: ms(now.Sub(env.sweepStart))}, now)
+	return now
+}
+
+// ms converts a wall-clock interval into event milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// logSweepEvent is the slog rendering of one cell transition: queued
+// and running at Debug, degraded at Warn, the rest at Info.
+func logSweepEvent(l *slog.Logger, ev obs.SweepEvent) {
+	level := slog.LevelInfo
+	switch ev.Kind {
+	case obs.SweepQueued, obs.SweepRunning:
+		level = slog.LevelDebug
+	case obs.SweepDegraded:
+		level = slog.LevelWarn
+	}
+	ctx := context.Background()
+	if !l.Enabled(ctx, level) {
+		return
+	}
+	attrs := []slog.Attr{slog.Int("cell", ev.Cell), slog.Int("attempt", ev.Attempt), slog.Int("worker", ev.Worker)}
+	for _, a := range [...]struct{ k, v string }{{"outcome", ev.Outcome}, {"halt", ev.Halt}, {"key", ev.Key}} {
+		if a.v != "" {
+			attrs = append(attrs, slog.String(a.k, a.v))
+		}
+	}
+	if ev.DurMS > 0 {
+		attrs = append(attrs, slog.Float64("dur_ms", ev.DurMS))
+	}
+	l.LogAttrs(ctx, level, "sweep cell "+string(ev.Kind), attrs...)
 }
 
 // Supervise runs job as one supervised sweep cell under the current
@@ -379,73 +372,35 @@ func Supervise[T any](index int, job func(c *Cell) T) (T, *RunError) {
 
 // superviseCell runs one cell to completion. On success it additionally
 // returns the cell's telemetry snapshot and the number of attempts
-// spent, which the keyed sweep path commits to the result store.
+// spent, which the keyed sweep path commits to the result store. Each
+// transition is published once (sweepEnv.emit): queued and running, then
+// per attempt a retry, the done, or the degraded event that ends it.
 func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T) (T, obs.CellStats, int, *RunError) {
-	pol := env.pol
-	attempts := pol.Retries + 1
-	if attempts < 1 {
-		attempts = 1
+	attempts := max(env.pol.Retries+1, 1)
+	tell := env.telling()
+	var t0 time.Time // when the current attempt started
+	if tell {
+		t0 = env.queued(index, worker)
+		env.emit(obs.SweepEvent{Kind: obs.SweepRunning, Cell: index, Worker: worker}, t0)
 	}
-	tl, sink, logger, t0 := env.timeline, env.sink, env.logger, env.sweepT0
-	if tl != nil {
-		// The cell waited in the feed queue from sweep start until this
-		// worker picked it up; give that wait its own row so slow-to-start
-		// cells are visible at a glance.
-		wait := sweepSince(t0)
-		tl.ProcessName(sweepQueuePid, "sweep queue")
-		tl.ThreadName(sweepQueuePid, index, fmt.Sprintf("cell %d", index))
-		tl.Span("queued", fmt.Sprintf("cell %d queued", index), sweepQueuePid, index, 0, wait, nil)
-		tl.ProcessName(sweepWorkersPid, "sweep workers")
-		tl.ThreadName(sweepWorkersPid, worker, fmt.Sprintf("worker %d", worker))
+	// ended publishes the transition that ends attempt a's predecessor
+	// (retry) or attempt a itself (done, degraded).
+	ended := func(kind obs.SweepEventKind, a int, outcome, halt string) {
+		now := time.Now()
+		env.emit(obs.SweepEvent{Kind: kind, Cell: index, Attempt: a, Worker: worker,
+			Outcome: outcome, Halt: halt, DurMS: ms(now.Sub(t0))}, now)
+		t0 = now
 	}
-	if sink != nil {
-		sink.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker, AtMS: msSince(t0)})
-	}
-	var last *RunError
-	for a := 0; a < attempts; a++ {
-		if wait := retryBackoff(pol, index, a); wait > 0 {
-			// Virtual attempt scheduling only: the wait happens on this
-			// worker's wall clock, outside any engine, so the retry's
-			// derived-seed run is bit-identical with or without backoff.
-			time.Sleep(wait)
-		}
-		start := 0.0
-		if tl != nil {
-			start = sweepSince(t0)
-		}
-		if sink != nil {
-			kind := obs.SweepRunning
-			if a > 0 {
-				kind = obs.SweepRetry
-			}
-			sink.SweepEvent(obs.SweepEvent{Kind: kind, Cell: index, Attempt: a, Worker: worker, AtMS: msSince(t0)})
-		}
-		wall0 := time.Now()
+	for a := 0; ; a++ {
 		v, cell, rerr := runAttempt(env, index, a, job)
-		dur := time.Since(wall0)
-		if tl != nil {
-			cat, name := "running", fmt.Sprintf("cell %d", index)
-			if a > 0 {
-				cat, name = "retry", fmt.Sprintf("cell %d retry %d", index, a)
-			}
-			args := map[string]any{"index": index, "attempt": a, "outcome": attemptOutcome(rerr)}
-			tl.Span(cat, name, sweepWorkersPid, worker, start, sweepSince(t0)-start, args)
-		}
 		if rerr == nil {
 			st := cellStats(index, cell)
 			cell.release()
-			if logger != nil {
-				logger.LogAttrs(context.Background(), slog.LevelInfo, "sweep cell done",
-					slog.Int("cell", index), slog.Int("attempt", a), slog.Int("worker", worker),
-					slog.String("outcome", "ok"), slog.Duration("dur", dur), slog.String("halt", st.Halt))
+			if env.sink != nil {
+				env.sink.CellStats(st)
 			}
-			if sink != nil {
-				sink.CellStats(st)
-				sink.SweepEvent(obs.SweepEvent{
-					Kind: obs.SweepDone, Cell: index, Attempt: a, Worker: worker,
-					Outcome: "ok", Halt: st.Halt,
-					AtMS: msSince(t0), DurMS: float64(dur) / float64(time.Millisecond),
-				})
+			if tell {
+				ended(obs.SweepDone, a, "ok", st.Halt)
 			}
 			return v, st, a + 1, nil
 		}
@@ -455,36 +410,18 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 			// safely harvestable into the degraded report.
 			rerr.Halt = strings.Join(cellStats(index, cell).Halts, "; ")
 		}
-		if logger != nil {
-			logger.LogAttrs(context.Background(), slog.LevelInfo, "sweep cell attempt failed",
-				slog.Int("cell", index), slog.Int("attempt", a), slog.Int("worker", worker),
-				slog.String("outcome", attemptOutcome(rerr)), slog.Duration("dur", dur))
+		if a+1 == attempts {
+			rerr.Attempts = attempts
+			if tell {
+				ended(obs.SweepDegraded, a, attemptOutcome(rerr), "")
+			}
+			var zero T
+			return zero, obs.CellStats{}, attempts, rerr
 		}
-		last = rerr
+		if tell {
+			ended(obs.SweepRetry, a+1, attemptOutcome(rerr), "")
+		}
 	}
-	last.Attempts = attempts
-	if tl != nil {
-		tl.Instant("degraded", fmt.Sprintf("cell %d degraded", index), sweepWorkersPid, worker, sweepSince(t0),
-			map[string]any{"index": index, "attempts": attempts})
-	}
-	if logger != nil {
-		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell degraded",
-			slog.Int("cell", index), slog.Int("attempts", attempts), slog.Int("worker", worker),
-			slog.String("outcome", attemptOutcome(last)))
-	}
-	if sink != nil {
-		sink.SweepEvent(obs.SweepEvent{
-			Kind: obs.SweepDegraded, Cell: index, Attempt: attempts - 1, Worker: worker,
-			Outcome: attemptOutcome(last), AtMS: msSince(t0),
-		})
-	}
-	var zero T
-	return zero, obs.CellStats{}, attempts, last
-}
-
-// msSince converts a wall-clock instant into milliseconds-ago.
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Millisecond)
 }
 
 // cellStats snapshots a finished cell's telemetry: summed counters,
@@ -520,16 +457,12 @@ func cellStats(index int, c *Cell) obs.CellStats {
 	return st
 }
 
-// attemptOutcome labels a finished attempt for timeline args.
+// attemptOutcome labels a failed attempt's events.
 func attemptOutcome(rerr *RunError) string {
-	switch {
-	case rerr == nil:
-		return "ok"
-	case rerr.Deadline:
+	if rerr.Deadline {
 		return "deadline"
-	default:
-		return "panic"
 	}
+	return "panic"
 }
 
 // runAttempt executes one attempt with panic recovery; with a deadline
@@ -601,5 +534,5 @@ const deadlineGrace = 250 * time.Millisecond
 // type round-trips JSON losslessly), cells are additionally keyed into
 // the store — see storekey.go.
 func supervisedMap[T any](n int, fn func(c *Cell) T) []T {
-	return supervisedMapMeta(n, scopeMeta[T](n), fn)
+	return supervisedMapKeyed(n, scopeKeys[T](n), fn)
 }

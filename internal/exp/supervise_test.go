@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -129,6 +131,17 @@ func TestDeriveSeed(t *testing.T) {
 	// Nearby base seeds must not collide either.
 	if deriveSeed(1, 1) == deriveSeed(2, 1) {
 		t.Fatal("adjacent seeds derive identically")
+	}
+	// The schedule is part of the reproducibility contract: a retried
+	// cell's result depends on it, and stored results are keyed without it.
+	want := map[[2]int64]int64{
+		{1, 0}: 1, {1, 1}: -7995527694508729151, {1, 2}: -4689498862643123097, {1, 3}: -534904783426661026,
+		{42, 0}: 42, {42, 1}: -4767286540954276203, {42, 2}: 2949826092126892291, {42, 3}: 5139283748462763858,
+	}
+	for k, w := range want {
+		if got := deriveSeed(k[0], int(k[1])); got != w {
+			t.Errorf("deriveSeed(%d, %d) = %d, want %d", k[0], k[1], got, w)
+		}
 	}
 }
 
@@ -282,6 +295,51 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 	for _, want := range wants {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %s:\n%s", want, out)
+		}
+	}
+}
+
+// Back-to-back sweeps share one timeline, as slowccsim -exp all's do:
+// each queued span starts at its own sweep's start, so no wait of the
+// second sweep reaches back into the first.
+func TestSweepTimelineQueuedSpansStartAtTheirSweep(t *testing.T) {
+	withPolicy(t, CellPolicy{Retries: 0})
+	tl := obs.NewTimeline()
+	prev := SetSweepTimeline(tl)
+	defer SetSweepTimeline(prev)
+	spans := func(cat string) []obs.TraceEvent {
+		var buf bytes.Buffer
+		if err := tl.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ TraceEvents []obs.TraceEvent }
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		var out []obs.TraceEvent
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "X" && ev.Cat == cat {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+
+	const n = 4
+	cell := func(c *Cell) int { time.Sleep(2 * time.Millisecond); return c.Index() }
+	supervisedMap(n, cell)
+	firstEnd := 0.0
+	for _, sp := range spans("running") {
+		firstEnd = max(firstEnd, sp.Ts+sp.Dur)
+	}
+	supervisedMap(n, cell)
+	queued := spans("queued")
+	if len(queued) != 2*n {
+		t.Fatalf("%d queued spans, want %d", len(queued), 2*n)
+	}
+	for _, sp := range queued[n:] {
+		if sp.Ts < firstEnd {
+			t.Fatalf("second sweep's %q starts at %.0f µs, before the first sweep ended at %.0f µs", sp.Name, sp.Ts, firstEnd)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package netem
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
+
+	"slowcc/internal/sim"
 )
 
 // PacketPool recycles Packet (and TFRCFeedback) objects so the
@@ -56,7 +56,7 @@ type PacketPool struct {
 // one.
 func NewPacketPool() *PacketPool {
 	pp := &PacketPool{}
-	if stocked.Load() {
+	if sim.Stocked() {
 		if l, _ := releasedPools.Get().(*freeLists); l != nil {
 			pp.free, pp.freeFB = l.free, l.freeFB
 		}
@@ -88,24 +88,8 @@ func (pp *PacketPool) Release() {
 	}
 	releasedPools.Put(&freeLists{free: pp.free, freeFB: pp.freeFB})
 	pp.free, pp.freeFB = nil, nil
-	markStocked()
+	sim.MarkStocked()
 }
-
-// stocked says whether a release may have parked anything in this
-// package's pools since the last collection, so that a program that
-// never releases never touches them (see package sim's flag of the same
-// name).
-var stocked atomic.Bool
-
-func markStocked() {
-	if !stocked.Swap(true) {
-		runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { stocked.Store(false) })
-	}
-}
-
-// gcSentinel holds a pointer so that it is not served by the tiny
-// allocator, whose objects may never be finalized.
-type gcSentinel struct{ _ *int }
 
 // Get returns a zeroed packet, reusing a released one when available.
 func (pp *PacketPool) Get() *Packet {

@@ -55,7 +55,7 @@ func (f *fifo) release() {
 	if c := sizeClass(len(f.buf)); c >= 0 {
 		clear(f.buf)
 		parked[c].Put(f.buf)
-		markStocked()
+		sim.MarkStocked()
 	}
 	*f = fifo{}
 }
@@ -86,7 +86,7 @@ func (f *fifo) pop() *Packet {
 func (f *fifo) grow() {
 	need := max(2*len(f.buf), fifoMin)
 	var nb []*Packet
-	if stocked.Load() {
+	if sim.Stocked() {
 		for c := sizeClass(need); c >= 0 && c < len(parked) && nb == nil; c++ {
 			nb, _ = parked[c].Get().([]*Packet)
 		}

@@ -525,3 +525,27 @@ func TestConcurrentScrapeWhileSweeping(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// An oversized header block is refused before any handler runs: a
+// client cannot make the server buffer an unbounded request head.
+func TestServerRefusesOversizedHeaders(t *testing.T) {
+	srv := export.NewServer(export.NewCollector(), nil)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("a", 64<<10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("64 KiB header: status %d, want 431", resp.StatusCode)
+	}
+}

@@ -36,8 +36,7 @@ type Health struct {
 //	                ?replay=close dumps buffered events and closes (CI)
 //	/debug/pprof/*  the standard profile handlers
 //
-// It is embeddable: Handler() for callers with their own mux (the
-// slowccd service), Start/Close for the slowccsim -serve path.
+// Start/Close serve it for the slowccsim -serve path.
 type Server struct {
 	C *Collector
 	P *Progress
@@ -63,8 +62,13 @@ func NewServer(c *Collector, p *Progress) *Server {
 	return s
 }
 
-// Handler returns the server's mux for embedding under another server.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Request limits: a client gets readHeaderTimeout to send its request
+// line and headers, and a header block over maxHeaderBytes is refused
+// with 431 before any handler runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
 
 // Start listens on addr (":0" picks a free port) and serves in the
 // background, returning the bound address.
@@ -74,7 +78,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.hs = &http.Server{Handler: s.mux}
+	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
 	go s.hs.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return ln.Addr().String(), nil
 }

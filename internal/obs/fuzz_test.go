@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -45,6 +47,74 @@ func FuzzReadManifest(f *testing.F) {
 		}
 		if again := back.Encode(); !bytes.Equal(again, sealed) || back.Digest != m.Digest {
 			t.Fatalf("Encode does not read back equal:\n%s\nvs\n%s", sealed, again)
+		}
+	})
+}
+
+// FuzzValidateTimeline feeds arbitrary bytes to the timeline reader
+// behind slowccreport -timeline. It must not panic, must allocate no more
+// than a fixed allowance plus a multiple of the input, and a document it
+// accepts must survive being written again: its events, decoded and
+// written through a Timeline, validate to the same count.
+func FuzzValidateTimeline(f *testing.F) {
+	// A sweep as the supervisor publishes it: one cell done, one poisoned
+	// cell retried and degraded, one served from the store.
+	sweep := NewTimeline()
+	for _, ev := range []SweepEvent{
+		{Kind: SweepQueued, Cell: 0, AtMS: 1, WaitMS: 1},
+		{Kind: SweepRunning, Cell: 0, AtMS: 1},
+		{Kind: SweepDone, Cell: 0, Outcome: "ok", AtMS: 3, DurMS: 2},
+		{Kind: SweepQueued, Cell: 1, Worker: 1, AtMS: 1.5, WaitMS: 1.5},
+		{Kind: SweepRunning, Cell: 1, Worker: 1, AtMS: 1.5},
+		{Kind: SweepRetry, Cell: 1, Attempt: 1, Worker: 1, Outcome: "panic", AtMS: 2, DurMS: 0.5},
+		{Kind: SweepDegraded, Cell: 1, Attempt: 1, Worker: 1, Outcome: "deadline", AtMS: 2.5, DurMS: 0.5},
+		{Kind: SweepQueued, Cell: 2, AtMS: 3, WaitMS: 3},
+		{Kind: SweepCached, Cell: 2, Outcome: "cached", Key: "6a7af80a", AtMS: 3},
+	} {
+		sweep.SweepEvent(ev)
+	}
+	var doc bytes.Buffer
+	if err := sweep.WriteJSON(&doc); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ValidateTimeline(doc.Bytes()); err != nil {
+		f.Fatalf("the sweep renderer's own timeline does not validate: %v", err)
+	}
+	f.Add(doc.Bytes())
+	// Written by slowcctrace -flow tcp:0.5 -dur 0.05 -rate 1e6 -journeys
+	// -timeline: one lane per hop, one row per flow.
+	journeys, err := os.ReadFile("testdata/journey_timeline.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(journeys)
+	f.Add([]byte("{}"))
+	f.Add([]byte("null"))
+
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		n, err := ValidateTimeline(doc)
+		runtime.ReadMemStats(&m1)
+		if limit := uint64(2<<20 + 64*len(doc)); m1.TotalAlloc-m0.TotalAlloc > limit {
+			t.Fatalf("ValidateTimeline allocated %d bytes for %d bytes of input", m1.TotalAlloc-m0.TotalAlloc, len(doc))
+		}
+		if err != nil {
+			return
+		}
+		var in struct{ TraceEvents []TraceEvent }
+		if err := json.Unmarshal(doc, &in); err != nil {
+			t.Fatalf("accepted a document its events do not decode from: %v", err)
+		}
+		tl := NewTimeline()
+		tl.events = in.TraceEvents
+		var out bytes.Buffer
+		if err := tl.WriteJSON(&out); err != nil {
+			t.Fatalf("accepted events do not write: %v", err)
+		}
+		again, err := ValidateTimeline(out.Bytes())
+		if err != nil || again != n {
+			t.Fatalf("rewritten timeline validates to %d events (%v), the original to %d:\n%s", again, err, n, out.Bytes())
 		}
 	})
 }

@@ -1,8 +1,12 @@
 package obs
 
-// SweepEventKind labels one per-cell supervision transition. The kinds
-// mirror the spans exp.SetSweepTimeline emits, so an SSE consumer and a
-// Perfetto trace of the same sweep tell the same story.
+import "fmt"
+
+// SweepEventKind labels one per-cell supervision transition. The
+// supervisor publishes each transition once; the progress sink, the
+// timeline (Timeline.SweepEvent) and the structured log all render the
+// same event, so an SSE consumer, a Perfetto trace and a log of the same
+// sweep tell the same story.
 type SweepEventKind string
 
 const (
@@ -29,15 +33,23 @@ type SweepEvent struct {
 	Cell    int            `json:"cell"`
 	Attempt int            `json:"attempt"`
 	Worker  int            `json:"worker"`
-	// Outcome is "ok", "deadline", or "panic"; set on done/degraded.
+	// Outcome is "ok", "deadline", "panic" or "cached". On done and
+	// degraded it is the finishing attempt's; on retry, the failed
+	// attempt's before it.
 	Outcome string `json:"outcome,omitempty"`
 	// Halt carries the engine's budget halt reason when a finished
 	// cell's run was stopped early (done events only).
 	Halt string `json:"halt,omitempty"`
-	// AtMS is wall-clock milliseconds since sweep telemetry was
-	// installed; DurMS is the finishing attempt's duration.
-	AtMS  float64 `json:"at_ms"`
-	DurMS float64 `json:"dur_ms,omitempty"`
+	// AtMS is wall-clock milliseconds since the sweep clock started
+	// (exp.SetSweepTimeline restarts it). DurMS is the wall time of the
+	// attempt the event ends (done, degraded, and retry for the attempt
+	// before it). WaitMS, on queued, is how long the cell waited since
+	// its own sweep started.
+	AtMS   float64 `json:"at_ms"`
+	DurMS  float64 `json:"dur_ms,omitempty"`
+	WaitMS float64 `json:"wait_ms,omitempty"`
+	// Key is a cached cell's store key.
+	Key string `json:"key,omitempty"`
 }
 
 // CellStats is the telemetry harvest of one successful sweep cell:
@@ -66,4 +78,58 @@ type CellStats struct {
 type SweepSink interface {
 	SweepEvent(SweepEvent)
 	CellStats(CellStats)
+}
+
+// Sweep-timeline lane layout. Workers share one process (pid
+// sweepWorkersPid, one thread per worker goroutine); queued spans get
+// one row per cell index in their own process so overlapping waits stay
+// readable. Journey exports start at pid 1 and count up by hop, so the
+// queue lane sits far above any plausible hop count.
+const (
+	sweepWorkersPid = 0
+	sweepQueuePid   = 1000
+)
+
+// SweepEvent draws one sweep-cell transition, from the event alone:
+//   - queued: the cell's wait, from its own sweep's start to the pickup,
+//     on the cell's row of the queue lane;
+//   - retry, done, degraded: the attempt that just ended, as a span on
+//     its worker's row — a retry event ends the attempt before it;
+//   - degraded also adds an instant, and cached is one.
+//
+// Running draws nothing: its span is drawn when the attempt ends.
+func (t *Timeline) SweepEvent(ev SweepEvent) {
+	at := ev.AtMS * 1000 // trace timestamps are µs
+	if ev.Kind == SweepQueued {
+		wait := ev.WaitMS * 1000
+		t.ProcessName(sweepQueuePid, "sweep queue")
+		t.ThreadName(sweepQueuePid, ev.Cell, fmt.Sprintf("cell %d", ev.Cell))
+		t.Span("queued", fmt.Sprintf("cell %d queued", ev.Cell), sweepQueuePid, ev.Cell, at-wait, wait, nil)
+		return
+	}
+	if ev.Kind == SweepRunning {
+		return
+	}
+	t.ProcessName(sweepWorkersPid, "sweep workers")
+	t.ThreadName(sweepWorkersPid, ev.Worker, fmt.Sprintf("worker %d", ev.Worker))
+	attempt := ev.Attempt
+	switch ev.Kind {
+	case SweepCached:
+		t.Instant("cached", fmt.Sprintf("cell %d cached", ev.Cell), sweepWorkersPid, ev.Worker, at,
+			map[string]any{"index": ev.Cell, "key": ev.Key})
+		return
+	case SweepRetry:
+		attempt--
+	}
+	cat, name := "running", fmt.Sprintf("cell %d", ev.Cell)
+	if attempt > 0 {
+		cat, name = "retry", fmt.Sprintf("cell %d retry %d", ev.Cell, attempt)
+	}
+	dur := ev.DurMS * 1000
+	t.Span(cat, name, sweepWorkersPid, ev.Worker, at-dur, dur,
+		map[string]any{"index": ev.Cell, "attempt": attempt, "outcome": ev.Outcome})
+	if ev.Kind == SweepDegraded {
+		t.Instant("degraded", fmt.Sprintf("cell %d degraded", ev.Cell), sweepWorkersPid, ev.Worker, at,
+			map[string]any{"index": ev.Cell, "attempts": attempt + 1})
+	}
 }

@@ -92,9 +92,6 @@ func (t *Timer) Stopped() bool { return t == nil || t.stopped }
 // never nil.
 func (t *Timer) Pending() bool { return t != nil && !t.stopped && t.index >= 0 }
 
-// When returns the simulated time the timer is (or was) scheduled to fire.
-func (t *Timer) When() Time { return t.at }
-
 // AuditHook observes scheduler operation for invariant checking (see
 // internal/invariant). Both methods are called synchronously on the
 // simulation goroutine; implementations must not mutate the engine.
@@ -194,7 +191,7 @@ func New(seed int64) *Engine {
 func NewWithQueue(seed int64, kind QueueKind) *Engine {
 	e := &Engine{seed: seed, probeAt: math.Inf(1)}
 	var old *calQueue
-	if stocked.Load() {
+	if Stocked() {
 		if sp, _ := released.Get().(*spares); sp != nil {
 			e.free, old = sp.free, sp.cq
 			for _, tm := range e.free {
@@ -220,14 +217,21 @@ type spares struct {
 // worker building its next cell usually gets back what its last one left.
 var released sync.Pool
 
-// stocked says whether a Release may have parked spares since the last
-// collection. A sync.Pool empties itself across collections, and its
-// first use after one allocates per-P storage, so a program that never
-// releases must not touch it: Release sets the flag and arms a sentinel
-// the next collection frees, whose finalizer clears it again.
+// stocked says whether a release may have parked free lists in a
+// sync.Pool since the last collection: an engine's spares here, a packet
+// pool's lists and queue buffers in netem, RED generators in topology.
+// A sync.Pool empties itself across collections, and its first use after
+// one allocates per-P storage, so a program that never releases must not
+// touch one: a release sets the flag and arms a sentinel the next
+// collection frees, whose finalizer clears it again.
 var stocked atomic.Bool
 
-func markStocked() {
+// Stocked reports whether a release may have parked free lists since the
+// last collection; a constructor consults its package's pool only then.
+func Stocked() bool { return stocked.Load() }
+
+// MarkStocked records that a release just parked free lists in a pool.
+func MarkStocked() {
 	if !stocked.Swap(true) {
 		runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { stocked.Store(false) })
 	}
@@ -251,7 +255,7 @@ func (e *Engine) Release() {
 	}
 	released.Put(&spares{free: e.free, cq: e.cq})
 	e.free, e.cq, e.events = nil, nil, nil
-	markStocked()
+	MarkStocked()
 }
 
 // HintTick sizes the calendar queue's buckets to the dominant event

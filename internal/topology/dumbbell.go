@@ -10,9 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
@@ -269,7 +267,7 @@ type lazySource struct {
 
 func (l *lazySource) source() rand.Source64 {
 	if l.src == nil {
-		if stocked.Load() {
+		if sim.Stocked() {
 			l.src, _ = generators.Get().(rand.Source64)
 		}
 		if l.src != nil {
@@ -286,27 +284,12 @@ func (l *lazySource) park() {
 	if l.src != nil {
 		generators.Put(l.src)
 		l.src = nil
-		markStocked()
+		sim.MarkStocked()
 	}
 }
 
 // generators holds the sources released nets' RED queues drew from.
 var generators sync.Pool
-
-// stocked says whether a release may have parked a generator since the
-// last collection, so that a program that never releases never touches
-// the pool (see package sim's flag of the same name).
-var stocked atomic.Bool
-
-func markStocked() {
-	if !stocked.Swap(true) {
-		runtime.SetFinalizer(&gcSentinel{}, func(*gcSentinel) { stocked.Store(false) })
-	}
-}
-
-// gcSentinel holds a pointer so that it is not served by the tiny
-// allocator, whose objects may never be finalized.
-type gcSentinel struct{ _ *int }
 
 func (l *lazySource) Int63() int64   { return l.source().Int63() }
 func (l *lazySource) Uint64() uint64 { return l.source().Uint64() }
