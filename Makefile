@@ -39,7 +39,8 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# fuzz-smoke gives each parser fuzz target, the result store's two
+# fuzz-smoke gives each parser fuzz target (fault specs, algorithm
+# specs and lists), the result store's two
 # on-disk readers, the trace and matrix TSV readers, the strict
 # exposition parser behind slowccreport -prom-verify, and the manifest
 # and timeline readers behind slowccreport a few seconds of
@@ -51,6 +52,7 @@ bench:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=2s ./internal/faults
 	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoSpec -fuzztime=2s ./internal/exp
+	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoList -fuzztime=2s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixTSV -fuzztime=2s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=2s ./internal/store
 	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=2s ./internal/trace

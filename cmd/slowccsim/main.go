@@ -20,9 +20,9 @@
 // stderr (and counted in the manifest) instead of killing the run.
 //
 // -timeline records sweep telemetry as Chrome trace-event JSON: every
-// supervised cell contributes a queued span from its sweep's start, one
-// running (or retry) span per attempt on the lane of the worker
-// goroutine that executed it, and a degraded or cached instant. Load
+// supervised cell contributes a queued span from its sweep's start, a
+// running span on the lane of the worker goroutine that executed it,
+// and a degraded or cached instant. Load
 // the file in Perfetto to see how a matrix run scheduled across workers:
 //
 //	slowccsim -exp matrix -timeline sweep.json
@@ -76,12 +76,11 @@ func run() int {
 		maxEvents    = flag.Int64("max-events", 0, "halt any single scenario after this many events (0 = unbounded)")
 		deadline     = flag.Duration("deadline", 0, "per-sweep-cell wall-clock deadline; a cell over it is degraded, not fatal (0 = none)")
 		faultSpec    = flag.String("fault", "", "fault spec injected at every scenario's bottleneck, e.g. 'down:25+5;corrupt:0.001' (see internal/faults)")
-		timeline     = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running/retry/degraded spans, one lane per worker) as trace-event JSON to this path")
+		timeline     = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running spans and degraded/cached instants, one lane per worker) as trace-event JSON to this path")
 		serve        = flag.String("serve", "", "serve live telemetry on this address (e.g. 127.0.0.1:9155): /metrics, /healthz, /progress SSE, /debug/pprof; blocks after the run until interrupted")
 		slogLevel    = flag.String("slog", "", "emit structured sweep logs to stderr at this level (debug, info, warn, error)")
 		storeDir     = flag.String("store", "", "durable result store directory: completed sweep cells are journaled here (crash-safe), and SIGINT/SIGTERM checkpoints and exits with code 3 so the run can be resumed")
 		resume       = flag.Bool("resume", false, "with -store: serve completed cells from the store instead of recomputing them (only missing or degraded cells run)")
-		retries      = flag.Int("retries", -1, "per-sweep-cell retry budget on derived seeds (-1 = keep the default of 1)")
 		matrixSpec   = flag.String("matrix", "", "matrix experiment: comma-separated algorithm specs key[:arg], e.g. 'tcp:0.5,tfrc:8,sqrt' (empty = the paper's seven); one of\n"+exp.AlgoSyntax())
 		topology     = flag.String("topology", "both", "matrix experiment: dumbbell, parking-lot[:hops], or both")
 		tsvPath      = flag.String("tsv", "", "matrix experiment: also write the deterministic TSV artifact to this file")
@@ -146,21 +145,8 @@ func run() int {
 	if *maxEvents > 0 || *deadline > 0 {
 		// A deadline abandons the cell's goroutine; the wall budget makes
 		// the abandoned run actually halt instead of spinning.
-		b := &sim.Budget{MaxEvents: uint64(*maxEvents)}
-		if *deadline > 0 {
-			b.MaxWall = *deadline
-		}
-		exp.SetRunBudget(b)
-	}
-	if *deadline > 0 || *retries >= 0 {
-		pol := exp.SweepPolicy()
-		if *deadline > 0 {
-			pol.Deadline = *deadline
-		}
-		if *retries >= 0 {
-			pol.Retries = *retries
-		}
-		exp.SetSweepPolicy(pol)
+		exp.SetRunBudget(&sim.Budget{MaxEvents: uint64(*maxEvents), MaxWall: *deadline})
+		exp.SetSweepDeadline(*deadline)
 	}
 	var cellStore *store.Store
 	if *storeDir != "" {
@@ -221,9 +207,6 @@ func run() int {
 	}
 	if *deadline > 0 {
 		m.Config["deadline"] = deadline.String()
-	}
-	if *retries >= 0 {
-		m.Config["retries"] = strconv.Itoa(*retries)
 	}
 	// Deliberately NOT in the config (and so not in the run digest):
 	// -store/-resume, since a resumed run must digest identically to an
@@ -396,8 +379,8 @@ func matrixOverride(algos, topology string) (cfg exp.MatrixConfig, err error) {
 	}
 	name, arg, hasArg := strings.Cut(topology, ":")
 	if hasArg {
-		if cfg.Hops, err = strconv.Atoi(arg); err != nil || cfg.Hops < 1 {
-			return cfg, fmt.Errorf("-topology: topology %q: hop count must be a positive integer", topology)
+		if cfg.Hops, err = strconv.Atoi(arg); err != nil || cfg.Hops < 1 || cfg.Hops > exp.MaxParkingLotHops {
+			return cfg, fmt.Errorf("-topology: topology %q: hop count must be an integer from 1 to %d", topology, exp.MaxParkingLotHops)
 		}
 	}
 	switch strings.ToLower(name) {

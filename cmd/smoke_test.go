@@ -279,7 +279,7 @@ func TestTimelineSmoke(t *testing.T) {
 // must be complete on disk after a -fail-degraded exit.
 func TestProfilesSurviveNonzeroExit(t *testing.T) {
 	dir := t.TempDir()
-	code, _, stderr := run(t, dir, "slowccsim", "-exp", "fig3", "-deadline", "1ns", "-retries", "0",
+	code, _, stderr := run(t, dir, "slowccsim", "-exp", "fig3", "-deadline", "1ns",
 		"-fail-degraded", "-cpuprofile", "cpu.out", "-memprofile", "mem.out")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (every cell over its deadline)\n%s", code, stderr)
@@ -314,10 +314,13 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		args []string
 	}{
 		{"unknown experiment", []string{"slowccsim", "-exp", "nosuch"}},
+		{"flag provided but not defined: -retries", []string{"slowccsim", "-exp", "fig3", "-retries", "0"}},
 		{"-matrix: ", []string{"slowccsim", "-exp", "matrix", "-matrix", "bogus"}},
 		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "ring"}},
 		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "dumbbell:2"}},
 		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "parking-lot:0"}},
+		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-matrix", "cbr:1e6", "-topology", "parking-lot:101"}},
+		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "parking-lot:100000000"}},
 		{"-fault: ", []string{"slowccsim", "-exp", "fig3", "-fault", "bogus"}},
 		{"-slog: ", []string{"slowccsim", "-exp", "fig3", "-slog", "loud"}},
 		{"-tsv: ", []string{"slowccsim", "-exp", "fig20", "-tsv", "x.tsv"}},
@@ -398,32 +401,53 @@ func TestExportSmoke(t *testing.T) {
 	}
 }
 
-// The crash-safety gate: a matrix sweep is SIGKILLed once its first cell
-// is in the journal (no handler, no checkpoint — the per-entry fsync is
-// all that survives), then resumed. The resume must serve at least one
-// cell from the store, and its TSV must be byte-identical to an
-// uninterrupted run's: replayed cells are indistinguishable from
-// computed ones.
+// The crash-safety gate: a matrix sweep is SIGKILLed (no handler, no
+// checkpoint — the per-entry fsync is all that survives) up to three
+// times, each time once the journal has grown past its size at the
+// previous kill, and resumed after each kill. The last resume must serve
+// cells from the store with no corrupt entry — a torn tail may be
+// quarantined — and its TSV must be byte-identical to an uninterrupted
+// run's: replayed cells are indistinguishable from computed ones.
 func TestKillAndResumeSmoke(t *testing.T) {
 	dir := t.TempDir()
-	matrix := []string{"-exp", "matrix", "-matrix", "tcp:0.5,tfrc:8,cbr:3e6"}
-	ok(t, dir, "slowccsim", append(matrix, "-tsv", "full.tsv")...)
+	matrix := []string{"-exp", "matrix", "-matrix", "tcp:0.5,tfrc:8,cbr:3e6", "-store", "store"}
+	ok(t, dir, "slowccsim", "-exp", "matrix", "-matrix", "tcp:0.5,tfrc:8,cbr:3e6", "-tsv", "full.tsv")
 
-	p := start(t, dir, "slowccsim", append(matrix, "-store", "store", "-tsv", "killed.tsv")...)
 	journal := filepath.Join(dir, "store", "journal.bin")
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
-		if info, err := os.Stat(journal); err == nil && info.Size() > 0 {
-			break
+	size := func() int64 {
+		info, err := os.Stat(journal)
+		if err != nil {
+			return 0
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("no cell committed to the journal within a minute")
-		}
+		return info.Size()
 	}
-	p.signal(syscall.SIGKILL)
+	args := append(matrix, "-tsv", "killed.tsv")
+	for kill, last := 1, int64(0); kill <= 3; kill++ {
+		p := start(t, dir, "slowccsim", args...)
+		exited := false
+		for deadline := time.Now().Add(time.Minute); size() <= last && !exited; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("kill %d: the journal did not grow past %d bytes within a minute", kill, last)
+			}
+			p.mu.Lock()
+			exited = p.eof
+			p.mu.Unlock()
+		}
+		p.signal(syscall.SIGKILL)
+		if exited {
+			if kill == 1 {
+				t.Fatal("the sweep finished before its first cell reached the journal")
+			}
+			break // the sweep finished first: nothing left to kill
+		}
+		last = size()
+		t.Logf("kill %d: journal at %d bytes", kill, last)
+		args = append(matrix, "-resume", "-tsv", "killed.tsv")
+	}
 
-	code, _, stderr := run(t, dir, "slowccsim", append(matrix, "-store", "store", "-resume", "-tsv", "resumed.tsv")...)
-	if code != 0 || !regexp.MustCompile(`(?m)^store .*: [0-9]+ entries, [1-9][0-9]* hits`).MatchString(stderr) {
-		t.Fatalf("resume: exit %d, served no cell from the store:\n%s", code, stderr)
+	code, _, stderr := run(t, dir, "slowccsim", append(matrix, "-resume", "-tsv", "resumed.tsv")...)
+	if code != 0 || !regexp.MustCompile(`(?m)^store .*: [0-9]+ entries, [1-9][0-9]* hits, [0-9]+ misses, 0 corrupt$`).MatchString(stderr) {
+		t.Fatalf("resume: exit %d, served no cell from the store, or found a corrupt one:\n%s", code, stderr)
 	}
 	if !bytes.Equal(nonEmpty(t, filepath.Join(dir, "resumed.tsv")), nonEmpty(t, filepath.Join(dir, "full.tsv"))) {
 		t.Fatal("resumed.tsv differs from the uninterrupted run's full.tsv")

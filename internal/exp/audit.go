@@ -52,12 +52,9 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // engine and topology: the paper's dumbbell tc or, when chain is
 // non-nil, that chain instead. c is the sweep cell the scenario runs
 // under, nil outside supervised sweeps — a nil cell reads the package's
-// settings at the call, a cell carries its sweep's snapshot; it maps the
-// base seed to this attempt's (Cell.Seed: the base itself on attempt 0
-// and under a nil cell) and that one seed drives the engine, the
-// topology's queues and, unless the configuration names its own, the
-// fault stream — so a driver that gets its scenario here cannot run a
-// retry on the first attempt's seed. It applies the run budget (the
+// settings at the call, a cell carries its sweep's snapshot; the seed
+// drives the engine, the topology's queues and, unless the configuration
+// names its own, the fault stream. It applies the run budget (the
 // -max-events CLI path); attaches the fault configuration — explicit fc,
 // else the -fault one — to the forward link of hop faultHop, so
 // multi-bottleneck scenarios pick which hop degrades; wires the
@@ -65,10 +62,9 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // trace ring over the first forward hop that the auditor's first
 // violation dumps when the audit dump directory is set; registers the
 // topology with the cell's live-telemetry collector; and records it on
-// the cell, whose supervisor releases it if the attempt succeeds
+// the cell, whose supervisor releases it if the cell succeeds
 // (Cell.release).
-func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
-	seed := c.Seed(base)
+func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	eng := sim.New(seed)
 	var env sweepEnv
 	if c == nil {
@@ -86,7 +82,7 @@ func (c *Cell) buildScenario(base int64, tc topology.Config, chain *topology.Net
 	if fc != nil && fc.Enabled() {
 		cfg := *fc
 		if cfg.Seed == 0 {
-			cfg.Seed = seed // default the fault stream onto the attempt's seed
+			cfg.Seed = seed // default the fault stream onto the scenario's seed
 		}
 		inj = faults.New(eng, cfg)
 	}

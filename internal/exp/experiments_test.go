@@ -13,7 +13,7 @@ import (
 // cells), a cell function that gets its scenario from the cell, and
 // nothing copied from another driver. Each cell reports the first draw
 // of its engine's RNG — a fingerprint of the seed the engine was built
-// on — and cell 1 panics on its first attempt, after traffic has flowed.
+// on — and cell 1 panics, after traffic has flowed.
 func toyCells(seed int64) []int64 {
 	return supervisedMap(2, func(c *Cell) int64 {
 		eng, d := c.newScenario(seed, topology.Config{Rate: 1e6})
@@ -21,8 +21,8 @@ func toyCells(seed int64) []int64 {
 		f := TCPAlgo(0.5).Make(eng, d, 1)
 		eng.At(0, f.Sender.Start)
 		eng.RunUntil(2)
-		if c.Index() == 1 && c.Attempt() == 0 {
-			panic("toy: first attempt fails")
+		if c.Index() == 1 {
+			panic("toy: cell 1 fails")
 		}
 		return draw
 	})
@@ -30,7 +30,7 @@ func toyCells(seed int64) []int64 {
 
 // TestNewExperimentIsOneRow is ROADMAP item 2's litmus for experiments:
 // one driver (toyCells) plus one row literal is listed, runnable and
-// supervised with telemetry and retry seeds — everything
+// supervised with telemetry, its failing cell degraded — everything
 // the CLI, the facade and the root benchmark do with an experiment they
 // do by ranging over Experiments().
 func TestNewExperimentIsOneRow(t *testing.T) {
@@ -43,7 +43,7 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 	experiments = append(experiments[:len(experiments):len(experiments)], row)
 	t.Cleanup(func() { experiments = saved })
 
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	sink := withSink(t)
 
 	// slowccsim -list prints Experiments(); -exp NAME and -exp all select
@@ -61,20 +61,20 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 
 	draws := data.([]int64)
 	if want := sim.New(base).Rand().Int63(); draws[0] != want {
-		t.Errorf("cell 0 drew %d, want %d: attempt 0 must run on the base seed", draws[0], want)
+		t.Errorf("cell 0 drew %d, want %d: a cell must run on the base seed", draws[0], want)
 	}
-	if want := sim.New(deriveSeed(base, 1)).Rand().Int63(); draws[1] != want {
-		t.Errorf("cell 1 drew %d, want %d: its retry must run on deriveSeed(base, 1)", draws[1], want)
+	if draws[1] != 0 {
+		t.Errorf("cell 1 drew %d, want the zero value of a degraded cell", draws[1])
 	}
-	if errs := SweepErrors(); len(errs) != 0 {
-		t.Errorf("retry did not rescue cell 1: %v", errs)
+	if errs := SweepErrors(); len(errs) != 1 || errs[0].Index != 1 || errs[0].Deadline {
+		t.Errorf("SweepErrors = %v, want cell 1's panic, once", errs)
 	}
 
 	sink.mu.Lock()
 	stats := sink.stats
 	sink.mu.Unlock()
-	if len(stats) != 2 {
-		t.Fatalf("sink got %d CellStats, want one per cell", len(stats))
+	if len(stats) != 1 || stats[0].Cell != 0 {
+		t.Fatalf("sink got %d CellStats, want one, for the cell that succeeded", len(stats))
 	}
 	for _, st := range stats {
 		if st.Events == 0 {

@@ -30,6 +30,11 @@ const (
 // (990).
 const crossFlowBase = 800
 
+// MaxParkingLotHops is the most bottlenecks a parking lot can have: its
+// K-1 cross flows take the ids from crossFlowBase+1 up, and the last of
+// them must stay below reverse traffic's first.
+const MaxParkingLotHops = reverseFlowBase - crossFlowBase
+
 // MatrixConfig drives the N x N algorithm interaction matrix: every
 // ordered pair of algorithms competes head-to-head under each condition
 // on each topology, and the cell records fairness, smoothness, and
@@ -45,8 +50,8 @@ type MatrixConfig struct {
 	Conditions []string
 	// Topologies selects among dumbbell, parking-lot. Empty runs both.
 	Topologies []string
-	// Hops is the parking-lot bottleneck count (default 3; ignored for
-	// the dumbbell).
+	// Hops is the parking-lot bottleneck count (default 3, at most
+	// MaxParkingLotHops; ignored for the dumbbell).
 	Hops int
 	// Rate is the per-bottleneck bandwidth (default 10 Mbps).
 	Rate float64
@@ -158,14 +163,14 @@ type MatrixCell struct {
 	// Utilization is the first bottleneck's carried load over capacity
 	// during the measurement window (all traffic classes included).
 	Utilization float64
-	// Degraded marks a cell whose every supervised attempt died; its
-	// metrics are zero.
+	// Degraded marks a cell that panicked or missed the sweep deadline;
+	// its metrics are zero.
 	Degraded bool
 }
 
 // Matrix runs the full sweep through the supervised parallel runner and
 // returns cells ordered topology-major, then condition, then A, then B.
-// A cell that exhausts its attempts comes back Degraded with a RunError
+// A cell that panics or misses the deadline comes back Degraded with a RunError
 // in SweepErrors rather than aborting the sweep.
 func Matrix(cfg MatrixConfig) []MatrixCell {
 	cfg.fill()
@@ -194,7 +199,7 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 		return runMatrixCell(sc, cfg, j.topo, j.cond, j.a, j.b)
 	})
 	for i := range cells {
-		if cells[i].Topology == "" { // zero value: every attempt died
+		if cells[i].Topology == "" { // zero value: the cell degraded
 			j := jobs[i]
 			cells[i] = MatrixCell{Topology: j.topo, Condition: j.cond,
 				A: j.a.Name, B: j.b.Name, Degraded: true}

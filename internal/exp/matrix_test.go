@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -139,12 +140,34 @@ func TestMatrixFaultedConditionBites(t *testing.T) {
 	}
 }
 
+// MaxParkingLotHops is where the flow-id layout runs out: an oscillating
+// parking-lot cell — cross flows, reverse traffic and the scenario CBR
+// all wired — builds and runs at the bound, and one hop more collides
+// with the reverse flow's id.
+func TestParkingLotHopBound(t *testing.T) {
+	cfg := smallMatrixConfig()
+	cfg.fill()
+	wire := func(hops int) {
+		cfg.Hops = hops
+		eng, _, flows, _ := wireMatrixCell(noCell, cfg, TopoParkingLot, CondOscillating, cfg.Algos[0], cfg.Algos[1])
+		eng.RunUntil(0.5)
+		if flows[0].SentBytes() == 0 {
+			t.Errorf("%d hops: flow A sent nothing", hops)
+		}
+	}
+	wire(MaxParkingLotHops)
+	defer func() {
+		if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "already registered") {
+			t.Fatalf("%d hops wired with %v, want a flow-id collision", MaxParkingLotHops+1, v)
+		}
+	}()
+	wire(MaxParkingLotHops + 1)
+}
+
 // A degraded cell keeps its identifying fields so the table stays
 // readable, and the sweep error is collected rather than fatal.
 func TestMatrixDegradedCellBackfilled(t *testing.T) {
-	defer ResetSweepErrors()
-	prev := SetSweepPolicy(CellPolicy{Retries: 0})
-	defer SetSweepPolicy(prev)
+	withDeadline(t, 0)
 
 	boom := AlgoSpec{
 		Name: "BOOM",

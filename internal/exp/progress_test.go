@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"slowcc/internal/obs"
@@ -66,7 +67,7 @@ func kindsEqual(got []obs.SweepEventKind, want ...obs.SweepEventKind) bool {
 // CellStats snapshot carrying the real scenario's counters and stream
 // digest, plus the queued/running/done event sequence.
 func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	sink := withSink(t)
 	_, rerr := Supervise(0, func(c *Cell) int {
 		runCellScenario(c, 1)
@@ -129,17 +130,16 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 	}
 }
 
-// Retries must show up as retry events, and exhausted cells as a
-// degraded terminal event with no CellStats.
-func TestSweepProgressRetryAndDegradedOrdering(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
+// A cell runs once: a panicking cell ends in a degraded terminal event
+// with no CellStats, and is not run again.
+func TestSweepProgressDegradedOrdering(t *testing.T) {
+	withDeadline(t, 0)
 	sink := withSink(t)
+	var runs [2]atomic.Int32
 	out := supervisedMap(2, func(c *Cell) int {
-		switch {
-		case c.Index() == 0 && c.Attempt() == 0:
-			panic("first attempt dies")
-		case c.Index() == 1:
-			panic("every attempt dies")
+		runs[c.Index()].Add(1)
+		if c.Index() == 1 {
+			panic("cell 1 dies")
 		}
 		return c.Index() + 10
 	})
@@ -150,11 +150,14 @@ func TestSweepProgressRetryAndDegradedOrdering(t *testing.T) {
 		t.Fatalf("SweepErrors = %v, want one for cell 1", errs)
 	}
 	ResetSweepErrors()
-	if !kindsEqual(sink.cellKinds(0), obs.SweepQueued, obs.SweepRunning, obs.SweepRetry, obs.SweepDone) {
-		t.Fatalf("cell 0 kinds = %v, want queued/running/retry/done", sink.cellKinds(0))
+	if runs[0].Load() != 1 || runs[1].Load() != 1 {
+		t.Fatalf("cells ran %d and %d times, want once each", runs[0].Load(), runs[1].Load())
 	}
-	if !kindsEqual(sink.cellKinds(1), obs.SweepQueued, obs.SweepRunning, obs.SweepRetry, obs.SweepDegraded) {
-		t.Fatalf("cell 1 kinds = %v, want queued/running/retry/degraded", sink.cellKinds(1))
+	if !kindsEqual(sink.cellKinds(0), obs.SweepQueued, obs.SweepRunning, obs.SweepDone) {
+		t.Fatalf("cell 0 kinds = %v, want queued/running/done", sink.cellKinds(0))
+	}
+	if !kindsEqual(sink.cellKinds(1), obs.SweepQueued, obs.SweepRunning, obs.SweepDegraded) {
+		t.Fatalf("cell 1 kinds = %v, want queued/running/degraded", sink.cellKinds(1))
 	}
 	if len(sink.stats) != 1 || sink.stats[0].Cell != 0 {
 		t.Fatalf("CellStats = %+v, want exactly cell 0", sink.stats)
@@ -171,7 +174,7 @@ func TestSweepProgressRetryAndDegradedOrdering(t *testing.T) {
 // A cell whose engine trips the global run budget must surface the halt
 // reason in its CellStats and done event.
 func TestSweepProgressReportsBudgetHalt(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	sink := withSink(t)
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
 	defer SetRunBudget(prev)
@@ -198,9 +201,9 @@ func TestSweepProgressReportsBudgetHalt(t *testing.T) {
 }
 
 // The sweep logger must receive one structured record per transition
-// with the cell/attempt/outcome attributes, and a Warn for degraded cells.
+// with the cell/worker/outcome attributes, and a Warn for degraded cells.
 func TestSweepLoggerRecords(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	prev := SetSweepLogger(logger.With("run", "deadbeef"))
@@ -213,11 +216,14 @@ func TestSweepLoggerRecords(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"sweep cell done", "cell=3", "outcome=ok", "run=deadbeef",
-		"sweep cell retry", "cell=4", "outcome=panic", "worker=0", "attempt=1",
+		"cell=4", "outcome=panic", "worker=0",
 		"level=WARN", "sweep cell degraded",
 	} {
 		if !bytes.Contains([]byte(out), []byte(want)) {
 			t.Errorf("log output missing %q:\n%s", want, out)
 		}
+	}
+	if bytes.Contains(buf.Bytes(), []byte("attempt=")) {
+		t.Errorf("log output still carries an attempt attribute:\n%s", out)
 	}
 }

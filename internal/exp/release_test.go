@@ -60,7 +60,7 @@ func TestCarriedStateNeverReachesResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	tcp, tfrc := TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})
 	var want map[string][2][]byte
 	for _, run := range []struct {
@@ -94,7 +94,7 @@ func TestCarriedStateNeverReachesResults(t *testing.T) {
 	}
 }
 
-// An attempt that panicked, or that its deadline abandoned, keeps its
+// A cell that panicked, or that its deadline abandoned, keeps its
 // nets: the one may have died mid-operation and the other's goroutine is
 // still running on them. A released engine holds nothing pending, so the
 // engines' pending timers tell released from kept.
@@ -108,22 +108,22 @@ func TestFailedAttemptsKeepTheirNets(t *testing.T) {
 		eng.RunUntil(2)
 	}
 
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	if _, rerr := Supervise(0, func(c *Cell) int { build(c); return 0 }); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if n := eng.Pending(); n != 0 {
-		t.Fatalf("a successful attempt's engine still holds %d timers: not released", n)
+		t.Fatalf("a successful cell's engine still holds %d timers: not released", n)
 	}
 
 	if _, rerr := Supervise(1, func(c *Cell) int { build(c); panic("poisoned") }); rerr == nil {
-		t.Fatal("panicking attempt returned no RunError")
+		t.Fatal("panicking cell returned no RunError")
 	}
 	if eng.Pending() == 0 {
-		t.Fatal("a panicked attempt's engine was released")
+		t.Fatal("a panicked cell's engine was released")
 	}
 
-	withPolicy(t, CellPolicy{Retries: 0, Deadline: 20 * time.Millisecond})
+	withDeadline(t, 20*time.Millisecond)
 	hold, done := make(chan struct{}), make(chan struct{})
 	_, rerr := Supervise(2, func(c *Cell) int {
 		defer close(done)
@@ -137,7 +137,7 @@ func TestFailedAttemptsKeepTheirNets(t *testing.T) {
 	close(hold)
 	<-done
 	if eng.Pending() == 0 {
-		t.Fatal("an abandoned attempt's engine was released")
+		t.Fatal("an abandoned cell's engine was released")
 	}
 }
 
@@ -151,7 +151,7 @@ func TestSecondSweepAllocatesHalf(t *testing.T) {
 		t.Skip("matrix sweeps in -short mode")
 	}
 	defer auditMode(auditMode(false, "")) // the auditor's books are built per cell, not carried
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The benchmark's matrix cells: a pair on each net shape.
 	cfg := MatrixConfig{Algos: []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})},

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,42 @@ func FuzzParseAlgoSpec(f *testing.F) {
 		eng.RunUntil(0.05)
 		if h := eng.Halted(); h != nil {
 			t.Fatalf("%q (%s) accepted, then halted the run: %v", spec, a.Name, h)
+		}
+	})
+}
+
+// ParseAlgoList never panics, allocates at most a fixed allowance plus
+// a multiple of its input, and a list it accepts re-parses from its
+// trimmed, non-empty pieces, joined by ",", to the same names.
+func FuzzParseAlgoList(f *testing.F) {
+	for _, s := range []string{"tcp:0.5,tfrc:8,sqrt", " tcp , ,cbr:3e6 ", ",,,", "", "tcp,vegas", "tfrc+sc:4096,tear:1,iiad", strings.Repeat("tcp,", 64)} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		algos, err := ParseAlgoList(list)
+		runtime.ReadMemStats(&m1)
+		if limit := uint64(2<<20 + 64*len(list)); m1.TotalAlloc-m0.TotalAlloc > limit {
+			t.Fatalf("ParseAlgoList allocated %d bytes for %d bytes of input", m1.TotalAlloc-m0.TotalAlloc, len(list))
+		}
+		if err != nil {
+			return
+		}
+		var pieces []string
+		for _, p := range strings.Split(list, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				pieces = append(pieces, p)
+			}
+		}
+		again, err := ParseAlgoList(strings.Join(pieces, ","))
+		if err != nil || len(again) != len(algos) {
+			t.Fatalf("%q accepted as %d algorithms; its pieces re-parse to %d, %v", list, len(algos), len(again), err)
+		}
+		for i := range algos {
+			if again[i].Name != algos[i].Name {
+				t.Fatalf("%q: algorithm %d is %q, re-parsed %q", list, i, algos[i].Name, again[i].Name)
+			}
 		}
 	})
 }

@@ -48,7 +48,7 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, false)
 
 	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
@@ -85,7 +85,7 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, false)
 	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
 
@@ -125,7 +125,7 @@ func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, false)
 
 	// What the cell's engine ran with: a registry, and a nil digest slot
@@ -170,7 +170,7 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, false)
 	Matrix(tinyMatrix(1))
 	var coldEvents uint64
@@ -239,7 +239,7 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, false)
 	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
 
@@ -368,7 +368,7 @@ func BenchmarkMatrixCellKey(b *testing.B) {
 }
 
 func TestScopeKeyedSweepReplays(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, false)
 	SetSweepScope("scope-A")
 
@@ -413,7 +413,7 @@ type lossyResult struct {
 }
 
 func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	st := withStore(t, true)
 	SetSweepScope("scope-lossy")
 	out := supervisedMap(2, func(c *Cell) lossyResult {
@@ -430,7 +430,7 @@ func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
 func TestRequestStopSkipsRemainingCells(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevProcs)
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	resetStop()
 	defer resetStop()
 
@@ -457,7 +457,7 @@ func TestRequestStopSkipsRemainingCells(t *testing.T) {
 }
 
 func TestCellStatsAggregatesEveryEngineHalt(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	prevB := SetRunBudget(&sim.Budget{MaxEvents: 100})
 	defer SetRunBudget(prevB)
 	sink := withSink(t)

@@ -134,9 +134,9 @@ func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T
 				st.CountCorrupt()
 			}
 		}
-		v, stats, attempts, rerr := superviseCell(&env, i, worker, fn)
+		v, stats, rerr := superviseCell(&env, i, worker, fn)
 		if st != nil && k != "" {
-			commitCell(&env, k, i, attempts, v, stats, rerr)
+			commitCell(&env, k, i, v, stats, rerr)
 		}
 		return res{v, rerr}
 	})
@@ -190,9 +190,9 @@ func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
 // JSON result plus telemetry snapshot, a degradation stores a marker
 // (kept for inspection, never served as a hit). Store failures degrade
 // to a log line — the sweep's in-memory results are unaffected.
-func commitCell[T any](env *sweepEnv, key string, index, attempts int, v T, stats obs.CellStats, rerr *RunError) {
+func commitCell[T any](env *sweepEnv, key string, index int, v T, stats obs.CellStats, rerr *RunError) {
 	logger := env.logger
-	e := store.Entry{Key: key, Index: index, Attempts: attempts}
+	e := store.Entry{Key: key, Index: index, Attempts: 1}
 	if rerr != nil {
 		e.Degraded = true
 		e.Error = rerr.Error()

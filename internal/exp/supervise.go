@@ -19,52 +19,30 @@ import (
 	"slowcc/internal/topology"
 )
 
-// CellPolicy governs how supervised sweep cells run. The zero value
-// means one attempt and no deadline; the package starts
-// with one retry on a derived seed.
-type CellPolicy struct {
-	// Retries is the number of extra attempts after the first, each on a
-	// fresh seed derived from the cell's own (deriveSeed), so a
-	// seed-sensitive numerical pathology gets a genuinely different run
-	// while attempt 0 stays bit-identical to an unsupervised run.
-	Retries int
-	// Deadline bounds each attempt's wall-clock time; 0 disables. A
-	// timed-out attempt is abandoned on its goroutine (which keeps
-	// running until its engine drains — pair the deadline with an engine
-	// Budget via SetRunBudget so runaways actually stop) and the cell
-	// reports a deadline RunError.
-	Deadline time.Duration
-}
-
-// RunError describes one degraded sweep cell: every attempt panicked or
-// timed out, and the sweep carried on without it.
+// RunError describes one degraded sweep cell: it panicked or timed out,
+// and the sweep carried on without it.
 type RunError struct {
 	// Index is the sweep index of the degraded cell.
 	Index int
-	// Attempts is how many times the cell was tried.
-	Attempts int
-	// Value is the recovered panic value of the last attempt (nil for a
-	// deadline halt).
+	// Value is the recovered panic value (nil for a deadline halt).
 	Value any
-	// Stack is the panicking goroutine's stack from the last attempt.
+	// Stack is the panicking goroutine's stack.
 	Stack string
-	// Deadline reports that the last attempt exceeded the cell deadline
-	// rather than panicking.
+	// Deadline reports that the cell exceeded the sweep deadline rather
+	// than panicking.
 	Deadline bool
-	// Halt carries the engines' sim.HaltReason strings from the last
-	// attempt when they are harvestable: every engine's sticky budget
-	// halt, "; "-joined, so a multi-engine cell's degraded report names
-	// each leg's reason instead of only the first.
+	// Halt carries the engines' sim.HaltReason strings when they are
+	// harvestable: every engine's sticky budget halt, "; "-joined, so a
+	// multi-engine cell's degraded report names each leg's reason
+	// instead of only the first.
 	Halt string
 }
 
 // Error implements error.
 func (e *RunError) Error() string {
-	var s string
+	s := fmt.Sprintf("exp: sweep cell %d panicked: %v", e.Index, e.Value)
 	if e.Deadline {
-		s = fmt.Sprintf("exp: sweep cell %d exceeded its deadline after %d attempts", e.Index, e.Attempts)
-	} else {
-		s = fmt.Sprintf("exp: sweep cell %d panicked after %d attempts: %v", e.Index, e.Attempts, e.Value)
+		s = fmt.Sprintf("exp: sweep cell %d exceeded its deadline", e.Index)
 	}
 	if e.Halt != "" {
 		s += " (halt: " + e.Halt + ")"
@@ -72,33 +50,31 @@ func (e *RunError) Error() string {
 	return s
 }
 
-// Cell is the per-attempt context a supervised job runs under, and what
-// hands the job its scenario: newScenario and buildScenario (audit.go)
-// are methods on it, so the attempt's seed and the telemetry the
-// supervisor harvests on success come with the engine rather than being
-// threaded in by the driver.
+// Cell is the context a supervised job runs under, and what hands the
+// job its scenario: newScenario and buildScenario (audit.go) are methods
+// on it, so the telemetry the supervisor harvests on success comes with
+// the engine rather than being threaded in by the driver.
 type Cell struct {
-	index   int
-	attempt int
+	index int
 	// env is the settings snapshot of the sweep the cell belongs to.
 	env *sweepEnv
 	// obsv collects one entry per engine the cell constructed when a
 	// sink or a store will read its telemetry: the counter registry and,
 	// for a sink, the stream digest the supervisor snapshots into
-	// obs.CellStats after the job returns. Only the attempt's own
-	// goroutine touches it.
+	// obs.CellStats after the job returns. Only the cell's own goroutine
+	// touches it.
 	obsv []cellObs
-	// nets is every topology buildScenario built for the attempt. The
-	// supervisor releases them when the attempt succeeded (release).
+	// nets is every topology buildScenario built for the cell. The
+	// supervisor releases them when the cell succeeded (release).
 	nets []*topology.Net
 }
 
-// release hands the free lists of every net the attempt built to the
-// cells after it (topology.Net.Release). Only a successful attempt's
-// cell is released, after its telemetry is harvested: a panicked
-// attempt's nets may be mid-operation, and an abandoned attempt's
-// goroutine still runs on them. The job's result holds no engine, link
-// or packet, so nothing that outlives the cell runs on released nets.
+// release hands the free lists of every net the cell built to the cells
+// after it (topology.Net.Release). Only a successful cell is released,
+// after its telemetry is harvested: a panicked cell's nets may be
+// mid-operation, and an abandoned cell's goroutine still runs on them.
+// The job's result holds no engine, link or packet, so nothing that
+// outlives the cell runs on released nets.
 func (c *Cell) release() {
 	for _, n := range c.nets {
 		n.Release()
@@ -117,32 +93,6 @@ type cellObs struct {
 // Index returns the sweep index this cell computes.
 func (c *Cell) Index() int { return c.index }
 
-// Attempt returns the zero-based attempt number.
-func (c *Cell) Attempt() int { return c.attempt }
-
-// Seed maps the cell's base seed to the seed this attempt should use:
-// attempt 0 returns base unchanged, so supervision never perturbs a
-// first run; retries get fresh, reproducible derived seeds.
-func (c *Cell) Seed(base int64) int64 {
-	if c == nil {
-		return base
-	}
-	return deriveSeed(base, c.attempt)
-}
-
-// deriveSeed maps (seed, attempt) onto a retry seed. Attempt 0 is the
-// identity; later attempts mix the attempt number through a SplitMix64
-// round so nearby seeds do not collide.
-func deriveSeed(seed int64, attempt int) int64 {
-	if attempt == 0 {
-		return seed
-	}
-	z := uint64(seed) + uint64(attempt)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // sweepEnv holds a sweep's settings, constant while it runs: the Set*
 // functions below write the package's copy, and a sweep —
 // supervisedMapKeyed, Supervise, or a scenario built outside any cell —
@@ -151,7 +101,9 @@ func deriveSeed(seed int64, attempt int) int64 {
 // next sweep; no caller does that (slowccsim sets everything before its
 // first Run, the benchmark brackets each pass).
 type sweepEnv struct {
-	pol      CellPolicy
+	// deadline bounds each cell's wall-clock time; 0 disables
+	// (SetSweepDeadline).
+	deadline time.Duration
 	budget   *sim.Budget
 	fault    *faults.Config
 	timeline *obs.Timeline
@@ -195,7 +147,7 @@ var supervision = struct {
 	auditTotal int64
 	violations []invariant.Violation
 	flightSeq  atomic.Int64
-}{env: sweepEnv{pol: CellPolicy{Retries: 1}, sweepT0: time.Now()}}
+}{env: sweepEnv{sweepT0: time.Now()}}
 
 // currentEnv snapshots the settings for one sweep, and stamps its start
 // when the sweep will publish events.
@@ -220,15 +172,15 @@ func setEnv(set func(env *sweepEnv)) {
 // starting new cells, in-flight cells finish and commit.
 var stopRequested atomic.Bool
 
-// SetSweepPolicy installs the cell policy used by supervised sweeps and
-// Supervise, returning the previous one so tests can restore it.
-func SetSweepPolicy(p CellPolicy) (prev CellPolicy) {
-	setEnv(func(env *sweepEnv) { prev, env.pol = env.pol, p })
+// SetSweepDeadline bounds each supervised cell's wall-clock time (0:
+// none) and returns the previous bound. A cell over it is abandoned on
+// its goroutine, which keeps running until its engine drains — pair the
+// deadline with a wall budget via SetRunBudget so runaways actually
+// stop — and degrades with a deadline RunError.
+func SetSweepDeadline(d time.Duration) (prev time.Duration) {
+	setEnv(func(env *sweepEnv) { prev, env.deadline = env.deadline, d })
 	return prev
 }
-
-// SweepPolicy returns the current cell policy.
-func SweepPolicy() CellPolicy { return currentEnv().pol }
 
 // SweepErrors returns the degraded cells recorded by supervised sweeps
 // since the last reset, in sweep order.
@@ -264,8 +216,8 @@ func SetFaultConfig(fc *faults.Config) (prev *faults.Config) {
 
 // SetSweepTimeline installs a timeline that supervised sweeps draw
 // their cell transitions on (obs.Timeline.SweepEvent): a queued span
-// per cell from its sweep's start, one span per attempt on the lane of
-// the worker goroutine that ran it, and a degraded or cached instant —
+// per cell from its sweep's start, a running span on the lane of the
+// worker goroutine that ran it, and a degraded or cached instant —
 // or nil to remove it. Timestamps are wall-clock microseconds since
 // this call. Returns the previous timeline.
 func SetSweepTimeline(tl *obs.Timeline) (prev *obs.Timeline) {
@@ -346,7 +298,7 @@ func logSweepEvent(l *slog.Logger, ev obs.SweepEvent) {
 	if !l.Enabled(ctx, level) {
 		return
 	}
-	attrs := []slog.Attr{slog.Int("cell", ev.Cell), slog.Int("attempt", ev.Attempt), slog.Int("worker", ev.Worker)}
+	attrs := []slog.Attr{slog.Int("cell", ev.Cell), slog.Int("worker", ev.Worker)}
 	for _, a := range [...]struct{ k, v string }{{"outcome", ev.Outcome}, {"halt", ev.Halt}, {"key", ev.Key}} {
 		if a.v != "" {
 			attrs = append(attrs, slog.String(a.k, a.v))
@@ -358,70 +310,55 @@ func logSweepEvent(l *slog.Logger, ev obs.SweepEvent) {
 	l.LogAttrs(ctx, level, "sweep cell "+string(ev.Kind), attrs...)
 }
 
-// Supervise runs job as one supervised sweep cell under the current
-// policy: panics are recovered into a RunError with their stack, a
-// deadline abandons the attempt, and each retry hands the job a Cell
-// whose Seed derives a fresh seed. On
-// success the error is nil; callers that are not part of a sweep get
-// the error directly and nothing is recorded in SweepErrors.
+// Supervise runs job once as a supervised sweep cell: a panic is
+// recovered into a RunError with its stack, and the sweep deadline
+// abandons the job. On success the error is nil; callers that are not
+// part of a sweep get the error directly and nothing is recorded in
+// SweepErrors.
 func Supervise[T any](index int, job func(c *Cell) T) (T, *RunError) {
 	env := currentEnv()
-	v, _, _, rerr := superviseCell(&env, index, 0, job)
+	v, _, rerr := superviseCell(&env, index, 0, job)
 	return v, rerr
 }
 
-// superviseCell runs one cell to completion. On success it additionally
-// returns the cell's telemetry snapshot and the number of attempts
-// spent, which the keyed sweep path commits to the result store. Each
-// transition is published once (sweepEnv.emit): queued and running, then
-// per attempt a retry, the done, or the degraded event that ends it.
-func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T) (T, obs.CellStats, int, *RunError) {
-	attempts := max(env.pol.Retries+1, 1)
+// superviseCell runs one cell, once. On success it additionally returns
+// the cell's telemetry snapshot, which the keyed sweep path commits to
+// the result store. Each transition is published once (sweepEnv.emit):
+// queued and running, then the done or degraded event that ends it.
+func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T) (T, obs.CellStats, *RunError) {
 	tell := env.telling()
-	var t0 time.Time // when the current attempt started
+	var t0 time.Time
 	if tell {
 		t0 = env.queued(index, worker)
 		env.emit(obs.SweepEvent{Kind: obs.SweepRunning, Cell: index, Worker: worker}, t0)
 	}
-	// ended publishes the transition that ends attempt a's predecessor
-	// (retry) or attempt a itself (done, degraded).
-	ended := func(kind obs.SweepEventKind, a int, outcome, halt string) {
-		now := time.Now()
-		env.emit(obs.SweepEvent{Kind: kind, Cell: index, Attempt: a, Worker: worker,
-			Outcome: outcome, Halt: halt, DurMS: ms(now.Sub(t0))}, now)
-		t0 = now
-	}
-	for a := 0; ; a++ {
-		v, cell, rerr := runAttempt(env, index, a, job)
-		if rerr == nil {
-			st := cellStats(index, cell)
-			cell.release()
-			if env.sink != nil {
-				env.sink.CellStats(st)
-			}
-			if tell {
-				ended(obs.SweepDone, a, "ok", st.Halt)
-			}
-			return v, st, a + 1, nil
+	v, cell, rerr := runAttempt(env, index, job) // v is the zero value when rerr is set
+	var st obs.CellStats
+	kind, outcome := obs.SweepDone, "ok"
+	if rerr == nil {
+		st = cellStats(index, cell)
+		cell.release()
+		if env.sink != nil {
+			env.sink.CellStats(st)
 		}
+	} else {
 		if cell != nil && rerr.Halt == "" {
-			// The attempt failed but the job returned (a panic, not an
+			// The cell failed but the job returned (a panic, not an
 			// abandoned deadline), so its engines' sticky halt reasons are
 			// safely harvestable into the degraded report.
 			rerr.Halt = strings.Join(cellStats(index, cell).Halts, "; ")
 		}
-		if a+1 == attempts {
-			rerr.Attempts = attempts
-			if tell {
-				ended(obs.SweepDegraded, a, attemptOutcome(rerr), "")
-			}
-			var zero T
-			return zero, obs.CellStats{}, attempts, rerr
-		}
-		if tell {
-			ended(obs.SweepRetry, a+1, attemptOutcome(rerr), "")
+		kind, outcome = obs.SweepDegraded, "panic"
+		if rerr.Deadline {
+			outcome = "deadline"
 		}
 	}
+	if tell {
+		now := time.Now()
+		env.emit(obs.SweepEvent{Kind: kind, Cell: index, Worker: worker,
+			Outcome: outcome, Halt: st.Halt, DurMS: ms(now.Sub(t0))}, now)
+	}
+	return v, st, rerr
 }
 
 // cellStats snapshots a finished cell's telemetry: summed counters,
@@ -457,29 +394,21 @@ func cellStats(index int, c *Cell) obs.CellStats {
 	return st
 }
 
-// attemptOutcome labels a failed attempt's events.
-func attemptOutcome(rerr *RunError) string {
-	if rerr.Deadline {
-		return "deadline"
-	}
-	return "panic"
-}
-
-// runAttempt executes one attempt with panic recovery; with a deadline
-// it runs on its own goroutine so a hung cell can be abandoned. The
-// attempt's Cell is returned alongside the value so the supervisor can
-// harvest per-cell telemetry — but only consulted on success, when the
-// job has provably returned and no goroutine still runs it. Each
-// attempt runs under pprof labels (slowcc_cell, slowcc_attempt), so CPU
-// profiles scraped from /debug/pprof attribute samples to sweep cells.
-func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (T, *Cell, *RunError) {
-	c := &Cell{index: index, attempt: attempt, env: env}
+// runAttempt executes the cell's job with panic recovery; with a
+// deadline it runs on its own goroutine so a hung cell can be abandoned.
+// The Cell is returned alongside the value so the supervisor can harvest
+// per-cell telemetry — but only consulted when the job has provably
+// returned and no goroutine still runs it. The job runs under the pprof
+// label slowcc_cell, so CPU profiles scraped from /debug/pprof attribute
+// samples to sweep cells.
+func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell, *RunError) {
+	c := &Cell{index: index, env: env}
 	type outcome struct {
 		v    T
 		rerr *RunError
 	}
-	res := make(chan outcome, 1) // buffered: an abandoned attempt still completes and is collected
-	labels := pprof.Labels("slowcc_cell", fmt.Sprint(index), "slowcc_attempt", fmt.Sprint(attempt))
+	res := make(chan outcome, 1) // buffered: an abandoned job still completes and is collected
+	labels := pprof.Labels("slowcc_cell", fmt.Sprint(index))
 	run := func() {
 		var o outcome
 		defer func() {
@@ -492,8 +421,7 @@ func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (
 			o.v = job(c)
 		})
 	}
-	deadline := env.pol.Deadline
-	if deadline <= 0 {
+	if env.deadline <= 0 {
 		run()
 		o := <-res
 		return o.v, c, o.rerr
@@ -502,7 +430,7 @@ func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (
 	select {
 	case o := <-res:
 		return o.v, c, o.rerr
-	case <-time.After(deadline):
+	case <-time.After(env.deadline):
 		re := &RunError{Index: index, Deadline: true}
 		// Grace window: when the deadline pairs with an engine wall
 		// budget (the documented pairing), the abandoned run halts just
@@ -521,12 +449,12 @@ func runAttempt[T any](env *sweepEnv, index, attempt int, job func(c *Cell) T) (
 	}
 }
 
-// deadlineGrace bounds how long a deadline-exceeded attempt is given to
+// deadlineGrace bounds how long a deadline-exceeded cell is given to
 // actually halt (via its wall budget) before being fully abandoned.
 const deadlineGrace = 250 * time.Millisecond
 
-// supervisedMap is parallelMapIndexed with per-cell supervision: a cell whose
-// every attempt dies yields its zero value and a RunError in
+// supervisedMap is parallelMapIndexed with per-cell supervision: a cell
+// that panics or misses the deadline yields its zero value and a RunError in
 // SweepErrors (recorded in index order, deterministically) instead of
 // aborting the sweep. Figures 3-19 run their sweeps through it, so one
 // poisoned cell degrades one table entry rather than the whole run.

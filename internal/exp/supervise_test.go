@@ -15,14 +15,15 @@ import (
 	"slowcc/internal/topology"
 )
 
-// withPolicy installs a sweep policy for the duration of a test and
-// restores the previous one (plus a clean error collector) afterwards.
-func withPolicy(t *testing.T, p CellPolicy) {
+// withDeadline installs a sweep deadline (0: none) for the duration of
+// a test and restores the previous one (plus a clean error collector)
+// afterwards.
+func withDeadline(t *testing.T, d time.Duration) {
 	t.Helper()
-	prev := SetSweepPolicy(p)
+	prev := SetSweepDeadline(d)
 	ResetSweepErrors()
 	t.Cleanup(func() {
-		SetSweepPolicy(prev)
+		SetSweepDeadline(prev)
 		ResetSweepErrors()
 	})
 }
@@ -37,7 +38,7 @@ func runCellScenario(c *Cell, seed int64) {
 }
 
 func TestSupervisePanicBecomesRunError(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 
 	_, rerr := Supervise(7, func(c *Cell) int {
 		runCellScenario(c, 1)
@@ -46,8 +47,8 @@ func TestSupervisePanicBecomesRunError(t *testing.T) {
 	if rerr == nil {
 		t.Fatal("panicking cell returned nil RunError")
 	}
-	if rerr.Index != 7 || rerr.Attempts != 1 || rerr.Deadline {
-		t.Fatalf("RunError = %+v, want Index 7, Attempts 1, no deadline", rerr)
+	if rerr.Index != 7 || rerr.Deadline {
+		t.Fatalf("RunError = %+v, want Index 7, no deadline", rerr)
 	}
 	if rerr.Value != "poisoned cell" {
 		t.Fatalf("RunError.Value = %v, want the panic value", rerr.Value)
@@ -66,7 +67,7 @@ func TestSupervisePanicBecomesRunError(t *testing.T) {
 }
 
 func TestSuperviseDeadlineHalt(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0, Deadline: 20 * time.Millisecond})
+	withDeadline(t, 20*time.Millisecond)
 
 	start := time.Now()
 	_, rerr := Supervise(3, func(c *Cell) int {
@@ -87,72 +88,14 @@ func TestSuperviseDeadlineHalt(t *testing.T) {
 	}
 }
 
-func TestSuperviseRetrySucceedsOnDerivedSeed(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
-
-	var seeds []int64
-	v, rerr := Supervise(0, func(c *Cell) int64 {
-		s := c.Seed(99)
-		seeds = append(seeds, s)
-		if c.Attempt() == 0 {
-			panic("seed-sensitive pathology")
-		}
-		return s
-	})
-	if rerr != nil {
-		t.Fatalf("retry did not rescue the cell: %v", rerr)
-	}
-	if len(seeds) != 2 {
-		t.Fatalf("cell ran %d attempts, want 2", len(seeds))
-	}
-	if seeds[0] != 99 {
-		t.Fatalf("attempt 0 seed = %d, want the base seed 99 (supervision must not perturb first runs)", seeds[0])
-	}
-	if seeds[1] == 99 {
-		t.Fatal("retry reused the base seed; want a derived one")
-	}
-	if v != seeds[1] {
-		t.Fatalf("returned value %d is not the successful attempt's, %d", v, seeds[1])
-	}
-}
-
-func TestDeriveSeed(t *testing.T) {
-	if got := deriveSeed(12345, 0); got != 12345 {
-		t.Fatalf("deriveSeed(s, 0) = %d, want identity", got)
-	}
-	seen := map[int64]bool{12345: true}
-	for a := 1; a <= 4; a++ {
-		s := deriveSeed(12345, a)
-		if seen[s] {
-			t.Fatalf("deriveSeed(12345, %d) = %d collides", a, s)
-		}
-		seen[s] = true
-	}
-	// Nearby base seeds must not collide either.
-	if deriveSeed(1, 1) == deriveSeed(2, 1) {
-		t.Fatal("adjacent seeds derive identically")
-	}
-	// The schedule is part of the reproducibility contract: a retried
-	// cell's result depends on it, and stored results are keyed without it.
-	want := map[[2]int64]int64{
-		{1, 0}: 1, {1, 1}: -7995527694508729151, {1, 2}: -4689498862643123097, {1, 3}: -534904783426661026,
-		{42, 0}: 42, {42, 1}: -4767286540954276203, {42, 2}: 2949826092126892291, {42, 3}: 5139283748462763858,
-	}
-	for k, w := range want {
-		if got := deriveSeed(k[0], int(k[1])); got != w {
-			t.Errorf("deriveSeed(%d, %d) = %d, want %d", k[0], k[1], got, w)
-		}
-	}
-}
-
 func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 
 	const n, poisoned = 5, 2
 	out := supervisedMap(n, func(c *Cell) int {
 		if c.Index() == poisoned {
 			runCellScenario(c, int64(c.Index()+1))
-			panic("cell is poisoned on every attempt")
+			panic("cell is poisoned")
 		}
 		return 100 + c.Index()
 	})
@@ -174,8 +117,8 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 		t.Fatalf("sweep recorded %d degraded cells, want exactly 1", len(errs))
 	}
 	e := errs[0]
-	if e.Index != poisoned || e.Attempts != 2 || e.Deadline {
-		t.Fatalf("RunError = %+v, want index %d after 2 attempts", e, poisoned)
+	if e.Index != poisoned || e.Deadline {
+		t.Fatalf("RunError = %+v, want a panic at index %d", e, poisoned)
 	}
 	if !strings.Contains(e.Stack, "runCellScenario") && !strings.Contains(e.Stack, "supervise_test") {
 		t.Fatalf("RunError.Stack does not mention the panicking frame:\n%s", e.Stack)
@@ -190,7 +133,7 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 // a run budget so tight every cell halts early, proving a degraded
 // configuration still yields a full-length, well-formed result slice.
 func TestSupervisedDriverSweepPartialResults(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 5000})
 	defer SetRunBudget(prev)
 
@@ -216,7 +159,7 @@ func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
 	// engine budget guarantees the abandoned run terminates instead of
 	// spinning forever. Give the cell a generous event budget but a tiny
 	// wall budget plus a deadline, and check both trip.
-	withPolicy(t, CellPolicy{Retries: 0, Deadline: 10 * time.Millisecond})
+	withDeadline(t, 10*time.Millisecond)
 	prev := SetRunBudget(&sim.Budget{MaxWall: 5 * time.Millisecond})
 	defer SetRunBudget(prev)
 
@@ -247,7 +190,7 @@ func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
 }
 
 func TestSweepTimelineEmitsCellSpans(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 1})
+	withDeadline(t, 0)
 	tl := obs.NewTimeline()
 	prev := SetSweepTimeline(tl)
 	defer SetSweepTimeline(prev)
@@ -279,15 +222,15 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 		t.Fatalf("sweep timeline is not loadable: %v", err)
 	}
 	// Every cell gets a queued span and a running span; the poisoned one
-	// adds a retry span and a degraded instant, plus lane metadata.
-	if events < 2*n+2 {
-		t.Fatalf("timeline has %d events, want at least %d", events, 2*n+2)
+	// adds a degraded instant, plus lane metadata.
+	if events < 2*n+1 {
+		t.Fatalf("timeline has %d events, want at least %d", events, 2*n+1)
 	}
 	out := buf.String()
 	wants := []string{
-		`"cat":"queued"`, `"cat":"running"`, `"cat":"retry"`, `"cat":"degraded"`,
+		`"cat":"queued"`, `"cat":"running"`, `"cat":"degraded"`,
 		`"sweep queue"`, `"sweep workers"`,
-		`"cell 4 retry 1"`, `"cell 4 degraded"`, `"outcome":"ok"`, `"outcome":"panic"`,
+		`"cell 4 degraded"`, `"outcome":"ok"`, `"outcome":"panic"`,
 	}
 	for w := 0; w < workers; w++ {
 		wants = append(wants, fmt.Sprintf(`"worker %d"`, w))
@@ -303,7 +246,7 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 // each queued span starts at its own sweep's start, so no wait of the
 // second sweep reaches back into the first.
 func TestSweepTimelineQueuedSpansStartAtTheirSweep(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	tl := obs.NewTimeline()
 	prev := SetSweepTimeline(tl)
 	defer SetSweepTimeline(prev)
@@ -345,7 +288,7 @@ func TestSweepTimelineQueuedSpansStartAtTheirSweep(t *testing.T) {
 }
 
 func TestSweepTimelineRemovedIsQuiet(t *testing.T) {
-	withPolicy(t, CellPolicy{Retries: 0})
+	withDeadline(t, 0)
 	tl := obs.NewTimeline()
 	SetSweepTimeline(tl)
 	SetSweepTimeline(nil)

@@ -336,15 +336,14 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + addr
 
-	// A two-cell sweep: cell 0 succeeds after a retry (with a budget
-	// halt), cell 1 degrades.
+	// A two-cell sweep: cell 0 succeeds (with a budget halt), cell 1
+	// degrades.
 	seq := []obs.SweepEvent{
 		{Kind: obs.SweepQueued, Cell: 0, Worker: 0, AtMS: 1},
 		{Kind: obs.SweepRunning, Cell: 0, Worker: 0, AtMS: 2},
 		{Kind: obs.SweepQueued, Cell: 1, Worker: 1, AtMS: 2},
 		{Kind: obs.SweepRunning, Cell: 1, Worker: 1, AtMS: 3},
-		{Kind: obs.SweepRetry, Cell: 0, Attempt: 1, Worker: 0, AtMS: 5},
-		{Kind: obs.SweepDone, Cell: 0, Attempt: 1, Worker: 0, Outcome: "ok", Halt: "events budget", AtMS: 9, DurMS: 4},
+		{Kind: obs.SweepDone, Cell: 0, Worker: 0, Outcome: "ok", Halt: "events budget", AtMS: 9, DurMS: 7},
 	}
 	for _, ev := range seq {
 		hub.SweepEvent(ev)
@@ -367,7 +366,7 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 		t.Fatalf("healthz sweep state wrong: %+v", h.Sweep)
 	}
 
-	hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepDegraded, Cell: 1, Attempt: 1, Worker: 1, Outcome: "panic", AtMS: 11})
+	hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepDegraded, Cell: 1, Worker: 1, Outcome: "panic", AtMS: 11, DurMS: 8})
 
 	got := sseEvents(t, base+"/progress?replay=close")
 	if len(got) != len(seq)+1 {
@@ -410,7 +409,6 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 	checks := map[string]float64{
 		"slowcc_sweep_cells_queued_total":   2,
 		"slowcc_sweep_cells_done_total":     1,
-		"slowcc_sweep_cell_retries_total":   1,
 		"slowcc_sweep_cells_degraded_total": 1,
 		"slowcc_sweep_cells_halted_total":   1,
 		"slowcc_sweep_cells_running":        0,

@@ -17,6 +17,11 @@ const progressRing = 8192
 // the sweep workers.
 const subChanBuf = 256
 
+// maxSubscribers caps the live subscribers: each holds a channel and a
+// copy of up to progressRing replayed events, so one more is refused
+// (the server answers 503) until another cancels.
+const maxSubscribers = 16
+
 // Progress is the live sweep hub: it implements obs.SweepSink, so
 // exp.SetSweepProgress can point supervised sweeps at it, fans the
 // per-cell events out to SSE subscribers with bounded buffering, keeps
@@ -34,10 +39,9 @@ type Progress struct {
 	run      string // run-manifest digest this sweep serves
 	runDone  bool
 	queued   int64
-	running  int64 // cells currently executing an attempt
+	running  int64 // cells currently executing
 	done     int64
 	cached   int64 // cells served from the result store, never run
-	retries  int64
 	degraded int64
 	halted   int64 // done cells whose engines hit a budget halt
 	durMS    obs.Histogram
@@ -74,8 +78,6 @@ func (p *Progress) SweepEvent(ev obs.SweepEvent) {
 		p.queued++
 	case obs.SweepRunning:
 		p.running++
-	case obs.SweepRetry:
-		p.retries++
 	case obs.SweepDone:
 		p.running--
 		p.done++
@@ -119,10 +121,15 @@ func (p *Progress) CellStats(st obs.CellStats) {
 // Subscribe registers a live listener: it returns the events so far (a
 // copy, oldest first), a channel that receives subsequent events, and a
 // cancel function. The replay slice and the channel do not overlap or
-// reorder: both are cut under the same lock.
-func (p *Progress) Subscribe() (replay []obs.SweepEvent, ch <-chan obs.SweepEvent, cancel func()) {
-	c := make(chan obs.SweepEvent, subChanBuf)
+// reorder: both are cut under the same lock. With maxSubscribers already
+// live it registers nothing and returns ok false.
+func (p *Progress) Subscribe() (replay []obs.SweepEvent, ch <-chan obs.SweepEvent, cancel func(), ok bool) {
 	p.mu.Lock()
+	if len(p.subs) >= maxSubscribers {
+		p.mu.Unlock()
+		return nil, nil, nil, false
+	}
+	c := make(chan obs.SweepEvent, subChanBuf)
 	replay = append([]obs.SweepEvent(nil), p.events...)
 	id := p.nextSub
 	p.nextSub++
@@ -132,7 +139,7 @@ func (p *Progress) Subscribe() (replay []obs.SweepEvent, ch <-chan obs.SweepEven
 		p.mu.Lock()
 		delete(p.subs, id)
 		p.mu.Unlock()
-	}
+	}, true
 }
 
 // ProgressCounts is the sweep-level state /healthz reports.
@@ -143,7 +150,6 @@ type ProgressCounts struct {
 	Running  int64  `json:"cells_running"`
 	Done     int64  `json:"cells_done"`
 	Cached   int64  `json:"cells_cached"`
-	Retries  int64  `json:"retries"`
 	Degraded int64  `json:"cells_degraded"`
 	Halted   int64  `json:"cells_halted"`
 }
@@ -152,10 +158,15 @@ type ProgressCounts struct {
 func (p *Progress) Counts() ProgressCounts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.counts()
+}
+
+// counts is Counts with p.mu held.
+func (p *Progress) counts() ProgressCounts {
 	return ProgressCounts{
 		Run: p.run, RunDone: p.runDone,
 		Queued: p.queued, Running: p.running, Done: p.done, Cached: p.cached,
-		Retries: p.retries, Degraded: p.degraded, Halted: p.halted,
+		Degraded: p.degraded, Halted: p.halted,
 	}
 }
 
@@ -164,11 +175,7 @@ func (p *Progress) Counts() ProgressCounts {
 // can share one /metrics document.
 func (p *Progress) WriteMetrics(w io.Writer) error {
 	p.mu.Lock()
-	counts := ProgressCounts{
-		Run: p.run, RunDone: p.runDone,
-		Queued: p.queued, Running: p.running, Done: p.done, Cached: p.cached,
-		Retries: p.retries, Degraded: p.degraded, Halted: p.halted,
-	}
+	counts := p.counts()
 	dropped, lost := p.dropped, p.lost
 	dur := p.durMS
 	p.mu.Unlock()
@@ -180,7 +187,6 @@ func (p *Progress) WriteMetrics(w io.Writer) error {
 	e.counter(PromName("sweep_cells_queued_total"), counts.Queued)
 	e.counter(PromName("sweep_cells_done_total"), counts.Done)
 	e.counter(PromName("sweep_cells_cached_total"), counts.Cached)
-	e.counter(PromName("sweep_cell_retries_total"), counts.Retries)
 	e.counter(PromName("sweep_cells_degraded_total"), counts.Degraded)
 	e.counter(PromName("sweep_cells_halted_total"), counts.Halted)
 	e.counter(PromName("sweep_events_dropped_total"), dropped+lost)

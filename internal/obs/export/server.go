@@ -33,7 +33,8 @@ type Health struct {
 //	/metrics        Prometheus text exposition (collector + sweep hub)
 //	/healthz        JSON health, 503 once any cell degraded
 //	/progress       SSE stream of per-cell sweep events ("event: sweep");
-//	                ?replay=close dumps buffered events and closes (CI)
+//	                ?replay=close dumps buffered events and closes (CI);
+//	                503 while maxSubscribers streams are open
 //	/debug/pprof/*  the standard profile handlers
 //
 // Start/Close serve it for the slowccsim -serve path.
@@ -64,10 +65,13 @@ func NewServer(c *Collector, p *Progress) *Server {
 
 // Request limits: a client gets readHeaderTimeout to send its request
 // line and headers, and a header block over maxHeaderBytes is refused
-// with 431 before any handler runs.
+// with 431 before any handler runs. Each SSE event must reach the
+// client within sseWriteTimeout, so a client that stops reading gives
+// its /progress slot back.
 const (
 	readHeaderTimeout = 10 * time.Second
 	maxHeaderBytes    = 16 << 10
+	sseWriteTimeout   = 10 * time.Second
 )
 
 // Start listens on addr (":0" picks a free port) and serves in the
@@ -143,17 +147,18 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no sweep hub", http.StatusNotFound)
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	replay, ch, cancel, ok := s.P.Subscribe()
 	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+		http.Error(w, "too many /progress streams", http.StatusServiceUnavailable)
 		return
 	}
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	replay, ch, cancel := s.P.Subscribe()
-	defer cancel()
+	rc := http.NewResponseController(w)
+	defer rc.SetWriteDeadline(time.Time{}) //nolint:errcheck // a kept-alive connection's next request must not inherit it
 	seq := 0
 	emit := func(ev obs.SweepEvent) bool {
 		data, err := json.Marshal(ev)
@@ -161,6 +166,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			return false
 		}
 		seq++
+		rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) //nolint:errcheck // unsupported: the write is unbounded
 		_, err = fmt.Fprintf(w, "id: %d\nevent: sweep\ndata: %s\n\n", seq, data)
 		return err == nil
 	}
@@ -169,17 +175,15 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	fl.Flush()
-	if r.URL.Query().Get("replay") == "close" {
+	if rc.Flush() != nil || r.URL.Query().Get("replay") == "close" {
 		return
 	}
 	for {
 		select {
 		case ev := <-ch:
-			if !emit(ev) {
+			if !emit(ev) || rc.Flush() != nil {
 				return
 			}
-			fl.Flush()
 		case <-r.Context().Done():
 			return
 		}

@@ -58,7 +58,7 @@ func FuzzReadManifest(f *testing.F) {
 // written through a Timeline, validate to the same count.
 func FuzzValidateTimeline(f *testing.F) {
 	// A sweep as the supervisor publishes it: one cell done, one poisoned
-	// cell retried and degraded, one served from the store.
+	// cell degraded, one served from the store.
 	sweep := NewTimeline()
 	for _, ev := range []SweepEvent{
 		{Kind: SweepQueued, Cell: 0, AtMS: 1, WaitMS: 1},
@@ -66,8 +66,7 @@ func FuzzValidateTimeline(f *testing.F) {
 		{Kind: SweepDone, Cell: 0, Outcome: "ok", AtMS: 3, DurMS: 2},
 		{Kind: SweepQueued, Cell: 1, Worker: 1, AtMS: 1.5, WaitMS: 1.5},
 		{Kind: SweepRunning, Cell: 1, Worker: 1, AtMS: 1.5},
-		{Kind: SweepRetry, Cell: 1, Attempt: 1, Worker: 1, Outcome: "panic", AtMS: 2, DurMS: 0.5},
-		{Kind: SweepDegraded, Cell: 1, Attempt: 1, Worker: 1, Outcome: "deadline", AtMS: 2.5, DurMS: 0.5},
+		{Kind: SweepDegraded, Cell: 1, Worker: 1, Outcome: "deadline", AtMS: 2.5, DurMS: 1},
 		{Kind: SweepQueued, Cell: 2, AtMS: 3, WaitMS: 3},
 		{Kind: SweepCached, Cell: 2, Outcome: "cached", Key: "6a7af80a", AtMS: 3},
 	} {

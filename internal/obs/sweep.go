@@ -12,14 +12,14 @@ type SweepEventKind string
 const (
 	// SweepQueued: a worker picked the cell out of the feed queue.
 	SweepQueued SweepEventKind = "queued"
-	// SweepRunning: attempt 0 started.
+	// SweepRunning: the cell started.
 	SweepRunning SweepEventKind = "running"
-	// SweepRetry: a later attempt started after a failure.
+	// SweepRetry is no longer emitted: a cell runs once.
 	SweepRetry SweepEventKind = "retry"
-	// SweepDone: an attempt succeeded; the cell is finished.
+	// SweepDone: the cell succeeded.
 	SweepDone SweepEventKind = "done"
-	// SweepDegraded: every attempt failed; the sweep carries on without
-	// this cell.
+	// SweepDegraded: the cell panicked or missed its deadline; the sweep
+	// carries on without it.
 	SweepDegraded SweepEventKind = "degraded"
 	// SweepCached: the cell was served from the durable result store
 	// without running — its recorded CellStats were replayed into the
@@ -29,22 +29,21 @@ const (
 
 // SweepEvent is one progress event from a supervised sweep cell.
 type SweepEvent struct {
-	Kind    SweepEventKind `json:"kind"`
-	Cell    int            `json:"cell"`
-	Attempt int            `json:"attempt"`
-	Worker  int            `json:"worker"`
-	// Outcome is "ok", "deadline", "panic" or "cached". On done and
-	// degraded it is the finishing attempt's; on retry, the failed
-	// attempt's before it.
+	Kind SweepEventKind `json:"kind"`
+	Cell int            `json:"cell"`
+	// Attempt is always 0: a cell runs once.
+	Attempt int `json:"attempt"`
+	Worker  int `json:"worker"`
+	// Outcome is "ok" (done), "deadline" or "panic" (degraded), or
+	// "cached".
 	Outcome string `json:"outcome,omitempty"`
 	// Halt carries the engine's budget halt reason when a finished
 	// cell's run was stopped early (done events only).
 	Halt string `json:"halt,omitempty"`
 	// AtMS is wall-clock milliseconds since the sweep clock started
-	// (exp.SetSweepTimeline restarts it). DurMS is the wall time of the
-	// attempt the event ends (done, degraded, and retry for the attempt
-	// before it). WaitMS, on queued, is how long the cell waited since
-	// its own sweep started.
+	// (exp.SetSweepTimeline restarts it). DurMS, on done and degraded, is
+	// the cell's wall time. WaitMS, on queued, is how long the cell
+	// waited since its own sweep started.
 	AtMS   float64 `json:"at_ms"`
 	DurMS  float64 `json:"dur_ms,omitempty"`
 	WaitMS float64 `json:"wait_ms,omitempty"`
@@ -93,11 +92,10 @@ const (
 // SweepEvent draws one sweep-cell transition, from the event alone:
 //   - queued: the cell's wait, from its own sweep's start to the pickup,
 //     on the cell's row of the queue lane;
-//   - retry, done, degraded: the attempt that just ended, as a span on
-//     its worker's row — a retry event ends the attempt before it;
+//   - done, degraded: the cell's run, as a span on its worker's row;
 //   - degraded also adds an instant, and cached is one.
 //
-// Running draws nothing: its span is drawn when the attempt ends.
+// Running draws nothing: its span is drawn when the cell ends.
 func (t *Timeline) SweepEvent(ev SweepEvent) {
 	at := ev.AtMS * 1000 // trace timestamps are µs
 	if ev.Kind == SweepQueued {
@@ -112,24 +110,16 @@ func (t *Timeline) SweepEvent(ev SweepEvent) {
 	}
 	t.ProcessName(sweepWorkersPid, "sweep workers")
 	t.ThreadName(sweepWorkersPid, ev.Worker, fmt.Sprintf("worker %d", ev.Worker))
-	attempt := ev.Attempt
-	switch ev.Kind {
-	case SweepCached:
+	if ev.Kind == SweepCached {
 		t.Instant("cached", fmt.Sprintf("cell %d cached", ev.Cell), sweepWorkersPid, ev.Worker, at,
 			map[string]any{"index": ev.Cell, "key": ev.Key})
 		return
-	case SweepRetry:
-		attempt--
-	}
-	cat, name := "running", fmt.Sprintf("cell %d", ev.Cell)
-	if attempt > 0 {
-		cat, name = "retry", fmt.Sprintf("cell %d retry %d", ev.Cell, attempt)
 	}
 	dur := ev.DurMS * 1000
-	t.Span(cat, name, sweepWorkersPid, ev.Worker, at-dur, dur,
-		map[string]any{"index": ev.Cell, "attempt": attempt, "outcome": ev.Outcome})
+	t.Span("running", fmt.Sprintf("cell %d", ev.Cell), sweepWorkersPid, ev.Worker, at-dur, dur,
+		map[string]any{"index": ev.Cell, "outcome": ev.Outcome})
 	if ev.Kind == SweepDegraded {
 		t.Instant("degraded", fmt.Sprintf("cell %d degraded", ev.Cell), sweepWorkersPid, ev.Worker, at,
-			map[string]any{"index": ev.Cell, "attempts": attempt + 1})
+			map[string]any{"index": ev.Cell})
 	}
 }

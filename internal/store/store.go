@@ -68,10 +68,11 @@ type Entry struct {
 	// Index is the sweep index the cell had when recorded (informational;
 	// the key, not the index, is the identity).
 	Index int `json:"index"`
-	// Attempts is how many attempts the recording run spent on the cell.
+	// Attempts is how many times the recording run ran the cell: 1 now
+	// that a cell runs once, more in stores written by builds that
+	// retried.
 	Attempts int `json:"attempts"`
-	// Degraded marks a cell whose every attempt failed; Error carries the
-	// last attempt's failure text.
+	// Degraded marks a cell that failed; Error carries its failure text.
 	Degraded bool   `json:"degraded,omitempty"`
 	Error    string `json:"error,omitempty"`
 	// Result is the cell's typed result, JSON-encoded (empty when

@@ -259,6 +259,7 @@ func TestInternalSurfaceHasUsers(t *testing.T) {
 // field has gained a writer, or no longer exists, fails the test too.
 var fieldTestOnly = map[string]string{
 	"sim.Budget.LivelockEvents": "safety check: a run stuck at one instant halts instead of spinning; tests set it to prove the halt",
+	"obs.SweepEvent.Attempt":    "bench/trace.go reads it, and only a benchmark PR may edit bench/",
 }
 
 // TestInternalFieldsHaveWriters is TestInternalSurfaceHasUsers one level
