@@ -40,8 +40,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # fuzz-smoke gives each parser fuzz target (fault specs, algorithm
-# specs and lists), the result store's two
-# on-disk readers, the trace and matrix TSV readers, the strict
+# specs and lists), the result store's frame reader (both files, and
+# its refusal of a v1 store), the trace and matrix TSV readers, the strict
 # exposition parser behind slowccreport -prom-verify, and the manifest
 # and timeline readers behind slowccreport a few seconds of
 # coverage-guided input on every ci run — long enough to re-find

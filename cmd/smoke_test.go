@@ -222,7 +222,7 @@ func TestResumeSmoke(t *testing.T) {
 	}
 	summary := fmt.Sprintf("store d: %d entries, %d hits, 0 misses, 0 corrupt\n", len(cells), len(cells))
 
-	snapPath, journalPath := filepath.Join(dir, "d", "snapshot.json"), filepath.Join(dir, "d", "journal.bin")
+	snapPath, journalPath := filepath.Join(dir, "d", "snapshot.bin"), filepath.Join(dir, "d", "journal.bin")
 	var before []byte
 	var beforeInfo os.FileInfo
 	for _, tsv := range []string{"b.tsv", "c.tsv"} {
@@ -239,7 +239,7 @@ func TestResumeSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		if before != nil && (!bytes.Equal(snap, before) || !info.ModTime().Equal(beforeInfo.ModTime())) {
-			t.Fatalf("a fully warm resume rewrote snapshot.json (mtime %v -> %v)", beforeInfo.ModTime(), info.ModTime())
+			t.Fatalf("a fully warm resume rewrote snapshot.bin (mtime %v -> %v)", beforeInfo.ModTime(), info.ModTime())
 		}
 		before, beforeInfo = snap, info
 		if j, err := os.Stat(journalPath); err != nil || j.Size() != 0 {

@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -86,6 +88,38 @@ func TestMatrixTSVHeatmapRoundTrip(t *testing.T) {
 			p.A != c.A || p.B != c.B || p.Degraded != c.Degraded {
 			t.Fatalf("cell %d identity: %+v != %+v", i, p, c)
 		}
+	}
+}
+
+// RenderMatrixTSV writes every float as fmt's %.6g does, on the values
+// where the two could part (NaN, ±Inf, −0, the exponent thresholds, the
+// smallest subnormal) and on every cell of a default matrix.
+func TestMatrixTSVMatchesFmt(t *testing.T) {
+	viaFmt := func(cells []MatrixCell) string {
+		var sb strings.Builder
+		sb.WriteString(matrixTSVHeader + "\n")
+		for _, c := range cells {
+			fmt.Fprintf(&sb, "%s\t%s\t%s\t%s\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%t\n",
+				c.Topology, c.Condition, c.A, c.B,
+				c.AMbps, c.BMbps, c.Ratio, c.Jain, c.SmoothA, c.SmoothB, c.Utilization, c.Degraded)
+		}
+		return sb.String()
+	}
+	var cells []MatrixCell
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		1e-7, 1e21, 5e-324, 1e-4, 1e-5, 123456, 999999.5, 1234567, 0.1 + 0.2, math.MaxFloat64, -2.5e-300} {
+		cells = append(cells, MatrixCell{Topology: "t", Condition: "c", A: "a", B: "b",
+			AMbps: v, BMbps: -v, Ratio: 3 * v, Jain: v / 7, SmoothA: v, SmoothB: -v / 3, Utilization: v, Degraded: i%2 == 0})
+	}
+	if got, want := RenderMatrixTSV(cells), viaFmt(cells); got != want {
+		t.Fatalf("rendered\n%s\nfmt renders\n%s", got, want)
+	}
+	if testing.Short() {
+		return
+	}
+	cells = Matrix(MatrixConfig{Seed: 1, Warmup: 0.2, Measure: 0.6, Period: 1})
+	if got, want := RenderMatrixTSV(cells), viaFmt(cells); got != want {
+		t.Fatalf("default matrix: rendered\n%s\nfmt renders\n%s", got, want)
 	}
 }
 

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -214,15 +216,22 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 // would compute the same cell — same pair, condition, topology, rates,
 // timeline, seed — produce the same key, so the result store can serve
 // one's work to the other; any knob change changes the key and forces
-// a recompute. The run-constant knobs are formatted once, here; the
-// returned function sets the four per-cell ones on the shared manifest
-// and so must not be called concurrently.
+// a recompute. The manifest is marshalled once, here, with a
+// placeholder for each of the four per-cell strings; the returned
+// function splices their JSON-quoted values into that template, so it
+// hashes the bytes Manifest.ComputeDigest would, and it reuses one
+// buffer, so it must not be called concurrently.
 func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) string {
 	m := obs.NewManifest("slowccsim.matrix-cell", cfg.Seed)
 	m.DurationS = float64(cfg.Warmup + cfg.Measure)
-	m.Algos = make([]string, 2)
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	slots := [4]string{"\x00topology", "\x00condition", "\x00algo_a", "\x00algo_b"}
+	m.Algos = []string{slots[2], slots[3]}
 	m.Config = map[string]string{
+		"topology":       slots[0],
+		"condition":      slots[1],
+		"algo_a":         slots[2],
+		"algo_b":         slots[3],
 		"hops":           strconv.Itoa(cfg.Hops),
 		"rate":           g(cfg.Rate),
 		"flows_per_side": strconv.Itoa(cfg.FlowsPerSide),
@@ -236,12 +245,55 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 		"smooth_bin":     g(float64(cfg.SmoothBin)),
 		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
 	}
-	return func(topo, cond string, a, b AlgoSpec) string {
-		m.Algos[0], m.Algos[1] = a.Name, b.Name
-		m.Config["topology"], m.Config["condition"] = topo, cond
-		m.Config["algo_a"], m.Config["algo_b"] = a.Name, b.Name
-		return m.ComputeDigest()
+	tmpl, quoted := mustJSON(m), map[string][]byte{}
+	quote := func(v string) []byte {
+		q, ok := quoted[v]
+		if !ok {
+			q = mustJSON(v)
+			quoted[v] = q
+		}
+		return q
 	}
+	// Cut the template at each placeholder, in order of appearance.
+	type part struct {
+		lit  []byte
+		slot int // index into the per-cell values; -1 after the last
+	}
+	var parts []part
+	for {
+		at, slot := len(tmpl), -1
+		for i, s := range slots {
+			if j := bytes.Index(tmpl, quote(s)); j >= 0 && j < at {
+				at, slot = j, i
+			}
+		}
+		parts = append(parts, part{tmpl[:at], slot})
+		if slot < 0 {
+			break
+		}
+		tmpl = tmpl[at+len(quote(slots[slot])):]
+	}
+	var buf []byte
+	return func(topo, cond string, a, b AlgoSpec) string {
+		vals := [4]string{topo, cond, a.Name, b.Name}
+		buf = buf[:0]
+		for _, p := range parts {
+			buf = append(buf, p.lit...)
+			if p.slot >= 0 {
+				buf = append(buf, quote(vals[p.slot])...)
+			}
+		}
+		return obs.DigestBytes(buf)
+	}
+}
+
+// mustJSON marshals a value that cannot fail to marshal.
+func mustJSON(v any) []byte {
+	blob, err := json.Marshal(v)
+	if err != nil {
+		panic(fmt.Sprintf("exp: marshal: %v", err))
+	}
+	return blob
 }
 
 // wireMatrixCell builds a cell's engine, topology and traffic — all of
@@ -342,16 +394,21 @@ func meanCoV(ms []*metrics.Meter, skip int) float64 {
 
 // RenderMatrixTSV formats the cells as a deterministic tab-separated
 // table (one row per cell, stable column order and float formatting), so
-// byte-identical inputs always produce byte-identical artifacts.
+// byte-identical inputs always produce byte-identical artifacts. A
+// float is written as fmt's %.6g writes it.
 func RenderMatrixTSV(cells []MatrixCell) string {
-	var sb strings.Builder
-	sb.WriteString(matrixTSVHeader + "\n")
+	b := make([]byte, 0, len(matrixTSVHeader)+1+len(cells)*160)
+	b = append(b, matrixTSVHeader+"\n"...)
 	for _, c := range cells {
-		fmt.Fprintf(&sb, "%s\t%s\t%s\t%s\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%.6g\t%t\n",
-			c.Topology, c.Condition, c.A, c.B,
-			c.AMbps, c.BMbps, c.Ratio, c.Jain, c.SmoothA, c.SmoothB, c.Utilization, c.Degraded)
+		for _, s := range [...]string{c.Topology, c.Condition, c.A, c.B} {
+			b = append(append(b, s...), '\t')
+		}
+		for _, v := range [...]float64{c.AMbps, c.BMbps, c.Ratio, c.Jain, c.SmoothA, c.SmoothB, c.Utilization} {
+			b = append(strconv.AppendFloat(b, v, 'g', 6, 64), '\t')
+		}
+		b = append(strconv.AppendBool(b, c.Degraded), '\n')
 	}
-	return sb.String()
+	return string(b)
 }
 
 // RenderMatrix prints the human view: one throughput-ratio grid (row

@@ -2,7 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -285,6 +290,70 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	for _, e := range bad.Entries() {
 		if cs, err := e.CellStats(); err != nil || cs == nil || cs.Events == 0 {
 			t.Fatalf("recomputed cell %s stored no usable telemetry (%v)", e.Key, err)
+		}
+	}
+}
+
+// storeFrame builds a store frame by hand, as a damaged or foreign
+// writer could leave one: u32 payload length, u32 CRC-32C of the
+// payload, then the u32-prefixed head, the u32-prefixed result and the
+// stats.
+func storeFrame(head, result, stats string) []byte {
+	p := binary.LittleEndian.AppendUint32(nil, uint32(len(head)))
+	p = append(p, head...)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(result)))
+	p = append(p, result...)
+	p = append(p, stats...)
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, p...)
+}
+
+// A stored result that is not JSON passes Open, which checks only its
+// frame's checksum and head, and fails where it is used: the replay
+// counts it corrupt, recomputes that one cell, and renders the cold TSV.
+func TestUnparsedStoredResultIsRecomputed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix sweeps in -short mode")
+	}
+	withDeadline(t, 0)
+	st := withStore(t, false)
+	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
+	victim := st.Entries()[1]
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	head := fmt.Sprintf(`{"schema":%q,"key":%q,"index":%d,"attempts":1}`, store.Schema, victim.Key, victim.Index)
+	f, err := os.OpenFile(filepath.Join(st.Dir(), "journal.bin"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(storeFrame(head, `{"Topology":`, ``)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := store.Open(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != 4 || re.Corrupt() != 0 {
+		t.Fatalf("reopened: %d entries, %d corrupt; want 4, 0", re.Len(), re.Corrupt())
+	}
+	SetSweepStore(re, true)
+	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+		t.Fatalf("replayed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
+	}
+	if re.Hits() != 4 || re.Corrupt() != 1 {
+		t.Fatalf("hits=%d corrupt=%d, want 4 (one of them refused), 1", re.Hits(), re.Corrupt())
+	}
+	// The recompute committed a result that decodes.
+	for _, e := range re.Entries() {
+		if _, ok := decodeStored[MatrixCell](e); !ok {
+			t.Fatalf("cell %s still holds %q", e.Key, e.Result)
 		}
 	}
 }

@@ -81,6 +81,11 @@ func StopRequested() bool { return stopRequested.Load() }
 // stop was requested.
 func StoppedCells() int64 { return supervision.stopped.Load() }
 
+// scopeKeyVersion heads every generic key. It versions how a key is
+// derived, not the store's on-disk format: a store of another format is
+// refused when it is opened, so a format bump need not move the keys.
+const scopeKeyVersion = "slowcc-store/1"
+
 // scopeKeys derives per-cell store keys for a generic sweep from the
 // installed scope, or nil when keying is off or T cannot round-trip
 // JSON losslessly (a lossy type must never be replayed — artifacts
@@ -96,7 +101,7 @@ func scopeKeys[T any](n int) func(int) string {
 	}
 	return func(i int) string {
 		sum := sha256.Sum256(fmt.Appendf(nil, "%s|%s|call=%d|type=%T|n=%d|cell=%d",
-			store.Schema, scope, seq, zero, n, i))
+			scopeKeyVersion, scope, seq, zero, n, i))
 		return hex.EncodeToString(sum[:])
 	}
 }

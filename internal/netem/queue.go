@@ -27,7 +27,8 @@ type Queue interface {
 
 // fifo is the shared FIFO storage used by the drop disciplines. It uses a
 // ring buffer so steady-state operation does not allocate. The buffer's
-// length is fifoMin times a power of two.
+// length is fifoMin times a power of two, itself a power of two, so an
+// index wraps with a mask.
 type fifo struct {
 	buf   []*Packet
 	head  int
@@ -64,7 +65,7 @@ func (f *fifo) push(p *Packet) {
 	if f.n == len(f.buf) {
 		f.grow()
 	}
-	f.buf[(f.head+f.n)%len(f.buf)] = p
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = p
 	f.n++
 	f.bytes += p.Size
 }
@@ -75,16 +76,21 @@ func (f *fifo) pop() *Packet {
 	}
 	p := f.buf[f.head]
 	f.buf[f.head] = nil
-	f.head = (f.head + 1) % len(f.buf)
+	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
 	f.bytes -= p.Size
 	return p
 }
 
 // grow moves the queue into a buffer at least twice the size: the
-// smallest a released queue parked, or a new one.
+// smallest a released queue parked, or a new one. Sizes only ever
+// double from fifoMin, and parked buffers are fifoMin<<i, so every
+// length is a power of two and push and pop may mask.
 func (f *fifo) grow() {
-	need := max(2*len(f.buf), fifoMin)
+	need := fifoMin
+	if len(f.buf) > 0 {
+		need = 2 * len(f.buf)
+	}
 	var nb []*Packet
 	if sim.Stocked() {
 		for c := sizeClass(need); c >= 0 && c < len(parked) && nb == nil; c++ {
@@ -95,7 +101,7 @@ func (f *fifo) grow() {
 		nb = make([]*Packet, need)
 	}
 	for i := 0; i < f.n; i++ {
-		nb[i] = f.buf[(f.head+i)%len(f.buf)]
+		nb[i] = f.buf[(f.head+i)&(len(f.buf)-1)]
 	}
 	f.buf = nb
 	f.head = 0

@@ -50,7 +50,9 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 }
 
 // BenchmarkWarmClose is the Close a warm replay ends with: every entry
-// read, none written.
+// read, none written. Its untimed Open dwarfs the timed Close, so the
+// default -benchtime grows b.N into minutes of setup; give it a count
+// (-benchtime=200x).
 func BenchmarkWarmClose(b *testing.B) {
 	dir := matrixShapedStore(b)
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -11,11 +12,13 @@ import (
 	"slowcc/internal/store"
 )
 
-// FuzzOpen feeds arbitrary bytes to both on-disk readers. Whatever the
+// FuzzOpen feeds arbitrary bytes to both on-disk files. Whatever the
 // files hold, Open and OpenReadOnly must not panic, must not allocate
 // beyond a multiple of what they were given (a hostile length prefix
 // promises up to 4 GiB), must only hold servable entries, and a store
-// that opened must close and reopen to the same entries, repaired.
+// that opened must close and reopen to the same entries, repaired. With
+// v1 set the snapshot bytes land where a slowcc-store/1 build kept its
+// JSON snapshot, and both openers must refuse the directory untouched.
 func FuzzOpen(f *testing.F) {
 	seedDir := f.TempDir()
 	s, err := store.Open(seedDir)
@@ -35,19 +38,28 @@ func FuzzOpen(f *testing.F) {
 	if err := s.Close(); err != nil {
 		f.Fatal(err)
 	}
-	snapshot, _ := os.ReadFile(filepath.Join(seedDir, "snapshot.json"))
+	snapshot, _ := os.ReadFile(filepath.Join(seedDir, "snapshot.bin"))
+	v1, err := os.ReadFile(filepath.Join("testdata", "parent_snapshot.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
 
-	f.Add(snapshot, []byte(nil))
-	f.Add([]byte(nil), journal)
-	f.Add(snapshot, journal[:len(journal)-3]) // torn tail
-	f.Add([]byte(`{"schema":"slowcc-store/1","entries":[null]}`), []byte(nil))
-	f.Add([]byte(nil), append(binary.LittleEndian.AppendUint32(nil, 0xffffffff), journal[4:]...)) // implausible length
-	f.Add([]byte(nil), append(binary.LittleEndian.AppendUint32(nil, 1<<28), journal[4:]...))      // plausible, far past the end
+	f.Add(snapshot, []byte(nil), false)
+	f.Add([]byte(nil), journal, false)
+	f.Add(snapshot, journal[:len(journal)-3], false) // torn tail
+	f.Add(rawFrame(`null`, ``, ``), []byte(nil), false)
+	f.Add([]byte(nil), append(binary.LittleEndian.AppendUint32(nil, 0xffffffff), journal[4:]...), false) // implausible length
+	f.Add([]byte(nil), append(binary.LittleEndian.AppendUint32(nil, 1<<28), journal[4:]...), false)      // plausible, far past the end
+	f.Add(v1, journal, true)
 
-	f.Fuzz(func(t *testing.T, snapshot, journal []byte) {
+	f.Fuzz(func(t *testing.T, snapshot, journal []byte, v1 bool) {
 		dir := t.TempDir()
-		if len(snapshot) > 0 { // an empty snapshot.json is just a parse error
-			if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), snapshot, 0o644); err != nil {
+		snapName := "snapshot.bin"
+		if v1 {
+			snapName = "snapshot.json"
+		}
+		if len(snapshot) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, snapName), snapshot, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -68,6 +80,20 @@ func FuzzOpen(f *testing.F) {
 		runtime.ReadMemStats(&m1)
 		if limit := uint64(1<<20 + 512*(len(snapshot)+len(journal))); m1.TotalAlloc-m0.TotalAlloc > limit {
 			t.Fatalf("open allocated %d bytes for %d bytes of input", m1.TotalAlloc-m0.TotalAlloc, len(snapshot)+len(journal))
+		}
+		if v1 && len(snapshot) > 0 {
+			if err == nil {
+				t.Fatal("OpenReadOnly accepted a slowcc-store/1 directory")
+			}
+			if s, err := store.Open(dir); err == nil {
+				s.Close()
+				t.Fatal("Open accepted a slowcc-store/1 directory")
+			}
+			after, _ := os.ReadFile(filepath.Join(dir, "journal.bin"))
+			if ents, _ := os.ReadDir(dir); len(ents) != 2 || !bytes.Equal(after, journal) {
+				t.Fatalf("refusing a slowcc-store/1 directory changed it: %d files", len(ents))
+			}
+			return
 		}
 		if err != nil {
 			if s, err := store.Open(dir); err == nil {

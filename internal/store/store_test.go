@@ -206,7 +206,7 @@ func TestCheckpointCompactsAndSurvives(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.Stat(filepath.Join(dir, "snapshot.json"))
+	snap, err := os.Stat(filepath.Join(dir, "snapshot.bin"))
 	if err != nil {
 		t.Fatalf("no snapshot after Close: %v", err)
 	}
@@ -335,7 +335,7 @@ func TestOpenReadOnlyNeverRepairs(t *testing.T) {
 	if m, _ := filepath.Glob(filepath.Join(dir, "quarantine-*.bin")); len(m) != 0 {
 		t.Fatal("read-only open wrote a quarantine file")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.json")); err == nil {
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.bin")); err == nil {
 		t.Fatal("read-only Close wrote a snapshot")
 	}
 }
