@@ -61,21 +61,20 @@ type Receiver struct {
 	weights []float64
 	fbFn    func()
 
-	maxSeq        int64 // highest sequence seen
-	gotAny        bool
-	rtt           sim.Time // sender-stamped RTT estimate
-	lastPktSent   sim.Time // SentAt of the most recent data packet
-	lastPktSize   int
-	eventStart    sim.Time // time the current loss event began
-	eventSeq      int64    // first lost sequence of the current event
-	intervals     []int64  // closed loss intervals, most recent first
-	haveLoss      bool
-	lossSinceFB   bool
-	fbBytes       int64 // bytes since last feedback
-	lastFBTime    sim.Time
-	fbTimer       *sim.Timer
-	lastRecvRate  float64
-	immediatePend bool
+	maxSeq       int64 // highest sequence seen
+	gotAny       bool
+	rtt          sim.Time // sender-stamped RTT estimate
+	lastPktSent  sim.Time // SentAt of the most recent data packet
+	lastPktSize  int
+	eventStart   sim.Time // time the current loss event began
+	eventSeq     int64    // first lost sequence of the current event
+	intervals    []int64  // closed loss intervals, most recent first
+	haveLoss     bool
+	lossSinceFB  bool
+	fbBytes      int64 // bytes since last feedback
+	lastFBTime   sim.Time
+	fbTimer      *sim.Timer
+	lastRecvRate float64
 }
 
 // NewReceiver returns a TFRC(k) receiver for the given flow, reporting

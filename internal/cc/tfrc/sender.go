@@ -54,17 +54,16 @@ type Sender struct {
 
 	st cc.SenderStats
 
-	x        float64 // allowed sending rate, bytes/s
-	srtt     sim.Time
-	hasRTT   bool
-	seq      int64
-	inSS     bool // slow-start: no loss reported yet
-	running  bool
-	sendT    *sim.Timer
-	nfT      *sim.Timer // no-feedback timer
-	sendFn   func()
-	nfFn     func()
-	lastRecv float64 // most recent reported receive rate
+	x       float64 // allowed sending rate, bytes/s
+	srtt    sim.Time
+	hasRTT  bool
+	seq     int64
+	inSS    bool // slow-start: no loss reported yet
+	running bool
+	sendT   *sim.Timer
+	nfT     *sim.Timer // no-feedback timer
+	sendFn  func()
+	nfFn    func()
 }
 
 // NewSender returns a TFRC sender transmitting into out.
@@ -181,7 +180,6 @@ func (s *Sender) Handle(p *netem.Packet) {
 		}
 	}
 	fb := p.FB
-	s.lastRecv = fb.RecvRate
 	rtt := float64(s.SRTT())
 	pktSize := float64(s.cfg.PktSize)
 

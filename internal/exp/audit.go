@@ -115,12 +115,12 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 			recordAuditViolation(v)
 		}
 	}
-	// A sink or a store reads the cell's telemetry — recorded cells carry
-	// their counters, histograms, event count and halts so a resumed run
-	// replays the /metrics state a cold run produces — through closures
-	// read once, after the job returns. Folding the event stream is
-	// per-event work, so only a live sink gets a digest, and a store
-	// records whatever the cell ran with.
+	// A sink or a store reads the cell's counters — recorded cells carry
+	// them with the event count and halts so a resumed run replays the
+	// /metrics state a cold run produces — through closures read once,
+	// after the job returns. Folding the event stream is per-event work,
+	// so only a live sink gets a digest, and a store records whatever the
+	// cell ran with.
 	if c != nil && (env.sink != nil || env.store != nil) {
 		c.observe(n, env.sink != nil)
 	}
@@ -147,7 +147,7 @@ func dumpRing(ring *trace.Recorder, path string) {
 // digest folding the engine's every event. The supervisor snapshots
 // both into obs.CellStats after the job returns.
 func (c *Cell) observe(n *topology.Net, digest bool) {
-	o := cellObs{eng: n.Eng, reg: &obs.Registry{}}
+	o := cellObs{reg: &obs.Registry{}}
 	n.Observe(o.reg)
 	if digest {
 		o.dig = &sim.StreamDigest{}

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,8 +93,8 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 	if st.DigestEvents == 0 || st.DigestEvents != st.Events {
 		t.Fatalf("digest covered %d of %d events", st.DigestEvents, st.Events)
 	}
-	if st.Halt != "" {
-		t.Fatalf("unbudgeted run reported halt %q", st.Halt)
+	if len(st.Halts) != 0 {
+		t.Fatalf("unbudgeted run reported halts %q", st.Halts)
 	}
 	// The digest must be the run's fingerprint: the same scenario on the
 	// same seed reproduces it, a different seed does not.
@@ -159,8 +160,8 @@ func TestSweepProgressDegradedOrdering(t *testing.T) {
 	if !kindsEqual(sink.cellKinds(1), obs.SweepQueued, obs.SweepRunning, obs.SweepDegraded) {
 		t.Fatalf("cell 1 kinds = %v, want queued/running/degraded", sink.cellKinds(1))
 	}
-	if len(sink.stats) != 1 || sink.stats[0].Cell != 0 {
-		t.Fatalf("CellStats = %+v, want exactly cell 0", sink.stats)
+	if len(sink.stats) != 1 {
+		t.Fatalf("CellStats = %+v, want exactly cell 0's", sink.stats)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
@@ -171,6 +172,16 @@ func TestSweepProgressDegradedOrdering(t *testing.T) {
 	}
 }
 
+// spinPastBudget runs a scenario whose engine never drains, so only the
+// run budget stops it.
+func spinPastBudget(c *Cell) {
+	eng, _ := c.newScenario(1, topology.Config{Rate: 1e6})
+	var fn func(any)
+	fn = func(any) { eng.AfterFunc(1e-3, fn, nil) }
+	eng.AfterFunc(1e-3, fn, nil)
+	eng.RunUntil(1e6)
+}
+
 // A cell whose engine trips the global run budget must surface the halt
 // reason in its CellStats and done event.
 func TestSweepProgressReportsBudgetHalt(t *testing.T) {
@@ -178,25 +189,40 @@ func TestSweepProgressReportsBudgetHalt(t *testing.T) {
 	sink := withSink(t)
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
 	defer SetRunBudget(prev)
-	_, rerr := Supervise(0, func(c *Cell) int {
-		eng, _ := c.newScenario(1, topology.Config{Rate: 1e6})
-		var fn func(any)
-		fn = func(any) { eng.AfterFunc(1e-3, fn, nil) }
-		eng.AfterFunc(1e-3, fn, nil)
-		eng.RunUntil(1e6)
-		return 1
-	})
+	_, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 })
 	if rerr != nil {
 		t.Fatalf("cell failed: %v", rerr)
 	}
-	if len(sink.stats) != 1 || sink.stats[0].Halt == "" {
+	if len(sink.stats) != 1 || len(sink.stats[0].Halts) != 1 {
 		t.Fatalf("CellStats halt not reported: %+v", sink.stats)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	last := sink.events[len(sink.events)-1]
-	if last.Kind != obs.SweepDone || last.Halt == "" {
+	if last.Kind != obs.SweepDone || last.Halt != sink.stats[0].Halts[0] {
 		t.Fatalf("done event missing halt reason: %+v", last)
+	}
+}
+
+// A halt reaches the done event and a degraded cell's report whatever
+// renders them: with only a logger installed — no sink, no store — the
+// cell's engines are still read for their halt reasons.
+func TestBudgetHaltReportedWithoutSinkOrStore(t *testing.T) {
+	withDeadline(t, 0)
+	var buf bytes.Buffer
+	prevLog := SetSweepLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+	defer SetSweepLogger(prevLog)
+	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
+	defer SetRunBudget(prev)
+	if _, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 }); rerr != nil {
+		t.Fatalf("cell failed: %v", rerr)
+	}
+	if out := buf.String(); !strings.Contains(out, "sweep cell done") || !strings.Contains(out, `halt="max-events after 50 events`) {
+		t.Fatalf("done record carries no halt:\n%s", out)
+	}
+	_, rerr := Supervise(1, func(c *Cell) int { spinPastBudget(c); panic("after the halt") })
+	if rerr == nil || !strings.HasPrefix(rerr.Halt, "max-events after 50 events") {
+		t.Fatalf("degraded cell's halt not reported: %+v", rerr)
 	}
 }
 

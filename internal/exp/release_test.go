@@ -2,14 +2,12 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
 
-	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 )
@@ -29,24 +27,14 @@ func releaseMatrix(algos ...AlgoSpec) MatrixConfig {
 }
 
 // storedCells runs cfg into a fresh store and returns each key's stored
-// result and telemetry. The telemetry's Cell is the sweep index, which
-// reordering the algorithms moves on purpose, so it is zeroed.
+// result and telemetry bytes.
 func storedCells(t *testing.T, cfg MatrixConfig) map[string][2][]byte {
 	t.Helper()
 	st := withStore(t, false)
 	Matrix(cfg)
 	out := map[string][2][]byte{}
 	for _, e := range st.Entries() {
-		var cs obs.CellStats
-		if err := json.Unmarshal(e.Stats, &cs); err != nil {
-			t.Fatalf("cell %s: stats: %v", e.Key, err)
-		}
-		cs.Cell = 0
-		stats, err := json.Marshal(&cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[e.Key] = [2][]byte{e.Result, stats}
+		out[e.Key] = [2][]byte{e.Result, e.Stats}
 	}
 	return out
 }

@@ -545,8 +545,10 @@ func TestCellStatsAggregatesEveryEngineHalt(t *testing.T) {
 	if len(st.Halts) != 2 {
 		t.Fatalf("Halts = %v, want both engines' halt reasons", st.Halts)
 	}
-	if st.Halt != st.Halts[0] {
-		t.Fatalf("legacy Halt %q is not the first of Halts %v", st.Halt, st.Halts)
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if last := sink.events[len(sink.events)-1]; last.Kind != obs.SweepDone || last.Halt != st.Halts[0] {
+		t.Fatalf("done event %+v does not carry the first of Halts %v", last, st.Halts)
 	}
 	ResetSweepErrors()
 }

@@ -165,10 +165,10 @@ func decodeStored[T any](e *store.Entry) (T, bool) {
 }
 
 // replayCached surfaces a store hit through the live-telemetry surface:
-// the recorded CellStats (re-indexed to this sweep) flow into the sink
-// exactly as a computed cell's would, and the cell's lifecycle is
-// queued → cached. The stored telemetry is decoded only when a sink
-// is attached; false means it did not decode and nothing was emitted,
+// the recorded CellStats flow into the sink exactly as a computed cell's
+// would, and the cell's lifecycle is queued → cached. The stored
+// telemetry is decoded only when a sink is attached; false means it did
+// not decode and nothing was emitted,
 // so the caller recomputes the cell instead of accepting the hit.
 func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
 	var stats *obs.CellStats
@@ -183,7 +183,6 @@ func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
 	}
 	now := env.queued(index, worker)
 	if stats != nil {
-		stats.Cell = index
 		env.sink.CellStats(*stats)
 	}
 	env.emit(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
@@ -231,9 +230,9 @@ var (
 // JSON-representable kind (Go's float64 JSON encoding is shortest-form
 // exact, so numbers round-trip bit-for-bit). Types that implement both
 // json.Marshaler and json.Unmarshaler are trusted to manage their own
-// fidelity (obs.Histogram does). A type failing this check makes its
-// sweep run unkeyed — correct, just never cached. seen holds the types
-// on the current path, so a cyclic type terminates.
+// fidelity. A type failing this check makes its sweep run unkeyed —
+// correct, just never cached. seen holds the types on the current path,
+// so a cyclic type terminates.
 func lossless(t reflect.Type, seen map[reflect.Type]bool) bool {
 	if seen[t] {
 		return true // cycle: sound if every other path is

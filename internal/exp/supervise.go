@@ -85,7 +85,6 @@ func (c *Cell) release() {
 // cellObs is one engine's telemetry attachment points. dig is nil when
 // only a store consumes the cell (see buildScenario).
 type cellObs struct {
-	eng *sim.Engine
 	reg *obs.Registry
 	dig *sim.StreamDigest
 }
@@ -231,9 +230,9 @@ func SetSweepTimeline(tl *obs.Timeline) (prev *obs.Timeline) {
 // SetSweepProgress installs a live progress sink (export.Progress, or
 // anything else implementing obs.SweepSink): supervised sweeps send it
 // every cell transition and, for every successfully finished cell, an
-// obs.CellStats snapshot of the counters, histograms, and stream digest
-// of each engine the cell constructed. The sink is what switches that
-// harvest on; a timeline or a logger does not. Snapshots are taken on
+// obs.CellStats snapshot of the counters and stream digest of each
+// engine the cell constructed. The sink is what switches that harvest
+// on; a timeline or a logger does not. Snapshots are taken on
 // the worker goroutine after the job returns, so the sink never observes
 // a live engine. nil removes the sink; returns the previous one.
 func SetSweepProgress(sink obs.SweepSink) (prev obs.SweepSink) {
@@ -336,7 +335,7 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 	var st obs.CellStats
 	kind, outcome := obs.SweepDone, "ok"
 	if rerr == nil {
-		st = cellStats(index, cell)
+		st = cellStats(cell)
 		cell.release()
 		if env.sink != nil {
 			env.sink.CellStats(st)
@@ -346,7 +345,7 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 			// The cell failed but the job returned (a panic, not an
 			// abandoned deadline), so its engines' sticky halt reasons are
 			// safely harvestable into the degraded report.
-			rerr.Halt = strings.Join(cellStats(index, cell).Halts, "; ")
+			rerr.Halt = strings.Join(cellStats(cell).Halts, "; ")
 		}
 		kind, outcome = obs.SweepDegraded, "panic"
 		if rerr.Deadline {
@@ -355,22 +354,34 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 	}
 	if tell {
 		now := time.Now()
-		env.emit(obs.SweepEvent{Kind: kind, Cell: index, Worker: worker,
-			Outcome: outcome, Halt: st.Halt, DurMS: ms(now.Sub(t0))}, now)
+		ev := obs.SweepEvent{Kind: kind, Cell: index, Worker: worker, Outcome: outcome, DurMS: ms(now.Sub(t0))}
+		if len(st.Halts) > 0 {
+			ev.Halt = st.Halts[0]
+		}
+		env.emit(ev, now)
 	}
 	return v, st, rerr
 }
 
-// cellStats snapshots a finished cell's telemetry: summed counters,
-// every histogram by value, the XOR-combined stream digest of the
-// engines that kept one (Digest 0 over DigestEvents 0 when none did),
-// and the engines' budget halt reasons — Halt keeps the historical
-// first-engine value, Halts carries every engine's sticky reason so a
-// multi-engine cell's report names them all. Safe because the job has
+// cellStats snapshots a finished cell's telemetry. The event count and
+// every engine's sticky budget halt reason come from the nets the cell
+// built, so a halt reaches the done event and a degraded report whatever
+// renders them; summed counters and the XOR-combined stream digest come
+// from the attachments a sink or a store asked for (Digest 0 over
+// DigestEvents 0 when no engine kept one). Safe because the job has
 // returned — nothing else writes to these engines anymore.
-func cellStats(index int, c *Cell) obs.CellStats {
-	st := obs.CellStats{Cell: index}
-	if c == nil || len(c.obsv) == 0 {
+func cellStats(c *Cell) obs.CellStats {
+	var st obs.CellStats
+	if c == nil {
+		return st
+	}
+	for _, n := range c.nets {
+		st.Events += n.Eng.Steps()
+		if h := n.Eng.Halted(); h != nil && h.Cause != sim.HaltDone {
+			st.Halts = append(st.Halts, h.String())
+		}
+	}
+	if len(c.obsv) == 0 {
 		return st
 	}
 	st.Counters = map[string]int64{}
@@ -378,17 +389,9 @@ func cellStats(index int, c *Cell) obs.CellStats {
 		for k, v := range o.reg.Snapshot() {
 			st.Counters[k] += v
 		}
-		st.Hists = append(st.Hists, o.reg.SnapshotHistograms()...)
 		if o.dig != nil {
 			st.Digest ^= o.dig.Sum()
 			st.DigestEvents += o.dig.Events()
-		}
-		st.Events += o.eng.Steps()
-		if h := o.eng.Halted(); h != nil && h.Cause != sim.HaltDone {
-			st.Halts = append(st.Halts, h.String())
-			if st.Halt == "" {
-				st.Halt = h.String()
-			}
 		}
 	}
 	return st
@@ -440,7 +443,7 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 		select {
 		case o := <-res:
 			if o.rerr == nil {
-				re.Halt = strings.Join(cellStats(index, c).Halts, "; ")
+				re.Halt = strings.Join(cellStats(c).Halts, "; ")
 			}
 		case <-time.After(deadlineGrace):
 		}

@@ -160,12 +160,7 @@ func (r *TraceRun) Manifest(tool string) *obs.Manifest {
 	m.Counters = r.Registry.Snapshot()
 	if r.Journeys != nil {
 		r.Journeys.Finalize()
-		// A throwaway registry keeps Manifest idempotent: the per-flow
-		// RTT histograms only exist after the run, so they cannot be
-		// registered at construction time.
-		hreg := &obs.Registry{}
-		r.Journeys.RegisterHistograms(hreg)
-		m.Histograms = hreg.Histograms()
+		m.Histograms = r.Journeys.Histograms()
 		m.Config["journeys"] = "true"
 	}
 	if r.Digest != nil {

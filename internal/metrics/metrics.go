@@ -172,7 +172,6 @@ type Meter struct {
 	// Width is the sampling period.
 	Width sim.Time
 
-	eng   *sim.Engine
 	read  func() int64
 	last  int64
 	rates []float64
@@ -181,7 +180,7 @@ type Meter struct {
 // NewMeter starts sampling read() every width seconds on eng. The first
 // sample window starts at the time of the call.
 func NewMeter(eng *sim.Engine, width sim.Time, read func() int64) *Meter {
-	m := &Meter{Width: width, eng: eng, read: read, last: read()}
+	m := &Meter{Width: width, read: read, last: read()}
 	var tick func()
 	tick = func() {
 		cur := m.read()

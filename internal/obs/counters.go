@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -22,7 +21,9 @@ type Counter struct {
 // their hot paths (LinkStats, RED drop splits, pool traffic, the
 // engine's scheduler counters) exactly as before; the registry only
 // holds read closures over them, so registering costs a few small
-// allocations at setup time and nothing per event.
+// allocations at setup time and nothing per event. It holds counters
+// only: a histogram stays with the recorder that fills it (a journey
+// recorder hands its summaries to a manifest itself).
 //
 // Counter names are dot-separated, component first:
 //
@@ -40,12 +41,6 @@ type Counter struct {
 type Registry struct {
 	mu       sync.Mutex
 	counters []Counter
-	hists    []namedHist
-}
-
-type namedHist struct {
-	name string
-	h    *Histogram
 }
 
 // Register adds one counter. Later registrations with the same name are
@@ -81,66 +76,6 @@ func CanonicalMetricName(name string) string {
 		}
 		return '_'
 	}, name)
-}
-
-// RegisterHistogram adds one named histogram. Like counters, the
-// registry only holds the pointer; the owner keeps recording into it on
-// the hot path and Histograms snapshots the summaries at read time.
-// Histogram names follow the counter convention, component first
-// (journey.<hop>.queue_delay, journey.flow<n>.rtt, ...).
-func (g *Registry) RegisterHistogram(name string, h *Histogram) {
-	if h == nil {
-		return
-	}
-	name = CanonicalMetricName(name)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.hists = append(g.hists, namedHist{name: name, h: h})
-}
-
-// Histograms snapshots every registered histogram into a name->summary
-// map. Empty histograms are kept: a zero count is itself a finding.
-func (g *Registry) Histograms() map[string]HistSummary {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.hists) == 0 {
-		return nil
-	}
-	out := make(map[string]HistSummary, len(g.hists))
-	for _, nh := range g.hists {
-		out[nh.name] = nh.h.Summary()
-	}
-	return out
-}
-
-// HistSnapshot is one registered histogram captured by value: the full
-// bucket array travels with the name, so cumulative exposition
-// (Histogram.CumBuckets) and merging across sweep cells work on a
-// stable copy while the owner keeps recording.
-type HistSnapshot struct {
-	Name string
-	Hist Histogram
-}
-
-// SnapshotHistograms captures every registered histogram by value,
-// sorted by name. Duplicate names keep the last registration, matching
-// Snapshot's counter semantics.
-func (g *Registry) SnapshotHistograms() []HistSnapshot {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if len(g.hists) == 0 {
-		return nil
-	}
-	byName := make(map[string]*Histogram, len(g.hists))
-	for _, nh := range g.hists {
-		byName[nh.name] = nh.h
-	}
-	out := make([]HistSnapshot, 0, len(byName))
-	for name, h := range byName {
-		out = append(out, HistSnapshot{Name: name, Hist: *h})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // AddEngine registers the scheduler counters of e.

@@ -3,23 +3,20 @@ package export
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"slowcc/internal/obs"
 )
 
 // Collector merges per-cell telemetry snapshots (obs.CellStats) from a
-// supervised sweep into one scrapeable state: counters sum, histograms
-// merge bucket-wise, stream digests combine by XOR (order-independent,
-// so the merged value is deterministic however the worker pool
-// interleaves cells). All methods are safe for concurrent use; a scrape
+// supervised sweep into one scrapeable state: counters sum, stream
+// digests combine by XOR (order-independent, so the merged value is
+// deterministic however the worker pool interleaves cells). All methods are safe for concurrent use; a scrape
 // never touches a live engine because cells snapshot on their worker
 // goroutine after their engines finish.
 type Collector struct {
 	mu           sync.Mutex
 	counters     map[string]int64
-	hists        map[string]*obs.Histogram
 	funcs        map[string]func() int64
 	digest       uint64
 	digestEvents uint64
@@ -31,7 +28,6 @@ type Collector struct {
 func NewCollector() *Collector {
 	return &Collector{
 		counters: map[string]int64{},
-		hists:    map[string]*obs.Histogram{},
 		funcs:    map[string]func() int64{},
 	}
 }
@@ -63,15 +59,6 @@ func (c *Collector) AddCellStats(st obs.CellStats) {
 	for name, v := range st.Counters {
 		c.counters[name] += v
 	}
-	for i := range st.Hists {
-		name, h := st.Hists[i].Name, &st.Hists[i].Hist
-		if have, ok := c.hists[name]; ok {
-			have.Merge(h)
-			continue
-		}
-		cp := *h
-		c.hists[name] = &cp
-	}
 }
 
 // Digest returns the XOR-combined stream digest and the event count it
@@ -83,7 +70,7 @@ func (c *Collector) Digest() (sum uint64, events uint64) {
 }
 
 // WriteMetrics renders the merged state as one exposition document:
-// summed counters, merged histograms, plus the collector's own
+// summed counters plus the collector's own
 // meta-metrics — cells observed, engine events, digested events, and
 // the combined stream digest as an info metric (a 64-bit digest does
 // not fit a float64 sample, so it travels as a hex label).
@@ -92,10 +79,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 	counters := make(map[string]int64, len(c.counters))
 	for k, v := range c.counters {
 		counters[k] = v
-	}
-	hists := make([]obs.HistSnapshot, 0, len(c.hists))
-	for name, h := range c.hists {
-		hists = append(hists, obs.HistSnapshot{Name: name, Hist: *h})
 	}
 	funcs := make(map[string]func() int64, len(c.funcs))
 	for k, fn := range c.funcs {
@@ -111,7 +94,6 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 		counters[name] = fn()
 	}
 
-	sortHistSnapshots(hists)
 	e := newExpoWriter(w)
 	e.counter(PromName("cells_observed_total"), cells)
 	e.counter(PromName("engine_events_total"), int64(events))
@@ -120,10 +102,5 @@ func (c *Collector) WriteMetrics(w io.Writer) error {
 		{"digest", fmt.Sprintf("%016x", digest)},
 	})
 	e.counterFamilies(counters)
-	e.histogramFamilies(hists)
 	return e.flush()
-}
-
-func sortHistSnapshots(hists []obs.HistSnapshot) {
-	sort.Slice(hists, func(i, j int) bool { return hists[i].Name < hists[j].Name })
 }

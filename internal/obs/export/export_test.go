@@ -21,9 +21,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// shortTraceRun is the real run behind the golden: deterministic seed,
-// journeys and the stream digest on, so the exposition exercises
-// counters, the digest info metric and cumulative histograms together.
+// shortTraceRun is the real run behind the golden and the manifest:
+// deterministic seed, journeys and the stream digest on.
 func shortTraceRun() *exp.TraceRun {
 	r := exp.NewTraceRun(exp.TraceRunConfig{
 		Seed:          1,
@@ -37,26 +36,31 @@ func shortTraceRun() *exp.TraceRun {
 	return r
 }
 
-// The exposition of a real short run — its counters, histograms and
-// digest merged into a Collector the way a sweep cell's are — must be
-// byte-stable (the golden) and valid under the strict parser.
+// What /metrics serves for a sweep — a Collector holding a real short
+// run's counters and digest the way a sweep cell's are merged, then a
+// Progress hub that has seen a few cells finish — must be byte-stable
+// (the golden) and valid under the strict parser, cumulative histogram
+// included.
 func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	r := shortTraceRun()
-	// Journey histograms register only after the run (per-flow RTT series
-	// are discovered while packets fly).
-	r.Journeys.Finalize()
-	r.Journeys.RegisterHistograms(r.Registry)
-
 	col := export.NewCollector()
-	col.AddCellStats(obs.CellStats{
+	hub := export.NewProgress(col)
+	hub.CellStats(obs.CellStats{
 		Counters:     r.Registry.Snapshot(),
-		Hists:        r.Registry.SnapshotHistograms(),
 		Events:       r.Eng.Steps(),
 		Digest:       r.Digest.Sum(),
 		DigestEvents: r.Digest.Events(),
 	})
+	for cell, durMS := range []float64{3, 40, 250} {
+		hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: cell})
+		hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepRunning, Cell: cell})
+		hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepDone, Cell: cell, Outcome: "ok", DurMS: durMS})
+	}
 	var buf bytes.Buffer
 	if err := col.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := hub.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "trace.prom")
@@ -86,14 +90,14 @@ func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	for _, name := range []string{
 		"slowcc_engine_fired",           // registry counter
 		"slowcc_link_lr_departures",     // bottleneck counter
-		"slowcc_journey_lr_queue_delay", // journey histogram
+		"slowcc_sweep_cell_duration_ms", // the hub's histogram
 	} {
 		if parsed[name] == nil {
 			t.Errorf("family %s missing from exposition", name)
 		}
 	}
-	if got := parsed["slowcc_journey_lr_queue_delay"]; got != nil && got.Type != "histogram" {
-		t.Errorf("journey family type %q, want histogram", got.Type)
+	if got := parsed["slowcc_sweep_cell_duration_ms"]; got != nil && got.Type != "histogram" {
+		t.Errorf("cell duration family type %q, want histogram", got.Type)
 	}
 }
 
@@ -166,22 +170,17 @@ func TestPromNameProjection(t *testing.T) {
 	}
 }
 
-// Collector merging: counters sum, histograms merge, digests XOR, and
-// the rendered document stays strictly valid.
+// Collector merging: counters sum, digests XOR, and the rendered
+// document stays strictly valid.
 func TestCollectorMerge(t *testing.T) {
 	col := export.NewCollector()
-	h1, h2 := obs.Histogram{}, obs.Histogram{}
-	h1.Record(0.001)
-	h2.Record(0.002)
 	col.AddCellStats(obs.CellStats{
-		Cell: 0, Counters: map[string]int64{"engine.fired": 10},
-		Hists:  []obs.HistSnapshot{{Name: "journey.lr.queue_delay", Hist: h1}},
-		Digest: 0xaaaa, DigestEvents: 10, Events: 10,
+		Counters: map[string]int64{"engine.fired": 10},
+		Digest:   0xaaaa, DigestEvents: 10, Events: 10,
 	})
 	col.AddCellStats(obs.CellStats{
-		Cell: 1, Counters: map[string]int64{"engine.fired": 5},
-		Hists:  []obs.HistSnapshot{{Name: "journey.lr.queue_delay", Hist: h2}},
-		Digest: 0x5555, DigestEvents: 5, Events: 5,
+		Counters: map[string]int64{"engine.fired": 5},
+		Digest:   0x5555, DigestEvents: 5, Events: 5,
 	})
 	if sum, events := col.Digest(); sum != 0xffff || events != 15 {
 		t.Fatalf("digest = %#x over %d events, want 0xffff over 15", sum, events)
@@ -197,19 +196,6 @@ func TestCollectorMerge(t *testing.T) {
 	fired := fams["slowcc_engine_fired"]
 	if fired == nil || fired.Samples[0].Value != 15 {
 		t.Fatalf("merged counter wrong: %+v", fired)
-	}
-	hist := fams["slowcc_journey_lr_queue_delay"]
-	if hist == nil {
-		t.Fatal("merged histogram missing")
-	}
-	var count float64
-	for _, s := range hist.Samples {
-		if s.Name == "slowcc_journey_lr_queue_delay_count" {
-			count = s.Value
-		}
-	}
-	if count != 2 {
-		t.Fatalf("merged histogram count %v, want 2", count)
 	}
 	info := fams["slowcc_stream_digest_info"]
 	if info == nil || info.Samples[0].Labels["digest"] != fmt.Sprintf("%016x", uint64(0xffff)) {
@@ -484,8 +470,6 @@ func TestConcurrentScrapeWhileSweeping(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := obs.Histogram{}
-			h.Record(0.001)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -496,9 +480,8 @@ func TestConcurrentScrapeWhileSweeping(t *testing.T) {
 				hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: cell})
 				hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepRunning, Cell: cell})
 				hub.CellStats(obs.CellStats{
-					Cell: cell, Counters: map[string]int64{"engine.fired": 1},
-					Hists:  []obs.HistSnapshot{{Name: "journey.lr.queue_delay", Hist: h}},
-					Digest: uint64(cell), DigestEvents: 1, Events: 1,
+					Counters: map[string]int64{"engine.fired": 1},
+					Digest:   uint64(cell), DigestEvents: 1, Events: 1,
 				})
 				hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepDone, Cell: cell, Outcome: "ok", DurMS: 1})
 			}

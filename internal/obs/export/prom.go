@@ -187,14 +187,6 @@ func (e *expoWriter) counterFamilies(counters map[string]int64) {
 	}
 }
 
-// histogramFamilies emits histogram snapshots (already name-sorted by
-// Registry.SnapshotHistograms / the collector).
-func (e *expoWriter) histogramFamilies(hists []obs.HistSnapshot) {
-	for i := range hists {
-		e.histogram(PromName(hists[i].Name), &hists[i].Hist)
-	}
-}
-
 // WriteManifest renders a stored run manifest as an exposition
 // document: the manifest's counters, its run metadata as an info
 // metric plus an events counter, and its histogram summaries as

@@ -15,9 +15,8 @@ const (
 )
 
 // Histogram is a log-linear histogram with a fixed bucket array:
-// Record is allocation-free and O(1), histograms merge by adding counts,
-// and quantiles are read by walking the cumulative counts. The zero
-// value is ready to use.
+// Record is allocation-free and O(1), and quantiles are read by walking
+// the cumulative counts. The zero value is ready to use.
 //
 // Values below the first bucket clamp into it; values beyond the last
 // bucket clamp into the last. Count/Sum/Max are exact regardless of
@@ -134,7 +133,7 @@ type HistBucket struct {
 }
 
 // CumBuckets returns the histogram's cumulative bucket counts with
-// their upper edges — the bounds Histograms()/HistSummary never carried
+// their upper edges — the bounds a HistSummary never carries
 // — in ascending Le order, one entry per occupied bucket (cumulative
 // counts are unchanged by omitting empty buckets). Two caveats the
 // exposition layer must honor: values beyond the top bucket clamp into
@@ -156,21 +155,6 @@ func (h *Histogram) CumBuckets() []HistBucket {
 		out = append(out, HistBucket{Le: h.bucketUpper(i), Count: cum})
 	}
 	return out
-}
-
-// Merge adds o's observations into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.n == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 // HistSummary is the fixed set of statistics a histogram exports into

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -71,68 +69,6 @@ func TestHistogramAboveLastBucketClamps(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeUnequalCounts(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 1000; i++ {
-		a.Record(1e-3)
-	}
-	b.Record(1.0)
-	b.Record(2.0)
-	b.Record(3.0)
-	a.Merge(&b)
-	if a.Count() != 1003 {
-		t.Fatalf("merged count %d", a.Count())
-	}
-	if a.Max() != 3.0 {
-		t.Fatalf("merged max %v", a.Max())
-	}
-	if got, want := a.Sum(), 1000*1e-3+6.0; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("merged sum %v, want %v", got, want)
-	}
-	// The 1000 small observations dominate the median; the three large
-	// ones own the extreme tail.
-	if got := a.Quantile(0.5); got > 1.2e-3 {
-		t.Fatalf("merged p50 %v, want near 1e-3", got)
-	}
-	if got := a.Quantile(0.999); got < 1.0 {
-		t.Fatalf("merged p99.9 %v, want >= 1", got)
-	}
-	// Merging an empty histogram is a no-op.
-	var empty Histogram
-	a.Merge(&empty)
-	if a.Count() != 1003 {
-		t.Fatalf("count after empty merge %d", a.Count())
-	}
-	// Merging nil is a no-op too.
-	a.Merge(nil)
-	if a.Count() != 1003 {
-		t.Fatalf("count after nil merge %d", a.Count())
-	}
-}
-
-// TestHistogramJSONRejectsForeignFloor checks a stored histogram keeps
-// only the one bucket geometry: the floor travels as an omitted "lo",
-// and a non-zero one (input from outside the program) is an error, not
-// a silent misbucketing.
-func TestHistogramJSONRejectsForeignFloor(t *testing.T) {
-	var h Histogram
-	h.Record(0.5)
-	blob, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(blob), `"lo"`) {
-		t.Fatalf("encoded floor: %s", blob)
-	}
-	var back Histogram
-	if err := json.Unmarshal(blob, &back); err != nil || back.Quantile(1) != h.Quantile(1) {
-		t.Fatalf("round trip: %v, quantile %v want %v", err, back.Quantile(1), h.Quantile(1))
-	}
-	if err := json.Unmarshal([]byte(`{"lo":0.001,"buckets":[[3,1]],"n":1}`), &back); err == nil {
-		t.Fatal("non-default floor accepted")
-	}
-}
-
 func TestHistogramEmptyQuantile(t *testing.T) {
 	var h Histogram
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
@@ -174,30 +110,5 @@ func TestHistogramBucketMonotonicity(t *testing.T) {
 		if i != histBuckets-1 && v > h.bucketUpper(i) {
 			t.Fatalf("value %v above its bucket %d upper edge %v", v, i, h.bucketUpper(i))
 		}
-	}
-}
-
-func TestRegistryHistograms(t *testing.T) {
-	var reg Registry
-	if got := reg.Histograms(); got != nil {
-		t.Fatalf("no histograms registered, got %v", got)
-	}
-	var h Histogram
-	h.Record(0.004)
-	reg.RegisterHistogram("journey.lr.queue_delay", &h)
-	reg.RegisterHistogram("nil-is-ignored", nil)
-	sums := reg.Histograms()
-	if len(sums) != 1 {
-		t.Fatalf("histograms %v", sums)
-	}
-	s, ok := sums["journey.lr.queue_delay"]
-	if !ok || s.Count != 1 || s.Max != 0.004 {
-		t.Fatalf("summary %+v", s)
-	}
-	// Late records show up in later snapshots: the registry holds the
-	// pointer, not a copy.
-	h.Record(0.008)
-	if got := reg.Histograms()["journey.lr.queue_delay"].Count; got != 2 {
-		t.Fatalf("snapshot count %d, want 2", got)
 	}
 }

@@ -47,7 +47,6 @@ func (s Span) Prop() sim.Time  { return s.End - s.TxEnd }
 // open is the in-flight half of a Span, keyed by packet pointer while
 // the packet is in a link's custody.
 type open struct {
-	hop     int
 	enq     sim.Time
 	txStart sim.Time
 	txEnd   sim.Time
@@ -148,7 +147,7 @@ func (r *Recorder) observe(hop int, op netem.TapOp, p *netem.Packet, now sim.Tim
 			h.burstHist.Record(float64(h.curBurst))
 			h.curBurst = 0
 		}
-		r.inHop[p] = open{hop: hop, enq: now}
+		r.inHop[p] = open{enq: now}
 		if acc, ok := r.inPath[p]; !ok || acc.last != now {
 			r.inPath[p] = pathAcc{start: now, last: now}
 		}
@@ -290,23 +289,22 @@ func (r *Recorder) FlowRTTs() (flows []int, sums []obs.HistSummary) {
 	return flows, sums
 }
 
-// RegisterHistograms registers every histogram the recorder maintains
-// into reg, under journey.<hop>.queue_delay, journey.<hop>.drop_burst,
-// and journey.flow<id>.rtt. Call after the run (or anytime: the
-// registry snapshots at read time).
-func (r *Recorder) RegisterHistograms(reg *obs.Registry) {
+// Histograms summarizes every histogram the recorder maintains, under
+// journey.<hop>.queue_delay, journey.<hop>.drop_burst and
+// journey.flow<id>.rtt, canonicalized like registry names
+// (obs.CanonicalMetricName). Empty histograms are kept: a zero count is
+// itself a finding. Call after Finalize.
+func (r *Recorder) Histograms() map[string]obs.HistSummary {
+	out := make(map[string]obs.HistSummary, 2*len(r.hops)+len(r.rtt))
+	put := func(name string, h *obs.Histogram) { out[obs.CanonicalMetricName(name)] = h.Summary() }
 	for _, h := range r.hops {
-		reg.RegisterHistogram("journey."+h.name+".queue_delay", &h.queueHist)
-		reg.RegisterHistogram("journey."+h.name+".drop_burst", &h.burstHist)
+		put("journey."+h.name+".queue_delay", &h.queueHist)
+		put("journey."+h.name+".drop_burst", &h.burstHist)
 	}
-	flows := make([]int, 0, len(r.rtt))
-	for f := range r.rtt {
-		flows = append(flows, f)
+	for f, h := range r.rtt {
+		put(fmt.Sprintf("journey.flow%d.rtt", f), h)
 	}
-	sort.Ints(flows)
-	for _, f := range flows {
-		reg.RegisterHistogram(fmt.Sprintf("journey.flow%d.rtt", f), r.rtt[f])
-	}
+	return out
 }
 
 // kindLabel names packet kinds in timeline span names.

@@ -171,7 +171,7 @@ func TestSpanOrderingAndComponentIdentity(t *testing.T) {
 	}
 }
 
-func TestRegisterHistogramsNames(t *testing.T) {
+func TestHistogramsNames(t *testing.T) {
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 3})
 	rec := journey.New()
@@ -180,9 +180,7 @@ func TestRegisterHistogramsNames(t *testing.T) {
 	eng.RunUntil(5)
 	rec.Finalize()
 
-	reg := &obs.Registry{}
-	rec.RegisterHistograms(reg)
-	sums := reg.Histograms()
+	sums := rec.Histograms()
 	for _, want := range []string{
 		"journey.lr.queue_delay",
 		"journey.lr.drop_burst",

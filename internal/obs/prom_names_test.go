@@ -27,38 +27,8 @@ func TestRegisterCanonicalizesNames(t *testing.T) {
 	var g Registry
 	v := int64(7)
 	g.Register("weird name", func() int64 { return v })
-	g.RegisterHistogram("weird hist", &Histogram{})
 	if _, ok := g.Snapshot()["weird_name"]; !ok {
 		t.Fatalf("counter registered under %v, want canonical weird_name", g.Snapshot())
-	}
-	if _, ok := g.Histograms()["weird_hist"]; !ok {
-		t.Fatalf("histogram registered under %v, want canonical weird_hist", g.Histograms())
-	}
-}
-
-// SnapshotHistograms must copy by value (later records don't leak into
-// the snapshot), sort by name, and keep the last duplicate — the same
-// semantics Snapshot gives counters.
-func TestSnapshotHistograms(t *testing.T) {
-	var g Registry
-	a, b, b2 := &Histogram{}, &Histogram{}, &Histogram{}
-	a.Record(1)
-	b.Record(2)
-	b2.Record(3)
-	b2.Record(4)
-	g.RegisterHistogram("z.second", b)
-	g.RegisterHistogram("a.first", a)
-	g.RegisterHistogram("z.second", b2) // duplicate: last wins
-	snaps := g.SnapshotHistograms()
-	if len(snaps) != 2 || snaps[0].Name != "a.first" || snaps[1].Name != "z.second" {
-		t.Fatalf("snapshot names/order wrong: %+v", snaps)
-	}
-	if snaps[1].Hist.Count() != 2 {
-		t.Fatalf("duplicate name kept count %d, want last registration's 2", snaps[1].Hist.Count())
-	}
-	a.Record(10) // owner keeps recording; the snapshot must not move
-	if snaps[0].Hist.Count() != 1 {
-		t.Fatalf("snapshot aliased the live histogram: count %d", snaps[0].Hist.Count())
 	}
 }
 
@@ -74,15 +44,13 @@ func TestRegistryConcurrentRegistration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				g.Register("c", func() int64 { return 1 })
-				g.RegisterHistogram("h", &Histogram{})
 				g.Snapshot()
-				g.SnapshotHistograms()
 			}
 		}(w)
 	}
 	wg.Wait()
-	if len(g.Snapshot()) != 1 || len(g.SnapshotHistograms()) != 1 {
-		t.Fatalf("dedup lost: %d counters, %d hists", len(g.Snapshot()), len(g.SnapshotHistograms()))
+	if len(g.Snapshot()) != 1 {
+		t.Fatalf("dedup lost: %d counters", len(g.Snapshot()))
 	}
 }
 

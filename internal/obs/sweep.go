@@ -51,23 +51,19 @@ type SweepEvent struct {
 	Key string `json:"key,omitempty"`
 }
 
-// CellStats is the telemetry harvest of one successful sweep cell:
-// counter and histogram snapshots of every engine the cell constructed,
-// plus the combined event-stream digest. Snapshots are taken by the
-// worker goroutine after the cell's job returns, so they never race
-// with a live engine.
+// CellStats is the telemetry harvest of one successful sweep cell: the
+// summed counters of every engine the cell constructed, their combined
+// event-stream digest, their event count and their budget halts. It is
+// taken by the worker goroutine after the cell's job returns, so it
+// never races with a live engine.
 type CellStats struct {
-	Cell         int
 	Counters     map[string]int64
-	Hists        []HistSnapshot
 	Digest       uint64 // XOR of the cell's per-engine StreamDigest sums
 	DigestEvents uint64 // total events folded across the cell's engines
 	Events       uint64 // total events executed across the cell's engines
-	Halt         string // first engine budget halt reason, "" if none
 	// Halts lists every engine's budget halt reason in construction
-	// order. A multi-engine cell (e.g. a with/without comparison) can
-	// halt more than once; Halt keeps the historical first-engine value,
-	// Halts carries them all.
+	// order; a multi-engine cell (e.g. a with/without comparison) can
+	// halt more than once. Empty when no engine halted early.
 	Halts []string `json:",omitempty"`
 }
 

@@ -19,7 +19,7 @@ func matrixShapedStore(b *testing.B) string {
 		b.Fatal(err)
 	}
 	for i := 0; i < 294; i++ {
-		st := &obs.CellStats{Cell: i, Counters: map[string]int64{}, Digest: uint64(i) * 0x9e3779b97f4a7c15, Events: 150000}
+		st := &obs.CellStats{Counters: map[string]int64{}, Digest: uint64(i) * 0x9e3779b97f4a7c15, Events: 150000}
 		for c := 0; c < 50; c++ {
 			st.Counters[fmt.Sprintf("link.fwd%d.counter_%02d", c%3, c)] = int64(i*1000 + c)
 		}

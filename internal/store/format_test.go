@@ -7,11 +7,11 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"slowcc/internal/obs"
 	"slowcc/internal/store"
 )
 
@@ -32,19 +32,16 @@ func rawFrame(head, result, stats string) []byte {
 // goldenEntry is the entry testdata/parent_frame.bin was recorded from
 // (a slowcc-store/2 frame) and testdata/parent_snapshot.json holds,
 // among others, in an older build's indented slowcc-store/1 document.
-func goldenEntry(t *testing.T) store.Entry {
-	var h obs.Histogram
-	h.Record(0.001)
-	h.Record(0.25)
+// Its stats are the raw JSON the recording build wrote, with Cell, Hists
+// and Halt keys obs.CellStats does not have: decoding ignores them, so a
+// store written then still replays.
+func goldenEntry() store.Entry {
 	return store.Entry{Key: "golden", Index: 5, Attempts: 2,
 		Result: json.RawMessage(`{"x":1.5,"s":"<&>"}`),
-		Stats: encodeStats(t, &obs.CellStats{
-			Cell:     3,
-			Counters: map[string]int64{"link.lr.bytes": 123, "link.lr.drops": 4, "a<b&c": 1},
-			Hists:    []obs.HistSnapshot{{Name: "queue_delay_s", Hist: h}},
-			Digest:   0xdeadbeef, DigestEvents: 7, Events: 9,
-			Halt: "wall budget", Halts: []string{"wall budget", "event budget"},
-		})}
+		Stats: json.RawMessage(`{"Cell":3,"Counters":{"a\u003cb\u0026c":1,"link.lr.bytes":123,"link.lr.drops":4},` +
+			`"Hists":[{"Name":"queue_delay_s","Hist":{"buckets":[[79,1],[143,1]],"n":2,"sum":0.251,"max":0.25}}],` +
+			`"Digest":3735928559,"DigestEvents":7,"Events":9,"Halt":"wall budget","Halts":["wall budget","event budget"]}`),
+	}
 }
 
 // Put writes the golden entry as exactly the recorded frame, and a
@@ -56,7 +53,7 @@ func TestPutFrameMatchesParentGolden(t *testing.T) {
 	}
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.Put(goldenEntry(t)); err != nil {
+	if err := s.Put(goldenEntry()); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(filepath.Join(dir, "journal.bin"))
@@ -76,7 +73,8 @@ func TestPutFrameMatchesParentGolden(t *testing.T) {
 		t.Fatalf("golden entry: %+v, %v", e, ok)
 	}
 	cs, err := e.CellStats()
-	if err != nil || cs == nil || cs.Events != 9 || cs.Counters["a<b&c"] != 1 || len(cs.Hists) != 1 {
+	if err != nil || cs == nil || cs.Events != 9 || cs.Counters["a<b&c"] != 1 || cs.Counters["link.lr.drops"] != 4 ||
+		!slices.Equal(cs.Halts, []string{"wall budget", "event budget"}) {
 		t.Fatalf("golden telemetry: %+v, %v", cs, err)
 	}
 }

@@ -96,9 +96,9 @@ type Entry struct {
 	// Degraded).
 	Result json.RawMessage `json:"-"`
 	// Stats is the cell's telemetry snapshot (an obs.CellStats: counters,
-	// histograms, stream digest), JSON-encoded, when live telemetry was
-	// attached; replayed into the sink on a hit so /metrics over a
-	// resumed run matches a cold one. CellStats decodes it.
+	// stream digest, event count, halts), JSON-encoded, when live
+	// telemetry was attached; replayed into the sink on a hit so /metrics
+	// over a resumed run matches a cold one. CellStats decodes it.
 	Stats json.RawMessage `json:"-"`
 
 	// frame is the entry's encoded frame, header included; Checkpoint

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"slowcc/internal/obs"
@@ -269,15 +270,10 @@ func TestDegradedEntriesAreRecordedButNeverHits(t *testing.T) {
 func TestStatsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := store.Open(dir)
-	var h obs.Histogram
-	h.Record(0.001)
-	h.Record(0.25)
 	st := &obs.CellStats{
-		Cell:     3,
 		Counters: map[string]int64{"link.lr.bytes": 123},
-		Hists:    []obs.HistSnapshot{{Name: "queue_delay_s", Hist: h}},
 		Digest:   0xdeadbeef, DigestEvents: 7, Events: 9,
-		Halt: "wall budget", Halts: []string{"wall budget", "event budget"},
+		Halts: []string{"wall budget", "event budget"},
 	}
 	if err := s.Put(store.Entry{Key: "k", Stats: encodeStats(t, st)}); err != nil {
 		t.Fatal(err)
@@ -295,17 +291,8 @@ func TestStatsRoundTrip(t *testing.T) {
 		t.Fatalf("stats lost: %+v, %v", e, err)
 	}
 	if g.Counters["link.lr.bytes"] != 123 || g.Digest != 0xdeadbeef ||
-		g.DigestEvents != 7 || g.Events != 9 || g.Halt != "wall budget" || len(g.Halts) != 2 {
+		g.DigestEvents != 7 || g.Events != 9 || !slices.Equal(g.Halts, st.Halts) {
 		t.Fatalf("stats round-trip mismatch: %+v", g)
-	}
-	if len(g.Hists) != 1 || g.Hists[0].Name != "queue_delay_s" {
-		t.Fatalf("hists round-trip mismatch: %+v", g.Hists)
-	}
-	rt := &g.Hists[0].Hist
-	if rt.Count() != h.Count() || rt.Sum() != h.Sum() || rt.Max() != h.Max() ||
-		rt.Quantile(0.5) != h.Quantile(0.5) {
-		t.Fatalf("histogram round-trip mismatch: count %d sum %g max %g",
-			rt.Count(), rt.Sum(), rt.Max())
 	}
 }
 
