@@ -1,7 +1,6 @@
-// Benchmarks: every experiment on the roster at reduced scale (a full
-// paper-scale run is minutes; use `go run ./cmd/slowccsim -exp <fig>
-// -full` for that), the engine macro-benchmark, and one ablation that
-// is not a roster experiment. The gated benchmark is `go run ./bench`.
+// Benchmarks: the engine macro-benchmark and one ablation that is not a
+// roster experiment. The gated benchmark is `go run ./bench`; a roster
+// row's cost is `slowccsim -exp NAME -cpuprofile F`.
 package slowcc_test
 
 import (
@@ -10,18 +9,6 @@ import (
 	"slowcc"
 	"slowcc/internal/exp"
 )
-
-// BenchmarkExperiment runs each roster row exactly as `slowccsim -exp
-// NAME` does, on seed i+1.
-func BenchmarkExperiment(b *testing.B) {
-	for _, e := range slowcc.Experiments() {
-		b.Run(e.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Run(false, int64(i+1), exp.MatrixConfig{})
-			}
-		})
-	}
-}
 
 // BenchmarkEnginePacketsPerSecond measures raw simulator throughput: a
 // saturated 10 Mbps dumbbell with two flows, reported as simulated
@@ -44,9 +31,10 @@ func BenchmarkEnginePacketsPerSecond(b *testing.B) {
 // deviation noted in EXPERIMENTS.md does not change the conclusion.
 func BenchmarkSACKAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sc := exp.StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: int64(i + 1)}
-		sc.Algo = exp.SACKTCPAlgo(1.0 / 256)
-		r := exp.RunStabilization(sc)
+		r := exp.Fig3(exp.Fig3Config{
+			Scenario: exp.StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: int64(i + 1)},
+			Algos:    []exp.AlgoSpec{exp.SACKTCPAlgo(1.0 / 256)},
+		})[0]
 		b.ReportMetric(r.Stab.Cost, "sacktcp256-cost")
 	}
 }

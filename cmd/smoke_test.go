@@ -275,19 +275,23 @@ func TestTimelineSmoke(t *testing.T) {
 	}
 }
 
-// A run that exits nonzero is the one worth profiling: both profiles
-// must be complete on disk after a -fail-degraded exit.
+// A run whose cells miss their deadline exits 1 under -fail-degraded and
+// names the degraded cells — fig17's, whose scenarios once ran outside
+// any sweep, too. Such a run is the one worth profiling: both profiles
+// must be complete on disk after the exit.
 func TestProfilesSurviveNonzeroExit(t *testing.T) {
-	dir := t.TempDir()
-	code, _, stderr := run(t, dir, "slowccsim", "-exp", "fig3", "-deadline", "1ns",
-		"-fail-degraded", "-cpuprofile", "cpu.out", "-memprofile", "mem.out")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (every cell over its deadline)\n%s", code, stderr)
+	for _, name := range []string{"fig3", "fig17"} {
+		dir := t.TempDir()
+		code, _, stderr := run(t, dir, "slowccsim", "-exp", name, "-deadline", "1ns",
+			"-fail-degraded", "-cpuprofile", "cpu.out", "-memprofile", "mem.out")
+		if code != 1 || !strings.Contains(stderr, "exp: sweep cell ") {
+			t.Fatalf("-exp %s: exit %d, want 1 naming the cells over their deadline\n%s", name, code, stderr)
+		}
+		if cpu := nonEmpty(t, filepath.Join(dir, "cpu.out")); !bytes.HasPrefix(cpu, []byte{0x1f, 0x8b}) {
+			t.Fatalf("-exp %s: cpu.out does not start with a gzip header: % x", name, cpu[:2])
+		}
+		nonEmpty(t, filepath.Join(dir, "mem.out"))
 	}
-	if cpu := nonEmpty(t, filepath.Join(dir, "cpu.out")); !bytes.HasPrefix(cpu, []byte{0x1f, 0x8b}) {
-		t.Fatalf("cpu.out does not start with a gzip header: % x", cpu[:2])
-	}
-	nonEmpty(t, filepath.Join(dir, "mem.out"))
 }
 
 func TestListAndSelect(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 
 func TestDeterminismFig3PooledVsUnpooled(t *testing.T) {
 	run := func(disable bool) StabilizationResult {
-		return RunStabilization(StabilizationConfig{
+		return runStabilization(noCell, StabilizationConfig{
 			Algo:  TCPAlgo(0.5),
 			Flows: 4,
 			OffAt: 30, OnAt: 40, End: 60,
@@ -53,7 +53,7 @@ func TestDeterminismFairnessPooledVsUnpooled(t *testing.T) {
 // through any accidentally shared global).
 func TestDeterminismRepeatRun(t *testing.T) {
 	run := func() StabilizationResult {
-		return RunStabilization(StabilizationConfig{
+		return runStabilization(noCell, StabilizationConfig{
 			Algo:  TFRCAlgo(TFRCOpts{}),
 			Flows: 2,
 			OffAt: 20, OnAt: 25, End: 35,

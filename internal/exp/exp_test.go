@@ -16,7 +16,7 @@ func quickStab() StabilizationConfig {
 func TestStabilizationScenarioSane(t *testing.T) {
 	cfg := quickStab()
 	cfg.Algo = TCPAlgo(0.5)
-	r := RunStabilization(cfg)
+	r := runStabilization(noCell, cfg)
 	if r.Steady <= 0 || r.Steady > 0.6 {
 		t.Fatalf("steady loss %v outside a plausible congested range", r.Steady)
 	}
@@ -34,9 +34,9 @@ func TestSelfClockingReducesStabilizationCost(t *testing.T) {
 	// option repairs it. The compressed timeline keeps the contrast.
 	base := quickStab()
 	base.Algo = TFRCAlgo(TFRCOpts{K: 256})
-	noSC := RunStabilization(base)
+	noSC := runStabilization(noCell, base)
 	base.Algo = TFRCAlgo(TFRCOpts{K: 256, Conservative: true})
-	withSC := RunStabilization(base)
+	withSC := runStabilization(noCell, base)
 	if noSC.Stab.Cost <= withSC.Stab.Cost {
 		t.Fatalf("self-clocking did not help: cost %v (no SC) vs %v (SC)",
 			noSC.Stab.Cost, withSC.Stab.Cost)
@@ -146,12 +146,11 @@ func TestFairnessTCPBeatsTFRCUnderOscillation(t *testing.T) {
 
 func TestConvergenceFastForStandardTCP(t *testing.T) {
 	cfg := ConvergenceConfig{
-		Algo:        TCPAlgo(0.5),
 		SecondStart: 15,
 		Horizon:     120,
 		Seeds:       []int64{1, 2},
 	}
-	r := RunConvergence(cfg)
+	r := convergence(cfg, []AlgoSpec{TCPAlgo(0.5)})[0]
 	if r.Converged == 0 {
 		t.Fatal("two standard TCP flows never reached 0.1-fairness in 120s")
 	}
@@ -163,12 +162,11 @@ func TestConvergenceFastForStandardTCP(t *testing.T) {
 func TestConvergenceSlowerForSmallB(t *testing.T) {
 	mk := func(b float64) sim.Time {
 		cfg := ConvergenceConfig{
-			Algo:        TCPAlgo(b),
 			SecondStart: 15,
 			Horizon:     200,
 			Seeds:       []int64{1},
 		}
-		r := RunConvergence(cfg)
+		r := convergence(cfg, []AlgoSpec{TCPAlgo(b)})[0]
 		if r.Converged == 0 {
 			return 1e9 // treat as beyond horizon
 		}

@@ -4,9 +4,9 @@ import "slices"
 
 // Experiment is one row of the evaluation roster: everything the
 // repository knows about an experiment outside its own driver file.
-// slowccsim's -list, -exp NAME and -exp all, the run manifest, the
-// facade's Experiments and the root BenchmarkExperiment all range over
-// the rows, so adding an experiment is its driver file plus one row.
+// slowccsim's -list, -exp NAME and -exp all, the run manifest and the
+// facade's Experiments all range over the rows, so adding an
+// experiment is its driver file plus one row.
 type Experiment struct {
 	// Name is what -exp selects, case-insensitively.
 	Name string

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 )
@@ -31,8 +32,8 @@ func toyCells(seed int64) []int64 {
 // TestNewExperimentIsOneRow is ROADMAP item 2's litmus for experiments:
 // one driver (toyCells) plus one row literal is listed, runnable and
 // supervised with telemetry, its failing cell degraded — everything
-// the CLI, the facade and the root benchmark do with an experiment they
-// do by ranging over Experiments().
+// the CLI and the facade do with an experiment they do by ranging over
+// Experiments().
 func TestNewExperimentIsOneRow(t *testing.T) {
 	const base = 7
 	row := Experiment{"toy", "two supervised cells", func(_ bool, seed int64, _ MatrixConfig) (string, any) {
@@ -148,4 +149,46 @@ func TestRenderersAcceptEmptyResults(t *testing.T) {
 	RenderSmoothness("", SmoothnessConfig{Pattern: MildBurstyPattern}, RunSmoothness(SmoothnessConfig{Pattern: MildBurstyPattern}))
 	cfg := Fig6Config{Backgrounds: []AlgoSpec{}}
 	RenderFig6(cfg, Fig6(cfg))
+}
+
+// A driver runs its scenarios as the cells of one supervised sweep, so a
+// deadline, a store and a progress sink reach every one of them. The
+// sink counts sweeps by their cell 0 and cells by their queued events.
+// ablation-tear runs two sweeps: its stabilization cell and its fairness
+// cells have different result types, which one sweep cannot carry until
+// a row's cells are planned apart from its reduce.
+func TestDriverRunsOneSweep(t *testing.T) {
+	withDeadline(t, 0)
+	conv := ConvergenceConfig{SecondStart: 5, Horizon: 10, Seeds: []int64{1}}
+	smooth := DefaultFig17()
+	smooth.Duration, smooth.Warmup = 10, 5
+	for _, tc := range []struct {
+		name          string
+		sweeps, cells int
+		run           func()
+	}{
+		{"Fig10", 1, 4, func() { Fig10(conv, 16) }},
+		{"Fig12", 1, 5, func() { Fig12(conv, 16) }},
+		{"RunSmoothness", 1, 2, func() { RunSmoothness(smooth) }},
+		{"RTTFairness", 1, 2, func() { RTTFairness(RTTFairnessConfig{Warmup: 2, Measure: 5}) }},
+		{"StaticCompat", 1, 21, func() { StaticCompat(StaticCompatConfig{Warmup: 2, Measure: 5}) }},
+		{"ablation-tear", 2, 5, func() { tearExperiment(false, 1, MatrixConfig{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := withSink(t)
+			tc.run()
+			sweeps, cells := 0, 0
+			for _, ev := range sink.events {
+				if ev.Kind == obs.SweepQueued {
+					cells++
+					if ev.Cell == 0 {
+						sweeps++
+					}
+				}
+			}
+			if sweeps != tc.sweeps || cells != tc.cells {
+				t.Errorf("%d sweep(s) of %d cell(s) in all, want %d of %d", sweeps, cells, tc.sweeps, tc.cells)
+			}
+		})
+	}
 }

@@ -14,8 +14,6 @@ import (
 // algorithm, the second starting once the first owns the whole link, and
 // the delta-fair convergence time between them.
 type ConvergenceConfig struct {
-	// Algo builds both flows.
-	Algo AlgoSpec
 	// Rate is the bottleneck bandwidth (paper: 10 Mbps).
 	Rate float64
 	// Delta is the fairness target (paper: 0.1).
@@ -63,37 +61,53 @@ type ConvergenceResult struct {
 	Converged, Trials int
 }
 
-// RunConvergence measures one algorithm.
-func RunConvergence(cfg ConvergenceConfig) ConvergenceResult {
+// convergenceTrial is one (algorithm, seed) cell's outcome. Its fields
+// are exported so the result store can keep it.
+type convergenceTrial struct {
+	Time sim.Time
+	OK   bool
+}
+
+// convergence measures each algorithm over cfg.Seeds as one sweep of
+// algorithm × seed cells, and averages each algorithm's converged
+// trials.
+func convergence(cfg ConvergenceConfig, algos []AlgoSpec) []ConvergenceResult {
 	cfg.fill()
-	res := ConvergenceResult{Algo: cfg.Algo.Name, Trials: len(cfg.Seeds)}
-	type trial struct {
-		t  sim.Time
-		ok bool
-	}
-	trials := supervisedMap(len(cfg.Seeds), func(c *Cell) trial {
-		eng, d := c.newScenario(cfg.Seeds[c.Index()], topology.Config{Rate: cfg.Rate})
-		f1 := cfg.Algo.Make(eng, d, 1)
-		f2 := cfg.Algo.Make(eng, d, 2)
-		eng.At(0, f1.Sender.Start)
-		eng.At(cfg.SecondStart, f2.Sender.Start)
-		m1 := metrics.NewMeter(eng, cfg.BinWidth, f1.RecvBytes)
-		m2 := metrics.NewMeter(eng, cfg.BinWidth, f2.RecvBytes)
-		eng.RunUntil(cfg.SecondStart + cfg.Horizon)
-		t, ok := metrics.ConvergenceTime(m1, m2, cfg.SecondStart, cfg.Delta, 3)
-		return trial{t, ok}
+	seeds := len(cfg.Seeds)
+	trials := supervisedMap(len(algos)*seeds, func(c *Cell) convergenceTrial {
+		return runConvergence(c, cfg, algos[c.Index()/seeds], cfg.Seeds[c.Index()%seeds])
 	})
-	var sum sim.Time
-	for _, tr := range trials {
-		if tr.ok {
-			res.Converged++
-			sum += tr.t
+	out := make([]ConvergenceResult, len(algos))
+	for ai, a := range algos {
+		res := ConvergenceResult{Algo: a.Name, Trials: seeds}
+		var sum sim.Time
+		for _, tr := range trials[ai*seeds : (ai+1)*seeds] {
+			if tr.OK {
+				res.Converged++
+				sum += tr.Time
+			}
 		}
+		if res.Converged > 0 {
+			res.MeanTime = sum / sim.Time(res.Converged)
+		}
+		out[ai] = res
 	}
-	if res.Converged > 0 {
-		res.MeanTime = sum / sim.Time(res.Converged)
-	}
-	return res
+	return out
+}
+
+// runConvergence runs one trial: two flows of algo, the second from
+// SecondStart, until the horizon.
+func runConvergence(c *Cell, cfg ConvergenceConfig, algo AlgoSpec, seed int64) convergenceTrial {
+	eng, d := c.newScenario(seed, topology.Config{Rate: cfg.Rate})
+	f1 := algo.Make(eng, d, 1)
+	f2 := algo.Make(eng, d, 2)
+	eng.At(0, f1.Sender.Start)
+	eng.At(cfg.SecondStart, f2.Sender.Start)
+	m1 := metrics.NewMeter(eng, cfg.BinWidth, f1.RecvBytes)
+	m2 := metrics.NewMeter(eng, cfg.BinWidth, f2.RecvBytes)
+	eng.RunUntil(cfg.SecondStart + cfg.Horizon)
+	t, ok := metrics.ConvergenceTime(m1, m2, cfg.SecondStart, cfg.Delta, 3)
+	return convergenceTrial{t, ok}
 }
 
 // Fig10 sweeps TCP(b) over b = 1/2 ... 1/maxGamma.
@@ -101,16 +115,14 @@ func Fig10(cfg ConvergenceConfig, maxGamma int) []ConvergenceResult {
 	if maxGamma == 0 {
 		maxGamma = 256
 	}
-	var out []ConvergenceResult
+	var algos []AlgoSpec
 	for _, g := range gammaSteps(maxGamma) {
 		if g == 1 {
 			continue // b = 1 is not meaningful for AIMD decrease
 		}
-		c := cfg
-		c.Algo = TCPAlgo(1 / float64(g))
-		out = append(out, RunConvergence(c))
+		algos = append(algos, TCPAlgo(1/float64(g)))
 	}
-	return out
+	return convergence(cfg, algos)
 }
 
 // Fig12 sweeps TFRC(k) over k = 1 ... maxK.
@@ -118,13 +130,11 @@ func Fig12(cfg ConvergenceConfig, maxK int) []ConvergenceResult {
 	if maxK == 0 {
 		maxK = 256
 	}
-	var out []ConvergenceResult
+	var algos []AlgoSpec
 	for _, k := range gammaSteps(maxK) {
-		c := cfg
-		c.Algo = TFRCAlgo(TFRCOpts{K: k, HistoryDiscounting: true})
-		out = append(out, RunConvergence(c))
+		algos = append(algos, TFRCAlgo(TFRCOpts{K: k, HistoryDiscounting: true}))
 	}
-	return out
+	return convergence(cfg, algos)
 }
 
 // RenderConvergence prints a Figure 10/12 style table.

@@ -79,14 +79,13 @@ func SevereBurstyPattern() netem.DropPattern {
 	}}
 }
 
-// Smoothness runs the scenario for each algorithm.
+// RunSmoothness runs the scenario for each algorithm, one sweep cell
+// each.
 func RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult {
 	cfg.fill()
-	var out []SmoothnessResult
-	for _, a := range cfg.Algos {
-		out = append(out, runSmoothnessOne(nil, cfg, a))
-	}
-	return out
+	return supervisedMap(len(cfg.Algos), func(c *Cell) SmoothnessResult {
+		return runSmoothnessOne(c, cfg, cfg.Algos[c.Index()])
+	})
 }
 
 func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessResult {

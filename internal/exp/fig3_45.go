@@ -81,11 +81,7 @@ type TimePoint struct {
 	V float64
 }
 
-// RunStabilization runs the Figure 3/4/5 scenario for one algorithm.
-func RunStabilization(cfg StabilizationConfig) StabilizationResult {
-	return runStabilization(nil, cfg)
-}
-
+// runStabilization runs the Figure 3/4/5 scenario for one algorithm.
 func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 	cfg.fill()
 	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})

@@ -263,12 +263,10 @@ func fairnessExperiment(head, title string, base FairnessConfig) runFunc {
 	}
 }
 
-// tearExperiment puts TEAR through the stabilization scenario and then
-// against TCP under oscillation.
+// tearExperiment puts TEAR through the stabilization scenario, as
+// Figure 3 with one algorithm, and then against TCP under oscillation.
 func tearExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
-	sc := stabScenario(full, seed)
-	sc.Algo = TEARAlgo(0)
-	r := RunStabilization(sc)
+	r := Fig3(Fig3Config{Scenario: stabScenario(full, seed), Algos: []AlgoSpec{TEARAlgo(0)}})[0]
 	head := fmt.Sprintf("Ablation: TEAR stabilization — steady %.2f%%, time %.0f RTTs, cost %.2f\n\n",
 		r.Steady*100, r.Stab.TimeRTTs, r.Stab.Cost)
 	text, res := fairnessAtScale("TCP vs TEAR under oscillation", FairnessConfig{A: TCPAlgo(0.5), B: TEARAlgo(0)}, full, seed)

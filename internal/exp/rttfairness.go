@@ -54,10 +54,14 @@ type RTTFairnessResult struct {
 	Advantage float64
 }
 
-// RTTFairness runs the scenario for TCP(1/2) and TFRC(8).
+// RTTFairness runs the scenario for TCP(1/2) and TFRC(8), one sweep
+// cell each.
 func RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
 	cfg.fill()
-	return []RTTFairnessResult{runRTTFairness(nil, cfg, "tcp", 0.5), runRTTFairness(nil, cfg, "tfrc", 8)}
+	keys, args := [...]string{"tcp", "tfrc"}, [...]float64{0.5, 8}
+	return supervisedMap(len(keys), func(c *Cell) RTTFairnessResult {
+		return runRTTFairness(c, cfg, keys[c.Index()], args[c.Index()])
+	})
 }
 
 // runRTTFairness runs two flows of roster row key at arg, one behind

@@ -72,45 +72,33 @@ type StaticCompatPoint struct {
 	VsModel float64
 }
 
-// StaticCompat runs the audit, with all (loss rate, algorithm) cells in
-// parallel.
+// StaticCompat runs the audit as one sweep: a TCP(1/2) baseline cell
+// per loss rate, then a cell per (loss rate, algorithm).
 func StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 	cfg.fill()
-	// TCP(1/2) baselines, one per loss rate.
-	baselines := supervisedMap(len(cfg.DropEveryNth), func(c *Cell) float64 {
-		return staticRun(c, cfg, TCPAlgo(0.5), cfg.DropEveryNth[c.Index()])
+	nn, na := len(cfg.DropEveryNth), len(cfg.Algos)
+	rates := supervisedMap(nn+nn*na, func(c *Cell) float64 {
+		if i := c.Index(); i < nn {
+			return staticRun(c, cfg, TCPAlgo(0.5), cfg.DropEveryNth[i])
+		}
+		j := c.Index() - nn
+		return staticRun(c, cfg, cfg.Algos[j%na], cfg.DropEveryNth[j/na])
 	})
-	type job struct {
-		nIdx, aIdx int
-	}
-	var jobs []job
-	for ni := range cfg.DropEveryNth {
-		for ai := range cfg.Algos {
-			jobs = append(jobs, job{ni, ai})
-		}
-	}
-	return supervisedMap(len(jobs), func(c *Cell) StaticCompatPoint {
-		j := jobs[c.Index()]
-		n := cfg.DropEveryNth[j.nIdx]
-		a := cfg.Algos[j.aIdx]
-		p := 1 / float64(n)
-		tcpRate := baselines[j.nIdx]
+	pts := make([]StaticCompatPoint, 0, nn*na)
+	for j, rate := range rates[nn:] {
+		p := 1 / float64(cfg.DropEveryNth[j/na])
+		tcpRate := rates[j/na]
 		model := tcpmodel.SimpleRate(p, 0.05, 1000) * 8
-		rate := staticRun(c, cfg, a, n)
-		pt := StaticCompatPoint{
-			Algo:    a.Name,
-			P:       p,
-			Mbps:    rate / 1e6,
-			TCPMbps: tcpRate / 1e6,
-		}
+		pt := StaticCompatPoint{Algo: cfg.Algos[j%na].Name, P: p, Mbps: rate / 1e6, TCPMbps: tcpRate / 1e6}
 		if tcpRate > 0 {
 			pt.VsTCP = rate / tcpRate
 		}
 		if model > 0 {
 			pt.VsModel = rate / model
 		}
-		return pt
-	})
+		pts = append(pts, pt)
+	}
+	return pts
 }
 
 // staticRun measures one flow's post-warmup throughput in bits/s under

@@ -473,6 +473,31 @@ func TestScopeKeyedSweepReplays(t *testing.T) {
 	}
 }
 
+// A convergence trial round-trips JSON, so Figure 10's cells are stored
+// and a second run of the same scope is served from them whole.
+func TestFig10CellsReplay(t *testing.T) {
+	withDeadline(t, 0)
+	st := withStore(t, true)
+	cfg := ConvergenceConfig{SecondStart: 5, Horizon: 10, Seeds: []int64{1}}
+	SetSweepScope("fig10")
+	cold := Fig10(cfg, 16)
+	if st.Len() != 4 || st.Hits() != 0 {
+		t.Fatalf("cold run: %d stored, %d hits; want 4, 0", st.Len(), st.Hits())
+	}
+	misses := st.Misses()
+	SetSweepScope("fig10")
+	warm := Fig10(cfg, 16)
+	if st.Hits() != 4 || st.Misses() != misses {
+		t.Fatalf("warm run: %d hits, %d new misses; want 4, 0", st.Hits(), st.Misses()-misses)
+	}
+	if cold[len(cold)-1].Converged == 0 {
+		t.Fatalf("no trial of %+v converged: the replay would compare zeros", cold)
+	}
+	if fmt.Sprint(warm) != fmt.Sprint(cold) {
+		t.Fatalf("replayed %+v, computed %+v", warm, cold)
+	}
+}
+
 // lossyResult cannot round-trip JSON (unexported field), so replaying
 // it would rebuild artifacts that differ from a cold run's; the sweep
 // must run it unkeyed.

@@ -149,7 +149,7 @@ func TestReadSamplesTSVRejectsEmpty(t *testing.T) {
 
 // --- Registry ---
 
-func TestRegistrySnapshotAndWriteTo(t *testing.T) {
+func TestRegistrySnapshot(t *testing.T) {
 	var g Registry
 	n := int64(41)
 	g.Register("custom.count", func() int64 { return n })

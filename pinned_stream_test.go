@@ -304,3 +304,45 @@ func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
 		t.Fatalf("loss monitor rate %v, want %v (%d drops of %d arrivals)", got, want, drops, len(r.trace))
 	}
 }
+
+// TestTraceRunFaultSpec checks the fault layer at the CLI-facing
+// surface: a "none" spec wires nothing and keeps the pinned stream; an
+// outage spec changes the run and records itself in the manifest; an
+// invalid spec panics.
+func TestTraceRunFaultSpec(t *testing.T) {
+	base := slowcc.TraceRunConfig{
+		Seed: 1, Rate: 10e6, Duration: 30,
+		Algos: []slowcc.Algorithm{slowcc.TCP(0.5), slowcc.TCP(0.5)},
+	}
+
+	none := base
+	none.FaultSpec = "none"
+	r := slowcc.NewTraceRun(none)
+	r.Run()
+	if got := r.Eng.Steps(); got != pinnedEvents {
+		t.Fatalf("FaultSpec 'none' run executed %d events, want the pinned %d", got, pinnedEvents)
+	}
+	if r.Manifest("t").Config["fault"] != "none" {
+		t.Fatal("manifest does not record the fault spec")
+	}
+
+	outage := base
+	outage.FaultSpec = "down:10+5"
+	r2 := slowcc.NewTraceRun(outage)
+	r2.Run()
+	if r2.Eng.Steps() == pinnedEvents {
+		t.Fatal("a 5s bottleneck outage left the event count unchanged")
+	}
+	if r2.D.Fwd[0].Transitions != 2 {
+		t.Fatalf("outage run saw %d link transitions, want 2", r2.D.Fwd[0].Transitions)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("invalid FaultSpec did not panic")
+		}
+	}()
+	bad := base
+	bad.FaultSpec = "corrupt:2"
+	slowcc.NewTraceRun(bad)
+}

@@ -114,12 +114,10 @@ func TestPublicScriptedLoss(t *testing.T) {
 }
 
 func TestPublicExperimentRoundTrip(t *testing.T) {
-	cfg := exp.StabilizationConfig{
-		Algo:  slowcc.TCP(0.5),
-		OffAt: 30, OnAt: 36, End: 70,
-		Seed: 1,
-	}
-	r := exp.RunStabilization(cfg)
+	r := exp.Fig3(exp.Fig3Config{
+		Scenario: exp.StabilizationConfig{OffAt: 30, OnAt: 36, End: 70, Seed: 1},
+		Algos:    []exp.AlgoSpec{slowcc.TCP(0.5)},
+	})[0]
 	if !r.Stab.Stabilized {
 		t.Fatal("TCP did not stabilize via public API")
 	}
