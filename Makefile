@@ -14,7 +14,7 @@ GO ?= go
 # calendar-vs-heap differentials and ring-sizing tests live in
 # ./internal/sim and the pinned-stream table; and cmd/smoke_test.go
 # drives the three binaries and the five examples (report, matrix, warm
-# resume, kill-and-resume, live export scrape, timeline, exit codes,
+# resume, halted-then-resumed, kill-and-resume, live export scrape, timeline, exit codes,
 # profiles).
 ci: fmt vet build race fuzz-smoke
 
@@ -42,8 +42,8 @@ bench:
 # fuzz-smoke gives each parser fuzz target (fault specs, algorithm
 # specs and lists), the result store's frame reader (both files, and
 # its refusal of a v1 store), the trace and matrix TSV readers, the strict
-# exposition parser behind slowccreport -prom-verify, and the manifest
-# and timeline readers behind slowccreport a few seconds of
+# exposition parser behind slowccreport -prom-verify, and the manifest,
+# timeline and probe-TSV readers behind slowccreport a few seconds of
 # coverage-guided input on every ci run — long enough to re-find
 # shallow regressions (the
 # heatmap's index-by-NaN panic was one), short enough not to dominate
@@ -59,3 +59,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=2s ./internal/obs/export
 	$(GO) test -run='^$$' -fuzz=FuzzReadManifest -fuzztime=2s ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzValidateTimeline -fuzztime=2s ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzReadSamplesTSV -fuzztime=2s ./internal/obs

@@ -15,9 +15,10 @@
 //
 // -fault injects deterministic faults (outages, flapping, corruption,
 // duplication, reordering — see internal/faults) at every scenario's
-// bottleneck; -max-events and -deadline bound runaway cells, and a
-// sweep cell that panics or times out is reported as degraded on
-// stderr (and counted in the manifest) instead of killing the run.
+// bottleneck; -max-events and -deadline bound runaway cells. A sweep
+// cell that panics, times out or is halted by either budget is reported
+// as degraded on stderr (and counted in the manifest) instead of killing
+// the run, and is never stored as a result: -resume recomputes it.
 //
 // -timeline records sweep telemetry as Chrome trace-event JSON: every
 // supervised cell contributes a queued span from its sweep's start, a
@@ -73,7 +74,7 @@ func run() int {
 		manifest     = flag.String("manifest", "", "write a deterministic run-manifest JSON to this file")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		maxEvents    = flag.Int64("max-events", 0, "halt any single scenario after this many events (0 = unbounded)")
+		maxEvents    = flag.Int64("max-events", 0, "halt any single scenario after this many events, degrading its cell (0 = unbounded)")
 		deadline     = flag.Duration("deadline", 0, "per-sweep-cell wall-clock deadline; a cell over it is degraded, not fatal (0 = none)")
 		faultSpec    = flag.String("fault", "", "fault spec injected at every scenario's bottleneck, e.g. 'down:25+5;corrupt:0.001' (see internal/faults)")
 		timeline     = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running spans and degraded/cached instants, one lane per worker) as trace-event JSON to this path")
@@ -108,6 +109,14 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "-slog: %v\n", err)
 			return 2
 		}
+	}
+	if *maxEvents < 0 {
+		fmt.Fprintf(os.Stderr, "-max-events: %d is negative (0 = unbounded)\n", *maxEvents)
+		return 2
+	}
+	if *deadline < 0 {
+		fmt.Fprintf(os.Stderr, "-deadline: %v is negative (0 = none)\n", *deadline)
+		return 2
 	}
 	if *resume && *storeDir == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -store DIR")

@@ -55,6 +55,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -90,6 +91,15 @@ func main() {
 		digest   = flag.Bool("digest", false, "fold every executed event into a rolling stream digest and print it (an O(1)-memory fingerprint of the run; also lands in the manifest)")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-rate", *rate}, {"-dur", *dur}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			fmt.Fprintf(os.Stderr, "%s: %v is not a positive finite number\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
 	if *probeOut != "" && *probe <= 0 {
 		fmt.Fprintln(os.Stderr, "-probes requires -probe: nothing is sampled without an interval")
 		os.Exit(2)

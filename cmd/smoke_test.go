@@ -248,6 +248,42 @@ func TestResumeSmoke(t *testing.T) {
 	}
 }
 
+// A run an engine budget cut short has not measured its cells: they are
+// degraded, not results — exit 1 under -fail-degraded, every row keeps
+// its labels and says degraded true — and the store keeps them as
+// degraded markers. Matrix keys do not include the budget, so the
+// budget-free resume over that store must serve none of them and end
+// byte-identical to a cold run.
+func TestHaltedThenResumedSmoke(t *testing.T) {
+	dir := t.TempDir()
+	matrix := []string{"-exp", "matrix", "-matrix", "tcp:0.5,cbr:1e6", "-topology", "dumbbell", "-fail-degraded"}
+	ok(t, dir, "slowccsim", append(matrix, "-tsv", "cold.tsv")...)
+	cold := nonEmpty(t, filepath.Join(dir, "cold.tsv"))
+
+	code, _, stderr := run(t, dir, "slowccsim", append(matrix, "-max-events", "20000", "-store", "d", "-tsv", "halted.tsv")...)
+	if code != 1 || !strings.Contains(stderr, "12 sweep cell(s) degraded") ||
+		!strings.Contains(stderr, "halted by its run budget (halt: max-events after 20000 events") {
+		t.Fatalf("budget-halted matrix: exit %d, want 1 naming its 12 halted cells\n%s", code, stderr)
+	}
+	cells, err := exp.ParseMatrixTSV(bytes.NewReader(nonEmpty(t, filepath.Join(dir, "halted.tsv"))))
+	if err != nil || len(cells) != 12 {
+		t.Fatalf("halted TSV: %d rows, %v; want 12", len(cells), err)
+	}
+	for _, c := range cells {
+		if !c.Degraded || c.Topology == "" || c.Condition == "" || c.A == "" || c.B == "" {
+			t.Fatalf("halted row %+v, want its labels and degraded true", c)
+		}
+	}
+
+	code, _, stderr = run(t, dir, "slowccsim", append(matrix, "-store", "d", "-resume", "-tsv", "resumed.tsv")...)
+	if code != 0 || !strings.Contains(stderr, "store d: 12 entries, 0 hits, 12 misses, 0 corrupt") {
+		t.Fatalf("budget-free resume: exit %d, want 0 serving no halted cell\n%s", code, stderr)
+	}
+	if resumed := nonEmpty(t, filepath.Join(dir, "resumed.tsv")); !bytes.Equal(resumed, cold) {
+		t.Fatalf("resumed TSV differs from the cold run's:\n%s\nvs\n%s", resumed, cold)
+	}
+}
+
 // The latency-attribution pipeline: a journey-enabled slowcctrace run
 // writes a trace-event timeline and a histogram-carrying manifest, a
 // supervised matrix sweep writes its per-cell telemetry timeline, and
@@ -327,9 +363,15 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-topology: ", []string{"slowccsim", "-exp", "matrix", "-topology", "parking-lot:100000000"}},
 		{"-fault: ", []string{"slowccsim", "-exp", "fig3", "-fault", "bogus"}},
 		{"-slog: ", []string{"slowccsim", "-exp", "fig3", "-slog", "loud"}},
+		{"-max-events: ", []string{"slowccsim", "-exp", "fig3", "-max-events", "-5"}},
+		{"-deadline: ", []string{"slowccsim", "-exp", "fig3", "-deadline", "-1s"}},
 		{"-tsv: ", []string{"slowccsim", "-exp", "fig20", "-tsv", "x.tsv"}},
 		{"experiments:", []string{"slowccsim"}},
 		{"-probes requires -probe", []string{"slowcctrace", "-dur", "1", "-probes", "x.tsv"}},
+		{"-rate: ", []string{"slowcctrace", "-rate", "-1"}},
+		{"-rate: ", []string{"slowcctrace", "-rate", "Inf"}},
+		{"-dur: ", []string{"slowcctrace", "-dur", "-3"}},
+		{"-dur: ", []string{"slowcctrace", "-dur", "NaN"}},
 		{"-heatmap-svg requires -heatmap", []string{"slowccreport", "-heatmap-svg", "x.svg"}},
 		{"-heatmap-metric requires -heatmap", []string{"slowccreport", "-heatmap-metric", "jain"}},
 	} {

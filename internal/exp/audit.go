@@ -116,7 +116,7 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 		}
 	}
 	// A sink or a store reads the cell's counters — recorded cells carry
-	// them with the event count and halts so a resumed run replays the
+	// them with the event count so a resumed run replays the
 	// /metrics state a cold run produces — through closures read once,
 	// after the job returns. Folding the event stream is per-event work,
 	// so only a live sink gets a digest, and a store records whatever the

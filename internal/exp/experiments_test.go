@@ -67,7 +67,7 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 	if draws[1] != 0 {
 		t.Errorf("cell 1 drew %d, want the zero value of a degraded cell", draws[1])
 	}
-	if errs := SweepErrors(); len(errs) != 1 || errs[0].Index != 1 || errs[0].Deadline {
+	if errs := SweepErrors(); len(errs) != 1 || errs[0].Index != 1 || errs[0].Outcome != "panic" {
 		t.Errorf("SweepErrors = %v, want cell 1's panic, once", errs)
 	}
 

@@ -165,15 +165,15 @@ type MatrixCell struct {
 	// Utilization is the first bottleneck's carried load over capacity
 	// during the measurement window (all traffic classes included).
 	Utilization float64
-	// Degraded marks a cell that panicked or missed the sweep deadline;
-	// its metrics are zero.
+	// Degraded marks a cell that panicked, missed the sweep deadline or
+	// was halted by its run budget; its metrics are zero.
 	Degraded bool
 }
 
 // Matrix runs the full sweep through the supervised parallel runner and
 // returns cells ordered topology-major, then condition, then A, then B.
-// A cell that panics or misses the deadline comes back Degraded with a RunError
-// in SweepErrors rather than aborting the sweep.
+// A cell that degrades (RunError) comes back Degraded, labelled, with
+// its RunError in SweepErrors rather than aborting the sweep.
 func Matrix(cfg MatrixConfig) []MatrixCell {
 	cfg.fill()
 	type job struct {

@@ -93,9 +93,6 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 	if st.DigestEvents == 0 || st.DigestEvents != st.Events {
 		t.Fatalf("digest covered %d of %d events", st.DigestEvents, st.Events)
 	}
-	if len(st.Halts) != 0 {
-		t.Fatalf("unbudgeted run reported halts %q", st.Halts)
-	}
 	// The digest must be the run's fingerprint: the same scenario on the
 	// same seed reproduces it, a different seed does not.
 	for seed, wantEqual := range map[int64]bool{1: true, 2: false} {
@@ -182,31 +179,42 @@ func spinPastBudget(c *Cell) {
 	eng.RunUntil(1e6)
 }
 
-// A cell whose engine trips the global run budget must surface the halt
-// reason in its CellStats and done event.
+// A cell whose engine trips the global run budget has not measured what
+// it computes: it degrades with outcome "halt", yields its zero value,
+// names the halt in its RunError and its degraded event, and hands the
+// sink no CellStats — a halted cell is not a result.
 func TestSweepProgressReportsBudgetHalt(t *testing.T) {
 	withDeadline(t, 0)
 	sink := withSink(t)
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
 	defer SetRunBudget(prev)
-	_, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 })
-	if rerr != nil {
-		t.Fatalf("cell failed: %v", rerr)
+	v, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 })
+	if v != 0 || rerr == nil || rerr.Outcome != "halt" || !strings.HasPrefix(rerr.Halt, "max-events after 50 events") {
+		t.Fatalf("halted cell returned %d, %+v; want 0 and a halt RunError", v, rerr)
 	}
-	if len(sink.stats) != 1 || len(sink.stats[0].Halts) != 1 {
-		t.Fatalf("CellStats halt not reported: %+v", sink.stats)
+	if !strings.Contains(rerr.Error(), "halted by its run budget (halt: max-events") {
+		t.Fatalf("RunError text %q does not name the halt", rerr.Error())
+	}
+	if len(sink.stats) != 0 {
+		t.Fatalf("halted cell delivered CellStats: %+v", sink.stats)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	last := sink.events[len(sink.events)-1]
-	if last.Kind != obs.SweepDone || last.Halt != sink.stats[0].Halts[0] {
-		t.Fatalf("done event missing halt reason: %+v", last)
+	if last.Kind != obs.SweepDegraded || last.Outcome != "halt" || last.Halt != rerr.Halt {
+		t.Fatalf("terminal event %+v, want degraded/halt carrying %q", last, rerr.Halt)
+	}
+	for _, ev := range sink.events {
+		if ev.Kind == obs.SweepDone {
+			t.Fatalf("halted cell emitted a done event: %+v", ev)
+		}
 	}
 }
 
-// A halt reaches the done event and a degraded cell's report whatever
-// renders them: with only a logger installed — no sink, no store — the
-// cell's engines are still read for their halt reasons.
+// A halt reaches the degraded report whatever renders it: with only a
+// logger installed — no sink, no store — the cell's engines are still
+// read for their halt reasons, and a panic after a halt names the halt
+// beside the panic.
 func TestBudgetHaltReportedWithoutSinkOrStore(t *testing.T) {
 	withDeadline(t, 0)
 	var buf bytes.Buffer
@@ -214,15 +222,17 @@ func TestBudgetHaltReportedWithoutSinkOrStore(t *testing.T) {
 	defer SetSweepLogger(prevLog)
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
 	defer SetRunBudget(prev)
-	if _, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 }); rerr != nil {
-		t.Fatalf("cell failed: %v", rerr)
+	if _, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 }); rerr == nil {
+		t.Fatal("halted cell was not degraded")
 	}
-	if out := buf.String(); !strings.Contains(out, "sweep cell done") || !strings.Contains(out, `halt="max-events after 50 events`) {
-		t.Fatalf("done record carries no halt:\n%s", out)
+	out := buf.String()
+	if !strings.Contains(out, "level=WARN msg=\"sweep cell degraded\" cell=0 worker=0 outcome=halt halt=\"max-events after 50 events") ||
+		strings.Contains(out, "sweep cell done") {
+		t.Fatalf("halted cell not logged as degraded with its halt:\n%s", out)
 	}
 	_, rerr := Supervise(1, func(c *Cell) int { spinPastBudget(c); panic("after the halt") })
-	if rerr == nil || !strings.HasPrefix(rerr.Halt, "max-events after 50 events") {
-		t.Fatalf("degraded cell's halt not reported: %+v", rerr)
+	if rerr == nil || rerr.Outcome != "panic" || !strings.HasPrefix(rerr.Halt, "max-events after 50 events") {
+		t.Fatalf("degraded cell's halt not reported beside its panic: %+v", rerr)
 	}
 }
 

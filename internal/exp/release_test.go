@@ -119,7 +119,7 @@ func TestFailedAttemptsKeepTheirNets(t *testing.T) {
 		<-hold
 		return 0
 	})
-	if rerr == nil || !rerr.Deadline {
+	if rerr == nil || rerr.Outcome != "deadline" {
 		t.Fatalf("RunError %v, want a deadline", rerr)
 	}
 	close(hold)

@@ -121,9 +121,9 @@ func FuzzParseAlgoList(f *testing.F) {
 func auditedNets() map[string]*topology.Net {
 	eng1, eng3 := sim.New(1), sim.New(1)
 	return map[string]*topology.Net{
-		"dumbbell": topology.New(eng1, topology.Config{Seed: 1, Strict: true, Audit: invariant.New(eng1)}),
+		"dumbbell": topology.New(eng1, topology.Config{Seed: 1, Audit: invariant.New(eng1)}),
 		"3-hop chain": topology.NewNet(eng3, topology.NetConfig{
-			Hops: make([]topology.Hop, 3), Seed: 1, Strict: true, Audit: invariant.New(eng3)}),
+			Hops: make([]topology.Hop, 3), Seed: 1, Audit: invariant.New(eng3)}),
 	}
 }
 

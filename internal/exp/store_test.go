@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"slowcc/internal/obs/export"
 	"slowcc/internal/sim"
 	"slowcc/internal/store"
+	"slowcc/internal/topology"
 )
 
 // withStore installs a fresh result store (recording or replaying) for
@@ -123,9 +125,8 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 }
 
 // A store reads a cell's telemetry once, after the job has returned, so
-// it gets what is free to keep — the counter registry, the event count,
-// the halts — and never the stream digest, which is work on every
-// event: DESIGN §9.5's "consulted per sweep cell, never per event".
+// it gets what is free to keep — the counter registry and the event
+// count — and never the stream digest, which is work on every event: DESIGN §9.5's "consulted per sweep cell, never per event".
 func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
@@ -550,30 +551,98 @@ func TestRequestStopSkipsRemainingCells(t *testing.T) {
 	}
 }
 
-func TestCellStatsAggregatesEveryEngineHalt(t *testing.T) {
+// A cell that built two engines, both halted by the event budget, names
+// both halts, joined in construction order, in its RunError and its
+// degraded event — not only the first engine's.
+func TestHaltedCellNamesEveryEngineHalt(t *testing.T) {
 	withDeadline(t, 0)
 	prevB := SetRunBudget(&sim.Budget{MaxEvents: 100})
 	defer SetRunBudget(prevB)
 	sink := withSink(t)
 
-	// One cell, two engines, both halted by the event budget: the stats
-	// must carry both reasons, not only the first engine's.
 	supervisedMap(1, func(c *Cell) int {
 		runCellScenario(c, 1)
 		runCellScenario(c, 2)
 		return 0
 	})
-	if len(sink.stats) != 1 {
-		t.Fatalf("got %d CellStats, want 1", len(sink.stats))
+	errs := SweepErrors()
+	if len(errs) != 1 {
+		t.Fatalf("SweepErrors = %v, want the halted cell", errs)
 	}
-	st := sink.stats[0]
-	if len(st.Halts) != 2 {
-		t.Fatalf("Halts = %v, want both engines' halt reasons", st.Halts)
+	halts := strings.Split(errs[0].Halt, "; ")
+	if len(halts) != 2 || !strings.HasPrefix(halts[0], "max-events after 100 events") ||
+		!strings.HasPrefix(halts[1], "max-events after 100 events") {
+		t.Fatalf("Halt = %q, want both engines' halt reasons", errs[0].Halt)
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
-	if last := sink.events[len(sink.events)-1]; last.Kind != obs.SweepDone || last.Halt != st.Halts[0] {
-		t.Fatalf("done event %+v does not carry the first of Halts %v", last, st.Halts)
+	if last := sink.events[len(sink.events)-1]; last.Kind != obs.SweepDegraded || last.Halt != errs[0].Halt {
+		t.Fatalf("degraded event %+v does not carry %q", last, errs[0].Halt)
 	}
-	ResetSweepErrors()
+	if len(sink.stats) != 0 {
+		t.Fatalf("halted cell delivered CellStats: %+v", sink.stats)
+	}
+}
+
+// A run budget halts every cell of a keyed sweep; the store records each
+// as a degraded marker, so a resume without the budget serves none of
+// them and recomputes every one, ending where a cold run does. Both
+// keyings — a generic sweep's scope keys and Matrix's per-cell
+// manifests, which do not include the budget — go the same way.
+func TestHaltedCellsResumeAsMisses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix sweeps in -short mode")
+	}
+	withDeadline(t, 0)
+	steps := func(c *Cell) uint64 {
+		eng, d := c.newScenario(int64(c.Index()+1), topology.Config{Rate: 1e6})
+		f := TCPAlgo(0.5).Make(eng, d, 1)
+		eng.At(0, f.Sender.Start)
+		eng.RunUntil(2)
+		return eng.Steps()
+	}
+	for _, tc := range []struct {
+		name  string
+		cells int
+		sweep func() string
+	}{
+		{"supervisedMap", 3, func() string {
+			SetSweepScope("halted-then-resumed")
+			return fmt.Sprint(supervisedMap(3, steps))
+		}},
+		{"Matrix", 4, func() string { return RenderMatrixTSV(Matrix(tinyMatrix(1))) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cold := tc.sweep()
+			ResetSweepErrors()
+
+			st := withStore(t, false)
+			prevB := SetRunBudget(&sim.Budget{MaxEvents: 100})
+			halted := tc.sweep()
+			SetRunBudget(prevB)
+			if errs := SweepErrors(); len(errs) != tc.cells {
+				t.Fatalf("halted run degraded %d cells, want %d: %v", len(errs), tc.cells, errs)
+			}
+			ResetSweepErrors()
+			if halted == cold {
+				t.Fatal("the halted run matched the cold run: the budget halted nothing")
+			}
+			for _, e := range st.Entries() {
+				if !e.Degraded || len(e.Result) != 0 || !strings.Contains(e.Error, "halted by its run budget") {
+					t.Fatalf("halted cell stored as %+v, want a degraded marker", e)
+				}
+			}
+
+			SetSweepStore(st, true)
+			if got := tc.sweep(); got != cold {
+				t.Fatalf("resumed run differs from the cold run:\n%s\nvs\n%s", got, cold)
+			}
+			if st.Hits() != 0 || st.Misses() != int64(tc.cells) {
+				t.Fatalf("resume: %d hits, %d misses; want 0, %d", st.Hits(), st.Misses(), tc.cells)
+			}
+			if len(SweepErrors()) != 0 {
+				t.Fatalf("budget-free resume degraded cells: %v", SweepErrors())
+			}
+		})
+	}
 }

@@ -19,30 +19,32 @@ import (
 	"slowcc/internal/topology"
 )
 
-// RunError describes one degraded sweep cell: it panicked or timed out,
-// and the sweep carried on without it.
+// RunError describes one degraded sweep cell: it panicked, missed its
+// deadline, or a run budget halted it before its horizon, so it measured
+// nothing; the sweep carried on without it.
 type RunError struct {
 	// Index is the sweep index of the degraded cell.
 	Index int
-	// Value is the recovered panic value (nil for a deadline halt).
+	// Outcome is how the cell degraded: "panic", "deadline" or "halt".
+	Outcome string
+	// Value is the recovered panic value (nil unless Outcome is "panic").
 	Value any
 	// Stack is the panicking goroutine's stack.
 	Stack string
-	// Deadline reports that the cell exceeded the sweep deadline rather
-	// than panicking.
-	Deadline bool
-	// Halt carries the engines' sim.HaltReason strings when they are
-	// harvestable: every engine's sticky budget halt, "; "-joined, so a
-	// multi-engine cell's degraded report names each leg's reason
-	// instead of only the first.
+	// Halt names every engine's sticky budget halt, "; "-joined in
+	// construction order: a halted cell's reason, and beside a panic or a
+	// deadline what the budget had already stopped.
 	Halt string
 }
 
 // Error implements error.
 func (e *RunError) Error() string {
 	s := fmt.Sprintf("exp: sweep cell %d panicked: %v", e.Index, e.Value)
-	if e.Deadline {
+	switch e.Outcome {
+	case "deadline":
 		s = fmt.Sprintf("exp: sweep cell %d exceeded its deadline", e.Index)
+	case "halt":
+		s = fmt.Sprintf("exp: sweep cell %d was halted by its run budget", e.Index)
 	}
 	if e.Halt != "" {
 		s += " (halt: " + e.Halt + ")"
@@ -198,7 +200,7 @@ func ResetSweepErrors() {
 
 // SetRunBudget installs a sim.Budget that newScenario applies to every
 // engine it constructs (the -max-events / -deadline CLI path), or nil
-// to remove it. Returns the previous budget.
+// to remove it; a cell it halts is degraded. Returns the previous budget.
 func SetRunBudget(b *sim.Budget) (prev *sim.Budget) {
 	setEnv(func(env *sweepEnv) { prev, env.budget = env.budget, b })
 	return prev
@@ -309,20 +311,20 @@ func logSweepEvent(l *slog.Logger, ev obs.SweepEvent) {
 	l.LogAttrs(ctx, level, "sweep cell "+string(ev.Kind), attrs...)
 }
 
-// Supervise runs job once as a supervised sweep cell: a panic is
-// recovered into a RunError with its stack, and the sweep deadline
-// abandons the job. On success the error is nil; callers that are not
-// part of a sweep get the error directly and nothing is recorded in
-// SweepErrors.
+// Supervise runs job once as a supervised sweep cell: a panic, the
+// sweep deadline or a run budget halt degrades it into a RunError. On
+// success the error is nil; callers that are not part of a sweep get
+// the error directly and nothing is recorded in SweepErrors.
 func Supervise[T any](index int, job func(c *Cell) T) (T, *RunError) {
 	env := currentEnv()
 	v, _, rerr := superviseCell(&env, index, 0, job)
 	return v, rerr
 }
 
-// superviseCell runs one cell, once. On success it additionally returns
-// the cell's telemetry snapshot, which the keyed sweep path commits to
-// the result store. Each transition is published once (sweepEnv.emit):
+// superviseCell runs one cell, once. It ends finished, its value its
+// result, or degraded (runAttempt decides); a finished cell also returns
+// its telemetry snapshot, which the keyed sweep path commits to the
+// result store. Each transition is published once (sweepEnv.emit):
 // queued and running, then the done or degraded event that ends it.
 func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T) (T, obs.CellStats, *RunError) {
 	tell := env.telling()
@@ -333,7 +335,7 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 	}
 	v, cell, rerr := runAttempt(env, index, job) // v is the zero value when rerr is set
 	var st obs.CellStats
-	kind, outcome := obs.SweepDone, "ok"
+	ev := obs.SweepEvent{Kind: obs.SweepDone, Cell: index, Worker: worker, Outcome: "ok"}
 	if rerr == nil {
 		st = cellStats(cell)
 		cell.release()
@@ -341,45 +343,25 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 			env.sink.CellStats(st)
 		}
 	} else {
-		if cell != nil && rerr.Halt == "" {
-			// The cell failed but the job returned (a panic, not an
-			// abandoned deadline), so its engines' sticky halt reasons are
-			// safely harvestable into the degraded report.
-			rerr.Halt = strings.Join(cellStats(cell).Halts, "; ")
-		}
-		kind, outcome = obs.SweepDegraded, "panic"
-		if rerr.Deadline {
-			outcome = "deadline"
-		}
+		ev.Kind, ev.Outcome, ev.Halt = obs.SweepDegraded, rerr.Outcome, rerr.Halt
 	}
 	if tell {
 		now := time.Now()
-		ev := obs.SweepEvent{Kind: kind, Cell: index, Worker: worker, Outcome: outcome, DurMS: ms(now.Sub(t0))}
-		if len(st.Halts) > 0 {
-			ev.Halt = st.Halts[0]
-		}
+		ev.DurMS = ms(now.Sub(t0))
 		env.emit(ev, now)
 	}
 	return v, st, rerr
 }
 
-// cellStats snapshots a finished cell's telemetry. The event count and
-// every engine's sticky budget halt reason come from the nets the cell
-// built, so a halt reaches the done event and a degraded report whatever
-// renders them; summed counters and the XOR-combined stream digest come
-// from the attachments a sink or a store asked for (Digest 0 over
-// DigestEvents 0 when no engine kept one). Safe because the job has
-// returned — nothing else writes to these engines anymore.
+// cellStats snapshots a finished cell's telemetry. The event count comes
+// from the nets the cell built; summed counters and the XOR-combined
+// stream digest come from the attachments a sink or a store asked for
+// (Digest 0 over DigestEvents 0 when no engine kept one). Safe because
+// the job has returned — nothing else writes to these engines anymore.
 func cellStats(c *Cell) obs.CellStats {
 	var st obs.CellStats
-	if c == nil {
-		return st
-	}
 	for _, n := range c.nets {
 		st.Events += n.Eng.Steps()
-		if h := n.Eng.Halted(); h != nil && h.Cause != sim.HaltDone {
-			st.Halts = append(st.Halts, h.String())
-		}
 	}
 	if len(c.obsv) == 0 {
 		return st
@@ -399,11 +381,12 @@ func cellStats(c *Cell) obs.CellStats {
 
 // runAttempt executes the cell's job with panic recovery; with a
 // deadline it runs on its own goroutine so a hung cell can be abandoned.
-// The Cell is returned alongside the value so the supervisor can harvest
-// per-cell telemetry — but only consulted when the job has provably
-// returned and no goroutine still runs it. The job runs under the pprof
-// label slowcc_cell, so CPU profiles scraped from /debug/pprof attribute
-// samples to sweep cells.
+// It decides the cell's outcome: once the job has ended, returned or
+// panicked, its own goroutine reads the engines' halts, so a halt
+// degrades a returned cell and rides beside a panic or a deadline. The
+// Cell comes back for the harvest of a finished cell, never from an
+// abandoned job. The job runs under the pprof label slowcc_cell, so CPU
+// profiles scraped from /debug/pprof attribute samples to sweep cells.
 func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell, *RunError) {
 	c := &Cell{index: index, env: env}
 	type outcome struct {
@@ -416,7 +399,19 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 		var o outcome
 		defer func() {
 			if v := recover(); v != nil {
-				o = outcome{rerr: &RunError{Index: index, Value: v, Stack: string(debug.Stack())}}
+				o = outcome{rerr: &RunError{Index: index, Outcome: "panic", Value: v, Stack: string(debug.Stack())}}
+			}
+			var halts []string
+			for _, n := range c.nets {
+				if h := n.Eng.Halted(); h != nil {
+					halts = append(halts, h.String())
+				}
+			}
+			if len(halts) > 0 {
+				if o.rerr == nil {
+					o = outcome{rerr: &RunError{Index: index, Outcome: "halt"}}
+				}
+				o.rerr.Halt = strings.Join(halts, "; ")
 			}
 			res <- o
 		}()
@@ -434,16 +429,15 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 	case o := <-res:
 		return o.v, c, o.rerr
 	case <-time.After(env.deadline):
-		re := &RunError{Index: index, Deadline: true}
+		re := &RunError{Index: index, Outcome: "deadline"}
 		// Grace window: when the deadline pairs with an engine wall
 		// budget (the documented pairing), the abandoned run halts just
-		// past the deadline — wait briefly so its sticky sim.HaltReason
-		// lands in the degraded report. The classification stands either
-		// way; only consult the Cell if the job provably returned.
+		// past the deadline — wait briefly so its halt lands in the
+		// degraded report. The classification stands either way.
 		select {
 		case o := <-res:
-			if o.rerr == nil {
-				re.Halt = strings.Join(cellStats(c).Halts, "; ")
+			if o.rerr != nil {
+				re.Halt = o.rerr.Halt
 			}
 		case <-time.After(deadlineGrace):
 		}
@@ -457,7 +451,7 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 const deadlineGrace = 250 * time.Millisecond
 
 // supervisedMap is parallelMapIndexed with per-cell supervision: a cell
-// that panics or misses the deadline yields its zero value and a RunError in
+// that degrades (RunError) yields its zero value and its RunError in
 // SweepErrors (recorded in index order, deterministically) instead of
 // aborting the sweep. Figures 3-19 run their sweeps through it, so one
 // poisoned cell degrades one table entry rather than the whole run.

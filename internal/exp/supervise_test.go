@@ -47,7 +47,7 @@ func TestSupervisePanicBecomesRunError(t *testing.T) {
 	if rerr == nil {
 		t.Fatal("panicking cell returned nil RunError")
 	}
-	if rerr.Index != 7 || rerr.Deadline {
+	if rerr.Index != 7 || rerr.Outcome != "panic" {
 		t.Fatalf("RunError = %+v, want Index 7, no deadline", rerr)
 	}
 	if rerr.Value != "poisoned cell" {
@@ -77,8 +77,8 @@ func TestSuperviseDeadlineHalt(t *testing.T) {
 	if rerr == nil {
 		t.Fatal("over-deadline cell returned nil RunError")
 	}
-	if !rerr.Deadline || rerr.Index != 3 {
-		t.Fatalf("RunError = %+v, want Deadline on index 3", rerr)
+	if rerr.Outcome != "deadline" || rerr.Index != 3 {
+		t.Fatalf("RunError = %+v, want a deadline on index 3", rerr)
 	}
 	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
 		t.Fatalf("supervisor waited %v for an abandoned cell", elapsed)
@@ -117,7 +117,7 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 		t.Fatalf("sweep recorded %d degraded cells, want exactly 1", len(errs))
 	}
 	e := errs[0]
-	if e.Index != poisoned || e.Deadline {
+	if e.Index != poisoned || e.Outcome != "panic" {
 		t.Fatalf("RunError = %+v, want a panic at index %d", e, poisoned)
 	}
 	if !strings.Contains(e.Stack, "runCellScenario") && !strings.Contains(e.Stack, "supervise_test") {
@@ -130,8 +130,9 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 }
 
 // TestSupervisedDriverSweepPartialResults runs a real figure driver with
-// a run budget so tight every cell halts early, proving a degraded
-// configuration still yields a full-length, well-formed result slice.
+// a run budget so tight every cell halts early: the sweep still yields a
+// full-length result slice, and every halted cell is a degraded zero
+// value with a RunError naming its halt, in index order.
 func TestSupervisedDriverSweepPartialResults(t *testing.T) {
 	withDeadline(t, 0)
 	prev := SetRunBudget(&sim.Budget{MaxEvents: 5000})
@@ -144,13 +145,17 @@ func TestSupervisedDriverSweepPartialResults(t *testing.T) {
 	if len(res) != 2 {
 		t.Fatalf("Fig6 returned %d results, want 2", len(res))
 	}
-	for i, r := range res {
-		if r.Background == "" {
-			t.Fatalf("result %d lost its background label under a budget halt", i)
-		}
+	errs := SweepErrors()
+	if len(errs) != 2 {
+		t.Fatalf("budget-halted cells recorded %d errors, want 2: %v", len(errs), errs)
 	}
-	if errs := SweepErrors(); len(errs) != 0 {
-		t.Fatalf("budget-halted (non-panicking) cells recorded errors: %v", errs)
+	for i, r := range res {
+		if r.Background != "" {
+			t.Fatalf("halted cell %d yielded %+v, want its zero value", i, r)
+		}
+		if e := errs[i]; e.Index != i || e.Outcome != "halt" || !strings.HasPrefix(e.Halt, "max-events after 5000 events") {
+			t.Fatalf("RunError %d = %+v, want cell %d's halt", i, e, i)
+		}
 	}
 }
 
@@ -177,7 +182,7 @@ func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
 		eng.RunUntil(1e9)
 		return 1
 	})
-	if rerr == nil || !rerr.Deadline {
+	if rerr == nil || rerr.Outcome != "deadline" {
 		t.Fatalf("want a deadline RunError, got %v", rerr)
 	}
 	select {

@@ -322,20 +322,20 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + addr
 
-	// A two-cell sweep: cell 0 succeeds (with a budget halt), cell 1
-	// degrades.
+	// A two-cell sweep: cell 0 succeeds, cell 1 is halted by its run
+	// budget, which degrades it.
 	seq := []obs.SweepEvent{
 		{Kind: obs.SweepQueued, Cell: 0, Worker: 0, AtMS: 1},
 		{Kind: obs.SweepRunning, Cell: 0, Worker: 0, AtMS: 2},
 		{Kind: obs.SweepQueued, Cell: 1, Worker: 1, AtMS: 2},
 		{Kind: obs.SweepRunning, Cell: 1, Worker: 1, AtMS: 3},
-		{Kind: obs.SweepDone, Cell: 0, Worker: 0, Outcome: "ok", Halt: "events budget", AtMS: 9, DurMS: 7},
+		{Kind: obs.SweepDone, Cell: 0, Worker: 0, Outcome: "ok", AtMS: 9, DurMS: 7},
 	}
 	for _, ev := range seq {
 		hub.SweepEvent(ev)
 	}
 
-	// Health is still ok: a budget halt is a bound, not a failure.
+	// Health is ok while no cell has degraded.
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -348,11 +348,12 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("healthz = %d %q, want 200 ok", resp.StatusCode, h.Status)
 	}
-	if h.Sweep.Halted != 1 || h.Sweep.Run != "cafebabe" {
+	if h.Sweep.Done != 1 || h.Sweep.Run != "cafebabe" {
 		t.Fatalf("healthz sweep state wrong: %+v", h.Sweep)
 	}
 
-	hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepDegraded, Cell: 1, Worker: 1, Outcome: "panic", AtMS: 11, DurMS: 8})
+	hub.SweepEvent(obs.SweepEvent{Kind: obs.SweepDegraded, Cell: 1, Worker: 1, Outcome: "halt",
+		Halt: "max-events after 50 events, t=0.05, 1ms wall", AtMS: 11, DurMS: 8})
 
 	got := sseEvents(t, base+"/progress?replay=close")
 	if len(got) != len(seq)+1 {
@@ -363,11 +364,11 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 			t.Fatalf("event %d = %+v, want %+v", i, got[i], ev)
 		}
 	}
-	if last := got[len(got)-1]; last.Kind != obs.SweepDegraded || last.Outcome != "panic" {
-		t.Fatalf("terminal event %+v, want degraded/panic", last)
+	if last := got[len(got)-1]; last.Kind != obs.SweepDegraded || last.Outcome != "halt" || last.Halt == "" {
+		t.Fatalf("terminal event %+v, want degraded/halt naming the halt", last)
 	}
 
-	// Degraded flips health to 503.
+	// Degraded — a budget halt included — flips health to 503.
 	resp, err = http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -396,7 +397,6 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 		"slowcc_sweep_cells_queued_total":   2,
 		"slowcc_sweep_cells_done_total":     1,
 		"slowcc_sweep_cells_degraded_total": 1,
-		"slowcc_sweep_cells_halted_total":   1,
 		"slowcc_sweep_cells_running":        0,
 	}
 	for name, want := range checks {

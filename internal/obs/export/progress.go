@@ -43,7 +43,6 @@ type Progress struct {
 	done     int64
 	cached   int64 // cells served from the result store, never run
 	degraded int64
-	halted   int64 // done cells whose engines hit a budget halt
 	durMS    obs.Histogram
 }
 
@@ -81,9 +80,6 @@ func (p *Progress) SweepEvent(ev obs.SweepEvent) {
 	case obs.SweepDone:
 		p.running--
 		p.done++
-		if ev.Halt != "" {
-			p.halted++
-		}
 		p.durMS.Record(ev.DurMS)
 	case obs.SweepDegraded:
 		p.running--
@@ -151,7 +147,6 @@ type ProgressCounts struct {
 	Done     int64  `json:"cells_done"`
 	Cached   int64  `json:"cells_cached"`
 	Degraded int64  `json:"cells_degraded"`
-	Halted   int64  `json:"cells_halted"`
 }
 
 // Counts snapshots the sweep-level counters.
@@ -166,7 +161,7 @@ func (p *Progress) counts() ProgressCounts {
 	return ProgressCounts{
 		Run: p.run, RunDone: p.runDone,
 		Queued: p.queued, Running: p.running, Done: p.done, Cached: p.cached,
-		Degraded: p.degraded, Halted: p.halted,
+		Degraded: p.degraded,
 	}
 }
 
@@ -188,7 +183,6 @@ func (p *Progress) WriteMetrics(w io.Writer) error {
 	e.counter(PromName("sweep_cells_done_total"), counts.Done)
 	e.counter(PromName("sweep_cells_cached_total"), counts.Cached)
 	e.counter(PromName("sweep_cells_degraded_total"), counts.Degraded)
-	e.counter(PromName("sweep_cells_halted_total"), counts.Halted)
 	e.counter(PromName("sweep_events_dropped_total"), dropped+lost)
 	e.gauge(PromName("sweep_cells_running"), float64(counts.Running))
 	runDone := 0.0

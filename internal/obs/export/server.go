@@ -18,9 +18,9 @@ const contentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
 // Health is the /healthz document. Status is "ok" while no cell has
 // degraded, "degraded" afterwards (HTTP 503): a sweep that lost cells
 // needs operator attention even though it kept running — the same
-// contract as slowccsim -fail-degraded, but live. Budget-halted cells
-// are reported (engines stopped by -max-events / -deadline) without
-// failing health: a halt is a configured bound, not a malfunction.
+// contract as slowccsim -fail-degraded, but live. A cell whose engines a
+// run budget (-max-events / -deadline) halted counts as degraded: it did
+// not measure what it computes.
 type Health struct {
 	Status  string         `json:"status"`
 	UptimeS float64        `json:"uptime_s"`

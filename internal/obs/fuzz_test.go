@@ -117,3 +117,37 @@ func FuzzValidateTimeline(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadSamplesTSV feeds arbitrary bytes to the probe-TSV reader
+// behind slowccreport -probes. It must not panic, must allocate no more
+// than a fixed allowance plus a multiple of the input, and every series
+// it accepts must render through RenderReport, as the report does.
+func FuzzReadSamplesTSV(f *testing.F) {
+	var tsv bytes.Buffer
+	s := &Sampler{samples: []Sample{
+		{T: 0.1, Probe: "tcp-1", Var: "cwnd", Value: 10},
+		{T: 0.2, Probe: "tcp-1", Var: "cwnd", Value: 12.5},
+		{T: 0.2, Probe: "tfrc-2", Var: "rate", Value: 1e6},
+	}}
+	if err := s.WriteTSV(&tsv); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tsv.Bytes())
+	f.Add([]byte("t\tprobe\tvar\tvalue\n"))
+	f.Add([]byte("t\tprobe\tvar\tvalue\nNaN\tp\tv\t-Inf\n\n"))
+	f.Add([]byte(""))
+
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		samples, err := ReadSamplesTSV(bytes.NewReader(doc))
+		runtime.ReadMemStats(&m1)
+		if limit := uint64(2<<20 + 64*len(doc)); m1.TotalAlloc-m0.TotalAlloc > limit {
+			t.Fatalf("ReadSamplesTSV allocated %d bytes for %d bytes of input", m1.TotalAlloc-m0.TotalAlloc, len(doc))
+		}
+		if err != nil {
+			return
+		}
+		RenderReport([]*Manifest{NewManifest("slowcctrace", 1)}, [][]Sample{samples})
+	})
+}

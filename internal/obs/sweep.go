@@ -18,8 +18,8 @@ const (
 	SweepRetry SweepEventKind = "retry"
 	// SweepDone: the cell succeeded.
 	SweepDone SweepEventKind = "done"
-	// SweepDegraded: the cell panicked or missed its deadline; the sweep
-	// carries on without it.
+	// SweepDegraded: the cell panicked, missed its deadline or was halted
+	// by its run budget; the sweep carries on without it.
 	SweepDegraded SweepEventKind = "degraded"
 	// SweepCached: the cell was served from the durable result store
 	// without running — its recorded CellStats were replayed into the
@@ -34,11 +34,11 @@ type SweepEvent struct {
 	// Attempt is always 0: a cell runs once.
 	Attempt int `json:"attempt"`
 	Worker  int `json:"worker"`
-	// Outcome is "ok" (done), "deadline" or "panic" (degraded), or
-	// "cached".
+	// Outcome is "ok" (done), "deadline", "panic" or "halt" (degraded),
+	// or "cached".
 	Outcome string `json:"outcome,omitempty"`
-	// Halt carries the engine's budget halt reason when a finished
-	// cell's run was stopped early (done events only).
+	// Halt names the engines' budget halts on a degraded event
+	// (exp.RunError.Halt); a done event never carries one.
 	Halt string `json:"halt,omitempty"`
 	// AtMS is wall-clock milliseconds since the sweep clock started
 	// (exp.SetSweepTimeline restarts it). DurMS, on done and degraded, is
@@ -51,20 +51,16 @@ type SweepEvent struct {
 	Key string `json:"key,omitempty"`
 }
 
-// CellStats is the telemetry harvest of one successful sweep cell: the
+// CellStats is the telemetry harvest of one finished sweep cell: the
 // summed counters of every engine the cell constructed, their combined
-// event-stream digest, their event count and their budget halts. It is
-// taken by the worker goroutine after the cell's job returns, so it
-// never races with a live engine.
+// event-stream digest and their event count. It is taken by the worker
+// goroutine after the cell's job returns, so it never races with a live
+// engine.
 type CellStats struct {
 	Counters     map[string]int64
 	Digest       uint64 // XOR of the cell's per-engine StreamDigest sums
 	DigestEvents uint64 // total events folded across the cell's engines
 	Events       uint64 // total events executed across the cell's engines
-	// Halts lists every engine's budget halt reason in construction
-	// order; a multi-engine cell (e.g. a with/without comparison) can
-	// halt more than once. Empty when no engine halted early.
-	Halts []string `json:",omitempty"`
 }
 
 // SweepSink receives live sweep telemetry from exp.SetSweepProgress.

@@ -96,7 +96,7 @@ type Entry struct {
 	// Degraded).
 	Result json.RawMessage `json:"-"`
 	// Stats is the cell's telemetry snapshot (an obs.CellStats: counters,
-	// stream digest, event count, halts), JSON-encoded, when live
+	// stream digest, event count), JSON-encoded, when live
 	// telemetry was attached; replayed into the sink on a hit so /metrics
 	// over a resumed run matches a cold one. CellStats decodes it.
 	Stats json.RawMessage `json:"-"`

@@ -68,20 +68,15 @@ type Config struct {
 	// Audit, when non-nil, registers every link the dumbbell creates
 	// (both bottlenecks and all per-flow access links) with the given
 	// invariant auditor, so packet conservation is checked at every
-	// accounting transition of the whole topology. Nil disables auditing
-	// at zero per-packet cost.
+	// accounting transition of the whole topology, and makes routing
+	// strict (NetConfig.Audit). Nil disables auditing at zero per-packet
+	// cost.
 	Audit *invariant.Auditor
 	// DisablePool leaves Net.Pool nil, so every packet is heap
 	// allocated and never reused — the pre-pooling behavior. It exists
 	// for the determinism cross-check, which asserts pooled and unpooled
 	// runs of the same scenario produce bit-identical metrics.
 	DisablePool bool
-	// Strict makes routing failures loud: a packet arriving at a demux
-	// for a flow with no registered egress panics instead of being
-	// counted and discarded. Audited multi-hop scenarios opt in so
-	// misrouting cannot hide as a sink; scenarios with deliberate
-	// one-way traffic leave it off.
-	Strict bool
 }
 
 // ExplicitZero is the sentinel for Config fields whose zero value means
@@ -116,7 +111,7 @@ func (c Config) net() NetConfig {
 			ForwardLoss: c.ForwardLoss, Fault: c.Fault,
 		}},
 		AccessRate: c.AccessRate, AccessDelay: c.AccessDelay, PktSize: c.PktSize,
-		Seed: c.Seed, Strict: c.Strict, Audit: c.Audit, DisablePool: c.DisablePool,
+		Seed: c.Seed, Audit: c.Audit, DisablePool: c.DisablePool,
 	}
 }
 
@@ -222,9 +217,8 @@ func (d demux) Handle(p *netem.Packet) {
 		h.Handle(p)
 		return
 	}
-	// No registration. Historically a silent sink for one-way traffic;
-	// the drop is now always counted so misrouting in a larger topology
-	// leaves a trace, and strict mode makes it fatal.
+	// No registration: counted, so misrouting leaves a trace, and fatal
+	// on an audited net, where it cannot hide as a sink.
 	*d.drops++
 	if d.strict {
 		panic(fmt.Sprintf("topology: packet for unregistered flow %d (kind %d, seq %d) at node %d's demux",

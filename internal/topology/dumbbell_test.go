@@ -134,12 +134,12 @@ func TestFlowIDOutOfRangePanics(t *testing.T) {
 
 func TestStrictRoutingPanics(t *testing.T) {
 	eng := sim.New(1)
-	d := New(eng, Config{Seed: 1, Strict: true})
+	d := New(eng, Config{Seed: 1, Audit: invariant.New(eng)})
 	in := lr(d, 1, &arrival{eng: eng})
 	in.Handle(&netem.Packet{Flow: 99, Kind: netem.Data, Size: 100})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("strict mode did not panic on an unregistered flow")
+			t.Fatal("an audited net did not panic on an unregistered flow")
 		}
 	}()
 	eng.Run()
@@ -279,7 +279,7 @@ func TestConnectOneWayReceivesCBRStyleTraffic(t *testing.T) {
 // shared pool, and runs a reversed span over the reverse links.
 func TestConnectWiresBothWaysInOrder(t *testing.T) {
 	eng := sim.New(1)
-	d := New(eng, Config{Seed: 1, Strict: true})
+	d := New(eng, Config{Seed: 1, Audit: invariant.New(eng)})
 	rec := journey.New()
 	d.ObserveJourneys(rec)
 	snd, rcv := &arrival{eng: eng}, &arrival{eng: eng}

@@ -118,11 +118,10 @@ type NetConfig struct {
 	// forward and Seed+2+2i reverse (a dedicated RNG each, so endpoint
 	// randomness does not perturb queue randomness).
 	Seed int64
-	// Strict makes a packet arriving at any node for an unregistered
-	// flow panic instead of being counted and discarded.
-	Strict bool
 	// Audit, when non-nil, registers every link of the chain — both
-	// directions of every hop and all access links — with the auditor.
+	// directions of every hop and all access links — with the auditor,
+	// and makes routing strict: a packet arriving at any node for an
+	// unregistered flow panics instead of being counted and discarded.
 	Audit *invariant.Auditor
 	// DisablePool leaves Net.Pool nil (heap allocation; the determinism
 	// cross-check's pre-pooling behavior).
@@ -196,9 +195,8 @@ type Net struct {
 	// release through it.
 	Pool *netem.PacketPool
 	// UnknownFlowDrops counts packets that reached any node carrying a
-	// flow id with no route registered there. Deliberate one-way traffic
-	// lands here by design; anything else is misrouting, which strict
-	// mode (NetConfig.Strict) turns into a panic instead.
+	// flow id with no route registered there: misrouting, which an
+	// audited net (NetConfig.Audit) turns into a panic instead.
 	UnknownFlowDrops int64
 
 	names *linkNames // what the links are called
@@ -267,10 +265,11 @@ func build(eng *sim.Engine, cfg NetConfig, names *linkNames) *Net {
 		}
 	}
 	eng.HintTick(float64(cfg.PktSize) * 8 / minRate)
+	strict := cfg.Audit != nil
 	for i, h := range cfg.Hops {
 		bdp := cfg.hopBDPPkts(i)
-		n.fwdRt[i] = demux{new(routes), n.Pool, i + 1, &n.UnknownFlowDrops, cfg.Strict}
-		n.revRt[i] = demux{new(routes), n.Pool, i, &n.UnknownFlowDrops, cfg.Strict}
+		n.fwdRt[i] = demux{new(routes), n.Pool, i + 1, &n.UnknownFlowDrops, strict}
+		n.revRt[i] = demux{new(routes), n.Pool, i, &n.UnknownFlowDrops, strict}
 		fsrc, rsrc := &n.srcs[2*i], &n.srcs[2*i+1]
 		fsrc.seed, rsrc.seed = cfg.Seed+1+2*int64(i), cfg.Seed+2+2*int64(i)
 		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(h, bdp, cfg.PktSize, fsrc), n.fwdRt[i])

@@ -139,13 +139,13 @@ func TestNetUnknownFlowCountedAndObserved(t *testing.T) {
 
 func TestNetStrictRoutingPanics(t *testing.T) {
 	eng := sim.New(1)
-	n := NewNet(eng, NetConfig{Hops: []Hop{{}}, Seed: 1, Strict: true})
+	n := NewNet(eng, NetConfig{Hops: []Hop{{}}, Seed: 1, Audit: invariant.New(eng)})
 	in := lr(n, 1, &arrival{eng: eng})
 	in.Handle(&netem.Packet{Flow: 99, Kind: netem.Data, Size: 100})
 	defer func() {
 		v := recover()
 		if v == nil {
-			t.Fatal("strict mode did not panic on an unregistered flow")
+			t.Fatal("an audited net did not panic on an unregistered flow")
 		}
 		if msg, ok := v.(string); !ok || !strings.Contains(msg, "flow 99") {
 			t.Fatalf("strict panic does not identify the flow: %v", v)
