@@ -41,7 +41,8 @@ bench:
 
 # fuzz-smoke gives each parser fuzz target (fault specs, algorithm
 # specs and lists), the result store's frame reader (both files, and
-# its refusal of a v1 store), the trace and matrix TSV readers, the strict
+# its refusal of v1 and v2 stores), the store's value decoder (a matrix
+# cell, a Figure 13 point, a cell's telemetry), the trace and matrix TSV readers, the strict
 # exposition parser behind slowccreport -prom-verify, and the manifest,
 # timeline and probe-TSV readers behind slowccreport a few seconds of
 # coverage-guided input on every ci run — long enough to re-find
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseAlgoList -fuzztime=2s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzParseMatrixTSV -fuzztime=2s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzOpen -fuzztime=2s ./internal/store
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeValue -fuzztime=2s ./internal/exp
 	$(GO) test -run='^$$' -fuzz=FuzzReadTSV -fuzztime=2s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseText -fuzztime=2s ./internal/obs/export
 	$(GO) test -run='^$$' -fuzz=FuzzReadManifest -fuzztime=2s ./internal/obs

@@ -507,10 +507,22 @@ func TestExamplesRun(t *testing.T) {
 	if err != nil || len(examples) == 0 {
 		t.Fatalf("../examples: %d entries, %v", len(examples), err)
 	}
-	t.Setenv("TMPDIR", t.TempDir()) // examples/tracing writes its TSV to a temp file
 	for _, e := range examples {
-		if out := ok(t, t.TempDir(), e.Name()); out == "" {
-			t.Errorf("examples/%s printed nothing", e.Name())
-		}
+		t.Run(e.Name(), func(t *testing.T) {
+			t.Parallel()
+			cmd := exec.Command(filepath.Join(bin, e.Name()))
+			cmd.Dir = t.TempDir()
+			// examples/tracing writes its TSV to a temp file.
+			cmd.Env = append(os.Environ(), "TMPDIR="+t.TempDir())
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("examples/%s: %v\n%s", e.Name(), err, stderr.String())
+			}
+			if len(out) == 0 {
+				t.Errorf("examples/%s printed nothing", e.Name())
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -237,10 +236,11 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	}
 }
 
-// A hit's telemetry is only known to be well-formed JSON. With no sink
-// nobody reads it and the hit stands; with a sink attached it must
-// decode before the hit is accepted, or the cell is counted corrupt and
-// recomputed — the stale-result rule, applied to telemetry.
+// A hit's telemetry is only known to sit in a checksummed frame: Put
+// refuses telemetry that does not decode, but Open does not decode it.
+// With no sink nobody reads it and the hit stands; with a sink attached
+// it must decode before the hit is accepted, or the cell is counted
+// corrupt and recomputed — the stale-result rule, applied to telemetry.
 func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
@@ -249,18 +249,19 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	st := withStore(t, false)
 	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
 
-	bad, err := store.Open(t.TempDir())
+	var journal []byte
+	for _, e := range st.Entries() {
+		journal = append(journal, storeFrame(t, e.Key, e.Index, e.Result, []byte(`{"Counters":"not a map"}`))...)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "journal.bin"), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bad.Close()
-	for _, e := range st.Entries() {
-		e := *e
-		e.Stats = json.RawMessage(`{"Counters":"not a map"}`)
-		if err := bad.Put(e); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	SetSweepStore(bad, true)
 	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
@@ -298,8 +299,18 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 // storeFrame builds a store frame by hand, as a damaged or foreign
 // writer could leave one: u32 payload length, u32 CRC-32C of the
 // payload, then the u32-prefixed head, the u32-prefixed result and the
-// stats.
-func storeFrame(head, result, stats string) []byte {
+// stats. The head is encoded from a struct of the store's head shape.
+func storeFrame(t *testing.T, key string, index int, result, stats []byte) []byte {
+	t.Helper()
+	head, err := store.Encode(struct {
+		Schema, Key     string
+		Index, Attempts int
+		Degraded        bool
+		Error           string
+	}{Schema: store.Schema, Key: key, Index: index, Attempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := binary.LittleEndian.AppendUint32(nil, uint32(len(head)))
 	p = append(p, head...)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(result)))
@@ -310,8 +321,8 @@ func storeFrame(head, result, stats string) []byte {
 	return append(b, p...)
 }
 
-// A stored result that is not JSON passes Open, which checks only its
-// frame's checksum and head, and fails where it is used: the replay
+// A stored result that does not decode passes Open, which checks only
+// its frame's checksum and head, and fails where it is used: the replay
 // counts it corrupt, recomputes that one cell, and renders the cold TSV.
 func TestUnparsedStoredResultIsRecomputed(t *testing.T) {
 	if testing.Short() {
@@ -324,12 +335,11 @@ func TestUnparsedStoredResultIsRecomputed(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	head := fmt.Sprintf(`{"schema":%q,"key":%q,"index":%d,"attempts":1}`, store.Schema, victim.Key, victim.Index)
 	f, err := os.OpenFile(filepath.Join(st.Dir(), "journal.bin"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(storeFrame(head, `{"Topology":`, ``)); err != nil {
+	if _, err := f.Write(storeFrame(t, victim.Key, victim.Index, []byte(`{"Topology":`), nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -499,9 +509,9 @@ func TestFig10CellsReplay(t *testing.T) {
 	}
 }
 
-// lossyResult cannot round-trip JSON (unexported field), so replaying
-// it would rebuild artifacts that differ from a cold run's; the sweep
-// must run it unkeyed.
+// lossyResult has state the store cannot encode (an unexported field),
+// so replaying it would rebuild artifacts that differ from a cold run's;
+// the sweep must run it unkeyed (TestCodableGate).
 type lossyResult struct {
 	OK     bool
 	hidden int

@@ -4,11 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"reflect"
-	"strings"
 
 	"slowcc/internal/obs"
 	"slowcc/internal/store"
@@ -38,7 +36,7 @@ func SetSweepStore(s *store.Store, replay bool) (prev *store.Store) {
 
 // SetSweepScope names the current run for generic sweep keying: when a
 // store and a scope are both installed, every supervisedMap whose
-// result type round-trips JSON losslessly keys its cells by
+// result type the store can encode (store.Codable) keys its cells by
 // (scope, invocation sequence, result type, cell index, sweep size).
 // The caller must pick a scope that is a pure function of the run's
 // inputs (slowccsim uses the pre-run manifest digest plus the
@@ -87,12 +85,12 @@ func StoppedCells() int64 { return supervision.stopped.Load() }
 const scopeKeyVersion = "slowcc-store/1"
 
 // scopeKeys derives per-cell store keys for a generic sweep from the
-// installed scope, or nil when keying is off or T cannot round-trip
-// JSON losslessly (a lossy type must never be replayed — artifacts
-// rebuilt from it would differ from a cold run's).
+// installed scope, or nil when keying is off or the store cannot encode
+// T (a type with state the encoding would lose must never be replayed —
+// artifacts rebuilt from it would differ from a cold run's).
 func scopeKeys[T any](n int) func(int) string {
 	var zero T
-	if !lossless(reflect.TypeOf(&zero).Elem(), map[reflect.Type]bool{}) {
+	if !store.Codable(reflect.TypeFor[T]()) {
 		return nil
 	}
 	scope, seq := nextSweepScope()
@@ -157,10 +155,10 @@ func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T
 	return out
 }
 
-// decodeStored unmarshals a stored cell result into T.
+// decodeStored decodes a stored cell result into T; a result another
+// type shape wrote, or an empty one, does not decode.
 func decodeStored[T any](e *store.Entry) (T, bool) {
-	var v T
-	err := json.Unmarshal(e.Result, &v) // an empty result is an error too
+	v, err := store.Decode[T](e.Result)
 	return v, err == nil
 }
 
@@ -191,9 +189,11 @@ func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
 }
 
 // commitCell durably records one finished cell: a success stores its
-// JSON result plus telemetry snapshot, a degradation stores a marker
-// (kept for inspection, never served as a hit). Store failures degrade
-// to a log line — the sweep's in-memory results are unaffected.
+// encoded result plus telemetry snapshot, a degradation stores a marker
+// (kept for inspection, never served as a hit). Only this code knows T,
+// so it checks that the result it encoded decodes before storing it.
+// Store failures degrade to a log line — the sweep's in-memory results
+// are unaffected.
 func commitCell[T any](env *sweepEnv, key string, index int, v T, stats obs.CellStats, rerr *RunError) {
 	logger := env.logger
 	e := store.Entry{Key: key, Index: index, Attempts: 1}
@@ -201,9 +201,12 @@ func commitCell[T any](env *sweepEnv, key string, index int, v T, stats obs.Cell
 		e.Degraded = true
 		e.Error = rerr.Error()
 	} else {
-		blob, err := json.Marshal(v)
+		blob, err := store.Encode(v)
+		if err == nil {
+			_, err = store.Decode[T](blob)
+		}
 		if err == nil && (stats.Counters != nil || stats.Events > 0) {
-			e.Stats, err = json.Marshal(&stats)
+			e.Stats, err = store.Encode(stats)
 		}
 		if err != nil {
 			if logger != nil {
@@ -217,65 +220,5 @@ func commitCell[T any](env *sweepEnv, key string, index int, v T, stats obs.Cell
 	if err := env.store.Put(e); err != nil && logger != nil {
 		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell store write failed",
 			slog.Int("cell", index), slog.String("err", err.Error()))
-	}
-}
-
-var (
-	jsonMarshalerT   = reflect.TypeOf((*json.Marshaler)(nil)).Elem()
-	jsonUnmarshalerT = reflect.TypeOf((*json.Unmarshaler)(nil)).Elem()
-)
-
-// lossless reports whether values of type t survive a JSON round-trip
-// exactly: every field reachable from t is exported and of a
-// JSON-representable kind (Go's float64 JSON encoding is shortest-form
-// exact, so numbers round-trip bit-for-bit). Types that implement both
-// json.Marshaler and json.Unmarshaler are trusted to manage their own
-// fidelity. A type failing this check makes its sweep run unkeyed —
-// correct, just never cached. seen holds the types on the current path,
-// so a cyclic type terminates.
-func lossless(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return true // cycle: sound if every other path is
-	}
-	seen[t] = true
-	defer delete(seen, t)
-	if t.Implements(jsonMarshalerT) || reflect.PointerTo(t).Implements(jsonMarshalerT) {
-		return t.Implements(jsonUnmarshalerT) || reflect.PointerTo(t).Implements(jsonUnmarshalerT)
-	}
-	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
-		return true
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return lossless(t.Elem(), seen)
-	case reflect.Map:
-		// encoding/json round-trips string and integer map keys (integers
-		// travel as quoted decimal strings); anything else is lossy or
-		// unmarshalable.
-		switch t.Key().Kind() {
-		case reflect.String,
-			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			return lossless(t.Elem(), seen)
-		}
-		return false
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" { // unexported: silently dropped by encoding/json
-				return false
-			}
-			if tag, _, _ := strings.Cut(f.Tag.Get("json"), ","); tag == "-" {
-				return false
-			}
-			if !lossless(f.Type, seen) {
-				return false
-			}
-		}
-		return true
-	default: // interface, chan, func, complex, unsafe pointer
-		return false
 	}
 }

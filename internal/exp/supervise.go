@@ -455,8 +455,8 @@ const deadlineGrace = 250 * time.Millisecond
 // SweepErrors (recorded in index order, deterministically) instead of
 // aborting the sweep. Figures 3-19 run their sweeps through it, so one
 // poisoned cell degrades one table entry rather than the whole run.
-// When a result store and sweep scope are installed (and the result
-// type round-trips JSON losslessly), cells are additionally keyed into
+// When a result store and sweep scope are installed (and the store can
+// encode the result type), cells are additionally keyed into
 // the store — see storekey.go.
 func supervisedMap[T any](n int, fn func(c *Cell) T) []T {
 	return supervisedMapKeyed(n, scopeKeys[T](n), fn)

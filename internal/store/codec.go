@@ -1,0 +1,583 @@
+package store
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"reflect"
+	"sort"
+	"sync"
+)
+
+// This file is the store's one value encoding: the frame head, a cell's
+// result and its telemetry all go through it. A value is written as the
+// 8-byte fingerprint of its type's shape, then its fields depth first:
+//
+//	bool          one byte, 0 or 1
+//	int*, uint*   a zigzag or plain varint, minimal length
+//	float32/64    the raw IEEE bits, little-endian (NaN, ±Inf, -0 exact)
+//	string        varint length, then the bytes
+//	slice, map    varint 0 for nil, else 1+length, then the elements;
+//	              map entries in ascending key order
+//	pointer       one byte, 0 for nil or 1 followed by the target
+//	array, struct the elements or exported fields, in order
+//
+// Decoding is the exact inverse: a value decodes only into the shape
+// that wrote it, and any other input is an error, never a panic. A
+// decoded value re-encodes to the bytes it came from.
+
+// fingerprintSize is the length of the shape fingerprint every encoded
+// value starts with.
+const fingerprintSize = 8
+
+// maxDepth bounds how deep pointers, slices and maps may nest in one
+// value, so a hostile input to a recursive type cannot exhaust the
+// stack.
+const maxDepth = 512
+
+var (
+	errShort = errors.New("input too short")
+	errDepth = fmt.Errorf("values nest deeper than %d", maxDepth)
+)
+
+// A plan is one type's compiled encoding, or why it has none.
+type plan struct {
+	fp  uint64 // fingerprint of the type's shape
+	min int    // fewest bytes a value of the type encodes to (a lower bound)
+	enc func(b []byte, v reflect.Value, depth int) ([]byte, error)
+	dec func(d *decoder, v reflect.Value, depth int) error
+	err error // set when the type is not codable
+}
+
+var (
+	plansMu sync.Mutex
+	plans   sync.Map // reflect.Type -> *plan
+)
+
+// Codable reports whether values of type t can be stored: every type
+// reachable from it is a bool, an integer, a float, a string, or a
+// pointer, slice, array, struct or map of codable types, every struct
+// field is exported, and every map key is an integer or a string.
+// Interfaces, funcs, chans, complex numbers, uintptrs and unsafe
+// pointers are not. A sweep whose result type is not codable runs
+// unkeyed.
+func Codable(t reflect.Type) bool {
+	_, err := planFor(t)
+	return err == nil
+}
+
+// Encode returns v's encoding, or an error when v's type is not
+// codable or v nests deeper than the decoder accepts.
+func Encode[T any](v T) ([]byte, error) {
+	p, err := planFor(reflect.TypeFor[T]())
+	if err != nil {
+		return nil, err
+	}
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 64), p.fp)
+	return p.enc(b, reflect.ValueOf(&v).Elem(), 0)
+}
+
+// Decode decodes b, as Encode wrote it for a T, into a T. It fails when
+// b was written for another shape, is short, has bytes left over, or
+// holds anything Encode would not have written.
+func Decode[T any](b []byte) (T, error) {
+	var v T
+	p, err := planFor(reflect.TypeFor[T]())
+	if err != nil {
+		return v, err
+	}
+	if len(b) < fingerprintSize {
+		return v, errShort
+	}
+	if fp := binary.LittleEndian.Uint64(b); fp != p.fp {
+		return v, fmt.Errorf("shape fingerprint %016x, want %016x for %v", fp, p.fp, reflect.TypeFor[T]())
+	}
+	d := decoder{b: b[fingerprintSize:]}
+	if err := p.dec(&d, reflect.ValueOf(&v).Elem(), 0); err != nil {
+		return v, err
+	}
+	if len(d.b) != 0 {
+		return v, fmt.Errorf("%d bytes left over", len(d.b))
+	}
+	return v, nil
+}
+
+// planFor returns t's plan, compiling it on first use.
+func planFor(t reflect.Type) (*plan, error) {
+	if c, ok := plans.Load(t); ok {
+		return c.(*plan), c.(*plan).err
+	}
+	plansMu.Lock()
+	defer plansMu.Unlock()
+	if c, ok := plans.Load(t); ok {
+		return c.(*plan), c.(*plan).err
+	}
+	building := map[reflect.Type]*plan{}
+	p, err := compile(t, building)
+	if err != nil {
+		p = &plan{err: fmt.Errorf("%v is not codable: %v", t, err)}
+		plans.Store(t, p)
+		return p, p.err
+	}
+	for t, p := range building {
+		plans.Store(t, p)
+	}
+	return p, nil
+}
+
+func isInt(k reflect.Kind) bool { return k >= reflect.Int && k <= reflect.Int64 }
+
+func isUint(k reflect.Kind) bool { return k >= reflect.Uint && k <= reflect.Uint64 }
+
+// compile builds t's plan, or says why t is not codable. building
+// holds every plan made for one top-level type, so a recursive type
+// refers back to its own; planFor keeps them only when that type
+// compiles, so a plan made while an ancestor was unfinished is never
+// cached when the ancestor fails.
+func compile(t reflect.Type, building map[reflect.Type]*plan) (*plan, error) {
+	if c, ok := plans.Load(t); ok {
+		return c.(*plan), c.(*plan).err
+	}
+	if p, ok := building[t]; ok {
+		return p, nil
+	}
+	p := &plan{fp: fingerprint(t)}
+	building[t] = p
+	switch k := t.Kind(); {
+	case k == reflect.Bool:
+		p.min, p.enc, p.dec = 1, encBool, decBool
+	case isInt(k):
+		p.min, p.enc, p.dec = 1, encInt, decInt
+	case isUint(k):
+		p.min, p.enc, p.dec = 1, encUint, decUint
+	case k == reflect.Float32:
+		p.min, p.enc, p.dec = 4, encFloat32, decFloat32
+	case k == reflect.Float64:
+		p.min, p.enc, p.dec = 8, encFloat64, decFloat64
+	case k == reflect.String:
+		p.min, p.enc, p.dec = 1, encString, decString
+	case k == reflect.Pointer, k == reflect.Slice, k == reflect.Array:
+		elem, err := compile(t.Elem(), building)
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case reflect.Pointer:
+			compilePointer(p, elem)
+		case reflect.Slice:
+			compileSlice(p, t, elem)
+		default:
+			compileArray(p, t.Len(), elem)
+		}
+	case k == reflect.Map:
+		if kk := t.Key().Kind(); kk != reflect.String && !isInt(kk) && !isUint(kk) {
+			return nil, fmt.Errorf("map key %v", t.Key())
+		}
+		key, err := compile(t.Key(), building)
+		if err != nil {
+			return nil, err
+		}
+		elem, err := compile(t.Elem(), building)
+		if err != nil {
+			return nil, err
+		}
+		compileMap(p, t, key, elem)
+	case k == reflect.Struct:
+		fields := make([]*plan, t.NumField())
+		for i := range fields {
+			f := t.Field(i)
+			if !f.IsExported() {
+				return nil, fmt.Errorf("unexported field %v.%s", t, f.Name)
+			}
+			var err error
+			if fields[i], err = compile(f.Type, building); err != nil {
+				return nil, err
+			}
+		}
+		compileStruct(p, fields)
+	default: // interface, chan, func, complex, uintptr, unsafe pointer
+		return nil, fmt.Errorf("%v kind %v", t, k)
+	}
+	return p, nil
+}
+
+// fingerprint hashes t's shape: its kind, and recursively its fields'
+// names and shapes, its element, key and length — not its name, so a
+// renamed type keeps its stored values and a renamed field does not.
+func fingerprint(t reflect.Type) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	var walk func(t reflect.Type, path []reflect.Type)
+	walk = func(t reflect.Type, path []reflect.Type) {
+		for i, u := range path {
+			if u == t { // recursion: name the ancestor by its distance
+				buf = binary.AppendUvarint(append(buf, 0), uint64(len(path)-i))
+				return
+			}
+		}
+		path = append(path, t)
+		buf = append(buf, byte(t.Kind()))
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			walk(t.Elem(), path)
+		case reflect.Array:
+			buf = binary.AppendUvarint(buf, uint64(t.Len()))
+			walk(t.Elem(), path)
+		case reflect.Map:
+			walk(t.Key(), path)
+			walk(t.Elem(), path)
+		case reflect.Struct:
+			buf = binary.AppendUvarint(buf, uint64(t.NumField()))
+			for i := 0; i < t.NumField(); i++ {
+				f := t.Field(i)
+				buf = binary.AppendUvarint(buf, uint64(len(f.Name)))
+				buf = append(buf, f.Name...)
+				walk(f.Type, path)
+			}
+		}
+	}
+	walk(t, nil)
+	h.Write(buf)
+	return h.Sum64()
+}
+
+// decoder reads an encoding front to back; b is what is left.
+type decoder struct{ b []byte }
+
+func (d *decoder) byte() (byte, error) {
+	if len(d.b) == 0 {
+		return 0, errShort
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c, nil
+}
+
+// uvarint reads a minimal-length varint: a longer spelling of the same
+// number would not re-encode to the bytes it came from.
+func (d *decoder) uvarint() (uint64, error) {
+	x, n := binary.Uvarint(d.b)
+	switch {
+	case n == 0:
+		return 0, errShort
+	case n < 0:
+		return 0, errors.New("varint overflows 64 bits")
+	case n > 1 && d.b[n-1] == 0:
+		return 0, errors.New("varint not minimal")
+	}
+	d.b = d.b[n:]
+	return x, nil
+}
+
+func (d *decoder) fixed(n int) ([]byte, error) {
+	if len(d.b) < n {
+		return nil, errShort
+	}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b, nil
+}
+
+// length reads a nil-or-length prefix for n elements of at least min
+// bytes each. It refuses a length the rest of the input cannot hold, so
+// a decode never allocates for elements that are not there.
+func (d *decoder) length(min int) (n int, isNil bool, err error) {
+	x, err := d.uvarint()
+	if err != nil || x == 0 {
+		return 0, x == 0, err
+	}
+	x--
+	if x > uint64(len(d.b)) || min > 0 && x > uint64(len(d.b)/min) {
+		return 0, false, fmt.Errorf("length %d exceeds the %d bytes left", x, len(d.b))
+	}
+	return int(x), false, nil
+}
+
+func encBool(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	if v.Bool() {
+		return append(b, 1), nil
+	}
+	return append(b, 0), nil
+}
+
+func decBool(d *decoder, v reflect.Value, _ int) error {
+	c, err := d.byte()
+	if err == nil && c > 1 {
+		err = fmt.Errorf("bool byte %d", c)
+	}
+	v.SetBool(c == 1)
+	return err
+}
+
+func encInt(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	return binary.AppendVarint(b, v.Int()), nil
+}
+
+func decInt(d *decoder, v reflect.Value, _ int) error {
+	u, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	if v.OverflowInt(x) {
+		return fmt.Errorf("%d overflows %v", x, v.Type())
+	}
+	v.SetInt(x)
+	return nil
+}
+
+func encUint(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	return binary.AppendUvarint(b, v.Uint()), nil
+}
+
+func decUint(d *decoder, v reflect.Value, _ int) error {
+	x, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	if v.OverflowUint(x) {
+		return fmt.Errorf("%d overflows %v", x, v.Type())
+	}
+	v.SetUint(x)
+	return nil
+}
+
+// The float codecs go through the value's address: converting a
+// float32 through float64 would quiet a signalling NaN. Every value
+// the codec touches is addressable — Encode and Decode start from a
+// pointer, and map entries pass through addressable temporaries.
+func encFloat32(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	return binary.LittleEndian.AppendUint32(b, math.Float32bits(*(*float32)(v.Addr().UnsafePointer()))), nil
+}
+
+func decFloat32(d *decoder, v reflect.Value, _ int) error {
+	raw, err := d.fixed(4)
+	if err == nil {
+		*(*float32)(v.Addr().UnsafePointer()) = math.Float32frombits(binary.LittleEndian.Uint32(raw))
+	}
+	return err
+}
+
+func encFloat64(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float())), nil
+}
+
+func decFloat64(d *decoder, v reflect.Value, _ int) error {
+	raw, err := d.fixed(8)
+	if err == nil {
+		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+	}
+	return err
+}
+
+func encString(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	s := v.String()
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...), nil
+}
+
+func decString(d *decoder, v reflect.Value, _ int) error {
+	n, err := d.uvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(len(d.b)) {
+		return fmt.Errorf("string of %d bytes exceeds the %d left", n, len(d.b))
+	}
+	v.SetString(string(d.b[:n]))
+	d.b = d.b[n:]
+	return nil
+}
+
+func compilePointer(p, elem *plan) {
+	p.min = 1
+	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		if v.IsNil() {
+			return append(b, 0), nil
+		}
+		if depth == maxDepth {
+			return b, errDepth
+		}
+		return elem.enc(append(b, 1), v.Elem(), depth+1)
+	}
+	p.dec = func(d *decoder, v reflect.Value, depth int) error {
+		c, err := d.byte()
+		switch {
+		case err != nil:
+			return err
+		case c == 0:
+			v.SetZero()
+			return nil
+		case c != 1:
+			return fmt.Errorf("pointer byte %d", c)
+		case depth == maxDepth:
+			return errDepth
+		}
+		x := reflect.New(v.Type().Elem())
+		v.Set(x)
+		return elem.dec(d, x.Elem(), depth+1)
+	}
+}
+
+func compileSlice(p *plan, t reflect.Type, elem *plan) {
+	p.min = 1
+	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		if v.IsNil() {
+			return append(b, 0), nil
+		}
+		if depth == maxDepth {
+			return b, errDepth
+		}
+		n := v.Len()
+		b = binary.AppendUvarint(b, uint64(n)+1)
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			b, err = elem.enc(b, v.Index(i), depth+1)
+		}
+		return b, err
+	}
+	p.dec = func(d *decoder, v reflect.Value, depth int) error {
+		n, isNil, err := d.length(elem.min)
+		switch {
+		case err != nil:
+			return err
+		case isNil:
+			v.SetZero()
+			return nil
+		case depth == maxDepth:
+			return errDepth
+		}
+		s := reflect.MakeSlice(t, n, n)
+		for i := 0; i < n; i++ {
+			if err := elem.dec(d, s.Index(i), depth+1); err != nil {
+				return err
+			}
+		}
+		v.Set(s)
+		return nil
+	}
+}
+
+func compileArray(p *plan, n int, elem *plan) {
+	p.min = n * elem.min
+	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			b, err = elem.enc(b, v.Index(i), depth)
+		}
+		return b, err
+	}
+	p.dec = func(d *decoder, v reflect.Value, depth int) error {
+		for i := 0; i < n; i++ {
+			if err := elem.dec(d, v.Index(i), depth); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+func compileStruct(p *plan, fields []*plan) {
+	for _, f := range fields {
+		p.min += f.min
+	}
+	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		var err error
+		for i := 0; i < len(fields) && err == nil; i++ {
+			b, err = fields[i].enc(b, v.Field(i), depth)
+		}
+		return b, err
+	}
+	p.dec = func(d *decoder, v reflect.Value, depth int) error {
+		for i, f := range fields {
+			if err := f.dec(d, v.Field(i), depth); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// compileMap writes entries in ascending key order, so equal maps
+// encode to equal bytes, and reads them back only in that order.
+func compileMap(p *plan, t reflect.Type, key, elem *plan) {
+	p.min = 1
+	less := mapKeyLess(t.Key().Kind())
+	keys, elems := reflect.SliceOf(t.Key()), reflect.SliceOf(t.Elem())
+	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		if v.IsNil() {
+			return append(b, 0), nil
+		}
+		if depth == maxDepth {
+			return b, errDepth
+		}
+		n := v.Len()
+		b = binary.AppendUvarint(b, uint64(n)+1)
+		ks, es := reflect.MakeSlice(keys, n, n), reflect.MakeSlice(elems, n, n)
+		order := make([]int, n)
+		it := v.MapRange()
+		for i := 0; it.Next(); i++ {
+			ks.Index(i).SetIterKey(it)
+			es.Index(i).SetIterValue(it)
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool { return less(ks.Index(order[i]), ks.Index(order[j])) })
+		var err error
+		for _, i := range order {
+			if b, err = key.enc(b, ks.Index(i), depth+1); err != nil {
+				break
+			}
+			if b, err = elem.enc(b, es.Index(i), depth+1); err != nil {
+				break
+			}
+		}
+		return b, err
+	}
+	p.dec = func(d *decoder, v reflect.Value, depth int) error {
+		n, isNil, err := d.length(key.min + elem.min)
+		switch {
+		case err != nil:
+			return err
+		case isNil:
+			v.SetZero()
+			return nil
+		case depth == maxDepth:
+			return errDepth
+		}
+		m := reflect.MakeMapWithSize(t, n)
+		k, prev := reflect.New(t.Key()).Elem(), reflect.New(t.Key()).Elem()
+		e := reflect.New(t.Elem()).Elem()
+		for i := 0; i < n; i++ {
+			if err := key.dec(d, k, depth+1); err != nil {
+				return err
+			}
+			if i > 0 && !less(prev, k) {
+				return fmt.Errorf("map key %v out of order after %v", k, prev)
+			}
+			if err := elem.dec(d, e, depth+1); err != nil {
+				return err
+			}
+			m.SetMapIndex(k, e)
+			prev.Set(k)
+		}
+		v.Set(m)
+		return nil
+	}
+}
+
+// mapKeyLess orders map keys of kind k: numerically for integers, by
+// bytes for strings.
+func mapKeyLess(k reflect.Kind) func(a, b reflect.Value) bool {
+	switch {
+	case isInt(k):
+		return func(a, b reflect.Value) bool { return a.Int() < b.Int() }
+	case isUint(k):
+		return func(a, b reflect.Value) bool { return a.Uint() < b.Uint() }
+	default:
+		return func(a, b reflect.Value) bool { return a.String() < b.String() }
+	}
+}

@@ -3,7 +3,7 @@ package store_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"flag"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -11,13 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"slowcc/internal/obs"
 	"slowcc/internal/store"
 )
 
-// rawFrame builds a slowcc-store/2 frame by hand: u32 payload length,
-// u32 CRC-32C of the payload, then the u32-prefixed head, the
-// u32-prefixed result and the stats.
-func rawFrame(head, result, stats string) []byte {
+var update = flag.Bool("update", false, "rewrite testdata/frame_v3.bin")
+
+// rawFrame builds a frame by hand: u32 payload length, u32 CRC-32C of
+// the payload, then the u32-prefixed head, the u32-prefixed result and
+// the stats.
+func rawFrame(head, result, stats []byte) []byte {
 	p := binary.LittleEndian.AppendUint32(nil, uint32(len(head)))
 	p = append(p, head...)
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(result)))
@@ -28,34 +31,61 @@ func rawFrame(head, result, stats string) []byte {
 	return append(b, p...)
 }
 
-// goldenEntry is the entry testdata/parent_frame.bin was recorded from
-// (a slowcc-store/2 frame) and testdata/parent_snapshot.json holds,
-// among others, in an older build's indented slowcc-store/1 document.
-// Its stats are the raw JSON the recording build wrote, with Cell, Hists,
-// Halt and Halts keys obs.CellStats does not have: decoding ignores
-// them, so a store written then still replays.
-func goldenEntry() store.Entry {
+// frameHead has the shape of a frame's head. A fingerprint covers
+// shapes, not type names, so its encoding is a head the store reads.
+type frameHead struct {
+	Schema, Key     string
+	Index, Attempts int
+	Degraded        bool
+	Error           string
+}
+
+func encode[T any](t testing.TB, v T) []byte {
+	t.Helper()
+	b, err := store.Encode(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// goldenResult is the result type of the golden entry.
+type goldenResult struct {
+	X float64
+	S string
+}
+
+// goldenEntry is the entry testdata/frame_v3.bin was recorded from.
+func goldenEntry(t testing.TB) store.Entry {
 	return store.Entry{Key: "golden", Index: 5, Attempts: 2,
-		Result: json.RawMessage(`{"x":1.5,"s":"<&>"}`),
-		Stats: json.RawMessage(`{"Cell":3,"Counters":{"a\u003cb\u0026c":1,"link.lr.bytes":123,"link.lr.drops":4},` +
-			`"Hists":[{"Name":"queue_delay_s","Hist":{"buckets":[[79,1],[143,1]],"n":2,"sum":0.251,"max":0.25}}],` +
-			`"Digest":3735928559,"DigestEvents":7,"Events":9,"Halt":"wall budget","Halts":["wall budget","event budget"]}`),
+		Result: encode(t, goldenResult{1.5, "<&>"}),
+		Stats: encodeStats(t, &obs.CellStats{
+			Counters: map[string]int64{"a<b&c": 1, "link.lr.bytes": 123, "link.lr.drops": 4},
+			Digest:   0xdeadbeef, DigestEvents: 7, Events: 9}),
 	}
 }
 
 // Put writes the golden entry as exactly the recorded frame, and a
-// checkpoint writes that same frame as the whole snapshot.
+// checkpoint writes that same frame as the whole snapshot. Re-record
+// with -update only when the format changes on purpose, and bump
+// Schema with it.
 func TestPutFrameMatchesParentGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "parent_frame.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := filepath.Join("testdata", "frame_v3.bin")
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
-	if err := s.Put(goldenEntry()); err != nil {
+	if err := s.Put(goldenEntry(t)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := os.ReadFile(filepath.Join(dir, "journal.bin"))
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("frame differs from the recorded one:\n%q\nwant\n%q", got, want)
 	}
@@ -68,8 +98,11 @@ func TestPutFrameMatchesParentGolden(t *testing.T) {
 	s = mustOpen(t, dir)
 	defer s.Close()
 	e, ok := s.Get("golden")
-	if !ok || string(e.Result) != `{"x":1.5,"s":"<&>"}` {
-		t.Fatalf("golden entry: %+v, %v", e, ok)
+	if !ok {
+		t.Fatal("golden entry not served")
+	}
+	if r, err := store.Decode[goldenResult](e.Result); err != nil || r != (goldenResult{1.5, "<&>"}) {
+		t.Fatalf("golden result: %+v, %v", r, err)
 	}
 	cs, err := e.CellStats()
 	if err != nil || cs == nil || cs.Events != 9 || cs.Counters["a<b&c"] != 1 || cs.Counters["link.lr.drops"] != 4 {
@@ -77,23 +110,23 @@ func TestPutFrameMatchesParentGolden(t *testing.T) {
 	}
 }
 
-// A directory an older build left (its indented slowcc-store/1
-// snapshot.json) is refused by both openers with an error naming both
-// schemas, and not one of its bytes or mtimes changes.
-func TestParentV1SnapshotRefused(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "parent_snapshot.json"))
+// refusedUntouched opens dir with both openers, each of which must
+// refuse it with an error naming schema and this build's, and checks
+// that not one of its bytes, names or mtimes changed.
+func refusedUntouched(t *testing.T, dir, schema string) {
+	t.Helper()
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-time.Hour).Truncate(time.Second)
-	for _, p := range []string{filepath.Join(dir, "snapshot.json"), dir} {
-		if err := os.Chtimes(p, old, old); err != nil {
+	for _, de := range ents {
+		if err := os.Chtimes(filepath.Join(dir, de.Name()), old, old); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := os.Chtimes(dir, old, old); err != nil {
+		t.Fatal(err)
 	}
 	type state struct {
 		names  []string
@@ -124,9 +157,9 @@ func TestParentV1SnapshotRefused(t *testing.T) {
 		s, err := open(dir)
 		if err == nil {
 			s.Close()
-			t.Fatalf("%s accepted a slowcc-store/1 directory", name)
+			t.Fatalf("%s accepted a %s directory", name, schema)
 		}
-		if msg := err.Error(); !strings.Contains(msg, "slowcc-store/1") || !strings.Contains(msg, store.Schema) {
+		if msg := err.Error(); !strings.Contains(msg, schema) || !strings.Contains(msg, store.Schema) {
 			t.Fatalf("%s: %q does not name both schemas", name, msg)
 		}
 	}
@@ -146,19 +179,55 @@ func TestParentV1SnapshotRefused(t *testing.T) {
 	}
 }
 
-// Both files refuse a nil, keyless or foreign-schema head: counted
-// corrupt, skipped, never served, never a panic.
+// A directory an older build left (its indented slowcc-store/1
+// snapshot.json) is refused by both openers with an error naming both
+// schemas, and not one of its bytes or mtimes changes.
+func TestParentV1SnapshotRefused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "parent_snapshot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refusedUntouched(t, dir, "slowcc-store/1")
+}
+
+// A slowcc-store/2 store — testdata/parent_frame.bin is a frame the
+// parent build wrote, JSON head and all — is refused the same way,
+// whether its frames sit in the snapshot or, after a kill before the
+// first Close, only in the journal. Its file names are this build's, so
+// the frames themselves give it away.
+func TestParentV2StoreRefused(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "parent_frame.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"snapshot.bin", "journal.bin"} {
+		t.Run(file, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, file), v2, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refusedUntouched(t, dir, "slowcc-store/2")
+		})
+	}
+}
+
+// Both files refuse a nil (undecodable), keyless or foreign-schema
+// head: counted corrupt, skipped, never served, never a panic.
 func TestReadersRefuseUnservableEntries(t *testing.T) {
-	good := rawFrame(`{"schema":"slowcc-store/2","key":"good","index":0,"attempts":1}`, `1`, ``)
-	for name, head := range map[string]string{
-		"nil":            `null`,
-		"keyless":        `{"schema":"slowcc-store/2","key":"","index":0,"attempts":1}`,
-		"foreign schema": `{"schema":"slowcc-store/1","key":"stale","index":0,"attempts":1}`,
+	good := rawFrame(encode(t, frameHead{Schema: store.Schema, Key: "good", Attempts: 1}), encode(t, 1), nil)
+	for name, head := range map[string][]byte{
+		"nil":            nil,
+		"keyless":        encode(t, frameHead{Schema: store.Schema, Attempts: 1}),
+		"foreign schema": encode(t, frameHead{Schema: "slowcc-store/1", Key: "stale", Attempts: 1}),
 	} {
 		for _, file := range []string{"snapshot.bin", "journal.bin"} {
 			t.Run(name+"/"+file, func(t *testing.T) {
 				dir := t.TempDir()
-				blob := append(rawFrame(head, `2`, ``), good...)
+				blob := append(rawFrame(head, encode(t, 2), nil), good...)
 				if err := os.WriteFile(filepath.Join(dir, file), blob, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -178,11 +247,12 @@ func TestReadersRefuseUnservableEntries(t *testing.T) {
 }
 
 // Open checks a frame's checksum and head, not its result: an entry
-// whose result is not JSON opens and is served, and the caller that
-// decodes it finds out (exp counts it corrupt and recomputes the cell).
+// whose result and stats do not decode opens and is served, and the
+// caller that decodes them finds out (exp counts it corrupt and
+// recomputes the cell).
 func TestUnparsedResultOpens(t *testing.T) {
 	dir := t.TempDir()
-	blob := rawFrame(`{"schema":"slowcc-store/2","key":"k","index":0,"attempts":1}`, `{"x":`, `not json`)
+	blob := rawFrame(encode(t, frameHead{Schema: store.Schema, Key: "k", Attempts: 1}), []byte(`{"x":`), []byte(`not json`))
 	if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -200,21 +270,31 @@ func TestUnparsedResultOpens(t *testing.T) {
 	}
 }
 
-// Put refuses a Result or Stats that is not JSON, and appends nothing.
+// Put refuses Stats that do not decode as an obs.CellStats — bytes that
+// are not an encoding, or an encoding of another shape — and appends
+// nothing. A result's type is its writer's to check, so Put takes any
+// result bytes: an entry read back from a store must Put again as is.
 func TestPutRefusesNonJSON(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
 	defer s.Close()
+	type oldStats struct {
+		Counters map[string]int64
+		Events   uint64
+	}
 	for _, e := range []store.Entry{
-		{Key: "r", Result: json.RawMessage(`{"x":`)},
-		{Key: "s", Result: json.RawMessage(`1`), Stats: json.RawMessage(`nope`)},
+		{Key: "s", Result: encode(t, 1), Stats: []byte(`nope`)},
+		{Key: "t", Result: encode(t, 1), Stats: encode(t, oldStats{Events: 9})},
 	} {
 		err := s.Put(e)
-		if err == nil || !strings.Contains(err.Error(), "not JSON") {
-			t.Fatalf("Put(%s) = %v, want a not-JSON error", e.Key, err)
+		if err == nil || !strings.Contains(err.Error(), "telemetry") {
+			t.Fatalf("Put(%s) = %v, want a telemetry error", e.Key, err)
 		}
 	}
 	if n := journalSize(t, dir); n != 0 || s.Len() != 0 {
 		t.Fatalf("refused Puts left %d journal bytes, %d entries", n, s.Len())
+	}
+	if err := s.Put(store.Entry{Key: "r", Result: []byte(`{"x":`)}); err != nil {
+		t.Fatalf("Put refused result bytes it cannot type: %v", err)
 	}
 }

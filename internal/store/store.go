@@ -6,14 +6,18 @@
 //
 // On-disk format. Both files are a run of frames, and one loop reads
 // them. A frame is a little-endian u32 payload length, the u32 CRC-32C
-// (Castagnoli) of the payload, then the payload: a u32-prefixed
-// compact-JSON head (schema, key, index, attempts, degraded, error), the
-// u32-prefixed result bytes, and the stats bytes up to the frame's end.
-// Open verifies every checksum and decodes only the heads; a result or
-// a telemetry snapshot is parsed when it is used, so a value that does
-// not parse there is that caller's corrupt entry (Put refuses to write
-// one). A directory holding an older build's snapshot.json is refused,
-// not migrated.
+// (Castagnoli) of the payload, then the payload: a u32-prefixed head
+// (schema, key, index, attempts, degraded, error), the u32-prefixed
+// result bytes, and the stats bytes up to the frame's end. Head, result
+// and stats are all in the package's one value encoding (codec.go): a
+// shape fingerprint, then the value's fields in binary, so a value
+// decodes only into the type shape that wrote it. Open verifies every
+// checksum and decodes only the heads; a result or a telemetry snapshot
+// is decoded where it is used, so a value that does not decode there is
+// that caller's corrupt entry. Put checks the telemetry; the result's
+// type is known only to the caller, which checks it before storing. A
+// directory an older build wrote (a slowcc-store/1 snapshot.json, or
+// slowcc-store/2 frames) is refused, not migrated.
 //
 // Durability model. Every Put appends one frame and fsyncs before
 // returning, so an entry that Put acknowledged survives SIGKILL.
@@ -33,8 +37,8 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -50,7 +54,7 @@ import (
 
 // Schema identifies the store's on-disk format; every frame's head
 // carries it, so a format bump can refuse stale state.
-const Schema = "slowcc-store/2"
+const Schema = "slowcc-store/3"
 
 const (
 	journalName  = "journal.bin"
@@ -58,6 +62,9 @@ const (
 	// v1Snapshot is where slowcc-store/1 kept its JSON snapshot; a
 	// directory holding one is refused.
 	v1Snapshot = "snapshot.json"
+	// v2Schema names the format whose frame heads were JSON; a directory
+	// holding its frames is refused.
+	v2Schema = "slowcc-store/2"
 	// frameHeaderSize is the fixed per-frame header: u32 payload length,
 	// u32 CRC-32C of the payload, both little-endian.
 	frameHeaderSize = 4 + 4
@@ -69,41 +76,48 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Entry is one stored sweep-cell result. Result holds the cell's typed
-// value as JSON (the exp layer round-trips it losslessly); Stats is the
-// telemetry snapshot replayed into the live collector on a cache hit,
-// also as JSON. Both alias the frame the entry was read from or written
-// as, so they must not be modified; neither is parsed until a caller
-// asks, and Open checks their frame's checksum but not their syntax —
-// a caller that decodes one must handle the error.
+// value and Stats its telemetry snapshot (an obs.CellStats), each in the
+// store's value encoding (Encode). Both alias the frame the entry was
+// read from or written as, so they must not be modified; neither is
+// decoded until a caller asks, and Open checks their frame's checksum
+// but not their contents — a caller that decodes one must handle the
+// error.
 // A Degraded entry records that the cell failed — it is kept for
 // inspection and reporting but never served as a hit, so a resumed
 // sweep recomputes degraded cells.
 type Entry struct {
-	Schema string `json:"schema"`
+	Schema string
 	// Key is the cell's deterministic digest (manifest sha256 for matrix
 	// cells, a scope-derived digest for generic sweep cells).
-	Key string `json:"key"`
+	Key string
 	// Index is the sweep index the cell had when recorded (informational;
 	// the key, not the index, is the identity).
-	Index int `json:"index"`
+	Index int
 	// Attempts is how many times the recording run ran the cell: 1 now
 	// that a cell runs once.
-	Attempts int `json:"attempts"`
+	Attempts int
 	// Degraded marks a cell that failed; Error carries its failure text.
-	Degraded bool   `json:"degraded,omitempty"`
-	Error    string `json:"error,omitempty"`
-	// Result is the cell's typed result, JSON-encoded (empty when
-	// Degraded).
-	Result json.RawMessage `json:"-"`
-	// Stats is the cell's telemetry snapshot (an obs.CellStats: counters,
-	// stream digest, event count), JSON-encoded, when live
-	// telemetry was attached; replayed into the sink on a hit so /metrics
-	// over a resumed run matches a cold one. CellStats decodes it.
-	Stats json.RawMessage `json:"-"`
+	Degraded bool
+	Error    string
+	// Result is the cell's encoded typed result (empty when Degraded).
+	Result []byte
+	// Stats is the cell's encoded telemetry snapshot (counters, stream
+	// digest, event count) when live telemetry was attached; replayed
+	// into the sink on a hit so /metrics over a resumed run matches a
+	// cold one. CellStats decodes it.
+	Stats []byte
 
 	// frame is the entry's encoded frame, header included; Checkpoint
 	// writes it as is.
 	frame []byte
+}
+
+// head is what a frame's head holds: an Entry but its result and stats.
+type head struct {
+	Schema, Key     string
+	Index, Attempts int
+	Degraded        bool
+	Error           string
 }
 
 // CellStats decodes the entry's telemetry snapshot: nil, nil when none
@@ -112,8 +126,8 @@ func (e *Entry) CellStats() (*obs.CellStats, error) {
 	if len(e.Stats) == 0 {
 		return nil, nil
 	}
-	var st obs.CellStats
-	if err := json.Unmarshal(e.Stats, &st); err != nil {
+	st, err := Decode[obs.CellStats](e.Stats)
+	if err != nil {
 		return nil, fmt.Errorf("store: entry %s telemetry: %v", e.Key, err)
 	}
 	return &st, nil
@@ -122,17 +136,17 @@ func (e *Entry) CellStats() (*obs.CellStats, error) {
 // encode builds e's frame in one buffer and points Result and Stats at
 // their bytes inside it.
 func (e *Entry) encode() error {
-	head, err := json.Marshal(e)
+	h, err := Encode(head{e.Schema, e.Key, e.Index, e.Attempts, e.Degraded, e.Error})
 	if err != nil {
 		return fmt.Errorf("store: encoding entry %s: %v", e.Key, err)
 	}
-	n := 4 + len(head) + 4 + len(e.Result) + len(e.Stats)
+	n := 4 + len(h) + 4 + len(e.Result) + len(e.Stats)
 	if n > maxFrameSize {
 		return fmt.Errorf("store: entry %s exceeds max frame size", e.Key)
 	}
 	frame := make([]byte, frameHeaderSize, frameHeaderSize+n)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(head)))
-	frame = append(frame, head...)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(h)))
+	frame = append(frame, h...)
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(e.Result)))
 	frame = append(frame, e.Result...)
 	frame = append(frame, e.Stats...)
@@ -145,38 +159,64 @@ func (e *Entry) encode() error {
 	return nil
 }
 
+// splitFrame splits a frame's payload into head, result and stats; ok
+// is false when the lengths do not fit the payload.
+func splitFrame(frame []byte) (h, result, stats []byte, ok bool) {
+	p := frame[frameHeaderSize:]
+	if len(p) < 4 {
+		return nil, nil, nil, false
+	}
+	hl := uint64(binary.LittleEndian.Uint32(p))
+	if hl > uint64(len(p)-4) {
+		return nil, nil, nil, false
+	}
+	h, rest := p[4:4+hl], p[4+hl:]
+	if len(rest) < 4 {
+		return nil, nil, nil, false
+	}
+	rl := uint64(binary.LittleEndian.Uint32(rest))
+	if rl > uint64(len(rest)-4) {
+		return nil, nil, nil, false
+	}
+	return h, rest[4 : 4+rl], rest[4+rl:], true
+}
+
 // decodeFrame splits a checksummed frame into its entry, decoding the
 // head only; nil when the payload does not split or the head does not
 // decode.
 func decodeFrame(frame []byte) *Entry {
-	p := frame[frameHeaderSize:]
-	if len(p) < 4 {
+	hb, result, stats, ok := splitFrame(frame)
+	if !ok {
 		return nil
 	}
-	hl := uint64(binary.LittleEndian.Uint32(p))
-	if hl > uint64(len(p)-4) {
+	h, err := Decode[head](hb)
+	if err != nil {
 		return nil
 	}
-	head, rest := p[4:4+hl], p[4+hl:]
-	if len(rest) < 4 {
-		return nil
+	return &Entry{Schema: h.Schema, Key: h.Key, Index: h.Index, Attempts: h.Attempts,
+		Degraded: h.Degraded, Error: h.Error, Result: body(result), Stats: body(stats), frame: frame}
+}
+
+// v2Frame reports whether blob starts with an intact frame a
+// slowcc-store/2 build wrote: one whose head is JSON naming that schema.
+func v2Frame(blob []byte) bool {
+	if len(blob) < frameHeaderSize {
+		return false
 	}
-	rl := uint64(binary.LittleEndian.Uint32(rest))
-	if rl > uint64(len(rest)-4) {
-		return nil
+	n := binary.LittleEndian.Uint32(blob)
+	if n > maxFrameSize || uint64(len(blob)) < frameHeaderSize+uint64(n) {
+		return false
 	}
-	e := new(Entry)
-	if err := json.Unmarshal(head, e); err != nil {
-		return nil
+	frame := blob[:frameHeaderSize+n]
+	if crc32.Checksum(frame[frameHeaderSize:], castagnoli) != binary.LittleEndian.Uint32(blob[4:]) {
+		return false
 	}
-	e.Result = body(rest[4 : 4+rl])
-	e.Stats = body(rest[4+rl:])
-	e.frame = frame
-	return e
+	h, _, _, ok := splitFrame(frame)
+	return ok && bytes.HasPrefix(h, []byte(`{"schema":"`+v2Schema+`"`))
 }
 
 // body returns b capped at its length, or nil when it is empty.
-func body(b []byte) json.RawMessage {
+func body(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
 	}
@@ -218,15 +258,27 @@ func open(dir string, readOnly bool) (*Store, error) {
 		return nil, fmt.Errorf("store: %s holds a slowcc-store/1 %s; this build reads only %s stores (no migration: recompute into a new directory)",
 			dir, v1Snapshot, Schema)
 	}
+	snapshot, err := readIfExists(filepath.Join(dir, snapshotName))
+	if err != nil {
+		return nil, err
+	}
+	journal, err := readIfExists(filepath.Join(dir, journalName))
+	if err != nil {
+		return nil, err
+	}
+	if v2Frame(snapshot) || v2Frame(journal) {
+		return nil, fmt.Errorf("store: %s holds %s frames; this build reads only %s stores (no migration: recompute into a new directory)",
+			dir, v2Schema, Schema)
+	}
 	if !readOnly {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %v", err)
 		}
 	}
-	if err := s.loadSnapshot(); err != nil {
+	if err := s.loadSnapshot(snapshot); err != nil {
 		return nil, err
 	}
-	if err := s.loadJournal(); err != nil {
+	if err := s.loadJournal(journal); err != nil {
 		return nil, err
 	}
 	if !readOnly {
@@ -239,17 +291,22 @@ func open(dir string, readOnly bool) (*Store, error) {
 	return s, nil
 }
 
+// readIfExists returns a file's bytes, or nil when there is no file.
+func readIfExists(path string) ([]byte, error) {
+	blob, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: %v", err)
+	}
+	return blob, nil
+}
+
 // loadSnapshot admits the snapshot's frames. Only a rename ever puts a
 // snapshot in place, so one that does not frame to its last byte was
 // damaged outside the store, and the store refuses to open.
-func (s *Store) loadSnapshot() error {
-	blob, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
+func (s *Store) loadSnapshot(blob []byte) error {
 	if off := s.admitFrames(blob); off < len(blob) {
 		return fmt.Errorf("store: %s: no whole frame at byte %d of %d", snapshotName, off, len(blob))
 	}
@@ -303,15 +360,8 @@ func (s *Store) admit(e *Entry) {
 // append — it is quarantined to a numbered side file and truncated
 // away (unless read-only) so subsequent appends start from a clean
 // boundary.
-func (s *Store) loadJournal() error {
+func (s *Store) loadJournal(blob []byte) error {
 	path := filepath.Join(s.dir, journalName)
-	blob, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %v", err)
-	}
 	s.dirty = len(blob) > 0 // intact, corrupt or torn: the next Close compacts it away
 	off := s.admitFrames(blob)
 	if off < len(blob) {
@@ -366,17 +416,17 @@ func (s *Store) Get(key string) (*Entry, bool) {
 
 // Put durably appends one entry (framed, checksummed, fsync'd) and
 // updates the in-memory map. Last write per key wins, matching journal
-// replay order. A Result or Stats that is not well-formed JSON is
-// refused: Open does not check it, so Put must.
+// replay order. Stats that do not decode as an obs.CellStats are
+// refused: Open does not check them, so Put must. The result's type is
+// the caller's to check (exp decodes what it encoded before storing
+// it); Put takes any result bytes, so an entry read back from a store
+// can be put again as it is.
 func (s *Store) Put(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("store: Put with empty key")
 	}
-	if len(e.Result) > 0 && !json.Valid(e.Result) {
-		return fmt.Errorf("store: entry %s: result is not JSON", e.Key)
-	}
-	if len(e.Stats) > 0 && !json.Valid(e.Stats) {
-		return fmt.Errorf("store: entry %s: stats are not JSON", e.Key)
+	if _, err := e.CellStats(); err != nil {
+		return err
 	}
 	e.Schema = Schema
 	if err := e.encode(); err != nil {

@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,9 +9,9 @@ import (
 	"slowcc/internal/store"
 )
 
-func put(t *testing.T, s *store.Store, key string, result any) {
+func put[T any](t *testing.T, s *store.Store, key string, result T) {
 	t.Helper()
-	blob, err := json.Marshal(result)
+	blob, err := store.Encode(result)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +31,9 @@ func peek(s *store.Store, key string) (*store.Entry, bool) {
 	return nil, false
 }
 
-func encodeStats(t testing.TB, st *obs.CellStats) json.RawMessage {
+func encodeStats(t testing.TB, st *obs.CellStats) []byte {
 	t.Helper()
-	blob, err := json.Marshal(st)
+	blob, err := store.Encode(*st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +64,8 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	if !ok {
 		t.Fatal("entry a lost across reopen")
 	}
-	var got map[string]float64
-	if err := json.Unmarshal(e.Result, &got); err != nil || got["x"] != 1.5 {
+	got, err := store.Decode[map[string]float64](e.Result)
+	if err != nil || got["x"] != 1.5 {
 		t.Fatalf("entry a result %s, %v", e.Result, err)
 	}
 	if _, ok := s2.Get("b"); !ok {
@@ -90,9 +89,7 @@ func TestLastWritePerKeyWins(t *testing.T) {
 	if !ok {
 		t.Fatal("entry lost")
 	}
-	var v string
-	json.Unmarshal(e.Result, &v)
-	if v != "new" {
+	if v, _ := store.Decode[string](e.Result); v != "new" {
 		t.Fatalf("replay kept %q, want the later write", v)
 	}
 	if s2.Len() != 1 {
@@ -234,10 +231,8 @@ func TestCheckpointCompactsAndSurvives(t *testing.T) {
 	if !ok {
 		t.Fatal("entry a lost")
 	}
-	var v int
-	json.Unmarshal(e.Result, &v)
-	if v != 10 {
-		t.Fatalf("journal overlay lost: a = %d, want 10", v)
+	if v, _ := store.Decode[int](e.Result); v != 10 {
+		t.Fatalf("journal overlay lost: a = %x, want 10", e.Result)
 	}
 	if s3.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s3.Len())
