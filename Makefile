@@ -8,8 +8,10 @@ GO ?= go
 # where most of it happens: the exp package's TestMain enables the
 # invariant auditing layer for the whole scaled-down figure suite, so
 # packet-accounting regressions fail here even when no figure-level
-# assertion notices them; -race additionally exercises
-# parallelMapIndexed's worker pool; ./bench's smoke test runs every
+# assertion notices them; -race additionally exercises the sweep
+# workers' shared state — parallelMapIndexed's claim counter, the matrix
+# keyer every worker calls, the store's interned counter names — and
+# export.Server shut down under live scrapes; ./bench's smoke test runs every
 # workload of the benchmark at -quick size against its oracle; the
 # calendar-vs-heap differentials and ring-sizing tests live in
 # ./internal/sim and the pinned-stream table; and cmd/smoke_test.go

@@ -176,35 +176,26 @@ type MatrixCell struct {
 // its RunError in SweepErrors rather than aborting the sweep.
 func Matrix(cfg MatrixConfig) []MatrixCell {
 	cfg.fill()
-	type job struct {
-		topo, cond string
-		a, b       AlgoSpec
-		key        string
-	}
-	var jobs []job
-	key := matrixCellKeyer(cfg)
-	for _, t := range cfg.Topologies {
-		for _, cond := range cfg.Conditions {
-			for _, a := range cfg.Algos {
-				for _, b := range cfg.Algos {
-					jobs = append(jobs, job{t, cond, a, b, key(t, cond, a, b)})
-				}
-			}
-		}
+	// Cell i's coordinates: topology-major, then condition, then A, then B.
+	nA, nC := len(cfg.Algos), len(cfg.Conditions)
+	at := func(i int) (topo, cond string, a, b AlgoSpec) {
+		return cfg.Topologies[i/(nA*nA*nC)], cfg.Conditions[i/(nA*nA)%nC], cfg.Algos[i/nA%nA], cfg.Algos[i%nA]
 	}
 	// Matrix cells carry semantic store keys — a per-cell
 	// slowcc-manifest/1 digest over every knob that shapes the run — so
 	// a resumed or re-invoked sweep recognizes completed cells no matter
-	// how the surrounding flags reordered the sweep.
-	cells := supervisedMapKeyed(len(jobs), func(i int) string { return jobs[i].key }, func(sc *Cell) MatrixCell {
-		j := jobs[sc.Index()]
-		return runMatrixCell(sc, cfg, j.topo, j.cond, j.a, j.b)
+	// how the surrounding flags reordered the sweep. The worker that
+	// serves or runs a cell keys it.
+	keyer := matrixCellKeyer(cfg)
+	key := func(i int) string { return keyer(at(i)) }
+	cells := supervisedMapKeyed(len(cfg.Topologies)*nC*nA*nA, key, func(sc *Cell) MatrixCell {
+		topo, cond, a, b := at(sc.Index())
+		return runMatrixCell(sc, cfg, topo, cond, a, b)
 	})
 	for i := range cells {
 		if cells[i].Topology == "" { // zero value: the cell degraded
-			j := jobs[i]
-			cells[i] = MatrixCell{Topology: j.topo, Condition: j.cond,
-				A: j.a.Name, B: j.b.Name, Degraded: true}
+			topo, cond, a, b := at(i)
+			cells[i] = MatrixCell{Topology: topo, Condition: cond, A: a.Name, B: b.Name, Degraded: true}
 		}
 	}
 	return cells
@@ -217,10 +208,12 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 // timeline, seed — produce the same key, so the result store can serve
 // one's work to the other; any knob change changes the key and forces
 // a recompute. The manifest is marshalled once, here, with a
-// placeholder for each of the four per-cell strings; the returned
-// function splices their JSON-quoted values into that template, so it
-// hashes the bytes Manifest.ComputeDigest would, and it reuses one
-// buffer, so it must not be called concurrently.
+// placeholder for each of the four per-cell strings, and every
+// topology, condition and algorithm name cfg holds is JSON-quoted here
+// too; the returned function splices the quoted values into that
+// template in a buffer of its own, so it hashes the bytes
+// Manifest.ComputeDigest would. It writes no shared state and is safe
+// for concurrent use; a value cfg does not hold is quoted per call.
 func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) string {
 	m := obs.NewManifest("slowccsim.matrix-cell", cfg.Seed)
 	m.DurationS = float64(cfg.Warmup + cfg.Measure)
@@ -245,16 +238,23 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 		"smooth_bin":     g(float64(cfg.SmoothBin)),
 		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
 	}
-	tmpl, quoted := mustJSON(m), map[string][]byte{}
-	quote := func(v string) []byte {
-		q, ok := quoted[v]
-		if !ok {
-			q = mustJSON(v)
-			quoted[v] = q
+	quoted := map[string][]byte{}
+	for _, vs := range [][]string{slots[:], cfg.Topologies, cfg.Conditions} {
+		for _, v := range vs {
+			quoted[v] = mustJSON(v)
 		}
-		return q
+	}
+	for _, a := range cfg.Algos {
+		quoted[a.Name] = mustJSON(a.Name)
+	}
+	quote := func(v string) []byte {
+		if q, ok := quoted[v]; ok {
+			return q
+		}
+		return mustJSON(v)
 	}
 	// Cut the template at each placeholder, in order of appearance.
+	tmpl := mustJSON(m)
 	type part struct {
 		lit  []byte
 		slot int // index into the per-cell values; -1 after the last
@@ -263,7 +263,7 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 	for {
 		at, slot := len(tmpl), -1
 		for i, s := range slots {
-			if j := bytes.Index(tmpl, quote(s)); j >= 0 && j < at {
+			if j := bytes.Index(tmpl, quoted[s]); j >= 0 && j < at {
 				at, slot = j, i
 			}
 		}
@@ -271,12 +271,12 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 		if slot < 0 {
 			break
 		}
-		tmpl = tmpl[at+len(quote(slots[slot])):]
+		tmpl = tmpl[at+len(quoted[slots[slot]]):]
 	}
-	var buf []byte
 	return func(topo, cond string, a, b AlgoSpec) string {
 		vals := [4]string{topo, cond, a.Name, b.Name}
-		buf = buf[:0]
+		var stack [1024]byte // a default-matrix manifest is ~450 bytes
+		buf := stack[:0]
 		for _, p := range parts {
 			buf = append(buf, p.lit...)
 			if p.slot >= 0 {
@@ -397,18 +397,21 @@ func meanCoV(ms []*metrics.Meter, skip int) float64 {
 // byte-identical inputs always produce byte-identical artifacts. A
 // float is written as fmt's %.6g writes it.
 func RenderMatrixTSV(cells []MatrixCell) string {
-	b := make([]byte, 0, len(matrixTSVHeader)+1+len(cells)*160)
-	b = append(b, matrixTSVHeader+"\n"...)
+	var sb strings.Builder
+	sb.Grow(len(matrixTSVHeader) + 1 + len(cells)*160)
+	sb.WriteString(matrixTSVHeader + "\n")
+	var row [256]byte // one row is assembled here, then written whole
 	for _, c := range cells {
+		b := row[:0]
 		for _, s := range [...]string{c.Topology, c.Condition, c.A, c.B} {
 			b = append(append(b, s...), '\t')
 		}
 		for _, v := range [...]float64{c.AMbps, c.BMbps, c.Ratio, c.Jain, c.SmoothA, c.SmoothB, c.Utilization} {
 			b = append(strconv.AppendFloat(b, v, 'g', 6, 64), '\t')
 		}
-		b = append(strconv.AppendBool(b, c.Degraded), '\n')
+		sb.Write(append(strconv.AppendBool(b, c.Degraded), '\n'))
 	}
-	return string(b)
+	return sb.String()
 }
 
 // RenderMatrix prints the human view: one throughput-ratio grid (row

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // sweepPanic carries a worker panic back to the caller goroutine along
@@ -27,6 +28,11 @@ func (p *sweepPanic) String() string {
 // scheduling. fn also gets the index of the worker (goroutine) running
 // it, 0..workers-1 (0 in the single-worker fallback), so supervised
 // sweeps can attribute each cell to a worker lane in timeline exports.
+//
+// Workers claim indices from one shared counter, so cells start in
+// ascending index order and a cell costs its worker one atomic add, not
+// a hand-off: a sweep of microsecond cells (a warm replay's store hits)
+// is not paced by goroutine wake-ups.
 //
 // A panic inside fn does not crash the process from a bare worker
 // goroutine: it is captured (with the failing sweep index and the
@@ -64,15 +70,19 @@ func parallelMapIndexed[T any](n int, fn func(worker, i int) T) []T {
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstPan *sweepPanic
+		next     atomic.Int64 // the lowest index no worker has claimed
 	)
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// Recovering per item keeps the worker draining the channel, so
-			// the feeder can never deadlock behind a dead worker.
-			for i := range next {
+			// Recovering per item keeps the worker claiming indices, so
+			// a panicking cell never strands the ones after it.
+			for {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				if p := run(worker, i); p != nil {
 					mu.Lock()
 					if firstPan == nil || p.index < firstPan.index {
@@ -83,10 +93,6 @@ func parallelMapIndexed[T any](n int, fn func(worker, i int) T) []T {
 			}
 		}(w)
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	if firstPan != nil {
 		panic(firstPan.String())

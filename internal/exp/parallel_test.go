@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -77,8 +79,8 @@ func TestParallelMapPanicLowestIndexWins(t *testing.T) {
 }
 
 // All indices must still be computed even when one panics: the panic is
-// raised only after the full sweep settles, so no worker abandons the
-// queue mid-drain (which would deadlock the feeder).
+// raised only after the full sweep settles, so no worker stops claiming
+// indices mid-sweep.
 func TestParallelMapPanicDoesNotDeadlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
@@ -205,5 +207,28 @@ func TestSuperviseDeepPanicStackComplete(t *testing.T) {
 	}
 	if !strings.Contains(rerr.Stack, "runAttempt") {
 		t.Fatal("RunError stack lost the supervisor frame (tail truncated)")
+	}
+}
+
+// Every index runs exactly once, on a worker in [0, workers), whether n
+// is below, at or far above the worker count: the claim counter must
+// neither skip an index nor hand one to two workers.
+func TestParallelMapRunsEachIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	workers := runtime.GOMAXPROCS(0)
+	for _, n := range []int{1, workers - 1, workers, 1000} {
+		runs := make([]atomic.Int32, n)
+		out := parallelMapIndexed(n, func(worker, i int) int {
+			runs[i].Add(1)
+			return worker
+		})
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d ran %d times, want once", n, i, got)
+			}
+			if w := out[i]; w < 0 || w >= workers {
+				t.Fatalf("n=%d: index %d ran on worker %d, outside [0, %d)", n, i, w, workers)
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -434,6 +435,75 @@ func TestMatrixCellKeysUnchanged(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// One keyer serves every worker of a sweep: called from 8 goroutines at
+// once, over the default matrix and the resume tests' matrix, it gives
+// the keys a serial pass gives, and a value the config does not hold
+// still keys as the parent's per-cell manifest did.
+func TestMatrixCellKeyerConcurrent(t *testing.T) {
+	def := MatrixConfig{Seed: 1, Warmup: 1, Measure: 3, Period: 1}
+	tiny := tinyMatrix(1)
+	for _, cfg := range []MatrixConfig{def, tiny} {
+		cfg.fill()
+		type cell struct {
+			topo, cond string
+			a, b       AlgoSpec
+		}
+		var cells []cell
+		for _, topo := range cfg.Topologies {
+			for _, cond := range cfg.Conditions {
+				for _, a := range cfg.Algos {
+					for _, b := range cfg.Algos {
+						cells = append(cells, cell{topo, cond, a, b})
+					}
+				}
+			}
+		}
+		serial := make([]string, len(cells))
+		for i, c := range cells {
+			serial[i] = matrixCellKeyer(cfg)(c.topo, c.cond, c.a, c.b)
+		}
+		key := matrixCellKeyer(cfg)
+		var wg sync.WaitGroup
+		errs := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < len(cells); r++ {
+					i := (r + g*len(cells)/8) % len(cells) // each goroutine starts elsewhere
+					c := cells[i]
+					if got := key(c.topo, c.cond, c.a, c.b); got != serial[i] {
+						errs <- fmt.Sprintf("goroutine %d, cell %d: key %s, serial %s", g, i, got, serial[i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+		outside := AlgoSpec{Name: "NOT-IN-CONFIG \"quoted\""}
+		if got, want := key(TopoParkingLot, "no-such-condition", outside, cfg.Algos[0]),
+			parentMatrixCellKey(cfg, TopoParkingLot, "no-such-condition", outside, cfg.Algos[0]); got != want {
+			t.Errorf("a value outside the config keys as %s, parent's %s", got, want)
+		}
+	}
+}
+
+// A key costs one allocation: the digest string it returns.
+func TestAllocsMatrixCellKey(t *testing.T) {
+	cfg := MatrixConfig{Seed: 1, Warmup: 1, Measure: 3, Period: 1}
+	cfg.fill()
+	key := matrixCellKeyer(cfg)
+	if avg := testing.AllocsPerRun(100, func() {
+		key(TopoParkingLot, CondOscillating, cfg.Algos[2], cfg.Algos[6])
+	}); avg != 1 {
+		t.Fatalf("a matrix cell key allocates %v times, want 1", avg)
 	}
 }
 

@@ -105,32 +105,31 @@ func scopeKeys[T any](n int) func(int) string {
 }
 
 // supervisedMapKeyed is supervisedMap with per-cell store keys (nil key,
-// or a "" key, leaves a cell unkeyed: never stored or replayed). For
-// each index, in order: a requested stop skips the cell; a replay-mode
-// store hit decodes the stored result, replays its telemetry, and emits
-// queued+cached events; otherwise the cell runs under superviseCell and
-// its outcome — success or degraded marker — is committed durably
-// before the sweep moves on.
+// or a "" key, leaves a cell unkeyed: never stored or replayed). A key
+// is computed only while a store is installed, by the worker that
+// serves or runs its cell. For each index, in order: a requested stop
+// skips the cell; a replay-mode store hit decodes the stored result,
+// replays its telemetry, and emits queued+cached events; otherwise the
+// cell runs under superviseCell and its outcome — success or degraded
+// marker — is committed durably before the sweep moves on.
 func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T) []T {
 	env := currentEnv()
 	st := env.store
-	type res struct {
-		v    T
-		rerr *RunError
-	}
-	cells := parallelMapIndexed(n, func(worker, i int) res {
+	out := make([]T, n)
+	errs := parallelMapIndexed(n, func(worker, i int) *RunError {
 		if stopRequested.Load() {
 			supervision.stopped.Add(1)
-			return res{}
+			return nil
 		}
 		k := ""
-		if key != nil {
+		if st != nil && key != nil {
 			k = key(i)
 		}
 		if st != nil && env.replay && k != "" {
 			if e, ok := st.Get(k); ok {
 				if v, ok := decodeStored[T](e); ok && replayCached(&env, i, worker, e) {
-					return res{v, nil}
+					out[i] = v
+					return nil
 				}
 				// Present but undecodable — the result into T, or the
 				// telemetry a sink asked for: quarantined, recomputed.
@@ -141,15 +140,14 @@ func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T
 		if st != nil && k != "" {
 			commitCell(&env, k, i, v, stats, rerr)
 		}
-		return res{v, rerr}
+		out[i] = v
+		return rerr
 	})
-	out := make([]T, n)
 	supervision.mu.Lock()
 	defer supervision.mu.Unlock()
-	for i, r := range cells {
-		out[i] = r.v
-		if r.rerr != nil {
-			supervision.errs = append(supervision.errs, r.rerr)
+	for _, rerr := range errs {
+		if rerr != nil {
+			supervision.errs = append(supervision.errs, rerr)
 		}
 	}
 	return out

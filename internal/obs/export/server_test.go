@@ -1,9 +1,17 @@
 package export
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"slowcc/internal/obs"
 )
 
 // /progress holds at most maxSubscribers live streams: one more is
@@ -49,6 +57,132 @@ func TestProgressStreamsAreCapped(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("a stream closed, yet a new one still gets %d after 5s", resp.StatusCode)
+		}
+	}
+}
+
+// Closing the server while /metrics and /healthz scrapes are in flight
+// and a /progress stream is live: Close returns within its grace period
+// plus a margin, the stream's handler exits and gives its subscription
+// back, and every scrape either completes with a valid document or
+// fails on the client side — none panics the server.
+func TestCloseDuringScrapes(t *testing.T) {
+	col := NewCollector()
+	col.AddCellStats(obs.CellStats{Counters: map[string]int64{"link.lr.bytes": 1500, "sim.events": 42}, Events: 42})
+	p := NewProgress(col)
+	srv := NewServer(col, p)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr
+	stream, err := http.Get(base + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("/progress: status %d, want 200", stream.StatusCode)
+	}
+
+	// Keep the stream busy and the scrapes coming until Close is done.
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p.SweepEvent(obs.SweepEvent{Kind: obs.SweepQueued, Cell: i})
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	go io.Copy(io.Discard, stream.Body) //nolint:errcheck // ends when the server goes
+
+	var served atomic.Int64
+	// A scrape's client error means the server is going or gone.
+	scrape := func(path string) error {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			return nil
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return nil
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+		if path == "/metrics" {
+			if _, _, err := Validate(bytes.NewReader(body)); err != nil {
+				return fmt.Errorf("/metrics: %v", err)
+			}
+		} else if err := json.Unmarshal(body, new(Health)); err != nil {
+			return fmt.Errorf("/healthz: %v", err)
+		}
+		served.Add(1)
+		return nil
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		path := []string{"/metrics", "/healthz"}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := scrape(path); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); served.Load() < 8; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d scrapes served before Close", served.Load())
+		}
+	}
+	t0 := time.Now()
+	srv.Close()
+	if took := time.Since(t0); took > 3500*time.Millisecond {
+		t.Errorf("Close took %v with a stream open, want its 2s grace plus a margin", took)
+	}
+	time.Sleep(20 * time.Millisecond) // let scrapes meet the closed server
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// The stream's handler exits once its connection is gone and gives
+	// its slot back: the hub takes maxSubscribers new subscribers.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var cancels []func()
+		for i := 0; i < maxSubscribers; i++ {
+			if _, _, cancel, ok := p.Subscribe(); ok {
+				cancels = append(cancels, cancel)
+			}
+		}
+		for _, cancel := range cancels {
+			cancel()
+		}
+		if len(cancels) == maxSubscribers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("5s after Close only %d of %d subscriptions are free: the stream kept its slot", len(cancels), maxSubscribers)
 		}
 	}
 }

@@ -69,7 +69,9 @@ func NewManifest(tool string, seed int64) *Manifest {
 // DigestBytes returns the hex sha256 of b, the hash Outputs entries use.
 func DigestBytes(b []byte) string {
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // ComputeDigest returns the deterministic digest of m: the sha256 of

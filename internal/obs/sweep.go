@@ -10,7 +10,7 @@ import "fmt"
 type SweepEventKind string
 
 const (
-	// SweepQueued: a worker picked the cell out of the feed queue.
+	// SweepQueued: a worker claimed the cell from the sweep.
 	SweepQueued SweepEventKind = "queued"
 	// SweepRunning: the cell started.
 	SweepRunning SweepEventKind = "running"

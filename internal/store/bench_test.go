@@ -30,7 +30,7 @@ func matrixStats(i int) *obs.CellStats {
 // matrixShapedStore returns a checkpointed store the size a cold
 // default matrix leaves: 294 entries, each with a small result and a
 // 50-counter telemetry snapshot.
-func matrixShapedStore(b *testing.B) string {
+func matrixShapedStore(b testing.TB) string {
 	b.Helper()
 	dir := b.TempDir()
 	s, err := store.Open(dir)

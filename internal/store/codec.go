@@ -47,7 +47,8 @@ type plan struct {
 	fp  uint64 // fingerprint of the type's shape
 	min int    // fewest bytes a value of the type encodes to (a lower bound)
 	enc func(b []byte, v reflect.Value, depth int) ([]byte, error)
-	dec func(d *decoder, v reflect.Value, depth int) error
+	// dec reads a value from the front of b into v and returns the rest.
+	dec func(b []byte, v reflect.Value, depth int) ([]byte, error)
 	err error // set when the type is not codable
 }
 
@@ -83,25 +84,29 @@ func Encode[T any](v T) ([]byte, error) {
 // b was written for another shape, is short, has bytes left over, or
 // holds anything Encode would not have written.
 func Decode[T any](b []byte) (T, error) {
-	var v T
+	v := new(T)
+	err := decodeInto(b, v)
+	return *v, err
+}
+
+// decodeInto is Decode into storage the caller owns: it allocates
+// nothing beyond what the value itself holds.
+func decodeInto[T any](b []byte, v *T) error {
 	p, err := planFor(reflect.TypeFor[T]())
 	if err != nil {
-		return v, err
+		return err
 	}
 	if len(b) < fingerprintSize {
-		return v, errShort
+		return errShort
 	}
 	if fp := binary.LittleEndian.Uint64(b); fp != p.fp {
-		return v, fmt.Errorf("shape fingerprint %016x, want %016x for %v", fp, p.fp, reflect.TypeFor[T]())
+		return fmt.Errorf("shape fingerprint %016x, want %016x for %v", fp, p.fp, reflect.TypeFor[T]())
 	}
-	d := decoder{b: b[fingerprintSize:]}
-	if err := p.dec(&d, reflect.ValueOf(&v).Elem(), 0); err != nil {
-		return v, err
+	rest, err := p.dec(b[fingerprintSize:], reflect.ValueOf(v).Elem(), 0)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes left over", len(rest))
 	}
-	if len(d.b) != 0 {
-		return v, fmt.Errorf("%d bytes left over", len(d.b))
-	}
-	return v, nil
+	return err
 }
 
 // planFor returns t's plan, compiling it on first use.
@@ -243,56 +248,64 @@ func fingerprint(t reflect.Type) uint64 {
 	return h.Sum64()
 }
 
-// decoder reads an encoding front to back; b is what is left.
-type decoder struct{ b []byte }
+// The readers below take an encoding's unread bytes and return what
+// they read and what is left, as the encoders take and return the
+// bytes written so far.
 
-func (d *decoder) byte() (byte, error) {
-	if len(d.b) == 0 {
-		return 0, errShort
+func readByte(b []byte) (byte, []byte, error) {
+	if len(b) == 0 {
+		return 0, b, errShort
 	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c, nil
+	return b[0], b[1:], nil
 }
 
-// uvarint reads a minimal-length varint: a longer spelling of the same
-// number would not re-encode to the bytes it came from.
-func (d *decoder) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(d.b)
+// readUvarint reads a minimal-length varint: a longer spelling of the
+// same number would not re-encode to the bytes it came from.
+func readUvarint(b []byte) (uint64, []byte, error) {
+	x, n := binary.Uvarint(b)
 	switch {
 	case n == 0:
-		return 0, errShort
+		return 0, b, errShort
 	case n < 0:
-		return 0, errors.New("varint overflows 64 bits")
-	case n > 1 && d.b[n-1] == 0:
-		return 0, errors.New("varint not minimal")
+		return 0, b, errors.New("varint overflows 64 bits")
+	case n > 1 && b[n-1] == 0:
+		return 0, b, errors.New("varint not minimal")
 	}
-	d.b = d.b[n:]
-	return x, nil
+	return x, b[n:], nil
 }
 
-func (d *decoder) fixed(n int) ([]byte, error) {
-	if len(d.b) < n {
-		return nil, errShort
+func readFixed(b []byte, n int) ([]byte, []byte, error) {
+	if len(b) < n {
+		return nil, b, errShort
 	}
-	b := d.b[:n]
-	d.b = d.b[n:]
-	return b, nil
+	return b[:n], b[n:], nil
 }
 
-// length reads a nil-or-length prefix for n elements of at least min
-// bytes each. It refuses a length the rest of the input cannot hold, so
-// a decode never allocates for elements that are not there.
-func (d *decoder) length(min int) (n int, isNil bool, err error) {
-	x, err := d.uvarint()
+// readString reads a length-prefixed string's bytes.
+func readString(b []byte) ([]byte, []byte, error) {
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return nil, b, err
+	}
+	if n > uint64(len(b)) {
+		return nil, b, fmt.Errorf("string of %d bytes exceeds the %d left", n, len(b))
+	}
+	return b[:n], b[n:], nil
+}
+
+// readLength reads a nil-or-length prefix for n elements of at least
+// min bytes each. It refuses a length the rest of the input cannot
+// hold, so a decode never allocates for elements that are not there.
+func readLength(b []byte, min int) (n int, isNil bool, rest []byte, err error) {
+	x, b, err := readUvarint(b)
 	if err != nil || x == 0 {
-		return 0, x == 0, err
+		return 0, x == 0, b, err
 	}
 	x--
-	if x > uint64(len(d.b)) || min > 0 && x > uint64(len(d.b)/min) {
-		return 0, false, fmt.Errorf("length %d exceeds the %d bytes left", x, len(d.b))
+	if x > uint64(len(b)) || min > 0 && x > uint64(len(b)/min) {
+		return 0, false, b, fmt.Errorf("length %d exceeds the %d bytes left", x, len(b))
 	}
-	return int(x), false, nil
+	return int(x), false, b, nil
 }
 
 func encBool(b []byte, v reflect.Value, _ int) ([]byte, error) {
@@ -302,49 +315,49 @@ func encBool(b []byte, v reflect.Value, _ int) ([]byte, error) {
 	return append(b, 0), nil
 }
 
-func decBool(d *decoder, v reflect.Value, _ int) error {
-	c, err := d.byte()
+func decBool(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	c, b, err := readByte(b)
 	if err == nil && c > 1 {
 		err = fmt.Errorf("bool byte %d", c)
 	}
 	v.SetBool(c == 1)
-	return err
+	return b, err
 }
 
 func encInt(b []byte, v reflect.Value, _ int) ([]byte, error) {
 	return binary.AppendVarint(b, v.Int()), nil
 }
 
-func decInt(d *decoder, v reflect.Value, _ int) error {
-	u, err := d.uvarint()
+func decInt(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	u, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return b, err
 	}
 	x := int64(u >> 1)
 	if u&1 != 0 {
 		x = ^x
 	}
 	if v.OverflowInt(x) {
-		return fmt.Errorf("%d overflows %v", x, v.Type())
+		return b, fmt.Errorf("%d overflows %v", x, v.Type())
 	}
 	v.SetInt(x)
-	return nil
+	return b, nil
 }
 
 func encUint(b []byte, v reflect.Value, _ int) ([]byte, error) {
 	return binary.AppendUvarint(b, v.Uint()), nil
 }
 
-func decUint(d *decoder, v reflect.Value, _ int) error {
-	x, err := d.uvarint()
+func decUint(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	x, b, err := readUvarint(b)
 	if err != nil {
-		return err
+		return b, err
 	}
 	if v.OverflowUint(x) {
-		return fmt.Errorf("%d overflows %v", x, v.Type())
+		return b, fmt.Errorf("%d overflows %v", x, v.Type())
 	}
 	v.SetUint(x)
-	return nil
+	return b, nil
 }
 
 // The float codecs go through the value's address: converting a
@@ -355,24 +368,24 @@ func encFloat32(b []byte, v reflect.Value, _ int) ([]byte, error) {
 	return binary.LittleEndian.AppendUint32(b, math.Float32bits(*(*float32)(v.Addr().UnsafePointer()))), nil
 }
 
-func decFloat32(d *decoder, v reflect.Value, _ int) error {
-	raw, err := d.fixed(4)
+func decFloat32(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	raw, b, err := readFixed(b, 4)
 	if err == nil {
 		*(*float32)(v.Addr().UnsafePointer()) = math.Float32frombits(binary.LittleEndian.Uint32(raw))
 	}
-	return err
+	return b, err
 }
 
 func encFloat64(b []byte, v reflect.Value, _ int) ([]byte, error) {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float())), nil
 }
 
-func decFloat64(d *decoder, v reflect.Value, _ int) error {
-	raw, err := d.fixed(8)
+func decFloat64(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	raw, b, err := readFixed(b, 8)
 	if err == nil {
 		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
 	}
-	return err
+	return b, err
 }
 
 func encString(b []byte, v reflect.Value, _ int) ([]byte, error) {
@@ -380,17 +393,23 @@ func encString(b []byte, v reflect.Value, _ int) ([]byte, error) {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...), nil
 }
 
-func decString(d *decoder, v reflect.Value, _ int) error {
-	n, err := d.uvarint()
-	if err != nil {
-		return err
+func decString(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	s, b, err := readString(b)
+	if err == nil {
+		v.SetString(string(s))
 	}
-	if n > uint64(len(d.b)) {
-		return fmt.Errorf("string of %d bytes exceeds the %d left", n, len(d.b))
+	return b, err
+}
+
+// decMapKeyString is decString for a map's string key: the same
+// counter names recur in every stored cell's telemetry, so the name is
+// interned (names) rather than allocated per entry.
+func decMapKeyString(b []byte, v reflect.Value, _ int) ([]byte, error) {
+	s, b, err := readString(b)
+	if err == nil {
+		v.SetString(names.intern(s))
 	}
-	v.SetString(string(d.b[:n]))
-	d.b = d.b[n:]
-	return nil
+	return b, err
 }
 
 func compilePointer(p, elem *plan) {
@@ -404,22 +423,22 @@ func compilePointer(p, elem *plan) {
 		}
 		return elem.enc(append(b, 1), v.Elem(), depth+1)
 	}
-	p.dec = func(d *decoder, v reflect.Value, depth int) error {
-		c, err := d.byte()
+	p.dec = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		c, b, err := readByte(b)
 		switch {
 		case err != nil:
-			return err
+			return b, err
 		case c == 0:
 			v.SetZero()
-			return nil
+			return b, nil
 		case c != 1:
-			return fmt.Errorf("pointer byte %d", c)
+			return b, fmt.Errorf("pointer byte %d", c)
 		case depth == maxDepth:
-			return errDepth
+			return b, errDepth
 		}
 		x := reflect.New(v.Type().Elem())
 		v.Set(x)
-		return elem.dec(d, x.Elem(), depth+1)
+		return elem.dec(b, x.Elem(), depth+1)
 	}
 }
 
@@ -440,25 +459,25 @@ func compileSlice(p *plan, t reflect.Type, elem *plan) {
 		}
 		return b, err
 	}
-	p.dec = func(d *decoder, v reflect.Value, depth int) error {
-		n, isNil, err := d.length(elem.min)
+	p.dec = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		n, isNil, b, err := readLength(b, elem.min)
 		switch {
 		case err != nil:
-			return err
+			return b, err
 		case isNil:
 			v.SetZero()
-			return nil
+			return b, nil
 		case depth == maxDepth:
-			return errDepth
+			return b, errDepth
 		}
 		s := reflect.MakeSlice(t, n, n)
 		for i := 0; i < n; i++ {
-			if err := elem.dec(d, s.Index(i), depth+1); err != nil {
-				return err
+			if b, err = elem.dec(b, s.Index(i), depth+1); err != nil {
+				return b, err
 			}
 		}
 		v.Set(s)
-		return nil
+		return b, nil
 	}
 }
 
@@ -471,13 +490,12 @@ func compileArray(p *plan, n int, elem *plan) {
 		}
 		return b, err
 	}
-	p.dec = func(d *decoder, v reflect.Value, depth int) error {
-		for i := 0; i < n; i++ {
-			if err := elem.dec(d, v.Index(i), depth); err != nil {
-				return err
-			}
+	p.dec = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			b, err = elem.dec(b, v.Index(i), depth)
 		}
-		return nil
+		return b, err
 	}
 }
 
@@ -492,13 +510,12 @@ func compileStruct(p *plan, fields []*plan) {
 		}
 		return b, err
 	}
-	p.dec = func(d *decoder, v reflect.Value, depth int) error {
-		for i, f := range fields {
-			if err := f.dec(d, v.Field(i), depth); err != nil {
-				return err
-			}
+	p.dec = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		var err error
+		for i := 0; i < len(fields) && err == nil; i++ {
+			b, err = fields[i].dec(b, v.Field(i), depth)
 		}
-		return nil
+		return b, err
 	}
 }
 
@@ -508,6 +525,10 @@ func compileMap(p *plan, t reflect.Type, key, elem *plan) {
 	p.min = 1
 	less := mapKeyLess(t.Key().Kind())
 	keys, elems := reflect.SliceOf(t.Key()), reflect.SliceOf(t.Elem())
+	decKey := key.dec
+	if t.Key().Kind() == reflect.String {
+		decKey = decMapKeyString
+	}
 	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
 		if v.IsNil() {
 			return append(b, 0), nil
@@ -537,35 +558,35 @@ func compileMap(p *plan, t reflect.Type, key, elem *plan) {
 		}
 		return b, err
 	}
-	p.dec = func(d *decoder, v reflect.Value, depth int) error {
-		n, isNil, err := d.length(key.min + elem.min)
+	p.dec = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
+		n, isNil, b, err := readLength(b, key.min+elem.min)
 		switch {
 		case err != nil:
-			return err
+			return b, err
 		case isNil:
 			v.SetZero()
-			return nil
+			return b, nil
 		case depth == maxDepth:
-			return errDepth
+			return b, errDepth
 		}
 		m := reflect.MakeMapWithSize(t, n)
 		k, prev := reflect.New(t.Key()).Elem(), reflect.New(t.Key()).Elem()
 		e := reflect.New(t.Elem()).Elem()
 		for i := 0; i < n; i++ {
-			if err := key.dec(d, k, depth+1); err != nil {
-				return err
+			if b, err = decKey(b, k, depth+1); err != nil {
+				return b, err
 			}
 			if i > 0 && !less(prev, k) {
-				return fmt.Errorf("map key %v out of order after %v", k, prev)
+				return b, fmt.Errorf("map key %v out of order after %v", k, prev)
 			}
-			if err := elem.dec(d, e, depth+1); err != nil {
-				return err
+			if b, err = elem.dec(b, e, depth+1); err != nil {
+				return b, err
 			}
 			m.SetMapIndex(k, e)
 			prev.Set(k)
 		}
 		v.Set(m)
-		return nil
+		return b, nil
 	}
 }
 

@@ -183,18 +183,24 @@ func splitFrame(frame []byte) (h, result, stats []byte, ok bool) {
 
 // decodeFrame splits a checksummed frame into its entry, decoding the
 // head only; nil when the payload does not split or the head does not
-// decode.
+// decode. The entry and the head it is decoded from are one allocation,
+// so a frame costs that and the head's non-empty strings.
 func decodeFrame(frame []byte) *Entry {
 	hb, result, stats, ok := splitFrame(frame)
 	if !ok {
 		return nil
 	}
-	h, err := Decode[head](hb)
-	if err != nil {
+	fe := new(struct {
+		Entry
+		h head
+	})
+	h := &fe.h
+	if decodeInto(hb, h) != nil {
 		return nil
 	}
-	return &Entry{Schema: h.Schema, Key: h.Key, Index: h.Index, Attempts: h.Attempts,
+	fe.Entry = Entry{Schema: h.Schema, Key: h.Key, Index: h.Index, Attempts: h.Attempts,
 		Degraded: h.Degraded, Error: h.Error, Result: body(result), Stats: body(stats), frame: frame}
+	return &fe.Entry
 }
 
 // v2Frame reports whether blob starts with an intact frame a
