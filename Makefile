@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench fuzz-smoke
+.PHONY: ci fmt vet build test race fma bench fuzz-smoke
 
 # ci is the gate future PRs run: formatting and static checks, a full
 # build, the complete test suite under the race detector, and a few
@@ -11,14 +11,20 @@ GO ?= go
 # assertion notices them; -race additionally exercises the sweep
 # workers' shared state — parallelMapIndexed's claim counter, the matrix
 # keyer every worker calls, the store's interned counter names — and
-# export.Server shut down under live scrapes; ./bench's smoke test runs every
+# export.Server shut down under live scrapes. The exp tests run in
+# parallel, each on its own exp.Sweep; what they still share is the
+# package-default Sweep (only the bench-surface test touches it), the
+# audit switch and violation counters, and the graceful-stop flag, and
+# the tests that write those run serially. ./bench's smoke test runs every
 # workload of the benchmark at -quick size against its oracle; the
 # calendar-vs-heap differentials and ring-sizing tests live in
 # ./internal/sim and the pinned-stream table; and cmd/smoke_test.go
 # drives the three binaries and the five examples (report, matrix, warm
 # resume, halted-then-resumed, kill-and-resume, live export scrape, timeline, exit codes,
-# profiles).
-ci: fmt vet build race fuzz-smoke
+# profiles). fma cross-compiles the digested path for the four
+# architectures that fuse multiply-adds and fails on any fused
+# instruction: the simulation's answer must not depend on the CPU.
+ci: fmt vet build race fma fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
 fmt:
@@ -35,6 +41,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fma is tagged out of `go test ./...`: on a cold build cache it compiles
+# the standard library four times over.
+fma:
+	$(GO) test -tags fmacheck -run TestNoFusedMultiplyAdd .
 
 # bench smoke-runs every benchmark once; invariants stay disabled so the
 # numbers reflect the production configuration.

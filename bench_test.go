@@ -31,7 +31,7 @@ func BenchmarkEnginePacketsPerSecond(b *testing.B) {
 // deviation noted in EXPERIMENTS.md does not change the conclusion.
 func BenchmarkSACKAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := exp.Fig3(exp.Fig3Config{
+		r := new(exp.Sweep).Fig3(exp.Fig3Config{
 			Scenario: exp.StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: int64(i + 1)},
 			Algos:    []exp.AlgoSpec{exp.SACKTCPAlgo(1.0 / 256)},
 		})[0]

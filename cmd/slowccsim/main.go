@@ -151,11 +151,12 @@ func run() int {
 		return 2
 	}
 
+	// One Sweep carries the run's settings into every roster row.
+	sw := &exp.Sweep{}
 	if *maxEvents > 0 || *deadline > 0 {
-		// A deadline abandons the cell's goroutine; the wall budget makes
-		// the abandoned run actually halt instead of spinning.
-		exp.SetRunBudget(&sim.Budget{MaxEvents: uint64(*maxEvents), MaxWall: *deadline})
-		exp.SetSweepDeadline(*deadline)
+		// The wall budget is also each cell's deadline: a cell over it is
+		// abandoned, and its engine halts instead of spinning.
+		sw.Budget = &sim.Budget{MaxEvents: uint64(*maxEvents), MaxWall: *deadline}
 	}
 	var cellStore *store.Store
 	if *storeDir != "" {
@@ -169,15 +170,13 @@ func run() int {
 				st.Dir(), st.TornTail(), st.Corrupt())
 		}
 		cellStore = st
-		exp.SetSweepStore(st, *resume)
+		sw.Store, sw.Replay = st, *resume
 	}
 	if *faultSpec != "" {
-		exp.SetFaultConfig(&faultCfg)
+		sw.Fault = &faultCfg
 	}
-	var sweepTL *obs.Timeline
 	if *timeline != "" {
-		sweepTL = obs.NewTimeline()
-		exp.SetSweepTimeline(sweepTL)
+		sw.Timeline = obs.NewTimeline()
 	}
 
 	if *cpuProfile != "" {
@@ -239,13 +238,13 @@ func run() int {
 	)
 	if *slogLevel != "" {
 		h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})
-		exp.SetSweepLogger(slog.New(h).With("run", runDigest))
+		sw.Logger = slog.New(h).With("run", runDigest)
 	}
 	if *serve != "" {
 		col := export.NewCollector()
 		prog = export.NewProgress(col)
 		prog.SetRun(runDigest)
-		exp.SetSweepProgress(prog)
+		sw.Progress = prog
 		if cellStore != nil {
 			col.SetCounterFunc("store.hits", cellStore.Hits)
 			col.SetCounterFunc("store.misses", cellStore.Misses)
@@ -281,10 +280,10 @@ func run() int {
 			// Scope generic (non-matrix) sweep keys by run digest and
 			// experiment name: a pure function of the invocation, so an
 			// interrupted and a resumed run derive identical cell keys.
-			exp.SetSweepScope(runDigest + "|" + e.Name)
+			sw.Scope = runDigest + "|" + e.Name
 		}
 		start := time.Now()
-		text, data := e.Run(*full, *seed, matrix)
+		text, data := e.Run(sw, *full, *seed, matrix)
 		if cells, ok := data.([]exp.MatrixCell); ok && *tsvPath != "" {
 			if err := os.WriteFile(*tsvPath, []byte(exp.RenderMatrixTSV(cells)), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "-tsv: %v\n", err)
@@ -312,7 +311,7 @@ func run() int {
 	// Supervised sweeps degrade poisoned cells instead of aborting; make
 	// the degradation loud and durable rather than silent.
 	degraded := false
-	if errs := exp.SweepErrors(); len(errs) > 0 {
+	if errs := sw.Errors(); len(errs) > 0 {
 		fmt.Fprintf(os.Stderr, "%d sweep cell(s) degraded:\n", len(errs))
 		for _, e := range errs {
 			fmt.Fprintf(os.Stderr, "  %v\n", e)
@@ -320,12 +319,12 @@ func run() int {
 		m.Config["degraded_cells"] = strconv.Itoa(len(errs))
 		degraded = true
 	}
-	if sweepTL != nil {
-		if err := sweepTL.WriteFile(*timeline); err != nil {
+	if sw.Timeline != nil {
+		if err := sw.Timeline.WriteFile(*timeline); err != nil {
 			fmt.Fprintf(os.Stderr, "timeline: %v\n", err)
 			return 1
 		}
-		fmt.Printf("sweep timeline written to %s (%d events)\n", *timeline, sweepTL.Len())
+		fmt.Printf("sweep timeline written to %s (%d events)\n", *timeline, sw.Timeline.Len())
 	}
 	if *manifest != "" {
 		m.WallTimeS = time.Since(wallStart).Seconds()

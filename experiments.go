@@ -9,12 +9,13 @@ import "slowcc/internal/exp"
 // single-scenario configs (FairnessConfig, SmoothnessConfig) have no
 // default for what is under test — A and B, Algos and Pattern — and must
 // be given it; DefaultFig7 and DefaultFig17-19 are the paper's choices.
+// Each driver runs under a fresh exp.Sweep, with no settings.
 
 // Experiments returns the evaluation roster — Figures 3-20, the
 // ablations and the extensions — in the order slowccsim -list prints it.
-// Each row runs its experiment at the paper's scale (full) or a reduced
-// one and returns the rendered tables with the typed result; matrix
-// overrides the matrix row's configuration and no other row reads it.
+// Each row runs its experiment, its sweeps under the exp.Sweep it is
+// given, at the paper's scale (full) or a reduced one and returns the
+// rendered tables with the typed result; matrix overrides the matrix row's configuration and no other row reads it.
 func Experiments() []exp.Experiment { return exp.Experiments() }
 
 // Stabilization sweep (Section 4.1, Figures 4-5).
@@ -26,7 +27,7 @@ type (
 )
 
 // Fig45 runs the Figure 4/5 gamma sweep.
-func Fig45(cfg Fig45Config) []Fig45Point { return exp.Fig45(cfg) }
+func Fig45(cfg Fig45Config) []Fig45Point { return new(exp.Sweep).Fig45(cfg) }
 
 // Flash crowd (Section 4.1.2, Figure 6).
 type (
@@ -37,7 +38,7 @@ type (
 )
 
 // Fig6 runs the flash-crowd scenario per background type.
-func Fig6(cfg Fig6Config) []Fig6Result { return exp.Fig6(cfg) }
+func Fig6(cfg Fig6Config) []Fig6Result { return new(exp.Sweep).Fig6(cfg) }
 
 // RenderFig6 formats the Figure 6 timelines.
 func RenderFig6(cfg Fig6Config, res []Fig6Result) string { return exp.RenderFig6(cfg, res) }
@@ -51,7 +52,7 @@ type (
 )
 
 // Fairness runs the CBR-period sweep.
-func Fairness(cfg FairnessConfig) []FairnessPoint { return exp.Fairness(cfg) }
+func Fairness(cfg FairnessConfig) []FairnessPoint { return new(exp.Sweep).Fairness(cfg) }
 
 // DefaultFig7 is Figure 7's configuration, TCP vs TFRC(6).
 func DefaultFig7() FairnessConfig { return exp.DefaultFig7() }
@@ -70,7 +71,7 @@ type (
 )
 
 // Oscillation runs the utilization sweep.
-func Oscillation(cfg OscillationConfig) []OscillationPoint { return exp.Oscillation(cfg) }
+func Oscillation(cfg OscillationConfig) []OscillationPoint { return new(exp.Sweep).Oscillation(cfg) }
 
 // RenderOscillation formats the Figure 14/15/16 tables.
 func RenderOscillation(title string, cfg OscillationConfig, pts []OscillationPoint) string {
@@ -86,7 +87,7 @@ type (
 )
 
 // RunSmoothness runs the scenario for each configured algorithm.
-func RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult { return exp.RunSmoothness(cfg) }
+func RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult { return new(exp.Sweep).RunSmoothness(cfg) }
 
 // DefaultFig17 compares TFRC and TCP(1/8) on the mild pattern.
 func DefaultFig17() SmoothnessConfig { return exp.DefaultFig17() }

@@ -56,5 +56,5 @@ func (p Policy) Increase(cwnd float64) float64 {
 // Decrease implements cc.WindowPolicy: W -> max(1, W - B*W^L).
 func (p Policy) Decrease(cwnd float64) float64 {
 	w := math.Max(cwnd, 1)
-	return math.Max(1, w-p.B*math.Pow(w, p.L))
+	return math.Max(1, w-float64(p.B*math.Pow(w, p.L)))
 }

@@ -165,14 +165,14 @@ func (s *Source) tick() {
 		return
 	}
 	now := s.Eng.Now()
-	pktBits := float64(s.PktSize) * 8
+	pktBits := float64(float64(s.PktSize) * 8)
 
 	// Accrue credit over [lastT, now]. Wake-ups never straddle a
 	// schedule change, so the midpoint level integrates constant
 	// segments exactly and linear ramps by the trapezoid rule.
 	if dt := now - s.lastT; dt > 0 {
-		mid := s.Sched.Level(s.lastT + dt/2)
-		s.credit += s.PeakRate * mid * dt
+		mid := s.Sched.Level(s.lastT + float64(dt/2))
+		s.credit += float64(s.PeakRate * mid * dt)
 	}
 	s.lastT = now
 	// Never bank more than a couple of packets: a CBR source does not

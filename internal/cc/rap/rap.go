@@ -204,7 +204,7 @@ func (s *Sender) Handle(p *netem.Packet) {
 			s.srtt = m
 			s.hasRTT = true
 		} else {
-			s.srtt = 0.9*s.srtt + 0.1*m
+			s.srtt = float64(0.9*s.srtt) + float64(0.1*m)
 		}
 	}
 	if p.AckSeq > s.lastAck+1 && now >= s.holdOff {

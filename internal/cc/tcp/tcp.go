@@ -259,7 +259,7 @@ func (s *Sender) transmit(seq int64, rtx bool) {
 func (s *Sender) rto() sim.Time {
 	base := sim.Time(1.0) // conservative pre-sample default
 	if s.hasRTT {
-		base = s.srtt + 4*s.rttvar
+		base = s.srtt + float64(4*s.rttvar)
 	}
 	if base < s.cfg.MinRTO {
 		base = s.cfg.MinRTO
@@ -359,11 +359,11 @@ func (s *Sender) sampleRTT(m sim.Time) {
 	}
 	// Jacobson/Karels constants g = 1/8, h = 1/4.
 	err := m - s.srtt
-	s.srtt += err / 8
+	s.srtt += float64(err / 8)
 	if err < 0 {
 		err = -err
 	}
-	s.rttvar += (err - s.rttvar) / 4
+	s.rttvar += float64((err - s.rttvar) / 4)
 }
 
 func (s *Sender) onNewAck(cumAck int64) {
@@ -407,7 +407,7 @@ func (s *Sender) onNewAck(cumAck int64) {
 		if s.cwnd < s.ssthresh {
 			s.cwnd += float64(newly) // slow start
 		} else {
-			s.cwnd += float64(newly) * s.cfg.Policy.Increase(s.cwnd)
+			s.cwnd += float64(float64(newly) * s.cfg.Policy.Increase(s.cwnd))
 		}
 	}
 

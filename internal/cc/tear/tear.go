@@ -161,7 +161,7 @@ func (r *Receiver) fold() {
 		r.haveW = true
 		return
 	}
-	r.smoothW = (1-r.Alpha)*r.smoothW + r.Alpha*r.cwnd
+	r.smoothW = float64((1-r.Alpha)*r.smoothW) + float64(r.Alpha*r.cwnd)
 }
 
 func (r *Receiver) scheduleFeedback() {
@@ -293,7 +293,7 @@ func (s *Sender) Handle(p *netem.Packet) {
 		if s.srtt == 0 {
 			s.srtt = 2 * m
 		} else {
-			s.srtt = 0.9*s.srtt + 0.1*2*m
+			s.srtt = float64(0.9*s.srtt) + float64(0.1*2*m)
 		}
 	}
 	if p.FB.RecvRate > 0 {

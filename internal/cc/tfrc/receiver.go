@@ -224,7 +224,7 @@ func (r *Receiver) avgInterval() float64 {
 			if i >= k {
 				break
 			}
-			hsum += r.weights[i] * float64(v)
+			hsum += float64(r.weights[i] * float64(v))
 			hw += r.weights[i]
 		}
 		avgHist := hsum / hw
@@ -244,8 +244,8 @@ func (r *Receiver) avgInterval() float64 {
 		if i+1 >= k {
 			break
 		}
-		dw := r.weights[i+1] * discount
-		sum0 += dw * float64(v)
+		dw := float64(r.weights[i+1] * discount)
+		sum0 += float64(dw * float64(v))
 		w0 += dw
 	}
 	// Without the open interval (no discounting: it only applies when
@@ -255,7 +255,7 @@ func (r *Receiver) avgInterval() float64 {
 		if i >= k {
 			break
 		}
-		sum1 += r.weights[i] * float64(v)
+		sum1 += float64(r.weights[i] * float64(v))
 		w1 += r.weights[i]
 	}
 	avg := math.Max(sum0/w0, sum1/w1)

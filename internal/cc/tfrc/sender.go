@@ -176,7 +176,7 @@ func (s *Sender) Handle(p *netem.Packet) {
 			s.srtt = m
 			s.hasRTT = true
 		} else {
-			s.srtt = 0.9*s.srtt + 0.1*m // TFRC's q = 0.9 EWMA
+			s.srtt = float64(0.9*s.srtt) + float64(0.1*m) // TFRC's q = 0.9 EWMA
 		}
 	}
 	fb := p.FB

@@ -14,15 +14,17 @@ import (
 	"slowcc/internal/trace"
 )
 
-// Audit mode (sweepEnv.audit) makes every scenario a figure driver
+// Audit mode (supervision.audit) makes every scenario a figure driver
 // constructs run under the internal/invariant auditing layer: packet
 // conservation on every link, clock sanity on every event, and per-flow
-// byte and bound checks. There is no exported switch: the exp suite's
-// TestMain sets the field for the whole package, so the scaled-down
-// figure suite cannot pass while any accounting invariant is broken;
-// benchmarks and production runs leave it off and pay only a nil check
-// per event. Violations land in supervision (auditTotal, violations),
-// shared across engines because sweep drivers run scenarios concurrently.
+// byte and bound checks. It is a package switch, not a Sweep setting,
+// and nothing exported flips it: the exp suite's TestMain turns it on
+// for the whole package, so no test's Sweep can leave it out and the
+// scaled-down figure suite cannot pass while any accounting invariant
+// is broken; benchmarks and production runs leave it off and pay only
+// a nil check per event. Violations land in supervision (auditTotal,
+// violations), shared across engines because sweep drivers run
+// scenarios concurrently.
 
 // auditMaxRecorded caps how many violations are kept beside the count.
 const auditMaxRecorded = 200
@@ -43,7 +45,7 @@ func recordAuditViolation(v invariant.Violation) {
 }
 
 // newScenario constructs the engine and dumbbell a figure driver runs
-// on: buildScenario with the sweep's fault configuration.
+// on: buildScenario with the Sweep's fault configuration.
 func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topology.Net) {
 	return c.buildScenario(seed, tc, nil, nil, 0)
 }
@@ -51,32 +53,29 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // buildScenario is the one place a figure or matrix scenario gets its
 // engine and topology: the paper's dumbbell tc or, when chain is
 // non-nil, that chain instead. c is the sweep cell the scenario runs
-// under, nil outside supervised sweeps — a nil cell reads the package's
-// settings at the call, a cell carries its sweep's snapshot; the seed
-// drives the engine, the topology's queues and, unless the configuration
-// names its own, the fault stream. It applies the run budget (the
-// -max-events CLI path); attaches the fault configuration — explicit fc,
-// else the -fault one — to the forward link of hop faultHop, so
-// multi-bottleneck scenarios pick which hop degrades; wires the
-// invariant auditor through every link when audit mode is on, with a
-// trace ring over the first forward hop that the auditor's first
-// violation dumps when the audit dump directory is set; registers the
-// topology with the cell's live-telemetry collector; and records it on
-// the cell, whose supervisor releases it if the cell succeeds
-// (Cell.release).
+// under, whose Sweep's settings apply; a nil cell, outside supervised
+// sweeps, runs with none. The seed drives the engine, the topology's
+// queues and, unless the configuration names its own, the fault stream.
+// It applies the run budget (the -max-events CLI path); attaches the
+// fault configuration — explicit fc, else the -fault one — to the
+// forward link of hop faultHop, so multi-bottleneck scenarios pick which
+// hop degrades; wires the invariant auditor through every link when
+// audit mode is on, with a trace ring over the first forward hop that
+// the auditor's first violation dumps when the audit dump directory is
+// set; registers the topology with the cell's live-telemetry collector;
+// and records it on the cell, whose supervisor releases it if the cell
+// succeeds (Cell.release).
 func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.NetConfig, fc *faults.Config, faultHop int) (*sim.Engine, *topology.Net) {
 	eng := sim.New(seed)
-	var env sweepEnv
-	if c == nil {
-		env = currentEnv() // outside any sweep: the settings as they are now
-	} else {
-		env = *c.env
+	sw := &Sweep{} // outside any sweep: no settings
+	if c != nil {
+		sw = c.sw
 	}
-	if env.budget != nil {
-		eng.SetBudget(env.budget)
+	if sw.Budget != nil {
+		eng.SetBudget(sw.Budget)
 	}
 	if fc == nil {
-		fc = env.fault
+		fc = sw.Fault
 	}
 	var inj *faults.Injector
 	if fc != nil && fc.Enabled() {
@@ -86,8 +85,11 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 		}
 		inj = faults.New(eng, cfg)
 	}
+	supervision.mu.Lock()
+	audit, flightDir := supervision.audit, supervision.auditFlightDir
+	supervision.mu.Unlock()
 	var a *invariant.Auditor
-	if env.audit {
+	if audit {
 		a = invariant.New(eng)
 		a.Report = recordAuditViolation
 	}
@@ -104,10 +106,10 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 		}
 		n = topology.NewNet(eng, nc)
 	}
-	if a != nil && env.auditFlightDir != "" {
+	if a != nil && flightDir != "" {
 		ring := &trace.Recorder{Limit: flightRingSize}
 		n.Fwd[0].AddTap(ring.LinkTap())
-		path := filepath.Join(env.auditFlightDir, fmt.Sprintf("flight-%d.tsv", supervision.flightSeq.Add(1)))
+		path := filepath.Join(flightDir, fmt.Sprintf("flight-%d.tsv", supervision.flightSeq.Add(1)))
 		a.Report = func(v invariant.Violation) {
 			if a.Total == 1 { // the lead-up; later violations are usually cascade
 				dumpRing(ring, path)
@@ -121,8 +123,8 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 	// after the job returns. Folding the event stream is per-event work,
 	// so only a live sink gets a digest, and a store records whatever the
 	// cell ran with.
-	if c != nil && (env.sink != nil || env.store != nil) {
-		c.observe(n, env.sink != nil)
+	if c != nil && (sw.Progress != nil || sw.Store != nil) {
+		c.observe(n, sw.Progress != nil)
 	}
 	if c != nil {
 		c.nets = append(c.nets, n)

@@ -14,6 +14,7 @@ import (
 // event was scheduled with a different (time, seq) order.
 
 func TestDeterminismFig3PooledVsUnpooled(t *testing.T) {
+	t.Parallel()
 	run := func(disable bool) StabilizationResult {
 		return runStabilization(noCell, StabilizationConfig{
 			Algo:  TCPAlgo(0.5),
@@ -31,8 +32,10 @@ func TestDeterminismFig3PooledVsUnpooled(t *testing.T) {
 }
 
 func TestDeterminismFairnessPooledVsUnpooled(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	run := func(disable bool) []FairnessPoint {
-		return Fairness(FairnessConfig{
+		return sw.Fairness(FairnessConfig{
 			A: TCPAlgo(0.5), B: TFRCAlgo(TFRCOpts{}),
 			AFlows: 2, BFlows: 2,
 			Periods: []float64{2},
@@ -52,6 +55,7 @@ func TestDeterminismFairnessPooledVsUnpooled(t *testing.T) {
 // with each other too (guards against pool state bleeding across runs
 // through any accidentally shared global).
 func TestDeterminismRepeatRun(t *testing.T) {
+	t.Parallel()
 	run := func() StabilizationResult {
 		return runStabilization(noCell, StabilizationConfig{
 			Algo:  TFRCAlgo(TFRCOpts{}),

@@ -14,6 +14,7 @@ func quickStab() StabilizationConfig {
 }
 
 func TestStabilizationScenarioSane(t *testing.T) {
+	t.Parallel()
 	cfg := quickStab()
 	cfg.Algo = TCPAlgo(0.5)
 	r := runStabilization(noCell, cfg)
@@ -29,6 +30,7 @@ func TestStabilizationScenarioSane(t *testing.T) {
 }
 
 func TestSelfClockingReducesStabilizationCost(t *testing.T) {
+	t.Parallel()
 	// The paper's headline: TFRC(256) without self-clocking has a
 	// stabilization cost orders of magnitude above TCP; the conservative
 	// option repairs it. The compressed timeline keeps the contrast.
@@ -44,11 +46,13 @@ func TestSelfClockingReducesStabilizationCost(t *testing.T) {
 }
 
 func TestFig3AndRender(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := Fig3Config{
 		Scenario: quickStab(),
 		Algos:    []AlgoSpec{TCPAlgo(1.0 / 64), TFRCAlgo(TFRCOpts{K: 64})},
 	}
-	res := Fig3(cfg)
+	res := sw.Fig3(cfg)
 	if len(res) != 2 {
 		t.Fatalf("Fig3 returned %d results", len(res))
 	}
@@ -61,8 +65,10 @@ func TestFig3AndRender(t *testing.T) {
 }
 
 func TestFig45SweepShape(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := Fig45Config{Scenario: quickStab(), MaxGamma: 2}
-	pts := Fig45(cfg)
+	pts := sw.Fig45(cfg)
 	// 5 families x gammas {1, 2}.
 	if len(pts) != 10 {
 		t.Fatalf("Fig45 returned %d points, want 10", len(pts))
@@ -84,6 +90,8 @@ func TestFig45SweepShape(t *testing.T) {
 }
 
 func TestFig6FlashCrowdGrabsBandwidth(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := Fig6Config{
 		Backgrounds:   []AlgoSpec{TCPAlgo(0.5)},
 		Flows:         4,
@@ -93,7 +101,7 @@ func TestFig6FlashCrowdGrabsBandwidth(t *testing.T) {
 		End:           25,
 		Seed:          1,
 	}
-	res := Fig6(cfg)
+	res := sw.Fig6(cfg)
 	if len(res) != 1 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -117,6 +125,8 @@ func TestFig6FlashCrowdGrabsBandwidth(t *testing.T) {
 }
 
 func TestFairnessTCPBeatsTFRCUnderOscillation(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	// Figure 7's long-term claim at a mid-range period: varying network
 	// conditions favor TCP over TFRC, and never the reverse.
 	cfg := DefaultFig7()
@@ -124,7 +134,7 @@ func TestFairnessTCPBeatsTFRCUnderOscillation(t *testing.T) {
 	cfg.Warmup = 15
 	cfg.Measure = 60
 	cfg.Seed = 1
-	pts := Fairness(cfg)
+	pts := sw.Fairness(cfg)
 	if len(pts) != 1 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -145,12 +155,14 @@ func TestFairnessTCPBeatsTFRCUnderOscillation(t *testing.T) {
 }
 
 func TestConvergenceFastForStandardTCP(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := ConvergenceConfig{
 		SecondStart: 15,
 		Horizon:     120,
 		Seeds:       []int64{1, 2},
 	}
-	r := convergence(cfg, []AlgoSpec{TCPAlgo(0.5)})[0]
+	r := sw.convergence(cfg, []AlgoSpec{TCPAlgo(0.5)})[0]
 	if r.Converged == 0 {
 		t.Fatal("two standard TCP flows never reached 0.1-fairness in 120s")
 	}
@@ -160,13 +172,15 @@ func TestConvergenceFastForStandardTCP(t *testing.T) {
 }
 
 func TestConvergenceSlowerForSmallB(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	mk := func(b float64) sim.Time {
 		cfg := ConvergenceConfig{
 			SecondStart: 15,
 			Horizon:     200,
 			Seeds:       []int64{1},
 		}
-		r := convergence(cfg, []AlgoSpec{TCPAlgo(b)})[0]
+		r := sw.convergence(cfg, []AlgoSpec{TCPAlgo(b)})[0]
 		if r.Converged == 0 {
 			return 1e9 // treat as beyond horizon
 		}
@@ -180,6 +194,7 @@ func TestConvergenceSlowerForSmallB(t *testing.T) {
 }
 
 func TestFig11ModelShape(t *testing.T) {
+	t.Parallel()
 	pts := Fig11(0.1, 0.1, 256)
 	if len(pts) == 0 {
 		t.Fatal("no points")
@@ -195,8 +210,10 @@ func TestFig11ModelShape(t *testing.T) {
 }
 
 func TestFig13SlownessReducesFk(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := Fig13Config{StopAt: 40, MaxGamma: 8, Seed: 1}
-	pts := Fig13(cfg)
+	pts := sw.Fig13(cfg)
 	byKey := map[string]Fig13Point{}
 	for _, p := range pts {
 		byKey[p.Family+string(rune('0'+p.Gamma))] = p
@@ -222,6 +239,8 @@ func TestFig13SlownessReducesFk(t *testing.T) {
 }
 
 func TestOscillationQuick(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := OscillationConfig{
 		Algos:   []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 6, HistoryDiscounting: true})},
 		Periods: []sim.Time{0.4, 6.4},
@@ -229,7 +248,7 @@ func TestOscillationQuick(t *testing.T) {
 		Measure: 40,
 		Seed:    1,
 	}
-	pts := Oscillation(cfg)
+	pts := sw.Oscillation(cfg)
 	if len(pts) != 4 {
 		t.Fatalf("%d points, want 4", len(pts))
 	}
@@ -247,10 +266,12 @@ func TestOscillationQuick(t *testing.T) {
 }
 
 func TestSmoothnessMildPatternFavorsTFRC(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := DefaultFig17()
 	cfg.Duration = 80
 	cfg.Seed = 1
-	res := RunSmoothness(cfg)
+	res := sw.RunSmoothness(cfg)
 	if len(res) != 2 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -270,10 +291,12 @@ func TestSmoothnessMildPatternFavorsTFRC(t *testing.T) {
 }
 
 func TestSmoothnessSeverePatternHurtsTFRC(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := DefaultFig18()
 	cfg.Duration = 80
 	cfg.Seed = 1
-	res := RunSmoothness(cfg)
+	res := sw.RunSmoothness(cfg)
 	tfrcRes := res[0]
 	tcp18 := res[1]
 	// The adversarial pattern exploits TFRC's long memory: TFRC must not
@@ -286,6 +309,7 @@ func TestSmoothnessSeverePatternHurtsTFRC(t *testing.T) {
 }
 
 func TestFig20ModelTable(t *testing.T) {
+	t.Parallel()
 	pts := Fig20(nil)
 	if len(pts) == 0 {
 		t.Fatal("no points")
@@ -315,6 +339,7 @@ func TestFig20ModelTable(t *testing.T) {
 }
 
 func TestGammaSteps(t *testing.T) {
+	t.Parallel()
 	got := gammaSteps(256)
 	want := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	if len(got) != len(want) {
@@ -328,6 +353,7 @@ func TestGammaSteps(t *testing.T) {
 }
 
 func TestFracName(t *testing.T) {
+	t.Parallel()
 	cases := map[float64]string{0.5: "1/2", 0.125: "1/8", 1.0 / 256: "1/256", 0.3: "0.3"}
 	for b, want := range cases {
 		if got := fracName(b); got != want {

@@ -14,14 +14,15 @@ type Experiment struct {
 	Desc string
 	// Run runs the experiment with the paper's full parameters, or at the
 	// reduced scale written beside its driver, and returns the rendered
-	// tables and the typed result they were rendered from. matrix carries
-	// what the invocation overrode of the matrix row's configuration; no
-	// other row reads it.
-	Run func(full bool, seed int64, matrix MatrixConfig) (text string, data any)
+	// tables and the typed result they were rendered from. Its sweeps run
+	// under sw, the invocation's settings. matrix carries what the
+	// invocation overrode of the matrix row's configuration; no other row
+	// reads it.
+	Run func(sw *Sweep, full bool, seed int64, matrix MatrixConfig) (text string, data any)
 }
 
 // runFunc is the type of Experiment.Run.
-type runFunc = func(full bool, seed int64, matrix MatrixConfig) (text string, data any)
+type runFunc = func(sw *Sweep, full bool, seed int64, matrix MatrixConfig) (text string, data any)
 
 // experiments is the roster, in the order -list prints it.
 var experiments = []Experiment{
@@ -31,9 +32,9 @@ var experiments = []Experiment{
 	{"fig7", "long-term fairness: TCP vs TFRC(6) under oscillation", fairnessExperiment("", "Figure 7", DefaultFig7())},
 	{"fig8", "long-term fairness: TCP vs TCP(1/8)", fairnessExperiment("", "Figure 8", DefaultFig8())},
 	{"fig9", "long-term fairness: TCP vs SQRT(1/2)", fairnessExperiment("", "Figure 9", DefaultFig9())},
-	{"fig10", "0.1-fair convergence time for TCP(b)", convergenceExperiment("Figure 10: TCP(b)", Fig10)},
+	{"fig10", "0.1-fair convergence time for TCP(b)", convergenceExperiment("Figure 10: TCP(b)", (*Sweep).Fig10)},
 	{"fig11", "analytic expected ACKs to 0.1-fairness", fig11Experiment},
-	{"fig12", "0.1-fair convergence time for TFRC(k)", convergenceExperiment("Figure 12: TFRC(k)", Fig12)},
+	{"fig12", "0.1-fair convergence time for TFRC(k)", convergenceExperiment("Figure 12: TFRC(k)", (*Sweep).Fig12)},
 	{"fig13", "f(20)/f(200) utilization after bandwidth doubling", fig13Experiment},
 	{"fig14", "utilization and drop rate under 3:1 oscillation (Figs 14+15)", oscillationExperiment("Figures 14/15 (3:1)", 0)},
 	{"fig16", "utilization under 10:1 oscillation", oscillationExperiment("Figure 16 (10:1)", 13.5e6)},

@@ -15,8 +15,8 @@ import (
 // nothing copied from another driver. Each cell reports the first draw
 // of its engine's RNG — a fingerprint of the seed the engine was built
 // on — and cell 1 panics, after traffic has flowed.
-func toyCells(seed int64) []int64 {
-	return supervisedMap(2, func(c *Cell) int64 {
+func toyCells(sw *Sweep, seed int64) []int64 {
+	return supervisedMap(sw, 2, func(c *Cell) int64 {
 		eng, d := c.newScenario(seed, topology.Config{Rate: 1e6})
 		draw := eng.Rand().Int63()
 		f := TCPAlgo(0.5).Make(eng, d, 1)
@@ -36,16 +36,18 @@ func toyCells(seed int64) []int64 {
 // Experiments().
 func TestNewExperimentIsOneRow(t *testing.T) {
 	const base = 7
-	row := Experiment{"toy", "two supervised cells", func(_ bool, seed int64, _ MatrixConfig) (string, any) {
-		res := toyCells(seed)
+	row := Experiment{"toy", "two supervised cells", func(sw *Sweep, _ bool, seed int64, _ MatrixConfig) (string, any) {
+		res := toyCells(sw, seed)
 		return "toy\n", res
 	}}
 	saved := experiments
 	experiments = append(experiments[:len(experiments):len(experiments)], row)
 	t.Cleanup(func() { experiments = saved })
 
-	withDeadline(t, 0)
-	sink := withSink(t)
+	// Serial: the roster is package state.
+	sink := &recordingSink{}
+	sw := newSweep(t)
+	sw.Progress = sink
 
 	// slowccsim -list prints Experiments(); -exp NAME and -exp all select
 	// from it, names compared case-insensitively.
@@ -58,7 +60,7 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 	if toy.Desc != row.Desc {
 		t.Fatalf("the row appended to the table is not in Experiments(): %+v", Experiments())
 	}
-	_, data := toy.Run(false, base, MatrixConfig{})
+	_, data := toy.Run(sw, false, base, MatrixConfig{})
 
 	draws := data.([]int64)
 	if want := sim.New(base).Rand().Int63(); draws[0] != want {
@@ -67,8 +69,8 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 	if draws[1] != 0 {
 		t.Errorf("cell 1 drew %d, want the zero value of a degraded cell", draws[1])
 	}
-	if errs := SweepErrors(); len(errs) != 1 || errs[0].Index != 1 || errs[0].Outcome != "panic" {
-		t.Errorf("SweepErrors = %v, want cell 1's panic, once", errs)
+	if errs := sw.Errors(); len(errs) != 1 || errs[0].Index != 1 || errs[0].Outcome != "panic" {
+		t.Errorf("Errors = %v, want cell 1's panic, once", errs)
 	}
 
 	sink.mu.Lock()
@@ -83,6 +85,8 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 }
 
 func TestRosterInvariants(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	seen := map[string]bool{}
 	for _, e := range Experiments() {
 		if e.Name == "" || e.Desc == "" || e.Run == nil {
@@ -98,7 +102,7 @@ func TestRosterInvariants(t *testing.T) {
 			if e.Name != name {
 				continue
 			}
-			text, data := e.Run(false, 1, MatrixConfig{})
+			text, data := e.Run(sw, false, 1, MatrixConfig{})
 			if text == "" {
 				t.Errorf("%s: empty text", name)
 			}
@@ -115,6 +119,8 @@ func TestRosterInvariants(t *testing.T) {
 // Every renderer must survive the result of a sweep that ran no cells
 // (an explicitly empty algorithm list reaches them from the facade).
 func TestRenderersAcceptEmptyResults(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	renderers := map[string]func(){
 		"Fig3":          func() { RenderFig3(nil) },
 		"Fig45":         func() { RenderFig45(nil) },
@@ -146,9 +152,9 @@ func TestRenderersAcceptEmptyResults(t *testing.T) {
 		})
 	}
 	// The two facade calls that used to reach the panic.
-	RenderSmoothness("", SmoothnessConfig{Pattern: MildBurstyPattern}, RunSmoothness(SmoothnessConfig{Pattern: MildBurstyPattern}))
+	RenderSmoothness("", SmoothnessConfig{Pattern: MildBurstyPattern}, sw.RunSmoothness(SmoothnessConfig{Pattern: MildBurstyPattern}))
 	cfg := Fig6Config{Backgrounds: []AlgoSpec{}}
-	RenderFig6(cfg, Fig6(cfg))
+	RenderFig6(cfg, sw.Fig6(cfg))
 }
 
 // A driver runs its scenarios as the cells of one supervised sweep, so a
@@ -158,25 +164,28 @@ func TestRenderersAcceptEmptyResults(t *testing.T) {
 // cells have different result types, which one sweep cannot carry until
 // a row's cells are planned apart from its reduce.
 func TestDriverRunsOneSweep(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
 	conv := ConvergenceConfig{SecondStart: 5, Horizon: 10, Seeds: []int64{1}}
 	smooth := DefaultFig17()
 	smooth.Duration, smooth.Warmup = 10, 5
 	for _, tc := range []struct {
 		name          string
 		sweeps, cells int
-		run           func()
+		run           func(sw *Sweep)
 	}{
-		{"Fig10", 1, 4, func() { Fig10(conv, 16) }},
-		{"Fig12", 1, 5, func() { Fig12(conv, 16) }},
-		{"RunSmoothness", 1, 2, func() { RunSmoothness(smooth) }},
-		{"RTTFairness", 1, 2, func() { RTTFairness(RTTFairnessConfig{Warmup: 2, Measure: 5}) }},
-		{"StaticCompat", 1, 21, func() { StaticCompat(StaticCompatConfig{Warmup: 2, Measure: 5}) }},
-		{"ablation-tear", 2, 5, func() { tearExperiment(false, 1, MatrixConfig{}) }},
+		{"Fig10", 1, 4, func(sw *Sweep) { sw.Fig10(conv, 16) }},
+		{"Fig12", 1, 5, func(sw *Sweep) { sw.Fig12(conv, 16) }},
+		{"RunSmoothness", 1, 2, func(sw *Sweep) { sw.RunSmoothness(smooth) }},
+		{"RTTFairness", 1, 2, func(sw *Sweep) { sw.RTTFairness(RTTFairnessConfig{Warmup: 2, Measure: 5}) }},
+		{"StaticCompat", 1, 21, func(sw *Sweep) { sw.StaticCompat(StaticCompatConfig{Warmup: 2, Measure: 5}) }},
+		{"ablation-tear", 2, 5, func(sw *Sweep) { tearExperiment(sw, false, 1, MatrixConfig{}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := withSink(t)
-			tc.run()
+			t.Parallel()
+			sink := &recordingSink{}
+			sw := newSweep(t)
+			sw.Progress = sink
+			tc.run(sw)
 			sweeps, cells := 0, 0
 			for _, ev := range sink.events {
 				if ev.Kind == obs.SweepQueued {

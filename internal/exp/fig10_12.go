@@ -71,10 +71,10 @@ type convergenceTrial struct {
 // convergence measures each algorithm over cfg.Seeds as one sweep of
 // algorithm × seed cells, and averages each algorithm's converged
 // trials.
-func convergence(cfg ConvergenceConfig, algos []AlgoSpec) []ConvergenceResult {
+func (sw *Sweep) convergence(cfg ConvergenceConfig, algos []AlgoSpec) []ConvergenceResult {
 	cfg.fill()
 	seeds := len(cfg.Seeds)
-	trials := supervisedMap(len(algos)*seeds, func(c *Cell) convergenceTrial {
+	trials := supervisedMap(sw, len(algos)*seeds, func(c *Cell) convergenceTrial {
 		return runConvergence(c, cfg, algos[c.Index()/seeds], cfg.Seeds[c.Index()%seeds])
 	})
 	out := make([]ConvergenceResult, len(algos))
@@ -111,7 +111,7 @@ func runConvergence(c *Cell, cfg ConvergenceConfig, algo AlgoSpec, seed int64) c
 }
 
 // Fig10 sweeps TCP(b) over b = 1/2 ... 1/maxGamma.
-func Fig10(cfg ConvergenceConfig, maxGamma int) []ConvergenceResult {
+func (sw *Sweep) Fig10(cfg ConvergenceConfig, maxGamma int) []ConvergenceResult {
 	if maxGamma == 0 {
 		maxGamma = 256
 	}
@@ -122,11 +122,11 @@ func Fig10(cfg ConvergenceConfig, maxGamma int) []ConvergenceResult {
 		}
 		algos = append(algos, TCPAlgo(1/float64(g)))
 	}
-	return convergence(cfg, algos)
+	return sw.convergence(cfg, algos)
 }
 
 // Fig12 sweeps TFRC(k) over k = 1 ... maxK.
-func Fig12(cfg ConvergenceConfig, maxK int) []ConvergenceResult {
+func (sw *Sweep) Fig12(cfg ConvergenceConfig, maxK int) []ConvergenceResult {
 	if maxK == 0 {
 		maxK = 256
 	}
@@ -134,7 +134,7 @@ func Fig12(cfg ConvergenceConfig, maxK int) []ConvergenceResult {
 	for _, k := range gammaSteps(maxK) {
 		algos = append(algos, TFRCAlgo(TFRCOpts{K: k, HistoryDiscounting: true}))
 	}
-	return convergence(cfg, algos)
+	return sw.convergence(cfg, algos)
 }
 
 // RenderConvergence prints a Figure 10/12 style table.
@@ -189,19 +189,19 @@ func RenderFig11(p, delta float64, pts []Fig11Point) string {
 // convergenceExperiment is the roster row of a convergence sweep: three
 // seeds to 256 within the default horizon, or one seed to 16 within
 // 200 s at reduced scale.
-func convergenceExperiment(title string, sweep func(ConvergenceConfig, int) []ConvergenceResult) runFunc {
-	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+func convergenceExperiment(title string, sweep func(*Sweep, ConvergenceConfig, int) []ConvergenceResult) runFunc {
+	return func(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 		cfg, max := ConvergenceConfig{Seeds: []int64{seed, seed + 1, seed + 2}}, 256
 		if !full {
 			cfg, max = ConvergenceConfig{Horizon: 200, Seeds: []int64{seed}}, 16
 		}
-		res := sweep(cfg, max)
+		res := sweep(sw, cfg, max)
 		cfg.fill()
 		return RenderConvergence(title, res, cfg.Horizon), res
 	}
 }
 
-func fig11Experiment(bool, int64, MatrixConfig) (string, any) {
+func fig11Experiment(*Sweep, bool, int64, MatrixConfig) (string, any) {
 	res := Fig11(0.1, 0.1, 256)
 	return RenderFig11(0.1, 0.1, res), res
 }

@@ -56,7 +56,7 @@ type Fig13Point struct {
 // Fig13 runs the sweep for TCP(1/b), SQRT(1/b) and TFRC(b). Following
 // the paper, the TFRC runs disable history discounting to isolate the
 // equation-driven response.
-func Fig13(cfg Fig13Config) []Fig13Point {
+func (sw *Sweep) Fig13(cfg Fig13Config) []Fig13Point {
 	cfg.fill()
 	families := []struct {
 		name string
@@ -77,7 +77,7 @@ func Fig13(cfg Fig13Config) []Fig13Point {
 			jobs = append(jobs, job{fam.name, g, fam.mk(g)})
 		}
 	}
-	return supervisedMap(len(jobs), func(c *Cell) Fig13Point {
+	return supervisedMap(sw, len(jobs), func(c *Cell) Fig13Point {
 		j := jobs[c.Index()]
 		return runFig13(c, cfg, j.family, j.gamma, j.algo)
 	})
@@ -142,12 +142,12 @@ func RenderFig13(cfg Fig13Config, pts []Fig13Point) string {
 	return b.String()
 }
 
-func fig13Experiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func fig13Experiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := Fig13Config{Seed: seed}
 	if !full {
 		cfg.StopAt = 60
 		cfg.MaxGamma = 16
 	}
-	res := Fig13(cfg)
+	res := sw.Fig13(cfg)
 	return RenderFig13(cfg, res), res
 }

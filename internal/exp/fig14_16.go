@@ -81,7 +81,7 @@ type OscillationPoint struct {
 
 // Oscillation runs the sweep for every algorithm and period, in
 // parallel.
-func Oscillation(cfg OscillationConfig) []OscillationPoint {
+func (sw *Sweep) Oscillation(cfg OscillationConfig) []OscillationPoint {
 	cfg.fill()
 	type job struct {
 		algo   AlgoSpec
@@ -93,7 +93,7 @@ func Oscillation(cfg OscillationConfig) []OscillationPoint {
 			jobs = append(jobs, job{a, p})
 		}
 	}
-	return supervisedMap(len(jobs), func(c *Cell) OscillationPoint {
+	return supervisedMap(sw, len(jobs), func(c *Cell) OscillationPoint {
 		return runOscillation(c, cfg, jobs[c.Index()].algo, jobs[c.Index()].period)
 	})
 }
@@ -164,14 +164,14 @@ func RenderOscillation(title string, cfg OscillationConfig, pts []OscillationPoi
 // the given CBR peak (0: the 3:1 default); reduced scale sweeps four
 // periods with a 10 s warmup and a 60 s window.
 func oscillationExperiment(title string, cbrPeak float64) runFunc {
-	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+	return func(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 		cfg := OscillationConfig{CBRPeak: cbrPeak, Seed: seed}
 		if !full {
 			cfg.Periods = []sim.Time{0.1, 0.4, 1.6, 6.4}
 			cfg.Warmup = 10
 			cfg.Measure = 60
 		}
-		res := Oscillation(cfg)
+		res := sw.Oscillation(cfg)
 		return RenderOscillation(title, cfg, res), res
 	}
 }

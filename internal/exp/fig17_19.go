@@ -81,9 +81,9 @@ func SevereBurstyPattern() netem.DropPattern {
 
 // RunSmoothness runs the scenario for each algorithm, one sweep cell
 // each.
-func RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult {
+func (sw *Sweep) RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult {
 	cfg.fill()
-	return supervisedMap(len(cfg.Algos), func(c *Cell) SmoothnessResult {
+	return supervisedMap(sw, len(cfg.Algos), func(c *Cell) SmoothnessResult {
 		return runSmoothnessOne(c, cfg, cfg.Algos[c.Index()])
 	})
 }
@@ -194,13 +194,13 @@ func DefaultFig19() SmoothnessConfig {
 // smoothnessExperiment is the roster row of a smoothness figure: 120 s,
 // or 80 s at reduced scale.
 func smoothnessExperiment(title string, base SmoothnessConfig) runFunc {
-	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+	return func(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 		cfg := base
 		cfg.Seed = seed
 		if !full {
 			cfg.Duration = 80
 		}
-		res := RunSmoothness(cfg)
+		res := sw.RunSmoothness(cfg)
 		return RenderSmoothness(title, cfg, res), res
 	}
 }

@@ -81,7 +81,7 @@ func (p Fig20Point) MarshalJSON() ([]byte, error) {
 	}{p.P, opt(p.PureAIMD), opt(p.Reno), opt(p.AIMDTimeouts)})
 }
 
-func fig20Experiment(bool, int64, MatrixConfig) (string, any) {
+func fig20Experiment(*Sweep, bool, int64, MatrixConfig) (string, any) {
 	res := Fig20(nil)
 	return RenderFig20(res), res
 }

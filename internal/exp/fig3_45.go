@@ -146,9 +146,9 @@ func DefaultFig3() Fig3Config {
 
 // Fig3 runs the drop-rate timeline for each algorithm, in parallel.
 // Cells run supervised: a pathological algorithm degrades its own
-// column (see SweepErrors) instead of aborting the figure.
-func Fig3(cfg Fig3Config) []StabilizationResult {
-	return supervisedMap(len(cfg.Algos), func(c *Cell) StabilizationResult {
+// column (see Sweep.Errors) instead of aborting the figure.
+func (sw *Sweep) Fig3(cfg Fig3Config) []StabilizationResult {
+	return supervisedMap(sw, len(cfg.Algos), func(c *Cell) StabilizationResult {
 		sc := cfg.Scenario
 		sc.Algo = cfg.Algos[c.Index()]
 		return runStabilization(c, sc)
@@ -199,7 +199,7 @@ type Fig45Point struct {
 
 // Fig45 runs the sweep. Families follow the paper: TCP(1/g), RAP(1/g),
 // SQRT(1/g), TFRC(g), and TFRC(g) with self-clocking.
-func Fig45(cfg Fig45Config) []Fig45Point {
+func (sw *Sweep) Fig45(cfg Fig45Config) []Fig45Point {
 	if cfg.MaxGamma == 0 {
 		cfg.MaxGamma = 256
 	}
@@ -224,7 +224,7 @@ func Fig45(cfg Fig45Config) []Fig45Point {
 			jobs = append(jobs, job{fam.name, g, fam.mk})
 		}
 	}
-	return supervisedMap(len(jobs), func(c *Cell) Fig45Point {
+	return supervisedMap(sw, len(jobs), func(c *Cell) Fig45Point {
 		j := jobs[c.Index()]
 		sc := cfg.Scenario
 		sc.Algo = j.mk(j.gamma)
@@ -293,23 +293,23 @@ func stabScenario(full bool, seed int64) StabilizationConfig {
 	return StabilizationConfig{OffAt: 50, OnAt: 60, End: 120, Seed: seed}
 }
 
-func fig3Experiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func fig3Experiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := DefaultFig3()
 	cfg.Scenario = stabScenario(full, seed)
-	res := Fig3(cfg)
+	res := sw.Fig3(cfg)
 	return RenderFig3(res), res
 }
 
 // fig45Experiment is the gamma sweep to 256, or to 16 at reduced scale,
 // over a RED bottleneck or, as the ablation, a tail-drop one.
 func fig45Experiment(dropTail bool) runFunc {
-	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
+	return func(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 		cfg := Fig45Config{Scenario: stabScenario(full, seed), MaxGamma: 256}
 		cfg.Scenario.DropTail = dropTail
 		if !full {
 			cfg.MaxGamma = 16
 		}
-		res := Fig45(cfg)
+		res := sw.Fig45(cfg)
 		text := RenderFig45(res)
 		if dropTail {
 			text = "Ablation: DropTail bottleneck (paper reports self-clocking helps here too)\n" + text

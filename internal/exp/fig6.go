@@ -88,9 +88,9 @@ type Fig6Result struct {
 
 // Fig6 runs the flash-crowd scenario once per background type, as
 // supervised sweep cells.
-func Fig6(cfg Fig6Config) []Fig6Result {
+func (sw *Sweep) Fig6(cfg Fig6Config) []Fig6Result {
 	cfg.fill()
-	return supervisedMap(len(cfg.Backgrounds), func(c *Cell) Fig6Result {
+	return supervisedMap(sw, len(cfg.Backgrounds), func(c *Cell) Fig6Result {
 		return runCrowd(c, cfg, cfg.Backgrounds[c.Index()], nil, nil)
 	})
 }
@@ -181,13 +181,13 @@ func RenderFig6(cfg Fig6Config, res []Fig6Result) string {
 	return b.String()
 }
 
-func fig6Experiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func fig6Experiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := Fig6Config{Seed: seed}
 	if !full {
 		cfg.CrowdStart = 15
 		cfg.End = 40
 		cfg.Flows = 6
 	}
-	res := Fig6(cfg)
+	res := sw.Fig6(cfg)
 	return RenderFig6(cfg, res), res
 }

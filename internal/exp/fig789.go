@@ -88,7 +88,7 @@ type FairnessPoint struct {
 // Fairness runs the period sweep, in parallel. With multiple Seeds, all
 // (period, seed) cells run in parallel and each period's statistics
 // aggregate across seeds.
-func Fairness(cfg FairnessConfig) []FairnessPoint {
+func (sw *Sweep) Fairness(cfg FairnessConfig) []FairnessPoint {
 	cfg.fill()
 	seeds := cfg.Seeds
 	if len(seeds) == 0 {
@@ -101,7 +101,7 @@ func Fairness(cfg FairnessConfig) []FairnessPoint {
 			jobs = append(jobs, job{pi, si})
 		}
 	}
-	cells := supervisedMap(len(jobs), func(sc *Cell) FairnessPoint {
+	cells := supervisedMap(sw, len(jobs), func(sc *Cell) FairnessPoint {
 		j := jobs[sc.Index()]
 		c := cfg
 		c.Seed = seeds[j.sIdx]
@@ -243,32 +243,32 @@ func DefaultFig9() FairnessConfig {
 
 // fairnessAtScale runs base at the paper's scale or, reduced, over four
 // periods with a 15 s warmup and a 60 s window.
-func fairnessAtScale(title string, base FairnessConfig, full bool, seed int64) (string, []FairnessPoint) {
+func fairnessAtScale(sw *Sweep, title string, base FairnessConfig, full bool, seed int64) (string, []FairnessPoint) {
 	base.Seed = seed
 	if !full {
 		base.Periods = []sim.Time{0.2, 1, 4, 16}
 		base.Warmup = 15
 		base.Measure = 60
 	}
-	res := Fairness(base)
+	res := sw.Fairness(base)
 	return RenderFairness(title, base, res), res
 }
 
 // fairnessExperiment is the roster row of one fairness figure; head is
 // printed above its table.
 func fairnessExperiment(head, title string, base FairnessConfig) runFunc {
-	return func(full bool, seed int64, _ MatrixConfig) (string, any) {
-		text, res := fairnessAtScale(title, base, full, seed)
+	return func(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
+		text, res := fairnessAtScale(sw, title, base, full, seed)
 		return head + text, res
 	}
 }
 
 // tearExperiment puts TEAR through the stabilization scenario, as
 // Figure 3 with one algorithm, and then against TCP under oscillation.
-func tearExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
-	r := Fig3(Fig3Config{Scenario: stabScenario(full, seed), Algos: []AlgoSpec{TEARAlgo(0)}})[0]
+func tearExperiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
+	r := sw.Fig3(Fig3Config{Scenario: stabScenario(full, seed), Algos: []AlgoSpec{TEARAlgo(0)}})[0]
 	head := fmt.Sprintf("Ablation: TEAR stabilization — steady %.2f%%, time %.0f RTTs, cost %.2f\n\n",
 		r.Steady*100, r.Stab.TimeRTTs, r.Stab.Cost)
-	text, res := fairnessAtScale("TCP vs TEAR under oscillation", FairnessConfig{A: TCPAlgo(0.5), B: TEARAlgo(0)}, full, seed)
+	text, res := fairnessAtScale(sw, "TCP vs TEAR under oscillation", FairnessConfig{A: TCPAlgo(0.5), B: TEARAlgo(0)}, full, seed)
 	return head + text, map[string]any{"stabilization": r, "fairness": res}
 }

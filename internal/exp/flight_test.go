@@ -89,6 +89,7 @@ func TestFlightDumpOffByDefault(t *testing.T) {
 // reference to the scenarios it audited: a long audited sweep must not
 // retain every engine, topology and packet pool it ever built.
 func TestAuditedScenariosAreCollectable(t *testing.T) {
+	t.Parallel()
 	const n = 8
 	var freed atomic.Int32
 	for i := 0; i < n; i++ {
@@ -114,5 +115,20 @@ func TestAuditedScenariosAreCollectable(t *testing.T) {
 	}
 	if got := freed.Load(); got < n {
 		t.Fatalf("%d of %d audited scenarios were collected; something still holds the rest", got, n)
+	}
+}
+
+// Auditing is the package's switch, not a setting a test's Sweep could
+// leave out: a cell of a fresh test Sweep builds its scenario audited.
+func TestHelperSweepScenariosAreAudited(t *testing.T) {
+	t.Parallel()
+	_, rerr := supervise(newSweep(t), 0, func(c *Cell) int {
+		if _, d := c.newScenario(1, topology.Config{Rate: 10e6}); d.Cfg.Audit == nil {
+			t.Error("a scenario built under a test's Sweep runs unaudited")
+		}
+		return 0
+	})
+	if rerr != nil {
+		t.Fatal(rerr)
 	}
 }

@@ -67,6 +67,7 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestMatrixTSVHeatmapRoundTrip(t *testing.T) {
+	t.Parallel()
 	cells := heatmapCells()
 	tsv := RenderMatrixTSV(cells)
 	parsed, err := ParseMatrixTSV(strings.NewReader(tsv))
@@ -95,6 +96,8 @@ func TestMatrixTSVHeatmapRoundTrip(t *testing.T) {
 // where the two could part (NaN, ±Inf, −0, the exponent thresholds, the
 // smallest subnormal) and on every cell of a default matrix.
 func TestMatrixTSVMatchesFmt(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	viaFmt := func(cells []MatrixCell) string {
 		var sb strings.Builder
 		sb.WriteString(matrixTSVHeader + "\n")
@@ -117,13 +120,14 @@ func TestMatrixTSVMatchesFmt(t *testing.T) {
 	if testing.Short() {
 		return
 	}
-	cells = Matrix(MatrixConfig{Seed: 1, Warmup: 0.2, Measure: 0.6, Period: 1})
+	cells = sw.Matrix(MatrixConfig{Seed: 1, Warmup: 0.2, Measure: 0.6, Period: 1})
 	if got, want := RenderMatrixTSV(cells), viaFmt(cells); got != want {
 		t.Fatalf("default matrix: rendered\n%s\nfmt renders\n%s", got, want)
 	}
 }
 
 func TestParseMatrixTSVRejects(t *testing.T) {
+	t.Parallel()
 	for label, in := range map[string]string{
 		"empty":       "",
 		"bad header":  "a\tb\n",
@@ -196,6 +200,7 @@ func FuzzParseMatrixTSV(f *testing.F) {
 }
 
 func TestHeatmapASCIIGolden(t *testing.T) {
+	t.Parallel()
 	out, err := RenderMatrixHeatmap(heatmapCells(), "ratio")
 	if err != nil {
 		t.Fatal(err)
@@ -209,6 +214,7 @@ func TestHeatmapASCIIGolden(t *testing.T) {
 }
 
 func TestHeatmapSVGGolden(t *testing.T) {
+	t.Parallel()
 	out, err := RenderMatrixHeatmapSVG(heatmapCells(), "utilization")
 	if err != nil {
 		t.Fatal(err)
@@ -223,6 +229,7 @@ func TestHeatmapSVGGolden(t *testing.T) {
 }
 
 func TestHeatmapErrors(t *testing.T) {
+	t.Parallel()
 	if _, err := RenderMatrixHeatmap(nil, "ratio"); err == nil {
 		t.Fatal("empty cells accepted")
 	}

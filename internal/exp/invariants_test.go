@@ -14,6 +14,7 @@ import (
 // is either delivered, dropped, or still queued/in transmission at the
 // horizon.
 func TestConservationAtBottleneck(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 81})
 	algos := []AlgoSpec{
@@ -41,6 +42,7 @@ func TestConservationAtBottleneck(t *testing.T) {
 // TestDeterministicReplay runs the same mixed scenario twice and
 // requires bit-identical flow counters.
 func TestDeterministicReplay(t *testing.T) {
+	t.Parallel()
 	run := func() []int64 {
 		eng := sim.New(7)
 		d := topology.New(eng, topology.Config{Rate: 10e6, Seed: 7})
@@ -74,6 +76,7 @@ func TestDeterministicReplay(t *testing.T) {
 // realization (a stuck RNG would silently undermine every multi-seed
 // average).
 func TestSeedSensitivity(t *testing.T) {
+	t.Parallel()
 	run := func(seed int64) int64 {
 		eng := sim.New(seed)
 		d := topology.New(eng, topology.Config{Rate: 10e6, Seed: seed})
@@ -90,6 +93,7 @@ func TestSeedSensitivity(t *testing.T) {
 
 // TestNoTrafficNoLoss: an idle dumbbell must stay perfectly clean.
 func TestNoTrafficNoLoss(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 1e6, Seed: 1})
 	eng.RunUntil(10)
@@ -102,6 +106,7 @@ func TestNoTrafficNoLoss(t *testing.T) {
 // every algorithm at once and checks nothing deadlocks, panics, or
 // produces negative counters.
 func TestAllAlgorithmsSurviveExtremeCongestion(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 500e3, Seed: 82}) // 0.5 Mbps
 	algos := []AlgoSpec{
@@ -134,6 +139,7 @@ func TestAllAlgorithmsSurviveExtremeCongestion(t *testing.T) {
 // TestStopMidRecovery stops every sender mid-run and verifies the event
 // queue drains (no immortal timers).
 func TestStopMidRecovery(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	d := topology.New(eng, topology.Config{Rate: 5e6, Seed: 83})
 	algos := []AlgoSpec{
@@ -169,6 +175,7 @@ func TestStopMidRecovery(t *testing.T) {
 
 // TestThroughputNeverExceedsCapacity across a sweep of configurations.
 func TestThroughputNeverExceedsCapacity(t *testing.T) {
+	t.Parallel()
 	for _, rate := range []float64{1e6, 10e6, 45e6} {
 		eng := sim.New(3)
 		d := topology.New(eng, topology.Config{Rate: rate, Seed: 84})
@@ -185,6 +192,7 @@ func TestThroughputNeverExceedsCapacity(t *testing.T) {
 // TestPropRTTMatchesMeasured wires a one-packet exchange and compares
 // the measured RTT against Config.PropRTT.
 func TestPropRTTMatchesMeasured(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	cfg := topology.Config{Rate: 100e6, Seed: 85}
 	d := topology.New(eng, cfg)

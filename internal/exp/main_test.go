@@ -10,15 +10,33 @@ import (
 // sweep: Cell's constructors are nil-safe.
 var noCell *Cell
 
+// newSweep returns a Sweep with no settings for one test; the test sets
+// what it needs on it. At the test's end it fails the test on every
+// degraded cell the Sweep recorded that the test did not take with
+// Errors, as TestMain does for the package default: a supervised sweep
+// degrades a poisoned cell instead of failing, so a quietly degraded
+// run would otherwise pass.
+func newSweep(t testing.TB) *Sweep {
+	t.Helper()
+	sw := &Sweep{}
+	t.Cleanup(func() {
+		for _, e := range sw.Errors() {
+			t.Errorf("unexpected degraded sweep cell: %v", e)
+		}
+	})
+	return sw
+}
+
 // auditMode sets whether scenarios built from now on run under the
 // invariant auditor and where audited scenarios dump their bottleneck's
 // trace ring on a violation ("" = nowhere), returning the previous
-// setting.
+// setting. TestMain turns auditing on once; only a serial test may
+// change it for its own span, and must restore it.
 func auditMode(on bool, flightDir string) (prevOn bool, prevDir string) {
-	setEnv(func(env *sweepEnv) {
-		prevOn, prevDir = env.audit, env.auditFlightDir
-		env.audit, env.auditFlightDir = on, flightDir
-	})
+	supervision.mu.Lock()
+	defer supervision.mu.Unlock()
+	prevOn, prevDir = supervision.audit, supervision.auditFlightDir
+	supervision.audit, supervision.auditFlightDir = on, flightDir
 	return prevOn, prevDir
 }
 
@@ -42,11 +60,10 @@ func TestMain(m *testing.M) {
 	flightDir, dirErr := os.MkdirTemp("", "slowcc-flight-")
 	auditMode(true, flightDir) // "" when the directory could not be made
 	code := m.Run()
-	auditMode(false, "")
-	// Supervised sweeps degrade poisoned cells instead of failing, so a
-	// quietly-degraded figure run would otherwise pass. Any RunError a
-	// test did not expect (and reset) fails the suite here.
-	if errs := SweepErrors(); len(errs) > 0 {
+	// A test's own Sweep is checked by newSweep; a degraded cell of the
+	// package default, which only the bench surface runs, fails the
+	// suite here.
+	if errs := defaultSweep.Errors(); len(errs) > 0 {
 		fmt.Fprintf(os.Stderr, "supervise: %d unexpected degraded sweep cell(s):\n", len(errs))
 		for _, e := range errs {
 			fmt.Fprintf(os.Stderr, "  %v\n", e)
@@ -55,7 +72,10 @@ func TestMain(m *testing.M) {
 			code = 1
 		}
 	}
-	if total, vs := supervision.auditTotal, supervision.violations; total > 0 {
+	supervision.mu.Lock()
+	total, vs := supervision.auditTotal, supervision.violations
+	supervision.mu.Unlock()
+	if total > 0 {
 		fmt.Fprintf(os.Stderr, "invariant: %d violation(s) during the exp suite:\n", total)
 		for _, v := range vs {
 			fmt.Fprintf(os.Stderr, "  %s\n", v)

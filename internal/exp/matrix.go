@@ -173,8 +173,8 @@ type MatrixCell struct {
 // Matrix runs the full sweep through the supervised parallel runner and
 // returns cells ordered topology-major, then condition, then A, then B.
 // A cell that degrades (RunError) comes back Degraded, labelled, with
-// its RunError in SweepErrors rather than aborting the sweep.
-func Matrix(cfg MatrixConfig) []MatrixCell {
+// its RunError in sw.Errors rather than aborting the sweep.
+func (sw *Sweep) Matrix(cfg MatrixConfig) []MatrixCell {
 	cfg.fill()
 	// Cell i's coordinates: topology-major, then condition, then A, then B.
 	nA, nC := len(cfg.Algos), len(cfg.Conditions)
@@ -188,7 +188,7 @@ func Matrix(cfg MatrixConfig) []MatrixCell {
 	// serves or runs a cell keys it.
 	keyer := matrixCellKeyer(cfg)
 	key := func(i int) string { return keyer(at(i)) }
-	cells := supervisedMapKeyed(len(cfg.Topologies)*nC*nA*nA, key, func(sc *Cell) MatrixCell {
+	cells := supervisedMapKeyed(sw, len(cfg.Topologies)*nC*nA*nA, key, func(sc *Cell) MatrixCell {
 		topo, cond, a, b := at(sc.Index())
 		return runMatrixCell(sc, cfg, topo, cond, a, b)
 	})
@@ -474,13 +474,13 @@ func RenderMatrix(cfg MatrixConfig, cells []MatrixCell) string {
 // (slowccsim -matrix, -topology) — and prints the grids followed by the
 // TSV artifact. Reduced scale measures 12 s after a 3 s warmup under a
 // 1 s oscillation.
-func matrixExperiment(full bool, seed int64, cfg MatrixConfig) (string, any) {
+func matrixExperiment(sw *Sweep, full bool, seed int64, cfg MatrixConfig) (string, any) {
 	cfg.Seed = seed
 	if !full {
 		cfg.Warmup = 3
 		cfg.Measure = 12
 		cfg.Period = 1
 	}
-	cells := Matrix(cfg)
+	cells := sw.Matrix(cfg)
 	return RenderMatrix(cfg, cells) + "\n" + RenderMatrixTSV(cells), cells
 }

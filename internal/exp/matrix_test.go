@@ -36,12 +36,14 @@ func smallMatrixConfig() MatrixConfig {
 // byte-identical TSV artifact, across a 3x3 algorithm subset under
 // static and oscillating conditions on both topologies.
 func TestMatrixDeterministicTSV(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
 	cfg := smallMatrixConfig()
-	first := RenderMatrixTSV(Matrix(cfg))
-	second := RenderMatrixTSV(Matrix(cfg))
+	first := RenderMatrixTSV(sw.Matrix(cfg))
+	second := RenderMatrixTSV(sw.Matrix(cfg))
 	if first != second {
 		t.Fatalf("same-seed matrix TSVs differ:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
@@ -64,11 +66,13 @@ func TestMatrixDeterministicTSV(t *testing.T) {
 // Every cell must carry plausible metrics: both sides of every duel move
 // bytes, the bottleneck is used, and Jain's index is in (0, 1].
 func TestMatrixCellMetricsPlausible(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
 	cfg := smallMatrixConfig()
-	cells := Matrix(cfg)
+	cells := sw.Matrix(cfg)
 	for _, c := range cells {
 		if c.Degraded {
 			t.Errorf("%s/%s %s vs %s: degraded", c.Topology, c.Condition, c.A, c.B)
@@ -97,6 +101,8 @@ func TestMatrixCellMetricsPlausible(t *testing.T) {
 // matrix subset produce deeply-equal cells (DESIGN.md §8 extended to the
 // chain).
 func TestMatrixParkingLotPoolDeterminism(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
@@ -106,9 +112,9 @@ func TestMatrixParkingLotPoolDeterminism(t *testing.T) {
 	cfg.Conditions = []string{CondStatic, CondFaulted}
 	cfg.Hops = 3
 	cfg.OutageDur = 0.5
-	pooled := Matrix(cfg)
+	pooled := sw.Matrix(cfg)
 	cfg.DisablePool = true
-	unpooled := Matrix(cfg)
+	unpooled := sw.Matrix(cfg)
 	if !reflect.DeepEqual(pooled, unpooled) {
 		t.Fatalf("pooling changed parking-lot matrix results:\npooled:   %+v\nunpooled: %+v", pooled, unpooled)
 	}
@@ -118,6 +124,8 @@ func TestMatrixParkingLotPoolDeterminism(t *testing.T) {
 // bottleneck path costs the pair throughput relative to the static run
 // of the same duel.
 func TestMatrixFaultedConditionBites(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	if testing.Short() {
 		t.Skip("matrix sweep in -short mode")
 	}
@@ -126,7 +134,7 @@ func TestMatrixFaultedConditionBites(t *testing.T) {
 	cfg.Topologies = []string{TopoDumbbell}
 	cfg.Conditions = []string{CondStatic, CondFaulted}
 	cfg.OutageDur = 2
-	cells := Matrix(cfg)
+	cells := sw.Matrix(cfg)
 	if len(cells) != 2 {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
@@ -145,6 +153,7 @@ func TestMatrixFaultedConditionBites(t *testing.T) {
 // all wired — builds and runs at the bound, and one hop more collides
 // with the reverse flow's id.
 func TestParkingLotHopBound(t *testing.T) {
+	t.Parallel()
 	cfg := smallMatrixConfig()
 	cfg.fill()
 	wire := func(hops int) {
@@ -167,7 +176,8 @@ func TestParkingLotHopBound(t *testing.T) {
 // A degraded cell keeps its identifying fields so the table stays
 // readable, and the sweep error is collected rather than fatal.
 func TestMatrixDegradedCellBackfilled(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
+	sw := newSweep(t)
 
 	boom := AlgoSpec{
 		Name: "BOOM",
@@ -180,7 +190,7 @@ func TestMatrixDegradedCellBackfilled(t *testing.T) {
 	cfg.Algos = []AlgoSpec{boom}
 	cfg.Topologies = []string{TopoDumbbell}
 	cfg.Conditions = []string{CondStatic}
-	cells := Matrix(cfg)
+	cells := sw.Matrix(cfg)
 	if len(cells) != 1 || !cells[0].Degraded {
 		t.Fatalf("expected one degraded cell, got %+v", cells)
 	}
@@ -191,7 +201,7 @@ func TestMatrixDegradedCellBackfilled(t *testing.T) {
 	if !strings.Contains(tsv, "BOOM\tBOOM") || !strings.Contains(tsv, "\ttrue\n") {
 		t.Fatalf("degraded cell not rendered: %q", tsv)
 	}
-	if errs := SweepErrors(); len(errs) == 0 {
+	if errs := sw.Errors(); len(errs) == 0 {
 		t.Fatal("degraded cell recorded no RunError")
 	}
 }
@@ -199,6 +209,7 @@ func TestMatrixDegradedCellBackfilled(t *testing.T) {
 // ParseAlgoList is the -matrix CLI surface; it must round-trip the
 // documented specs and reject junk.
 func TestParseAlgoList(t *testing.T) {
+	t.Parallel()
 	algos, err := ParseAlgoList("tcp:0.5, tfrc:8, sqrt, cbr:2.5e6, tear, rap:0.125, iiad, tfrc+sc:4")
 	if err != nil {
 		t.Fatal(err)

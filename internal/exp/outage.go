@@ -117,9 +117,9 @@ type OutageResult struct {
 
 // Outage runs the blackout scenario once per background type, as
 // supervised sweep cells.
-func Outage(cfg OutageConfig) []OutageResult {
+func (sw *Sweep) Outage(cfg OutageConfig) []OutageResult {
 	cfg.fill()
-	return supervisedMap(len(cfg.Backgrounds), func(c *Cell) OutageResult {
+	return supervisedMap(sw, len(cfg.Backgrounds), func(c *Cell) OutageResult {
 		return runOutage(c, cfg, cfg.Backgrounds[c.Index()])
 	})
 }
@@ -203,7 +203,7 @@ func RenderOutage(cfg OutageConfig, res []OutageResult) string {
 	return b.String()
 }
 
-func outageExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func outageExperiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := OutageConfig{Seed: seed}
 	if !full {
 		cfg.OutageAt = 15
@@ -211,6 +211,6 @@ func outageExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
 		cfg.End = 45
 		cfg.Flows = 6
 	}
-	res := Outage(cfg)
+	res := sw.Outage(cfg)
 	return RenderOutage(cfg, res), res
 }

@@ -10,6 +10,8 @@ import (
 // window, the outage is a clean single down/up pair, traffic recovers
 // afterwards, and the renderer reports all of it.
 func TestOutageBlackoutAndRecovery(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := OutageConfig{
 		Backgrounds:   []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 64})},
 		Flows:         4,
@@ -22,7 +24,7 @@ func TestOutageBlackoutAndRecovery(t *testing.T) {
 		End:           40,
 		Seed:          1,
 	}
-	res := Outage(cfg)
+	res := sw.Outage(cfg)
 	if len(res) != 2 {
 		t.Fatalf("%d results, want 2", len(res))
 	}
@@ -65,6 +67,8 @@ func TestOutageBlackoutAndRecovery(t *testing.T) {
 // TestOutageDeterministic: same seed, same result — the injector's
 // schedule and the engine share nothing but the configured times.
 func TestOutageDeterministic(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := OutageConfig{
 		Backgrounds: []AlgoSpec{TFRCAlgo(TFRCOpts{K: 16})},
 		Flows:       2,
@@ -76,7 +80,7 @@ func TestOutageDeterministic(t *testing.T) {
 		End:         20,
 		Seed:        7,
 	}
-	a, b := Outage(cfg), Outage(cfg)
+	a, b := sw.Outage(cfg), sw.Outage(cfg)
 	if len(a) != 1 || len(b) != 1 {
 		t.Fatalf("result counts %d, %d", len(a), len(b))
 	}

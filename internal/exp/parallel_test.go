@@ -9,6 +9,7 @@ import (
 )
 
 func TestParallelMapOrderAndCompleteness(t *testing.T) {
+	t.Parallel()
 	out := parallelMapIndexed(100, func(_, i int) int { return i * i })
 	for i, v := range out {
 		if v != i*i {
@@ -18,12 +19,14 @@ func TestParallelMapOrderAndCompleteness(t *testing.T) {
 }
 
 func TestParallelMapEmpty(t *testing.T) {
+	t.Parallel()
 	if got := parallelMapIndexed(0, func(int, int) int { return 1 }); len(got) != 0 {
 		t.Fatal("empty map must return empty slice")
 	}
 }
 
 func TestParallelMapSingle(t *testing.T) {
+	t.Parallel()
 	out := parallelMapIndexed(1, func(_, i int) string { return "x" })
 	if len(out) != 1 || out[0] != "x" {
 		t.Fatalf("out = %v", out)
@@ -34,6 +37,7 @@ func TestParallelMapSingle(t *testing.T) {
 // failing sweep index, instead of crashing the whole process from a
 // bare goroutine.
 func TestParallelMapPanicPropagates(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -61,6 +65,7 @@ func TestParallelMapPanicPropagates(t *testing.T) {
 // When several indices panic, the lowest one is reported so the failure
 // is deterministic regardless of worker scheduling.
 func TestParallelMapPanicLowestIndexWins(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -82,6 +87,7 @@ func TestParallelMapPanicLowestIndexWins(t *testing.T) {
 // raised only after the full sweep settles, so no worker stops claiming
 // indices mid-sweep.
 func TestParallelMapPanicDoesNotDeadlock(t *testing.T) {
+	t.Parallel()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -98,6 +104,7 @@ func TestParallelMapPanicDoesNotDeadlock(t *testing.T) {
 
 // Property: parallelMapIndexed(n, f) == sequential map for any pure f.
 func TestPropertyParallelMatchesSequential(t *testing.T) {
+	t.Parallel()
 	f := func(n uint8, mult int16) bool {
 		fn := func(i int) int64 { return int64(i) * int64(mult) }
 		par := parallelMapIndexed(int(n), func(_, i int) int64 { return fn(i) })
@@ -114,13 +121,15 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 }
 
 func TestFairnessMultiSeedAggregation(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := FairnessConfig{
 		A: TCPAlgo(0.5), B: TCPAlgo(1.0 / 8),
 		Periods: []float64{2},
 		Warmup:  10, Measure: 30,
 		Seeds: []int64{1, 2, 3},
 	}
-	pts := Fairness(cfg)
+	pts := sw.Fairness(cfg)
 	if len(pts) != 1 {
 		t.Fatalf("%d points, want 1 (aggregated)", len(pts))
 	}
@@ -138,13 +147,15 @@ func TestFairnessMultiSeedAggregation(t *testing.T) {
 }
 
 func TestFairnessSingleSeedNoCI(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := FairnessConfig{
 		A: TCPAlgo(0.5), B: TCPAlgo(1.0 / 8),
 		Periods: []float64{2},
 		Warmup:  10, Measure: 20,
 		Seed: 1,
 	}
-	pts := Fairness(cfg)
+	pts := sw.Fairness(cfg)
 	if pts[0].AMeanCI != 0 || pts[0].BMeanCI != 0 {
 		t.Fatalf("single-seed run must not report CIs: %+v", pts[0])
 	}
@@ -164,6 +175,7 @@ func deeplyNestedSweepCellFrameForStackCaptureTest(n, a, b, c, d int) int {
 // whole stack: both the panicking frame at the top and the caller frames
 // at the bottom, in a trace larger than any fixed-size buffer guess.
 func TestCaptureStackDeepPanicIsComplete(t *testing.T) {
+	t.Parallel()
 	var stack string
 	func() {
 		defer func() {
@@ -193,7 +205,8 @@ func TestCaptureStackDeepPanicIsComplete(t *testing.T) {
 // The same guarantee through the supervisor: a cell that panics deep in
 // a sweep must attach the complete stack to its RunError.
 func TestSuperviseDeepPanicStackComplete(t *testing.T) {
-	_, rerr := Supervise(0, func(c *Cell) int {
+	t.Parallel()
+	_, rerr := supervise(newSweep(t), 0, func(c *Cell) int {
 		return deeplyNestedSweepCellFrameForStackCaptureTest(400, 0, 0, 0, 0)
 	})
 	if rerr == nil {

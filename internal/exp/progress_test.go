@@ -44,14 +44,6 @@ func (s *recordingSink) cellKinds(cell int) []obs.SweepEventKind {
 	return kinds
 }
 
-func withSink(t *testing.T) *recordingSink {
-	t.Helper()
-	sink := &recordingSink{}
-	prev := SetSweepProgress(sink)
-	t.Cleanup(func() { SetSweepProgress(prev) })
-	return sink
-}
-
 func kindsEqual(got []obs.SweepEventKind, want ...obs.SweepEventKind) bool {
 	if len(got) != len(want) {
 		return false
@@ -68,9 +60,11 @@ func kindsEqual(got []obs.SweepEventKind, want ...obs.SweepEventKind) bool {
 // CellStats snapshot carrying the real scenario's counters and stream
 // digest, plus the queued/running/done event sequence.
 func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
-	withDeadline(t, 0)
-	sink := withSink(t)
-	_, rerr := Supervise(0, func(c *Cell) int {
+	t.Parallel()
+	sink := &recordingSink{}
+	sw := newSweep(t)
+	sw.Progress = sink
+	_, rerr := supervise(sw, 0, func(c *Cell) int {
 		runCellScenario(c, 1)
 		return 1
 	})
@@ -97,9 +91,9 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 	// same seed reproduces it, a different seed does not.
 	for seed, wantEqual := range map[int64]bool{1: true, 2: false} {
 		sink2 := &recordingSink{}
-		prev := SetSweepProgress(sink2)
-		_, rerr := Supervise(0, func(c *Cell) int { runCellScenario(c, seed); return 1 })
-		SetSweepProgress(prev)
+		sw2 := newSweep(t)
+		sw2.Progress = sink2
+		_, rerr := supervise(sw2, 0, func(c *Cell) int { runCellScenario(c, seed); return 1 })
 		if rerr != nil {
 			t.Fatalf("seed %d rerun failed: %v", seed, rerr)
 		}
@@ -110,10 +104,11 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 
 	// The sink is who asks for the digest; a store beside it changes
 	// nothing about what the sink receives, and records the same.
-	disk := withStore(t, false)
-	SetSweepScope("served-and-stored")
-	served := withSink(t)
-	supervisedMap(1, func(c *Cell) int { runCellScenario(c, 1); return 1 })
+	disk := newStore(t)
+	served := &recordingSink{}
+	sw3 := newSweep(t)
+	sw3.Store, sw3.Scope, sw3.Progress = disk, "served-and-stored", served
+	supervisedMap(sw3, 1, func(c *Cell) int { runCellScenario(c, 1); return 1 })
 	if len(served.stats) != 1 || served.stats[0].Digest != st.Digest ||
 		served.stats[0].DigestEvents != st.Events {
 		t.Fatalf("sink + store: stats %+v, want the sink-only digest %016x over all %d events",
@@ -131,10 +126,12 @@ func TestSweepProgressCellStatsFromRealScenario(t *testing.T) {
 // A cell runs once: a panicking cell ends in a degraded terminal event
 // with no CellStats, and is not run again.
 func TestSweepProgressDegradedOrdering(t *testing.T) {
-	withDeadline(t, 0)
-	sink := withSink(t)
+	t.Parallel()
+	sink := &recordingSink{}
+	sw := newSweep(t)
+	sw.Progress = sink
 	var runs [2]atomic.Int32
-	out := supervisedMap(2, func(c *Cell) int {
+	out := supervisedMap(sw, 2, func(c *Cell) int {
 		runs[c.Index()].Add(1)
 		if c.Index() == 1 {
 			panic("cell 1 dies")
@@ -144,10 +141,9 @@ func TestSweepProgressDegradedOrdering(t *testing.T) {
 	if out[0] != 10 || out[1] != 0 {
 		t.Fatalf("sweep values = %v", out)
 	}
-	if errs := SweepErrors(); len(errs) != 1 || errs[0].Index != 1 {
-		t.Fatalf("SweepErrors = %v, want one for cell 1", errs)
+	if errs := sw.Errors(); len(errs) != 1 || errs[0].Index != 1 {
+		t.Fatalf("Errors = %v, want one for cell 1", errs)
 	}
-	ResetSweepErrors()
 	if runs[0].Load() != 1 || runs[1].Load() != 1 {
 		t.Fatalf("cells ran %d and %d times, want once each", runs[0].Load(), runs[1].Load())
 	}
@@ -184,11 +180,11 @@ func spinPastBudget(c *Cell) {
 // names the halt in its RunError and its degraded event, and hands the
 // sink no CellStats — a halted cell is not a result.
 func TestSweepProgressReportsBudgetHalt(t *testing.T) {
-	withDeadline(t, 0)
-	sink := withSink(t)
-	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
-	defer SetRunBudget(prev)
-	v, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 })
+	t.Parallel()
+	sink := &recordingSink{}
+	sw := newSweep(t)
+	sw.Progress, sw.Budget = sink, &sim.Budget{MaxEvents: 50}
+	v, rerr := supervise(sw, 0, func(c *Cell) int { spinPastBudget(c); return 1 })
 	if v != 0 || rerr == nil || rerr.Outcome != "halt" || !strings.HasPrefix(rerr.Halt, "max-events after 50 events") {
 		t.Fatalf("halted cell returned %d, %+v; want 0 and a halt RunError", v, rerr)
 	}
@@ -216,13 +212,11 @@ func TestSweepProgressReportsBudgetHalt(t *testing.T) {
 // read for their halt reasons, and a panic after a halt names the halt
 // beside the panic.
 func TestBudgetHaltReportedWithoutSinkOrStore(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
 	var buf bytes.Buffer
-	prevLog := SetSweepLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	defer SetSweepLogger(prevLog)
-	prev := SetRunBudget(&sim.Budget{MaxEvents: 50})
-	defer SetRunBudget(prev)
-	if _, rerr := Supervise(0, func(c *Cell) int { spinPastBudget(c); return 1 }); rerr == nil {
+	sw := newSweep(t)
+	sw.Logger, sw.Budget = slog.New(slog.NewTextHandler(&buf, nil)), &sim.Budget{MaxEvents: 50}
+	if _, rerr := supervise(sw, 0, func(c *Cell) int { spinPastBudget(c); return 1 }); rerr == nil {
 		t.Fatal("halted cell was not degraded")
 	}
 	out := buf.String()
@@ -230,7 +224,7 @@ func TestBudgetHaltReportedWithoutSinkOrStore(t *testing.T) {
 		strings.Contains(out, "sweep cell done") {
 		t.Fatalf("halted cell not logged as degraded with its halt:\n%s", out)
 	}
-	_, rerr := Supervise(1, func(c *Cell) int { spinPastBudget(c); panic("after the halt") })
+	_, rerr := supervise(sw, 1, func(c *Cell) int { spinPastBudget(c); panic("after the halt") })
 	if rerr == nil || rerr.Outcome != "panic" || !strings.HasPrefix(rerr.Halt, "max-events after 50 events") {
 		t.Fatalf("degraded cell's halt not reported beside its panic: %+v", rerr)
 	}
@@ -239,13 +233,13 @@ func TestBudgetHaltReportedWithoutSinkOrStore(t *testing.T) {
 // The sweep logger must receive one structured record per transition
 // with the cell/worker/outcome attributes, and a Warn for degraded cells.
 func TestSweepLoggerRecords(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
-	prev := SetSweepLogger(logger.With("run", "deadbeef"))
-	defer SetSweepLogger(prev)
-	_, _ = Supervise(3, func(c *Cell) int { return 1 })
-	_, rerr := Supervise(4, func(c *Cell) int { panic("dies") })
+	sw := newSweep(t)
+	sw.Logger = logger.With("run", "deadbeef")
+	_, _ = supervise(sw, 3, func(c *Cell) int { return 1 })
+	_, rerr := supervise(sw, 4, func(c *Cell) int { panic("dies") })
 	if rerr == nil {
 		t.Fatal("expected degraded cell")
 	}

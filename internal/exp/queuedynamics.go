@@ -75,9 +75,9 @@ type QueueDynamicsResult struct {
 
 // QueueDynamics runs the comparison, one traffic type per run, in
 // parallel.
-func QueueDynamics(cfg QueueDynamicsConfig) []QueueDynamicsResult {
+func (sw *Sweep) QueueDynamics(cfg QueueDynamicsConfig) []QueueDynamicsResult {
 	cfg.fill()
-	return supervisedMap(len(cfg.Algos), func(c *Cell) QueueDynamicsResult {
+	return supervisedMap(sw, len(cfg.Algos), func(c *Cell) QueueDynamicsResult {
 		return runQueueDynamics(c, cfg, cfg.Algos[c.Index()])
 	})
 }
@@ -125,16 +125,16 @@ func RenderQueueDynamics(cfg QueueDynamicsConfig, res []QueueDynamicsResult) str
 
 // queueDynamicsExperiment runs the comparison on a RED and then on a
 // tail-drop bottleneck.
-func queueDynamicsExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func queueDynamicsExperiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := QueueDynamicsConfig{Seed: seed}
 	if !full {
 		cfg.Warmup = 15
 		cfg.Measure = 60
 	}
-	res := QueueDynamics(cfg)
+	res := sw.QueueDynamics(cfg)
 	cfgDT := cfg
 	cfgDT.DropTail = true
-	resDT := QueueDynamics(cfgDT)
+	resDT := sw.QueueDynamics(cfgDT)
 	return RenderQueueDynamics(cfg, res) + "\n" + RenderQueueDynamics(cfgDT, resDT),
 		map[string]any{"red": res, "droptail": resDT}
 }

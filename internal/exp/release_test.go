@@ -30,8 +30,8 @@ func releaseMatrix(algos ...AlgoSpec) MatrixConfig {
 // result and telemetry bytes.
 func storedCells(t *testing.T, cfg MatrixConfig) map[string][2][]byte {
 	t.Helper()
-	st := withStore(t, false)
-	Matrix(cfg)
+	sw, st := storeSweep(t)
+	sw.Matrix(cfg)
 	out := map[string][2][]byte{}
 	for _, e := range st.Entries() {
 		out[e.Key] = [2][]byte{e.Result, e.Stats}
@@ -48,7 +48,7 @@ func TestCarriedStateNeverReachesResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
+	sw := newSweep(t)
 	tcp, tfrc := TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})
 	var want map[string][2][]byte
 	for _, run := range []struct {
@@ -61,7 +61,7 @@ func TestCarriedStateNeverReachesResults(t *testing.T) {
 		{2, []AlgoSpec{tfrc, tcp}},
 	} {
 		prev := runtime.GOMAXPROCS(run.procs)
-		Oscillation(OscillationConfig{Flows: 3, Rate: 3e6, CBRPeak: 2e6,
+		sw.Oscillation(OscillationConfig{Flows: 3, Rate: 3e6, CBRPeak: 2e6,
 			Periods: []sim.Time{0.5, 2}, Warmup: 1, Measure: 3, Seed: 5})
 		got := storedCells(t, releaseMatrix(run.algos...))
 		runtime.GOMAXPROCS(prev)
@@ -87,6 +87,7 @@ func TestCarriedStateNeverReachesResults(t *testing.T) {
 // still running on them. A released engine holds nothing pending, so the
 // engines' pending timers tell released from kept.
 func TestFailedAttemptsKeepTheirNets(t *testing.T) {
+	t.Parallel()
 	var eng *sim.Engine
 	build := func(c *Cell) {
 		var d *topology.Net
@@ -96,24 +97,24 @@ func TestFailedAttemptsKeepTheirNets(t *testing.T) {
 		eng.RunUntil(2)
 	}
 
-	withDeadline(t, 0)
-	if _, rerr := Supervise(0, func(c *Cell) int { build(c); return 0 }); rerr != nil {
+	sw := newSweep(t)
+	if _, rerr := supervise(sw, 0, func(c *Cell) int { build(c); return 0 }); rerr != nil {
 		t.Fatal(rerr)
 	}
 	if n := eng.Pending(); n != 0 {
 		t.Fatalf("a successful cell's engine still holds %d timers: not released", n)
 	}
 
-	if _, rerr := Supervise(1, func(c *Cell) int { build(c); panic("poisoned") }); rerr == nil {
+	if _, rerr := supervise(sw, 1, func(c *Cell) int { build(c); panic("poisoned") }); rerr == nil {
 		t.Fatal("panicking cell returned no RunError")
 	}
 	if eng.Pending() == 0 {
 		t.Fatal("a panicked cell's engine was released")
 	}
 
-	withDeadline(t, 20*time.Millisecond)
+	sw.Budget = &sim.Budget{MaxWall: 20 * time.Millisecond}
 	hold, done := make(chan struct{}), make(chan struct{})
-	_, rerr := Supervise(2, func(c *Cell) int {
+	_, rerr := supervise(sw, 2, func(c *Cell) int {
 		defer close(done)
 		build(c)
 		<-hold
@@ -139,7 +140,7 @@ func TestSecondSweepAllocatesHalf(t *testing.T) {
 		t.Skip("matrix sweeps in -short mode")
 	}
 	defer auditMode(auditMode(false, "")) // the auditor's books are built per cell, not carried
-	withDeadline(t, 0)
+	sw := newSweep(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The benchmark's matrix cells: a pair on each net shape.
 	cfg := MatrixConfig{Algos: []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})},
@@ -165,9 +166,9 @@ func TestSecondSweepAllocatesHalf(t *testing.T) {
 			}
 		}
 	})
-	Matrix(cfg)
+	sw.Matrix(cfg)
 	var cells []MatrixCell
-	stocked := allocated(func() { cells = Matrix(cfg) })
+	stocked := allocated(func() { cells = sw.Matrix(cfg) })
 	if len(cells) != 8 || slices.ContainsFunc(cells, func(c MatrixCell) bool { return c.Degraded }) {
 		t.Fatalf("%d cells, or a degraded one", len(cells))
 	}

@@ -21,6 +21,7 @@ import (
 // tfrc:1e30 wrapped to K = MinInt64, and out-of-range values were
 // simulated or silently replaced by the default.
 func TestParseAlgoSpecChecksDomains(t *testing.T) {
+	t.Parallel()
 	for _, spec := range []string{
 		"cbr:Inf", "cbr:-5", "cbr:0", "cbr:2e9", "cbr:NaN",
 		"tfrc:1e30", "tfrc:-3", "tfrc:0.5", "tfrc:0", "tfrc:4097", "tfrc+sc:NaN",
@@ -131,6 +132,7 @@ func auditedNets() map[string]*topology.Net {
 // through the one wiring path, moves bytes with the auditor silent, and
 // exposes each probe variable under a name of its own.
 func TestRosterRowsWireOnEveryTopology(t *testing.T) {
+	t.Parallel()
 	names := map[string]string{}
 	for _, r := range roster {
 		a, err := ParseAlgoSpec(r.key)
@@ -225,6 +227,7 @@ func (s *stopWait) Handle(p *netem.Packet) {
 // row-to-AlgoSpec path as the real rows, and duels TCP(1/2) on an
 // audited dumbbell.
 func TestNewSenderIsOneRow(t *testing.T) {
+	t.Parallel()
 	saw := algoRow{
 		key: "saw", help: "toy stop-and-wait with retransmit timeout rto", arg: 0.5,
 		dom:  domain{"rto in (0,10] seconds", func(v float64) bool { return v > 0 && v <= 10 }},

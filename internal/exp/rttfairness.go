@@ -56,10 +56,10 @@ type RTTFairnessResult struct {
 
 // RTTFairness runs the scenario for TCP(1/2) and TFRC(8), one sweep
 // cell each.
-func RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
+func (sw *Sweep) RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
 	cfg.fill()
 	keys, args := [...]string{"tcp", "tfrc"}, [...]float64{0.5, 8}
-	return supervisedMap(len(keys), func(c *Cell) RTTFairnessResult {
+	return supervisedMap(sw, len(keys), func(c *Cell) RTTFairnessResult {
 		return runRTTFairness(c, cfg, keys[c.Index()], args[c.Index()])
 	})
 }
@@ -97,12 +97,12 @@ func RenderRTTFairness(cfg RTTFairnessConfig, res []RTTFairnessResult) string {
 	return b.String()
 }
 
-func rttFairnessExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func rttFairnessExperiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := RTTFairnessConfig{Seed: seed}
 	if !full {
 		cfg.Warmup = 15
 		cfg.Measure = 60
 	}
-	res := RTTFairness(cfg)
+	res := sw.RTTFairness(cfg)
 	return RenderRTTFairness(cfg, res), res
 }

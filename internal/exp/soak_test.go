@@ -15,6 +15,7 @@ import (
 // accounting transition rather than on a sampling cadence. Guarded by
 // -short.
 func TestSoakMixedTraffic(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("soak test")
 	}

@@ -74,10 +74,10 @@ type StaticCompatPoint struct {
 
 // StaticCompat runs the audit as one sweep: a TCP(1/2) baseline cell
 // per loss rate, then a cell per (loss rate, algorithm).
-func StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
+func (sw *Sweep) StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 	cfg.fill()
 	nn, na := len(cfg.DropEveryNth), len(cfg.Algos)
-	rates := supervisedMap(nn+nn*na, func(c *Cell) float64 {
+	rates := supervisedMap(sw, nn+nn*na, func(c *Cell) float64 {
 		if i := c.Index(); i < nn {
 			return staticRun(c, cfg, TCPAlgo(0.5), cfg.DropEveryNth[i])
 		}
@@ -127,12 +127,12 @@ func RenderStaticCompat(cfg StaticCompatConfig, pts []StaticCompatPoint) string 
 	return b.String()
 }
 
-func staticCompatExperiment(full bool, seed int64, _ MatrixConfig) (string, any) {
+func staticCompatExperiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (string, any) {
 	cfg := StaticCompatConfig{Seed: seed}
 	if !full {
 		cfg.Warmup = 20
 		cfg.Measure = 60
 	}
-	res := StaticCompat(cfg)
+	res := sw.StaticCompat(cfg)
 	return RenderStaticCompat(cfg, res), res
 }

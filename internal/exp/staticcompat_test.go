@@ -6,6 +6,8 @@ import (
 )
 
 func TestStaticCompatAllWithinBand(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	// The paper's premise: TCP-compatible algorithms obtain roughly
 	// TCP's throughput under a static loss process. Audit every family
 	// at p = 1% and require the ratio to stay within a 2x band (the
@@ -16,7 +18,7 @@ func TestStaticCompatAllWithinBand(t *testing.T) {
 		Measure:      60,
 		Seed:         1,
 	}
-	pts := StaticCompat(cfg)
+	pts := sw.StaticCompat(cfg)
 	if len(pts) != 6 {
 		t.Fatalf("%d points, want 6 algorithms", len(pts))
 	}
@@ -32,6 +34,8 @@ func TestStaticCompatAllWithinBand(t *testing.T) {
 }
 
 func TestStaticCompatThroughputFallsWithLoss(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := StaticCompatConfig{
 		Algos:        []AlgoSpec{TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})},
 		DropEveryNth: []int{400, 25},
@@ -39,7 +43,7 @@ func TestStaticCompatThroughputFallsWithLoss(t *testing.T) {
 		Measure:      60,
 		Seed:         1,
 	}
-	pts := StaticCompat(cfg)
+	pts := sw.StaticCompat(cfg)
 	if len(pts) != 2 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -55,6 +59,7 @@ func TestStaticCompatThroughputFallsWithLoss(t *testing.T) {
 }
 
 func TestRenderStaticCompat(t *testing.T) {
+	t.Parallel()
 	cfg := StaticCompatConfig{}
 	out := RenderStaticCompat(cfg, []StaticCompatPoint{
 		{Algo: "TFRC(8)", P: 0.01, Mbps: 1.7, TCPMbps: 1.66, VsTCP: 1.02, VsModel: 0.87},
@@ -67,8 +72,10 @@ func TestRenderStaticCompat(t *testing.T) {
 }
 
 func TestRTTFairnessShortFlowWins(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := RTTFairnessConfig{Warmup: 15, Measure: 60, Seed: 1}
-	res := RTTFairness(cfg)
+	res := sw.RTTFairness(cfg)
 	if len(res) != 2 {
 		t.Fatalf("%d results", len(res))
 	}
@@ -91,8 +98,10 @@ func TestRTTFairnessShortFlowWins(t *testing.T) {
 }
 
 func TestQueueDynamicsComparison(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
 	cfg := QueueDynamicsConfig{Warmup: 15, Measure: 45, Seed: 1}
-	res := QueueDynamics(cfg)
+	res := sw.QueueDynamics(cfg)
 	if len(res) != 3 {
 		t.Fatalf("%d results", len(res))
 	}

@@ -21,22 +21,24 @@ import (
 	"slowcc/internal/topology"
 )
 
-// withStore installs a fresh result store (recording or replaying) for
-// one test and restores clean supervision state afterwards.
-func withStore(t *testing.T, replay bool) *store.Store {
+// newStore opens a fresh result store for one test, closed at its end.
+func newStore(t *testing.T) *store.Store {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetSweepStore(st, replay)
-	t.Cleanup(func() {
-		SetSweepStore(prev, false)
-		SetSweepScope("")
-		resetStop()
-		st.Close()
-	})
+	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// storeSweep returns a test's Sweep recording into a fresh store, and
+// the store; the test sets Replay when it resumes.
+func storeSweep(t *testing.T) (*Sweep, *store.Store) {
+	t.Helper()
+	sw := newSweep(t)
+	sw.Store = newStore(t)
+	return sw, sw.Store
 }
 
 // tinyMatrix is the fastest meaningful matrix: two algorithms, one
@@ -55,10 +57,10 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
-	st := withStore(t, false)
+	t.Parallel()
+	sw, st := storeSweep(t)
 
-	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
+	tsvCold := RenderMatrixTSV(sw.Matrix(tinyMatrix(1)))
 	if st.Len() != 4 {
 		t.Fatalf("store holds %d cells after the sweep, want 4", st.Len())
 	}
@@ -73,8 +75,8 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 
 	// Resume: same config, replay on — every cell must be served from
 	// the store and the TSV artifact must be byte-identical.
-	SetSweepStore(st, true)
-	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+	sw.Replay = true
+	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("replayed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
 	if st.Hits() != 4 {
@@ -83,7 +85,7 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 
 	// A different seed keys differently and must not be served stale
 	// seed-1 results.
-	if RenderMatrixTSV(Matrix(tinyMatrix(2))) == tsvCold {
+	if RenderMatrixTSV(sw.Matrix(tinyMatrix(2))) == tsvCold {
 		t.Fatal("seed-2 sweep replayed seed-1 results: keys are not seed-sensitive")
 	}
 }
@@ -92,9 +94,9 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
-	st := withStore(t, false)
-	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
+	t.Parallel()
+	sw, st := storeSweep(t)
+	tsvCold := RenderMatrixTSV(sw.Matrix(tinyMatrix(1)))
 
 	// Build a partial store — as a SIGKILL mid-sweep would leave — by
 	// copying all but one completed cell into a fresh directory.
@@ -109,8 +111,8 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	SetSweepStore(partial, true)
-	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+	sw.Store, sw.Replay = partial, true
+	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("resumed TSV differs from the uninterrupted run:\n%s\nvs\n%s", got, tsvCold)
 	}
 	if partial.Hits() != 3 {
@@ -131,12 +133,12 @@ func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
-	st := withStore(t, false)
+	t.Parallel()
+	sw, st := storeSweep(t)
 
 	// What the cell's engine ran with: a registry, and a nil digest slot
 	// (observe is the only place a sweep installs one).
-	_, rerr := Supervise(0, func(c *Cell) int {
+	_, rerr := supervise(sw, 0, func(c *Cell) int {
 		runCellScenario(c, 1)
 		if len(c.obsv) != 1 || c.obsv[0].reg == nil {
 			t.Errorf("store-only cell collected %+v, want one engine with a counter registry", c.obsv)
@@ -149,7 +151,7 @@ func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 		t.Fatalf("cell failed: %v", rerr)
 	}
 
-	Matrix(tinyMatrix(1))
+	sw.Matrix(tinyMatrix(1))
 	if st.Len() != 4 {
 		t.Fatalf("store holds %d cells after the sweep, want 4", st.Len())
 	}
@@ -176,9 +178,9 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
-	st := withStore(t, false)
-	Matrix(tinyMatrix(1))
+	t.Parallel()
+	sw, st := storeSweep(t)
+	sw.Matrix(tinyMatrix(1))
 	var coldEvents uint64
 	for _, e := range st.Entries() {
 		cs, err := e.CellStats()
@@ -188,9 +190,9 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 		coldEvents += cs.Events
 	}
 
-	SetSweepStore(st, true)
-	sink := withSink(t)
-	Matrix(tinyMatrix(1))
+	sink := &recordingSink{}
+	sw.Replay, sw.Progress = true, sink
+	sw.Matrix(tinyMatrix(1))
 
 	if st.Hits() != 4 || st.Misses() != 0 || st.Corrupt() != 0 {
 		t.Fatalf("hits=%d misses=%d corrupt=%d, want 4, 0, 0: a digestless entry is a hit, not a stale one",
@@ -246,9 +248,9 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
-	st := withStore(t, false)
-	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
+	t.Parallel()
+	sw, st := storeSweep(t)
+	tsvCold := RenderMatrixTSV(sw.Matrix(tinyMatrix(1)))
 
 	var journal []byte
 	for _, e := range st.Entries() {
@@ -264,8 +266,8 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	}
 	defer bad.Close()
 
-	SetSweepStore(bad, true)
-	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+	sw.Store, sw.Replay = bad, true
+	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("sinkless replay TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
 	if bad.Hits() != 4 || bad.Misses() != 0 || bad.Corrupt() != 0 {
@@ -273,8 +275,9 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 			bad.Hits(), bad.Misses(), bad.Corrupt())
 	}
 
-	sink := withSink(t)
-	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+	sink := &recordingSink{}
+	sw.Progress = sink
+	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("recomputed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
 	if bad.Corrupt() != 4 {
@@ -329,9 +332,9 @@ func TestUnparsedStoredResultIsRecomputed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
-	st := withStore(t, false)
-	tsvCold := RenderMatrixTSV(Matrix(tinyMatrix(1)))
+	t.Parallel()
+	sw, st := storeSweep(t)
+	tsvCold := RenderMatrixTSV(sw.Matrix(tinyMatrix(1)))
 	victim := st.Entries()[1]
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -355,8 +358,8 @@ func TestUnparsedStoredResultIsRecomputed(t *testing.T) {
 	if re.Len() != 4 || re.Corrupt() != 0 {
 		t.Fatalf("reopened: %d entries, %d corrupt; want 4, 0", re.Len(), re.Corrupt())
 	}
-	SetSweepStore(re, true)
-	if got := RenderMatrixTSV(Matrix(tinyMatrix(1))); got != tsvCold {
+	sw.Store, sw.Replay = re, true
+	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("replayed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
 	if re.Hits() != 4 || re.Corrupt() != 1 {
@@ -400,6 +403,7 @@ func parentMatrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) str
 }
 
 func TestMatrixCellKeysUnchanged(t *testing.T) {
+	t.Parallel()
 	cfg := MatrixConfig{Seed: 1, Warmup: 1, Measure: 3, Period: 1}
 	cfg.fill()
 	key := matrixCellKeyer(cfg)
@@ -443,6 +447,7 @@ func TestMatrixCellKeysUnchanged(t *testing.T) {
 // the keys a serial pass gives, and a value the config does not hold
 // still keys as the parent's per-cell manifest did.
 func TestMatrixCellKeyerConcurrent(t *testing.T) {
+	t.Parallel()
 	def := MatrixConfig{Seed: 1, Warmup: 1, Measure: 3, Period: 1}
 	tiny := tinyMatrix(1)
 	for _, cfg := range []MatrixConfig{def, tiny} {
@@ -518,24 +523,25 @@ func BenchmarkMatrixCellKey(b *testing.B) {
 }
 
 func TestScopeKeyedSweepReplays(t *testing.T) {
-	withDeadline(t, 0)
-	st := withStore(t, false)
-	SetSweepScope("scope-A")
+	t.Parallel()
+	sw, st := storeSweep(t)
+	sw.Scope = "scope-A"
 
 	var runs atomic.Int64
 	compute := func(c *Cell) float64 {
 		runs.Add(1)
 		return float64(c.Index()) * 1.5
 	}
-	first := supervisedMap(3, compute)
+	first := supervisedMap(sw, 3, compute)
 	if runs.Load() != 3 || st.Len() != 3 {
 		t.Fatalf("cold run: %d computes, %d stored; want 3, 3", runs.Load(), st.Len())
 	}
 
-	// Same scope, replay on: the sweep must not recompute anything.
-	SetSweepStore(st, true)
-	SetSweepScope("scope-A")
-	warm := supervisedMap(3, compute)
+	// Same scope in a new run, replay on: the sweep must not recompute
+	// anything.
+	warmSw := newSweep(t)
+	warmSw.Store, warmSw.Replay, warmSw.Scope = st, true, "scope-A"
+	warm := supervisedMap(warmSw, 3, compute)
 	if runs.Load() != 3 {
 		t.Fatalf("replay ran %d extra computes", runs.Load()-3)
 	}
@@ -547,8 +553,8 @@ func TestScopeKeyedSweepReplays(t *testing.T) {
 
 	// A different scope keys differently: scope-B must not be served
 	// scope-A's cells.
-	SetSweepScope("scope-B")
-	supervisedMap(3, compute)
+	warmSw.Scope = "scope-B"
+	supervisedMap(warmSw, 3, compute)
 	if runs.Load() != 6 {
 		t.Fatalf("scope-B was served scope-A results (%d computes, want 6)", runs.Load())
 	}
@@ -557,17 +563,19 @@ func TestScopeKeyedSweepReplays(t *testing.T) {
 // A convergence trial round-trips JSON, so Figure 10's cells are stored
 // and a second run of the same scope is served from them whole.
 func TestFig10CellsReplay(t *testing.T) {
-	withDeadline(t, 0)
-	st := withStore(t, true)
-	cfg := ConvergenceConfig{SecondStart: 5, Horizon: 10, Seeds: []int64{1}}
-	SetSweepScope("fig10")
-	cold := Fig10(cfg, 16)
+	t.Parallel()
+	st := newStore(t)
+	run := func() []ConvergenceResult {
+		sw := newSweep(t)
+		sw.Store, sw.Replay, sw.Scope = st, true, "fig10"
+		return sw.Fig10(ConvergenceConfig{SecondStart: 5, Horizon: 10, Seeds: []int64{1}}, 16)
+	}
+	cold := run()
 	if st.Len() != 4 || st.Hits() != 0 {
 		t.Fatalf("cold run: %d stored, %d hits; want 4, 0", st.Len(), st.Hits())
 	}
 	misses := st.Misses()
-	SetSweepScope("fig10")
-	warm := Fig10(cfg, 16)
+	warm := run()
 	if st.Hits() != 4 || st.Misses() != misses {
 		t.Fatalf("warm run: %d hits, %d new misses; want 4, 0", st.Hits(), st.Misses()-misses)
 	}
@@ -588,10 +596,10 @@ type lossyResult struct {
 }
 
 func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
-	withDeadline(t, 0)
-	st := withStore(t, true)
-	SetSweepScope("scope-lossy")
-	out := supervisedMap(2, func(c *Cell) lossyResult {
+	t.Parallel()
+	sw, st := storeSweep(t)
+	sw.Replay, sw.Scope = true, "scope-lossy"
+	out := supervisedMap(sw, 2, func(c *Cell) lossyResult {
 		return lossyResult{OK: true, hidden: c.Index()}
 	})
 	if st.Len() != 0 {
@@ -603,14 +611,15 @@ func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
 }
 
 func TestRequestStopSkipsRemainingCells(t *testing.T) {
+	// Serial: the stop flag is process-wide.
 	prevProcs := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevProcs)
-	withDeadline(t, 0)
+	sw := newSweep(t)
 	resetStop()
 	defer resetStop()
 
 	var ran atomic.Int64
-	out := supervisedMap(5, func(c *Cell) int {
+	out := supervisedMap(sw, 5, func(c *Cell) int {
 		ran.Add(1)
 		if c.Index() == 1 {
 			RequestStop()
@@ -626,8 +635,8 @@ func TestRequestStopSkipsRemainingCells(t *testing.T) {
 	if out[1] != 101 || out[2] != 0 {
 		t.Fatalf("in-flight cell lost or skipped cell non-zero: %v", out)
 	}
-	if len(SweepErrors()) != 0 {
-		t.Fatalf("graceful stop recorded errors: %v", SweepErrors())
+	if errs := sw.Errors(); len(errs) != 0 {
+		t.Fatalf("graceful stop recorded errors: %v", errs)
 	}
 }
 
@@ -635,19 +644,19 @@ func TestRequestStopSkipsRemainingCells(t *testing.T) {
 // both halts, joined in construction order, in its RunError and its
 // degraded event — not only the first engine's.
 func TestHaltedCellNamesEveryEngineHalt(t *testing.T) {
-	withDeadline(t, 0)
-	prevB := SetRunBudget(&sim.Budget{MaxEvents: 100})
-	defer SetRunBudget(prevB)
-	sink := withSink(t)
+	t.Parallel()
+	sink := &recordingSink{}
+	sw := newSweep(t)
+	sw.Budget, sw.Progress = &sim.Budget{MaxEvents: 100}, sink
 
-	supervisedMap(1, func(c *Cell) int {
+	supervisedMap(sw, 1, func(c *Cell) int {
 		runCellScenario(c, 1)
 		runCellScenario(c, 2)
 		return 0
 	})
-	errs := SweepErrors()
+	errs := sw.Errors()
 	if len(errs) != 1 {
-		t.Fatalf("SweepErrors = %v, want the halted cell", errs)
+		t.Fatalf("Errors = %v, want the halted cell", errs)
 	}
 	halts := strings.Split(errs[0].Halt, "; ")
 	if len(halts) != 2 || !strings.HasPrefix(halts[0], "max-events after 100 events") ||
@@ -673,7 +682,7 @@ func TestHaltedCellsResumeAsMisses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix sweeps in -short mode")
 	}
-	withDeadline(t, 0)
+	t.Parallel()
 	steps := func(c *Cell) uint64 {
 		eng, d := c.newScenario(int64(c.Index()+1), topology.Config{Rate: 1e6})
 		f := TCPAlgo(0.5).Make(eng, d, 1)
@@ -684,26 +693,24 @@ func TestHaltedCellsResumeAsMisses(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cells int
-		sweep func() string
+		sweep func(sw *Sweep) string
 	}{
-		{"supervisedMap", 3, func() string {
-			SetSweepScope("halted-then-resumed")
-			return fmt.Sprint(supervisedMap(3, steps))
+		{"supervisedMap", 3, func(sw *Sweep) string {
+			sw.Scope = "halted-then-resumed"
+			return fmt.Sprint(supervisedMap(sw, 3, steps))
 		}},
-		{"Matrix", 4, func() string { return RenderMatrixTSV(Matrix(tinyMatrix(1))) }},
+		{"Matrix", 4, func(sw *Sweep) string { return RenderMatrixTSV(sw.Matrix(tinyMatrix(1))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cold := tc.sweep()
-			ResetSweepErrors()
+			t.Parallel()
+			cold := tc.sweep(newSweep(t))
 
-			st := withStore(t, false)
-			prevB := SetRunBudget(&sim.Budget{MaxEvents: 100})
-			halted := tc.sweep()
-			SetRunBudget(prevB)
-			if errs := SweepErrors(); len(errs) != tc.cells {
+			sw, st := storeSweep(t)
+			sw.Budget = &sim.Budget{MaxEvents: 100}
+			halted := tc.sweep(sw)
+			if errs := sw.Errors(); len(errs) != tc.cells {
 				t.Fatalf("halted run degraded %d cells, want %d: %v", len(errs), tc.cells, errs)
 			}
-			ResetSweepErrors()
 			if halted == cold {
 				t.Fatal("the halted run matched the cold run: the budget halted nothing")
 			}
@@ -713,15 +720,13 @@ func TestHaltedCellsResumeAsMisses(t *testing.T) {
 				}
 			}
 
-			SetSweepStore(st, true)
-			if got := tc.sweep(); got != cold {
+			resumed := newSweep(t)
+			resumed.Store, resumed.Replay = st, true
+			if got := tc.sweep(resumed); got != cold {
 				t.Fatalf("resumed run differs from the cold run:\n%s\nvs\n%s", got, cold)
 			}
 			if st.Hits() != 0 || st.Misses() != int64(tc.cells) {
 				t.Fatalf("resume: %d hits, %d misses; want 0, %d", st.Hits(), st.Misses(), tc.cells)
-			}
-			if len(SweepErrors()) != 0 {
-				t.Fatalf("budget-free resume degraded cells: %v", SweepErrors())
 			}
 		})
 	}

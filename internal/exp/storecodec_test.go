@@ -110,6 +110,7 @@ func roundTrips[T any](filled ...T) func(t *testing.T) {
 // Every result type a roster sweep stores, and the telemetry beside it,
 // survives the store bit for bit.
 func TestStoredTypesRoundTrip(t *testing.T) {
+	t.Parallel()
 	for name, run := range map[string]func(*testing.T){
 		"MatrixCell":          roundTrips(filledMatrixCell),
 		"Fig13Point":          roundTrips(filledFig13Point, Fig13Point{F: map[int]float64{}}),
@@ -157,6 +158,7 @@ func listOf(n int) *storedList {
 // Codable refuses exactly the types whose values the encoding would lose
 // or cannot write, and accepts the rest, a recursive type included.
 func TestCodableGate(t *testing.T) {
+	t.Parallel()
 	for _, tc := range []struct {
 		t    reflect.Type
 		want bool
@@ -195,12 +197,11 @@ func TestCodableGate(t *testing.T) {
 // encode, so commitCell logs it as not storable and stores nothing; the
 // sweep still returns it.
 func TestUnstorableResultIsLoggedNotStored(t *testing.T) {
-	withDeadline(t, 0)
-	st := withStore(t, true)
+	t.Parallel()
+	sw, st := storeSweep(t)
 	var buf bytes.Buffer
-	prev := SetSweepLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	defer SetSweepLogger(prev)
-	out := supervisedMapKeyed(2, func(i int) string { return fmt.Sprint("deep-", i) }, func(c *Cell) *storedList {
+	sw.Replay, sw.Logger = true, slog.New(slog.NewTextHandler(&buf, nil))
+	out := supervisedMapKeyed(sw, 2, func(i int) string { return fmt.Sprint("deep-", i) }, func(c *Cell) *storedList {
 		return listOf(1000 * c.Index())
 	})
 	if st.Len() != 1 || !strings.Contains(buf.String(), "sweep cell not storable") {
@@ -222,9 +223,9 @@ type (
 // field dropped, added or moved since is refused, never filled with a
 // zero, dropped, or read from its neighbour's bytes.
 func TestStoredResultOfAnotherShapeIsRefused(t *testing.T) {
-	st := withStore(t, true)
-	env := currentEnv()
-	commitCell(&env, "ab", 0, shapeAB{1, 2}, obs.CellStats{}, nil)
+	t.Parallel()
+	sw, st := storeSweep(t)
+	commitCell(sw, "ab", 0, shapeAB{1, 2}, obs.CellStats{}, nil)
 	e, ok := st.Get("ab")
 	if !ok {
 		t.Fatal("committed cell not served")
@@ -247,33 +248,34 @@ func TestStoredResultOfAnotherShapeIsRefused(t *testing.T) {
 // every cell in the store, counts each corrupt, recomputes it, and
 // returns what a cold run does.
 func TestStoredResultOfAnotherShapeIsRecomputed(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
 	key := func(i int) string { return fmt.Sprint("shape-", i) }
-	for name, sweep := range map[string]func() string{
-		"field dropped": func() string {
-			return fmt.Sprint(supervisedMapKeyed(3, key, func(c *Cell) shapeA { return shapeA{float64(c.Index())} }))
+	for name, sweep := range map[string]func(sw *Sweep) string{
+		"field dropped": func(sw *Sweep) string {
+			return fmt.Sprint(supervisedMapKeyed(sw, 3, key, func(c *Cell) shapeA { return shapeA{float64(c.Index())} }))
 		},
-		"field added": func() string {
-			return fmt.Sprint(supervisedMapKeyed(3, key, func(c *Cell) shapeABC {
+		"field added": func(sw *Sweep) string {
+			return fmt.Sprint(supervisedMapKeyed(sw, 3, key, func(c *Cell) shapeABC {
 				return shapeABC{float64(c.Index()), 0.5, 0.25}
 			}))
 		},
-		"fields swapped": func() string {
-			return fmt.Sprint(supervisedMapKeyed(3, key, func(c *Cell) shapeBA { return shapeBA{float64(c.Index()), 0.5} }))
+		"fields swapped": func(sw *Sweep) string {
+			return fmt.Sprint(supervisedMapKeyed(sw, 3, key, func(c *Cell) shapeBA { return shapeBA{float64(c.Index()), 0.5} }))
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cold := sweep()
-			st := withStore(t, false)
-			supervisedMapKeyed(3, key, func(c *Cell) shapeAB { return shapeAB{100, 200} })
-			SetSweepStore(st, true)
-			if got := sweep(); got != cold {
+			t.Parallel()
+			cold := sweep(newSweep(t))
+			sw, st := storeSweep(t)
+			supervisedMapKeyed(sw, 3, key, func(c *Cell) shapeAB { return shapeAB{100, 200} })
+			sw.Replay = true
+			if got := sweep(sw); got != cold {
 				t.Fatalf("replay over old-shape entries gave %s, a cold run %s", got, cold)
 			}
 			if st.Hits() != 3 || st.Corrupt() != 3 {
 				t.Fatalf("hits=%d corrupt=%d, want 3, 3", st.Hits(), st.Corrupt())
 			}
-			if again := sweep(); again != cold || st.Hits() != 6 || st.Corrupt() != 3 {
+			if again := sweep(sw); again != cold || st.Hits() != 6 || st.Corrupt() != 3 {
 				t.Fatalf("second replay: %s, hits=%d corrupt=%d; want the cold output served from 3 new hits", again, st.Hits(), st.Corrupt())
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"reflect"
+	"time"
 
 	"slowcc/internal/obs"
 	"slowcc/internal/store"
@@ -20,51 +21,20 @@ import (
 // recomputing only the cells the journal does not hold. It also owns
 // the graceful-stop flag, the other way a sweep declines to run a cell.
 
-// SetSweepStore installs the durable result store supervised sweeps
-// commit finished cells into, or nil to remove it. With replay true,
-// keyed cells are additionally served from the store when present
-// (`slowccsim -store DIR -resume`); with replay false the store only
-// records, so a warm store cannot mask a behavioral change unless
-// resuming was asked for. Returns the previous store.
-func SetSweepStore(s *store.Store, replay bool) (prev *store.Store) {
-	setEnv(func(env *sweepEnv) {
-		prev, env.store = env.store, s
-		env.replay = replay && s != nil
-	})
-	return prev
-}
-
-// SetSweepScope names the current run for generic sweep keying: when a
-// store and a scope are both installed, every supervisedMap whose
-// result type the store can encode (store.Codable) keys its cells by
-// (scope, invocation sequence, result type, cell index, sweep size).
-// The caller must pick a scope that is a pure function of the run's
-// inputs (slowccsim uses the pre-run manifest digest plus the
-// experiment name) — resumability depends on the same invocation
-// producing the same keys. Setting a scope resets the invocation
-// sequence; "" disables generic keying (matrix cells, keyed by their
-// own per-cell manifests, are unaffected). Returns the previous scope.
-func SetSweepScope(scope string) (prev string) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	prev = supervision.scope
-	supervision.scope = scope
-	supervision.scopeSeq = 0
-	return prev
-}
-
-// nextSweepScope returns the current scope with this invocation's
-// sequence number claimed ("" when scope keying is off or no store is
-// installed).
-func nextSweepScope() (scope string, seq int) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	if supervision.env.store == nil || supervision.scope == "" {
+// nextScope returns sw's scope with this invocation's sequence number
+// claimed ("" when scope keying is off or sw has no store).
+func (sw *Sweep) nextScope() (scope string, seq int) {
+	if sw.Store == nil || sw.Scope == "" {
 		return "", 0
 	}
-	seq = supervision.scopeSeq
-	supervision.scopeSeq++
-	return supervision.scope, seq
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.scopeSeq == nil {
+		sw.scopeSeq = map[string]int{}
+	}
+	seq = sw.scopeSeq[sw.Scope]
+	sw.scopeSeq[sw.Scope]++
+	return sw.Scope, seq
 }
 
 // RequestStop asks supervised sweeps to stop gracefully: cells not yet
@@ -84,16 +54,16 @@ func StoppedCells() int64 { return supervision.stopped.Load() }
 // refused when it is opened, so a format bump need not move the keys.
 const scopeKeyVersion = "slowcc-store/1"
 
-// scopeKeys derives per-cell store keys for a generic sweep from the
-// installed scope, or nil when keying is off or the store cannot encode
+// scopeKeys derives per-cell store keys for a generic sweep from sw's
+// scope, or nil when keying is off or the store cannot encode
 // T (a type with state the encoding would lose must never be replayed —
 // artifacts rebuilt from it would differ from a cold run's).
-func scopeKeys[T any](n int) func(int) string {
+func scopeKeys[T any](sw *Sweep, n int) func(int) string {
 	var zero T
 	if !store.Codable(reflect.TypeFor[T]()) {
 		return nil
 	}
-	scope, seq := nextSweepScope()
+	scope, seq := sw.nextScope()
 	if scope == "" {
 		return nil
 	}
@@ -106,15 +76,15 @@ func scopeKeys[T any](n int) func(int) string {
 
 // supervisedMapKeyed is supervisedMap with per-cell store keys (nil key,
 // or a "" key, leaves a cell unkeyed: never stored or replayed). A key
-// is computed only while a store is installed, by the worker that
+// is computed only when sw has a store, by the worker that
 // serves or runs its cell. For each index, in order: a requested stop
 // skips the cell; a replay-mode store hit decodes the stored result,
 // replays its telemetry, and emits queued+cached events; otherwise the
 // cell runs under superviseCell and its outcome — success or degraded
 // marker — is committed durably before the sweep moves on.
-func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T) []T {
-	env := currentEnv()
-	st := env.store
+func supervisedMapKeyed[T any](sw *Sweep, n int, key func(i int) string, fn func(c *Cell) T) []T {
+	start := sw.begin()
+	st := sw.Store
 	out := make([]T, n)
 	errs := parallelMapIndexed(n, func(worker, i int) *RunError {
 		if stopRequested.Load() {
@@ -125,9 +95,9 @@ func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T
 		if st != nil && key != nil {
 			k = key(i)
 		}
-		if st != nil && env.replay && k != "" {
+		if st != nil && sw.Replay && k != "" {
 			if e, ok := st.Get(k); ok {
-				if v, ok := decodeStored[T](e); ok && replayCached(&env, i, worker, e) {
+				if v, ok := decodeStored[T](e); ok && replayCached(sw, start, i, worker, e) {
 					out[i] = v
 					return nil
 				}
@@ -136,18 +106,18 @@ func supervisedMapKeyed[T any](n int, key func(i int) string, fn func(c *Cell) T
 				st.CountCorrupt()
 			}
 		}
-		v, stats, rerr := superviseCell(&env, i, worker, fn)
+		v, stats, rerr := superviseCell(sw, start, i, worker, fn)
 		if st != nil && k != "" {
-			commitCell(&env, k, i, v, stats, rerr)
+			commitCell(sw, k, i, v, stats, rerr)
 		}
 		out[i] = v
 		return rerr
 	})
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	for _, rerr := range errs {
 		if rerr != nil {
-			supervision.errs = append(supervision.errs, rerr)
+			sw.errs = append(sw.errs, rerr)
 		}
 	}
 	return out
@@ -166,22 +136,22 @@ func decodeStored[T any](e *store.Entry) (T, bool) {
 // telemetry is decoded only when a sink is attached; false means it did
 // not decode and nothing was emitted,
 // so the caller recomputes the cell instead of accepting the hit.
-func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
+func replayCached(sw *Sweep, start time.Time, index, worker int, e *store.Entry) bool {
 	var stats *obs.CellStats
-	if env.sink != nil {
+	if sw.Progress != nil {
 		var err error
 		if stats, err = e.CellStats(); err != nil {
 			return false
 		}
 	}
-	if !env.telling() {
+	if !sw.telling() {
 		return true
 	}
-	now := env.queued(index, worker)
+	now := sw.queued(start, index, worker)
 	if stats != nil {
-		env.sink.CellStats(*stats)
+		sw.Progress.CellStats(*stats)
 	}
-	env.emit(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
+	sw.emit(obs.SweepEvent{Kind: obs.SweepCached, Cell: index, Worker: worker,
 		Outcome: "cached", Key: e.Key}, now)
 	return true
 }
@@ -192,8 +162,8 @@ func replayCached(env *sweepEnv, index, worker int, e *store.Entry) bool {
 // so it checks that the result it encoded decodes before storing it.
 // Store failures degrade to a log line — the sweep's in-memory results
 // are unaffected.
-func commitCell[T any](env *sweepEnv, key string, index int, v T, stats obs.CellStats, rerr *RunError) {
-	logger := env.logger
+func commitCell[T any](sw *Sweep, key string, index int, v T, stats obs.CellStats, rerr *RunError) {
+	logger := sw.Logger
 	e := store.Entry{Key: key, Index: index, Attempts: 1}
 	if rerr != nil {
 		e.Degraded = true
@@ -215,7 +185,7 @@ func commitCell[T any](env *sweepEnv, key string, index int, v T, stats obs.Cell
 		}
 		e.Result = blob
 	}
-	if err := env.store.Put(e); err != nil && logger != nil {
+	if err := sw.Store.Put(e); err != nil && logger != nil {
 		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell store write failed",
 			slog.Int("cell", index), slog.String("err", err.Error()))
 	}

@@ -58,8 +58,8 @@ func (e *RunError) Error() string {
 // the engine rather than being threaded in by the driver.
 type Cell struct {
 	index int
-	// env is the settings snapshot of the sweep the cell belongs to.
-	env *sweepEnv
+	// sw is the Sweep the cell belongs to.
+	sw *Sweep
 	// obsv collects one entry per engine the cell constructed when a
 	// sink or a store will read its telemetry: the counter registry and,
 	// for a sink, the stream digest the supervisor snapshots into
@@ -94,53 +94,96 @@ type cellObs struct {
 // Index returns the sweep index this cell computes.
 func (c *Cell) Index() int { return c.index }
 
-// sweepEnv holds a sweep's settings, constant while it runs: the Set*
-// functions below write the package's copy, and a sweep —
-// supervisedMapKeyed, Supervise, or a scenario built outside any cell —
-// copies it once under one lock (currentEnv) and hands the copy to every
-// cell. So a Set* call made while a sweep is running applies from the
-// next sweep; no caller does that (slowccsim sets everything before its
-// first Run, the benchmark brackets each pass).
-type sweepEnv struct {
-	// deadline bounds each cell's wall-clock time; 0 disables
-	// (SetSweepDeadline).
-	deadline time.Duration
-	budget   *sim.Budget
-	fault    *faults.Config
-	timeline *obs.Timeline
-	sink     obs.SweepSink
-	logger   *slog.Logger
-	// sweepT0 is the wall-clock origin of every event's AtMS: when the
-	// package loaded or the timeline was last set. sweepStart, stamped by
-	// currentEnv when anything renders events, is when this sweep began:
-	// a queued cell's wait is measured from it.
-	sweepT0, sweepStart time.Time
-	// store is the durable result store keyed sweeps consult and feed
-	// (SetSweepStore); replay additionally serves hits from it.
-	store  *store.Store
-	replay bool
+// Sweep is the one value that configures a run's supervised sweeps:
+// every roster row's Run, driver (sw.Fig3, sw.Matrix, …) and cell reads
+// the Sweep it was handed. Its exported fields are the settings, each
+// off at its zero value; set them before a sweep, not while one runs.
+// It also collects the cells its sweeps degraded (Errors). Two Sweeps
+// share only the process-wide graceful stop (RequestStop) and the test
+// suite's audit switch (audit.go).
+type Sweep struct {
+	// Store is the durable result store keyed cells commit into. With
+	// Replay they are also served from it (slowccsim -store DIR -resume);
+	// without, it only records, so a warm store cannot mask a behavioral
+	// change unless resuming was asked for.
+	Store  *store.Store
+	Replay bool
+	// Scope names the run for generic sweep keying: with a Store, every
+	// supervisedMap whose result type the store can encode keys its cells
+	// by scope, the sequence number of the sweep under it, result type,
+	// cell index and sweep size (scopeKeys). It must be a pure function
+	// of the run's inputs (slowccsim's is the pre-run manifest digest
+	// plus the experiment name) so a resumed run derives the same keys.
+	// "" disables generic keying; matrix cells key themselves.
+	Scope string
+	// Budget is applied to every engine a cell builds (-max-events,
+	// -deadline); a cell it halts is degraded. Its MaxWall is also each
+	// cell's deadline: a cell over it is abandoned on its goroutine, which
+	// the wall budget then halts, and degrades with a deadline RunError.
+	Budget *sim.Budget
+	// Fault is attached (as a fresh faults.Injector per engine) to every
+	// scenario's forward bottleneck — the -fault path. nil or a disabled
+	// config injects nothing.
+	Fault *faults.Config
+	// Progress receives every cell transition and, for every finished
+	// cell, an obs.CellStats snapshot of the counters and stream digest
+	// of each engine the cell built (export.Progress is one). The sink is
+	// what switches that harvest on; a timeline or a logger does not.
+	// Snapshots are taken on the worker goroutine after the job returns,
+	// so the sink never observes a live engine.
+	Progress obs.SweepSink
+	// Timeline draws the cell transitions (obs.Timeline.SweepEvent): a
+	// queued span per cell from its sweep's start, a running span on the
+	// lane of the worker goroutine that ran it, and a degraded or cached
+	// instant.
+	Timeline *obs.Timeline
+	// Logger gets one record per cell transition (logSweepEvent);
+	// slowccsim attaches the run-manifest digest via With("run", digest)
+	// so every record carries its provenance.
+	Logger *slog.Logger
+
+	mu   sync.Mutex
+	errs []*RunError // degraded cells, in sweep order, until Errors takes them
+	// scopeSeq counts the keyed sweeps run under each scope, so two
+	// sweeps of one run cannot collide on (scope, index).
+	scopeSeq map[string]int
+}
+
+// Errors returns the cells this Sweep's sweeps degraded since the last
+// call, in sweep order, and forgets them.
+func (sw *Sweep) Errors() []*RunError {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	errs := sw.errs
+	sw.errs = nil
+	return errs
+}
+
+// begin returns when a sweep starts, read only when the sweep will
+// publish events.
+func (sw *Sweep) begin() (start time.Time) {
+	if sw.telling() {
+		start = time.Now()
+	}
+	return start
+}
+
+// epoch is the wall-clock origin of every event's AtMS: when the
+// package loaded.
+var epoch = time.Now()
+
+// supervision is the package's shared sweep state: what stays live
+// while sweeps run, shared across engines and Sweeps because sweeps
+// run cells concurrently.
+var supervision = struct {
+	mu sync.Mutex
 	// audit runs every scenario under the internal/invariant auditor,
 	// and auditFlightDir, when non-empty, makes audited scenarios dump
 	// their bottleneck's recent packet trace there on the first
-	// violation. Only the package's own
-	// TestMain switches them on (see audit.go).
+	// violation. Only the package's own TestMain switches them on (see
+	// audit.go).
 	audit          bool
 	auditFlightDir string
-}
-
-// supervision is the package's one piece of shared sweep state: the
-// settings a sweep snapshots, and what stays live while sweeps run —
-// shared across engines because sweeps run cells concurrently.
-var supervision = struct {
-	mu  sync.Mutex
-	env sweepEnv
-	// errs collects degraded cells, in sweep order.
-	errs []*RunError
-	// scope names the current run for generic (non-matrix) sweep keying;
-	// scopeSeq counts supervisedMap invocations under the scope so two
-	// sweeps in one run cannot collide on (scope, index).
-	scope    string
-	scopeSeq int
 	// stopped counts cells skipped because a graceful stop was requested.
 	stopped atomic.Int64
 	// auditTotal counts invariant violations; violations keeps the first
@@ -148,137 +191,40 @@ var supervision = struct {
 	auditTotal int64
 	violations []invariant.Violation
 	flightSeq  atomic.Int64
-}{env: sweepEnv{sweepT0: time.Now()}}
-
-// currentEnv snapshots the settings for one sweep, and stamps its start
-// when the sweep will publish events.
-func currentEnv() sweepEnv {
-	supervision.mu.Lock()
-	env := supervision.env
-	supervision.mu.Unlock()
-	if env.telling() {
-		env.sweepStart = time.Now()
-	}
-	return env
-}
-
-// setEnv applies one Set* call to the package's settings.
-func setEnv(set func(env *sweepEnv)) {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	set(&supervision.env)
-}
+}{}
 
 // stopRequested flags a graceful shutdown: supervised sweeps stop
 // starting new cells, in-flight cells finish and commit.
 var stopRequested atomic.Bool
 
-// SetSweepDeadline bounds each supervised cell's wall-clock time (0:
-// none) and returns the previous bound. A cell over it is abandoned on
-// its goroutine, which keeps running until its engine drains — pair the
-// deadline with a wall budget via SetRunBudget so runaways actually
-// stop — and degrades with a deadline RunError.
-func SetSweepDeadline(d time.Duration) (prev time.Duration) {
-	setEnv(func(env *sweepEnv) { prev, env.deadline = env.deadline, d })
-	return prev
-}
-
-// SweepErrors returns the degraded cells recorded by supervised sweeps
-// since the last reset, in sweep order.
-func SweepErrors() []*RunError {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	return append([]*RunError(nil), supervision.errs...)
-}
-
-// ResetSweepErrors clears the degraded-cell collector (test isolation).
-func ResetSweepErrors() {
-	supervision.mu.Lock()
-	defer supervision.mu.Unlock()
-	supervision.errs = nil
-}
-
-// SetRunBudget installs a sim.Budget that newScenario applies to every
-// engine it constructs (the -max-events / -deadline CLI path), or nil
-// to remove it; a cell it halts is degraded. Returns the previous budget.
-func SetRunBudget(b *sim.Budget) (prev *sim.Budget) {
-	setEnv(func(env *sweepEnv) { prev, env.budget = env.budget, b })
-	return prev
-}
-
-// SetFaultConfig installs a fault configuration that newScenario
-// attaches (as a fresh faults.Injector per engine) to every scenario's
-// forward bottleneck — the -fault CLI path. nil or a disabled config
-// removes it. Returns the previous config.
-func SetFaultConfig(fc *faults.Config) (prev *faults.Config) {
-	setEnv(func(env *sweepEnv) { prev, env.fault = env.fault, fc })
-	return prev
-}
-
-// SetSweepTimeline installs a timeline that supervised sweeps draw
-// their cell transitions on (obs.Timeline.SweepEvent): a queued span
-// per cell from its sweep's start, a running span on the lane of the
-// worker goroutine that ran it, and a degraded or cached instant —
-// or nil to remove it. Timestamps are wall-clock microseconds since
-// this call. Returns the previous timeline.
-func SetSweepTimeline(tl *obs.Timeline) (prev *obs.Timeline) {
-	setEnv(func(env *sweepEnv) {
-		prev, env.timeline = env.timeline, tl
-		env.sweepT0 = time.Now()
-	})
-	return prev
-}
-
-// SetSweepProgress installs a live progress sink (export.Progress, or
-// anything else implementing obs.SweepSink): supervised sweeps send it
-// every cell transition and, for every successfully finished cell, an
-// obs.CellStats snapshot of the counters and stream digest of each
-// engine the cell constructed. The sink is what switches that harvest
-// on; a timeline or a logger does not. Snapshots are taken on
-// the worker goroutine after the job returns, so the sink never observes
-// a live engine. nil removes the sink; returns the previous one.
-func SetSweepProgress(sink obs.SweepSink) (prev obs.SweepSink) {
-	setEnv(func(env *sweepEnv) { prev, env.sink = env.sink, sink })
-	return prev
-}
-
-// SetSweepLogger installs a structured logger for supervised cells: one
-// record per cell transition (logSweepEvent). Callers attach run-scoped
-// attributes — slowccsim adds the run-manifest digest via
-// logger.With("run", digest) — so every record of a sweep carries its
-// provenance. nil removes the logger; returns the previous one.
-func SetSweepLogger(l *slog.Logger) (prev *slog.Logger) {
-	setEnv(func(env *sweepEnv) { prev, env.logger = env.logger, l })
-	return prev
-}
-
 // telling reports whether anything renders the sweep's cell
 // transitions. When nothing does, the supervisor reads no clock and
 // builds no event.
-func (env *sweepEnv) telling() bool {
-	return env.sink != nil || env.timeline != nil || env.logger != nil
+func (sw *Sweep) telling() bool {
+	return sw.Progress != nil || sw.Timeline != nil || sw.Logger != nil
 }
 
 // emit publishes one cell transition, stamped now, to each renderer
 // installed: the progress sink, the timeline and the logger.
-func (env *sweepEnv) emit(ev obs.SweepEvent, now time.Time) {
-	ev.AtMS = ms(now.Sub(env.sweepT0))
-	if env.sink != nil {
-		env.sink.SweepEvent(ev)
+func (sw *Sweep) emit(ev obs.SweepEvent, now time.Time) {
+	ev.AtMS = ms(now.Sub(epoch))
+	if sw.Progress != nil {
+		sw.Progress.SweepEvent(ev)
 	}
-	if env.timeline != nil {
-		env.timeline.SweepEvent(ev)
+	if sw.Timeline != nil {
+		sw.Timeline.SweepEvent(ev)
 	}
-	if env.logger != nil {
-		logSweepEvent(env.logger, ev)
+	if sw.Logger != nil {
+		logSweepEvent(sw.Logger, ev)
 	}
 }
 
-// queued publishes that a worker picked the cell up, and returns when.
-func (env *sweepEnv) queued(index, worker int) time.Time {
+// queued publishes that a worker picked the cell up, start being when
+// its sweep began, and returns when.
+func (sw *Sweep) queued(start time.Time, index, worker int) time.Time {
 	now := time.Now()
-	env.emit(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker,
-		WaitMS: ms(now.Sub(env.sweepStart))}, now)
+	sw.emit(obs.SweepEvent{Kind: obs.SweepQueued, Cell: index, Worker: worker,
+		WaitMS: ms(now.Sub(start))}, now)
 	return now
 }
 
@@ -311,36 +257,35 @@ func logSweepEvent(l *slog.Logger, ev obs.SweepEvent) {
 	l.LogAttrs(ctx, level, "sweep cell "+string(ev.Kind), attrs...)
 }
 
-// Supervise runs job once as a supervised sweep cell: a panic, the
-// sweep deadline or a run budget halt degrades it into a RunError. On
-// success the error is nil; callers that are not part of a sweep get
-// the error directly and nothing is recorded in SweepErrors.
-func Supervise[T any](index int, job func(c *Cell) T) (T, *RunError) {
-	env := currentEnv()
-	v, _, rerr := superviseCell(&env, index, 0, job)
+// supervise runs job once as a cell of sw outside any sweep: a panic,
+// the deadline or a run budget halt degrades it into a RunError, which
+// the caller gets directly; nothing is recorded in sw.Errors.
+func supervise[T any](sw *Sweep, index int, job func(c *Cell) T) (T, *RunError) {
+	v, _, rerr := superviseCell(sw, sw.begin(), index, 0, job)
 	return v, rerr
 }
 
 // superviseCell runs one cell, once. It ends finished, its value its
 // result, or degraded (runAttempt decides); a finished cell also returns
 // its telemetry snapshot, which the keyed sweep path commits to the
-// result store. Each transition is published once (sweepEnv.emit):
-// queued and running, then the done or degraded event that ends it.
-func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T) (T, obs.CellStats, *RunError) {
-	tell := env.telling()
+// result store. Each transition is published once (Sweep.emit): queued
+// and running, then the done or degraded event that ends it; start is
+// when the cell's sweep began (Sweep.begin).
+func superviseCell[T any](sw *Sweep, start time.Time, index, worker int, job func(c *Cell) T) (T, obs.CellStats, *RunError) {
+	tell := sw.telling()
 	var t0 time.Time
 	if tell {
-		t0 = env.queued(index, worker)
-		env.emit(obs.SweepEvent{Kind: obs.SweepRunning, Cell: index, Worker: worker}, t0)
+		t0 = sw.queued(start, index, worker)
+		sw.emit(obs.SweepEvent{Kind: obs.SweepRunning, Cell: index, Worker: worker}, t0)
 	}
-	v, cell, rerr := runAttempt(env, index, job) // v is the zero value when rerr is set
+	v, cell, rerr := runAttempt(sw, index, job) // v is the zero value when rerr is set
 	var st obs.CellStats
 	ev := obs.SweepEvent{Kind: obs.SweepDone, Cell: index, Worker: worker, Outcome: "ok"}
 	if rerr == nil {
 		st = cellStats(cell)
 		cell.release()
-		if env.sink != nil {
-			env.sink.CellStats(st)
+		if sw.Progress != nil {
+			sw.Progress.CellStats(st)
 		}
 	} else {
 		ev.Kind, ev.Outcome, ev.Halt = obs.SweepDegraded, rerr.Outcome, rerr.Halt
@@ -348,7 +293,7 @@ func superviseCell[T any](env *sweepEnv, index, worker int, job func(c *Cell) T)
 	if tell {
 		now := time.Now()
 		ev.DurMS = ms(now.Sub(t0))
-		env.emit(ev, now)
+		sw.emit(ev, now)
 	}
 	return v, st, rerr
 }
@@ -387,8 +332,8 @@ func cellStats(c *Cell) obs.CellStats {
 // Cell comes back for the harvest of a finished cell, never from an
 // abandoned job. The job runs under the pprof label slowcc_cell, so CPU
 // profiles scraped from /debug/pprof attribute samples to sweep cells.
-func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell, *RunError) {
-	c := &Cell{index: index, env: env}
+func runAttempt[T any](sw *Sweep, index int, job func(c *Cell) T) (T, *Cell, *RunError) {
+	c := &Cell{index: index, sw: sw}
 	type outcome struct {
 		v    T
 		rerr *RunError
@@ -419,7 +364,11 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 			o.v = job(c)
 		})
 	}
-	if env.deadline <= 0 {
+	var deadline time.Duration // the budget's MaxWall; 0 is none
+	if sw.Budget != nil {
+		deadline = sw.Budget.MaxWall
+	}
+	if deadline <= 0 {
 		run()
 		o := <-res
 		return o.v, c, o.rerr
@@ -428,12 +377,12 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 	select {
 	case o := <-res:
 		return o.v, c, o.rerr
-	case <-time.After(env.deadline):
+	case <-time.After(deadline):
 		re := &RunError{Index: index, Outcome: "deadline"}
-		// Grace window: when the deadline pairs with an engine wall
-		// budget (the documented pairing), the abandoned run halts just
-		// past the deadline — wait briefly so its halt lands in the
-		// degraded report. The classification stands either way.
+		// Grace window: the deadline is the engine wall budget, so an
+		// abandoned run that is simulating halts just past it — wait
+		// briefly so its halt lands in the degraded report. The
+		// classification stands either way.
 		select {
 		case o := <-res:
 			if o.rerr != nil {
@@ -450,14 +399,14 @@ func runAttempt[T any](env *sweepEnv, index int, job func(c *Cell) T) (T, *Cell,
 // actually halt (via its wall budget) before being fully abandoned.
 const deadlineGrace = 250 * time.Millisecond
 
-// supervisedMap is parallelMapIndexed with per-cell supervision: a cell
-// that degrades (RunError) yields its zero value and its RunError in
-// SweepErrors (recorded in index order, deterministically) instead of
-// aborting the sweep. Figures 3-19 run their sweeps through it, so one
-// poisoned cell degrades one table entry rather than the whole run.
-// When a result store and sweep scope are installed (and the store can
-// encode the result type), cells are additionally keyed into
-// the store — see storekey.go.
-func supervisedMap[T any](n int, fn func(c *Cell) T) []T {
-	return supervisedMapKeyed(n, scopeKeys[T](n), fn)
+// supervisedMap is parallelMapIndexed with per-cell supervision under
+// sw: a cell that degrades (RunError) yields its zero value and its
+// RunError in sw.Errors (recorded in index order, deterministically)
+// instead of aborting the sweep. Figures 3-19 run their sweeps through
+// it, so one poisoned cell degrades one table entry rather than the
+// whole run. When sw has a store and a scope (and the store can encode
+// the result type), cells are additionally keyed into the store — see
+// storekey.go.
+func supervisedMap[T any](sw *Sweep, n int, fn func(c *Cell) T) []T {
+	return supervisedMapKeyed(sw, n, scopeKeys[T](sw, n), fn)
 }

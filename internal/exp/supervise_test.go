@@ -15,19 +15,6 @@ import (
 	"slowcc/internal/topology"
 )
 
-// withDeadline installs a sweep deadline (0: none) for the duration of
-// a test and restores the previous one (plus a clean error collector)
-// afterwards.
-func withDeadline(t *testing.T, d time.Duration) {
-	t.Helper()
-	prev := SetSweepDeadline(d)
-	ResetSweepErrors()
-	t.Cleanup(func() {
-		SetSweepDeadline(prev)
-		ResetSweepErrors()
-	})
-}
-
 // runCellScenario builds a real supervised scenario and pushes traffic
 // through its bottleneck, so a panic after it unwinds a live engine.
 func runCellScenario(c *Cell, seed int64) {
@@ -38,9 +25,9 @@ func runCellScenario(c *Cell, seed int64) {
 }
 
 func TestSupervisePanicBecomesRunError(t *testing.T) {
-	withDeadline(t, 0)
-
-	_, rerr := Supervise(7, func(c *Cell) int {
+	t.Parallel()
+	sw := newSweep(t)
+	_, rerr := supervise(sw, 7, func(c *Cell) int {
 		runCellScenario(c, 1)
 		panic("poisoned cell")
 	})
@@ -60,17 +47,19 @@ func TestSupervisePanicBecomesRunError(t *testing.T) {
 	if !strings.Contains(rerr.Error(), "poisoned cell") {
 		t.Fatalf("Error() = %q does not name the panic", rerr.Error())
 	}
-	// Supervise (non-sweep) must not pollute the sweep collector.
-	if errs := SweepErrors(); len(errs) != 0 {
-		t.Fatalf("Supervise recorded %d sweep errors, want 0", len(errs))
+	// A cell outside any sweep must not pollute the sweep collector.
+	if errs := sw.Errors(); len(errs) != 0 {
+		t.Fatalf("supervise recorded %d sweep errors, want 0", len(errs))
 	}
 }
 
 func TestSuperviseDeadlineHalt(t *testing.T) {
-	withDeadline(t, 20*time.Millisecond)
+	t.Parallel()
+	sw := newSweep(t)
+	sw.Budget = &sim.Budget{MaxWall: 20 * time.Millisecond}
 
 	start := time.Now()
-	_, rerr := Supervise(3, func(c *Cell) int {
+	_, rerr := supervise(sw, 3, func(c *Cell) int {
 		time.Sleep(500 * time.Millisecond)
 		return 42
 	})
@@ -89,10 +78,11 @@ func TestSuperviseDeadlineHalt(t *testing.T) {
 }
 
 func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
+	sw := newSweep(t)
 
 	const n, poisoned = 5, 2
-	out := supervisedMap(n, func(c *Cell) int {
+	out := supervisedMap(sw, n, func(c *Cell) int {
 		if c.Index() == poisoned {
 			runCellScenario(c, int64(c.Index()+1))
 			panic("cell is poisoned")
@@ -112,7 +102,7 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 			t.Fatalf("cell %d = %d, want %d", i, v, want)
 		}
 	}
-	errs := SweepErrors()
+	errs := sw.Errors()
 	if len(errs) != 1 {
 		t.Fatalf("sweep recorded %d degraded cells, want exactly 1", len(errs))
 	}
@@ -123,9 +113,8 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 	if !strings.Contains(e.Stack, "runCellScenario") && !strings.Contains(e.Stack, "supervise_test") {
 		t.Fatalf("RunError.Stack does not mention the panicking frame:\n%s", e.Stack)
 	}
-	ResetSweepErrors()
-	if len(SweepErrors()) != 0 {
-		t.Fatal("ResetSweepErrors left errors behind")
+	if errs := sw.Errors(); len(errs) != 0 {
+		t.Fatalf("Errors kept the cells it returned: %v", errs)
 	}
 }
 
@@ -134,18 +123,18 @@ func TestSupervisedSweepSurvivesPoisonedCell(t *testing.T) {
 // full-length result slice, and every halted cell is a degraded zero
 // value with a RunError naming its halt, in index order.
 func TestSupervisedDriverSweepPartialResults(t *testing.T) {
-	withDeadline(t, 0)
-	prev := SetRunBudget(&sim.Budget{MaxEvents: 5000})
-	defer SetRunBudget(prev)
+	t.Parallel()
+	sw := newSweep(t)
+	sw.Budget = &sim.Budget{MaxEvents: 5000}
 
-	res := Fig6(Fig6Config{
+	res := sw.Fig6(Fig6Config{
 		Backgrounds: []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 8})},
 		Flows:       2, Rate: 1e6, End: 30, Seed: 1,
 	})
 	if len(res) != 2 {
 		t.Fatalf("Fig6 returned %d results, want 2", len(res))
 	}
-	errs := SweepErrors()
+	errs := sw.Errors()
 	if len(errs) != 2 {
 		t.Fatalf("budget-halted cells recorded %d errors, want 2: %v", len(errs), errs)
 	}
@@ -160,19 +149,20 @@ func TestSupervisedDriverSweepPartialResults(t *testing.T) {
 }
 
 func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
-	// The documented pairing: a deadline abandons the goroutine, and the
-	// engine budget guarantees the abandoned run terminates instead of
-	// spinning forever. Give the cell a generous event budget but a tiny
-	// wall budget plus a deadline, and check both trip.
-	withDeadline(t, 10*time.Millisecond)
-	prev := SetRunBudget(&sim.Budget{MaxWall: 5 * time.Millisecond})
-	defer SetRunBudget(prev)
+	// A cell's deadline is its budget's MaxWall: the deadline abandons
+	// the goroutine, and the same wall budget guarantees the abandoned
+	// run terminates instead of spinning forever. Its engine checks the
+	// wall every 2048 events, slow ones here, so the deadline fires first.
+	// Serial: under a parallel run's load 2048 sleeping events can
+	// outlast the 5 s the abandoned run is given below.
+	sw := newSweep(t)
+	sw.Budget = &sim.Budget{MaxWall: 10 * time.Millisecond}
 
 	done := make(chan struct{})
-	_, rerr := Supervise(0, func(c *Cell) int {
+	_, rerr := supervise(sw, 0, func(c *Cell) int {
 		defer close(done)
 		eng := sim.New(1)
-		eng.SetBudget(c.env.budget)
+		eng.SetBudget(c.sw.Budget)
 		var tick func()
 		tick = func() {
 			time.Sleep(50 * time.Microsecond)
@@ -195,10 +185,10 @@ func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
 }
 
 func TestSweepTimelineEmitsCellSpans(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
+	sw := newSweep(t)
 	tl := obs.NewTimeline()
-	prev := SetSweepTimeline(tl)
-	defer SetSweepTimeline(prev)
+	sw.Timeline = tl
 
 	const n, poisoned = 6, 4
 	// Hold each worker's first cell until every worker has one, so no
@@ -207,7 +197,7 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 	workers := min(runtime.GOMAXPROCS(0), n)
 	var taken atomic.Int32
 	allBusy := make(chan struct{})
-	supervisedMap(n, func(c *Cell) int {
+	supervisedMap(sw, n, func(c *Cell) int {
 		if int(taken.Add(1)) == workers {
 			close(allBusy)
 		}
@@ -218,6 +208,9 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 		return c.Index()
 	})
 
+	if errs := sw.Errors(); len(errs) != 1 || errs[0].Index != poisoned {
+		t.Fatalf("Errors = %v, want cell %d's panic", errs, poisoned)
+	}
 	var buf strings.Builder
 	if err := tl.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -251,10 +244,10 @@ func TestSweepTimelineEmitsCellSpans(t *testing.T) {
 // each queued span starts at its own sweep's start, so no wait of the
 // second sweep reaches back into the first.
 func TestSweepTimelineQueuedSpansStartAtTheirSweep(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
+	sw := newSweep(t)
 	tl := obs.NewTimeline()
-	prev := SetSweepTimeline(tl)
-	defer SetSweepTimeline(prev)
+	sw.Timeline = tl
 	spans := func(cat string) []obs.TraceEvent {
 		var buf bytes.Buffer
 		if err := tl.WriteJSON(&buf); err != nil {
@@ -275,12 +268,12 @@ func TestSweepTimelineQueuedSpansStartAtTheirSweep(t *testing.T) {
 
 	const n = 4
 	cell := func(c *Cell) int { time.Sleep(2 * time.Millisecond); return c.Index() }
-	supervisedMap(n, cell)
+	supervisedMap(sw, n, cell)
 	firstEnd := 0.0
 	for _, sp := range spans("running") {
 		firstEnd = max(firstEnd, sp.Ts+sp.Dur)
 	}
-	supervisedMap(n, cell)
+	supervisedMap(sw, n, cell)
 	queued := spans("queued")
 	if len(queued) != 2*n {
 		t.Fatalf("%d queued spans, want %d", len(queued), 2*n)
@@ -293,12 +286,15 @@ func TestSweepTimelineQueuedSpansStartAtTheirSweep(t *testing.T) {
 }
 
 func TestSweepTimelineRemovedIsQuiet(t *testing.T) {
-	withDeadline(t, 0)
+	t.Parallel()
+	sw := newSweep(t)
 	tl := obs.NewTimeline()
-	SetSweepTimeline(tl)
-	SetSweepTimeline(nil)
-	supervisedMap(3, func(c *Cell) int { return c.Index() })
-	if got := tl.Len(); got != 0 {
-		t.Fatalf("removed timeline still collected %d events", got)
+	sw.Timeline = tl
+	supervisedMap(sw, 3, func(c *Cell) int { return c.Index() })
+	had := tl.Len()
+	sw.Timeline = nil
+	supervisedMap(sw, 3, func(c *Cell) int { return c.Index() })
+	if got := tl.Len(); had == 0 || got != had {
+		t.Fatalf("timeline held %d events after its sweep and %d after one without it, want the same non-zero count", had, got)
 	}
 }

@@ -37,6 +37,7 @@ func runScripted(t *testing.T, algo AlgoSpec, n int, seed int64) (float64, []flo
 // statement: under a periodic drop process, TCP(b)'s smoothness metric
 // (smallest consecutive-RTT rate ratio) is about 1-b.
 func TestSmoothnessMetricMatchesOneMinusB(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		b       float64
 		wantMin float64 // 1-b, with tolerance below
@@ -65,6 +66,7 @@ func TestSmoothnessMetricMatchesOneMinusB(t *testing.T) {
 // increase in the loss rate should halve TCP's throughput (1/sqrt(p)),
 // well within a generous band.
 func TestInverseSqrtPScaling(t *testing.T) {
+	t.Parallel()
 	lo, _ := runScripted(t, TCPAlgo(0.5), 400, 1) // p = 0.25%
 	hi, _ := runScripted(t, TCPAlgo(0.5), 100, 1) // p = 1%
 	ratio := lo / hi
@@ -77,6 +79,7 @@ func TestInverseSqrtPScaling(t *testing.T) {
 // TFRC(k) with larger k takes longer to halve its sending rate (the
 // paper's responsiveness notion: TFRC's is ~4-6 RTTs at the deployed k).
 func TestTFRCResponsivenessGrowsWithK(t *testing.T) {
+	t.Parallel()
 	halveTime := func(k int) sim.Time {
 		eng := sim.New(1)
 		// Phase 1 lossless, then persistent heavy loss from t=40.
@@ -114,6 +117,7 @@ func TestTFRCResponsivenessGrowsWithK(t *testing.T) {
 // process, all TCP(b) variants should get comparable throughput (that
 // is what TCP-compatible calibration means), certainly within 2x.
 func TestAIMDFamilyThroughputOrderingUnderStaticLoss(t *testing.T) {
+	t.Parallel()
 	r12, _ := runScripted(t, TCPAlgo(0.5), 100, 1)
 	r18, _ := runScripted(t, TCPAlgo(1.0/8), 100, 1)
 	r164, _ := runScripted(t, TCPAlgo(1.0/64), 100, 1)

@@ -85,7 +85,7 @@ func (t *TimedPattern) Drop(now sim.Time) bool {
 			cycle += ph.Duration
 		}
 		if behind := now - t.phaseEnd; cycle > 0 && behind >= cycle {
-			t.phaseEnd += math.Floor(behind/cycle) * cycle
+			t.phaseEnd += float64(math.Floor(behind/cycle) * cycle)
 		}
 		for i := 0; now >= t.phaseEnd; i++ {
 			t.idx = (t.idx + 1) % len(t.Phases)

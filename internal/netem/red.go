@@ -126,7 +126,7 @@ func (r *RED) Enqueue(p *Packet, now sim.Time) bool {
 		pb := r.MaxP * (r.avg - r.MinThresh) / (r.MaxThresh - r.MinThresh)
 		pa := 1.0
 		if float64(r.count)*pb < 1 {
-			pa = pb / (1 - float64(r.count)*pb)
+			pa = pb / (1 - float64(float64(r.count)*pb))
 		}
 		if r.rng.Float64() < pa {
 			r.count = 0
@@ -171,7 +171,7 @@ func (r *RED) updateAvg(now sim.Time) {
 		}
 		r.idle = false
 	} else {
-		r.avg = (1-r.Weight)*r.avg + r.Weight*float64(r.q.n)
+		r.avg = float64((1-r.Weight)*r.avg) + float64(r.Weight*float64(r.q.n))
 	}
 }
 

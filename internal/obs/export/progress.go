@@ -22,8 +22,8 @@ const subChanBuf = 256
 // (the server answers 503) until another cancels.
 const maxSubscribers = 16
 
-// Progress is the live sweep hub: it implements obs.SweepSink, so
-// exp.SetSweepProgress can point supervised sweeps at it, fans the
+// Progress is the live sweep hub: it implements obs.SweepSink, so it
+// can be an exp.Sweep's Progress (slowccsim -serve), fans the
 // per-cell events out to SSE subscribers with bounded buffering, keeps
 // its own sweep-level counters for /metrics and /healthz, and forwards
 // cell telemetry snapshots to an optional Collector.

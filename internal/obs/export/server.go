@@ -82,13 +82,19 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes}
+	// Shutdown waits for handlers but never ends a live /progress stream;
+	// cancelling base, every request's context, does.
+	base, stop := context.WithCancel(context.Background())
+	s.hs = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout, MaxHeaderBytes: maxHeaderBytes,
+		BaseContext: func(net.Listener) context.Context { return base }}
+	s.hs.RegisterOnShutdown(stop)
 	go s.hs.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return ln.Addr().String(), nil
 }
 
-// Close shuts the server down, abandoning live SSE streams after a
-// short grace period.
+// Close shuts the server down: live SSE streams end at once, and
+// in-flight scrapes get a short grace period before their connections
+// are closed.
 func (s *Server) Close() error {
 	if s.hs == nil {
 		return nil

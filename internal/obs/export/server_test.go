@@ -186,3 +186,44 @@ func TestCloseDuringScrapes(t *testing.T) {
 		}
 	}
 }
+
+// Close ends a live /progress stream rather than waiting out its grace
+// period for it: it returns within 500 ms, and the stream's subscriber
+// slot is free by then.
+func TestCloseEndsProgressStreams(t *testing.T) {
+	p := NewProgress(nil)
+	srv := NewServer(nil, p)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.Get("http://" + addr + "/progress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("/progress: status %d, want 200", stream.StatusCode)
+	}
+	subscribers := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.subs)
+	}
+	if n := subscribers(); n != 1 {
+		t.Fatalf("%d subscribers with one stream open, want 1", n)
+	}
+	t0 := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > 500*time.Millisecond {
+		t.Errorf("Close took %v with a stream open, want under 500ms", took)
+	}
+	if n := subscribers(); n != 0 {
+		t.Errorf("%d subscribers after Close, want the stream's slot freed", n)
+	}
+	if _, err := io.Copy(io.Discard, stream.Body); err != nil {
+		t.Logf("stream ended with %v", err)
+	}
+}

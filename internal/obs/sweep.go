@@ -40,8 +40,8 @@ type SweepEvent struct {
 	// Halt names the engines' budget halts on a degraded event
 	// (exp.RunError.Halt); a done event never carries one.
 	Halt string `json:"halt,omitempty"`
-	// AtMS is wall-clock milliseconds since the sweep clock started
-	// (exp.SetSweepTimeline restarts it). DurMS, on done and degraded, is
+	// AtMS is wall-clock milliseconds since the exp package loaded, the
+	// clock every exp.Sweep's events share. DurMS, on done and degraded, is
 	// the cell's wall time. WaitMS, on queued, is how long the cell
 	// waited since its own sweep started.
 	AtMS   float64 `json:"at_ms"`
@@ -63,7 +63,7 @@ type CellStats struct {
 	Events       uint64 // total events executed across the cell's engines
 }
 
-// SweepSink receives live sweep telemetry from exp.SetSweepProgress.
+// SweepSink receives live sweep telemetry as an exp.Sweep's Progress.
 // Methods are called concurrently from worker goroutines; the sink
 // synchronizes internally (export.Progress does).
 type SweepSink interface {

@@ -120,7 +120,8 @@ func (e *Engine) runBudgeted(horizon Time) bool {
 			return false
 		}
 		prev := e.now
-		e.step()
+		e.takeMin(head)
+		e.exec(head)
 		if bs.b.LivelockEvents > 0 {
 			if e.now > prev {
 				bs.stall = 0

@@ -396,7 +396,7 @@ func (cq *calQueue) popHead(tm *Timer) {
 		if cq.gapEWMA == 0 {
 			cq.gapEWMA = gap
 		} else {
-			cq.gapEWMA += (gap - cq.gapEWMA) * 0.125
+			cq.gapEWMA += float64((gap - cq.gapEWMA) * 0.125)
 		}
 	}
 	if cq.pops++; cq.pops >= calAdaptEvery {

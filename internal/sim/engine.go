@@ -466,7 +466,7 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 
 // After schedules fn to run d seconds from now. Negative d panics.
 func (e *Engine) After(d Time, fn func()) *Timer {
-	return e.At(e.now+d, fn)
+	return e.At(e.now+float64(d), fn)
 }
 
 // AtFunc schedules fn(arg) at absolute time t without returning a
@@ -487,7 +487,7 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) {
 // AfterFunc schedules fn(arg) d seconds from now without returning a
 // handle; see AtFunc.
 func (e *Engine) AfterFunc(d Time, fn func(any), arg any) {
-	e.AtFunc(e.now+d, fn, arg)
+	e.AtFunc(e.now+float64(d), fn, arg)
 }
 
 // ResetAt reschedules tm to run fn at absolute time t, reusing the timer
@@ -504,7 +504,7 @@ func (e *Engine) ResetAt(tm *Timer, t Time, fn func()) *Timer {
 
 // ResetAfter is ResetAt relative to the current time.
 func (e *Engine) ResetAfter(tm *Timer, d Time, fn func()) *Timer {
-	return e.ResetAtFunc(tm, e.now+d, callFunc, fn)
+	return e.ResetAtFunc(tm, e.now+float64(d), callFunc, fn)
 }
 
 // ResetAtFunc is ResetAt for the pre-bound fn(arg) callback form: one

@@ -12,7 +12,7 @@ import "math"
 // the relation the paper adopts from Yang & Lam: a = 4(2b - b^2)/3.
 // AIMDIncrease(0.5) = 1, recovering standard TCP.
 func AIMDIncrease(b float64) float64 {
-	return 4 * (2*b - b*b) / 3
+	return 4 * (2*b - float64(b*b)) / 3
 }
 
 // BinomialIncrease returns a TCP-compatible additive-increase scale a for
@@ -55,7 +55,7 @@ func PadhyeRate(p, rtt, rto float64, pktSize int) float64 {
 		p = 1
 	}
 	const b = 1.0
-	f := rtt*math.Sqrt(2*b*p/3) + rto*math.Min(1, 3*math.Sqrt(3*b*p/8))*p*(1+32*p*p)
+	f := float64(rtt*math.Sqrt(2*b*p/3)) + float64(rto*math.Min(1, 3*math.Sqrt(3*b*p/8))*p*(1+float64(32*p*p)))
 	return float64(pktSize) / f
 }
 
@@ -141,7 +141,7 @@ func ConvergenceACKs(b, p, delta float64) float64 {
 	if b <= 0 || p <= 0 || b*p >= 1 || delta <= 0 || delta >= 1 {
 		return math.Inf(1)
 	}
-	return math.Log(delta) / math.Log(1-b*p)
+	return math.Log(delta) / math.Log(1-float64(b*p))
 }
 
 // AggressivenessTCP returns the aggressiveness of TCP(a,b) — the maximum

@@ -233,7 +233,7 @@ func (d demux) Handle(p *netem.Packet) {
 // bandwidth-delay product bdp in packets (the paper's sizing), drawing
 // from src, or simple tail-drop.
 func buildQueue(h Hop, bdp float64, pktSize int, src *lazySource) netem.Queue {
-	capPkts := int(h.QueueFactor*bdp + 0.5)
+	capPkts := int(float64(h.QueueFactor*bdp) + 0.5)
 	if capPkts < 4 {
 		capPkts = 4
 	}

@@ -53,7 +53,7 @@ func NewFlashCrowd(eng *sim.Engine, d topology.Fabric, cfg FlashCrowdConfig) *Fl
 	gap := 1 / cfg.RatePerSec
 	for i := 0; i < n; i++ {
 		flowID := cfg.FirstFlowID + i
-		arrive := cfg.Start + sim.Time(i)*gap
+		arrive := cfg.Start + float64(sim.Time(i)*gap)
 		rcv := cc.NewAckReceiver(eng, flowID, nil)
 		snd := tcp.NewSender(eng, nil, tcp.Config{
 			Flow:    flowID,

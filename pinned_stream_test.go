@@ -13,6 +13,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"testing"
+	"time"
 
 	"slowcc"
 	"slowcc/internal/faults"
@@ -155,6 +156,17 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 				}
 				if sum := queue + tx + prop; math.Abs(sum-e2e) > 1e-9*float64(n) {
 					t.Fatalf("attribution does not tile: q+tx+prop %v vs e2e %v over %d packets", sum, e2e, n)
+				}
+			}},
+		// A budget the run never reaches halts nothing, and its loop pops
+		// the same events the unbudgeted loop does.
+		{name: "budget never reached",
+			before: func(eng *slowcc.Engine, _ *slowcc.DumbbellConfig) {
+				eng.SetBudget(&sim.Budget{MaxEvents: 1 << 40, MaxWall: time.Hour})
+			},
+			check: func(t *testing.T, r macroRun) {
+				if h := r.eng.Halted(); h != nil {
+					t.Fatalf("an unreached budget halted the run: %v", h)
 				}
 			}},
 		// A zero-config injector hands the entry handler back untouched

@@ -114,7 +114,7 @@ func TestPublicScriptedLoss(t *testing.T) {
 }
 
 func TestPublicExperimentRoundTrip(t *testing.T) {
-	r := exp.Fig3(exp.Fig3Config{
+	r := new(exp.Sweep).Fig3(exp.Fig3Config{
 		Scenario: exp.StabilizationConfig{OffAt: 30, OnAt: 36, End: 70, Seed: 1},
 		Algos:    []exp.AlgoSpec{slowcc.TCP(0.5)},
 	})[0]

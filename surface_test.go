@@ -253,6 +253,112 @@ func TestInternalSurfaceHasUsers(t *testing.T) {
 	}
 }
 
+// benchOnly lists the exported names of internal/exp/benchsurface.go:
+// package-level wrappers over one default exp.Sweep, kept only because
+// bench/ compiles against them. TestBenchSurfaceIsBenchOnly holds the
+// list to that file and to its one user.
+var benchOnly = map[string]string{
+	"SetSweepStore":    benchReason,
+	"SetSweepProgress": benchReason,
+	"SetSweepTimeline": benchReason,
+	"SweepErrors":      benchReason,
+	"ResetSweepErrors": benchReason,
+	"Supervise":        benchReason,
+	"Matrix":           benchReason,
+	"Fig3":             benchReason,
+	"Fig6":             benchReason,
+	"Fairness":         benchReason,
+	"Fig10":            benchReason,
+	"Fig13":            benchReason,
+	"Oscillation":      benchReason,
+	"RunSmoothness":    benchReason,
+}
+
+const benchReason = "bench/ calls it; ROADMAP 1(b) ports bench onto exp.Sweep"
+
+// TestBenchSurfaceIsBenchOnly: every exported name of the bench-surface
+// file is listed in benchOnly and every entry is declared there; bench/
+// uses each one; and nothing else does — no exp.Name outside bench/, no
+// bare call inside internal/exp but the wrappers' own test. Roster rows,
+// slowccsim and the tests reach exp through a Sweep value instead.
+func TestBenchSurfaceIsBenchOnly(t *testing.T) {
+	const surface = "internal/exp/benchsurface.go"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, surface, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+			declared[fd.Name.Name] = true
+			if _, ok := benchOnly[fd.Name.Name]; !ok {
+				t.Errorf("%s exports %s, which benchOnly does not list", surface, fd.Name.Name)
+			}
+		}
+	}
+	for name, reason := range benchOnly {
+		if !declared[name] {
+			t.Errorf("benchOnly lists %s, which %s does not declare", name, surface)
+		}
+		if reason == "" {
+			t.Errorf("benchOnly entry %s gives no reason", name)
+		}
+	}
+
+	usedByBench := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if path == surface || path == "internal/exp/benchsurface_test.go" {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		inBench := strings.HasPrefix(path, "bench/")
+		inExp := strings.HasPrefix(path, "internal/exp/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			var name string
+			switch n := n.(type) {
+			case *ast.SelectorExpr: // exp.Name
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "exp" {
+					name = n.Sel.Name
+				}
+			case *ast.CallExpr: // a bare Name(…) or Name[T](…) inside package exp
+				fun := n.Fun
+				if ix, ok := fun.(*ast.IndexExpr); ok {
+					fun = ix.X
+				}
+				if id, ok := fun.(*ast.Ident); ok && inExp {
+					name = id.Name
+				}
+			}
+			if _, listed := benchOnly[name]; !listed {
+				return true
+			}
+			if inBench && !strings.HasSuffix(path, "_test.go") {
+				usedByBench[name] = true
+			} else if !inBench {
+				t.Errorf("%s: calls the bench-only wrapper %s; go through an exp.Sweep", fset.Position(n.Pos()), name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range benchOnly {
+		if !usedByBench[name] {
+			t.Errorf("bench/ no longer calls exp.%s: delete the wrapper and its benchOnly entry", name)
+		}
+	}
+}
+
 // fieldTestOnly lists the exported internal/ struct fields kept although
 // no non-test file writes them, as "pkg.Type.Field" → reason. It is the
 // only exemption TestInternalFieldsHaveWriters grants; an entry whose
