@@ -16,7 +16,7 @@
 // -fault injects deterministic faults (outages, flapping, corruption,
 // duplication, reordering — see internal/faults) at every scenario's
 // bottleneck; -max-events and -deadline bound runaway cells. A sweep
-// cell that panics, times out or is halted by either budget is reported
+// cell that panics or is halted by either budget is reported
 // as degraded on stderr (and counted in the manifest) instead of killing
 // the run, and is never stored as a result: -resume recomputes it.
 //
@@ -75,7 +75,7 @@ func run() int {
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		maxEvents    = flag.Int64("max-events", 0, "halt any single scenario after this many events, degrading its cell (0 = unbounded)")
-		deadline     = flag.Duration("deadline", 0, "per-sweep-cell wall-clock deadline; a cell over it is degraded, not fatal (0 = none)")
+		deadline     = flag.Duration("deadline", 0, "per-sweep-cell wall-clock deadline: the wall budget a cell's engines share; a cell over it halts and is degraded, not fatal (0 = none)")
 		faultSpec    = flag.String("fault", "", "fault spec injected at every scenario's bottleneck, e.g. 'down:25+5;corrupt:0.001' (see internal/faults)")
 		timeline     = flag.String("timeline", "", "write sweep telemetry (per-cell queued/running spans and degraded/cached instants, one lane per worker) as trace-event JSON to this path")
 		serve        = flag.String("serve", "", "serve live telemetry on this address (e.g. 127.0.0.1:9155): /metrics, /healthz, /progress SSE, /debug/pprof; blocks after the run until interrupted")
@@ -154,8 +154,8 @@ func run() int {
 	// One Sweep carries the run's settings into every roster row.
 	sw := &exp.Sweep{}
 	if *maxEvents > 0 || *deadline > 0 {
-		// The wall budget is also each cell's deadline: a cell over it is
-		// abandoned, and its engine halts instead of spinning.
+		// The wall budget is each cell's deadline: the cell's engines share
+		// it, so a cell over it halts and is degraded.
 		sw.Budget = &sim.Budget{MaxEvents: uint64(*maxEvents), MaxWall: *deadline}
 	}
 	var cellStore *store.Store
@@ -270,7 +270,7 @@ func run() int {
 		go func() {
 			s := <-storeSig
 			fmt.Fprintf(os.Stderr, "%v: stopping gracefully — finishing in-flight cells, checkpointing %s\n", s, cellStore.Dir())
-			exp.RequestStop()
+			sw.RequestStop()
 			signal.Stop(storeSig)
 		}()
 	}
@@ -340,13 +340,13 @@ func run() int {
 		// when the run added anything to it.
 		fmt.Fprintf(os.Stderr, "store %s: %d entries, %d hits, %d misses, %d corrupt\n",
 			cellStore.Dir(), cellStore.Len(), cellStore.Hits(), cellStore.Misses(), cellStore.Corrupt())
-		if stopped := exp.StoppedCells(); stopped > 0 {
+		if stopped := sw.StoppedCells(); stopped > 0 {
 			fmt.Fprintf(os.Stderr, "%d cell(s) skipped by graceful stop\n", stopped)
 		}
 		if err := cellStore.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "store close: %v\n", err)
 		}
-		if exp.StopRequested() {
+		if sw.StopRequested() {
 			fmt.Fprintf(os.Stderr, "interrupted; resume with: -store %s -resume\n", cellStore.Dir())
 			return exitInterrupted
 		}

@@ -323,6 +323,11 @@ func TestProfilesSurviveNonzeroExit(t *testing.T) {
 		if code != 1 || !strings.Contains(stderr, "exp: sweep cell ") {
 			t.Fatalf("-exp %s: exit %d, want 1 naming the cells over their deadline\n%s", name, code, stderr)
 		}
+		// A cell over its deadline is halted by its engines' wall budget;
+		// nothing else stops it, so no cell is reported any other way.
+		if strings.Contains(stderr, "exceeded its deadline") || !strings.Contains(stderr, "halted by its run budget (halt: max-wall") {
+			t.Fatalf("-exp %s: want every cell over its deadline halted by its wall budget\n%s", name, stderr)
+		}
 		if cpu := nonEmpty(t, filepath.Join(dir, "cpu.out")); !bytes.HasPrefix(cpu, []byte{0x1f, 0x8b}) {
 			t.Fatalf("-exp %s: cpu.out does not start with a gzip header: % x", name, cpu[:2])
 		}

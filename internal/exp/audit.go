@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"time"
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
@@ -56,7 +57,8 @@ func (c *Cell) newScenario(seed int64, tc topology.Config) (*sim.Engine, *topolo
 // under, whose Sweep's settings apply; a nil cell, outside supervised
 // sweeps, runs with none. The seed drives the engine, the topology's
 // queues and, unless the configuration names its own, the fault stream.
-// It applies the run budget (the -max-events CLI path); attaches the
+// It applies the run budget (-max-events, and -deadline's wall budget,
+// of which each engine gets what the cell has left); attaches the
 // fault configuration — explicit fc, else the -fault one — to the
 // forward link of hop faultHop, so multi-bottleneck scenarios pick which
 // hop degrades; wires the invariant auditor through every link when
@@ -71,8 +73,16 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 	if c != nil {
 		sw = c.sw
 	}
-	if sw.Budget != nil {
-		eng.SetBudget(sw.Budget)
+	if b := sw.Budget; b != nil {
+		if b.MaxWall > 0 {
+			// The cell's engines share one wall budget: this one gets
+			// what the engines before it left, at least 1 ns, so one
+			// built after the deadline halts at its first event.
+			rest := *b
+			rest.MaxWall = max(b.MaxWall-time.Since(c.start), 1)
+			b = &rest
+		}
+		eng.SetBudget(b)
 	}
 	if fc == nil {
 		fc = sw.Fault

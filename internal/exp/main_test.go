@@ -40,12 +40,6 @@ func auditMode(on bool, flightDir string) (prevOn bool, prevDir string) {
 	return prevOn, prevDir
 }
 
-// resetStop clears the graceful-stop flag and the skipped-cell counter.
-func resetStop() {
-	stopRequested.Store(false)
-	supervision.stopped.Store(0)
-}
-
 // TestMain runs the entire exp package — the scaled-down figure suite,
 // the conservation tests, and the soak — with the invariant auditing
 // layer enabled, so every scenario a driver constructs is checked for

@@ -165,8 +165,9 @@ type MatrixCell struct {
 	// Utilization is the first bottleneck's carried load over capacity
 	// during the measurement window (all traffic classes included).
 	Utilization float64
-	// Degraded marks a cell that panicked, missed the sweep deadline or
-	// was halted by its run budget; its metrics are zero.
+	// Degraded marks a cell that panicked or was halted by its run
+	// budget (its event count or its wall-clock deadline); its metrics
+	// are zero.
 	Degraded bool
 }
 

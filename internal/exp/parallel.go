@@ -26,8 +26,9 @@ func (p *sweepPanic) String() string {
 // from minutes into tens of seconds on a multicore host. Determinism is
 // preserved: results depend only on each point's own seed, never on
 // scheduling. fn also gets the index of the worker (goroutine) running
-// it, 0..workers-1 (0 in the single-worker fallback), so supervised
-// sweeps can attribute each cell to a worker lane in timeline exports.
+// it, 0..workers-1, so supervised sweeps can attribute each cell to a
+// worker lane in timeline exports. One worker is one goroutine like any
+// other: a sweep behaves the same at every GOMAXPROCS.
 //
 // Workers claim indices from one shared counter, so cells start in
 // ascending index order and a cell costs its worker one atomic add, not
@@ -37,61 +38,43 @@ func (p *sweepPanic) String() string {
 // A panic inside fn does not crash the process from a bare worker
 // goroutine: it is captured (with the failing sweep index and the
 // worker's stack) and re-raised on the caller's goroutine once every
-// in-flight item has settled, so test frameworks and callers see an
-// ordinary panic with context. When several indices panic, the lowest
-// index wins, which keeps the reported failure deterministic.
+// index has run, so test frameworks and callers see an ordinary panic
+// with context. When several indices panic, the lowest index wins,
+// which keeps the reported failure deterministic.
 func parallelMapIndexed[T any](n int, fn func(worker, i int) T) []T {
 	out := make([]T, n)
-	if n == 0 {
-		return out
-	}
-	run := func(worker, i int) (p *sweepPanic) {
-		defer func() {
-			if v := recover(); v != nil {
-				p = &sweepPanic{index: i, value: v, stack: debug.Stack()}
-			}
-		}()
-		out[i] = fn(worker, i)
-		return nil
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if p := run(0, i); p != nil {
-				panic(p.String())
-			}
-		}
-		return out
-	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstPan *sweepPanic
 		next     atomic.Int64 // the lowest index no worker has claimed
 	)
-	for w := 0; w < workers; w++ {
+	// Recovering per item keeps the worker claiming indices, so a
+	// panicking cell never strands the ones after it.
+	run := func(worker, i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				mu.Lock()
+				if firstPan == nil || i < firstPan.index {
+					firstPan = &sweepPanic{index: i, value: v, stack: debug.Stack()}
+				}
+				mu.Unlock()
+			}
+		}()
+		out[i] = fn(worker, i)
+	}
+	for w := range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
-			// Recovering per item keeps the worker claiming indices, so
-			// a panicking cell never strands the ones after it.
 			for {
 				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
 				}
-				if p := run(worker, i); p != nil {
-					mu.Lock()
-					if firstPan == nil || p.index < firstPan.index {
-						firstPan = p
-					}
-					mu.Unlock()
-				}
+				run(w, i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if firstPan != nil {

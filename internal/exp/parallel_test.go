@@ -245,3 +245,28 @@ func TestParallelMapRunsEachIndexOnce(t *testing.T) {
 		}
 	}
 }
+
+// A panic behaves the same at every GOMAXPROCS, one worker included:
+// the cells after it still run, and the lowest panicking index is
+// re-raised once they have.
+func TestParallelMapPanicSameAtEveryWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var ran atomic.Int32
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			parallelMapIndexed(10, func(_, i int) int {
+				ran.Add(1)
+				if i == 3 || i == 5 {
+					panic(i)
+				}
+				return i
+			})
+			return nil
+		}()
+		if msg, _ := got.(string); ran.Load() != 10 || !strings.Contains(msg, "sweep index 3") {
+			t.Fatalf("GOMAXPROCS %d: %d of 10 cells ran, re-raised %v; want all 10 and index 3", procs, ran.Load(), got)
+		}
+	}
+}

@@ -611,26 +611,30 @@ func TestLossyResultTypesAreNeverKeyed(t *testing.T) {
 }
 
 func TestRequestStopSkipsRemainingCells(t *testing.T) {
-	// Serial: the stop flag is process-wide.
+	// Serial: one worker claims the cells in order.
 	prevProcs := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevProcs)
 	sw := newSweep(t)
-	resetStop()
-	defer resetStop()
 
 	var ran atomic.Int64
 	out := supervisedMap(sw, 5, func(c *Cell) int {
 		ran.Add(1)
 		if c.Index() == 1 {
-			RequestStop()
+			sw.RequestStop()
 		}
 		return 100 + c.Index()
 	})
 	if ran.Load() != 2 {
 		t.Fatalf("%d cells ran after the stop request, want 2", ran.Load())
 	}
-	if StoppedCells() != 3 {
-		t.Fatalf("StoppedCells = %d, want 3", StoppedCells())
+	if !sw.StopRequested() || sw.StoppedCells() != 3 {
+		t.Fatalf("StopRequested %v, StoppedCells = %d, want true and 3", sw.StopRequested(), sw.StoppedCells())
+	}
+	// The stop is the Sweep's own: another Sweep runs every cell.
+	other := newSweep(t)
+	supervisedMap(other, 2, func(c *Cell) int { ran.Add(1); return 0 })
+	if ran.Load() != 4 || other.StoppedCells() != 0 {
+		t.Fatalf("a stop on one Sweep skipped another's cells (ran %d, stopped %d)", ran.Load(), other.StoppedCells())
 	}
 	if out[1] != 101 || out[2] != 0 {
 		t.Fatalf("in-flight cell lost or skipped cell non-zero: %v", out)

@@ -37,17 +37,19 @@ func (sw *Sweep) nextScope() (scope string, seq int) {
 	return sw.Scope, seq
 }
 
-// RequestStop asks supervised sweeps to stop gracefully: cells not yet
-// started are skipped (counted in StoppedCells), in-flight cells finish
-// and commit to the store. The flag is sticky for the process's life.
-func RequestStop() { stopRequested.Store(true) }
+// RequestStop asks sw's supervised sweeps to stop gracefully: cells not
+// yet started are skipped (counted in StoppedCells), in-flight cells
+// finish and commit to the store. The request is sticky for sw's life.
+// It is safe to call while a sweep runs (slowccsim's signal handler
+// does).
+func (sw *Sweep) RequestStop() { sw.stop.Store(true) }
 
 // StopRequested reports whether a graceful stop has been requested.
-func StopRequested() bool { return stopRequested.Load() }
+func (sw *Sweep) StopRequested() bool { return sw.stop.Load() }
 
 // StoppedCells returns how many cells were skipped because a graceful
 // stop was requested.
-func StoppedCells() int64 { return supervision.stopped.Load() }
+func (sw *Sweep) StoppedCells() int64 { return sw.stopped.Load() }
 
 // scopeKeyVersion heads every generic key. It versions how a key is
 // derived, not the store's on-disk format: a store of another format is
@@ -87,8 +89,8 @@ func supervisedMapKeyed[T any](sw *Sweep, n int, key func(i int) string, fn func
 	st := sw.Store
 	out := make([]T, n)
 	errs := parallelMapIndexed(n, func(worker, i int) *RunError {
-		if stopRequested.Load() {
-			supervision.stopped.Add(1)
+		if sw.stop.Load() {
+			sw.stopped.Add(1)
 			return nil
 		}
 		k := ""

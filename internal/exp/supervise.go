@@ -19,31 +19,28 @@ import (
 	"slowcc/internal/topology"
 )
 
-// RunError describes one degraded sweep cell: it panicked, missed its
-// deadline, or a run budget halted it before its horizon, so it measured
-// nothing; the sweep carried on without it.
+// RunError describes one degraded sweep cell: it panicked, or a run
+// budget (its event count, or its wall-clock deadline) halted it before
+// its horizon, so it measured nothing; the sweep carried on without it.
 type RunError struct {
 	// Index is the sweep index of the degraded cell.
 	Index int
-	// Outcome is how the cell degraded: "panic", "deadline" or "halt".
+	// Outcome is how the cell degraded: "panic" or "halt".
 	Outcome string
 	// Value is the recovered panic value (nil unless Outcome is "panic").
 	Value any
 	// Stack is the panicking goroutine's stack.
 	Stack string
 	// Halt names every engine's sticky budget halt, "; "-joined in
-	// construction order: a halted cell's reason, and beside a panic or a
-	// deadline what the budget had already stopped.
+	// construction order: a halted cell's reason, and beside a panic what
+	// the budget had already stopped.
 	Halt string
 }
 
 // Error implements error.
 func (e *RunError) Error() string {
 	s := fmt.Sprintf("exp: sweep cell %d panicked: %v", e.Index, e.Value)
-	switch e.Outcome {
-	case "deadline":
-		s = fmt.Sprintf("exp: sweep cell %d exceeded its deadline", e.Index)
-	case "halt":
+	if e.Outcome == "halt" {
 		s = fmt.Sprintf("exp: sweep cell %d was halted by its run budget", e.Index)
 	}
 	if e.Halt != "" {
@@ -60,11 +57,14 @@ type Cell struct {
 	index int
 	// sw is the Sweep the cell belongs to.
 	sw *Sweep
+	// start is when the cell began, read only under a wall budget: every
+	// engine the cell builds gets what is left of it (buildScenario).
+	start time.Time
 	// obsv collects one entry per engine the cell constructed when a
 	// sink or a store will read its telemetry: the counter registry and,
 	// for a sink, the stream digest the supervisor snapshots into
-	// obs.CellStats after the job returns. Only the cell's own goroutine
-	// touches it.
+	// obs.CellStats after the job returns. Only the cell's worker touches
+	// it.
 	obsv []cellObs
 	// nets is every topology buildScenario built for the cell. The
 	// supervisor releases them when the cell succeeded (release).
@@ -74,9 +74,8 @@ type Cell struct {
 // release hands the free lists of every net the cell built to the cells
 // after it (topology.Net.Release). Only a successful cell is released,
 // after its telemetry is harvested: a panicked cell's nets may be
-// mid-operation, and an abandoned cell's goroutine still runs on them.
-// The job's result holds no engine, link or packet, so nothing that
-// outlives the cell runs on released nets.
+// mid-operation. The job's result holds no engine, link or packet, so
+// nothing that outlives the cell runs on released nets.
 func (c *Cell) release() {
 	for _, n := range c.nets {
 		n.Release()
@@ -98,9 +97,9 @@ func (c *Cell) Index() int { return c.index }
 // every roster row's Run, driver (sw.Fig3, sw.Matrix, …) and cell reads
 // the Sweep it was handed. Its exported fields are the settings, each
 // off at its zero value; set them before a sweep, not while one runs.
-// It also collects the cells its sweeps degraded (Errors). Two Sweeps
-// share only the process-wide graceful stop (RequestStop) and the test
-// suite's audit switch (audit.go).
+// It also collects the cells its sweeps degraded (Errors) and carries
+// its own graceful stop (RequestStop). Two Sweeps share only the test
+// suite's audit switch (audit.go) and the event clock's origin (epoch).
 type Sweep struct {
 	// Store is the durable result store keyed cells commit into. With
 	// Replay they are also served from it (slowccsim -store DIR -resume);
@@ -117,9 +116,10 @@ type Sweep struct {
 	// "" disables generic keying; matrix cells key themselves.
 	Scope string
 	// Budget is applied to every engine a cell builds (-max-events,
-	// -deadline); a cell it halts is degraded. Its MaxWall is also each
-	// cell's deadline: a cell over it is abandoned on its goroutine, which
-	// the wall budget then halts, and degrades with a deadline RunError.
+	// -deadline); a cell it halts is degraded. Its MaxWall is each cell's
+	// deadline: the engines of one cell share it, counted from when the
+	// cell started, so an engine built after the deadline halts at its
+	// first event.
 	Budget *sim.Budget
 	// Fault is attached (as a fresh faults.Injector per engine) to every
 	// scenario's forward bottleneck — the -fault path. nil or a disabled
@@ -147,6 +147,10 @@ type Sweep struct {
 	// scopeSeq counts the keyed sweeps run under each scope, so two
 	// sweeps of one run cannot collide on (scope, index).
 	scopeSeq map[string]int
+	// stop is the graceful-stop request; stopped counts the cells it
+	// skipped (RequestStop, storekey.go).
+	stop    atomic.Bool
+	stopped atomic.Int64
 }
 
 // Errors returns the cells this Sweep's sweeps degraded since the last
@@ -184,18 +188,12 @@ var supervision = struct {
 	// audit.go).
 	audit          bool
 	auditFlightDir string
-	// stopped counts cells skipped because a graceful stop was requested.
-	stopped atomic.Int64
 	// auditTotal counts invariant violations; violations keeps the first
 	// auditMaxRecorded of them; flightSeq numbers audit dumps.
 	auditTotal int64
 	violations []invariant.Violation
 	flightSeq  atomic.Int64
 }{}
-
-// stopRequested flags a graceful shutdown: supervised sweeps stop
-// starting new cells, in-flight cells finish and commit.
-var stopRequested atomic.Bool
 
 // telling reports whether anything renders the sweep's cell
 // transitions. When nothing does, the supervisor reads no clock and
@@ -257,9 +255,9 @@ func logSweepEvent(l *slog.Logger, ev obs.SweepEvent) {
 	l.LogAttrs(ctx, level, "sweep cell "+string(ev.Kind), attrs...)
 }
 
-// supervise runs job once as a cell of sw outside any sweep: a panic,
-// the deadline or a run budget halt degrades it into a RunError, which
-// the caller gets directly; nothing is recorded in sw.Errors.
+// supervise runs job once as a cell of sw outside any sweep: a panic or
+// a run budget halt degrades it into a RunError, which the caller gets
+// directly; nothing is recorded in sw.Errors.
 func supervise[T any](sw *Sweep, index int, job func(c *Cell) T) (T, *RunError) {
 	v, _, rerr := superviseCell(sw, sw.begin(), index, 0, job)
 	return v, rerr
@@ -324,80 +322,44 @@ func cellStats(c *Cell) obs.CellStats {
 	return st
 }
 
-// runAttempt executes the cell's job with panic recovery; with a
-// deadline it runs on its own goroutine so a hung cell can be abandoned.
-// It decides the cell's outcome: once the job has ended, returned or
-// panicked, its own goroutine reads the engines' halts, so a halt
-// degrades a returned cell and rides beside a panic or a deadline. The
-// Cell comes back for the harvest of a finished cell, never from an
-// abandoned job. The job runs under the pprof label slowcc_cell, so CPU
-// profiles scraped from /debug/pprof attribute samples to sweep cells.
-func runAttempt[T any](sw *Sweep, index int, job func(c *Cell) T) (T, *Cell, *RunError) {
-	c := &Cell{index: index, sw: sw}
-	type outcome struct {
-		v    T
-		rerr *RunError
+// runAttempt executes the cell's job on the calling worker, with panic
+// recovery, and decides the cell's outcome: once the job has ended,
+// returned or panicked, it reads every engine's halt, so a halt degrades
+// a returned cell and rides beside a panic. A cell over its deadline is
+// stopped by its engines' shared wall budget (buildScenario), not here.
+// The job runs under the pprof label slowcc_cell, so CPU profiles
+// scraped from /debug/pprof attribute samples to sweep cells.
+func runAttempt[T any](sw *Sweep, index int, job func(c *Cell) T) (v T, c *Cell, rerr *RunError) {
+	c = &Cell{index: index, sw: sw}
+	if sw.Budget != nil && sw.Budget.MaxWall > 0 {
+		c.start = time.Now()
 	}
-	res := make(chan outcome, 1) // buffered: an abandoned job still completes and is collected
-	labels := pprof.Labels("slowcc_cell", fmt.Sprint(index))
-	run := func() {
-		var o outcome
-		defer func() {
-			if v := recover(); v != nil {
-				o = outcome{rerr: &RunError{Index: index, Outcome: "panic", Value: v, Stack: string(debug.Stack())}}
-			}
-			var halts []string
-			for _, n := range c.nets {
-				if h := n.Eng.Halted(); h != nil {
-					halts = append(halts, h.String())
-				}
-			}
-			if len(halts) > 0 {
-				if o.rerr == nil {
-					o = outcome{rerr: &RunError{Index: index, Outcome: "halt"}}
-				}
-				o.rerr.Halt = strings.Join(halts, "; ")
-			}
-			res <- o
-		}()
-		pprof.Do(context.Background(), labels, func(context.Context) {
-			o.v = job(c)
-		})
-	}
-	var deadline time.Duration // the budget's MaxWall; 0 is none
-	if sw.Budget != nil {
-		deadline = sw.Budget.MaxWall
-	}
-	if deadline <= 0 {
-		run()
-		o := <-res
-		return o.v, c, o.rerr
-	}
-	go run()
-	select {
-	case o := <-res:
-		return o.v, c, o.rerr
-	case <-time.After(deadline):
-		re := &RunError{Index: index, Outcome: "deadline"}
-		// Grace window: the deadline is the engine wall budget, so an
-		// abandoned run that is simulating halts just past it — wait
-		// briefly so its halt lands in the degraded report. The
-		// classification stands either way.
-		select {
-		case o := <-res:
-			if o.rerr != nil {
-				re.Halt = o.rerr.Halt
-			}
-		case <-time.After(deadlineGrace):
+	defer func() {
+		if p := recover(); p != nil {
+			rerr = &RunError{Index: index, Outcome: "panic", Value: p, Stack: string(debug.Stack())}
 		}
-		var zero T
-		return zero, nil, re
-	}
+		var halts []string
+		for _, n := range c.nets {
+			if h := n.Eng.Halted(); h != nil {
+				halts = append(halts, h.String())
+			}
+		}
+		if len(halts) > 0 {
+			if rerr == nil {
+				rerr = &RunError{Index: index, Outcome: "halt"}
+			}
+			rerr.Halt = strings.Join(halts, "; ")
+		}
+		if rerr != nil {
+			var zero T
+			v = zero
+		}
+	}()
+	pprof.Do(context.Background(), pprof.Labels("slowcc_cell", fmt.Sprint(index)), func(context.Context) {
+		v = job(c)
+	})
+	return v, c, nil
 }
-
-// deadlineGrace bounds how long a deadline-exceeded cell is given to
-// actually halt (via its wall budget) before being fully abandoned.
-const deadlineGrace = 250 * time.Millisecond
 
 // supervisedMap is parallelMapIndexed with per-cell supervision under
 // sw: a cell that degrades (RunError) yields its zero value and its

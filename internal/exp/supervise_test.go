@@ -53,27 +53,67 @@ func TestSupervisePanicBecomesRunError(t *testing.T) {
 	}
 }
 
+// A cell over its deadline is halted by its own engine's wall budget:
+// it comes back degraded with the engine's halt, and its job has ended
+// before supervise returns — nothing is left running.
 func TestSuperviseDeadlineHalt(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)
 	sw.Budget = &sim.Budget{MaxWall: 20 * time.Millisecond}
 
-	start := time.Now()
-	_, rerr := supervise(sw, 3, func(c *Cell) int {
-		time.Sleep(500 * time.Millisecond)
+	var ended atomic.Bool
+	v, rerr := supervise(sw, 3, func(c *Cell) int {
+		defer ended.Store(true)
+		eng, _ := c.newScenario(1, topology.Config{Rate: 1e6})
+		spin(eng)
+		eng.RunUntil(1e9)
 		return 42
 	})
-	if rerr == nil {
-		t.Fatal("over-deadline cell returned nil RunError")
+	if !ended.Load() {
+		t.Fatal("supervise returned while its cell's job still ran")
 	}
-	if rerr.Outcome != "deadline" || rerr.Index != 3 {
-		t.Fatalf("RunError = %+v, want a deadline on index 3", rerr)
+	if rerr == nil || v != 0 {
+		t.Fatalf("over-deadline cell returned %d, %v; want a degraded zero value", v, rerr)
 	}
-	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
-		t.Fatalf("supervisor waited %v for an abandoned cell", elapsed)
+	if rerr.Outcome != "halt" || rerr.Index != 3 || !strings.HasPrefix(rerr.Halt, "max-wall after ") {
+		t.Fatalf("RunError = %+v, want index 3 halted by max-wall", rerr)
 	}
-	if !strings.Contains(rerr.Error(), "deadline") {
-		t.Fatalf("Error() = %q, want a deadline message", rerr.Error())
+	if !strings.Contains(rerr.Error(), "halted by its run budget (halt: max-wall") {
+		t.Fatalf("Error() = %q, want the wall halt", rerr.Error())
+	}
+}
+
+// spin schedules an endless chain of events a microsecond apart, so a
+// run of eng ends only when its budget halts it.
+func spin(eng *sim.Engine) {
+	var tick func()
+	tick = func() { eng.After(1e-6, tick) }
+	eng.After(0, tick)
+}
+
+// A cell's deadline is one wall budget its engines share, counted from
+// the cell's start: the first engine spends it, and an engine built
+// after the deadline halts at its first event instead of getting a
+// budget of its own.
+func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
+	t.Parallel()
+	sw := newSweep(t)
+	sw.Budget = &sim.Budget{MaxWall: 10 * time.Millisecond}
+
+	_, rerr := supervise(sw, 0, func(c *Cell) int {
+		first, _ := c.newScenario(1, topology.Config{Rate: 1e6})
+		spin(first)
+		first.RunUntil(1e9)
+		runCellScenario(c, 2)
+		return 1
+	})
+	if rerr == nil || rerr.Outcome != "halt" {
+		t.Fatalf("want a halt RunError, got %v", rerr)
+	}
+	halts := strings.Split(rerr.Halt, "; ")
+	if len(halts) != 2 || !strings.HasPrefix(halts[0], "max-wall after ") ||
+		!strings.HasPrefix(halts[1], "max-wall after 0 events") {
+		t.Fatalf("Halt = %q, want the first engine's wall halt, then the second's at event 0", rerr.Halt)
 	}
 }
 
@@ -145,42 +185,6 @@ func TestSupervisedDriverSweepPartialResults(t *testing.T) {
 		if e := errs[i]; e.Index != i || e.Outcome != "halt" || !strings.HasPrefix(e.Halt, "max-events after 5000 events") {
 			t.Fatalf("RunError %d = %+v, want cell %d's halt", i, e, i)
 		}
-	}
-}
-
-func TestSuperviseDeadlinePairsWithBudget(t *testing.T) {
-	// A cell's deadline is its budget's MaxWall: the deadline abandons
-	// the goroutine, and the same wall budget guarantees the abandoned
-	// run terminates instead of spinning forever. Its engine checks the
-	// wall every 2048 events, slow ones here, so the deadline fires first.
-	// Serial: under a parallel run's load 2048 sleeping events can
-	// outlast the 5 s the abandoned run is given below.
-	sw := newSweep(t)
-	sw.Budget = &sim.Budget{MaxWall: 10 * time.Millisecond}
-
-	done := make(chan struct{})
-	_, rerr := supervise(sw, 0, func(c *Cell) int {
-		defer close(done)
-		eng := sim.New(1)
-		eng.SetBudget(c.sw.Budget)
-		var tick func()
-		tick = func() {
-			time.Sleep(50 * time.Microsecond)
-			eng.After(1e-6, tick)
-		}
-		eng.After(0, tick)
-		eng.RunUntil(1e9)
-		return 1
-	})
-	if rerr == nil || rerr.Outcome != "deadline" {
-		t.Fatalf("want a deadline RunError, got %v", rerr)
-	}
-	select {
-	case <-done:
-		// The abandoned goroutine terminated because the wall budget
-		// halted its engine.
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned cell never halted; the budget pairing is broken")
 	}
 }
 

@@ -19,8 +19,10 @@ const contentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
 // degraded, "degraded" afterwards (HTTP 503): a sweep that lost cells
 // needs operator attention even though it kept running — the same
 // contract as slowccsim -fail-degraded, but live. A cell whose engines a
-// run budget (-max-events / -deadline) halted counts as degraded: it did
-// not measure what it computes.
+// run budget halted counts as degraded: it did not measure what it
+// computes. -max-events bounds each engine's events; -deadline is the
+// wall budget a cell's engines share, so a cell over it is one such
+// halt.
 type Health struct {
 	Status  string         `json:"status"`
 	UptimeS float64        `json:"uptime_s"`

@@ -18,8 +18,9 @@ const (
 	SweepRetry SweepEventKind = "retry"
 	// SweepDone: the cell succeeded.
 	SweepDone SweepEventKind = "done"
-	// SweepDegraded: the cell panicked, missed its deadline or was halted
-	// by its run budget; the sweep carries on without it.
+	// SweepDegraded: the cell panicked or was halted by its run budget
+	// (its event count or its wall-clock deadline); the sweep carries on
+	// without it.
 	SweepDegraded SweepEventKind = "degraded"
 	// SweepCached: the cell was served from the durable result store
 	// without running — its recorded CellStats were replayed into the
@@ -34,8 +35,7 @@ type SweepEvent struct {
 	// Attempt is always 0: a cell runs once.
 	Attempt int `json:"attempt"`
 	Worker  int `json:"worker"`
-	// Outcome is "ok" (done), "deadline", "panic" or "halt" (degraded),
-	// or "cached".
+	// Outcome is "ok" (done), "panic" or "halt" (degraded), or "cached".
 	Outcome string `json:"outcome,omitempty"`
 	// Halt names the engines' budget halts on a degraded event
 	// (exp.RunError.Halt); a done event never carries one.
