@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race fma bench fuzz-smoke
+.PHONY: ci fmt vet build test race fma nofma bench fuzz-smoke
 
 # ci is the gate future PRs run: formatting and static checks, a full
 # build, the complete test suite under the race detector, and a few
@@ -24,7 +24,9 @@ GO ?= go
 # profiles). fma cross-compiles the digested path for the four
 # architectures that fuse multiply-adds and fails on any fused
 # instruction: the simulation's answer must not depend on the CPU.
-ci: fmt vet build race fma fuzz-smoke
+# nofma checks the same from the other side, on this CPU: the pinned
+# stream and RED's idle-decay pins hold with the runtime's FMA paths off.
+ci: fmt vet build race fma nofma fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
 fmt:
@@ -46,6 +48,15 @@ race:
 # the standard library four times over.
 fma:
 	$(GO) test -tags fmacheck -run TestNoFusedMultiplyAdd .
+
+# nofma reruns the root package's pinned-stream tests and
+# ./internal/netem's RED idle-decay pins with GODEBUG=cpu.fma=off, which
+# sends math.Pow and the other library routines that test for fused
+# multiply-add down their portable branch. A difference there is one the
+# answer would have on a CPU without FMA.
+nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'PinnedStream' .
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'REDIdleDecay' ./internal/netem
 
 # bench smoke-runs every benchmark once; invariants stay disabled so the
 # numbers reflect the production configuration.

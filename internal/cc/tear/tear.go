@@ -78,10 +78,6 @@ func (r *Receiver) Rate() float64 {
 // Window returns the current emulated congestion window in packets.
 func (r *Receiver) Window() float64 { return r.cwnd }
 
-// SmoothedWindow returns the EWMA of the emulated window (0 before the
-// first fold).
-func (r *Receiver) SmoothedWindow() float64 { return r.smoothW }
-
 // ProbeVars implements probe.Provider: the TCP-compatible rate the
 // receiver feeds back upstream (bytes/s) and the emulated window driving
 // it (packets). A flow's probe carries both ends' variables, so the

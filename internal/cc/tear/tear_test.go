@@ -107,10 +107,10 @@ func TestTEARSmoothedWindowTrailsActual(t *testing.T) {
 	for i := int64(1); i <= 200; i++ {
 		r.Handle(&netem.Packet{Kind: netem.Data, Seq: i, Size: 1000, SenderRTT: 0.05})
 	}
-	if r.SmoothedWindow() >= r.Window() {
-		t.Fatalf("smoothW %v should trail the growing cwnd %v", r.SmoothedWindow(), r.Window())
+	if r.smoothW >= r.Window() {
+		t.Fatalf("smoothW %v should trail the growing cwnd %v", r.smoothW, r.Window())
 	}
-	if r.SmoothedWindow() <= 10 {
+	if r.smoothW <= 10 {
 		t.Fatal("smoothW never moved despite sustained growth")
 	}
 }

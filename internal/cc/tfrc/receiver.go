@@ -15,6 +15,7 @@ package tfrc
 
 import (
 	"math"
+	"slices"
 
 	"slowcc/internal/cc"
 	"slowcc/internal/netem"
@@ -188,7 +189,9 @@ func (r *Receiver) onLoss(firstLost int64, now sim.Time) {
 		if closed < 1 {
 			closed = 1
 		}
-		r.intervals = append([]int64{closed}, r.intervals...)
+		// Shifted in place: the history has room for one interval more
+		// than it keeps, so a loss event allocates nothing.
+		r.intervals = slices.Insert(slices.Grow(r.intervals, max(0, r.NumIntervals+1-len(r.intervals))), 0, closed)
 		if len(r.intervals) > r.NumIntervals {
 			r.intervals = r.intervals[:r.NumIntervals]
 		}

@@ -99,9 +99,6 @@ func (s *Sender) ProbeVars() []probe.Var {
 	}
 }
 
-// InSlowStart reports whether no loss has been reported yet.
-func (s *Sender) InSlowStart() bool { return s.inSS }
-
 // Start implements cc.Sender.
 func (s *Sender) Start() {
 	if s.running {

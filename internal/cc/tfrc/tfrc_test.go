@@ -68,7 +68,7 @@ func TestTFRCSlowStartExitsOnLoss(t *testing.T) {
 	snd, _ := wire(eng, d, 1, 8, false)
 	eng.At(0, snd.Start)
 	eng.RunUntil(30)
-	if snd.InSlowStart() {
+	if snd.inSS {
 		t.Fatal("sender still in slow-start after 30s of saturation")
 	}
 }

@@ -211,3 +211,33 @@ func TestTFRCSenderRateFloor(t *testing.T) {
 		t.Fatalf("rate %v below the one-packet-per-64s floor %v", snd.Rate(), snd.minRate())
 	}
 }
+
+// A loss event shifts the interval history in place: once the first
+// event has sized it, recording one allocates nothing, and the history
+// stays the most recent NumIntervals intervals, newest first.
+func TestLossEventAllocatesNothing(t *testing.T) {
+	eng := sim.New(1)
+	pool := netem.NewPacketPool()
+	r := NewReceiver(eng, 1, nil, 8)
+	r.Attach(netem.Sink{Pool: pool}, pool)
+	var now sim.Time
+	seq := int64(0)
+	loss := func() {
+		now += 1 // a loss event per call: they are an RTT and more apart
+		seq += 10
+		r.onLoss(seq, now)
+	}
+	for i := 0; i < 2*r.NumIntervals; i++ {
+		loss()
+	}
+	if avg := testing.AllocsPerRun(100, loss); avg != 0 {
+		t.Fatalf("a loss event allocates %v times, want 0", avg)
+	}
+	if len(r.intervals) != r.NumIntervals {
+		t.Fatalf("history holds %d intervals, want %d", len(r.intervals), r.NumIntervals)
+	}
+	r.onLoss(seq+3, now+1)
+	if r.intervals[0] != 3 || r.intervals[1] != 10 {
+		t.Fatalf("history %v, want the 3-packet interval first, then a 10", r.intervals)
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
-	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 	"slowcc/internal/trace"
@@ -128,15 +127,17 @@ func (c *Cell) buildScenario(seed int64, tc topology.Config, chain *topology.Net
 		}
 	}
 	// A sink or a store reads the cell's counters — recorded cells carry
-	// them with the event count so a resumed run replays the
-	// /metrics state a cold run produces — through closures read once,
-	// after the job returns. Folding the event stream is per-event work,
-	// so only a live sink gets a digest, and a store records whatever the
-	// cell ran with.
-	if c != nil && (sw.Progress != nil || sw.Store != nil) {
-		c.observe(n, sw.Progress != nil)
-	}
+	// them with the event count so a resumed run replays the /metrics
+	// state a cold run produces — once, after the job returns
+	// (cellStats). Folding the event stream is per-event work, so only a
+	// live sink gets a digest, and a store records whatever the cell ran
+	// with.
 	if c != nil {
+		if sw.Progress != nil {
+			dig := &sim.StreamDigest{}
+			eng.SetStreamDigest(dig)
+			c.digests = append(c.digests, dig)
+		}
 		c.nets = append(c.nets, n)
 	}
 	return eng, n
@@ -151,21 +152,6 @@ func dumpRing(ring *trace.Recorder, path string) {
 	}
 	defer f.Close()
 	_ = ring.WriteTSV(f)
-}
-
-// observe attaches telemetry collection points to one scenario the cell
-// constructed: a counter registry populated by the topology's Observe —
-// read closures, nothing per event — and, when digest is set, a stream
-// digest folding the engine's every event. The supervisor snapshots
-// both into obs.CellStats after the job returns.
-func (c *Cell) observe(n *topology.Net, digest bool) {
-	o := cellObs{reg: &obs.Registry{}}
-	n.Observe(o.reg)
-	if digest {
-		o.dig = &sim.StreamDigest{}
-		n.Eng.SetStreamDigest(o.dig)
-	}
-	c.obsv = append(c.obsv, o)
 }
 
 // watchFlow registers a wired flow's byte counters and whatever state

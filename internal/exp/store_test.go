@@ -127,7 +127,7 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 }
 
 // A store reads a cell's telemetry once, after the job has returned, so
-// it gets what is free to keep — the counter registry and the event
+// it gets what is free to keep — the nets' counters and the event
 // count — and never the stream digest, which is work on every event: DESIGN §9.5's "consulted per sweep cell, never per event".
 func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	if testing.Short() {
@@ -136,13 +136,14 @@ func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	t.Parallel()
 	sw, st := storeSweep(t)
 
-	// What the cell's engine ran with: a registry, and a nil digest slot
-	// (observe is the only place a sweep installs one).
+	// What the cell's engine ran with: a nil digest slot (buildScenario
+	// installs one only for a sink).
 	_, rerr := supervise(sw, 0, func(c *Cell) int {
 		runCellScenario(c, 1)
-		if len(c.obsv) != 1 || c.obsv[0].reg == nil {
-			t.Errorf("store-only cell collected %+v, want one engine with a counter registry", c.obsv)
-		} else if c.obsv[0].dig != nil {
+		if len(c.nets) != 1 {
+			t.Errorf("store-only cell recorded %d nets, want 1", len(c.nets))
+		}
+		if len(c.digests) != 0 {
 			t.Error("store-only cell installed a stream digest: the store is paying per event")
 		}
 		return 1

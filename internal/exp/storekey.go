@@ -160,8 +160,10 @@ func replayCached(sw *Sweep, start time.Time, index, worker int, e *store.Entry)
 
 // commitCell durably records one finished cell: a success stores its
 // encoded result plus telemetry snapshot, a degradation stores a marker
-// (kept for inspection, never served as a hit). Only this code knows T,
-// so it checks that the result it encoded decodes before storing it.
+// (kept for inspection, never served as a hit). The result and the
+// telemetry are encoded into the entry's one frame (store.NewEntry);
+// only this code knows T, so it checks that the result it encoded
+// decodes before storing it.
 // Store failures degrade to a log line — the sweep's in-memory results
 // are unaffected.
 func commitCell[T any](sw *Sweep, key string, index int, v T, stats obs.CellStats, rerr *RunError) {
@@ -171,12 +173,14 @@ func commitCell[T any](sw *Sweep, key string, index int, v T, stats obs.CellStat
 		e.Degraded = true
 		e.Error = rerr.Error()
 	} else {
-		blob, err := store.Encode(v)
-		if err == nil {
-			_, err = store.Decode[T](blob)
+		var st *obs.CellStats
+		if stats.Counters != nil || stats.Events > 0 {
+			st = &stats
 		}
-		if err == nil && (stats.Counters != nil || stats.Events > 0) {
-			e.Stats, err = store.Encode(stats)
+		var err error
+		e, err = store.NewEntry(key, index, v, st)
+		if err == nil {
+			_, err = store.Decode[T](e.Result)
 		}
 		if err != nil {
 			if logger != nil {
@@ -185,7 +189,6 @@ func commitCell[T any](sw *Sweep, key string, index int, v T, stats obs.CellStat
 			}
 			return
 		}
-		e.Result = blob
 	}
 	if err := sw.Store.Put(e); err != nil && logger != nil {
 		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell store write failed",

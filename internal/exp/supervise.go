@@ -60,14 +60,14 @@ type Cell struct {
 	// start is when the cell began, read only under a wall budget: every
 	// engine the cell builds gets what is left of it (buildScenario).
 	start time.Time
-	// obsv collects one entry per engine the cell constructed when a
-	// sink or a store will read its telemetry: the counter registry and,
-	// for a sink, the stream digest the supervisor snapshots into
-	// obs.CellStats after the job returns. Only the cell's worker touches
-	// it.
-	obsv []cellObs
-	// nets is every topology buildScenario built for the cell. The
-	// supervisor releases them when the cell succeeded (release).
+	// digests holds, when a sink reads the cell's telemetry, the stream
+	// digest of each engine the cell constructed, which the supervisor
+	// folds into obs.CellStats after the job returns. Only the cell's
+	// worker touches it.
+	digests []*sim.StreamDigest
+	// nets is every topology buildScenario built for the cell: the
+	// supervisor reads their counters (cellStats) and releases them when
+	// the cell succeeded (release).
 	nets []*topology.Net
 }
 
@@ -81,13 +81,6 @@ func (c *Cell) release() {
 		n.Release()
 	}
 	c.nets = nil
-}
-
-// cellObs is one engine's telemetry attachment points. dig is nil when
-// only a store consumes the cell (see buildScenario).
-type cellObs struct {
-	reg *obs.Registry
-	dig *sim.StreamDigest
 }
 
 // Index returns the sweep index this cell computes.
@@ -297,27 +290,32 @@ func superviseCell[T any](sw *Sweep, start time.Time, index, worker int, job fun
 }
 
 // cellStats snapshots a finished cell's telemetry. The event count comes
-// from the nets the cell built; summed counters and the XOR-combined
-// stream digest come from the attachments a sink or a store asked for
-// (Digest 0 over DigestEvents 0 when no engine kept one). Safe because
-// the job has returned — nothing else writes to these engines anymore.
+// from the nets the cell built; when a sink or a store reads the cell,
+// so do the summed counters (topology.Net.Counters), and a sink's
+// XOR-combined stream digest (Digest 0 over DigestEvents 0 when no
+// engine kept one). Safe because the job has returned — nothing else
+// writes to these engines anymore.
 func cellStats(c *Cell) obs.CellStats {
 	var st obs.CellStats
 	for _, n := range c.nets {
 		st.Events += n.Eng.Steps()
 	}
-	if len(c.obsv) == 0 {
+	if len(c.nets) == 0 || c.sw.Progress == nil && c.sw.Store == nil {
 		return st
 	}
-	st.Counters = map[string]int64{}
-	for _, o := range c.obsv {
-		for k, v := range o.reg.Snapshot() {
-			st.Counters[k] += v
-		}
-		if o.dig != nil {
-			st.Digest ^= o.dig.Sum()
-			st.DigestEvents += o.dig.Events()
-		}
+	// Sized once: a net has 9 counters plus 14 per RED hop (a dumbbell's
+	// 23), and the nets of one cell share their names.
+	hops := 0
+	for _, n := range c.nets {
+		hops = max(hops, n.NumHops())
+	}
+	st.Counters = make(map[string]int64, 9+14*hops)
+	for _, n := range c.nets {
+		n.Counters(st.Counters)
+	}
+	for _, d := range c.digests {
+		st.Digest ^= d.Sum()
+		st.DigestEvents += d.Events()
 	}
 	return st
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // TraceRunConfig describes one ad-hoc traced run: a mix of flows on the
-// paper's dumbbell with packet tracing, optional state probes, and a
-// counter registry. It is the engine behind cmd/slowcctrace, factored
-// here so tests drive exactly the code path the CLI does.
+// paper's dumbbell with packet tracing, optional state probes, and the
+// net's counters in its manifest. It is the engine behind
+// cmd/slowcctrace, factored here so tests drive exactly the code path
+// the CLI does.
 type TraceRunConfig struct {
 	// Seed seeds the engine and queue RNGs (default 1).
 	Seed int64
@@ -67,12 +68,11 @@ func (c *TraceRunConfig) fill() {
 // TraceRun is a wired traced scenario. Construct with NewTraceRun, call
 // Run, then read the Recorder, Sampler, and Manifest.
 type TraceRun struct {
-	Cfg      TraceRunConfig
-	Eng      *sim.Engine
-	D        *topology.Net
-	Rec      *trace.Recorder
-	Sampler  *obs.Sampler
-	Registry *obs.Registry
+	Cfg     TraceRunConfig
+	Eng     *sim.Engine
+	D       *topology.Net
+	Rec     *trace.Recorder
+	Sampler *obs.Sampler
 	// Journeys is the per-hop span recorder (nil unless
 	// TraceRunConfig.Journeys was set).
 	Journeys *journey.Recorder
@@ -89,7 +89,7 @@ type TraceRun struct {
 
 // NewTraceRun builds the scenario: dumbbell, flows, a bottleneck packet
 // trace, a sampler over every flow's probe variables (and the RED
-// queues), and a counter registry over the core. Nothing runs yet.
+// queues). Nothing runs yet.
 func NewTraceRun(cfg TraceRunConfig) *TraceRun {
 	cfg.fill()
 	var fc faults.Config
@@ -103,15 +103,13 @@ func NewTraceRun(cfg TraceRunConfig) *TraceRun {
 	eng, d := c.buildScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, ECN: cfg.ECN}, nil, &fc, 0)
 
 	r := &TraceRun{
-		Cfg:      cfg,
-		Eng:      eng,
-		D:        d,
-		Rec:      &trace.Recorder{},
-		Sampler:  obs.NewSampler(cfg.ProbeInterval),
-		Registry: &obs.Registry{},
+		Cfg:     cfg,
+		Eng:     eng,
+		D:       d,
+		Rec:     &trace.Recorder{},
+		Sampler: obs.NewSampler(cfg.ProbeInterval),
 	}
 	d.Fwd[0].AddTap(r.Rec.HopTap("lr"))
-	d.Observe(r.Registry)
 	if cfg.Journeys {
 		// Before the flows wire: access links attach to the recorder as
 		// each path is built.
@@ -143,9 +141,9 @@ func (r *TraceRun) Run() {
 }
 
 // Manifest returns the run's manifest: configuration, algorithms, event
-// count, a counter snapshot, and wall time. Output digests are the
-// caller's to add (it knows what files it wrote) before sealing via
-// WriteFile/Encode.
+// count, the net's counters (topology.Net.Counters), and wall time.
+// Output digests are the caller's to add (it knows what files it wrote)
+// before sealing via WriteFile/Encode.
 func (r *TraceRun) Manifest(tool string) *obs.Manifest {
 	m := obs.NewManifest(tool, r.Cfg.Seed)
 	m.DurationS = float64(r.Cfg.Duration)
@@ -157,7 +155,8 @@ func (r *TraceRun) Manifest(tool string) *obs.Manifest {
 		m.Config["fault"] = r.Cfg.FaultSpec
 	}
 	m.Events = r.Eng.Steps()
-	m.Counters = r.Registry.Snapshot()
+	m.Counters = map[string]int64{}
+	r.D.Counters(m.Counters)
 	if r.Journeys != nil {
 		r.Journeys.Finalize()
 		m.Histograms = r.Journeys.Histograms()

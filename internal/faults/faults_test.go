@@ -101,7 +101,7 @@ func TestOutageWindowStallsAndRecovers(t *testing.T) {
 	if r.link.Transitions != 2 {
 		t.Fatalf("Transitions = %d, want 2", r.link.Transitions)
 	}
-	if live := r.pool.Live(); live != 0 {
+	if live := r.pool.Gets - r.pool.Puts; live != 0 {
 		t.Fatalf("%d packets leaked", live)
 	}
 }
@@ -167,7 +167,7 @@ func TestCorruptDiscardsAndReleases(t *testing.T) {
 	if in.Stats.Corrupted != 10 {
 		t.Fatalf("Corrupted = %d, want 10", in.Stats.Corrupted)
 	}
-	if live := r.pool.Live(); live != 0 {
+	if live := r.pool.Gets - r.pool.Puts; live != 0 {
 		t.Fatalf("%d corrupted packets leaked (injector must release)", live)
 	}
 	if r.link.Stats.Arrivals != 0 {
@@ -190,7 +190,7 @@ func TestDupDeliversTwice(t *testing.T) {
 	if in.Stats.Duplicated != 5 {
 		t.Fatalf("Duplicated = %d, want 5", in.Stats.Duplicated)
 	}
-	if live := r.pool.Live(); live != 0 {
+	if live := r.pool.Gets - r.pool.Puts; live != 0 {
 		t.Fatalf("%d packets leaked", live)
 	}
 }
@@ -248,7 +248,7 @@ func TestReorderHoldsWithinBound(t *testing.T) {
 			t.Fatalf("packet %d lagged %vs, beyond the reorder bound", r.rec.seqs[i], lag)
 		}
 	}
-	if live := r.pool.Live(); live != 0 {
+	if live := r.pool.Gets - r.pool.Puts; live != 0 {
 		t.Fatalf("%d packets leaked", live)
 	}
 }

@@ -54,7 +54,7 @@ func TestAllocsLinkDropZero(t *testing.T) {
 	if l.Stats.Drops == 0 {
 		t.Fatal("burst did not overflow the queue; drop path untested")
 	}
-	if live := pool.Live(); live != 0 {
+	if live := pool.Gets - pool.Puts; live != 0 {
 		t.Fatalf("%d packets leaked after drain (drops must release)", live)
 	}
 	avg := testing.AllocsPerRun(200, func() {
@@ -125,9 +125,6 @@ func TestNilPoolFallsBack(t *testing.T) {
 		t.Fatalf("nil-pool Get returned %+v", p)
 	}
 	pool.Put(p) // must not panic
-	if pool.Live() != 0 {
-		t.Fatal("nil pool reports live packets")
-	}
 	if fb := pool.NewFeedback(); fb == nil {
 		t.Fatal("nil-pool NewFeedback returned nil")
 	}

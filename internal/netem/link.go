@@ -176,9 +176,6 @@ func (l *Link) TxTime(n int) sim.Time {
 	return float64(n) * 8 / l.Rate
 }
 
-// Down reports whether the link is currently in the outage state.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown takes the link down with the given arrival policy. A packet
 // already being serialized finishes and propagates (its bits were on
 // the wire); nothing further transmits until SetUp. Calling SetDown on

@@ -89,7 +89,7 @@ func TestLinkDownQueueOverflows(t *testing.T) {
 	if l.Stats.Departures != 4 {
 		t.Fatalf("Departures = %d, want 4", l.Stats.Departures)
 	}
-	if live := pool.Live(); live != 0 {
+	if live := pool.Gets - pool.Puts; live != 0 {
 		t.Fatalf("%d packets leaked across the outage", live)
 	}
 }
@@ -132,7 +132,7 @@ func TestLinkDownDropPolicy(t *testing.T) {
 	if l.Stats.Departures != 1 {
 		t.Fatalf("Departures = %d, want 1", l.Stats.Departures)
 	}
-	if live := pool.Live(); live != 0 {
+	if live := pool.Gets - pool.Puts; live != 0 {
 		t.Fatalf("%d packets leaked (down-drops must release)", live)
 	}
 }
@@ -171,12 +171,12 @@ func TestLinkDownTransitionsIdempotent(t *testing.T) {
 	}
 	l.SetDown(DownQueue)
 	l.SetDown(DownDrop) // policy change only
-	if l.Transitions != 1 || !l.Down() {
-		t.Fatalf("Transitions=%d Down=%v, want 1/true", l.Transitions, l.Down())
+	if l.Transitions != 1 || !l.down {
+		t.Fatalf("Transitions=%d Down=%v, want 1/true", l.Transitions, l.down)
 	}
 	l.SetUp()
 	l.SetUp()
-	if l.Transitions != 2 || l.Down() {
-		t.Fatalf("Transitions=%d Down=%v, want 2/false", l.Transitions, l.Down())
+	if l.Transitions != 2 || l.down {
+		t.Fatalf("Transitions=%d Down=%v, want 2/false", l.Transitions, l.down)
 	}
 }

@@ -40,7 +40,7 @@ type PacketPool struct {
 	freeFB []*TFRCFeedback
 
 	// Gets and Puts count pool traffic (including fallback allocations
-	// when the free list is empty); Live = Gets - Puts is the number of
+	// when the free list is empty); Gets - Puts is the number of
 	// packets currently owned by the simulation. Tests use the balance to
 	// prove every packet is released exactly once. Reuses counts the
 	// subset of Gets served by a packet this pool's own Put released
@@ -144,15 +144,6 @@ func (pp *PacketPool) NewFeedback() *TFRCFeedback {
 		return fb
 	}
 	return &TFRCFeedback{}
-}
-
-// Live returns the number of packets currently out of the pool
-// (allocated but not yet released).
-func (pp *PacketPool) Live() int64 {
-	if pp == nil {
-		return 0
-	}
-	return pp.Gets - pp.Puts
 }
 
 // Sink is a terminal Handler that releases every packet it receives —

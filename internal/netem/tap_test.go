@@ -185,7 +185,7 @@ func TestTapContract(t *testing.T) {
 			if l.Stats.Drops != tc.drops {
 				t.Fatalf("Drops = %d, want %d", l.Stats.Drops, tc.drops)
 			}
-			if live := pool.Live(); live != 0 {
+			if live := pool.Gets - pool.Puts; live != 0 {
 				t.Fatalf("%d packets never returned to the pool", live)
 			}
 		})

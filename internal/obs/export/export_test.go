@@ -45,8 +45,10 @@ func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	r := shortTraceRun()
 	col := export.NewCollector()
 	hub := export.NewProgress(col)
+	counters := map[string]int64{}
+	r.D.Counters(counters)
 	hub.CellStats(obs.CellStats{
-		Counters:     r.Registry.Snapshot(),
+		Counters:     counters,
 		Events:       r.Eng.Steps(),
 		Digest:       r.Digest.Sum(),
 		DigestEvents: r.Digest.Events(),

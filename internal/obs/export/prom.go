@@ -1,6 +1,6 @@
 // Package export is the live telemetry backbone: Prometheus
-// text-exposition (v0.0.4) rendering of the obs layer (Registry
-// counters, HDR histograms with their cumulative buckets), a merge
+// text-exposition (v0.0.4) rendering of the obs layer (the simulator
+// core's counters, HDR histograms with their cumulative buckets), a merge
 // collector and SSE progress hub for supervised sweeps, and an
 // embeddable HTTP server mounting /metrics, /healthz, /progress, and
 // /debug/pprof. See DESIGN.md §14.

@@ -33,7 +33,8 @@ type Manifest struct {
 	Config map[string]string `json:"config,omitempty"`
 	// Events is the number of engine events the run executed.
 	Events uint64 `json:"events"`
-	// Counters is a Registry snapshot taken at the end of the run.
+	// Counters are the run's core counters (topology.Net.Counters), read
+	// at the end of the run.
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Histograms holds summaries of every registered histogram (per-hop
 	// queue delay, per-flow RTT, drop-burst lengths). Omitted when no

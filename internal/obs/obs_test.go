@@ -8,12 +8,22 @@ import (
 	"strings"
 	"testing"
 
-	"slowcc/internal/netem"
 	"slowcc/internal/obs/probe"
 	"slowcc/internal/sim"
 )
 
 // --- Sampler ---
+
+// series is one probe variable's samples, as times and values.
+func series(s *Sampler, probeName, varName string) (ts []sim.Time, vs []float64) {
+	for _, smp := range s.Samples() {
+		if smp.Probe == probeName && smp.Var == varName {
+			ts = append(ts, smp.T)
+			vs = append(vs, smp.Value)
+		}
+	}
+	return ts, vs
+}
 
 func TestSamplerCadence(t *testing.T) {
 	eng := sim.New(1)
@@ -30,7 +40,7 @@ func TestSamplerCadence(t *testing.T) {
 	}
 	eng.RunUntil(10)
 
-	ts, vs := s.Series("p", "x")
+	ts, vs := series(s, "p", "x")
 	// Tick 0 fires before the event at 0.5 (x=0), tick k before the event
 	// at k+0.5 (x=k). Tick 5 never fires: the last event is at 4.5 and the
 	// sampler piggybacks on events, it adds none of its own.
@@ -57,7 +67,7 @@ func TestSamplerCatchUpAcrossQuietGaps(t *testing.T) {
 	eng.At(0.1, func() {})
 	eng.At(5.3, func() {})
 	eng.RunUntil(10)
-	ts, _ := s.Series("p", "x")
+	ts, _ := series(s, "p", "x")
 	want := []sim.Time{0, 1, 2, 3, 4, 5}
 	if len(ts) != len(want) {
 		t.Fatalf("ticks %v, want %v", ts, want)
@@ -144,69 +154,6 @@ func TestReadSamplesTSVRejectsGarbage(t *testing.T) {
 func TestReadSamplesTSVRejectsEmpty(t *testing.T) {
 	if got, err := ReadSamplesTSV(strings.NewReader("")); err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty input: %v, %v, want an empty-TSV error", got, err)
-	}
-}
-
-// --- Registry ---
-
-func TestRegistrySnapshot(t *testing.T) {
-	var g Registry
-	n := int64(41)
-	g.Register("custom.count", func() int64 { return n })
-	g.Register("dead", nil) // ignored
-	g.AddPool(nil)          // nil pool reads all-zero
-	n++
-
-	snap := g.Snapshot()
-	if snap["custom.count"] != 42 {
-		t.Fatalf("snapshot read %d, want live value 42", snap["custom.count"])
-	}
-	for _, k := range []string{"pool.gets", "pool.puts", "pool.reuses", "pool.guard_trips"} {
-		if v, ok := snap[k]; !ok || v != 0 {
-			t.Fatalf("nil pool counter %s = %d, %v", k, v, ok)
-		}
-	}
-	if _, ok := snap["dead"]; ok {
-		t.Fatal("nil-read counter registered")
-	}
-
-	if len(snap) != 5 {
-		t.Fatalf("snapshot has %d counters, want 5: %v", len(snap), snap)
-	}
-}
-
-func TestRegistryEngineAndREDLink(t *testing.T) {
-	eng := sim.New(1)
-	q := netem.NewRED(5, 15, 50, 0.0008, eng.Rand())
-	sink := netem.HandlerFunc(func(p *netem.Packet) {})
-	l := netem.NewLink(eng, 10e6, 0.01, q, sink)
-
-	var g Registry
-	g.AddEngine(eng)
-	g.AddLink("lr", l)
-
-	l.Send(&netem.Packet{Flow: 1, Size: 1000})
-	eng.At(1, func() {})
-	eng.RunUntil(2)
-
-	snap := g.Snapshot()
-	if snap["link.lr.arrivals"] != 1 {
-		t.Fatalf("link.lr.arrivals = %d, want 1", snap["link.lr.arrivals"])
-	}
-	if snap["link.lr.departures"] != 1 || snap["link.lr.bytes"] != 1000 {
-		t.Fatalf("departures=%d bytes=%d", snap["link.lr.departures"], snap["link.lr.bytes"])
-	}
-	// RED queue registers its drop split alongside the link counters.
-	for _, k := range []string{"red.lr.early_drops", "red.lr.forced_drops", "red.lr.marks"} {
-		if _, ok := snap[k]; !ok {
-			t.Fatalf("missing %s in %v", k, snap)
-		}
-	}
-	if snap["engine.scheduled"] == 0 || snap["engine.fired"] == 0 {
-		t.Fatalf("engine counters not wired: %v", snap)
-	}
-	if snap["engine.fired"] != int64(eng.Steps()) {
-		t.Fatalf("engine.fired %d != Steps %d", snap["engine.fired"], eng.Steps())
 	}
 }
 

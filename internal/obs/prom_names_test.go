@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -20,37 +19,6 @@ func TestCanonicalMetricName(t *testing.T) {
 		if got := CanonicalMetricName(in); got != want {
 			t.Errorf("CanonicalMetricName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestRegisterCanonicalizesNames(t *testing.T) {
-	var g Registry
-	v := int64(7)
-	g.Register("weird name", func() int64 { return v })
-	if _, ok := g.Snapshot()["weird_name"]; !ok {
-		t.Fatalf("counter registered under %v, want canonical weird_name", g.Snapshot())
-	}
-}
-
-// Registration from concurrent sweep workers must not race with
-// snapshots, and iteration must stay deterministic (sorted) regardless
-// of interleaving. Run under -race in ci.
-func TestRegistryConcurrentRegistration(t *testing.T) {
-	var g Registry
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				g.Register("c", func() int64 { return 1 })
-				g.Snapshot()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if len(g.Snapshot()) != 1 {
-		t.Fatalf("dedup lost: %d counters", len(g.Snapshot()))
 	}
 }
 

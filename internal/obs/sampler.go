@@ -1,7 +1,8 @@
 // Package obs is the unified telemetry layer: periodic state probes
-// over congestion-control internals (Sampler), a named monotonic
-// counter registry over the simulator core (Registry), and
-// deterministic run manifests (Manifest). See DESIGN.md §9.
+// over congestion-control internals (Sampler), the names of the
+// simulator core's counters (CanonicalMetricName; topology.Net.Counters
+// reads them), and deterministic run manifests (Manifest). See
+// DESIGN.md §9.
 //
 // The layer follows the allocation-free discipline from PR 2: when a
 // feature is off it costs at most one comparison on the hot path, and
@@ -116,17 +117,6 @@ func (s *Sampler) sampleAt(t sim.Time) {
 // registration order within a tick).
 func (s *Sampler) Samples() []Sample { return s.samples }
 
-// Series extracts the time series for one probe variable.
-func (s *Sampler) Series(probeName, varName string) (ts []sim.Time, vs []float64) {
-	for _, smp := range s.samples {
-		if smp.Probe == probeName && smp.Var == varName {
-			ts = append(ts, smp.T)
-			vs = append(vs, smp.Value)
-		}
-	}
-	return ts, vs
-}
-
 // WriteTSV writes the samples as tab-separated values with a header
 // row, the same shape (time first, %.6f timestamps) as the packet-trace
 // TSV so existing plotting recipes apply.
@@ -178,4 +168,26 @@ func ReadSamplesTSV(r io.Reader) ([]Sample, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// CanonicalMetricName maps an arbitrary metric name onto the legal
+// charset of counter and histogram names: letters, digits, and '_',
+// ':', '.', '-'. Dots separate components and dashes appear inside
+// component names (access-link hop names); both are preserved here,
+// because manifests and TSV artifacts carry these names verbatim, and
+// both map to '_' when the export layer projects a name into Prometheus
+// form. Every other rune becomes '_', so naming — not exposition — is
+// where a name's projection is fixed; an empty name becomes "unnamed".
+func CanonicalMetricName(name string) string {
+	if name == "" {
+		return "unnamed"
+	}
+	return strings.Map(func(r rune) rune {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+			r == '_', r == ':', r == '.', r == '-':
+			return r
+		}
+		return '_'
+	}, name)
 }

@@ -10,10 +10,12 @@ import (
 type Budget struct {
 	// MaxEvents bounds the number of events executed under this budget.
 	MaxEvents uint64
-	// MaxWall bounds elapsed wall-clock time, checked every 2048 events
-	// so the hot loop pays nothing between checks. A wall halt is
-	// inherently non-reproducible; it exists for supervision (hung-cell
-	// deadlines), not for modeling.
+	// MaxWall bounds elapsed wall-clock time. The clock is read about
+	// once a millisecond, every so many events as the run's recent
+	// ns/event allows (at most 2048), so the hot loop pays nothing
+	// between reads and a run of slow events overshoots by about a
+	// millisecond's worth. A wall halt is inherently non-reproducible;
+	// it exists for supervision (hung-cell deadlines), not for modeling.
 	MaxWall time.Duration
 	// LivelockEvents arms the zero-progress watchdog: executing this many
 	// consecutive events without the clock advancing is a livelock (an
@@ -68,8 +70,29 @@ type budgetState struct {
 	b         Budget
 	start     uint64 // nsteps when the budget was installed
 	wallStart time.Time
-	stall     uint64      // consecutive events with no clock advance
-	halted    *HaltReason // set when the budget stopped a run
+	// nextWall is the nsteps at which MaxWall is next checked; lastSteps
+	// and lastWall are nsteps and the elapsed time at the check before.
+	nextWall, lastSteps uint64
+	lastWall            time.Duration
+	stall               uint64      // consecutive events with no clock advance
+	halted              *HaltReason // set when the budget stopped a run
+}
+
+// wallStride returns how many events to run before the next clock read:
+// as many as the ns/event since the last read fits into a millisecond,
+// or into what is left of the budget when that is shorter, from 1 to
+// 2048 (16 while no rate is known yet).
+func (bs *budgetState) wallStride(nsteps uint64, elapsed time.Duration) uint64 {
+	events, took := nsteps-bs.lastSteps, elapsed-bs.lastWall
+	bs.lastSteps, bs.lastWall = nsteps, elapsed
+	if events == 0 {
+		return 16
+	}
+	window := min(time.Millisecond, bs.b.MaxWall-elapsed)
+	if took <= 0 || uint64(window) >= 2048*uint64(took)/events {
+		return 2048
+	}
+	return max(1, uint64(window)*events/uint64(took))
 }
 
 // SetBudget installs b for subsequent Run/RunUntil calls, with fresh
@@ -83,7 +106,8 @@ func (e *Engine) SetBudget(b *Budget) {
 		e.budget = nil
 		return
 	}
-	e.budget = &budgetState{b: *b, start: e.nsteps, wallStart: time.Now()}
+	e.budget = &budgetState{b: *b, start: e.nsteps, wallStart: time.Now(),
+		nextWall: e.nsteps, lastSteps: e.nsteps}
 }
 
 // Halted returns the reason the installed budget stopped a run, or nil
@@ -114,10 +138,13 @@ func (e *Engine) runBudgeted(horizon Time) bool {
 			bs.halt(e, HaltEvents)
 			return false
 		}
-		if bs.b.MaxWall > 0 && (e.nsteps-bs.start)&2047 == 0 &&
-			time.Since(bs.wallStart) >= bs.b.MaxWall {
-			bs.halt(e, HaltWall)
-			return false
+		if bs.b.MaxWall > 0 && e.nsteps >= bs.nextWall {
+			elapsed := time.Since(bs.wallStart)
+			if elapsed >= bs.b.MaxWall {
+				bs.halt(e, HaltWall)
+				return false
+			}
+			bs.nextWall = e.nsteps + bs.wallStride(e.nsteps, elapsed)
 		}
 		prev := e.now
 		e.takeMin(head)

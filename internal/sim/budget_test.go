@@ -53,6 +53,28 @@ func TestRunBoundedMaxWall(t *testing.T) {
 	}
 }
 
+// The clock is read about once a millisecond, however slow the events:
+// a run of 200 µs events overshoots its wall budget by about one event,
+// not by the 2048 events (410 ms) a fixed stride would run first.
+func TestRunBoundedMaxWallSlowEvents(t *testing.T) {
+	e := New(1)
+	var fn func()
+	fn = func() {
+		for t0 := time.Now(); time.Since(t0) < 200*time.Microsecond; {
+		}
+		e.After(1, fn)
+	}
+	e.After(1, fn)
+	const budget = 10 * time.Millisecond
+	hr := runBounded(e, Budget{MaxWall: budget})
+	if hr == nil || hr.Cause != HaltWall {
+		t.Fatalf("cause %v, want %v", hr, HaltWall)
+	}
+	if hr.Wall > budget+200*time.Millisecond {
+		t.Fatalf("halted %v past a %v budget, after %d events", hr.Wall-budget, budget, hr.Events)
+	}
+}
+
 func TestRunBoundedDone(t *testing.T) {
 	e := New(1)
 	for i := 1; i <= 5; i++ {

@@ -83,9 +83,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Stopped reports whether the timer has been cancelled.
-func (t *Timer) Stopped() bool { return t == nil || t.stopped }
-
 // Pending reports whether the timer is armed: scheduled and neither fired
 // nor stopped. Callers that re-arm one logical timer through ResetAt use
 // it as the "is a timer outstanding" predicate, since a reused handle is

@@ -101,7 +101,7 @@ func TestTimerStop(t *testing.T) {
 	if ran {
 		t.Fatal("stopped timer still ran")
 	}
-	if !tm.Stopped() {
+	if !tm.stopped {
 		t.Fatal("Stopped() = false after Stop")
 	}
 }

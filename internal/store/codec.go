@@ -1,13 +1,16 @@
 package store
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -72,13 +75,29 @@ func Codable(t reflect.Type) bool {
 // Encode returns v's encoding, or an error when v's type is not
 // codable or v nests deeper than the decoder accepts.
 func Encode[T any](v T) ([]byte, error) {
-	p, err := planFor(reflect.TypeFor[T]())
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	b, err := appendEncoding((*buf)[:0], &v)
+	*buf = b
 	if err != nil {
 		return nil, err
 	}
-	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 64), p.fp)
-	return p.enc(b, reflect.ValueOf(&v).Elem(), 0)
+	return bytes.Clone(b), nil
 }
+
+// appendEncoding appends *v's encoding to b.
+func appendEncoding[T any](b []byte, v *T) ([]byte, error) {
+	p, err := planFor(reflect.TypeFor[T]())
+	if err != nil {
+		return b, err
+	}
+	return p.enc(binary.LittleEndian.AppendUint64(b, p.fp), reflect.ValueOf(v).Elem(), 0)
+}
+
+// scratch holds the buffers encodings are built in: an encoding grows
+// there, in a buffer earlier ones already grew, and is copied out once
+// at its final size.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // Decode decodes b, as Encode wrote it for a T, into a T. It fails when
 // b was written for another shape, is short, has bytes left over, or
@@ -523,12 +542,16 @@ func compileStruct(p *plan, fields []*plan) {
 // encode to equal bytes, and reads them back only in that order.
 func compileMap(p *plan, t reflect.Type, key, elem *plan) {
 	p.min = 1
-	less := mapKeyLess(t.Key().Kind())
+	compare := mapKeyCompare(t.Key().Kind())
 	keys, elems := reflect.SliceOf(t.Key()), reflect.SliceOf(t.Elem())
 	decKey := key.dec
 	if t.Key().Kind() == reflect.String {
 		decKey = decMapKeyString
 	}
+	// sorting holds the slices a map's entries are copied into to be
+	// sorted, reused across encodings of the type (a map nested in its
+	// own type's value takes another).
+	var sorting sync.Pool
 	p.enc = func(b []byte, v reflect.Value, depth int) ([]byte, error) {
 		if v.IsNil() {
 			return append(b, 0), nil
@@ -538,15 +561,19 @@ func compileMap(p *plan, t reflect.Type, key, elem *plan) {
 		}
 		n := v.Len()
 		b = binary.AppendUvarint(b, uint64(n)+1)
-		ks, es := reflect.MakeSlice(keys, n, n), reflect.MakeSlice(elems, n, n)
-		order := make([]int, n)
+		s, _ := sorting.Get().(*mapSort)
+		if s == nil || s.ks.Len() < n {
+			s = &mapSort{ks: reflect.MakeSlice(keys, n, n), es: reflect.MakeSlice(elems, n, n), order: make([]int, n)}
+		}
+		defer sorting.Put(s)
+		ks, es, order := s.ks, s.es, s.order[:n]
 		it := v.MapRange()
 		for i := 0; it.Next(); i++ {
 			ks.Index(i).SetIterKey(it)
 			es.Index(i).SetIterValue(it)
 			order[i] = i
 		}
-		sort.Slice(order, func(i, j int) bool { return less(ks.Index(order[i]), ks.Index(order[j])) })
+		slices.SortFunc(order, func(i, j int) int { return compare(ks.Index(i), ks.Index(j)) })
 		var err error
 		for _, i := range order {
 			if b, err = key.enc(b, ks.Index(i), depth+1); err != nil {
@@ -576,7 +603,7 @@ func compileMap(p *plan, t reflect.Type, key, elem *plan) {
 			if b, err = decKey(b, k, depth+1); err != nil {
 				return b, err
 			}
-			if i > 0 && !less(prev, k) {
+			if i > 0 && compare(prev, k) >= 0 {
 				return b, fmt.Errorf("map key %v out of order after %v", k, prev)
 			}
 			if b, err = elem.dec(b, e, depth+1); err != nil {
@@ -590,15 +617,22 @@ func compileMap(p *plan, t reflect.Type, key, elem *plan) {
 	}
 }
 
-// mapKeyLess orders map keys of kind k: numerically for integers, by
+// mapSort is a map's entries, copied out to be sorted: keys and elements
+// at the same index, and the order to write them in.
+type mapSort struct {
+	ks, es reflect.Value
+	order  []int
+}
+
+// mapKeyCompare orders map keys of kind k: numerically for integers, by
 // bytes for strings.
-func mapKeyLess(k reflect.Kind) func(a, b reflect.Value) bool {
+func mapKeyCompare(k reflect.Kind) func(a, b reflect.Value) int {
 	switch {
 	case isInt(k):
-		return func(a, b reflect.Value) bool { return a.Int() < b.Int() }
+		return func(a, b reflect.Value) int { return cmp.Compare(a.Int(), b.Int()) }
 	case isUint(k):
-		return func(a, b reflect.Value) bool { return a.Uint() < b.Uint() }
+		return func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) }
 	default:
-		return func(a, b reflect.Value) bool { return a.String() < b.String() }
+		return func(a, b reflect.Value) int { return strings.Compare(a.String(), b.String()) }
 	}
 }

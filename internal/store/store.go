@@ -110,6 +110,8 @@ type Entry struct {
 	// frame is the entry's encoded frame, header included; Checkpoint
 	// writes it as is.
 	frame []byte
+	// built marks an entry NewEntry encoded: Put writes its frame as is.
+	built bool
 }
 
 // head is what a frame's head holds: an Entry but its result and stats.
@@ -133,29 +135,53 @@ func (e *Entry) CellStats() (*obs.CellStats, error) {
 	return &st, nil
 }
 
-// encode builds e's frame in one buffer and points Result and Stats at
-// their bytes inside it.
-func (e *Entry) encode() error {
-	h, err := Encode(head{e.Schema, e.Key, e.Index, e.Attempts, e.Degraded, e.Error})
-	if err != nil {
-		return fmt.Errorf("store: encoding entry %s: %v", e.Key, err)
+// NewEntry builds the entry a finished cell commits: its head, result
+// v and telemetry st (nil when none was recorded) encoded into one
+// frame, which is allocated once, at its final size; Result and Stats
+// point into it. Put writes the frame as built, so change none of the
+// entry's fields. Telemetry that comes typed needs no check; the
+// result's type is the caller's to check (Decode[T](e.Result)).
+func NewEntry[T any](key string, index int, v T, st *obs.CellStats) (Entry, error) {
+	e := Entry{Schema: Schema, Key: key, Index: index, Attempts: 1, built: true}
+	err := e.seal(func(b []byte) ([]byte, int, error) {
+		b, err := appendEncoding(b, &v)
+		stats := len(b)
+		if err == nil && st != nil {
+			b, err = appendEncoding(b, st)
+		}
+		return b, stats, err
+	})
+	return e, err
+}
+
+// seal builds e's frame: the header, the head encoded from e's fields,
+// then what fill appends — the result, and from the offset it returns
+// the stats. The frame grows in a scratch buffer and is copied out once
+// at its final size; Result and Stats are pointed at their bytes in it.
+func (e *Entry) seal(fill func(b []byte) (b2 []byte, stats int, err error)) error {
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
+	b := append((*buf)[:0], make([]byte, frameHeaderSize+4)...) // the header and the head's length, set below
+	b, err := appendEncoding(b, &head{e.Schema, e.Key, e.Index, e.Attempts, e.Degraded, e.Error})
+	result, stats := 0, 0
+	if err == nil {
+		binary.LittleEndian.PutUint32(b[frameHeaderSize:], uint32(len(b)-frameHeaderSize-4))
+		b = append(b, 0, 0, 0, 0) // the result's length
+		result = len(b)
+		b, stats, err = fill(b)
 	}
-	n := 4 + len(h) + 4 + len(e.Result) + len(e.Stats)
-	if n > maxFrameSize {
+	*buf = b
+	switch {
+	case err != nil:
+		return fmt.Errorf("store: encoding entry %s: %v", e.Key, err)
+	case len(b)-frameHeaderSize > maxFrameSize:
 		return fmt.Errorf("store: entry %s exceeds max frame size", e.Key)
 	}
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+n)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(h)))
-	frame = append(frame, h...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(e.Result)))
-	frame = append(frame, e.Result...)
-	frame = append(frame, e.Stats...)
-	binary.LittleEndian.PutUint32(frame, uint32(n))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[frameHeaderSize:], castagnoli))
-	stats := len(frame) - len(e.Stats)
-	e.Result = body(frame[stats-len(e.Result) : stats])
-	e.Stats = body(frame[stats:])
-	e.frame = frame
+	binary.LittleEndian.PutUint32(b[result-4:], uint32(stats-result))
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-frameHeaderSize))
+	binary.LittleEndian.PutUint32(b[4:], crc32.Checksum(b[frameHeaderSize:], castagnoli))
+	e.frame = bytes.Clone(b)
+	e.Result, e.Stats = body(e.frame[result:stats]), body(e.frame[stats:])
 	return nil
 }
 
@@ -422,21 +448,27 @@ func (s *Store) Get(key string) (*Entry, bool) {
 
 // Put durably appends one entry (framed, checksummed, fsync'd) and
 // updates the in-memory map. Last write per key wins, matching journal
-// replay order. Stats that do not decode as an obs.CellStats are
-// refused: Open does not check them, so Put must. The result's type is
-// the caller's to check (exp decodes what it encoded before storing
-// it); Put takes any result bytes, so an entry read back from a store
-// can be put again as it is.
+// replay order. An entry NewEntry built is written as it was encoded.
+// Any other is encoded here, from its fields, and Stats that do not
+// decode as an obs.CellStats are refused: Open does not check them, so
+// Put must. The result's type is the caller's to check (exp decodes
+// what it encoded before storing it); Put takes any result bytes, so an
+// entry read back from a store can be put again as it is.
 func (s *Store) Put(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("store: Put with empty key")
 	}
-	if _, err := e.CellStats(); err != nil {
-		return err
-	}
-	e.Schema = Schema
-	if err := e.encode(); err != nil {
-		return err
+	if !e.built {
+		if _, err := e.CellStats(); err != nil {
+			return err
+		}
+		e.Schema = Schema
+		if err := e.seal(func(b []byte) ([]byte, int, error) {
+			b = append(b, e.Result...)
+			return append(b, e.Stats...), len(b), nil
+		}); err != nil {
+			return err
+		}
 	}
 
 	s.mu.Lock()

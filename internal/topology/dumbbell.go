@@ -132,28 +132,29 @@ func New(eng *sim.Engine, cfg Config) *Net {
 // small non-negative ints in a few clumps (AlgoSpec.Make numbers flows
 // from 1, cross traffic sits in the 800s, reverse traffic and the
 // scenario CBR in the 900s, flash crowds start at 10000), so the table
-// is paged: a directory indexed by id/routePageSize over pages allocated
-// when an id on them first registers. Memory follows the populated
-// pages, not the largest id, and nothing on the per-packet path hashes.
-// Demuxes share the table by pointer: links capture their demux by value
-// before any flow has registered.
+// holds the ids below lowIDs in one slice indexed by id, and every
+// other id in a run of consecutive ids (the first run an id is in, or
+// extends, serves it). Memory follows the ids registered, not the
+// largest one, and nothing on the per-packet path hashes. Demuxes share
+// the table by pointer: links capture their demux by value before any
+// flow has registered.
 type routes struct {
-	// low is pages[0] as a slice (empty until an id below routePageSize
-	// registers): the ids every scenario's main flows carry resolve in
-	// one bounds-checked load.
-	low   []netem.Handler
-	pages []*routePage
+	// low is sized to the largest id below lowIDs registered: the ids
+	// every scenario's main flows carry resolve in one bounds-checked
+	// load.
+	low  []netem.Handler
+	runs []routeRun
 }
 
-const (
-	routePageBits = 6
-	routePageSize = 1 << routePageBits
-)
+// routeRun is the handlers of ids first, first+1, ...
+type routeRun struct {
+	first int
+	hs    []netem.Handler
+}
 
-type routePage [routePageSize]netem.Handler
+const lowIDs = 64
 
-// maxFlowID bounds the directory (128 KB of page pointers) against a
-// wild id.
+// maxFlowID bounds the ids a table accepts against a wild id.
 const maxFlowID = 1 << 20
 
 // get returns flow's handler, nil when none is registered — which
@@ -162,8 +163,14 @@ func (r *routes) get(flow int) netem.Handler {
 	if uint(flow) < uint(len(r.low)) {
 		return r.low[flow]
 	}
-	if pg := uint(flow) >> routePageBits; pg < uint(len(r.pages)) && r.pages[pg] != nil {
-		return r.pages[pg][flow%routePageSize]
+	return r.high(flow)
+}
+
+func (r *routes) high(flow int) netem.Handler {
+	for i := range r.runs {
+		if j := uint(flow - r.runs[i].first); j < uint(len(r.runs[i].hs)) {
+			return r.runs[i].hs[j]
+		}
 	}
 	return nil
 }
@@ -172,28 +179,42 @@ func (r *routes) set(flow int, h netem.Handler) {
 	if flow < 0 || flow >= maxFlowID {
 		panic(fmt.Sprintf("topology: flow id %d outside 0..%d", flow, maxFlowID-1))
 	}
-	pg := flow >> routePageBits
-	if pg >= len(r.pages) {
-		grown := make([]*routePage, pg+1)
-		copy(grown, r.pages)
-		r.pages = grown
+	if flow < lowIDs {
+		if flow >= len(r.low) {
+			r.low = append(r.low, make([]netem.Handler, flow+1-len(r.low))...)
+		}
+		r.low[flow] = h
+		return
 	}
-	if r.pages[pg] == nil {
-		r.pages[pg] = new(routePage)
-		if pg == 0 {
-			r.low = r.pages[0][:]
+	for i := range r.runs {
+		run := &r.runs[i]
+		switch j := flow - run.first; {
+		case j >= 0 && j < len(run.hs):
+			run.hs[j] = h
+			return
+		case j == len(run.hs):
+			if j == cap(run.hs) { // double: append's gentler growth would cost a crowd 5x its size
+				run.hs = append(make([]netem.Handler, 0, 2*j), run.hs...)
+			}
+			run.hs = append(run.hs, h)
+			return
 		}
 	}
-	r.pages[pg][flow%routePageSize] = h
+	if r.runs == nil {
+		r.runs = make([]routeRun, 0, 4) // a matrix cell's clumps: cross, reverse, CBR
+	}
+	r.runs = append(r.runs, routeRun{first: flow, hs: []netem.Handler{h}})
 }
 
 // each calls fn on every registered handler.
 func (r *routes) each(fn func(netem.Handler)) {
-	for _, pg := range r.pages {
-		if pg == nil {
-			continue
+	for _, h := range r.low {
+		if h != nil {
+			fn(h)
 		}
-		for _, h := range pg {
+	}
+	for _, run := range r.runs {
+		for _, h := range run.hs {
 			if h != nil {
 				fn(h)
 			}

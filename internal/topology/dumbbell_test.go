@@ -7,7 +7,6 @@ import (
 
 	"slowcc/internal/invariant"
 	"slowcc/internal/netem"
-	"slowcc/internal/obs"
 	"slowcc/internal/obs/journey"
 	"slowcc/internal/sim"
 )
@@ -108,9 +107,9 @@ func TestUnknownFlowDiscarded(t *testing.T) {
 	if d.UnknownFlowDrops != int64(len(unknown)) {
 		t.Fatalf("UnknownFlowDrops = %d, want %d", d.UnknownFlowDrops, len(unknown))
 	}
-	reg := &obs.Registry{}
-	d.Observe(reg)
-	if got := reg.Snapshot()["topo.unknown_flow_drops"]; got != int64(len(unknown)) {
+	counters := map[string]int64{}
+	d.Counters(counters)
+	if got := counters["topo.unknown_flow_drops"]; got != int64(len(unknown)) {
 		t.Fatalf("observed unknown-flow drops = %d, want %d", got, len(unknown))
 	}
 }

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
@@ -213,14 +214,17 @@ type Net struct {
 	journeys *journey.Recorder // nil unless ObserveJourneys was called
 }
 
-// linkNames is what a net's links are called wherever they register by
-// name: counter registry, probe sampler, journey recorder, auditor. The
+// linkNames is what a net's links are called wherever they go by name:
+// counters (Counters), probe sampler, journey recorder, auditor. The
 // names reach manifests, goldens and /metrics, so the constructor fixes
-// them: hop i's links are hopName(fwd, i) and hopName(rev, i), and a
-// flow's access links are access-<flow>-<tag>-in and -out.
+// them: hop i's links are hop(fwd, i) and hop(rev, i), and a flow's
+// access links are access-<flow>-<tag>-in and -out.
 type linkNames struct {
 	fwd, rev string
 	indexed  bool // hop links are tag+index (fwd0, rev2), not the bare tag
+
+	mu          sync.Mutex
+	hopCounters []*[2][7]string // by hop; see counters
 }
 
 var (
@@ -277,8 +281,8 @@ func build(eng *sim.Engine, cfg NetConfig, names *linkNames) *Net {
 		n.Fwd[i].Pool = n.Pool
 		n.Rev[i].Pool = n.Pool
 		if cfg.Audit != nil {
-			cfg.Audit.WatchLink(n.hopName(names.fwd, i), n.Fwd[i])
-			cfg.Audit.WatchLink(n.hopName(names.rev, i), n.Rev[i])
+			cfg.Audit.WatchLink(names.hop(names.fwd, i), n.Fwd[i])
+			cfg.Audit.WatchLink(names.hop(names.rev, i), n.Rev[i])
 		}
 		entry := netem.Handler(n.Fwd[i])
 		if h.Fault != nil {
@@ -296,9 +300,9 @@ func build(eng *sim.Engine, cfg NetConfig, names *linkNames) *Net {
 	return n
 }
 
-// hopName names hop i's link in the direction tag says.
-func (n *Net) hopName(tag string, i int) string {
-	if n.names.indexed {
+// hop names hop i's link in the direction tag says.
+func (ln *linkNames) hop(tag string, i int) string {
+	if ln.indexed {
 		return tag + strconv.Itoa(i)
 	}
 	return tag
@@ -453,33 +457,80 @@ func (n *Net) path(flow, from, to int, dst netem.Handler, delay sim.Time) netem.
 	return n.PathRev(flow, from, to, dst, delay)
 }
 
-// Observe registers the chain's core components with the counter
-// registry: the engine, both directions of every hop (with RED drop
-// splits where RED is in use), the pool, and the unknown-flow drop
-// counter. Access links are deliberately omitted: sized not to drop,
-// their counters only restate the hops'.
-func (n *Net) Observe(reg *obs.Registry) {
-	reg.AddEngine(n.Eng)
-	for i := range n.Fwd {
-		reg.AddLink(n.hopName(n.names.fwd, i), n.Fwd[i])
-		reg.AddLink(n.hopName(n.names.rev, i), n.Rev[i])
+// Counters adds the chain's core counters into into, each under its
+// /metrics name: the engine's scheduler counters, both directions of
+// every hop (link.<name>.arrivals, drops, departures and bytes, plus
+// red.<name>.early_drops, forced_drops and marks where RED is in use),
+// the pool's traffic (pool.gets, puts, reuses, guard_trips: zero for a
+// net without a pool) and topo.unknown_flow_drops. Access links are
+// deliberately omitted: sized not to drop, their counters only restate
+// the hops'. Adding, not assigning, is what lets a sweep cell sum the
+// nets it built into one map.
+func (n *Net) Counters(into map[string]int64) {
+	e, p := n.Eng, n.Pool
+	if p == nil {
+		p = &netem.PacketPool{}
 	}
-	reg.AddPool(n.Pool)
-	reg.Register("topo.unknown_flow_drops", func() int64 { return n.UnknownFlowDrops })
+	for _, c := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"engine.scheduled", int64(e.Scheduled())}, {"engine.fired", int64(e.Steps())},
+		{"engine.rearms", int64(e.Rearms())}, {"engine.stops", int64(e.Stops())},
+		{"pool.gets", p.Gets}, {"pool.puts", p.Puts}, {"pool.reuses", p.Reuses}, {"pool.guard_trips", p.GuardTrips},
+		{"topo.unknown_flow_drops", n.UnknownFlowDrops},
+	} {
+		into[c.name] += c.v
+	}
+	for i := range n.Fwd {
+		names := n.names.counters(i)
+		for d, l := range [2]*netem.Link{n.Fwd[i], n.Rev[i]} {
+			v, k := [7]int64{l.Stats.Arrivals, l.Stats.Drops, l.Stats.Departures, l.Stats.Bytes}, 4
+			if r, ok := l.Q.(*netem.RED); ok {
+				v[4], v[5], v[6], k = r.EarlyDrops, r.ForcedDrops, r.Marks, 7
+			}
+			for j := range k {
+				into[names[d][j]] += v[j]
+			}
+		}
+	}
+}
+
+// linkCounterNames wrap a hop link's name into its counters' names: the
+// link's four, then its RED queue's three.
+var linkCounterNames = [7][2]string{{"link.", ".arrivals"}, {"link.", ".drops"}, {"link.", ".departures"},
+	{"link.", ".bytes"}, {"red.", ".early_drops"}, {"red.", ".forced_drops"}, {"red.", ".marks"}}
+
+// counters returns hop i's counter names, forward then reverse, built
+// the first time a net with this naming reads hop i: a process builds
+// each name once, not once per net.
+func (ln *linkNames) counters(i int) *[2][7]string {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	for j := len(ln.hopCounters); j <= i; j++ {
+		c := new([2][7]string)
+		for d, tag := range [2]string{ln.fwd, ln.rev} {
+			for k, f := range linkCounterNames {
+				c[d][k] = f[0] + ln.hop(tag, j) + f[1]
+			}
+		}
+		ln.hopCounters = append(ln.hopCounters, c)
+	}
+	return ln.hopCounters[i]
 }
 
 // ObserveJourneys attaches a journey recorder to every link of the
 // chain: both directions of every hop immediately, and each flow's
 // access links as paths wire (call it before building paths). Hop
-// names match the counter registry's. A nil recorder attaches nothing.
+// names match the counters'. A nil recorder attaches nothing.
 func (n *Net) ObserveJourneys(r *journey.Recorder) {
 	n.journeys = r
 	if r == nil {
 		return
 	}
 	for i := range n.Fwd {
-		r.AttachLink(n.hopName(n.names.fwd, i), n.Fwd[i], false)
-		r.AttachLink(n.hopName(n.names.rev, i), n.Rev[i], false)
+		r.AttachLink(n.names.hop(n.names.fwd, i), n.Fwd[i], false)
+		r.AttachLink(n.names.hop(n.names.rev, i), n.Rev[i], false)
 	}
 }
 
@@ -488,10 +539,10 @@ func (n *Net) ObserveJourneys(r *journey.Recorder) {
 func (n *Net) ObserveProbes(s *obs.Sampler) {
 	for i := range n.Fwd {
 		if r, ok := n.Fwd[i].Q.(*netem.RED); ok {
-			s.Add("red."+n.hopName(n.names.fwd, i), r)
+			s.Add("red."+n.names.hop(n.names.fwd, i), r)
 		}
 		if r, ok := n.Rev[i].Q.(*netem.RED); ok {
-			s.Add("red."+n.hopName(n.names.rev, i), r)
+			s.Add("red."+n.names.hop(n.names.rev, i), r)
 		}
 	}
 }

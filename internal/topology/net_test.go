@@ -8,7 +8,6 @@ import (
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
 	"slowcc/internal/netem"
-	"slowcc/internal/obs"
 	"slowcc/internal/sim"
 )
 
@@ -130,9 +129,9 @@ func TestNetUnknownFlowCountedAndObserved(t *testing.T) {
 	if n.UnknownFlowDrops != 1 {
 		t.Fatalf("UnknownFlowDrops = %d, want 1", n.UnknownFlowDrops)
 	}
-	reg := &obs.Registry{}
-	n.Observe(reg)
-	if got := reg.Snapshot()["topo.unknown_flow_drops"]; got != 1 {
+	counters := map[string]int64{}
+	n.Counters(counters)
+	if got := counters["topo.unknown_flow_drops"]; got != 1 {
 		t.Fatalf("observed unknown-flow drops = %d, want 1", got)
 	}
 }

@@ -27,24 +27,19 @@ func TestRoutesTable(t *testing.T) {
 			t.Errorf("get(%d) = %v, want the handler registered there", id, got)
 		}
 	}
-	// Ids nobody registered: on a populated page, on a directory slot with
-	// no page, past the directory, negative, beyond anything indexable.
+	// Ids nobody registered: inside the low slice, either side of a run,
+	// between runs, negative, beyond anything indexable.
 	for _, id := range []int{2, 62, 65, 127, 128, 898, 900, 991, 9999, 10001, maxFlowID - 2,
 		maxFlowID, -1, 1 << 40, math.MinInt, math.MaxInt} {
 		if got := r.get(id); got != nil {
 			t.Errorf("get(%d) = %v, want nil (unknown)", id, got)
 		}
 	}
-	// Memory follows the populated pages: six of them for eight ids, in a
-	// directory of 16384 slots.
-	pages := 0
-	for _, p := range r.pages {
-		if p != nil {
-			pages++
-		}
-	}
-	if pages != 6 {
-		t.Errorf("%d pages populated, want 6 (0, 1, 14, 15, 156, 16383)", pages)
+	// Memory follows the ids: the low slice up to 63, and five runs of
+	// one id each (64 is not low, and no two of the others are adjacent).
+	if len(r.low) != lowIDs || len(r.runs) != 5 {
+		t.Errorf("low slice of %d, %d runs; want %d and 5 (64, 899, 990, 10000, %d)",
+			len(r.low), len(r.runs), lowIDs, maxFlowID-1)
 	}
 
 	// Re-registration overwrites (PathFwd refuses duplicates before they
@@ -80,9 +75,10 @@ func bytesAllocated(fn func()) uint64 {
 	return m1.TotalAlloc - m0.TotalAlloc
 }
 
-// A demux costs what its populated pages cost. The dense table this
-// replaced paid 16 B for every id up to the largest: 16 KB for a matrix
-// cell's ids, 176 KB for fig6's crowd, per demux.
+// A demux costs what its registered ids cost. The dense table paged
+// tables replaced paid 16 B for every id up to the largest: 16 KB for a
+// matrix cell's ids, 176 KB for fig6's crowd, per demux; the 1 KB pages
+// after it paid 4 KB and 48 KB.
 func TestRoutesMemoryFollowsPopulatedPages(t *testing.T) {
 	crowd := make([]int, 1000)
 	for i := range crowd {
@@ -94,10 +90,10 @@ func TestRoutesMemoryFollowsPopulatedPages(t *testing.T) {
 		ids     []int
 		ceiling uint64
 	}{
-		// Three 1 KB pages and a 16-slot directory grown twice.
-		{"matrix cell", []int{1, 2, 900, 990}, 4 << 10},
-		// Sixteen pages and a directory regrown once per page.
-		{"flash crowd", crowd, 48 << 10},
+		// A low slice grown to three, a four-run directory, two one-id runs.
+		{"matrix cell", []int{1, 2, 900, 990}, 320},
+		// One run doubled up to 1024 handlers: about twice its final 16 KB.
+		{"flash crowd", crowd, 40 << 10},
 	} {
 		var r routes
 		got := bytesAllocated(func() {
@@ -107,6 +103,9 @@ func TestRoutesMemoryFollowsPopulatedPages(t *testing.T) {
 		})
 		if got > tc.ceiling {
 			t.Errorf("%s: registering allocated %d B, ceiling %d B", tc.name, got, tc.ceiling)
+		}
+		if len(r.runs) > 2 {
+			t.Errorf("%s: %d runs, want the clumps' ids merged", tc.name, len(r.runs))
 		}
 	}
 }

@@ -196,11 +196,10 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 					t.Fatalf("idle chain carried %d packets", got)
 				}
 			}},
-		// The counter registry only reads, and a sampler at interval 0
-		// sits in the engine's probe slot without ever asking to wake.
-		{name: "registry and sampler at interval 0",
+		// A sampler at interval 0 sits in the engine's probe slot without
+		// ever asking to wake.
+		{name: "sampler at interval 0",
 			after: func(d *slowcc.Dumbbell) {
-				d.Observe(&obs.Registry{})
 				smp = obs.NewSampler(0)
 				d.ObserveProbes(smp)
 				smp.Install(d.Eng)

@@ -165,11 +165,12 @@ func ReadProbeTSV(r io.Reader) ([]ProbeSample, error) { return obs.ReadSamplesTS
 
 // TraceRunConfig describes one ad-hoc traced run (the cmd/slowcctrace
 // scenario): a flow mix on the paper's dumbbell with packet tracing,
-// optional state probes, and a counter registry.
+// optional state probes, and the net's counters in its manifest.
 type TraceRunConfig = exp.TraceRunConfig
 
 // TraceRun is a wired traced scenario; construct with NewTraceRun,
-// call Run, then read Rec, Sampler, Registry, and Manifest.
+// call Run, then read Rec, Sampler, Journeys, Digest, and Manifest,
+// whose Counters are the net's (D.Counters) read when it is built.
 type TraceRun = exp.TraceRun
 
 // NewTraceRun wires a traced scenario without running it.
