@@ -102,7 +102,6 @@ type Link struct {
 	// taps is every watcher of the link, in registration order. Empty
 	// (the default) costs one length check per capture point.
 	taps []Tap
-	busy bool
 	// down and downPolicy hold the link's outage state (see SetDown).
 	down       bool
 	downPolicy DownPolicy
@@ -123,13 +122,17 @@ type Link struct {
 	// stream is bit-identical; every tap point and counter still fires per
 	// packet.
 	txDone *sim.Timer
+	// tx is the packet being serialized, nil while the transmitter is
+	// idle. txDone's callback reads it, so no timer holds a packet
+	// Release could not reach.
+	tx *Packet
 }
 
 // NewLink returns a link transmitting at rate bits/s with the given
 // one-way propagation delay, queue, and destination.
 func NewLink(eng *sim.Engine, rate float64, delay sim.Time, q Queue, dst Handler) *Link {
 	l := &Link{eng: eng, Rate: rate, Delay: delay, Q: q, Dst: dst}
-	l.finishFn = func(a any) { l.finishTx(a.(*Packet)) }
+	l.finishFn = func(any) { l.finishTx(l.tx) }
 	l.deliverFn = func(a any) {
 		p := a.(*Packet)
 		if len(l.taps) != 0 {
@@ -140,16 +143,18 @@ func NewLink(eng *sim.Engine, rate float64, delay sim.Time, q Queue, dst Handler
 	return l
 }
 
-// Release empties the link's queue and parks its buffer for a queue
-// that grows later; packets still queued are dropped, not Put. The link
-// must not carry packets afterwards. A queue that is neither a DropTail
-// nor a RED is left alone.
+// Release Puts the packet on the wire and every queued one into Pool,
+// empties the queue and parks its buffer for a queue that grows later.
+// The link must not carry packets afterwards. A queue that is neither a
+// DropTail nor a RED is left alone.
 func (l *Link) Release() {
+	l.Pool.Put(l.tx)
+	l.tx = nil
 	switch q := l.Q.(type) {
 	case *DropTail:
-		q.q.release()
+		q.q.release(l.Pool)
 	case *RED:
-		q.q.release()
+		q.q.release(l.Pool)
 	}
 }
 
@@ -197,7 +202,7 @@ func (l *Link) SetUp() {
 	}
 	l.down = false
 	l.Transitions++
-	if !l.busy {
+	if l.tx == nil {
 		l.startTx()
 	}
 	if len(l.taps) != 0 {
@@ -213,7 +218,7 @@ func (l *Link) Handle(p *Packet) { l.Send(p) }
 // Busy reports whether a packet is currently being serialized onto the
 // wire. That packet has been dequeued but not yet counted as a
 // departure, so conservation checks must account for it separately.
-func (l *Link) Busy() bool { return l.busy }
+func (l *Link) Busy() bool { return l.tx != nil }
 
 // Send offers p to the link and reports whether the queue accepted it.
 // While the link is down under DownDrop, every arrival is refused at
@@ -238,7 +243,7 @@ func (l *Link) Send(p *Packet) bool {
 	if len(l.taps) != 0 {
 		l.emit(TapEnqueue, p, now)
 	}
-	if !l.busy {
+	if l.tx == nil {
 		l.startTx()
 	}
 	if len(l.taps) != 0 {
@@ -252,19 +257,18 @@ func (l *Link) Send(p *Packet) bool {
 // transmitter restarts from SetUp.
 func (l *Link) startTx() {
 	if l.down {
-		l.busy = false
+		l.tx = nil
 		return
 	}
 	p := l.Q.Dequeue(l.eng.Now())
+	l.tx = p
 	if p == nil {
-		l.busy = false
 		return
 	}
-	l.busy = true
 	if len(l.taps) != 0 {
 		l.emit(TapTxStart, p, l.eng.Now())
 	}
-	l.txDone = l.eng.ResetAfterFunc(l.txDone, l.TxTime(p.Size), l.finishFn, p)
+	l.txDone = l.eng.ResetAfterFunc(l.txDone, l.TxTime(p.Size), l.finishFn, nil)
 }
 
 func (l *Link) finishTx(p *Packet) {

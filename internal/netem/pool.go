@@ -77,8 +77,9 @@ var releasedPools sync.Pool
 // Release hands the pool's free lists to a pool NewPacketPool builds
 // later. Each free packet is marked inherited, so that a Get it serves
 // there counts as the heap allocation it stands in for: a pool's
-// counters stay a function of its own traffic. Packets still out of the
-// pool are not touched. Release on a nil pool does nothing.
+// counters stay a function of its own traffic. Packets still out are not
+// reached: topology.Net.Release Puts every one first. Release on a nil
+// pool does nothing.
 func (pp *PacketPool) Release() {
 	if pp == nil || (pp.free == nil && pp.freeFB == nil) {
 		return

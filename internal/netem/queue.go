@@ -51,8 +51,12 @@ func sizeClass(n int) int {
 	return i
 }
 
-// release empties the fifo and parks its buffer.
-func (f *fifo) release() {
+// release Puts every queued packet into pool, empties the fifo and
+// parks its buffer. A nil pool drops the packets.
+func (f *fifo) release(pool *PacketPool) {
+	for f.n > 0 {
+		pool.Put(f.pop())
+	}
 	if c := sizeClass(len(f.buf)); c >= 0 {
 		clear(f.buf)
 		parked[c].Put(f.buf)

@@ -105,7 +105,7 @@ type calQueue struct {
 }
 
 // newCalQueue returns an empty queue. With old — a released engine's
-// queue, emptied by clear — it keeps old's ring, overflow and scratch
+// queue, emptied by drain — it keeps old's ring, overflow and scratch
 // storage: the state is a fresh queue's, only the capacities differ.
 func newCalQueue(width Time, old *calQueue) *calQueue {
 	cq := &calQueue{width: width, invWidth: 1 / width, floor: calMinBuckets}
@@ -117,7 +117,7 @@ func newCalQueue(width Time, old *calQueue) *calQueue {
 }
 
 // resize sets the ring to nb buckets, reusing its storage when the
-// capacity allows. Every bucket past len(cq.b) is empty — clear and
+// capacity allows. Every bucket past len(cq.b) is empty — drain and
 // rebuild empty the whole ring before it shrinks — so a ring that grows
 // back into its capacity finds empty buckets there.
 func (cq *calQueue) resize(nb int) {
@@ -129,10 +129,20 @@ func (cq *calQueue) resize(nb int) {
 	cq.mask = int64(nb - 1)
 }
 
-// clear drops every queued timer unrun, leaving the ring's and the
-// overflow's storage empty for newCalQueue to reuse.
-func (cq *calQueue) clear() {
-	clear(cq.b)
+// drain unlinks every queued timer, unrun, and hands it to drop, leaving
+// the ring's and the overflow's storage empty for newCalQueue to reuse.
+func (cq *calQueue) drain(drop func(*Timer)) {
+	for i := range cq.b {
+		for tm := cq.b[i].head; tm != nil; {
+			next := tm.next
+			drop(tm)
+			tm = next
+		}
+		cq.b[i] = calBucket{}
+	}
+	for _, tm := range cq.overflow[cq.ohead:] {
+		drop(tm)
+	}
 	clear(cq.overflow)
 }
 

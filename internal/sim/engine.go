@@ -191,6 +191,9 @@ func NewWithQueue(seed int64, kind QueueKind) *Engine {
 	if Stocked() {
 		if sp, _ := released.Get().(*spares); sp != nil {
 			e.free, old = sp.free, sp.cq
+			if kind == HeapQueue {
+				e.events = sp.events
+			}
 			for _, tm := range e.free {
 				tm.eng = e
 			}
@@ -204,10 +207,11 @@ func NewWithQueue(seed int64, kind QueueKind) *Engine {
 
 // spares is what a released engine leaves for the next one New builds:
 // its timer free list, every timer zeroed by recycle, and its emptied
-// event queue.
+// event queue, calendar or heap.
 type spares struct {
-	free []*Timer
-	cq   *calQueue
+	free   []*Timer
+	cq     *calQueue
+	events []*Timer
 }
 
 // released holds released engines' spares. It is per-P, so a sweep
@@ -239,18 +243,31 @@ func MarkStocked() {
 type gcSentinel struct{ _ *int }
 
 // Release hands the engine's timer free list and event-queue storage to
-// an engine New builds later, and drops every pending event unrun.
-// Nothing may schedule on or run the engine afterwards. A sweep releases
-// a cell's engines once their results are read (topology.Net.Release);
-// a run that never calls it pays nothing for it.
-func (e *Engine) Release() {
-	if e.free == nil && e.cq == nil {
+// an engine New builds later. Every pending event is unlinked unrun: an
+// engine-owned timer (AtFunc, AfterFunc) passes its argument to reclaim
+// and joins the parked free list; a handle timer (At, ResetAt, …) stays
+// its holder's. Nothing may schedule on or run the engine afterwards. A
+// sweep releases a cell's engines once their results are read
+// (topology.Net.Release); a run that never calls it pays nothing for it.
+func (e *Engine) Release(reclaim func(arg any)) {
+	if e.free == nil && e.cq == nil && e.events == nil {
 		return
 	}
-	if e.cq != nil {
-		e.cq.clear()
+	drop := func(tm *Timer) {
+		tm.next, tm.prev, tm.index, tm.bkt = nil, nil, -1, bktNone
+		if tm.pooled {
+			reclaim(tm.arg)
+			e.recycle(tm)
+		}
 	}
-	released.Put(&spares{free: e.free, cq: e.cq})
+	if e.cq != nil {
+		e.cq.drain(drop)
+	}
+	for _, tm := range e.events {
+		drop(tm)
+	}
+	clear(e.events)
+	released.Put(&spares{free: e.free, cq: e.cq, events: e.events[:0]})
 	e.free, e.cq, e.events = nil, nil, nil
 	MarkStocked()
 }

@@ -285,7 +285,7 @@ func Open(dir string) (*Store, error) { return open(dir, false) }
 func OpenReadOnly(dir string) (*Store, error) { return open(dir, true) }
 
 func open(dir string, readOnly bool) (*Store, error) {
-	s := &Store{dir: dir, entries: map[string]*Entry{}, readOnly: readOnly}
+	s := &Store{dir: dir, readOnly: readOnly}
 	if _, err := os.Stat(filepath.Join(dir, v1Snapshot)); err == nil {
 		return nil, fmt.Errorf("store: %s holds a slowcc-store/1 %s; this build reads only %s stores (no migration: recompute into a new directory)",
 			dir, v1Snapshot, Schema)
@@ -302,6 +302,12 @@ func open(dir string, readOnly bool) (*Store, error) {
 		return nil, fmt.Errorf("store: %s holds %s frames; this build reads only %s stores (no migration: recompute into a new directory)",
 			dir, v2Schema, Schema)
 	}
+	// One map, sized by the frames the headers find: loading never regrows it.
+	frames := 0
+	count := func([]byte) { frames++ }
+	eachFrame(snapshot, count)
+	eachFrame(journal, count)
+	s.entries = make(map[string]*Entry, frames)
 	if !readOnly {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %v", err)
@@ -350,7 +356,19 @@ func (s *Store) loadSnapshot(blob []byte) error {
 // counted corrupt and skipped. It returns where framing stopped — at
 // len(blob), or at a header too short, a length implausible, or a
 // payload shorter than its header promises.
-func (s *Store) admitFrames(blob []byte) (off int) {
+func (s *Store) admitFrames(blob []byte) int {
+	return eachFrame(blob, func(frame []byte) {
+		if crc32.Checksum(frame[frameHeaderSize:], castagnoli) != binary.LittleEndian.Uint32(frame[4:]) {
+			s.corrupt.Add(1)
+			return
+		}
+		s.admit(decodeFrame(frame))
+	})
+}
+
+// eachFrame calls fn on every whole frame of blob, header included, as
+// far as the headers frame it, and returns where framing stopped.
+func eachFrame(blob []byte, fn func(frame []byte)) (off int) {
 	for off < len(blob) {
 		rest := blob[off:]
 		if len(rest) < frameHeaderSize {
@@ -366,13 +384,8 @@ func (s *Store) admitFrames(blob []byte) (off int) {
 		if len(rest) < end {
 			break // torn payload
 		}
-		frame := rest[:end:end]
+		fn(rest[:end:end])
 		off += end
-		if crc32.Checksum(frame[frameHeaderSize:], castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
-			s.corrupt.Add(1)
-			continue
-		}
-		s.admit(decodeFrame(frame))
 	}
 	return off
 }

@@ -387,12 +387,17 @@ func (n *Net) claim(flows map[int]*netem.Link, flow int, dir string) {
 // Release hands what this net and its engine grew to the next scenario
 // the process builds: the engine's timer list and queue storage, the
 // packet pool's free packets, the buffer of every queue the net built
-// and the RED generators that drew. Nothing built on the net — engine,
-// links, endpoints — may run afterwards. A sweep calls it once a cell's
-// results are read; a run that never releases pays nothing for it.
+// and the RED generators that drew, once every packet in flight (in a
+// pending timer, on a wire, queued) is back in the pool. Nothing built on
+// the net — engine, links, endpoints — may run afterwards. A sweep calls
+// it once a cell's results are read; a run that never releases pays
+// nothing for it.
 func (n *Net) Release() {
-	n.Eng.Release()
-	n.Pool.Release()
+	n.Eng.Release(func(arg any) {
+		if p, ok := arg.(*netem.Packet); ok {
+			n.Pool.Put(p)
+		}
+	})
 	for i := range n.Fwd {
 		n.Fwd[i].Release()
 		n.Rev[i].Release()
@@ -416,6 +421,7 @@ func (n *Net) Release() {
 	for i := range n.srcs {
 		n.srcs[i].park()
 	}
+	n.Pool.Release()
 }
 
 // Connect implements Fabric. The data path is built before the return

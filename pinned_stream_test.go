@@ -211,10 +211,13 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 			}},
 		// An unrelated scenario — another seed, a parking lot whose RED
 		// drew — run and released first hands the macro run its packets,
-		// timers, calendar ring, queue buffers and generators. On one P
-		// with the collector off nothing parked is lost, so the row must
-		// also allocate fewer objects than the plain run, or it tested
-		// nothing.
+		// timers, calendar ring, queue buffers and generators. It is
+		// released mid-flight, with packets queued and propagating (each
+		// one an engine-owned delivery timer), so the macro run is fed
+		// the timers and packets Release reclaimed, and its pool must
+		// get every packet back. On one P with the collector off nothing
+		// parked is lost, so the row must also allocate fewer objects
+		// than the plain run, or it tested nothing.
 		{name: "stocked from a released scenario",
 			stock: func(t *testing.T) {
 				prevProcs, prevGC := runtime.GOMAXPROCS(1), debug.SetGCPercent(-1)
@@ -227,6 +230,18 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 					Hops: []topology.Hop{{Rate: 10e6}, {Rate: 10e6}},
 					Seed: 7,
 				})
+				var propagating int
+				hops := append(append([]*netem.Link{}, n.Fwd...), n.Rev...)
+				for _, l := range hops {
+					l.AddTap(func(_ *netem.Link, op netem.TapOp, _ *netem.Packet, _ sim.Time) {
+						switch op {
+						case netem.TapTxEnd:
+							propagating++
+						case netem.TapDeliver:
+							propagating--
+						}
+					})
+				}
 				for i := 1; i <= 4; i++ {
 					eng.At(0, slowcc.TCP(0.5).Make(eng, n, i).Sender.Start)
 				}
@@ -234,7 +249,17 @@ func TestWiredButOffLayersKeepPinnedStream(t *testing.T) {
 				if red := n.Fwd[0].Q.(*netem.RED); red.EarlyDrops == 0 {
 					t.Fatal("the released scenario's RED never dropped early, so never drew")
 				}
+				queued := 0
+				for _, l := range hops {
+					queued += l.Q.Len()
+				}
+				if propagating == 0 || queued == 0 {
+					t.Fatalf("the released scenario had %d packets propagating and %d queued: want both", propagating, queued)
+				}
 				n.Release()
+				if p := n.Pool; p.Gets != p.Puts {
+					t.Fatalf("the released scenario's pool handed out %d packets and got %d back", p.Gets, p.Puts)
+				}
 			},
 			check: func(t *testing.T, r macroRun) {
 				// The race detector's sync.Pool drops a random quarter of
