@@ -30,9 +30,10 @@ type Config struct {
 	// A is the additive increase in packets per RTT per RTT. Zero
 	// derives the TCP-compatible value from B.
 	A float64
-	// InitialW is the starting rate in packets per RTT (default 2).
-	InitialW float64
 }
+
+// initialW is the starting rate in packets per RTT.
+const initialW = 2
 
 func (c *Config) fill() {
 	if c.PktSize == 0 {
@@ -43,9 +44,6 @@ func (c *Config) fill() {
 	}
 	if c.A == 0 {
 		c.A = tcpmodel.AIMDIncrease(c.B)
-	}
-	if c.InitialW == 0 {
-		c.InitialW = 2
 	}
 }
 
@@ -118,7 +116,7 @@ func (s *Sender) Start() {
 		return
 	}
 	s.running = true
-	s.w = s.cfg.InitialW
+	s.w = initialW
 	s.inSS = true
 	s.lastRecv = s.Eng.Now()
 	s.sendLoop()

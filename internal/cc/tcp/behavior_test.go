@@ -156,20 +156,20 @@ func TestBackoffResetsOnNewAck(t *testing.T) {
 }
 
 func TestRTOBoundsRespected(t *testing.T) {
-	h := newHarness(Config{Flow: 1, MinRTO: 0.2, MaxRTO: 64})
+	h := newHarness(Config{Flow: 1})
 	h.snd.hasRTT = true
-	h.snd.srtt, h.snd.rttvar = 0.001, 0.0001 // tiny: clamps to MinRTO
+	h.snd.srtt, h.snd.rttvar = 0.001, 0.0001 // tiny: clamps to minRTO
 	if got := h.snd.rto(); got != 0.2 {
-		t.Fatalf("rto = %v, want MinRTO 0.2", got)
+		t.Fatalf("rto = %v, want minRTO 0.2", got)
 	}
-	h.snd.srtt = 100 // enormous: clamps to MaxRTO
+	h.snd.srtt = 100 // enormous: clamps to maxRTO
 	if got := h.snd.rto(); got != 64 {
-		t.Fatalf("rto = %v, want MaxRTO 64", got)
+		t.Fatalf("rto = %v, want maxRTO 64", got)
 	}
 	h.snd.srtt, h.snd.rttvar = 0.1, 0.01
-	h.snd.backoff = 1024 // backoff also clamps at MaxRTO
+	h.snd.backoff = 1024 // backoff also clamps at maxRTO
 	if got := h.snd.rto(); got != 64 {
-		t.Fatalf("rto = %v with huge backoff, want MaxRTO", got)
+		t.Fatalf("rto = %v with huge backoff, want maxRTO", got)
 	}
 }
 

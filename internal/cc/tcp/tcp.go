@@ -57,8 +57,6 @@ type Config struct {
 	// InitialCwnd is the slow-start initial window in packets
 	// (default 2).
 	InitialCwnd float64
-	// MinRTO and MaxRTO bound the retransmit timer (defaults 0.2s, 64s).
-	MinRTO, MaxRTO sim.Time
 	// OnDone, if non-nil, is invoked when a short transfer's last packet
 	// is acknowledged.
 	OnDone func()
@@ -87,13 +85,13 @@ func (c *Config) fill() {
 	if c.InitialCwnd == 0 {
 		c.InitialCwnd = 2
 	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 0.2
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 64
-	}
 }
+
+// minRTO and maxRTO bound the retransmit timer.
+const (
+	minRTO sim.Time = 0.2
+	maxRTO sim.Time = 64
+)
 
 // Sender is a self-clocked window-based sender. Create with NewSender,
 // wire its Out to the network, route returning ACKs to Handle, then
@@ -261,15 +259,15 @@ func (s *Sender) rto() sim.Time {
 	if s.hasRTT {
 		base = s.srtt + float64(4*s.rttvar)
 	}
-	if base < s.cfg.MinRTO {
-		base = s.cfg.MinRTO
+	if base < minRTO {
+		base = minRTO
 	}
-	if base > s.cfg.MaxRTO {
-		base = s.cfg.MaxRTO
+	if base > maxRTO {
+		base = maxRTO
 	}
 	rto := base * s.backoff
-	if rto > s.cfg.MaxRTO {
-		rto = s.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	return rto
 }

@@ -28,10 +28,10 @@ type Config struct {
 	// C is the conservative option's headroom constant (default 1.1,
 	// the value used in the paper's experiments; ns-2 ships 1.5).
 	C float64
-	// InitialRTT seeds the RTT estimate before the first feedback
-	// (default 0.05s).
-	InitialRTT sim.Time
 }
+
+// initialRTT seeds the RTT estimate before the first feedback.
+const initialRTT sim.Time = 0.05
 
 func (c *Config) fill() {
 	if c.PktSize == 0 {
@@ -39,9 +39,6 @@ func (c *Config) fill() {
 	}
 	if c.C == 0 {
 		c.C = 1.1
-	}
-	if c.InitialRTT == 0 {
-		c.InitialRTT = 0.05
 	}
 }
 
@@ -86,7 +83,7 @@ func (s *Sender) SRTT() sim.Time {
 	if s.hasRTT {
 		return s.srtt
 	}
-	return s.cfg.InitialRTT
+	return initialRTT
 }
 
 // ProbeVars implements probe.Provider: the allowed sending rate
@@ -107,7 +104,7 @@ func (s *Sender) Start() {
 	s.running = true
 	s.inSS = true
 	// Initial rate: one packet per (assumed) RTT.
-	s.x = float64(s.cfg.PktSize) / float64(s.cfg.InitialRTT)
+	s.x = float64(s.cfg.PktSize) / float64(initialRTT)
 	s.sendLoop()
 	s.armNoFeedback()
 }

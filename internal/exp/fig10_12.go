@@ -16,36 +16,33 @@ import (
 type ConvergenceConfig struct {
 	// Rate is the bottleneck bandwidth (paper: 10 Mbps).
 	Rate float64
-	// Delta is the fairness target (paper: 0.1).
-	Delta float64
 	// SecondStart is when the late flow begins (the first must have
 	// converged by then).
 	SecondStart sim.Time
 	// Horizon bounds the wait for convergence, measured from
 	// SecondStart.
 	Horizon sim.Time
-	// BinWidth smooths the rate comparison (default 1s; convergence is
-	// judged on these bins held for 3 in a row).
-	BinWidth sim.Time
 	// Seeds lists the trials to average over.
 	Seeds []int64
 }
 
+// convergenceDelta is the fairness target (paper: 0.1), and
+// convergenceBin the width of the rate bins it is judged on, held for 3
+// in a row.
+const (
+	convergenceDelta          = 0.1
+	convergenceBin   sim.Time = 1
+)
+
 func (c *ConvergenceConfig) fill() {
 	if c.Rate == 0 {
 		c.Rate = 10e6
-	}
-	if c.Delta == 0 {
-		c.Delta = 0.1
 	}
 	if c.SecondStart == 0 {
 		c.SecondStart = 30
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 600
-	}
-	if c.BinWidth == 0 {
-		c.BinWidth = 1
 	}
 	if c.Seeds == nil {
 		c.Seeds = []int64{1, 2, 3}
@@ -103,10 +100,10 @@ func runConvergence(c *Cell, cfg ConvergenceConfig, algo AlgoSpec, seed int64) c
 	f2 := algo.Make(eng, d, 2)
 	eng.At(0, f1.Sender.Start)
 	eng.At(cfg.SecondStart, f2.Sender.Start)
-	m1 := metrics.NewMeter(eng, cfg.BinWidth, f1.RecvBytes)
-	m2 := metrics.NewMeter(eng, cfg.BinWidth, f2.RecvBytes)
+	m1 := metrics.NewMeter(eng, convergenceBin, f1.RecvBytes)
+	m2 := metrics.NewMeter(eng, convergenceBin, f2.RecvBytes)
 	eng.RunUntil(cfg.SecondStart + cfg.Horizon)
-	t, ok := metrics.ConvergenceTime(m1, m2, cfg.SecondStart, cfg.Delta, 3)
+	t, ok := metrics.ConvergenceTime(m1, m2, cfg.SecondStart, convergenceDelta, 3)
 	return convergenceTrial{t, ok}
 }
 

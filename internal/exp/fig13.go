@@ -19,13 +19,14 @@ type Fig13Config struct {
 	Flows int
 	// StopAt is the moment half the flows stop (paper: t=500s).
 	StopAt sim.Time
-	// Ks are the f(k) horizons (paper: 20 and 200 RTTs).
-	Ks []int
 	// MaxGamma bounds the slowness sweep.
 	MaxGamma int
 	// Seed seeds each run.
 	Seed int64
 }
+
+// fig13Ks are the f(k) horizons (paper: 20 and 200 RTTs).
+var fig13Ks = [...]int{20, 200}
 
 func (c *Fig13Config) fill() {
 	if c.Rate == 0 {
@@ -36,9 +37,6 @@ func (c *Fig13Config) fill() {
 	}
 	if c.StopAt == 0 {
 		c.StopAt = 500
-	}
-	if c.Ks == nil {
-		c.Ks = []int{20, 200}
 	}
 	if c.MaxGamma == 0 {
 		c.MaxGamma = 256
@@ -100,18 +98,12 @@ func runFig13(c *Cell, cfg Fig13Config, family string, gamma int, algo AlgoSpec)
 	// window after the stop.
 	base := sumRecv(flows[:half])
 	pt := Fig13Point{Family: family, Gamma: gamma, F: map[int]float64{}}
-	horizon := 0
-	for _, k := range cfg.Ks {
-		if k > horizon {
-			horizon = k
-		}
-	}
 	type mark struct {
 		k  int
 		at sim.Time
 	}
 	var marks []mark
-	for _, k := range cfg.Ks {
+	for _, k := range fig13Ks {
 		marks = append(marks, mark{k, cfg.StopAt + sim.Time(k)*rtt})
 	}
 	for _, m := range marks {
@@ -128,13 +120,13 @@ func RenderFig13(cfg Fig13Config, pts []Fig13Point) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 13: link utilization f(k) after the available bandwidth doubles\n")
 	fmt.Fprintf(&b, "%-10s %6s", "family", "gamma")
-	for _, k := range cfg.Ks {
+	for _, k := range fig13Ks {
 		fmt.Fprintf(&b, " %9s", fmt.Sprintf("f(%d)", k))
 	}
 	b.WriteByte('\n')
 	for _, p := range pts {
 		fmt.Fprintf(&b, "%-10s %6d", p.Family, p.Gamma)
-		for _, k := range cfg.Ks {
+		for _, k := range fig13Ks {
 			fmt.Fprintf(&b, " %9.3f", p.F[k])
 		}
 		b.WriteByte('\n')

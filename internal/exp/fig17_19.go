@@ -26,11 +26,12 @@ type SmoothnessConfig struct {
 	Duration sim.Time
 	// Warmup excludes startup from the metrics.
 	Warmup sim.Time
-	// BinWidth is the rate-trace granularity (paper plots 0.2s).
-	BinWidth sim.Time
 	// Seed seeds the run.
 	Seed int64
 }
+
+// smoothnessBin is the rate-trace granularity (paper plots 0.2s).
+const smoothnessBin sim.Time = 0.2
 
 func (c *SmoothnessConfig) fill() {
 	if c.Rate == 0 {
@@ -42,20 +43,17 @@ func (c *SmoothnessConfig) fill() {
 	if c.Warmup == 0 {
 		c.Warmup = 20
 	}
-	if c.BinWidth == 0 {
-		c.BinWidth = 0.2
-	}
 }
 
 // SmoothnessResult is the outcome for one algorithm.
 type SmoothnessResult struct {
 	Algo string
-	// SendTrace is the sending rate in bits/s per BinWidth bin.
+	// SendTrace is the sending rate in bits/s per 0.2s bin.
 	SendTrace []TimePoint
 	// Smooth holds the smoothness statistics computed on per-RTT send
 	// rates after warmup.
 	Smooth metrics.Smoothness
-	// SmoothBins holds the same statistics on BinWidth bins.
+	// SmoothBins holds the same statistics on 0.2s bins.
 	SmoothBins metrics.Smoothness
 	// ThroughputMbps is the delivered rate after warmup.
 	ThroughputMbps float64
@@ -97,20 +95,20 @@ func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessRe
 	eng.At(0, f.Sender.Start)
 
 	rtt := d.PropRTT()
-	binMeter := metrics.NewMeter(eng, cfg.BinWidth, f.SentBytes)
+	binMeter := metrics.NewMeter(eng, smoothnessBin, f.SentBytes)
 	rttMeter := metrics.NewMeter(eng, rtt, f.SentBytes)
 	got := measureWindow(eng, cfg.Warmup, cfg.Duration, []Flow{f})
 
 	res := SmoothnessResult{Algo: algo.Name}
 	for i, r := range binMeter.Rates() {
-		res.SendTrace = append(res.SendTrace, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
+		res.SendTrace = append(res.SendTrace, TimePoint{T: sim.Time(i+1) * smoothnessBin, V: r * 8})
 	}
 	warmBins := int(cfg.Warmup / rtt)
 	rttRates := rttMeter.Rates()
 	if warmBins < len(rttRates) {
 		res.Smooth = metrics.ComputeSmoothness(rttRates[warmBins:])
 	}
-	warmWide := int(cfg.Warmup / cfg.BinWidth)
+	warmWide := int(cfg.Warmup / smoothnessBin)
 	wide := binMeter.Rates()
 	if warmWide < len(wide) {
 		res.SmoothBins = metrics.ComputeSmoothness(wide[warmWide:])
@@ -127,7 +125,7 @@ func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessRe
 func RenderSmoothness(title string, cfg SmoothnessConfig, res []SmoothnessResult) string {
 	cfg.fill()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s: sending rate (Mbps, %.1fs bins)\n", title, cfg.BinWidth)
+	fmt.Fprintf(&b, "%s: sending rate (Mbps, %.1fs bins)\n", title, smoothnessBin)
 	fmt.Fprintf(&b, "%7s", "t(s)")
 	for _, r := range res {
 		fmt.Fprintf(&b, " %12s", r.Algo)

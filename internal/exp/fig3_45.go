@@ -20,9 +20,6 @@ type StabilizationConfig struct {
 	Flows int
 	// Rate is the bottleneck bandwidth (paper: 10 Mbps).
 	Rate float64
-	// CBRFraction is the CBR peak rate as a fraction of the bottleneck
-	// (paper: one half).
-	CBRFraction float64
 	// OffAt, OnAt, End define the CBR timeline: ON from 0 to OffAt, OFF
 	// until OnAt, then ON until End (paper: 150, 180, 400).
 	OffAt, OnAt, End sim.Time
@@ -31,14 +28,19 @@ type StabilizationConfig struct {
 	// DropTail switches the bottleneck to tail-drop (ablation; the paper
 	// reports the self-clocking result holds there too).
 	DropTail bool
-	// ReverseFlows is the number of reverse-direction TCP flows
-	// (default 2).
-	ReverseFlows int
 	// DisablePool turns off packet pooling for this run. It exists for
 	// the determinism cross-check (pooled and unpooled runs must produce
 	// bit-identical metrics; see DESIGN.md §8), not for production use.
 	DisablePool bool
 }
+
+// stabilizationCBRFraction is the CBR peak rate as a fraction of the
+// bottleneck (paper: one half); stabilizationReverseFlows is the number
+// of reverse-direction TCP flows.
+const (
+	stabilizationCBRFraction  = 0.5
+	stabilizationReverseFlows = 2
+)
 
 func (c *StabilizationConfig) fill() {
 	if c.Flows == 0 {
@@ -46,9 +48,6 @@ func (c *StabilizationConfig) fill() {
 	}
 	if c.Rate == 0 {
 		c.Rate = 10e6
-	}
-	if c.CBRFraction == 0 {
-		c.CBRFraction = 0.5
 	}
 	if c.OffAt == 0 {
 		c.OffAt = 150
@@ -58,9 +57,6 @@ func (c *StabilizationConfig) fill() {
 	}
 	if c.End == 0 {
 		c.End = 400
-	}
-	if c.ReverseFlows == 0 {
-		c.ReverseFlows = 2
 	}
 }
 
@@ -93,9 +89,9 @@ func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 
 	flows := cfg.Algo.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
-	withReverseTraffic(eng, d, cfg.ReverseFlows)
+	withReverseTraffic(eng, d, stabilizationReverseFlows)
 
-	withCBR(eng, d, cbrFlowID, cfg.CBRFraction*cfg.Rate, cbr.Steps{
+	withCBR(eng, d, cbrFlowID, stabilizationCBRFraction*cfg.Rate, cbr.Steps{
 		At:     []sim.Time{0, cfg.OffAt, cfg.OnAt},
 		Levels: []float64{1, 0, 1},
 	}, topology.Span{})

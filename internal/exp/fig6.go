@@ -22,19 +22,24 @@ type Fig6Config struct {
 	Flows int
 	// Rate is the bottleneck bandwidth.
 	Rate float64
-	// CrowdStart, CrowdDuration, CrowdRate, CrowdPkts shape the flash
-	// crowd (paper: t=25, 5s, 200 flows/s, 10 packets).
+	// CrowdStart, CrowdDuration, CrowdRate shape the flash crowd
+	// (paper: t=25, 5s, 200 flows/s).
 	CrowdStart    sim.Time
 	CrowdDuration sim.Time
 	CrowdRate     float64
-	CrowdPkts     int64
 	// End bounds the run.
 	End sim.Time
-	// BinWidth is the reporting granularity.
-	BinWidth sim.Time
 	// Seed seeds the run.
 	Seed int64
 }
+
+// crowdPkts is the length of each flash-crowd transfer (paper: 10
+// packets), and crowdBin the reporting granularity of a crowd run's
+// timelines. Figure 6 and the outage scenario share both.
+const (
+	crowdPkts          = 10
+	crowdBin  sim.Time = 0.5
+)
 
 func (c *Fig6Config) fill() {
 	if c.Backgrounds == nil {
@@ -59,14 +64,8 @@ func (c *Fig6Config) fill() {
 	if c.CrowdRate == 0 {
 		c.CrowdRate = 200
 	}
-	if c.CrowdPkts == 0 {
-		c.CrowdPkts = 10
-	}
 	if c.End == 0 {
 		c.End = 60
-	}
-	if c.BinWidth == 0 {
-		c.BinWidth = 0.5
 	}
 }
 
@@ -113,12 +112,12 @@ func runCrowd(c *Cell, cfg Fig6Config, bg AlgoSpec, fc *faults.Config, arm func(
 		Start:       cfg.CrowdStart,
 		Duration:    cfg.CrowdDuration,
 		RatePerSec:  cfg.CrowdRate,
-		PktsPerFlow: cfg.CrowdPkts,
+		PktsPerFlow: crowdPkts,
 		FirstFlowID: 10000,
 	})
 
-	bgMeter := metrics.NewMeter(eng, cfg.BinWidth, func() int64 { return sumRecv(flows) })
-	crowdMeter := metrics.NewMeter(eng, cfg.BinWidth, crowd.TotalBytesRecv)
+	bgMeter := metrics.NewMeter(eng, crowdBin, func() int64 { return sumRecv(flows) })
+	crowdMeter := metrics.NewMeter(eng, crowdBin, crowd.TotalBytesRecv)
 	if arm != nil {
 		arm(eng, d)
 	}
@@ -126,10 +125,10 @@ func runCrowd(c *Cell, cfg Fig6Config, bg AlgoSpec, fc *faults.Config, arm func(
 
 	res := Fig6Result{Background: bg.Name, CrowdCompleted: crowd.Completed, CrowdBytes: crowd.TotalBytesRecv()}
 	for i, r := range bgMeter.Rates() {
-		res.BackgroundRate = append(res.BackgroundRate, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
+		res.BackgroundRate = append(res.BackgroundRate, TimePoint{T: sim.Time(i+1) * crowdBin, V: r * 8})
 	}
 	for i, r := range crowdMeter.Rates() {
-		res.CrowdRate = append(res.CrowdRate, TimePoint{T: sim.Time(i+1) * cfg.BinWidth, V: r * 8})
+		res.CrowdRate = append(res.CrowdRate, TimePoint{T: sim.Time(i+1) * crowdBin, V: r * 8})
 	}
 	if n := len(crowd.CompletionTimes); n > 0 {
 		var s sim.Time

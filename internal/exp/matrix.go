@@ -57,29 +57,16 @@ type MatrixConfig struct {
 	Hops int
 	// Rate is the per-bottleneck bandwidth (default 10 Mbps).
 	Rate float64
-	// FlowsPerSide is the number of flows per algorithm (default 1: a
-	// true pairwise duel).
-	FlowsPerSide int
-	// ReverseFlows is the number of reverse-path TCP flows (default 1),
-	// so ACKs always share a loaded return path.
-	ReverseFlows int
 	// CBRPeak is the oscillating condition's square-wave peak (default
 	// Rate/2) and Period its full period (default 2 s).
 	CBRPeak float64
 	Period  sim.Time
-	// CrossRate is the parking-lot cross-traffic rate per interior node
-	// (default Rate/4): one CBR flow enters each interior node and
-	// leaves at the next, loading exactly one hop.
-	CrossRate float64
 	// OutageDur is the faulted condition's outage length (default 1 s);
 	// the outage opens at Warmup + Measure/3, on the dumbbell's forward
 	// bottleneck or the parking lot's middle hop.
 	OutageDur sim.Time
 	// Warmup and Measure set the timeline (defaults 10 s and 40 s).
 	Warmup, Measure sim.Time
-	// SmoothBin is the rate-meter bin width for the smoothness metric
-	// (default 1 s).
-	SmoothBin sim.Time
 	// Seed seeds every cell (cells differ by wiring, not seed, like the
 	// other sweep drivers).
 	Seed int64
@@ -102,6 +89,21 @@ func DefaultMatrixAlgos() []AlgoSpec {
 	}
 }
 
+// A matrix cell is a true pairwise duel, matrixFlowsPerSide flows per
+// algorithm, beside matrixReverseFlows reverse-path TCP flows so ACKs
+// always share a loaded return path; matrixSmoothBin is the rate-meter
+// bin width for the smoothness metric.
+const (
+	matrixFlowsPerSide          = 1
+	matrixReverseFlows          = 1
+	matrixSmoothBin    sim.Time = 1
+)
+
+// crossRate is the parking-lot cross-traffic rate per interior node, a
+// quarter of the bottleneck: one CBR flow enters each interior node and
+// leaves at the next, loading exactly one hop.
+func (c *MatrixConfig) crossRate() float64 { return c.Rate / 4 }
+
 func (c *MatrixConfig) fill() {
 	if len(c.Algos) == 0 {
 		c.Algos = DefaultMatrixAlgos()
@@ -118,20 +120,11 @@ func (c *MatrixConfig) fill() {
 	if c.Rate == 0 {
 		c.Rate = 10e6
 	}
-	if c.FlowsPerSide == 0 {
-		c.FlowsPerSide = 1
-	}
-	if c.ReverseFlows == 0 {
-		c.ReverseFlows = 1
-	}
 	if c.CBRPeak == 0 {
 		c.CBRPeak = c.Rate / 2
 	}
 	if c.Period == 0 {
 		c.Period = 2
-	}
-	if c.CrossRate == 0 {
-		c.CrossRate = c.Rate / 4
 	}
 	if c.OutageDur == 0 {
 		c.OutageDur = 1
@@ -141,9 +134,6 @@ func (c *MatrixConfig) fill() {
 	}
 	if c.Measure == 0 {
 		c.Measure = 40
-	}
-	if c.SmoothBin == 0 {
-		c.SmoothBin = 1
 	}
 }
 
@@ -156,7 +146,7 @@ type MatrixCell struct {
 	AMbps, BMbps float64
 	// Ratio is AMbps/BMbps (0 when B starved entirely).
 	Ratio float64
-	// Jain is Jain's fairness index over all 2*FlowsPerSide flows.
+	// Jain is Jain's fairness index over all the cell's flows.
 	Jain float64
 	// SmoothA and SmoothB are mean per-flow coefficients of variation
 	// of the 1-second receive rate over the measurement window (lower
@@ -221,6 +211,9 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	slots := [4]string{"\x00topology", "\x00condition", "\x00algo_a", "\x00algo_b"}
 	m.Algos = []string{slots[2], slots[3]}
+	// flows_per_side, reverse_flows, cross_rate and smooth_bin are
+	// constants, kept in the manifest under these names so that stores
+	// written while they were settings keep hitting.
 	m.Config = map[string]string{
 		"topology":       slots[0],
 		"condition":      slots[1],
@@ -228,15 +221,15 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 		"algo_b":         slots[3],
 		"hops":           strconv.Itoa(cfg.Hops),
 		"rate":           g(cfg.Rate),
-		"flows_per_side": strconv.Itoa(cfg.FlowsPerSide),
-		"reverse_flows":  strconv.Itoa(cfg.ReverseFlows),
+		"flows_per_side": strconv.Itoa(matrixFlowsPerSide),
+		"reverse_flows":  strconv.Itoa(matrixReverseFlows),
 		"cbr_peak":       g(cfg.CBRPeak),
 		"period":         g(float64(cfg.Period)),
-		"cross_rate":     g(cfg.CrossRate),
+		"cross_rate":     g(cfg.crossRate()),
 		"outage_dur":     g(float64(cfg.OutageDur)),
 		"warmup":         g(float64(cfg.Warmup)),
 		"measure":        g(float64(cfg.Measure)),
-		"smooth_bin":     g(float64(cfg.SmoothBin)),
+		"smooth_bin":     g(float64(matrixSmoothBin)),
 		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
 	}
 	quoted := map[string][]byte{}
@@ -299,7 +292,7 @@ func mustJSON(v any) []byte {
 
 // wireMatrixCell builds a cell's engine, topology and traffic — all of
 // its set-up, none of its run — and returns what the run reads: the
-// first bottleneck, side A's FlowsPerSide flows then side B's, and a
+// first bottleneck, side A's matrixFlowsPerSide flows then side B's, and a
 // receive-rate meter per flow.
 func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) (*sim.Engine, *netem.Link, []Flow, []*metrics.Meter) {
 	// The condition axis owns fault wiring: a zero (disabled) config
@@ -329,17 +322,17 @@ func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec)
 	// exactly one hop, so interior bottlenecks see load the first
 	// hop never carries — the parking lot's defining asymmetry.
 	for m := 1; m < hops; m++ {
-		withCBR(eng, d, crossFlowBase+m, cfg.CrossRate, nil, topology.Span{From: m, To: m + 1})
+		withCBR(eng, d, crossFlowBase+m, cfg.crossRate(), nil, topology.Span{From: m, To: m + 1})
 	}
 
-	F := cfg.FlowsPerSide
+	F := matrixFlowsPerSide
 	flows := append(a.flows(d, 1, F), b.flows(d, F+1, F)...)
 	meters := make([]*metrics.Meter, len(flows))
 	for i, f := range flows {
-		meters[i] = metrics.NewMeter(eng, cfg.SmoothBin, f.RecvBytes)
+		meters[i] = metrics.NewMeter(eng, matrixSmoothBin, f.RecvBytes)
 	}
 	startAll(d, flows, 0)
-	withReverseTraffic(eng, d, cfg.ReverseFlows)
+	withReverseTraffic(eng, d, matrixReverseFlows)
 	if cond == CondOscillating {
 		withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period}, topology.Span{})
 	}
@@ -348,7 +341,7 @@ func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec)
 
 func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) MatrixCell {
 	eng, bottleneck, flows, meters := wireMatrixCell(c, cfg, topo, cond, a, b)
-	F := cfg.FlowsPerSide
+	F := matrixFlowsPerSide
 
 	// The bottleneck's carried bytes ride along after the flows'.
 	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows,
@@ -358,7 +351,7 @@ func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) 
 	for i := range flows {
 		perBps[i] = bitsPerSec(got[i], cfg.Measure)
 	}
-	skip := int(cfg.Warmup / cfg.SmoothBin)
+	skip := int(cfg.Warmup / matrixSmoothBin)
 	cell := MatrixCell{
 		Topology:    topo,
 		Condition:   cond,

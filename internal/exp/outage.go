@@ -30,23 +30,22 @@ type OutageConfig struct {
 	// t=25s for 5s).
 	OutageAt  sim.Time
 	OutageDur sim.Time
-	// CrowdStart, CrowdDuration, CrowdRate, CrowdPkts shape the flash
-	// crowd that lands on the recovering link (default t=30s, i.e. the
-	// instant the outage ends, 5s, 200 flows/s, 10 packets).
+	// CrowdStart, CrowdDuration, CrowdRate shape the flash crowd that
+	// lands on the recovering link (default t=30s, i.e. the instant the
+	// outage ends, 5s, 200 flows/s); its transfers are Figure 6's
+	// crowdPkts long.
 	CrowdStart    sim.Time
 	CrowdDuration sim.Time
 	CrowdRate     float64
-	CrowdPkts     int64
-	// RecoverFrac is the utilization fraction that counts as recovered
-	// (default 0.8).
-	RecoverFrac float64
 	// End bounds the run.
 	End sim.Time
-	// BinWidth is the reporting granularity.
-	BinWidth sim.Time
 	// Seed seeds each run; the outage injector shares it.
 	Seed int64
 }
+
+// outageRecoverFrac is the utilization fraction that counts as
+// recovered.
+const outageRecoverFrac = 0.8
 
 func (c *OutageConfig) fill() {
 	if c.Backgrounds == nil {
@@ -77,17 +76,8 @@ func (c *OutageConfig) fill() {
 	if c.CrowdRate == 0 {
 		c.CrowdRate = 200
 	}
-	if c.CrowdPkts == 0 {
-		c.CrowdPkts = 10
-	}
-	if c.RecoverFrac == 0 {
-		c.RecoverFrac = 0.8
-	}
 	if c.End == 0 {
 		c.End = 70
-	}
-	if c.BinWidth == 0 {
-		c.BinWidth = 0.5
 	}
 }
 
@@ -99,7 +89,7 @@ type OutageResult struct {
 	BackgroundRate []TimePoint
 	CrowdRate      []TimePoint
 	// RecoveryTime is how long after the link came back the combined
-	// traffic took to reach RecoverFrac of the bottleneck rate, held for
+	// traffic took to reach outageRecoverFrac of the bottleneck rate, held for
 	// two consecutive bins; -1 means it never did before End.
 	RecoveryTime sim.Time
 	// OutageDrops counts packets the blackout cost (refused at the down
@@ -134,8 +124,7 @@ func runOutage(c *Cell, cfg OutageConfig, bg AlgoSpec) OutageResult {
 	crowd := runCrowd(c, Fig6Config{
 		Flows: cfg.Flows, Rate: cfg.Rate,
 		CrowdStart: cfg.CrowdStart, CrowdDuration: cfg.CrowdDuration,
-		CrowdRate: cfg.CrowdRate, CrowdPkts: cfg.CrowdPkts,
-		End: cfg.End, BinWidth: cfg.BinWidth, Seed: cfg.Seed,
+		CrowdRate: cfg.CrowdRate, End: cfg.End, Seed: cfg.Seed,
 	}, bg, &fc, func(eng *sim.Engine, n *topology.Net) {
 		d = n
 		// Snapshot total drops around the blackout so OutageDrops isolates
@@ -148,7 +137,7 @@ func runOutage(c *Cell, cfg OutageConfig, bg AlgoSpec) OutageResult {
 		BackgroundRate: crowd.BackgroundRate,
 		CrowdRate:      crowd.CrowdRate,
 		RecoveryTime: recoveryTime(crowd.BackgroundRate, crowd.CrowdRate,
-			cfg.OutageAt+cfg.OutageDur, cfg.RecoverFrac*cfg.Rate),
+			cfg.OutageAt+cfg.OutageDur, outageRecoverFrac*cfg.Rate),
 		OutageDrops:         dropsAfter - dropsBefore,
 		Transitions:         d.Fwd[0].Transitions,
 		CrowdCompleted:      crowd.CrowdCompleted,
@@ -198,7 +187,7 @@ func RenderOutage(cfg OutageConfig, res []OutageResult) string {
 			rec = fmt.Sprintf("%.1fs", r.RecoveryTime)
 		}
 		fmt.Fprintf(&b, "%-16s recovered to %.0f%% in %-7s outage cost %5d pkts; crowd: %4d transfers, mean latency %6.3fs\n",
-			r.Background, cfg.RecoverFrac*100, rec, r.OutageDrops, r.CrowdCompleted, r.CrowdMeanCompletion)
+			r.Background, outageRecoverFrac*100, rec, r.OutageDrops, r.CrowdCompleted, r.CrowdMeanCompletion)
 	}
 	return b.String()
 }

@@ -52,7 +52,7 @@ func TestOutageBlackoutAndRecovery(t *testing.T) {
 			t.Fatalf("%s: post-outage peak %.0f bps, link never recovered", r.Background, peak)
 		}
 		if r.RecoveryTime < 0 {
-			t.Fatalf("%s: never reached %.0f%% utilization after the outage", r.Background, cfg.RecoverFrac*100)
+			t.Fatalf("%s: never reached %.0f%% utilization after the outage", r.Background, outageRecoverFrac*100)
 		}
 		if r.CrowdCompleted == 0 {
 			t.Fatalf("%s: no crowd transfers completed", r.Background)

@@ -23,14 +23,15 @@ type QueueDynamicsConfig struct {
 	Rate float64
 	// Warmup and Measure set the timeline.
 	Warmup, Measure sim.Time
-	// SamplePeriod is the queue-length sampling period (default one
-	// RTT).
-	SamplePeriod sim.Time
 	// DropTail switches the bottleneck discipline.
 	DropTail bool
 	// Seed seeds each run.
 	Seed int64
 }
+
+// queueSamplePeriod is the queue-length sampling period: a fixed 50 ms,
+// which is one RTT only on the default dumbbell.
+const queueSamplePeriod sim.Time = 0.05
 
 func (c *QueueDynamicsConfig) fill() {
 	if c.Algos == nil {
@@ -51,9 +52,6 @@ func (c *QueueDynamicsConfig) fill() {
 	}
 	if c.Measure == 0 {
 		c.Measure = 120
-	}
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = 0.05
 	}
 }
 
@@ -87,7 +85,7 @@ func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDyna
 	lossMon := metrics.NewLossMonitor(0.5)
 	lossMon.EnsureHorizon(cfg.Warmup + cfg.Measure)
 	d.Fwd[0].AddTap(lossMon.Tap())
-	qMon := metrics.NewQueueMonitor(eng, cfg.SamplePeriod, d.Fwd[0].Q.Len)
+	qMon := metrics.NewQueueMonitor(eng, queueSamplePeriod, d.Fwd[0].Q.Len)
 
 	flows := algo.flows(d, 1, cfg.Flows)
 	startAll(d, flows, 0)
@@ -95,7 +93,7 @@ func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDyna
 
 	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, nil, func() int64 { return sumRecv(flows) })
 
-	sum := qMon.Summary(int(cfg.Warmup / cfg.SamplePeriod))
+	sum := qMon.Summary(int(cfg.Warmup / queueSamplePeriod))
 	res := QueueDynamicsResult{Algo: algo.Name, Queue: sum}
 	if sum.Mean > 0 {
 		res.CoV = sum.StdDev / sum.Mean

@@ -17,24 +17,22 @@ import (
 type RTTFairnessConfig struct {
 	// Rate is the bottleneck bandwidth.
 	Rate float64
-	// ShortAccess and LongAccess are the two access-link delays; with
-	// the default 21 ms bottleneck the RTTs are 2*(2a + 21ms).
-	ShortAccess, LongAccess sim.Time
 	// Warmup and Measure set the timeline.
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
 	Seed int64
 }
 
+// rttShortAccess and rttLongAccess are the two access-link delays; with
+// the default 21 ms bottleneck the RTTs are 2*(2a + 21ms).
+const (
+	rttShortAccess sim.Time = 0.002 // RTT 50 ms
+	rttLongAccess  sim.Time = 0.027 // RTT 150 ms
+)
+
 func (c *RTTFairnessConfig) fill() {
 	if c.Rate == 0 {
 		c.Rate = 10e6
-	}
-	if c.ShortAccess == 0 {
-		c.ShortAccess = 0.002 // RTT 50 ms
-	}
-	if c.LongAccess == 0 {
-		c.LongAccess = 0.027 // RTT 150 ms
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 20
@@ -69,8 +67,8 @@ func (sw *Sweep) RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
 func runRTTFairness(c *Cell, cfg RTTFairnessConfig, key string, arg float64) RTTFairnessResult {
 	r, _ := row(key)
 	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
-	short := r.wire(eng, d, 1, arg, topology.Span{Access: cfg.ShortAccess})
-	long := r.wire(eng, d, 2, arg, topology.Span{Access: cfg.LongAccess})
+	short := r.wire(eng, d, 1, arg, topology.Span{Access: rttShortAccess})
+	long := r.wire(eng, d, 2, arg, topology.Span{Access: rttLongAccess})
 	eng.At(0, short.Sender.Start)
 	eng.At(0, long.Sender.Start)
 	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, []Flow{short, long})
@@ -86,8 +84,11 @@ func runRTTFairness(c *Cell, cfg RTTFairnessConfig, key string, arg float64) RTT
 func RenderRTTFairness(cfg RTTFairnessConfig, res []RTTFairnessResult) string {
 	cfg.fill()
 	var b strings.Builder
-	shortRTT := 2 * (2*cfg.ShortAccess + 0.021)
-	longRTT := 2 * (2*cfg.LongAccess + 0.021)
+	// Read through variables so the sums round at run time, step by
+	// step, not once as a constant expression would.
+	short, long := rttShortAccess, rttLongAccess
+	shortRTT := 2 * (2*short + 0.021)
+	longRTT := 2 * (2*long + 0.021)
 	fmt.Fprintf(&b, "RTT fairness (extension): %.0fms-RTT vs %.0fms-RTT flow on one bottleneck\n",
 		shortRTT*1000, longRTT*1000)
 	fmt.Fprintf(&b, "%-10s %12s %12s %12s\n", "algorithm", "short Mbps", "long Mbps", "advantage")

@@ -389,15 +389,15 @@ func parentMatrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) str
 		"algo_b":         b.Name,
 		"hops":           strconv.Itoa(cfg.Hops),
 		"rate":           g(cfg.Rate),
-		"flows_per_side": strconv.Itoa(cfg.FlowsPerSide),
-		"reverse_flows":  strconv.Itoa(cfg.ReverseFlows),
+		"flows_per_side": strconv.Itoa(matrixFlowsPerSide),
+		"reverse_flows":  strconv.Itoa(matrixReverseFlows),
 		"cbr_peak":       g(cfg.CBRPeak),
 		"period":         g(float64(cfg.Period)),
-		"cross_rate":     g(cfg.CrossRate),
+		"cross_rate":     g(cfg.Rate / 4),
 		"outage_dur":     g(float64(cfg.OutageDur)),
 		"warmup":         g(float64(cfg.Warmup)),
 		"measure":        g(float64(cfg.Measure)),
-		"smooth_bin":     g(float64(cfg.SmoothBin)),
+		"smooth_bin":     g(float64(matrixSmoothBin)),
 		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
 	}
 	return m.ComputeDigest()

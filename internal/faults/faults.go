@@ -200,7 +200,7 @@ func (in *Injector) Attach(link *netem.Link, entry netem.Handler, pool *netem.Pa
 		in.eng.At(w.At+w.Dur, link.SetUp)
 	}
 	if in.cfg.Flap != nil {
-		in.flapTm = in.eng.After(in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
+		in.flapTm = in.eng.ResetAfter(nil, in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
 	}
 	if !in.cfg.probabilistic() {
 		return entry

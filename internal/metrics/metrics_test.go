@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -307,5 +308,39 @@ func TestQueueMonitorSamples(t *testing.T) {
 	}
 	if m.Summary(100).N != 0 {
 		t.Fatal("out-of-range summary must be empty")
+	}
+}
+
+// A meter's tick is an engine-owned timer, recycled as it fires, so a
+// thousand ticks on an engine that carries nothing else allocate only
+// the sample slice's doublings, not a timer each.
+func TestMeterTickAllocatesNoTimer(t *testing.T) {
+	const ticks, width = 1000, 0.01
+	for _, tc := range []struct {
+		name  string
+		start func(*sim.Engine) func() int
+	}{
+		{"Meter", func(eng *sim.Engine) func() int {
+			m := NewMeter(eng, width, func() int64 { return 0 })
+			return func() int { return len(m.Rates()) }
+		}},
+		{"QueueMonitor", func(eng *sim.Engine) func() int {
+			m := NewQueueMonitor(eng, width, func() int { return 0 })
+			return func() int { return len(m.Samples()) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.New(1)
+			samples := tc.start(eng)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for samples() < ticks {
+				eng.RunUntil(eng.Now() + width)
+			}
+			runtime.ReadMemStats(&m1)
+			if got := m1.Mallocs - m0.Mallocs; got > 16 {
+				t.Fatalf("%d ticks allocated %d objects, want at most the sample slice's doublings", ticks, got)
+			}
+		})
 	}
 }

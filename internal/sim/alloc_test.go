@@ -34,7 +34,7 @@ func TestAllocsResetAfter(t *testing.T) {
 	fn = func() {
 		tm = e.ResetAfter(tm, 0.001, fn)
 	}
-	tm = e.After(0.001, fn)
+	tm = e.ResetAfter(nil, 0.001, fn)
 	e.RunUntil(1)
 	var horizon Time = 1
 	avg := testing.AllocsPerRun(100, func() {

@@ -110,9 +110,9 @@ func TestCalendarRewindOnInsertAfterPeek(t *testing.T) {
 func TestCalendarStopResetOverflowTimer(t *testing.T) {
 	e := NewWithQueue(1, CalendarQueue)
 	var got []string
-	a := e.At(1e6, func() { got = append(got, "a") })
-	b := e.At(2e6, func() { got = append(got, "b") })
-	c := e.At(1.5e6, func() { got = append(got, "c") })
+	a := e.ResetAt(nil, 1e6, func() { got = append(got, "a") })
+	b := e.ResetAt(nil, 2e6, func() { got = append(got, "b") })
+	c := e.ResetAt(nil, 1.5e6, func() { got = append(got, "c") })
 	for _, tc := range []struct {
 		name string
 		tm   *Timer
@@ -162,7 +162,7 @@ func TestCalendarStopResetAfterCompaction(t *testing.T) {
 	var got []int
 	tms := make([]*Timer, 10)
 	for i := range tms {
-		tms[i] = e.At(1e6+Time(i), func() { got = append(got, i) })
+		tms[i] = e.ResetAt(nil, 1e6+Time(i), func() { got = append(got, i) })
 	}
 	if qs := e.QueueStats(); qs.FarLive != len(tms) {
 		t.Fatalf("%d of %d far-future timers in the far tier", qs.FarLive, len(tms))
@@ -339,7 +339,7 @@ func TestNonFiniteRejectionParity(t *testing.T) {
 				t.Errorf("%s: AtFunc(%v) did not panic", name, bad)
 			}
 			e3 := NewWithQueue(1, kind)
-			tm := e3.At(1, func() {})
+			tm := e3.ResetAt(nil, 1, func() {})
 			if !panics(func() { e3.ResetAt(tm, bad, func() {}) }) {
 				t.Errorf("%s: ResetAt(%v) did not panic", name, bad)
 			}
@@ -410,8 +410,8 @@ func TestCalendarVsHeapRandomizedOps(t *testing.T) {
 	schedule := func(d Time) {
 		id := nextID
 		nextID++
-		hCal = append(hCal, cal.At(cal.Now()+d, func() { firedCal = append(firedCal, id) }))
-		hHeap = append(hHeap, heap.At(heap.Now()+d, func() { firedHeap = append(firedHeap, id) }))
+		hCal = append(hCal, cal.ResetAt(nil, cal.Now()+d, func() { firedCal = append(firedCal, id) }))
+		hHeap = append(hHeap, heap.ResetAt(nil, heap.Now()+d, func() { firedHeap = append(firedHeap, id) }))
 	}
 
 	// stepBoth pops one event from each engine, and notes whether the

@@ -13,7 +13,7 @@
 // amortized insert and pop for the tick-dominated schedules the paper's
 // scenarios produce; a hand-rolled, index-maintained 4-ary min-heap
 // (HeapQueue) remains as the differential-testing oracle. Both recycle
-// fired handle-less timers through a free list, so the steady-state
+// fired engine-owned timers through a free list, so the steady-state
 // packet path schedules events without allocating.
 package sim
 
@@ -29,21 +29,22 @@ import (
 // Time is a simulated timestamp or duration, in seconds.
 type Time = float64
 
-// Timer is a handle to a scheduled event. The zero value is not meaningful;
-// timers are created by Engine.At and Engine.After (or reused through
-// Engine.ResetAt, Engine.ResetAfter, and their *Func variants).
+// Timer is a scheduled event. A caller holds one only as a handle from
+// Engine.ResetAt, Engine.ResetAfter or their *Func variants; every other
+// timer is engine-owned and recycled once it fires. The zero value is
+// not meaningful.
 //
 // Field order is deliberate: the hot comparison key (at, seq) shares the
 // first cache line with the callback pair, the queue-membership links
-// follow, and the two int32 positions plus the flag bytes pack the tail
+// follow, and the two int32 positions plus the flag byte pack the tail
 // instead of padding three separate words.
 type Timer struct {
 	at  Time
 	seq uint64
 	// fnA/arg is the only callback form the queue executes: hot paths
 	// schedule a pre-bound callback with a per-event argument and no
-	// closure allocation, and the handle API (At/After/ResetAt) boxes its
-	// func() through callFunc (funcs are pointer-shaped, so the boxing
+	// closure allocation, and the func() forms (At/After/ResetAt) box it
+	// through callFunc (funcs are pointer-shaped, so the boxing
 	// does not allocate either).
 	fnA func(any)
 	arg any
@@ -59,14 +60,12 @@ type Timer struct {
 	index int32
 	// bkt is the calendar bucket index, bktOverflow for the sorted
 	// far-future overflow, bktNone when not queued. Unused in heap mode.
-	bkt     int32
-	stopped bool
-	pooled  bool // engine-owned (no external handle); recycle after firing
+	bkt    int32
+	pooled bool // engine-owned (no external handle); recycle after firing
 }
 
-// callFunc adapts the handle API's func() callbacks to the single fnA
-// execution path. A func value is pointer-shaped, so storing it in arg
-// does not allocate.
+// callFunc adapts func() callbacks to the single fnA execution path. A
+// func value is pointer-shaped, so storing it in arg does not allocate.
 func callFunc(a any) { a.(func())() }
 
 // Stop cancels the timer and removes it from the engine's event queue, so
@@ -74,10 +73,9 @@ func callFunc(a any) { a.(func())() }
 // already-fired or already-stopped timer is a no-op. Stop reports whether
 // the call prevented the event from firing.
 func (t *Timer) Stop() bool {
-	if t == nil || t.stopped || t.index == -1 {
+	if t == nil || t.index < 0 {
 		return false
 	}
-	t.stopped = true
 	t.eng.stops++
 	t.eng.removeTimer(t)
 	return true
@@ -87,7 +85,7 @@ func (t *Timer) Stop() bool {
 // nor stopped. Callers that re-arm one logical timer through ResetAt use
 // it as the "is a timer outstanding" predicate, since a reused handle is
 // never nil.
-func (t *Timer) Pending() bool { return t != nil && !t.stopped && t.index >= 0 }
+func (t *Timer) Pending() bool { return t != nil && t.index >= 0 }
 
 // AuditHook observes scheduler operation for invariant checking (see
 // internal/invariant). Both methods are called synchronously on the
@@ -244,11 +242,12 @@ type gcSentinel struct{ _ *int }
 
 // Release hands the engine's timer free list and event-queue storage to
 // an engine New builds later. Every pending event is unlinked unrun: an
-// engine-owned timer (AtFunc, AfterFunc) passes its argument to reclaim
-// and joins the parked free list; a handle timer (At, ResetAt, …) stays
-// its holder's. Nothing may schedule on or run the engine afterwards. A
-// sweep releases a cell's engines once their results are read
-// (topology.Net.Release); a run that never calls it pays nothing for it.
+// engine-owned timer (At, After, AtFunc, AfterFunc) passes its argument
+// to reclaim and joins the parked free list; a handle timer (ResetAt,
+// ResetAtFunc, …) stays its holder's. Nothing may schedule on or run the
+// engine afterwards. A sweep releases a cell's engines once their
+// results are read (topology.Net.Release); a run that never calls it
+// pays nothing for it.
 func (e *Engine) Release(reclaim func(arg any)) {
 	if e.free == nil && e.cq == nil && e.events == nil {
 		return
@@ -399,7 +398,6 @@ func (e *Engine) schedule(t Time, tm *Timer) {
 	e.seq++
 	tm.at = t
 	tm.seq = e.seq
-	tm.stopped = false
 	if e.cq != nil {
 		e.cq.insert(tm)
 	} else {
@@ -439,7 +437,9 @@ func (e *Engine) takeMin(tm *Timer) {
 	}
 }
 
-// newTimer returns a zeroed timer, reusing a recycled one when available.
+// newTimer returns a zeroed engine-owned timer, reusing a recycled one
+// when available. Handles never come from here (see ResetAtFunc), so the
+// free list and what Release parks hold engine-owned timers only.
 func (e *Engine) newTimer() *Timer {
 	if n := len(e.free); n > 0 {
 		tm := e.free[n-1]
@@ -447,7 +447,7 @@ func (e *Engine) newTimer() *Timer {
 		e.free = e.free[:n-1]
 		return tm
 	}
-	return &Timer{eng: e, index: -1, bkt: bktNone}
+	return &Timer{eng: e, index: -1, bkt: bktNone, pooled: true}
 }
 
 // recycle returns an engine-owned timer to the free list. Callback and
@@ -456,8 +456,6 @@ func (e *Engine) newTimer() *Timer {
 func (e *Engine) recycle(tm *Timer) {
 	tm.fnA = nil
 	tm.arg = nil
-	tm.pooled = false
-	tm.stopped = false
 	if e.free == nil {
 		// One right-sized allocation instead of append's doubling walk;
 		// the macro scenarios park a few dozen timers at peak.
@@ -466,21 +464,17 @@ func (e *Engine) recycle(tm *Timer) {
 	e.free = append(e.free, tm)
 }
 
-// At schedules fn to run at absolute simulated time t and returns a
-// handle that can Stop it. Scheduling in the past or at a non-finite
-// time panics (see validate).
-func (e *Engine) At(t Time, fn func()) *Timer {
-	e.validate(t)
-	tm := e.newTimer()
-	tm.fnA = callFunc
-	tm.arg = fn
-	e.schedule(t, tm)
-	return tm
+// At schedules fn to run at absolute simulated time t. It is AtFunc
+// for a func(): the timer is engine-owned, so nothing can stop it; a
+// caller that needs to is given a handle by ResetAt(nil, …) instead.
+// Scheduling in the past or at a non-finite time panics (see validate).
+func (e *Engine) At(t Time, fn func()) {
+	e.AtFunc(t, callFunc, fn)
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) *Timer {
-	return e.At(e.now+float64(d), fn)
+func (e *Engine) After(d Time, fn func()) {
+	e.AtFunc(e.now+float64(d), callFunc, fn)
 }
 
 // AtFunc schedules fn(arg) at absolute time t without returning a
@@ -494,7 +488,6 @@ func (e *Engine) AtFunc(t Time, fn func(any), arg any) {
 	tm := e.newTimer()
 	tm.fnA = fn
 	tm.arg = arg
-	tm.pooled = true
 	e.schedule(t, tm)
 }
 
@@ -508,7 +501,9 @@ func (e *Engine) AfterFunc(d Time, fn func(any), arg any) {
 // object in place: if tm is still pending it is first removed from the
 // queue (exactly like Stop), and either way the same handle is returned
 // re-armed with a fresh sequence number. A nil tm (or one belonging to a
-// different engine) allocates as At does. Because the object is reused
+// different engine) is a new handle, allocated from the heap and never
+// from the free list: the engine cannot know when its holder lets go, so
+// it is never recycled either. Because the object is reused
 // only through the handle the caller already holds, recycling is safe by
 // construction; callers that re-arm one logical timer per event (RTO
 // timers, pacing loops) allocate nothing in steady state.
@@ -531,9 +526,7 @@ func (e *Engine) ResetAfter(tm *Timer, d Time, fn func()) *Timer {
 func (e *Engine) ResetAtFunc(tm *Timer, t Time, fn func(any), arg any) *Timer {
 	if tm == nil || tm.eng != e {
 		e.validate(t)
-		tm = e.newTimer()
-		tm.fnA = fn
-		tm.arg = arg
+		tm = &Timer{fnA: fn, arg: arg, eng: e, index: -1, bkt: bktNone}
 		e.schedule(t, tm)
 		return tm
 	}

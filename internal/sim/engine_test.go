@@ -90,7 +90,7 @@ func TestNegativeAfterPanics(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	e := New(1)
 	ran := false
-	tm := e.At(1, func() { ran = true })
+	tm := e.ResetAt(nil, 1, func() { ran = true })
 	if !tm.Stop() {
 		t.Fatal("Stop() = false on pending timer")
 	}
@@ -101,14 +101,14 @@ func TestTimerStop(t *testing.T) {
 	if ran {
 		t.Fatal("stopped timer still ran")
 	}
-	if !tm.stopped {
-		t.Fatal("Stopped() = false after Stop")
+	if tm.Pending() {
+		t.Fatal("Pending() = true after Stop")
 	}
 }
 
 func TestStopAfterFire(t *testing.T) {
 	e := New(1)
-	tm := e.At(1, func() {})
+	tm := e.ResetAt(nil, 1, func() {})
 	e.Run()
 	if tm.Stop() {
 		t.Fatal("Stop() = true on fired timer")
@@ -173,7 +173,7 @@ func TestStepsCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		e.At(Time(i), func() {})
 	}
-	stopped := e.At(100, func() {})
+	stopped := e.ResetAt(nil, 100, func() {})
 	stopped.Stop()
 	e.Run()
 	if e.Steps() != 7 {
@@ -259,7 +259,7 @@ func TestPropertyStopSubset(t *testing.T) {
 		var timers []*Timer
 		for i := 0; i < int(n); i++ {
 			i := i
-			timers = append(timers, e.At(Time(i%7), func() { ran[i] = true }))
+			timers = append(timers, e.ResetAt(nil, Time(i%7), func() { ran[i] = true }))
 		}
 		stopped := make(map[int]bool)
 		for i, tm := range timers {
@@ -289,7 +289,7 @@ func TestStopRemovesTimerFromHeap(t *testing.T) {
 	e := New(1)
 	const n = 100000
 	for i := 0; i < n; i++ {
-		e.At(1e6, func() {}).Stop()
+		e.ResetAt(nil, 1e6, func() {}).Stop()
 	}
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after stopping all %d timers, want 0 (heap leak)", got, n)
@@ -308,7 +308,7 @@ func TestPendingExactWithMixedStops(t *testing.T) {
 	live := 0
 	fired := 0
 	for i := 0; i < n; i++ {
-		tm := e.At(Time(i%97), func() { fired++ })
+		tm := e.ResetAt(nil, Time(i%97), func() { fired++ })
 		if i%3 == 0 {
 			tm.Stop()
 		} else {

@@ -49,6 +49,11 @@ func TestReleasedEngineStocksTheNext(t *testing.T) {
 	if len(b.free) == 0 && raceDetector() {
 		t.Skip("the race detector's sync.Pool dropped the spares, as it drops a random quarter of what it is given")
 	}
+	for _, tm := range b.free {
+		if tm.eng != b || !tm.pooled {
+			t.Fatal("an inherited timer still belongs to the released engine, or is not engine-owned")
+		}
+	}
 	if got := mallocs(func() {
 		for i := 0; i < n; i++ {
 			b.AtFunc(3, fire, nil)
@@ -57,11 +62,8 @@ func TestReleasedEngineStocksTheNext(t *testing.T) {
 		t.Fatalf("scheduling %d events on a stocked engine allocated %d objects", n, got)
 	}
 	tm := b.ResetAfterFunc(nil, 4, fire, nil)
-	if tm.eng != b {
-		t.Fatal("an inherited timer still belongs to the released engine")
-	}
 	if got := mallocs(func() { b.ResetAfterFunc(tm, 5, fire, nil) }); got != 0 {
-		t.Fatalf("re-arming an inherited handle allocated %d objects", got)
+		t.Fatalf("re-arming a handle on a stocked engine allocated %d objects", got)
 	}
 	fired = 0
 	b.RunUntil(10)
@@ -121,7 +123,7 @@ func TestReleaseReclaimsPendingTimers(t *testing.T) {
 			}
 			var handles []*Timer
 			for i := 0; i < 3; i++ {
-				handles = append(handles, a.At(20, func() {}), a.ResetAtFunc(nil, 5e-4, fire, args[i]))
+				handles = append(handles, a.ResetAt(nil, 20, func() {}), a.ResetAtFunc(nil, 5e-4, fire, args[i]))
 			}
 			seen := map[any]int{}
 			a.Release(func(arg any) { seen[arg]++ })
@@ -150,8 +152,8 @@ func TestReleaseReclaimsPendingTimers(t *testing.T) {
 				if slices.Contains(handles, tm) {
 					t.Fatal("a handle timer reached the free list")
 				}
-				if tm.arg != nil || tm.pooled || tm.index != -1 || tm.next != nil {
-					t.Fatal("a parked timer kept its argument or its links")
+				if tm.arg != nil || !tm.pooled || tm.index != -1 || tm.next != nil {
+					t.Fatal("a parked timer kept its argument or its links, or is not engine-owned")
 				}
 			}
 			if got := mallocs(func() {

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // AtFunc events interleave with At events in strict schedule order: the
 // handle-less fast path must not perturb the (time, seq) FIFO tiebreak.
@@ -42,7 +45,7 @@ func TestResetAtReplacesPending(t *testing.T) {
 	e := New(1)
 	fired := 0
 	var tm *Timer
-	tm = e.At(5, func() { t.Fatal("replaced firing ran") })
+	tm = e.ResetAt(nil, 5, func() { t.Fatal("replaced firing ran") })
 	tm = e.ResetAt(tm, 2, func() { fired++ })
 	e.Run()
 	if fired != 1 {
@@ -58,8 +61,8 @@ func TestResetAtReplacesPending(t *testing.T) {
 func TestResetAtSeqOrder(t *testing.T) {
 	e := New(1)
 	var got []int
-	a := e.At(5, func() { got = append(got, -1) })
-	b := e.At(6, func() { got = append(got, -2) })
+	a := e.ResetAt(nil, 5, func() { got = append(got, -1) })
+	b := e.ResetAt(nil, 6, func() { got = append(got, -2) })
 	// Reset b first: at the shared deadline it must fire before a.
 	e.ResetAt(b, 2, func() { got = append(got, 1) })
 	e.ResetAt(a, 2, func() { got = append(got, 2) })
@@ -82,7 +85,7 @@ func TestResetAtAfterFireAndNil(t *testing.T) {
 			tm = e.ResetAfter(tm, 1, fn)
 		}
 	}
-	tm = e.ResetAfter(nil, 1, fn) // nil handle: allocates like After
+	tm = e.ResetAfter(nil, 1, fn) // nil handle: a new one from the heap
 	first := tm
 	e.Run()
 	if n != 3 {
@@ -96,7 +99,7 @@ func TestResetAtAfterFireAndNil(t *testing.T) {
 // Stop still works on a handle that has been re-armed via ResetAt.
 func TestResetAtThenStop(t *testing.T) {
 	e := New(1)
-	tm := e.At(1, func() { t.Fatal("must not fire") })
+	tm := e.ResetAt(nil, 1, func() { t.Fatal("must not fire") })
 	tm = e.ResetAt(tm, 2, func() { t.Fatal("must not fire either") })
 	if !tm.Stop() {
 		t.Fatal("Stop on re-armed pending timer returned false")
@@ -115,7 +118,7 @@ func TestTimerPending(t *testing.T) {
 	if nilT.Pending() {
 		t.Fatal("nil timer pending")
 	}
-	tm := e.At(1, func() {})
+	tm := e.ResetAt(nil, 1, func() {})
 	if !tm.Pending() {
 		t.Fatal("armed timer not pending")
 	}
@@ -123,10 +126,32 @@ func TestTimerPending(t *testing.T) {
 	if tm.Pending() {
 		t.Fatal("fired timer still pending")
 	}
-	tm2 := e.At(2, func() {})
+	tm2 := e.ResetAt(nil, 2, func() {})
 	tm2.Stop()
 	if tm2.Pending() {
 		t.Fatal("stopped timer still pending")
+	}
+}
+
+// At and After are engine-owned: a fired one goes back to the free list.
+// A handle comes from the heap, never from that list, and stays its
+// holder's after it fires.
+func TestOnlyEngineOwnedTimersRecycle(t *testing.T) {
+	e := New(1)
+	e.At(1, func() {})
+	e.After(2, func() {})
+	e.Run()
+	if len(e.free) != 2 {
+		t.Fatalf("free list holds %d timers after two At/After events fired, want 2", len(e.free))
+	}
+	parked := slices.Clone(e.free)
+	tm := e.ResetAt(nil, 3, func() {})
+	if slices.Contains(parked, tm) || len(e.free) != 2 {
+		t.Fatal("a handle was drawn from the free list")
+	}
+	e.Run()
+	if slices.Contains(e.free, tm) {
+		t.Fatal("a fired handle was recycled")
 	}
 }
 

@@ -367,8 +367,13 @@ func TestBenchSurfaceIsBenchOnly(t *testing.T) {
 // only exemption TestInternalFieldsHaveWriters grants; an entry whose
 // field has gained a writer, or no longer exists, fails the test too.
 var fieldTestOnly = map[string]string{
-	"sim.Budget.LivelockEvents": "safety check: a run stuck at one instant halts instead of spinning; tests set it to prove the halt",
-	"obs.SweepEvent.Attempt":    "bench/trace.go reads it, and only a benchmark PR may edit bench/",
+	"sim.Budget.LivelockEvents":           "safety check: a run stuck at one instant halts instead of spinning; tests set it to prove the halt",
+	"obs.SweepEvent.Attempt":              "bench/trace.go reads it, and only a change to the benchmark may edit bench/",
+	"exp.FairnessConfig.AFlows":           "TestDeterminismFairnessPooledVsUnpooled runs 2+2 flows to keep the pooled-vs-unpooled check short",
+	"exp.FairnessConfig.BFlows":           "TestDeterminismFairnessPooledVsUnpooled runs 2+2 flows to keep the pooled-vs-unpooled check short",
+	"exp.MatrixConfig.Conditions":         "the matrix, release and store tests (smallMatrixConfig, tinyMatrix) run one or two conditions, not all three",
+	"exp.StaticCompatConfig.DropEveryNth": "staticcompat_test.go sweeps one or two loss rates, not the default three",
+	"tcp.Config.InitialCwnd":              "TestMaxPktsStopsExactly starts a short transfer with a window of 10 to cap it at MaxPkts",
 }
 
 // TestInternalFieldsHaveWriters is TestInternalSurfaceHasUsers one level
@@ -377,9 +382,11 @@ var fieldTestOnly = map[string]string{
 // module. A write is a composite-literal key, a positional element of a
 // literal of the field's type (element types elided inside []T{…} and
 // map[K]T{…} included), any selector in the chain of an assignment,
-// op=, ++ or -- target, and the operand of &. Fields match by name, so a
-// collision can only keep a field. A setting nothing sets has one value:
-// make it a constant, or add a fieldTestOnly line saying why not.
+// op=, ++ or -- target, and the operand of &; a write inside a method
+// named fill is a default, not a setting, and does not count. Fields
+// match by name, so a collision can only keep a field. A setting nothing
+// sets has one value: make it a constant, or add a fieldTestOnly line
+// saying why not.
 func TestInternalFieldsHaveWriters(t *testing.T) {
 	fset := token.NewFileSet()
 	type file struct {
@@ -505,6 +512,9 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 	for _, fl := range files {
 		ast.Inspect(fl.f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				// A fill method writing its own default is not a setting.
+				return n.Recv == nil || n.Name.Name != "fill"
 			case *ast.AssignStmt:
 				for _, e := range n.Lhs {
 					chain(e)
