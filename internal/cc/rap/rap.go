@@ -21,29 +21,21 @@ import (
 type Config struct {
 	// Flow is the flow identifier.
 	Flow int
-	// PktSize is the data packet size in bytes (default
-	// cc.DefaultPktSize).
-	PktSize int
 	// B is the multiplicative decrease factor (default 0.5: standard
 	// RAP, which is TCP-equivalent).
 	B float64
-	// A is the additive increase in packets per RTT per RTT. Zero
-	// derives the TCP-compatible value from B.
-	A float64
 }
 
-// initialW is the starting rate in packets per RTT.
-const initialW = 2
+// pktSize is the data packet size in bytes, and initialW the starting
+// rate in packets per RTT.
+const (
+	pktSize  = cc.DefaultPktSize
+	initialW = 2
+)
 
 func (c *Config) fill() {
-	if c.PktSize == 0 {
-		c.PktSize = cc.DefaultPktSize
-	}
 	if c.B == 0 {
 		c.B = 0.5
-	}
-	if c.A == 0 {
-		c.A = tcpmodel.AIMDIncrease(c.B)
 	}
 }
 
@@ -55,6 +47,7 @@ type Sender struct {
 	Eng *sim.Engine
 	cc.Port
 	cfg Config
+	a   float64 // additive increase in packets per RTT per RTT: TCP-compatible for cfg.B
 
 	st cc.SenderStats
 
@@ -77,7 +70,7 @@ type Sender struct {
 // NewSender returns a RAP sender transmitting into out.
 func NewSender(eng *sim.Engine, out netem.Handler, cfg Config) *Sender {
 	cfg.fill()
-	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, cfg: cfg, lastAck: -1}
+	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, cfg: cfg, a: tcpmodel.AIMDIncrease(cfg.B), lastAck: -1}
 	s.sendFn = s.sendLoop
 	s.updFn = s.update
 	return s
@@ -91,7 +84,7 @@ func (s *Sender) RatePktsPerRTT() float64 { return s.w }
 
 // Rate returns the current sending rate in bytes per second.
 func (s *Sender) Rate() float64 {
-	return s.w * float64(s.cfg.PktSize) / s.rtt()
+	return s.w * float64(pktSize) / s.rtt()
 }
 
 // ProbeVars implements probe.Provider: the sending rate (bytes/s) and
@@ -141,12 +134,12 @@ func (s *Sender) sendLoop() {
 		return
 	}
 	s.st.PktsSent++
-	s.st.BytesSent += int64(s.cfg.PktSize)
+	s.st.BytesSent += int64(pktSize)
 	p := s.Pool.Get()
 	p.Flow = s.cfg.Flow
 	p.Kind = netem.Data
 	p.Seq = s.seq
-	p.Size = s.cfg.PktSize
+	p.Size = pktSize
 	p.SentAt = s.Eng.Now()
 	p.SenderRTT = s.rtt()
 	s.Out.Handle(p)
@@ -175,7 +168,7 @@ func (s *Sender) update() {
 		if s.inSS {
 			s.w *= 2 // startup doubling until the first loss
 		} else {
-			s.w += s.cfg.A
+			s.w += s.a
 		}
 	}
 	s.scheduleUpdate()

@@ -236,7 +236,7 @@ func TestMaxPktsStopsExactly(t *testing.T) {
 	for i := int64(1); i <= 5; i++ {
 		h.ack(i, i-1)
 	}
-	if !done || !h.snd.Done() {
+	if !done || !h.snd.done {
 		t.Fatal("transfer not marked done after final ACK")
 	}
 	if len(h.sent) != 5 {
@@ -254,8 +254,8 @@ func TestRTTEstimatorConverges(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.snd.sampleRTT(0.08)
 	}
-	if math.Abs(float64(h.snd.SRTT()-0.08)) > 0.001 {
-		t.Fatalf("SRTT = %v after constant samples, want 0.08", h.snd.SRTT())
+	if math.Abs(float64(h.snd.srtt-0.08)) > 0.001 {
+		t.Fatalf("SRTT = %v after constant samples, want 0.08", h.snd.srtt)
 	}
 	// Variance shrinks toward zero on constant samples.
 	if h.snd.rttvar > 0.01 {

@@ -44,9 +44,6 @@ func (p AIMD) Decrease(cwnd float64) float64 { return math.Max(1, (1-p.B)*cwnd) 
 type Config struct {
 	// Flow is the flow identifier stamped on every packet.
 	Flow int
-	// PktSize is the data packet size in bytes (default
-	// cc.DefaultPktSize).
-	PktSize int
 	// Policy supplies the window rules (default NewAIMD(0.5), i.e.
 	// standard TCP).
 	Policy cc.WindowPolicy
@@ -76,9 +73,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.PktSize == 0 {
-		c.PktSize = cc.DefaultPktSize
-	}
 	if c.Policy == nil {
 		c.Policy = NewAIMD(0.5)
 	}
@@ -87,10 +81,12 @@ func (c *Config) fill() {
 	}
 }
 
-// minRTO and maxRTO bound the retransmit timer.
+// pktSize is the data packet size in bytes; minRTO and maxRTO bound the
+// retransmit timer.
 const (
-	minRTO sim.Time = 0.2
-	maxRTO sim.Time = 64
+	pktSize          = cc.DefaultPktSize
+	minRTO  sim.Time = 0.2
+	maxRTO  sim.Time = 64
 )
 
 // Sender is a self-clocked window-based sender. Create with NewSender,
@@ -148,9 +144,6 @@ func (s *Sender) Stats() *cc.SenderStats { return &s.st }
 // Cwnd returns the current congestion window in packets.
 func (s *Sender) Cwnd() float64 { return s.cwnd }
 
-// SRTT returns the smoothed RTT estimate (zero before the first sample).
-func (s *Sender) SRTT() sim.Time { return s.srtt }
-
 // ProbeVars implements probe.Provider: the congestion window (packets)
 // and smoothed RTT (seconds) — the pair every windowed variant (TCP,
 // AIMD, the binomial family) is characterized by in the paper's
@@ -161,9 +154,6 @@ func (s *Sender) ProbeVars() []probe.Var {
 		{Name: "srtt", Read: func() float64 { return float64(s.srtt) }},
 	}
 }
-
-// Done reports whether a short transfer has completed.
-func (s *Sender) Done() bool { return s.done }
 
 // Start implements cc.Sender.
 func (s *Sender) Start() {
@@ -235,7 +225,7 @@ func (s *Sender) sackRetransmit() {
 
 func (s *Sender) transmit(seq int64, rtx bool) {
 	s.st.PktsSent++
-	s.st.BytesSent += int64(s.cfg.PktSize)
+	s.st.BytesSent += int64(pktSize)
 	if rtx {
 		s.st.Rtx++
 	}
@@ -243,7 +233,7 @@ func (s *Sender) transmit(seq int64, rtx bool) {
 	p.Flow = s.cfg.Flow
 	p.Kind = netem.Data
 	p.Seq = seq
-	p.Size = s.cfg.PktSize
+	p.Size = pktSize
 	p.SentAt = s.Eng.Now()
 	p.SenderRTT = s.srtt
 	p.ECT = s.cfg.ECN

@@ -101,7 +101,7 @@ func TestShortTransferCompletes(t *testing.T) {
 	eng.At(0, snd.Start)
 	eng.RunUntil(10)
 
-	if !snd.Done() {
+	if !snd.done {
 		t.Fatal("10-packet transfer did not complete in 10s on an idle link")
 	}
 	if doneAt < 0 {
@@ -253,8 +253,8 @@ func TestRTTEstimateReasonable(t *testing.T) {
 	snd, _ := wire(eng, d, Config{Flow: 1})
 	eng.At(0, snd.Start)
 	eng.RunUntil(5)
-	prop := topology.Config{Rate: 10e6}.PropRTT()
-	if snd.SRTT() < prop || snd.SRTT() > prop+0.2 {
-		t.Fatalf("SRTT = %v, want within [%v, %v+queueing]", snd.SRTT(), prop, prop)
+	prop := d.PropRTT()
+	if snd.srtt < prop || snd.srtt > prop+0.2 {
+		t.Fatalf("SRTT = %v, want within [%v, %v+queueing]", snd.srtt, prop, prop)
 	}
 }

@@ -18,29 +18,21 @@ const tMBI = 64.0
 type Config struct {
 	// Flow is the flow identifier.
 	Flow int
-	// PktSize is the data packet size in bytes (default
-	// cc.DefaultPktSize).
-	PktSize int
 	// Conservative enables the paper's self-clocking option: after a
 	// reported loss, cap the rate at the reported receive rate; with no
-	// loss (outside slow-start), cap at C times it.
+	// loss (outside slow-start), cap at conservativeC times it.
 	Conservative bool
-	// C is the conservative option's headroom constant (default 1.1,
-	// the value used in the paper's experiments; ns-2 ships 1.5).
-	C float64
 }
 
-// initialRTT seeds the RTT estimate before the first feedback.
-const initialRTT sim.Time = 0.05
-
-func (c *Config) fill() {
-	if c.PktSize == 0 {
-		c.PktSize = cc.DefaultPktSize
-	}
-	if c.C == 0 {
-		c.C = 1.1
-	}
-}
+// pktSize is the data packet size in bytes; initialRTT seeds the RTT
+// estimate before the first feedback; conservativeC is the conservative
+// option's headroom constant (1.1, the value used in the paper's
+// experiments; ns-2 ships 1.5).
+const (
+	pktSize                = cc.DefaultPktSize
+	initialRTT    sim.Time = 0.05
+	conservativeC          = 1.1
+)
 
 // Sender is the TFRC sender half: a paced transmitter whose rate is set
 // from receiver feedback through the TCP response function.
@@ -65,7 +57,6 @@ type Sender struct {
 
 // NewSender returns a TFRC sender transmitting into out.
 func NewSender(eng *sim.Engine, out netem.Handler, cfg Config) *Sender {
-	cfg.fill()
 	s := &Sender{Eng: eng, Port: cc.Port{Out: out}, cfg: cfg}
 	s.sendFn = s.sendLoop
 	s.nfFn = s.onNoFeedback
@@ -104,7 +95,7 @@ func (s *Sender) Start() {
 	s.running = true
 	s.inSS = true
 	// Initial rate: one packet per (assumed) RTT.
-	s.x = float64(s.cfg.PktSize) / float64(initialRTT)
+	s.x = float64(pktSize) / float64(initialRTT)
 	s.sendLoop()
 	s.armNoFeedback()
 }
@@ -125,24 +116,24 @@ func (s *Sender) sendLoop() {
 		return
 	}
 	s.st.PktsSent++
-	s.st.BytesSent += int64(s.cfg.PktSize)
+	s.st.BytesSent += int64(pktSize)
 	p := s.Pool.Get()
 	p.Flow = s.cfg.Flow
 	p.Kind = netem.Data
 	p.Seq = s.seq
-	p.Size = s.cfg.PktSize
+	p.Size = pktSize
 	p.SentAt = s.Eng.Now()
 	p.SenderRTT = s.SRTT()
 	s.Out.Handle(p)
 	s.seq++
-	gap := float64(s.cfg.PktSize) / math.Max(s.x, 1e-3)
+	gap := float64(pktSize) / math.Max(s.x, 1e-3)
 	s.sendT = s.Eng.ResetAfter(s.sendT, gap, s.sendFn)
 }
 
-func (s *Sender) minRate() float64 { return float64(s.cfg.PktSize) / tMBI }
+func (s *Sender) minRate() float64 { return float64(pktSize) / tMBI }
 
 func (s *Sender) armNoFeedback() {
-	d := math.Max(4*float64(s.SRTT()), 2*float64(s.cfg.PktSize)/math.Max(s.x, 1e-3))
+	d := math.Max(4*float64(s.SRTT()), 2*float64(pktSize)/math.Max(s.x, 1e-3))
 	s.nfT = s.Eng.ResetAfter(s.nfT, d, s.nfFn)
 }
 
@@ -175,12 +166,11 @@ func (s *Sender) Handle(p *netem.Packet) {
 	}
 	fb := p.FB
 	rtt := float64(s.SRTT())
-	pktSize := float64(s.cfg.PktSize)
 
 	if fb.LossEventRate <= 0 {
 		// Slow-start: double per RTT, capped at twice the rate the
 		// receiver reports actually arriving.
-		s.x = math.Max(math.Min(2*s.x, 2*fb.RecvRate), pktSize/float64(rtt))
+		s.x = math.Max(math.Min(2*s.x, 2*fb.RecvRate), float64(pktSize)/float64(rtt))
 	} else {
 		if s.inSS {
 			s.inSS = false
@@ -188,7 +178,7 @@ func (s *Sender) Handle(p *netem.Packet) {
 				s.x = fb.RecvRate / 2 // spec: halve on slow-start exit
 			}
 		}
-		xCalc := tcpmodel.PadhyeRate(fb.LossEventRate, rtt, 4*rtt, s.cfg.PktSize)
+		xCalc := tcpmodel.PadhyeRate(fb.LossEventRate, rtt, 4*rtt, pktSize)
 		if s.cfg.Conservative {
 			// The paper's self-clocking pseudo-code: the round trip
 			// after a loss, never exceed the receive rate; otherwise
@@ -197,7 +187,7 @@ func (s *Sender) Handle(p *netem.Packet) {
 				s.x = math.Min(xCalc, fb.RecvRate)
 				s.st.LossEvents++
 			} else {
-				s.x = math.Min(xCalc, s.cfg.C*fb.RecvRate)
+				s.x = math.Min(xCalc, conservativeC*fb.RecvRate)
 			}
 		} else {
 			// Standard TFRC: cap at twice the receive rate.

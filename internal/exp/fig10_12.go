@@ -14,8 +14,6 @@ import (
 // algorithm, the second starting once the first owns the whole link, and
 // the delta-fair convergence time between them.
 type ConvergenceConfig struct {
-	// Rate is the bottleneck bandwidth (paper: 10 Mbps).
-	Rate float64
 	// SecondStart is when the late flow begins (the first must have
 	// converged by then).
 	SecondStart sim.Time
@@ -26,18 +24,16 @@ type ConvergenceConfig struct {
 	Seeds []int64
 }
 
-// convergenceDelta is the fairness target (paper: 0.1), and
-// convergenceBin the width of the rate bins it is judged on, held for 3
-// in a row.
+// convergenceRate is the bottleneck bandwidth (paper: 10 Mbps),
+// convergenceDelta the fairness target (paper: 0.1), and convergenceBin
+// the width of the rate bins it is judged on, held for 3 in a row.
 const (
+	convergenceRate           = 10e6
 	convergenceDelta          = 0.1
 	convergenceBin   sim.Time = 1
 )
 
 func (c *ConvergenceConfig) fill() {
-	if c.Rate == 0 {
-		c.Rate = 10e6
-	}
 	if c.SecondStart == 0 {
 		c.SecondStart = 30
 	}
@@ -95,7 +91,7 @@ func (sw *Sweep) convergence(cfg ConvergenceConfig, algos []AlgoSpec) []Converge
 // runConvergence runs one trial: two flows of algo, the second from
 // SecondStart, until the horizon.
 func runConvergence(c *Cell, cfg ConvergenceConfig, algo AlgoSpec, seed int64) convergenceTrial {
-	eng, d := c.newScenario(seed, topology.Config{Rate: cfg.Rate})
+	eng, d := c.newScenario(seed, topology.Config{Rate: convergenceRate})
 	f1 := algo.Make(eng, d, 1)
 	f2 := algo.Make(eng, d, 2)
 	eng.At(0, f1.Sender.Start)

@@ -13,10 +13,6 @@ import (
 // bandwidth available to the rest, and f(k) is the link utilization over
 // the following k round-trip times.
 type Fig13Config struct {
-	// Rate is the bottleneck bandwidth (paper: 10 Mbps).
-	Rate float64
-	// Flows is the total flow count (paper: 10); Flows/2 stop.
-	Flows int
 	// StopAt is the moment half the flows stop (paper: t=500s).
 	StopAt sim.Time
 	// MaxGamma bounds the slowness sweep.
@@ -25,16 +21,17 @@ type Fig13Config struct {
 	Seed int64
 }
 
+// fig13Rate is the bottleneck bandwidth (paper: 10 Mbps), and
+// fig13Flows the total flow count (paper: 10), half of which stop.
+const (
+	fig13Rate  = 10e6
+	fig13Flows = 10
+)
+
 // fig13Ks are the f(k) horizons (paper: 20 and 200 RTTs).
 var fig13Ks = [...]int{20, 200}
 
 func (c *Fig13Config) fill() {
-	if c.Rate == 0 {
-		c.Rate = 10e6
-	}
-	if c.Flows == 0 {
-		c.Flows = 10
-	}
 	if c.StopAt == 0 {
 		c.StopAt = 500
 	}
@@ -82,12 +79,12 @@ func (sw *Sweep) Fig13(cfg Fig13Config) []Fig13Point {
 }
 
 func runFig13(c *Cell, cfg Fig13Config, family string, gamma int, algo AlgoSpec) Fig13Point {
-	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: fig13Rate})
 	rtt := d.PropRTT()
 
-	flows := algo.flows(d, 1, cfg.Flows)
+	flows := algo.flows(d, 1, fig13Flows)
 	startAll(d, flows, 0)
-	half := cfg.Flows / 2
+	half := fig13Flows / 2
 	for _, f := range flows[half:] {
 		f := f
 		eng.At(cfg.StopAt, f.Sender.Stop)
@@ -109,7 +106,7 @@ func runFig13(c *Cell, cfg Fig13Config, family string, gamma int, algo AlgoSpec)
 	for _, m := range marks {
 		eng.RunUntil(m.at)
 		got := float64(sumRecv(flows[:half])-base) * 8
-		pt.F[m.k] = got / (cfg.Rate * float64(m.at-cfg.StopAt))
+		pt.F[m.k] = got / (fig13Rate * float64(m.at-cfg.StopAt))
 	}
 	return pt
 }

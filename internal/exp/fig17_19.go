@@ -19,9 +19,6 @@ type SmoothnessConfig struct {
 	Algos []AlgoSpec
 	// Pattern constructs a fresh drop pattern for each run.
 	Pattern func() netem.DropPattern
-	// Rate is the (deliberately generous) link bandwidth, so that the
-	// scripted pattern is the only loss process.
-	Rate float64
 	// Duration is the run length.
 	Duration sim.Time
 	// Warmup excludes startup from the metrics.
@@ -30,13 +27,15 @@ type SmoothnessConfig struct {
 	Seed int64
 }
 
-// smoothnessBin is the rate-trace granularity (paper plots 0.2s).
-const smoothnessBin sim.Time = 0.2
+// smoothnessRate is the (deliberately generous) link bandwidth, so that
+// the scripted pattern is the only loss process; smoothnessBin is the
+// rate-trace granularity (paper plots 0.2s).
+const (
+	smoothnessRate          = 50e6
+	smoothnessBin  sim.Time = 0.2
+)
 
 func (c *SmoothnessConfig) fill() {
-	if c.Rate == 0 {
-		c.Rate = 50e6
-	}
 	if c.Duration == 0 {
 		c.Duration = 120
 	}
@@ -88,7 +87,7 @@ func (sw *Sweep) RunSmoothness(cfg SmoothnessConfig) []SmoothnessResult {
 
 func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessResult {
 	eng, d := c.newScenario(cfg.Seed, topology.Config{
-		Rate:        cfg.Rate,
+		Rate:        smoothnessRate,
 		ForwardLoss: cfg.Pattern(),
 	})
 	f := algo.Make(eng, d, 1)

@@ -18,8 +18,6 @@ type StabilizationConfig struct {
 	Algo AlgoSpec
 	// Flows is the number of long-lived flows (paper: 20).
 	Flows int
-	// Rate is the bottleneck bandwidth (paper: 10 Mbps).
-	Rate float64
 	// OffAt, OnAt, End define the CBR timeline: ON from 0 to OffAt, OFF
 	// until OnAt, then ON until End (paper: 150, 180, 400).
 	OffAt, OnAt, End sim.Time
@@ -34,10 +32,12 @@ type StabilizationConfig struct {
 	DisablePool bool
 }
 
-// stabilizationCBRFraction is the CBR peak rate as a fraction of the
-// bottleneck (paper: one half); stabilizationReverseFlows is the number
-// of reverse-direction TCP flows.
+// stabilizationRate is the bottleneck bandwidth (paper: 10 Mbps),
+// stabilizationCBRFraction the CBR peak rate as a fraction of it (paper:
+// one half), and stabilizationReverseFlows the number of
+// reverse-direction TCP flows.
 const (
+	stabilizationRate         = 10e6
 	stabilizationCBRFraction  = 0.5
 	stabilizationReverseFlows = 2
 )
@@ -45,9 +45,6 @@ const (
 func (c *StabilizationConfig) fill() {
 	if c.Flows == 0 {
 		c.Flows = 20
-	}
-	if c.Rate == 0 {
-		c.Rate = 10e6
 	}
 	if c.OffAt == 0 {
 		c.OffAt = 150
@@ -80,7 +77,7 @@ type TimePoint struct {
 // runStabilization runs the Figure 3/4/5 scenario for one algorithm.
 func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 	cfg.fill()
-	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: stabilizationRate, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})
 	rtt := d.PropRTT()
 
 	mon := metrics.NewLossMonitor(10 * rtt) // paper: average over ten RTTs
@@ -91,7 +88,7 @@ func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, stabilizationReverseFlows)
 
-	withCBR(eng, d, cbrFlowID, stabilizationCBRFraction*cfg.Rate, cbr.Steps{
+	withCBR(eng, d, cbrFlowID, stabilizationCBRFraction*stabilizationRate, cbr.Steps{
 		At:     []sim.Time{0, cfg.OffAt, cfg.OnAt},
 		Levels: []float64{1, 0, 1},
 	}, topology.Span{})

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"slowcc/internal/cc/cbr"
-	"slowcc/internal/metrics"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 )
@@ -19,11 +18,6 @@ type FairnessConfig struct {
 	A, B AlgoSpec
 	// AFlows and BFlows count the flows of each (paper: 5 and 5).
 	AFlows, BFlows int
-	// Rate is the bottleneck bandwidth (paper: 15 Mbps).
-	Rate float64
-	// CBRPeak is the CBR rate when ON (paper: 10 Mbps, leaving 5 Mbps:
-	// a 3:1 swing in available bandwidth).
-	CBRPeak float64
 	// Periods is the sweep of combined ON+OFF period lengths in seconds.
 	Periods []sim.Time
 	// Warmup and Measure set the timeline: throughput is measured over
@@ -31,10 +25,6 @@ type FairnessConfig struct {
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
 	Seed int64
-	// Seeds, when non-empty, repeats every period point once per seed
-	// and reports mean and 95%-CI statistics across the trials
-	// (overrides Seed).
-	Seeds []int64
 	// ECN switches the bottlenecks to ECN marking (pair with
 	// ECN-enabled algorithms for the ablation).
 	ECN bool
@@ -44,18 +34,20 @@ type FairnessConfig struct {
 	DisablePool bool
 }
 
+// fairnessRate is the bottleneck bandwidth (paper: 15 Mbps), and
+// fairnessCBRPeak the CBR rate when ON (paper: 10 Mbps, leaving 5 Mbps:
+// a 3:1 swing in available bandwidth).
+const (
+	fairnessRate    = 15e6
+	fairnessCBRPeak = 10e6
+)
+
 func (c *FairnessConfig) fill() {
 	if c.AFlows == 0 {
 		c.AFlows = 5
 	}
 	if c.BFlows == 0 {
 		c.BFlows = 5
-	}
-	if c.Rate == 0 {
-		c.Rate = 15e6
-	}
-	if c.CBRPeak == 0 {
-		c.CBRPeak = 10e6
 	}
 	if c.Periods == nil {
 		c.Periods = []sim.Time{0.1, 0.2, 0.4, 1, 2, 4, 8, 16, 32, 64}
@@ -72,92 +64,43 @@ func (c *FairnessConfig) fill() {
 type FairnessPoint struct {
 	Period sim.Time
 	// APer and BPer are per-flow normalized throughputs (fraction of
-	// the fair share of the average available bandwidth), pooled across
-	// trials when several seeds ran.
+	// the fair share of the average available bandwidth).
 	APer, BPer []float64
 	// AMean and BMean are the means of the above.
 	AMean, BMean float64
-	// AMeanCI and BMeanCI are 95% confidence half-widths across trial
-	// means (zero for single-seed runs).
+	// AMeanCI and BMeanCI are always zero. They stay because bench/'s
+	// output oracle hashes a point's printed form, field names included.
 	AMeanCI, BMeanCI float64
-	// Utilization is total received / average available bandwidth,
-	// averaged across trials.
+	// Utilization is total received / average available bandwidth.
 	Utilization float64
 }
 
-// Fairness runs the period sweep, in parallel. With multiple Seeds, all
-// (period, seed) cells run in parallel and each period's statistics
-// aggregate across seeds.
+// Fairness runs the period sweep, one sweep cell per period, in
+// parallel.
 func (sw *Sweep) Fairness(cfg FairnessConfig) []FairnessPoint {
 	cfg.fill()
-	seeds := cfg.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{cfg.Seed}
-	}
-	type job struct{ pIdx, sIdx int }
-	var jobs []job
-	for pi := range cfg.Periods {
-		for si := range seeds {
-			jobs = append(jobs, job{pi, si})
-		}
-	}
-	cells := supervisedMap(sw, len(jobs), func(sc *Cell) FairnessPoint {
-		j := jobs[sc.Index()]
-		c := cfg
-		c.Seed = seeds[j.sIdx]
-		return runFairness(sc, c, cfg.Periods[j.pIdx])
+	return supervisedMap(sw, len(cfg.Periods), func(c *Cell) FairnessPoint {
+		return runFairness(c, cfg, cfg.Periods[c.Index()])
 	})
-	out := make([]FairnessPoint, len(cfg.Periods))
-	for pi := range cfg.Periods {
-		var trials []FairnessPoint
-		for i, j := range jobs {
-			if j.pIdx == pi {
-				trials = append(trials, cells[i])
-			}
-		}
-		out[pi] = mergeFairness(trials)
-	}
-	return out
-}
-
-// mergeFairness pools per-flow samples across trials and summarizes the
-// trial means.
-func mergeFairness(trials []FairnessPoint) FairnessPoint {
-	if len(trials) == 1 {
-		return trials[0]
-	}
-	merged := FairnessPoint{Period: trials[0].Period}
-	var aMeans, bMeans, utils []float64
-	for _, tr := range trials {
-		merged.APer = append(merged.APer, tr.APer...)
-		merged.BPer = append(merged.BPer, tr.BPer...)
-		aMeans = append(aMeans, tr.AMean)
-		bMeans = append(bMeans, tr.BMean)
-		utils = append(utils, tr.Utilization)
-	}
-	sa := metrics.Summarize(aMeans)
-	sb := metrics.Summarize(bMeans)
-	merged.AMean, merged.AMeanCI = sa.Mean, sa.CI95
-	merged.BMean, merged.BMeanCI = sb.Mean, sb.CI95
-	merged.Utilization = metrics.Summarize(utils).Mean
-	return merged
 }
 
 func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
-	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, ECN: cfg.ECN, DisablePool: cfg.DisablePool})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: fairnessRate, ECN: cfg.ECN, DisablePool: cfg.DisablePool})
 
 	n := cfg.AFlows + cfg.BFlows
 	flows := append(cfg.A.flows(d, 1, cfg.AFlows), cfg.B.flows(d, cfg.AFlows+1, cfg.BFlows)...)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
-	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period}, topology.Span{})
+	withCBR(eng, d, cbrFlowID, fairnessCBRPeak, cbr.SquareWave{Period: period}, topology.Span{})
 
 	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows)
 
 	// Average available bandwidth: the square wave occupies on average
-	// half its peak.
-	avail := cfg.Rate - cfg.CBRPeak/2
+	// half its peak. Read through variables so it rounds at run time,
+	// step by step, not once as a constant expression would.
+	rate, peak := fairnessRate, fairnessCBRPeak
+	avail := rate - peak/2
 	fairShare := avail / float64(n)
 
 	pt := FairnessPoint{Period: period}

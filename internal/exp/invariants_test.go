@@ -190,7 +190,7 @@ func TestThroughputNeverExceedsCapacity(t *testing.T) {
 }
 
 // TestPropRTTMatchesMeasured wires a one-packet exchange and compares
-// the measured RTT against Config.PropRTT.
+// the measured RTT against the built net's PropRTT.
 func TestPropRTTMatchesMeasured(t *testing.T) {
 	t.Parallel()
 	eng := sim.New(1)
@@ -210,7 +210,7 @@ func TestPropRTTMatchesMeasured(t *testing.T) {
 	sentAt = 0
 	sndIn.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	eng.Run()
-	want := cfg.PropRTT()
+	want := d.PropRTT()
 	if math.Abs(float64(measured-want)) > 0.002 {
 		t.Fatalf("measured RTT %v vs configured %v", measured, want)
 	}

@@ -57,10 +57,9 @@ type MatrixConfig struct {
 	Hops int
 	// Rate is the per-bottleneck bandwidth (default 10 Mbps).
 	Rate float64
-	// CBRPeak is the oscillating condition's square-wave peak (default
-	// Rate/2) and Period its full period (default 2 s).
-	CBRPeak float64
-	Period  sim.Time
+	// Period is the oscillating condition's square-wave period (default
+	// 2 s).
+	Period sim.Time
 	// OutageDur is the faulted condition's outage length (default 1 s);
 	// the outage opens at Warmup + Measure/3, on the dumbbell's forward
 	// bottleneck or the parking lot's middle hop.
@@ -104,6 +103,10 @@ const (
 // leaves at the next, loading exactly one hop.
 func (c *MatrixConfig) crossRate() float64 { return c.Rate / 4 }
 
+// cbrPeak is the oscillating condition's square-wave peak, half the
+// bottleneck.
+func (c *MatrixConfig) cbrPeak() float64 { return c.Rate / 2 }
+
 func (c *MatrixConfig) fill() {
 	if len(c.Algos) == 0 {
 		c.Algos = DefaultMatrixAlgos()
@@ -119,9 +122,6 @@ func (c *MatrixConfig) fill() {
 	}
 	if c.Rate == 0 {
 		c.Rate = 10e6
-	}
-	if c.CBRPeak == 0 {
-		c.CBRPeak = c.Rate / 2
 	}
 	if c.Period == 0 {
 		c.Period = 2
@@ -211,9 +211,10 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	slots := [4]string{"\x00topology", "\x00condition", "\x00algo_a", "\x00algo_b"}
 	m.Algos = []string{slots[2], slots[3]}
-	// flows_per_side, reverse_flows, cross_rate and smooth_bin are
-	// constants, kept in the manifest under these names so that stores
-	// written while they were settings keep hitting.
+	// flows_per_side, reverse_flows and smooth_bin are constants, and
+	// cbr_peak and cross_rate follow from rate; all are kept in the
+	// manifest under these names so that stores written while they were
+	// settings keep hitting.
 	m.Config = map[string]string{
 		"topology":       slots[0],
 		"condition":      slots[1],
@@ -223,7 +224,7 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 		"rate":           g(cfg.Rate),
 		"flows_per_side": strconv.Itoa(matrixFlowsPerSide),
 		"reverse_flows":  strconv.Itoa(matrixReverseFlows),
-		"cbr_peak":       g(cfg.CBRPeak),
+		"cbr_peak":       g(cfg.cbrPeak()),
 		"period":         g(float64(cfg.Period)),
 		"cross_rate":     g(cfg.crossRate()),
 		"outage_dur":     g(float64(cfg.OutageDur)),
@@ -334,7 +335,7 @@ func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, matrixReverseFlows)
 	if cond == CondOscillating {
-		withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: cfg.Period}, topology.Span{})
+		withCBR(eng, d, cbrFlowID, cfg.cbrPeak(), cbr.SquareWave{Period: cfg.Period}, topology.Span{})
 	}
 	return eng, d.Fwd[0], flows, meters
 }

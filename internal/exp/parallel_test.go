@@ -120,32 +120,6 @@ func TestPropertyParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestFairnessMultiSeedAggregation(t *testing.T) {
-	t.Parallel()
-	sw := newSweep(t)
-	cfg := FairnessConfig{
-		A: TCPAlgo(0.5), B: TCPAlgo(1.0 / 8),
-		Periods: []float64{2},
-		Warmup:  10, Measure: 30,
-		Seeds: []int64{1, 2, 3},
-	}
-	pts := sw.Fairness(cfg)
-	if len(pts) != 1 {
-		t.Fatalf("%d points, want 1 (aggregated)", len(pts))
-	}
-	p := pts[0]
-	// Pooled per-flow samples: 5 flows x 3 seeds per side.
-	if len(p.APer) != 15 || len(p.BPer) != 15 {
-		t.Fatalf("pooled %d/%d per-flow samples, want 15/15", len(p.APer), len(p.BPer))
-	}
-	if p.AMeanCI <= 0 || p.BMeanCI <= 0 {
-		t.Fatalf("multi-seed CIs must be positive: %+v", p)
-	}
-	if p.AMean <= 0 || p.Utilization <= 0 {
-		t.Fatalf("degenerate aggregate: %+v", p)
-	}
-}
-
 func TestFairnessSingleSeedNoCI(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)

@@ -15,12 +15,6 @@ import (
 // the RED bottleneck, and we summarize the queue-length process —
 // smoother senders should keep the queue steadier.
 type QueueDynamicsConfig struct {
-	// Algos are the traffic types compared.
-	Algos []AlgoSpec
-	// Flows per run.
-	Flows int
-	// Rate is the bottleneck bandwidth.
-	Rate float64
 	// Warmup and Measure set the timeline.
 	Warmup, Measure sim.Time
 	// DropTail switches the bottleneck discipline.
@@ -29,24 +23,25 @@ type QueueDynamicsConfig struct {
 	Seed int64
 }
 
-// queueSamplePeriod is the queue-length sampling period: a fixed 50 ms,
-// which is one RTT only on the default dumbbell.
-const queueSamplePeriod sim.Time = 0.05
+// queueFlows is the flow count of each run and queueRate the
+// bottleneck bandwidth; queueSamplePeriod is the queue-length sampling
+// period: a fixed 50 ms, which is one RTT only on the default dumbbell.
+const (
+	queueFlows                 = 10
+	queueRate                  = 10e6
+	queueSamplePeriod sim.Time = 0.05
+)
+
+// queueDynamicsAlgos are the traffic types compared.
+func queueDynamicsAlgos() []AlgoSpec {
+	return []AlgoSpec{
+		TCPAlgo(0.5),
+		TCPAlgo(1.0 / 8),
+		TFRCAlgo(TFRCOpts{K: 6, HistoryDiscounting: true}),
+	}
+}
 
 func (c *QueueDynamicsConfig) fill() {
-	if c.Algos == nil {
-		c.Algos = []AlgoSpec{
-			TCPAlgo(0.5),
-			TCPAlgo(1.0 / 8),
-			TFRCAlgo(TFRCOpts{K: 6, HistoryDiscounting: true}),
-		}
-	}
-	if c.Flows == 0 {
-		c.Flows = 10
-	}
-	if c.Rate == 0 {
-		c.Rate = 10e6
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 30
 	}
@@ -75,19 +70,20 @@ type QueueDynamicsResult struct {
 // parallel.
 func (sw *Sweep) QueueDynamics(cfg QueueDynamicsConfig) []QueueDynamicsResult {
 	cfg.fill()
-	return supervisedMap(sw, len(cfg.Algos), func(c *Cell) QueueDynamicsResult {
-		return runQueueDynamics(c, cfg, cfg.Algos[c.Index()])
+	algos := queueDynamicsAlgos()
+	return supervisedMap(sw, len(algos), func(c *Cell) QueueDynamicsResult {
+		return runQueueDynamics(c, cfg, algos[c.Index()])
 	})
 }
 
 func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDynamicsResult {
-	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate, DropTail: cfg.DropTail})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: queueRate, DropTail: cfg.DropTail})
 	lossMon := metrics.NewLossMonitor(0.5)
 	lossMon.EnsureHorizon(cfg.Warmup + cfg.Measure)
 	d.Fwd[0].AddTap(lossMon.Tap())
 	qMon := metrics.NewQueueMonitor(eng, queueSamplePeriod, d.Fwd[0].Q.Len)
 
-	flows := algo.flows(d, 1, cfg.Flows)
+	flows := algo.flows(d, 1, queueFlows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
@@ -99,7 +95,7 @@ func runQueueDynamics(c *Cell, cfg QueueDynamicsConfig, algo AlgoSpec) QueueDyna
 		res.CoV = sum.StdDev / sum.Mean
 	}
 	res.DropRate = lossMon.RateOver(cfg.Warmup, cfg.Warmup+cfg.Measure)
-	res.Utilization = metrics.Utilization(got[0], cfg.Rate, cfg.Measure)
+	res.Utilization = metrics.Utilization(got[0], queueRate, cfg.Measure)
 	return res
 }
 
@@ -111,7 +107,7 @@ func RenderQueueDynamics(cfg QueueDynamicsConfig, res []QueueDynamicsResult) str
 	if cfg.DropTail {
 		disc = "DropTail"
 	}
-	fmt.Fprintf(&b, "Queue dynamics (extension): %d homogeneous flows, %s bottleneck\n", cfg.Flows, disc)
+	fmt.Fprintf(&b, "Queue dynamics (extension): %d homogeneous flows, %s bottleneck\n", queueFlows, disc)
 	fmt.Fprintf(&b, "%-12s %10s %10s %10s %10s %10s %10s\n",
 		"algorithm", "mean q", "p90 q", "max q", "queue CoV", "drop rate", "util")
 	for _, r := range res {

@@ -15,25 +15,22 @@ import (
 // pairs of flows with unequal access delays share a bottleneck, and we
 // measure the short-RTT flow's advantage for TCP and for TFRC.
 type RTTFairnessConfig struct {
-	// Rate is the bottleneck bandwidth.
-	Rate float64
 	// Warmup and Measure set the timeline.
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
 	Seed int64
 }
 
-// rttShortAccess and rttLongAccess are the two access-link delays; with
-// the default 21 ms bottleneck the RTTs are 2*(2a + 21ms).
+// rttRate is the bottleneck bandwidth; rttShortAccess and rttLongAccess
+// are the two access-link delays, and with the default 21 ms bottleneck
+// the RTTs are 2*(2a + 21ms).
 const (
+	rttRate                 = 10e6
 	rttShortAccess sim.Time = 0.002 // RTT 50 ms
 	rttLongAccess  sim.Time = 0.027 // RTT 150 ms
 )
 
 func (c *RTTFairnessConfig) fill() {
-	if c.Rate == 0 {
-		c.Rate = 10e6
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 20
 	}
@@ -66,7 +63,7 @@ func (sw *Sweep) RTTFairness(cfg RTTFairnessConfig) []RTTFairnessResult {
 // each access delay.
 func runRTTFairness(c *Cell, cfg RTTFairnessConfig, key string, arg float64) RTTFairnessResult {
 	r, _ := row(key)
-	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: rttRate})
 	short := r.wire(eng, d, 1, arg, topology.Span{Access: rttShortAccess})
 	long := r.wire(eng, d, 2, arg, topology.Span{Access: rttLongAccess})
 	eng.At(0, short.Sender.Start)

@@ -23,13 +23,14 @@ type StaticCompatConfig struct {
 	// DropEveryNth is the sweep of static loss processes: one loss per
 	// N packets, i.e. p = 1/N.
 	DropEveryNth []int
-	// Rate is the (generous) link bandwidth.
-	Rate float64
 	// Warmup and Measure set the timeline per run.
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
 	Seed int64
 }
+
+// staticCompatRate is the (generous) link bandwidth.
+const staticCompatRate = 50e6
 
 func (c *StaticCompatConfig) fill() {
 	if c.Algos == nil {
@@ -44,9 +45,6 @@ func (c *StaticCompatConfig) fill() {
 	}
 	if c.DropEveryNth == nil {
 		c.DropEveryNth = []int{400, 100, 25}
-	}
-	if c.Rate == 0 {
-		c.Rate = 50e6
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 30
@@ -105,7 +103,7 @@ func (sw *Sweep) StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 // a drop-every-nth pattern.
 func staticRun(c *Cell, cfg StaticCompatConfig, algo AlgoSpec, n int) float64 {
 	eng, d := c.newScenario(cfg.Seed, topology.Config{
-		Rate:        cfg.Rate,
+		Rate:        staticCompatRate,
 		ForwardLoss: &netem.CountPattern{Intervals: []int{n - 1}},
 	})
 	f := algo.Make(eng, d, 1)

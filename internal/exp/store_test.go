@@ -391,7 +391,7 @@ func parentMatrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) str
 		"rate":           g(cfg.Rate),
 		"flows_per_side": strconv.Itoa(matrixFlowsPerSide),
 		"reverse_flows":  strconv.Itoa(matrixReverseFlows),
-		"cbr_peak":       g(cfg.CBRPeak),
+		"cbr_peak":       g(cfg.Rate / 2),
 		"period":         g(float64(cfg.Period)),
 		"cross_rate":     g(cfg.Rate / 4),
 		"outage_dur":     g(float64(cfg.OutageDur)),

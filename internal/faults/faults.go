@@ -172,9 +172,6 @@ func (in *Injector) rand() *rand.Rand {
 	return in.rng
 }
 
-// Config returns a copy of the injector's configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Attach wires the injector onto link: outage windows and flapping are
 // scheduled against the engine, and the returned handler replaces entry
 // as the point where packets are offered to the link. pool receives

@@ -51,11 +51,6 @@ func (v Violation) String() string {
 // for concurrent use; like the engine it audits, it belongs to a single
 // simulation goroutine.
 type Auditor struct {
-	// Interval is the simulated-time cadence of the periodic flow and
-	// bound checks, driven from the engine's own event stream (no extra
-	// timers are scheduled, so auditing never keeps an engine alive).
-	// Zero means the 0.5s default.
-	Interval sim.Time
 	// Report, when non-nil, is additionally invoked for every violation
 	// (including ones beyond maxViolations).
 	Report func(Violation)
@@ -77,6 +72,11 @@ type Auditor struct {
 // maxViolations caps the recorded slice so a systemic breach cannot
 // exhaust memory; further violations only increment Total.
 const maxViolations = 100
+
+// checkInterval is the simulated-time cadence of the periodic flow and
+// bound checks, driven from the engine's own event stream (no extra
+// timers are scheduled, so auditing never keeps an engine alive).
+const checkInterval sim.Time = 0.5
 
 type flowWatch struct {
 	name       string
@@ -195,11 +195,7 @@ func (a *Auditor) OnEvent(prev, at sim.Time, seq uint64) {
 	}
 	a.lastAt, a.lastSeq, a.haveEvent = at, seq, true
 
-	interval := a.Interval
-	if interval == 0 {
-		interval = 0.5
-	}
-	if at-a.lastCheck >= interval {
+	if at-a.lastCheck >= checkInterval {
 		a.lastCheck = at
 		a.checkFlows()
 	}

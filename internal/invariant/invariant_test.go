@@ -191,7 +191,6 @@ func TestClockAndFIFOHooks(t *testing.T) {
 func TestFlowAndBoundChecks(t *testing.T) {
 	eng := sim.New(1)
 	a := invariant.New(eng)
-	a.Interval = 0.1
 	sent, recv := int64(100), int64(50)
 	a.WatchFlow("ok", func() int64 { return sent }, func() int64 { return recv })
 	bad := 0.0

@@ -313,9 +313,6 @@ func NewQueueMonitor(eng *sim.Engine, width sim.Time, length func() int) *QueueM
 	return m
 }
 
-// Samples returns the recorded queue lengths.
-func (m *QueueMonitor) Samples() []float64 { return m.samples }
-
 // Summary returns descriptive statistics over samples [i0, len).
 func (m *QueueMonitor) Summary(i0 int) Summary {
 	if i0 < 0 {

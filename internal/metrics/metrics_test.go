@@ -295,7 +295,7 @@ func TestQueueMonitorSamples(t *testing.T) {
 	m := NewQueueMonitor(eng, 0.1, func() int { return length })
 	eng.At(0.55, func() { length = 10 })
 	eng.RunUntil(1.05)
-	s := m.Samples()
+	s := m.samples
 	if len(s) != 10 {
 		t.Fatalf("%d samples in 1s at 0.1s period, want 10", len(s))
 	}
@@ -326,7 +326,7 @@ func TestMeterTickAllocatesNoTimer(t *testing.T) {
 		}},
 		{"QueueMonitor", func(eng *sim.Engine) func() int {
 			m := NewQueueMonitor(eng, width, func() int { return 0 })
-			return func() int { return len(m.Samples()) }
+			return func() int { return len(m.samples) }
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -61,14 +61,6 @@ func (c *Collector) AddCellStats(st obs.CellStats) {
 	}
 }
 
-// Digest returns the XOR-combined stream digest and the event count it
-// covers.
-func (c *Collector) Digest() (sum uint64, events uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.digest, c.digestEvents
-}
-
 // WriteMetrics renders the merged state as one exposition document:
 // summed counters plus the collector's own
 // meta-metrics — cells observed, engine events, digested events, and

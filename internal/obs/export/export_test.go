@@ -184,9 +184,6 @@ func TestCollectorMerge(t *testing.T) {
 		Counters: map[string]int64{"engine.fired": 5},
 		Digest:   0x5555, DigestEvents: 5, Events: 5,
 	})
-	if sum, events := col.Digest(); sum != 0xffff || events != 15 {
-		t.Fatalf("digest = %#x over %d events, want 0xffff over 15", sum, events)
-	}
 	var buf bytes.Buffer
 	if err := col.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -202,6 +199,9 @@ func TestCollectorMerge(t *testing.T) {
 	info := fams["slowcc_stream_digest_info"]
 	if info == nil || info.Samples[0].Labels["digest"] != fmt.Sprintf("%016x", uint64(0xffff)) {
 		t.Fatalf("digest info metric wrong: %+v", info)
+	}
+	if digested := fams["slowcc_stream_digest_events_total"]; digested == nil || digested.Samples[0].Value != 15 {
+		t.Fatalf("digested events wrong: %+v", digested)
 	}
 }
 

@@ -92,9 +92,6 @@ func (d *StreamDigest) Sum() uint64 {
 // Events returns how many events have been folded.
 func (d *StreamDigest) Events() uint64 { return d.events }
 
-// Reset returns the digest to its empty state.
-func (d *StreamDigest) Reset() { d.sum, d.events = 0, 0 }
-
 // SetStreamDigest installs d as the engine's event-stream digest; nil
 // disables it. Like the audit and probe slots, the disabled path costs
 // one nil check per executed event, and the digest never schedules

@@ -115,10 +115,6 @@ func (c Config) net() NetConfig {
 	}
 }
 
-// PropRTT returns the end-to-end propagation round-trip time of a
-// dumbbell with config c.
-func (c Config) PropRTT() sim.Time { return c.net().PropRTT() }
-
 // New builds the paper's dumbbell on eng: a one-hop Net whose forward
 // bottleneck is Fwd[0], reverse bottleneck Rev[0] and scripted loss
 // stage Filters[0]. It differs from NewNet on the same one-hop config

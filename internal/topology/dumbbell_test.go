@@ -19,9 +19,15 @@ func bdpPkts(c Config) float64 {
 	return nc.hopBDPPkts(0)
 }
 
+// propRTT is the propagation RTT a net built from c reports.
+func propRTT(c NetConfig) sim.Time {
+	c.fill()
+	return c.propRTT()
+}
+
 func TestDefaultsMatchPaper(t *testing.T) {
 	cfg := Config{}
-	if got := cfg.PropRTT(); math.Abs(got-0.05) > 1e-9 {
+	if got := propRTT(cfg.net()); math.Abs(got-0.05) > 1e-9 {
 		t.Fatalf("default propagation RTT = %v, want 50ms", got)
 	}
 	// 10 Mbps * 50ms / 8 / 1000B = 62.5 packets.
@@ -148,10 +154,10 @@ func TestStrictRoutingPanics(t *testing.T) {
 // fill() used to make inexpressible: zero bottleneck delay, zero access
 // delay, and a RED min-threshold of 0.
 func TestExplicitZeroSentinels(t *testing.T) {
-	if got := (Config{Delay: ExplicitZero}).PropRTT(); math.Abs(got-0.008) > 1e-9 {
+	if got := propRTT(Config{Delay: ExplicitZero}.net()); math.Abs(got-0.008) > 1e-9 {
 		t.Fatalf("PropRTT with a zero-delay bottleneck = %v, want 8ms (access only)", got)
 	}
-	if got := (Config{AccessDelay: ExplicitZero}).PropRTT(); math.Abs(got-0.042) > 1e-9 {
+	if got := propRTT(Config{AccessDelay: ExplicitZero}.net()); math.Abs(got-0.042) > 1e-9 {
 		t.Fatalf("PropRTT with zero access delay = %v, want 42ms (bottleneck only)", got)
 	}
 	eng := sim.New(1)

@@ -151,22 +151,15 @@ func (c *NetConfig) fill() {
 	}
 }
 
-// PropRTT returns the propagation round-trip time of the full chain for
-// a flow using the default access delay: 2*(2*AccessDelay + sum of hop
-// delays). c is a configuration as a caller writes it, defaults and
-// sentinels unresolved; a built Net answers from its resolved copy
-// (Net.PropRTT).
-func (c NetConfig) PropRTT() sim.Time {
-	c.fill()
-	return c.propRTT()
-}
-
 // propRTT and hopBDPPkts read a configuration fill has resolved. Filling
 // is not idempotent — it turns an ExplicitZero into the 0 a second fill
 // would read as "take the default" — so build resolves once and sizes
-// from these. hopBDPPkts is hop i's bandwidth-delay product in packets
-// over the full-chain propagation RTT: the RTT a chain-traversing flow
-// sees, which is what the paper's queue sizing is relative to.
+// from these. propRTT is the propagation round-trip time of the full
+// chain for a flow using the default access delay: 2*(2*AccessDelay +
+// sum of hop delays). hopBDPPkts is hop i's bandwidth-delay product in
+// packets over the full-chain propagation RTT: the RTT a
+// chain-traversing flow sees, which is what the paper's queue sizing is
+// relative to.
 func (c *NetConfig) propRTT() sim.Time {
 	var hops sim.Time
 	for _, h := range c.Hops {

@@ -210,7 +210,7 @@ func TestConnectRejectsSpansOutsideTheChain(t *testing.T) {
 func TestNetZeroDelayHopExpressible(t *testing.T) {
 	cfg := NetConfig{Hops: []Hop{{Delay: ExplicitZero}, {}}, AccessDelay: ExplicitZero}
 	// Chain propagation RTT: 2*(2*0 + 0 + 21ms) = 42ms.
-	if got := cfg.PropRTT(); got < 0.0419 || got > 0.0421 {
+	if got := propRTT(cfg); got < 0.0419 || got > 0.0421 {
 		t.Fatalf("PropRTT with explicit-zero delays = %v, want 42ms", got)
 	}
 	eng := sim.New(1)

@@ -24,8 +24,6 @@ type FlashCrowdConfig struct {
 	// FirstFlowID is the flow-identifier block start; the crowd uses
 	// FirstFlowID..FirstFlowID+N-1.
 	FirstFlowID int
-	// PktSize overrides the data packet size.
-	PktSize int
 }
 
 // FlashCrowd is a generated set of short TCP flows wired onto a
@@ -58,7 +56,6 @@ func NewFlashCrowd(eng *sim.Engine, d topology.Fabric, cfg FlashCrowdConfig) *Fl
 		snd := tcp.NewSender(eng, nil, tcp.Config{
 			Flow:    flowID,
 			MaxPkts: cfg.PktsPerFlow,
-			PktSize: cfg.PktSize,
 			OnDone: func() {
 				fc.Completed++
 				fc.CompletionTimes = append(fc.CompletionTimes, eng.Now()-arrive)

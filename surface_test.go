@@ -1,15 +1,23 @@
 package slowcc_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -157,102 +165,116 @@ func TestRootSurfaceHasUsers(t *testing.T) {
 }
 
 // testOnly lists the exported internal/ names kept although no non-test
-// file names them, each with the reason. It is the only exemption
-// TestInternalSurfaceHasUsers grants; an entry whose name has gained a
-// user, or no longer exists, fails the test too.
+// file uses them, as "pkg.Name" or "pkg.Type.Method" → reason. It is the
+// only exemption TestInternalSurfaceHasUsers grants; an entry whose name
+// has gained a user, or no longer exists, fails the test too.
 var testOnly = map[string]string{
-	"SACKTCPAlgo":       "exp: the documented Sack1 fidelity ablation (BenchmarkSACKAblation, EXPERIMENTS.md methodology note)",
-	"ReadTSV":           "trace: WriteTSV's round-trip oracle, fuzzed by FuzzReadTSV",
-	"ExplicitZero":      "topology: the documented sentinel for \"this field is zero, do not default it\"",
-	"FkTCP":             "tcpmodel: the paper's closed form for f(k), the reference the Fig 13 tests compare against",
-	"AggressivenessTCP": "tcpmodel: the paper's closed form for TCP(b) aggressiveness, the Fig 20 reference",
-	"MarshalJSON":       "exp: encoding/json calls it to write a Fig 20 point's NaN cells as null (slowccsim -json)",
-	"Attached":          "faults: how the faults tests and the pinned-stream row prove a disabled injector wires nothing",
-	"NextExpected":      "cc: the in-order point the cc and tcp receiver tests check delivery and loss recovery by",
-	"Spans":             "journey: the retained spans the journey tests check attribution against",
+	"exp.SACKTCPAlgo":             "the documented Sack1 fidelity ablation (BenchmarkSACKAblation, EXPERIMENTS.md methodology note)",
+	"trace.ReadTSV":               "WriteTSV's round-trip oracle, fuzzed by FuzzReadTSV",
+	"topology.ExplicitZero":       "the documented sentinel for \"this field is zero, do not default it\"",
+	"tcpmodel.FkTCP":              "the paper's closed form for f(k), the reference the Fig 13 tests compare against",
+	"tcpmodel.AggressivenessTCP":  "the paper's closed form for TCP(b) aggressiveness, the Fig 20 reference",
+	"faults.Injector.Attached":    "how the faults tests and the pinned-stream row prove a disabled injector wires nothing",
+	"cc.AckReceiver.NextExpected": "the in-order point the cc and tcp receiver tests check delivery and loss recovery by",
+	"journey.Recorder.Spans":      "the retained spans the journey tests check attribution against",
+	"sim.Engine.Rand":             "the only way to observe the engine's seed (the roster and sim tests draw from it); bench/ fixes sim.New(seed)'s signature until ROADMAP 1(b)",
+	"sim.Engine.Pending":          "how faults_test proves a disabled injector schedules no timer",
+	"store.Encode":                "Decode's inverse: store_test's codec, golden-frame and benchmark tests build raw value encodings with it (NewEntry is the production path)",
+	"trace.Recorder.Total":        "how the pinned-stream row and netem's watched-link allocation test count what a ring Recorder saw beyond its Limit",
+	"invariant.Auditor.Err":       "how the audited tests of topology, netem, exp and the pinned-stream row fail on a breach",
 }
 
 // TestInternalSurfaceHasUsers is TestRootSurfaceHasUsers one level
 // down: every exported top-level func, type, var and const, and every
 // exported method, declared in a non-test file under internal/ must be
-// named in some non-test .go file of the module — bench/, cmd/,
-// examples/, the root package or internal/ itself — other than at its
-// own declaration. Names match by
-// identifier alone, so two packages exporting the same name can only
-// keep one another, never delete one. To add an exported internal name,
-// write its non-test user, or a testOnly line with a reason.
+// used by some non-test .go file of the module — bench/, cmd/,
+// examples/, the root package or internal/ itself — outside its own
+// declaration. Each use resolves to the object it names (go/types over
+// the whole module), so a namesake in another package keeps nothing. A
+// method also counts as used when it implements a method of an
+// interface its receiver type satisfies: fmt calls String, encoding/json
+// calls MarshalJSON, a link calls its netem.Handler. To add an exported
+// internal name, write its non-test user, or a testOnly line with a
+// reason.
 func TestInternalSurfaceHasUsers(t *testing.T) {
-	fset := token.NewFileSet()
-	decl := map[string][]token.Pos{} // exported internal/ name -> its declaring identifiers
-	uses := map[string]int{}         // identifier -> occurrences in non-test files
-	declare := func(id *ast.Ident) {
-		if id.IsExported() {
-			decl[id.Name] = append(decl[id.Name], id.Pos())
-		}
-	}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			return nil
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				declare(d.Name) // a method too: it needs a caller as much as a func does
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						declare(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declare(id)
+	m := moduleSource(t)
+
+	// Every exported declaration under internal/, with the span a use
+	// must fall outside of to count.
+	type span struct{ pos, end token.Pos }
+	decls := map[types.Object]span{}
+	for _, p := range m.internal() {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Name.IsExported() { // a method too: it needs a caller as much as a func does
+						decls[p.info.Defs[d.Name]] = span{d.Pos(), d.End()}
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								decls[p.info.Defs[s.Name]] = span{s.Pos(), s.End()}
+							}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if id.IsExported() {
+									decls[p.info.Defs[id]] = span{s.Pos(), s.End()}
+								}
+							}
 						}
 					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+
+	used := map[types.Object]bool{}
+	use := func(obj types.Object, at token.Pos) {
+		obj = origin(obj)
+		if d, ok := decls[obj]; ok && (at < d.pos || at >= d.end) {
+			used[obj] = true
+		}
+	}
+	for _, p := range m.pkgs {
+		for id, obj := range p.info.Uses {
+			use(obj, id.Pos())
+		}
+		for sel, s := range p.info.Selections {
+			use(s.Obj(), sel.Sel.Pos())
+		}
+	}
+	for _, obj := range m.interfaceMethods() {
+		used[origin(obj)] = true
 	}
 
 	var orphans []string
-	for name, at := range decl {
-		used := uses[name] > len(at) // some occurrence besides the declarations themselves
-		_, exempt := testOnly[name]
+	keys := map[string]bool{}
+	for obj := range decls {
+		key := objectKey(obj)
+		keys[key] = true
+		_, exempt := testOnly[key]
 		switch {
-		case !used && !exempt:
-			orphans = append(orphans, name+"\t"+fset.Position(at[0]).String())
-		case used && exempt:
-			t.Errorf("testOnly lists %s, which a non-test file uses: drop the entry", name)
+		case !used[obj] && !exempt:
+			orphans = append(orphans, key+"\t"+m.fset.Position(obj.Pos()).String())
+		case used[obj] && exempt:
+			t.Errorf("testOnly lists %s, which a non-test file uses: drop the entry", key)
 		}
 	}
-	for name, reason := range testOnly {
-		if _, ok := decl[name]; !ok {
-			t.Errorf("testOnly lists %s, which internal/ no longer exports: drop the entry", name)
+	for key, reason := range testOnly {
+		if !keys[key] {
+			t.Errorf("testOnly lists %s, which internal/ no longer exports: drop the entry", key)
 		}
 		if reason == "" {
-			t.Errorf("testOnly entry %s gives no reason", name)
+			t.Errorf("testOnly entry %s gives no reason", key)
 		}
 	}
 	sort.Strings(orphans)
 	if len(orphans) > 0 {
 		t.Errorf("%d of internal/'s %d exported names have no user in a non-test file; delete them, or add a testOnly line saying why a test needs them:\n\t%s",
-			len(orphans), len(decl), strings.Join(orphans, "\n\t"))
+			len(orphans), len(decls), strings.Join(orphans, "\n\t"))
 	}
 }
 
@@ -369,184 +391,152 @@ func TestBenchSurfaceIsBenchOnly(t *testing.T) {
 var fieldTestOnly = map[string]string{
 	"sim.Budget.LivelockEvents":           "safety check: a run stuck at one instant halts instead of spinning; tests set it to prove the halt",
 	"obs.SweepEvent.Attempt":              "bench/trace.go reads it, and only a change to the benchmark may edit bench/",
+	"exp.FairnessPoint.AMeanCI":           oracleReason,
+	"exp.FairnessPoint.BMeanCI":           oracleReason,
 	"exp.FairnessConfig.AFlows":           "TestDeterminismFairnessPooledVsUnpooled runs 2+2 flows to keep the pooled-vs-unpooled check short",
 	"exp.FairnessConfig.BFlows":           "TestDeterminismFairnessPooledVsUnpooled runs 2+2 flows to keep the pooled-vs-unpooled check short",
 	"exp.MatrixConfig.Conditions":         "the matrix, release and store tests (smallMatrixConfig, tinyMatrix) run one or two conditions, not all three",
 	"exp.StaticCompatConfig.DropEveryNth": "staticcompat_test.go sweeps one or two loss rates, not the default three",
 	"tcp.Config.InitialCwnd":              "TestMaxPktsStopsExactly starts a short transfer with a window of 10 to cap it at MaxPkts",
+	"exp.FairnessConfig.DisablePool":      poolReason,
+	"exp.MatrixConfig.DisablePool":        poolReason,
+	"exp.StabilizationConfig.DisablePool": poolReason,
+	"exp.MatrixConfig.Rate":               shrinkReason,
+	"exp.MatrixConfig.OutageDur":          shrinkReason,
+	"exp.OscillationConfig.Algos":         shrinkReason,
+	"exp.OscillationConfig.Flows":         shrinkReason,
+	"exp.OscillationConfig.Rate":          shrinkReason,
+	"exp.OutageConfig.Backgrounds":        shrinkReason,
+	"exp.OutageConfig.Rate":               shrinkReason,
+	"exp.OutageConfig.CrowdStart":         shrinkReason,
+	"exp.OutageConfig.CrowdDuration":      shrinkReason,
+	"exp.OutageConfig.CrowdRate":          shrinkReason,
+	"exp.SmoothnessConfig.Warmup":         shrinkReason,
+	"exp.StabilizationConfig.Flows":       shrinkReason,
+	"exp.StaticCompatConfig.Algos":        shrinkReason,
+	"topology.Config.Delay":               substrateReason,
+	"topology.Config.AccessRate":          substrateReason,
+	"topology.Config.AccessDelay":         substrateReason,
+	"topology.Config.PktSize":             substrateReason,
+	"topology.Config.QueueFactor":         substrateReason,
+	"topology.Config.REDMinFactor":        substrateReason,
+	"topology.Config.REDMaxFactor":        substrateReason,
 }
+
+const (
+	oracleReason    = "always zero, but bench/'s figures oracle hashes a FairnessPoint's %+v text, field names included, and only a change to the benchmark may re-record it"
+	poolReason      = "the pooled-vs-unpooled determinism tests run with pooling off as their heap-allocation reference"
+	shrinkReason    = "tests set it to a non-default value to shrink the run or sharpen what it checks"
+	substrateReason = "a dumbbell substrate knob: ROADMAP item 18 tabulates the substrate against the paper's before its knobs become constants"
+)
 
 // TestInternalFieldsHaveWriters is TestInternalSurfaceHasUsers one level
 // down: every exported field of an exported struct declared in a non-test
 // file under internal/ must be written by some non-test .go file of the
-// module. A write is a composite-literal key, a positional element of a
-// literal of the field's type (element types elided inside []T{…} and
-// map[K]T{…} included), any selector in the chain of an assignment,
-// op=, ++ or -- target, and the operand of &; a write inside a method
-// named fill is a default, not a setting, and does not count. Fields
-// match by name, so a collision can only keep a field. A setting nothing
-// sets has one value: make it a constant, or add a fieldTestOnly line
-// saying why not.
+// module. A write is a key or a positional element of a composite
+// literal of the field's struct type (element types elided inside []T{…}
+// and map[K]T{…} included), a field selected anywhere in the chain of an
+// assignment, op=, ++ or -- target, or in the operand of &. Each write
+// resolves to the field it selects (go/types over the whole module), so
+// a same-named field of another struct keeps nothing. A write inside a
+// method named fill is a default, not a setting, and does not count. A
+// setting nothing sets has one value: make it a constant, or add a
+// fieldTestOnly line saying why not.
 func TestInternalFieldsHaveWriters(t *testing.T) {
-	fset := token.NewFileSet()
-	type file struct {
-		path string
-		f    *ast.File
-	}
-	var files []file
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err == nil {
-			files = append(files, file{filepath.ToSlash(path), f})
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := moduleSource(t)
 
-	// Every exported field of an exported internal/ struct, and each
-	// struct type name's field names in order (for positional literals).
-	fields := map[string]token.Pos{} // pkg.Type.Field -> declaration
-	order := map[string][][]string{} // type name -> field names in order, one list per declaring struct
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.path, "internal/") {
-			continue
-		}
-		for _, d := range fl.f.Decls {
-			g, ok := d.(*ast.GenDecl)
+	// Every exported, named field of an exported internal/ struct type.
+	fields := map[*types.Var]string{} // field -> pkg.Type.Field
+	for _, p := range m.internal() {
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
 			if !ok {
 				continue
 			}
-			for _, s := range g.Specs {
-				ts, ok := s.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() {
-					continue
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					fields[f] = p.pkg.Name() + "." + name + "." + f.Name()
 				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, p := range m.pkgs {
+		field := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				written[v.Origin()] = true
+			}
+		}
+		var chain func(e ast.Expr)
+		chain = func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.SelectorExpr:
+				if s, ok := p.info.Selections[e]; ok && s.Kind() == types.FieldVal {
+					field(s.Obj())
 				}
-				var names []string
-				for _, fd := range st.Fields.List {
-					if len(fd.Names) == 0 { // embedded: one positional slot
-						names = append(names, "")
+				chain(e.X)
+			case *ast.IndexExpr:
+				chain(e.X)
+			case *ast.StarExpr:
+				chain(e.X)
+			case *ast.ParenExpr:
+				chain(e.X)
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					// A fill method writing its own default is not a setting.
+					return n.Recv == nil || n.Name.Name != "fill"
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						chain(e)
 					}
-					for _, id := range fd.Names {
-						names = append(names, id.Name)
-						if id.IsExported() {
-							fields[fl.f.Name.Name+"."+ts.Name.Name+"."+id.Name] = id.Pos()
+				case *ast.IncDecStmt:
+					chain(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						chain(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							field(p.info.Uses[kv.Key.(*ast.Ident)])
+						} else {
+							field(st.Field(i))
 						}
 					}
 				}
-				order[ts.Name.Name] = append(order[ts.Name.Name], names)
-			}
+				return true
+			})
 		}
-	}
-
-	written := map[string]bool{}
-	var chain func(e ast.Expr)
-	chain = func(e ast.Expr) {
-		switch e := e.(type) {
-		case *ast.SelectorExpr:
-			written[e.Sel.Name] = true
-			chain(e.X)
-		case *ast.IndexExpr:
-			chain(e.X)
-		case *ast.StarExpr:
-			chain(e.X)
-		case *ast.ParenExpr:
-			chain(e.X)
-		}
-	}
-	typeName := func(e ast.Expr) string {
-		if s, ok := e.(*ast.StarExpr); ok {
-			e = s.X
-		}
-		switch e := e.(type) {
-		case *ast.Ident:
-			return e.Name
-		case *ast.SelectorExpr:
-			return e.Sel.Name
-		}
-		return ""
-	}
-	// lit records the writes of one composite literal whose type is typ
-	// (its own, or the element type its parent elided).
-	var lit func(cl *ast.CompositeLit, typ ast.Expr)
-	lit = func(cl *ast.CompositeLit, typ ast.Expr) {
-		if cl.Type != nil {
-			typ = cl.Type
-		}
-		var elem ast.Expr
-		switch tt := typ.(type) {
-		case *ast.ArrayType:
-			elem = tt.Elt
-		case *ast.MapType:
-			elem = tt.Value
-		}
-		for i, e := range cl.Elts {
-			if kv, ok := e.(*ast.KeyValueExpr); ok {
-				if id, ok := kv.Key.(*ast.Ident); ok && elem == nil {
-					written[id.Name] = true
-				}
-				e = kv.Value
-			} else if elem == nil {
-				for _, names := range order[typeName(typ)] {
-					if i < len(names) {
-						written[names[i]] = true
-					}
-				}
-			}
-			if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-				e = u.X
-			}
-			if sub, ok := e.(*ast.CompositeLit); ok && sub.Type == nil {
-				lit(sub, elem)
-			}
-		}
-	}
-	for _, fl := range files {
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				// A fill method writing its own default is not a setting.
-				return n.Recv == nil || n.Name.Name != "fill"
-			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
-					chain(e)
-				}
-			case *ast.IncDecStmt:
-				chain(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					chain(n.X)
-				}
-			case *ast.CompositeLit:
-				if n.Type != nil {
-					lit(n, nil)
-				}
-			}
-			return true
-		})
 	}
 
 	var orphans []string
-	for key, pos := range fields {
-		name := key[strings.LastIndexByte(key, '.')+1:]
+	keys := map[string]bool{}
+	for f, key := range fields {
+		keys[key] = true
 		_, exempt := fieldTestOnly[key]
 		switch {
-		case !written[name] && !exempt:
-			orphans = append(orphans, key+"\t"+fset.Position(pos).String())
-		case written[name] && exempt:
+		case !written[f] && !exempt:
+			orphans = append(orphans, key+"\t"+m.fset.Position(f.Pos()).String())
+		case written[f] && exempt:
 			t.Errorf("fieldTestOnly lists %s, which a non-test file writes: drop the entry", key)
 		}
 	}
 	for key, reason := range fieldTestOnly {
-		if _, ok := fields[key]; !ok {
+		if !keys[key] {
 			t.Errorf("fieldTestOnly lists %s, which internal/ no longer declares: drop the entry", key)
 		}
 		if reason == "" {
@@ -558,4 +548,216 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 		t.Errorf("%d of internal/'s %d exported struct fields are never written by a non-test file; make each a constant, or add a fieldTestOnly line saying why a test needs it:\n\t%s",
 			len(orphans), len(fields), strings.Join(orphans, "\n\t"))
 	}
+}
+
+// sourcePkg is one non-test package of the module, parsed and
+// type-checked from source.
+type sourcePkg struct {
+	dir   string // slash-separated, relative to the module root
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// module is every non-test package of the module, dependencies first,
+// checked in one types universe: an identifier anywhere resolves to the
+// one object it names, whichever package declares it.
+type module struct {
+	fset *token.FileSet
+	pkgs []*sourcePkg
+}
+
+// internal returns the packages under internal/.
+func (m *module) internal() []*sourcePkg {
+	var out []*sourcePkg
+	for _, p := range m.pkgs {
+		if strings.HasPrefix(p.dir, "internal/") {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+var loadModule = sync.OnceValues(func() (*module, error) {
+	// The package list in dependency order, and for the standard library
+	// the export data a build leaves in the cache: go/types imports it
+	// with the gc importer, so no package outside the module is parsed.
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,Standard", "./...")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+
+	m := &module{fset: token.NewFileSet()}
+	exports := map[string]string{}        // std import path -> export data file
+	source := map[string]*types.Package{} // module import path -> checked package
+	gc := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok || file == "" {
+			return nil, fmt.Errorf("go list gave no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := source[path]; ok {
+			return p, nil
+		}
+		return gc.Import(path)
+	})}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			Standard                bool
+		}
+		if err := dec.Decode(&lp); err != nil {
+			return nil, err
+		}
+		if lp.Standard {
+			exports[lp.ImportPath] = lp.Export
+			continue
+		}
+		dir, err := filepath.Rel(root, lp.Dir)
+		if err != nil {
+			return nil, err
+		}
+		p := &sourcePkg{dir: filepath.ToSlash(dir), info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}}
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			p.files = append(p.files, f)
+		}
+		if p.pkg, err = conf.Check(lp.ImportPath, m.fset, p.files, p.info); err != nil {
+			return nil, err
+		}
+		source[lp.ImportPath] = p.pkg
+		m.pkgs = append(m.pkgs, p)
+	}
+	return m, nil
+})
+
+// moduleSource returns the module loaded once for the test binary.
+func moduleSource(t *testing.T) *module {
+	t.Helper()
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// interfaceMethods returns every method of a module type that implements
+// a method of an interface the type (or a pointer to it) satisfies: the
+// interfaces the module's packages declare or spell, and those of every
+// package they import, directly or not, error included.
+func (m *module) interfaceMethods() []types.Object {
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Interface]bool{}
+	add := func(typ types.Type) {
+		if n, ok := typ.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			return
+		}
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() && !seen[it] {
+			seen[it] = true
+			ifaces = append(ifaces, it)
+		}
+	}
+	walked := map[*types.Package]bool{}
+	var walk func(pkg *types.Package)
+	walk = func(pkg *types.Package) {
+		if walked[pkg] {
+			return
+		}
+		walked[pkg] = true
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for _, p := range m.pkgs {
+		walk(p.pkg)
+		for _, tv := range p.info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+	}
+
+	var out []types.Object
+	for _, p := range m.pkgs {
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+				continue
+			}
+			ptr := types.NewPointer(tn.Type())
+			has := map[string]bool{}
+			ms := types.NewMethodSet(ptr)
+			for i := 0; i < ms.Len(); i++ {
+				has[ms.At(i).Obj().Name()] = true
+			}
+			for _, it := range ifaces {
+				if !has[it.Method(0).Name()] || !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					obj, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
+					out = append(out, obj)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// origin is the generic declaration an instantiated field or method
+// comes from; any other object is its own.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Var:
+		return o.Origin()
+	case *types.Func:
+		return o.Origin()
+	}
+	return obj
+}
+
+// objectKey names a declaration as the exemption tables do: "pkg.Name",
+// or "pkg.Type.Method" for a method.
+func objectKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			typ := recv.Type()
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			return obj.Pkg().Name() + "." + typ.(*types.Named).Obj().Name() + "." + obj.Name()
+		}
+	}
+	return obj.Pkg().Name() + "." + obj.Name()
 }
