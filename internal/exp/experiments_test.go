@@ -2,30 +2,30 @@ package exp
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"slowcc/internal/obs"
-	"slowcc/internal/sim"
 	"slowcc/internal/topology"
 )
 
 // toyCells is the whole driver of a toy experiment: a job list (two
 // cells), a cell function that gets its scenario from the cell, and
-// nothing copied from another driver. Each cell reports the first draw
-// of its engine's RNG — a fingerprint of the seed the engine was built
-// on — and cell 1 panics, after traffic has flowed.
+// nothing copied from another driver. Each cell reports the seed its
+// scenario's net was built on, and cell 1 panics, after traffic has
+// flowed.
 func toyCells(sw *Sweep, seed int64) []int64 {
 	return supervisedMap(sw, 2, func(c *Cell) int64 {
 		eng, d := c.newScenario(seed, topology.Config{Rate: 1e6})
-		draw := eng.Rand().Int63()
+		ran := d.Cfg.Seed
 		f := TCPAlgo(0.5).Make(eng, d, 1)
 		eng.At(0, f.Sender.Start)
 		eng.RunUntil(2)
 		if c.Index() == 1 {
 			panic("toy: cell 1 fails")
 		}
-		return draw
+		return ran
 	})
 }
 
@@ -62,12 +62,12 @@ func TestNewExperimentIsOneRow(t *testing.T) {
 	}
 	_, data := toy.Run(sw, false, base, MatrixConfig{})
 
-	draws := data.([]int64)
-	if want := sim.New(base).Rand().Int63(); draws[0] != want {
-		t.Errorf("cell 0 drew %d, want %d: a cell must run on the base seed", draws[0], want)
+	seeds := data.([]int64)
+	if seeds[0] != base {
+		t.Errorf("cell 0 ran on seed %d, want %d: a cell must run on the base seed", seeds[0], base)
 	}
-	if draws[1] != 0 {
-		t.Errorf("cell 1 drew %d, want the zero value of a degraded cell", draws[1])
+	if seeds[1] != 0 {
+		t.Errorf("cell 1 reported seed %d, want the zero value of a degraded cell", seeds[1])
 	}
 	if errs := sw.Errors(); len(errs) != 1 || errs[0].Index != 1 || errs[0].Outcome != "panic" {
 		t.Errorf("Errors = %v, want cell 1's panic, once", errs)
@@ -199,5 +199,23 @@ func TestDriverRunsOneSweep(t *testing.T) {
 				t.Errorf("%d sweep(s) of %d cell(s) in all, want %d of %d", sweeps, cells, tc.sweeps, tc.cells)
 			}
 		})
+	}
+}
+
+// Every ablation the substrate table names (its fifth column) is a
+// roster row; topology's TestSubstrateTable checks the rest of each row.
+func TestSubstrateAblationsAreRosterRows(t *testing.T) {
+	b, err := os.ReadFile("../topology/testdata/substrate.tsv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, e := range Experiments() {
+		rows[e.Name] = true
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if c := strings.Split(line, "\t"); len(c) == 5 && strings.HasPrefix(c[4], "ablation-") && !rows[c[4]] {
+			t.Errorf("substrate.tsv: %s names %s, which is no roster row", c[0], c[4])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"slowcc/internal/cc"
 	"slowcc/internal/netem"
 	"slowcc/internal/sim"
 	"slowcc/internal/topology"
@@ -189,26 +190,28 @@ func TestThroughputNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-// TestPropRTTMatchesMeasured wires a one-packet exchange and compares
-// the measured RTT against the built net's PropRTT.
+// handEnd is an endpoint whose arrivals go to fn.
+type handEnd struct {
+	cc.Port
+	fn func(*netem.Packet)
+}
+
+func (h *handEnd) Handle(p *netem.Packet) { h.fn(p) }
+
+// TestPropRTTMatchesMeasured wires a one-packet exchange over the
+// default span and compares the measured RTT against the built net's
+// PropRTT.
 func TestPropRTTMatchesMeasured(t *testing.T) {
 	t.Parallel()
 	eng := sim.New(1)
 	cfg := topology.Config{Rate: 100e6, Seed: 85}
 	d := topology.New(eng, cfg)
-	var measured sim.Time
-	var sentAt sim.Time
-	snd := netem.HandlerFunc(func(p *netem.Packet) {
-		measured = eng.Now() - sentAt
-	})
-	var rcvIn netem.Handler
-	rcv := netem.HandlerFunc(func(p *netem.Packet) {
-		rcvIn.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40})
-	})
-	sndIn := d.PathFwd(1, 0, 1, rcv, d.Cfg.AccessDelay)
-	rcvIn = d.PathRev(1, 1, 0, snd, d.Cfg.AccessDelay)
-	sentAt = 0
-	sndIn.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
+	var measured sim.Time // the exchange starts at 0
+	snd := &handEnd{fn: func(*netem.Packet) { measured = eng.Now() }}
+	rcv := &handEnd{}
+	rcv.fn = func(*netem.Packet) { rcv.Out.Handle(&netem.Packet{Flow: 1, Kind: netem.Ack, Size: 40}) }
+	d.Connect(1, snd, rcv, topology.Span{})
+	snd.Out.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
 	eng.Run()
 	want := d.PropRTT()
 	if math.Abs(float64(measured-want)) > 0.002 {

@@ -2,6 +2,7 @@ package invariant_test
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestMisaccountingLinkTripsConservation(t *testing.T) {
 func TestREDSplitCorruptionTrips(t *testing.T) {
 	eng := sim.New(1)
 	a := invariant.New(eng)
-	r := netem.NewRED(2, 6, 10, 0.0008, eng.Rand())
+	r := netem.NewRED(2, 6, 10, 0.0008, rand.New(rand.NewSource(1)))
 	l := netem.NewLink(eng, 1e6, 0.01, r, drain{})
 	a.WatchLink("red", l)
 	pump(eng, l, 5)

@@ -2,7 +2,7 @@
 //
 // The engine maintains a priority queue of timed events and a simulated
 // clock. Events scheduled for the same instant fire in the order they were
-// scheduled, which makes runs bit-for-bit reproducible for a given seed.
+// scheduled, which makes runs bit-for-bit reproducible.
 // Simulated time is a float64 number of seconds, the same convention ns-2
 // uses; all of the paper's scenarios run for at most a few thousand
 // simulated seconds, far below the range where float64 granularity could
@@ -20,7 +20,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -145,7 +144,6 @@ type Engine struct {
 	cq     *calQueue
 	events []*Timer // 4-ary min-heap ordered by (at, seq); heap mode only
 	free   []*Timer // recycled timers with no external references
-	rng    *rand.Rand
 	nsteps uint64
 	audit  AuditHook
 	// dig, when non-nil, folds every executed event into a rolling
@@ -168,14 +166,13 @@ type Engine struct {
 	scheduled uint64 // timers accepted by At/After/AtFunc/ResetAt
 	rearms    uint64 // in-place ResetAt/ResetAfter reschedules
 	stops     uint64 // Timer.Stop calls that cancelled a live timer
-
-	seed int64 // what the first Rand call seeds rng with
 }
 
-// New returns an engine whose clock starts at zero and whose random
-// number generator is seeded with seed. Two engines constructed with the
-// same seed and fed the same schedule produce identical runs — including
-// across queue kinds (see NewWithQueue).
+// New returns an engine whose clock starts at zero. Two engines fed the
+// same schedule produce identical runs, across queue kinds too (see
+// NewWithQueue). The engine draws no random numbers: the queues, senders
+// and faults seed their own streams, and seed shapes nothing (it stays
+// for the callers that pass one until ROADMAP 1(b)).
 func New(seed int64) *Engine {
 	return NewWithQueue(seed, CalendarQueue)
 }
@@ -184,7 +181,7 @@ func New(seed int64) *Engine {
 // event order is identical for both kinds; HeapQueue exists as the
 // reference the differential tests and the benchmark construct.
 func NewWithQueue(seed int64, kind QueueKind) *Engine {
-	e := &Engine{seed: seed, probeAt: math.Inf(1)}
+	e := &Engine{probeAt: math.Inf(1)}
 	var old *calQueue
 	if Stocked() {
 		if sp, _ := released.Get().(*spares); sp != nil {
@@ -286,16 +283,6 @@ func (e *Engine) HintTick(dt Time) {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's deterministic random number generator. Its
-// 607-word state is seeded on the first call: the senders and queues
-// draw from generators of their own, so most engines never pay for it.
-func (e *Engine) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
-	}
-	return e.rng
-}
 
 // Steps returns the number of events executed so far. It is useful for
 // benchmarking and for loop guards in tests.

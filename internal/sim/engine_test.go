@@ -183,13 +183,13 @@ func TestStepsCounter(t *testing.T) {
 
 func TestDeterminismAcrossEngines(t *testing.T) {
 	run := func(seed int64) []Time {
-		e := New(seed)
+		e, rng := New(seed), rand.New(rand.NewSource(seed))
 		var trace []Time
 		var emit func()
 		emit = func() {
 			trace = append(trace, e.Now())
 			if len(trace) < 200 {
-				e.After(e.Rand().Float64(), emit)
+				e.After(rng.Float64(), emit)
 			}
 		}
 		e.After(0, emit)
@@ -203,23 +203,6 @@ func TestDeterminismAcrossEngines(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace diverges at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// Rand seeds its generator on the first call; what it then yields is
-// rand.NewSource(seed)'s stream, and one generator per engine.
-func TestRandIsTheSeededStreamBuiltOnFirstCall(t *testing.T) {
-	for _, seed := range []int64{1, 2, -7995527694508729151} {
-		e := New(seed)
-		if e.rng != nil {
-			t.Fatalf("seed %d: New seeded a generator nobody asked for", seed)
-		}
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 1000; i++ {
-			if a, b := e.Rand().Int63(), want.Int63(); a != b {
-				t.Fatalf("seed %d draw %d: %d, eagerly seeded %d", seed, i, a, b)
-			}
 		}
 	}
 }

@@ -8,40 +8,23 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
+	"slowcc/internal/cc"
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
 	"slowcc/internal/netem"
 	"slowcc/internal/sim"
 )
 
-// Config describes a dumbbell. Zero fields take the paper's defaults.
+// Config describes a dumbbell. Its substrate — delays, buffer, RED
+// thresholds, access links — is the paper's, fixed by the constants
+// below; a zero Rate takes the default 10 Mbps.
 type Config struct {
 	// Rate is the bottleneck bandwidth in bits per second
 	// (default 10 Mbps).
 	Rate float64
-	// Delay is the bottleneck one-way propagation delay
-	// (default 21 ms).
-	Delay sim.Time
-	// AccessRate is the per-flow access link bandwidth (default 1 Gbps,
-	// i.e. effectively unconstrained).
-	AccessRate float64
-	// AccessDelay is the one-way delay of each access link
-	// (default 2 ms). The end-to-end propagation RTT is
-	// 2*(2*AccessDelay + Delay): 50 ms with the defaults.
-	AccessDelay sim.Time
-	// PktSize is the reference packet size in bytes for converting the
-	// bandwidth-delay product to packets (default cc.DefaultPktSize).
-	PktSize int
-	// QueueFactor sizes the bottleneck buffer as a multiple of the BDP
-	// (default 2.5, per the paper).
-	QueueFactor float64
-	// REDMinFactor and REDMaxFactor set the RED thresholds as multiples
-	// of the BDP (defaults 0.25 and 1.25, per the paper).
-	REDMinFactor, REDMaxFactor float64
 	// DropTail selects simple tail-drop instead of RED at the
 	// bottleneck (used by the paper's ablation).
 	DropTail bool
@@ -79,38 +62,38 @@ type Config struct {
 	DisablePool bool
 }
 
-// ExplicitZero is the sentinel for Config fields whose zero value means
-// "use the paper default" (Delay, AccessDelay, REDMinFactor): setting
-// such a field to ExplicitZero — or any negative value, or NaN —
-// requests a literal zero, so a zero-delay hop or a RED queue with
-// min-threshold 0 is expressible.
-const ExplicitZero = -1
+// The paper's substrate, which every hop and access link is built on
+// (testdata/substrate.tsv tabulates it against the paper). The
+// propagation RTT of a flow across the dumbbell is
+// 2*(2*accessDelay + hopDelay): 50 ms.
+const (
+	// hopDelay is a bottleneck hop's one-way propagation delay.
+	hopDelay sim.Time = 0.021
+	// accessRate is the per-flow access link bandwidth in bits per
+	// second: effectively unconstrained.
+	accessRate = 1e9
+	// accessDelay is the one-way delay of an access link whose Span
+	// leaves Access zero.
+	accessDelay sim.Time = 0.002
+	// pktSize is the packet size in bytes the bandwidth-delay product is
+	// counted in.
+	pktSize = cc.DefaultPktSize
+	// queueFactor sizes a hop's buffer as a multiple of its BDP (per the
+	// paper).
+	queueFactor = 2.5
+	// redMinFactor and redMaxFactor set the RED thresholds as multiples
+	// of the hop BDP (per the paper).
+	redMinFactor, redMaxFactor = 0.25, 1.25
+)
 
-// zeroable resolves one default-on-zero field: zero takes the default,
-// an explicit-zero sentinel (negative or NaN) takes literal zero, and
-// any positive value passes through.
-func zeroable(v, def float64) float64 {
-	if v == 0 {
-		return def
-	}
-	if v < 0 || math.IsNaN(v) {
-		return 0
-	}
-	return v
-}
-
-// net is the one-hop chain c is shorthand for. Fields pass through
-// unresolved — zeros and sentinels included — so Hop.fill and
-// NetConfig.fill are the only place the paper's defaults are written.
+// net is the one-hop chain c is shorthand for; NetConfig.fill writes
+// the default rate.
 func (c Config) net() NetConfig {
 	return NetConfig{
 		Hops: []Hop{{
-			Rate: c.Rate, Delay: c.Delay, QueueFactor: c.QueueFactor,
-			REDMinFactor: c.REDMinFactor, REDMaxFactor: c.REDMaxFactor,
-			DropTail: c.DropTail, ECN: c.ECN,
+			Rate: c.Rate, DropTail: c.DropTail, ECN: c.ECN,
 			ForwardLoss: c.ForwardLoss, Fault: c.Fault,
 		}},
-		AccessRate: c.AccessRate, AccessDelay: c.AccessDelay, PktSize: c.PktSize,
 		Seed: c.Seed, Audit: c.Audit, DisablePool: c.DisablePool,
 	}
 }
@@ -249,16 +232,17 @@ func (d demux) Handle(p *netem.Packet) {
 // with thresholds and capacity as multiples of the hop's
 // bandwidth-delay product bdp in packets (the paper's sizing), drawing
 // from src, or simple tail-drop.
-func buildQueue(h Hop, bdp float64, pktSize int, src *lazySource) netem.Queue {
-	capPkts := int(float64(h.QueueFactor*bdp) + 0.5)
+func buildQueue(h Hop, bdp float64, src *lazySource) netem.Queue {
+	capPkts := int(float64(queueFactor*bdp) + 0.5)
 	if capPkts < 4 {
 		capPkts = 4
 	}
 	if h.DropTail {
 		return netem.NewDropTail(capPkts)
 	}
-	txTime := float64(pktSize) * 8 / h.Rate
-	q := netem.NewRED(h.REDMinFactor*bdp, h.REDMaxFactor*bdp,
+	size := float64(pktSize) // a variable: the product rounds at run time
+	txTime := size * 8 / h.Rate
+	q := netem.NewRED(redMinFactor*bdp, redMaxFactor*bdp,
 		capPkts, txTime, rand.New(src))
 	q.MarkECN = h.ECN
 	return q

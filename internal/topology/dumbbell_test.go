@@ -19,15 +19,9 @@ func bdpPkts(c Config) float64 {
 	return nc.hopBDPPkts(0)
 }
 
-// propRTT is the propagation RTT a net built from c reports.
-func propRTT(c NetConfig) sim.Time {
-	c.fill()
-	return c.propRTT()
-}
-
 func TestDefaultsMatchPaper(t *testing.T) {
 	cfg := Config{}
-	if got := propRTT(cfg.net()); math.Abs(got-0.05) > 1e-9 {
+	if got := New(sim.New(1), cfg).PropRTT(); math.Abs(got-0.05) > 1e-9 {
 		t.Fatalf("default propagation RTT = %v, want 50ms", got)
 	}
 	// 10 Mbps * 50ms / 8 / 1000B = 62.5 packets.
@@ -56,11 +50,11 @@ func (a *arrival) Attach(out netem.Handler, pool *netem.PacketPool) { a.out, a.p
 // lr and rl wire one direction of flow over the whole chain with the
 // default access delay and return its ingress.
 func lr(n *Net, flow int, dst netem.Handler) netem.Handler {
-	return n.PathFwd(flow, 0, n.NumHops(), dst, n.Cfg.AccessDelay)
+	return n.PathFwd(flow, 0, n.NumHops(), dst, accessDelay)
 }
 
 func rl(n *Net, flow int, dst netem.Handler) netem.Handler {
-	return n.PathRev(flow, n.NumHops(), 0, dst, n.Cfg.AccessDelay)
+	return n.PathRev(flow, n.NumHops(), 0, dst, accessDelay)
 }
 
 func TestPathDeliveryAndDelay(t *testing.T) {
@@ -148,50 +142,6 @@ func TestStrictRoutingPanics(t *testing.T) {
 		}
 	}()
 	eng.Run()
-}
-
-// TestExplicitZeroSentinels covers the configs the default-on-zero
-// fill() used to make inexpressible: zero bottleneck delay, zero access
-// delay, and a RED min-threshold of 0.
-func TestExplicitZeroSentinels(t *testing.T) {
-	if got := propRTT(Config{Delay: ExplicitZero}.net()); math.Abs(got-0.008) > 1e-9 {
-		t.Fatalf("PropRTT with a zero-delay bottleneck = %v, want 8ms (access only)", got)
-	}
-	if got := propRTT(Config{AccessDelay: ExplicitZero}.net()); math.Abs(got-0.042) > 1e-9 {
-		t.Fatalf("PropRTT with zero access delay = %v, want 42ms (bottleneck only)", got)
-	}
-	eng := sim.New(1)
-	d := New(eng, Config{REDMinFactor: ExplicitZero, Seed: 1})
-	q := d.Fwd[0].Q.(*netem.RED)
-	if q.MinThresh != 0 {
-		t.Fatalf("REDMinFactor sentinel produced MinThresh %v, want 0", q.MinThresh)
-	}
-	if q.MaxThresh == 0 {
-		t.Fatal("sentinel leaked into MaxThresh")
-	}
-	// NaN works as a sentinel too.
-	d2 := New(eng, Config{Delay: math.NaN(), Seed: 2})
-	if d2.Cfg.Hops[0].Delay != 0 {
-		t.Fatalf("NaN delay sentinel resolved to %v, want 0", d2.Cfg.Hops[0].Delay)
-	}
-	// And a packet actually crosses a zero-delay bottleneck quickly.
-	dst := &arrival{eng: eng}
-	in := lr(d2, 1, dst)
-	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
-	eng.Run()
-	if len(dst.pkts) != 1 || dst.at[0] > 0.006 {
-		t.Fatalf("zero-delay bottleneck delivered %d packets at %v, want 1 at ~4ms", len(dst.pkts), dst.at)
-	}
-}
-
-// TestDefaultConfigUnchangedBySentinels pins that ordinary configs are
-// byte-identical to the pre-sentinel behavior: zero still means the
-// paper default.
-func TestDefaultConfigUnchangedBySentinels(t *testing.T) {
-	c := New(sim.New(1), Config{}).Cfg
-	if h := c.Hops[0]; h.Delay != 0.021 || c.AccessDelay != 0.002 || h.REDMinFactor != 0.25 {
-		t.Fatalf("zero-value defaults changed: Delay=%v AccessDelay=%v REDMinFactor=%v", h.Delay, c.AccessDelay, h.REDMinFactor)
-	}
 }
 
 func TestDuplicateRegistrationPanics(t *testing.T) {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -46,8 +47,8 @@ type Endpoint interface {
 type Span struct {
 	From, To int
 	// Access is the one-way delay of the flow's access links, for
-	// heterogeneous RTTs on a shared chain: zero takes the net's
-	// AccessDelay, ExplicitZero a literal zero.
+	// heterogeneous RTTs on a shared chain: zero takes the default
+	// 2 ms.
 	Access sim.Time
 }
 
@@ -55,20 +56,12 @@ type Span struct {
 const Last = -1
 
 // Hop configures one bottleneck link pair (forward and reverse) of a
-// chain. Zero fields take the paper's defaults, so a one-hop Net with a
-// zero Hop is the default dumbbell's bottleneck; Delay and REDMinFactor
-// accept the ExplicitZero sentinel.
+// chain. Every hop has the paper's delay, buffer and RED thresholds (the
+// substrate constants); a zero Rate takes the default, so a one-hop Net
+// with a zero Hop is the default dumbbell's bottleneck.
 type Hop struct {
 	// Rate is the hop bandwidth in bits per second (default 10 Mbps).
 	Rate float64
-	// Delay is the hop's one-way propagation delay (default 21 ms).
-	Delay sim.Time
-	// QueueFactor sizes the hop buffer as a multiple of the hop BDP
-	// (default 2.5).
-	QueueFactor float64
-	// REDMinFactor and REDMaxFactor set the RED thresholds as multiples
-	// of the hop BDP (defaults 0.25 and 1.25).
-	REDMinFactor, REDMaxFactor float64
 	// DropTail selects tail-drop instead of RED on both directions of
 	// this hop.
 	DropTail bool
@@ -85,20 +78,6 @@ type Hop struct {
 	Fault *faults.Injector
 }
 
-func (h *Hop) fill() {
-	if h.Rate == 0 {
-		h.Rate = 10e6
-	}
-	h.Delay = zeroable(h.Delay, 0.021)
-	if h.QueueFactor == 0 {
-		h.QueueFactor = 2.5
-	}
-	h.REDMinFactor = zeroable(h.REDMinFactor, 0.25)
-	if h.REDMaxFactor == 0 {
-		h.REDMaxFactor = 1.25
-	}
-}
-
 // NetConfig describes a parking-lot (chain) topology: nodes 0..K joined
 // by K bottleneck hops, each a forward and a reverse link with its own
 // queue discipline, plus per-flow access links at every node. One hop
@@ -107,14 +86,6 @@ type NetConfig struct {
 	// Hops are the bottlenecks in chain order; empty means one default
 	// hop.
 	Hops []Hop
-	// AccessRate is the per-flow access link bandwidth (default 1 Gbps).
-	AccessRate float64
-	// AccessDelay is the default one-way access link delay (default
-	// 2 ms; ExplicitZero for a literal zero). Per-flow overrides go
-	// through Span.Access.
-	AccessDelay sim.Time
-	// PktSize is the reference packet size in bytes (default 1000).
-	PktSize int
 	// Seed seeds the per-hop RED generators: hop i draws from Seed+1+2i
 	// forward and Seed+2+2i reverse (a dedicated RNG each, so endpoint
 	// randomness does not perturb queue randomness).
@@ -129,47 +100,38 @@ type NetConfig struct {
 	DisablePool bool
 }
 
+// fill writes the default rate into a copy of the hops: the caller's
+// slice is not written.
 func (c *NetConfig) fill() {
-	// Clone before resolving: filling in place would rewrite sentinel
-	// values (ExplicitZero -> 0) through the shared backing array, and a
-	// second fill of the same slice would then read that 0 as "default".
-	hops := make([]Hop, len(c.Hops))
-	copy(hops, c.Hops)
-	c.Hops = hops
+	c.Hops = slices.Clone(c.Hops)
 	if len(c.Hops) == 0 {
 		c.Hops = []Hop{{}}
 	}
 	for i := range c.Hops {
-		c.Hops[i].fill()
-	}
-	if c.AccessRate == 0 {
-		c.AccessRate = 1e9
-	}
-	c.AccessDelay = zeroable(c.AccessDelay, 0.002)
-	if c.PktSize == 0 {
-		c.PktSize = 1000
+		if c.Hops[i].Rate == 0 {
+			c.Hops[i].Rate = 10e6
+		}
 	}
 }
 
-// propRTT and hopBDPPkts read a configuration fill has resolved. Filling
-// is not idempotent — it turns an ExplicitZero into the 0 a second fill
-// would read as "take the default" — so build resolves once and sizes
-// from these. propRTT is the propagation round-trip time of the full
-// chain for a flow using the default access delay: 2*(2*AccessDelay +
-// sum of hop delays). hopBDPPkts is hop i's bandwidth-delay product in
-// packets over the full-chain propagation RTT: the RTT a
-// chain-traversing flow sees, which is what the paper's queue sizing is
-// relative to.
+// propRTT is the propagation round-trip time of the full chain for a
+// flow using the default access delay: 2*(2*accessDelay + the hop
+// delays). It adds the delays hop by hop through variables, so it
+// rounds as a run-time sum does, not as a folded constant would.
+// hopBDPPkts is hop i's bandwidth-delay product in packets over the
+// full-chain propagation RTT: the RTT a chain-traversing flow sees,
+// which is what the paper's queue sizing is relative to.
 func (c *NetConfig) propRTT() sim.Time {
+	delay, access := hopDelay, accessDelay
 	var hops sim.Time
-	for _, h := range c.Hops {
-		hops += h.Delay
+	for range c.Hops {
+		hops += delay
 	}
-	return 2 * (2*c.AccessDelay + hops)
+	return 2 * (2*access + hops)
 }
 
 func (c *NetConfig) hopBDPPkts(i int) float64 {
-	return c.Hops[i].Rate * c.propRTT() / 8 / float64(c.PktSize)
+	return c.Hops[i].Rate * c.propRTT() / 8 / pktSize
 }
 
 // Net is an instantiated chain. Fwd[i] carries traffic from node i to
@@ -261,7 +223,8 @@ func build(eng *sim.Engine, cfg NetConfig, names *linkNames) *Net {
 			minRate = h.Rate
 		}
 	}
-	eng.HintTick(float64(cfg.PktSize) * 8 / minRate)
+	size := float64(pktSize) // a variable: the product rounds at run time
+	eng.HintTick(size * 8 / minRate)
 	strict := cfg.Audit != nil
 	for i, h := range cfg.Hops {
 		bdp := cfg.hopBDPPkts(i)
@@ -269,8 +232,8 @@ func build(eng *sim.Engine, cfg NetConfig, names *linkNames) *Net {
 		n.revRt[i] = demux{new(routes), n.Pool, i, &n.UnknownFlowDrops, strict}
 		fsrc, rsrc := &n.srcs[2*i], &n.srcs[2*i+1]
 		fsrc.seed, rsrc.seed = cfg.Seed+1+2*int64(i), cfg.Seed+2+2*int64(i)
-		n.Fwd[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(h, bdp, cfg.PktSize, fsrc), n.fwdRt[i])
-		n.Rev[i] = netem.NewLink(eng, h.Rate, h.Delay, buildQueue(h, bdp, cfg.PktSize, rsrc), n.revRt[i])
+		n.Fwd[i] = netem.NewLink(eng, h.Rate, hopDelay, buildQueue(h, bdp, fsrc), n.fwdRt[i])
+		n.Rev[i] = netem.NewLink(eng, h.Rate, hopDelay, buildQueue(h, bdp, rsrc), n.revRt[i])
 		n.Fwd[i].Pool = n.Pool
 		n.Rev[i].Pool = n.Pool
 		if cfg.Audit != nil {
@@ -310,9 +273,9 @@ func (n *Net) PropRTT() sim.Time { return n.Cfg.propRTT() }
 // access builds one path's two access links — out delivering to dst, in
 // feeding entry — and registers them under the direction tag.
 func (n *Net) access(flow int, tag string, entry, dst netem.Handler, delay sim.Time) (in, out *netem.Link) {
-	out = netem.NewLink(n.Eng, n.Cfg.AccessRate, delay, netem.NewDropTail(1<<20), dst)
+	out = netem.NewLink(n.Eng, accessRate, delay, netem.NewDropTail(1<<20), dst)
 	out.Pool = n.Pool
-	in = netem.NewLink(n.Eng, n.Cfg.AccessRate, delay, netem.NewDropTail(1<<20), entry)
+	in = netem.NewLink(n.Eng, accessRate, delay, netem.NewDropTail(1<<20), entry)
 	in.Pool = n.Pool
 	if n.Cfg.Audit == nil && n.journeys == nil {
 		return in, out
@@ -444,7 +407,11 @@ func (n *Net) resolve(s Span) (from, to int, delay sim.Time) {
 		}
 		return i
 	}
-	return node(s.From), node(s.To), zeroable(s.Access, n.Cfg.AccessDelay)
+	delay = s.Access
+	if delay == 0 {
+		delay = accessDelay
+	}
+	return node(s.From), node(s.To), delay
 }
 
 // path wires one direction of a flow, picking the links by which way

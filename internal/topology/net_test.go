@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -204,42 +203,6 @@ func TestConnectRejectsSpansOutsideTheChain(t *testing.T) {
 			}()
 			n.Connect(1, &arrival{eng: eng}, &arrival{eng: eng}, sp)
 		}()
-	}
-}
-
-func TestNetZeroDelayHopExpressible(t *testing.T) {
-	cfg := NetConfig{Hops: []Hop{{Delay: ExplicitZero}, {}}, AccessDelay: ExplicitZero}
-	// Chain propagation RTT: 2*(2*0 + 0 + 21ms) = 42ms.
-	if got := propRTT(cfg); got < 0.0419 || got > 0.0421 {
-		t.Fatalf("PropRTT with explicit-zero delays = %v, want 42ms", got)
-	}
-	eng := sim.New(1)
-	n := NewNet(eng, cfg)
-	dst := &arrival{eng: eng}
-	in := lr(n, 1, dst)
-	in.Handle(&netem.Packet{Flow: 1, Kind: netem.Data, Size: 1000})
-	eng.Run()
-	if len(dst.pkts) != 1 {
-		t.Fatal("zero-delay chain delivered nothing")
-	}
-	if dst.at[0] > 0.023 {
-		t.Fatalf("delivery at %v through a 21ms chain with zero access delay; sentinel not honored", dst.at[0])
-	}
-}
-
-// A built net resolves its configuration once: a hop delay given as
-// ExplicitZero stays zero in the RTT the net reports and in the RTT its
-// queues are sized from (a second fill would read the resolved 0 as
-// "take the 21 ms default").
-func TestNetExplicitZeroHopDelaySizesFromResolvedRTT(t *testing.T) {
-	n := NewNet(sim.New(1), NetConfig{Hops: []Hop{{Delay: ExplicitZero, DropTail: true}}})
-	// 2*(2*2ms + 0) = 8 ms.
-	if got := n.PropRTT(); math.Abs(got-0.008) > 1e-12 {
-		t.Fatalf("PropRTT() = %v, want 0.008 (2*2*AccessDelay)", got)
-	}
-	// BDP = 10 Mbps * 8 ms / 8000 bits = 10 packets; buffer 2.5 BDP.
-	if got := n.Fwd[0].Q.(*netem.DropTail).Cap; got != 25 {
-		t.Fatalf("queue holds %d packets, want 25 (2.5 x the BDP of the 8 ms RTT)", got)
 	}
 }
 

@@ -170,10 +170,9 @@ func raceDetector() bool {
 // what is drawn from it.
 func TestREDDropSequenceUnchangedByLazySeeding(t *testing.T) {
 	hop := Hop{Rate: 10e6}
-	hop.fill()
-	const bdp, pktSize = 62.5, 1000
+	const bdp = 62.5
 	for _, seed := range []int64{1, 2, 3} {
-		lazy := buildQueue(hop, bdp, pktSize, &lazySource{seed: seed}).(*netem.RED)
+		lazy := buildQueue(hop, bdp, &lazySource{seed: seed}).(*netem.RED)
 		eager := netem.NewRED(lazy.MinThresh, lazy.MaxThresh, lazy.Cap, lazy.MeanPktTime,
 			rand.New(rand.NewSource(seed)))
 		// Overload in bursts with partial drains, so the average crosses

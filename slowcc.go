@@ -54,12 +54,14 @@ type Engine = sim.Engine
 // Time is a simulated timestamp or duration in seconds.
 type Time = sim.Time
 
-// NewEngine returns a deterministic engine seeded with seed.
+// NewEngine returns a deterministic engine. It draws no random numbers,
+// so seed changes nothing; the scenario's seed goes in DumbbellConfig.
 func NewEngine(seed int64) *Engine { return sim.New(seed) }
 
-// DumbbellConfig configures the single-bottleneck topology; the zero
-// value reproduces the paper's defaults (10 Mbps, 50 ms RTT, RED with
-// thresholds at 0.25/1.25 BDP, buffer 2.5 BDP).
+// DumbbellConfig configures the single-bottleneck topology. The
+// substrate is always the paper's — 50 ms propagation RTT, RED with
+// thresholds at 0.25/1.25 BDP, buffer 2.5 BDP — and the zero value adds
+// its 10 Mbps bottleneck.
 type DumbbellConfig = topology.Config
 
 // Dumbbell is the instantiated topology: the one-hop Net, with the

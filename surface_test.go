@@ -171,13 +171,11 @@ func TestRootSurfaceHasUsers(t *testing.T) {
 var testOnly = map[string]string{
 	"exp.SACKTCPAlgo":             "the documented Sack1 fidelity ablation (BenchmarkSACKAblation, EXPERIMENTS.md methodology note)",
 	"trace.ReadTSV":               "WriteTSV's round-trip oracle, fuzzed by FuzzReadTSV",
-	"topology.ExplicitZero":       "the documented sentinel for \"this field is zero, do not default it\"",
-	"tcpmodel.FkTCP":              "the paper's closed form for f(k), the reference the Fig 13 tests compare against",
-	"tcpmodel.AggressivenessTCP":  "the paper's closed form for TCP(b) aggressiveness, the Fig 20 reference",
+	"tcpmodel.FkTCP":              "the paper's closed form for f(k); only tcpmodel's own tests call it, no Fig 13 code does until ROADMAP item 21 compares it with the simulated f(k)",
+	"tcpmodel.AggressivenessTCP":  "the paper's closed form for TCP(b) aggressiveness; only tcpmodel's own tests call it, no Fig 20 code does until ROADMAP item 21 compares it with a simulated ramp",
 	"faults.Injector.Attached":    "how the faults tests and the pinned-stream row prove a disabled injector wires nothing",
 	"cc.AckReceiver.NextExpected": "the in-order point the cc and tcp receiver tests check delivery and loss recovery by",
 	"journey.Recorder.Spans":      "the retained spans the journey tests check attribution against",
-	"sim.Engine.Rand":             "the only way to observe the engine's seed (the roster and sim tests draw from it); bench/ fixes sim.New(seed)'s signature until ROADMAP 1(b)",
 	"sim.Engine.Pending":          "how faults_test proves a disabled injector schedules no timer",
 	"store.Encode":                "Decode's inverse: store_test's codec, golden-frame and benchmark tests build raw value encodings with it (NewEntry is the production path)",
 	"trace.Recorder.Total":        "how the pinned-stream row and netem's watched-link allocation test count what a ring Recorder saw beyond its Limit",
@@ -414,20 +412,12 @@ var fieldTestOnly = map[string]string{
 	"exp.SmoothnessConfig.Warmup":         shrinkReason,
 	"exp.StabilizationConfig.Flows":       shrinkReason,
 	"exp.StaticCompatConfig.Algos":        shrinkReason,
-	"topology.Config.Delay":               substrateReason,
-	"topology.Config.AccessRate":          substrateReason,
-	"topology.Config.AccessDelay":         substrateReason,
-	"topology.Config.PktSize":             substrateReason,
-	"topology.Config.QueueFactor":         substrateReason,
-	"topology.Config.REDMinFactor":        substrateReason,
-	"topology.Config.REDMaxFactor":        substrateReason,
 }
 
 const (
-	oracleReason    = "always zero, but bench/'s figures oracle hashes a FairnessPoint's %+v text, field names included, and only a change to the benchmark may re-record it"
-	poolReason      = "the pooled-vs-unpooled determinism tests run with pooling off as their heap-allocation reference"
-	shrinkReason    = "tests set it to a non-default value to shrink the run or sharpen what it checks"
-	substrateReason = "a dumbbell substrate knob: ROADMAP item 18 tabulates the substrate against the paper's before its knobs become constants"
+	oracleReason = "always zero, but bench/'s figures oracle hashes a FairnessPoint's %+v text, field names included, and only a change to the benchmark may re-record it"
+	poolReason   = "the pooled-vs-unpooled determinism tests run with pooling off as their heap-allocation reference"
+	shrinkReason = "tests set it to a non-default value to shrink the run or sharpen what it checks"
 )
 
 // TestInternalFieldsHaveWriters is TestInternalSurfaceHasUsers one level
@@ -438,10 +428,12 @@ const (
 // and map[K]T{…} included), a field selected anywhere in the chain of an
 // assignment, op=, ++ or -- target, or in the operand of &. Each write
 // resolves to the field it selects (go/types over the whole module), so
-// a same-named field of another struct keeps nothing. A write inside a
-// method named fill is a default, not a setting, and does not count. A
-// setting nothing sets has one value: make it a constant, or add a
-// fieldTestOnly line saying why not.
+// a same-named field of another struct keeps nothing. A write whose value
+// is nothing but another tracked field (Hop{Rate: c.Rate}) is a copy:
+// it counts only once that source field is written or listed in
+// fieldTestOnly itself. A write inside a method named fill is a default,
+// not a setting, and does not count. A setting nothing sets has one
+// value: make it a constant, or add a fieldTestOnly line saying why not.
 func TestInternalFieldsHaveWriters(t *testing.T) {
 	m := moduleSource(t)
 
@@ -466,27 +458,45 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 		}
 	}
 
+	// written marks the fields a non-test file sets. copied maps a field
+	// to the fields a write into it only forwards (Hop{Rate: c.Rate},
+	// x.Rate = c.Rate): such a write counts once one of its sources is
+	// written or exempt itself, so a copy cannot keep a setting nothing
+	// sets alive.
 	written := map[*types.Var]bool{}
+	copied := map[*types.Var][]*types.Var{}
 	for _, p := range m.pkgs {
-		field := func(obj types.Object) {
-			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				written[v.Origin()] = true
+		// field records a write of obj, val being the value written when
+		// the write has one.
+		field := func(obj types.Object, val ast.Expr) {
+			v, ok := obj.(*types.Var)
+			if !ok || !v.IsField() {
+				return
 			}
+			if sel, ok := ast.Unparen(val).(*ast.SelectorExpr); ok {
+				if s, ok := p.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+					if src := s.Obj().(*types.Var).Origin(); fields[src] != "" {
+						copied[v.Origin()] = append(copied[v.Origin()], src)
+						return
+					}
+				}
+			}
+			written[v.Origin()] = true
 		}
-		var chain func(e ast.Expr)
-		chain = func(e ast.Expr) {
+		var chain func(e, val ast.Expr)
+		chain = func(e, val ast.Expr) {
 			switch e := e.(type) {
 			case *ast.SelectorExpr:
 				if s, ok := p.info.Selections[e]; ok && s.Kind() == types.FieldVal {
-					field(s.Obj())
+					field(s.Obj(), val)
 				}
-				chain(e.X)
+				chain(e.X, nil)
 			case *ast.IndexExpr:
-				chain(e.X)
+				chain(e.X, nil)
 			case *ast.StarExpr:
-				chain(e.X)
+				chain(e.X, nil)
 			case *ast.ParenExpr:
-				chain(e.X)
+				chain(e.X, val)
 			}
 		}
 		for _, f := range p.files {
@@ -496,14 +506,18 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 					// A fill method writing its own default is not a setting.
 					return n.Recv == nil || n.Name.Name != "fill"
 				case *ast.AssignStmt:
-					for _, e := range n.Lhs {
-						chain(e)
+					for i, e := range n.Lhs {
+						if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							chain(e, n.Rhs[i])
+						} else {
+							chain(e, nil)
+						}
 					}
 				case *ast.IncDecStmt:
-					chain(n.X)
+					chain(n.X, nil)
 				case *ast.UnaryExpr:
 					if n.Op == token.AND {
-						chain(n.X)
+						chain(n.X, nil)
 					}
 				case *ast.CompositeLit:
 					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
@@ -512,14 +526,24 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 					}
 					for i, e := range n.Elts {
 						if kv, ok := e.(*ast.KeyValueExpr); ok {
-							field(p.info.Uses[kv.Key.(*ast.Ident)])
+							field(p.info.Uses[kv.Key.(*ast.Ident)], kv.Value)
 						} else {
-							field(st.Field(i))
+							field(st.Field(i), e)
 						}
 					}
 				}
 				return true
 			})
+		}
+	}
+	for grew := true; grew; {
+		grew = false
+		for dst, srcs := range copied {
+			for _, src := range srcs {
+				if _, exempt := fieldTestOnly[fields[src]]; !written[dst] && (written[src] || exempt) {
+					written[dst], grew = true, true
+				}
+			}
 		}
 	}
 
