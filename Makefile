@@ -66,9 +66,11 @@ bench:
 # fuzz-smoke gives each parser fuzz target (fault specs, algorithm
 # specs and lists), the result store's frame reader (both files, and
 # its refusal of v1 and v2 stores), the store's value decoder (a matrix
-# cell, a Figure 13 point, a cell's telemetry), the trace and matrix TSV readers, the strict
-# exposition parser behind slowccreport -prom-verify, and the manifest,
-# timeline and probe-TSV readers behind slowccreport a few seconds of
+# cell, a Figure 13 point, a cell's telemetry), the matrix TSV reader,
+# the trace TSV reader the tests hold WriteTSV to, the strict exposition
+# parser the tests and the benchmark hold /metrics to, the manifest and
+# probe-TSV readers behind slowccreport, and the timeline validator the
+# smoke tests hold each written timeline to a few seconds of
 # coverage-guided input on every ci run — long enough to re-find
 # shallow regressions (the
 # heatmap's index-by-NaN panic was one), short enough not to dominate

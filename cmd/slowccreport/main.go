@@ -10,12 +10,9 @@
 // longer matches its recorded digest is rejected, so a report is always
 // over authentic run records.
 //
-// Beyond manifests, it renders two other deterministic artifacts:
-// -heatmap turns a matrix TSV (slowccsim -exp matrix -tsv) into ASCII
-// heatmap grids of -heatmap-metric (ratio, jain, or utilization), or a
-// standalone SVG with -heatmap-svg; -timeline validates a trace-event
-// JSON timeline (slowcctrace -timeline, slowccsim -timeline) and
-// reports its event count, the CI smoke's JSON gate.
+// Beyond manifests, -heatmap turns a matrix TSV (slowccsim -exp matrix
+// -tsv) into ASCII heatmap grids of -heatmap-metric (ratio, jain, or
+// utilization), or a standalone SVG with -heatmap-svg.
 //
 // Usage:
 //
@@ -23,9 +20,6 @@
 //	slowccreport -probes run1.probes.tsv run1.json
 //	slowccreport -heatmap matrix.tsv -heatmap-metric jain
 //	slowccreport -heatmap matrix.tsv -heatmap-svg matrix.svg
-//	slowccreport -timeline tl.json
-//	slowccreport -prom run1.json                # manifest as Prometheus text
-//	slowccreport -prom-verify metrics.prom      # strict exposition validation
 //	slowccreport -store sweep.store             # inspect a resumable result store
 //
 // -store opens a slowccsim -store directory read-only (no journal
@@ -33,13 +27,6 @@
 // index, attempts, result size, recorded telemetry, and — for degraded
 // cells — the failure that was journaled, so an interrupted or
 // partially-degraded sweep can be audited before resuming it.
-// -prom renders manifests in Prometheus text exposition format v0.0.4
-// (the same renderer behind slowccsim -serve's /metrics), so a stored
-// run record can be pushed into any Prometheus-compatible pipeline;
-// -prom-verify strictly validates an exposition file — every sample
-// must belong to a declared family, histogram buckets must be
-// cumulative with +Inf matching _count — which is the CI gate on
-// scraped /metrics output.
 package main
 
 import (
@@ -68,9 +55,6 @@ func main() {
 		heatmap    = flag.String("heatmap", "", "render a matrix TSV artifact (slowccsim -exp matrix -tsv) as ASCII heatmaps")
 		heatMetric = flag.String("heatmap-metric", "ratio", "heatmap metric: "+strings.Join(slowcc.MatrixMetrics(), ", "))
 		heatSVG    = flag.String("heatmap-svg", "", "also write the heatmap as a standalone SVG to this path")
-		timeline   = flag.String("timeline", "", "validate a trace-event JSON timeline and report its event count")
-		prom       = flag.Bool("prom", false, "render the manifests as Prometheus text exposition instead of the comparison table")
-		promVerify = flag.String("prom-verify", "", "strictly validate a Prometheus text exposition file (e.g. a scraped /metrics) and report family/sample counts")
 		storeDir   = flag.String("store", "", "inspect a slowccsim -store result-store directory (read-only): list committed cells, degraded markers, journal damage")
 	)
 	flag.Parse()
@@ -88,30 +72,6 @@ func main() {
 		ran = true
 		reportStore(*storeDir)
 	}
-	if *promVerify != "" {
-		ran = true
-		f, err := os.Open(*promVerify)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		families, samples, err := slowcc.ValidatePrometheus(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prom-verify %s: %v\n", *promVerify, err)
-			os.Exit(1)
-		}
-		fmt.Printf("prom %s: valid, %d families, %d samples\n", *promVerify, families, samples)
-	}
-	if *timeline != "" {
-		ran = true
-		n, err := slowcc.ReadTimelineFile(*timeline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("timeline %s: valid, %d events\n", *timeline, n)
-	}
 	if *heatmap != "" {
 		ran = true
 		renderHeatmap(*heatmap, *heatMetric, *heatSVG)
@@ -120,7 +80,7 @@ func main() {
 		if ran {
 			return
 		}
-		fmt.Fprintln(os.Stderr, "usage: slowccreport [-probes probes.tsv]... [-heatmap matrix.tsv] [-timeline tl.json] [-store DIR] manifest.json...")
+		fmt.Fprintln(os.Stderr, "usage: slowccreport [-probes probes.tsv]... [-heatmap matrix.tsv] [-store DIR] manifest.json...")
 		os.Exit(2)
 	}
 
@@ -132,18 +92,6 @@ func main() {
 			os.Exit(1)
 		}
 		manifests = append(manifests, m)
-	}
-	if *prom {
-		// One exposition stream per manifest; each family set carries the
-		// run digest in its run_info metric, so concatenated output stays
-		// attributable.
-		for _, m := range manifests {
-			if err := slowcc.WriteManifestPrometheus(os.Stdout, m); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
 
 	samples := make([][]slowcc.ProbeSample, len(manifests))

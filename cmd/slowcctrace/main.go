@@ -45,9 +45,11 @@
 // -digest folds every executed event (time, sequence, ordering kind)
 // into a rolling FNV-1a fingerprint and prints it. Two runs that print
 // the same digest executed the same event stream in the same order, so
-// the flag turns "are these runs identical?" into a string compare —
-// it is how CI proves the calendar and heap schedulers agree. The event
-// queue's shape (ring size, bucket width, the year they span, far-tier
+// the flag turns "are these runs identical?" into a string compare, say
+// between two builds of a refactor; the manifest records it as
+// stream_digest. (The calendar and heap schedulers are held to one
+// stream by the root package's pinned-stream table.) The event queue's
+// shape (ring size, bucket width, the year they span, far-tier
 // residents and pops) goes to stderr alongside, so a calendar whose year
 // is shorter than the topology's delays is visible without a profiler.
 package main

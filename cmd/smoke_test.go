@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"slowcc/internal/exp"
+	"slowcc/internal/obs"
 	"slowcc/internal/obs/export"
 )
 
@@ -169,12 +170,10 @@ func TestReportSmoke(t *testing.T) {
 	if report := ok(t, dir, "slowccreport", "-probes", "run.probes.tsv", "run.json"); report == "" {
 		t.Fatal("slowccreport printed nothing")
 	}
-	// Another JSON file is not a manifest: no report, and no Prometheus
-	// text for a run that never happened.
-	for _, args := range [][]string{{"tl.json"}, {"-prom", "tl.json"}} {
-		if code, stdout, stderr := run(t, dir, "slowccreport", args...); code != 1 || stdout != "" || !strings.Contains(stderr, "schema") {
-			t.Fatalf("slowccreport %v: exit %d, stdout %q, stderr %q; want 1, nothing, a schema error", args, code, stdout, stderr)
-		}
+	validTimeline(t, filepath.Join(dir, "tl.json"))
+	// Another JSON file is not a manifest: no report.
+	if code, stdout, stderr := run(t, dir, "slowccreport", "tl.json"); code != 1 || stdout != "" || !strings.Contains(stderr, "schema") {
+		t.Fatalf("slowccreport tl.json: exit %d, stdout %q, stderr %q; want 1, nothing, a schema error", code, stdout, stderr)
 	}
 	// A probe file without its header, even an empty one, is an error,
 	// not a report with the probe section left out.
@@ -284,19 +283,30 @@ func TestHaltedThenResumedSmoke(t *testing.T) {
 	}
 }
 
+// validTimeline fails unless path holds valid trace-event JSON with at
+// least one event.
+func validTimeline(t *testing.T, path string) {
+	t.Helper()
+	if n, err := obs.ReadTimelineFile(path); err != nil || n == 0 {
+		t.Fatalf("%s: %d events, %v", path, n, err)
+	}
+}
+
 // The latency-attribution pipeline: a journey-enabled slowcctrace run
 // writes a trace-event timeline and a histogram-carrying manifest, a
-// supervised matrix sweep writes its per-cell telemetry timeline, and
-// slowccreport must validate both documents and render the heatmap from
-// the sweep's TSV artifact.
+// supervised matrix sweep writes its per-cell telemetry timeline; both
+// documents must be valid, and slowccreport must render the manifest
+// and the heatmap from the sweep's TSV artifact.
 func TestTimelineSmoke(t *testing.T) {
 	dir := t.TempDir()
 	ok(t, dir, "slowcctrace", "-flow", "tcp:0.5", "-flow", "tfrc:8", "-dur", "5", "-journeys",
 		"-timeline", "journeys.json", "-manifest", "run.json")
 	ok(t, dir, "slowccsim", "-exp", "matrix", "-matrix", "tcp:0.5,cbr:3e6", "-topology", "dumbbell",
 		"-fail-degraded", "-timeline", "sweep.json", "-tsv", "matrix.tsv")
-	ok(t, dir, "slowccreport", "-timeline", "journeys.json", "run.json")
-	ok(t, dir, "slowccreport", "-timeline", "sweep.json", "-heatmap", "matrix.tsv")
+	validTimeline(t, filepath.Join(dir, "journeys.json"))
+	validTimeline(t, filepath.Join(dir, "sweep.json"))
+	ok(t, dir, "slowccreport", "run.json")
+	ok(t, dir, "slowccreport", "-heatmap", "matrix.tsv")
 
 	// A number no sweep writes is a parse error with its place in the
 	// file, not a panic in the renderer.
@@ -308,6 +318,33 @@ func TestTimelineSmoke(t *testing.T) {
 	code, _, stderr := run(t, dir, "slowccreport", "-heatmap", "nan.tsv")
 	if code != 1 || !strings.Contains(stderr, "line 2 col 5") || strings.Contains(stderr, "panic") {
 		t.Fatalf("slowccreport -heatmap on a NaN TSV: exit %d, stderr %q; want 1 and a line 2 col 5 parse error", code, stderr)
+	}
+}
+
+// -digest is slowcctrace's fingerprint of the executed event stream: two
+// identical runs print the same stream digest line, and the manifest
+// records the same digest.
+func TestTraceDigestSmoke(t *testing.T) {
+	dir := t.TempDir()
+	digest := regexp.MustCompile(`(?m)^stream digest: ([0-9a-f]{16}) over [1-9][0-9]* events$`)
+	var lines []string
+	for _, manifest := range []string{"a.json", "b.json"} {
+		out := ok(t, dir, "slowcctrace", "-flow", "tcp:0.5", "-flow", "tfrc:8", "-dur", "5", "-digest", "-manifest", manifest)
+		line := digest.FindStringSubmatch(out)
+		if line == nil {
+			t.Fatalf("slowcctrace -digest printed no stream digest line:\n%s", out)
+		}
+		lines = append(lines, line[0])
+		m, err := obs.ReadManifest(filepath.Join(dir, manifest))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Config["stream_digest"]; got != line[1] {
+			t.Fatalf("%s records stream_digest %q, stdout says %s", manifest, got, line[1])
+		}
+	}
+	if lines[0] != lines[1] {
+		t.Fatalf("two identical -digest runs differ: %q then %q", lines[0], lines[1])
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// shortTraceRun is the real run behind the golden and the manifest:
+// shortTraceRun is the real run behind the golden:
 // deterministic seed, journeys and the stream digest on.
 func shortTraceRun() *exp.TraceRun {
 	r := exp.NewTraceRun(exp.TraceRunConfig{
@@ -103,35 +103,6 @@ func TestWritePrometheusGoldenFromRealRun(t *testing.T) {
 	}
 }
 
-// WriteManifest must render a sealed manifest as a valid document with
-// summaries and the run info metric.
-func TestWriteManifestExposition(t *testing.T) {
-	r := shortTraceRun()
-	m := r.Manifest("slowcctrace")
-	m.Seal()
-	var buf bytes.Buffer
-	if err := export.WriteManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := export.ParseText(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("manifest exposition invalid: %v\n%s", err, buf.String())
-	}
-	info := fams["slowcc_run_info"]
-	if info == nil || len(info.Samples) != 1 || info.Samples[0].Labels["digest"] != m.Digest {
-		t.Fatalf("run_info missing or digest label wrong: %+v", info)
-	}
-	found := false
-	for name, fam := range fams {
-		if fam.Type == "summary" && strings.HasPrefix(name, "slowcc_journey_") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no journey summaries in manifest exposition")
-	}
-}
-
 func TestStrictParserRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"orphan sample":    "foo 1\n",
@@ -155,6 +126,26 @@ func TestStrictParserRejectsMalformed(t *testing.T) {
 		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 4.5\nh_count 3\n"
 	if _, err := export.ParseText(strings.NewReader(ok)); err != nil {
 		t.Fatalf("valid document rejected: %v", err)
+	}
+}
+
+// An info metric's label value comes back from the strict parser as it
+// went in, whatever escapes it needs: a quote, a backslash, a newline.
+func TestInfoLabelRoundTrips(t *testing.T) {
+	const digest = "a\"b\\c\nd"
+	hub := export.NewProgress(nil)
+	hub.SetRun(digest)
+	var buf bytes.Buffer
+	if err := hub.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := export.ParseText(&buf)
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	info := fams["slowcc_run_info"]
+	if info == nil || len(info.Samples) != 1 || info.Samples[0].Labels["digest"] != digest {
+		t.Fatalf("run_info %+v, want one sample labelled digest=%q", info, digest)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzParseText feeds arbitrary bytes to the strict exposition parser
-// that slowccreport -prom-verify runs on files. Whatever the document
+// the tests and the benchmark hold /metrics to. Whatever the document
 // holds, ParseText must not panic and must not allocate beyond its line
 // buffer plus a multiple of the input; and a document it accepts,
 // Validate accepts too, with the same family count.

@@ -99,7 +99,7 @@ func ParseText(r io.Reader) (map[string]*MetricFamily, error) {
 }
 
 // Validate parses the document and returns its family and sample
-// counts — the slowccreport -prom-verify entry point.
+// counts: the gate the tests and the benchmark hold a /metrics scrape to.
 func Validate(r io.Reader) (families, samples int, err error) {
 	fams, err := ParseText(r)
 	if err != nil {

@@ -134,7 +134,7 @@ func (e *expoWriter) info(name string, labels [][2]string) {
 	}
 	parts := make([]string, 0, len(labels))
 	for _, kv := range labels {
-		parts = append(parts, fmt.Sprintf("%s=%q", kv[0], escapeLabel(kv[1])))
+		parts = append(parts, kv[0]+`="`+escapeLabel(kv[1])+`"`)
 	}
 	e.printf("# TYPE %s gauge\n%s{%s} 1\n", name, name, strings.Join(parts, ","))
 }
@@ -156,20 +156,6 @@ func (e *expoWriter) histogram(name string, h *obs.Histogram) {
 	e.printf("%s_count %d\n", name, h.Count())
 }
 
-// summary emits one summary family from a HistSummary — the manifest
-// form, which carries quantiles but no buckets.
-func (e *expoWriter) summary(name string, s obs.HistSummary) {
-	if !e.claim(name) {
-		return
-	}
-	e.printf("# TYPE %s summary\n", name)
-	for _, q := range [][2]any{{"0.5", s.P50}, {"0.9", s.P90}, {"0.99", s.P99}} {
-		e.printf("%s{quantile=%q} %s\n", name, q[0], promFloat(q[1].(float64)))
-	}
-	e.printf("%s_sum %s\n", name, promFloat(s.Mean*float64(s.Count)))
-	e.printf("%s_count %d\n", name, s.Count)
-}
-
 // sortedKeys returns the map's keys in sorted order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
@@ -185,27 +171,4 @@ func (e *expoWriter) counterFamilies(counters map[string]int64) {
 	for _, name := range sortedKeys(counters) {
 		e.counter(PromName(name), counters[name])
 	}
-}
-
-// WriteManifest renders a stored run manifest as an exposition
-// document: the manifest's counters, its run metadata as an info
-// metric plus an events counter, and its histogram summaries as
-// Prometheus summaries (a sealed manifest carries quantiles, not
-// buckets — see DESIGN.md §14). This is the `slowccreport -prom` path:
-// the same artifact the report CLI verifies, reshaped for a Prometheus
-// ecosystem (promtool, recording rules) without rerunning anything.
-func WriteManifest(w io.Writer, m *obs.Manifest) error {
-	e := newExpoWriter(w)
-	e.info(PromName("run_info"), [][2]string{
-		{"tool", m.Tool},
-		{"seed", strconv.FormatInt(m.Seed, 10)},
-		{"digest", m.Digest},
-	})
-	e.counter(PromName("run_events_total"), int64(m.Events))
-	e.gauge(PromName("run_duration_seconds"), m.DurationS)
-	e.counterFamilies(m.Counters)
-	for _, name := range sortedKeys(m.Histograms) {
-		e.summary(PromName(name), m.Histograms[name])
-	}
-	return e.flush()
 }

@@ -51,8 +51,8 @@ func FuzzReadManifest(f *testing.F) {
 	})
 }
 
-// FuzzValidateTimeline feeds arbitrary bytes to the timeline reader
-// behind slowccreport -timeline. It must not panic, must allocate no more
+// FuzzValidateTimeline feeds arbitrary bytes to the timeline reader the
+// smoke tests hold each written timeline to. It must not panic, must allocate no more
 // than a fixed allowance plus a multiple of the input, and a document it
 // accepts must survive being written again: its events, decoded and
 // written through a Timeline, validate to the same count.

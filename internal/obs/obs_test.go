@@ -225,8 +225,8 @@ func TestReadManifestRejectsTampering(t *testing.T) {
 }
 
 // Only a sealed document of this schema is a manifest. Each of these
-// used to read as an empty one, and slowccreport -prom would have
-// rendered a run that never happened.
+// used to read as an empty one, and slowccreport would have rendered a
+// run that never happened.
 func TestReadManifestRejectsNonManifests(t *testing.T) {
 	sealed := NewManifest("slowcctrace", 1)
 	fillManifest(sealed)

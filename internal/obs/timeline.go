@@ -179,7 +179,8 @@ func ValidateTimeline(blob []byte) (int, error) {
 }
 
 // ReadTimelineFile validates a timeline JSON file on disk and returns
-// its event count.
+// its event count. No binary reads a timeline back: the smoke tests hold
+// what the binaries write to it.
 func ReadTimelineFile(path string) (int, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {

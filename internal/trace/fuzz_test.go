@@ -14,7 +14,7 @@ import (
 // events, and writes the same bytes again.
 func FuzzReadTSV(f *testing.F) {
 	f.Add([]byte("t\top\tflow\tkind\tseq\tsize\thop\n0.250000\tsend\t1\t0\t0\t1000\t\n0.500000\tdrop\t2\t1\t9\t40\tlr\n"))
-	f.Add([]byte("t\top\tflow\tkind\tseq\tsize\n1.500000\tsend\t3\t0\t42\t1000\n")) // before the hop column existed
+	f.Add([]byte("t\top\tflow\tkind\tseq\tsize\n1.500000\tsend\t3\t0\t42\t1000\n")) // six columns, no hop: rejected
 	f.Add([]byte("t\top\tflow\tkind\tseq\tsize\thop\n"))
 
 	f.Fuzz(func(t *testing.T, doc []byte) {

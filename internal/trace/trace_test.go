@@ -203,21 +203,6 @@ func TestTSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadTSVLegacySixColumns(t *testing.T) {
-	legacy := "t\top\tflow\tkind\tseq\tsize\n1.500000\tsend\t3\t0\t42\t1000\n"
-	evs, err := ReadTSV(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 1 {
-		t.Fatalf("events: %d", len(evs))
-	}
-	want := Event{T: 1.5, Op: Send, Flow: 3, Kind: netem.Data, Seq: 42, Size: 1000}
-	if evs[0] != want {
-		t.Fatalf("got %+v, want %+v", evs[0], want)
-	}
-}
-
 func TestReadTSVRejectsGarbage(t *testing.T) {
 	for _, in := range []string{
 		"",

@@ -40,7 +40,6 @@ import (
 	"slowcc/internal/metrics"
 	"slowcc/internal/netem"
 	"slowcc/internal/obs"
-	"slowcc/internal/obs/export"
 	"slowcc/internal/obs/journey"
 	"slowcc/internal/sim"
 	"slowcc/internal/store"
@@ -198,10 +197,6 @@ type Timeline = obs.Timeline
 // NewTimeline returns an empty timeline.
 func NewTimeline() *Timeline { return obs.NewTimeline() }
 
-// ReadTimelineFile validates a timeline JSON file and returns its
-// event count.
-func ReadTimelineFile(path string) (int, error) { return obs.ReadTimelineFile(path) }
-
 // ParseMatrixTSV parses the TSV artifact slowccsim -exp matrix -tsv
 // writes back into cells.
 func ParseMatrixTSV(r io.Reader) ([]MatrixCell, error) { return exp.ParseMatrixTSV(r) }
@@ -219,20 +214,6 @@ func RenderMatrixHeatmapSVG(cells []MatrixCell, metric string) (string, error) {
 
 // MatrixMetrics lists the metrics heatmaps can shade.
 func MatrixMetrics() []string { return exp.MatrixMetrics() }
-
-// Prometheus text exposition (internal/obs/export; see DESIGN.md §14).
-
-// WriteManifestPrometheus renders a sealed run manifest — counters,
-// histogram summaries, run metadata — as Prometheus text exposition,
-// the cmd/slowccreport -prom path.
-func WriteManifestPrometheus(w io.Writer, m *Manifest) error { return export.WriteManifest(w, m) }
-
-// ValidatePrometheus strictly parses Prometheus text exposition format,
-// returning the family and sample counts; any type/grammar/duplicate
-// violation is an error. CI uses it to gate scraped /metrics output.
-func ValidatePrometheus(r io.Reader) (families, samples int, err error) {
-	return export.Validate(r)
-}
 
 // ResultStore is the durable, crash-safe result store supervised sweeps
 // commit finished cells into (slowccsim -store DIR); see internal/store

@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -164,13 +165,12 @@ func TestRootSurfaceHasUsers(t *testing.T) {
 	}
 }
 
-// testOnly lists the exported internal/ names kept although no non-test
-// file uses them, as "pkg.Name" or "pkg.Type.Method" → reason. It is the
-// only exemption TestInternalSurfaceHasUsers grants; an entry whose name
-// has gained a user, or no longer exists, fails the test too.
-var testOnly = map[string]string{
+// unreached lists the declarations kept although no binary reaches them,
+// as "pkg.Name" or "pkg.Type.Method" → reason. It is the only exemption
+// TestEverythingIsReached grants; an entry that a binary reaches, that
+// names no declaration, or that gives no reason fails the test too.
+var unreached = map[string]string{
 	"exp.SACKTCPAlgo":             "the documented Sack1 fidelity ablation (BenchmarkSACKAblation, EXPERIMENTS.md methodology note)",
-	"trace.ReadTSV":               "WriteTSV's round-trip oracle, fuzzed by FuzzReadTSV",
 	"tcpmodel.FkTCP":              "the paper's closed form for f(k); only tcpmodel's own tests call it, no Fig 13 code does until ROADMAP item 21 compares it with the simulated f(k)",
 	"tcpmodel.AggressivenessTCP":  "the paper's closed form for TCP(b) aggressiveness; only tcpmodel's own tests call it, no Fig 20 code does until ROADMAP item 21 compares it with a simulated ramp",
 	"faults.Injector.Attached":    "how the faults tests and the pinned-stream row prove a disabled injector wires nothing",
@@ -180,46 +180,80 @@ var testOnly = map[string]string{
 	"store.Encode":                "Decode's inverse: store_test's codec, golden-frame and benchmark tests build raw value encodings with it (NewEntry is the production path)",
 	"trace.Recorder.Total":        "how the pinned-stream row and netem's watched-link allocation test count what a ring Recorder saw beyond its Limit",
 	"invariant.Auditor.Err":       "how the audited tests of topology, netem, exp and the pinned-stream row fail on a breach",
+	"obs.ReadTimelineFile":        "how cmd/smoke_test.go and bench/bench_test.go check that each timeline a binary writes is valid trace-event JSON",
 }
 
-// TestInternalSurfaceHasUsers is TestRootSurfaceHasUsers one level
-// down: every exported top-level func, type, var and const, and every
-// exported method, declared in a non-test file under internal/ must be
-// used by some non-test .go file of the module — bench/, cmd/,
-// examples/, the root package or internal/ itself — outside its own
-// declaration. Each use resolves to the object it names (go/types over
-// the whole module), so a namesake in another package keeps nothing. A
-// method also counts as used when it implements a method of an
-// interface its receiver type satisfies: fmt calls String, encoding/json
-// calls MarshalJSON, a link calls its netem.Handler. To add an exported
-// internal name, write its non-test user, or a testOnly line with a
-// reason.
-func TestInternalSurfaceHasUsers(t *testing.T) {
+// TestEverythingIsReached holds every non-test declaration of the module
+// — func, method, type, var and const, exported or not — to one rule:
+// some binary reaches it. The roots are each main of cmd/, examples/
+// and bench/, each init, each package-level var initialiser, and the
+// root package's exported API. From a reached declaration, everything
+// its source names is reached (go/types resolves each use to its
+// declaration, generic instances to their origin); a reached type also
+// reaches each of its methods that implements an interface the type
+// satisfies (interfaceMethods), since a call through the interface
+// names no method. A use in a _test.go file reaches nothing. bench/'s
+// own declarations are roots' helpers, not checked.
+//
+// A declaration no root reaches fails, unless the unreached table lists
+// it with a reason. A listed entry is a root of its own: what only it
+// reaches is its cost, logged per entry, so the table shows what each
+// exemption keeps alive.
+func TestEverythingIsReached(t *testing.T) {
 	m := moduleSource(t)
 
-	// Every exported declaration under internal/, with the span a use
-	// must fall outside of to count.
-	type span struct{ pos, end token.Pos }
-	decls := map[types.Object]span{}
-	for _, p := range m.internal() {
+	// Each declaration, with what its source names and its length.
+	type decl struct {
+		uses  []types.Object
+		lines int
+		check bool // bench/'s own are not
+	}
+	decls := map[types.Object]*decl{}
+	var roots []types.Object
+	methods := m.interfaceMethods()
+	for _, p := range m.pkgs {
+		inBench := p.dir == "bench" || strings.HasPrefix(p.dir, "bench/")
+		named := func(n ast.Node) []types.Object {
+			var out []types.Object
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := p.info.Uses[id]; obj != nil {
+						out = append(out, origin(obj))
+					}
+				}
+				return true
+			})
+			return out
+		}
+		declare := func(obj types.Object, n ast.Node, uses []types.Object) {
+			decls[obj] = &decl{uses, m.fset.Position(n.End()).Line - m.fset.Position(n.Pos()).Line + 1, !inBench}
+			if p.dir == "." && obj.Exported() {
+				roots = append(roots, obj)
+			}
+		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
-					if d.Name.IsExported() { // a method too: it needs a caller as much as a func does
-						decls[p.info.Defs[d.Name]] = span{d.Pos(), d.End()}
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main") {
+						roots = append(roots, named(d)...)
+						continue
 					}
+					declare(p.info.Defs[d.Name], d, named(d))
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							if s.Name.IsExported() {
-								decls[p.info.Defs[s.Name]] = span{s.Pos(), s.End()}
-							}
+							declare(p.info.Defs[s.Name], s, named(s))
 						case *ast.ValueSpec:
+							if d.Tok == token.VAR {
+								for _, v := range s.Values {
+									roots = append(roots, named(v)...)
+								}
+							}
 							for _, id := range s.Names {
-								if id.IsExported() {
-									decls[p.info.Defs[id]] = span{s.Pos(), s.End()}
+								if id.Name != "_" {
+									declare(p.info.Defs[id], s, named(s))
 								}
 							}
 						}
@@ -229,50 +263,84 @@ func TestInternalSurfaceHasUsers(t *testing.T) {
 		}
 	}
 
-	used := map[types.Object]bool{}
-	use := func(obj types.Object, at token.Pos) {
-		obj = origin(obj)
-		if d, ok := decls[obj]; ok && (at < d.pos || at >= d.end) {
-			used[obj] = true
+	// reach marks everything from objs not yet in seen, and returns what
+	// it marked.
+	reach := func(seen map[types.Object]bool, objs ...types.Object) []types.Object {
+		var marked []types.Object
+		for work := objs; len(work) > 0; {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			if seen[obj] {
+				continue
+			}
+			seen[obj] = true
+			if d, ok := decls[obj]; ok {
+				marked = append(marked, obj)
+				work = append(work, d.uses...)
+			}
+			if tn, ok := obj.(*types.TypeName); ok {
+				work = append(work, methods[tn]...)
+			}
 		}
+		return marked
 	}
-	for _, p := range m.pkgs {
-		for id, obj := range p.info.Uses {
-			use(obj, id.Pos())
+	reached := map[types.Object]bool{}
+	reach(reached, roots...)
+
+	// The listed entries, each with its cost: what only it keeps alive.
+	byKey := map[string][]types.Object{}
+	for obj := range decls {
+		byKey[objectKey(obj)] = append(byKey[objectKey(obj)], obj)
+	}
+	kept := maps.Clone(reached)
+	var keys, costs []string
+	for key := range unreached {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		if unreached[key] == "" {
+			t.Errorf("unreached entry %s gives no reason", key)
 		}
-		for sel, s := range p.info.Selections {
-			use(s.Obj(), sel.Sel.Pos())
+		objs := byKey[key]
+		if len(objs) == 0 {
+			t.Errorf("unreached lists %s, which the module no longer declares: drop the entry", key)
+			continue
 		}
+		var names []string
+		lines := 0
+		for _, obj := range objs {
+			if reached[obj] {
+				t.Errorf("unreached lists %s, which a binary reaches: drop the entry", key)
+			}
+			for _, c := range reach(maps.Clone(reached), obj) {
+				lines += decls[c].lines
+				if c != obj {
+					names = append(names, objectKey(c))
+				}
+			}
+			reach(kept, obj)
+		}
+		sort.Strings(names)
+		costs = append(costs, fmt.Sprintf("%s\t%d lines\t%s", key, lines, strings.Join(names, ", ")))
 	}
-	for _, obj := range m.interfaceMethods() {
-		used[origin(obj)] = true
-	}
+	t.Logf("what each unreached entry keeps alive:\n\t%s", strings.Join(costs, "\n\t"))
 
 	var orphans []string
-	keys := map[string]bool{}
-	for obj := range decls {
-		key := objectKey(obj)
-		keys[key] = true
-		_, exempt := testOnly[key]
-		switch {
-		case !used[obj] && !exempt:
-			orphans = append(orphans, key+"\t"+m.fset.Position(obj.Pos()).String())
-		case used[obj] && exempt:
-			t.Errorf("testOnly lists %s, which a non-test file uses: drop the entry", key)
+	checked := 0
+	for obj, d := range decls {
+		if !d.check {
+			continue
 		}
-	}
-	for key, reason := range testOnly {
-		if !keys[key] {
-			t.Errorf("testOnly lists %s, which internal/ no longer exports: drop the entry", key)
-		}
-		if reason == "" {
-			t.Errorf("testOnly entry %s gives no reason", key)
+		checked++
+		if !kept[obj] {
+			orphans = append(orphans, objectKey(obj)+"\t"+m.fset.Position(obj.Pos()).String())
 		}
 	}
 	sort.Strings(orphans)
 	if len(orphans) > 0 {
-		t.Errorf("%d of internal/'s %d exported names have no user in a non-test file; delete them, or add a testOnly line saying why a test needs them:\n\t%s",
-			len(orphans), len(decls), strings.Join(orphans, "\n\t"))
+		t.Errorf("%d of the module's %d declarations outside bench/ are reached by no binary; delete them, or add an unreached line saying why a test needs them:\n\t%s",
+			len(orphans), checked, strings.Join(orphans, "\n\t"))
 	}
 }
 
@@ -687,11 +755,11 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// interfaceMethods returns every method of a module type that implements
-// a method of an interface the type (or a pointer to it) satisfies: the
-// interfaces the module's packages declare or spell, and those of every
-// package they import, directly or not, error included.
-func (m *module) interfaceMethods() []types.Object {
+// interfaceMethods returns, for each module type, every method of it
+// that implements a method of an interface the type (or a pointer to it)
+// satisfies: the interfaces the module's packages declare or spell, and
+// those of every package they import, directly or not, error included.
+func (m *module) interfaceMethods() map[*types.TypeName][]types.Object {
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := map[*types.Interface]bool{}
 	add := func(typ types.Type) {
@@ -728,7 +796,7 @@ func (m *module) interfaceMethods() []types.Object {
 		}
 	}
 
-	var out []types.Object
+	out := map[*types.TypeName][]types.Object{}
 	for _, p := range m.pkgs {
 		scope := p.pkg.Scope()
 		for _, name := range scope.Names() {
@@ -751,7 +819,7 @@ func (m *module) interfaceMethods() []types.Object {
 				}
 				for i := 0; i < it.NumMethods(); i++ {
 					obj, _, _ := types.LookupFieldOrMethod(ptr, false, it.Method(i).Pkg(), it.Method(i).Name())
-					out = append(out, obj)
+					out[tn] = append(out[tn], origin(obj))
 				}
 			}
 		}
