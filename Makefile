@@ -25,7 +25,8 @@ GO ?= go
 # architectures that fuse multiply-adds and fails on any fused
 # instruction: the simulation's answer must not depend on the CPU.
 # nofma checks the same from the other side, on this CPU: the pinned
-# stream and RED's idle-decay pins hold with the runtime's FMA paths off.
+# stream, RED's idle-decay pins and the flap schedule pin hold with the
+# runtime's FMA paths off.
 ci: fmt vet build race fma nofma fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
@@ -49,14 +50,15 @@ race:
 fma:
 	$(GO) test -tags fmacheck -run TestNoFusedMultiplyAdd .
 
-# nofma reruns the root package's pinned-stream tests and
-# ./internal/netem's RED idle-decay pins with GODEBUG=cpu.fma=off, which
-# sends math.Pow and the other library routines that test for fused
-# multiply-add down their portable branch. A difference there is one the
-# answer would have on a CPU without FMA.
+# nofma reruns the root package's pinned-stream tests, ./internal/netem's
+# RED idle-decay pins and ./internal/faults' flap schedule pin with
+# GODEBUG=cpu.fma=off, which sends math.Exp and the other library
+# routines that test for fused multiply-add down their portable branch.
+# A difference there is one the answer would have on a CPU without FMA.
 nofma:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'PinnedStream' .
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'REDIdleDecay' ./internal/netem
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'FlapHoldingTimes' ./internal/faults
 
 # bench smoke-runs every benchmark once; invariants stay disabled so the
 # numbers reflect the production configuration.

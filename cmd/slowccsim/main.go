@@ -31,6 +31,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -158,7 +159,6 @@ func run() int {
 		// it, so a cell over it halts and is degraded.
 		sw.Budget = &sim.Budget{MaxEvents: uint64(*maxEvents), MaxWall: *deadline}
 	}
-	var cellStore *store.Store
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)
 		if err != nil {
@@ -169,7 +169,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "store %s: quarantined damaged journal data (torn tail: %v, corrupt entries: %d); affected cells will recompute\n",
 				st.Dir(), st.TornTail(), st.Corrupt())
 		}
-		cellStore = st
 		sw.Store, sw.Replay = st, *resume
 	}
 	if *faultSpec != "" {
@@ -245,10 +244,10 @@ func run() int {
 		prog = export.NewProgress(col)
 		prog.SetRun(runDigest)
 		sw.Progress = prog
-		if cellStore != nil {
-			col.SetCounterFunc("store.hits", cellStore.Hits)
-			col.SetCounterFunc("store.misses", cellStore.Misses)
-			col.SetCounterFunc("store.corrupt", cellStore.Corrupt)
+		if sw.Store != nil {
+			col.SetCounterFunc("store.hits", sw.Store.Hits)
+			col.SetCounterFunc("store.misses", sw.Store.Misses)
+			col.SetCounterFunc("store.corrupt", sw.Store.Corrupt)
 		}
 		srv = export.NewServer(col, prog)
 		addr, err := srv.Start(*serve)
@@ -259,7 +258,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "serving telemetry on http://%s/{metrics,healthz,progress,debug/pprof}\n", addr)
 	}
 	var storeSig chan os.Signal
-	if cellStore != nil {
+	if sw.Store != nil {
 		// Graceful shutdown: the first SIGINT/SIGTERM lets in-flight cells
 		// finish and commit, skips the rest, checkpoints the journal, and
 		// exits with code 3 ("resume me"). A second signal is fatal as
@@ -269,14 +268,14 @@ func run() int {
 		signal.Notify(storeSig, os.Interrupt, syscall.SIGTERM)
 		go func() {
 			s := <-storeSig
-			fmt.Fprintf(os.Stderr, "%v: stopping gracefully — finishing in-flight cells, checkpointing %s\n", s, cellStore.Dir())
+			fmt.Fprintf(os.Stderr, "%v: stopping gracefully — finishing in-flight cells, checkpointing %s\n", s, sw.Store.Dir())
 			sw.RequestStop()
 			signal.Stop(storeSig)
 		}()
 	}
 	wallStart := time.Now()
 	for _, e := range selected {
-		if cellStore != nil {
+		if sw.Store != nil {
 			// Scope generic (non-matrix) sweep keys by run digest and
 			// experiment name: a pure function of the invocation, so an
 			// interrupted and a resumed run derive identical cell keys.
@@ -334,20 +333,22 @@ func run() int {
 		}
 		fmt.Printf("manifest written to %s\n", *manifest)
 	}
-	if cellStore != nil {
+	if sw.Store != nil {
 		// Surface the cache's work (the summary line is what resume
 		// smokes grep for); Close compacts the journal into the snapshot
 		// when the run added anything to it.
 		fmt.Fprintf(os.Stderr, "store %s: %d entries, %d hits, %d misses, %d corrupt\n",
-			cellStore.Dir(), cellStore.Len(), cellStore.Hits(), cellStore.Misses(), cellStore.Corrupt())
+			sw.Store.Dir(), sw.Store.Len(), sw.Store.Hits(), sw.Store.Misses(), sw.Store.Corrupt())
 		if stopped := sw.StoppedCells(); stopped > 0 {
 			fmt.Fprintf(os.Stderr, "%d cell(s) skipped by graceful stop\n", stopped)
 		}
-		if err := cellStore.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "store close: %v\n", err)
+		// A cell or a checkpoint that did not reach the disk fails the run.
+		if err := errors.Join(sw.StoreErr(), sw.Store.Close()); err != nil {
+			fmt.Fprintf(os.Stderr, "store %s: %v\n", sw.Store.Dir(), err)
+			return 1
 		}
 		if sw.StopRequested() {
-			fmt.Fprintf(os.Stderr, "interrupted; resume with: -store %s -resume\n", cellStore.Dir())
+			fmt.Fprintf(os.Stderr, "interrupted; resume with: -store %s -resume\n", sw.Store.Dir())
 			return exitInterrupted
 		}
 		// The run finished uninterrupted; release the graceful-stop

@@ -247,6 +247,21 @@ func TestResumeSmoke(t *testing.T) {
 	}
 }
 
+// A store that cannot keep the run's cells fails the run, with or
+// without -slog: here the checkpoint cannot write its temporary
+// snapshot (a directory holds the name), so slowccsim says why on
+// stderr and exits 1 after its summary, not 0.
+func TestStoreFailureExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "d", "snapshot.bin.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := run(t, dir, "slowccsim", "-exp", "matrix", "-matrix", "tcp:0.5,cbr:3e6", "-topology", "dumbbell", "-store", "d")
+	if code != 1 || !strings.Contains(stderr, "store d: 12 entries") || !strings.Contains(stderr, "store d: store: open d/snapshot.bin.tmp") {
+		t.Fatalf("matrix into a store whose checkpoint fails: exit %d, want 1 naming the failure\n%s", code, stderr)
+	}
+}
+
 // A run an engine budget cut short has not measured its cells: they are
 // degraded, not results — exit 1 under -fail-degraded, every row keeps
 // its labels and says degraded true — and the store keeps them as

@@ -44,15 +44,6 @@ func TestDecreaseFloorsAtOne(t *testing.T) {
 	}
 }
 
-func TestNewRejectsIncompatible(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(1,1,...) must panic: violates k+l=1")
-		}
-	}()
-	New(1, 1, 0.5)
-}
-
 // Property: for all valid windows, Decrease is gentler (removes less)
 // for smaller b, and Increase is monotone in b.
 func TestPropertySlownessOrdering(t *testing.T) {

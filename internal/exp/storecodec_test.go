@@ -212,6 +212,35 @@ func TestUnstorableResultIsLoggedNotStored(t *testing.T) {
 	}
 }
 
+// A cell that does not reach the store is not lost silently: with no
+// logger attached, StoreErr still names the first, whether its result
+// did not encode or the store refused the write; the sweep still
+// returns every result.
+func TestStoreFailureIsKeptWithoutALogger(t *testing.T) {
+	t.Parallel()
+	sw, _ := storeSweep(t)
+	deep := supervisedMapKeyed(sw, 2, func(i int) string { return fmt.Sprint("deep-", i) }, func(c *Cell) *storedList {
+		return listOf(1000 * c.Index())
+	})
+	if err := sw.StoreErr(); err == nil || !strings.Contains(err.Error(), "not storable: cell 1") {
+		t.Errorf("StoreErr after an unstorable cell: %v", err)
+	}
+
+	sw, st := storeSweep(t)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := supervisedMapKeyed(sw, 2, func(i int) string { return fmt.Sprint("closed-", i) }, func(c *Cell) int {
+		return c.Index() + 1
+	})
+	if err := sw.StoreErr(); err == nil || !strings.Contains(err.Error(), "write failed: cell") {
+		t.Errorf("StoreErr after a refused write: %v", err)
+	}
+	if deep[1] == nil || deep[1].V != 999 || closed[0] != 1 || closed[1] != 2 {
+		t.Fatalf("sweep lost results the store refused: %+v %v", deep[1], closed)
+	}
+}
+
 type (
 	shapeAB  struct{ A, B float64 }
 	shapeA   struct{ A float64 }

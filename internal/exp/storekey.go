@@ -164,34 +164,44 @@ func replayCached(sw *Sweep, start time.Time, index, worker int, e *store.Entry)
 // telemetry are encoded into the entry's one frame (store.NewEntry);
 // only this code knows T, so it checks that the result it encoded
 // decodes before storing it.
-// Store failures degrade to a log line — the sweep's in-memory results
-// are unaffected.
+// A store failure leaves the sweep's in-memory results as they are; it
+// is logged, and the first is kept for StoreErr.
 func commitCell[T any](sw *Sweep, key string, index int, v T, stats obs.CellStats, rerr *RunError) {
-	logger := sw.Logger
-	e := store.Entry{Key: key, Index: index, Attempts: 1}
+	e := store.Entry{Key: key, Index: index, Attempts: 1, Degraded: rerr != nil}
+	var err error
 	if rerr != nil {
-		e.Degraded = true
 		e.Error = rerr.Error()
 	} else {
 		var st *obs.CellStats
 		if stats.Counters != nil || stats.Events > 0 {
 			st = &stats
 		}
-		var err error
-		e, err = store.NewEntry(key, index, v, st)
-		if err == nil {
+		if e, err = store.NewEntry(key, index, v, st); err == nil {
 			_, err = store.Decode[T](e.Result)
 		}
-		if err != nil {
-			if logger != nil {
-				logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell not storable",
-					slog.Int("cell", index), slog.String("err", err.Error()))
-			}
-			return
-		}
 	}
-	if err := sw.Store.Put(e); err != nil && logger != nil {
-		logger.LogAttrs(context.Background(), slog.LevelWarn, "sweep cell store write failed",
+	msg := "sweep cell not storable"
+	if err == nil {
+		msg, err = "sweep cell store write failed", sw.Store.Put(e)
+	}
+	if err == nil {
+		return
+	}
+	if sw.Logger != nil {
+		sw.Logger.LogAttrs(context.Background(), slog.LevelWarn, msg,
 			slog.Int("cell", index), slog.String("err", err.Error()))
 	}
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.storeErr == nil {
+		sw.storeErr = fmt.Errorf("%s: cell %d: %v", msg, index, err)
+	}
+}
+
+// StoreErr returns the first cell sw's sweeps could not store (a result
+// that did not encode, a write the store refused), or nil.
+func (sw *Sweep) StoreErr() error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.storeErr
 }

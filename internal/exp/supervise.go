@@ -135,8 +135,9 @@ type Sweep struct {
 	// so every record carries its provenance.
 	Logger *slog.Logger
 
-	mu   sync.Mutex
-	errs []*RunError // degraded cells, in sweep order, until Errors takes them
+	mu       sync.Mutex
+	errs     []*RunError // degraded cells, in sweep order, until Errors takes them
+	storeErr error       // the first cell commitCell could not store (StoreErr)
 	// scopeSeq counts the keyed sweeps run under each scope, so two
 	// sweeps of one run cannot collide on (scope, index).
 	scopeSeq map[string]int

@@ -197,7 +197,7 @@ func (in *Injector) Attach(link *netem.Link, entry netem.Handler, pool *netem.Pa
 		in.eng.At(w.At+w.Dur, link.SetUp)
 	}
 	if in.cfg.Flap != nil {
-		in.flapTm = in.eng.ResetAfter(nil, in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
+		in.flapTm = in.eng.ResetAfter(nil, in.cfg.Flap.MeanUp*exponential(in.rand()), in.flapDown)
 	}
 	if !in.cfg.probabilistic() {
 		return entry
@@ -208,16 +208,32 @@ func (in *Injector) Attach(link *netem.Link, entry netem.Handler, pool *netem.Pa
 // Attached reports whether Attach has wired the injector onto a link.
 func (in *Injector) Attached() bool { return in != nil && in.link != nil }
 
+// exponential returns an Exp(1) draw by von Neumann's comparison method:
+// a uniform u starts a descending run u > u2 > ..., odd in length with
+// probability e^-u; an odd run returns k + u, an even one adds 1 to k and
+// starts over. Comparisons and one sum: the same on every CPU.
+func exponential(r *rand.Rand) float64 {
+	for k := 0.0; ; k++ {
+		u, odd := r.Float64(), true
+		for prev, v := u, r.Float64(); v < prev; prev, v = v, r.Float64() {
+			odd = !odd
+		}
+		if odd {
+			return k + u
+		}
+	}
+}
+
 // flapDown and flapUp alternate the link state with exponentially
 // distributed holding times drawn from the dedicated stream.
 func (in *Injector) flapDown() {
 	in.link.SetDown(in.cfg.Policy)
-	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanDown*in.rand().ExpFloat64(), in.flapUp)
+	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanDown*exponential(in.rand()), in.flapUp)
 }
 
 func (in *Injector) flapUp() {
 	in.link.SetUp()
-	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanUp*in.rand().ExpFloat64(), in.flapDown)
+	in.flapTm = in.eng.ResetAfter(in.flapTm, in.cfg.Flap.MeanUp*exponential(in.rand()), in.flapDown)
 }
 
 // handle is the per-packet fault path, interposed ahead of the link

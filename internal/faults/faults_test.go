@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"math"
 	"testing"
 
 	"slowcc/internal/faults"
@@ -317,5 +318,70 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 			}()
 			faults.New(sim.New(1), cfg)
 		}()
+	}
+}
+
+// stamps is a sim.ProbeHook that records the time of every event.
+type stamps []sim.Time
+
+func (s *stamps) OnEvent(_, at sim.Time, _ uint64) sim.Time {
+	*s = append(*s, at)
+	return at
+}
+
+// flapTransitions runs a flap-only injector on an idle link, where every
+// event is a transition, and returns the first n transition times.
+func flapTransitions(seed int64, f faults.Flap, n int) []sim.Time {
+	eng := sim.New(1)
+	pool := &netem.PacketPool{}
+	link := netem.NewLink(eng, 8e6, 0.001, netem.NewDropTail(10), &recorder{eng: eng, pool: pool})
+	faults.New(eng, faults.Config{Seed: seed, Flap: &f}).Attach(link, link, pool)
+	var at stamps
+	eng.SetProbe(&at)
+	for len(at) < n {
+		eng.RunUntil(eng.Now() + 1000*(f.MeanUp+f.MeanDown))
+	}
+	return at[:n]
+}
+
+// TestFlapHoldingTimesPinned pins a flap schedule to the bit: the first
+// 16 transition times for seed 7, so the first 16 holding times. Each
+// draw is built from integer uniforms, comparisons and one correctly
+// rounded sum, so the schedule is the same on every CPU (make nofma
+// reruns this without FMA). The sample means of 10^5 up and 10^5 down
+// holding times are within 2% of MeanUp and MeanDown.
+func TestFlapHoldingTimesPinned(t *testing.T) {
+	f := faults.Flap{MeanUp: 0.2, MeanDown: 0.05}
+	want := []sim.Time{
+		0.3823124348743635, 0.45525366354587254, 0.48446977345633585, 0.5192542271945817,
+		0.7810997371665923, 0.7811919733027365, 1.2507516716252631, 1.4837058518987842,
+		1.5251763412949635, 1.5935638933989462, 1.713522152412943, 1.7734677547176336,
+		1.7760344553237573, 1.7948418514366462, 1.8204158666933081, 1.8994344324624184,
+	}
+	got := flapTransitions(7, f, len(want))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("transition %d at %v, pinned %v: the flap schedule moved\n%#v", i, got[i], want[i], got)
+		}
+	}
+
+	const draws = 100000
+	times := flapTransitions(7, f, 2*draws)
+	var up, down, prev sim.Time
+	for i, at := range times {
+		if i%2 == 0 {
+			up += at - prev
+		} else {
+			down += at - prev
+		}
+		prev = at
+	}
+	for _, c := range []struct {
+		name      string
+		sum, mean sim.Time
+	}{{"up", up, f.MeanUp}, {"down", down, f.MeanDown}} {
+		if got := c.sum / draws; math.Abs(got/c.mean-1) > 0.02 {
+			t.Errorf("mean %s time %v over %d draws, configured %v", c.name, got, draws, c.mean)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package netem
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
+	"sync/atomic"
 
 	"slowcc/internal/obs/probe"
 	"slowcc/internal/sim"
@@ -159,21 +161,66 @@ func (r *RED) updateAvg(now sim.Time) {
 	if r.idle {
 		// The queue has been empty since idleSince; pretend m small
 		// packets departed in that span. A zero average (every uncongested
-		// hop, the whole ACK path) stays +0 under any decay factor — Pow
-		// is finite in [0, 1] for Weight in [0, 1] and m >= 0 — so it
-		// skips the call.
-		if r.avg != 0 {
-			m := 0.0
-			if r.MeanPktTime > 0 {
-				m = (now - r.idleSince) / r.MeanPktTime
-			}
-			r.avg *= math.Pow(1-r.Weight, m)
+		// hop, the whole ACK path) stays +0 under a decay in [0, 1], and m
+		// is 0 without a packet time: both skip the call.
+		if r.avg != 0 && r.MeanPktTime > 0 {
+			r.avg *= idleDecay(1-r.Weight, (now-r.idleSince)/r.MeanPktTime)
 		}
 		r.idle = false
 	} else {
 		r.avg = float64((1-r.Weight)*r.avg) + float64(r.Weight*float64(r.q.n))
 	}
 }
+
+// idleDecay returns b^m, for b = 1-Weight in [0, 1] and m >= 0, from
+// correctly rounded operations only (math.Pow's fraction goes through
+// math.Exp, whose amd64 code branches on FMA): b^⌊m⌋ by repeated
+// squaring, times b^(2^-k) for each set bit k of m's fraction.
+func idleDecay(b, m float64) float64 {
+	if m >= 1<<63 { // past every b < 1's underflow, as math.Pow has it
+		return math.Floor(b)
+	}
+	d := 1.0
+	for n, x := uint64(m), b; n > 0; n, x = n>>1, x*x {
+		if n&1 == 1 {
+			d *= x
+		}
+	}
+	c := lastChain.Load()
+	if c == nil || c.b != b {
+		c = &rootChain{b: b}
+		for k, root := 0, b; k < len(c.roots); k++ {
+			root = math.Sqrt(root)
+			c.roots[k] = root
+		}
+		lastChain.Store(c)
+	}
+	// The fraction is M·2^(e-1075), so M's bit j is its bit k = 1075-e-j.
+	fb := math.Float64bits(m - math.Floor(m))
+	M, e := fb&(1<<52-1)|1<<52, int(fb>>52)
+	if e == 0 { // no fraction, or a subnormal one
+		M, e = fb, 1
+	}
+	for M != 0 {
+		j := bits.Len64(M) - 1 // highest first: k ascends
+		d *= c.roots[min(1075-e-j, len(c.roots))-1]
+		M &^= 1 << j
+	}
+	return d
+}
+
+// rootChain is b^(2^-k) for k = 1..64, so that a decay costs a multiply
+// per fraction bit, not a square root. By k = 59 the chain of every
+// 1-Weight has reached a value its square root rounds back to (0, 1 or
+// 1-2^-53), so the last stands for every later factor.
+type rootChain struct {
+	b     float64
+	roots [64]float64
+}
+
+// lastChain is the chain of the last b idleDecay took: every queue a
+// topology builds has NewRED's Weight.
+var lastChain atomic.Pointer[rootChain]
 
 // Dequeue implements Queue.
 func (r *RED) Dequeue(now sim.Time) *Packet {

@@ -81,7 +81,7 @@ func TestREDDropSplitSumsToRefusals(t *testing.T) {
 // TestREDIdleDecayBitIdentical pins updateAvg's zero-average shortcut to
 // the formula it abbreviates. The queue is driven through idle/busy
 // cycles that reach every state the shortcut distinguishes — idle from a
-// zero average (the shortcut), idle from a positive one (the Pow call),
+// zero average (the shortcut), idle from a positive one (the decay),
 // a decay long enough to underflow the average back to zero, and idle
 // again from that zero — while a reference EWMA applies the unabridged
 // update to the same samples; the two must agree to the bit throughout.
@@ -93,7 +93,7 @@ func TestREDIdleDecayBitIdentical(t *testing.T) {
 	now := 0.0
 	enqueue := func() {
 		if refIdle {
-			ref *= math.Pow(1-r.Weight, (now-refSince)/pktTime)
+			ref *= idleDecay(1-r.Weight, (now-refSince)/pktTime)
 			refIdle = false
 		} else {
 			ref = (1-r.Weight)*ref + r.Weight*float64(qlen)

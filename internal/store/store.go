@@ -261,7 +261,7 @@ type Store struct {
 	dir string
 
 	mu      sync.Mutex
-	journal *os.File // nil when read-only
+	journal *os.File // nil when read-only or closed
 	entries map[string]*Entry
 	// dirty: the journal was non-empty at open or a Put followed the last
 	// checkpoint, so the store may hold what snapshot.bin does not.
@@ -271,7 +271,6 @@ type Store struct {
 	misses   atomic.Int64
 	corrupt  atomic.Int64 // entries refused at open, plus CountCorrupt calls
 	tornTail bool         // reopen found (and quarantined) a partial frame
-	readOnly bool
 }
 
 // Open opens (creating if needed) the store in dir, replays the
@@ -280,12 +279,12 @@ type Store struct {
 func Open(dir string) (*Store, error) { return open(dir, false) }
 
 // OpenReadOnly opens an existing store for inspection: nothing on disk
-// is modified (a torn tail is tolerated but not truncated) and Put,
-// Checkpoint, and Close are no-ops on the journal.
+// is modified (a torn tail is tolerated but not truncated), Put fails,
+// and Checkpoint and Close are no-ops on the journal.
 func OpenReadOnly(dir string) (*Store, error) { return open(dir, true) }
 
 func open(dir string, readOnly bool) (*Store, error) {
-	s := &Store{dir: dir, readOnly: readOnly}
+	s := &Store{dir: dir}
 	if _, err := os.Stat(filepath.Join(dir, v1Snapshot)); err == nil {
 		return nil, fmt.Errorf("store: %s holds a slowcc-store/1 %s; this build reads only %s stores (no migration: recompute into a new directory)",
 			dir, v1Snapshot, Schema)
@@ -316,7 +315,7 @@ func open(dir string, readOnly bool) (*Store, error) {
 	if err := s.loadSnapshot(snapshot); err != nil {
 		return nil, err
 	}
-	if err := s.loadJournal(journal); err != nil {
+	if err := s.loadJournal(journal, readOnly); err != nil {
 		return nil, err
 	}
 	if !readOnly {
@@ -405,13 +404,13 @@ func (s *Store) admit(e *Entry) {
 // append — it is quarantined to a numbered side file and truncated
 // away (unless read-only) so subsequent appends start from a clean
 // boundary.
-func (s *Store) loadJournal(blob []byte) error {
+func (s *Store) loadJournal(blob []byte, readOnly bool) error {
 	path := filepath.Join(s.dir, journalName)
 	s.dirty = len(blob) > 0 // intact, corrupt or torn: the next Close compacts it away
 	off := s.admitFrames(blob)
 	if off < len(blob) {
 		s.tornTail = true
-		if !s.readOnly {
+		if !readOnly {
 			if err := s.quarantineTail(blob[off:]); err != nil {
 				return err
 			}
@@ -466,7 +465,8 @@ func (s *Store) Get(key string) (*Entry, bool) {
 // decode as an obs.CellStats are refused: Open does not check them, so
 // Put must. The result's type is the caller's to check (exp decodes
 // what it encoded before storing it); Put takes any result bytes, so an
-// entry read back from a store can be put again as it is.
+// entry read back from a store can be put again as it is. A store opened
+// read-only, or already closed, refuses every Put.
 func (s *Store) Put(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("store: Put with empty key")
@@ -486,14 +486,15 @@ func (s *Store) Put(e Entry) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.journal == nil {
+		return fmt.Errorf("store: Put into %s, which is read-only or closed", s.dir)
+	}
 	s.dirty = true
-	if s.journal != nil {
-		if _, err := s.journal.Write(e.frame); err != nil {
-			return fmt.Errorf("store: journal append: %v", err)
-		}
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("store: journal fsync: %v", err)
-		}
+	if _, err := s.journal.Write(e.frame); err != nil {
+		return fmt.Errorf("store: journal append: %v", err)
+	}
+	if err := s.journal.Sync(); err != nil {
+		return fmt.Errorf("store: journal fsync: %v", err)
 	}
 	s.entries[e.Key] = &e
 	return nil
@@ -505,7 +506,8 @@ func (s *Store) Put(e Entry) error {
 // before the rename leaves the old snapshot + full journal; after it,
 // the new snapshot plus a journal whose entries are already in the
 // snapshot — replay is idempotent by key, so both are consistent.
-// Checkpoint always compacts, whether or not anything changed.
+// Checkpoint always compacts, whether or not anything changed, unless
+// the store is read-only or closed: then it does nothing.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -513,7 +515,7 @@ func (s *Store) Checkpoint() error {
 }
 
 func (s *Store) checkpoint() error {
-	if s.readOnly {
+	if s.journal == nil { // read-only or closed
 		return nil
 	}
 	entries := s.sorted()
@@ -545,13 +547,11 @@ func (s *Store) checkpoint() error {
 		return fmt.Errorf("store: snapshot rename: %v", err)
 	}
 	syncDir(s.dir) // make the rename itself durable
-	if s.journal != nil {
-		if err := s.journal.Truncate(0); err != nil {
-			return fmt.Errorf("store: journal reset: %v", err)
-		}
-		if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("store: journal reset: %v", err)
-		}
+	if err := s.journal.Truncate(0); err != nil {
+		return fmt.Errorf("store: journal reset: %v", err)
+	}
+	if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("store: journal reset: %v", err)
 	}
 	s.dirty = false
 	return nil

@@ -319,3 +319,41 @@ func TestOpenReadOnlyNeverRepairs(t *testing.T) {
 		t.Fatal("read-only Close wrote a snapshot")
 	}
 }
+
+// TestPutRefusedWhenNotDurable holds Put to its doc: an entry it accepts
+// is on disk. A store opened read-only, or already closed, has no
+// journal to append to, so Put returns an error and the entry is not
+// held in memory either.
+func TestPutRefusedWhenNotDurable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(t, s, "a", 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := store.OpenReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*store.Store{"closed": s, "read-only": ro} {
+		blob, _ := store.Encode(2)
+		if err := st.Put(store.Entry{Key: "b", Attempts: 1, Result: blob}); err == nil {
+			t.Errorf("Put into a %s store returned nil", name)
+		}
+		if _, ok := peek(st, "b"); ok {
+			t.Errorf("a %s store holds the entry Put refused", name)
+		}
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = store.OpenReadOnly(dir); err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("reopened store holds %d entries, want only a", s.Len())
+	}
+}

@@ -1,8 +1,8 @@
 // Package tcpmodel collects the analytic formulas the paper builds on:
-// the TCP-compatible parameter relations for AIMD and binomial
-// algorithms, the Padhye et al. TCP response function, the pure-AIMD
-// square-root law, the AIMD-with-timeouts model from the paper's
-// Appendix A, and the expected-ACK convergence model behind Figure 11.
+// the TCP-compatible parameter relation for AIMD, the Padhye et al. TCP
+// response function, the pure-AIMD square-root law, the
+// AIMD-with-timeouts model from the paper's Appendix A, and the
+// expected-ACK convergence model behind Figure 11.
 package tcpmodel
 
 import "math"
@@ -13,28 +13,6 @@ import "math"
 // AIMDIncrease(0.5) = 1, recovering standard TCP.
 func AIMDIncrease(b float64) float64 {
 	return 4 * (2*b - float64(b*b)) / 3
-}
-
-// BinomialIncrease returns a TCP-compatible additive-increase scale a for
-// a binomial algorithm with parameters k, l (k+l must be 1 for
-// TCP-compatibility) and decrease scale b.
-//
-// Derivation (deterministic steady state, small b): the window climbs at
-// a/W^k per RTT and sheds b*W^l per loss event, so a cycle lasts
-// T = b*W^(k+l)/a RTTs and carries N = W*T = b*W^(k+l+1)/a packets. With
-// one loss event per 1/p packets and k+l = 1, W = sqrt(a/(b*p)); matching
-// TCP's sqrt(1.5/p) packets per RTT gives a = 1.5*b.
-func BinomialIncrease(k, l, b float64) float64 {
-	_ = k
-	_ = l
-	return 1.5 * b
-}
-
-// TCPCompatibleBinomial reports whether binomial parameters k, l satisfy
-// the TCP-compatibility condition k + l = 1, l <= 1 from Bansal &
-// Balakrishnan.
-func TCPCompatibleBinomial(k, l float64) bool {
-	return math.Abs(k+l-1) < 1e-9 && l <= 1
 }
 
 // PadhyeRate returns the full TCP response function of Padhye et al.
@@ -89,10 +67,7 @@ func PadhyeInverse(rate, rtt, rto float64, pktSize int) float64 {
 // (R*sqrt(p)) packets per second times the packet size: the "1.22/
 // (R sqrt(p))" law, in bytes per second.
 func SimpleRate(p, rtt float64, pktSize int) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	return float64(pktSize) * math.Sqrt(1.5/p) / rtt
+	return float64(pktSize) * PureAIMDPktsPerRTT(p) / rtt
 }
 
 // PureAIMDPktsPerRTT returns the sending rate of the pure AIMD model
@@ -124,12 +99,7 @@ func AIMDWithTimeoutsPktsPerRTT(p float64) float64 {
 // (the "Reno TCP" dashed line of Appendix A's Figure 20), with
 // t_RTO = 4*RTT.
 func RenoPktsPerRTT(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	const rtt = 1.0
-	x := PadhyeRate(p, rtt, 4*rtt, 1) // pktSize 1 => packets/sec with RTT 1 => pkts/RTT
-	return x
+	return PadhyeRate(p, 1, 4, 1) // 1-byte packets over a 1 s RTT: bytes/s is packets per RTT
 }
 
 // ConvergenceACKs returns the expected number of ACK arrivals for two

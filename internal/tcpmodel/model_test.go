@@ -26,30 +26,6 @@ func TestAIMDIncreaseMonotoneOnPaperRange(t *testing.T) {
 	}
 }
 
-func TestBinomialIncrease(t *testing.T) {
-	if got := BinomialIncrease(0.5, 0.5, 0.5); !close(got, 0.75, 1e-12) {
-		t.Fatalf("BinomialIncrease(SQRT, b=0.5) = %v, want 0.75", got)
-	}
-}
-
-func TestTCPCompatibleBinomial(t *testing.T) {
-	cases := []struct {
-		k, l float64
-		want bool
-	}{
-		{0.5, 0.5, true},   // SQRT
-		{1, 0, true},       // IIAD
-		{0, 1, true},       // AIMD
-		{1, 1, false},      // k+l=2
-		{-0.5, 1.5, false}, // l > 1
-	}
-	for _, c := range cases {
-		if got := TCPCompatibleBinomial(c.k, c.l); got != c.want {
-			t.Errorf("TCPCompatibleBinomial(%v,%v) = %v, want %v", c.k, c.l, got, c.want)
-		}
-	}
-}
-
 func TestPadhyeRateMatchesSimpleAtLowLoss(t *testing.T) {
 	// For small p the timeout term vanishes and Padhye approaches the
 	// square-root law.

@@ -28,91 +28,75 @@ var exactlyRounded = map[string]bool{
 // or math.Log on their way to a value.
 var randTranscendentals = map[string]bool{"ExpFloat64": true, "NormFloat64": true}
 
-// libmExempt counts the library transcendental calls on the digested
-// path still to be replaced, as "pkg.Func callee" or "pkg.Type.Method
-// callee" → calls; an entry goes when its call does.
-var libmExempt = map[string]int{
-	// ROADMAP item 13: math.Pow(1-Weight, m), RED's idle decay.
-	"netem.RED.updateAvg math.Pow": 1,
-	// ROADMAP item 13: W^(K+1) and W^L, the binomial senders' general (K, L).
-	"binomial.Policy.Increase math.Pow": 1,
-	"binomial.Policy.Decrease math.Pow": 1,
-	// ROADMAP item 13: a flap's exponential up and down times.
-	// ExpFloat64's ziggurat calls math.Exp, which takes an FMA branch on
-	// amd64 CPUs that have one, so a -fault flap: schedule can depend on
-	// the CPU.
-	"faults.Injector.Attach rand.ExpFloat64":   1,
-	"faults.Injector.flapDown rand.ExpFloat64": 1,
-	"faults.Injector.flapUp rand.ExpFloat64":   1,
-}
-
 // TestNoLibraryTranscendentals holds the digested path to functions whose
 // answer does not depend on the CPU. math.Exp, Log, Pow and the rest are
 // library code with per-architecture assembly and FMA branches: the same
 // inputs can round differently on two CPUs, and a run's answer with
 // them. Every math function a non-test file of libmPackages names must
-// be exactly rounded, and no math/rand draw may go through one, unless
-// libmExempt counts the call. A count that no longer matches fails too.
-// (tcpmodel's closed forms that the senders call are not checked here.)
+// be exactly rounded, and no math/rand draw may go through one; the same
+// holds for each tcpmodel function those files call, and for what it
+// calls in turn (the TFRC endpoints' PadhyeRate and PadhyeInverse).
+// There is no exemption.
 func TestNoLibraryTranscendentals(t *testing.T) {
 	m := moduleSource(t)
-	found := map[string][]string{} // key -> positions
+	type site struct {
+		p    *sourcePkg
+		name string
+		decl ast.Decl
+	}
+	var work []site
+	tcpmodel := map[types.Object]site{} // each tcpmodel function, by its object
 	for _, p := range m.pkgs {
 		guarded := false
 		for _, dir := range libmPackages {
 			guarded = guarded || p.dir == dir || strings.HasPrefix(p.dir, dir+"/")
 		}
-		if !guarded {
-			continue
-		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				site := p.pkg.Name() // a package-level initialiser
+				s := site{p, p.pkg.Name(), d} // a package-level initialiser
 				if fd, ok := d.(*ast.FuncDecl); ok {
-					site = objectKey(p.info.Defs[fd.Name])
+					s.name = objectKey(p.info.Defs[fd.Name])
+					if p.dir == "internal/tcpmodel" {
+						tcpmodel[p.info.Defs[fd.Name]] = s
+					}
 				}
-				ast.Inspect(d, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok {
-						return true
-					}
-					obj, ok := p.info.Uses[id].(*types.Func)
-					if !ok || obj.Pkg() == nil {
-						return true
-					}
-					callee := ""
-					switch path := obj.Pkg().Path(); {
-					case path == "math" && !exactlyRounded[obj.Name()]:
-						callee = "math." + obj.Name()
-					case (path == "math/rand" || path == "math/rand/v2") && randTranscendentals[obj.Name()]:
-						callee = "rand." + obj.Name()
-					default:
-						return true
-					}
-					key := site + " " + callee
-					found[key] = append(found[key], m.fset.Position(id.Pos()).String())
-					return true
-				})
+				if guarded {
+					work = append(work, s)
+				}
 			}
 		}
 	}
 
-	keys := map[string]bool{}
-	for key := range found {
-		keys[key] = true
-	}
-	for key := range libmExempt {
-		keys[key] = true
-	}
 	var bad []string
-	for key := range keys {
-		if n := len(found[key]); n != libmExempt[key] {
-			bad = append(bad, fmt.Sprintf("%s: %d found, %d listed\t%s", key, n, libmExempt[key], strings.Join(found[key], " ")))
-		}
+	checked := map[types.Object]bool{}
+	for len(work) > 0 {
+		s := work[len(work)-1]
+		work = work[:len(work)-1]
+		ast.Inspect(s.decl, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj, ok := s.p.info.Uses[id].(*types.Func)
+			if !ok || obj.Pkg() == nil {
+				return true
+			}
+			if callee, ok := tcpmodel[obj]; ok && !checked[obj] {
+				checked[obj] = true
+				work = append(work, callee)
+			}
+			switch path := obj.Pkg().Path(); {
+			case path == "math" && !exactlyRounded[obj.Name()]:
+				bad = append(bad, fmt.Sprintf("%s math.%s\t%s", s.name, obj.Name(), m.fset.Position(id.Pos())))
+			case (path == "math/rand" || path == "math/rand/v2") && randTranscendentals[obj.Name()]:
+				bad = append(bad, fmt.Sprintf("%s rand.%s\t%s", s.name, obj.Name(), m.fset.Position(id.Pos())))
+			}
+			return true
+		})
 	}
 	sort.Strings(bad)
 	if len(bad) > 0 {
-		t.Errorf("library transcendentals on the digested path that libmExempt does not count; use an exactly rounded form, or count the call with ROADMAP item 13:\n\t%s",
+		t.Errorf("library transcendentals on the digested path; use an exactly rounded form:\n\t%s",
 			strings.Join(bad, "\n\t"))
 	}
 }
