@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race fma nofma bench fuzz-smoke
+.PHONY: ci fmt vet build test race fma nofma oracle bench fuzz-smoke
 
 # ci is the gate future PRs run: formatting and static checks, a full
 # build, the complete test suite under the race detector, and a few
@@ -26,8 +26,9 @@ GO ?= go
 # instruction: the simulation's answer must not depend on the CPU.
 # nofma checks the same from the other side, on this CPU: the pinned
 # stream, RED's idle-decay pins and the flap schedule pin hold with the
-# runtime's FMA paths off.
-ci: fmt vet build race fma nofma fuzz-smoke
+# runtime's FMA paths off. oracle holds every roster row to its line of
+# internal/exp/testdata/oracle.tsv.
+ci: fmt vet build race fma nofma oracle fuzz-smoke
 
 # fmt fails when any file is not gofmt-clean (`gofmt -l .` names them).
 fmt:
@@ -59,6 +60,16 @@ nofma:
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'PinnedStream' .
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'REDIdleDecay' ./internal/netem
 	GODEBUG=cpu.fma=off $(GO) test -count=1 -run 'FlapHoldingTimes' ./internal/faults
+
+# oracle runs every roster row at reduced scale and seed 1, as
+# `slowccsim -exp all -seed 1` does, under the invariant auditor, and
+# compares each row's cells, events, stream digest, counters, text and
+# result hashes with internal/exp/testdata/oracle.tsv (DESIGN §8.4). It
+# is a test flag, off in `go test ./...`: 460 cells, 388 M events, about
+# 35 s wall and 66 s CPU on 2 vCPU (62 s at GOMAXPROCS=1). A change that
+# moves a row re-records it with -oracle -update-oracle and says why.
+oracle:
+	$(GO) test -count=1 -run '^TestRosterOracle$$' ./internal/exp -oracle
 
 # bench smoke-runs every benchmark once; invariants stay disabled so the
 # numbers reflect the production configuration.

@@ -249,7 +249,7 @@ func run() int {
 			col.SetCounterFunc("store.misses", sw.Store.Misses)
 			col.SetCounterFunc("store.corrupt", sw.Store.Corrupt)
 		}
-		srv = export.NewServer(col, prog)
+		srv = export.NewServer(prog)
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "-serve: %v\n", err)

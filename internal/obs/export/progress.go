@@ -26,9 +26,9 @@ const maxSubscribers = 16
 // can be an exp.Sweep's Progress (slowccsim -serve), fans the
 // per-cell events out to SSE subscribers with bounded buffering, keeps
 // its own sweep-level counters for /metrics and /healthz, and forwards
-// cell telemetry snapshots to an optional Collector.
+// cell telemetry snapshots to its Collector.
 type Progress struct {
-	col *Collector // may be nil: events only, no metric merging
+	col *Collector
 
 	mu       sync.Mutex
 	events   []obs.SweepEvent // replay ring, oldest first
@@ -46,8 +46,7 @@ type Progress struct {
 	durMS    obs.Histogram
 }
 
-// NewProgress returns a hub forwarding cell stats into col (nil: no
-// forwarding).
+// NewProgress returns a hub forwarding cell stats into col.
 func NewProgress(col *Collector) *Progress {
 	return &Progress{col: col, subs: map[int]chan obs.SweepEvent{}}
 }
@@ -108,11 +107,7 @@ func (p *Progress) SweepEvent(ev obs.SweepEvent) {
 }
 
 // CellStats implements obs.SweepSink by forwarding to the collector.
-func (p *Progress) CellStats(st obs.CellStats) {
-	if p.col != nil {
-		p.col.AddCellStats(st)
-	}
-}
+func (p *Progress) CellStats(st obs.CellStats) { p.col.AddCellStats(st) }
 
 // Subscribe registers a live listener: it returns the events so far (a
 // copy, oldest first), a channel that receives subsequent events, and a

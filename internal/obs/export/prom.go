@@ -27,13 +27,12 @@ import (
 // Namespace prefixes every exposed metric name.
 const Namespace = "slowcc"
 
-// PromName projects a registry metric name onto its Prometheus-legal
-// form: the name is canonicalized (obs.CanonicalMetricName), the
-// registry's component separators '.' and '-' become '_', anything else
-// outside [a-zA-Z0-9_:] becomes '_' too, and the slowcc namespace is
-// prepended unless already present. The projection is total and
-// deterministic, so a name fixed at registration time always scrapes
-// under the same exposed name:
+// PromName projects a counter name onto its Prometheus-legal form: the
+// name is canonicalized (obs.CanonicalMetricName), the counter names'
+// component separators '.' and '-' become '_', anything else outside
+// [a-zA-Z0-9_:] becomes '_' too, and the slowcc namespace is prepended
+// unless already present. The projection is total and deterministic, so
+// a counter name always scrapes under the same exposed name:
 //
 //	engine.scheduled                  -> slowcc_engine_scheduled
 //	journey.access-1-lr-in.drop_burst -> slowcc_journey_access_1_lr_in_drop_burst

@@ -29,8 +29,8 @@ type Health struct {
 	Sweep   ProgressCounts `json:"sweep"`
 }
 
-// Server mounts the live telemetry surface over a collector and a
-// progress hub:
+// Server mounts the live telemetry surface over a progress hub and the
+// collector it forwards cell stats to:
 //
 //	/metrics        Prometheus text exposition (collector + sweep hub)
 //	/healthz        JSON health, 503 once any cell degraded
@@ -41,19 +41,16 @@ type Health struct {
 //
 // Start/Close serve it for the slowccsim -serve path.
 type Server struct {
-	C *Collector
-	P *Progress
-
+	p   *Progress
 	mux *http.ServeMux
 	hs  *http.Server
 	ln  net.Listener
 	t0  time.Time
 }
 
-// NewServer wires a server over c and p (either may be nil; the
-// corresponding endpoints then serve empty documents).
-func NewServer(c *Collector, p *Progress) *Server {
-	s := &Server{C: c, P: p, mux: http.NewServeMux(), t0: time.Now()}
+// NewServer wires a server over p and its collector.
+func NewServer(p *Progress) *Server {
+	s := &Server{p: p, mux: http.NewServeMux(), t0: time.Now()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/progress", s.handleProgress)
@@ -112,24 +109,17 @@ func (s *Server) Close() error {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentTypeProm)
-	if s.C != nil {
-		if err := s.C.WriteMetrics(w); err != nil {
-			return
-		}
+	if err := s.p.col.WriteMetrics(w); err != nil {
+		return
 	}
-	if s.P != nil {
-		s.P.WriteMetrics(w) //nolint:errcheck // client gone; nothing to do
-	}
+	s.p.WriteMetrics(w) //nolint:errcheck // client gone; nothing to do
 }
 
 // health builds the current Health document.
 func (s *Server) health() Health {
-	h := Health{Status: "ok", UptimeS: time.Since(s.t0).Seconds()}
-	if s.P != nil {
-		h.Sweep = s.P.Counts()
-		if h.Sweep.Degraded > 0 {
-			h.Status = "degraded"
-		}
+	h := Health{Status: "ok", UptimeS: time.Since(s.t0).Seconds(), Sweep: s.p.Counts()}
+	if h.Sweep.Degraded > 0 {
+		h.Status = "degraded"
 	}
 	return h
 }
@@ -151,11 +141,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ?replay=close the handler stops after the buffered history — the
 // curl-friendly form the ci smoke uses.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	if s.P == nil {
-		http.Error(w, "no sweep hub", http.StatusNotFound)
-		return
-	}
-	replay, ch, cancel, ok := s.P.Subscribe()
+	replay, ch, cancel, ok := s.p.Subscribe()
 	if !ok {
 		http.Error(w, "too many /progress streams", http.StatusServiceUnavailable)
 		return

@@ -17,7 +17,7 @@ import (
 // /progress holds at most maxSubscribers live streams: one more is
 // refused with 503, and a closed stream gives its slot back.
 func TestProgressStreamsAreCapped(t *testing.T) {
-	srv := NewServer(nil, NewProgress(nil))
+	srv := NewServer(NewProgress(NewCollector()))
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestCloseDuringScrapes(t *testing.T) {
 	col := NewCollector()
 	col.AddCellStats(obs.CellStats{Counters: map[string]int64{"link.lr.bytes": 1500, "sim.events": 42}, Events: 42})
 	p := NewProgress(col)
-	srv := NewServer(col, p)
+	srv := NewServer(p)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +191,8 @@ func TestCloseDuringScrapes(t *testing.T) {
 // period for it: it returns within 500 ms, and the stream's subscriber
 // slot is free by then.
 func TestCloseEndsProgressStreams(t *testing.T) {
-	p := NewProgress(nil)
-	srv := NewServer(nil, p)
+	p := NewProgress(NewCollector())
+	srv := NewServer(p)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

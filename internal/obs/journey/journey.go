@@ -291,7 +291,7 @@ func (r *Recorder) FlowRTTs() (flows []int, sums []obs.HistSummary) {
 
 // Histograms summarizes every histogram the recorder maintains, under
 // journey.<hop>.queue_delay, journey.<hop>.drop_burst and
-// journey.flow<id>.rtt, canonicalized like registry names
+// journey.flow<id>.rtt, canonicalized like counter names
 // (obs.CanonicalMetricName). Empty histograms are kept: a zero count is
 // itself a finding. Call after Finalize.
 func (r *Recorder) Histograms() map[string]obs.HistSummary {

@@ -68,7 +68,7 @@ type DumbbellConfig = topology.Config
 type Dumbbell = topology.Net
 
 // NewDumbbell builds a dumbbell on eng; its links keep the paper's
-// names (lr, rl) in registries, probes and journeys.
+// names (lr, rl) in counter names, probes and journeys.
 func NewDumbbell(eng *Engine, cfg DumbbellConfig) *Dumbbell { return topology.New(eng, cfg) }
 
 // Flow bundles the endpoints of a wired flow.

@@ -488,7 +488,7 @@ const (
 	shrinkReason = "tests set it to a non-default value to shrink the run or sharpen what it checks"
 )
 
-// TestInternalFieldsHaveWriters is TestInternalSurfaceHasUsers one level
+// TestInternalFieldsHaveWriters is TestEverythingIsReached one level
 // down: every exported field of an exported struct declared in a non-test
 // file under internal/ must be written by some non-test .go file of the
 // module. A write is a key or a positional element of a composite
