@@ -13,9 +13,9 @@ GO ?= go
 # keyer every worker calls, the store's interned counter names — and
 # export.Server shut down under live scrapes. The exp tests run in
 # parallel, each on its own exp.Sweep; what they still share is the
-# package-default Sweep (only the bench-surface test touches it) and the
-# audit switch and violation counters, and the tests that write those
-# run serially. ./bench's smoke test runs every
+# package-default Sweep (only the bench-surface test touches it), the
+# audit switch and violation counters, and the algorithm roster, and the
+# tests that write those run serially. ./bench's smoke test runs every
 # workload of the benchmark at -quick size against its oracle; the
 # calendar-vs-heap differentials and ring-sizing tests live in
 # ./internal/sim and the pinned-stream table; and cmd/smoke_test.go

@@ -50,8 +50,10 @@
 // stream_digest. (The calendar and heap schedulers are held to one
 // stream by the root package's pinned-stream table.) The event queue's
 // shape (ring size, bucket width, the year they span, far-tier
-// residents and pops) goes to stderr alongside, so a calendar whose year
-// is shorter than the topology's delays is visible without a profiler.
+// residents and pops, fixed-delay lanes and the events in them) goes to
+// stderr alongside, so a calendar whose year is shorter than the
+// topology's delays, or link deliveries back in the calendar, are
+// visible without a profiler.
 package main
 
 import (
@@ -173,10 +175,11 @@ func main() {
 		// The queue's shape goes to stderr, so stdout stays the run's
 		// deterministic record: a year — buckets x width — shorter than a
 		// delay the schedule uses shows as far-tier pops tracking the event
-		// count.
+		// count, and the lanes show the link deliveries that never entered
+		// the calendar.
 		qs := run.Eng.QueueStats()
-		fmt.Fprintf(os.Stderr, "event queue: %d buckets x %.3g s = %.3g s year; far tier %d live of %d slots, %d pops\n",
-			qs.Buckets, qs.Width, float64(qs.Buckets)*qs.Width, qs.FarLive, qs.FarCap, qs.FarPops)
+		fmt.Fprintf(os.Stderr, "event queue: %d buckets x %.3g s = %.3g s year; far tier %d live of %d slots, %d pops; %d fixed-delay lanes, %d live\n",
+			qs.Buckets, qs.Width, float64(qs.Buckets)*qs.Width, qs.FarLive, qs.FarCap, qs.FarPops, qs.Lanes, qs.LaneLive)
 	}
 	if run.Journeys != nil {
 		printAttribution(run.Journeys)

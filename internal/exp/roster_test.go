@@ -225,9 +225,9 @@ func (s *stopWait) Handle(p *netem.Packet) {
 // and nothing else, the toy parses from the CLI syntax, shows up in the
 // syntax help and the unknown-key error, wires through the same
 // row-to-AlgoSpec path as the real rows, and duels TCP(1/2) on an
-// audited dumbbell.
+// audited dumbbell. It runs serially: it swaps the package-level roster
+// that every parallel test's ParseAlgoSpec reads.
 func TestNewSenderIsOneRow(t *testing.T) {
-	t.Parallel()
 	saw := algoRow{
 		key: "saw", help: "toy stop-and-wait with retransmit timeout rto", arg: 0.5,
 		dom:  domain{"rto in (0,10] seconds", func(v float64) bool { return v > 0 && v <= 10 }},

@@ -108,7 +108,7 @@ type Link struct {
 	// Transitions counts SetDown/SetUp state changes (flap visibility).
 	Transitions int64
 
-	// finishFn and deliverFn are the per-packet timer callbacks, bound
+	// finishFn and deliverFn are the per-packet event callbacks, bound
 	// once here so the hot path schedules them with the packet as the
 	// argument instead of allocating a closure per packet.
 	finishFn  func(any)
@@ -280,8 +280,11 @@ func (l *Link) finishTx(p *Packet) {
 	// The delivery event must be scheduled before startTx schedules the
 	// next transmission completion: sequence numbers are assigned in
 	// schedule order, and determinism requires the same assignment order
-	// as the original closure-based code.
-	l.eng.AfterFunc(l.Delay, l.deliverFn, p)
+	// as the original closure-based code. It waits in the engine's lane
+	// for l.Delay (sim.Engine.AfterFixedFunc), not in the calendar: the
+	// same time and sequence number AfterFunc would give it, so it fires
+	// in the same (at, seq) place.
+	l.eng.AfterFixedFunc(l.Delay, l.deliverFn, p)
 	l.startTx()
 	if len(l.taps) != 0 {
 		l.emit(TapSettled, nil, l.eng.Now())

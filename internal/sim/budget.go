@@ -119,43 +119,32 @@ func (e *Engine) Halted() *HaltReason {
 	return e.budget.halted
 }
 
-// runBudgeted is the budget-aware event loop: it executes events with
-// timestamps <= horizon and reports whether it completed normally
-// (false means the budget halted it and recorded the reason).
-func (e *Engine) runBudgeted(horizon Time) bool {
-	bs := e.budget
-	if bs.halted != nil {
-		// A previous leg already exhausted the budget.
-		bs.halt(e, bs.halted.Cause)
-		return false
+// exhausted reports whether the budget stops the run before its next
+// event, recording why; Engine.run asks it once per event, and only
+// while an event is due.
+func (bs *budgetState) exhausted(e *Engine) bool {
+	if bs.b.MaxEvents > 0 && e.nsteps-bs.start >= bs.b.MaxEvents {
+		bs.halt(e, HaltEvents)
+		return true
 	}
-	for {
-		head := e.peekMin()
-		if head == nil || head.at > horizon {
+	if bs.b.MaxWall > 0 && e.nsteps >= bs.nextWall {
+		elapsed := time.Since(bs.wallStart)
+		if elapsed >= bs.b.MaxWall {
+			bs.halt(e, HaltWall)
 			return true
 		}
-		if bs.b.MaxEvents > 0 && e.nsteps-bs.start >= bs.b.MaxEvents {
-			bs.halt(e, HaltEvents)
-			return false
-		}
-		if bs.b.MaxWall > 0 && e.nsteps >= bs.nextWall {
-			elapsed := time.Since(bs.wallStart)
-			if elapsed >= bs.b.MaxWall {
-				bs.halt(e, HaltWall)
-				return false
-			}
-			bs.nextWall = e.nsteps + bs.wallStride(e.nsteps, elapsed)
-		}
-		prev := e.now
-		e.takeMin(head)
-		e.exec(head)
-		if bs.b.LivelockEvents > 0 {
-			if e.now > prev {
-				bs.stall = 0
-			} else if bs.stall++; bs.stall >= bs.b.LivelockEvents {
-				panic(fmt.Sprintf("sim: livelock: %d consecutive events at t=%v without the clock advancing", bs.stall, e.now))
-			}
-		}
+		bs.nextWall = e.nsteps + bs.wallStride(e.nsteps, elapsed)
+	}
+	return false
+}
+
+// watch is the livelock watchdog, called after each event with the
+// clock before it.
+func (bs *budgetState) watch(e *Engine, prev Time) {
+	if e.now > prev {
+		bs.stall = 0
+	} else if bs.stall++; bs.stall >= bs.b.LivelockEvents {
+		panic(fmt.Sprintf("sim: livelock: %d consecutive events at t=%v without the clock advancing", bs.stall, e.now))
 	}
 }
 

@@ -38,9 +38,15 @@ import "math"
 // the schedule uses all the time, and the ring doubles until it is not;
 // once placements stop reaching that far, the size is released again.
 //
-// Bucket membership is an intrusive doubly-linked list through
-// Timer.next/prev: no per-bucket storage to allocate or reindex, O(1)
-// Stop/unlink, and a ring of buckets is a single flat allocation.
+// Bucket membership is an intrusive singly-linked list through
+// Timer.next with a tail pointer per bucket: no per-bucket storage to
+// allocate or reindex, and a ring of buckets is a single flat
+// allocation. A pop takes a bucket's head and an append its tail, both
+// O(1); Stop, or a re-arm of a bucket resident, walks its bucket from
+// the head to find the predecessor, which the occupancy rule keeps at
+// two timers or fewer on average. A resident's bucket is not stored: it
+// is epochOf(at)&mask, which holds until the next rebuild re-places
+// every timer.
 
 const (
 	// calMinBuckets is the initial and minimum ring size; must be a
@@ -59,12 +65,14 @@ const (
 	// of ring); occupancy growth is bounded by the timer count instead.
 	calMaxBuckets = 1 << 16
 
-	bktNone     int32 = -1 // not queued
-	bktOverflow int32 = -2 // resident in the sorted overflow slice
+	// Timer.bkt states.
+	bktNone     int8 = -1 // not queued
+	bktOverflow int8 = -2 // resident in the sorted overflow slice
+	bktRing     int8 = 0  // resident in bucket epochOf(at)&mask
 )
 
-// calBucket is one ring slot: the head/tail of its (at, seq)-sorted
-// intrusive list.
+// calBucket is one ring slot: the head and tail of its (at, seq)-sorted
+// singly-linked list.
 type calBucket struct {
 	head, tail *Timer
 }
@@ -186,34 +194,31 @@ func (cq *calQueue) place(tm *Timer) {
 	cq.placeBucket(int(ep&cq.mask), tm)
 }
 
-// placeBucket links tm into bucket bi in (at, seq) order, walking from
-// the tail: the common schedule appends at or near the end.
+// placeBucket links tm into bucket bi in (at, seq) order. The common
+// schedule appends at the tail; anything else walks from the head.
 func (cq *calQueue) placeBucket(bi int, tm *Timer) {
 	bk := &cq.b[bi]
-	after := bk.tail
-	for after != nil && timerLess(tm, after) {
-		after = after.prev
-	}
-	if after == nil {
-		tm.prev = nil
+	switch {
+	case bk.tail == nil:
+		tm.next = nil
+		bk.head, bk.tail = tm, tm
+	case !timerLess(tm, bk.tail):
+		tm.next = nil
+		bk.tail.next = tm
+		bk.tail = tm
+	case timerLess(tm, bk.head):
 		tm.next = bk.head
-		if bk.head != nil {
-			bk.head.prev = tm
-		} else {
-			bk.tail = tm
-		}
 		bk.head = tm
-	} else {
-		tm.prev = after
-		tm.next = after.next
-		if after.next != nil {
-			after.next.prev = tm
-		} else {
-			bk.tail = tm
+	default:
+		// head < tm < tail: the walk stops before the tail.
+		after := bk.head
+		for !timerLess(tm, after.next) {
+			after = after.next
 		}
+		tm.next = after.next
 		after.next = tm
 	}
-	tm.bkt = int32(bi)
+	tm.bkt = bktRing
 	tm.index = 0
 }
 
@@ -255,24 +260,31 @@ func (cq *calQueue) placeOverflow(tm *Timer) {
 	tm.index = int32(lo)
 }
 
-// unlink detaches tm from its bucket list.
+// unlink detaches tm from its bucket list: O(1) for the head, a walk
+// from the head to its predecessor otherwise.
 func (cq *calQueue) unlink(tm *Timer) {
-	bk := &cq.b[tm.bkt]
-	if tm.prev != nil {
-		tm.prev.next = tm.next
-	} else {
+	bk := &cq.b[cq.epochOf(tm.at)&cq.mask]
+	if bk.head == tm {
 		bk.head = tm.next
-	}
-	if tm.next != nil {
-		tm.next.prev = tm.prev
+		if bk.head == nil {
+			bk.tail = nil
+		}
 	} else {
-		bk.tail = tm.prev
+		p := bk.head
+		for p.next != tm {
+			p = p.next
+		}
+		p.next = tm.next
+		if bk.tail == tm {
+			bk.tail = p
+		}
 	}
-	tm.next, tm.prev = nil, nil
+	tm.next = nil
 }
 
 // remove deletes a queued timer (Stop, ResetAt re-arm) from wherever it
-// lives: O(1) for bucket residents, a slice shift for overflow ones.
+// lives: a short bucket walk for bucket residents, a slice shift for
+// overflow ones.
 func (cq *calQueue) remove(tm *Timer) {
 	if tm.bkt == bktOverflow {
 		i := int(tm.index)
@@ -473,7 +485,7 @@ func (cq *calQueue) rebuild(nb int, width Time) {
 	for i := range cq.b {
 		for tm := cq.b[i].head; tm != nil; {
 			next := tm.next
-			tm.next, tm.prev = nil, nil
+			tm.next = nil
 			all = append(all, tm)
 			tm = next
 		}

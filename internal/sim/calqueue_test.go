@@ -154,6 +154,97 @@ func TestCalendarStopResetOverflowTimer(t *testing.T) {
 	}
 }
 
+// checkBucket walks bucket bi and fails unless its list is (at, seq)
+// sorted, every resident maps to bi, and tail is its last timer: a tail
+// left pointing at a removed timer would swallow the next append.
+func checkBucket(t *testing.T, cq *calQueue, bi int64, step string) int {
+	t.Helper()
+	bk := &cq.b[bi]
+	n := 0
+	var last *Timer
+	for tm := bk.head; tm != nil; tm = tm.next {
+		if last != nil && !timerLess(last, tm) {
+			t.Fatalf("%s: bucket %d out of (at, seq) order", step, bi)
+		}
+		if tm.bkt != bktRing || cq.epochOf(tm.at)&cq.mask != bi {
+			t.Fatalf("%s: a timer in bucket %d has state %d and maps to bucket %d", step, bi, tm.bkt, cq.epochOf(tm.at)&cq.mask)
+		}
+		last = tm
+		n++
+	}
+	if bk.tail != last {
+		t.Fatalf("%s: bucket %d's tail is not its last timer", step, bi)
+	}
+	return n
+}
+
+// The buckets are singly linked: removing a timer walks from the head to
+// its predecessor and, for the tail, moves the tail back. Stop and
+// ResetAt on a bucket's head, middle and tail, then appends and pops
+// until it is empty, must keep the same order as the heap; a stale tail
+// shows as an append that never fires.
+func TestCalendarBucketRemoval(t *testing.T) {
+	cal, heap := NewWithQueue(1, CalendarQueue), NewWithQueue(1, HeapQueue)
+	w := cal.cq.width
+	base := 10*w + w/64 // every time below sits in one bucket
+	in := func(k int) Time { return base + Time(k)*w/64 }
+	var got [2][]int
+	var hs [2][]*Timer
+	for side, e := range []*Engine{cal, heap} {
+		for k := range 8 {
+			hs[side] = append(hs[side], e.ResetAt(nil, in(4*k), func() { got[side] = append(got[side], k) }))
+		}
+	}
+	bi := cal.cq.epochOf(base) & cal.cq.mask
+	if n := checkBucket(t, cal.cq, bi, "setup"); n != 8 {
+		t.Fatalf("%d of 8 timers share the bucket; the times straddle a bucket boundary", n)
+	}
+	ops := []struct {
+		name string
+		k    int  // handle
+		stop bool // Stop; otherwise ResetAt to at
+		at   int  // in(at), and the id it fires as
+	}{
+		{"stop tail", 7, true, 0},
+		{"stop head", 0, true, 0},
+		{"stop middle", 3, true, 0},
+		{"re-arm head to the middle", 1, false, 13},
+		{"re-arm tail to the head", 6, false, 1},
+		{"re-arm middle to the tail", 4, false, 40},
+		{"re-arm tail in place", 4, false, 41},
+		{"stop tail again", 4, true, 0},
+	}
+	for _, op := range ops {
+		for side, e := range []*Engine{cal, heap} {
+			if op.stop {
+				if !hs[side][op.k].Stop() {
+					t.Fatalf("%s: Stop on a pending timer returned false", op.name)
+				}
+				continue
+			}
+			id := op.at
+			hs[side][op.k] = e.ResetAt(hs[side][op.k], in(op.at), func() { got[side] = append(got[side], id) })
+		}
+		checkBucket(t, cal.cq, bi, op.name)
+	}
+	// Appends after the last removal land at the tail.
+	for side, e := range []*Engine{cal, heap} {
+		for _, k := range []int{42, 50, 60} {
+			e.At(in(k), func() { got[side] = append(got[side], k) })
+		}
+	}
+	if n := checkBucket(t, cal.cq, bi, "append"); n != cal.Pending() {
+		t.Fatalf("bucket holds %d of the %d pending timers after the appends", n, cal.Pending())
+	}
+	for cal.step() {
+		heap.step()
+		checkBucket(t, cal.cq, bi, "pop")
+	}
+	if !slices.Equal(got[0], got[1]) || len(got[1]) != 7 {
+		t.Fatalf("calendar fired %v, heap %v", got[0], got[1])
+	}
+}
+
 // Stop and ResetAt locate a far-tier resident by Timer.index, and
 // compaction moves every resident: the moment after one, each index must
 // name its timer's new slot, or the removal takes out a neighbour.

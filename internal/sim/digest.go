@@ -29,7 +29,7 @@ const (
 	fnvPrime64Pow5 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 & (1<<64 - 1)
 )
 
-// fold absorbs one executed event. Called from Engine.exec with the
+// fold absorbs one executed event. Called from Engine.run with the
 // same (prev, at, seq) arguments the audit hook receives.
 func (d *StreamDigest) fold(prev, at Time, seq uint64) {
 	h := d.sum

@@ -15,6 +15,13 @@
 // (HeapQueue) remains as the differential-testing oracle. Both recycle
 // fired engine-owned timers through a free list, so the steady-state
 // packet path schedules events without allocating.
+//
+// Beside the queue sit the fixed-delay lanes (lane.go): an event
+// scheduled a constant d ahead — a link's propagation delivery — goes
+// into a FIFO ring kept per distinct d, which is (at, seq)-sorted by
+// construction, and never enters the queue. The engine caches the
+// queue's minimum and the earliest lane front, and each step runs
+// whichever of the two is earlier under the same (at, seq) order.
 package sim
 
 import (
@@ -33,10 +40,10 @@ type Time = float64
 // timer is engine-owned and recycled once it fires. The zero value is
 // not meaningful.
 //
-// Field order is deliberate: the hot comparison key (at, seq) shares the
-// first cache line with the callback pair, the queue-membership links
-// follow, and the two int32 positions plus the flag byte pack the tail
-// instead of padding three separate words.
+// A Timer is 64 bytes, one cache line and one allocation size class
+// (TestTimerIsOneCacheLine pins it): the comparison key (at, seq), the
+// callback pair, the owner, one bucket link, and an int32 position plus
+// two bytes of state in the last word.
 type Timer struct {
 	at  Time
 	seq uint64
@@ -48,18 +55,18 @@ type Timer struct {
 	fnA func(any)
 	arg any
 	eng *Engine
-	// next/prev link the timer into its calendar-queue bucket (an
-	// intrusive doubly-linked list, so Stop unlinks in O(1) with no
-	// per-bucket storage). Unused in heap mode.
-	next, prev *Timer
+	// next links the timer into its calendar-queue bucket (an intrusive
+	// singly-linked list, no per-bucket storage). Unused in heap mode.
+	next *Timer
 	// index is the position in the heap (heap mode) or the sorted
 	// overflow slice (calendar mode); for calendar bucket residents it is
 	// pinned to 0. It is -1 exactly when the timer is not queued, in both
 	// modes, so Pending stays one comparison.
 	index int32
-	// bkt is the calendar bucket index, bktOverflow for the sorted
-	// far-future overflow, bktNone when not queued. Unused in heap mode.
-	bkt    int32
+	// bkt is where a calendar timer waits: bktRing in a bucket (which
+	// one is recomputed from at), bktOverflow in the sorted far-future
+	// overflow, bktNone when not queued. Unused in heap mode.
+	bkt    int8
 	pooled bool // engine-owned (no external handle); recycle after firing
 }
 
@@ -144,6 +151,17 @@ type Engine struct {
 	cq     *calQueue
 	events []*Timer // 4-ary min-heap ordered by (at, seq); heap mode only
 	free   []*Timer // recycled timers with no external references
+	// head caches the queue's earliest timer (nil: the queue is empty)
+	// while headOK: schedule lowers it, and a pop, or removing the
+	// cached timer, clears headOK so the next step asks the queue.
+	head   *Timer
+	headOK bool
+	// lanes[:nlanes] hold the fixed-delay events (lane.go); front is the
+	// lane whose first event is the earliest of all lane fronts, nil when
+	// every lane is empty.
+	lanes  [maxLanes]lane
+	nlanes int
+	front  *lane
 	nsteps uint64
 	audit  AuditHook
 	// dig, when non-nil, folds every executed event into a rolling
@@ -163,7 +181,7 @@ type Engine struct {
 	// increments on paths that already touch the same cache lines, so
 	// they are free at the scale the benchmarks resolve. nsteps is the
 	// fired-event counter and predates these.
-	scheduled uint64 // timers accepted by At/After/AtFunc/ResetAt
+	scheduled uint64 // events accepted by At/After/AtFunc/AfterFixedFunc/ResetAt
 	rearms    uint64 // in-place ResetAt/ResetAfter reschedules
 	stops     uint64 // Timer.Stop calls that cancelled a live timer
 }
@@ -189,6 +207,9 @@ func NewWithQueue(seed int64, kind QueueKind) *Engine {
 			if kind == HeapQueue {
 				e.events = sp.events
 			}
+			for i, buf := range sp.lanes {
+				e.lanes[i].buf = buf
+			}
 			for _, tm := range e.free {
 				tm.eng = e
 			}
@@ -201,12 +222,13 @@ func NewWithQueue(seed int64, kind QueueKind) *Engine {
 }
 
 // spares is what a released engine leaves for the next one New builds:
-// its timer free list, every timer zeroed by recycle, and its emptied
-// event queue, calendar or heap.
+// its timer free list, every timer zeroed by recycle, its emptied event
+// queue, calendar or heap, and its emptied lane rings.
 type spares struct {
 	free   []*Timer
 	cq     *calQueue
 	events []*Timer
+	lanes  [maxLanes][]laneEvent
 }
 
 // released holds released engines' spares. It is per-P, so a sweep
@@ -237,20 +259,21 @@ func MarkStocked() {
 // allocator, whose objects may never be finalized.
 type gcSentinel struct{ _ *int }
 
-// Release hands the engine's timer free list and event-queue storage to
-// an engine New builds later. Every pending event is unlinked unrun: an
-// engine-owned timer (At, After, AtFunc, AfterFunc) passes its argument
-// to reclaim and joins the parked free list; a handle timer (ResetAt,
-// ResetAtFunc, …) stays its holder's. Nothing may schedule on or run the
-// engine afterwards. A sweep releases a cell's engines once their
-// results are read (topology.Net.Release); a run that never calls it
-// pays nothing for it.
+// Release hands the engine's timer free list, event-queue storage and
+// lane rings to an engine New builds later. Every pending event is
+// dropped unrun: an engine-owned timer (At, After, AtFunc, AfterFunc)
+// passes its argument to reclaim and joins the parked free list, a lane
+// event (AfterFixedFunc) passes its argument to reclaim; a handle timer
+// (ResetAt, ResetAtFunc, …) is unlinked and stays its holder's. Nothing
+// may schedule on or run the engine afterwards. A sweep releases a
+// cell's engines once their results are read (topology.Net.Release); a
+// run that never calls it pays nothing for it.
 func (e *Engine) Release(reclaim func(arg any)) {
-	if e.free == nil && e.cq == nil && e.events == nil {
+	if e.free == nil && e.cq == nil && e.events == nil && e.nlanes == 0 {
 		return
 	}
 	drop := func(tm *Timer) {
-		tm.next, tm.prev, tm.index, tm.bkt = nil, nil, -1, bktNone
+		tm.next, tm.index, tm.bkt = nil, -1, bktNone
 		if tm.pooled {
 			reclaim(tm.arg)
 			e.recycle(tm)
@@ -263,8 +286,14 @@ func (e *Engine) Release(reclaim func(arg any)) {
 		drop(tm)
 	}
 	clear(e.events)
-	released.Put(&spares{free: e.free, cq: e.cq, events: e.events[:0]})
+	sp := &spares{free: e.free, cq: e.cq, events: e.events[:0]}
+	for i := range e.lanes {
+		sp.lanes[i] = e.lanes[i].drain(reclaim)
+	}
+	released.Put(sp)
 	e.free, e.cq, e.events = nil, nil, nil
+	e.lanes, e.nlanes, e.front = [maxLanes]lane{}, 0, nil
+	e.head, e.headOK = nil, false
 	MarkStocked()
 }
 
@@ -289,39 +318,45 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
 // Pending returns the exact number of live (non-stopped, not yet fired)
-// timers. Stopped timers are removed from the queue immediately, so they
-// never inflate this count.
+// events, queued timers and lane events alike. Stopped timers are
+// removed from the queue immediately, so they never inflate this count.
 func (e *Engine) Pending() int {
+	n := len(e.events)
 	if e.cq != nil {
-		return e.cq.n
+		n = e.cq.n
 	}
-	return len(e.events)
+	for _, ln := range e.lanes[:e.nlanes] {
+		n += ln.n
+	}
+	return n
 }
 
-// QueueStats is the calendar queue's shape at one instant: enough to see
-// a year (Buckets × Width) shorter than a delay the schedule uses, which
-// shows as FarPops tracking Steps. All zero in heap mode.
+// QueueStats is the event queue's shape at one instant: enough to see a
+// calendar year (Buckets × Width) shorter than a delay the schedule
+// uses, which shows as FarPops tracking Steps, and how much of the
+// schedule waits in the fixed-delay lanes instead. The calendar fields
+// are zero in heap mode.
 type QueueStats struct {
-	Buckets int    // ring size
-	Width   Time   // bucket width, seconds
-	FarLive int    // timers resident in the far tier (the sorted overflow)
-	FarCap  int    // slots the far tier has allocated
-	FarPops uint64 // pops and migrations that came through the far tier
+	Buckets  int    // ring size
+	Width    Time   // bucket width, seconds
+	FarLive  int    // timers resident in the far tier (the sorted overflow)
+	FarCap   int    // slots the far tier has allocated
+	FarPops  uint64 // pops and migrations that came through the far tier
+	Lanes    int    // distinct fixed delays with a lane
+	LaneLive int    // events waiting in the lanes
 }
 
 // QueueStats returns the event queue's current shape.
 func (e *Engine) QueueStats() QueueStats {
-	cq := e.cq
-	if cq == nil {
-		return QueueStats{}
+	qs := QueueStats{Lanes: e.nlanes}
+	for _, ln := range e.lanes[:e.nlanes] {
+		qs.LaneLive += ln.n
 	}
-	return QueueStats{
-		Buckets: len(cq.b),
-		Width:   cq.width,
-		FarLive: len(cq.overflow) - cq.ohead,
-		FarCap:  cap(cq.overflow),
-		FarPops: cq.farPops,
+	if cq := e.cq; cq != nil {
+		qs.Buckets, qs.Width = len(cq.b), cq.width
+		qs.FarLive, qs.FarCap, qs.FarPops = len(cq.overflow)-cq.ohead, cap(cq.overflow), cq.farPops
 	}
+	return qs
 }
 
 // SetAudit installs h as the engine's audit hook; nil disables auditing.
@@ -374,27 +409,41 @@ func (e *Engine) validate(t Time) {
 	}
 }
 
-// schedule stamps tm with the next sequence number and inserts it into
-// the queue. The caller has already validated t and set the callback
-// fields.
-func (e *Engine) schedule(t Time, tm *Timer) {
+// stamp accepts an event at the validated time t: the audit hook sees
+// it, and it takes the next sequence number, which it returns. Every
+// schedule path, queue or lane, goes through here once per event.
+func (e *Engine) stamp(t Time) uint64 {
 	if e.audit != nil {
 		e.audit.OnSchedule(e.now, t)
 	}
 	e.scheduled++
 	e.seq++
+	return e.seq
+}
+
+// schedule stamps tm and inserts it into the queue. The caller has
+// already validated t and set the callback fields.
+func (e *Engine) schedule(t Time, tm *Timer) {
 	tm.at = t
-	tm.seq = e.seq
+	tm.seq = e.stamp(t)
 	if e.cq != nil {
 		e.cq.insert(tm)
 	} else {
 		e.push(tm)
+	}
+	// tm has the largest seq yet, so it precedes the cached head only
+	// by time.
+	if e.headOK && (e.head == nil || t < e.head.at) {
+		e.head = tm
 	}
 }
 
 // removeTimer deletes a queued timer from whichever queue backs the
 // engine, leaving tm.index == -1.
 func (e *Engine) removeTimer(tm *Timer) {
+	if tm == e.head {
+		e.headOK = false
+	}
 	if e.cq != nil {
 		e.cq.remove(tm)
 	} else {
@@ -402,9 +451,8 @@ func (e *Engine) removeTimer(tm *Timer) {
 	}
 }
 
-// peekMin returns the earliest pending timer without removing it, or nil
-// when the queue is empty.
-func (e *Engine) peekMin() *Timer {
+// queueMin asks the queue for its earliest timer, nil when it is empty.
+func (e *Engine) queueMin() *Timer {
 	if e.cq != nil {
 		return e.cq.findMin()
 	}
@@ -412,16 +460,6 @@ func (e *Engine) peekMin() *Timer {
 		return e.events[0]
 	}
 	return nil
-}
-
-// takeMin removes tm — which must be the head peekMin just returned —
-// from the queue.
-func (e *Engine) takeMin(tm *Timer) {
-	if e.cq != nil {
-		e.cq.popHead(tm)
-	} else {
-		e.popMin()
-	}
 }
 
 // newTimer returns a zeroed engine-owned timer, reusing a recycled one
@@ -484,6 +522,28 @@ func (e *Engine) AfterFunc(d Time, fn func(any), arg any) {
 	e.AtFunc(e.now+float64(d), fn, arg)
 }
 
+// AfterFixedFunc is AfterFunc for a delay the caller uses over and over
+// — a link's propagation delay. The event takes the same time, now+d,
+// and the same sequence number AfterFunc would give it, and fires in the
+// same (at, seq) place; it waits in d's lane (lane.go) instead of the
+// queue, so it costs a ring append and a ring pop. Past maxLanes
+// distinct delays it is AfterFunc.
+func (e *Engine) AfterFixedFunc(d Time, fn func(any), arg any) {
+	t := e.now + float64(d)
+	e.validate(t)
+	ln := e.laneFor(d)
+	if ln == nil {
+		e.AtFunc(t, fn, arg)
+		return
+	}
+	ln.push(laneEvent{at: t, seq: e.stamp(t), fn: fn, arg: arg})
+	// The new event has the largest seq yet: it becomes the front only
+	// as its lane's sole event, and only by time.
+	if ln.n == 1 && (e.front == nil || t < e.front.at) {
+		e.front = ln
+	}
+}
+
 // ResetAt reschedules tm to run fn at absolute time t, reusing the timer
 // object in place: if tm is still pending it is first removed from the
 // queue (exactly like Stop), and either way the same handle is returned
@@ -533,38 +593,76 @@ func (e *Engine) ResetAfterFunc(tm *Timer, d Time, fn func(any), arg any) *Timer
 	return e.ResetAtFunc(tm, e.now+d, fn, arg)
 }
 
-// exec advances the clock to tm and runs its callback. tm has already
-// been removed from the queue.
-func (e *Engine) exec(tm *Timer) {
-	prev := e.now
-	e.now = tm.at
-	e.nsteps++
-	if e.audit != nil {
-		e.audit.OnEvent(prev, tm.at, tm.seq)
-	}
-	if e.dig != nil {
-		e.dig.fold(prev, tm.at, tm.seq)
-	}
-	if tm.at >= e.probeAt {
-		e.probeAt = e.probe.OnEvent(prev, tm.at, tm.seq)
-	}
-	fn, arg := tm.fnA, tm.arg
-	if tm.pooled {
-		e.recycle(tm)
-	}
-	fn(arg)
-}
-
-// step executes the earliest pending event. It reports false when no
-// runnable events remain. Stopped timers are removed from the queue by
-// Stop itself, so every popped timer is live.
-func (e *Engine) step() bool {
-	tm := e.peekMin()
-	if tm == nil {
+// run is the engine's one event loop, behind Run, RunUntil and the
+// tests' step: it executes, in (at, seq) order, the pending events with
+// timestamps <= horizon, at most limit of them, and reports false when
+// the installed budget (if any) halted it and recorded why. Each step
+// compares the cached queue head with the earliest lane front, takes
+// the earlier event, advances the clock to it, shows it to the hooks
+// and runs it. Stopped timers are removed from the queue by Stop
+// itself, so every popped timer is live.
+func (e *Engine) run(horizon Time, limit uint64) bool {
+	bs := e.budget
+	if bs != nil && bs.halted != nil {
+		// A previous leg already exhausted the budget.
+		bs.halt(e, bs.halted.Cause)
 		return false
 	}
-	e.takeMin(tm)
-	e.exec(tm)
+	for ; limit > 0; limit-- {
+		if !e.headOK {
+			e.head, e.headOK = e.queueMin(), true
+		}
+		tm, ln := e.head, e.front
+		var at Time
+		if ln != nil && (tm == nil || eventLess(ln.at, ln.seq, tm.at, tm.seq)) {
+			at = ln.at
+		} else if tm != nil {
+			at, ln = tm.at, nil
+		} else {
+			return true
+		}
+		if at > horizon {
+			return true
+		}
+		if bs != nil && bs.exhausted(e) {
+			return false
+		}
+		var seq uint64
+		var fn func(any)
+		var arg any
+		if ln != nil {
+			seq = ln.seq
+			fn, arg = ln.pop()
+			e.front = e.earliestLane()
+		} else {
+			e.headOK = false
+			if e.cq != nil {
+				e.cq.popHead(tm)
+			} else {
+				e.popMin()
+			}
+			seq, fn, arg = tm.seq, tm.fnA, tm.arg
+			if tm.pooled {
+				e.recycle(tm)
+			}
+		}
+		prev := e.now
+		e.now = at
+		e.nsteps++
+		if e.audit != nil {
+			e.audit.OnEvent(prev, at, seq)
+		}
+		if e.dig != nil {
+			e.dig.fold(prev, at, seq)
+		}
+		if at >= e.probeAt {
+			e.probeAt = e.probe.OnEvent(prev, at, seq)
+		}
+		fn(arg)
+		if bs != nil && bs.b.LivelockEvents > 0 {
+			bs.watch(e, prev)
+		}
+	}
 	return true
 }
 
@@ -573,12 +671,7 @@ func (e *Engine) step() bool {
 // themselves forever. An installed Budget (SetBudget) can stop the run
 // early; check Halted afterwards.
 func (e *Engine) Run() {
-	if e.budget != nil {
-		e.runBudgeted(math.Inf(1))
-		return
-	}
-	for e.step() {
-	}
+	e.run(math.Inf(1), math.MaxUint64)
 }
 
 // RunUntil executes events with timestamps <= t and then advances the
@@ -586,21 +679,7 @@ func (e *Engine) Run() {
 // queued for a later call. If an installed Budget halts the run, the
 // clock stays where the halt left it (check Halted).
 func (e *Engine) RunUntil(t Time) {
-	if e.budget != nil {
-		if e.runBudgeted(t) && t > e.now {
-			e.now = t
-		}
-		return
-	}
-	for {
-		tm := e.peekMin()
-		if tm == nil || tm.at > t {
-			break
-		}
-		e.takeMin(tm)
-		e.exec(tm)
-	}
-	if t > e.now {
+	if e.run(t, math.MaxUint64) && t > e.now {
 		e.now = t
 	}
 }
@@ -612,12 +691,7 @@ func (e *Engine) RunUntil(t Time) {
 // implements the identical order over time buckets.
 
 // timerLess reports whether event a fires before event b.
-func timerLess(a, b *Timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
+func timerLess(a, b *Timer) bool { return eventLess(a.at, a.seq, b.at, b.seq) }
 
 func (e *Engine) push(tm *Timer) {
 	tm.index = int32(len(e.events))

