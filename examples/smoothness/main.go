@@ -16,15 +16,15 @@ func main() {
 	mild := slowcc.DefaultFig17()
 	mild.Duration = 120
 	mild.Seed = 1
-	fmt.Println(slowcc.RenderSmoothness("Mild bursty pattern (Figure 17)", mild, slowcc.RunSmoothness(mild)))
+	fmt.Println(slowcc.RenderSmoothness("Mild bursty pattern (Figure 17)", slowcc.RunSmoothness(mild)))
 
 	severe := slowcc.DefaultFig18()
 	severe.Duration = 120
 	severe.Seed = 1
-	fmt.Println(slowcc.RenderSmoothness("Severe bursty pattern (Figure 18)", severe, slowcc.RunSmoothness(severe)))
+	fmt.Println(slowcc.RenderSmoothness("Severe bursty pattern (Figure 18)", slowcc.RunSmoothness(severe)))
 
 	binom := slowcc.DefaultFig19()
 	binom.Duration = 120
 	binom.Seed = 1
-	fmt.Println(slowcc.RenderSmoothness("Binomial algorithms on the mild pattern (Figure 19)", binom, slowcc.RunSmoothness(binom)))
+	fmt.Println(slowcc.RenderSmoothness("Binomial algorithms on the mild pattern (Figure 19)", slowcc.RunSmoothness(binom)))
 }

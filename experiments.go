@@ -7,9 +7,12 @@ import "slowcc/internal/exp"
 // are re-exported from internal/exp with their Config (zero fields take
 // the paper's parameters), typed result and Render function. The
 // single-scenario configs (FairnessConfig, SmoothnessConfig) have no
-// default for what is under test — A and B, Algos and Pattern — and must
-// be given it; DefaultFig7 and DefaultFig17-19 are the paper's choices.
-// Each driver runs under a fresh exp.Sweep, with no settings.
+// default for what is under test — FairnessConfig's A and B,
+// SmoothnessConfig's Algos and Pattern — and must be given it;
+// DefaultFig7 and DefaultFig17-19 are the paper's choices. What a config
+// does not hold is the paper's and fixed: the flow counts, the bottleneck
+// rates and the traffic types OscillationConfig compares. Each driver
+// runs under a fresh exp.Sweep, with no settings.
 
 // Experiments returns the evaluation roster — Figures 3-20, the
 // ablations and the extensions — in the order slowccsim -list prints it.
@@ -99,8 +102,8 @@ func DefaultFig18() SmoothnessConfig { return exp.DefaultFig18() }
 func DefaultFig19() SmoothnessConfig { return exp.DefaultFig19() }
 
 // RenderSmoothness formats the Figure 17/18/19 traces and summary.
-func RenderSmoothness(title string, cfg SmoothnessConfig, res []SmoothnessResult) string {
-	return exp.RenderSmoothness(title, cfg, res)
+func RenderSmoothness(title string, res []SmoothnessResult) string {
+	return exp.RenderSmoothness(title, res)
 }
 
 // Fig20Point is one row of the Appendix A model comparison (Figure 20).

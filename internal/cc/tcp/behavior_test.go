@@ -36,7 +36,7 @@ func (h *harness) ack(cum, ackSeq int64) {
 }
 
 func TestInitialWindowTransmissions(t *testing.T) {
-	h := newHarness(Config{Flow: 1, InitialCwnd: 2})
+	h := newHarness(Config{Flow: 1})
 	if len(h.sent) != 2 {
 		t.Fatalf("sent %d packets at start, want initial window of 2", len(h.sent))
 	}
@@ -46,7 +46,7 @@ func TestInitialWindowTransmissions(t *testing.T) {
 }
 
 func TestSlowStartDoublesPerRTT(t *testing.T) {
-	h := newHarness(Config{Flow: 1, InitialCwnd: 2})
+	h := newHarness(Config{Flow: 1})
 	// ACK the initial window: each new ACK adds 1 in slow start.
 	h.ack(1, 0)
 	h.ack(2, 1)
@@ -229,7 +229,9 @@ func TestSenderIgnoresWrongKind(t *testing.T) {
 
 func TestMaxPktsStopsExactly(t *testing.T) {
 	done := false
-	h := newHarness(Config{Flow: 1, MaxPkts: 5, InitialCwnd: 10, OnDone: func() { done = true }})
+	h := newHarness(Config{Flow: 1, MaxPkts: 5, OnDone: func() { done = true }})
+	h.snd.cwnd = 10 // a window wider than the transfer
+	h.snd.trySend()
 	if len(h.sent) != 5 {
 		t.Fatalf("short transfer sent %d packets initially, want capped at 5", len(h.sent))
 	}

@@ -51,9 +51,6 @@ type Config struct {
 	// packets (used by the flash-crowd workload). Zero means a
 	// long-lived flow.
 	MaxPkts int64
-	// InitialCwnd is the slow-start initial window in packets
-	// (default 2).
-	InitialCwnd float64
 	// OnDone, if non-nil, is invoked when a short transfer's last packet
 	// is acknowledged.
 	OnDone func()
@@ -76,17 +73,16 @@ func (c *Config) fill() {
 	if c.Policy == nil {
 		c.Policy = NewAIMD(0.5)
 	}
-	if c.InitialCwnd == 0 {
-		c.InitialCwnd = 2
-	}
 }
 
 // pktSize is the data packet size in bytes; minRTO and maxRTO bound the
-// retransmit timer.
+// retransmit timer; initialCwnd is the slow-start initial window in
+// packets.
 const (
-	pktSize          = cc.DefaultPktSize
-	minRTO  sim.Time = 0.2
-	maxRTO  sim.Time = 64
+	pktSize              = cc.DefaultPktSize
+	minRTO      sim.Time = 0.2
+	maxRTO      sim.Time = 64
+	initialCwnd          = 2
 )
 
 // Sender is a self-clocked window-based sender. Create with NewSender,
@@ -161,7 +157,7 @@ func (s *Sender) Start() {
 		return
 	}
 	s.running = true
-	s.cwnd = s.cfg.InitialCwnd
+	s.cwnd = initialCwnd
 	s.ssthresh = math.Inf(1)
 	s.trySend()
 }

@@ -26,9 +26,9 @@ func TestBenchSurfaceDrivesTheDefaultSweep(t *testing.T) {
 	}
 
 	Matrix(tinyMatrix(1))
-	if st.Len() != 4 || len(sink.cellKinds(3)) == 0 || tl.Len() == 0 {
-		t.Fatalf("Matrix stored %d cells, sink saw cell 3 as %v, timeline %d events; want 4, its lifecycle, some",
-			st.Len(), sink.cellKinds(3), tl.Len())
+	if st.Len() != 3 || len(sink.cellKinds(2)) == 0 || tl.Len() == 0 {
+		t.Fatalf("Matrix stored %d cells, sink saw cell 2 as %v, timeline %d events; want 3, its lifecycle, some",
+			st.Len(), sink.cellKinds(2), tl.Len())
 	}
 
 	if _, rerr := Supervise(0, func(*Cell) int { panic("bench surface bomb") }); rerr == nil {
@@ -38,8 +38,8 @@ func TestBenchSurfaceDrivesTheDefaultSweep(t *testing.T) {
 	cfg := tinyMatrix(1)
 	cfg.Algos = []AlgoSpec{boom}
 	Matrix(cfg)
-	if n, again := len(SweepErrors()), len(SweepErrors()); n != 1 || again != 1 {
-		t.Fatalf("SweepErrors gave %d then %d degraded cells, want the sweep's one both times (Supervise records none)", n, again)
+	if n, again := len(SweepErrors()), len(SweepErrors()); n != 3 || again != 3 {
+		t.Fatalf("SweepErrors gave %d then %d degraded cells, want the sweep's three both times (Supervise records none)", n, again)
 	}
 	ResetSweepErrors()
 	if errs := SweepErrors(); len(errs) != 0 {

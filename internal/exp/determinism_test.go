@@ -17,12 +17,10 @@ func TestDeterminismFig3PooledVsUnpooled(t *testing.T) {
 	t.Parallel()
 	run := func(disable bool) StabilizationResult {
 		return runStabilization(noCell, StabilizationConfig{
-			Algo:  TCPAlgo(0.5),
-			Flows: 4,
 			OffAt: 30, OnAt: 40, End: 60,
 			Seed:        7,
 			DisablePool: disable,
-		})
+		}, TCPAlgo(0.5))
 	}
 	pooled := run(false)
 	unpooled := run(true)
@@ -37,7 +35,6 @@ func TestDeterminismFairnessPooledVsUnpooled(t *testing.T) {
 	run := func(disable bool) []FairnessPoint {
 		return sw.Fairness(FairnessConfig{
 			A: TCPAlgo(0.5), B: TFRCAlgo(TFRCOpts{}),
-			AFlows: 2, BFlows: 2,
 			Periods: []float64{2},
 			Warmup:  10, Measure: 20,
 			Seed:        3,
@@ -58,11 +55,9 @@ func TestDeterminismRepeatRun(t *testing.T) {
 	t.Parallel()
 	run := func() StabilizationResult {
 		return runStabilization(noCell, StabilizationConfig{
-			Algo:  TFRCAlgo(TFRCOpts{}),
-			Flows: 2,
 			OffAt: 20, OnAt: 25, End: 35,
 			Seed: 11,
-		})
+		}, TFRCAlgo(TFRCOpts{}))
 	}
 	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("same-seed pooled runs diverge:\nfirst:  %+v\nsecond: %+v", a, b)

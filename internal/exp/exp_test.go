@@ -15,9 +15,7 @@ func quickStab() StabilizationConfig {
 
 func TestStabilizationScenarioSane(t *testing.T) {
 	t.Parallel()
-	cfg := quickStab()
-	cfg.Algo = TCPAlgo(0.5)
-	r := runStabilization(noCell, cfg)
+	r := runStabilization(noCell, quickStab(), TCPAlgo(0.5))
 	if r.Steady <= 0 || r.Steady > 0.6 {
 		t.Fatalf("steady loss %v outside a plausible congested range", r.Steady)
 	}
@@ -34,11 +32,8 @@ func TestSelfClockingReducesStabilizationCost(t *testing.T) {
 	// The paper's headline: TFRC(256) without self-clocking has a
 	// stabilization cost orders of magnitude above TCP; the conservative
 	// option repairs it. The compressed timeline keeps the contrast.
-	base := quickStab()
-	base.Algo = TFRCAlgo(TFRCOpts{K: 256})
-	noSC := runStabilization(noCell, base)
-	base.Algo = TFRCAlgo(TFRCOpts{K: 256, Conservative: true})
-	withSC := runStabilization(noCell, base)
+	noSC := runStabilization(noCell, quickStab(), TFRCAlgo(TFRCOpts{K: 256}))
+	withSC := runStabilization(noCell, quickStab(), TFRCAlgo(TFRCOpts{K: 256, Conservative: true}))
 	if noSC.Stab.Cost <= withSC.Stab.Cost {
 		t.Fatalf("self-clocking did not help: cost %v (no SC) vs %v (SC)",
 			noSC.Stab.Cost, withSC.Stab.Cost)
@@ -242,15 +237,14 @@ func TestOscillationQuick(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)
 	cfg := OscillationConfig{
-		Algos:   []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 6, HistoryDiscounting: true})},
 		Periods: []sim.Time{0.4, 6.4},
 		Warmup:  10,
-		Measure: 40,
+		Measure: 25,
 		Seed:    1,
 	}
 	pts := sw.Oscillation(cfg)
-	if len(pts) != 4 {
-		t.Fatalf("%d points, want 4", len(pts))
+	if len(pts) != 6 {
+		t.Fatalf("%d points, want 6", len(pts))
 	}
 	for _, p := range pts {
 		if p.Throughput <= 0.2 || p.Throughput > 1.05 {
@@ -285,7 +279,7 @@ func TestSmoothnessMildPatternFavorsTFRC(t *testing.T) {
 	if tfrcRes.ThroughputMbps <= 0 || tcpRes.ThroughputMbps <= 0 {
 		t.Fatal("zero throughput")
 	}
-	if !strings.Contains(RenderSmoothness("Figure 17", cfg, res), "minRatio") {
+	if !strings.Contains(RenderSmoothness("Figure 17", res), "minRatio") {
 		t.Fatal("render incomplete")
 	}
 }

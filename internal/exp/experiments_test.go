@@ -131,9 +131,9 @@ func TestRenderersAcceptEmptyResults(t *testing.T) {
 		"Fig11":         func() { RenderFig11(0.1, 0.1, nil) },
 		"Fig13":         func() { RenderFig13(Fig13Config{}, nil) },
 		"Oscillation":   func() { RenderOscillation("", OscillationConfig{}, nil) },
-		"Smoothness":    func() { RenderSmoothness("", SmoothnessConfig{}, nil) },
+		"Smoothness":    func() { RenderSmoothness("", nil) },
 		"Fig20":         func() { RenderFig20(nil) },
-		"StaticCompat":  func() { RenderStaticCompat(StaticCompatConfig{}, nil) },
+		"StaticCompat":  func() { RenderStaticCompat(nil) },
 		"RTTFairness":   func() { RenderRTTFairness(RTTFairnessConfig{}, nil) },
 		"QueueDynamics": func() { RenderQueueDynamics(QueueDynamicsConfig{}, nil) },
 		"Matrix":        func() { RenderMatrix(MatrixConfig{}, nil) },
@@ -152,7 +152,7 @@ func TestRenderersAcceptEmptyResults(t *testing.T) {
 		})
 	}
 	// The two facade calls that used to reach the panic.
-	RenderSmoothness("", SmoothnessConfig{Pattern: MildBurstyPattern}, sw.RunSmoothness(SmoothnessConfig{Pattern: MildBurstyPattern}))
+	RenderSmoothness("", sw.RunSmoothness(SmoothnessConfig{Pattern: MildBurstyPattern}))
 	cfg := Fig6Config{Backgrounds: []AlgoSpec{}}
 	RenderFig6(cfg, sw.Fig6(cfg))
 }
@@ -167,7 +167,7 @@ func TestDriverRunsOneSweep(t *testing.T) {
 	t.Parallel()
 	conv := ConvergenceConfig{SecondStart: 5, Horizon: 10, Seeds: []int64{1}}
 	smooth := DefaultFig17()
-	smooth.Duration, smooth.Warmup = 10, 5
+	smooth.Duration = smoothnessWarmup + 5
 	for _, tc := range []struct {
 		name          string
 		sweeps, cells int

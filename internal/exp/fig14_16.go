@@ -16,13 +16,6 @@ import (
 // available bandwidth) and the packet drop rate, as a function of the
 // oscillation period.
 type OscillationConfig struct {
-	// Algos are the traffic types compared (paper: TCP(1/8), TCP,
-	// TFRC(6)).
-	Algos []AlgoSpec
-	// Flows is the number of flows per run (paper: 10).
-	Flows int
-	// Rate is the bottleneck bandwidth (paper: 15 Mbps).
-	Rate float64
 	// CBRPeak is the CBR ON rate: 10 Mbps gives the 3:1 swing of Figure
 	// 14, 13.5 Mbps the 10:1 swing of Figure 16.
 	CBRPeak float64
@@ -35,20 +28,21 @@ type OscillationConfig struct {
 	Seed int64
 }
 
+// oscillationAlgos are the traffic types compared (paper: TCP(1/8), TCP,
+// TFRC(6)), oscillationFlows the number of flows per run (paper: 10) and
+// oscillationRate the bottleneck bandwidth (paper: 15 Mbps).
+var oscillationAlgos = []AlgoSpec{
+	TCPAlgo(1.0 / 8),
+	TCPAlgo(0.5),
+	TFRCAlgo(TFRCOpts{K: 6, HistoryDiscounting: true}),
+}
+
+const (
+	oscillationFlows = 10
+	oscillationRate  = 15e6
+)
+
 func (c *OscillationConfig) fill() {
-	if c.Algos == nil {
-		c.Algos = []AlgoSpec{
-			TCPAlgo(1.0 / 8),
-			TCPAlgo(0.5),
-			TFRCAlgo(TFRCOpts{K: 6, HistoryDiscounting: true}),
-		}
-	}
-	if c.Flows == 0 {
-		c.Flows = 10
-	}
-	if c.Rate == 0 {
-		c.Rate = 15e6
-	}
 	if c.CBRPeak == 0 {
 		c.CBRPeak = 10e6
 	}
@@ -88,7 +82,7 @@ func (sw *Sweep) Oscillation(cfg OscillationConfig) []OscillationPoint {
 		period sim.Time
 	}
 	var jobs []job
-	for _, a := range cfg.Algos {
+	for _, a := range oscillationAlgos {
 		for _, p := range cfg.Periods {
 			jobs = append(jobs, job{a, p})
 		}
@@ -99,20 +93,20 @@ func (sw *Sweep) Oscillation(cfg OscillationConfig) []OscillationPoint {
 }
 
 func runOscillation(c *Cell, cfg OscillationConfig, algo AlgoSpec, period sim.Time) OscillationPoint {
-	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: cfg.Rate})
+	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: oscillationRate})
 	mon := metrics.NewLossMonitor(0.5)
 	mon.EnsureHorizon(cfg.Warmup + cfg.Measure)
 	d.Fwd[0].AddTap(mon.Tap())
 
-	flows := algo.flows(d, 1, cfg.Flows)
+	flows := algo.flows(d, 1, oscillationFlows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 	withCBR(eng, d, cbrFlowID, cfg.CBRPeak, cbr.SquareWave{Period: period}, topology.Span{})
 
 	got := measureWindow(eng, cfg.Warmup, cfg.Warmup+cfg.Measure, flows)
 
-	avail := cfg.Rate - cfg.CBRPeak/2
-	fair := avail / float64(cfg.Flows)
+	avail := oscillationRate - cfg.CBRPeak/2
+	fair := avail / oscillationFlows
 	pt := OscillationPoint{Algo: algo.Name, Period: period}
 	var total float64
 	for _, bytes := range got {
@@ -129,8 +123,8 @@ func runOscillation(c *Cell, cfg OscillationConfig, algo AlgoSpec, period sim.Ti
 // the Figure 15 drop-rate table.
 func RenderOscillation(title string, cfg OscillationConfig, pts []OscillationPoint) string {
 	cfg.fill()
-	names := make([]string, 0, len(cfg.Algos))
-	for _, a := range cfg.Algos {
+	names := make([]string, 0, len(oscillationAlgos))
+	for _, a := range oscillationAlgos {
 		names = append(names, a.Name)
 	}
 	var b strings.Builder

@@ -21,26 +21,23 @@ type SmoothnessConfig struct {
 	Pattern func() netem.DropPattern
 	// Duration is the run length.
 	Duration sim.Time
-	// Warmup excludes startup from the metrics.
-	Warmup sim.Time
 	// Seed seeds the run.
 	Seed int64
 }
 
 // smoothnessRate is the (deliberately generous) link bandwidth, so that
 // the scripted pattern is the only loss process; smoothnessBin is the
-// rate-trace granularity (paper plots 0.2s).
+// rate-trace granularity (paper plots 0.2s); smoothnessWarmup excludes
+// startup from the metrics.
 const (
-	smoothnessRate          = 50e6
-	smoothnessBin  sim.Time = 0.2
+	smoothnessRate            = 50e6
+	smoothnessBin    sim.Time = 0.2
+	smoothnessWarmup sim.Time = 20
 )
 
 func (c *SmoothnessConfig) fill() {
 	if c.Duration == 0 {
 		c.Duration = 120
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 20
 	}
 }
 
@@ -96,23 +93,23 @@ func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessRe
 	rtt := d.PropRTT()
 	binMeter := metrics.NewMeter(eng, smoothnessBin, f.SentBytes)
 	rttMeter := metrics.NewMeter(eng, rtt, f.SentBytes)
-	got := measureWindow(eng, cfg.Warmup, cfg.Duration, []Flow{f})
+	got := measureWindow(eng, smoothnessWarmup, cfg.Duration, []Flow{f})
 
 	res := SmoothnessResult{Algo: algo.Name}
 	for i, r := range binMeter.Rates() {
 		res.SendTrace = append(res.SendTrace, TimePoint{T: sim.Time(i+1) * smoothnessBin, V: r * 8})
 	}
-	warmBins := int(cfg.Warmup / rtt)
+	warmBins := int(smoothnessWarmup / rtt)
 	rttRates := rttMeter.Rates()
 	if warmBins < len(rttRates) {
 		res.Smooth = metrics.ComputeSmoothness(rttRates[warmBins:])
 	}
-	warmWide := int(cfg.Warmup / smoothnessBin)
+	warmWide := int(smoothnessWarmup / smoothnessBin)
 	wide := binMeter.Rates()
 	if warmWide < len(wide) {
 		res.SmoothBins = metrics.ComputeSmoothness(wide[warmWide:])
 	}
-	res.ThroughputMbps = bitsPerSec(got[0], cfg.Duration-cfg.Warmup) / 1e6
+	res.ThroughputMbps = bitsPerSec(got[0], cfg.Duration-smoothnessWarmup) / 1e6
 	if d.Filters[0] != nil {
 		res.DropCount = d.Filters[0].Drops
 	}
@@ -121,8 +118,7 @@ func runSmoothnessOne(c *Cell, cfg SmoothnessConfig, algo AlgoSpec) SmoothnessRe
 
 // RenderSmoothness prints rate traces side by side plus the summary
 // metrics.
-func RenderSmoothness(title string, cfg SmoothnessConfig, res []SmoothnessResult) string {
-	cfg.fill()
+func RenderSmoothness(title string, res []SmoothnessResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: sending rate (Mbps, %.1fs bins)\n", title, smoothnessBin)
 	fmt.Fprintf(&b, "%7s", "t(s)")
@@ -131,7 +127,7 @@ func RenderSmoothness(title string, cfg SmoothnessConfig, res []SmoothnessResult
 	}
 	b.WriteByte('\n')
 	// Show a representative window after warmup.
-	from, to := cfg.Warmup, cfg.Warmup+15
+	from, to := smoothnessWarmup, smoothnessWarmup+15
 	for i := 0; len(res) > 0 && i < len(res[0].SendTrace); i++ {
 		t := res[0].SendTrace[i].T
 		if t < from || t > to {
@@ -198,6 +194,6 @@ func smoothnessExperiment(title string, base SmoothnessConfig) runFunc {
 			cfg.Duration = 80
 		}
 		res := sw.RunSmoothness(cfg)
-		return RenderSmoothness(title, cfg, res), res
+		return RenderSmoothness(title, res), res
 	}
 }

@@ -14,10 +14,6 @@ import (
 // flows, and a CBR source at half the bottleneck rate that pauses and
 // then returns, forcing a sudden halving of the available bandwidth.
 type StabilizationConfig struct {
-	// Algo is the congestion control algorithm under test.
-	Algo AlgoSpec
-	// Flows is the number of long-lived flows (paper: 20).
-	Flows int
 	// OffAt, OnAt, End define the CBR timeline: ON from 0 to OffAt, OFF
 	// until OnAt, then ON until End (paper: 150, 180, 400).
 	OffAt, OnAt, End sim.Time
@@ -34,18 +30,17 @@ type StabilizationConfig struct {
 
 // stabilizationRate is the bottleneck bandwidth (paper: 10 Mbps),
 // stabilizationCBRFraction the CBR peak rate as a fraction of it (paper:
-// one half), and stabilizationReverseFlows the number of
-// reverse-direction TCP flows.
+// one half), stabilizationFlows the number of long-lived flows (paper:
+// 20), and stabilizationReverseFlows the number of reverse-direction TCP
+// flows.
 const (
 	stabilizationRate         = 10e6
+	stabilizationFlows        = 20
 	stabilizationCBRFraction  = 0.5
 	stabilizationReverseFlows = 2
 )
 
 func (c *StabilizationConfig) fill() {
-	if c.Flows == 0 {
-		c.Flows = 20
-	}
 	if c.OffAt == 0 {
 		c.OffAt = 150
 	}
@@ -75,7 +70,7 @@ type TimePoint struct {
 }
 
 // runStabilization runs the Figure 3/4/5 scenario for one algorithm.
-func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
+func runStabilization(c *Cell, cfg StabilizationConfig, algo AlgoSpec) StabilizationResult {
 	cfg.fill()
 	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: stabilizationRate, DropTail: cfg.DropTail, DisablePool: cfg.DisablePool})
 	rtt := d.PropRTT()
@@ -84,7 +79,7 @@ func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 	mon.EnsureHorizon(cfg.End)
 	d.Fwd[0].AddTap(mon.Tap())
 
-	flows := cfg.Algo.flows(d, 1, cfg.Flows)
+	flows := algo.flows(d, 1, stabilizationFlows)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, stabilizationReverseFlows)
 
@@ -103,7 +98,7 @@ func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 	steady := mon.RateOver(cfg.OffAt*2/3, cfg.OffAt)
 	st := mon.Stabilization(cfg.OnAt, cfg.End, steady, rtt)
 
-	res := StabilizationResult{Algo: cfg.Algo.Name, Steady: steady, Stab: st}
+	res := StabilizationResult{Algo: algo.Name, Steady: steady, Stab: st}
 	from := cfg.OffAt - 10
 	if from < 0 {
 		from = 0
@@ -120,7 +115,7 @@ func runStabilization(c *Cell, cfg StabilizationConfig) StabilizationResult {
 // Fig3Config selects the algorithms whose loss-rate timelines Figure 3
 // overlays (the paper shows the gamma=256 extremes).
 type Fig3Config struct {
-	Scenario StabilizationConfig // Algo field is ignored
+	Scenario StabilizationConfig
 	Algos    []AlgoSpec
 }
 
@@ -142,9 +137,7 @@ func DefaultFig3() Fig3Config {
 // column (see Sweep.Errors) instead of aborting the figure.
 func (sw *Sweep) Fig3(cfg Fig3Config) []StabilizationResult {
 	return supervisedMap(sw, len(cfg.Algos), func(c *Cell) StabilizationResult {
-		sc := cfg.Scenario
-		sc.Algo = cfg.Algos[c.Index()]
-		return runStabilization(c, sc)
+		return runStabilization(c, cfg.Scenario, cfg.Algos[c.Index()])
 	})
 }
 
@@ -178,7 +171,7 @@ func RenderFig3(res []StabilizationResult) string {
 // family, producing the Figure 4 (stabilization time) and Figure 5
 // (stabilization cost) curves.
 type Fig45Config struct {
-	Scenario StabilizationConfig // Algo ignored
+	Scenario StabilizationConfig
 	// MaxGamma bounds the sweep: 1, 2, 4, ..., MaxGamma (paper: 256).
 	MaxGamma int
 }
@@ -219,9 +212,7 @@ func (sw *Sweep) Fig45(cfg Fig45Config) []Fig45Point {
 	}
 	return supervisedMap(sw, len(jobs), func(c *Cell) Fig45Point {
 		j := jobs[c.Index()]
-		sc := cfg.Scenario
-		sc.Algo = j.mk(j.gamma)
-		return Fig45Point{Family: j.family, Gamma: j.gamma, Result: runStabilization(c, sc)}
+		return Fig45Point{Family: j.family, Gamma: j.gamma, Result: runStabilization(c, cfg.Scenario, j.mk(j.gamma))}
 	})
 }
 

@@ -9,15 +9,13 @@ import (
 	"slowcc/internal/topology"
 )
 
-// FairnessConfig is the Figure 7/8/9 scenario: AFlows flows of algorithm
-// A and BFlows of algorithm B share a bottleneck with a square-wave CBR
-// source, and we measure long-term throughput as a function of the CBR
-// period.
+// FairnessConfig is the Figure 7/8/9 scenario: fairnessAFlows flows of
+// algorithm A and fairnessBFlows of algorithm B share a bottleneck with a
+// square-wave CBR source, and we measure long-term throughput as a
+// function of the CBR period.
 type FairnessConfig struct {
 	// A and B are the competing algorithms (paper: A = TCP).
 	A, B AlgoSpec
-	// AFlows and BFlows count the flows of each (paper: 5 and 5).
-	AFlows, BFlows int
 	// Periods is the sweep of combined ON+OFF period lengths in seconds.
 	Periods []sim.Time
 	// Warmup and Measure set the timeline: throughput is measured over
@@ -34,21 +32,18 @@ type FairnessConfig struct {
 	DisablePool bool
 }
 
-// fairnessRate is the bottleneck bandwidth (paper: 15 Mbps), and
+// fairnessRate is the bottleneck bandwidth (paper: 15 Mbps),
 // fairnessCBRPeak the CBR rate when ON (paper: 10 Mbps, leaving 5 Mbps:
-// a 3:1 swing in available bandwidth).
+// a 3:1 swing in available bandwidth), and fairnessAFlows and
+// fairnessBFlows count the flows of A and of B (paper: 5 and 5).
 const (
 	fairnessRate    = 15e6
 	fairnessCBRPeak = 10e6
+	fairnessAFlows  = 5
+	fairnessBFlows  = 5
 )
 
 func (c *FairnessConfig) fill() {
-	if c.AFlows == 0 {
-		c.AFlows = 5
-	}
-	if c.BFlows == 0 {
-		c.BFlows = 5
-	}
 	if c.Periods == nil {
 		c.Periods = []sim.Time{0.1, 0.2, 0.4, 1, 2, 4, 8, 16, 32, 64}
 	}
@@ -87,8 +82,8 @@ func (sw *Sweep) Fairness(cfg FairnessConfig) []FairnessPoint {
 func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
 	eng, d := c.newScenario(cfg.Seed, topology.Config{Rate: fairnessRate, ECN: cfg.ECN, DisablePool: cfg.DisablePool})
 
-	n := cfg.AFlows + cfg.BFlows
-	flows := append(cfg.A.flows(d, 1, cfg.AFlows), cfg.B.flows(d, cfg.AFlows+1, cfg.BFlows)...)
+	n := fairnessAFlows + fairnessBFlows
+	flows := append(cfg.A.flows(d, 1, fairnessAFlows), cfg.B.flows(d, fairnessAFlows+1, fairnessBFlows)...)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, 2)
 
@@ -109,7 +104,7 @@ func runFairness(c *Cell, cfg FairnessConfig, period sim.Time) FairnessPoint {
 		bps := bitsPerSec(got[i], cfg.Measure)
 		total += bps
 		norm := bps / fairShare
-		if i < cfg.AFlows {
+		if i < fairnessAFlows {
 			pt.APer = append(pt.APer, norm)
 		} else {
 			pt.BPer = append(pt.BPer, norm)
@@ -138,7 +133,7 @@ func RenderFairness(title string, cfg FairnessConfig, pts []FairnessPoint) strin
 	cfg.fill()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s (x%d) vs %s (x%d), normalized per-flow throughput\n",
-		title, cfg.A.Name, cfg.AFlows, cfg.B.Name, cfg.BFlows)
+		title, cfg.A.Name, fairnessAFlows, cfg.B.Name, fairnessBFlows)
 	fmt.Fprintf(&b, "%10s %10s %10s %10s %10s %10s\n",
 		"period(s)", cfg.A.Name, cfg.B.Name, "A/B", "util", "spread")
 	for _, p := range pts {

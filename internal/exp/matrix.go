@@ -45,25 +45,17 @@ const MaxParkingLotHops = reverseFlowBase - crossFlowBase
 // other, where neither side supplies TCP's sawtooth probing.
 type MatrixConfig struct {
 	// Algos are the competitors; every ordered pair (A, B) including
-	// A == A runs as one cell. Empty uses DefaultMatrixAlgos.
+	// A == A runs as one cell, under each of matrixConditions. Empty
+	// uses DefaultMatrixAlgos.
 	Algos []AlgoSpec
-	// Conditions selects among static, oscillating, faulted. Empty runs
-	// all three.
-	Conditions []string
 	// Topologies selects among dumbbell, parking-lot. Empty runs both.
 	Topologies []string
 	// Hops is the parking-lot bottleneck count (default 3, at most
 	// MaxParkingLotHops; ignored for the dumbbell).
 	Hops int
-	// Rate is the per-bottleneck bandwidth (default 10 Mbps).
-	Rate float64
 	// Period is the oscillating condition's square-wave period (default
 	// 2 s).
 	Period sim.Time
-	// OutageDur is the faulted condition's outage length (default 1 s);
-	// the outage opens at Warmup + Measure/3, on the dumbbell's forward
-	// bottleneck or the parking lot's middle hop.
-	OutageDur sim.Time
 	// Warmup and Measure set the timeline (defaults 10 s and 40 s).
 	Warmup, Measure sim.Time
 	// Seed seeds every cell (cells differ by wiring, not seed, like the
@@ -88,31 +80,33 @@ func DefaultMatrixAlgos() []AlgoSpec {
 	}
 }
 
+// matrixConditions are the conditions every pair runs under.
+var matrixConditions = []string{CondStatic, CondOscillating, CondFaulted}
+
 // A matrix cell is a true pairwise duel, matrixFlowsPerSide flows per
 // algorithm, beside matrixReverseFlows reverse-path TCP flows so ACKs
 // always share a loaded return path; matrixSmoothBin is the rate-meter
-// bin width for the smoothness metric.
+// bin width for the smoothness metric. matrixRate is the per-bottleneck
+// bandwidth; matrixCrossRate the parking-lot cross-traffic rate per
+// interior node, a quarter of the bottleneck (one CBR flow enters each
+// interior node and leaves at the next, loading exactly one hop);
+// matrixCBRPeak the oscillating condition's square-wave peak, half the
+// bottleneck. matrixOutageDur is the faulted condition's outage length;
+// the outage opens at Warmup + Measure/3, on the dumbbell's forward
+// bottleneck or the parking lot's middle hop.
 const (
 	matrixFlowsPerSide          = 1
 	matrixReverseFlows          = 1
 	matrixSmoothBin    sim.Time = 1
+	matrixRate                  = 10e6
+	matrixCrossRate             = matrixRate / 4
+	matrixCBRPeak               = matrixRate / 2
+	matrixOutageDur    sim.Time = 1
 )
-
-// crossRate is the parking-lot cross-traffic rate per interior node, a
-// quarter of the bottleneck: one CBR flow enters each interior node and
-// leaves at the next, loading exactly one hop.
-func (c *MatrixConfig) crossRate() float64 { return c.Rate / 4 }
-
-// cbrPeak is the oscillating condition's square-wave peak, half the
-// bottleneck.
-func (c *MatrixConfig) cbrPeak() float64 { return c.Rate / 2 }
 
 func (c *MatrixConfig) fill() {
 	if len(c.Algos) == 0 {
 		c.Algos = DefaultMatrixAlgos()
-	}
-	if len(c.Conditions) == 0 {
-		c.Conditions = []string{CondStatic, CondOscillating, CondFaulted}
 	}
 	if len(c.Topologies) == 0 {
 		c.Topologies = []string{TopoDumbbell, TopoParkingLot}
@@ -120,14 +114,8 @@ func (c *MatrixConfig) fill() {
 	if c.Hops == 0 {
 		c.Hops = 3
 	}
-	if c.Rate == 0 {
-		c.Rate = 10e6
-	}
 	if c.Period == 0 {
 		c.Period = 2
-	}
-	if c.OutageDur == 0 {
-		c.OutageDur = 1
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 10
@@ -168,9 +156,9 @@ type MatrixCell struct {
 func (sw *Sweep) Matrix(cfg MatrixConfig) []MatrixCell {
 	cfg.fill()
 	// Cell i's coordinates: topology-major, then condition, then A, then B.
-	nA, nC := len(cfg.Algos), len(cfg.Conditions)
+	nA, nC := len(cfg.Algos), len(matrixConditions)
 	at := func(i int) (topo, cond string, a, b AlgoSpec) {
-		return cfg.Topologies[i/(nA*nA*nC)], cfg.Conditions[i/(nA*nA)%nC], cfg.Algos[i/nA%nA], cfg.Algos[i%nA]
+		return cfg.Topologies[i/(nA*nA*nC)], matrixConditions[i/(nA*nA)%nC], cfg.Algos[i/nA%nA], cfg.Algos[i%nA]
 	}
 	// Matrix cells carry semantic store keys — a per-cell
 	// slowcc-manifest/1 digest over every knob that shapes the run — so
@@ -211,8 +199,8 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	slots := [4]string{"\x00topology", "\x00condition", "\x00algo_a", "\x00algo_b"}
 	m.Algos = []string{slots[2], slots[3]}
-	// flows_per_side, reverse_flows and smooth_bin are constants, and
-	// cbr_peak and cross_rate follow from rate; all are kept in the
+	// flows_per_side, reverse_flows, smooth_bin, rate, cbr_peak,
+	// cross_rate and outage_dur are constants; all are kept in the
 	// manifest under these names so that stores written while they were
 	// settings keep hitting.
 	m.Config = map[string]string{
@@ -221,20 +209,20 @@ func matrixCellKeyer(cfg MatrixConfig) func(topo, cond string, a, b AlgoSpec) st
 		"algo_a":         slots[2],
 		"algo_b":         slots[3],
 		"hops":           strconv.Itoa(cfg.Hops),
-		"rate":           g(cfg.Rate),
+		"rate":           g(matrixRate),
 		"flows_per_side": strconv.Itoa(matrixFlowsPerSide),
 		"reverse_flows":  strconv.Itoa(matrixReverseFlows),
-		"cbr_peak":       g(cfg.cbrPeak()),
+		"cbr_peak":       g(matrixCBRPeak),
 		"period":         g(float64(cfg.Period)),
-		"cross_rate":     g(cfg.crossRate()),
-		"outage_dur":     g(float64(cfg.OutageDur)),
+		"cross_rate":     g(matrixCrossRate),
+		"outage_dur":     g(float64(matrixOutageDur)),
 		"warmup":         g(float64(cfg.Warmup)),
 		"measure":        g(float64(cfg.Measure)),
 		"smooth_bin":     g(float64(matrixSmoothBin)),
 		"disable_pool":   strconv.FormatBool(cfg.DisablePool),
 	}
 	quoted := map[string][]byte{}
-	for _, vs := range [][]string{slots[:], cfg.Topologies, cfg.Conditions} {
+	for _, vs := range [][]string{slots[:], cfg.Topologies, matrixConditions} {
 		for _, v := range vs {
 			quoted[v] = mustJSON(v)
 		}
@@ -302,7 +290,7 @@ func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec)
 	fc := &faults.Config{}
 	if cond == CondFaulted {
 		fc = &faults.Config{Windows: []faults.Window{
-			{At: cfg.Warmup + cfg.Measure/3, Dur: cfg.OutageDur},
+			{At: cfg.Warmup + cfg.Measure/3, Dur: matrixOutageDur},
 		}}
 	}
 
@@ -314,16 +302,16 @@ func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec)
 		hops = cfg.Hops
 		chain = &topology.NetConfig{Hops: make([]topology.Hop, hops), DisablePool: cfg.DisablePool}
 		for i := range chain.Hops {
-			chain.Hops[i].Rate = cfg.Rate
+			chain.Hops[i].Rate = matrixRate
 		}
 	}
 	eng, d := c.buildScenario(cfg.Seed,
-		topology.Config{Rate: cfg.Rate, DisablePool: cfg.DisablePool}, chain, fc, hops/2)
+		topology.Config{Rate: matrixRate, DisablePool: cfg.DisablePool}, chain, fc, hops/2)
 	// Cross traffic: one CBR flow per interior node, each spanning
 	// exactly one hop, so interior bottlenecks see load the first
 	// hop never carries — the parking lot's defining asymmetry.
 	for m := 1; m < hops; m++ {
-		withCBR(eng, d, crossFlowBase+m, cfg.crossRate(), nil, topology.Span{From: m, To: m + 1})
+		withCBR(eng, d, crossFlowBase+m, matrixCrossRate, nil, topology.Span{From: m, To: m + 1})
 	}
 
 	F := matrixFlowsPerSide
@@ -335,7 +323,7 @@ func wireMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec)
 	startAll(d, flows, 0)
 	withReverseTraffic(eng, d, matrixReverseFlows)
 	if cond == CondOscillating {
-		withCBR(eng, d, cbrFlowID, cfg.cbrPeak(), cbr.SquareWave{Period: cfg.Period}, topology.Span{})
+		withCBR(eng, d, cbrFlowID, matrixCBRPeak, cbr.SquareWave{Period: cfg.Period}, topology.Span{})
 	}
 	return eng, d.Fwd[0], flows, meters
 }
@@ -363,7 +351,7 @@ func runMatrixCell(c *Cell, cfg MatrixConfig, topo, cond string, a, b AlgoSpec) 
 		Jain:        metrics.JainIndex(perBps),
 		SmoothA:     meanCoV(meters[:F], skip),
 		SmoothB:     meanCoV(meters[F:], skip),
-		Utilization: metrics.Utilization(got[len(flows)], cfg.Rate, cfg.Measure),
+		Utilization: metrics.Utilization(got[len(flows)], matrixRate, cfg.Measure),
 	}
 	if cell.BMbps > 0 {
 		cell.Ratio = cell.AMbps / cell.BMbps
@@ -417,7 +405,7 @@ func RenderMatrix(cfg MatrixConfig, cells []MatrixCell) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Pairwise interaction matrix: row/column mean throughput ratio\n")
 	fmt.Fprintf(&sb, "(%d Mbps bottlenecks, %g s measured after %g s warmup; parking lot: %d hops)\n",
-		int(cfg.Rate/1e6), float64(cfg.Measure), float64(cfg.Warmup), cfg.Hops)
+		int(matrixRate/1e6), float64(cfg.Measure), float64(cfg.Warmup), cfg.Hops)
 	type key struct{ topo, cond string }
 	grids := make(map[key][]MatrixCell)
 	for _, c := range cells {
@@ -425,7 +413,7 @@ func RenderMatrix(cfg MatrixConfig, cells []MatrixCell) string {
 		grids[k] = append(grids[k], c)
 	}
 	for _, t := range cfg.Topologies {
-		for _, cond := range cfg.Conditions {
+		for _, cond := range matrixConditions {
 			g := grids[key{t, cond}]
 			if len(g) == 0 {
 				continue

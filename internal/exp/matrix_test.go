@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 )
 
 // smallMatrixConfig is the scaled-down 3x3 subset used by the matrix
-// tests: three algorithm families, static and oscillating conditions,
-// both topologies, short timeline.
+// tests: three algorithm families, every condition, both topologies,
+// short timeline.
 func smallMatrixConfig() MatrixConfig {
 	return MatrixConfig{
 		Algos: []AlgoSpec{
@@ -22,19 +23,18 @@ func smallMatrixConfig() MatrixConfig {
 			TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true}),
 			SQRTAlgo(0.5),
 		},
-		Conditions: []string{CondStatic, CondOscillating},
 		Topologies: []string{TopoDumbbell, TopoParkingLot},
 		Hops:       2,
 		Warmup:     2,
-		Measure:    6,
+		Measure:    3,
 		Period:     1,
 		Seed:       1,
 	}
 }
 
 // The acceptance bar for the matrix driver: the same seed must produce a
-// byte-identical TSV artifact, across a 3x3 algorithm subset under
-// static and oscillating conditions on both topologies.
+// byte-identical TSV artifact, across a 3x3 algorithm subset under every
+// condition on both topologies.
 func TestMatrixDeterministicTSV(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)
@@ -49,7 +49,7 @@ func TestMatrixDeterministicTSV(t *testing.T) {
 	}
 
 	lines := strings.Split(strings.TrimSuffix(first, "\n"), "\n")
-	wantRows := 1 + 2*2*3*3 // header + topologies x conditions x pairs
+	wantRows := 1 + 2*3*3*3 // header + topologies x conditions x pairs
 	if len(lines) != wantRows {
 		t.Fatalf("TSV has %d rows, want %d:\n%s", len(lines), wantRows, first)
 	}
@@ -109,9 +109,8 @@ func TestMatrixParkingLotPoolDeterminism(t *testing.T) {
 	cfg := smallMatrixConfig()
 	cfg.Algos = cfg.Algos[:2]
 	cfg.Topologies = []string{TopoParkingLot}
-	cfg.Conditions = []string{CondStatic, CondFaulted}
 	cfg.Hops = 3
-	cfg.OutageDur = 0.5
+	cfg.Warmup, cfg.Measure = 1, 3
 	pooled := sw.Matrix(cfg)
 	cfg.DisablePool = true
 	unpooled := sw.Matrix(cfg)
@@ -132,13 +131,11 @@ func TestMatrixFaultedConditionBites(t *testing.T) {
 	cfg := smallMatrixConfig()
 	cfg.Algos = []AlgoSpec{TCPAlgo(0.5)}
 	cfg.Topologies = []string{TopoDumbbell}
-	cfg.Conditions = []string{CondStatic, CondFaulted}
-	cfg.OutageDur = 2
 	cells := sw.Matrix(cfg)
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
+	if len(cells) != 3 {
+		t.Fatalf("got %d cells, want 3", len(cells))
 	}
-	static, faulted := cells[0], cells[1]
+	static, faulted := cells[0], cells[2]
 	if static.Condition != CondStatic || faulted.Condition != CondFaulted {
 		t.Fatalf("unexpected cell order: %+v", cells)
 	}
@@ -189,10 +186,9 @@ func TestMatrixDegradedCellBackfilled(t *testing.T) {
 	cfg := smallMatrixConfig()
 	cfg.Algos = []AlgoSpec{boom}
 	cfg.Topologies = []string{TopoDumbbell}
-	cfg.Conditions = []string{CondStatic}
 	cells := sw.Matrix(cfg)
-	if len(cells) != 1 || !cells[0].Degraded {
-		t.Fatalf("expected one degraded cell, got %+v", cells)
+	if len(cells) != 3 || slices.ContainsFunc(cells, func(c MatrixCell) bool { return !c.Degraded }) {
+		t.Fatalf("expected three degraded cells, one per condition, got %+v", cells)
 	}
 	if cells[0].Topology != TopoDumbbell || cells[0].A != "BOOM" || cells[0].B != "BOOM" {
 		t.Fatalf("degraded cell lost its identity: %+v", cells[0])

@@ -19,62 +19,51 @@ import (
 // much of the post-outage link each background type cedes to the crowd
 // and how long full utilization takes to return.
 type OutageConfig struct {
-	// Backgrounds are the background traffic types compared (default:
-	// TCP(1/2), TCP(1/8), TFRC(256)).
-	Backgrounds []AlgoSpec
 	// Flows is the number of background flows.
 	Flows int
-	// Rate is the bottleneck bandwidth.
-	Rate float64
 	// OutageAt and OutageDur place the bottleneck blackout (default
-	// t=25s for 5s).
+	// t=25s for 5s). The flash crowd lands the instant the outage ends.
 	OutageAt  sim.Time
 	OutageDur sim.Time
-	// CrowdStart, CrowdDuration, CrowdRate shape the flash crowd that
-	// lands on the recovering link (default t=30s, i.e. the instant the
-	// outage ends, 5s, 200 flows/s); its transfers are Figure 6's
-	// crowdPkts long.
-	CrowdStart    sim.Time
-	CrowdDuration sim.Time
-	CrowdRate     float64
 	// End bounds the run.
 	End sim.Time
 	// Seed seeds each run; the outage injector shares it.
 	Seed int64
 }
 
+// outageBackgrounds are the background traffic types compared: TCP(1/2),
+// TCP(1/8), TFRC(256).
+var outageBackgrounds = []AlgoSpec{
+	TCPAlgo(0.5),
+	TCPAlgo(1.0 / 8),
+	TFRCAlgo(TFRCOpts{K: 256}),
+}
+
+// outageRate is the bottleneck bandwidth; outageCrowdDuration and
+// outageCrowdRate shape the flash crowd that lands on the recovering
+// link (5 s of 200 flows/s, each transfer Figure 6's crowdPkts long);
 // outageRecoverFrac is the utilization fraction that counts as
 // recovered.
-const outageRecoverFrac = 0.8
+const (
+	outageRate          = 10e6
+	outageCrowdDuration = 5
+	outageCrowdRate     = 200
+	outageRecoverFrac   = 0.8
+)
+
+// crowdStart is when the flash crowd arrives: the instant the outage
+// ends.
+func (c *OutageConfig) crowdStart() sim.Time { return c.OutageAt + c.OutageDur }
 
 func (c *OutageConfig) fill() {
-	if c.Backgrounds == nil {
-		c.Backgrounds = []AlgoSpec{
-			TCPAlgo(0.5),
-			TCPAlgo(1.0 / 8),
-			TFRCAlgo(TFRCOpts{K: 256}),
-		}
-	}
 	if c.Flows == 0 {
 		c.Flows = 8
-	}
-	if c.Rate == 0 {
-		c.Rate = 10e6
 	}
 	if c.OutageAt == 0 {
 		c.OutageAt = 25
 	}
 	if c.OutageDur == 0 {
 		c.OutageDur = 5
-	}
-	if c.CrowdStart == 0 {
-		c.CrowdStart = c.OutageAt + c.OutageDur
-	}
-	if c.CrowdDuration == 0 {
-		c.CrowdDuration = 5
-	}
-	if c.CrowdRate == 0 {
-		c.CrowdRate = 200
 	}
 	if c.End == 0 {
 		c.End = 70
@@ -109,8 +98,8 @@ type OutageResult struct {
 // supervised sweep cells.
 func (sw *Sweep) Outage(cfg OutageConfig) []OutageResult {
 	cfg.fill()
-	return supervisedMap(sw, len(cfg.Backgrounds), func(c *Cell) OutageResult {
-		return runOutage(c, cfg, cfg.Backgrounds[c.Index()])
+	return supervisedMap(sw, len(outageBackgrounds), func(c *Cell) OutageResult {
+		return runOutage(c, cfg, outageBackgrounds[c.Index()])
 	})
 }
 
@@ -122,9 +111,9 @@ func runOutage(c *Cell, cfg OutageConfig, bg AlgoSpec) OutageResult {
 	var d *topology.Net
 	var dropsBefore, dropsAfter int64
 	crowd := runCrowd(c, Fig6Config{
-		Flows: cfg.Flows, Rate: cfg.Rate,
-		CrowdStart: cfg.CrowdStart, CrowdDuration: cfg.CrowdDuration,
-		CrowdRate: cfg.CrowdRate, End: cfg.End, Seed: cfg.Seed,
+		Flows: cfg.Flows, Rate: outageRate,
+		CrowdStart: cfg.crowdStart(), CrowdDuration: outageCrowdDuration,
+		CrowdRate: outageCrowdRate, End: cfg.End, Seed: cfg.Seed,
 	}, bg, &fc, func(eng *sim.Engine, n *topology.Net) {
 		d = n
 		// Snapshot total drops around the blackout so OutageDrops isolates
@@ -137,7 +126,7 @@ func runOutage(c *Cell, cfg OutageConfig, bg AlgoSpec) OutageResult {
 		BackgroundRate: crowd.BackgroundRate,
 		CrowdRate:      crowd.CrowdRate,
 		RecoveryTime: recoveryTime(crowd.BackgroundRate, crowd.CrowdRate,
-			cfg.OutageAt+cfg.OutageDur, outageRecoverFrac*cfg.Rate),
+			cfg.OutageAt+cfg.OutageDur, outageRecoverFrac*outageRate),
 		OutageDrops:         dropsAfter - dropsBefore,
 		Transitions:         d.Fwd[0].Transitions,
 		CrowdCompleted:      crowd.CrowdCompleted,
@@ -175,12 +164,12 @@ func RenderOutage(cfg OutageConfig, res []OutageResult) string {
 	cfg.fill()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Outage recovery: bottleneck dark %.0f-%.0fs, flash crowd at t=%.0fs\n",
-		cfg.OutageAt, cfg.OutageAt+cfg.OutageDur, cfg.CrowdStart)
+		cfg.OutageAt, cfg.OutageAt+cfg.OutageDur, cfg.crowdStart())
 	timelines := make([]Fig6Result, len(res))
 	for i, r := range res {
 		timelines[i] = Fig6Result{Background: r.Background, BackgroundRate: r.BackgroundRate, CrowdRate: r.CrowdRate}
 	}
-	writeCrowdTimelines(&b, cfg.OutageAt-5, cfg.CrowdStart+20, timelines)
+	writeCrowdTimelines(&b, cfg.OutageAt-5, cfg.crowdStart()+20, timelines)
 	for _, r := range res {
 		rec := "never"
 		if r.RecoveryTime >= 0 {

@@ -13,30 +13,26 @@ func TestOutageBlackoutAndRecovery(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)
 	cfg := OutageConfig{
-		Backgrounds:   []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 64})},
-		Flows:         4,
-		Rate:          4e6,
-		OutageAt:      10,
-		OutageDur:     2,
-		CrowdStart:    12,
-		CrowdDuration: 2,
-		CrowdRate:     50,
-		End:           40,
-		Seed:          1,
+		Flows:     4,
+		OutageAt:  4,
+		OutageDur: 2,
+		End:       18,
+		Seed:      1,
 	}
+	back := cfg.OutageAt + cfg.OutageDur
 	res := sw.Outage(cfg)
-	if len(res) != 2 {
-		t.Fatalf("%d results, want 2", len(res))
+	if len(res) != len(outageBackgrounds) {
+		t.Fatalf("%d results, want %d", len(res), len(outageBackgrounds))
 	}
 	for _, r := range res {
 		if r.Transitions != 2 {
 			t.Fatalf("%s: %d link transitions, want exactly 2 (one outage)", r.Background, r.Transitions)
 		}
-		// Delivery must stall during the blackout. The bin covering
-		// (OutageAt+BinWidth, OutageAt+2*BinWidth] is fully inside the
-		// dark window; at most one in-flight packet can land in it.
+		// Delivery must stall during the blackout. Every bin after the
+		// first that ends inside the dark window lies wholly inside it;
+		// at most one in-flight packet can land in each.
 		for _, tp := range r.BackgroundRate {
-			if tp.T > 10.5 && tp.T <= 12 && tp.V > 8*1500/0.5 {
+			if tp.T > cfg.OutageAt+0.5 && tp.T <= back && tp.V > 8*1500/0.5 {
 				t.Fatalf("%s: %.0f bps delivered at t=%.1f during the outage", r.Background, tp.V, tp.T)
 			}
 		}
@@ -44,11 +40,11 @@ func TestOutageBlackoutAndRecovery(t *testing.T) {
 		// at least a quarter of the bottleneck.
 		var peak float64
 		for _, tp := range r.BackgroundRate {
-			if tp.T > 12 && tp.V > peak {
+			if tp.T > back && tp.V > peak {
 				peak = tp.V
 			}
 		}
-		if peak < cfg.Rate/4 {
+		if peak < outageRate/4 {
 			t.Fatalf("%s: post-outage peak %.0f bps, link never recovered", r.Background, peak)
 		}
 		if r.RecoveryTime < 0 {
@@ -70,17 +66,18 @@ func TestOutageDeterministic(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)
 	cfg := OutageConfig{
-		Backgrounds: []AlgoSpec{TFRCAlgo(TFRCOpts{K: 16})},
-		Flows:       2,
-		Rate:        2e6,
-		OutageAt:    8,
-		OutageDur:   1,
-		CrowdStart:  9,
-		CrowdRate:   20,
-		End:         20,
-		Seed:        7,
+		Flows:     2,
+		OutageAt:  3,
+		OutageDur: 1,
+		End:       8,
+		Seed:      7,
 	}
-	a, b := sw.Outage(cfg), sw.Outage(cfg)
+	cfg.fill()
+	// A sweep of the one cell, a TFRC(16) background.
+	run := func() []OutageResult {
+		return supervisedMap(sw, 1, func(c *Cell) OutageResult { return runOutage(c, cfg, TFRCAlgo(TFRCOpts{K: 16})) })
+	}
+	a, b := run(), run()
 	if len(a) != 1 || len(b) != 1 {
 		t.Fatalf("result counts %d, %d", len(a), len(b))
 	}

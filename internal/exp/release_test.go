@@ -13,17 +13,15 @@ import (
 	"slowcc/internal/topology"
 )
 
-// releaseMatrix is a small matrix that builds both net shapes, each with
-// and without the oscillating CBR: sixteen cells whose queues, packet
-// pools and generators differ in size from cell to cell.
+// releaseMatrix is a small matrix that builds both net shapes under
+// every condition: twenty-four cells whose queues, packet pools,
+// generators and fault stages differ in size from cell to cell.
 func releaseMatrix(algos ...AlgoSpec) MatrixConfig {
 	return MatrixConfig{
 		Algos:      algos,
-		Conditions: []string{CondStatic, CondOscillating},
 		Topologies: []string{TopoDumbbell, TopoParkingLot},
 		Hops:       2,
-		Rate:       2e6,
-		Warmup:     1, Measure: 4, Period: 1, Seed: 1,
+		Warmup:     0.5, Measure: 1, Period: 1, Seed: 1,
 	}
 }
 
@@ -62,12 +60,11 @@ func TestCarriedStateNeverReachesResults(t *testing.T) {
 		{2, []AlgoSpec{tfrc, tcp}},
 	} {
 		prev := runtime.GOMAXPROCS(run.procs)
-		sw.Oscillation(OscillationConfig{Flows: 3, Rate: 3e6, CBRPeak: 2e6,
-			Periods: []sim.Time{0.5, 2}, Warmup: 1, Measure: 3, Seed: 5})
+		sw.Oscillation(OscillationConfig{Periods: []sim.Time{0.5, 2}, Warmup: 0.5, Measure: 0.5, Seed: 5})
 		got := storedCells(t, releaseMatrix(run.algos...))
 		runtime.GOMAXPROCS(prev)
-		if len(got) != 16 {
-			t.Fatalf("GOMAXPROCS %d: store holds %d cells, want 16", run.procs, len(got))
+		if len(got) != 24 {
+			t.Fatalf("GOMAXPROCS %d: store holds %d cells, want 24", run.procs, len(got))
 		}
 		if want == nil {
 			want = got
@@ -185,11 +182,11 @@ func TestMatrixReleasesBalanceEveryPool(t *testing.T) {
 	sw := newSweep(t)
 	cfg := MatrixConfig{Warmup: 1, Measure: 3, Seed: 1}
 	cfg.fill()
-	nA, nC := len(cfg.Algos), len(cfg.Conditions)
+	nA, nC := len(cfg.Algos), len(matrixConditions)
 	nets := make([][]*topology.Net, len(cfg.Topologies)*nC*nA*nA)
 	supervisedMap(sw, len(nets), func(c *Cell) bool {
 		i := c.Index()
-		runMatrixCell(c, cfg, cfg.Topologies[i/(nA*nA*nC)], cfg.Conditions[i/(nA*nA)%nC], cfg.Algos[i/nA%nA], cfg.Algos[i%nA])
+		runMatrixCell(c, cfg, cfg.Topologies[i/(nA*nA*nC)], matrixConditions[i/(nA*nA)%nC], cfg.Algos[i/nA%nA], cfg.Algos[i%nA])
 		nets[i] = c.nets
 		return true
 	})
@@ -217,10 +214,18 @@ func TestSecondSweepAllocatesHalf(t *testing.T) {
 	defer auditMode(auditMode(false, "")) // the auditor's books are built per cell, not carried
 	sw := newSweep(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// The benchmark's matrix cells: a pair on each net shape.
+	// The benchmark's matrix cells: a pair on each net shape, oscillating.
 	cfg := MatrixConfig{Algos: []AlgoSpec{TCPAlgo(0.5), TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})},
-		Conditions: []string{CondOscillating}, Warmup: 1, Measure: 3, Period: 1, Seed: 1}
+		Warmup: 1, Measure: 3, Period: 1, Seed: 1}
 	cfg.fill()
+	// The eight cells in Sweep.Matrix's order, as it runs them without a
+	// store.
+	sweep := func() []MatrixCell {
+		return supervisedMap(sw, 8, func(c *Cell) MatrixCell {
+			i := c.Index()
+			return runMatrixCell(c, cfg, cfg.Topologies[i/4], CondOscillating, cfg.Algos[i/2%2], cfg.Algos[i%2])
+		})
+	}
 	// Two collections empty every pool.
 	runtime.GC()
 	runtime.GC()
@@ -241,9 +246,9 @@ func TestSecondSweepAllocatesHalf(t *testing.T) {
 			}
 		}
 	})
-	sw.Matrix(cfg)
+	sweep()
 	var cells []MatrixCell
-	stocked := allocated(func() { cells = sw.Matrix(cfg) })
+	stocked := allocated(func() { cells = sweep() })
 	if len(cells) != 8 || slices.ContainsFunc(cells, func(c MatrixCell) bool { return c.Degraded }) {
 		t.Fatalf("%d cells, or a degraded one", len(cells))
 	}

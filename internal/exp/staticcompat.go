@@ -18,11 +18,6 @@ import (
 // long-run throughput is compared with TCP(1/2)'s under the identical
 // pattern and with the analytic response function.
 type StaticCompatConfig struct {
-	// Algos are the algorithms to audit.
-	Algos []AlgoSpec
-	// DropEveryNth is the sweep of static loss processes: one loss per
-	// N packets, i.e. p = 1/N.
-	DropEveryNth []int
 	// Warmup and Measure set the timeline per run.
 	Warmup, Measure sim.Time
 	// Seed seeds each run.
@@ -32,20 +27,22 @@ type StaticCompatConfig struct {
 // staticCompatRate is the (generous) link bandwidth.
 const staticCompatRate = 50e6
 
+// staticCompatAlgos are the algorithms audited, and
+// staticCompatDropEveryNth the sweep of static loss processes: one loss
+// per N packets, i.e. p = 1/N.
+var (
+	staticCompatAlgos = []AlgoSpec{
+		TCPAlgo(1.0 / 8),
+		SQRTAlgo(0.5),
+		IIADAlgo(0.5),
+		RAPAlgo(0.5),
+		TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true}),
+		TEARAlgo(0),
+	}
+	staticCompatDropEveryNth = []int{400, 100, 25}
+)
+
 func (c *StaticCompatConfig) fill() {
-	if c.Algos == nil {
-		c.Algos = []AlgoSpec{
-			TCPAlgo(1.0 / 8),
-			SQRTAlgo(0.5),
-			IIADAlgo(0.5),
-			RAPAlgo(0.5),
-			TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true}),
-			TEARAlgo(0),
-		}
-	}
-	if c.DropEveryNth == nil {
-		c.DropEveryNth = []int{400, 100, 25}
-	}
 	if c.Warmup == 0 {
 		c.Warmup = 30
 	}
@@ -74,20 +71,20 @@ type StaticCompatPoint struct {
 // per loss rate, then a cell per (loss rate, algorithm).
 func (sw *Sweep) StaticCompat(cfg StaticCompatConfig) []StaticCompatPoint {
 	cfg.fill()
-	nn, na := len(cfg.DropEveryNth), len(cfg.Algos)
+	nn, na := len(staticCompatDropEveryNth), len(staticCompatAlgos)
 	rates := supervisedMap(sw, nn+nn*na, func(c *Cell) float64 {
 		if i := c.Index(); i < nn {
-			return staticRun(c, cfg, TCPAlgo(0.5), cfg.DropEveryNth[i])
+			return staticRun(c, cfg, TCPAlgo(0.5), staticCompatDropEveryNth[i])
 		}
 		j := c.Index() - nn
-		return staticRun(c, cfg, cfg.Algos[j%na], cfg.DropEveryNth[j/na])
+		return staticRun(c, cfg, staticCompatAlgos[j%na], staticCompatDropEveryNth[j/na])
 	})
 	pts := make([]StaticCompatPoint, 0, nn*na)
 	for j, rate := range rates[nn:] {
-		p := 1 / float64(cfg.DropEveryNth[j/na])
+		p := 1 / float64(staticCompatDropEveryNth[j/na])
 		tcpRate := rates[j/na]
 		model := tcpmodel.SimpleRate(p, 0.05, 1000) * 8
-		pt := StaticCompatPoint{Algo: cfg.Algos[j%na].Name, P: p, Mbps: rate / 1e6, TCPMbps: tcpRate / 1e6}
+		pt := StaticCompatPoint{Algo: staticCompatAlgos[j%na].Name, P: p, Mbps: rate / 1e6, TCPMbps: tcpRate / 1e6}
 		if tcpRate > 0 {
 			pt.VsTCP = rate / tcpRate
 		}
@@ -113,8 +110,7 @@ func staticRun(c *Cell, cfg StaticCompatConfig, algo AlgoSpec, n int) float64 {
 }
 
 // RenderStaticCompat prints the audit table.
-func RenderStaticCompat(cfg StaticCompatConfig, pts []StaticCompatPoint) string {
-	cfg.fill()
+func RenderStaticCompat(pts []StaticCompatPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Static TCP-compatibility audit: throughput under fixed loss, vs TCP(1/2)\n")
 	fmt.Fprintf(&b, "%-12s %8s %10s %10s %8s %8s\n", "algorithm", "p", "Mbps", "TCP Mbps", "vs TCP", "vs model")
@@ -132,5 +128,5 @@ func staticCompatExperiment(sw *Sweep, full bool, seed int64, _ MatrixConfig) (s
 		cfg.Measure = 60
 	}
 	res := sw.StaticCompat(cfg)
-	return RenderStaticCompat(cfg, res), res
+	return RenderStaticCompat(res), res
 }

@@ -11,24 +11,25 @@ func TestStaticCompatAllWithinBand(t *testing.T) {
 	// The paper's premise: TCP-compatible algorithms obtain roughly
 	// TCP's throughput under a static loss process. Audit every family
 	// at p = 1% and require the ratio to stay within a 2x band (the
-	// literature's usual definition of "roughly the same").
+	// literature's usual definition of "roughly the same"): the audit's
+	// cells at that one loss rate, TCP(1/2)'s first.
 	cfg := StaticCompatConfig{
-		DropEveryNth: []int{100},
-		Warmup:       20,
-		Measure:      60,
-		Seed:         1,
+		Warmup:  20,
+		Measure: 60,
+		Seed:    1,
 	}
-	pts := sw.StaticCompat(cfg)
-	if len(pts) != 6 {
-		t.Fatalf("%d points, want 6 algorithms", len(pts))
+	algos := append([]AlgoSpec{TCPAlgo(0.5)}, staticCompatAlgos...)
+	rates := supervisedMap(sw, len(algos), func(c *Cell) float64 { return staticRun(c, cfg, algos[c.Index()], 100) })
+	if len(rates) != 7 {
+		t.Fatalf("%d cells, want TCP(1/2) and 6 algorithms", len(rates))
 	}
-	for _, p := range pts {
-		if p.VsTCP < 0.5 || p.VsTCP > 2.0 {
-			t.Errorf("%s at p=%.3f: %.2fx TCP's throughput — outside the TCP-compatible band",
-				p.Algo, p.P, p.VsTCP)
+	for i, rate := range rates[1:] {
+		if vs := rate / rates[0]; vs < 0.5 || vs > 2.0 {
+			t.Errorf("%s at p=0.010: %.2fx TCP's throughput — outside the TCP-compatible band",
+				staticCompatAlgos[i].Name, vs)
 		}
-		if p.Mbps <= 0 {
-			t.Errorf("%s produced no throughput", p.Algo)
+		if rate <= 0 {
+			t.Errorf("%s produced no throughput", staticCompatAlgos[i].Name)
 		}
 	}
 }
@@ -36,32 +37,27 @@ func TestStaticCompatAllWithinBand(t *testing.T) {
 func TestStaticCompatThroughputFallsWithLoss(t *testing.T) {
 	t.Parallel()
 	sw := newSweep(t)
-	cfg := StaticCompatConfig{
-		Algos:        []AlgoSpec{TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true})},
-		DropEveryNth: []int{400, 25},
-		Warmup:       20,
-		Measure:      60,
-		Seed:         1,
+	cfg := StaticCompatConfig{Warmup: 20, Measure: 60, Seed: 1}
+	tfrc, everyNth := TFRCAlgo(TFRCOpts{K: 8, HistoryDiscounting: true}), []int{400, 25}
+	// The audit's TFRC(8) cells at p = 1/400 and p = 1/25, in bits/s.
+	rates := supervisedMap(sw, len(everyNth), func(c *Cell) float64 { return staticRun(c, cfg, tfrc, everyNth[c.Index()]) })
+	if len(rates) != 2 {
+		t.Fatalf("%d points", len(rates))
 	}
-	pts := sw.StaticCompat(cfg)
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	if pts[1].Mbps >= pts[0].Mbps {
-		t.Fatalf("throughput did not fall with loss: %.3f at p=%.4f vs %.3f at p=%.4f",
-			pts[0].Mbps, pts[0].P, pts[1].Mbps, pts[1].P)
+	lo, hi := rates[0], rates[1]
+	if hi >= lo {
+		t.Fatalf("throughput did not fall with loss: %.3f Mbps at p=1/400 vs %.3f at p=1/25", lo/1e6, hi/1e6)
 	}
 	// The response function scales as 1/sqrt(p): 4x the loss rate should
 	// roughly halve throughput, certainly not leave it unchanged.
-	if pts[1].Mbps > pts[0].Mbps*0.8 {
+	if hi > lo*0.8 {
 		t.Fatalf("throughput barely moved across a 16x loss-rate change")
 	}
 }
 
 func TestRenderStaticCompat(t *testing.T) {
 	t.Parallel()
-	cfg := StaticCompatConfig{}
-	out := RenderStaticCompat(cfg, []StaticCompatPoint{
+	out := RenderStaticCompat([]StaticCompatPoint{
 		{Algo: "TFRC(8)", P: 0.01, Mbps: 1.7, TCPMbps: 1.66, VsTCP: 1.02, VsModel: 0.87},
 	})
 	for _, want := range []string{"TFRC(8)", "vs TCP", "0.0100"} {

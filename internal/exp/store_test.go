@@ -41,15 +41,14 @@ func storeSweep(t *testing.T) (*Sweep, *store.Store) {
 	return sw, sw.Store
 }
 
-// tinyMatrix is the fastest meaningful matrix: two algorithms, one
-// condition, one topology — four cells, five simulated seconds each.
+// tinyMatrix is the fastest meaningful matrix: one algorithm against
+// itself on one topology — three cells, one per condition, two
+// simulated seconds each.
 func tinyMatrix(seed int64) MatrixConfig {
 	return MatrixConfig{
-		Algos:      []AlgoSpec{TCPAlgo(0.5), CBRAlgo(1e6)},
-		Conditions: []string{CondStatic},
+		Algos:      []AlgoSpec{TCPAlgo(0.5)},
 		Topologies: []string{TopoDumbbell},
-		Rate:       2e6,
-		Warmup:     1, Measure: 4, Seed: seed,
+		Warmup:     0.5, Measure: 1.5, Seed: seed,
 	}
 }
 
@@ -61,8 +60,8 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 	sw, st := storeSweep(t)
 
 	tsvCold := RenderMatrixTSV(sw.Matrix(tinyMatrix(1)))
-	if st.Len() != 4 {
-		t.Fatalf("store holds %d cells after the sweep, want 4", st.Len())
+	if st.Len() != 3 {
+		t.Fatalf("store holds %d cells after the sweep, want 3", st.Len())
 	}
 	for _, e := range st.Entries() {
 		if e.Degraded || len(e.Result) == 0 {
@@ -79,8 +78,8 @@ func TestMatrixResumeServesFromStore(t *testing.T) {
 	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("replayed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
-	if st.Hits() != 4 {
-		t.Fatalf("hits = %d, want 4", st.Hits())
+	if st.Hits() != 3 {
+		t.Fatalf("hits = %d, want 3", st.Hits())
 	}
 
 	// A different seed keys differently and must not be served stale
@@ -115,14 +114,14 @@ func TestMatrixResumeRecomputesOnlyMissingCells(t *testing.T) {
 	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("resumed TSV differs from the uninterrupted run:\n%s\nvs\n%s", got, tsvCold)
 	}
-	if partial.Hits() != 3 {
-		t.Fatalf("hits = %d, want 3 (exactly one cell recomputes)", partial.Hits())
+	if partial.Hits() != 2 {
+		t.Fatalf("hits = %d, want 2 (exactly one cell recomputes)", partial.Hits())
 	}
 	if partial.Misses() != 1 {
 		t.Fatalf("misses = %d, want 1", partial.Misses())
 	}
-	if partial.Len() != 4 {
-		t.Fatalf("recomputed cell not committed: store holds %d, want 4", partial.Len())
+	if partial.Len() != 3 {
+		t.Fatalf("recomputed cell not committed: store holds %d, want 3", partial.Len())
 	}
 }
 
@@ -153,8 +152,8 @@ func TestStoreAloneNeverInstallsADigest(t *testing.T) {
 	}
 
 	sw.Matrix(tinyMatrix(1))
-	if st.Len() != 4 {
-		t.Fatalf("store holds %d cells after the sweep, want 4", st.Len())
+	if st.Len() != 3 {
+		t.Fatalf("store holds %d cells after the sweep, want 3", st.Len())
 	}
 	for _, e := range st.Entries() {
 		cs, err := e.CellStats()
@@ -195,17 +194,17 @@ func TestCachedCellsEmitCachedLifecycle(t *testing.T) {
 	sw.Replay, sw.Progress = true, sink
 	sw.Matrix(tinyMatrix(1))
 
-	if st.Hits() != 4 || st.Misses() != 0 || st.Corrupt() != 0 {
-		t.Fatalf("hits=%d misses=%d corrupt=%d, want 4, 0, 0: a digestless entry is a hit, not a stale one",
+	if st.Hits() != 3 || st.Misses() != 0 || st.Corrupt() != 0 {
+		t.Fatalf("hits=%d misses=%d corrupt=%d, want 3, 0, 0: a digestless entry is a hit, not a stale one",
 			st.Hits(), st.Misses(), st.Corrupt())
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		if !kindsEqual(sink.cellKinds(i), obs.SweepQueued, obs.SweepCached) {
 			t.Fatalf("cached cell %d lifecycle = %v, want queued, cached", i, sink.cellKinds(i))
 		}
 	}
-	if len(sink.stats) != 4 {
-		t.Fatalf("replayed %d CellStats, want 4", len(sink.stats))
+	if len(sink.stats) != 3 {
+		t.Fatalf("replayed %d CellStats, want 3", len(sink.stats))
 	}
 	col := export.NewCollector()
 	for _, cs := range sink.stats {
@@ -271,8 +270,8 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("sinkless replay TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
-	if bad.Hits() != 4 || bad.Misses() != 0 || bad.Corrupt() != 0 {
-		t.Fatalf("no sink: hits=%d misses=%d corrupt=%d, want 4, 0, 0 (telemetry unread)",
+	if bad.Hits() != 3 || bad.Misses() != 0 || bad.Corrupt() != 0 {
+		t.Fatalf("no sink: hits=%d misses=%d corrupt=%d, want 3, 0, 0 (telemetry unread)",
 			bad.Hits(), bad.Misses(), bad.Corrupt())
 	}
 
@@ -281,17 +280,17 @@ func TestUndecodableTelemetryIsRefusedOnlyWhenASinkReadsIt(t *testing.T) {
 	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("recomputed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
-	if bad.Corrupt() != 4 {
-		t.Fatalf("sink attached: corrupt = %d, want all 4 hits refused", bad.Corrupt())
+	if bad.Corrupt() != 3 {
+		t.Fatalf("sink attached: corrupt = %d, want all 3 hits refused", bad.Corrupt())
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		kinds := sink.cellKinds(i)
 		if len(kinds) == 0 || kinds[len(kinds)-1] != obs.SweepDone {
 			t.Fatalf("cell %d lifecycle = %v, want a computed cell (… done), not a cached one", i, kinds)
 		}
 	}
-	if len(sink.stats) != 4 {
-		t.Fatalf("sink saw %d CellStats, want the 4 recomputed cells'", len(sink.stats))
+	if len(sink.stats) != 3 {
+		t.Fatalf("sink saw %d CellStats, want the 3 recomputed cells'", len(sink.stats))
 	}
 	// The recompute committed telemetry that decodes.
 	for _, e := range bad.Entries() {
@@ -356,15 +355,15 @@ func TestUnparsedStoredResultIsRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != 4 || re.Corrupt() != 0 {
-		t.Fatalf("reopened: %d entries, %d corrupt; want 4, 0", re.Len(), re.Corrupt())
+	if re.Len() != 3 || re.Corrupt() != 0 {
+		t.Fatalf("reopened: %d entries, %d corrupt; want 3, 0", re.Len(), re.Corrupt())
 	}
 	sw.Store, sw.Replay = re, true
 	if got := RenderMatrixTSV(sw.Matrix(tinyMatrix(1))); got != tsvCold {
 		t.Fatalf("replayed TSV differs from the cold run:\n%s\nvs\n%s", got, tsvCold)
 	}
-	if re.Hits() != 4 || re.Corrupt() != 1 {
-		t.Fatalf("hits=%d corrupt=%d, want 4 (one of them refused), 1", re.Hits(), re.Corrupt())
+	if re.Hits() != 3 || re.Corrupt() != 1 {
+		t.Fatalf("hits=%d corrupt=%d, want 3 (one of them refused), 1", re.Hits(), re.Corrupt())
 	}
 	// The recompute committed a result that decodes.
 	for _, e := range re.Entries() {
@@ -382,19 +381,20 @@ func parentMatrixCellKey(cfg MatrixConfig, topo, cond string, a, b AlgoSpec) str
 	m.DurationS = float64(cfg.Warmup + cfg.Measure)
 	m.Algos = []string{a.Name, b.Name}
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	rate := float64(matrixRate)
 	m.Config = map[string]string{
 		"topology":       topo,
 		"condition":      cond,
 		"algo_a":         a.Name,
 		"algo_b":         b.Name,
 		"hops":           strconv.Itoa(cfg.Hops),
-		"rate":           g(cfg.Rate),
+		"rate":           g(rate),
 		"flows_per_side": strconv.Itoa(matrixFlowsPerSide),
 		"reverse_flows":  strconv.Itoa(matrixReverseFlows),
-		"cbr_peak":       g(cfg.Rate / 2),
+		"cbr_peak":       g(rate / 2),
 		"period":         g(float64(cfg.Period)),
-		"cross_rate":     g(cfg.Rate / 4),
-		"outage_dur":     g(float64(cfg.OutageDur)),
+		"cross_rate":     g(rate / 4),
+		"outage_dur":     g(float64(matrixOutageDur)),
 		"warmup":         g(float64(cfg.Warmup)),
 		"measure":        g(float64(cfg.Measure)),
 		"smooth_bin":     g(float64(matrixSmoothBin)),
@@ -430,7 +430,7 @@ func TestMatrixCellKeysUnchanged(t *testing.T) {
 	for _, cfg := range []MatrixConfig{cfg, tiny} {
 		key := matrixCellKeyer(cfg)
 		for _, topo := range cfg.Topologies {
-			for _, cond := range cfg.Conditions {
+			for _, cond := range matrixConditions {
 				for _, a := range cfg.Algos {
 					for _, b := range cfg.Algos {
 						if got, want := key(topo, cond, a, b), parentMatrixCellKey(cfg, topo, cond, a, b); got != want {
@@ -459,7 +459,7 @@ func TestMatrixCellKeyerConcurrent(t *testing.T) {
 		}
 		var cells []cell
 		for _, topo := range cfg.Topologies {
-			for _, cond := range cfg.Conditions {
+			for _, cond := range matrixConditions {
 				for _, a := range cfg.Algos {
 					for _, b := range cfg.Algos {
 						cells = append(cells, cell{topo, cond, a, b})
@@ -704,7 +704,7 @@ func TestHaltedCellsResumeAsMisses(t *testing.T) {
 			sw.Scope = "halted-then-resumed"
 			return fmt.Sprint(supervisedMap(sw, 3, steps))
 		}},
-		{"Matrix", 4, func(sw *Sweep) string { return RenderMatrixTSV(sw.Matrix(tinyMatrix(1))) }},
+		{"Matrix", 3, func(sw *Sweep) string { return RenderMatrixTSV(sw.Matrix(tinyMatrix(1))) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"slowcc/internal/cc/tcp"
 	"slowcc/internal/netem"
 	"slowcc/internal/sim"
 )
@@ -52,9 +53,10 @@ func readSubstrate(t *testing.T) []substrateRow {
 
 // TestSubstrateTable holds the substrate table to what the code builds:
 // each row's "ours" is read back from a default dumbbell — its PropRTT,
-// its links, its RED queue — or, for the packet size, which none of
-// them shows by itself, from the constant. Every knob has a row and
-// every row a knob, so the table cannot go stale.
+// its links, its RED queue, the first burst of a TCP sender on it — or,
+// for the packet size, which none of them shows by itself, from the
+// constant. Every knob has a row and every row a knob, so the table
+// cannot go stale.
 func TestSubstrateTable(t *testing.T) {
 	eng := sim.New(1)
 	d := New(eng, Config{Seed: 1})
@@ -92,6 +94,7 @@ func TestSubstrateTable(t *testing.T) {
 		// While idle, RED ages its average by one empty-queue sample per
 		// reference packet's transmission time on the bottleneck.
 		"red_idle_pkt_time_s": func(o string) (any, bool) { return q.MeanPktTime, near(q.MeanPktTime, num(o)) },
+		"initial_cwnd_pkts":   func(o string) (any, bool) { n := tcpFirstBurst(); return n, float64(n) == num(o) },
 	}
 
 	seen := map[string]bool{}
@@ -120,6 +123,21 @@ func TestSubstrateTable(t *testing.T) {
 			t.Errorf("substrate.tsv has no row for %s", knob)
 		}
 	}
+}
+
+// tcpFirstBurst counts the data packets a TCP sender on a default
+// dumbbell puts on the wire before any ACK could return: its initial
+// window. The receiving end never acknowledges, and the count is taken
+// one propagation round trip in, well before the first retransmit
+// timeout.
+func tcpFirstBurst() int {
+	eng := sim.New(1)
+	d := New(eng, Config{Seed: 1})
+	snd, rcv := tcp.NewSender(eng, nil, tcp.Config{Flow: 1}), &arrival{eng: eng}
+	d.Connect(1, snd, rcv, Span{})
+	eng.At(0, snd.Start)
+	eng.RunUntil(d.PropRTT())
+	return len(rcv.pkts)
 }
 
 // redGentle says how a default dumbbell's RED treats an average past

@@ -155,7 +155,7 @@ func TestPublicMeterAndSmoothness(t *testing.T) {
 func TestFacadeDelegations(t *testing.T) {
 	// Fig45.
 	f45 := slowcc.Fig45Config{
-		Scenario: exp.StabilizationConfig{OffAt: 20, OnAt: 24, End: 45, Flows: 6, Seed: 1},
+		Scenario: exp.StabilizationConfig{OffAt: 10, OnAt: 12, End: 22, Seed: 1},
 		MaxGamma: 1,
 	}
 	if out := exp.RenderFig45(slowcc.Fig45(f45)); !strings.Contains(out, "Figure 5") {
@@ -180,17 +180,15 @@ func TestFacadeDelegations(t *testing.T) {
 		t.Fatal("Fairness facade broken")
 	}
 	// Oscillation.
-	oc := slowcc.OscillationConfig{Algos: []slowcc.Algorithm{slowcc.TCP(0.5)},
-		Periods: []slowcc.Time{1}, Warmup: 5, Measure: 15, Flows: 4, Seed: 1}
+	oc := slowcc.OscillationConfig{Periods: []slowcc.Time{1}, Warmup: 2, Measure: 5, Seed: 1}
 	if out := slowcc.RenderOscillation("t", oc, slowcc.Oscillation(oc)); !strings.Contains(out, "drop rate") {
 		t.Fatal("Oscillation facade broken")
 	}
 	// Smoothness defaults.
 	sm := slowcc.DefaultFig19()
 	sm.Duration = 30
-	sm.Warmup = 5
 	sm.Seed = 1
-	if out := slowcc.RenderSmoothness("t", sm, slowcc.RunSmoothness(sm)); !strings.Contains(out, "minRatio") {
+	if out := slowcc.RenderSmoothness("t", slowcc.RunSmoothness(sm)); !strings.Contains(out, "minRatio") {
 		t.Fatal("Smoothness facade broken")
 	}
 	_ = slowcc.DefaultFig17()

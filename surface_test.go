@@ -454,38 +454,24 @@ func TestBenchSurfaceIsBenchOnly(t *testing.T) {
 // no non-test file writes them, as "pkg.Type.Field" → reason. It is the
 // only exemption TestInternalFieldsHaveWriters grants; an entry whose
 // field has gained a writer, or no longer exists, fails the test too.
+// Two kinds of field earn a line: a safety check or a value bench/ reads,
+// and the pooled-vs-unpooled determinism reference. A field only tests
+// set to shrink a run earns none: a test shrinks a run through settings
+// production turns too, or calls the cell function (runOutage, staticRun,
+// …) with the arguments it needs.
 var fieldTestOnly = map[string]string{
 	"sim.Budget.LivelockEvents":           "safety check: a run stuck at one instant halts instead of spinning; tests set it to prove the halt",
 	"obs.SweepEvent.Attempt":              "bench/trace.go reads it, and only a change to the benchmark may edit bench/",
 	"exp.FairnessPoint.AMeanCI":           oracleReason,
 	"exp.FairnessPoint.BMeanCI":           oracleReason,
-	"exp.FairnessConfig.AFlows":           "TestDeterminismFairnessPooledVsUnpooled runs 2+2 flows to keep the pooled-vs-unpooled check short",
-	"exp.FairnessConfig.BFlows":           "TestDeterminismFairnessPooledVsUnpooled runs 2+2 flows to keep the pooled-vs-unpooled check short",
-	"exp.MatrixConfig.Conditions":         "the matrix, release and store tests (smallMatrixConfig, tinyMatrix) run one or two conditions, not all three",
-	"exp.StaticCompatConfig.DropEveryNth": "staticcompat_test.go sweeps one or two loss rates, not the default three",
-	"tcp.Config.InitialCwnd":              "TestMaxPktsStopsExactly starts a short transfer with a window of 10 to cap it at MaxPkts",
 	"exp.FairnessConfig.DisablePool":      poolReason,
 	"exp.MatrixConfig.DisablePool":        poolReason,
 	"exp.StabilizationConfig.DisablePool": poolReason,
-	"exp.MatrixConfig.Rate":               shrinkReason,
-	"exp.MatrixConfig.OutageDur":          shrinkReason,
-	"exp.OscillationConfig.Algos":         shrinkReason,
-	"exp.OscillationConfig.Flows":         shrinkReason,
-	"exp.OscillationConfig.Rate":          shrinkReason,
-	"exp.OutageConfig.Backgrounds":        shrinkReason,
-	"exp.OutageConfig.Rate":               shrinkReason,
-	"exp.OutageConfig.CrowdStart":         shrinkReason,
-	"exp.OutageConfig.CrowdDuration":      shrinkReason,
-	"exp.OutageConfig.CrowdRate":          shrinkReason,
-	"exp.SmoothnessConfig.Warmup":         shrinkReason,
-	"exp.StabilizationConfig.Flows":       shrinkReason,
-	"exp.StaticCompatConfig.Algos":        shrinkReason,
 }
 
 const (
 	oracleReason = "always zero, but bench/'s figures oracle hashes a FairnessPoint's %+v text, field names included, and only a change to the benchmark may re-record it"
 	poolReason   = "the pooled-vs-unpooled determinism tests run with pooling off as their heap-allocation reference"
-	shrinkReason = "tests set it to a non-default value to shrink the run or sharpen what it checks"
 )
 
 // TestInternalFieldsHaveWriters is TestEverythingIsReached one level
@@ -640,6 +626,102 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 		t.Errorf("%d of internal/'s %d exported struct fields are never written by a non-test file; make each a constant, or add a fieldTestOnly line saying why a test needs it:\n\t%s",
 			len(orphans), len(fields), strings.Join(orphans, "\n\t"))
 	}
+}
+
+// TestDesignNamesResolve keeps DESIGN.md's code names honest: every
+// backticked qualified Go name in it — pkg.Name, pkg.Type.Member, or
+// Type.Member of a type the module declares, a trailing call's
+// arguments dropped — must resolve, through go/types, to a declaration
+// of the module. A span whose first part is neither a module package nor
+// a module type (math.Pow, sw.Matrix, d.Fwd) is not a module name, one
+// that ends in a file extension (trace.go, oracle.tsv) is a file, and
+// one with an underscore (sim.ns_per_event_p64) is a benchmark metric.
+func TestDesignNamesResolve(t *testing.T) {
+	m := moduleSource(t)
+	pkgs := map[string][]*types.Package{}       // package name -> packages
+	typeNames := map[string][]*types.TypeName{} // type name -> declarations
+	for _, p := range m.pkgs {
+		if p.pkg.Name() == "main" {
+			continue
+		}
+		pkgs[p.pkg.Name()] = append(pkgs[p.pkg.Name()], p.pkg)
+		for _, name := range p.pkg.Scope().Names() {
+			if tn, ok := p.pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				typeNames[name] = append(typeNames[name], tn)
+			}
+		}
+	}
+	// member resolves the selectors in path on obj, each on the type of
+	// the one before.
+	var member func(obj types.Object, path []string) bool
+	member = func(obj types.Object, path []string) bool {
+		if len(path) == 0 {
+			return true
+		}
+		switch obj.(type) {
+		case *types.TypeName, *types.Var:
+		default:
+			return false
+		}
+		next, _, _ := types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), path[0])
+		return next != nil && member(next, path[1:])
+	}
+	resolves := func(parts []string) (module, ok bool) {
+		if ps, isPkg := pkgs[parts[0]]; isPkg {
+			for _, p := range ps {
+				if obj := p.Scope().Lookup(parts[1]); obj != nil && member(obj, parts[2:]) {
+					return true, true
+				}
+			}
+			return true, false
+		}
+		if tns, isType := typeNames[parts[0]]; isType {
+			for _, tn := range tns {
+				if member(tn, parts[1:]) {
+					return true, true
+				}
+			}
+			return true, false
+		}
+		return false, false
+	}
+
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := regexp.MustCompile("`([^`\n]+)`")
+	name := regexp.MustCompile(`^\*?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?$`)
+	files := map[string]bool{"go": true, "md": true, "tsv": true, "bin": true, "json": true, "golden": true, "svg": true, "txt": true, "mod": true}
+	fenced, checked := false, 0
+	for i, line := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+		}
+		if fenced {
+			continue
+		}
+		for _, sm := range span.FindAllStringSubmatch(line, -1) {
+			nm := name.FindStringSubmatch(sm[1])
+			if nm == nil {
+				continue
+			}
+			parts := strings.Split(nm[1], ".")
+			if files[parts[len(parts)-1]] || strings.Contains(nm[1], "_") {
+				continue
+			}
+			if module, ok := resolves(parts); module {
+				checked++
+				if !ok {
+					t.Errorf("DESIGN.md:%d: `%s` names no declaration of the module", i+1, sm[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("DESIGN.md holds no module name: the scan is broken")
+	}
+	t.Logf("%d module names checked", checked)
 }
 
 // sourcePkg is one non-test package of the module, parsed and
