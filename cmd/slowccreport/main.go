@@ -35,7 +35,9 @@ import (
 	"os"
 	"strings"
 
-	"slowcc"
+	"slowcc/internal/exp"
+	"slowcc/internal/obs"
+	"slowcc/internal/store"
 )
 
 // tsvList collects repeated -probes flags.
@@ -53,7 +55,7 @@ func main() {
 	flag.Var(&probeFiles, "probes", "probe TSV for the i-th manifest (repeatable, positional match)")
 	var (
 		heatmap    = flag.String("heatmap", "", "render a matrix TSV artifact (slowccsim -exp matrix -tsv) as ASCII heatmaps")
-		heatMetric = flag.String("heatmap-metric", "ratio", "heatmap metric: "+strings.Join(slowcc.MatrixMetrics(), ", "))
+		heatMetric = flag.String("heatmap-metric", "ratio", "heatmap metric: "+strings.Join(exp.MatrixMetrics(), ", "))
 		heatSVG    = flag.String("heatmap-svg", "", "also write the heatmap as a standalone SVG to this path")
 		storeDir   = flag.String("store", "", "inspect a slowccsim -store result-store directory (read-only): list committed cells, degraded markers, journal damage")
 	)
@@ -84,9 +86,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var manifests []*slowcc.Manifest
+	var manifests []*obs.Manifest
 	for _, path := range flag.Args() {
-		m, err := slowcc.ReadManifest(path)
+		m, err := obs.ReadManifest(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -94,7 +96,7 @@ func main() {
 		manifests = append(manifests, m)
 	}
 
-	samples := make([][]slowcc.ProbeSample, len(manifests))
+	samples := make([][]obs.Sample, len(manifests))
 	for i, path := range probeFiles {
 		if i >= len(samples) {
 			fmt.Fprintf(os.Stderr, "slowccreport: more -probes files than manifests\n")
@@ -105,7 +107,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		samples[i], err = slowcc.ReadProbeTSV(f)
+		samples[i], err = obs.ReadSamplesTSV(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -113,14 +115,14 @@ func main() {
 		}
 	}
 
-	fmt.Print(slowcc.RenderReport(manifests, samples))
+	fmt.Print(obs.RenderReport(manifests, samples))
 }
 
 // reportStore opens a result store read-only and prints one line per
 // committed cell plus a health summary (degraded markers, quarantined
 // journal damage), so a sweep can be audited before resuming.
 func reportStore(dir string) {
-	st, err := slowcc.OpenStoreReadOnly(dir)
+	st, err := store.OpenReadOnly(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -166,20 +168,20 @@ func renderHeatmap(path, metric, svgPath string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cells, err := slowcc.ParseMatrixTSV(f)
+	cells, err := exp.ParseMatrixTSV(f)
 	f.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	text, err := slowcc.RenderMatrixHeatmap(cells, metric)
+	text, err := exp.RenderMatrixHeatmap(cells, metric)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Print(text)
 	if svgPath != "" {
-		svg, err := slowcc.RenderMatrixHeatmapSVG(cells, metric)
+		svg, err := exp.RenderMatrixHeatmapSVG(cells, metric)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -7,7 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"slowcc"
+	"slowcc/internal/exp"
+	"slowcc/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden report")
@@ -27,11 +28,11 @@ func TestReportGolden(t *testing.T) {
 	manifestPath := filepath.Join(dir, "run.json")
 	probesPath := filepath.Join(dir, "run.probes.tsv")
 
-	run := slowcc.NewTraceRun(slowcc.TraceRunConfig{
+	run := exp.NewTraceRun(exp.TraceRunConfig{
 		Seed:          1,
 		Rate:          10e6,
 		Duration:      5,
-		Algos:         []slowcc.Algorithm{slowcc.TCP(0.5), slowcc.TFRC(slowcc.TFRCOptions{K: 8, HistoryDiscounting: true})},
+		Algos:         []exp.AlgoSpec{exp.TCPAlgo(0.5), exp.TFRCAlgo(exp.TFRCOpts{K: 8, HistoryDiscounting: true})},
 		ProbeInterval: 0.5,
 	})
 	run.Run()
@@ -45,7 +46,7 @@ func TestReportGolden(t *testing.T) {
 	}
 
 	m := run.Manifest("slowcctrace")
-	m.Outputs["probes"] = slowcc.DigestBytes(tsv.Bytes())
+	m.Outputs["probes"] = obs.DigestBytes(tsv.Bytes())
 	m.WallTimeS = 0 // the only volatile field; zeroed for reproducibility
 	if err := m.WriteFile(manifestPath); err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestReportGolden(t *testing.T) {
 
 	// Read back exactly as main does: digest-verified manifest, parsed
 	// probe TSV, rendered side by side.
-	got, err := slowcc.ReadManifest(manifestPath)
+	got, err := obs.ReadManifest(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := slowcc.ReadProbeTSV(f)
+	samples, err := obs.ReadSamplesTSV(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +70,7 @@ func TestReportGolden(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("probed run produced no samples")
 	}
-	report := slowcc.RenderReport([]*slowcc.Manifest{got}, [][]slowcc.ProbeSample{samples})
+	report := obs.RenderReport([]*obs.Manifest{got}, [][]obs.Sample{samples})
 
 	goldenPath := filepath.Join("testdata", "report.golden")
 	if *update {
@@ -99,11 +100,11 @@ func TestJourneyReportGolden(t *testing.T) {
 	dir := t.TempDir()
 	manifestPath := filepath.Join(dir, "run.json")
 
-	run := slowcc.NewTraceRun(slowcc.TraceRunConfig{
+	run := exp.NewTraceRun(exp.TraceRunConfig{
 		Seed:     1,
 		Rate:     10e6,
 		Duration: 5,
-		Algos:    []slowcc.Algorithm{slowcc.TCP(0.5), slowcc.TFRC(slowcc.TFRCOptions{K: 8, HistoryDiscounting: true})},
+		Algos:    []exp.AlgoSpec{exp.TCPAlgo(0.5), exp.TFRCAlgo(exp.TFRCOpts{K: 8, HistoryDiscounting: true})},
 		Journeys: true,
 	})
 	run.Run()
@@ -113,14 +114,14 @@ func TestJourneyReportGolden(t *testing.T) {
 	if err := m.WriteFile(manifestPath); err != nil {
 		t.Fatal(err)
 	}
-	got, err := slowcc.ReadManifest(manifestPath)
+	got, err := obs.ReadManifest(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Histograms) == 0 {
 		t.Fatal("journey run manifest carries no histograms")
 	}
-	report := slowcc.RenderReport([]*slowcc.Manifest{got}, nil)
+	report := obs.RenderReport([]*obs.Manifest{got}, nil)
 
 	goldenPath := filepath.Join("testdata", "journey_report.golden")
 	if *update {

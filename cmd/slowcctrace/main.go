@@ -11,7 +11,7 @@
 //
 // A flow spec is key[:arg], an algorithm of the roster and its
 // parameter; slowcctrace -h lists the keys with each argument's domain
-// and default, generated from the roster itself (slowcc.AlgoSyntax).
+// and default, generated from the roster itself (exp.AlgoSyntax).
 //
 // State probes: -probe I samples every flow's internal state (cwnd and
 // srtt for the windowed algorithms, sending rate for the rate-based
@@ -63,8 +63,11 @@ import (
 	"os"
 	"strings"
 
-	"slowcc"
+	"slowcc/internal/exp"
 	"slowcc/internal/faults"
+	"slowcc/internal/obs"
+	"slowcc/internal/obs/journey"
+	"slowcc/internal/trace"
 )
 
 // flowList collects repeated -flow flags.
@@ -79,7 +82,7 @@ func (f *flowList) Set(v string) error {
 
 func main() {
 	var flows flowList
-	flag.Var(&flows, "flow", "flow spec key[:arg] (repeatable), e.g. tcp:0.5, tfrc:8, tear; one of\n"+slowcc.AlgoSyntax())
+	flag.Var(&flows, "flow", "flow spec key[:arg] (repeatable), e.g. tcp:0.5, tfrc:8, tear; one of\n"+exp.AlgoSyntax())
 	var (
 		rate     = flag.Float64("rate", 10e6, "bottleneck bandwidth, bits/s")
 		dur      = flag.Float64("dur", 30, "simulated duration, seconds")
@@ -118,7 +121,7 @@ func main() {
 		flows = flowList{"tcp:0.5", "tfrc:8"}
 	}
 
-	cfg := slowcc.TraceRunConfig{
+	cfg := exp.TraceRunConfig{
 		Seed:          *seed,
 		Rate:          *rate,
 		Duration:      *dur,
@@ -129,14 +132,14 @@ func main() {
 		Digest:        *digest,
 	}
 	for _, spec := range flows {
-		algo, err := slowcc.ParseAlgo(spec)
+		algo, err := exp.ParseAlgoSpec(spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		cfg.Algos = append(cfg.Algos, algo)
 	}
-	run := slowcc.NewTraceRun(cfg)
+	run := exp.NewTraceRun(cfg)
 	run.Run()
 	rec := run.Rec
 
@@ -149,7 +152,7 @@ func main() {
 	series := make([][]float64, len(flows))
 	maxLen := 0
 	for i := range flows {
-		series[i] = rec.BinRates(i+1, slowcc.TraceRecv, 1)
+		series[i] = rec.BinRates(i+1, trace.Recv, 1)
 		if len(series[i]) > maxLen {
 			maxLen = len(series[i])
 		}
@@ -166,7 +169,7 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("\n%d events captured, %d drops, %d marks\n",
-		rec.Len(), len(rec.Filter(-1, slowcc.TraceDrop)), len(rec.Filter(-1, slowcc.TraceMark)))
+		rec.Len(), len(rec.Filter(-1, trace.Drop)), len(rec.Filter(-1, trace.Mark)))
 
 	m := run.Manifest("slowcctrace")
 
@@ -185,7 +188,7 @@ func main() {
 		printAttribution(run.Journeys)
 	}
 	if *timeline != "" {
-		tl := slowcc.NewTimeline()
+		tl := obs.NewTimeline()
 		run.Journeys.WriteTimeline(tl)
 		if err := tl.WriteFile(*timeline); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -224,7 +227,7 @@ func main() {
 // every hop the delivered/dropped counts and the exact queueing,
 // transmission, and propagation sums, then the end-to-end identity
 // those components tile.
-func printAttribution(rec *slowcc.JourneyRecorder) {
+func printAttribution(rec *journey.Recorder) {
 	fmt.Println("\nlatency attribution (per hop, delivered packets):")
 	fmt.Printf("%-22s %9s %7s %12s %12s %12s %10s\n",
 		"hop", "delivered", "drops", "queue_s", "tx_s", "prop_s", "q_p99_ms")
@@ -269,5 +272,5 @@ func digestFile(path string) string {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	return slowcc.DigestBytes(blob)
+	return obs.DigestBytes(blob)
 }

@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -338,28 +339,39 @@ func TestTimelineSmoke(t *testing.T) {
 
 // -digest is slowcctrace's fingerprint of the executed event stream: two
 // identical runs print the same stream digest line, and the manifest
-// records the same digest.
+// records the same digest. Seed 0 is a seed like any other: it runs, and
+// is recorded as, itself, not the default seed 1.
 func TestTraceDigestSmoke(t *testing.T) {
 	dir := t.TempDir()
 	digest := regexp.MustCompile(`(?m)^stream digest: ([0-9a-f]{16}) over [1-9][0-9]* events$`)
 	var lines []string
-	for _, manifest := range []string{"a.json", "b.json"} {
-		out := ok(t, dir, "slowcctrace", "-flow", "tcp:0.5", "-flow", "tfrc:8", "-dur", "5", "-digest", "-manifest", manifest)
+	for _, run := range []struct {
+		manifest string
+		seed     int64
+	}{{"a.json", 1}, {"b.json", 1}, {"zero.json", 0}} {
+		out := ok(t, dir, "slowcctrace", "-flow", "tcp:0.5", "-flow", "tfrc:8", "-dur", "5", "-digest",
+			"-seed", strconv.FormatInt(run.seed, 10), "-manifest", run.manifest)
 		line := digest.FindStringSubmatch(out)
 		if line == nil {
 			t.Fatalf("slowcctrace -digest printed no stream digest line:\n%s", out)
 		}
 		lines = append(lines, line[0])
-		m, err := obs.ReadManifest(filepath.Join(dir, manifest))
+		m, err := obs.ReadManifest(filepath.Join(dir, run.manifest))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := m.Config["stream_digest"]; got != line[1] {
-			t.Fatalf("%s records stream_digest %q, stdout says %s", manifest, got, line[1])
+			t.Fatalf("%s records stream_digest %q, stdout says %s", run.manifest, got, line[1])
+		}
+		if m.Seed != run.seed {
+			t.Fatalf("%s records seed %d, want %d", run.manifest, m.Seed, run.seed)
 		}
 	}
 	if lines[0] != lines[1] {
 		t.Fatalf("two identical -digest runs differ: %q then %q", lines[0], lines[1])
+	}
+	if lines[2] == lines[0] {
+		t.Fatalf("-seed 0 printed seed 1's digest line %q: it ran seed 1", lines[0])
 	}
 }
 
@@ -557,7 +569,7 @@ func TestKillAndResumeSmoke(t *testing.T) {
 	}
 }
 
-// The root package exports what the examples use (TestRootSurfaceHasUsers);
+// The root package exports what the examples use (TestEverythingIsReached);
 // here the examples run.
 func TestExamplesRun(t *testing.T) {
 	examples, err := os.ReadDir(filepath.Join("..", "examples"))

@@ -63,6 +63,27 @@ func ExampleCountPattern() {
 	// 6 drops per 1356-packet cycle
 }
 
+// ExampleParseAlgo reaches the algorithms that have no constructor here
+// by name, in the syntax slowcctrace -flow and slowccsim -matrix take;
+// each result wires flows with Make, as TCP and TFRC do.
+func ExampleParseAlgo() {
+	for _, spec := range []string{"sqrt:0.5", "iiad", "rap:0.5", "tear", "cbr:2.5e6", "sqrt:2"} {
+		algo, err := slowcc.ParseAlgo(spec)
+		if err != nil {
+			fmt.Println(err)
+			continue
+		}
+		fmt.Println(algo.Name)
+	}
+	// Output:
+	// SQRT(1/2)
+	// IIAD(1/2)
+	// RAP(1/2)
+	// TEAR
+	// CBR(2.5M)
+	// flow "sqrt:2": sqrt wants b in (0,1]
+}
+
 // ExampleExperiments pins the roster's names and order: it is the text
 // of slowccsim -list.
 func ExampleExperiments() {

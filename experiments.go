@@ -3,8 +3,8 @@ package slowcc
 import "slowcc/internal/exp"
 
 // The paper's experiments. Experiments is the whole evaluation as one
-// roster; beside it, the drivers the examples and README call directly
-// are re-exported from internal/exp with their Config (zero fields take
+// roster; beside it, the drivers the examples call directly are
+// re-exported from internal/exp with their Config (zero fields take
 // the paper's parameters), typed result and Render function. The
 // single-scenario configs (FairnessConfig, SmoothnessConfig) have no
 // default for what is under test — FairnessConfig's A and B,
@@ -20,17 +20,6 @@ import "slowcc/internal/exp"
 // given, at the paper's scale (full) or a reduced one and returns the
 // rendered tables with the typed result; matrix overrides the matrix row's configuration and no other row reads it.
 func Experiments() []exp.Experiment { return exp.Experiments() }
-
-// Stabilization sweep (Section 4.1, Figures 4-5).
-type (
-	// Fig45Config sweeps the slowness parameter for Figures 4 and 5.
-	Fig45Config = exp.Fig45Config
-	// Fig45Point is one (family, gamma) stabilization measurement.
-	Fig45Point = exp.Fig45Point
-)
-
-// Fig45 runs the Figure 4/5 gamma sweep.
-func Fig45(cfg Fig45Config) []Fig45Point { return new(exp.Sweep).Fig45(cfg) }
 
 // Flash crowd (Section 4.1.2, Figure 6).
 type (

@@ -19,11 +19,12 @@ import (
 // cmd/slowcctrace, factored here so tests drive exactly the code path
 // the CLI does.
 type TraceRunConfig struct {
-	// Seed seeds the engine and queue RNGs (default 1).
+	// Seed seeds the RED queues and the fault stream; 0 is a seed like
+	// any other.
 	Seed int64
-	// Rate is the bottleneck bandwidth in bits/s (default 10 Mbps).
+	// Rate is the bottleneck bandwidth in bits/s.
 	Rate float64
-	// Duration is the simulated horizon in seconds (default 30).
+	// Duration is the simulated horizon in seconds.
 	Duration sim.Time
 	// ECN selects an ECN-marking bottleneck.
 	ECN bool
@@ -53,18 +54,6 @@ type TraceRunConfig struct {
 	Digest bool
 }
 
-func (c *TraceRunConfig) fill() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Rate == 0 {
-		c.Rate = 10e6
-	}
-	if c.Duration == 0 {
-		c.Duration = 30
-	}
-}
-
 // TraceRun is a wired traced scenario. Construct with NewTraceRun, call
 // Run, then read the Recorder, Sampler, and Manifest.
 type TraceRun struct {
@@ -91,7 +80,6 @@ type TraceRun struct {
 // trace, a sampler over every flow's probe variables (and the RED
 // queues). Nothing runs yet.
 func NewTraceRun(cfg TraceRunConfig) *TraceRun {
-	cfg.fill()
 	var fc faults.Config
 	if cfg.FaultSpec != "" {
 		var err error

@@ -26,6 +26,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func shortTraceRun() *exp.TraceRun {
 	r := exp.NewTraceRun(exp.TraceRunConfig{
 		Seed:          1,
+		Rate:          10e6,
 		Duration:      5,
 		ProbeInterval: 0.5,
 		Journeys:      true,

@@ -22,7 +22,7 @@ type Manifest struct {
 	// Tool is the producing command or driver ("slowcctrace",
 	// "slowccsim", an exp scenario name).
 	Tool string `json:"tool"`
-	// Seed is the engine seed the run used.
+	// Seed is the scenario seed the run used.
 	Seed int64 `json:"seed"`
 	// DurationS is the simulated horizon in seconds.
 	DurationS float64 `json:"duration_s"`

@@ -10,14 +10,16 @@ import (
 	"testing"
 
 	"slowcc"
+	"slowcc/internal/exp"
+	"slowcc/internal/obs"
 )
 
 // benchScenario is the macro run of pinned_stream_test.go (two standard
 // TCP flows, 10 Mbps, 30 s, seed 1) expressed as a TraceRunConfig, so
 // the pin is held on the path slowcctrace takes, with the sampler
 // enabled.
-func benchScenario(probeInterval slowcc.Time) slowcc.TraceRunConfig {
-	return slowcc.TraceRunConfig{
+func benchScenario(probeInterval slowcc.Time) exp.TraceRunConfig {
+	return exp.TraceRunConfig{
 		Seed:          1,
 		Rate:          10e6,
 		Duration:      30,
@@ -27,9 +29,9 @@ func benchScenario(probeInterval slowcc.Time) slowcc.TraceRunConfig {
 }
 
 func TestProbesDoNotPerturbEventStream(t *testing.T) {
-	off := slowcc.NewTraceRun(benchScenario(0))
+	off := exp.NewTraceRun(benchScenario(0))
 	off.Run()
-	on := slowcc.NewTraceRun(benchScenario(0.1))
+	on := exp.NewTraceRun(benchScenario(0.1))
 	on.Run()
 
 	if off.Eng.Steps() != pinnedEvents {
@@ -59,7 +61,7 @@ func TestProbesDoNotPerturbEventStream(t *testing.T) {
 
 	// And the sampled state is itself deterministic: a second probed run
 	// reproduces every sample.
-	on2 := slowcc.NewTraceRun(benchScenario(0.1))
+	on2 := exp.NewTraceRun(benchScenario(0.1))
 	on2.Run()
 	a, b := on.Sampler.Samples(), on2.Sampler.Samples()
 	if len(a) != len(b) {
@@ -73,8 +75,8 @@ func TestProbesDoNotPerturbEventStream(t *testing.T) {
 }
 
 func TestManifestDeterminism(t *testing.T) {
-	run := func() *slowcc.Manifest {
-		r := slowcc.NewTraceRun(benchScenario(0.1))
+	run := func() *obs.Manifest {
+		r := exp.NewTraceRun(benchScenario(0.1))
 		r.Run()
 		return r.Manifest("slowcctrace")
 	}
@@ -99,7 +101,7 @@ func TestManifestDeterminism(t *testing.T) {
 	// A different seed is a different manifest.
 	cfg := benchScenario(0.1)
 	cfg.Seed = 2
-	r3 := slowcc.NewTraceRun(cfg)
+	r3 := exp.NewTraceRun(cfg)
 	r3.Run()
 	if r3.Manifest("slowcctrace").ComputeDigest() == m1.ComputeDigest() {
 		t.Fatal("seed-2 manifest digests identically to seed 1")

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"slowcc"
+	"slowcc/internal/exp"
 	"slowcc/internal/faults"
 	"slowcc/internal/invariant"
 	"slowcc/internal/netem"
@@ -346,14 +347,14 @@ func TestEveryLinkWatcherAtOnceKeepsPinnedStream(t *testing.T) {
 // outage spec changes the run and records itself in the manifest; an
 // invalid spec panics.
 func TestTraceRunFaultSpec(t *testing.T) {
-	base := slowcc.TraceRunConfig{
+	base := exp.TraceRunConfig{
 		Seed: 1, Rate: 10e6, Duration: 30,
 		Algos: []slowcc.Algorithm{slowcc.TCP(0.5), slowcc.TCP(0.5)},
 	}
 
 	none := base
 	none.FaultSpec = "none"
-	r := slowcc.NewTraceRun(none)
+	r := exp.NewTraceRun(none)
 	r.Run()
 	if got := r.Eng.Steps(); got != pinnedEvents {
 		t.Fatalf("FaultSpec 'none' run executed %d events, want the pinned %d", got, pinnedEvents)
@@ -364,7 +365,7 @@ func TestTraceRunFaultSpec(t *testing.T) {
 
 	outage := base
 	outage.FaultSpec = "down:10+5"
-	r2 := slowcc.NewTraceRun(outage)
+	r2 := exp.NewTraceRun(outage)
 	r2.Run()
 	if r2.Eng.Steps() == pinnedEvents {
 		t.Fatal("a 5s bottleneck outage left the event count unchanged")
@@ -380,5 +381,5 @@ func TestTraceRunFaultSpec(t *testing.T) {
 	}()
 	bad := base
 	bad.FaultSpec = "corrupt:2"
-	slowcc.NewTraceRun(bad)
+	exp.NewTraceRun(bad)
 }

@@ -3,10 +3,12 @@
 // Congestion Control Algorithms" (Bansal, Balakrishnan, Floyd, Shenker —
 // SIGCOMM 2001).
 //
-// This package is what examples/ and the commands under cmd/ import:
-// every exported name has a user there, in example_test.go or in
-// README.md, and TestRootSurfaceHasUsers fails on one that does not
-// (DESIGN.md §3.4). The subsystems themselves live under internal/:
+// This package is the library through which a reader re-runs the
+// paper's scenarios, and it exports only what an example uses: every
+// name here is reached from examples/ or from an Example function of
+// example_test.go, and TestEverythingIsReached fails on one that is not
+// (DESIGN.md §3.4). The commands under cmd/ import internal/ directly.
+// The subsystems themselves live under internal/:
 //
 //   - a deterministic discrete-event engine (NewEngine);
 //   - links, DropTail and RED queues, scripted loss patterns
@@ -17,7 +19,7 @@
 //     constructor, and the whole roster — SQRT, IIAD, RAP, TEAR, CBR —
 //     by name through ParseAlgo;
 //   - the paper's metrics (loss rate, smoothness) and per-packet
-//     tracing, probes, journeys, timelines and run manifests; and
+//     tracing; and
 //   - the evaluation roster, Figures 3-20 with the ablations and
 //     extensions (Experiments), plus the drivers the examples call.
 //
@@ -34,15 +36,10 @@
 package slowcc
 
 import (
-	"io"
-
 	"slowcc/internal/exp"
 	"slowcc/internal/metrics"
 	"slowcc/internal/netem"
-	"slowcc/internal/obs"
-	"slowcc/internal/obs/journey"
 	"slowcc/internal/sim"
-	"slowcc/internal/store"
 	"slowcc/internal/topology"
 	"slowcc/internal/trace"
 )
@@ -123,103 +120,10 @@ type Tracer = trace.Recorder
 const (
 	TraceRecv = trace.Recv
 	TraceDrop = trace.Drop
-	TraceMark = trace.Mark
 )
 
-// ParseAlgo parses the CLI algorithm syntax shared by slowcctrace
-// -flow and slowccsim -matrix: name[:arg], e.g. "tcp:0.5", "tfrc:8",
-// "tear", "cbr:2.5e6".
+// ParseAlgo returns any algorithm of the roster — the only way to SQRT,
+// IIAD, RAP, TEAR and CBR — from the syntax slowcctrace -flow and
+// slowccsim -matrix share: name[:arg], e.g. "tcp:0.5", "tfrc:8", "tear",
+// "cbr:2.5e6".
 func ParseAlgo(spec string) (Algorithm, error) { return exp.ParseAlgoSpec(spec) }
-
-// AlgoSyntax is the help text for that syntax: one line per algorithm,
-// with its argument's domain and default.
-func AlgoSyntax() string { return exp.AlgoSyntax() }
-
-// MatrixCell is one duel's outcome in the interaction matrix.
-type MatrixCell = exp.MatrixCell
-
-// Observability (internal/obs; see DESIGN.md §9): probe series and
-// deterministic run manifests, as cmd/slowccreport reads them.
-
-// ProbeSample is one probed value.
-type ProbeSample = obs.Sample
-
-// Manifest is a deterministic record of one run (config, seed, event
-// count, counters, output digests).
-type Manifest = obs.Manifest
-
-// ReadManifest parses a manifest file, verifying its schema and digest.
-func ReadManifest(path string) (*Manifest, error) { return obs.ReadManifest(path) }
-
-// DigestBytes returns the hex sha256 of b, the hash Manifest.Outputs
-// entries use.
-func DigestBytes(b []byte) string { return obs.DigestBytes(b) }
-
-// RenderReport renders manifests and probe series into a comparison
-// table (the cmd/slowccreport output).
-func RenderReport(ms []*Manifest, samples [][]ProbeSample) string {
-	return obs.RenderReport(ms, samples)
-}
-
-// ReadProbeTSV parses a probe TSV written by slowcctrace -probes.
-func ReadProbeTSV(r io.Reader) ([]ProbeSample, error) { return obs.ReadSamplesTSV(r) }
-
-// TraceRunConfig describes one ad-hoc traced run (the cmd/slowcctrace
-// scenario): a flow mix on the paper's dumbbell with packet tracing,
-// optional state probes, and the net's counters in its manifest.
-type TraceRunConfig = exp.TraceRunConfig
-
-// TraceRun is a wired traced scenario; construct with NewTraceRun,
-// call Run, then read Rec, Sampler, Journeys, Digest, and Manifest,
-// whose Counters are the net's (D.Counters) read when it is built.
-type TraceRun = exp.TraceRun
-
-// NewTraceRun wires a traced scenario without running it.
-func NewTraceRun(cfg TraceRunConfig) *TraceRun { return exp.NewTraceRun(cfg) }
-
-// Latency attribution and timeline export (internal/obs/journey and
-// internal/obs; see DESIGN.md §12): per-hop packet journeys and Chrome
-// trace-event JSON (Perfetto-loadable) timelines.
-
-// JourneyRecorder captures per-packet, per-hop spans (enqueue, head of
-// line, transmission, delivery or drop) and attributes every delivered
-// packet's end-to-end delay into queueing, transmission, and
-// propagation, exactly. Attach one with Dumbbell.ObserveJourneys before
-// wiring flows; a nil recorder attaches nothing and leaves the run
-// event-for-event identical.
-type JourneyRecorder = journey.Recorder
-
-// Timeline accumulates Chrome trace-event JSON spans from journey
-// recorders (sim time) and sweep supervision (wall time); load the
-// written file in Perfetto or chrome://tracing.
-type Timeline = obs.Timeline
-
-// NewTimeline returns an empty timeline.
-func NewTimeline() *Timeline { return obs.NewTimeline() }
-
-// ParseMatrixTSV parses the TSV artifact slowccsim -exp matrix -tsv
-// writes back into cells.
-func ParseMatrixTSV(r io.Reader) ([]MatrixCell, error) { return exp.ParseMatrixTSV(r) }
-
-// RenderMatrixHeatmap renders matrix cells as per-topology ASCII
-// heatmaps of the chosen metric (see MatrixMetrics).
-func RenderMatrixHeatmap(cells []MatrixCell, metric string) (string, error) {
-	return exp.RenderMatrixHeatmap(cells, metric)
-}
-
-// RenderMatrixHeatmapSVG renders the same grids as a standalone SVG.
-func RenderMatrixHeatmapSVG(cells []MatrixCell, metric string) (string, error) {
-	return exp.RenderMatrixHeatmapSVG(cells, metric)
-}
-
-// MatrixMetrics lists the metrics heatmaps can shade.
-func MatrixMetrics() []string { return exp.MatrixMetrics() }
-
-// ResultStore is the durable, crash-safe result store supervised sweeps
-// commit finished cells into (slowccsim -store DIR); see internal/store
-// and DESIGN.md §15.
-type ResultStore = store.Store
-
-// OpenStoreReadOnly opens a result store for inspection without
-// repairing or writing anything (cmd/slowccreport -store).
-func OpenStoreReadOnly(dir string) (*ResultStore, error) { return store.OpenReadOnly(dir) }

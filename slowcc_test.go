@@ -153,14 +153,6 @@ func TestPublicMeterAndSmoothness(t *testing.T) {
 // TestFacadeDelegations touches every re-exported experiment wrapper at
 // minimal scale so the public API stays wired.
 func TestFacadeDelegations(t *testing.T) {
-	// Fig45.
-	f45 := slowcc.Fig45Config{
-		Scenario: exp.StabilizationConfig{OffAt: 10, OnAt: 12, End: 22, Seed: 1},
-		MaxGamma: 1,
-	}
-	if out := exp.RenderFig45(slowcc.Fig45(f45)); !strings.Contains(out, "Figure 5") {
-		t.Fatal("Fig45 facade broken")
-	}
 	// Defaults are inspectable.
 	if slowcc.DefaultFig7().B.Name != "TFRC(6)" {
 		t.Fatal("default configs broken")

@@ -22,150 +22,7 @@ import (
 	"testing"
 )
 
-// TestRootSurfaceHasUsers is the litmus for the root package's surface:
-// an exported name stays only while something a reader can run or read
-// uses it. Users are the non-test Go files under examples/ and cmd/,
-// example_test.go, and README.md; a used declaration also keeps every
-// root name its type or signature mentions (not its body), so a kept
-// constructor keeps the types a caller must be able to spell. To add a
-// public name, write the example or README line that uses it.
-func TestRootSurfaceHasUsers(t *testing.T) {
-	fset := token.NewFileSet()
-	parse := func(path string) *ast.File {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-
-	// Every exported top-level name of the non-test root files, with the
-	// expression holding its type or signature (nil for an untyped const).
-	decl := map[string]ast.Expr{}
-	where := map[string]token.Position{}
-	add := func(id *ast.Ident, typ ast.Expr) {
-		if id.IsExported() {
-			decl[id.Name], where[id.Name] = typ, fset.Position(id.Pos())
-		}
-	}
-	rootFiles, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range rootFiles {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		for _, d := range parse(path).Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name, d.Type)
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, s.Type)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id, s.Type)
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// Every slowcc.X the users reference.
-	used := map[string]bool{}
-	scan := func(path string) {
-		f := parse(path)
-		local := ""
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"slowcc"` {
-				local = "slowcc"
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-					used[sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, dir := range []string{"examples", "cmd"} {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-				scan(path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	scan("example_test.go")
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range regexp.MustCompile(`\bslowcc\.([A-Z]\w*)`).FindAllSubmatch(readme, -1) {
-		if _, ok := decl[string(m[1])]; !ok {
-			t.Errorf("README.md names slowcc.%s, which the root package does not export", m[1])
-		}
-		used[string(m[1])] = true
-	}
-
-	// Close the kept set over the root names kept declarations mention.
-	kept := map[string]bool{}
-	var keep func(name string)
-	keep = func(name string) {
-		typ, ok := decl[name]
-		if !ok || kept[name] {
-			return
-		}
-		kept[name] = true
-		if typ == nil {
-			return
-		}
-		ast.Inspect(typ, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr: // pkg.Name names another package's identifier
-				return false
-			case *ast.Ident:
-				keep(n.Name)
-			}
-			return true
-		})
-	}
-	for name := range used {
-		keep(name)
-	}
-
-	var orphans []string
-	for name := range decl {
-		if !kept[name] {
-			orphans = append(orphans, name)
-		}
-	}
-	sort.Strings(orphans)
-	if len(orphans) > 0 {
-		var b strings.Builder
-		for _, name := range orphans {
-			b.WriteString("\n\t" + name + "\t" + where[name].String())
-		}
-		t.Errorf("%d of the root package's %d exported names have no user in examples/, cmd/, example_test.go or README.md; delete them, or write the example that needs them:%s",
-			len(orphans), len(decl), b.String())
-	}
-}
-
-// unreached lists the declarations kept although no binary reaches them,
+// unreached lists the declarations kept although no root reaches them,
 // as "pkg.Name" or "pkg.Type.Method" → reason. It is the only exemption
 // TestEverythingIsReached grants; an entry that a binary reaches, that
 // names no declaration, or that gives no reason fails the test too.
@@ -184,16 +41,20 @@ var unreached = map[string]string{
 }
 
 // TestEverythingIsReached holds every non-test declaration of the module
-// — func, method, type, var and const, exported or not — to one rule:
-// some binary reaches it. The roots are each main of cmd/, examples/
-// and bench/, each init, each package-level var initialiser, and the
-// root package's exported API. From a reached declaration, everything
-// its source names is reached (go/types resolves each use to its
-// declaration, generic instances to their origin); a reached type also
-// reaches each of its methods that implements an interface the type
-// satisfies (interfaceMethods), since a call through the interface
-// names no method. A use in a _test.go file reaches nothing. bench/'s
-// own declarations are roots' helpers, not checked.
+// — func, method, type, var and const, exported or not, the root
+// package's included — to one rule: some binary or example reaches it.
+// The roots are each main of cmd/, examples/ and bench/, each init, each
+// package-level var initialiser, and each Example function of
+// example_test.go, which must carry an output comment so that go test
+// runs it. So the root package exports what an example uses and nothing
+// more; the commands import internal/ directly. From a reached
+// declaration, everything its source names is reached (go/types
+// resolves each use to its declaration, generic instances to their
+// origin); a reached type also reaches each of its methods that
+// implements an interface the type satisfies (interfaceMethods), since a
+// call through the interface names no method. A use in any other
+// _test.go file reaches nothing. bench/'s own declarations are roots'
+// helpers, not checked.
 //
 // A declaration no root reaches fails, unless the unreached table lists
 // it with a reason. A listed entry is a root of its own: what only it
@@ -213,47 +74,32 @@ func TestEverythingIsReached(t *testing.T) {
 	methods := m.interfaceMethods()
 	for _, p := range m.pkgs {
 		inBench := p.dir == "bench" || strings.HasPrefix(p.dir, "bench/")
-		named := func(n ast.Node) []types.Object {
-			var out []types.Object
-			ast.Inspect(n, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if obj := p.info.Uses[id]; obj != nil {
-						out = append(out, origin(obj))
-					}
-				}
-				return true
-			})
-			return out
-		}
 		declare := func(obj types.Object, n ast.Node, uses []types.Object) {
 			decls[obj] = &decl{uses, m.fset.Position(n.End()).Line - m.fset.Position(n.Pos()).Line + 1, !inBench}
-			if p.dir == "." && obj.Exported() {
-				roots = append(roots, obj)
-			}
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
 					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && p.pkg.Name() == "main") {
-						roots = append(roots, named(d)...)
+						roots = append(roots, p.named(d)...)
 						continue
 					}
-					declare(p.info.Defs[d.Name], d, named(d))
+					declare(p.info.Defs[d.Name], d, p.named(d))
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
 						switch s := s.(type) {
 						case *ast.TypeSpec:
-							declare(p.info.Defs[s.Name], s, named(s))
+							declare(p.info.Defs[s.Name], s, p.named(s))
 						case *ast.ValueSpec:
 							if d.Tok == token.VAR {
 								for _, v := range s.Values {
-									roots = append(roots, named(v)...)
+									roots = append(roots, p.named(v)...)
 								}
 							}
 							for _, id := range s.Names {
 								if id.Name != "_" {
-									declare(p.info.Defs[id], s, named(s))
+									declare(p.info.Defs[id], s, p.named(s))
 								}
 							}
 						}
@@ -261,6 +107,19 @@ func TestEverythingIsReached(t *testing.T) {
 				}
 			}
 		}
+	}
+	ex := m.examples
+	for _, d := range ex.files[0].Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || !strings.HasPrefix(fd.Name.Name, "Example") {
+			continue
+		}
+		if !hasOutput(ex.files[0], fd) {
+			t.Errorf("%s: %s has no // Output: comment, so go test never runs it; it roots nothing until it does",
+				m.fset.Position(fd.Pos()), fd.Name.Name)
+			continue
+		}
+		roots = append(roots, ex.named(fd)...)
 	}
 
 	// reach marks everything from objs not yet in seen, and returns what
@@ -339,7 +198,7 @@ func TestEverythingIsReached(t *testing.T) {
 	}
 	sort.Strings(orphans)
 	if len(orphans) > 0 {
-		t.Errorf("%d of the module's %d declarations outside bench/ are reached by no binary; delete them, or add an unreached line saying why a test needs them:\n\t%s",
+		t.Errorf("%d of the module's %d declarations outside bench/ are reached by no binary or example; delete them, or add an unreached line saying why a test needs them:\n\t%s",
 			len(orphans), checked, strings.Join(orphans, "\n\t"))
 	}
 }
@@ -636,6 +495,8 @@ func TestInternalFieldsHaveWriters(t *testing.T) {
 // a module type (math.Pow, sw.Matrix, d.Fwd) is not a module name, one
 // that ends in a file extension (trace.go, oracle.tsv) is a file, and
 // one with an underscore (sim.ns_per_event_p64) is a benchmark metric.
+// README.md is held the same way for the names a library user types:
+// every slowcc.X in it, fenced code included, must be a root export.
 func TestDesignNamesResolve(t *testing.T) {
 	m := moduleSource(t)
 	pkgs := map[string][]*types.Package{}       // package name -> packages
@@ -722,10 +583,23 @@ func TestDesignNamesResolve(t *testing.T) {
 		t.Fatal("DESIGN.md holds no module name: the scan is broken")
 	}
 	t.Logf("%d module names checked", checked)
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := pkgs["slowcc"][0]
+	for i, line := range strings.Split(string(readme), "\n") {
+		for _, sm := range regexp.MustCompile(`\bslowcc\.([A-Z]\w*)`).FindAllStringSubmatch(line, -1) {
+			if root.Scope().Lookup(sm[1]) == nil {
+				t.Errorf("README.md:%d: names slowcc.%s, which the root package does not export", i+1, sm[1])
+			}
+		}
+	}
 }
 
-// sourcePkg is one non-test package of the module, parsed and
-// type-checked from source.
+// sourcePkg is one package of the module, parsed and type-checked from
+// source: a non-test package, or the root's example_test.go.
 type sourcePkg struct {
 	dir   string // slash-separated, relative to the module root
 	files []*ast.File
@@ -733,12 +607,45 @@ type sourcePkg struct {
 	info  *types.Info
 }
 
+// named returns the declaration each identifier in n uses, the generic
+// origin for an instantiated one.
+func (p *sourcePkg) named(n ast.Node) []types.Object {
+	var out []types.Object
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := p.info.Uses[id]; obj != nil {
+				out = append(out, origin(obj))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// hasOutput reports whether the example fd of f carries an output
+// comment, without which go test compiles it but never runs it.
+func hasOutput(f *ast.File, fd *ast.FuncDecl) bool {
+	for _, cg := range f.Comments {
+		if cg.Pos() > fd.Body.Lbrace && cg.End() < fd.Body.Rbrace {
+			for _, c := range cg.List {
+				if strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "Output:") {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // module is every non-test package of the module, dependencies first,
 // checked in one types universe: an identifier anywhere resolves to the
-// one object it names, whichever package declares it.
+// one object it names, whichever package declares it. examples is the
+// root package's example_test.go, checked against the same universe:
+// its Example functions are roots, and nothing it declares is checked.
 type module struct {
-	fset *token.FileSet
-	pkgs []*sourcePkg
+	fset     *token.FileSet
+	pkgs     []*sourcePkg
+	examples *sourcePkg
 }
 
 // internal returns the packages under internal/.
@@ -819,6 +726,15 @@ var loadModule = sync.OnceValues(func() (*module, error) {
 		}
 		source[lp.ImportPath] = p.pkg
 		m.pkgs = append(m.pkgs, p)
+	}
+
+	f, err := parser.ParseFile(m.fset, "example_test.go", nil, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	m.examples = &sourcePkg{dir: ".", files: []*ast.File{f}, info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	if m.examples.pkg, err = conf.Check("slowcc_test", m.fset, m.examples.files, m.examples.info); err != nil {
+		return nil, err
 	}
 	return m, nil
 })
